@@ -2,7 +2,7 @@
 on a rational fan, with GKM validation, equivariant Euler characteristics by
 fixed-point localization, Kronecker duality pairings, and basis solvers."""
 
-from .fan import Cone, Fan, SubdivisionMap, build_fan, resolve, star_quotient, stellar_subdivision
+from .fan import Cone, Fan, SubdivisionMap, resolve, star_quotient, stellar_subdivision
 from .lattice import QuotientLattice, annihilator, dual_basis, primitive_vector, quotient_lattice, smith_normal_form
 from .laurent import LaurentPoly, LocalizationSum, divide_exact, exact_div, reduce_localization
 from .ktheory import (
@@ -30,7 +30,7 @@ from .pexp import (
 )
 
 __all__ = [
-    "Cone", "Fan", "SubdivisionMap", "build_fan", "resolve", "star_quotient",
+    "Cone", "Fan", "SubdivisionMap", "resolve", "star_quotient",
     "stellar_subdivision", "QuotientLattice", "annihilator", "dual_basis",
     "primitive_vector", "quotient_lattice", "smith_normal_form", "LaurentPoly",
     "LocalizationSum", "divide_exact", "exact_div", "reduce_localization",

@@ -39,6 +39,7 @@ from .lattice import (
     quotient_lattice,
     saturation_basis,
     smith_normal_form,
+    strict_int,
     unimodular_inverse,
     vec_add,
     QuotientLattice,
@@ -311,7 +312,8 @@ class Fan:
 
     @staticmethod
     def build(rank: int, rays, maximal_cones, validate: bool = True) -> "Fan":
-        rays = tuple(tuple(r) for r in rays)
+        strict_int(rank, "fan rank")
+        rays = tuple(tuple(strict_int(x, "ray coordinate") for x in r) for r in rays)
         for r in rays:
             if len(r) != rank:
                 raise NotAFan(f"ray {r} has length != rank {rank}")
@@ -323,7 +325,7 @@ class Fan:
             raise NotAFan("duplicate rays")
         cones = []
         for c in maximal_cones:
-            c = tuple(sorted(set(int(i) for i in c)))
+            c = tuple(sorted(set(strict_int(i, "cone index") for i in c)))
             if any(i < 0 or i >= len(rays) for i in c):
                 raise NotAFan(f"cone {c} references a missing ray")
             cones.append(c)
@@ -410,15 +412,16 @@ class Fan:
         return tuple(out)
 
     @cached_property
+    def _face_set(self) -> frozenset[RaySet]:
+        return frozenset().union(*self._face_indices)
+
+    @cached_property
     def faces(self) -> tuple[RaySet, ...]:
         """All cones of the fan, as sorted ray-index tuples (incl. the zero cone)."""
-        all_faces = set()
-        for fs in self._face_indices:
-            all_faces |= fs
-        return tuple(sorted(all_faces, key=lambda f: (len(f), f)))
+        return tuple(sorted(self._face_set, key=lambda f: (len(f), f)))
 
     def has_face(self, rayset) -> bool:
-        return tuple(sorted(rayset)) in set(self.faces)
+        return tuple(sorted(rayset)) in self._face_set
 
     def face_dim(self, rayset: RaySet) -> int:
         return matrix_rank(tuple(self.rays[i] for i in rayset))
@@ -480,6 +483,10 @@ class Fan:
     def is_complete(self) -> bool:
         """Facet-pairing test: full-dimensional cones, every facet shared by
         exactly two cones sitting on opposite sides, facet graph connected."""
+        return self._complete
+
+    @cached_property
+    def _complete(self) -> bool:
         if self.rank == 0:
             return self.maximal_cones == ((),)
         cones = self.cone_objects
@@ -516,6 +523,10 @@ class Fan:
         return len(seen) == len(cones)
 
     def is_smooth(self) -> bool:
+        return self._smooth
+
+    @cached_property
+    def _smooth(self) -> bool:
         return all(c.is_simplicial and c.multiplicity() == 1 for c in self.cone_objects)
 
     def to_json(self) -> dict:
@@ -530,14 +541,6 @@ class Fan:
         if not isinstance(obj, dict) or not {"rank", "rays", "max_cones"} <= set(obj):
             raise ValueError("fan JSON needs 'rank', 'rays', and 'max_cones'")
         return Fan.build(obj["rank"], [tuple(r) for r in obj["rays"]], obj["max_cones"])
-
-
-def build_fan(rank: int, rays, maximal_cones) -> Fan:
-    return Fan.build(rank, rays, maximal_cones)
-
-
-def multiplicity(cone: Cone) -> int:
-    return cone.multiplicity()
 
 
 # -- star quotients ---------------------------------------------------------------

@@ -18,6 +18,17 @@ Vector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
 
 
+def strict_int(x, what: str) -> int:
+    """Return x if it is a Python int (not a bool or a float); raise otherwise.
+
+    Every JSON loader passes its integers through here, so that 1.9, 1.0 or
+    true is refused rather than truncated or coerced.
+    """
+    if type(x) is not int:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def pair(u: Vector, v: Vector) -> int:
     """Evaluation pairing <u, v> between a character and a lattice point."""
     if len(u) != len(v):
@@ -193,26 +204,16 @@ def unimodular_inverse(a: IntMatrix) -> IntMatrix:
 
 
 def integer_det(a: IntMatrix) -> int:
-    """Signed determinant of a square integer matrix, via the Smith form."""
+    """Signed determinant of a square integer matrix, by Bareiss elimination.
+
+    Fraction-free: every division is exact, entries stay integral, and the
+    last pivot is the determinant (Bareiss, Math. Comp. 22, 1968).
+    """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1
-    u, d, v = smith_normal_form(a)
-    prod = 1
-    for i in range(n):
-        prod *= d[i][i]
-    if prod == 0:
-        return 0
-    # U A V = D with U, V unimodular, so det A = det D / (det U * det V);
-    # recover the +-1 dets of U and V by one more Smith pass each.
-    return prod * _unimodular_det(u) * _unimodular_det(v)
-
-
-def _unimodular_det(a: IntMatrix) -> int:
-    n = len(a)
-    # fraction-free Bareiss; entries stay integral, final pivot is the det
     m = [list(row) for row in a]
     sign = 1
     prev = 1
@@ -230,7 +231,7 @@ def _unimodular_det(a: IntMatrix) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
             m[i][k] = 0
         prev = m[k][k]
-    return sign * (m[n - 1][n - 1] if n else 1)
+    return sign * m[n - 1][n - 1]
 
 
 def kernel_basis(a: IntMatrix, n_cols: int) -> tuple[Vector, ...]:

@@ -5,7 +5,8 @@ integer coefficients, i.e. an element a_1 e^{u_1} + ... + a_r e^{u_r}.  Terms
 are kept in lexicographic exponent order, so equality, hashing, and
 serialization are canonical.  ``LocalizationSum`` holds intermediate sums
 n / prod(1 - e^w) produced by fixed-point localization, and ``reduce`` clears
-the denominators exactly.
+the denominators exactly.  Dividing by a factor (1 - e^w) works line by line:
+the quotient's coefficients are running sums along the lines e + Z*w.
 """
 
 from __future__ import annotations
@@ -13,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotDivisible, NotPolynomial, RankMismatch, ZeroCharacter
-from .lattice import (
-    IntMatrix,
-    Vector,
-    mat_vec,
-    primitive_vector,
-    smith_normal_form,
-    unimodular_inverse,
-)
+from .lattice import IntMatrix, Vector, mat_vec, primitive_vector, strict_int
 
 Term = tuple[Vector, int]
 
@@ -181,17 +175,17 @@ def poly_to_json(f: LaurentPoly) -> dict:
 def poly_from_json(obj: dict) -> LaurentPoly:
     if not isinstance(obj, dict) or "rank" not in obj or "terms" not in obj:
         raise ValueError("LaurentPoly JSON needs 'rank' and 'terms'")
-    rank = obj["rank"]
-    if not isinstance(rank, int) or rank < 0:
+    rank = strict_int(obj["rank"], "rank")
+    if rank < 0:
         raise ValueError("rank must be a nonnegative integer")
     seen: set[Vector] = set()
     acc: dict[Vector, int] = {}
     for item in obj["terms"]:
-        c = item["coeff"]
-        exp = tuple(item["exp"])
-        if not isinstance(c, int) or c == 0:
-            raise ValueError(f"zero or non-integer coefficient at exponent {exp}")
-        if len(exp) != rank or not all(isinstance(x, int) for x in exp):
+        exp = tuple(strict_int(x, "exponent coordinate") for x in item["exp"])
+        c = strict_int(item["coeff"], "coefficient")
+        if c == 0:
+            raise ValueError(f"zero coefficient at exponent {exp}")
+        if len(exp) != rank:
             raise ValueError(f"bad exponent {exp} for rank {rank}")
         if exp in seen:
             raise ValueError(f"duplicate exponent {exp}")
@@ -206,9 +200,11 @@ def poly_from_json(obj: dict) -> LaurentPoly:
 def divide_exact(f: LaurentPoly, w: Vector) -> LaurentPoly:
     """Return g with f = (1 - e^w) * g, exactly.
 
-    Writes w = k*w0 with w0 primitive, changes basis so that e^{w0} becomes a
-    single variable t, and divides by (1 - t^k) by synthetic division from the
-    top t-degree down.  Raises NotDivisible when a remainder is left.
+    Along each line e + Z*w the coefficients satisfy f_k = g_k - g_{k-1}, so
+    (1 - e^w) divides f iff the coefficients of f on every line sum to zero,
+    and then g_k is the running sum of f_j over j <= k.  A line is named by
+    its point e - floor(e_i / w_i) * w, with i the first nonzero coordinate of
+    w.  Raises NotDivisible when some line does not sum to zero.
     """
     w = tuple(w)
     if all(x == 0 for x in w):
@@ -217,42 +213,24 @@ def divide_exact(f: LaurentPoly, w: Vector) -> LaurentPoly:
         raise RankMismatch(f"character of length {len(w)} in rank {f.rank}")
     if f.is_zero():
         return f
-    w0 = primitive_vector(w)
-    k = next(w[i] // w0[i] for i in range(len(w)) if w0[i] != 0)
-
-    # unimodular G with G w0 = e_1
-    col = tuple((x,) for x in w0)
-    u, d, _ = smith_normal_form(col)
-    g_mat = u
-    if mat_vec(g_mat, w0)[0] != 1:
-        g_mat = tuple(tuple(-x for x in row) for row in u)
-    assert mat_vec(g_mat, w0) == (1,) + (0,) * (f.rank - 1)
-    g_inv = unimodular_inverse(g_mat)
-
-    rem: dict[Vector, int] = {}
+    i = next(j for j, x in enumerate(w) if x)
+    lines: dict[Vector, list[tuple[int, int]]] = {}
     for exp, c in f.terms:
-        rem[mat_vec(g_mat, exp)] = c
-    amin = min(e[0] for e in rem)
-
-    quot: dict[Vector, int] = {}
-    while rem:
-        top = max(e[0] for e in rem)
-        if top - k < amin:
-            raise NotDivisible(f"remainder left when dividing by 1 - e^{w}")
-        for exp in [e for e in rem if e[0] == top]:
-            c = rem.pop(exp)
-            down = (exp[0] - k,) + exp[1:]
-            quot[down] = quot.get(down, 0) - c
-            nxt = rem.get(down, 0) + c
-            if nxt:
-                rem[down] = nxt
-            elif down in rem:
-                del rem[down]
+        k = exp[i] // w[i]
+        base = tuple(a - k * b for a, b in zip(exp, w))
+        lines.setdefault(base, []).append((k, c))
+    if any(sum(c for _, c in line) for line in lines.values()):
+        raise NotDivisible(f"remainder left when dividing by 1 - e^{w}")
 
     acc: dict[Vector, int] = {}
-    for exp, c in quot.items():
-        if c:
-            acc[mat_vec(g_inv, exp)] = c
+    for base, line in lines.items():
+        line.sort()
+        running = 0
+        for (k, c), (k_next, _) in zip(line, line[1:]):
+            running += c
+            if running:
+                for j in range(k, k_next):
+                    acc[tuple(a + j * b for a, b in zip(base, w))] = running
     return LaurentPoly.from_dict(f.rank, acc)
 
 
@@ -340,13 +318,6 @@ def _lex_negative(w: Vector) -> bool:
     return False
 
 
-def _try_divide_exact(f: LaurentPoly, w: Vector) -> LaurentPoly | None:
-    try:
-        return divide_exact(f, w)
-    except NotDivisible:
-        return None
-
-
 def reduce_localization(s: LocalizationSum) -> LaurentPoly:
     """Clear all denominators of the sum, exactly.
 
@@ -383,10 +354,10 @@ def reduce_localization(s: LocalizationSum) -> LaurentPoly:
             return num
         for w in sorted(den, key=lambda w: (primitive_vector(w), w)):
             while den.get(w):
-                q = _try_divide_exact(num, w)
-                if q is None:
+                try:
+                    num = divide_exact(num, w)
+                except NotDivisible:
                     break
-                num = q
                 den[w] -= 1
                 if not den[w]:
                     del den[w]

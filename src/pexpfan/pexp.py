@@ -19,7 +19,7 @@ from .errors import (
     RankMismatch,
 )
 from .fan import Fan, RaySet, SubdivisionMap
-from .lattice import IntMatrix, Vector, mat_mul
+from .lattice import IntMatrix, Vector, mat_mul, strict_int
 from .laurent import LaurentPoly
 
 
@@ -88,23 +88,17 @@ class PiecewiseExponential:
         if self.fan != other.fan:
             raise FanMismatch("functions live on different fans")
 
-    def _wrap(self, values) -> "PiecewiseExponential":
-        # conewise ring operations preserve face compatibility; re-check the
-        # invariant in debug mode only
-        assert gkm_validate(self.fan, values).ok, "ring operation broke GKM"
-        return PiecewiseExponential(self.fan, tuple(values))
-
     def __add__(self, other: "PiecewiseExponential") -> "PiecewiseExponential":
         self._check_fan(other)
-        return self._wrap(tuple(a + b for a, b in zip(self.values, other.values)))
+        return PiecewiseExponential(self.fan, tuple(a + b for a, b in zip(self.values, other.values)))
 
     def __sub__(self, other: "PiecewiseExponential") -> "PiecewiseExponential":
         self._check_fan(other)
-        return self._wrap(tuple(a - b for a, b in zip(self.values, other.values)))
+        return PiecewiseExponential(self.fan, tuple(a - b for a, b in zip(self.values, other.values)))
 
     def __mul__(self, other: "PiecewiseExponential") -> "PiecewiseExponential":
         self._check_fan(other)
-        return self._wrap(tuple(a * b for a, b in zip(self.values, other.values)))
+        return PiecewiseExponential(self.fan, tuple(a * b for a, b in zip(self.values, other.values)))
 
     def module_action(self, g: LaurentPoly) -> "PiecewiseExponential":
         """Multiply by a global element of Z[M] (the R(T)-module structure)."""
@@ -114,7 +108,7 @@ class PiecewiseExponential:
         for rs, v in zip(self.fan.maximal_cones, self.values):
             q = self.fan.face_quotient(rs)
             out.append(v * g.map_exponents(q.projection, q.rank))
-        return self._wrap(tuple(out))
+        return PiecewiseExponential(self.fan, tuple(out))
 
     def restrict(self, rayset) -> LaurentPoly:
         """Value on a face, in the canonical M_tau coordinates.
@@ -185,7 +179,9 @@ class CartierData:
     def from_json(obj: dict) -> "CartierData":
         if not isinstance(obj, dict) or "m" not in obj:
             raise ValueError("Cartier data JSON needs the key 'm'")
-        return CartierData(tuple(tuple(int(x) for x in m) for m in obj["m"]))
+        return CartierData(
+            tuple(tuple(strict_int(x, "Cartier exponent") for x in m) for m in obj["m"])
+        )
 
 
 def from_cartier(fan: Fan, data: CartierData) -> PiecewiseExponential:

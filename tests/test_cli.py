@@ -253,6 +253,38 @@ class TestNegativesAndErrors:
         code, out = invoke(["validate-fan", "--fan", bad], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "rays, cones",
+        [
+            ([[1, 0], [0, 1], [-1, -1]], [[0, 1.9], [0, 2], [1, 2]]),
+            ([[1.0, 0], [0, 1], [-1, -1]], [[0, 1], [0, 2], [1, 2]]),
+        ],
+        ids=["fractional-cone-index", "float-ray"],
+    )
+    def test_non_integer_fan_entry_is_structural(self, tmp_path, capsys, rays, cones):
+        bad = tmp_path / "fan.json"
+        bad.write_text(json.dumps({"rank": 2, "rays": rays, "max_cones": cones}))
+        code, out = invoke(["validate-fan", "--fan", bad], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert "must be an integer" in doc["detail"]
+
+    def test_boolean_coefficient_is_structural(self, tmp_path, capsys):
+        fan_path = tmp_path / "fan.json"
+        fan_path.write_text(json.dumps(catalog.projective_line().to_json()))
+        value = {"rank": 1, "terms": [{"coeff": True, "exp": [False]}]}
+        pexp_path = tmp_path / "f.json"
+        pexp_path.write_text(json.dumps({"values": [value, value]}))
+        code, out = invoke(
+            ["gkm-check", "--format", "text", "--fan", fan_path, "--pexp", pexp_path],
+            capsys,
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert "must be an integer" in doc["detail"]
+
     def test_cone_not_in_fan_is_structural(self, data_files, capsys):
         code, out = invoke(
             [
@@ -278,6 +310,18 @@ class TestDeterminism:
         b = subprocess.run(cmd, capture_output=True, cwd=REPO)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+    def test_chi_under_optimize_flag(self, capsys):
+        # python -O strips asserts; the result must not depend on them
+        args = ["chi", "--fan", DATA / "p112_fan.json", "--pexp", DATA / "p112_class.json"]
+        code, out = invoke(args, capsys)
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "pexpfan", *map(str, args)],
+            capture_output=True,
+            cwd=REPO,
+        )
+        assert code == proc.returncode == 0
+        assert proc.stdout.decode() == out
 
     def test_shipped_data_round_trip(self, capsys):
         code, out = invoke(

@@ -129,6 +129,28 @@ class TestDivideExact:
         product = f * (ONE2 - E(w))
         assert divide_exact(product, w) == f
 
+    @given(polys(), polys(max_terms=2), nonzero_chars, nonzero_chars)
+    def test_agrees_with_try_div(self, f, g, w, v):
+        # try_div is an independent multivariate division.  The inputs cover
+        # exact products, quotients with long constant runs along w, and
+        # perturbations whose coefficients sum to zero but not line by line.
+        factor = ONE2 - E(w)
+        w4 = tuple(4 * x for x in w)
+        candidates = (
+            f,
+            f * factor,
+            f * factor + g,
+            f * (ONE2 - E(w4)),
+            f * factor + g * (ONE2 - E(v)),
+        )
+        for num in candidates:
+            expected = try_div(num, factor)
+            if expected is None:
+                with pytest.raises(NotDivisible):
+                    divide_exact(num, w)
+            else:
+                assert divide_exact(num, w) == expected
+
     def test_bulk_roundtrip_seeded(self):
         rng = random.Random(20260810)
         for _ in range(300):

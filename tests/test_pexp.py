@@ -131,13 +131,24 @@ class TestRingOps:
         assert all(v == E((1, 0)) for v in f.values)
 
     def test_closure_under_products(self, p112):
+        # ring operations build their results without re-checking GKM, so the
+        # invariant is asserted here instead
         rng = random.Random(3)
         classes = p112_classes(p112)
         for _ in range(15):
             f = random_class(p112, rng, classes)
             g = random_class(p112, rng, classes)
+            h = LaurentPoly.from_dict(
+                2,
+                {
+                    tuple(rng.randint(-2, 2) for _ in range(2)): rng.randint(-3, 3)
+                    for _ in range(rng.randint(1, 3))
+                },
+            )
             assert gkm_validate(p112, (f * g).values).ok
             assert gkm_validate(p112, (f + g).values).ok
+            assert gkm_validate(p112, (f - g).values).ok
+            assert gkm_validate(p112, f.module_action(h).values).ok
 
     def test_fan_mismatch(self, p112, p2):
         with pytest.raises(FanMismatch):
@@ -157,6 +168,11 @@ class TestCartier:
         d = CartierData(((1, 0), (1, 0), (1, 0)))
         f = from_cartier(p112, d)
         assert all(v == E((1, 0)) for v in f.values)
+
+    @pytest.mark.parametrize("bad", [0.7, 1.0, True])
+    def test_from_json_refuses_non_integers(self, bad):
+        with pytest.raises(ValueError):
+            CartierData.from_json({"m": [[0, 0], [bad, 0]]})
 
     def test_incompatible_data(self, p112):
         with pytest.raises(IncompatibleCartierData):
