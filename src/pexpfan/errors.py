@@ -90,7 +90,7 @@ class ConeNotInFan(StructuralError):
 
 
 class ResolutionCheckFailed(PExpFanError):
-    """A per-step progress assertion of the resolution loop failed."""
+    """A result check of stellar subdivision or resolution failed."""
 
 
 # --- piecewise exponentials ---------------------------------------------------

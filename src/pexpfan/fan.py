@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .errors import (
@@ -25,10 +24,11 @@ from .errors import (
     UnsupportedDimension,
 )
 from .lattice import (
+    IntMatrix,
     Vector,
+    adjugate,
     annihilator,
     identity_quotient,
-    invariant_factors,
     is_primitive,
     kernel_basis,
     mat_vec,
@@ -37,33 +37,16 @@ from .lattice import (
     pairing_quotient,
     primitive_vector,
     quotient_lattice,
-    saturation_basis,
     smith_normal_form,
     strict_int,
+    strict_list,
+    transpose,
     unimodular_inverse,
     vec_add,
     QuotientLattice,
 )
 
 RaySet = tuple[int, ...]  # sorted tuple of ray indices; () is the zero cone
-
-
-def _solve_fractions(matrix, rhs):
-    """Solve a square exact linear system over the rationals; None if singular."""
-    n = len(matrix)
-    a = [[Fraction(matrix[i][j]) for j in range(n)] + [Fraction(rhs[i])] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 def extreme_rays_of_region(n: int, ineqs, eqs) -> tuple[Vector, ...]:
@@ -82,8 +65,6 @@ def extreme_rays_of_region(n: int, ineqs, eqs) -> tuple[Vector, ...]:
     found = set()
     for subset in itertools.combinations(range(len(ineqs)), k):
         rows = eqs + tuple(ineqs[i] for i in subset)
-        if matrix_rank(rows) != n - 1:
-            continue
         ker = kernel_basis(rows, n)
         if len(ker) != 1:
             continue
@@ -108,7 +89,7 @@ def span_coordinates(rank: int, vectors) -> tuple[tuple[Vector, ...], tuple[Vect
     cols = tuple(tuple(v) for v in vectors)
     if not cols:
         return (), ()
-    a = tuple(zip(*cols))  # rank x k
+    a = transpose(cols)  # rank x k
     u, d, _ = smith_normal_form(a)
     r = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
     uinv = unimodular_inverse(u)
@@ -174,6 +155,11 @@ class Cone:
         proj = self._span[1]
         return tuple(mat_vec(proj, g) for g in self.generators)
 
+    @cached_property
+    def _adjugate(self) -> tuple[int, IntMatrix]:
+        """(det, adj) of the local generators as columns; simplicial cones only."""
+        return adjugate(transpose(self.local_generators))
+
     def _is_pointed(self) -> bool:
         if not self.generators:
             return True
@@ -200,8 +186,6 @@ class Cone:
         found: dict[Vector, tuple[int, ...]] = {}
         for subset in itertools.combinations(range(len(g)), d - 1):
             rows = tuple(g[i] for i in subset)
-            if matrix_rank(rows) != d - 1:
-                continue
             ker = kernel_basis(rows, d)
             if len(ker) != 1:
                 continue
@@ -241,9 +225,9 @@ class Cone:
             return False
         x = mat_vec(self._span[1], v)
         if self.is_simplicial:
-            cols = tuple(zip(*self.local_generators))
-            lam = _solve_fractions(cols, x)
-            return lam is not None and all(l >= 0 for l in lam)
+            # x = sum lam_i g_i with lam = adj @ x / det
+            det, adj = self._adjugate
+            return all(det * c >= 0 for c in mat_vec(adj, x))
         return all(pair(u, x) >= 0 for u, _ in self.local_facets)
 
     def faces_as_generator_subsets(self) -> tuple[tuple[int, ...], ...]:
@@ -274,12 +258,7 @@ class Cone:
         """Index of the sublattice spanned by the generators inside Span & N."""
         if not self.is_simplicial:
             raise NotSimplicial("multiplicity is defined for simplicial cones")
-        if self.dim == 0:
-            return 1
-        prod = 1
-        for f in invariant_factors(tuple(zip(*self.local_generators))):
-            prod *= f
-        return prod
+        return abs(self._adjugate[0])
 
     def facet_normal_ambient(self, contact: tuple[int, ...]) -> Vector:
         """Primitive ambient inward normal of the facet touching ``contact``.
@@ -313,7 +292,8 @@ class Fan:
     @staticmethod
     def build(rank: int, rays, maximal_cones, validate: bool = True) -> "Fan":
         strict_int(rank, "fan rank")
-        rays = tuple(tuple(strict_int(x, "ray coordinate") for x in r) for r in rays)
+        rays = tuple(tuple(strict_int(x, "ray coordinate") for x in strict_list(r, "ray"))
+                     for r in strict_list(rays, "rays"))
         for r in rays:
             if len(r) != rank:
                 raise NotAFan(f"ray {r} has length != rank {rank}")
@@ -324,8 +304,8 @@ class Fan:
         if len(set(rays)) != len(rays):
             raise NotAFan("duplicate rays")
         cones = []
-        for c in maximal_cones:
-            c = tuple(sorted(set(strict_int(i, "cone index") for i in c)))
+        for c in strict_list(maximal_cones, "max_cones"):
+            c = tuple(sorted(set(strict_int(i, "cone index") for i in strict_list(c, "cone"))))
             if any(i < 0 or i >= len(rays) for i in c):
                 raise NotAFan(f"cone {c} references a missing ray")
             cones.append(c)
@@ -471,7 +451,7 @@ class Fan:
             elif d == 1:
                 q = pairing_quotient(self.rank, (primitive_vector(gens[0]),))
             else:
-                q = pairing_quotient(self.rank, saturation_basis(self.rank, gens))
+                q = pairing_quotient(self.rank, span_coordinates(self.rank, gens)[0])
             cache[rs] = q
         return cache[rs]
 
@@ -540,7 +520,7 @@ class Fan:
     def from_json(obj: dict) -> "Fan":
         if not isinstance(obj, dict) or not {"rank", "rays", "max_cones"} <= set(obj):
             raise ValueError("fan JSON needs 'rank', 'rays', and 'max_cones'")
-        return Fan.build(obj["rank"], [tuple(r) for r in obj["rays"]], obj["max_cones"])
+        return Fan.build(obj["rank"], obj["rays"], obj["max_cones"])
 
 
 # -- star quotients ---------------------------------------------------------------
@@ -555,7 +535,7 @@ def star_quotient(fan: Fan, rayset) -> tuple[Fan, tuple[int, ...], QuotientLatti
     """
     rs = fan.require_face(rayset)
     tau_gens = tuple(fan.rays[i] for i in rs)
-    n_tau = saturation_basis(fan.rank, tau_gens)
+    n_tau = span_coordinates(fan.rank, tau_gens)[0]
     quot = quotient_lattice(fan.rank, n_tau)
     if not n_tau:
         return fan, tuple(range(len(fan.maximal_cones))), quot
@@ -660,7 +640,8 @@ def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
 
     def emit(rayset: RaySet, source: int):
         if rayset in seen:
-            assert assignment[seen[rayset]] == source, "ambiguous subdivision piece"
+            if assignment[seen[rayset]] != source:
+                raise ResolutionCheckFailed(f"ambiguous subdivision piece {rayset}")
             return
         seen[rayset] = len(new_cones)
         new_cones.append(rayset)
@@ -700,21 +681,24 @@ def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
 # -- resolution -----------------------------------------------------------------------
 
 
-def _box_points(cone: Cone) -> list[tuple[Fraction, Vector]]:
+def _box_points(cone: Cone) -> list[tuple[int, Vector]]:
     """Nonzero lattice points of the half-open fundamental parallelepiped of a
-    simplicial cone, as (coefficient sum, ambient point), sorted."""
+    simplicial cone, as (multiplicity * coefficient sum, ambient point), sorted.
+    The coefficients of x are adj @ x / det, so 0 <= coefficient < 1 reads
+    0 <= sign(det) * (adj @ x)_i < |det|."""
     d = cone.dim
     g = cone.local_generators
     basis = cone.span_basis
+    det, adj = cone._adjugate
+    sign, mult = (1 if det > 0 else -1), abs(det)
     lo = tuple(sum(min(0, g[i][c]) for i in range(d)) for c in range(d))
     hi = tuple(sum(max(0, g[i][c]) for i in range(d)) for c in range(d))
-    cols = tuple(zip(*g))
     out = []
     for x in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
         if not any(x):
             continue
-        lam = _solve_fractions(cols, x)
-        if lam is None or not all(0 <= l < 1 for l in lam):
+        lam = [sign * c for c in mat_vec(adj, x)]
+        if not all(0 <= l < mult for l in lam):
             continue
         ambient = tuple(
             sum(x[i] * basis[i][c] for i in range(d)) for c in range(cone.rank)
@@ -734,7 +718,6 @@ def resolve(
     *,
     rng: random.Random | None = None,
     extra_rounds: int = 0,
-    check_progress: bool = True,
 ) -> SubdivisionMap:
     """Refine until every maximal cone is smooth; returns the composed map.
 
@@ -745,8 +728,9 @@ def resolve(
     singular cone and the tie-breaks, and ``extra_rounds`` appends smooth
     refinements, both of which produce alternative valid resolutions.
 
-    ``check_progress`` asserts that the total excess multiplicity strictly
-    drops at every singular subdivision step.
+    Every singular subdivision step must strictly lower the total excess
+    multiplicity, and every extra round must keep the fan smooth; otherwise
+    ``ResolutionCheckFailed`` is raised.
     """
     current = SubdivisionMap.identity(fan)
 
@@ -795,14 +779,15 @@ def resolve(
             top = max(m for _, m in singular)
             idx = min(i for i, m in singular if m == top)
         box = _box_points(f.cone_objects[idx])
-        assert box, "singular simplicial cone has no parallelepiped points"
+        if not box:
+            raise ResolutionCheckFailed(f"singular cone {idx} has no parallelepiped points")
         best = box[0][0]
         minimal = [p for s, p in box if s == best]
         point = rng.choice(minimal) if rng else minimal[0]
         before = total_excess_multiplicity(f)
         step = stellar_subdivision(f, primitive_vector(point))
         after = total_excess_multiplicity(step.fine)
-        if check_progress and after >= before:
+        if after >= before:
             raise ResolutionCheckFailed(
                 f"total excess multiplicity did not drop: {before} -> {after}"
             )
@@ -820,6 +805,7 @@ def resolve(
         ray = primitive_vector(vec_add(cone.generators[a], cone.generators[b]))
         step = stellar_subdivision(f, ray)
         current = compose_subdivisions(step, current)
-        assert current.fine.is_smooth()
+        if not current.fine.is_smooth():
+            raise ResolutionCheckFailed(f"refining at {ray} left a singular cone")
 
     return current

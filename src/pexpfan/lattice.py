@@ -29,6 +29,13 @@ def strict_int(x, what: str) -> int:
     return x
 
 
+def strict_list(xs, what: str) -> list | tuple:
+    """Return xs if it is a list or tuple (a JSON array); raise ValueError otherwise."""
+    if not isinstance(xs, (list, tuple)):
+        raise ValueError(f"{what} must be a list, got {xs!r}")
+    return xs
+
+
 def pair(u: Vector, v: Vector) -> int:
     """Evaluation pairing <u, v> between a character and a lattice point."""
     if len(u) != len(v):
@@ -180,58 +187,72 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     )
 
 
-def invariant_factors(a: IntMatrix) -> tuple[int, ...]:
-    """Nonzero diagonal entries of the Smith form, in order."""
-    _, d, _ = smith_normal_form(a)
-    out = []
-    for i in range(min(len(d), len(d[0]) if d else 0)):
-        if d[i][i] != 0:
-            out.append(d[i][i])
-    return tuple(out)
+def _eliminate(m: list[list[int]], ncols: int) -> tuple[int, int, int]:
+    """Integer-preserving Gauss-Jordan elimination of the rows ``m``, in place.
+
+    Columns ``0 .. ncols-1`` are pivoted in order, skipping pivotless ones.
+    Each step sets row = (pivot * row - row[col] * pivot_row) / previous
+    pivot for every other row; entries stay minors of the input, so every
+    division is exact (Bareiss, Math. Comp. 22, 1968), and all pivots end
+    equal to the last one.  Returns (rank, row permutation sign, last pivot).
+    """
+    rank, sign, prev = 0, 1, 1
+    for c in range(ncols):
+        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        top = m[rank]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i != rank:
+                f = row[c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        rank += 1
+    return rank, sign, prev
 
 
 def matrix_rank(a: IntMatrix) -> int:
-    return len(invariant_factors(a))
-
-
-def unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
-    u, d, v = smith_normal_form(a)
-    n = len(a)
-    if len(d) != n or any(d[i][i] != 1 for i in range(n)):
-        raise NotUnimodular("matrix is not invertible over the integers")
-    return mat_mul(v, u)
+    return _eliminate([list(row) for row in a], len(a[0]) if a else 0)[0]
 
 
 def integer_det(a: IntMatrix) -> int:
-    """Signed determinant of a square integer matrix, by Bareiss elimination.
-
-    Fraction-free: every division is exact, entries stay integral, and the
-    last pivot is the determinant (Bareiss, Math. Comp. 22, 1968).
-    """
+    """Signed determinant of a square integer matrix, by Bareiss elimination."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    m = [list(row) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    rank, sign, last = _eliminate([list(row) for row in a], n)
+    return sign * last if rank == n else 0
+
+
+def adjugate(a: IntMatrix) -> tuple[int, IntMatrix]:
+    """(det, adj) of a nonsingular square matrix, with adj @ a == det * I.
+
+    One elimination of [a | I] leaves p * I on the left, where p is the
+    determinant of the row-permuted matrix, and p * a^-1 on the right.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("adjugate of a non-square matrix")
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    rank, sign, last = _eliminate(m, n)
+    if rank < n:
+        raise NotIndependent("adjugate of a singular matrix")
+    return sign * last, tuple(tuple(sign * x for x in row[n:]) for row in m)
+
+
+def unimodular_inverse(a: IntMatrix) -> IntMatrix:
+    """Exact inverse of a matrix with determinant +-1, det * adj."""
+    try:
+        det, adj = adjugate(a)
+    except (ValueError, NotIndependent):
+        det = 0
+    if abs(det) != 1:
+        raise NotUnimodular("matrix is not invertible over the integers")
+    return tuple(tuple(det * x for x in row) for row in adj)
 
 
 def kernel_basis(a: IntMatrix, n_cols: int) -> tuple[Vector, ...]:
@@ -252,19 +273,6 @@ def annihilator(rank: int, vectors: list[Vector] | tuple[Vector, ...]) -> tuple[
             raise ValueError("vector length does not match the lattice rank")
     # <u, v> = 0 for all v  <=>  (rows) u^T = 0
     return kernel_basis(rows, rank)
-
-
-def saturation_basis(rank: int, vectors: list[Vector] | tuple[Vector, ...]) -> tuple[Vector, ...]:
-    """Basis of Span_Q(vectors) intersected with Z^rank (a saturated lattice)."""
-    cols = tuple(tuple(v) for v in vectors)
-    if not cols:
-        return ()
-    a = transpose(cols)  # rank x k, columns are the vectors
-    u, d, _ = smith_normal_form(a)
-    r = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    uinv = unimodular_inverse(u)
-    uinv_cols = transpose(uinv)
-    return tuple(uinv_cols[i] for i in range(r))
 
 
 @dataclass(frozen=True)

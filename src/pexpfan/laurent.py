@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotDivisible, NotPolynomial, RankMismatch, ZeroCharacter
-from .lattice import IntMatrix, Vector, mat_vec, primitive_vector, strict_int
+from .lattice import IntMatrix, Vector, mat_vec, primitive_vector, strict_int, strict_list
 
 Term = tuple[Vector, int]
 
@@ -180,8 +180,10 @@ def poly_from_json(obj: dict) -> LaurentPoly:
         raise ValueError("rank must be a nonnegative integer")
     seen: set[Vector] = set()
     acc: dict[Vector, int] = {}
-    for item in obj["terms"]:
-        exp = tuple(strict_int(x, "exponent coordinate") for x in item["exp"])
+    for item in strict_list(obj["terms"], "terms"):
+        if not isinstance(item, dict) or not {"coeff", "exp"} <= set(item):
+            raise ValueError(f"a term needs 'coeff' and 'exp', got {item!r}")
+        exp = tuple(strict_int(x, "exponent coordinate") for x in strict_list(item["exp"], "exponent"))
         c = strict_int(item["coeff"], "coefficient")
         if c == 0:
             raise ValueError(f"zero coefficient at exponent {exp}")

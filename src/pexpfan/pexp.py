@@ -192,23 +192,17 @@ def from_cartier(fan: Fan, data: CartierData) -> PiecewiseExponential:
     for m in exps:
         if len(m) != fan.rank:
             raise IncompatibleCartierData(f"character {m} has wrong length")
-    n = len(fan.maximal_cones)
-    for i in range(n):
-        for j in range(i + 1, n):
-            shared = tuple(sorted(set(fan.maximal_cones[i]) & set(fan.maximal_cones[j])))
-            q = fan.face_quotient(shared)
-            diff = tuple(a - b for a, b in zip(exps[i], exps[j]))
-            if any(q.project_vector(diff)):
-                raise IncompatibleCartierData(
-                    f"characters on cones {i} and {j} differ on their common "
-                    f"face {list(shared)}"
-                )
     values = []
     for rs, m in zip(fan.maximal_cones, exps):
         q = fan.face_quotient(rs)
         values.append(LaurentPoly.exponential(q.project_vector(m)))
     report = gkm_validate(fan, values)
-    assert report.ok, "Cartier data passed compatibility but failed GKM"
+    if not report.ok:
+        v = report.violations[0]
+        raise IncompatibleCartierData(
+            f"characters on cones {v.cone_a} and {v.cone_b} differ on their "
+            f"common face {list(v.face)}"
+        )
     return report.function
 
 

@@ -1,13 +1,15 @@
 """Independent brute-force oracles used by the tests.
 
 Nothing here shares code paths with the package kernels: determinants come
-from permutation expansion, Smith diagonals from determinantal divisors, and
-lattice points from direct enumeration.
+from permutation expansion, Smith diagonals from determinantal divisors,
+linear solutions from Gauss-Jordan over the rationals, and lattice points
+from direct enumeration.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from math import gcd
 
 
@@ -56,6 +58,25 @@ def smith_diagonal_oracle(matrix) -> list[int]:
             break
         divisors.append(g)
     return [divisors[i + 1] // divisors[i] for i in range(len(divisors) - 1)]
+
+
+def solve_rational(matrix, rhs):
+    """The solution of matrix @ x = rhs over the rationals, for a matrix with
+    independent columns; None if there is none.  Gauss-Jordan on Fractions."""
+    n = len(matrix[0])
+    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    for col in range(n):
+        piv = next(r for r in range(col, len(a)) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(len(a)):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    if any(row[n] != 0 for row in a[n:]):
+        return None
+    return [a[i][n] for i in range(n)]
 
 
 def cartier_polytope_points(fan, exponents) -> list[tuple[int, ...]]:

