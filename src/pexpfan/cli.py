@@ -19,6 +19,7 @@ import sys
 from . import errors
 from .fan import Fan, SubdivisionMap, resolve
 from .ktheory import chi, decompose, dual_basis_solve, gram_matrix, kronecker_pair
+from .lattice import strict_list
 from .laurent import LaurentPoly, format_poly, poly_from_json, poly_to_json
 from .pexp import (
     PiecewiseExponential,
@@ -61,6 +62,8 @@ def _load_fan(path: str) -> Fan:
 
 
 def _resolve_fan_field(obj: dict, base_dir: str, fan: Fan | None) -> Fan:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a piecewise exponential must be a JSON object, got {obj!r}")
     embedded = obj.get("fan")
     if isinstance(embedded, str):
         embedded = _load_json(os.path.join(base_dir, embedded))
@@ -77,7 +80,7 @@ def _resolve_fan_field(obj: dict, base_dir: str, fan: Fan | None) -> Fan:
 def _load_values(obj: dict) -> list[LaurentPoly]:
     if "values" not in obj:
         raise ValueError("piecewise exponential JSON needs 'values'")
-    return [poly_from_json(v) for v in obj["values"]]
+    return [poly_from_json(v) for v in strict_list(obj["values"], "values")]
 
 
 def _load_pexp(path: str, fan: Fan | None) -> PiecewiseExponential:

@@ -89,7 +89,11 @@ class ConeNotInFan(StructuralError):
     pass
 
 
-class ResolutionCheckFailed(PExpFanError):
+class ResultCheckFailed(PExpFanError):
+    """An explicit check of a computed result failed: a defect, not bad input."""
+
+
+class ResolutionCheckFailed(ResultCheckFailed):
     """A result check of stellar subdivision or resolution failed."""
 
 

@@ -1,9 +1,11 @@
 """Cones and fans: faces, multiplicity, completeness, stars, and resolution.
 
 Cones are strongly convex rational polyhedral cones given by primitive
-generators on their extreme rays.  Simplicial cones are handled in any rank;
-non-simplicial cones use brute-force facet enumeration over generator
-subsets and are limited to ambient rank <= 4.  All geometry is exact.
+generators on their extreme rays.  Each cone computes one facet table, its
+inward facet normals with their contact generators, and answers every facet
+question from it.  Simplicial cones are handled in any rank; non-simplicial
+cones find their facets by brute force over generator subsets and are
+limited to ambient rank <= 4.  All geometry is exact.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .lattice import (
     IntMatrix,
     Vector,
     adjugate,
-    annihilator,
+    identity_matrix,
     identity_quotient,
     is_primitive,
     kernel_basis,
@@ -80,22 +82,26 @@ def extreme_rays_of_region(n: int, ineqs, eqs) -> tuple[Vector, ...]:
     return tuple(sorted(found))
 
 
-def span_coordinates(rank: int, vectors) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-    """(basis, projection) for the saturated lattice Span(vectors) & Z^rank.
+def span_coordinates(
+    rank: int, vectors
+) -> tuple[tuple[Vector, ...], IntMatrix, tuple[Vector, ...]]:
+    """(basis, projection, annihilator) for the saturated lattice Span(vectors) & Z^rank.
 
     ``basis`` has d vectors; ``projection`` is a d x rank matrix with
-    projection @ basis = identity, giving exact coordinates on the span.
+    projection @ basis = identity, giving exact coordinates on the span;
+    ``annihilator`` is a basis of the characters vanishing on the span.
+    With U A V = D the Smith form of the vectors as columns, these are the
+    first d columns of U^-1 and the first d and the last rank - d rows of U.
     """
     cols = tuple(tuple(v) for v in vectors)
     if not cols:
-        return (), ()
+        return (), (), identity_matrix(rank)
     a = transpose(cols)  # rank x k
     u, d, _ = smith_normal_form(a)
     r = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
     uinv = unimodular_inverse(u)
     basis = tuple(tuple(row[i] for row in uinv) for i in range(r))
-    proj = tuple(u[i] for i in range(r))
-    return basis, proj
+    return basis, u[:r], u[r:]
 
 
 @dataclass(frozen=True)
@@ -127,6 +133,10 @@ class Cone:
             return cone
         if not cone._is_pointed():
             raise NotStronglyConvex(f"cone on {gens} contains a line")
+        if rank > 4:
+            raise UnsupportedDimension(
+                "non-simplicial cones are supported only in rank <= 4"
+            )
         extreme = cone._extreme_generators()
         if len(extreme) != len(gens):
             return Cone(rank, extreme)
@@ -143,7 +153,7 @@ class Cone:
         return len(self.generators) == self.dim
 
     @cached_property
-    def _span(self) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    def _span(self) -> tuple[tuple[Vector, ...], IntMatrix, tuple[Vector, ...]]:
         return span_coordinates(self.rank, self.generators)
 
     @property
@@ -161,29 +171,24 @@ class Cone:
         return adjugate(transpose(self.local_generators))
 
     def _is_pointed(self) -> bool:
-        if not self.generators:
-            return True
-        d = self.dim
-        rays = extreme_rays_of_region(d, self.local_generators, ())
-        if not rays:
-            return d == 0
-        interior = rays[0]
-        for r in rays[1:]:
-            interior = vec_add(interior, r)
-        return all(pair(interior, g) > 0 for g in self.local_generators)
+        # the facet normals generate the dual cone, which is full-dimensional
+        # in the span iff the cone contains no line (Fulton, 1.2)
+        return matrix_rank(tuple(u for u, _ in self.facets)) == self.dim
 
     @cached_property
-    def local_facets(self) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
-        """(inward normal in span coordinates, touching generator indices)."""
+    def facets(self) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
+        """(inward normal, contact generator indices) per facet, sorted by contact.
+
+        The normal is an ambient functional, the primitive local normal u of
+        the facet read through the span projection, so <normal, v> = <u, x>
+        for a point v of the span with local coordinates x.  For a
+        full-dimensional cone it is the primitive inward facet normal.
+        """
         d = self.dim
         g = self.local_generators
         if d == 0:
             return ()
-        if not self.is_simplicial and self.rank > 4:
-            raise UnsupportedDimension(
-                "non-simplicial cones are supported only in rank <= 4"
-            )
-        found: dict[Vector, tuple[int, ...]] = {}
+        found: dict[tuple[int, ...], Vector] = {}
         for subset in itertools.combinations(range(len(g)), d - 1):
             rows = tuple(g[i] for i in subset)
             ker = kernel_basis(rows, d)
@@ -199,8 +204,9 @@ class Cone:
             else:
                 continue
             contact = tuple(i for i, v in enumerate(vals) if v == 0)
-            found[u] = contact
-        return tuple(sorted(found.items()))
+            found[contact] = u
+        proj_t = transpose(self._span[1])
+        return tuple((mat_vec(proj_t, u), contact) for contact, u in sorted(found.items()))
 
     def _extreme_generators(self) -> tuple[Vector, ...]:
         d = self.dim
@@ -208,7 +214,7 @@ class Cone:
             return self.generators
         out = []
         for i, g in enumerate(self.generators):
-            rows = [u for u, contact in self.local_facets if i in contact]
+            rows = [u for u, contact in self.facets if i in contact]
             if matrix_rank(tuple(rows)) == d - 1:
                 out.append(g)
         return tuple(sorted(out))
@@ -223,12 +229,12 @@ class Cone:
             return False
         if matrix_rank(self.generators + (v,)) != self.dim:
             return False
-        x = mat_vec(self._span[1], v)
         if self.is_simplicial:
             # x = sum lam_i g_i with lam = adj @ x / det
             det, adj = self._adjugate
+            x = mat_vec(self._span[1], v)
             return all(det * c >= 0 for c in mat_vec(adj, x))
-        return all(pair(u, x) >= 0 for u, _ in self.local_facets)
+        return all(pair(u, v) >= 0 for u, _ in self.facets)
 
     def faces_as_generator_subsets(self) -> tuple[tuple[int, ...], ...]:
         """Every face, as a sorted tuple of generator indices (incl. () and all)."""
@@ -239,7 +245,7 @@ class Cone:
                 out.extend(itertools.combinations(range(n), r))
             return tuple(out)
         faces = {tuple(range(n))}
-        frontier = {contact for _, contact in self.local_facets}
+        frontier = {contact for _, contact in self.facets}
         faces |= frontier
         while True:
             new = set()
@@ -259,24 +265,6 @@ class Cone:
         if not self.is_simplicial:
             raise NotSimplicial("multiplicity is defined for simplicial cones")
         return abs(self._adjugate[0])
-
-    def facet_normal_ambient(self, contact: tuple[int, ...]) -> Vector:
-        """Primitive ambient inward normal of the facet touching ``contact``.
-
-        Only meaningful for full-dimensional cones, where the normal is unique
-        up to positive scale.
-        """
-        rows = tuple(self.generators[i] for i in contact)
-        ker = kernel_basis(rows, self.rank)
-        if len(ker) != 1:
-            raise ValueError("facet normal requested for a non-facet")
-        u = ker[0]
-        vals = [pair(u, g) for g in self.generators]
-        if all(v >= 0 for v in vals):
-            return u
-        if all(v <= 0 for v in vals):
-            return tuple(-x for x in u)
-        raise ValueError("contact set is not a facet of the cone")
 
 
 @dataclass(frozen=True)
@@ -345,16 +333,9 @@ class Fan:
                 f"meet outside a common face"
             )
         # geometric intersection must equal the cone on the shared rays
-        eqs = annihilator(self.rank, ci.generators) + annihilator(self.rank, cj.generators)
-        ineqs = []
-        for cone in (ci, cj):
-            proj = cone._span[1]
-            for u_loc, _ in cone.local_facets:
-                # pull the span-local normal back to an ambient functional
-                u_amb = tuple(sum(u_loc[t] * proj[t][s] for t in range(len(u_loc)))
-                              for s in range(self.rank))
-                ineqs.append(u_amb)
-        rays = extreme_rays_of_region(self.rank, tuple(ineqs), eqs)
+        eqs = ci._span[2] + cj._span[2]
+        ineqs = tuple(u for cone in (ci, cj) for u, _ in cone.facets)
+        rays = extreme_rays_of_region(self.rank, ineqs, eqs)
         if set(rays) != shared_vecs:
             raise NotAFan(
                 f"cones {self.maximal_cones[i]} and {self.maximal_cones[j]} "
@@ -474,14 +455,8 @@ class Fan:
             return False
         facet_map: dict[RaySet, list[tuple[int, Vector]]] = {}
         for idx, cone in enumerate(cones):
-            gen_to_ray = {g: self._ray_index[g] for g in cone.generators}
-            for subset in cone.faces_as_generator_subsets():
-                if matrix_rank(tuple(cone.generators[i] for i in subset)) != self.rank - 1:
-                    continue
-                if len(subset) < self.rank - 1:
-                    continue
-                rayset = tuple(sorted(gen_to_ray[cone.generators[i]] for i in subset))
-                normal = cone.facet_normal_ambient(subset)
+            for normal, contact in cone.facets:
+                rayset = tuple(sorted(self._ray_index[cone.generators[i]] for i in contact))
                 facet_map.setdefault(rayset, []).append((idx, normal))
         adjacency: dict[int, set[int]] = {i: set() for i in range(len(cones))}
         for rayset, entries in facet_map.items():
@@ -599,11 +574,24 @@ class SubdivisionMap:
 
     @staticmethod
     def from_json(obj: dict) -> "SubdivisionMap":
-        return SubdivisionMap(
-            Fan.from_json(obj["fine"]),
-            Fan.from_json(obj["coarse"]),
-            tuple(obj["assignment"]),
-        )
+        """Read a map, refusing one whose fine cones do not lie in their coarse cones."""
+        if not isinstance(obj, dict) or not {"fine", "coarse", "assignment"} <= set(obj):
+            raise ValueError("subdivision map JSON needs 'fine', 'coarse', and 'assignment'")
+        fine, coarse = Fan.from_json(obj["fine"]), Fan.from_json(obj["coarse"])
+        if fine.rank != coarse.rank:
+            raise ValueError(f"fine fan of rank {fine.rank} over a coarse fan of rank {coarse.rank}")
+        sub = SubdivisionMap(fine, coarse, tuple(
+            strict_int(j, "assignment entry") for j in strict_list(obj["assignment"], "assignment")
+        ))
+        for i, j in enumerate(sub.assignment):
+            if not 0 <= j < len(coarse.maximal_cones):
+                raise ValueError(f"fine cone {i} is assigned to missing coarse cone {j}")
+            if not all(coarse.cone_objects[j].contains(fine.rays[k])
+                       for k in fine.maximal_cones[i]):
+                raise ValueError(f"fine cone {i} does not lie in its coarse cone {j}")
+        if set(sub.assignment) != set(range(len(coarse.maximal_cones))):
+            raise ValueError("some coarse cone has no fine cone assigned")
+        return sub
 
 
 def compose_subdivisions(finer: SubdivisionMap, coarser: SubdivisionMap) -> SubdivisionMap:
@@ -652,16 +640,12 @@ def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
             emit(rayset, i)
             continue
         cone = fan.cone_objects[i]
-        gen_to_ray = {g: fan._ray_index[g] for g in cone.generators}
-        cdim = cone.dim
-        for subset in cone.faces_as_generator_subsets():
-            if matrix_rank(tuple(cone.generators[t] for t in subset)) != cdim - 1:
-                continue
-            facet_cone = Cone.from_generators(fan.rank, tuple(cone.generators[t] for t in subset))
-            if facet_cone.contains(ray):
+        for normal, contact in cone.facets:
+            # the ray lies in the cone, so it lies on this facet iff it pairs to 0
+            if pair(normal, ray) == 0:
                 continue
             piece = tuple(sorted(
-                set(gen_to_ray[cone.generators[t]] for t in subset) | {new_idx}
+                {fan._ray_index[cone.generators[t]] for t in contact} | {new_idx}
             ))
             emit(piece, i)
 

@@ -30,6 +30,8 @@ from .errors import (
     NotInSpan,
     NotIntegral,
     NotSmooth,
+    ResolutionCheckFailed,
+    ResultCheckFailed,
     SingularGram,
 )
 from .fan import Cone, Fan, RaySet, SubdivisionMap, resolve
@@ -155,7 +157,10 @@ def _strict_transform_face(fine: Fan, tau_cone: Cone, dim: int) -> RaySet:
         key = tuple(sorted(fine.rays[i] for i in face))
         if best_key is None or key < best_key:
             best, best_key = face, key
-    assert best is not None, "a refinement always contains a strict transform"
+    if best is None:
+        raise ResolutionCheckFailed(
+            f"no face of the refinement is a strict transform of the cone on {tau_cone.generators}"
+        )
     return best
 
 
@@ -324,7 +329,8 @@ def decompose(
     rebuilt = PiecewiseExponential.constant(fan, 0)
     for c, g in zip(coeffs, basis):
         rebuilt = rebuilt + g.module_action(c)
-    assert rebuilt == f, "re-expansion check failed"
+    if rebuilt != f:
+        raise ResultCheckFailed("re-expansion of the decomposition differs from the class")
     return tuple(coeffs)
 
 
@@ -394,7 +400,8 @@ def dual_basis_solve(
         [LaurentPoly.one(rank) if i == j else LaurentPoly.zero(rank) for j in range(k)]
         for i in range(k)
     ]
-    assert [list(r) for r in check.entries] == ident, "dual basis Gram is not the identity"
+    if [list(r) for r in check.entries] != ident:
+        raise ResultCheckFailed("dual basis Gram is not the identity")
     return tuple(out)
 
 

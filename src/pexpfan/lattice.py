@@ -337,38 +337,19 @@ def pairing_quotient(rank: int, span_basis: tuple[Vector, ...]) -> QuotientLatti
 
     Coordinates on the quotient are the pairings with the given basis of the
     sublattice, so for a single primitive generator v the quotient coordinate
-    of u is exactly <u, v>.
+    of u is exactly <u, v>.  One Smith form U P V = [I | 0] of the projection
+    P gives the kernel (the last columns of V) and the section V[:, :d] @ U.
     """
     d = len(span_basis)
     if d == 0:
         return QuotientLattice(rank, tuple(identity_matrix(rank)), (), tuple(() for _ in range(rank)))
     projection = tuple(tuple(b) for b in span_basis)
-    kern = kernel_basis(projection, rank)
-    # integer right inverse: solve projection @ section = I_d column by column
-    section_cols = []
-    for j in range(d):
-        target = tuple(1 if i == j else 0 for i in range(d))
-        section_cols.append(solve_integer(projection, target))
-    section = transpose(tuple(section_cols))
+    u, diag, v = smith_normal_form(projection)
+    if d > rank or any(diag[i][i] != 1 for i in range(d)):
+        raise NotSaturated("span basis is dependent or spans a non-saturated sublattice")
+    kern = transpose(v)[d:]
+    section = mat_mul(tuple(row[:d] for row in v), u)
     return QuotientLattice(rank, kern, projection, section)
-
-
-def solve_integer(a: IntMatrix, b: Vector) -> Vector:
-    """One integer solution x of A x = b; raises ValueError if none exists."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    u, d, v = smith_normal_form(a)
-    c = mat_vec(u, b)
-    y = [0] * n
-    for i in range(m):
-        di = d[i][i] if i < n else 0
-        if di != 0:
-            if c[i] % di != 0:
-                raise ValueError("no integer solution")
-            y[i] = c[i] // di
-        elif c[i] != 0:
-            raise ValueError("no integer solution")
-    return mat_vec(v, tuple(y))
 
 
 def dual_basis(basis: list[Vector] | tuple[Vector, ...]) -> tuple[Vector, ...]:

@@ -2,8 +2,8 @@
 
 Nothing here shares code paths with the package kernels: determinants come
 from permutation expansion, Smith diagonals from determinantal divisors,
-linear solutions from Gauss-Jordan over the rationals, and lattice points
-from direct enumeration.
+linear solutions from Gauss-Jordan over the rationals, facet normals from
+signed minors, and lattice points from direct enumeration.
 """
 
 from __future__ import annotations
@@ -77,6 +77,33 @@ def solve_rational(matrix, rhs):
     if any(row[n] != 0 for row in a[n:]):
         return None
     return [a[i][n] for i in range(n)]
+
+
+def facet_normals_full_dim(generators) -> dict[tuple[int, ...], tuple[int, ...]]:
+    """{contact generator indices: primitive inward normal} for each facet of
+    a full-dimensional cone in Z^n.  Any n-1 generators lie on the hyperplane
+    x -> det[x; g_1; ...; g_{n-1}], whose normal is their vector of signed
+    maximal minors; it bounds a facet when every generator lies on one side,
+    and it points to that side."""
+    gens = [tuple(g) for g in generators]
+    n = len(gens[0])
+    out = {}
+    for subset in itertools.combinations(gens, n - 1):
+        u = [(-1) ** k * det_expansion([[g[c] for c in range(n) if c != k] for g in subset])
+             for k in range(n)]
+        g = 0
+        for x in u:
+            g = gcd(g, x)
+        if g == 0:
+            continue  # dependent generators span no hyperplane
+        u = [x // g for x in u]
+        vals = [sum(a * b for a, b in zip(u, v)) for v in gens]
+        if all(v <= 0 for v in vals):
+            u, vals = [-x for x in u], [-v for v in vals]
+        elif not all(v >= 0 for v in vals):
+            continue
+        out[tuple(i for i, v in enumerate(vals) if v == 0)] = tuple(u)
+    return out
 
 
 def cartier_polytope_points(fan, exponents) -> list[tuple[int, ...]]:

@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pexpfan import catalog
 from pexpfan.cli import run
-from pexpfan.fan import resolve
+from pexpfan.fan import SubdivisionMap, resolve
 from pexpfan.pexp import pexp_to_json
 
 REPO = Path(__file__).resolve().parent.parent
@@ -300,6 +304,64 @@ class TestNegativesAndErrors:
         assert doc["status"] == "error"
         assert "needs 'coeff' and 'exp'" in doc["detail"]
 
+    @pytest.mark.parametrize(
+        "command, flag, doc, detail",
+        [
+            ("gkm-check", "--pexp", {"values": 3}, "values must be a list, got 3"),
+            ("gkm-check", "--pexp", [1, 2], "must be a JSON object, got [1, 2]"),
+            ("gram", "--functions", [3], "must be a JSON object, got 3"),
+        ],
+        ids=["number-values", "array-pexp", "number-function"],
+    )
+    def test_malformed_pexp_document_is_structural(
+        self, data_files, capsys, command, flag, doc, detail
+    ):
+        path = data_files["tmp"] / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--fan", data_files["fan"], flag, path]
+        if command == "gram":
+            argv += ["--cones", data_files["cones"]]
+        code, out = invoke(argv, capsys)
+        assert code == 1
+        result = json.loads(out)
+        assert result["status"] == "error"
+        assert detail in result["detail"]
+
+    @pytest.mark.parametrize(
+        "change, detail",
+        [
+            (lambda m: {"fine": m["fine"], "coarse": m["coarse"]}, "needs 'fine', 'coarse'"),
+            (lambda m: dict(m, assignment=3), "assignment must be a list, got 3"),
+            (lambda m: dict(m, assignment=[0, 1.0, 2]), "must be an integer, got 1.0"),
+            (lambda m: dict(m, assignment=[0, 1]), "assignment length must match"),
+            (lambda m: dict(m, assignment=[0, 1, 7]), "assigned to missing coarse cone 7"),
+            (lambda m: dict(m, assignment=[0, 1, -1]), "assigned to missing coarse cone -1"),
+            (lambda m: dict(m, assignment=[0, 0, 1]), "fine cone 1 does not lie in its coarse cone 0"),
+            (
+                lambda m: dict(m, fine={"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 1]]},
+                               assignment=[0]),
+                "some coarse cone has no fine cone",
+            ),
+            (
+                lambda m: dict(m, fine=catalog.projective_line().to_json(), assignment=[0, 1]),
+                "fine fan of rank 1 over a coarse fan of rank 2",
+            ),
+        ],
+        ids=["no-assignment", "number", "float-entry", "short", "past-end", "negative",
+             "wrong-cone", "unassigned-coarse-cone", "rank-mismatch"],
+    )
+    def test_bad_subdivision_map_is_structural(self, data_files, capsys, change, detail):
+        # the identity map of P(1,1,2), whose cone 0 is <(1,0),(0,1)>
+        good = SubdivisionMap.identity(catalog.weighted_p112()).to_json()
+        assert good["coarse"]["max_cones"][0] == [0, 1]
+        path = data_files["tmp"] / "map.json"
+        path.write_text(json.dumps(change(good)))
+        code, out = invoke(["descend", "--map", path, "--pexp", data_files["class"]], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["status"] == "error"
+        assert detail in doc["detail"]
+
     def test_cone_not_in_fan_is_structural(self, data_files, capsys):
         code, out = invoke(
             [
@@ -346,3 +408,73 @@ class TestDeterminism:
         emitted = json.loads(out)["result"]
         again = json.dumps(emitted)
         assert json.loads(again) == emitted
+
+
+# -- the JSON boundary under arbitrary values ----------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+DELETE = object()
+
+PEXP_FIELDS = [
+    (), ("fan",), ("fan", "rank"), ("fan", "rays"), ("fan", "rays", 0), ("fan", "rays", 0, 1),
+    ("fan", "max_cones"), ("fan", "max_cones", 0), ("fan", "max_cones", 0, 0), ("values",),
+    ("values", 0), ("values", 0, "rank"), ("values", 0, "terms"), ("values", 0, "terms", 0),
+    ("values", 0, "terms", 0, "coeff"), ("values", 0, "terms", 0, "exp"),
+]
+MAP_FIELDS = [
+    (), ("fine",), ("fine", "rank"), ("fine", "rays"), ("fine", "rays", 0), ("fine", "max_cones"),
+    ("fine", "max_cones", 0), ("fine", "max_cones", 0, 1), ("coarse",), ("coarse", "rays", 2),
+    ("coarse", "max_cones"), ("coarse", "max_cones", 1), ("assignment",), ("assignment", 0),
+    ("assignment", 3),
+]
+
+
+def _replaced(doc, path, value):
+    """A deep copy of doc with the field at path replaced (or deleted)."""
+    doc = json.loads(json.dumps(doc))
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_documents(tmp_path_factory):
+    fan = catalog.weighted_p112()
+    sub = resolve(fan)
+    from pexpfan.pexp import pullback
+
+    fine_class = tmp_path_factory.mktemp("fuzz") / "fine.json"
+    fine_class.write_text(json.dumps(pexp_to_json(pullback(catalog.p112_demo_class(fan), sub))))
+    return {
+        "gkm-check": (pexp_to_json(catalog.p112_demo_class(fan)), PEXP_FIELDS, ["--pexp"]),
+        "descend": (sub.to_json(), MAP_FIELDS, ["--pexp", fine_class, "--map"]),
+    }
+
+
+@pytest.mark.parametrize("command", ["gkm-check", "descend"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_arbitrary_json_fields_never_escape(fuzz_documents, tmp_path_factory, command, data):
+    """Any JSON value in place of any field of a document gives an exit code
+    of 0, 1 or 2 and a status document, never an uncaught exception."""
+    good, fields, argv = fuzz_documents[command]
+    path = data.draw(st.sampled_from(fields))
+    value = data.draw(JSON_VALUES | st.just(DELETE)) if path else data.draw(JSON_VALUES)
+    doc_path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    doc_path.write_text(json.dumps(_replaced(good, path, value)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run([command, *map(str, argv), str(doc_path)])
+    assert code in (0, 1, 2)
+    assert "status" in json.loads(out.getvalue())

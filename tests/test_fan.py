@@ -28,7 +28,13 @@ from pexpfan.fan import (
     total_excess_multiplicity,
 )
 from pexpfan.lattice import mat_vec
-from oracles import det_expansion, grid_covers_fan, smith_diagonal_oracle, solve_rational
+from oracles import (
+    det_expansion,
+    facet_normals_full_dim,
+    grid_covers_fan,
+    smith_diagonal_oracle,
+    solve_rational,
+)
 
 
 def random_simplicial_cone(rng, rank, dim):
@@ -74,6 +80,13 @@ class TestBuildFan:
         ]
         with pytest.raises(UnsupportedDimension):
             Fan.build(5, rays, [(0, 1, 2, 3, 4)])
+
+    def test_nonpointed_rank5_is_not_strongly_convex(self):
+        # pointedness is decided before the rank limit, so a cone containing
+        # a line is refused as such in any rank
+        rays = [(1, 0, 0, 0, 0), (-1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]
+        with pytest.raises(NotStronglyConvex):
+            Fan.build(5, rays, [(0, 1, 2)])
 
     def test_json_round_trip(self, p112):
         assert Fan.from_json(p112.to_json()) == p112
@@ -313,6 +326,22 @@ class TestAgainstOracles:
                 x = tuple(v // g for v in x) if g else x
             lam = solve_rational(cols, x)
             assert cone.contains(x) == (lam is not None and all(v >= 0 for v in lam))
+
+    @given(st.integers(0, 99999))
+    @settings(max_examples=60)
+    def test_facets_match_signed_minor_oracle(self, seed):
+        rng = random.Random(seed)
+        rank = rng.randint(2, 4)
+        count = rng.choice((rank, rank + 1, rank + 3))
+        while True:
+            # a positive last coordinate keeps every draw pointed
+            gens = [tuple(rng.randint(-3, 3) for _ in range(rank - 1)) + (rng.randint(1, 3),)
+                    for _ in range(count)]
+            cone = Cone.from_generators(rank, gens)
+            if cone.dim == rank:
+                break
+        want = facet_normals_full_dim(cone.generators)
+        assert cone.facets == tuple((want[c], c) for c in sorted(want))
 
     @given(st.integers(0, 99999))
     @settings(max_examples=40)

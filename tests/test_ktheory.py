@@ -2,13 +2,15 @@ import random
 
 import pytest
 
-from pexpfan import catalog
+from pexpfan import catalog, ktheory
 from pexpfan.errors import (
     DependentBasis,
     NotComplete,
     NotInSpan,
     NotIntegral,
     NotSmooth,
+    ResolutionCheckFailed,
+    ResultCheckFailed,
     SingularGram,
 )
 from pexpfan.fan import Cone, resolve
@@ -21,6 +23,7 @@ from pexpfan.ktheory import (
     kronecker_pair,
     localization_data,
     orbit_closure_class,
+    PairingMatrix,
     poly_det,
     random_cartier_combination,
     tangent_weights,
@@ -370,6 +373,38 @@ class TestDualBasisSolve:
         one = PiecewiseExponential.constant(p1, 1)
         with pytest.raises(SingularGram):
             dual_basis_solve(p1, [(), (0,)], [one, one])
+
+
+class TestResultChecks:
+    """The checks on returned results raise package errors, so that they
+    still run under python -O."""
+
+    def test_missing_strict_transform(self, p2):
+        # no ray of P^2 lies in the cone on (1, 1)
+        with pytest.raises(ResolutionCheckFailed, match="strict transform"):
+            ktheory._strict_transform_face(p2, Cone.from_generators(2, [(1, 1)]), 1)
+
+    def test_decompose_reexpansion(self, p112, monkeypatch):
+        exact = ktheory.try_div
+        monkeypatch.setattr(ktheory, "try_div", lambda a, b: exact(a, b) + LaurentPoly.one(2))
+        with pytest.raises(ResultCheckFailed, match="re-expansion"):
+            decompose(catalog.p112_demo_class(p112), catalog.p112_spanning_classes(p112))
+
+    def test_dual_basis_gram_is_identity(self, p1, monkeypatch):
+        exact, calls = ktheory.gram_matrix, []
+
+        def doubled_check(*args, **kwargs):
+            m = exact(*args, **kwargs)
+            calls.append(m)
+            if len(calls) == 2:  # the re-verification of the solved duals
+                m = PairingMatrix(m.row_labels, m.col_labels,
+                                  tuple(tuple(e + e for e in row) for row in m.entries))
+            return m
+
+        monkeypatch.setattr(ktheory, "gram_matrix", doubled_check)
+        spanning = [PiecewiseExponential.constant(p1, 1), catalog.p1_degree_class(p1, 1)]
+        with pytest.raises(ResultCheckFailed, match="not the identity"):
+            dual_basis_solve(p1, [(), (0,)], spanning)
 
 
 class TestRandomCombinations:

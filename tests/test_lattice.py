@@ -15,6 +15,7 @@ from pexpfan.lattice import (
     mat_vec,
     matrix_rank,
     pair,
+    pairing_quotient,
     primitive_vector,
     quotient_lattice,
     smith_normal_form,
@@ -151,6 +152,23 @@ class TestQuotientLattice:
         assert mat_mul(q.projection, q.section) == identity_matrix(n - k)
         for v in kernel:
             assert q.project_vector(v) == (0,) * (n - k)
+
+    @given(st.integers(0, 123456))
+    @settings(max_examples=40)
+    def test_pairing_quotient_identities(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        d = rng.randint(1, n)
+        span = tuple(tuple(row) for row in random_unimodular(rng, n)[:d])  # saturated
+        q = pairing_quotient(n, span)
+        assert q.projection == span
+        assert mat_mul(q.projection, q.section) == identity_matrix(d)
+        assert len(q.kernel_basis) == n - d
+        assert all(pair(u, v) == 0 for u in q.kernel_basis for v in span)
+        if q.kernel_basis:
+            assert smith_diagonal_oracle(q.kernel_basis) == [1] * (n - d)
+        with pytest.raises(NotSaturated):
+            pairing_quotient(n, (tuple(2 * x for x in span[0]),) + span[1:])
 
 
 class TestDualBasis:
