@@ -19,7 +19,7 @@ import sys
 from . import errors
 from .fan import Fan, SubdivisionMap, resolve
 from .ktheory import chi, decompose, dual_basis_solve, gram_matrix, kronecker_pair
-from .lattice import strict_list
+from .lattice import strict_int, strict_list
 from .laurent import LaurentPoly, format_poly, poly_from_json, poly_to_json
 from .pexp import (
     PiecewiseExponential,
@@ -68,10 +68,13 @@ def _resolve_fan_field(obj: dict, base_dir: str, fan: Fan | None) -> Fan:
     if isinstance(embedded, str):
         embedded = _load_json(os.path.join(base_dir, embedded))
     if embedded is not None:
-        candidate = Fan.from_json(embedded)
-        if fan is not None and candidate != fan:
-            raise ValueError("embedded fan differs from the --fan argument")
-        return candidate
+        if fan is None:
+            return Fan.from_json(embedded)
+        # an embedded copy of the validated --fan needs no second validation
+        if Fan.from_json(embedded, validate=False) == fan:
+            return fan
+        Fan.from_json(embedded)
+        raise ValueError("embedded fan differs from the --fan argument")
     if fan is None:
         raise ValueError("no fan given: pass --fan or embed one in the file")
     return fan
@@ -108,11 +111,17 @@ def _load_pexp_list(path: str, fan: Fan | None) -> list[PiecewiseExponential]:
 
 
 def _parse_cone(fan: Fan, spec) -> tuple[int, ...]:
-    if isinstance(spec, str):
-        spec = json.loads(spec)
+    """The cone of the fan with the generators in the decoded JSON ``spec``."""
     if not isinstance(spec, list):
         raise ValueError("a cone is a JSON array of generator coordinate arrays")
-    return fan.rayset_from_vectors([tuple(v) for v in spec])
+    return fan.rayset_from_vectors([
+        tuple(strict_int(x, "cone coordinate") for x in strict_list(v, "cone generator"))
+        for v in spec
+    ])
+
+
+def _load_cones(fan: Fan, path: str) -> list[tuple[int, ...]]:
+    return [_parse_cone(fan, c) for c in strict_list(_load_json(path), "cones")]
 
 
 def _violation_doc(report) -> dict:
@@ -166,7 +175,7 @@ def _cmd_gkm_check(args) -> dict:
 def _cmd_restrict(args) -> dict:
     fan = _load_fan(args.fan)
     f = _load_pexp(args.pexp, fan)
-    rayset = _parse_cone(fan, args.cone)
+    rayset = _parse_cone(fan, json.loads(args.cone))
     value = f.restrict(rayset)
     return {"status": "ok", "result": poly_to_json(value), "_poly": value}
 
@@ -181,7 +190,7 @@ def _cmd_chi(args) -> dict:
 def _cmd_pair(args) -> dict:
     fan = _load_fan(args.fan)
     f = _load_pexp(args.pexp, fan)
-    rayset = _parse_cone(fan, args.cone)
+    rayset = _parse_cone(fan, json.loads(args.cone))
     value = kronecker_pair(fan, f, rayset, epsilon=args.epsilon)
     return {"status": "ok", "result": poly_to_json(value), "_poly": value}
 
@@ -189,8 +198,7 @@ def _cmd_pair(args) -> dict:
 def _cmd_gram(args) -> dict:
     fan = _load_fan(args.fan)
     fns = _load_pexp_list(args.functions, fan)
-    cone_specs = _load_json(args.cones)
-    raysets = [_parse_cone(fan, c) for c in cone_specs]
+    raysets = _load_cones(fan, args.cones)
     matrix = gram_matrix(fan, fns, raysets, epsilon=args.epsilon)
     return {"status": "ok", "result": matrix.to_json(), "_matrix": matrix}
 
@@ -215,8 +223,7 @@ def _cmd_decompose(args) -> dict:
 def _cmd_dual_basis(args) -> dict:
     fan = _load_fan(args.fan)
     spanning = _load_pexp_list(args.spanning, fan)
-    cone_specs = _load_json(args.cones)
-    raysets = [_parse_cone(fan, c) for c in cone_specs]
+    raysets = _load_cones(fan, args.cones)
     try:
         duals = dual_basis_solve(fan, raysets, spanning, epsilon=args.epsilon)
     except (errors.SingularGram, errors.NotIntegral) as exc:

@@ -32,7 +32,7 @@ from .lattice import (
     identity_matrix,
     identity_quotient,
     is_primitive,
-    kernel_basis,
+    line_kernel,
     mat_vec,
     matrix_rank,
     pair,
@@ -55,24 +55,32 @@ def extreme_rays_of_region(n: int, ineqs, eqs) -> tuple[Vector, ...]:
     """Primitive extreme rays of the pointed part of {x : A x >= 0, B x = 0}.
 
     Brute force: every extreme ray is cut out by n-1 independent active
-    constraints, so enumerate constraint subsets and keep feasible kernel
-    lines.  Directions lying in the lineality space are skipped.
+    constraints.  The equations are first cut down to an independent subset,
+    so each candidate is the ``line_kernel`` of those rows plus a subset of
+    the inequalities, and it is kept when it is feasible up to sign.
+    Directions lying in the lineality space are skipped.
     """
     ineqs = tuple(tuple(a) for a in ineqs)
-    eqs = tuple(tuple(b) for b in eqs if any(b))
-    r_eq = matrix_rank(eqs)
-    k = n - r_eq - 1
+    eqs_indep: tuple[Vector, ...] = ()
+    for b in eqs:
+        if matrix_rank(eqs_indep + (tuple(b),)) > len(eqs_indep):
+            eqs_indep += (tuple(b),)
+    k = n - len(eqs_indep) - 1
     if k < 0:
         return ()
     found = set()
-    for subset in itertools.combinations(range(len(ineqs)), k):
-        rows = eqs + tuple(ineqs[i] for i in subset)
-        ker = kernel_basis(rows, n)
-        if len(ker) != 1:
+    for subset in itertools.combinations(ineqs, k):
+        v = line_kernel(eqs_indep + subset, n)
+        if v is None:
             continue
-        v = ker[0]
-        pos = all(pair(a, v) >= 0 for a in ineqs) and all(pair(b, v) == 0 for b in eqs)
-        neg = all(pair(a, v) <= 0 for a in ineqs) and all(pair(b, v) == 0 for b in eqs)
+        # v lies in the kernel of the equations, so only the signs on A count;
+        # the first pair of opposite signs rules it out
+        pos = neg = True
+        for a in ineqs:
+            x = pair(a, v)
+            pos, neg = pos and x >= 0, neg and x <= 0
+            if not (pos or neg):
+                break
         if pos and neg:
             continue  # lineality direction, not an extreme ray
         if pos:
@@ -183,18 +191,20 @@ class Cone:
         the facet read through the span projection, so <normal, v> = <u, x>
         for a point v of the span with local coordinates x.  For a
         full-dimensional cone it is the primitive inward facet normal.
+
+        Each d - 1 independent local generators span a hyperplane whose
+        normal is their ``line_kernel`` (signed minors, no Smith form); it
+        bounds a facet when every generator lies on one side of it.
         """
         d = self.dim
         g = self.local_generators
         if d == 0:
             return ()
         found: dict[tuple[int, ...], Vector] = {}
-        for subset in itertools.combinations(range(len(g)), d - 1):
-            rows = tuple(g[i] for i in subset)
-            ker = kernel_basis(rows, d)
-            if len(ker) != 1:
+        for subset in itertools.combinations(g, d - 1):
+            u = line_kernel(subset, d)
+            if u is None:
                 continue
-            u = ker[0]
             vals = [pair(u, x) for x in g]
             if all(v >= 0 for v in vals) and any(v > 0 for v in vals):
                 pass
@@ -436,9 +446,6 @@ class Fan:
             cache[rs] = q
         return cache[rs]
 
-    def contains_point(self, v: Vector) -> bool:
-        return any(c.contains(v) for c in self.cone_objects)
-
     # -- completeness -----------------------------------------------------------
 
     def is_complete(self) -> bool:
@@ -492,10 +499,10 @@ class Fan:
         }
 
     @staticmethod
-    def from_json(obj: dict) -> "Fan":
+    def from_json(obj: dict, validate: bool = True) -> "Fan":
         if not isinstance(obj, dict) or not {"rank", "rays", "max_cones"} <= set(obj):
             raise ValueError("fan JSON needs 'rank', 'rays', and 'max_cones'")
-        return Fan.build(obj["rank"], obj["rays"], obj["max_cones"])
+        return Fan.build(obj["rank"], obj["rays"], obj["max_cones"], validate=validate)
 
 
 # -- star quotients ---------------------------------------------------------------

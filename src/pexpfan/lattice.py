@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 
 from .errors import NotIndependent, NotSaturated, NotUnimodular, ZeroVector
 
@@ -40,7 +41,7 @@ def pair(u: Vector, v: Vector) -> int:
     """Evaluation pairing <u, v> between a character and a lattice point."""
     if len(u) != len(v):
         raise ValueError(f"pairing of vectors of lengths {len(u)} and {len(v)}")
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 def vec_add(u: Vector, v: Vector) -> Vector:
@@ -265,6 +266,41 @@ def kernel_basis(a: IntMatrix, n_cols: int) -> tuple[Vector, ...]:
     return tuple(cols[j] for j in range(r, n_cols))
 
 
+def line_kernel(rows, n: int) -> Vector | None:
+    """Primitive generator of {x : A x = 0} in Z^n for n - 1 rows A, or None
+    when that kernel is not a line (the rows are dependent).
+
+    The kernel of n - 1 independent rows is spanned by their signed maximal
+    minors; for n <= 3 these are written out ((1,), (-a1, a0) and the cross
+    product).  For n >= 4 one Gauss-Jordan elimination leaves every pivot
+    equal to p and one free column f: x_f = p and x_c = -(entry in column f)
+    on the row pivoting column c.  The sign of the result is not specified.
+    """
+    if len(rows) != n - 1:
+        raise ValueError(f"line_kernel needs {n - 1} rows, got {len(rows)}")
+    if n == 1:
+        return (1,)
+    if n == 2:
+        (a0, a1), = rows
+        v = (-a1, a0)
+    elif n == 3:
+        (a0, a1, a2), (b0, b1, b2) = rows
+        v = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    else:
+        m = [list(row) for row in rows]
+        rank, _, p = _eliminate(m, n)
+        if rank < n - 1:
+            return None
+        pivots = [next(c for c, x in enumerate(row) if x) for row in m]
+        free = next(c for c in range(n) if c not in pivots)
+        x = [0] * n
+        x[free] = p
+        for row, c in zip(m, pivots):
+            x[c] = -row[free]
+        v = tuple(x)
+    return primitive_vector(v) if any(v) else None
+
+
 def annihilator(rank: int, vectors: list[Vector] | tuple[Vector, ...]) -> tuple[Vector, ...]:
     """Saturated basis of the characters vanishing on every given vector."""
     rows = tuple(tuple(v) for v in vectors)
@@ -295,9 +331,6 @@ class QuotientLattice:
 
     def project_vector(self, u: Vector) -> Vector:
         return mat_vec(self.projection, u)
-
-    def lift_vector(self, w: Vector) -> Vector:
-        return mat_vec(self.section, w)
 
 
 def quotient_lattice(rank: int, kernel: list[Vector] | tuple[Vector, ...]) -> QuotientLattice:

@@ -118,12 +118,6 @@ class LaurentPoly:
         """True iff the element is +-e^u."""
         return len(self.terms) == 1 and abs(self.terms[0][1]) == 1
 
-    def unit_inverse(self) -> "LaurentPoly":
-        if not self.is_unit():
-            raise ValueError("not a unit in Z[M]")
-        (exp, c), = self.terms
-        return LaurentPoly(self.rank, ((tuple(-a for a in exp), c),))
-
     def augment(self) -> int:
         """Sum of coefficients: the ring map e^u -> 1 to the integers."""
         return sum(c for _, c in self.terms)

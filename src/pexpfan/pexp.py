@@ -41,12 +41,6 @@ class GkmViolation:
     restriction_a: LaurentPoly
     restriction_b: LaurentPoly
 
-    def describe(self) -> str:
-        return (
-            f"maximal cones {self.cone_a} and {self.cone_b} disagree on their "
-            f"common face {list(self.face)}: {self.restriction_a} vs {self.restriction_b}"
-        )
-
 
 @dataclass(frozen=True)
 class GkmReport:
@@ -76,11 +70,6 @@ class PiecewiseExponential:
             for rs in fan.maximal_cones
         )
         return PiecewiseExponential(fan, values)
-
-    @staticmethod
-    def global_exponential(fan: Fan, exponent: Vector, coeff: int = 1) -> "PiecewiseExponential":
-        g = LaurentPoly.exponential(exponent, coeff)
-        return PiecewiseExponential.constant(fan, 1).module_action(g)
 
     # -- ring structure ---------------------------------------------------
 

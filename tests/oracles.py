@@ -3,7 +3,10 @@
 Nothing here shares code paths with the package kernels: determinants come
 from permutation expansion, Smith diagonals from determinantal divisors,
 linear solutions from Gauss-Jordan over the rationals, facet normals from
-signed minors, and lattice points from direct enumeration.
+signed minors, and lattice points from direct enumeration.  The one
+exception is ``extreme_rays_smith``, the Smith-form extreme-ray enumeration
+that fan validation used before ``line_kernel``, kept as the oracle for the
+path that replaced it.
 """
 
 from __future__ import annotations
@@ -124,10 +127,44 @@ def cartier_polytope_points(fan, exponents) -> list[tuple[int, ...]]:
     return points
 
 
+def fan_contains_point(fan, v) -> bool:
+    """Whether some maximal cone of the fan contains the point v."""
+    return any(c.contains(v) for c in fan.cone_objects)
+
+
 def grid_covers_fan(fan, radius: int = 3) -> bool:
     """Sample integer points in a box and test membership in some maximal
     cone; a complete fan must contain every sample."""
     for pt in itertools.product(range(-radius, radius + 1), repeat=fan.rank):
-        if not fan.contains_point(pt):
+        if not fan_contains_point(fan, pt):
             return False
     return True
+
+
+def extreme_rays_smith(n: int, ineqs, eqs):
+    """Primitive extreme rays of the pointed part of {x : A x >= 0, B x = 0},
+    enumerating every (n-1)-row kernel by a Smith form (``kernel_basis``):
+    the enumeration ``fan.extreme_rays_of_region`` performed before it took
+    its kernels from ``line_kernel``."""
+    from pexpfan.lattice import kernel_basis, matrix_rank, pair
+
+    ineqs = tuple(tuple(a) for a in ineqs)
+    eqs = tuple(tuple(b) for b in eqs if any(b))
+    k = n - matrix_rank(eqs) - 1
+    if k < 0:
+        return ()
+    found = set()
+    for subset in itertools.combinations(range(len(ineqs)), k):
+        ker = kernel_basis(eqs + tuple(ineqs[i] for i in subset), n)
+        if len(ker) != 1:
+            continue
+        v = ker[0]
+        pos = all(pair(a, v) >= 0 for a in ineqs) and all(pair(b, v) == 0 for b in eqs)
+        neg = all(pair(a, v) <= 0 for a in ineqs) and all(pair(b, v) == 0 for b in eqs)
+        if pos and neg:
+            continue
+        if pos:
+            found.add(v)
+        elif neg:
+            found.add(tuple(-x for x in v))
+    return tuple(sorted(found))

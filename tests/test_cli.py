@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from pexpfan import catalog
 from pexpfan.cli import run
-from pexpfan.fan import SubdivisionMap, resolve
+from pexpfan.fan import Fan, SubdivisionMap, resolve
 from pexpfan.pexp import pexp_to_json
 
 REPO = Path(__file__).resolve().parent.parent
@@ -375,6 +375,48 @@ class TestNegativesAndErrors:
         assert code == 1
 
 
+class TestEmbeddedFan:
+    """`--fan F --pexp P` with a fan embedded in P validates F once; an
+    embedded fan that is invalid or differs from F is still an error."""
+
+    def _chi_with_embedded(self, tmp_path, capsys, embedded):
+        doc = json.loads((DATA / "p112_class.json").read_text())
+        doc["fan"] = embedded
+        pexp_path = tmp_path / "class.json"
+        pexp_path.write_text(json.dumps(doc))
+        code, out = invoke(["chi", "--fan", DATA / "p112_fan.json", "--pexp", pexp_path], capsys)
+        return code, json.loads(out)
+
+    def test_embedded_copy_is_validated_once(self, capsys, monkeypatch):
+        calls = []
+        validate = Fan._validate
+        monkeypatch.setattr(Fan, "_validate", lambda fan: calls.append(fan) or validate(fan))
+        code, out = invoke(
+            ["chi", "--fan", DATA / "p112_fan.json", "--pexp", DATA / "p112_class.json"], capsys
+        )
+        assert code == 0 and json.loads(out)["status"] == "ok"
+        assert len(calls) == 1
+
+    def test_invalid_embedded_fan(self, tmp_path, capsys):
+        overlapping = {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1]], "max_cones": [[0, 1], [1, 2]]}
+        code, doc = self._chi_with_embedded(tmp_path, capsys, overlapping)
+        assert code == 1
+        assert doc == {
+            "status": "error",
+            "kind": "NotAFan",
+            "detail": "cones (0, 1) and (1, 2) intersect in a non-face",
+        }
+
+    def test_differing_embedded_fan(self, tmp_path, capsys):
+        code, doc = self._chi_with_embedded(tmp_path, capsys, catalog.projective_plane().to_json())
+        assert code == 1
+        assert doc == {
+            "status": "error",
+            "kind": "ValueError",
+            "detail": "embedded fan differs from the --fan argument",
+        }
+
+
 class TestDeterminism:
     def test_byte_identical_runs(self, data_files):
         cmd = [
@@ -431,6 +473,8 @@ MAP_FIELDS = [
     ("coarse", "max_cones"), ("coarse", "max_cones", 1), ("assignment",), ("assignment", 0),
     ("assignment", 3),
 ]
+CONES_FIELDS = [(), (0,), (1,), (1, 0), (1, 0, 1), (2,), (2, 1), (2, 1, 0)]
+CONE_FIELDS = [(), (0,), (1,), (0, 0), (1, 1)]
 
 
 def _replaced(doc, path, value):
@@ -456,13 +500,19 @@ def fuzz_documents(tmp_path_factory):
 
     fine_class = tmp_path_factory.mktemp("fuzz") / "fine.json"
     fine_class.write_text(json.dumps(pexp_to_json(pullback(catalog.p112_demo_class(fan), sub))))
+    cones = [[], [[-1, -2]], [[1, 0], [-1, -2]]]
+    fan_path, spanning = DATA / "p112_fan.json", DATA / "p112_spanning.json"
     return {
         "gkm-check": (pexp_to_json(catalog.p112_demo_class(fan)), PEXP_FIELDS, ["--pexp"]),
         "descend": (sub.to_json(), MAP_FIELDS, ["--pexp", fine_class, "--map"]),
+        "gram": (cones, CONES_FIELDS, ["--fan", fan_path, "--functions", spanning, "--cones"]),
+        # the --cone argument is the document's JSON text, not a file
+        "pair": (cones[2], CONE_FIELDS,
+                 ["--fan", fan_path, "--pexp", DATA / "p112_class.json", "--cone"]),
     }
 
 
-@pytest.mark.parametrize("command", ["gkm-check", "descend"])
+@pytest.mark.parametrize("command", ["gkm-check", "descend", "gram", "pair"])
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_arbitrary_json_fields_never_escape(fuzz_documents, tmp_path_factory, command, data):
@@ -471,10 +521,16 @@ def test_arbitrary_json_fields_never_escape(fuzz_documents, tmp_path_factory, co
     good, fields, argv = fuzz_documents[command]
     path = data.draw(st.sampled_from(fields))
     value = data.draw(JSON_VALUES | st.just(DELETE)) if path else data.draw(JSON_VALUES)
-    doc_path = tmp_path_factory.getbasetemp() / "fuzzed.json"
-    doc_path.write_text(json.dumps(_replaced(good, path, value)))
+    text = json.dumps(_replaced(good, path, value))
+    if command == "pair":
+        last = text
+    else:
+        last = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        last.write_text(text)
+    *head, flag = map(str, argv)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = run([command, *map(str, argv), str(doc_path)])
+        # flag=value, so that argparse takes a value such as -1 as the argument
+        code = run([command, *head, f"{flag}={last}"])
     assert code in (0, 1, 2)
     assert "status" in json.loads(out.getvalue())

@@ -27,9 +27,10 @@ from pexpfan.fan import (
     stellar_subdivision,
     total_excess_multiplicity,
 )
-from pexpfan.lattice import mat_vec
+from pexpfan.lattice import mat_vec, matrix_rank, primitive_vector
 from oracles import (
     det_expansion,
+    extreme_rays_smith,
     facet_normals_full_dim,
     grid_covers_fan,
     smith_diagonal_oracle,
@@ -42,6 +43,21 @@ def random_simplicial_cone(rng, rank, dim):
         gens = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(dim)]
         if len(smith_diagonal_oracle(gens)) == dim:
             return Cone.from_generators(rank, gens)
+
+
+def random_fan_data(rng):
+    """(rank, rays, cones) of a random, mostly invalid fan in rank 1-4: two to
+    five distinct cones of one to rank + 1 rays each, so dimensions are mixed."""
+    rank = rng.randint(1, 4)
+    rays = sorted({primitive_vector(v) for v in (
+        tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rank + 3)) if any(v)})
+    rays = rays or [(1,) * rank]
+    cones = set()
+    for _ in range(rng.randint(2, 5)):
+        size = rng.randint(1, min(len(rays), rank + rng.randint(0, 1)))
+        cones.add(tuple(sorted(rng.sample(range(len(rays)), size))))
+    used = sorted({i for c in cones for i in c})
+    return rank, [rays[i] for i in used], [tuple(used.index(i) for i in c) for c in sorted(cones)]
 
 
 class TestBuildFan:
@@ -342,6 +358,31 @@ class TestAgainstOracles:
                 break
         want = facet_normals_full_dim(cone.generators)
         assert cone.facets == tuple((want[c], c) for c in sorted(want))
+
+    def test_validation_matches_smith_enumeration(self, monkeypatch):
+        """Validated Fan.build gives the same verdict, the fan or the error
+        class and message, whether the pairwise check enumerates its kernels
+        by line_kernel or by the Smith form it used before."""
+        rng = random.Random(20261018)
+        cases = [random_fan_data(rng) for _ in range(1500)]
+
+        def verdicts():
+            out = []
+            for rank, rays, cones in cases:
+                try:
+                    out.append(Fan.build(rank, rays, cones).to_json())
+                except PExpFanError as exc:
+                    out.append((type(exc).__name__, str(exc)))
+            return out
+
+        got = verdicts()
+        monkeypatch.setattr(fan_module, "extreme_rays_of_region", extreme_rays_smith)
+        assert got == verdicts()
+        valid = [v for v in got if isinstance(v, dict)]
+        mixed = [v for v in valid
+                 if len({matrix_rank([v["rays"][i] for i in c]) for c in v["max_cones"]}) > 1]
+        non_face = [v for v in got if not isinstance(v, dict) and "non-face" in v[1]]
+        assert len(valid) > 300 and len(mixed) > 100 and len(non_face) > 100
 
     @given(st.integers(0, 99999))
     @settings(max_examples=40)

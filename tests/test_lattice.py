@@ -11,6 +11,8 @@ from pexpfan.lattice import (
     dual_basis,
     identity_matrix,
     integer_det,
+    kernel_basis,
+    line_kernel,
     mat_mul,
     mat_vec,
     matrix_rank,
@@ -212,6 +214,26 @@ class TestHelpers:
     @settings(max_examples=80)
     def test_matrix_rank_matches_smith_oracle(self, a):
         assert matrix_rank(a) == len(smith_diagonal_oracle(a))
+
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                 min_size=n - 1, max_size=n - 1),
+        st.lists(st.integers(-2, 2), min_size=n - 1, max_size=n - 1),
+    )))
+    @settings(max_examples=300)
+    def test_line_kernel_matches_smith_kernel(self, case):
+        n, rows, mix = case
+        if n >= 2 and mix[0]:
+            # a combination of the other rows, so the kernel is not a line
+            rows[0] = [sum(c * r[k] for c, r in zip(mix[1:], rows[1:])) for k in range(n)]
+        rows = tuple(tuple(r) for r in rows)
+        got = line_kernel(rows, n)
+        want = kernel_basis(rows, n)
+        if len(want) != 1:
+            assert got is None
+        else:
+            assert got in (want[0], tuple(-x for x in want[0]))
 
     @given(matrices.filter(lambda a: len(a) == len(a[0])))
     @settings(max_examples=80)
