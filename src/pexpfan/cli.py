@@ -5,7 +5,9 @@ computation per invocation, and writes a canonical JSON (or aligned text)
 document to stdout.  Exit codes: 0 on success, 2 when a well-posed check
 returns a mathematical negative (GKM violation, non-descendable function,
 class outside a span, invalid fan under ``validate-fan``), 1 for structural
-problems (missing files, malformed JSON, rank mismatches).
+problems (missing files, malformed JSON, rank mismatches) and for a failed
+check of a computed result (``ResultCheckFailed``, a defect rather than bad
+input); every failure still writes a status document.
 """
 
 from __future__ import annotations
@@ -353,7 +355,7 @@ def run(argv=None) -> int:
             {"status": "negative", "kind": type(exc).__name__, "detail": str(exc)},
             2,
         )
-    except (errors.StructuralError, ValueError) as exc:
+    except (errors.StructuralError, errors.ResultCheckFailed, ValueError) as exc:
         doc, code = (
             {"status": "error", "kind": type(exc).__name__, "detail": str(exc)},
             1,

@@ -19,6 +19,7 @@ produces the mirrored support), which is how the constant was determined;
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .errors import (
     NotComplete,
     NotFullDimensional,
     NotInSpan,
+    NotIndependent,
     NotIntegral,
     NotSmooth,
     ResolutionCheckFailed,
@@ -35,7 +37,7 @@ from .errors import (
     SingularGram,
 )
 from .fan import Cone, Fan, RaySet, SubdivisionMap, resolve
-from .lattice import Vector, dual_basis, vec_scale
+from .lattice import Vector, adjugate, dual_basis, vec_scale
 from .laurent import LaurentPoly, LocalizationSum, try_div
 from .pexp import PiecewiseExponential, gkm_validate, pullback
 
@@ -164,37 +166,6 @@ def _strict_transform_face(fine: Fan, tau_cone: Cone, dim: int) -> RaySet:
     return best
 
 
-def kronecker_pair(
-    fan: Fan,
-    f: PiecewiseExponential,
-    rayset,
-    *,
-    resolution: SubdivisionMap | None = None,
-    epsilon: int = EPSILON,
-) -> LaurentPoly:
-    """The duality pairing <f, [O_{V(tau)}]> in Z[M].
-
-    Computed on a resolution, pairing the pulled-back class against the orbit
-    closure of a strict transform of tau (a fine cone of the same span inside
-    tau); the result is independent of both choices.
-    """
-    if f.fan != fan:
-        raise ValueError("class does not live on the given fan")
-    if not fan.is_complete():
-        raise NotComplete("the pairing needs a complete fan")
-    rs = fan.require_face(rayset)
-    if resolution is None:
-        resolution = SubdivisionMap.identity(fan) if fan.is_smooth() else resolve(fan)
-    if resolution.coarse != fan:
-        raise ValueError("resolution does not refine the given fan")
-    fine = resolution.fine
-    tau_cone = Cone.from_generators(fan.rank, tuple(fan.rays[i] for i in rs))
-    tau2 = _strict_transform_face(fine, tau_cone, fan.face_dim(rs))
-    orbit = orbit_closure_class(fine, tau2, epsilon)
-    lifted = pullback(f, resolution)
-    return euler_characteristic(fine, orbit.scaled(lifted.values))
-
-
 @dataclass(frozen=True)
 class PairingMatrix:
     """Kronecker pairings of a list of classes against a list of cones."""
@@ -221,22 +192,52 @@ def gram_matrix(
     resolution: SubdivisionMap | None = None,
     epsilon: int = EPSILON,
 ) -> PairingMatrix:
+    """The duality pairings <f_i, [O_{V(tau_j)}]> in Z[M], one row per function.
+
+    Computed on a resolution, pairing each pulled-back class against the
+    orbit closure of a strict transform of tau_j (a fine cone of the same
+    span inside tau_j); the result is independent of both choices.  Each
+    function is pulled back once and each orbit class is built once, then
+    every entry is one localization sum.
+    """
     functions = tuple(functions)
+    if any(f.fan != fan for f in functions):
+        raise ValueError("class does not live on the given fan")
+    if not fan.is_complete():
+        raise NotComplete("the pairing needs a complete fan")
     raysets = tuple(fan.require_face(rs) for rs in raysets)
     if resolution is None:
         resolution = SubdivisionMap.identity(fan) if fan.is_smooth() else resolve(fan)
+    if resolution.coarse != fan:
+        raise ValueError("resolution does not refine the given fan")
+    fine = resolution.fine
+    orbits = []
+    for rs in raysets:
+        tau_cone = Cone.from_generators(fan.rank, tuple(fan.rays[i] for i in rs))
+        tau2 = _strict_transform_face(fine, tau_cone, fan.face_dim(rs))
+        orbits.append(orbit_closure_class(fine, tau2, epsilon))
+    lifted = [pullback(f, resolution).values for f in functions]
     entries = tuple(
-        tuple(
-            kronecker_pair(fan, f, rs, resolution=resolution, epsilon=epsilon)
-            for rs in raysets
-        )
-        for f in functions
+        tuple(euler_characteristic(fine, orbit.scaled(values)) for orbit in orbits)
+        for values in lifted
     )
     return PairingMatrix(
         tuple(f"f{i}" for i in range(len(functions))),
         tuple("cone" + str(list(rs)) for rs in raysets),
         entries,
     )
+
+
+def kronecker_pair(
+    fan: Fan,
+    f: PiecewiseExponential,
+    rayset,
+    *,
+    resolution: SubdivisionMap | None = None,
+    epsilon: int = EPSILON,
+) -> LaurentPoly:
+    """The duality pairing <f, [O_{V(tau)}]> in Z[M]: the 1x1 ``gram_matrix``."""
+    return gram_matrix(fan, [f], [rayset], resolution=resolution, epsilon=epsilon).entries[0][0]
 
 
 # -- linear algebra over Z[M] -----------------------------------------------------
@@ -290,11 +291,9 @@ def decompose(
     rows = [[g.values[i] for g in basis] for i in range(len(fan.maximal_cones))]
     rhs = list(f.values)
 
-    import itertools as _it
-
     chosen = None
     det = None
-    for subset in _it.combinations(range(len(rows)), k):
+    for subset in itertools.combinations(range(len(rows)), k):
         d = poly_det([rows[i] for i in subset], rank)
         if not d.is_zero():
             chosen, det = subset, d
@@ -344,10 +343,12 @@ def dual_basis_solve(
 ) -> tuple[PiecewiseExponential, ...]:
     """Functions g_j with <g_j, [O_{V(tau_l)}]> = delta_jl.
 
-    Inverts the Gram matrix of the spanning functions over the fraction field;
-    every resulting cone value must divide back into Z[M] (NotIntegral
-    otherwise), the results must satisfy the face compatibility, and their
-    Gram matrix is re-verified to be exactly the identity.
+    Inverts the Gram matrix G of the spanning functions as adj(G) / det(G),
+    both from one fraction-free elimination over Z[M] (``adjugate``), so
+    g_j = sum_i adj(G)[j][i] * f_i / det(G); every resulting cone value must
+    divide back into Z[M] (NotIntegral otherwise), the results must satisfy
+    the face compatibility, and their Gram matrix is re-verified to be
+    exactly the identity.
     """
     spanning = tuple(spanning)
     raysets = tuple(fan.require_face(rs) for rs in raysets)
@@ -358,21 +359,13 @@ def dual_basis_solve(
     if resolution is None:
         resolution = SubdivisionMap.identity(fan) if fan.is_smooth() else resolve(fan)
     gram = gram_matrix(fan, spanning, raysets, resolution=resolution, epsilon=epsilon)
-    g = [list(row) for row in gram.entries]
-    det = poly_det(g, rank)
-    if det.is_zero():
-        raise SingularGram("the Gram matrix is singular over the fraction field")
-
-    # cofactors: inv[j][i] = (-1)^{i+j} * minor(i, j) / det
-    cof = [[None] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(k):
-            minor = [
-                [g[a][b] for b in range(k) if b != j]
-                for a in range(k) if a != i
-            ]
-            m = poly_det(minor, rank)
-            cof[i][j] = m if (i + j) % 2 == 0 else -m
+    try:
+        det, adj = adjugate(gram.entries)
+    except NotIndependent:
+        raise SingularGram("the Gram matrix is singular over the fraction field") from None
+    if k <= 1:  # below k = 2 the identity block's ints are never eliminated
+        det = LaurentPoly.one(rank) * det
+        adj = tuple(tuple(LaurentPoly.one(rank) * x for x in row) for row in adj)
 
     out = []
     for j in range(k):
@@ -381,7 +374,7 @@ def dual_basis_solve(
             q = fan.face_quotient(rayset)
             num = LaurentPoly.zero(q.rank)
             for i in range(k):
-                num = num + spanning[i].values[idx] * cof[i][j].map_exponents(
+                num = num + spanning[i].values[idx] * adj[j][i].map_exponents(
                     q.projection, q.rank
                 )
             val = try_div(num, det.map_exponents(q.projection, q.rank))

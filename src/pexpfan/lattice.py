@@ -189,13 +189,16 @@ def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def _eliminate(m: list[list[int]], ncols: int) -> tuple[int, int, int]:
-    """Integer-preserving Gauss-Jordan elimination of the rows ``m``, in place.
+    """Fraction-free Gauss-Jordan elimination of the rows ``m``, in place.
 
     Columns ``0 .. ncols-1`` are pivoted in order, skipping pivotless ones.
     Each step sets row = (pivot * row - row[col] * pivot_row) / previous
     pivot for every other row; entries stay minors of the input, so every
     division is exact (Bareiss, Math. Comp. 22, 1968), and all pivots end
     equal to the last one.  Returns (rank, row permutation sign, last pivot).
+    The entries may lie in any integral domain with ``*``, ``-``, exact
+    ``//`` and truthiness (nonzero is true): the integers, or Z[M] as
+    ``LaurentPoly``, where ints are mixed in as constants.
     """
     rank, sign, prev = 0, 1, 1
     for c in range(ncols):
@@ -233,7 +236,10 @@ def adjugate(a: IntMatrix) -> tuple[int, IntMatrix]:
     """(det, adj) of a nonsingular square matrix, with adj @ a == det * I.
 
     One elimination of [a | I] leaves p * I on the left, where p is the
-    determinant of the row-permuted matrix, and p * a^-1 on the right.
+    determinant of the row-permuted matrix, and p * a^-1 on the right.  The
+    entries may be ints or elements of Z[M] (see ``_eliminate``); for a
+    matrix over Z[M] of size at most 1, the entries that come from the
+    identity block (det of the empty matrix, adj of a 1x1) stay ints.
     """
     n = len(a)
     if any(len(row) != n for row in a):
@@ -254,16 +260,6 @@ def unimodular_inverse(a: IntMatrix) -> IntMatrix:
     if abs(det) != 1:
         raise NotUnimodular("matrix is not invertible over the integers")
     return tuple(tuple(det * x for x in row) for row in adj)
-
-
-def kernel_basis(a: IntMatrix, n_cols: int) -> tuple[Vector, ...]:
-    """Saturated basis of {x : A x = 0} in Z^n_cols."""
-    if not a:
-        return tuple(identity_matrix(n_cols))
-    _, d, v = smith_normal_form(a)
-    r = sum(1 for i in range(min(len(d), n_cols)) if d[i][i] != 0)
-    cols = transpose(v)
-    return tuple(cols[j] for j in range(r, n_cols))
 
 
 def line_kernel(rows, n: int) -> Vector | None:
@@ -299,16 +295,6 @@ def line_kernel(rows, n: int) -> Vector | None:
             x[c] = -row[free]
         v = tuple(x)
     return primitive_vector(v) if any(v) else None
-
-
-def annihilator(rank: int, vectors: list[Vector] | tuple[Vector, ...]) -> tuple[Vector, ...]:
-    """Saturated basis of the characters vanishing on every given vector."""
-    rows = tuple(tuple(v) for v in vectors)
-    for v in rows:
-        if len(v) != rank:
-            raise ValueError("vector length does not match the lattice rank")
-    # <u, v> = 0 for all v  <=>  (rows) u^T = 0
-    return kernel_basis(rows, rank)
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,16 @@ class LaurentPoly:
             k >>= 1
         return out
 
+    def __floordiv__(self, other) -> "LaurentPoly":
+        """Exact quotient in Z[M] (an int divisor is a constant); raises
+        NotDivisible when the division leaves a remainder."""
+        if isinstance(other, int):
+            other = LaurentPoly.constant(self.rank, other)
+        return exact_div(self, other)
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
     def is_zero(self) -> bool:
         return not self.terms
 

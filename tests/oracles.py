@@ -3,10 +3,11 @@
 Nothing here shares code paths with the package kernels: determinants come
 from permutation expansion, Smith diagonals from determinantal divisors,
 linear solutions from Gauss-Jordan over the rationals, facet normals from
-signed minors, and lattice points from direct enumeration.  The one
-exception is ``extreme_rays_smith``, the Smith-form extreme-ray enumeration
-that fan validation used before ``line_kernel``, kept as the oracle for the
-path that replaced it.
+signed minors, and lattice points from direct enumeration.  The exceptions
+are ``kernel_basis``, the saturated kernel from the package's Smith form,
+and ``extreme_rays_smith``, the Smith-form extreme-ray enumeration that fan
+validation used before ``line_kernel``: both are kept as the oracles for
+the path that replaced them.
 """
 
 from __future__ import annotations
@@ -141,12 +142,25 @@ def grid_covers_fan(fan, radius: int = 3) -> bool:
     return True
 
 
+def kernel_basis(a, n_cols: int) -> tuple[tuple[int, ...], ...]:
+    """Saturated basis of {x : A x = 0} in Z^n_cols: the last columns of V
+    in the Smith form U A V = D."""
+    from pexpfan.lattice import identity_matrix, smith_normal_form, transpose
+
+    if not a:
+        return tuple(identity_matrix(n_cols))
+    _, d, v = smith_normal_form(a)
+    r = sum(1 for i in range(min(len(d), n_cols)) if d[i][i] != 0)
+    cols = transpose(v)
+    return tuple(cols[j] for j in range(r, n_cols))
+
+
 def extreme_rays_smith(n: int, ineqs, eqs):
     """Primitive extreme rays of the pointed part of {x : A x >= 0, B x = 0},
     enumerating every (n-1)-row kernel by a Smith form (``kernel_basis``):
     the enumeration ``fan.extreme_rays_of_region`` performed before it took
     its kernels from ``line_kernel``."""
-    from pexpfan.lattice import kernel_basis, matrix_rank, pair
+    from pexpfan.lattice import matrix_rank, pair
 
     ineqs = tuple(tuple(a) for a in ineqs)
     eqs = tuple(tuple(b) for b in eqs if any(b))

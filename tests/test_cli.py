@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pexpfan import catalog
+from pexpfan import catalog, cli
 from pexpfan.cli import run
+from pexpfan.errors import ResolutionCheckFailed, ResultCheckFailed
 from pexpfan.fan import Fan, SubdivisionMap, resolve
 from pexpfan.pexp import pexp_to_json
 
@@ -373,6 +374,28 @@ class TestNegativesAndErrors:
             capsys,
         )
         assert code == 1
+
+    @pytest.mark.parametrize("error", [ResultCheckFailed, ResolutionCheckFailed])
+    def test_failed_result_check_is_a_status_document(self, data_files, capsys, monkeypatch, error):
+        def failing(*args, **kwargs):
+            raise error("dual basis Gram is not the identity")
+
+        monkeypatch.setattr(cli, "dual_basis_solve", failing)
+        code, out = invoke(
+            [
+                "dual-basis",
+                "--fan", data_files["fan"],
+                "--spanning", data_files["spanning"],
+                "--cones", data_files["cones"],
+            ],
+            capsys,
+        )
+        assert code == 1
+        assert json.loads(out) == {
+            "status": "error",
+            "kind": error.__name__,
+            "detail": "dual basis Gram is not the identity",
+        }
 
 
 class TestEmbeddedFan:

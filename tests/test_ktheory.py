@@ -278,6 +278,22 @@ class TestGramMatrix:
         m = gram_matrix(p1, [], [])
         assert m.entries == ()
 
+    def test_one_pullback_per_function_and_one_orbit_per_cone(self, p112, monkeypatch):
+        pullbacks, orbits = [], []
+        pull, orbit = ktheory.pullback, ktheory.orbit_closure_class
+        monkeypatch.setattr(ktheory, "pullback", lambda *a: pullbacks.append(a) or pull(*a))
+        monkeypatch.setattr(ktheory, "orbit_closure_class", lambda *a: orbits.append(a) or orbit(*a))
+        spans = catalog.p112_spanning_classes(p112)[:2]
+        gram_matrix(p112, spans, catalog.p112_duality_cones(p112))
+        assert (len(pullbacks), len(orbits)) == (2, 3)
+
+    def test_kronecker_pair_is_a_one_by_one_gram(self, p112, monkeypatch):
+        calls, gram = [], ktheory.gram_matrix
+        monkeypatch.setattr(ktheory, "gram_matrix", lambda *a, **kw: calls.append(a) or gram(*a, **kw))
+        unit = catalog.p112_spanning_classes(p112)[0]
+        assert kronecker_pair(p112, unit, ()) == LaurentPoly.one(2)
+        assert calls == [(p112, [unit], [()])]
+
     def test_p112_determinant(self, p112):
         spans = catalog.p112_spanning_classes(p112)
         cones = catalog.p112_duality_cones(p112)

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from pexpfan.errors import NotIndependent, NotSaturated, NotUnimodular, ZeroVector
 from pexpfan.lattice import (
     adjugate,
-    annihilator,
     dual_basis,
     identity_matrix,
     integer_det,
-    kernel_basis,
     line_kernel,
     mat_mul,
     mat_vec,
@@ -23,7 +21,7 @@ from pexpfan.lattice import (
     smith_normal_form,
     unimodular_inverse,
 )
-from oracles import det_expansion, smith_diagonal_oracle
+from oracles import det_expansion, kernel_basis, smith_diagonal_oracle
 
 matrices = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
@@ -101,27 +99,6 @@ class TestPrimitiveVector:
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
             primitive_vector((0, 0))
-
-
-class TestAnnihilator:
-    def test_full_span_is_trivial(self):
-        assert annihilator(2, [(1, 0), (0, 1)]) == ()
-
-    def test_single_ray(self):
-        assert annihilator(2, [(-1, -2)]) == ((-2, 1),)
-
-    def test_empty_input_gives_standard_basis(self):
-        assert annihilator(2, []) == ((1, 0), (0, 1))
-
-    @given(st.lists(st.lists(st.integers(-9, 9), min_size=3, max_size=3), max_size=3))
-    def test_orthogonal_and_saturated(self, vectors):
-        vectors = [tuple(v) for v in vectors]
-        basis = annihilator(3, vectors)
-        for u in basis:
-            assert all(pair(u, v) == 0 for v in vectors)
-        if basis:
-            _, d, _ = smith_normal_form(basis)
-            assert all(d[i][i] == 1 for i in range(len(basis)))
 
 
 class TestQuotientLattice:

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pexpfan.errors import NotDivisible, NotPolynomial, RankMismatch, ZeroCharacter
+from pexpfan.errors import NotDivisible, NotIndependent, NotPolynomial, RankMismatch, ZeroCharacter
+from pexpfan.ktheory import poly_det
+from pexpfan.lattice import adjugate
 from pexpfan.laurent import (
     LaurentPoly,
     LocalizationSum,
@@ -183,6 +185,58 @@ class TestExactDiv:
         f = ONE2 + E((1, 1))
         unit = E((2, -1), -1)
         assert exact_div(f * unit, unit) == f
+
+    def test_floordiv_is_exact_division(self):
+        f = ONE2 + E((1, 1))
+        assert (f * (ONE2 - E((0, 1)))) // (ONE2 - E((0, 1))) == f
+        assert (f * 3) // 3 == f
+        with pytest.raises(NotDivisible):
+            f // 2
+
+    def test_truthiness_is_nonzero(self):
+        assert E((1, 0)) and not LaurentPoly.zero(2)
+
+
+def zm_matrices():
+    """Square matrices of size 1..4 over Z[M] of rank 1 or 2, small entries."""
+    return st.integers(1, 2).flatmap(lambda rank: st.integers(1, 4).flatmap(
+        lambda k: st.lists(
+            st.lists(polys(rank, max_terms=2, coeff=3, exp=2), min_size=k, max_size=k),
+            min_size=k, max_size=k,
+        ).map(lambda rows: (rank, rows))))
+
+
+class TestEliminationOverZM:
+    """``lattice.adjugate`` over Z[M] against the cofactor expansion
+    ``ktheory.poly_det``."""
+
+    @given(zm_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_adjugate_against_cofactor_expansion(self, case):
+        rank, a = case
+        k = len(a)
+        det = poly_det(a, rank)
+        if det.is_zero():
+            with pytest.raises(NotIndependent):
+                adjugate(a)
+            return
+        got_det, adj = adjugate(a)
+        assert got_det == det
+        zero = LaurentPoly.zero(rank)
+        for i in range(k):
+            for j in range(k):
+                entry = zero
+                for t in range(k):
+                    entry = entry + adj[i][t] * a[t][j]
+                assert entry == (det if i == j else zero)
+
+    @given(zm_matrices().filter(lambda case: len(case[1]) >= 2))
+    @settings(max_examples=50, deadline=None)
+    def test_repeated_row_is_dependent(self, case):
+        rank, a = case
+        a[1] = list(a[0])
+        with pytest.raises(NotIndependent):
+            adjugate(a)
 
 
 class TestReduce:
