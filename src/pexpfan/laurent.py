@@ -99,18 +99,6 @@ class LaurentPoly:
     def __rmul__(self, other: int) -> "LaurentPoly":
         return self.__mul__(other)
 
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers are not defined in Z[M]")
-        out = LaurentPoly.one(self.rank)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __floordiv__(self, other) -> "LaurentPoly":
         """Exact quotient in Z[M] (an int divisor is a constant); raises
         NotDivisible when the division leaves a remainder."""
@@ -210,7 +198,9 @@ def divide_exact(f: LaurentPoly, w: Vector) -> LaurentPoly:
     (1 - e^w) divides f iff the coefficients of f on every line sum to zero,
     and then g_k is the running sum of f_j over j <= k.  A line is named by
     its point e - floor(e_i / w_i) * w, with i the first nonzero coordinate of
-    w.  Raises NotDivisible when some line does not sum to zero.
+    w.  Raises NotDivisible when some line does not sum to zero; since
+    (1 - e^w) | f forces f(1) = 0, a nonzero coefficient sum is refused first,
+    in O(terms) and before any line is built.
     """
     w = tuple(w)
     if all(x == 0 for x in w):
@@ -219,6 +209,8 @@ def divide_exact(f: LaurentPoly, w: Vector) -> LaurentPoly:
         raise RankMismatch(f"character of length {len(w)} in rank {f.rank}")
     if f.is_zero():
         return f
+    if f.augment():
+        raise NotDivisible(f"remainder left when dividing by 1 - e^{w}")
     i = next(j for j, x in enumerate(w) if x)
     lines: dict[Vector, list[tuple[int, int]]] = {}
     for exp, c in f.terms:
@@ -324,20 +316,69 @@ def _lex_negative(w: Vector) -> bool:
     return False
 
 
+def _times_koszul(f: LaurentPoly, w: Vector, k: int) -> LaurentPoly:
+    """f * (1 - e^w)^k: one shift-and-subtract per power."""
+    for _ in range(k):
+        acc = dict(f.terms)
+        for exp, c in f.terms:
+            key = tuple(a + b for a, b in zip(exp, w))
+            acc[key] = acc.get(key, 0) - c
+        f = LaurentPoly.from_dict(f.rank, acc)
+    return f
+
+
 def reduce_localization(s: LocalizationSum) -> LaurentPoly:
     """Clear all denominators of the sum, exactly.
 
     Each factor (1 - e^w) with lexicographically negative w is first rewritten
     as (1 - e^{-w}) * (-e^{w}), folding the unit into the numerator, so the
-    denominators are canonical multisets.  Terms are then folded into an
+    denominators are canonical multisets, and each term is cancelled on its
+    own.  To cancel is to divide the numerator by every denominator factor
+    that divides it, in the lexicographic order of the primitive characters,
+    each factor with full multiplicity; afterwards no factor left in the
+    denominator divides the numerator.  Terms are then folded into an
     accumulator one at a time, greedily choosing the term whose denominator
     overlaps the accumulator's most (for localization data this walks adjacent
     fixed points, so interior factors cancel as soon as they appear and the
-    working fraction stays small).  Cancellation order is the lexicographic
-    order of the primitive characters, each factor with full multiplicity.
-    A denominator factor surviving to the end raises NotPolynomial.
+    working fraction stays small).  Both numerators are brought to the lcm of
+    the two denominators and added.  A denominator factor surviving to the
+    end raises NotPolynomial.
+
+    After a step only the factors whose primitive direction occurs in both
+    the new term's denominator and the accumulator's denominator from before
+    the step are tried; no other division can succeed.  Z[M] is a UFD, and
+    for w0 primitive the prime factors of 1 - e^{m*w0} are the Phi_j(e^{w0})
+    with j | m, so factors in different primitive directions are coprime.
+    Let the direction d occur in the denominator D_a of A/D_a but not in the
+    denominator D_b of B/D_b.  The sum's numerator is A*(L/D_a) + B*(L/D_b),
+    with L the lcm: L/D_b holds the whole d-part of L, which is that of D_a,
+    so every factor (1 - e^w) of L in direction d divides B*(L/D_b), while
+    L/D_a is coprime to it.  Hence (1 - e^w) divides the sum's numerator iff
+    it divides A, and A was cancelled, so it does not.  Dividing by factors
+    of the shared directions keeps this so, since they are coprime to
+    (1 - e^w).  The same holds with the two sides swapped.
     """
     rank = s.rank
+
+    def cancel(num: LaurentPoly, den: dict[Vector, int], shared=None) -> LaurentPoly:
+        """Divide num by the factors of den (those in the directions `shared`
+        only, when given) while they divide it; den loses what was divided."""
+        if num.is_zero():
+            den.clear()
+            return num
+        for w in sorted(den, key=lambda w: (primitive_vector(w), w)):
+            if shared is not None and primitive_vector(w) not in shared:
+                continue
+            while den.get(w):
+                try:
+                    num = divide_exact(num, w)
+                except NotDivisible:
+                    break
+                den[w] -= 1
+                if not den[w]:
+                    del den[w]
+        return num
+
     normalized: list[tuple[LaurentPoly, dict[Vector, int]]] = []
     for num, denom in s.terms:
         multiset: dict[Vector, int] = {}
@@ -349,28 +390,12 @@ def reduce_localization(s: LocalizationSum) -> LaurentPoly:
                 w = w_pos
             multiset[w] = multiset.get(w, 0) + 1
         if not num.is_zero():
-            normalized.append((num, multiset))
+            normalized.append((cancel(num, multiset), multiset))
 
     if not normalized:
         return LaurentPoly.zero(rank)
 
-    def cancel(num: LaurentPoly, den: dict[Vector, int]) -> LaurentPoly:
-        if num.is_zero():
-            den.clear()
-            return num
-        for w in sorted(den, key=lambda w: (primitive_vector(w), w)):
-            while den.get(w):
-                try:
-                    num = divide_exact(num, w)
-                except NotDivisible:
-                    break
-                den[w] -= 1
-                if not den[w]:
-                    del den[w]
-        return num
-
     acc_num, acc_den = normalized[0]
-    acc_num = cancel(acc_num, acc_den)
     pending = list(normalized[1:])
     while pending:
         overlap = [
@@ -379,20 +404,16 @@ def reduce_localization(s: LocalizationSum) -> LaurentPoly:
         ]
         pick = max(range(len(pending)), key=lambda i: (overlap[i], -i))
         num, den = pending.pop(pick)
+        shared = {primitive_vector(w) for w in den} & {primitive_vector(w) for w in acc_den}
         lcm = dict(acc_den)
         for w, m in den.items():
             lcm[w] = max(lcm.get(w, 0), m)
         for w, m in lcm.items():
-            factor = LaurentPoly.one(rank) - LaurentPoly.exponential(w)
-            extra_acc = m - acc_den.get(w, 0)
-            extra_new = m - den.get(w, 0)
-            if extra_acc:
-                acc_num = acc_num * factor ** extra_acc
-            if extra_new:
-                num = num * factor ** extra_new
+            acc_num = _times_koszul(acc_num, w, m - acc_den.get(w, 0))
+            num = _times_koszul(num, w, m - den.get(w, 0))
         acc_num = acc_num + num
         acc_den = lcm
-        acc_num = cancel(acc_num, acc_den)
+        acc_num = cancel(acc_num, acc_den, shared)
 
     if acc_den:
         worst = sorted(acc_den)[0]

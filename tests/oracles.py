@@ -5,9 +5,11 @@ from permutation expansion, Smith diagonals from determinantal divisors,
 linear solutions from Gauss-Jordan over the rationals, facet normals from
 signed minors, and lattice points from direct enumeration.  The exceptions
 are ``kernel_basis``, the saturated kernel from the package's Smith form,
-and ``extreme_rays_smith``, the Smith-form extreme-ray enumeration that fan
-validation used before ``line_kernel``: both are kept as the oracles for
-the path that replaced them.
+``extreme_rays_smith``, the Smith-form extreme-ray enumeration that fan
+validation used before ``line_kernel``, and ``reduce_localization_greedy``,
+the fold that tried every denominator factor after every step before
+``reduce_localization`` tried only the shared directions: all three are kept
+as the oracles for the path that replaced them.
 """
 
 from __future__ import annotations
@@ -182,3 +184,67 @@ def extreme_rays_smith(n: int, ineqs, eqs):
         elif neg:
             found.add(tuple(-x for x in v))
     return tuple(sorted(found))
+
+
+def reduce_localization_greedy(s):
+    """The localization fold that cancelled the whole denominator after every
+    step, and nothing before the fold: ``laurent.reduce_localization`` as it
+    was before it cancelled each term on its own and then only the primitive
+    directions a new term shares with the accumulator."""
+    from pexpfan.errors import NotDivisible, NotPolynomial
+    from pexpfan.lattice import primitive_vector
+    from pexpfan.laurent import LaurentPoly, divide_exact
+
+    rank = s.rank
+    normalized = []
+    for num, denom in s.terms:
+        multiset = {}
+        for w in denom:
+            if next(x for x in w if x) < 0:
+                w = tuple(-x for x in w)
+                num = num * LaurentPoly.exponential(w, -1)
+            multiset[w] = multiset.get(w, 0) + 1
+        if not num.is_zero():
+            normalized.append((num, multiset))
+    if not normalized:
+        return LaurentPoly.zero(rank)
+
+    def cancel(num, den):
+        if num.is_zero():
+            den.clear()
+            return num
+        for w in sorted(den, key=lambda w: (primitive_vector(w), w)):
+            while den.get(w):
+                try:
+                    num = divide_exact(num, w)
+                except NotDivisible:
+                    break
+                den[w] -= 1
+                if not den[w]:
+                    del den[w]
+        return num
+
+    acc_num, acc_den = normalized[0]
+    acc_num = cancel(acc_num, acc_den)
+    pending = list(normalized[1:])
+    while pending:
+        overlap = [sum(min(m, acc_den.get(w, 0)) for w, m in den.items()) for _, den in pending]
+        pick = max(range(len(pending)), key=lambda i: (overlap[i], -i))
+        num, den = pending.pop(pick)
+        lcm = dict(acc_den)
+        for w, m in den.items():
+            lcm[w] = max(lcm.get(w, 0), m)
+        for w, m in lcm.items():
+            factor = LaurentPoly.one(rank) - LaurentPoly.exponential(w)
+            for _ in range(m - acc_den.get(w, 0)):
+                acc_num = acc_num * factor
+            for _ in range(m - den.get(w, 0)):
+                num = num * factor
+        acc_num = cancel(acc_num + num, lcm)
+        acc_den = lcm
+
+    if acc_den:
+        raise NotPolynomial(
+            f"localization sum is not polynomial: factor 1 - e^{sorted(acc_den)[0]} does not divide"
+        )
+    return acc_num

@@ -498,6 +498,14 @@ MAP_FIELDS = [
 ]
 CONES_FIELDS = [(), (0,), (1,), (1, 0), (1, 0, 1), (2,), (2, 1), (2, 1, 0)]
 CONE_FIELDS = [(), (0,), (1,), (0, 0), (1, 1)]
+# a list of three functions: the first embeds the fan, the second names its
+# file, the third takes the --fan argument
+LIST_FIELDS = [
+    (), (0,), (0, "fan"), (0, "fan", "rank"), (0, "fan", "rays"), (0, "fan", "rays", 1),
+    (0, "fan", "max_cones", 0), (0, "values"), (0, "values", 0), (0, "values", 1, "terms"),
+    (0, "values", 2, "terms", 0, "exp"), (1,), (1, "fan"), (1, "values"), (1, "values", 1, "rank"),
+    (1, "values", 2, "terms", 0, "coeff"), (2,), (2, "values"), (2, "values", 0), (2, "values", 1, "terms", 0),
+]
 
 
 def _replaced(doc, path, value):
@@ -525,23 +533,35 @@ def fuzz_documents(tmp_path_factory):
     fine_class.write_text(json.dumps(pexp_to_json(pullback(catalog.p112_demo_class(fan), sub))))
     cones = [[], [[-1, -2]], [[1, 0], [-1, -2]]]
     fan_path, spanning = DATA / "p112_fan.json", DATA / "p112_spanning.json"
+    functions = json.loads(spanning.read_text())
+    functions[0]["fan"] = fan.to_json()
+    functions[1]["fan"] = str(fan_path)
+    del functions[2]["fan"]
     return {
-        "gkm-check": (pexp_to_json(catalog.p112_demo_class(fan)), PEXP_FIELDS, ["--pexp"]),
-        "descend": (sub.to_json(), MAP_FIELDS, ["--pexp", fine_class, "--map"]),
-        "gram": (cones, CONES_FIELDS, ["--fan", fan_path, "--functions", spanning, "--cones"]),
+        "gkm-check": ("gkm-check", pexp_to_json(catalog.p112_demo_class(fan)), PEXP_FIELDS, ["--pexp"]),
+        "descend": ("descend", sub.to_json(), MAP_FIELDS, ["--pexp", fine_class, "--map"]),
+        "gram": ("gram", cones, CONES_FIELDS, ["--fan", fan_path, "--functions", spanning, "--cones"]),
         # the --cone argument is the document's JSON text, not a file
-        "pair": (cones[2], CONE_FIELDS,
+        "pair": ("pair", cones[2], CONE_FIELDS,
                  ["--fan", fan_path, "--pexp", DATA / "p112_class.json", "--cone"]),
+        "gram-functions": ("gram", functions, LIST_FIELDS,
+                           ["--fan", fan_path, "--cones", DATA / "p112_duality_cones.json", "--functions"]),
+        "decompose": ("decompose", functions, LIST_FIELDS,
+                      ["--fan", fan_path, "--pexp", DATA / "p112_class.json", "--basis"]),
+        "dual-basis": ("dual-basis", functions, LIST_FIELDS,
+                       ["--fan", fan_path, "--cones", DATA / "p112_duality_cones.json", "--spanning"]),
     }
 
 
-@pytest.mark.parametrize("command", ["gkm-check", "descend", "gram", "pair"])
+@pytest.mark.parametrize(
+    "document", ["gkm-check", "descend", "gram", "pair", "gram-functions", "decompose", "dual-basis"]
+)
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_arbitrary_json_fields_never_escape(fuzz_documents, tmp_path_factory, command, data):
+def test_arbitrary_json_fields_never_escape(fuzz_documents, tmp_path_factory, document, data):
     """Any JSON value in place of any field of a document gives an exit code
     of 0, 1 or 2 and a status document, never an uncaught exception."""
-    good, fields, argv = fuzz_documents[command]
+    command, good, fields, argv = fuzz_documents[document]
     path = data.draw(st.sampled_from(fields))
     value = data.draw(JSON_VALUES | st.just(DELETE)) if path else data.draw(JSON_VALUES)
     text = json.dumps(_replaced(good, path, value))

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 
@@ -5,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import reduce_localization_greedy
+from pexpfan import catalog, laurent
 from pexpfan.errors import NotDivisible, NotIndependent, NotPolynomial, RankMismatch, ZeroCharacter
-from pexpfan.ktheory import poly_det
-from pexpfan.lattice import adjugate
+from pexpfan.fan import resolve
+from pexpfan.ktheory import chi, orbit_closure_class, poly_det, tangent_weights
+from pexpfan.lattice import adjugate, is_primitive
+from pexpfan.pexp import CartierData, from_cartier
 from pexpfan.laurent import (
     LaurentPoly,
     LocalizationSum,
@@ -125,6 +130,11 @@ class TestDivideExact:
     def test_zero_character(self):
         with pytest.raises(ZeroCharacter):
             divide_exact(ONE2, (0, 0))
+
+    def test_nonzero_coefficient_sum_is_refused(self):
+        # (1 - e^w) | f forces f(1) = 0
+        with pytest.raises(NotDivisible):
+            divide_exact(ONE2 + E((3, -1)), (1, 0))
 
     @given(polys(), nonzero_chars)
     def test_roundtrip(self, f, w):
@@ -277,6 +287,119 @@ class TestReduce:
                 reduce_localization(split)
             return
         assert left == reduce_localization(split)
+
+
+# -- the fold against the greedy fold it replaced ---------------------------------
+
+
+@functools.cache
+def smooth_fans():
+    """Smooth complete catalog fans of ranks 1-3, resolved where needed."""
+    return (
+        catalog.projective_line(),
+        catalog.projective_plane(),
+        catalog.p1_times_p1(),
+        catalog.hirzebruch(2),
+        resolve(catalog.weighted_p112()).fine,
+        catalog.projective_space(3),
+        resolve(catalog.cube_fan()).fine,
+    )
+
+
+@st.composite
+def localization_sums(draw):
+    """The localization data of a seeded class on a smooth complete fan: a sum
+    of up to three terms c * e^u * (product of up to two orbit-closure
+    classes), so the sum reduces to a polynomial."""
+    fan = draw(st.sampled_from(smooth_fans()))
+    epsilon = draw(st.sampled_from((1, -1)))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    rank = fan.rank
+    numerators = [LaurentPoly.zero(rank)] * len(fan.maximal_cones)
+    for _ in range(rng.randint(1, 3)):
+        term = [E(tuple(rng.randint(-2, 2) for _ in range(rank)), rng.choice((-2, -1, 1, 3)))] * len(numerators)
+        for _ in range(rng.randint(0, 2)):
+            face = rng.choice(fan.faces)
+            values = orbit_closure_class(fan, face, epsilon).numerators
+            term = [a * b for a, b in zip(term, values)]
+        numerators = [a + b for a, b in zip(numerators, term)]
+    weights = [tangent_weights(c, epsilon) for c in fan.cone_objects]
+    return LocalizationSum.build(rank, list(zip(numerators, weights)))
+
+
+@st.composite
+def random_sums(draw):
+    """Sums of up to four terms over a pool of characters: primitive,
+    non-primitive, repeated and lexicographically negative ones."""
+    rank = draw(st.integers(1, 3))
+    vectors = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
+    pool = draw(st.lists(vectors, min_size=1, max_size=4))
+    pool += [tuple(-x for x in w) for w in pool]
+    terms = draw(st.lists(
+        st.tuples(polys(rank, max_terms=3, coeff=3, exp=2), st.lists(st.sampled_from(pool), max_size=3)),
+        min_size=1, max_size=4,
+    ))
+    return LocalizationSum.build(rank, terms)
+
+
+def outcome(reduce, s):
+    try:
+        return reduce(s)
+    except NotPolynomial as exc:
+        return exc
+
+
+class TestFoldAgainstGreedyOracle:
+    """``reduce_localization`` tries only the shared directions after each
+    step; ``oracles.reduce_localization_greedy`` tries every factor."""
+
+    def check(self, s):
+        got, want = outcome(reduce_localization, s), outcome(reduce_localization_greedy, s)
+        assert type(got) is type(want)
+        if isinstance(want, LaurentPoly):
+            assert got == want
+        elif all(is_primitive(w) for _, denom in s.terms for w in denom):
+            assert str(got) == str(want)
+        return want
+
+    @given(localization_sums())
+    @settings(max_examples=60, deadline=None)
+    def test_localization_data(self, s):
+        assert isinstance(self.check(s), LaurentPoly)
+
+    @given(random_sums())
+    @settings(max_examples=300, deadline=None)
+    def test_random_sums(self, s):
+        self.check(s)
+
+    def test_failed_divisions_of_one_chi(self, monkeypatch):
+        """chi of the octahedron class on resolve(cube_fan()) (48 cones)
+        makes 222 failed divisions; trying every factor after every step
+        made 244."""
+        calls = []
+        divide = laurent.divide_exact
+
+        def counted(f, w):
+            try:
+                q = divide(f, w)
+            except NotDivisible:
+                calls.append(False)
+                raise
+            calls.append(True)
+            return q
+
+        monkeypatch.setattr(laurent, "divide_exact", counted)
+        cube = catalog.cube_fan()
+        # on the cone over the facet x_i = s of the cube, the character -s * e_i
+        exps = []
+        for rs in cube.maximal_cones:
+            gens = [cube.rays[i] for i in rs]
+            axis = next(c for c in range(3) if len({g[c] for g in gens}) == 1)
+            exps.append(tuple(-gens[0][c] if c == axis else 0 for c in range(3)))
+        octahedron = from_cartier(cube, CartierData(tuple(exps)))
+        value = chi(cube, octahedron, resolution=resolve(cube))
+        assert value.augment() == 7
+        assert calls.count(False) == 222
 
 
 class TestSerialization:
