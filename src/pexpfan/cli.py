@@ -22,17 +22,9 @@ from . import errors
 from .fan import Fan, SubdivisionMap, resolve
 from .ktheory import chi, decompose, dual_basis_solve, gram_matrix, kronecker_pair
 from .lattice import strict_int, strict_list
-from .laurent import LaurentPoly, format_poly, poly_from_json, poly_to_json
-from .pexp import (
-    PiecewiseExponential,
-    gkm_validate,
-    descend,
-    pexp_to_json,
-)
+from .laurent import format_poly, poly_to_json
+from .pexp import PiecewiseExponential, descend, pexp_from_json, pexp_to_json
 
-MATH_NEGATIVES = (
-    errors.MathNegative,
-)
 FAN_VALIDATION_ERRORS = (
     errors.NotAFan,
     errors.NotStronglyConvex,
@@ -82,34 +74,24 @@ def _resolve_fan_field(obj: dict, base_dir: str, fan: Fan | None) -> Fan:
     return fan
 
 
-def _load_values(obj: dict) -> list[LaurentPoly]:
-    if "values" not in obj:
-        raise ValueError("piecewise exponential JSON needs 'values'")
-    return [poly_from_json(v) for v in strict_list(obj["values"], "values")]
+def _pexp_from_doc(obj, base_dir: str, fan: Fan | None) -> PiecewiseExponential:
+    """The function a decoded document describes; a GKM violation is exit 2."""
+    use_fan = _resolve_fan_field(obj, base_dir, fan)
+    try:
+        return pexp_from_json(obj, use_fan)
+    except errors.GkmViolationError as exc:
+        raise CliFailure(2, _violation_doc(exc.violations))
 
 
 def _load_pexp(path: str, fan: Fan | None) -> PiecewiseExponential:
-    obj = _load_json(path)
-    use_fan = _resolve_fan_field(obj, os.path.dirname(path), fan)
-    values = _load_values(obj)
-    report = gkm_validate(use_fan, values)
-    if not report.ok:
-        raise CliFailure(2, _violation_doc(report))
-    return report.function
+    return _pexp_from_doc(_load_json(path), os.path.dirname(path), fan)
 
 
 def _load_pexp_list(path: str, fan: Fan | None) -> list[PiecewiseExponential]:
     obj = _load_json(path)
     if not isinstance(obj, list):
         raise ValueError(f"{path}: expected a JSON array of functions")
-    out = []
-    for item in obj:
-        use_fan = _resolve_fan_field(item, os.path.dirname(path), fan)
-        report = gkm_validate(use_fan, _load_values(item))
-        if not report.ok:
-            raise CliFailure(2, _violation_doc(report))
-        out.append(report.function)
-    return out
+    return [_pexp_from_doc(item, os.path.dirname(path), fan) for item in obj]
 
 
 def _parse_cone(fan: Fan, spec) -> tuple[int, ...]:
@@ -126,7 +108,7 @@ def _load_cones(fan: Fan, path: str) -> list[tuple[int, ...]]:
     return [_parse_cone(fan, c) for c in strict_list(_load_json(path), "cones")]
 
 
-def _violation_doc(report) -> dict:
+def _violation_doc(violations) -> dict:
     return {
         "status": "violation",
         "kind": "gkm",
@@ -138,7 +120,7 @@ def _violation_doc(report) -> dict:
                 "restriction_a": poly_to_json(v.restriction_a),
                 "restriction_b": poly_to_json(v.restriction_b),
             }
-            for v in report.violations
+            for v in violations
         ],
     }
 
@@ -166,12 +148,7 @@ def _cmd_resolve(args) -> dict:
 
 def _cmd_gkm_check(args) -> dict:
     fan = _load_fan(args.fan) if args.fan else None
-    obj = _load_json(args.pexp)
-    use_fan = _resolve_fan_field(obj, os.path.dirname(args.pexp), fan)
-    report = gkm_validate(use_fan, _load_values(obj))
-    if not report.ok:
-        raise CliFailure(2, _violation_doc(report))
-    return {"status": "ok", "result": pexp_to_json(report.function)}
+    return {"status": "ok", "result": pexp_to_json(_load_pexp(args.pexp, fan))}
 
 
 def _cmd_restrict(args) -> dict:
@@ -209,12 +186,7 @@ def _cmd_decompose(args) -> dict:
     fan = _load_fan(args.fan)
     f = _load_pexp(args.pexp, fan)
     basis = _load_pexp_list(args.basis, fan)
-    try:
-        coeffs = decompose(f, basis)
-    except (errors.NotInSpan, errors.NotIntegral, errors.DependentBasis) as exc:
-        raise CliFailure(
-            2, {"status": "negative", "kind": type(exc).__name__, "detail": str(exc)}
-        )
+    coeffs = decompose(f, basis)
     return {
         "status": "ok",
         "result": {"coefficients": [poly_to_json(c) for c in coeffs]},
@@ -226,12 +198,7 @@ def _cmd_dual_basis(args) -> dict:
     fan = _load_fan(args.fan)
     spanning = _load_pexp_list(args.spanning, fan)
     raysets = _load_cones(fan, args.cones)
-    try:
-        duals = dual_basis_solve(fan, raysets, spanning, epsilon=args.epsilon)
-    except (errors.SingularGram, errors.NotIntegral) as exc:
-        raise CliFailure(
-            2, {"status": "negative", "kind": type(exc).__name__, "detail": str(exc)}
-        )
+    duals = dual_basis_solve(fan, raysets, spanning, epsilon=args.epsilon)
     return {
         "status": "ok",
         "result": {"functions": [pexp_to_json(g) for g in duals]},
@@ -283,62 +250,31 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("-o", "--output", help="write the result document to a file")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **arguments):
+    def add(name, handler, *required):
         p = sub.add_parser(name, parents=[common])
-        for flag, opts in arguments.items():
-            p.add_argument(flag, **opts)
+        for flag in required:
+            p.add_argument(flag, required=True)
         p.set_defaults(handler=handler)
         return p
 
-    add("validate-fan", _cmd_validate_fan, **{"--fan": {"required": True}})
-    p = add(
-        "resolve",
-        _cmd_resolve,
-        **{"--fan": {"required": True}},
-    )
+    add("validate-fan", _cmd_validate_fan, "--fan")
+    p = add("resolve", _cmd_resolve, "--fan")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--extra-rounds", type=int, default=0)
-    add(
-        "gkm-check",
-        _cmd_gkm_check,
-        **{"--fan": {"required": False}, "--pexp": {"required": True}},
-    )
-    add(
-        "restrict",
-        _cmd_restrict,
-        **{"--fan": {"required": True}, "--pexp": {"required": True}, "--cone": {"required": True}},
-    )
-    for name, handler in (("chi", _cmd_chi),):
-        p = add(name, handler, **{"--fan": {"required": True}, "--pexp": {"required": True}})
+    p = add("gkm-check", _cmd_gkm_check)
+    p.add_argument("--fan")
+    p.add_argument("--pexp", required=True)
+    add("restrict", _cmd_restrict, "--fan", "--pexp", "--cone")
+    signed = [
+        add("chi", _cmd_chi, "--fan", "--pexp"),
+        add("pair", _cmd_pair, "--fan", "--pexp", "--cone"),
+        add("gram", _cmd_gram, "--fan", "--functions", "--cones"),
+    ]
+    add("decompose", _cmd_decompose, "--fan", "--pexp", "--basis")
+    signed.append(add("dual-basis", _cmd_dual_basis, "--fan", "--spanning", "--cones"))
+    add("descend", _cmd_descend, "--map", "--pexp")
+    for p in signed:
         p.add_argument("--epsilon", type=int, choices=(1, -1), default=1)
-    p = add(
-        "pair",
-        _cmd_pair,
-        **{"--fan": {"required": True}, "--pexp": {"required": True}, "--cone": {"required": True}},
-    )
-    p.add_argument("--epsilon", type=int, choices=(1, -1), default=1)
-    p = add(
-        "gram",
-        _cmd_gram,
-        **{"--fan": {"required": True}, "--functions": {"required": True}, "--cones": {"required": True}},
-    )
-    p.add_argument("--epsilon", type=int, choices=(1, -1), default=1)
-    add(
-        "decompose",
-        _cmd_decompose,
-        **{"--fan": {"required": True}, "--pexp": {"required": True}, "--basis": {"required": True}},
-    )
-    p = add(
-        "dual-basis",
-        _cmd_dual_basis,
-        **{"--fan": {"required": True}, "--spanning": {"required": True}, "--cones": {"required": True}},
-    )
-    p.add_argument("--epsilon", type=int, choices=(1, -1), default=1)
-    add(
-        "descend",
-        _cmd_descend,
-        **{"--map": {"required": True}, "--pexp": {"required": True}},
-    )
     return parser
 
 
@@ -350,7 +286,7 @@ def run(argv=None) -> int:
         code = 0
     except CliFailure as exc:
         doc, code = exc.doc, exc.code
-    except MATH_NEGATIVES as exc:
+    except errors.MathNegative as exc:
         doc, code = (
             {"status": "negative", "kind": type(exc).__name__, "detail": str(exc)},
             2,

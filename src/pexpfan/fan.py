@@ -361,9 +361,6 @@ class Fan:
             for c in self.maximal_cones
         )
 
-    def cone(self, index: int) -> Cone:
-        return self.cone_objects[index]
-
     @cached_property
     def _ray_index(self) -> dict[Vector, int]:
         return {r: i for i, r in enumerate(self.rays)}

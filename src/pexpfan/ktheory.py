@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from .errors import (
     DependentBasis,
-    GkmViolationError,
     NotComplete,
     NotFullDimensional,
     NotInSpan,
@@ -39,7 +38,7 @@ from .errors import (
 from .fan import Cone, Fan, RaySet, SubdivisionMap, resolve
 from .lattice import Vector, adjugate, dual_basis, vec_scale
 from .laurent import LaurentPoly, LocalizationSum, try_div
-from .pexp import PiecewiseExponential, gkm_validate, pullback
+from .pexp import PiecewiseExponential, pullback
 
 EPSILON = 1  # global sign convention for tangent weights; see module docstring
 
@@ -112,6 +111,16 @@ def orbit_closure_class(fan: Fan, rayset, epsilon: int = EPSILON) -> FixedPointD
     return FixedPointData(fan, weights, tuple(numerators))
 
 
+def _resolution_of(fan: Fan, resolution: SubdivisionMap | None) -> SubdivisionMap:
+    """The given refinement of ``fan``; by default the identity on a smooth
+    fan and ``resolve(fan)`` otherwise."""
+    if resolution is None:
+        return SubdivisionMap.identity(fan) if fan.is_smooth() else resolve(fan)
+    if resolution.coarse != fan:
+        raise ValueError("resolution does not refine the given fan")
+    return resolution
+
+
 def euler_characteristic(fan: Fan, data: FixedPointData) -> LaurentPoly:
     """Reduce the localization sum over the fixed points to an element of Z[M]."""
     _require_smooth_complete(fan)
@@ -136,10 +145,7 @@ def chi(
         raise ValueError("class does not live on the given fan")
     if not fan.is_complete():
         raise NotComplete("chi needs a complete fan")
-    if resolution is None:
-        resolution = SubdivisionMap.identity(fan) if fan.is_smooth() else resolve(fan)
-    if resolution.coarse != fan:
-        raise ValueError("resolution does not refine the given fan")
+    resolution = _resolution_of(fan, resolution)
     lifted = pullback(f, resolution)
     return euler_characteristic(
         resolution.fine, localization_data(resolution.fine, lifted.values, epsilon)
@@ -206,10 +212,7 @@ def gram_matrix(
     if not fan.is_complete():
         raise NotComplete("the pairing needs a complete fan")
     raysets = tuple(fan.require_face(rs) for rs in raysets)
-    if resolution is None:
-        resolution = SubdivisionMap.identity(fan) if fan.is_smooth() else resolve(fan)
-    if resolution.coarse != fan:
-        raise ValueError("resolution does not refine the given fan")
+    resolution = _resolution_of(fan, resolution)
     fine = resolution.fine
     orbits = []
     for rs in raysets:
@@ -356,8 +359,7 @@ def dual_basis_solve(
         raise ValueError("need as many spanning functions as cones")
     k = len(spanning)
     rank = fan.rank
-    if resolution is None:
-        resolution = SubdivisionMap.identity(fan) if fan.is_smooth() else resolve(fan)
+    resolution = _resolution_of(fan, resolution)
     gram = gram_matrix(fan, spanning, raysets, resolution=resolution, epsilon=epsilon)
     try:
         det, adj = adjugate(gram.entries)
@@ -367,26 +369,22 @@ def dual_basis_solve(
         det = LaurentPoly.one(rank) * det
         adj = tuple(tuple(LaurentPoly.one(rank) * x for x in row) for row in adj)
 
+    # gram_matrix refused an incomplete fan, so every maximal cone is
+    # full-dimensional and each value lives in Z[M] itself
     out = []
     for j in range(k):
         values = []
-        for idx, rayset in enumerate(fan.maximal_cones):
-            q = fan.face_quotient(rayset)
-            num = LaurentPoly.zero(q.rank)
+        for idx in range(len(fan.maximal_cones)):
+            num = LaurentPoly.zero(rank)
             for i in range(k):
-                num = num + spanning[i].values[idx] * adj[j][i].map_exponents(
-                    q.projection, q.rank
-                )
-            val = try_div(num, det.map_exponents(q.projection, q.rank))
+                num = num + spanning[i].values[idx] * adj[j][i]
+            val = try_div(num, det)
             if val is None:
                 raise NotIntegral(
                     f"dual function {j} has a non-integral value on cone {idx}"
                 )
             values.append(val)
-        report = gkm_validate(fan, values)
-        if not report.ok:
-            raise GkmViolationError(report.violations)
-        out.append(report.function)
+        out.append(PiecewiseExponential.from_values(fan, values))
 
     check = gram_matrix(fan, out, raysets, resolution=resolution, epsilon=epsilon)
     ident = [

@@ -19,7 +19,7 @@ from .errors import (
     RankMismatch,
 )
 from .fan import Fan, RaySet, SubdivisionMap
-from .lattice import IntMatrix, Vector, mat_mul, strict_int
+from .lattice import IntMatrix, Vector, mat_mul, strict_int, strict_list
 from .laurent import LaurentPoly
 
 
@@ -168,9 +168,10 @@ class CartierData:
     def from_json(obj: dict) -> "CartierData":
         if not isinstance(obj, dict) or "m" not in obj:
             raise ValueError("Cartier data JSON needs the key 'm'")
-        return CartierData(
-            tuple(tuple(strict_int(x, "Cartier exponent") for x in m) for m in obj["m"])
-        )
+        return CartierData(tuple(
+            tuple(strict_int(x, "Cartier exponent") for x in strict_list(m, "Cartier character"))
+            for m in strict_list(obj["m"], "m")
+        ))
 
 
 def from_cartier(fan: Fan, data: CartierData) -> PiecewiseExponential:
@@ -234,10 +235,7 @@ def descend(f: PiecewiseExponential, s: SubdivisionMap) -> PiecewiseExponential:
         elif prev != candidate:
             raise NotDescendable(s.assignment[i], prev, candidate)
     values = tuple(coarse_values[i] for i in range(len(s.coarse.maximal_cones)))
-    report = gkm_validate(s.coarse, values)
-    if not report.ok:
-        raise GkmViolationError(report.violations)
-    return report.function
+    return PiecewiseExponential.from_values(s.coarse, values)
 
 
 def pexp_to_json(f: PiecewiseExponential) -> dict:
@@ -258,5 +256,5 @@ def pexp_from_json(obj: dict, fan: Fan | None = None) -> PiecewiseExponential:
         if "fan" not in obj:
             raise ValueError("no fan given and none embedded in the JSON")
         fan = Fan.from_json(obj["fan"])
-    values = [poly_from_json(v) for v in obj["values"]]
+    values = [poly_from_json(v) for v in strict_list(obj["values"], "values")]
     return PiecewiseExponential.from_values(fan, values)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -17,6 +18,9 @@ from pexpfan.pexp import pexp_to_json
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
+# the data/ arguments of the cli benchmark, relative to the repository root
+DATA_FAN, DATA_CLASS = "data/p112_fan.json", "data/p112_class.json"
+DATA_SPANNING, DATA_CONES = "data/p112_spanning.json", "data/p112_duality_cones.json"
 
 
 def invoke(argv, capsys):
@@ -247,6 +251,39 @@ class TestNegativesAndErrors:
         assert code == 2
         assert json.loads(out)["kind"] == "NotInSpan"
 
+    def test_dual_basis_singular_gram(self, tmp_path, capsys):
+        unit, divisor, _ = catalog.p112_spanning_classes()
+        spanning = tmp_path / "spanning.json"
+        spanning.write_text(json.dumps([pexp_to_json(g) for g in (unit, unit, divisor)]))
+        code, out = invoke(
+            [
+                "dual-basis",
+                "--fan", DATA / "p112_fan.json",
+                "--spanning", spanning,
+                "--cones", DATA / "p112_duality_cones.json",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert json.loads(out) == {
+            "status": "negative",
+            "kind": "SingularGram",
+            "detail": "the Gram matrix is singular over the fraction field",
+        }
+
+    def test_decompose_dependent_basis(self, tmp_path, capsys):
+        unit = catalog.p112_spanning_classes()[0]
+        basis = tmp_path / "basis.json"
+        basis.write_text(json.dumps([pexp_to_json(unit), pexp_to_json(unit)]))
+        code, out = invoke(
+            ["decompose", "--fan", DATA / "p112_fan.json", "--pexp", DATA / "p112_class.json",
+             "--basis", basis],
+            capsys,
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert (doc["status"], doc["kind"]) == ("negative", "DependentBasis")
+
     def test_missing_file_is_structural(self, capsys):
         code, out = invoke(["validate-fan", "--fan", "no_such_file.json"], capsys)
         assert code == 1
@@ -464,6 +501,26 @@ class TestDeterminism:
         )
         assert code == proc.returncode == 0
         assert proc.stdout.decode() == out
+
+    @pytest.mark.parametrize("argv", [
+        ["validate-fan", "--fan", DATA_FAN],
+        ["resolve", "--fan", DATA_FAN],
+        ["gkm-check", "--pexp", DATA_CLASS],
+        ["restrict", "--fan", DATA_FAN, "--pexp", DATA_CLASS, "--cone", "[[-1,-2]]"],
+        ["chi", "--fan", DATA_FAN, "--pexp", DATA_CLASS],
+        ["pair", "--fan", DATA_FAN, "--pexp", DATA_CLASS, "--cone", "[]"],
+        ["gram", "--fan", DATA_FAN, "--functions", DATA_SPANNING, "--cones", DATA_CONES],
+        ["decompose", "--fan", DATA_FAN, "--pexp", DATA_CLASS, "--basis", DATA_SPANNING],
+        ["dual-basis", "--fan", DATA_FAN, "--spanning", DATA_SPANNING, "--cones", DATA_CONES],
+    ], ids=lambda argv: argv[0])
+    def test_data_commands_match_benchmark_digests(self, argv, capsys, monkeypatch):
+        """The cli benchmark's commands on data/, with its relative paths, print
+        the stdout whose sha256 perfbench/expected.json records."""
+        recorded = json.loads((REPO / "perfbench" / "expected.json").read_text())["cli"]
+        monkeypatch.chdir(REPO)
+        code, out = invoke(argv, capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded[argv[0]]
 
     def test_shipped_data_round_trip(self, capsys):
         code, out = invoke(

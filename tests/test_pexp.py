@@ -174,6 +174,15 @@ class TestCartier:
         with pytest.raises(ValueError):
             CartierData.from_json({"m": [[0, 0], [bad, 0]]})
 
+    @pytest.mark.parametrize(
+        "obj, detail",
+        [({"m": 3}, "m must be a list, got 3"), ({"m": [3]}, "Cartier character must be a list, got 3")],
+        ids=["number-m", "number-character"],
+    )
+    def test_from_json_refuses_non_lists(self, obj, detail):
+        with pytest.raises(ValueError, match=detail):
+            CartierData.from_json(obj)
+
     def test_incompatible_data(self, p112):
         with pytest.raises(IncompatibleCartierData) as err:
             from_cartier(p112, CartierData(((0, 0), (1, 0), (0, 0))))
@@ -274,3 +283,8 @@ class TestSerialization:
         obj = pexp_to_json(xi)
         del obj["fan"]
         assert pexp_from_json(obj, fan=p112) == xi
+
+    def test_number_values_are_refused(self, p112):
+        # the CLI refuses it with this detail too (test_cli.py, number-values)
+        with pytest.raises(ValueError, match="values must be a list, got 3"):
+            pexp_from_json({"values": 3}, p112)
