@@ -3,7 +3,7 @@ on a rational fan, with GKM validation, equivariant Euler characteristics by
 fixed-point localization, Kronecker duality pairings, and basis solvers."""
 
 from .fan import Cone, Fan, SubdivisionMap, resolve, star_quotient, stellar_subdivision
-from .lattice import QuotientLattice, dual_basis, primitive_vector, quotient_lattice, smith_normal_form
+from .lattice import QuotientLattice, dual_basis, primitive_vector, smith_normal_form
 from .laurent import LaurentPoly, LocalizationSum, divide_exact, exact_div, reduce_localization
 from .ktheory import (
     EPSILON,
@@ -32,7 +32,7 @@ from .pexp import (
 __all__ = [
     "Cone", "Fan", "SubdivisionMap", "resolve", "star_quotient",
     "stellar_subdivision", "QuotientLattice", "dual_basis",
-    "primitive_vector", "quotient_lattice", "smith_normal_form", "LaurentPoly",
+    "primitive_vector", "smith_normal_form", "LaurentPoly",
     "LocalizationSum", "divide_exact", "exact_div", "reduce_localization",
     "EPSILON", "FixedPointData", "PairingMatrix", "chi", "decompose",
     "dual_basis_solve", "euler_characteristic", "gram_matrix", "kronecker_pair",

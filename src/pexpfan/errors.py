@@ -29,10 +29,6 @@ class ZeroVector(StructuralError):
     pass
 
 
-class NotSaturated(StructuralError):
-    pass
-
-
 class NotIndependent(StructuralError):
     pass
 

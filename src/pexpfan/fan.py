@@ -30,15 +30,12 @@ from .lattice import (
     Vector,
     adjugate,
     identity_matrix,
-    identity_quotient,
     is_primitive,
     line_kernel,
     mat_vec,
     matrix_rank,
     pair,
-    pairing_quotient,
     primitive_vector,
-    quotient_lattice,
     smith_normal_form,
     strict_int,
     strict_list,
@@ -92,24 +89,29 @@ def extreme_rays_of_region(n: int, ineqs, eqs) -> tuple[Vector, ...]:
 
 def span_coordinates(
     rank: int, vectors
-) -> tuple[tuple[Vector, ...], IntMatrix, tuple[Vector, ...]]:
-    """(basis, projection, annihilator) for the saturated lattice Span(vectors) & Z^rank.
+) -> tuple[tuple[Vector, ...], IntMatrix, tuple[Vector, ...], IntMatrix]:
+    """(basis, projection, annihilator, complement) for the saturated lattice
+    Span(vectors) & Z^rank, from one Smith form.
 
     ``basis`` has d vectors; ``projection`` is a d x rank matrix with
     projection @ basis = identity, giving exact coordinates on the span;
-    ``annihilator`` is a basis of the characters vanishing on the span.
-    With U A V = D the Smith form of the vectors as columns, these are the
-    first d columns of U^-1 and the first d and the last rank - d rows of U.
+    ``annihilator`` is a basis of the characters vanishing on the span, and
+    ``complement`` a rank x (rank - d) right inverse of it.  With U A V = D
+    the Smith form of the vectors as columns, these are the first d columns
+    of U^-1, the first d and the last rank - d rows of U, and the last
+    rank - d columns of U^-1.  Every lattice coordinate in the package is
+    read from here.
     """
     cols = tuple(tuple(v) for v in vectors)
     if not cols:
-        return (), (), identity_matrix(rank)
+        ident = identity_matrix(rank)
+        return (), (), ident, ident
     a = transpose(cols)  # rank x k
     u, d, _ = smith_normal_form(a)
     r = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
     uinv = unimodular_inverse(u)
     basis = tuple(tuple(row[i] for row in uinv) for i in range(r))
-    return basis, u[:r], u[r:]
+    return basis, u[:r], u[r:], tuple(row[r:] for row in uinv)
 
 
 @dataclass(frozen=True)
@@ -161,7 +163,7 @@ class Cone:
         return len(self.generators) == self.dim
 
     @cached_property
-    def _span(self) -> tuple[tuple[Vector, ...], IntMatrix, tuple[Vector, ...]]:
+    def _span(self) -> tuple[tuple[Vector, ...], IntMatrix, tuple[Vector, ...], IntMatrix]:
         return span_coordinates(self.rank, self.generators)
 
     @property
@@ -237,8 +239,8 @@ class Cone:
             return True
         if not self.generators:
             return False
-        if matrix_rank(self.generators + (v,)) != self.dim:
-            return False
+        if any(pair(a, v) for a in self._span[2]):
+            return False  # outside the span
         if self.is_simplicial:
             # x = sum lam_i g_i with lam = adj @ x / det
             det, adj = self._adjugate
@@ -289,7 +291,8 @@ class Fan:
 
     @staticmethod
     def build(rank: int, rays, maximal_cones, validate: bool = True) -> "Fan":
-        strict_int(rank, "fan rank")
+        if strict_int(rank, "fan rank") < 0:
+            raise NotAFan(f"fan rank must be nonnegative, got {rank}")
         rays = tuple(tuple(strict_int(x, "ray coordinate") for x in strict_list(r, "ray"))
                      for r in strict_list(rays, "rays"))
         for r in rays:
@@ -424,23 +427,21 @@ class Fan:
     def face_quotient(self, rayset: RaySet) -> QuotientLattice:
         """Quotient M -> M_tau presenting functions on the span of the face.
 
-        For a ray the quotient coordinate of u is exactly <u, generator>; for
-        a full-dimensional face the quotient is the identity on M.
+        The coordinates of u are its pairings with the saturated span basis
+        of ``span_coordinates`` (for a ray, <u, generator>), and the section
+        is the transpose of the span projection; for a full-dimensional face
+        the quotient is the identity on M.
         """
         rs = self.require_face(rayset)
         cache = self._quotients
         if rs not in cache:
             gens = tuple(self.rays[i] for i in rs)
-            d = matrix_rank(gens)
-            if d == self.rank:
-                q = identity_quotient(self.rank)
-            elif d == 0:
-                q = pairing_quotient(self.rank, ())
-            elif d == 1:
-                q = pairing_quotient(self.rank, (primitive_vector(gens[0]),))
+            if matrix_rank(gens) == self.rank:
+                ident = identity_matrix(self.rank)
+                cache[rs] = QuotientLattice(ident, ident)
             else:
-                q = pairing_quotient(self.rank, span_coordinates(self.rank, gens)[0])
-            cache[rs] = q
+                basis, projection, _, _ = span_coordinates(self.rank, gens)
+                cache[rs] = QuotientLattice(basis, transpose(projection))
         return cache[rs]
 
     # -- completeness -----------------------------------------------------------
@@ -510,12 +511,12 @@ def star_quotient(fan: Fan, rayset) -> tuple[Fan, tuple[int, ...], QuotientLatti
 
     Returns (quotient fan, lifting, lattice quotient); ``lifting[i]`` is the
     index of the source maximal cone of ``fan`` projecting onto maximal cone i
-    of the quotient fan.
+    of the quotient fan.  The lattice quotient applies the annihilator of the
+    span of tau, with its complement from ``span_coordinates`` as the section.
     """
     rs = fan.require_face(rayset)
-    tau_gens = tuple(fan.rays[i] for i in rs)
-    n_tau = span_coordinates(fan.rank, tau_gens)[0]
-    quot = quotient_lattice(fan.rank, n_tau)
+    n_tau, _, annihilator, complement = span_coordinates(fan.rank, (fan.rays[i] for i in rs))
+    quot = QuotientLattice(annihilator, complement)
     if not n_tau:
         return fan, tuple(range(len(fan.maximal_cones))), quot
     new_rank = fan.rank - len(n_tau)

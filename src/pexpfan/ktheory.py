@@ -359,6 +359,8 @@ def dual_basis_solve(
         raise ValueError("need as many spanning functions as cones")
     k = len(spanning)
     rank = fan.rank
+    if not fan.is_complete():  # before a resolution is chosen or built
+        raise NotComplete("the pairing needs a complete fan")
     resolution = _resolution_of(fan, resolution)
     gram = gram_matrix(fan, spanning, raysets, resolution=resolution, epsilon=epsilon)
     try:

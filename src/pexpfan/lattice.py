@@ -4,7 +4,9 @@ Vectors are plain tuples of Python ints (arbitrary precision); an element of
 the cocharacter lattice N and a character in the dual lattice M are both
 ``Vector``s, paired by the ordinary dot product ``pair``.  Matrices are tuples
 of row tuples.  Everything here is total, deterministic, and allocation-happy
-rather than clever: exactness is the product.
+rather than clever: exactness is the product.  Rank, determinant, adjugate
+and inverse come from Bareiss elimination; the Smith form serves only
+``fan.span_coordinates``, which reads every lattice basis from it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from operator import mul
 
-from .errors import NotIndependent, NotSaturated, NotUnimodular, ZeroVector
+from .errors import NotIndependent, NotUnimodular, ZeroVector
 
 Vector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -299,76 +301,24 @@ def line_kernel(rows, n: int) -> Vector | None:
 
 @dataclass(frozen=True)
 class QuotientLattice:
-    """A free quotient M/L presented by an integer projection with a section.
+    """A free quotient presented by an integer projection with a section.
 
-    ``projection`` is an (r x n) matrix whose kernel on M is exactly the
-    saturated sublattice L spanned by ``kernel_basis``; ``section`` is an
-    (n x r) right inverse, so projection @ section = identity.
+    ``projection`` is an (r x n) matrix, onto Z^r, whose kernel is a saturated
+    sublattice; ``section`` is an (n x r) right inverse, so projection @
+    section = identity.  Both are read from ``fan.span_coordinates``: a
+    face's quotient of M pairs with the span basis, a star's quotient of N
+    applies the annihilator of the span.
     """
 
-    source_rank: int
-    kernel_basis: tuple[Vector, ...]
     projection: IntMatrix
     section: IntMatrix
 
     @property
     def rank(self) -> int:
-        return self.source_rank - len(self.kernel_basis)
+        return len(self.projection)
 
     def project_vector(self, u: Vector) -> Vector:
         return mat_vec(self.projection, u)
-
-
-def quotient_lattice(rank: int, kernel: list[Vector] | tuple[Vector, ...]) -> QuotientLattice:
-    """Present M / span(kernel) via the Smith form.
-
-    The kernel vectors must be linearly independent and span a saturated
-    sublattice; the quotient is then free of rank ``rank - len(kernel)``.
-    """
-    kernel = tuple(tuple(v) for v in kernel)
-    k = len(kernel)
-    for v in kernel:
-        if len(v) != rank:
-            raise ValueError("kernel vector length does not match the rank")
-    if k == 0:
-        ident = identity_matrix(rank)
-        return QuotientLattice(rank, (), ident, ident)
-    a = transpose(kernel)  # rank x k, kernel vectors as columns
-    u, d, _ = smith_normal_form(a)
-    r = sum(1 for i in range(min(rank, k)) if d[i][i] != 0)
-    if r < k:
-        raise NotIndependent("kernel vectors are linearly dependent")
-    if any(d[i][i] != 1 for i in range(k)):
-        raise NotSaturated("kernel spans a non-saturated sublattice")
-    projection = tuple(u[k:])
-    uinv = unimodular_inverse(u)
-    section = tuple(row[k:] for row in uinv)
-    return QuotientLattice(rank, kernel, projection, section)
-
-
-def identity_quotient(rank: int) -> QuotientLattice:
-    ident = identity_matrix(rank)
-    return QuotientLattice(rank, (), ident, ident)
-
-
-def pairing_quotient(rank: int, span_basis: tuple[Vector, ...]) -> QuotientLattice:
-    """Quotient of M by the annihilator of a saturated sublattice of N.
-
-    Coordinates on the quotient are the pairings with the given basis of the
-    sublattice, so for a single primitive generator v the quotient coordinate
-    of u is exactly <u, v>.  One Smith form U P V = [I | 0] of the projection
-    P gives the kernel (the last columns of V) and the section V[:, :d] @ U.
-    """
-    d = len(span_basis)
-    if d == 0:
-        return QuotientLattice(rank, tuple(identity_matrix(rank)), (), tuple(() for _ in range(rank)))
-    projection = tuple(tuple(b) for b in span_basis)
-    u, diag, v = smith_normal_form(projection)
-    if d > rank or any(diag[i][i] != 1 for i in range(d)):
-        raise NotSaturated("span basis is dependent or spans a non-saturated sublattice")
-    kern = transpose(v)[d:]
-    section = mat_mul(tuple(row[:d] for row in v), u)
-    return QuotientLattice(rank, kern, projection, section)
 
 
 def dual_basis(basis: list[Vector] | tuple[Vector, ...]) -> tuple[Vector, ...]:

@@ -255,6 +255,9 @@ def pexp_from_json(obj: dict, fan: Fan | None = None) -> PiecewiseExponential:
     if fan is None:
         if "fan" not in obj:
             raise ValueError("no fan given and none embedded in the JSON")
+        if isinstance(obj["fan"], str):
+            raise ValueError("'fan' is a path, which only the CLI resolves; "
+                             "library callers pass fan=")
         fan = Fan.from_json(obj["fan"])
     values = [poly_from_json(v) for v in strict_list(obj["values"], "values")]
     return PiecewiseExponential.from_values(fan, values)

@@ -8,8 +8,12 @@ are ``kernel_basis``, the saturated kernel from the package's Smith form,
 ``extreme_rays_smith``, the Smith-form extreme-ray enumeration that fan
 validation used before ``line_kernel``, and ``reduce_localization_greedy``,
 the fold that tried every denominator factor after every step before
-``reduce_localization`` tried only the shared directions: all three are kept
-as the oracles for the path that replaced them.
+``reduce_localization`` tried only the shared directions, and
+``pairing_quotient`` and ``quotient_lattice``, the second Smith forms that
+``Fan.face_quotient`` (through ``face_quotient_oracle``) and ``star_quotient``
+(``star_quotient_oracle``) took before both read their quotients from
+``fan.span_coordinates``: all are kept as the oracles for the path that
+replaced them.
 """
 
 from __future__ import annotations
@@ -248,3 +252,70 @@ def reduce_localization_greedy(s):
             f"localization sum is not polynomial: factor 1 - e^{sorted(acc_den)[0]} does not divide"
         )
     return acc_num
+
+
+def pairing_quotient(rank: int, span_basis):
+    """(projection, section) of the quotient of M whose coordinates are the
+    pairings with a saturated basis of a sublattice of N: one Smith form
+    U P V = [I | 0] of the projection P gives the section V[:, :d] @ U."""
+    from pexpfan.lattice import mat_mul, smith_normal_form
+
+    d = len(span_basis)
+    if d == 0:
+        return (), tuple(() for _ in range(rank))
+    projection = tuple(tuple(b) for b in span_basis)
+    u, diag, v = smith_normal_form(projection)
+    if d > rank or any(diag[i][i] != 1 for i in range(d)):
+        raise ValueError("span basis is dependent or spans a non-saturated sublattice")
+    return projection, mat_mul(tuple(row[:d] for row in v), u)
+
+
+def quotient_lattice(rank: int, kernel):
+    """(projection, section) of M / span(kernel) for independent vectors
+    spanning a saturated sublattice: the last rows of U and the last columns
+    of U^-1 in the Smith form U K V = D of the kernel vectors as columns."""
+    from pexpfan.lattice import identity_matrix, smith_normal_form, transpose, unimodular_inverse
+
+    kernel = tuple(tuple(v) for v in kernel)
+    k = len(kernel)
+    if k == 0:
+        return identity_matrix(rank), identity_matrix(rank)
+    u, d, _ = smith_normal_form(transpose(kernel))
+    if any(d[i][i] != 1 for i in range(k)):
+        raise ValueError("kernel is dependent or spans a non-saturated sublattice")
+    return tuple(u[k:]), tuple(row[k:] for row in unimodular_inverse(u))
+
+
+def face_quotient_oracle(fan, rs):
+    """(projection, section) of ``fan.face_quotient(rs)`` by the branches it
+    took before: the identity on a full-dimensional face, ``pairing_quotient``
+    of the primitive generator on a ray, and of the span basis otherwise."""
+    from pexpfan.fan import span_coordinates
+    from pexpfan.lattice import identity_matrix, matrix_rank, primitive_vector
+
+    gens = tuple(fan.rays[i] for i in rs)
+    d = matrix_rank(gens)
+    if d == fan.rank:
+        return identity_matrix(fan.rank), identity_matrix(fan.rank)
+    if d == 1:
+        return pairing_quotient(fan.rank, (primitive_vector(gens[0]),))
+    return pairing_quotient(fan.rank, span_coordinates(fan.rank, gens)[0])
+
+
+def star_quotient_oracle(fan, rs):
+    """(quotient fan, lifting, (projection, section)) of ``fan.star_quotient``,
+    with the quotient from ``quotient_lattice`` of the span basis of the face."""
+    from pexpfan.fan import Cone, Fan, span_coordinates
+    from pexpfan.lattice import mat_vec
+
+    n_tau = span_coordinates(fan.rank, [fan.rays[i] for i in rs])[0]
+    projection, section = quotient_lattice(fan.rank, n_tau)
+    if not n_tau:
+        return fan, tuple(range(len(fan.maximal_cones))), (projection, section)
+    star = tuple(i for i, c in enumerate(fan.maximal_cones) if set(rs) <= set(c))
+    images = [Cone.from_generators(len(projection), [mat_vec(projection, g) for g in
+                                                     fan.cone_objects[i].generators]).generators
+              for i in star]
+    rays = list(dict.fromkeys(g for gens in images for g in gens))  # first appearance
+    cones = [tuple(sorted(rays.index(g) for g in gens)) for gens in images]
+    return Fan.build(len(projection), rays, cones), star, (projection, section)

@@ -207,6 +207,17 @@ class TestNegativesAndErrors:
         assert code == 2
         assert json.loads(out)["status"] == "invalid"
 
+    def test_validate_fan_negative_rank(self, tmp_path, capsys):
+        bad = tmp_path / "negative_rank.json"
+        bad.write_text(json.dumps({"rank": -2, "rays": [], "max_cones": [[]]}))
+        code, out = invoke(["validate-fan", "--fan", bad], capsys)
+        assert code == 2
+        assert json.loads(out) == {
+            "status": "invalid",
+            "kind": "NotAFan",
+            "detail": "fan rank must be nonnegative, got -2",
+        }
+
     def test_descend_negative_names_coarse_cone(self, tmp_path, capsys):
         from pexpfan.fan import Fan, stellar_subdivision
         from pexpfan.laurent import LaurentPoly

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pexpfan.fan as fan_module
+import pexpfan.pexp as pexp_module
 from pexpfan import catalog
 from pexpfan.errors import (
     ConeNotInFan,
@@ -27,14 +28,16 @@ from pexpfan.fan import (
     stellar_subdivision,
     total_excess_multiplicity,
 )
-from pexpfan.lattice import mat_vec, matrix_rank, primitive_vector
+from pexpfan.lattice import identity_matrix, mat_mul, mat_vec, matrix_rank, pair, primitive_vector
 from oracles import (
     det_expansion,
     extreme_rays_smith,
+    face_quotient_oracle,
     facet_normals_full_dim,
     grid_covers_fan,
     smith_diagonal_oracle,
     solve_rational,
+    star_quotient_oracle,
 )
 
 
@@ -104,6 +107,10 @@ class TestBuildFan:
         with pytest.raises(NotStronglyConvex):
             Fan.build(5, rays, [(0, 1, 2)])
 
+    def test_negative_rank(self):
+        with pytest.raises(NotAFan, match="fan rank must be nonnegative, got -1"):
+            Fan.build(-1, [], [[]])
+
     def test_json_round_trip(self, p112):
         assert Fan.from_json(p112.to_json()) == p112
 
@@ -165,6 +172,15 @@ class TestCompleteness:
     def test_incomplete_fan_misses_grid_points(self):
         fan = Fan.build(2, [(1, 0), (0, 1)], [(0, 1)])
         assert not grid_covers_fan(fan)
+        # a cone over a square, three-dimensional in rank 4: a point off its
+        # span pairs nonnegatively with every facet normal
+        square = Fan.build(4, [(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0)],
+                           [(0, 1, 2, 3)])
+        cone = square.cone_objects[0]
+        assert not cone.is_simplicial and cone.dim == 3
+        assert all(pair(u, (0, 0, 1, 1)) >= 0 for u, _ in cone.facets)
+        assert cone.contains((0, 0, 1, 0)) and not cone.contains((0, 0, 1, 1))
+        assert not grid_covers_fan(square)
 
 
 class TestStarQuotient:
@@ -196,6 +212,57 @@ class TestStarQuotient:
             for face in fan.faces:
                 qfan, _, _ = star_quotient(fan, face)
                 assert qfan.is_complete(), (name, face)
+
+
+def random_mixed_fans(seed: int, count: int) -> list[Fan]:
+    """The first ``count`` valid fans of ``random_fan_data`` whose maximal
+    cones have more than one dimension."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        rank, rays, cones = random_fan_data(rng)
+        try:
+            fan = Fan.build(rank, rays, cones)
+        except PExpFanError:
+            continue
+        if len({c.dim for c in fan.cone_objects}) > 1:
+            out.append(fan)
+    return out
+
+
+class TestQuotientsAgainstOracles:
+    def test_face_and_star_quotients_match_the_replaced_path(self, complete_corpus):
+        """Face quotients and comparison matrices read from one
+        span_coordinates equal those the second Smith form built.  The star
+        quotient equals its old one up to the automorphism T of N/N_tau
+        relating the two annihilators: the same lifting, and each cone the
+        image under T of the old one."""
+        fans = list(complete_corpus.values()) + [
+            catalog.singular_quadric_cone_fan(),
+            catalog.rank3_multiplicity3_fan(),
+            resolve(catalog.cube_fan()).fine,
+            Fan.build(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)]),
+        ] + random_mixed_fans(20261018, 30)
+        faces = 0
+        for fan in fans:
+            for rs in fan.faces:
+                faces += 1
+                q = fan.face_quotient(rs)
+                projection, section = face_quotient_oracle(fan, rs)
+                assert q.projection == projection, (fan, rs)
+                assert mat_mul(q.projection, q.section) == identity_matrix(q.rank)
+                for c in fan.maximal_cones:
+                    if set(rs) <= set(c):
+                        want = mat_mul(projection, face_quotient_oracle(fan, c)[1])
+                        assert pexp_module._comparison_matrix(fan, c, fan, rs) == want
+                qfan, lifting, quot = star_quotient(fan, rs)
+                ofan, olifting, (oprojection, osection) = star_quotient_oracle(fan, rs)
+                t = mat_mul(quot.projection, osection)
+                assert abs(det_expansion(t)) == 1 and mat_mul(t, oprojection) == quot.projection
+                assert lifting == olifting and len(qfan.maximal_cones) == len(ofan.maximal_cones)
+                for c, oc in zip(qfan.maximal_cones, ofan.maximal_cones):
+                    assert {qfan.rays[i] for i in c} == {mat_vec(t, ofan.rays[i]) for i in oc}
+        assert faces > 500
 
 
 class TestStellarSubdivision:

@@ -13,7 +13,7 @@ from pexpfan.errors import (
     ResultCheckFailed,
     SingularGram,
 )
-from pexpfan.fan import Cone, resolve
+from pexpfan.fan import Cone, Fan, resolve
 from pexpfan.ktheory import (
     chi,
     decompose,
@@ -389,6 +389,17 @@ class TestDualBasisSolve:
         one = PiecewiseExponential.constant(p1, 1)
         with pytest.raises(SingularGram):
             dual_basis_solve(p1, [(), (0,)], [one, one])
+
+    def test_incomplete_fan_is_refused_before_resolving(self, p112, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ktheory, "resolve", lambda *a, **k: calls.append(a) or resolve(*a, **k))
+        cone = Fan.build(2, [(1, 0), (1, 2)], [(0, 1)])
+        one = PiecewiseExponential.constant(cone, 1)
+        with pytest.raises(NotComplete, match="the pairing needs a complete fan"):
+            dual_basis_solve(cone, [()], [one])
+        with pytest.raises(NotComplete, match="the pairing needs a complete fan"):
+            dual_basis_solve(cone, [()], [one], resolution=resolve(p112))
+        assert calls == []
 
 
 class TestResultChecks:

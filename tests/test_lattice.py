@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pexpfan.errors import NotIndependent, NotSaturated, NotUnimodular, ZeroVector
+from pexpfan.errors import NotIndependent, NotUnimodular, ZeroVector
+from pexpfan.fan import span_coordinates
 from pexpfan.lattice import (
     adjugate,
     dual_basis,
@@ -15,10 +16,9 @@ from pexpfan.lattice import (
     mat_vec,
     matrix_rank,
     pair,
-    pairing_quotient,
     primitive_vector,
-    quotient_lattice,
     smith_normal_form,
+    transpose,
     unimodular_inverse,
 )
 from oracles import det_expansion, kernel_basis, smith_diagonal_oracle
@@ -102,52 +102,54 @@ class TestPrimitiveVector:
 
 
 class TestQuotientLattice:
+    """The coordinates every quotient lattice is read from: span_coordinates."""
+
     def test_trivial_kernel(self):
-        q = quotient_lattice(2, [])
-        assert q.projection == identity_matrix(2)
+        ident = identity_matrix(2)
+        assert span_coordinates(2, []) == ((), (), ident, ident)
 
     def test_kill_first_coordinate(self):
-        q = quotient_lattice(2, [(1, 0)])
-        assert q.projection == ((0, 1),)
-        assert q.project_vector((5, 7)) == (7,)
+        basis, projection, annihilator, complement = span_coordinates(2, [(1, 0)])
+        assert basis == projection == ((1, 0),)
+        assert annihilator == ((0, 1),) and complement == ((0,), (1,))
+        assert mat_vec(annihilator, (5, 7)) == (7,)
 
-    def test_not_saturated(self):
-        with pytest.raises(NotSaturated):
-            quotient_lattice(2, [(2, 0)])
+    def test_ray_coordinate_is_the_pairing(self):
+        # a primitive ray is its own span basis, so a face quotient of a ray
+        # sends u to <u, ray>
+        for ray in ((1, 0, 0), (-1, -2, 0), (2, -3, 5), (0, 0, -1)):
+            assert span_coordinates(3, [ray])[0] == (ray,)
 
-    def test_not_independent(self):
-        with pytest.raises(NotIndependent):
-            quotient_lattice(3, [(1, 0, 0), (2, 0, 0)])
+    def test_dependent_vectors_span_their_rank(self):
+        basis, _, annihilator, _ = span_coordinates(3, [(1, 0, 0), (1, 0, 0), (0, 1, 0)])
+        assert len(basis) == 2 and annihilator == ((0, 0, 1),)
+
+    def test_non_saturated_vectors_give_the_saturated_span(self):
+        # 2 e1 and 4 e1 span Q e1, whose saturated lattice is Z e1
+        basis, projection, annihilator, _ = span_coordinates(3, [(2, 0, 0), (4, 0, 0)])
+        assert basis == projection == ((1, 0, 0),)
+        assert annihilator == ((0, 1, 0), (0, 0, 1))
 
     @given(st.integers(0, 123456))
     @settings(max_examples=40)
     def test_projection_section_identities(self, seed):
         rng = random.Random(seed)
         n = rng.randint(1, 4)
-        k = rng.randint(0, n)
+        d = rng.randint(0, n)
         u = random_unimodular(rng, n)
-        kernel = tuple(tuple(row) for row in u[:k])  # saturated by construction
-        q = quotient_lattice(n, kernel)
-        assert mat_mul(q.projection, q.section) == identity_matrix(n - k)
-        for v in kernel:
-            assert q.project_vector(v) == (0,) * (n - k)
-
-    @given(st.integers(0, 123456))
-    @settings(max_examples=40)
-    def test_pairing_quotient_identities(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        d = rng.randint(1, n)
-        span = tuple(tuple(row) for row in random_unimodular(rng, n)[:d])  # saturated
-        q = pairing_quotient(n, span)
-        assert q.projection == span
-        assert mat_mul(q.projection, q.section) == identity_matrix(d)
-        assert len(q.kernel_basis) == n - d
-        assert all(pair(u, v) == 0 for u in q.kernel_basis for v in span)
-        if q.kernel_basis:
-            assert smith_diagonal_oracle(q.kernel_basis) == [1] * (n - d)
-        with pytest.raises(NotSaturated):
-            pairing_quotient(n, (tuple(2 * x for x in span[0]),) + span[1:])
+        # a non-saturated spanning set of the saturated span of u's first d rows
+        vectors = [tuple(c * x for x in row) for c, row in zip(rng.choices((1, 2, -3), k=d), u)]
+        if d:
+            vectors.append(tuple(map(sum, zip(*vectors))))
+        basis, projection, annihilator, complement = span_coordinates(n, vectors)
+        assert len(basis) == d and len(annihilator) == n - d
+        assert mat_mul(projection, transpose(basis)) == identity_matrix(d)
+        assert all(pair(a, v) == 0 for a in annihilator for v in u[:d])
+        assert mat_mul(annihilator, complement) == identity_matrix(n - d)
+        if d:
+            # saturated: the basis has unit invariant factors and spans the rows
+            assert smith_diagonal_oracle(basis) == [1] * d
+            assert abs(integer_det(mat_mul(u[:d], transpose(projection)))) == 1
 
 
 class TestDualBasis:

@@ -284,6 +284,10 @@ class TestSerialization:
         del obj["fan"]
         assert pexp_from_json(obj, fan=p112) == xi
 
+    def test_path_valued_fan_needs_the_fan_argument(self):
+        with pytest.raises(ValueError, match="only the CLI resolves; library callers pass fan="):
+            pexp_from_json({"fan": "x.json", "values": []})
+
     def test_number_values_are_refused(self, p112):
         # the CLI refuses it with this detail too (test_cli.py, number-values)
         with pytest.raises(ValueError, match="values must be a list, got 3"):
