@@ -3,9 +3,10 @@
 Cones are strongly convex rational polyhedral cones given by primitive
 generators on their extreme rays.  Each cone computes one facet table, its
 inward facet normals with their contact generators, and answers every facet
-question from it.  Simplicial cones are handled in any rank; non-simplicial
-cones find their facets by brute force over generator subsets and are
-limited to ambient rank <= 4.  All geometry is exact.
+question from it; its facets and extreme generators both come from the one
+vertex enumeration ``extreme_rays_of_region``.  Simplicial cones are handled
+in any rank; non-simplicial cones are limited to ambient rank <= 4.  All
+geometry is exact.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ def extreme_rays_of_region(n: int, ineqs, eqs) -> tuple[Vector, ...]:
     so each candidate is the ``line_kernel`` of those rows plus a subset of
     the inequalities, and it is kept when it is feasible up to sign.
     Directions lying in the lineality space are skipped.
+
+    It has three callers: ``Cone.facets`` (the dual cone of the local
+    generators), ``Cone._extreme_generators`` (the cone cut out by its facets
+    inside its span) and ``Fan._check_pair`` (the intersection of two cones).
     """
     ineqs = tuple(tuple(a) for a in ineqs)
     eqs_indep: tuple[Vector, ...] = ()
@@ -148,9 +153,7 @@ class Cone:
                 "non-simplicial cones are supported only in rank <= 4"
             )
         extreme = cone._extreme_generators()
-        if len(extreme) != len(gens):
-            return Cone(rank, extreme)
-        return cone
+        return cone if len(extreme) == len(gens) else Cone(rank, extreme)
 
     # -- basic geometry ------------------------------------------------------
 
@@ -194,42 +197,21 @@ class Cone:
         for a point v of the span with local coordinates x.  For a
         full-dimensional cone it is the primitive inward facet normal.
 
-        Each d - 1 independent local generators span a hyperplane whose
-        normal is their ``line_kernel`` (signed minors, no Smith form); it
-        bounds a facet when every generator lies on one side of it.
+        The local normals are the extreme rays of the dual cone
+        {u : <u, x> >= 0 for every local generator x}, one per facet; the
+        contact of a normal is the set of generators it vanishes on.
         """
-        d = self.dim
         g = self.local_generators
-        if d == 0:
-            return ()
-        found: dict[tuple[int, ...], Vector] = {}
-        for subset in itertools.combinations(g, d - 1):
-            u = line_kernel(subset, d)
-            if u is None:
-                continue
-            vals = [pair(u, x) for x in g]
-            if all(v >= 0 for v in vals) and any(v > 0 for v in vals):
-                pass
-            elif all(v <= 0 for v in vals) and any(v < 0 for v in vals):
-                u = tuple(-x for x in u)
-                vals = [-v for v in vals]
-            else:
-                continue
-            contact = tuple(i for i, v in enumerate(vals) if v == 0)
-            found[contact] = u
+        found = sorted(
+            (tuple(i for i, x in enumerate(g) if pair(u, x) == 0), u)
+            for u in extreme_rays_of_region(self.dim, g, ())
+        )
         proj_t = transpose(self._span[1])
-        return tuple((mat_vec(proj_t, u), contact) for contact, u in sorted(found.items()))
+        return tuple((mat_vec(proj_t, u), contact) for contact, u in found)
 
     def _extreme_generators(self) -> tuple[Vector, ...]:
-        d = self.dim
-        if len(self.generators) == d:
-            return self.generators
-        out = []
-        for i, g in enumerate(self.generators):
-            rows = [u for u, contact in self.facets if i in contact]
-            if matrix_rank(tuple(rows)) == d - 1:
-                out.append(g)
-        return tuple(sorted(out))
+        # a pointed cone is the region its facets cut out of its span
+        return extreme_rays_of_region(self.rank, (u for u, _ in self.facets), self._span[2])
 
     def contains(self, v: Vector) -> bool:
         v = tuple(v)
@@ -327,8 +309,7 @@ class Fan:
     def _validate(self):
         cone_objs = self.cone_objects
         for idx, c in enumerate(self.maximal_cones):
-            listed = set(self.rays[i] for i in c)
-            if set(cone_objs[idx].generators) != listed:
+            if len(cone_objs[idx].generators) != len(c):
                 raise NotAFan(f"maximal cone {c} lists redundant generators")
         for i, j in itertools.combinations(range(len(self.maximal_cones)), 2):
             a, b = set(self.maximal_cones[i]), set(self.maximal_cones[j])
@@ -368,19 +349,21 @@ class Fan:
     def _ray_index(self) -> dict[Vector, int]:
         return {r: i for i, r in enumerate(self.rays)}
 
+    @cached_property
+    def _generator_rays(self) -> tuple[tuple[int, ...], ...]:
+        """Per maximal cone, the ray index of each generator of its cone object."""
+        return tuple(tuple(self._ray_index[g] for g in c.generators) for c in self.cone_objects)
+
     def face_index(self, max_index: int) -> frozenset[RaySet]:
         return self._face_indices[max_index]
 
     @cached_property
     def _face_indices(self) -> tuple[frozenset[RaySet], ...]:
-        out = []
-        for idx, cone in enumerate(self.cone_objects):
-            gen_to_ray = {g: self._ray_index[g] for g in cone.generators}
-            faces = set()
-            for subset in cone.faces_as_generator_subsets():
-                faces.add(tuple(sorted(gen_to_ray[cone.generators[i]] for i in subset)))
-            out.append(frozenset(faces))
-        return tuple(out)
+        return tuple(
+            frozenset(tuple(sorted(gen_rays[i] for i in subset))
+                      for subset in cone.faces_as_generator_subsets())
+            for cone, gen_rays in zip(self.cone_objects, self._generator_rays)
+        )
 
     @cached_property
     def _face_set(self) -> frozenset[RaySet]:
@@ -440,6 +423,7 @@ class Fan:
                 ident = identity_matrix(self.rank)
                 cache[rs] = QuotientLattice(ident, ident)
             else:
+                # rays in index order: Cone._span's sorted ones give other coordinates
                 basis, projection, _, _ = span_coordinates(self.rank, gens)
                 cache[rs] = QuotientLattice(basis, transpose(projection))
         return cache[rs]
@@ -461,7 +445,7 @@ class Fan:
         facet_map: dict[RaySet, list[tuple[int, Vector]]] = {}
         for idx, cone in enumerate(cones):
             for normal, contact in cone.facets:
-                rayset = tuple(sorted(self._ray_index[cone.generators[i]] for i in contact))
+                rayset = tuple(sorted(self._generator_rays[idx][i] for i in contact))
                 facet_map.setdefault(rayset, []).append((idx, normal))
         adjacency: dict[int, set[int]] = {i: set() for i in range(len(cones))}
         for rayset, entries in facet_map.items():
@@ -644,26 +628,15 @@ def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
         if i not in containing:
             emit(rayset, i)
             continue
-        cone = fan.cone_objects[i]
-        for normal, contact in cone.facets:
+        for normal, contact in fan.cone_objects[i].facets:
             # the ray lies in the cone, so it lies on this facet iff it pairs to 0
             if pair(normal, ray) == 0:
                 continue
-            piece = tuple(sorted(
-                {fan._ray_index[cone.generators[t]] for t in contact} | {new_idx}
-            ))
-            emit(piece, i)
+            emit(tuple(sorted({fan._generator_rays[i][t] for t in contact} | {new_idx})), i)
 
-    used = set(i for c in new_cones for i in c)
-    keep = [i for i in range(len(rays)) if i in used]
-    remap = {old: new for new, old in enumerate(keep)}
-    # a stellar refinement of a fan is a fan; skip the quadratic revalidation
-    fine = Fan.build(
-        fan.rank,
-        tuple(rays[i] for i in keep),
-        tuple(tuple(sorted(remap[i] for i in c)) for c in new_cones),
-        validate=False,
-    )
+    # no old ray is lost: the facets through an extreme ray r != ray meet in r,
+    # so one misses ray.  A stellar refinement is a fan; skip revalidation.
+    fine = Fan.build(fan.rank, tuple(rays), tuple(new_cones), validate=False)
     return SubdivisionMap(fine, fan, tuple(assignment))
 
 
@@ -673,27 +646,30 @@ def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
 def _box_points(cone: Cone) -> list[tuple[int, Vector]]:
     """Nonzero lattice points of the half-open fundamental parallelepiped of a
     simplicial cone, as (multiplicity * coefficient sum, ambient point), sorted.
-    The coefficients of x are adj @ x / det, so 0 <= coefficient < 1 reads
-    0 <= sign(det) * (adj @ x)_i < |det|."""
+
+    With G the local generators as columns, the point x = G r / mult has
+    coefficients r / mult, and r = sign(det) * adj @ x mod mult.  So the points
+    are the group (Span & N) / sum Z g_i, the residues in (Z/mult)^d generated
+    by the columns of sign(det) * adj, closed from 0 in exactly mult steps."""
     d = cone.dim
-    g = cone.local_generators
-    basis = cone.span_basis
     det, adj = cone._adjugate
     sign, mult = (1 if det > 0 else -1), abs(det)
-    lo = tuple(sum(min(0, g[i][c]) for i in range(d)) for c in range(d))
-    hi = tuple(sum(max(0, g[i][c]) for i in range(d)) for c in range(d))
-    out = []
-    for x in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        if not any(x):
-            continue
-        lam = [sign * c for c in mat_vec(adj, x)]
-        if not all(0 <= l < mult for l in lam):
-            continue
-        ambient = tuple(
-            sum(x[i] * basis[i][c] for i in range(d)) for c in range(cone.rank)
-        )
-        out.append((sum(lam), ambient))
-    out.sort(key=lambda t: (t[0], t[1]))
+    steps = [tuple(sign * adj[i][j] % mult for i in range(d)) for j in range(d)]
+    residues = {(0,) * d}
+    frontier = [(0,) * d]
+    while frontier:
+        r = frontier.pop()
+        for step in steps:
+            t = tuple((a + b) % mult for a, b in zip(r, step))
+            if t not in residues:
+                residues.add(t)
+                frontier.append(t)
+    g, basis = transpose(cone.local_generators), transpose(cone.span_basis)
+    out = [
+        (sum(r), mat_vec(basis, tuple(c // mult for c in mat_vec(g, r))))
+        for r in residues if any(r)
+    ]
+    out.sort()
     return out
 
 
@@ -721,6 +697,8 @@ def resolve(
     multiplicity, and every extra round must keep the fan smooth; otherwise
     ``ResolutionCheckFailed`` is raised.
     """
+    if extra_rounds < 0:
+        raise ValueError(f"extra_rounds must be nonnegative, got {extra_rounds}")
     current = SubdivisionMap.identity(fan)
 
     # phase 1: simplicialize by pulling existing rays
@@ -737,15 +715,14 @@ def resolve(
              for i in c}
         )
         ray = rng.choice(candidates) if rng else candidates[0]
-        step = stellar_subdivision(f, ray)
-        if step.fine == f:
-            # pulling this ray changed nothing; fall back to the next candidate
-            for alt in candidates:
-                step = stellar_subdivision(f, alt)
-                if step.fine != f:
-                    break
-            else:
-                raise ResolutionCheckFailed("no subdividing ray found")
+        # pulling the apex of a pyramid changes nothing (its one facet missing
+        # the apex is the base); then the other candidates are tried in order
+        for ray in dict.fromkeys((ray, *candidates)):
+            step = stellar_subdivision(f, ray)
+            if step.fine != f:
+                break
+        else:
+            raise ResolutionCheckFailed("no subdividing ray found")
         current = compose_subdivisions(step, current)
 
     # phase 2: subdivide singular cones at parallelepiped points

@@ -50,6 +50,8 @@ def tangent_weights(cone: Cone, epsilon: int = EPSILON) -> tuple[Vector, ...]:
         raise NotFullDimensional("tangent weights need a full-dimensional cone")
     if not cone.is_simplicial or cone.multiplicity() != 1:
         raise NotSmooth(f"cone on {cone.generators} has multiplicity != 1")
+    if epsilon not in (1, -1):
+        raise ValueError(f"epsilon must be 1 or -1, got {epsilon!r}")
     duals = dual_basis(cone.generators)
     if epsilon == 1:
         return duals
@@ -101,11 +103,9 @@ def orbit_closure_class(fan: Fan, rayset, epsilon: int = EPSILON) -> FixedPointD
         if not set(rs) <= set(cone_rays):
             numerators.append(LaurentPoly.zero(fan.rank))
             continue
-        cone = fan.cone_objects[idx]
-        gen_to_ray = {g: fan._ray_index[g] for g in cone.generators}
         num = LaurentPoly.one(fan.rank)
-        for g, w in zip(cone.generators, weights[idx]):
-            if gen_to_ray[g] in rs:
+        for ray, w in zip(fan._generator_rays[idx], weights[idx]):
+            if ray in rs:
                 num = num * (LaurentPoly.one(fan.rank) - LaurentPoly.exponential(w))
         numerators.append(num)
     return FixedPointData(fan, weights, tuple(numerators))

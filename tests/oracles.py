@@ -12,8 +12,13 @@ the fold that tried every denominator factor after every step before
 ``pairing_quotient`` and ``quotient_lattice``, the second Smith forms that
 ``Fan.face_quotient`` (through ``face_quotient_oracle``) and ``star_quotient``
 (``star_quotient_oracle``) took before both read their quotients from
-``fan.span_coordinates``: all are kept as the oracles for the path that
-replaced them.
+``fan.span_coordinates``, and ``facets_by_generator_subsets``,
+``extreme_generators_by_rank`` and ``box_points_scan``, the facet subset
+loop, the per-generator rank test and the bounding-box scan that
+``Cone.facets``, ``Cone._extreme_generators`` and ``fan._box_points`` ran
+before the first two read their rays from ``fan.extreme_rays_of_region``
+and the last enumerated the residue group: all are kept as the oracles for
+the path that replaced them.
 """
 
 from __future__ import annotations
@@ -319,3 +324,64 @@ def star_quotient_oracle(fan, rs):
     rays = list(dict.fromkeys(g for gens in images for g in gens))  # first appearance
     cones = [tuple(sorted(rays.index(g) for g in gens)) for gens in images]
     return Fan.build(len(projection), rays, cones), star, (projection, section)
+
+
+def facets_by_generator_subsets(cone):
+    """``cone.facets`` by the loop over every d - 1 local generators: their
+    ``line_kernel`` bounds a facet when every generator lies on one side."""
+    from pexpfan.lattice import line_kernel, mat_vec, pair, transpose
+
+    d, g = cone.dim, cone.local_generators
+    if d == 0:
+        return ()
+    found = {}
+    for subset in itertools.combinations(g, d - 1):
+        u = line_kernel(subset, d)
+        if u is None:
+            continue
+        vals = [pair(u, x) for x in g]
+        if all(v <= 0 for v in vals):
+            u, vals = tuple(-x for x in u), [-v for v in vals]
+        if all(v >= 0 for v in vals) and any(vals):
+            found[tuple(i for i, v in enumerate(vals) if v == 0)] = u
+    proj_t = transpose(cone._span[1])
+    return tuple((mat_vec(proj_t, u), contact) for contact, u in sorted(found.items()))
+
+
+def extreme_generators_by_rank(cone):
+    """``cone._extreme_generators()``: the generators whose facet normals
+    have rank d - 1."""
+    from pexpfan.lattice import matrix_rank
+
+    return tuple(sorted(
+        g for i, g in enumerate(cone.generators)
+        if matrix_rank(tuple(u for u, contact in cone.facets if i in contact)) == cone.dim - 1
+    ))
+
+
+def box_points_scan(cone):
+    """``fan._box_points(cone)`` by scanning the bounding box of the local
+    parallelepiped for the points with 0 <= sign(det) * (adj @ x)_i < mult."""
+    from pexpfan.lattice import mat_vec
+
+    d, g, basis = cone.dim, cone.local_generators, cone.span_basis
+    det, adj = cone._adjugate
+    sign, mult = (1 if det > 0 else -1), abs(det)
+    lo = [sum(min(0, g[i][c]) for i in range(d)) for c in range(d)]
+    hi = [sum(max(0, g[i][c]) for i in range(d)) for c in range(d)]
+    out = []
+    for x in itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi))):
+        lam = [sign * c for c in mat_vec(adj, x)]
+        if any(x) and all(0 <= v < mult for v in lam):
+            out.append((sum(lam), tuple(sum(x[i] * basis[i][c] for i in range(d))
+                                        for c in range(cone.rank))))
+    return sorted(out)
+
+
+def box_scan_size(cone) -> int:
+    """The number of points ``box_points_scan`` visits."""
+    g = cone.local_generators
+    size = 1
+    for c in range(cone.dim):
+        size *= sum(abs(x[c]) for x in g) + 1
+    return size

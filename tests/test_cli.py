@@ -207,6 +207,16 @@ class TestNegativesAndErrors:
         assert code == 2
         assert json.loads(out)["status"] == "invalid"
 
+    def test_resolve_negative_extra_rounds(self, capsys):
+        code, out = invoke(["resolve", "--fan", DATA / "p112_fan.json", "--extra-rounds", "-2"],
+                           capsys)
+        assert code == 1
+        assert json.loads(out) == {
+            "status": "error",
+            "kind": "ValueError",
+            "detail": "extra_rounds must be nonnegative, got -2",
+        }
+
     def test_validate_fan_negative_rank(self, tmp_path, capsys):
         bad = tmp_path / "negative_rank.json"
         bad.write_text(json.dumps({"rank": -2, "rays": [], "max_cones": [[]]}))

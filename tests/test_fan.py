@@ -30,10 +30,14 @@ from pexpfan.fan import (
 )
 from pexpfan.lattice import identity_matrix, mat_mul, mat_vec, matrix_rank, pair, primitive_vector
 from oracles import (
+    box_points_scan,
+    box_scan_size,
     det_expansion,
+    extreme_generators_by_rank,
     extreme_rays_smith,
     face_quotient_oracle,
     facet_normals_full_dim,
+    facets_by_generator_subsets,
     grid_covers_fan,
     smith_diagonal_oracle,
     solve_rational,
@@ -242,6 +246,8 @@ class TestQuotientsAgainstOracles:
             catalog.rank3_multiplicity3_fan(),
             resolve(catalog.cube_fan()).fine,
             Fan.build(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)]),
+            # rays out of sorted order: cone (0, 3) has other coordinates in Cone._span
+            Fan.build(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)], [(0, 1, 2), (0, 3), (1, 3)]),
         ] + random_mixed_fans(20261018, 30)
         faces = 0
         for fan in fans:
@@ -384,6 +390,21 @@ class TestResolve:
         assert sub.fine.is_smooth()
         assert Fan.build(sub.fine.rank, sub.fine.rays, sub.fine.maximal_cones).is_complete()
 
+    def test_negative_extra_rounds_is_refused(self, p112):
+        with pytest.raises(ValueError, match="extra_rounds must be nonnegative, got -3"):
+            resolve(p112, extra_rounds=-3)
+
+    def test_pulling_a_pyramid_apex_falls_back_to_the_next_ray(self):
+        # the apex (-5,0,1,1) sorts first, and its one facet missing it is the
+        # square base, so pulling it leaves the cone as it is
+        rays = [(-5, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0)]
+        fan = Fan.build(4, rays, [(0, 1, 2, 3, 4)])
+        assert stellar_subdivision(fan, rays[0]).fine == fan
+        for rng in (None, random.Random(0)):
+            sub = resolve(fan, rng=rng)
+            assert sub.fine.is_smooth() and len(sub.fine.maximal_cones) > 1
+            assert all(fan.cone_objects[0].contains(r) for r in sub.fine.rays)
+
     def test_identity_composition(self, p112):
         ident = SubdivisionMap.identity(p112)
         assert ident.fine == ident.coarse == p112
@@ -455,12 +476,69 @@ class TestAgainstOracles:
     @settings(max_examples=40)
     def test_box_points_count_is_multiplicity_minus_one(self, seed):
         rng = random.Random(seed)
-        rank = rng.choice((2, 3))
-        cone = random_simplicial_cone(rng, rank, rank)
-        assert cone.multiplicity() == abs(det_expansion(cone.generators))
-        box = fan_module._box_points(cone)
-        assert len(box) == cone.multiplicity() - 1
-        cols = tuple(zip(*cone.generators))
-        for _, x in box:
-            lam = solve_rational(cols, x)
-            assert lam is not None and all(0 <= v < 1 for v in lam)
+        rank = rng.randint(1, 4)
+        cone = random_simplicial_cone(rng, rank, rng.randint(1, rank))
+        mult = 1
+        for x in smith_diagonal_oracle(cone.generators):
+            mult *= x
+        assert cone.multiplicity() == mult
+        assert_box_points_by_definition(cone)
+
+    def test_box_points_of_a_multiplicity_111_cone(self):
+        # the bounding-box scan of this cone visits 501,760 points for 110
+        cone = Cone.from_generators(
+            4, [(-2, 1, 1, 0), (0, 2, -3, -3), (2, 3, 2, 2), (3, -3, -3, 2)])
+        assert cone.multiplicity() == 111
+        assert_box_points_by_definition(cone)
+
+    def test_cone_geometry_matches_the_replaced_paths(self, monkeypatch):
+        """Generators, facets, faces and dimension, or the error class and
+        message, of seeded random cones are the same whether facets and
+        extreme generators come from extreme_rays_of_region or from the
+        subset loop and rank test they replaced; and the parallelepiped
+        points are those of the bounding-box scan wherever it is small."""
+        rng = random.Random(20261018)
+        cases = []
+        for _ in range(3000):
+            rank = rng.randint(1, 4)
+            cases.append((rank, [tuple(rng.randint(-3, 3) for _ in range(rank))
+                                 for _ in range(rng.randint(1, 7))]))
+
+        def verdicts():
+            out = []
+            for rank, gens in cases:
+                try:
+                    cone = Cone.from_generators(rank, gens)
+                except PExpFanError as exc:
+                    out.append((type(exc).__name__, str(exc)))
+                    continue
+                out.append((cone.generators, cone.facets, cone.faces_as_generator_subsets(),
+                            cone.dim))
+            return out
+
+        got = verdicts()
+        scanned = 0
+        for (rank, gens), verdict in zip(cases, got):
+            if isinstance(verdict[0], str):
+                continue
+            cone = Cone(rank, verdict[0])
+            if cone.is_simplicial and box_scan_size(cone) <= 10_000:
+                scanned += 1
+                assert fan_module._box_points(cone) == box_points_scan(cone), gens
+        monkeypatch.setattr(Cone, "facets", property(facets_by_generator_subsets))
+        monkeypatch.setattr(Cone, "_extreme_generators", extreme_generators_by_rank)
+        assert got == verdicts()
+        kinds = [v[0] if isinstance(v[0], str) else len(v[0]) > v[3] for v in got]
+        assert kinds.count(True) > 200 and kinds.count(False) > 1000 and scanned > 1000
+        assert kinds.count("NotStronglyConvex") > 300
+
+
+def assert_box_points_by_definition(cone):
+    """The parallelepiped points are mult - 1 distinct points of the span,
+    each with coefficients 0 <= lambda < 1 on the generators."""
+    box = fan_module._box_points(cone)
+    assert len(box) == len({x for _, x in box}) == cone.multiplicity() - 1
+    cols = tuple(zip(*cone.generators))
+    for _, x in box:
+        lam = solve_rational(cols, x)
+        assert lam is not None and all(0 <= v < 1 for v in lam)

@@ -89,6 +89,12 @@ class TestSignConvention:
         assert chi(p1, one, epsilon=1) == LaurentPoly.one(1)
         assert chi(p1, one, epsilon=-1) == LaurentPoly.one(1)
 
+    @pytest.mark.parametrize("epsilon", [0, 2, "x"])
+    def test_other_signs_are_refused(self, p1, epsilon):
+        cls = catalog.p1_degree_class(p1, 1)
+        with pytest.raises(ValueError, match="epsilon must be 1 or -1"):
+            chi(p1, cls, epsilon=epsilon)
+
 
 class TestOrbitClosureClass:
     def test_origin_gives_unit_numerators(self, p2):

@@ -1,6 +1,8 @@
 """Rules on the package source that keep its checks alive under ``python -O``:
 no ``assert`` statement (the optimizer strips it) and no ``fractions`` import
-(exact work stays in integers and Z[M])."""
+(exact work stays in integers and Z[M]).  One rule keeps lattice coordinates
+in one place: ``smith_normal_form`` is called only from
+``fan.span_coordinates``."""
 
 import ast
 from pathlib import Path
@@ -26,3 +28,23 @@ def test_no_assert_and_no_fractions(path):
         else:
             continue
         assert all(m.split(".")[0] != "fractions" for m in modules), f"{where}: imports fractions"
+
+
+
+def _calls(node, where=None):
+    """(name of the enclosing function, call) for every call below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield where, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _calls(child, inner)
+
+
+def test_smith_form_called_only_from_span_coordinates():
+    callers = set()
+    for path in SOURCES:
+        for where, call in _calls(ast.parse(path.read_text(), filename=str(path))):
+            if "smith_normal_form" in (getattr(call.func, "id", None),
+                                       getattr(call.func, "attr", None)):
+                callers.add((path.name, where))
+    assert callers == {("fan.py", "span_coordinates")}
