@@ -340,10 +340,24 @@ class Fan:
 
     @cached_property
     def cone_objects(self) -> tuple[Cone, ...]:
-        return tuple(
-            Cone.from_generators(self.rank, tuple(self.rays[i] for i in c))
-            for c in self.maximal_cones
+        return self._seed_cone_objects({})
+
+    def _seed_cone_objects(self, kept: dict[int, Cone]) -> tuple[Cone, ...]:
+        """Cache and return the cone object of each maximal cone: ``kept[i]``
+        for cone i where given, else ``Cone.from_generators`` on its rays.
+
+        A kept cone must be the object ``from_generators`` builds from the
+        same rays; ``stellar_subdivision`` passes the coarse fan's object of
+        each cone it emits unchanged.
+        """
+        objs = tuple(
+            kept[i] if i in kept else Cone.from_generators(self.rank, tuple(self.rays[j] for j in c))
+            for i, c in enumerate(self.maximal_cones)
         )
+        # cached_property keeps its value in the instance dict, which the
+        # frozen dataclass leaves writable
+        self.__dict__["cone_objects"] = objs
+        return objs
 
     @cached_property
     def _ray_index(self) -> dict[Vector, int]:
@@ -404,6 +418,11 @@ class Fan:
         return self.require_face(idx)
 
     @cached_property
+    def _maximal_by_face(self) -> dict[RaySet, Cone]:
+        """Each maximal cone's object, keyed by the face it is: its generator rays, sorted."""
+        return {tuple(sorted(g)): c for g, c in zip(self._generator_rays, self.cone_objects)}
+
+    @cached_property
     def _quotients(self) -> dict[RaySet, QuotientLattice]:
         return {}
 
@@ -418,13 +437,14 @@ class Fan:
         rs = self.require_face(rayset)
         cache = self._quotients
         if rs not in cache:
-            gens = tuple(self.rays[i] for i in rs)
-            if matrix_rank(gens) == self.rank:
+            # a full-dimensional face of a fan is one of its maximal cones
+            top = self._maximal_by_face.get(rs)
+            if top is not None and top.dim == self.rank:
                 ident = identity_matrix(self.rank)
                 cache[rs] = QuotientLattice(ident, ident)
             else:
                 # rays in index order: Cone._span's sorted ones give other coordinates
-                basis, projection, _, _ = span_coordinates(self.rank, gens)
+                basis, projection, _, _ = span_coordinates(self.rank, (self.rays[i] for i in rs))
                 cache[rs] = QuotientLattice(basis, transpose(projection))
         return cache[rs]
 
@@ -594,13 +614,20 @@ def compose_subdivisions(finer: SubdivisionMap, coarser: SubdivisionMap) -> Subd
 
 def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
     """Refine by a primitive ray: every cone containing the ray is replaced by
-    the joins of the ray with its facets not containing it."""
+    the joins of the ray with its facets not containing it.
+
+    The fine fan keeps the coarse rays in their order and appends the ray if
+    it is new, so a maximal cone not containing the ray is emitted with the
+    same ray indices, hence the same generators.  Cones are immutable, so the
+    fine fan carries the coarse ``Cone`` object of each such cone, with its
+    cached span, facets and adjugate; only the new pieces are built.
+    """
     ray = tuple(ray)
     if not any(ray):
         raise NonPrimitiveRay("cannot subdivide at the zero vector")
     if not is_primitive(ray):
         raise NonPrimitiveRay(f"{ray} is not primitive")
-    containing = [i for i, c in enumerate(fan.cone_objects) if c.contains(ray)]
+    containing = {i for i, c in enumerate(fan.cone_objects) if c.contains(ray)}
     if not containing:
         raise RayOutsideSupport(f"{ray} lies outside the support of the fan")
 
@@ -614,19 +641,22 @@ def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
     new_cones: list[RaySet] = []
     assignment: list[int] = []
     seen: dict[RaySet, int] = {}
+    kept: dict[int, Cone] = {}  # fine index -> coarse cone object carried over
 
-    def emit(rayset: RaySet, source: int):
+    def emit(rayset: RaySet, source: int, cone: Cone | None = None):
         if rayset in seen:
             if assignment[seen[rayset]] != source:
                 raise ResolutionCheckFailed(f"ambiguous subdivision piece {rayset}")
             return
+        if cone is not None:
+            kept[len(new_cones)] = cone
         seen[rayset] = len(new_cones)
         new_cones.append(rayset)
         assignment.append(source)
 
     for i, rayset in enumerate(fan.maximal_cones):
         if i not in containing:
-            emit(rayset, i)
+            emit(rayset, i, fan.cone_objects[i])
             continue
         for normal, contact in fan.cone_objects[i].facets:
             # the ray lies in the cone, so it lies on this facet iff it pairs to 0
@@ -637,6 +667,7 @@ def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
     # no old ray is lost: the facets through an extreme ray r != ray meet in r,
     # so one misses ray.  A stellar refinement is a fan; skip revalidation.
     fine = Fan.build(fan.rank, tuple(rays), tuple(new_cones), validate=False)
+    fine._seed_cone_objects(kept)
     return SubdivisionMap(fine, fan, tuple(assignment))
 
 
@@ -730,9 +761,7 @@ def resolve(
     while True:
         f = current.fine
         singular = [
-            (i, f.cone_objects[i].multiplicity())
-            for i in range(len(f.maximal_cones))
-            if f.cone_objects[i].multiplicity() > 1
+            (i, m) for i, m in enumerate(c.multiplicity() for c in f.cone_objects) if m > 1
         ]
         if not singular:
             break
@@ -750,7 +779,7 @@ def resolve(
         best = box[0][0]
         minimal = [p for s, p in box if s == best]
         point = rng.choice(minimal) if rng else minimal[0]
-        before = total_excess_multiplicity(f)
+        before = sum(m - 1 for _, m in singular)
         step = stellar_subdivision(f, primitive_vector(point))
         after = total_excess_multiplicity(step.fine)
         if after >= before:

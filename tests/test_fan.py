@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from math import gcd
 
@@ -378,6 +380,12 @@ class TestResolve:
         with pytest.raises(ResolutionCheckFailed, match="no parallelepiped points"):
             resolve(p112)
 
+    def test_a_step_that_keeps_the_excess_is_a_check_failure(self, p112, monkeypatch):
+        # subdividing at a generator of the singular cone leaves the fan as it is
+        monkeypatch.setattr(fan_module, "_box_points", lambda cone: [(1, cone.generators[0])])
+        with pytest.raises(ResolutionCheckFailed, match="did not drop: 1 -> 1"):
+            resolve(p112)
+
     def test_assignment_containment(self, p112, cube):
         for fan in (p112, cube):
             sub = resolve(fan)
@@ -408,6 +416,76 @@ class TestResolve:
     def test_identity_composition(self, p112):
         ident = SubdivisionMap.identity(p112)
         assert ident.fine == ident.coarse == p112
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_each_step_builds_only_its_new_cones(self, n, monkeypatch):
+        """Resolving <(1,0),(1,N)> builds at most 2N cone objects, two per
+        step, where rebuilding the whole fan per step built N(N+1)/2.  The
+        result is the minimal resolution of the A_{N-1} singularity: the rays
+        (1,k) for 0 <= k <= N, consecutive ones spanning a cone (Fulton,
+        Introduction to Toric Varieties, 2.6)."""
+        fan = Fan.build(2, [(1, 0), (1, n)], [(0, 1)])
+        build, calls = Cone.from_generators, []
+
+        def counted(rank, vectors):
+            calls.append(rank)
+            return build(rank, vectors)
+
+        monkeypatch.setattr(Cone, "from_generators", staticmethod(counted))
+        fine = resolve(fan).fine
+        assert len(calls) <= 2 * n
+        assert set(fine.rays) == {(1, k) for k in range(n + 1)}
+        assert {tuple(sorted(fine.rays[i] for i in c)) for c in fine.maximal_cones} == {
+            ((1, k), (1, k + 1)) for k in range(n)}
+
+    def test_steps_carry_unchanged_cones_and_match_the_replaced_path(self, monkeypatch):
+        """Every stellar step hands each coarse cone that misses the new ray
+        to the fine fan as the same object, on the same rays, and builds every
+        other cone as Cone.from_generators does; every resolved fan's cone
+        objects equal fresh ones.  The serialized resolutions equal those of
+        the path that rebuilt every cone per step, pinned by their digest."""
+        step_through = fan_module.stellar_subdivision
+        steps = []
+
+        def checked(coarse, ray):
+            sub = step_through(coarse, ray)
+            fine, kept = sub.fine, 0
+            assert fine.rays[:len(coarse.rays)] == coarse.rays
+            misses = {j for j, c in enumerate(coarse.cone_objects) if not c.contains(ray)}
+            for i, (rs, j) in enumerate(zip(fine.maximal_cones, sub.assignment)):
+                if j in misses:
+                    assert rs == coarse.maximal_cones[j]
+                    assert fine.cone_objects[i] is coarse.cone_objects[j]
+                    kept += 1
+                else:
+                    fresh = Cone.from_generators(fine.rank, [fine.rays[k] for k in rs])
+                    assert fine.cone_objects[i] == fresh
+            assert kept == len(misses)
+            steps.append(kept)
+            return sub
+
+        monkeypatch.setattr(fan_module, "stellar_subdivision", checked)
+        pyramid = Fan.build(4, [(-5, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0),
+                                (0, -1, 1, 0)], [(0, 1, 2, 3, 4)])
+        cases = [(Fan.build(2, [(1, 0), (1, n)], [(0, 1)]), None, 0) for n in range(2, 91)]
+        for m in range(2, 31):
+            for b in sorted({1, next(b for b in range(m // 3, m) if gcd(b, m) == 1)}):
+                cases.append((Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, b, m)], [(0, 1, 2)]), None, 0))
+        for fan in (catalog.cube_fan(), catalog.weighted_p112(), pyramid):
+            for seed in (None, 1, 2, 3, 99):
+                for extra in (0, 2):
+                    cases.append((fan, seed, extra))
+        docs = []
+        for fan, seed, extra in cases:
+            sub = resolve(fan, rng=None if seed is None else random.Random(seed), extra_rounds=extra)
+            fine = sub.fine
+            for rs, cone in zip(fine.maximal_cones, fine.cone_objects):
+                fresh = Cone.from_generators(fine.rank, [fine.rays[k] for k in rs])
+                assert (cone, cone.multiplicity()) == (fresh, fresh.multiplicity())
+            docs.append(sub.to_json())
+        assert len(cases) == 173 and sum(steps) > 100_000
+        digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+        assert digest == "4d5d87c999e55fb90ae4fdf56b8b220de63c486029e14a9994d1b098f1760701"
 
 
 class TestAgainstOracles:
