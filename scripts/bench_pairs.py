@@ -8,6 +8,10 @@ PARENT and CHANGE are git checkouts.  Pair i runs PARENT first when i is
 even and CHANGE first when it is odd.  Each run appends one record to the
 JSON list in --out: side, `git rev-parse HEAD`, workload, seed, seconds, its
 place in the run order of the file, wall time and perfbench's final line.
+
+Before any run it refuses, exiting 1, a checkout whose src/ holds untracked
+or ignored files, such as __pycache__: perfbench's cli children would load
+that bytecode on one side and compile every module on the other.
 """
 import argparse
 import json
@@ -25,6 +29,11 @@ ap.add_argument("--seed", type=int, default=20261017)
 ap.add_argument("--seconds", type=float, default=25)
 ap.add_argument("--out", type=Path, required=True)
 a = ap.parse_args()
+for root in (a.parent, a.change):
+    extra = subprocess.run(["git", "status", "--porcelain", "--ignored", "src"], cwd=root,
+                           capture_output=True, text=True, check=True).stdout
+    if extra:
+        sys.exit(f"{root}: src/ is not clean, remove these first:\n{extra}")
 runs = json.loads(a.out.read_text()) if a.out.exists() else []
 for i in range(2 * a.pairs):
     side = ("parent", "change")[(i + i // 2) % 2]

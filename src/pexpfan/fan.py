@@ -307,15 +307,46 @@ class Fan:
         return fan
 
     def _validate(self):
+        """Raise ``NotAFan`` unless any two maximal cones meet in a common face.
+
+        The pairwise loop, with ``_check_pair``, raises every error about how
+        two cones meet.  A fan that ``_wall_accepts`` (full-dimensional
+        simplicial cones, complete by the wall table) skips it, because such
+        an input is always a fan:
+
+        Let x lie in a cone sigma, and let A be the rays of sigma whose
+        coefficients at x are positive, so x is in the relative interior of
+        cone(A).  Project the cones whose ray sets contain A to N_R/Span(A).
+        They are full-dimensional simplicial cones there, their facets are
+        the images of the walls containing A, and each such wall is still
+        shared by exactly two of them on opposite sides.  By the crossing
+        argument of ``is_complete`` (direct when the quotient has rank at
+        most 1) they cover the quotient with one generic degree, at least 1
+        since sigma is among them.  So near x these cones already hold every
+        generic point.  By ``is_complete`` a generic point lies in exactly
+        one cone, and any cone tau holding x meets every neighbourhood of x
+        in a full-dimensional set; so every such tau has A among its rays.
+        As tau is simplicial, x has one expression in its rays, and it uses
+        exactly A.  Hence any point of sigma & tau lies in the cone on their
+        common rays: the two meet in a common face, which is what the
+        pairwise check tests.
+        """
         cone_objs = self.cone_objects
         for idx, c in enumerate(self.maximal_cones):
             if len(cone_objs[idx].generators) != len(c):
                 raise NotAFan(f"maximal cone {c} lists redundant generators")
+        if self._wall_accepts():
+            return
         for i, j in itertools.combinations(range(len(self.maximal_cones)), 2):
             a, b = set(self.maximal_cones[i]), set(self.maximal_cones[j])
             if a <= b or b <= a:
                 raise NotAFan(f"maximal cone {i} is contained in cone {j}")
             self._check_pair(i, j)
+
+    def _wall_accepts(self) -> bool:
+        """True when every maximal cone is full-dimensional and simplicial and
+        the wall table shows the fan complete; then it is a fan (``_validate``)."""
+        return all(c.dim == self.rank and c.is_simplicial for c in self.cone_objects) and self._complete
 
     def _check_pair(self, i: int, j: int):
         ci, cj = self.cone_objects[i], self.cone_objects[j]
@@ -450,41 +481,59 @@ class Fan:
 
     # -- completeness -----------------------------------------------------------
 
+    @cached_property
+    def walls(self) -> dict[RaySet, tuple[tuple[int, Vector], ...]]:
+        """Each facet of a maximal cone, as a sorted ray set, with every
+        maximal cone having it as a facet and that cone's inward normal on it,
+        in cone order.
+
+        On a complete fan these are the walls, the codimension-1 cones, each
+        in exactly two maximal cones with opposite normals.  Completeness,
+        validation and ``pexp.gkm_validate`` all read this one table.
+        """
+        table: dict[RaySet, list[tuple[int, Vector]]] = {}
+        for idx, cone in enumerate(self.cone_objects):
+            for normal, contact in cone.facets:
+                rayset = tuple(sorted(self._generator_rays[idx][i] for i in contact))
+                table.setdefault(rayset, []).append((idx, normal))
+        return {rayset: tuple(entries) for rayset, entries in table.items()}
+
     def is_complete(self) -> bool:
-        """Facet-pairing test: full-dimensional cones, every facet shared by
-        exactly two cones sitting on opposite sides, facet graph connected."""
+        """Full-dimensional cones, every wall shared by exactly two cones on
+        opposite sides, and one generic point in exactly one cone.
+
+        The degree of a point off every facet hyperplane, the number of cones
+        holding it, does not change where the point crosses a wall away from
+        the codimension-2 cones and from the meets of distinct hyperplanes:
+        each wall through the crossing trades its cone on one side for its
+        cone on the other.  In rank >= 2 those crossings join all such
+        points, so the degree is the same everywhere, and degree 1 means the
+        cones cover N_R with disjoint interiors.  The pairing alone is not
+        enough: a fan winding twice around the origin pairs every wall.
+        """
         return self._complete
 
     @cached_property
     def _complete(self) -> bool:
         if self.rank == 0:
             return self.maximal_cones == ((),)
-        cones = self.cone_objects
-        if any(c.dim != self.rank for c in cones):
+        if any(c.dim != self.rank for c in self.cone_objects):
             return False
-        facet_map: dict[RaySet, list[tuple[int, Vector]]] = {}
-        for idx, cone in enumerate(cones):
-            for normal, contact in cone.facets:
-                rayset = tuple(sorted(self._generator_rays[idx][i] for i in contact))
-                facet_map.setdefault(rayset, []).append((idx, normal))
-        adjacency: dict[int, set[int]] = {i: set() for i in range(len(cones))}
-        for rayset, entries in facet_map.items():
+        for entries in self.walls.values():
             if len(entries) != 2:
                 return False
-            (i, ni), (j, nj) = entries
+            (_, ni), (_, nj) = entries
             if ni != tuple(-x for x in nj):
                 return False
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-        seen = {0}
-        queue = [0]
-        while queue:
-            cur = queue.pop()
-            for nxt in adjacency[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        return len(seen) == len(cones)
+        # <u, (1, k, k^2, ...)> is a nonzero polynomial in k of degree < rank,
+        # so at most (rank - 1) values of k put the point on u's hyperplane
+        normals = {u for entries in self.walls.values() for _, u in entries}
+        for k in itertools.count(1):
+            point = tuple(k ** e for e in range(self.rank))
+            if all(pair(u, point) for u in normals):
+                break
+        holding = [c for c in self.cone_objects if all(pair(u, point) > 0 for u, _ in c.facets)]
+        return len(holding) == 1
 
     def is_smooth(self) -> bool:
         return self._smooth

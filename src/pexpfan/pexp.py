@@ -106,9 +106,7 @@ class PiecewiseExponential:
         the zero cone the result is the constant given by the augmentation.
         """
         rs = self.fan.require_face(rayset)
-        holder = self.fan.face_containing_maximal(rs)
-        phi = _comparison_matrix(self.fan, self.fan.maximal_cones[holder], self.fan, rs)
-        return self.values[holder].map_exponents(phi, self.fan.face_quotient(rs).rank)
+        return _restriction(self.fan, self.values, self.fan.face_containing_maximal(rs), rs)
 
 
 def coerce_values(fan: Fan, values) -> tuple[LaurentPoly, ...]:
@@ -132,19 +130,48 @@ def coerce_values(fan: Fan, values) -> tuple[LaurentPoly, ...]:
     return tuple(out)
 
 
+def _restriction(fan: Fan, vals, i: int, face: RaySet) -> LaurentPoly:
+    """The value on maximal cone i restricted to one of its faces, in M_face."""
+    phi = _comparison_matrix(fan, fan.maximal_cones[i], fan, face)
+    return vals[i].map_exponents(phi, fan.face_quotient(face).rank)
+
+
+def _agree_across_walls(fan: Fan, vals) -> bool:
+    """Whether the two cones on each wall restrict to one value on it."""
+    return all(
+        _restriction(fan, vals, i, wall) == _restriction(fan, vals, j, wall)
+        for wall, ((i, _), (j, _)) in fan.walls.items()
+    )
+
+
 def gkm_validate(fan: Fan, values) -> GkmReport:
-    """Check every pairwise face compatibility; violations are results."""
+    """Check every pairwise face compatibility; violations are results.
+
+    On a complete fan (``fan`` is taken to be a fan, as every validated
+    build is) the walls decide acceptance.  Restriction to a wall W
+    is Z[M] -> Z[M/Z u] for its primitive normal u, whose kernel is the ideal
+    (1 - e^u); so values agreeing across W are congruent mod (1 - e^u).  Two
+    maximal cones sigma, sigma' meet in a face tau, and the maximal cones
+    holding tau form the complete fan Star(tau) in N/N_tau, whose maximal
+    cones are joined through walls (the complement of its codimension-2
+    cones is connected, or it has at most two cones).  Its walls are the
+    walls of the fan that contain tau, so a chain sigma = s_0, ..., s_m =
+    sigma' of cones holding tau, each sharing a wall with the next, carries
+    the value on tau from one end to the other, restriction being
+    functorial.  So if every wall agrees, every pair does.  Any other fan,
+    and a class that fails on some wall, runs the pairwise loop, which
+    reports every violation in pair order.
+    """
     vals = coerce_values(fan, values)
+    if fan.is_complete() and _agree_across_walls(fan, vals):
+        return GkmReport(True, PiecewiseExponential(fan, vals), ())
     violations = []
     n = len(fan.maximal_cones)
     for i in range(n):
         for j in range(i + 1, n):
             shared = tuple(sorted(set(fan.maximal_cones[i]) & set(fan.maximal_cones[j])))
-            phi_i = _comparison_matrix(fan, fan.maximal_cones[i], fan, shared)
-            phi_j = _comparison_matrix(fan, fan.maximal_cones[j], fan, shared)
-            target = fan.face_quotient(shared).rank
-            ri = vals[i].map_exponents(phi_i, target)
-            rj = vals[j].map_exponents(phi_j, target)
+            ri = _restriction(fan, vals, i, shared)
+            rj = _restriction(fan, vals, j, shared)
             if ri != rj:
                 violations.append(GkmViolation(i, j, shared, ri, rj))
     if violations:

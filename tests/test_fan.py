@@ -1,6 +1,8 @@
 import hashlib
 import json
+import math
 import random
+import re
 from math import gcd
 
 import pytest
@@ -69,6 +71,43 @@ def random_fan_data(rng):
     return rank, [rays[i] for i in used], [tuple(used.index(i) for i in c) for c in sorted(cones)]
 
 
+# a "fan" winding twice around the origin, and its suspension by +-e3: every
+# wall lies in exactly two cones on opposite sides, yet a generic point lies
+# in two cones
+DOUBLE_COVER_RAYS = [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)]
+DOUBLE_COVER_CONES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]
+DOUBLE_COVERS = {
+    "plane": (2, DOUBLE_COVER_RAYS, DOUBLE_COVER_CONES),
+    "suspension": (3, [r + (0,) for r in DOUBLE_COVER_RAYS] + [(0, 0, 1), (0, 0, -1)],
+                   [c + (apex,) for apex in (5, 6) for c in DOUBLE_COVER_CONES]),
+}
+
+
+def random_complete_rank2_data(rng):
+    """(2, rays, cones) of the cones between angularly consecutive random
+    rays, in shuffled order: a complete fan when no gap reaches pi."""
+    rays = sorted({primitive_vector(v) for v in (
+        (rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(3, 9))) if any(v)},
+        key=lambda v: math.atan2(v[1], v[0]))
+    order = rng.sample(range(len(rays)), len(rays))
+    cones = [(order[i], order[(i + 1) % len(rays)]) for i in range(len(rays))]
+    return 2, [rays[order.index(i)] for i in range(len(rays))], rng.sample(cones, len(cones))
+
+
+def catalog_resolution_data():
+    """(rank, rays, cones) of seeded resolutions of every catalog fan."""
+    fans = [catalog.projective_line(), catalog.projective_plane(), catalog.projective_space(3),
+            catalog.p1_times_p1(), catalog.hirzebruch(2), catalog.weighted_p112(),
+            catalog.cube_fan(), catalog.singular_quadric_cone_fan(),
+            catalog.rank3_multiplicity3_fan()]
+    out = []
+    for fan in fans:
+        for rounds in range(4):
+            fine = resolve(fan, rng=random.Random(rounds), extra_rounds=rounds).fine
+            out.append((fine.rank, list(fine.rays), list(fine.maximal_cones)))
+    return out
+
+
 class TestBuildFan:
     def test_weighted_projective_plane(self, p112):
         assert p112.rays == ((1, 0), (0, 1), (-1, -2))
@@ -112,6 +151,16 @@ class TestBuildFan:
         rays = [(1, 0, 0, 0, 0), (-1, 0, 0, 0, 0), (0, 1, 0, 0, 0)]
         with pytest.raises(NotStronglyConvex):
             Fan.build(5, rays, [(0, 1, 2)])
+
+    @pytest.mark.parametrize("name, message", [
+        ("plane", "cones (0, 1) and (2, 3) intersect in a non-face"),
+        ("suspension", "cones (0, 1, 5) and (2, 3, 5) intersect in a non-face"),
+    ])
+    def test_double_cover_is_neither_a_fan_nor_complete(self, name, message):
+        rank, rays, cones = DOUBLE_COVERS[name]
+        with pytest.raises(NotAFan, match=re.escape(message)):
+            Fan.build(rank, rays, cones)
+        assert not Fan.build(rank, rays, cones, validate=False).is_complete()
 
     def test_negative_rank(self):
         with pytest.raises(NotAFan, match="fan rank must be nonnegative, got -1"):
@@ -528,9 +577,13 @@ class TestAgainstOracles:
     def test_validation_matches_smith_enumeration(self, monkeypatch):
         """Validated Fan.build gives the same verdict, the fan or the error
         class and message, whether the pairwise check enumerates its kernels
-        by line_kernel or by the Smith form it used before."""
+        by line_kernel or by the Smith form it used before, and whether
+        complete simplicial fans are accepted from the wall table or only by
+        the pairwise check."""
         rng = random.Random(20261018)
         cases = [random_fan_data(rng) for _ in range(1500)]
+        cases += [random_complete_rank2_data(rng) for _ in range(300)]
+        cases += catalog_resolution_data() + list(DOUBLE_COVERS.values())
 
         def verdicts():
             out = []
@@ -541,14 +594,25 @@ class TestAgainstOracles:
                     out.append((type(exc).__name__, str(exc)))
             return out
 
-        got = verdicts()
-        monkeypatch.setattr(fan_module, "extreme_rays_of_region", extreme_rays_smith)
-        assert got == verdicts()
+        wall_accepts = Fan._wall_accepts
+        accepted = []
+        with monkeypatch.context() as m:
+            m.setattr(Fan, "_wall_accepts", lambda fan: wall_accepts(fan) and not accepted.append(fan))
+            got = verdicts()
+        with monkeypatch.context() as m:
+            m.setattr(fan_module, "extreme_rays_of_region", extreme_rays_smith)
+            assert got == verdicts()
+        with monkeypatch.context() as m:
+            m.setattr(Fan, "_wall_accepts", lambda fan: False)
+            assert got == verdicts()
         valid = [v for v in got if isinstance(v, dict)]
         mixed = [v for v in valid
                  if len({matrix_rank([v["rays"][i] for i in c]) for c in v["max_cones"]}) > 1]
         non_face = [v for v in got if not isinstance(v, dict) and "non-face" in v[1]]
-        assert len(valid) > 300 and len(mixed) > 100 and len(non_face) > 100
+        assert len(valid) > 500 and len(mixed) > 100 and len(non_face) > 100
+        assert len(accepted) > 250 and max(len(f.maximal_cones) for f in accepted) >= 48
+        for rank, rays, cones in DOUBLE_COVERS.values():
+            assert not Fan.build(rank, rays, cones, validate=False)._wall_accepts()
 
     @given(st.integers(0, 99999))
     @settings(max_examples=40)

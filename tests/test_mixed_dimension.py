@@ -7,6 +7,7 @@ that complete fans never exercise.
 
 import pytest
 
+import pexpfan.pexp as pexp_module
 from pexpfan.errors import RankMismatch
 from pexpfan.fan import Fan, star_quotient
 from pexpfan.laurent import LaurentPoly
@@ -41,6 +42,14 @@ class TestMixedDimensionFan:
         report = gkm_validate(mixed_fan, (E((1, 0)), E((1, 0))))
         assert report.ok
         assert report.function.values[1] == E((-1,))
+
+    def test_gkm_takes_the_pairwise_loop(self, mixed_fan, monkeypatch):
+        def refuse(fan, vals):
+            raise AssertionError("an incomplete fan reached the wall check")
+
+        monkeypatch.setattr(pexp_module, "_agree_across_walls", refuse)
+        assert gkm_validate(mixed_fan, (E((1, 0)), E((1, 0)))).ok
+        assert not gkm_validate(mixed_fan, (LaurentPoly.one(2), LaurentPoly.constant(1, 2))).ok
 
     def test_quotient_valued_input(self, mixed_fan):
         report = gkm_validate(mixed_fan, (E((1, 0)), E((-1,))))

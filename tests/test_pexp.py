@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import pexpfan.pexp as pexp_module
 from pexpfan import catalog
 from pexpfan.errors import (
     FanMismatch,
@@ -12,6 +13,7 @@ from pexpfan.errors import (
 )
 from pexpfan.fan import Fan, stellar_subdivision, resolve
 from pexpfan.laurent import LaurentPoly
+from pexpfan.lattice import vec_add
 from pexpfan.pexp import (
     CartierData,
     PiecewiseExponential,
@@ -46,6 +48,34 @@ def p112_classes(fan):
     return [xi, unit, divisor, point]
 
 
+def octahedron_class(cube):
+    """The line bundle class e^{-s e_a} on the cone over the cube face x_a = s."""
+    exps = []
+    for rs in cube.maximal_cones:
+        gens = [cube.rays[i] for i in rs]
+        axis = next(a for a in range(3) if len({g[a] for g in gens}) == 1)
+        exps.append(tuple(-gens[0][axis] if a == axis else 0 for a in range(3)))
+    return from_cartier(cube, CartierData(tuple(exps)))
+
+
+def move_one_exponent(values, rng):
+    """The values with the least term of one cone moved by a nonzero shift in
+    {-1, 0, 1}^rank, the way perfbench corrupts a class (e^shift on a zero)."""
+    bad = list(values)
+    cone = rng.randrange(len(bad))
+    rank = bad[cone].rank
+    shift = (0,) * rank
+    while not any(shift):
+        shift = tuple(rng.randint(-1, 1) for _ in range(rank))
+    if bad[cone].terms:
+        exp, c = bad[cone].terms[0]
+        rest = bad[cone] - E(exp, c)
+    else:
+        exp, c, rest = (0,) * rank, 1, bad[cone]
+    bad[cone] = rest + E(vec_add(exp, shift), c)
+    return bad
+
+
 class TestGkmValidate:
     def test_demo_class_is_valid(self, p112):
         values = (
@@ -73,6 +103,41 @@ class TestGkmValidate:
         assert v.face == (1,)  # the shared ray index
         assert v.restriction_a == LaurentPoly.one(1)
         assert v.restriction_b == E((1,))
+
+    def test_walls_match_the_pairwise_loop(self, p112, cube, monkeypatch):
+        """On resolutions of P(1,1,2) and of the cube, gkm_validate reports
+        the same whether the walls may accept or only the pairwise loop runs:
+        the same function for random classes, and for each class with one
+        exponent moved the same violations in the same order."""
+        rng = random.Random(20261018)
+        octahedron = octahedron_class(cube)
+        cases = []
+        for fan, classes in ((p112, p112_classes(p112)),
+                             (cube, [PiecewiseExponential.constant(cube, 1), octahedron,
+                                     octahedron * octahedron])):
+            for rounds in (0, 2):
+                sub = resolve(fan, rng=random.Random(rounds), extra_rounds=rounds)
+                pulled = [pullback(f, sub) for f in classes]
+                for _ in range(3):
+                    values = random_class(sub.fine, rng, pulled).values
+                    cases += [(sub.fine, values), (sub.fine, move_one_exponent(values, rng))]
+
+        def reports():
+            return [(r.ok, r.function, r.violations)
+                    for r in (gkm_validate(fan, values) for fan, values in cases)]
+
+        agree = pexp_module._agree_across_walls
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(pexp_module, "_agree_across_walls",
+                      lambda fan, vals: seen.append(agree(fan, vals)) or seen[-1])
+            got = reports()
+        with monkeypatch.context() as m:
+            m.setattr(pexp_module, "_agree_across_walls", lambda fan, vals: False)
+            assert got == reports()
+        assert seen == [True, False] * (len(cases) // 2)
+        assert [ok for ok, _, _ in got] == seen
+        assert max(len(fan.maximal_cones) for fan, _ in cases) >= 48
 
     def test_wrong_value_count(self, p112):
         with pytest.raises(RankMismatch):

@@ -34,3 +34,29 @@ def test_sign_convention_passes_for_plus_one():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert any(line.startswith("epsilon=+1:") and line.endswith("PASS") for line in lines)
+
+
+def test_bench_pairs_refuses_a_checkout_with_bytecode_under_src(tmp_path):
+    checkout = tmp_path / "checkout"
+    (checkout / "src" / "pkg").mkdir(parents=True)
+    (checkout / "src" / "pkg" / "__init__.py").write_text("")
+    (checkout / "perfbench").mkdir()
+    marker = tmp_path / "perfbench-started"
+    (checkout / "perfbench" / "run.py").write_text(
+        f"open({str(marker)!r}, 'w').close()\n")
+    (checkout / ".gitignore").write_text("__pycache__/\n")
+    git = ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.invalid"]
+    subprocess.run(git + ["init", "-q"], cwd=checkout, check=True)
+    subprocess.run(git + ["add", "-A"], cwd=checkout, check=True)
+    subprocess.run(git + ["commit", "-qm", "checkout"], cwd=checkout, check=True)
+    (checkout / "src" / "pkg" / "__pycache__").mkdir()
+    (checkout / "src" / "pkg" / "__pycache__" / "__init__.cpython.pyc").write_bytes(b"")
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "bench_pairs.py"), str(checkout), str(checkout),
+         "--workload", "cli", "--pairs", "1", "--out", str(out)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "src/pkg/__pycache__/" in proc.stderr
+    assert not marker.exists() and not out.exists()
