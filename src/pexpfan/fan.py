@@ -378,8 +378,8 @@ class Fan:
         for cone i where given, else ``Cone.from_generators`` on its rays.
 
         A kept cone must be the object ``from_generators`` builds from the
-        same rays; ``stellar_subdivision`` passes the coarse fan's object of
-        each cone it emits unchanged.
+        same rays; the refinement behind ``stellar_subdivision`` and
+        ``resolve`` passes the object of every cone it holds.
         """
         objs = tuple(
             kept[i] if i in kept else Cone.from_generators(self.rank, tuple(self.rays[j] for j in c))
@@ -652,13 +652,110 @@ class SubdivisionMap:
         return sub
 
 
-def compose_subdivisions(finer: SubdivisionMap, coarser: SubdivisionMap) -> SubdivisionMap:
-    """Compose fine -> mid -> coarse refinements (maximal cones keep dimension,
-    so the assigned cone is still the minimal one containing each fine cone)."""
-    if finer.coarse != coarser.fine:
-        raise ValueError("subdivision maps do not compose")
-    assignment = tuple(coarser.assignment[i] for i in finer.assignment)
-    return SubdivisionMap(finer.fine, coarser.coarse, assignment)
+class _Refinement:
+    """A fan under stellar steps, changed in place: ``resolve`` runs every
+    step on one, and ``stellar_subdivision`` is one step of one.
+
+    Each maximal cone has an id.  ``order`` lists the ids in fan order, and
+    ``cones`` maps an id to (ray set, ``Cone``, generator rays, source): the
+    generator rays are the ray index of each generator of the cone object,
+    and the source is the maximal cone of the coarse fan that holds the cone.
+    ``incidence`` maps each ray index to the ids of the cones whose ray sets
+    contain it.  A step appends its ray if it is new, so every ray keeps its
+    index, and replaces only the cones that hold the ray; every other cone
+    keeps its entry, and so its cached span, facets and adjugate.  The fine
+    fan is built once, by ``subdivision``.
+    """
+
+    def __init__(self, fan: Fan):
+        self.coarse = fan
+        self.rays = list(fan.rays)
+        self.ray_index = dict(fan._ray_index)
+        self.order = list(range(len(fan.maximal_cones)))
+        self.cones = {
+            i: (rs, cone, gen_rays, i)
+            for i, (rs, cone, gen_rays) in enumerate(
+                zip(fan.maximal_cones, fan.cone_objects, fan._generator_rays))
+        }
+        self.incidence: dict[int, set[int]] = {}
+        for i, rs in enumerate(fan.maximal_cones):
+            for r in rs:
+                self.incidence.setdefault(r, set()).add(i)
+        self._ids = itertools.count(len(self.order))
+        self.stepped = False
+
+    def face_of(self, sigma: int, ray: Vector) -> RaySet:
+        """The smallest face of the simplicial cone ``sigma`` holding ``ray``:
+        the generators with nonzero coefficients adj @ x / det at the ray."""
+        _, cone, gen_rays, _ = self.cones[sigma]
+        det, adj = cone._adjugate
+        coeffs = mat_vec(adj, mat_vec(cone._span[1], ray))
+        if any(pair(a, ray) for a in cone._span[2]) or any(det * c < 0 for c in coeffs):
+            raise ResolutionCheckFailed(f"{ray} does not lie in the cone it subdivides")
+        return tuple(sorted(gen_rays[i] for i, c in enumerate(coeffs) if c))
+
+    def star(self, face: RaySet) -> set[int]:
+        """The ids of the cones whose ray sets contain ``face``."""
+        return set.intersection(*(self.incidence[r] for r in face))
+
+    def step(self, ray: Vector, holding) -> tuple[list[int], list[int]] | None:
+        """Replace each cone of ``holding``, the ids of the cones that hold the
+        ray, by the joins of the ray with its facets that miss it.  Returns
+        the removed and the new ids, or None when no cone changes."""
+        new_idx = self.ray_index.get(ray, len(self.rays))
+        places = sorted((self.order.index(k), k) for k in holding)
+        seen: set[RaySet] = set()
+        pieces = []
+        for _, k in places:
+            _, cone, gen_rays, _ = self.cones[k]
+            out = []
+            for normal, contact in cone.facets:
+                # the ray lies in the cone, so it lies on this facet iff it pairs to 0
+                if pair(normal, ray) == 0:
+                    continue
+                piece = tuple(sorted({gen_rays[t] for t in contact} | {new_idx}))
+                if piece in seen:
+                    raise ResolutionCheckFailed(f"ambiguous subdivision piece {piece}")
+                seen.add(piece)
+                out.append(piece)
+            pieces.append(out)
+        if new_idx < len(self.rays) and all(
+                out == [self.cones[k][0]] for (_, k), out in zip(places, pieces)):
+            return None
+        if new_idx == len(self.rays):
+            self.rays.append(ray)
+            self.ray_index[ray] = new_idx
+        removed, added = [], []
+        # back to front, so that the places still to replace do not move
+        for (place, k), out in zip(reversed(places), reversed(pieces)):
+            rs, _, _, source = self.cones.pop(k)
+            for r in rs:
+                self.incidence[r].discard(k)
+            ids = []
+            for piece in out:
+                cone = Cone.from_generators(self.coarse.rank, tuple(self.rays[j] for j in piece))
+                i = next(self._ids)
+                self.cones[i] = (piece, cone, tuple(self.ray_index[g] for g in cone.generators), source)
+                for r in piece:
+                    self.incidence.setdefault(r, set()).add(i)
+                ids.append(i)
+            self.order[place:place + 1] = ids
+            removed.append(k)
+            added.extend(ids)
+        self.stepped = True
+        return removed, added
+
+    def subdivision(self) -> SubdivisionMap:
+        """The map from the fine fan, built here, to the coarse fan; the
+        identity map on the coarse fan itself when no step changed it."""
+        if not self.stepped:
+            return SubdivisionMap.identity(self.coarse)
+        entries = [self.cones[k] for k in self.order]
+        # a stellar refinement of a fan is a fan; skip revalidation
+        fine = Fan.build(self.coarse.rank, tuple(self.rays), tuple(e[0] for e in entries),
+                         validate=False)
+        fine._seed_cone_objects({i: e[1] for i, e in enumerate(entries)})
+        return SubdivisionMap(fine, self.coarse, tuple(e[3] for e in entries))
 
 
 def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
@@ -666,58 +763,24 @@ def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
     the joins of the ray with its facets not containing it.
 
     The fine fan keeps the coarse rays in their order and appends the ray if
-    it is new, so a maximal cone not containing the ray is emitted with the
-    same ray indices, hence the same generators.  Cones are immutable, so the
-    fine fan carries the coarse ``Cone`` object of each such cone, with its
-    cached span, facets and adjugate; only the new pieces are built.
+    it is new; each cone missing the ray keeps its place, its ray indices
+    and its ``Cone`` object, and only the new pieces are built.  No old ray
+    is lost: the facets through an extreme ray r other than the ray meet in
+    r, so one of them misses the ray.  A ray that changes no cone gives the
+    identity map.  This is one step of the refinement ``resolve`` runs, with
+    the cones holding an arbitrary ray found by a ``Cone.contains`` scan.
     """
     ray = tuple(ray)
     if not any(ray):
         raise NonPrimitiveRay("cannot subdivide at the zero vector")
     if not is_primitive(ray):
         raise NonPrimitiveRay(f"{ray} is not primitive")
-    containing = {i for i, c in enumerate(fan.cone_objects) if c.contains(ray)}
-    if not containing:
+    holding = {i for i, c in enumerate(fan.cone_objects) if c.contains(ray)}
+    if not holding:
         raise RayOutsideSupport(f"{ray} lies outside the support of the fan")
-
-    rays = list(fan.rays)
-    if ray in fan._ray_index:
-        new_idx = fan._ray_index[ray]
-    else:
-        new_idx = len(rays)
-        rays.append(ray)
-
-    new_cones: list[RaySet] = []
-    assignment: list[int] = []
-    seen: dict[RaySet, int] = {}
-    kept: dict[int, Cone] = {}  # fine index -> coarse cone object carried over
-
-    def emit(rayset: RaySet, source: int, cone: Cone | None = None):
-        if rayset in seen:
-            if assignment[seen[rayset]] != source:
-                raise ResolutionCheckFailed(f"ambiguous subdivision piece {rayset}")
-            return
-        if cone is not None:
-            kept[len(new_cones)] = cone
-        seen[rayset] = len(new_cones)
-        new_cones.append(rayset)
-        assignment.append(source)
-
-    for i, rayset in enumerate(fan.maximal_cones):
-        if i not in containing:
-            emit(rayset, i, fan.cone_objects[i])
-            continue
-        for normal, contact in fan.cone_objects[i].facets:
-            # the ray lies in the cone, so it lies on this facet iff it pairs to 0
-            if pair(normal, ray) == 0:
-                continue
-            emit(tuple(sorted({fan._generator_rays[i][t] for t in contact} | {new_idx})), i)
-
-    # no old ray is lost: the facets through an extreme ray r != ray meet in r,
-    # so one misses ray.  A stellar refinement is a fan; skip revalidation.
-    fine = Fan.build(fan.rank, tuple(rays), tuple(new_cones), validate=False)
-    fine._seed_cone_objects(kept)
-    return SubdivisionMap(fine, fan, tuple(assignment))
+    refinement = _Refinement(fan)
+    refinement.step(ray, holding)
+    return refinement.subdivision()
 
 
 # -- resolution -----------------------------------------------------------------------
@@ -730,25 +793,27 @@ def _box_points(cone: Cone) -> list[tuple[int, Vector]]:
     With G the local generators as columns, the point x = G r / mult has
     coefficients r / mult, and r = sign(det) * adj @ x mod mult.  So the points
     are the group (Span & N) / sum Z g_i, the residues in (Z/mult)^d generated
-    by the columns of sign(det) * adj, closed from 0 in exactly mult steps."""
+    by the columns of sign(det) * adj: exactly mult residues, each built once.
+    Each residue r maps to the ambient point sum r_i g_i / mult in one pass
+    through the ambient generators."""
     d = cone.dim
     det, adj = cone._adjugate
     sign, mult = (1 if det > 0 else -1), abs(det)
-    steps = [tuple(sign * adj[i][j] % mult for i in range(d)) for j in range(d)]
-    residues = {(0,) * d}
-    frontier = [(0,) * d]
-    while frontier:
-        r = frontier.pop()
-        for step in steps:
-            t = tuple((a + b) % mult for a, b in zip(r, step))
-            if t not in residues:
-                residues.add(t)
-                frontier.append(t)
-    g, basis = transpose(cone.local_generators), transpose(cone.span_basis)
-    out = [
-        (sum(r), mat_vec(basis, tuple(c // mult for c in mat_vec(g, r))))
-        for r in residues if any(r)
-    ]
+    residues = [(0,) * d]
+    seen = set(residues)
+    for j in range(d):
+        # with H the residues so far and s the next column, H + Z s is the
+        # disjoint union of the cosets H + k s, 0 <= k < (order of s mod H)
+        s = tuple(sign * adj[i][j] % mult for i in range(d))
+        multiples, t = [], s
+        while t not in seen:
+            multiples.append(t)
+            t = tuple((a + b) % mult for a, b in zip(t, s))
+        grown = [tuple((a + b) % mult for a, b in zip(h, t)) for t in multiples for h in residues]
+        residues += grown
+        seen.update(grown)
+    g = transpose(cone.generators)
+    out = [(sum(r), tuple(x // mult for x in mat_vec(g, r))) for r in residues if any(r)]
     out.sort()
     return out
 
@@ -764,7 +829,8 @@ def resolve(
     rng: random.Random | None = None,
     extra_rounds: int = 0,
 ) -> SubdivisionMap:
-    """Refine until every maximal cone is smooth; returns the composed map.
+    """Refine the fan ``fan`` until every maximal cone is smooth; returns the
+    map from the fine fan to ``fan``.
 
     First makes every cone simplicial by stellar subdivisions at existing
     rays, then repeatedly subdivides a singular cone at a parallelepiped
@@ -773,83 +839,100 @@ def resolve(
     singular cone and the tie-breaks, and ``extra_rounds`` appends smooth
     refinements, both of which produce alternative valid resolutions.
 
+    Every step runs on one ``_Refinement``, and finds the cones holding its
+    ray without a scan, because the input is a fan.  The ray x lies in a
+    known cone sigma: it is a ray of the fan, or a point of the simplicial
+    cone chosen for the step.  Let tau be the smallest face of sigma holding
+    x (the ray itself, or the generators of sigma with nonzero coefficients
+    at x), so x is in the relative interior of tau.  If a cone sigma' holds
+    x, then sigma & sigma' is a face of sigma holding a relative interior
+    point of tau, so it contains tau; tau is then a face of sigma & sigma',
+    which is a face of sigma', and the rays of tau are rays of sigma'.
+    Conversely a cone with the rays of tau holds tau and x.  So the cones
+    holding x are those whose ray sets contain tau.
+
     Every singular subdivision step must strictly lower the total excess
     multiplicity, and every extra round must keep the fan smooth; otherwise
-    ``ResolutionCheckFailed`` is raised.
+    ``ResolutionCheckFailed`` is raised.  Both are read from the cones a
+    step removes and the pieces it adds.
     """
     if extra_rounds < 0:
         raise ValueError(f"extra_rounds must be nonnegative, got {extra_rounds}")
-    current = SubdivisionMap.identity(fan)
+    ref = _Refinement(fan)
+    cones = ref.cones
 
     # phase 1: simplicialize by pulling existing rays
+    nonsimplicial = {k for k in ref.order if not cones[k][1].is_simplicial}
     guard = 0
-    while any(not c.is_simplicial for c in current.fine.cone_objects):
+    while nonsimplicial:
         guard += 1
         if guard > 1000:
             raise ResolutionCheckFailed("simplicialization did not terminate")
-        f = current.fine
-        candidates = sorted(
-            {f.rays[i]
-             for idx, c in enumerate(f.maximal_cones)
-             if not f.cone_objects[idx].is_simplicial
-             for i in c}
-        )
+        candidates = sorted({ref.rays[i] for k in nonsimplicial for i in cones[k][0]})
         ray = rng.choice(candidates) if rng else candidates[0]
         # pulling the apex of a pyramid changes nothing (its one facet missing
         # the apex is the base); then the other candidates are tried in order
         for ray in dict.fromkeys((ray, *candidates)):
-            step = stellar_subdivision(f, ray)
-            if step.fine != f:
+            change = ref.step(ray, ref.star((ref.ray_index[ray],)))
+            if change:
                 break
         else:
             raise ResolutionCheckFailed("no subdividing ray found")
-        current = compose_subdivisions(step, current)
+        removed, added = change
+        nonsimplicial.difference_update(removed)
+        nonsimplicial.update(k for k in added if not cones[k][1].is_simplicial)
 
     # phase 2: subdivide singular cones at parallelepiped points
+    mult = ((k, cones[k][1].multiplicity()) for k in ref.order)
+    singular = {k: m for k, m in mult if m > 1}
+    excess = sum(m - 1 for m in singular.values())
     guard = 0
-    while True:
-        f = current.fine
-        singular = [
-            (i, m) for i, m in enumerate(c.multiplicity() for c in f.cone_objects) if m > 1
-        ]
-        if not singular:
-            break
+    while singular:
         guard += 1
         if guard > 10000:
             raise ResolutionCheckFailed("resolution did not terminate")
         if rng:
-            idx = rng.choice([i for i, _ in singular])
+            idx = rng.choice(sorted(singular, key=ref.order.index))
         else:
-            top = max(m for _, m in singular)
-            idx = min(i for i, m in singular if m == top)
-        box = _box_points(f.cone_objects[idx])
+            top = max(singular.values())
+            idx = min((k for k, m in singular.items() if m == top), key=ref.order.index)
+        box = _box_points(cones[idx][1])
         if not box:
-            raise ResolutionCheckFailed(f"singular cone {idx} has no parallelepiped points")
+            raise ResolutionCheckFailed(
+                f"singular cone {ref.order.index(idx)} has no parallelepiped points")
         best = box[0][0]
         minimal = [p for s, p in box if s == best]
         point = rng.choice(minimal) if rng else minimal[0]
-        before = sum(m - 1 for _, m in singular)
-        step = stellar_subdivision(f, primitive_vector(point))
-        after = total_excess_multiplicity(step.fine)
-        if after >= before:
+        ray = primitive_vector(point)
+        before = excess
+        change = ref.step(ray, ref.star(ref.face_of(idx, ray)))
+        if change:
+            removed, added = change
+            for k in removed:
+                excess -= singular.pop(k, 1) - 1
+            for k in added:
+                m = cones[k][1].multiplicity()
+                if m > 1:
+                    singular[k] = m
+                    excess += m - 1
+        if excess >= before:
             raise ResolutionCheckFailed(
-                f"total excess multiplicity did not drop: {before} -> {after}"
+                f"total excess multiplicity did not drop: {before} -> {excess}"
             )
-        current = compose_subdivisions(step, current)
 
     # optional smooth refinements, for resolution-independence experiments
     for _ in range(extra_rounds):
-        f = current.fine
-        src = rng.randrange(len(f.maximal_cones)) if rng else 0
-        cone = f.cone_objects[src]
+        src = ref.order[rng.randrange(len(ref.order)) if rng else 0]
+        cone = cones[src][1]
         if cone.dim < 2:
             continue
         pairs = list(itertools.combinations(range(len(cone.generators)), 2))
         a, b = rng.choice(pairs) if rng else pairs[0]
         ray = primitive_vector(vec_add(cone.generators[a], cone.generators[b]))
-        step = stellar_subdivision(f, ray)
-        current = compose_subdivisions(step, current)
-        if not current.fine.is_smooth():
+        change = ref.step(ray, ref.star(ref.face_of(src, ray)))
+        # the fan was smooth before the round, so only the new pieces can be singular
+        if change and not all(
+                cones[k][1].is_simplicial and cones[k][1].multiplicity() == 1 for k in change[1]):
             raise ResolutionCheckFailed(f"refining at {ray} left a singular cone")
 
-    return current
+    return ref.subdivision()

@@ -191,6 +191,31 @@ def poly_from_json(obj: dict) -> LaurentPoly:
 # -- exact division ---------------------------------------------------------
 
 
+def _lines(f: LaurentPoly, w: Vector) -> dict[Vector, list[tuple[int, int]]]:
+    """The terms c * e^(base + k*w) of f as (k, c), per line e + Z*w named by
+    its point base = e - floor(e_i / w_i) * w, with i the first nonzero
+    coordinate of the nonzero character w."""
+    i = next(j for j, x in enumerate(w) if x)
+    lines: dict[Vector, list[tuple[int, int]]] = {}
+    for exp, c in f.terms:
+        k = exp[i] // w[i]
+        base = tuple(a - k * b for a, b in zip(exp, w))
+        lines.setdefault(base, []).append((k, c))
+    return lines
+
+
+def koszul_divides(f: LaurentPoly, w: Vector) -> bool:
+    """Whether (1 - e^w) divides f: whether the coefficients of f on every
+    line e + Z*w sum to zero (see ``divide_exact``), with no quotient built.
+
+    For a primitive w, (1 - e^w) is the kernel of Z[M] -> Z[M / Z*w], so this
+    decides whether two values agree on a wall with normal w."""
+    w = tuple(w)
+    if not any(w):
+        raise ZeroCharacter("cannot divide by 1 - e^0 = 0")
+    return not any(sum(c for _, c in line) for line in _lines(f, w).values())
+
+
 def divide_exact(f: LaurentPoly, w: Vector) -> LaurentPoly:
     """Return g with f = (1 - e^w) * g, exactly.
 
@@ -211,12 +236,7 @@ def divide_exact(f: LaurentPoly, w: Vector) -> LaurentPoly:
         return f
     if f.augment():
         raise NotDivisible(f"remainder left when dividing by 1 - e^{w}")
-    i = next(j for j, x in enumerate(w) if x)
-    lines: dict[Vector, list[tuple[int, int]]] = {}
-    for exp, c in f.terms:
-        k = exp[i] // w[i]
-        base = tuple(a - k * b for a, b in zip(exp, w))
-        lines.setdefault(base, []).append((k, c))
+    lines = _lines(f, w)
     if any(sum(c for _, c in line) for line in lines.values()):
         raise NotDivisible(f"remainder left when dividing by 1 - e^{w}")
 

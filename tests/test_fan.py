@@ -392,7 +392,7 @@ class TestStellarSubdivision:
 class TestResolve:
     def test_smooth_is_identity(self, p2):
         sub = resolve(p2)
-        assert sub.fine == p2
+        assert sub.fine is p2 and sub.coarse is p2
         assert sub.assignment == tuple(range(3))
 
     def test_weighted_plane(self, p112):
@@ -487,33 +487,74 @@ class TestResolve:
         assert {tuple(sorted(fine.rays[i] for i in c)) for c in fine.maximal_cones} == {
             ((1, k), (1, k + 1)) for k in range(n)}
 
+    def test_an_a_cone_resolves_without_scans_into_one_fan(self, monkeypatch):
+        """Resolving <(1,0),(1,N)> finds the cones holding each new ray from
+        the incidence map, with at most 2N Cone.contains calls where a scan
+        per step made N(N-1)/2, and builds one fan, the fine one."""
+        n = 200
+        fan = Fan.build(2, [(1, 0), (1, n)], [(0, 1)])
+        contains, build, calls = Cone.contains, Fan.build, []
+        monkeypatch.setattr(Cone, "contains",
+                            lambda cone, v: calls.append("contains") or contains(cone, v))
+        monkeypatch.setattr(Fan, "build",
+                            staticmethod(lambda *a, **k: calls.append("build") or build(*a, **k)))
+        resolve(fan)
+        assert calls.count("contains") <= 2 * n and calls.count("build") == 1
+
+    def test_extra_rounds_build_one_fine_fan(self, cube, monkeypatch):
+        build, calls = Fan.build, []
+        monkeypatch.setattr(Fan, "build",
+                            staticmethod(lambda *a, **k: calls.append(a) or build(*a, **k)))
+        sub = resolve(cube, rng=random.Random(5), extra_rounds=40)
+        assert len(calls) == 1 and len(sub.fine.maximal_cones) == 128
+
+    def test_ambiguous_piece_is_a_check_failure(self):
+        # both overlapping cones hold (2, 1), and both give the piece <(1,0),(2,1)>
+        fan = Fan.build(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)], validate=False)
+        with pytest.raises(ResolutionCheckFailed, match=r"ambiguous subdivision piece \(0, 3\)"):
+            stellar_subdivision(fan, (2, 1))
+
+    def test_a_singular_extra_round_is_a_check_failure(self, p2, monkeypatch):
+        # refining at 2 g_a + g_b in place of g_a + g_b leaves a piece of multiplicity 2
+        monkeypatch.setattr(fan_module, "vec_add",
+                            lambda u, v: tuple(2 * x + y for x, y in zip(u, v)))
+        with pytest.raises(ResolutionCheckFailed, match="left a singular cone"):
+            resolve(p2, extra_rounds=1)
+
+    def test_a_point_outside_the_chosen_cone_is_a_check_failure(self, p112, monkeypatch):
+        monkeypatch.setattr(fan_module, "_box_points",
+                            lambda cone: [(1, tuple(-x for x in cone.generators[0]))])
+        with pytest.raises(ResolutionCheckFailed, match="does not lie in the cone it subdivides"):
+            resolve(p112)
+
     def test_steps_carry_unchanged_cones_and_match_the_replaced_path(self, monkeypatch):
-        """Every stellar step hands each coarse cone that misses the new ray
-        to the fine fan as the same object, on the same rays, and builds every
-        other cone as Cone.from_generators does; every resolved fan's cone
-        objects equal fresh ones.  The serialized resolutions equal those of
-        the path that rebuilt every cone per step, pinned by their digest."""
-        step_through = fan_module.stellar_subdivision
+        """At every step of a resolution the cones found to hold the new ray,
+        from the incidence map, are those a Cone.contains scan over the
+        current cones finds; every cone the step leaves is the same object,
+        and every new piece equals a fresh Cone.from_generators.  Every
+        resolved fan's cone objects equal fresh ones, and the serialized
+        resolutions equal those of the path that rebuilt every cone per step
+        and scanned for the cones holding each ray, pinned by their digest."""
+        step_through = fan_module._Refinement.step
         steps = []
 
-        def checked(coarse, ray):
-            sub = step_through(coarse, ray)
-            fine, kept = sub.fine, 0
-            assert fine.rays[:len(coarse.rays)] == coarse.rays
-            misses = {j for j, c in enumerate(coarse.cone_objects) if not c.contains(ray)}
-            for i, (rs, j) in enumerate(zip(fine.maximal_cones, sub.assignment)):
-                if j in misses:
-                    assert rs == coarse.maximal_cones[j]
-                    assert fine.cone_objects[i] is coarse.cone_objects[j]
-                    kept += 1
-                else:
-                    fresh = Cone.from_generators(fine.rank, [fine.rays[k] for k in rs])
-                    assert fine.cone_objects[i] == fresh
-            assert kept == len(misses)
-            steps.append(kept)
-            return sub
+        def checked(ref, ray, holding):
+            holding = set(holding)
+            assert holding == {k for k in ref.order if ref.cones[k][1].contains(ray)}
+            before = {k: ref.cones[k][1] for k in ref.order}
+            change = step_through(ref, ray, holding)
+            removed, added = change or ((), ())
+            assert set(removed) == (holding if change else set())
+            for k, cone in before.items():
+                if k not in holding:
+                    assert ref.cones[k][1] is cone
+            for k in added:
+                rs, cone = ref.cones[k][:2]
+                assert cone == Cone.from_generators(len(ray), [ref.rays[j] for j in rs])
+            steps.append(ray)
+            return change
 
-        monkeypatch.setattr(fan_module, "stellar_subdivision", checked)
+        monkeypatch.setattr(fan_module._Refinement, "step", checked)
         pyramid = Fan.build(4, [(-5, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0),
                                 (0, -1, 1, 0)], [(0, 1, 2, 3, 4)])
         cases = [(Fan.build(2, [(1, 0), (1, n)], [(0, 1)]), None, 0) for n in range(2, 91)]
@@ -532,7 +573,7 @@ class TestResolve:
                 fresh = Cone.from_generators(fine.rank, [fine.rays[k] for k in rs])
                 assert (cone, cone.multiplicity()) == (fresh, fresh.multiplicity())
             docs.append(sub.to_json())
-        assert len(cases) == 173 and sum(steps) > 100_000
+        assert len(cases) == 173 and len(steps) > 5000
         digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
         assert digest == "4d5d87c999e55fb90ae4fdf56b8b220de63c486029e14a9994d1b098f1760701"
 

@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -138,6 +139,42 @@ class TestGkmValidate:
         assert seen == [True, False] * (len(cases) // 2)
         assert [ok for ok, _, _ in got] == seen
         assert max(len(fan.maximal_cones) for fan, _ in cases) >= 48
+
+    def test_wall_congruence_matches_restriction(self, p112, cube):
+        """On every wall of resolutions of P(1,1,2) and of the cube, the
+        congruence mod (1 - e^u) of ``_agree_across_walls`` holds for two
+        seeded random values exactly when their restrictions through the
+        wall's quotient lattice are equal.  One value is the other moved by
+        terms c * (e^v - e^(v + w)), with w a multiple of the normal u or a
+        random character."""
+        rng = random.Random(20261018)
+        verdicts = []
+        for fan in (p112, cube):
+            for rounds in (0, 2):
+                fine = resolve(fan, rng=random.Random(rounds), extra_rounds=rounds).fine
+                zero = LaurentPoly.zero(fine.rank)
+                for wall, entries in fine.walls.items():
+                    (i, u), (j, _) = entries
+                    a = LaurentPoly.from_dict(fine.rank, {
+                        tuple(rng.randint(-2, 2) for _ in u): rng.randint(-3, 3) for _ in range(3)})
+                    b = a
+                    for _ in range(rng.randint(1, 2)):
+                        v = tuple(rng.randint(-2, 2) for _ in u)
+                        if rng.random() < 0.6:
+                            k = rng.randint(-2, 2)
+                            w = tuple(k * x for x in u)
+                        else:
+                            w = tuple(rng.randint(-1, 1) for _ in u)
+                        c = rng.randint(1, 3)
+                        b = b + E(v, c) - E(vec_add(v, w), c)
+                    vals = [zero] * len(fine.maximal_cones)
+                    vals[i], vals[j] = a, b
+                    want = (pexp_module._restriction(fine, vals, i, wall)
+                            == pexp_module._restriction(fine, vals, j, wall))
+                    one_wall = SimpleNamespace(walls={wall: entries})
+                    assert pexp_module._agree_across_walls(one_wall, vals) == want, (wall, a, b)
+                    verdicts.append(want)
+        assert verdicts.count(True) > 50 and verdicts.count(False) > 50
 
     def test_wrong_value_count(self, p112):
         with pytest.raises(RankMismatch):
