@@ -3,11 +3,9 @@ on a rational fan, with GKM validation, equivariant Euler characteristics by
 fixed-point localization, Kronecker duality pairings, and basis solvers."""
 
 from .fan import Cone, Fan, SubdivisionMap, resolve, star_quotient, stellar_subdivision
-from .lattice import QuotientLattice, dual_basis, primitive_vector, smith_normal_form
-from .laurent import LaurentPoly, LocalizationSum, divide_exact, exact_div, reduce_localization
+from .lattice import QuotientLattice, primitive_vector, smith_normal_form
+from .laurent import LaurentPoly, LocalizationSum, divide_exact, reduce_localization
 from .ktheory import (
-    EPSILON,
-    FixedPointData,
     PairingMatrix,
     chi,
     decompose,
@@ -31,10 +29,9 @@ from .pexp import (
 
 __all__ = [
     "Cone", "Fan", "SubdivisionMap", "resolve", "star_quotient",
-    "stellar_subdivision", "QuotientLattice", "dual_basis",
-    "primitive_vector", "smith_normal_form", "LaurentPoly",
-    "LocalizationSum", "divide_exact", "exact_div", "reduce_localization",
-    "EPSILON", "FixedPointData", "PairingMatrix", "chi", "decompose",
+    "stellar_subdivision", "QuotientLattice", "primitive_vector",
+    "smith_normal_form", "LaurentPoly", "LocalizationSum", "divide_exact",
+    "reduce_localization", "PairingMatrix", "chi", "decompose",
     "dual_basis_solve", "euler_characteristic", "gram_matrix", "kronecker_pair",
     "orbit_closure_class", "tangent_weights", "CartierData", "GkmReport",
     "GkmViolation", "PiecewiseExponential", "descend", "from_cartier",

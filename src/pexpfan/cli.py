@@ -162,7 +162,7 @@ def _cmd_restrict(args) -> dict:
 def _cmd_chi(args) -> dict:
     fan = _load_fan(args.fan)
     f = _load_pexp(args.pexp, fan)
-    value = chi(fan, f, epsilon=args.epsilon)
+    value = chi(fan, f)
     return {"status": "ok", "result": poly_to_json(value), "_poly": value}
 
 
@@ -170,7 +170,7 @@ def _cmd_pair(args) -> dict:
     fan = _load_fan(args.fan)
     f = _load_pexp(args.pexp, fan)
     rayset = _parse_cone(fan, json.loads(args.cone))
-    value = kronecker_pair(fan, f, rayset, epsilon=args.epsilon)
+    value = kronecker_pair(fan, f, rayset)
     return {"status": "ok", "result": poly_to_json(value), "_poly": value}
 
 
@@ -178,7 +178,7 @@ def _cmd_gram(args) -> dict:
     fan = _load_fan(args.fan)
     fns = _load_pexp_list(args.functions, fan)
     raysets = _load_cones(fan, args.cones)
-    matrix = gram_matrix(fan, fns, raysets, epsilon=args.epsilon)
+    matrix = gram_matrix(fan, fns, raysets)
     return {"status": "ok", "result": matrix.to_json(), "_matrix": matrix}
 
 
@@ -198,7 +198,7 @@ def _cmd_dual_basis(args) -> dict:
     fan = _load_fan(args.fan)
     spanning = _load_pexp_list(args.spanning, fan)
     raysets = _load_cones(fan, args.cones)
-    duals = dual_basis_solve(fan, raysets, spanning, epsilon=args.epsilon)
+    duals = dual_basis_solve(fan, raysets, spanning)
     return {
         "status": "ok",
         "result": {"functions": [pexp_to_json(g) for g in duals]},
@@ -265,16 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fan")
     p.add_argument("--pexp", required=True)
     add("restrict", _cmd_restrict, "--fan", "--pexp", "--cone")
-    signed = [
-        add("chi", _cmd_chi, "--fan", "--pexp"),
-        add("pair", _cmd_pair, "--fan", "--pexp", "--cone"),
-        add("gram", _cmd_gram, "--fan", "--functions", "--cones"),
-    ]
+    add("chi", _cmd_chi, "--fan", "--pexp")
+    add("pair", _cmd_pair, "--fan", "--pexp", "--cone")
+    add("gram", _cmd_gram, "--fan", "--functions", "--cones")
     add("decompose", _cmd_decompose, "--fan", "--pexp", "--basis")
-    signed.append(add("dual-basis", _cmd_dual_basis, "--fan", "--spanning", "--cones"))
+    add("dual-basis", _cmd_dual_basis, "--fan", "--spanning", "--cones")
     add("descend", _cmd_descend, "--map", "--pexp")
-    for p in signed:
-        p.add_argument("--epsilon", type=int, choices=(1, -1), default=1)
     return parser
 
 

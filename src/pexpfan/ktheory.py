@@ -7,14 +7,14 @@ structure sheaf (and each orbit-closure sheaf, via its strict transform)
 pushes forward identically.  That bridge is a standard toric fact used here
 without reproof.
 
-The one free sign in the localization formula is pinned by ``EPSILON``:
-with EPSILON = +1 the weights attached to a fixed point are exactly the dual
-basis of the cone's primitive generators, the trivial class has Euler
-characteristic 1, and a line-bundle class with local data m has Euler
-characteristic equal to the sum of e^m over the lattice points of its
-polytope.  The opposite choice fails the lattice-point normalization (it
-produces the mirrored support), which is how the constant was determined;
-``scripts/determine_sign_convention.py`` replays the experiment.
+The sign of the localization formula is fixed: the weights attached to a
+fixed point are exactly the dual basis of the cone's primitive generators.
+With this sign the trivial class has Euler characteristic 1 and a
+line-bundle class with local data m has Euler characteristic equal to the
+sum of e^m over the lattice points of its polytope; the opposite sign fails
+that normalization (it produces the mirrored support), which is how the sign
+was determined.  ``scripts/determine_sign_convention.py`` replays the
+experiment with both candidate weight sets.
 """
 
 from __future__ import annotations
@@ -36,43 +36,24 @@ from .errors import (
     SingularGram,
 )
 from .fan import Cone, Fan, RaySet, SubdivisionMap, resolve
-from .lattice import Vector, adjugate, dual_basis, vec_scale
+from .lattice import Vector, adjugate, mat_mul, vec_scale
 from .laurent import LaurentPoly, LocalizationSum, try_div
 from .pexp import PiecewiseExponential, pullback
 
-EPSILON = 1  # global sign convention for tangent weights; see module docstring
 
-
-def tangent_weights(cone: Cone, epsilon: int = EPSILON) -> tuple[Vector, ...]:
+def tangent_weights(cone: Cone) -> tuple[Vector, ...]:
     """Weights at the fixed point of a smooth full-dimensional cone: the dual
-    basis of the primitive generators, times the sign convention."""
+    basis of its primitive generators, in generator order.
+
+    With P the span projection (unimodular here) and G = P @ generators, the
+    dual basis is the rows of G^-1 @ P = det * adj(G) @ P, as det = +-1.
+    """
     if cone.dim != cone.rank:
         raise NotFullDimensional("tangent weights need a full-dimensional cone")
     if not cone.is_simplicial or cone.multiplicity() != 1:
         raise NotSmooth(f"cone on {cone.generators} has multiplicity != 1")
-    if epsilon not in (1, -1):
-        raise ValueError(f"epsilon must be 1 or -1, got {epsilon!r}")
-    duals = dual_basis(cone.generators)
-    if epsilon == 1:
-        return duals
-    return tuple(vec_scale(-1, u) for u in duals)
-
-
-@dataclass(frozen=True)
-class FixedPointData:
-    """Per maximal cone of a smooth complete fan: the tangent weights and the
-    numerator (the class's restriction at that fixed point)."""
-
-    fan: Fan
-    weights: tuple[tuple[Vector, ...], ...]
-    numerators: tuple[LaurentPoly, ...]
-
-    def scaled(self, factors: tuple[LaurentPoly, ...]) -> "FixedPointData":
-        return FixedPointData(
-            self.fan,
-            self.weights,
-            tuple(n * f for n, f in zip(self.numerators, factors)),
-        )
+    det, adj = cone._adjugate
+    return tuple(vec_scale(det, u) for u in mat_mul(adj, cone._span[1]))
 
 
 def _require_smooth_complete(fan: Fan):
@@ -82,33 +63,26 @@ def _require_smooth_complete(fan: Fan):
         raise NotSmooth("localization needs a smooth fan")
 
 
-def localization_data(fan: Fan, numerators, epsilon: int = EPSILON) -> FixedPointData:
-    _require_smooth_complete(fan)
-    numerators = tuple(numerators)
-    if len(numerators) != len(fan.maximal_cones):
-        raise ValueError("one numerator per maximal cone is required")
-    weights = tuple(tangent_weights(c, epsilon) for c in fan.cone_objects)
-    return FixedPointData(fan, weights, numerators)
-
-
-def orbit_closure_class(fan: Fan, rayset, epsilon: int = EPSILON) -> FixedPointData:
+def orbit_closure_class(fan: Fan, rayset) -> tuple[LaurentPoly, ...]:
     """Fixed-point restrictions of the structure sheaf class of an orbit
-    closure: a Koszul factor (1 - e^w) for each generator of the cone lying in
-    the given face, and zero at fixed points away from the face."""
+    closure, one numerator per maximal cone: a Koszul factor (1 - e^w) for
+    each generator of the cone lying in the given face, and zero at fixed
+    points away from the face."""
     rs = fan.require_face(rayset)
     _require_smooth_complete(fan)
-    weights = tuple(tangent_weights(c, epsilon) for c in fan.cone_objects)
+    one = LaurentPoly.one(fan.rank)
     numerators = []
     for idx, cone_rays in enumerate(fan.maximal_cones):
         if not set(rs) <= set(cone_rays):
             numerators.append(LaurentPoly.zero(fan.rank))
             continue
-        num = LaurentPoly.one(fan.rank)
-        for ray, w in zip(fan._generator_rays[idx], weights[idx]):
+        num = one
+        weights = tangent_weights(fan.cone_objects[idx])
+        for ray, w in zip(fan._generator_rays[idx], weights):
             if ray in rs:
-                num = num * (LaurentPoly.one(fan.rank) - LaurentPoly.exponential(w))
+                num = num * (one - LaurentPoly.exponential(w))
         numerators.append(num)
-    return FixedPointData(fan, weights, tuple(numerators))
+    return tuple(numerators)
 
 
 def _resolution_of(fan: Fan, resolution: SubdivisionMap | None) -> SubdivisionMap:
@@ -121,10 +95,15 @@ def _resolution_of(fan: Fan, resolution: SubdivisionMap | None) -> SubdivisionMa
     return resolution
 
 
-def euler_characteristic(fan: Fan, data: FixedPointData) -> LaurentPoly:
-    """Reduce the localization sum over the fixed points to an element of Z[M]."""
+def euler_characteristic(fan: Fan, numerators) -> LaurentPoly:
+    """Reduce the localization sum over the fixed points of a smooth complete
+    fan to an element of Z[M]: one numerator per maximal cone, over the
+    tangent weights of that cone."""
     _require_smooth_complete(fan)
-    terms = [(num, w) for num, w in zip(data.numerators, data.weights)]
+    numerators = tuple(numerators)
+    if len(numerators) != len(fan.maximal_cones):
+        raise ValueError("one numerator per maximal cone is required")
+    terms = zip(numerators, map(tangent_weights, fan.cone_objects))
     return LocalizationSum.build(fan.rank, terms).reduce()
 
 
@@ -133,7 +112,6 @@ def chi(
     f: PiecewiseExponential,
     *,
     resolution: SubdivisionMap | None = None,
-    epsilon: int = EPSILON,
 ) -> LaurentPoly:
     """Equivariant Euler characteristic of a piecewise exponential class.
 
@@ -146,21 +124,18 @@ def chi(
     if not fan.is_complete():
         raise NotComplete("chi needs a complete fan")
     resolution = _resolution_of(fan, resolution)
-    lifted = pullback(f, resolution)
-    return euler_characteristic(
-        resolution.fine, localization_data(resolution.fine, lifted.values, epsilon)
-    )
+    return euler_characteristic(resolution.fine, pullback(f, resolution).values)
 
 
-def _strict_transform_face(fine: Fan, tau_cone: Cone, dim: int) -> RaySet:
-    """Lexicographically least face of the fine fan of the same dimension as
-    the coarse cone and contained in it."""
+def _strict_transform_face(fine: Fan, tau_cone: Cone) -> RaySet:
+    """Lexicographically least face of the smooth fine fan of the same
+    dimension as the coarse cone and contained in it.  Every face of a smooth
+    fan is simplicial, so its dimension is its number of rays."""
+    inside = {i for i, v in enumerate(fine.rays) if tau_cone.contains(v)}
     best = None
     best_key = None
     for face in fine.faces:
-        if fine.face_dim(face) != dim:
-            continue
-        if not all(tau_cone.contains(fine.rays[i]) for i in face):
+        if len(face) != tau_cone.dim or not inside.issuperset(face):
             continue
         key = tuple(sorted(fine.rays[i] for i in face))
         if best_key is None or key < best_key:
@@ -196,7 +171,6 @@ def gram_matrix(
     raysets,
     *,
     resolution: SubdivisionMap | None = None,
-    epsilon: int = EPSILON,
 ) -> PairingMatrix:
     """The duality pairings <f_i, [O_{V(tau_j)}]> in Z[M], one row per function.
 
@@ -214,14 +188,17 @@ def gram_matrix(
     raysets = tuple(fan.require_face(rs) for rs in raysets)
     resolution = _resolution_of(fan, resolution)
     fine = resolution.fine
+    _require_smooth_complete(fine)
     orbits = []
     for rs in raysets:
         tau_cone = Cone.from_generators(fan.rank, tuple(fan.rays[i] for i in rs))
-        tau2 = _strict_transform_face(fine, tau_cone, fan.face_dim(rs))
-        orbits.append(orbit_closure_class(fine, tau2, epsilon))
+        orbits.append(orbit_closure_class(fine, _strict_transform_face(fine, tau_cone)))
     lifted = [pullback(f, resolution).values for f in functions]
     entries = tuple(
-        tuple(euler_characteristic(fine, orbit.scaled(values)) for orbit in orbits)
+        tuple(
+            euler_characteristic(fine, [n * v for n, v in zip(orbit, values)])
+            for orbit in orbits
+        )
         for values in lifted
     )
     return PairingMatrix(
@@ -237,10 +214,9 @@ def kronecker_pair(
     rayset,
     *,
     resolution: SubdivisionMap | None = None,
-    epsilon: int = EPSILON,
 ) -> LaurentPoly:
     """The duality pairing <f, [O_{V(tau)}]> in Z[M]: the 1x1 ``gram_matrix``."""
-    return gram_matrix(fan, [f], [rayset], resolution=resolution, epsilon=epsilon).entries[0][0]
+    return gram_matrix(fan, [f], [rayset], resolution=resolution).entries[0][0]
 
 
 # -- linear algebra over Z[M] -----------------------------------------------------
@@ -342,7 +318,6 @@ def dual_basis_solve(
     spanning,
     *,
     resolution: SubdivisionMap | None = None,
-    epsilon: int = EPSILON,
 ) -> tuple[PiecewiseExponential, ...]:
     """Functions g_j with <g_j, [O_{V(tau_l)}]> = delta_jl.
 
@@ -362,7 +337,7 @@ def dual_basis_solve(
     if not fan.is_complete():  # before a resolution is chosen or built
         raise NotComplete("the pairing needs a complete fan")
     resolution = _resolution_of(fan, resolution)
-    gram = gram_matrix(fan, spanning, raysets, resolution=resolution, epsilon=epsilon)
+    gram = gram_matrix(fan, spanning, raysets, resolution=resolution)
     try:
         det, adj = adjugate(gram.entries)
     except NotIndependent:
@@ -388,7 +363,7 @@ def dual_basis_solve(
             values.append(val)
         out.append(PiecewiseExponential.from_values(fan, values))
 
-    check = gram_matrix(fan, out, raysets, resolution=resolution, epsilon=epsilon)
+    check = gram_matrix(fan, out, raysets, resolution=resolution)
     ident = [
         [LaurentPoly.one(rank) if i == j else LaurentPoly.zero(rank) for j in range(k)]
         for i in range(k)

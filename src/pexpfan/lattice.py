@@ -319,17 +319,3 @@ class QuotientLattice:
 
     def project_vector(self, u: Vector) -> Vector:
         return mat_vec(self.projection, u)
-
-
-def dual_basis(basis: list[Vector] | tuple[Vector, ...]) -> tuple[Vector, ...]:
-    """Characters u_i with <u_i, v_j> = delta_ij for a unimodular basis of N."""
-    basis = tuple(tuple(v) for v in basis)
-    n = len(basis)
-    if any(len(v) != n for v in basis):
-        raise ValueError("dual_basis needs n vectors of rank n")
-    cols = transpose(basis)  # columns are the basis vectors
-    try:
-        inv = unimodular_inverse(cols)
-    except NotUnimodular:
-        raise NotUnimodular(f"basis matrix has determinant {integer_det(cols)}")
-    return tuple(inv)  # rows of the inverse pair dually with the columns

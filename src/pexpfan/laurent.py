@@ -104,7 +104,10 @@ class LaurentPoly:
         NotDivisible when the division leaves a remainder."""
         if isinstance(other, int):
             other = LaurentPoly.constant(self.rank, other)
-        return exact_div(self, other)
+        q = try_div(self, other)
+        if q is None:
+            raise NotDivisible("polynomial division left a remainder")
+        return q
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -291,13 +294,6 @@ def try_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
             elif key in rem:
                 del rem[key]
     return LaurentPoly.from_dict(f.rank, quot)
-
-
-def exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    q = try_div(f, g)
-    if q is None:
-        raise NotDivisible("polynomial division left a remainder")
-    return q
 
 
 # -- localization sums ---------------------------------------------------------

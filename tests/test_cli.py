@@ -217,6 +217,13 @@ class TestNegativesAndErrors:
             "detail": "extra_rounds must be nonnegative, got -2",
         }
 
+    def test_sign_is_not_an_option(self, capsys):
+        # the localization sign is fixed; --epsilon is an unknown argument
+        with pytest.raises(SystemExit) as exc:
+            run(["chi", "--epsilon", "1", "--fan", DATA_FAN, "--pexp", DATA_CLASS])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --epsilon 1" in capsys.readouterr().err
+
     def test_validate_fan_negative_rank(self, tmp_path, capsys):
         bad = tmp_path / "negative_rank.json"
         bad.write_text(json.dumps({"rank": -2, "rays": [], "max_cones": [[]]}))

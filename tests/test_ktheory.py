@@ -6,6 +6,7 @@ from pexpfan import catalog, ktheory
 from pexpfan.errors import (
     DependentBasis,
     NotComplete,
+    NotFullDimensional,
     NotInSpan,
     NotIntegral,
     NotSmooth,
@@ -13,7 +14,7 @@ from pexpfan.errors import (
     ResultCheckFailed,
     SingularGram,
 )
-from pexpfan.fan import Cone, Fan, resolve
+from pexpfan.fan import Cone, Fan, SubdivisionMap, resolve
 from pexpfan.ktheory import (
     chi,
     decompose,
@@ -21,14 +22,14 @@ from pexpfan.ktheory import (
     euler_characteristic,
     gram_matrix,
     kronecker_pair,
-    localization_data,
     orbit_closure_class,
     PairingMatrix,
     poly_det,
     random_cartier_combination,
     tangent_weights,
 )
-from pexpfan.laurent import LaurentPoly
+from pexpfan.lattice import vec_scale
+from pexpfan.laurent import LaurentPoly, LocalizationSum
 from pexpfan.pexp import CartierData, PiecewiseExponential, from_cartier, gkm_validate
 
 from oracles import cartier_polytope_points
@@ -61,18 +62,32 @@ class TestTangentWeights:
         with pytest.raises(NotSmooth):
             tangent_weights(cone)
 
-    def test_sign_flip(self):
-        cone = Cone.from_generators(2, [(1, 0), (0, 1)])
-        assert set(tangent_weights(cone, epsilon=-1)) == {(-1, 0), (0, -1)}
+    def test_lower_dimensional_cone_rejected(self):
+        cone = Cone.from_generators(3, [(1, 0, 0), (0, 1, 0)])
+        with pytest.raises(NotFullDimensional):
+            tangent_weights(cone)
+
+
+def localize(f, epsilon):
+    """The localization sum of f's values on its smooth complete fan over
+    epsilon times the tangent weights, as scripts/determine_sign_convention.py
+    builds it."""
+    terms = [
+        (value, [vec_scale(epsilon, w) for w in tangent_weights(cone)])
+        for value, cone in zip(f.values, f.fan.cone_objects)
+    ]
+    return LocalizationSum.build(f.fan.rank, terms).reduce()
 
 
 class TestSignConvention:
-    """The experiment that froze the global sign: only epsilon = +1 makes the
-    degree-one class on the line localize to the polytope's lattice points."""
+    """The experiment that fixed the sign: only the tangent weights
+    (epsilon = +1), not their negatives, make the degree-one class on the
+    line localize to the polytope's lattice points."""
 
     def test_epsilon_plus_one_matches_lattice_points(self, p1):
         cls = catalog.p1_degree_class(p1, 1)
-        value = chi(p1, cls, epsilon=1)
+        value = localize(cls, 1)
+        assert value == chi(p1, cls)
         assert value == LaurentPoly.one(1) + E((1,))
         pts = cartier_polytope_points(p1, ((0,), (1,)))
         assert sorted(pts) == [(0,), (1,)]
@@ -82,77 +97,72 @@ class TestSignConvention:
 
     def test_epsilon_minus_one_fails_the_oracle(self, p1):
         cls = catalog.p1_degree_class(p1, 1)
-        assert chi(p1, cls, epsilon=-1) == LaurentPoly.zero(1)
+        assert localize(cls, -1) == LaurentPoly.zero(1)
 
     def test_both_choices_normalize_the_unit(self, p1):
         one = PiecewiseExponential.constant(p1, 1)
-        assert chi(p1, one, epsilon=1) == LaurentPoly.one(1)
-        assert chi(p1, one, epsilon=-1) == LaurentPoly.one(1)
-
-    @pytest.mark.parametrize("epsilon", [0, 2, "x"])
-    def test_other_signs_are_refused(self, p1, epsilon):
-        cls = catalog.p1_degree_class(p1, 1)
-        with pytest.raises(ValueError, match="epsilon must be 1 or -1"):
-            chi(p1, cls, epsilon=epsilon)
+        assert localize(one, 1) == LaurentPoly.one(1)
+        assert localize(one, -1) == LaurentPoly.one(1)
 
 
 class TestOrbitClosureClass:
     def test_origin_gives_unit_numerators(self, p2):
-        data = orbit_closure_class(p2, ())
-        assert all(n == LaurentPoly.one(2) for n in data.numerators)
+        numerators = orbit_closure_class(p2, ())
+        assert all(n == LaurentPoly.one(2) for n in numerators)
 
     def test_full_cone_gives_point_class(self, p2):
-        data = orbit_closure_class(p2, (0, 1))
-        koszul = (LaurentPoly.one(2) - E(data.weights[0][0])) * (
-            LaurentPoly.one(2) - E(data.weights[0][1])
+        numerators = orbit_closure_class(p2, (0, 1))
+        weights = tangent_weights(p2.cone_objects[0])
+        koszul = (LaurentPoly.one(2) - E(weights[0])) * (
+            LaurentPoly.one(2) - E(weights[1])
         )
-        assert data.numerators[0] == koszul
-        assert all(n.is_zero() for n in data.numerators[1:])
+        assert numerators[0] == koszul
+        assert all(n.is_zero() for n in numerators[1:])
 
     def test_ray_on_resolved_weighted_plane(self, p112):
         fine = resolve(p112).fine
         tau = fine.rayset_from_vectors([(-1, -2)])
-        data = orbit_closure_class(fine, tau)
-        nonzero = [i for i, n in enumerate(data.numerators) if not n.is_zero()]
+        numerators = orbit_closure_class(fine, tau)
+        nonzero = [i for i, n in enumerate(numerators) if not n.is_zero()]
         assert len(nonzero) == 2
         for i in nonzero:
             assert tau[0] in fine.maximal_cones[i]
-            assert len(data.numerators[i].terms) == 2  # a single Koszul factor
+            assert len(numerators[i].terms) == 2  # a single Koszul factor
 
 
 class TestEulerCharacteristic:
     def test_line_unit(self, p1):
-        data = localization_data(p1, [LaurentPoly.one(1)] * 2)
-        assert euler_characteristic(p1, data) == LaurentPoly.one(1)
+        assert euler_characteristic(p1, [LaurentPoly.one(1)] * 2) == LaurentPoly.one(1)
 
     def test_line_degree_one(self, p1):
-        data = localization_data(p1, [LaurentPoly.one(1), E((1,))])
-        assert euler_characteristic(p1, data) == LaurentPoly.one(1) + E((1,))
+        value = euler_characteristic(p1, [LaurentPoly.one(1), E((1,))])
+        assert value == LaurentPoly.one(1) + E((1,))
 
     def test_plane_unit(self, p2):
-        data = localization_data(p2, [LaurentPoly.one(2)] * 3)
-        assert euler_characteristic(p2, data) == LaurentPoly.one(2)
+        assert euler_characteristic(p2, [LaurentPoly.one(2)] * 3) == LaurentPoly.one(2)
 
     def test_projective_space_rank3(self):
         fan = catalog.projective_space(3)
         assert fan.is_complete() and fan.is_smooth()
-        data = localization_data(fan, [LaurentPoly.one(3)] * 4)
-        assert euler_characteristic(fan, data) == LaurentPoly.one(3)
+        assert euler_characteristic(fan, [LaurentPoly.one(3)] * 4) == LaurentPoly.one(3)
 
     def test_incomplete_fan_rejected(self):
         fan = catalog.singular_quadric_cone_fan()
         with pytest.raises((NotComplete, NotSmooth)):
-            euler_characteristic(
-                fan, localization_data(fan, [LaurentPoly.one(2)])
-            )
+            euler_characteristic(fan, [LaurentPoly.one(2)])
 
     def test_inconsistent_data_is_not_polynomial(self, p1):
         from pexpfan.errors import NotPolynomial
 
         # a lone nonzero residue at one fixed point cannot cancel its pole
-        data = localization_data(p1, [LaurentPoly.one(1), LaurentPoly.zero(1)])
         with pytest.raises(NotPolynomial):
-            euler_characteristic(p1, data)
+            euler_characteristic(p1, [LaurentPoly.one(1), LaurentPoly.zero(1)])
+
+    def test_numerators_of_another_fan_are_refused(self, p2):
+        # P^2 has three fixed points and P^1 x P^1 four: the weights are
+        # always read from the fan that is passed
+        with pytest.raises(ValueError, match="one numerator per maximal cone"):
+            euler_characteristic(catalog.p1_times_p1(), [LaurentPoly.one(2)] * len(p2.maximal_cones))
 
 
 class TestChi:
@@ -257,10 +267,17 @@ class TestKroneckerPair:
         for cand in candidates:
             orbit = orbit_closure_class(fine, cand)
             results.append(
-                euler_characteristic(fine, orbit.scaled(lifted.values))
+                euler_characteristic(fine, [n * v for n, v in zip(orbit, lifted.values)])
             )
         assert results[0] == results[1]
         assert results[0] == kronecker_pair(p112, xi, sigma_p, resolution=res)
+
+    @pytest.mark.parametrize("rayset", [(), (0, 2)], ids=["origin", "singular-cone"])
+    def test_non_smooth_resolution_is_refused(self, p112, rayset):
+        # (0, 2) is the cone on (1, 0) and (-1, -2), of multiplicity 2
+        unit = catalog.p112_spanning_classes(p112)[0]
+        with pytest.raises(NotSmooth):
+            kronecker_pair(p112, unit, rayset, resolution=SubdivisionMap.identity(p112))
 
     def test_chi_decomposes_against_column(self, p112):
         # chi is the pairing against the origin; expanding in the spanning
@@ -311,6 +328,12 @@ class TestGramMatrix:
 
 
 class TestDecompose:
+    def test_lower_dimensional_maximal_cone_is_refused(self):
+        fan = Fan.build(2, [(1, 0), (0, 1)], [(0,), (1,)])
+        one = PiecewiseExponential.constant(fan, 1)
+        with pytest.raises(NotFullDimensional):
+            decompose(one, [one])
+
     def test_worked_decomposition(self, p112):
         xi = catalog.p112_demo_class(p112)
         spans = catalog.p112_spanning_classes(p112)
@@ -415,7 +438,7 @@ class TestResultChecks:
     def test_missing_strict_transform(self, p2):
         # no ray of P^2 lies in the cone on (1, 1)
         with pytest.raises(ResolutionCheckFailed, match="strict transform"):
-            ktheory._strict_transform_face(p2, Cone.from_generators(2, [(1, 1)]), 1)
+            ktheory._strict_transform_face(p2, Cone.from_generators(2, [(1, 1)]))
 
     def test_decompose_reexpansion(self, p112, monkeypatch):
         exact = ktheory.try_div

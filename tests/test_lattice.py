@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pexpfan.errors import NotIndependent, NotUnimodular, ZeroVector
-from pexpfan.fan import span_coordinates
+from pexpfan.errors import NotIndependent, NotSmooth, ZeroVector
+from pexpfan.fan import Cone, span_coordinates
+from pexpfan.ktheory import tangent_weights
 from pexpfan.lattice import (
     adjugate,
-    dual_basis,
     identity_matrix,
     integer_det,
     line_kernel,
@@ -153,15 +153,22 @@ class TestQuotientLattice:
 
 
 class TestDualBasis:
+    """The dual basis of a unimodular basis of N, read as the tangent weights
+    of the cone it generates: one weight per sorted generator."""
+
     def test_standard(self):
-        assert dual_basis([(1, 0), (0, 1)]) == ((1, 0), (0, 1))
+        cone = Cone.from_generators(2, [(1, 0), (0, 1)])
+        assert cone.generators == ((0, 1), (1, 0))
+        assert tangent_weights(cone) == ((0, 1), (1, 0))
 
     def test_singular_chart_basis(self):
-        assert dual_basis([(0, 1), (-1, -2)]) == ((-2, 1), (-1, 0))
+        cone = Cone.from_generators(2, [(0, 1), (-1, -2)])
+        assert cone.generators == ((-1, -2), (0, 1))
+        assert tangent_weights(cone) == ((-1, 0), (-2, 1))
 
     def test_not_unimodular(self):
-        with pytest.raises(NotUnimodular):
-            dual_basis([(1, 0), (-1, -2)])
+        with pytest.raises(NotSmooth):
+            tangent_weights(Cone.from_generators(2, [(1, 0), (-1, -2)]))
 
     @given(st.integers(0, 99999))
     @settings(max_examples=60)
@@ -169,9 +176,10 @@ class TestDualBasis:
         rng = random.Random(seed)
         n = rng.randint(1, 4)
         basis = tuple(zip(*random_unimodular(rng, n)))  # columns of a unimodular
-        duals = dual_basis(basis)
+        cone = Cone.from_generators(n, basis)
+        duals = tangent_weights(cone)
         for i, u in enumerate(duals):
-            for j, v in enumerate(basis):
+            for j, v in enumerate(cone.generators):
                 assert pair(u, v) == (1 if i == j else 0)
 
 

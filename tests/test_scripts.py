@@ -34,6 +34,7 @@ def test_sign_convention_passes_for_plus_one():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert any(line.startswith("epsilon=+1:") and line.endswith("PASS") for line in lines)
+    assert any(line.startswith("epsilon=-1:") and line.endswith("fail") for line in lines)
 
 
 def test_bench_pairs_refuses_a_checkout_with_bytecode_under_src(tmp_path):

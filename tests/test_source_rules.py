@@ -2,12 +2,14 @@
 no ``assert`` statement (the optimizer strips it) and no ``fractions`` import
 (exact work stays in integers and Z[M]).  One rule keeps lattice coordinates
 in one place: ``smith_normal_form`` is called only from
-``fan.span_coordinates``."""
+``fan.span_coordinates``.  Every name the package exports resolves."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import pexpfan
 
 SOURCES = sorted((Path(__file__).parent.parent / "src" / "pexpfan").glob("*.py"))
 
@@ -48,3 +50,8 @@ def test_smith_form_called_only_from_span_coordinates():
                                        getattr(call.func, "attr", None)):
                 callers.add((path.name, where))
     assert callers == {("fan.py", "span_coordinates")}
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in pexpfan.__all__ if not hasattr(pexpfan, name)]
+    assert missing == []
