@@ -422,9 +422,6 @@ class Fan:
     def has_face(self, rayset) -> bool:
         return tuple(sorted(rayset)) in self._face_set
 
-    def face_dim(self, rayset: RaySet) -> int:
-        return matrix_rank(tuple(self.rays[i] for i in rayset))
-
     def face_containing_maximal(self, rayset: RaySet) -> int:
         rs = tuple(sorted(rayset))
         for i in range(len(self.maximal_cones)):

@@ -95,16 +95,27 @@ def _resolution_of(fan: Fan, resolution: SubdivisionMap | None) -> SubdivisionMa
     return resolution
 
 
+def _fixed_point_weights(fan: Fan) -> tuple[tuple[Vector, ...], ...]:
+    """The tangent weights of every maximal cone of a smooth complete fan,
+    read once for all the localization sums over that fan."""
+    _require_smooth_complete(fan)
+    return tuple(map(tangent_weights, fan.cone_objects))
+
+
+def _localize(rank: int, weights, numerators) -> LaurentPoly:
+    """Reduce the localization sum of one numerator per fixed point over the
+    weights ``_fixed_point_weights`` read."""
+    numerators = tuple(numerators)
+    if len(numerators) != len(weights):
+        raise ValueError("one numerator per maximal cone is required")
+    return LocalizationSum.build(rank, zip(numerators, weights)).reduce()
+
+
 def euler_characteristic(fan: Fan, numerators) -> LaurentPoly:
     """Reduce the localization sum over the fixed points of a smooth complete
     fan to an element of Z[M]: one numerator per maximal cone, over the
     tangent weights of that cone."""
-    _require_smooth_complete(fan)
-    numerators = tuple(numerators)
-    if len(numerators) != len(fan.maximal_cones):
-        raise ValueError("one numerator per maximal cone is required")
-    terms = zip(numerators, map(tangent_weights, fan.cone_objects))
-    return LocalizationSum.build(fan.rank, terms).reduce()
+    return _localize(fan.rank, _fixed_point_weights(fan), numerators)
 
 
 def chi(
@@ -177,8 +188,9 @@ def gram_matrix(
     Computed on a resolution, pairing each pulled-back class against the
     orbit closure of a strict transform of tau_j (a fine cone of the same
     span inside tau_j); the result is independent of both choices.  Each
-    function is pulled back once and each orbit class is built once, then
-    every entry is one localization sum.
+    function is pulled back once, each orbit class is built once and the
+    tangent weights of the fine fan are read once, then every entry is one
+    localization sum.
     """
     functions = tuple(functions)
     if any(f.fan != fan for f in functions):
@@ -188,7 +200,7 @@ def gram_matrix(
     raysets = tuple(fan.require_face(rs) for rs in raysets)
     resolution = _resolution_of(fan, resolution)
     fine = resolution.fine
-    _require_smooth_complete(fine)
+    weights = _fixed_point_weights(fine)
     orbits = []
     for rs in raysets:
         tau_cone = Cone.from_generators(fan.rank, tuple(fan.rays[i] for i in rs))
@@ -196,7 +208,7 @@ def gram_matrix(
     lifted = [pullback(f, resolution).values for f in functions]
     entries = tuple(
         tuple(
-            euler_characteristic(fine, [n * v for n, v in zip(orbit, values)])
+            _localize(fine.rank, weights, [n * v for n, v in zip(orbit, values)])
             for orbit in orbits
         )
         for values in lifted

@@ -225,15 +225,6 @@ def matrix_rank(a: IntMatrix) -> int:
     return _eliminate([list(row) for row in a], len(a[0]) if a else 0)[0]
 
 
-def integer_det(a: IntMatrix) -> int:
-    """Signed determinant of a square integer matrix, by Bareiss elimination."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("determinant of a non-square matrix")
-    rank, sign, last = _eliminate([list(row) for row in a], n)
-    return sign * last if rank == n else 0
-
-
 def adjugate(a: IntMatrix) -> tuple[int, IntMatrix]:
     """(det, adj) of a nonsingular square matrix, with adj @ a == det * I.
 

@@ -7,13 +7,21 @@ serialization are canonical.  ``LocalizationSum`` holds intermediate sums
 n / prod(1 - e^w) produced by fixed-point localization, and ``reduce`` clears
 the denominators exactly.  Dividing by a factor (1 - e^w) works line by line:
 the quotient's coefficients are running sums along the lines e + Z*w.
+
+Division and localization run on packed exponents, the packed exponent
+vectors of Monagan and Pearce (CASC 2007): each call packs every exponent
+of a box into one int, so a shift by a character is one int addition and a
+line e + Z*w is named by one int, and unpacks once at the end.  The field
+width is chosen per call from a bound proved in ``_Packing`` that covers
+the line names as well as the exponents, and every unpacked coordinate is
+checked against the box.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotDivisible, NotPolynomial, RankMismatch, ZeroCharacter
+from .errors import NotDivisible, NotPolynomial, RankMismatch, ResultCheckFailed, ZeroCharacter
 from .lattice import IntMatrix, Vector, mat_vec, primitive_vector, strict_int, strict_list
 
 Term = tuple[Vector, int]
@@ -191,20 +199,153 @@ def poly_from_json(obj: dict) -> LaurentPoly:
     return LaurentPoly.from_dict(rank, acc)
 
 
+# -- packed exponents ------------------------------------------------------------
+
+
+class _Packing:
+    """Exponents in a box lo <= e <= hi packed into ints, for one call.
+
+    A point packs to P(e) = sum_i (e_i - lo_i) * 2^{s_i}, with fields of
+    ``bits`` bits, s_i = (rank - 1 - i) * bits, and a character to the signed
+    int W(w) = sum_i w_i * 2^{s_i}.  P is affine, so P(e + w) = P(e) + W(w)
+    for every e: a shift by a character is one int addition.  With span the
+    largest hi_i - lo_i and reach the largest |w_j| of the characters used,
+
+        bits = bitlen(span * (1 + reach) + reach),
+
+    so that 2^bits > span * (1 + reach) + reach.  Three facts follow.
+
+    1. Points of the box pack exactly, in order.  Each field e_i - lo_i of a
+       point of the box lies in [0, span], inside [0, 2^bits); in particular
+       the top field is nonnegative.  So P is injective on the box, numeric
+       order of packed points is lex order of the points, and ``unpack``
+       reads every coordinate back by shift and mask.
+    2. Line names are injective.  Let w_i be the first nonzero coordinate of
+       w.  The line e + Z*w of a point e of the box is named by P(b), with
+       b = e - k*w and k = floor((e_i - lo_i) / w_i).  Moving e by t*w moves
+       k by t, so b is the same point for the whole line, and b = b' forces
+       e - e' in Z*w: points share a name iff they share a line, as long as
+       distinct points b, b' never pack alike.  For e, e' in the box, k and
+       k' differ by at most span / |w_i| + 1, so field j of b - b' is at most
+       span + (span + 1) * |w_j| <= span * (1 + reach) + reach < 2^bits in
+       absolute value.  If b != b', take the lowest field j where they
+       differ: P(b) - P(b') is delta_j * 2^{s_j} modulo 2^{s_j + bits}, with
+       0 < |delta_j| < 2^bits, so it is not zero.  The name b may lie
+       outside the box; only differences of names count.
+    3. Quotients stay in the box.  ``_packed_lines`` sums every line first,
+       so by 2 a quotient is built only when (1 - e^w) divides f; then
+       g * (1 - e^w) = f, the Newton polytope of g plus the segment [0, w]
+       is that of f, and as [0, w] holds 0, g's exponents lie in f's box.
+
+    ``unpack`` still checks every coordinate against the box and raises
+    ResultCheckFailed if one is outside it.
+    """
+
+    def __init__(self, lo: Vector, hi: Vector, reach: int):
+        self.lo, self.hi = tuple(lo), tuple(hi)
+        span = max((h - l for l, h in zip(lo, hi)), default=0)
+        bits = (span * (1 + reach) + reach).bit_length()
+        self.mask = (1 << bits) - 1
+        self.shifts = tuple(bits * (len(lo) - 1 - i) for i in range(len(lo)))
+        self.origin = self.raw(lo)
+
+    def raw(self, e: Vector) -> int:
+        """sum_i e_i * 2^{s_i}: W(e) for a character, P(e) + W(lo) for a point."""
+        return sum(x << s for x, s in zip(e, self.shifts))
+
+    def pack(self, f: LaurentPoly, offset: int = 0) -> dict[int, int]:
+        """{P(e) + offset: c} over the terms c * e^e of f."""
+        base = offset - self.origin
+        return {self.raw(e) + base: c for e, c in f.terms}
+
+    def character(self, w: Vector) -> tuple[int, int, int, int]:
+        """(W(w), s_i, field mask, w_i), with w_i the first nonzero coordinate
+        of w: what ``_packed_lines`` needs to name the lines e + Z*w."""
+        i = next(j for j, x in enumerate(w) if x)
+        return self.raw(w), self.shifts[i], self.mask, w[i]
+
+    def unpack(self, f: dict[int, int]) -> LaurentPoly:
+        """The polynomial of a packed dict, in lex order.  Raises
+        ResultCheckFailed when a coordinate lies outside the box."""
+        masks = (-1,) + (self.mask,) * (len(self.lo) - 1)  # the top field unmasked
+        terms = []
+        for p, c in sorted(f.items()):
+            e = tuple(((p >> s) & m) + l for s, m, l in zip(self.shifts, masks, self.lo))
+            if not all(l <= x <= h for x, l, h in zip(e, self.lo, self.hi)):
+                raise ResultCheckFailed(f"packed exponent {e} left the box {self.lo}..{self.hi}")
+            terms.append((e, c))
+        return LaurentPoly(len(self.lo), tuple(terms))
+
+
+def _packed_lines(f: dict[int, int], ch) -> dict[int, list[tuple[int, int]]] | None:
+    """The terms c * e^(b + k*w) of a packed f as (k, c), per line e + Z*w
+    named by P(b) (see ``_Packing``); None when the coefficients on some line
+    do not sum to zero.  Since (1 - e^w) | f forces f(1) = 0, a nonzero
+    coefficient sum is refused first, before any line is built."""
+    if sum(f.values()):
+        return None
+    w_packed, shift, mask, wi = ch
+    lines: dict[int, list[tuple[int, int]]] = {}
+    for p, c in f.items():
+        k = ((p >> shift) & mask) // wi
+        lines.setdefault(p - k * w_packed, []).append((k, c))
+    if any(sum(c for _, c in line) for line in lines.values()):
+        return None
+    return lines
+
+
+def _packed_divide(f: dict[int, int], ch) -> dict[int, int] | None:
+    """The packed g with f = (1 - e^w) * g (see ``divide_exact``), or None
+    when (1 - e^w) does not divide f."""
+    lines = _packed_lines(f, ch)
+    if lines is None:
+        return None
+    w_packed = ch[0]
+    quotient: dict[int, int] = {}
+    for base, line in lines.items():
+        line.sort()
+        running = 0
+        for (k, c), (k_next, _) in zip(line, line[1:]):
+            running += c
+            if running:
+                for j in range(k, k_next):
+                    quotient[base + j * w_packed] = running
+    return quotient
+
+
+def _packed_times_koszul(f: dict[int, int], w_packed: int, k: int) -> dict[int, int]:
+    """f * (1 - e^w)^k, packed: one shift-and-subtract per power."""
+    for _ in range(k):
+        acc = dict(f)
+        for p, c in f.items():
+            q = p + w_packed
+            v = acc.get(q, 0) - c
+            if v:
+                acc[q] = v
+            else:
+                del acc[q]
+        f = acc
+    return f
+
+
 # -- exact division ---------------------------------------------------------
 
 
-def _lines(f: LaurentPoly, w: Vector) -> dict[Vector, list[tuple[int, int]]]:
-    """The terms c * e^(base + k*w) of f as (k, c), per line e + Z*w named by
-    its point base = e - floor(e_i / w_i) * w, with i the first nonzero
-    coordinate of the nonzero character w."""
-    i = next(j for j, x in enumerate(w) if x)
-    lines: dict[Vector, list[tuple[int, int]]] = {}
-    for exp, c in f.terms:
-        k = exp[i] // w[i]
-        base = tuple(a - k * b for a, b in zip(exp, w))
-        lines.setdefault(base, []).append((k, c))
-    return lines
+def _character(f: LaurentPoly, w: Vector) -> Vector:
+    """w as a tuple, checked to be a nonzero character of f's rank."""
+    w = tuple(w)
+    if not any(w):
+        raise ZeroCharacter("cannot divide by 1 - e^0 = 0")
+    if len(w) != f.rank:
+        raise RankMismatch(f"character of length {len(w)} in rank {f.rank}")
+    return w
+
+
+def _packed_for_division(f: LaurentPoly, w: Vector):
+    """(packing, packed f, packed w) over the box of a nonzero f."""
+    lo, hi = f.exponent_box()
+    packing = _Packing(lo, hi, max(map(abs, w)))
+    return packing, packing.pack(f), packing.character(w)
 
 
 def koszul_divides(f: LaurentPoly, w: Vector) -> bool:
@@ -213,10 +354,11 @@ def koszul_divides(f: LaurentPoly, w: Vector) -> bool:
 
     For a primitive w, (1 - e^w) is the kernel of Z[M] -> Z[M / Z*w], so this
     decides whether two values agree on a wall with normal w."""
-    w = tuple(w)
-    if not any(w):
-        raise ZeroCharacter("cannot divide by 1 - e^0 = 0")
-    return not any(sum(c for _, c in line) for line in _lines(f, w).values())
+    w = _character(f, w)
+    if f.is_zero():
+        return True
+    _, packed, ch = _packed_for_division(f, w)
+    return _packed_lines(packed, ch) is not None
 
 
 def divide_exact(f: LaurentPoly, w: Vector) -> LaurentPoly:
@@ -224,35 +366,19 @@ def divide_exact(f: LaurentPoly, w: Vector) -> LaurentPoly:
 
     Along each line e + Z*w the coefficients satisfy f_k = g_k - g_{k-1}, so
     (1 - e^w) divides f iff the coefficients of f on every line sum to zero,
-    and then g_k is the running sum of f_j over j <= k.  A line is named by
-    its point e - floor(e_i / w_i) * w, with i the first nonzero coordinate of
-    w.  Raises NotDivisible when some line does not sum to zero; since
-    (1 - e^w) | f forces f(1) = 0, a nonzero coefficient sum is refused first,
-    in O(terms) and before any line is built.
+    and then g_k is the running sum of f_j over j <= k.  Runs on exponents
+    packed over the box of f (see ``_Packing``).  Raises NotDivisible when
+    some line does not sum to zero; a nonzero coefficient sum is refused
+    first, in O(terms) and before any line is built.
     """
-    w = tuple(w)
-    if all(x == 0 for x in w):
-        raise ZeroCharacter("cannot divide by 1 - e^0 = 0")
-    if len(w) != f.rank:
-        raise RankMismatch(f"character of length {len(w)} in rank {f.rank}")
+    w = _character(f, w)
     if f.is_zero():
         return f
-    if f.augment():
+    packing, packed, ch = _packed_for_division(f, w)
+    quotient = _packed_divide(packed, ch)
+    if quotient is None:
         raise NotDivisible(f"remainder left when dividing by 1 - e^{w}")
-    lines = _lines(f, w)
-    if any(sum(c for _, c in line) for line in lines.values()):
-        raise NotDivisible(f"remainder left when dividing by 1 - e^{w}")
-
-    acc: dict[Vector, int] = {}
-    for base, line in lines.items():
-        line.sort()
-        running = 0
-        for (k, c), (k_next, _) in zip(line, line[1:]):
-            running += c
-            if running:
-                for j in range(k, k_next):
-                    acc[tuple(a + j * b for a, b in zip(base, w))] = running
-    return LaurentPoly.from_dict(f.rank, acc)
+    return packing.unpack(quotient)
 
 
 def try_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
@@ -332,17 +458,6 @@ def _lex_negative(w: Vector) -> bool:
     return False
 
 
-def _times_koszul(f: LaurentPoly, w: Vector, k: int) -> LaurentPoly:
-    """f * (1 - e^w)^k: one shift-and-subtract per power."""
-    for _ in range(k):
-        acc = dict(f.terms)
-        for exp, c in f.terms:
-            key = tuple(a + b for a, b in zip(exp, w))
-            acc[key] = acc.get(key, 0) - c
-        f = LaurentPoly.from_dict(f.rank, acc)
-    return f
-
-
 def reduce_localization(s: LocalizationSum) -> LaurentPoly:
     """Clear all denominators of the sum, exactly.
 
@@ -373,46 +488,79 @@ def reduce_localization(s: LocalizationSum) -> LaurentPoly:
     it divides A, and A was cancelled, so it does not.  Dividing by factors
     of the shared directions keeps this so, since they are coprime to
     (1 - e^w).  The same holds with the two sides swapped.
+
+    The whole fold runs on exponents packed into ints (see ``_Packing``),
+    over the box of the normalized numerators widened, coordinate by
+    coordinate, by the sum of min(0, w_i) and of max(0, w_i) over every
+    denominator factor w of every term, with multiplicity.  Every exponent
+    the fold holds lies in that box.  Write Z(F) for the Newton polytope of
+    a product F of factors (1 - e^w), the sum of the segments [0, w]; it
+    holds 0, so multiplying by F never shrinks a Newton polytope, and a
+    quotient by (1 - e^w) lies in the polytope of its dividend.  Let S be
+    the terms folded so far, N_t/D_t their normalized fractions, L_S the lcm
+    of the D_t and A/L' the accumulator.  Then A * (L_S/L') is the sum of
+    the N_t * (L_S/D_t), so A, and A times any F, lies in the box of the
+    numerators plus Z(L_S) + Z(F); a term cancelled to N_t/C_t and times F
+    lies in the box of N_t plus Z(C_t) + Z(F).  The lcm of multisets is at
+    most their sum, and the F of a step divides the new term's denominator
+    (for A) or L' (for the term), so each of these sums of Z's lies in Z of
+    the sum of all denominators, whose box is the widening.  Sums of two
+    such numerators stay in the box, which is convex.  The result is
+    unpacked once, with its box check.
     """
     rank = s.rank
+    normalized = []
+    for num, denom in s.terms:
+        shift, sign, multiset = (0,) * rank, 1, {}
+        for w in denom:
+            if _lex_negative(w):
+                # 1/(1 - e^w) = -e^{-w}/(1 - e^{-w})
+                w = tuple(-x for x in w)
+                shift = tuple(a + b for a, b in zip(shift, w))
+                sign = -sign
+            multiset[w] = multiset.get(w, 0) + 1
+        if not num.is_zero():
+            normalized.append((num, shift, sign, multiset))
+    if not normalized:
+        return LaurentPoly.zero(rank)
 
-    def cancel(num: LaurentPoly, den: dict[Vector, int], shared=None) -> LaurentPoly:
+    boxes = [(num.exponent_box(), shift) for num, shift, _, _ in normalized]
+    lo = [min(b[0][i] + t[i] for b, t in boxes) for i in range(rank)]
+    hi = [max(b[1][i] + t[i] for b, t in boxes) for i in range(rank)]
+    reach = 0
+    for _, _, _, multiset in normalized:
+        for w, m in multiset.items():
+            for i, x in enumerate(w):
+                lo[i] += m * min(0, x)
+                hi[i] += m * max(0, x)
+            reach = max(reach, *map(abs, w))
+    packing = _Packing(lo, hi, reach)
+    chars = {w: packing.character(w) for *_, multiset in normalized for w in multiset}
+    direction = {w: primitive_vector(w) for w in chars}
+
+    def cancel(num: dict[int, int], den: dict[Vector, int], shared=None) -> dict[int, int]:
         """Divide num by the factors of den (those in the directions `shared`
         only, when given) while they divide it; den loses what was divided."""
-        if num.is_zero():
+        if not num:
             den.clear()
             return num
-        for w in sorted(den, key=lambda w: (primitive_vector(w), w)):
-            if shared is not None and primitive_vector(w) not in shared:
+        for w in sorted(den, key=lambda w: (direction[w], w)):
+            if shared is not None and direction[w] not in shared:
                 continue
             while den.get(w):
-                try:
-                    num = divide_exact(num, w)
-                except NotDivisible:
+                quotient = _packed_divide(num, chars[w])
+                if quotient is None:
                     break
+                num = quotient
                 den[w] -= 1
                 if not den[w]:
                     del den[w]
         return num
 
-    normalized: list[tuple[LaurentPoly, dict[Vector, int]]] = []
-    for num, denom in s.terms:
-        multiset: dict[Vector, int] = {}
-        for w in denom:
-            if _lex_negative(w):
-                w_pos = tuple(-x for x in w)
-                # 1/(1 - e^w) = -e^{-w}/(1 - e^{-w})
-                num = num * LaurentPoly.exponential(w_pos, -1)
-                w = w_pos
-            multiset[w] = multiset.get(w, 0) + 1
-        if not num.is_zero():
-            normalized.append((cancel(num, multiset), multiset))
-
-    if not normalized:
-        return LaurentPoly.zero(rank)
-
-    acc_num, acc_den = normalized[0]
-    pending = list(normalized[1:])
+    terms = [(cancel(packing.pack(num * sign, packing.raw(shift)), multiset), multiset)
+             for num, shift, sign, multiset in normalized]
+    acc_num, acc_den = terms[0]
+    pending = terms[1:]
     while pending:
         overlap = [
             sum(min(m, acc_den.get(w, 0)) for w, m in den.items())
@@ -420,14 +568,19 @@ def reduce_localization(s: LocalizationSum) -> LaurentPoly:
         ]
         pick = max(range(len(pending)), key=lambda i: (overlap[i], -i))
         num, den = pending.pop(pick)
-        shared = {primitive_vector(w) for w in den} & {primitive_vector(w) for w in acc_den}
+        shared = {direction[w] for w in den} & {direction[w] for w in acc_den}
         lcm = dict(acc_den)
         for w, m in den.items():
             lcm[w] = max(lcm.get(w, 0), m)
         for w, m in lcm.items():
-            acc_num = _times_koszul(acc_num, w, m - acc_den.get(w, 0))
-            num = _times_koszul(num, w, m - den.get(w, 0))
-        acc_num = acc_num + num
+            acc_num = _packed_times_koszul(acc_num, chars[w][0], m - acc_den.get(w, 0))
+            num = _packed_times_koszul(num, chars[w][0], m - den.get(w, 0))
+        for q, c in num.items():
+            v = acc_num.get(q, 0) + c
+            if v:
+                acc_num[q] = v
+            else:
+                del acc_num[q]
         acc_den = lcm
         acc_num = cancel(acc_num, acc_den, shared)
 
@@ -436,4 +589,4 @@ def reduce_localization(s: LocalizationSum) -> LaurentPoly:
         raise NotPolynomial(
             f"localization sum is not polynomial: factor 1 - e^{worst} does not divide"
         )
-    return acc_num
+    return packing.unpack(acc_num)

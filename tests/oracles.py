@@ -17,8 +17,14 @@ the fold that tried every denominator factor after every step before
 loop, the per-generator rank test and the bounding-box scan that
 ``Cone.facets``, ``Cone._extreme_generators`` and ``fan._box_points`` ran
 before the first two read their rays from ``fan.extreme_rays_of_region``
-and the last enumerated the residue group: all are kept as the oracles for
-the path that replaced them.
+and the last enumerated the residue group, and ``lines`` and
+``divide_exact``, the division by 1 - e^w on exponent tuples that
+``laurent.divide_exact`` and ``reduce_localization`` ran before both packed
+their exponents into ints (``reduce_localization_greedy`` divides with
+them and imports only ``LaurentPoly`` and ``LocalizationSum`` from
+``pexpfan.laurent``), and ``integer_det``, the Bareiss determinant that
+``pexpfan.lattice`` kept with no caller in the package: all are kept as the
+oracles for the path that replaced them.
 """
 
 from __future__ import annotations
@@ -55,6 +61,18 @@ def det_expansion(matrix) -> int:
             prod *= matrix[i][perm[i]]
         total += sign * prod
     return total
+
+
+def integer_det(a) -> int:
+    """Signed determinant of a square integer matrix, by the package's Bareiss
+    elimination ``lattice._eliminate``."""
+    from pexpfan.lattice import _eliminate
+
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("determinant of a non-square matrix")
+    rank, sign, last = _eliminate([list(row) for row in a], n)
+    return sign * last if rank == n else 0
 
 
 def smith_diagonal_oracle(matrix) -> list[int]:
@@ -195,6 +213,46 @@ def extreme_rays_smith(n: int, ineqs, eqs):
     return tuple(sorted(found))
 
 
+def lines(f, w):
+    """The terms c * e^(base + k*w) of f as (k, c), per line e + Z*w named by
+    its point base = e - floor(e_i / w_i) * w, with i the first nonzero
+    coordinate of the nonzero character w."""
+    i = next(j for j, x in enumerate(w) if x)
+    out = {}
+    for exp, c in f.terms:
+        k = exp[i] // w[i]
+        base = tuple(a - k * b for a, b in zip(exp, w))
+        out.setdefault(base, []).append((k, c))
+    return out
+
+
+def divide_exact(f, w):
+    """g with f = (1 - e^w) * g on exponent tuples: along each line e + Z*w
+    the coefficients of g are the running sums of those of f, and every line
+    of f must sum to zero (NotDivisible otherwise)."""
+    from pexpfan.errors import NotDivisible, RankMismatch, ZeroCharacter
+    from pexpfan.laurent import LaurentPoly
+
+    w = tuple(w)
+    if not any(w):
+        raise ZeroCharacter("cannot divide by 1 - e^0 = 0")
+    if len(w) != f.rank:
+        raise RankMismatch(f"character of length {len(w)} in rank {f.rank}")
+    by_line = lines(f, w)
+    if any(sum(c for _, c in line) for line in by_line.values()):
+        raise NotDivisible(f"remainder left when dividing by 1 - e^{w}")
+    acc = {}
+    for base, line in by_line.items():
+        line.sort()
+        running = 0
+        for (k, c), (k_next, _) in zip(line, line[1:]):
+            running += c
+            if running:
+                for j in range(k, k_next):
+                    acc[tuple(a + j * b for a, b in zip(base, w))] = running
+    return LaurentPoly.from_dict(f.rank, acc)
+
+
 def reduce_localization_greedy(s):
     """The localization fold that cancelled the whole denominator after every
     step, and nothing before the fold: ``laurent.reduce_localization`` as it
@@ -202,7 +260,7 @@ def reduce_localization_greedy(s):
     directions a new term shares with the accumulator."""
     from pexpfan.errors import NotDivisible, NotPolynomial
     from pexpfan.lattice import primitive_vector
-    from pexpfan.laurent import LaurentPoly, divide_exact
+    from pexpfan.laurent import LaurentPoly
 
     rank = s.rank
     normalized = []

@@ -310,6 +310,20 @@ class TestGramMatrix:
         gram_matrix(p112, spans, catalog.p112_duality_cones(p112))
         assert (len(pullbacks), len(orbits)) == (2, 3)
 
+    def test_one_weight_read_per_fine_cone(self, monkeypatch):
+        """A 2x2 Gram through the 48-cone resolution of the cube reads the
+        weights of each fine cone once, besides the 48 + 12 that the orbit
+        classes of the origin and of the ray (1,1,1) read; one read per
+        cone per entry made 252."""
+        cube = catalog.cube_fan()
+        resolution = resolve(cube)
+        reads, weights = [], ktheory.tangent_weights
+        monkeypatch.setattr(ktheory, "tangent_weights", lambda c: reads.append(c) or weights(c))
+        classes = [PiecewiseExponential.constant(cube, c) for c in (1, 2)]
+        gram_matrix(cube, classes, [(), (cube.rays.index((1, 1, 1)),)], resolution=resolution)
+        assert len(resolution.fine.maximal_cones) == 48
+        assert len(reads) == 48 + 60
+
     def test_kronecker_pair_is_a_one_by_one_gram(self, p112, monkeypatch):
         calls, gram = [], ktheory.gram_matrix
         monkeypatch.setattr(ktheory, "gram_matrix", lambda *a, **kw: calls.append(a) or gram(*a, **kw))

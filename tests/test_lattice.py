@@ -10,7 +10,6 @@ from pexpfan.ktheory import tangent_weights
 from pexpfan.lattice import (
     adjugate,
     identity_matrix,
-    integer_det,
     line_kernel,
     mat_mul,
     mat_vec,
@@ -21,7 +20,7 @@ from pexpfan.lattice import (
     transpose,
     unimodular_inverse,
 )
-from oracles import det_expansion, kernel_basis, smith_diagonal_oracle
+from oracles import det_expansion, integer_det, kernel_basis, smith_diagonal_oracle
 
 matrices = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(

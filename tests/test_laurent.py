@@ -1,4 +1,5 @@
 import functools
+import itertools
 import json
 import random
 
@@ -6,9 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from oracles import reduce_localization_greedy
 from pexpfan import catalog, laurent
-from pexpfan.errors import NotDivisible, NotIndependent, NotPolynomial, RankMismatch, ZeroCharacter
+from pexpfan.errors import (
+    NotDivisible,
+    NotIndependent,
+    NotPolynomial,
+    RankMismatch,
+    ResultCheckFailed,
+    ZeroCharacter,
+)
 from pexpfan.fan import resolve
 from pexpfan.ktheory import chi, orbit_closure_class, poly_det, tangent_weights
 from pexpfan.lattice import adjugate, is_primitive
@@ -18,6 +27,7 @@ from pexpfan.laurent import (
     LocalizationSum,
     divide_exact,
     format_poly,
+    koszul_divides,
     poly_from_json,
     poly_to_json,
     reduce_localization,
@@ -38,6 +48,9 @@ def polys(rank=2, max_terms=4, coeff=6, exp=4):
 
 
 nonzero_chars = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda w: any(w))
+# exponents far apart and wide characters: a carry between packed fields would show
+FAR = 2 ** 40
+wide_chars = st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(lambda w: any(w))
 
 
 class TestRingOps:
@@ -161,6 +174,24 @@ class TestDivideExact:
                     divide_exact(num, w)
             else:
                 assert divide_exact(num, w) == expected
+
+    @given(polys(exp=FAR), polys(max_terms=2, exp=FAR), wide_chars, st.integers(-50, 50))
+    @settings(max_examples=150)
+    def test_agrees_with_tuple_oracle_far_apart(self, f, g, w, t):
+        # f times the Koszul factor, perturbed by a term moved along w (the
+        # coefficient sum stays zero) or by any g
+        product = f * (ONE2 - E(w))
+        near = E((t, -t)) - E((t + 3 * w[0], -t + 3 * w[1] + 1))
+        for num in (f, product, product + near, product + g):
+            try:
+                want = oracles.divide_exact(num, w)
+            except NotDivisible:
+                with pytest.raises(NotDivisible):
+                    divide_exact(num, w)
+                assert not koszul_divides(num, w)
+            else:
+                assert divide_exact(num, w) == want
+                assert koszul_divides(num, w)
 
     def test_bulk_roundtrip_seeded(self):
         rng = random.Random(20260810)
@@ -306,11 +337,13 @@ def smooth_fans():
 
 
 @st.composite
-def localization_sums(draw):
+def localization_sums(draw, shift=0):
     """The localization data of a seeded class on a smooth complete fan: a sum
     of up to three terms c * e^u * (product of up to two orbit-closure
-    classes), so the sum reduces to a polynomial."""
+    classes), so the sum reduces to a polynomial.  Every numerator is moved
+    by one drawn character with coordinates up to ``shift``."""
     fan = draw(st.sampled_from(smooth_fans()))
+    moved = E(draw(st.tuples(*[st.integers(-shift, shift)] * fan.rank)))
     epsilon = draw(st.sampled_from((1, -1)))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     rank = fan.rank
@@ -325,23 +358,25 @@ def localization_sums(draw):
                 values = [v.map_exponents(mirror) for v in values]
             term = [a * b for a, b in zip(term, values)]
         numerators = [a + b for a, b in zip(numerators, term)]
+    numerators = [moved * n for n in numerators]
     weights = [[tuple(epsilon * x for x in w) for w in tangent_weights(c)] for c in fan.cone_objects]
     return LocalizationSum.build(rank, list(zip(numerators, weights)))
 
 
 @st.composite
-def random_sums(draw):
+def random_sums(draw, exp=2, char=3):
     """Sums of up to four terms over a pool of characters: primitive,
-    non-primitive, repeated and lexicographically negative ones.  A numerator
+    non-primitive, repeated and lexicographically negative ones, with
+    coordinates up to ``char``.  A numerator, with exponents up to ``exp``,
     may carry Koszul factors of the pool, so that some terms cancel alone."""
     rank = draw(st.integers(1, 3))
-    vectors = st.tuples(*[st.integers(-3, 3)] * rank).filter(any)
+    vectors = st.tuples(*[st.integers(-char, char)] * rank).filter(any)
     pool = draw(st.lists(vectors, min_size=1, max_size=4))
     pool += [tuple(-x for x in w) for w in pool]
     one = LaurentPoly.one(rank)
     terms = []
     for _ in range(draw(st.integers(1, 4))):
-        num = draw(polys(rank, max_terms=3, coeff=3, exp=2))
+        num = draw(polys(rank, max_terms=3, coeff=3, exp=exp))
         for w, k in draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from((1, 2))), max_size=2)):
             num = num * (one - E(tuple(k * x for x in w)))
         terms.append((num, draw(st.lists(st.sampled_from(pool), max_size=3))))
@@ -378,23 +413,29 @@ class TestFoldAgainstGreedyOracle:
     def test_random_sums(self, s):
         self.check(s)
 
+    @given(localization_sums(shift=FAR))
+    @settings(max_examples=30, deadline=None)
+    def test_localization_data_far_apart(self, s):
+        assert isinstance(self.check(s), LaurentPoly)
+
+    @given(random_sums(exp=FAR, char=50))
+    @settings(max_examples=150, deadline=None)
+    def test_random_sums_far_apart(self, s):
+        self.check(s)
+
     def test_failed_divisions_of_one_chi(self, monkeypatch):
         """chi of the octahedron class on resolve(cube_fan()) (48 cones)
         makes 222 failed divisions; trying every factor after every step
-        made 244."""
+        made 244.  The fold divides through the packed kernel."""
         calls = []
-        divide = laurent.divide_exact
+        divide = laurent._packed_divide
 
-        def counted(f, w):
-            try:
-                q = divide(f, w)
-            except NotDivisible:
-                calls.append(False)
-                raise
-            calls.append(True)
+        def counted(f, ch):
+            q = divide(f, ch)
+            calls.append(q is not None)
             return q
 
-        monkeypatch.setattr(laurent, "divide_exact", counted)
+        monkeypatch.setattr(laurent, "_packed_divide", counted)
         cube = catalog.cube_fan()
         # on the cone over the facet x_i = s of the cube, the character -s * e_i
         exps = []
@@ -406,6 +447,47 @@ class TestFoldAgainstGreedyOracle:
         value = chi(cube, octahedron, resolution=resolve(cube))
         assert value.augment() == 7
         assert calls.count(False) == 222
+
+
+class TestPackedKernel:
+    """The packed line kernel behind ``divide_exact``, ``koszul_divides`` and
+    ``reduce_localization``: line names must stay distinct, and a coordinate
+    read back outside the box is refused."""
+
+    def test_collision_counterexample(self):
+        # fields sized to the exponent box alone, with k read from the raw
+        # coordinate, named both lines alike and returned the polynomial
+        # e^[5,0] + e^[7,-9] + e^[8,14]
+        s = LocalizationSum.build(2, [(E((5, 0)) - E((10, 5)), ((2, -9),))])
+        with pytest.raises(NotPolynomial):
+            reduce_localization(s)
+
+    @pytest.mark.parametrize("w", [(2, 9), (2, -9), (5, 11)])
+    def test_two_term_family(self, w):
+        """(e^(5,0) - e^b) / (1 - e^w) for every b in a 16 x 16 grid: a
+        polynomial iff b - (5,0) lies in Z*w, and then the tuple oracle's."""
+        for b in itertools.product(range(-3, 13), repeat=2):
+            num = E((5, 0)) - E(b)
+            s = LocalizationSum.build(2, [(num, (w,))])
+            try:
+                want = oracles.divide_exact(num, w)
+            except NotDivisible:
+                with pytest.raises(NotDivisible):
+                    divide_exact(num, w)
+                with pytest.raises(NotPolynomial):
+                    reduce_localization(s)
+                assert not koszul_divides(num, w)
+            else:
+                assert divide_exact(num, w) == want == reduce_localization(s)
+                assert koszul_divides(num, w)
+
+    def test_coordinate_outside_the_box_is_refused(self):
+        packing = laurent._Packing((0, -1), (3, 3), 1)
+        f = E((3, 3)) - E((0, -1))
+        assert packing.unpack(packing.pack(f)) == f
+        for outside in ((4, 0), (0, 4), (-1, 0)):
+            with pytest.raises(ResultCheckFailed):
+                packing.unpack(packing.pack(E(outside)))
 
 
 class TestSerialization:

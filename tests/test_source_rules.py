@@ -2,7 +2,9 @@
 no ``assert`` statement (the optimizer strips it) and no ``fractions`` import
 (exact work stays in integers and Z[M]).  One rule keeps lattice coordinates
 in one place: ``smith_normal_form`` is called only from
-``fan.span_coordinates``.  Every name the package exports resolves."""
+``fan.span_coordinates``.  Every name the package exports resolves.  The
+localization oracle in ``tests/oracles.py`` takes from ``pexpfan.laurent``
+only the two types, never the kernel it checks."""
 
 import ast
 from pathlib import Path
@@ -55,3 +57,15 @@ def test_smith_form_called_only_from_span_coordinates():
 def test_every_exported_name_resolves():
     missing = [name for name in pexpfan.__all__ if not hasattr(pexpfan, name)]
     assert missing == []
+
+
+def test_oracles_import_only_the_laurent_types():
+    path = Path(__file__).parent / "oracles.py"
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        where = f"oracles.py:{getattr(node, 'lineno', '?')}"
+        if isinstance(node, ast.Import):
+            assert not any(a.name.startswith("pexpfan.laurent") for a in node.names), where
+        elif isinstance(node, ast.ImportFrom) and node.module == "pexpfan":
+            assert "laurent" not in {a.name for a in node.names}, where
+        elif isinstance(node, ast.ImportFrom) and node.module == "pexpfan.laurent":
+            assert {a.name for a in node.names} <= {"LaurentPoly", "LocalizationSum"}, where
