@@ -178,8 +178,8 @@ class TestDivideExact:
     @given(polys(exp=FAR), polys(max_terms=2, exp=FAR), wide_chars, st.integers(-50, 50))
     @settings(max_examples=150)
     def test_agrees_with_tuple_oracle_far_apart(self, f, g, w, t):
-        # f times the Koszul factor, perturbed by a term moved along w (the
-        # coefficient sum stays zero) or by any g
+        # f times the Koszul factor, perturbed by e^a - e^b with b one step
+        # off the line a + Z*w (the coefficient sum stays zero) or by any g
         product = f * (ONE2 - E(w))
         near = E((t, -t)) - E((t + 3 * w[0], -t + 3 * w[1] + 1))
         for num in (f, product, product + near, product + g):
@@ -343,7 +343,6 @@ def localization_sums(draw, shift=0):
     classes), so the sum reduces to a polynomial.  Every numerator is moved
     by one drawn character with coordinates up to ``shift``."""
     fan = draw(st.sampled_from(smooth_fans()))
-    moved = E(draw(st.tuples(*[st.integers(-shift, shift)] * fan.rank)))
     epsilon = draw(st.sampled_from((1, -1)))
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     rank = fan.rank
@@ -358,6 +357,7 @@ def localization_sums(draw, shift=0):
                 values = [v.map_exponents(mirror) for v in values]
             term = [a * b for a, b in zip(term, values)]
         numerators = [a + b for a, b in zip(numerators, term)]
+    moved = E(draw(st.tuples(*[st.integers(-shift, shift)] * rank)))
     numerators = [moved * n for n in numerators]
     weights = [[tuple(epsilon * x for x in w) for w in tangent_weights(c)] for c in fan.cone_objects]
     return LocalizationSum.build(rank, list(zip(numerators, weights)))
