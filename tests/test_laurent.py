@@ -176,7 +176,7 @@ class TestDivideExact:
                 assert divide_exact(num, w) == expected
 
     @given(polys(exp=FAR), polys(max_terms=2, exp=FAR), wide_chars, st.integers(-50, 50))
-    @settings(max_examples=150)
+    @settings(max_examples=150, deadline=None)
     def test_agrees_with_tuple_oracle_far_apart(self, f, g, w, t):
         # f times the Koszul factor, perturbed by e^a - e^b with b one step
         # off the line a + Z*w (the coefficient sum stays zero) or by any g
