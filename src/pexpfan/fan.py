@@ -43,6 +43,7 @@ from .lattice import (
     transpose,
     unimodular_inverse,
     vec_add,
+    vec_scale,
     QuotientLattice,
 )
 
@@ -168,10 +169,6 @@ class Cone:
     @cached_property
     def _span(self) -> tuple[tuple[Vector, ...], IntMatrix, tuple[Vector, ...], IntMatrix]:
         return span_coordinates(self.rank, self.generators)
-
-    @property
-    def span_basis(self) -> tuple[Vector, ...]:
-        return self._span[0]
 
     @cached_property
     def local_generators(self) -> tuple[Vector, ...]:
@@ -815,9 +812,69 @@ def _box_points(cone: Cone) -> list[tuple[int, Vector]]:
     return out
 
 
-def total_excess_multiplicity(fan: Fan) -> int:
-    """Sum over maximal cones of (multiplicity - 1); zero iff smooth."""
-    return sum(c.multiplicity() - 1 for c in fan.cone_objects)
+class _Progression:
+    """The points first + i * step, 0 <= i < count, indexed like a list."""
+
+    def __init__(self, first: Vector, step: Vector, count: int):
+        self.first, self.step, self.count = first, step, count
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __getitem__(self, i: int) -> Vector:
+        if not 0 <= i < self.count:
+            raise IndexError(i)
+        return vec_add(self.first, vec_scale(i, self.step))
+
+
+def _least_box_points(cone: Cone) -> tuple[int, list[Vector] | _Progression]:
+    """The least key of ``_box_points`` on a singular simplicial cone, and the
+    points that reach it, in ascending order.
+
+    A cone of dim >= 3 takes the least slice of ``_box_points``.  A cone of
+    dim 2 lists nothing.  With g1, g2 its local generators and mult its
+    multiplicity, a point x = (a g1 + k g2) / mult of the span is a lattice
+    point iff a = q k mod mult, where q = -<v, g2> mod mult for a character v
+    with <v, g1> = 1; the key is a + k.  Every nonzero lattice point of the
+    cone is a parallelepiped point plus a sum of generators, each adding mult
+    to a + k, and (q, 1) has a + k <= mult: so the least points are the
+    points of least a + k among the nonzero lattice points of the cone other
+    than g1 and g2.  Those lie on the bounded edges of their convex hull,
+    whose lattice points are the Hilbert basis: g1 = (mult, 0), (q, 1), ...,
+    g2 = (0, mult), each element b u - u' for the two before it, u' then u,
+    with b = ceil(a(u') / a(u)) (Hirzebruch-Jung; Fulton, Introduction to
+    Toric Varieties, 2.6).  The step repeats while b = 2, so an edge from a
+    with step (-alpha, beta) has floor(a / alpha) lattice steps, and a + k
+    changes by beta - alpha per step, falling and then rising along the
+    chain.  The walk stops at the first edge where it does not fall: if it
+    rises, the least point is the edge's start; if it is flat, the least
+    points are the edge's lattice points other than g1 and g2, and they
+    ascend, since the step is then a positive multiple of g2 - g1 and the
+    generators are sorted.
+    """
+    if cone.dim != 2:
+        box = _box_points(cone)
+        return box[0][0], [p for s, p in box if s == box[0][0]]
+    (p, s), h = cone.local_generators
+    mult = cone.multiplicity()
+    # <v, g1> = 1 for v = (p^-1 mod |s|, (1 - p v_0) / s); g1 primitive, so p = +-1 if s = 0
+    v0 = pow(p, -1, abs(s)) if s else p
+    q = -(v0 * h[0] + ((1 - p * v0) // s if s else 0) * h[1]) % mult
+    a, k, da, dk = mult, 0, q - mult, 1
+    while da + dk < 0:
+        j = a // -da
+        a, k = a + j * da, k + j * dk
+        b = -(-(a - da) // a)
+        da, dk = (b - 2) * a + da, (b - 2) * k + dk
+    # only the first edge starts at g1 (k = 0); an edge ends at g2 iff alpha divides a
+    lo = 0 if k else 1
+    count = 1 if da + dk else a // -da - (a % -da == 0) - lo + 1
+    g1, g2 = cone.generators
+
+    def ambient(a: int, k: int) -> Vector:
+        return tuple((a * x + k * y) // mult for x, y in zip(g1, g2))
+
+    return a + k, _Progression(ambient(a + lo * da, k + lo * dk), ambient(da, dk), count)
 
 
 def resolve(
@@ -831,10 +888,13 @@ def resolve(
 
     First makes every cone simplicial by stellar subdivisions at existing
     rays, then repeatedly subdivides a singular cone at a parallelepiped
-    lattice point of minimal coefficient sum.  With the default deterministic
-    choices the result is canonical; an ``rng`` permutes the choice of
-    singular cone and the tie-breaks, and ``extra_rounds`` appends smooth
-    refinements, both of which produce alternative valid resolutions.
+    lattice point of minimal coefficient sum, the least in lex order or, with
+    an ``rng``, a random one of them (``_least_box_points``: read from the
+    Hilbert basis of a 2-dimensional cone, listed for a larger one).  With
+    the default deterministic choices the result is canonical; an ``rng``
+    permutes the choice of singular cone and the tie-breaks, and
+    ``extra_rounds`` appends smooth refinements, both of which produce
+    alternative valid resolutions.
 
     Every step runs on one ``_Refinement``, and finds the cones holding its
     ray without a scan, because the input is a fan.  The ray x lies in a
@@ -893,14 +953,12 @@ def resolve(
         else:
             top = max(singular.values())
             idx = min((k for k, m in singular.items() if m == top), key=ref.order.index)
-        box = _box_points(cones[idx][1])
-        if not box:
+        _, minimal = _least_box_points(cones[idx][1])
+        if not minimal:
             raise ResolutionCheckFailed(
                 f"singular cone {ref.order.index(idx)} has no parallelepiped points")
-        best = box[0][0]
-        minimal = [p for s, p in box if s == best]
-        point = rng.choice(minimal) if rng else minimal[0]
-        ray = primitive_vector(point)
+        # Random.choice reads only the length and one index, so drawing the index keeps its stream
+        ray = primitive_vector(minimal[rng.choice(range(len(minimal))) if rng else 0])
         before = excess
         change = ref.step(ray, ref.star(ref.face_of(idx, ray)))
         if change:

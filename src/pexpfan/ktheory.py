@@ -20,7 +20,6 @@ experiment with both candidate weight sets.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .errors import (
@@ -384,21 +383,3 @@ def dual_basis_solve(
         raise ResultCheckFailed("dual basis Gram is not the identity")
     return tuple(out)
 
-
-def random_cartier_combination(
-    fan: Fan,
-    cartier_classes,
-    rng: random.Random,
-    *,
-    max_terms: int = 3,
-    coeff_bound: int = 3,
-    exp_bound: int = 2,
-) -> PiecewiseExponential:
-    """A random R(T)-combination of line-bundle classes, for property tests."""
-    out = PiecewiseExponential.constant(fan, 0)
-    for _ in range(rng.randint(1, max_terms)):
-        cls = rng.choice(list(cartier_classes))
-        coeff = rng.randint(-coeff_bound, coeff_bound)
-        exp = tuple(rng.randint(-exp_bound, exp_bound) for _ in range(fan.rank))
-        out = out + cls.module_action(LaurentPoly.exponential(exp, coeff))
-    return out

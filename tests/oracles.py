@@ -23,8 +23,13 @@ and the last enumerated the residue group, and ``lines`` and
 their exponents into ints (``reduce_localization_greedy`` divides with
 them and imports only ``LaurentPoly`` and ``LocalizationSum`` from
 ``pexpfan.laurent``), and ``integer_det``, the Bareiss determinant that
-``pexpfan.lattice`` kept with no caller in the package: all are kept as the
-oracles for the path that replaced them.
+``pexpfan.lattice`` kept with no caller in the package, and
+``least_box_points_listing``, the least slice of ``fan._box_points`` that
+every ``resolve`` step took before ``fan._least_box_points`` read the
+two-dimensional ones from the Hilbert basis: all are kept as the oracles for
+the path that replaced them.  ``total_excess_multiplicity`` and
+``random_cartier_combination`` are test helpers that the package kept with
+no caller of its own.
 """
 
 from __future__ import annotations
@@ -422,7 +427,7 @@ def box_points_scan(cone):
     parallelepiped for the points with 0 <= sign(det) * (adj @ x)_i < mult."""
     from pexpfan.lattice import mat_vec
 
-    d, g, basis = cone.dim, cone.local_generators, cone.span_basis
+    d, g, basis = cone.dim, cone.local_generators, cone._span[0]
     det, adj = cone._adjugate
     sign, mult = (1 if det > 0 else -1), abs(det)
     lo = [sum(min(0, g[i][c]) for i in range(d)) for c in range(d)]
@@ -443,3 +448,32 @@ def box_scan_size(cone) -> int:
     for c in range(cone.dim):
         size *= sum(abs(x[c]) for x in g) + 1
     return size
+
+
+def least_box_points_listing(cone):
+    """``fan._least_box_points(cone)`` for every dimension by listing the
+    parallelepiped: the least key of ``fan._box_points`` and its points."""
+    from pexpfan.fan import _box_points
+
+    box = _box_points(cone)
+    return box[0][0], [p for s, p in box if s == box[0][0]]
+
+
+def total_excess_multiplicity(fan) -> int:
+    """Sum over maximal cones of (multiplicity - 1); zero iff smooth."""
+    return sum(c.multiplicity() - 1 for c in fan.cone_objects)
+
+
+def random_cartier_combination(fan, cartier_classes, rng, *, max_terms=3, coeff_bound=3,
+                               exp_bound=2):
+    """A random R(T)-combination of line-bundle classes, for property tests."""
+    from pexpfan.laurent import LaurentPoly
+    from pexpfan.pexp import PiecewiseExponential
+
+    out = PiecewiseExponential.constant(fan, 0)
+    for _ in range(rng.randint(1, max_terms)):
+        cls = rng.choice(list(cartier_classes))
+        coeff = rng.randint(-coeff_bound, coeff_bound)
+        exp = tuple(rng.randint(-exp_bound, exp_bound) for _ in range(fan.rank))
+        out = out + cls.module_action(LaurentPoly.exponential(exp, coeff))
+    return out

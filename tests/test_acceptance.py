@@ -38,7 +38,7 @@ import pytest
 
 from pexpfan import catalog
 from pexpfan.errors import NotDescendable, NotIntegral
-from pexpfan.fan import Fan, resolve, stellar_subdivision, total_excess_multiplicity
+from pexpfan.fan import Fan, resolve, stellar_subdivision
 from pexpfan.ktheory import (
     chi,
     decompose,
@@ -46,7 +46,6 @@ from pexpfan.ktheory import (
     gram_matrix,
     kronecker_pair,
     poly_det,
-    random_cartier_combination,
 )
 from pexpfan.lattice import mat_mul, smith_normal_form
 from pexpfan.laurent import (
@@ -64,7 +63,12 @@ from pexpfan.pexp import (
     pullback,
 )
 
-from oracles import cartier_polytope_points, det_expansion
+from oracles import (
+    cartier_polytope_points,
+    det_expansion,
+    random_cartier_combination,
+    total_excess_multiplicity,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 E = LaurentPoly.exponential

@@ -30,7 +30,6 @@ from pexpfan.fan import (
     resolve,
     star_quotient,
     stellar_subdivision,
-    total_excess_multiplicity,
 )
 from pexpfan.lattice import identity_matrix, mat_mul, mat_vec, matrix_rank, pair, primitive_vector
 from oracles import (
@@ -43,9 +42,11 @@ from oracles import (
     facet_normals_full_dim,
     facets_by_generator_subsets,
     grid_covers_fan,
+    least_box_points_listing,
     smith_diagonal_oracle,
     solve_rational,
     star_quotient_oracle,
+    total_excess_multiplicity,
 )
 
 
@@ -425,13 +426,13 @@ class TestResolve:
         assert total_excess_multiplicity(sub.fine) == 0
 
     def test_empty_parallelepiped_is_a_check_failure(self, p112, monkeypatch):
-        monkeypatch.setattr(fan_module, "_box_points", lambda cone: [])
+        monkeypatch.setattr(fan_module, "_least_box_points", lambda cone: (1, []))
         with pytest.raises(ResolutionCheckFailed, match="no parallelepiped points"):
             resolve(p112)
 
     def test_a_step_that_keeps_the_excess_is_a_check_failure(self, p112, monkeypatch):
         # subdividing at a generator of the singular cone leaves the fan as it is
-        monkeypatch.setattr(fan_module, "_box_points", lambda cone: [(1, cone.generators[0])])
+        monkeypatch.setattr(fan_module, "_least_box_points", lambda cone: (1, [cone.generators[0]]))
         with pytest.raises(ResolutionCheckFailed, match="did not drop: 1 -> 1"):
             resolve(p112)
 
@@ -522,8 +523,8 @@ class TestResolve:
             resolve(p2, extra_rounds=1)
 
     def test_a_point_outside_the_chosen_cone_is_a_check_failure(self, p112, monkeypatch):
-        monkeypatch.setattr(fan_module, "_box_points",
-                            lambda cone: [(1, tuple(-x for x in cone.generators[0]))])
+        monkeypatch.setattr(fan_module, "_least_box_points",
+                            lambda cone: (1, [tuple(-x for x in cone.generators[0])]))
         with pytest.raises(ResolutionCheckFailed, match="does not lie in the cone it subdivides"):
             resolve(p112)
 
@@ -576,6 +577,70 @@ class TestResolve:
         assert len(cases) == 173 and len(steps) > 5000
         digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
         assert digest == "4d5d87c999e55fb90ae4fdf56b8b220de63c486029e14a9994d1b098f1760701"
+
+
+class TestLeastBoxPoints:
+    @given(st.integers(0, 99999))
+    @settings(max_examples=150, deadline=None)
+    def test_two_dimensional_cones_match_the_listing(self, seed):
+        """On a 2-dimensional cone of multiplicity up to 5,000, in ambient
+        rank 2 to 4, the Hilbert basis walk gives the least key, the count
+        and every point of the least slice of the listed parallelepiped."""
+        rng = random.Random(seed)
+        rank, bound = rng.randint(2, 4), rng.choice((3, 12, 50))
+        while True:
+            gens = [tuple(rng.randint(-bound, bound) for _ in range(rank)) for _ in range(2)]
+            if len(smith_diagonal_oracle(gens)) == 2:
+                cone = Cone.from_generators(rank, gens)
+                if 2 <= cone.multiplicity() <= 5000:
+                    break
+        best, points = fan_module._least_box_points(cone)
+        want_best, want = least_box_points_listing(cone)
+        assert (best, len(points)) == (want_best, len(want))
+        assert [points[i] for i in range(len(points))] == want
+        with pytest.raises(IndexError):
+            points[len(points)]
+
+    @pytest.mark.parametrize("n", [2, 3, 41, 1000])
+    def test_an_a_cone_gives_its_whole_segment(self, n):
+        # every (1, k), 0 < k < n, has coefficient sum 1 on <(1,0),(1,n)>
+        best, points = fan_module._least_box_points(Cone.from_generators(2, [(1, 0), (1, n)]))
+        assert best == n and len(points) == n - 1
+        assert [points[i] for i in (0, n - 2)] == [(1, 1), (1, n - 1)]
+
+    @given(st.integers(0, 99999), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_rank2_resolutions_match_the_listing_path(self, seed, extra):
+        """resolve serializes the same, with and without an rng, whether each
+        step reads its points from the Hilbert basis walk or lists them."""
+        rng = random.Random(seed)
+        cases = [random_complete_rank2_data(rng)]
+        gens = [(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(2)]
+        if len(smith_diagonal_oracle(gens)) == 2:
+            cases.append((2, sorted({primitive_vector(g) for g in gens}), [(0, 1)]))
+        for rank, rays, cones in cases:
+            try:
+                fan = Fan.build(rank, rays, cones)
+            except PExpFanError:
+                continue
+            for s in (None, seed):
+                def doc():
+                    return resolve(fan, rng=None if s is None else random.Random(s),
+                                   extra_rounds=extra).to_json()
+                got = doc()
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(fan_module, "_least_box_points", least_box_points_listing)
+                    assert got == doc()
+
+    def test_only_cones_of_dim_3_or_more_list_their_parallelepiped(self, monkeypatch):
+        box_points, cones = fan_module._box_points, []
+        monkeypatch.setattr(fan_module, "_box_points",
+                            lambda cone: cones.append(cone) or box_points(cone))
+        assert resolve(Fan.build(2, [(1, 0), (1, 1000)], [(0, 1)])).fine.is_smooth()
+        assert cones == []
+        rank3 = Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, 2, 7)], [(0, 1, 2)])
+        assert resolve(rank3).fine.is_smooth()
+        assert cones and all(c.dim == 3 for c in cones)
 
 
 class TestAgainstOracles:

@@ -25,14 +25,13 @@ from pexpfan.ktheory import (
     orbit_closure_class,
     PairingMatrix,
     poly_det,
-    random_cartier_combination,
     tangent_weights,
 )
 from pexpfan.lattice import vec_scale
 from pexpfan.laurent import LaurentPoly, LocalizationSum
 from pexpfan.pexp import CartierData, PiecewiseExponential, from_cartier, gkm_validate
 
-from oracles import cartier_polytope_points
+from oracles import cartier_polytope_points, random_cartier_combination
 
 E = LaurentPoly.exponential
 

@@ -2,7 +2,8 @@
 no ``assert`` statement (the optimizer strips it) and no ``fractions`` import
 (exact work stays in integers and Z[M]).  One rule keeps lattice coordinates
 in one place: ``smith_normal_form`` is called only from
-``fan.span_coordinates``.  Every name the package exports resolves.  The
+``fan.span_coordinates``.  Another keeps one way to pick a resolve point:
+``fan._box_points`` is called only from ``fan._least_box_points``.  Every name the package exports resolves.  The
 localization oracle in ``tests/oracles.py`` takes from ``pexpfan.laurent``
 only the two types, never the kernel it checks."""
 
@@ -44,14 +45,22 @@ def _calls(node, where=None):
         yield from _calls(child, inner)
 
 
-def test_smith_form_called_only_from_span_coordinates():
+def _callers(name):
+    """(file name, enclosing function) of every call of ``name`` in the package."""
     callers = set()
     for path in SOURCES:
         for where, call in _calls(ast.parse(path.read_text(), filename=str(path))):
-            if "smith_normal_form" in (getattr(call.func, "id", None),
-                                       getattr(call.func, "attr", None)):
+            if name in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
                 callers.add((path.name, where))
-    assert callers == {("fan.py", "span_coordinates")}
+    return callers
+
+
+def test_smith_form_called_only_from_span_coordinates():
+    assert _callers("smith_normal_form") == {("fan.py", "span_coordinates")}
+
+
+def test_box_points_listed_only_for_the_least_box_points():
+    assert _callers("_box_points") == {("fan.py", "_least_box_points")}
 
 
 def test_every_exported_name_resolves():
