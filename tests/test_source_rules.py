@@ -2,10 +2,11 @@
 no ``assert`` statement (the optimizer strips it) and no ``fractions`` import
 (exact work stays in integers and Z[M]).  One rule keeps lattice coordinates
 in one place: ``smith_normal_form`` is called only from
-``fan.span_coordinates``.  Another keeps one way to pick a resolve point:
-``fan._box_points`` is called only from ``fan._least_box_points``.  Every name the package exports resolves.  The
-localization oracle in ``tests/oracles.py`` takes from ``pexpfan.laurent``
-only the two types, never the kernel it checks."""
+``fan.span_coordinates``; another keeps one way to pick a resolve point:
+``fan._box_points`` is called only from ``fan._least_box_points``.  Every
+name the package exports resolves.  The localization oracle in
+``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types,
+never the kernel it checks."""
 
 import ast
 from pathlib import Path
