@@ -33,6 +33,7 @@ from .lattice import (
     identity_matrix,
     is_primitive,
     line_kernel,
+    mat_mul,
     mat_vec,
     matrix_rank,
     pair,
@@ -179,6 +180,12 @@ class Cone:
     def _adjugate(self) -> tuple[int, IntMatrix]:
         """(det, adj) of the local generators as columns; simplicial cones only."""
         return adjugate(transpose(self.local_generators))
+
+    @cached_property
+    def _tangent_weights(self) -> tuple[Vector, ...]:
+        """Rows of det * adj(G) @ P, read by ``ktheory.tangent_weights``."""
+        det, adj = self._adjugate
+        return tuple(vec_scale(det, u) for u in mat_mul(adj, self._span[1]))
 
     def _is_pointed(self) -> bool:
         # the facet normals generate the dual cone, which is full-dimensional

@@ -15,6 +15,13 @@ sum of e^m over the lattice points of its polytope; the opposite sign fails
 that normalization (it produces the mirrored support), which is how the sign
 was determined.  ``scripts/determine_sign_convention.py`` replays the
 experiment with both candidate weight sets.
+
+Every pairing is one localization sum over the star of a face (``_star_sum``):
+O_{V(tau)} restricts to the Koszul factor prod_{rho in tau} (1 - e^{w_rho})
+at a fixed point sigma containing tau and to 0 elsewhere, and that factor
+cancels the same factors of sigma's denominator, so <f, [O_{V(tau)}]> =
+sum_{sigma containing tau} f_sigma / prod_{rho in sigma - tau} (1 - e^{w_rho}).
+chi is the case tau = 0.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from .errors import (
     SingularGram,
 )
 from .fan import Cone, Fan, RaySet, SubdivisionMap, resolve
-from .lattice import Vector, adjugate, mat_mul, vec_scale
-from .laurent import LaurentPoly, LocalizationSum, try_div
+from .lattice import Vector, adjugate
+from .laurent import LaurentPoly, LocalizationSum, poly_to_json, try_div
 from .pexp import PiecewiseExponential, pullback
 
 
@@ -51,8 +58,7 @@ def tangent_weights(cone: Cone) -> tuple[Vector, ...]:
         raise NotFullDimensional("tangent weights need a full-dimensional cone")
     if not cone.is_simplicial or cone.multiplicity() != 1:
         raise NotSmooth(f"cone on {cone.generators} has multiplicity != 1")
-    det, adj = cone._adjugate
-    return tuple(vec_scale(det, u) for u in mat_mul(adj, cone._span[1]))
+    return cone._tangent_weights
 
 
 def _require_smooth_complete(fan: Fan):
@@ -85,36 +91,34 @@ def orbit_closure_class(fan: Fan, rayset) -> tuple[LaurentPoly, ...]:
 
 
 def _resolution_of(fan: Fan, resolution: SubdivisionMap | None) -> SubdivisionMap:
-    """The given refinement of ``fan``; by default the identity on a smooth
-    fan and ``resolve(fan)`` otherwise."""
+    """The given refinement of ``fan``; by default ``resolve(fan)``, which is
+    the identity on a smooth fan."""
     if resolution is None:
-        return SubdivisionMap.identity(fan) if fan.is_smooth() else resolve(fan)
+        return resolve(fan)
     if resolution.coarse != fan:
         raise ValueError("resolution does not refine the given fan")
     return resolution
 
 
-def _fixed_point_weights(fan: Fan) -> tuple[tuple[Vector, ...], ...]:
-    """The tangent weights of every maximal cone of a smooth complete fan,
-    read once for all the localization sums over that fan."""
-    _require_smooth_complete(fan)
-    return tuple(map(tangent_weights, fan.cone_objects))
-
-
-def _localize(rank: int, weights, numerators) -> LaurentPoly:
-    """Reduce the localization sum of one numerator per fixed point over the
-    weights ``_fixed_point_weights`` read."""
-    numerators = tuple(numerators)
-    if len(numerators) != len(weights):
-        raise ValueError("one numerator per maximal cone is required")
-    return LocalizationSum.build(rank, zip(numerators, weights)).reduce()
+def _star_sum(fine: Fan, values, face: RaySet) -> LaurentPoly:
+    """<f, [O_{V(face)}]> on a smooth complete fan, from f's value at each
+    maximal cone: the sum over the cones whose generator rays contain ``face``
+    of the value over the weights of the rays outside ``face``."""
+    terms = [(value, [w for ray, w in zip(rays, tangent_weights(cone)) if ray not in face])
+             for value, cone, rays in zip(values, fine.cone_objects, fine._generator_rays)
+             if set(face) <= set(rays)]
+    return LocalizationSum.build(fine.rank, terms).reduce()
 
 
 def euler_characteristic(fan: Fan, numerators) -> LaurentPoly:
     """Reduce the localization sum over the fixed points of a smooth complete
     fan to an element of Z[M]: one numerator per maximal cone, over the
-    tangent weights of that cone."""
-    return _localize(fan.rank, _fixed_point_weights(fan), numerators)
+    tangent weights of that cone: the star sum of the zero cone."""
+    _require_smooth_complete(fan)
+    numerators = tuple(numerators)
+    if len(numerators) != len(fan.maximal_cones):
+        raise ValueError("one numerator per maximal cone is required")
+    return _star_sum(fan, numerators, ())
 
 
 def chi(
@@ -166,8 +170,6 @@ class PairingMatrix:
     entries: tuple[tuple[LaurentPoly, ...], ...]
 
     def to_json(self) -> dict:
-        from .laurent import poly_to_json
-
         return {
             "rows": list(self.row_labels),
             "cols": list(self.col_labels),
@@ -187,9 +189,8 @@ def gram_matrix(
     Computed on a resolution, pairing each pulled-back class against the
     orbit closure of a strict transform of tau_j (a fine cone of the same
     span inside tau_j); the result is independent of both choices.  Each
-    function is pulled back once, each orbit class is built once and the
-    tangent weights of the fine fan are read once, then every entry is one
-    localization sum.
+    function is pulled back once and each strict transform found once; every
+    entry is then one star sum (``_star_sum``), with no orbit class built.
     """
     functions = tuple(functions)
     if any(f.fan != fan for f in functions):
@@ -199,19 +200,11 @@ def gram_matrix(
     raysets = tuple(fan.require_face(rs) for rs in raysets)
     resolution = _resolution_of(fan, resolution)
     fine = resolution.fine
-    weights = _fixed_point_weights(fine)
-    orbits = []
-    for rs in raysets:
-        tau_cone = Cone.from_generators(fan.rank, tuple(fan.rays[i] for i in rs))
-        orbits.append(orbit_closure_class(fine, _strict_transform_face(fine, tau_cone)))
+    _require_smooth_complete(fine)
+    faces = [_strict_transform_face(fine, Cone.from_generators(fan.rank, [fan.rays[i] for i in rs]))
+             for rs in raysets]
     lifted = [pullback(f, resolution).values for f in functions]
-    entries = tuple(
-        tuple(
-            _localize(fine.rank, weights, [n * v for n, v in zip(orbit, values)])
-            for orbit in orbits
-        )
-        for values in lifted
-    )
+    entries = tuple(tuple(_star_sum(fine, values, face) for face in faces) for values in lifted)
     return PairingMatrix(
         tuple(f"f{i}" for i in range(len(functions))),
         tuple("cone" + str(list(rs)) for rs in raysets),

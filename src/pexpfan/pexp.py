@@ -20,7 +20,7 @@ from .errors import (
 )
 from .fan import Fan, RaySet, SubdivisionMap
 from .lattice import IntMatrix, Vector, mat_mul, strict_int, strict_list
-from .laurent import LaurentPoly, koszul_divides
+from .laurent import LaurentPoly, koszul_divides, poly_from_json, poly_to_json
 
 
 def _comparison_matrix(fan_from: Fan, face_from: RaySet, fan_to: Fan, face_to: RaySet) -> IntMatrix:
@@ -267,8 +267,6 @@ def descend(f: PiecewiseExponential, s: SubdivisionMap) -> PiecewiseExponential:
 
 
 def pexp_to_json(f: PiecewiseExponential) -> dict:
-    from .laurent import poly_to_json
-
     return {
         "fan": f.fan.to_json(),
         "values": [poly_to_json(v) for v in f.values],
@@ -276,8 +274,6 @@ def pexp_to_json(f: PiecewiseExponential) -> dict:
 
 
 def pexp_from_json(obj: dict, fan: Fan | None = None) -> PiecewiseExponential:
-    from .laurent import poly_from_json
-
     if not isinstance(obj, dict) or "values" not in obj:
         raise ValueError("piecewise exponential JSON needs 'values'")
     if fan is None:

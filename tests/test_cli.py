@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,10 +15,12 @@ from pexpfan import catalog, cli
 from pexpfan.cli import run
 from pexpfan.errors import ResolutionCheckFailed, ResultCheckFailed
 from pexpfan.fan import Fan, SubdivisionMap, resolve
+from pexpfan.laurent import LaurentPoly, format_poly, poly_from_json
 from pexpfan.pexp import pexp_to_json
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
+GOLDEN = REPO / "tests" / "golden"
 # the data/ arguments of the cli benchmark, relative to the repository root
 DATA_FAN, DATA_CLASS = "data/p112_fan.json", "data/p112_class.json"
 DATA_SPANNING, DATA_CONES = "data/p112_spanning.json", "data/p112_duality_cones.json"
@@ -174,6 +177,50 @@ class TestHappyPaths:
         )
         assert code == 0
         assert len(json.loads(out)["result"]["functions"]) == 3
+
+    def test_gram_text_is_the_golden_matrix(self, capsys):
+        code, out = invoke(
+            ["gram", "--format", "text", "--fan", DATA / "p112_fan.json",
+             "--functions", DATA / "p112_spanning.json", "--cones", DATA / "p112_duality_cones.json"],
+            capsys,
+        )
+        assert code == 0
+        golden = json.loads((GOLDEN / "p112_gram.json").read_text())
+        lines = ["\t" + "\t".join(golden["cols"])]
+        for label, row in zip(golden["rows"], golden["entries"]):
+            lines.append(label + "\t" + "\t".join(format_poly(poly_from_json(e)) for e in row))
+        assert out == "\n".join(lines) + "\n"
+
+    def test_decompose_text_pairs_to_the_golden_chi(self, capsys):
+        # chi(xi) = sum_i c_i <f_i, [O_X]>, with the pairings the golden
+        # Gram's column of the zero cone
+        code, out = invoke(
+            ["decompose", "--format", "text", "--fan", DATA / "p112_fan.json",
+             "--pexp", DATA / "p112_class.json", "--basis", DATA / "p112_spanning.json"],
+            capsys,
+        )
+        assert code == 0
+        assert out == "1*e^[0,1] + 1*e^[1,0]\n1*e^[-2,1] + 1*e^[-1,0]\n1*e^[0,0] + 1*e^[1,-1]\n"
+        coeffs = [
+            LaurentPoly.from_dict(2, {tuple(map(int, e.split(","))): int(c)
+                                      for c, e in re.findall(r"(-?\d+)\*e\^\[([^]]*)\]", line)})
+            for line in out.splitlines()
+        ]
+        golden = json.loads((GOLDEN / "p112_gram.json").read_text())
+        assert golden["cols"][0] == "cone[]"
+        chi = sum((c * poly_from_json(row[0]) for c, row in zip(coeffs, golden["entries"])),
+                  LaurentPoly.zero(2))
+        assert chi == poly_from_json(json.loads((GOLDEN / "p112_chi_demo_class.json").read_text()))
+
+    def test_output_file_holds_what_stdout_would(self, tmp_path, capsys):
+        argv = ["gram", "--fan", DATA / "p112_fan.json", "--functions", DATA / "p112_spanning.json",
+                "--cones", DATA / "p112_duality_cones.json"]
+        code, out = invoke(argv, capsys)
+        target = tmp_path / "gram.json"
+        assert invoke([*argv, "-o", target], capsys) == (code, "")
+        assert target.read_text() == out
+        golden = json.loads((GOLDEN / "p112_gram.json").read_text())
+        assert json.loads(target.read_text()) == {"status": "ok", "result": golden}
 
     def test_gkm_check_ok(self, data_files, capsys):
         code, out = invoke(

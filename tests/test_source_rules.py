@@ -3,7 +3,9 @@ no ``assert`` statement (the optimizer strips it) and no ``fractions`` import
 (exact work stays in integers and Z[M]).  One rule keeps lattice coordinates
 in one place: ``smith_normal_form`` is called only from
 ``fan.span_coordinates``; another keeps one way to pick a resolve point:
-``fan._box_points`` is called only from ``fan._least_box_points``.  Every
+``fan._box_points`` is called only from ``fan._least_box_points``; a third
+keeps one way to pair: ``orbit_closure_class`` has no caller in the
+package.  Every
 name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types,
 never the kernel it checks."""
@@ -62,6 +64,11 @@ def test_smith_form_called_only_from_span_coordinates():
 
 def test_box_points_listed_only_for_the_least_box_points():
     assert _callers("_box_points") == {("fan.py", "_least_box_points")}
+
+
+def test_orbit_closure_class_has_no_caller_in_the_package():
+    # a pairing is a star sum; the Koszul round trip stays a test oracle
+    assert _callers("orbit_closure_class") == set()
 
 
 def test_every_exported_name_resolves():
