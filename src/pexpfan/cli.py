@@ -40,9 +40,21 @@ class CliFailure(Exception):
 
 
 def _load_json(path: str):
+    def unique_keys(pairs):
+        # json keeps the last of repeated keys; refuse them like malformed JSON
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise CliFailure(1, {
+                    "status": "error", "kind": "json",
+                    "detail": f"{path}: repeated key {key!r}",
+                })
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise CliFailure(1, {"status": "error", "kind": "io", "detail": str(exc)})
     except json.JSONDecodeError as exc:

@@ -356,7 +356,8 @@ class Fan:
         ci, cj = self.cone_objects[i], self.cone_objects[j]
         shared = tuple(sorted(set(self.maximal_cones[i]) & set(self.maximal_cones[j])))
         shared_vecs = set(self.rays[k] for k in shared)
-        if shared not in self.face_index(i) or shared not in self.face_index(j):
+        star = self._star.get(shared, ())
+        if i not in star or j not in star:
             raise NotAFan(
                 f"cones {self.maximal_cones[i]} and {self.maximal_cones[j]} "
                 f"meet outside a common face"
@@ -403,39 +404,30 @@ class Fan:
         """Per maximal cone, the ray index of each generator of its cone object."""
         return tuple(tuple(self._ray_index[g] for g in c.generators) for c in self.cone_objects)
 
-    def face_index(self, max_index: int) -> frozenset[RaySet]:
-        return self._face_indices[max_index]
-
     @cached_property
-    def _face_indices(self) -> tuple[frozenset[RaySet], ...]:
-        return tuple(
-            frozenset(tuple(sorted(gen_rays[i] for i in subset))
-                      for subset in cone.faces_as_generator_subsets())
-            for cone, gen_rays in zip(self.cone_objects, self._generator_rays)
-        )
+    def _star(self) -> dict[RaySet, tuple[int, ...]]:
+        """Each cone of the fan, as a sorted ray set (the zero cone included),
+        with the maximal cones having it as a face, in fan order: its star,
+        whose image in N/N_tau is the fan of its orbit closure.
 
-    @cached_property
-    def _face_set(self) -> frozenset[RaySet]:
-        return frozenset().union(*self._face_indices)
+        In a fan, tau is a face of sigma exactly when the rays of tau are
+        rays of sigma, so this is also every maximal cone whose generator
+        rays contain tau.  Every face question reads this one table.
+        """
+        table: dict[RaySet, list[int]] = {}
+        for idx, (cone, gen_rays) in enumerate(zip(self.cone_objects, self._generator_rays)):
+            for subset in cone.faces_as_generator_subsets():
+                table.setdefault(tuple(sorted(gen_rays[i] for i in subset)), []).append(idx)
+        return {rs: tuple(star) for rs, star in table.items()}
 
     @cached_property
     def faces(self) -> tuple[RaySet, ...]:
         """All cones of the fan, as sorted ray-index tuples (incl. the zero cone)."""
-        return tuple(sorted(self._face_set, key=lambda f: (len(f), f)))
-
-    def has_face(self, rayset) -> bool:
-        return tuple(sorted(rayset)) in self._face_set
-
-    def face_containing_maximal(self, rayset: RaySet) -> int:
-        rs = tuple(sorted(rayset))
-        for i in range(len(self.maximal_cones)):
-            if rs in self.face_index(i):
-                return i
-        raise ConeNotInFan(f"{rayset} is not a cone of the fan")
+        return tuple(sorted(self._star, key=lambda f: (len(f), f)))
 
     def require_face(self, rayset) -> RaySet:
         rs = tuple(sorted(rayset))
-        if not self.has_face(rs):
+        if rs not in self._star:
             raise ConeNotInFan(f"{list(rayset)} is not a cone of the fan")
         return rs
 
@@ -448,11 +440,6 @@ class Fan:
                 raise ConeNotInFan(f"{v} is not a ray of the fan")
             idx.append(self._ray_index[v])
         return self.require_face(idx)
-
-    @cached_property
-    def _maximal_by_face(self) -> dict[RaySet, Cone]:
-        """Each maximal cone's object, keyed by the face it is: its generator rays, sorted."""
-        return {tuple(sorted(g)): c for g, c in zip(self._generator_rays, self.cone_objects)}
 
     @cached_property
     def _quotients(self) -> dict[RaySet, QuotientLattice]:
@@ -469,9 +456,9 @@ class Fan:
         rs = self.require_face(rayset)
         cache = self._quotients
         if rs not in cache:
-            # a full-dimensional face of a fan is one of its maximal cones
-            top = self._maximal_by_face.get(rs)
-            if top is not None and top.dim == self.rank:
+            # a full-dimensional face is the one maximal cone holding it
+            i = self._star[rs][0]
+            if len(rs) == len(self._generator_rays[i]) and self.cone_objects[i].dim == self.rank:
                 ident = identity_matrix(self.rank)
                 cache[rs] = QuotientLattice(ident, ident)
             else:
@@ -574,10 +561,7 @@ def star_quotient(fan: Fan, rayset) -> tuple[Fan, tuple[int, ...], QuotientLatti
     if not n_tau:
         return fan, tuple(range(len(fan.maximal_cones))), quot
     new_rank = fan.rank - len(n_tau)
-
-    star = [i for i, c in enumerate(fan.maximal_cones) if set(rs) <= set(c)]
-    if not star:
-        raise ConeNotInFan("face not contained in any maximal cone")
+    star = fan._star[rs]
 
     images = []
     for i in star:
@@ -602,7 +586,7 @@ def star_quotient(fan: Fan, rayset) -> tuple[Fan, tuple[int, ...], QuotientLatti
         cone_indices.append(tuple(sorted(idx)))
     qfan = Fan.build(new_rank, tuple(ray_list), tuple(cone_indices))
     # Fan.build preserves cone order, so the lifting stays aligned
-    return qfan, tuple(star), quot
+    return qfan, star, quot
 
 
 # -- subdivisions --------------------------------------------------------------------

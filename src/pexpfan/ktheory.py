@@ -102,11 +102,13 @@ def _resolution_of(fan: Fan, resolution: SubdivisionMap | None) -> SubdivisionMa
 
 def _star_sum(fine: Fan, values, face: RaySet) -> LaurentPoly:
     """<f, [O_{V(face)}]> on a smooth complete fan, from f's value at each
-    maximal cone: the sum over the cones whose generator rays contain ``face``
-    of the value over the weights of the rays outside ``face``."""
-    terms = [(value, [w for ray, w in zip(rays, tangent_weights(cone)) if ray not in face])
-             for value, cone, rays in zip(values, fine.cone_objects, fine._generator_rays)
-             if set(face) <= set(rays)]
+    maximal cone: the sum over the star of ``face`` (``Fan._star``) of the
+    value over the weights of the rays outside ``face``."""
+    terms = []
+    for i in fine._star[face]:
+        weights = tangent_weights(fine.cone_objects[i])
+        terms.append((values[i], [w for ray, w in zip(fine._generator_rays[i], weights)
+                                  if ray not in face]))
     return LocalizationSum.build(fine.rank, terms).reduce()
 
 
@@ -142,23 +144,17 @@ def chi(
 
 
 def _strict_transform_face(fine: Fan, tau_cone: Cone) -> RaySet:
-    """Lexicographically least face of the smooth fine fan of the same
-    dimension as the coarse cone and contained in it.  Every face of a smooth
-    fan is simplicial, so its dimension is its number of rays."""
+    """The first face of the smooth fine fan, in ``faces`` order, of the same
+    dimension as the coarse cone and contained in it.  Any such face gives
+    the same pairing, so the first one serves.  Every face of a smooth fan is
+    simplicial, so its dimension is its number of rays."""
     inside = {i for i, v in enumerate(fine.rays) if tau_cone.contains(v)}
-    best = None
-    best_key = None
     for face in fine.faces:
-        if len(face) != tau_cone.dim or not inside.issuperset(face):
-            continue
-        key = tuple(sorted(fine.rays[i] for i in face))
-        if best_key is None or key < best_key:
-            best, best_key = face, key
-    if best is None:
-        raise ResolutionCheckFailed(
-            f"no face of the refinement is a strict transform of the cone on {tau_cone.generators}"
-        )
-    return best
+        if len(face) == tau_cone.dim and inside.issuperset(face):
+            return face
+    raise ResolutionCheckFailed(
+        f"no face of the refinement is a strict transform of the cone on {tau_cone.generators}"
+    )
 
 
 @dataclass(frozen=True)
@@ -346,9 +342,6 @@ def dual_basis_solve(
         det, adj = adjugate(gram.entries)
     except NotIndependent:
         raise SingularGram("the Gram matrix is singular over the fraction field") from None
-    if k <= 1:  # below k = 2 the identity block's ints are never eliminated
-        det = LaurentPoly.one(rank) * det
-        adj = tuple(tuple(LaurentPoly.one(rank) * x for x in row) for row in adj)
 
     # gram_matrix refused an incomplete fan, so every maximal cone is
     # full-dimensional and each value lives in Z[M] itself

@@ -106,7 +106,7 @@ class PiecewiseExponential:
         the zero cone the result is the constant given by the augmentation.
         """
         rs = self.fan.require_face(rayset)
-        return _restriction(self.fan, self.values, self.fan.face_containing_maximal(rs), rs)
+        return _restriction(self.fan, self.values, self.fan._star[rs][0], rs)
 
 
 def coerce_values(fan: Fan, values) -> tuple[LaurentPoly, ...]:

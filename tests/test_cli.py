@@ -371,6 +371,31 @@ class TestNegativesAndErrors:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "flag, text, key",
+        [
+            ("--fan", '{"rank": 2, "rank": 3, "rays": [[1, 0]], "max_cones": [[0]]}', "rank"),
+            ("--pexp", '{"values": [{"rank": 1, "terms": [{"coeff": 1, "coeff": 5, "exp": [0]}]},'
+                       ' {"rank": 1, "terms": []}]}', "coeff"),
+        ],
+        ids=["fan-rank", "term-coeff"],
+    )
+    def test_repeated_key_is_structural(self, tmp_path, capsys, flag, text, key):
+        # json keeps the last of repeated keys; the loader refuses them instead
+        fan_path = tmp_path / "fan.json"
+        fan_path.write_text(json.dumps(catalog.projective_line().to_json()))
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        if flag == "--fan":
+            argv = ["validate-fan", "--fan", bad]
+        else:
+            argv = ["gkm-check", "--fan", fan_path, "--pexp", bad]
+        code, out = invoke(argv, capsys)
+        assert code == 1
+        assert json.loads(out) == {
+            "status": "error", "kind": "json", "detail": f"{bad}: repeated key '{key}'",
+        }
+
+    @pytest.mark.parametrize(
         "rays, cones, detail",
         [
             ([[1, 0], [0, 1], [-1, -1]], [[0, 1.9], [0, 2], [1, 2]], "must be an integer"),

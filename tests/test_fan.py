@@ -163,6 +163,14 @@ class TestBuildFan:
             Fan.build(rank, rays, cones)
         assert not Fan.build(rank, rays, cones, validate=False).is_complete()
 
+    def test_cones_meeting_outside_a_common_face(self):
+        # the simplicial cone shares the diagonal {0, 2} of the square cone,
+        # which is no face of the square
+        rays = [(1, 1, 1), (1, 1, -1), (1, -1, -1), (1, -1, 1), (0, 1, -1)]
+        message = "cones (0, 1, 2, 3) and (0, 2, 4) meet outside a common face"
+        with pytest.raises(NotAFan, match=re.escape(message)):
+            Fan.build(3, rays, [(0, 1, 2, 3), (0, 2, 4)])
+
     def test_negative_rank(self):
         with pytest.raises(NotAFan, match="fan rank must be nonnegative, got -1"):
             Fan.build(-1, [], [[]])
@@ -237,6 +245,39 @@ class TestCompleteness:
         assert all(pair(u, (0, 0, 1, 1)) >= 0 for u, _ in cone.facets)
         assert cone.contains((0, 0, 1, 0)) and not cone.contains((0, 0, 1, 1))
         assert not grid_covers_fan(square)
+
+
+STAR_TABLE_FANS = {
+    "p1": catalog.projective_line,
+    "p2": catalog.projective_plane,
+    "p3": lambda: catalog.projective_space(3),
+    "p1xp1": catalog.p1_times_p1,
+    "f2": lambda: catalog.hirzebruch(2),
+    "p112": catalog.weighted_p112,
+    "cube": catalog.cube_fan,
+    "quadric-cone": catalog.singular_quadric_cone_fan,
+    "rank3-mult3": catalog.rank3_multiplicity3_fan,
+    "cube-48": lambda: resolve(catalog.cube_fan()).fine,
+    "cube-52": lambda: resolve(catalog.cube_fan(), rng=random.Random(99), extra_rounds=2).fine,
+    # the quadrant plus a stray ray of tests/test_mixed_dimension.py
+    "mixed": lambda: Fan.build(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)]),
+}
+
+
+class TestStarTable:
+    @pytest.mark.parametrize("name", STAR_TABLE_FANS)
+    def test_star_table_matches_the_ray_scan(self, name):
+        """Each cone's star is every maximal cone whose rays contain it, in
+        fan order, and the cones are every face of every maximal cone."""
+        fan = STAR_TABLE_FANS[name]()
+        if name.startswith("cube-"):
+            assert len(fan.maximal_cones) == int(name[5:])
+        for tau in fan.faces:
+            scan = tuple(i for i, c in enumerate(fan.maximal_cones) if set(tau) <= set(c))
+            assert fan._star[tau] == scan, tau
+        faces = {tuple(sorted(fan.rays.index(cone.generators[i]) for i in subset))
+                 for cone in fan.cone_objects for subset in cone.faces_as_generator_subsets()}
+        assert len(fan.faces) == len(faces) and set(fan.faces) == faces
 
 
 class TestStarQuotient:

@@ -452,6 +452,9 @@ class TestDecompose:
 
 
 class TestDualBasisSolve:
+    def test_no_cones_gives_no_functions(self, p1):
+        assert dual_basis_solve(p1, [], []) == ()
+
     def test_unit_against_origin(self, p1):
         out = dual_basis_solve(p1, [()], [PiecewiseExponential.constant(p1, 1)])
         assert out == (PiecewiseExponential.constant(p1, 1),)

@@ -5,7 +5,8 @@ in one place: ``smith_normal_form`` is called only from
 ``fan.span_coordinates``; another keeps one way to pick a resolve point:
 ``fan._box_points`` is called only from ``fan._least_box_points``; a third
 keeps one way to pair: ``orbit_closure_class`` has no caller in the
-package.  Every
+package; a fourth keeps one face enumeration per fan:
+``faces_as_generator_subsets`` is called only from ``Fan._star``.  Every
 name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types,
 never the kernel it checks."""
@@ -69,6 +70,11 @@ def test_box_points_listed_only_for_the_least_box_points():
 def test_orbit_closure_class_has_no_caller_in_the_package():
     # a pairing is a star sum; the Koszul round trip stays a test oracle
     assert _callers("orbit_closure_class") == set()
+
+
+def test_faces_are_enumerated_only_for_the_star_table():
+    # one face enumeration per fan; every face question reads Fan._star
+    assert _callers("faces_as_generator_subsets") == {("fan.py", "_star")}
 
 
 def test_every_exported_name_resolves():
