@@ -67,30 +67,15 @@ def _load_fan(path: str) -> Fan:
     return Fan.from_json(_load_json(path))
 
 
-def _resolve_fan_field(obj: dict, base_dir: str, fan: Fan | None) -> Fan:
-    if not isinstance(obj, dict):
-        raise ValueError(f"a piecewise exponential must be a JSON object, got {obj!r}")
-    embedded = obj.get("fan")
-    if isinstance(embedded, str):
-        embedded = _load_json(os.path.join(base_dir, embedded))
-    if embedded is not None:
-        if fan is None:
-            return Fan.from_json(embedded)
-        # an embedded copy of the validated --fan needs no second validation
-        if Fan.from_json(embedded, validate=False) == fan:
-            return fan
-        Fan.from_json(embedded)
-        raise ValueError("embedded fan differs from the --fan argument")
-    if fan is None:
-        raise ValueError("no fan given: pass --fan or embed one in the file")
-    return fan
-
-
 def _pexp_from_doc(obj, base_dir: str, fan: Fan | None) -> PiecewiseExponential:
-    """The function a decoded document describes; a GKM violation is exit 2."""
-    use_fan = _resolve_fan_field(obj, base_dir, fan)
+    """The function a decoded document describes, with a path-valued fan read
+    relative to ``base_dir``; a GKM violation is exit 2."""
+    if isinstance(obj, dict) and isinstance(obj.get("fan"), str):
+        obj = dict(obj, fan=_load_json(os.path.join(base_dir, obj["fan"])))
+        if not isinstance(obj["fan"], dict):  # a path or null read from a file is no fan
+            raise ValueError("fan JSON needs 'rank', 'rays', and 'max_cones'")
     try:
-        return pexp_from_json(obj, use_fan)
+        return pexp_from_json(obj, fan)
     except errors.GkmViolationError as exc:
         raise CliFailure(2, _violation_doc(exc.violations))
 

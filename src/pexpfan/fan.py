@@ -227,11 +227,6 @@ class Cone:
             return False
         if any(pair(a, v) for a in self._span[2]):
             return False  # outside the span
-        if self.is_simplicial:
-            # x = sum lam_i g_i with lam = adj @ x / det
-            det, adj = self._adjugate
-            x = mat_vec(self._span[1], v)
-            return all(det * c >= 0 for c in mat_vec(adj, x))
         return all(pair(u, v) >= 0 for u, _ in self.facets)
 
     def faces_as_generator_subsets(self) -> tuple[tuple[int, ...], ...]:
@@ -292,7 +287,10 @@ class Fan:
             raise NotAFan("duplicate rays")
         cones = []
         for c in strict_list(maximal_cones, "max_cones"):
-            c = tuple(sorted(set(strict_int(i, "cone index") for i in strict_list(c, "cone"))))
+            listed = [strict_int(i, "cone index") for i in strict_list(c, "cone")]
+            c = tuple(sorted(set(listed)))
+            if len(c) != len(listed):
+                raise NotAFan(f"cone {listed} lists a ray twice")
             if any(i < 0 or i >= len(rays) for i in c):
                 raise NotAFan(f"cone {c} references a missing ray")
             cones.append(c)
@@ -911,10 +909,12 @@ def resolve(
 
     # phase 1: simplicialize by pulling existing rays
     nonsimplicial = {k for k in ref.order if not cones[k][1].is_simplicial}
+    # a pulled ray is the apex of every cone holding it, so pulling it again
+    # changes nothing: each step pulls a new ray, and there are only so many
     guard = 0
     while nonsimplicial:
         guard += 1
-        if guard > 1000:
+        if guard > len(ref.rays):
             raise ResolutionCheckFailed("simplicialization did not terminate")
         candidates = sorted({ref.rays[i] for k in nonsimplicial for i in cones[k][0]})
         ray = rng.choice(candidates) if rng else candidates[0]

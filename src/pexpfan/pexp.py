@@ -274,14 +274,25 @@ def pexp_to_json(f: PiecewiseExponential) -> dict:
 
 
 def pexp_from_json(obj: dict, fan: Fan | None = None) -> PiecewiseExponential:
-    if not isinstance(obj, dict) or "values" not in obj:
-        raise ValueError("piecewise exponential JSON needs 'values'")
-    if fan is None:
-        if "fan" not in obj:
-            raise ValueError("no fan given and none embedded in the JSON")
-        if isinstance(obj["fan"], str):
+    """The class a decoded document describes.  An embedded fan must equal
+    ``fan`` when both are given; a path-valued one is ignored next to ``fan``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"a piecewise exponential must be a JSON object, got {obj!r}")
+    embedded = obj.get("fan")
+    if isinstance(embedded, str):
+        if fan is None:
             raise ValueError("'fan' is a path, which only the CLI resolves; "
                              "library callers pass fan=")
-        fan = Fan.from_json(obj["fan"])
+    elif embedded is not None:
+        if fan is None:
+            fan = Fan.from_json(embedded)
+        # a copy of the validated fan is not validated again; any other reports its own error first
+        elif Fan.from_json(embedded, validate=False) != fan:
+            Fan.from_json(embedded)
+            raise ValueError("embedded fan differs from the --fan argument")
+    if fan is None:
+        raise ValueError("no fan given: pass --fan or embed one in the file")
+    if "values" not in obj:
+        raise ValueError("piecewise exponential JSON needs 'values'")
     values = [poly_from_json(v) for v in strict_list(obj["values"], "values")]
     return PiecewiseExponential.from_values(fan, values)

@@ -282,6 +282,17 @@ class TestNegativesAndErrors:
             "detail": "fan rank must be nonnegative, got -2",
         }
 
+    def test_validate_fan_repeated_ray_index(self, tmp_path, capsys):
+        bad = tmp_path / "repeated_index.json"
+        bad.write_text(json.dumps({"rank": 2, "rays": [[1, 0], [0, 1]], "max_cones": [[0, 0, 1]]}))
+        code, out = invoke(["validate-fan", "--fan", bad], capsys)
+        assert code == 2
+        assert json.loads(out) == {
+            "status": "invalid",
+            "kind": "NotAFan",
+            "detail": "cone [0, 0, 1] lists a ray twice",
+        }
+
     def test_descend_negative_names_coarse_cone(self, tmp_path, capsys):
         from pexpfan.fan import Fan, stellar_subdivision
         from pexpfan.laurent import LaurentPoly

@@ -186,6 +186,17 @@ class TestBuildFan:
                 "max_cones": [[0], [1], [0]],
             })
 
+    @pytest.mark.parametrize("rays, cones, error, message", [
+        ([(1, 0), (0, 0)], [(0, 1)], NonPrimitiveRay, "the zero vector is not a ray"),
+        ([(1, 0), (1, 0)], [(0,), (1,)], NotAFan, "duplicate rays"),
+        ([(1, 0), (0, 1), (-1, 0)], [(0, 1)], NotAFan, "every ray must appear in some maximal cone"),
+        ([(1, 0), (0, 1)], [(0, 0, 1)], NotAFan, "cone [0, 0, 1] lists a ray twice"),
+    ], ids=["zero-ray", "duplicate-rays", "unused-ray", "repeated-index"])
+    def test_malformed_input_is_refused(self, rays, cones, error, message):
+        with pytest.raises(PExpFanError) as exc:
+            Fan.build(2, rays, cones)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
 
 class TestMultiplicity:
     def test_smooth_cone(self):
@@ -393,6 +404,19 @@ class TestStellarSubdivision:
         with pytest.raises(NonPrimitiveRay):
             stellar_subdivision(p112, (0, -2))
 
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda fan: stellar_subdivision(fan, (0, 0)), NonPrimitiveRay,
+         "cannot subdivide at the zero vector"),
+        (lambda fan: Cone.from_generators(2, [(1, 0), (0, 1, 0)]), ValueError,
+         "generator (0, 1, 0) has length != rank 2"),
+        (lambda fan: fan.cone_objects[0].contains((1, 0, 0)), ValueError,
+         "point has the wrong length"),
+    ], ids=["zero-ray", "generator-length", "point-length"])
+    def test_malformed_points_are_refused(self, p112, call, error, message):
+        with pytest.raises((PExpFanError, ValueError)) as exc:
+            call(p112)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
     def test_output_is_a_fan_with_same_support(self, p112, cube):
         for fan, ray in (
             (p112, (0, -1)),
@@ -503,6 +527,15 @@ class TestResolve:
             sub = resolve(fan, rng=rng)
             assert sub.fine.is_smooth() and len(sub.fine.maximal_cones) > 1
             assert all(fan.cone_objects[0].contains(r) for r in sub.fine.rays)
+
+    def test_a_strip_of_more_squares_than_any_fixed_step_cap_resolves(self):
+        # each square takes one pull of a ray of its own: 1,010 steps in
+        # phase 1, which is bounded by the number of rays
+        n = 1010
+        rays = [(i, j, 1) for i in range(n + 1) for j in range(2)]
+        cones = [(2 * i, 2 * i + 1, 2 * i + 2, 2 * i + 3) for i in range(n)]
+        sub = resolve(Fan.build(3, rays, cones, validate=False))
+        assert len(sub.fine.maximal_cones) == 2 * n and sub.fine.is_smooth()
 
     def test_identity_composition(self, p112):
         ident = SubdivisionMap.identity(p112)

@@ -191,6 +191,28 @@ class TestChi:
             chi(fan, PiecewiseExponential.constant(fan, 1))
 
 
+QUADRANT = Fan.build(2, [(1, 0), (0, 1)], [(0, 1)])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda p1, p2: chi(p2, PiecewiseExponential.constant(p2, 1), resolution=resolve(p1)),
+     ValueError, "resolution does not refine the given fan"),
+    (lambda p1, p2: chi(p2, PiecewiseExponential.constant(p1, 1)),
+     ValueError, "class does not live on the given fan"),
+    (lambda p1, p2: gram_matrix(p2, [PiecewiseExponential.constant(p1, 1)], [()]),
+     ValueError, "class does not live on the given fan"),
+    (lambda p1, p2: gram_matrix(QUADRANT, [PiecewiseExponential.constant(QUADRANT, 1)], [()]),
+     NotComplete, "the pairing needs a complete fan"),
+    (lambda p1, p2: decompose(PiecewiseExponential.constant(p2, 1), [PiecewiseExponential.constant(p1, 1)]),
+     ValueError, "basis functions live on a different fan"),
+], ids=["foreign-resolution", "chi-foreign-class", "gram-foreign-class", "gram-incomplete",
+        "decompose-foreign-basis"])
+def test_arguments_on_another_fan_are_refused(p1, p2, call, error, message):
+    with pytest.raises((ValueError, NotComplete)) as exc:
+        call(p1, p2)
+    assert (type(exc.value), str(exc.value)) == (error, message)
+
+
 class TestKroneckerPair:
     def test_unit_at_origin(self, complete_corpus):
         for name, fan in complete_corpus.items():

@@ -233,6 +233,15 @@ class TestExactDiv:
         with pytest.raises(NotDivisible):
             f // 2
 
+    @pytest.mark.parametrize("g, error, message", [
+        (LaurentPoly.one(1), RankMismatch, "ranks 2 and 1"),
+        (LaurentPoly.zero(2), ZeroDivisionError, "division by the zero polynomial"),
+    ], ids=["rank-mismatch", "zero-divisor"])
+    def test_bad_divisors_are_refused(self, g, error, message):
+        with pytest.raises((RankMismatch, ZeroDivisionError)) as exc:
+            try_div(ONE2 + E((1, 0)), g)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
     def test_truthiness_is_nonzero(self):
         assert E((1, 0)) and not LaurentPoly.zero(2)
 
@@ -390,6 +399,18 @@ def outcome(reduce, s):
         return exc
 
 
+class TestLocalizationSumBuild:
+    @pytest.mark.parametrize("terms, error, message", [
+        ([(ONE1, [(1,)])], RankMismatch, "numerator rank differs from the sum's rank"),
+        ([(ONE2, [(0, 0)])], ZeroCharacter, "zero character in a denominator"),
+        ([(ONE2, [(1,)])], RankMismatch, "denominator character of wrong length"),
+    ], ids=["numerator-rank", "zero-character", "character-length"])
+    def test_malformed_terms_are_refused(self, terms, error, message):
+        with pytest.raises((RankMismatch, ZeroCharacter)) as exc:
+            LocalizationSum.build(2, terms)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
+
 class TestFoldAgainstGreedyOracle:
     """``reduce_localization`` tries only the shared directions after each
     step; ``oracles.reduce_localization_greedy`` tries every factor."""
@@ -508,6 +529,11 @@ class TestSerialization:
     def test_reject_zero_coefficient(self):
         with pytest.raises(ValueError):
             poly_from_json({"rank": 1, "terms": [{"coeff": 0, "exp": [1]}]})
+
+    def test_reject_negative_rank(self):
+        with pytest.raises(ValueError) as exc:
+            poly_from_json({"rank": -1, "terms": []})
+        assert str(exc.value) == "rank must be a nonnegative integer"
 
     def test_text_rendering(self):
         f = 2 * E((1, 0)) - E((0, 3))

@@ -1,3 +1,4 @@
+import json
 import random
 from types import SimpleNamespace
 
@@ -5,10 +6,12 @@ import pytest
 
 import pexpfan.pexp as pexp_module
 from pexpfan import catalog
+from pexpfan.cli import run
 from pexpfan.errors import (
     FanMismatch,
     GkmViolationError,
     IncompatibleCartierData,
+    NotAFan,
     NotDescendable,
     RankMismatch,
 )
@@ -29,6 +32,8 @@ from pexpfan.pexp import (
 
 
 E = LaurentPoly.exponential
+# two cones meeting in more than a common face
+OVERLAPPING = {"rank": 2, "rays": [[1, 0], [0, 1], [1, 1]], "max_cones": [[0, 1], [1, 2]]}
 ONE2 = LaurentPoly.one(2)
 ZERO2 = LaurentPoly.zero(2)
 
@@ -252,6 +257,11 @@ class TestRingOps:
             assert gkm_validate(p112, (f - g).values).ok
             assert gkm_validate(p112, f.module_action(h).values).ok
 
+    def test_module_action_needs_an_ambient_sum(self, p112):
+        with pytest.raises(RankMismatch) as exc:
+            PiecewiseExponential.constant(p112, 1).module_action(LaurentPoly.one(1))
+        assert str(exc.value) == "module action needs an ambient exponential sum"
+
     def test_fan_mismatch(self, p112, p2):
         with pytest.raises(FanMismatch):
             PiecewiseExponential.constant(p112, 1) + PiecewiseExponential.constant(p2, 1)
@@ -284,6 +294,19 @@ class TestCartier:
     def test_from_json_refuses_non_lists(self, obj, detail):
         with pytest.raises(ValueError, match=detail):
             CartierData.from_json(obj)
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda fan: CartierData.from_json({"M": [[0, 0]]}), ValueError,
+         "Cartier data JSON needs the key 'm'"),
+        (lambda fan: from_cartier(fan, CartierData(((0, 0), (0, 0)))), IncompatibleCartierData,
+         "one character per maximal cone is required"),
+        (lambda fan: from_cartier(fan, CartierData(((0, 0), (0,), (0, 0)))), IncompatibleCartierData,
+         "character (0,) has wrong length"),
+    ], ids=["no-m", "character-count", "character-length"])
+    def test_malformed_data_is_refused(self, p112, call, error, message):
+        with pytest.raises((ValueError, IncompatibleCartierData)) as exc:
+            call(p112)
+        assert (type(exc.value), str(exc.value)) == (error, message)
 
     def test_incompatible_data(self, p112):
         with pytest.raises(IncompatibleCartierData) as err:
@@ -389,6 +412,46 @@ class TestSerialization:
     def test_path_valued_fan_needs_the_fan_argument(self):
         with pytest.raises(ValueError, match="only the CLI resolves; library callers pass fan="):
             pexp_from_json({"fan": "x.json", "values": []})
+
+    def test_class_on_another_fan_is_refused(self, p112, p2):
+        obj = pexp_to_json(PiecewiseExponential.constant(p112, 1))
+        with pytest.raises(ValueError) as exc:
+            pexp_from_json(obj, p2)
+        assert str(exc.value) == "embedded fan differs from the --fan argument"
+
+    def test_invalid_embedded_fan_is_refused_next_to_the_fan_argument(self, p112):
+        obj = dict(pexp_to_json(PiecewiseExponential.constant(p112, 1)), fan=OVERLAPPING)
+        with pytest.raises(NotAFan) as exc:
+            pexp_from_json(obj, p112)
+        assert str(exc.value) == "cones (0, 1) and (1, 2) intersect in a non-face"
+
+    def test_array_document_is_refused(self, p112):
+        with pytest.raises(ValueError) as exc:
+            pexp_from_json([1, 2], p112)
+        assert str(exc.value) == "a piecewise exponential must be a JSON object, got [1, 2]"
+
+    @pytest.mark.parametrize("doc, with_fan", [
+        ({"values": 3}, True),
+        ([1, 2], True),
+        (3, True),
+        ({"values": []}, False),
+        ("overlapping", True),
+        ("plane", True),
+    ], ids=["number-values", "array", "number", "no-fan", "invalid-embedded", "differing-embedded"])
+    def test_library_and_cli_refuse_alike(self, p112, tmp_path, capsys, doc, with_fan):
+        """The CLI's kind and detail are the library's error class and message."""
+        embedded = {"overlapping": OVERLAPPING, "plane": catalog.projective_plane().to_json()}
+        if isinstance(doc, str):
+            doc = dict(pexp_to_json(catalog.p112_demo_class(p112)), fan=embedded[doc])
+        fan_path, doc_path = tmp_path / "fan.json", tmp_path / "doc.json"
+        fan_path.write_text(json.dumps(p112.to_json()))
+        doc_path.write_text(json.dumps(doc))
+        argv = ["gkm-check", "--pexp", str(doc_path)] + (["--fan", str(fan_path)] if with_fan else [])
+        assert run(argv) == 1
+        cli_doc = json.loads(capsys.readouterr().out)
+        with pytest.raises((ValueError, NotAFan)) as exc:
+            pexp_from_json(doc, p112 if with_fan else None)
+        assert (type(exc.value).__name__, str(exc.value)) == (cli_doc["kind"], cli_doc["detail"])
 
     def test_number_values_are_refused(self, p112):
         # the CLI refuses it with this detail too (test_cli.py, number-values)

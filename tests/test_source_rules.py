@@ -6,7 +6,9 @@ in one place: ``smith_normal_form`` is called only from
 ``fan._box_points`` is called only from ``fan._least_box_points``; a third
 keeps one way to pair: ``orbit_closure_class`` has no caller in the
 package; a fourth keeps one face enumeration per fan:
-``faces_as_generator_subsets`` is called only from ``Fan._star``.  Every
+``faces_as_generator_subsets`` is called only from ``Fan._star``; a fifth
+keeps one reader of embedded fans: only ``pexp_from_json`` reads a fan
+document without validating it.  Every
 name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types,
 never the kernel it checks."""
@@ -49,12 +51,13 @@ def _calls(node, where=None):
         yield from _calls(child, inner)
 
 
-def _callers(name):
-    """(file name, enclosing function) of every call of ``name`` in the package."""
+def _callers(name, keep=lambda call: True):
+    """(file name, enclosing function) of every call of ``name`` in the
+    package that ``keep`` accepts."""
     callers = set()
     for path in SOURCES:
         for where, call in _calls(ast.parse(path.read_text(), filename=str(path))):
-            if name in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+            if name in (getattr(call.func, "id", None), getattr(call.func, "attr", None)) and keep(call):
                 callers.add((path.name, where))
     return callers
 
@@ -75,6 +78,13 @@ def test_orbit_closure_class_has_no_caller_in_the_package():
 def test_faces_are_enumerated_only_for_the_star_table():
     # one face enumeration per fan; every face question reads Fan._star
     assert _callers("faces_as_generator_subsets") == {("fan.py", "_star")}
+
+
+def test_only_the_class_loader_reads_a_fan_document_unvalidated():
+    # an unvalidated embedded fan is only ever compared with a validated one
+    def unvalidated(call):
+        return len(call.args) > 1 or any(k.arg == "validate" for k in call.keywords)
+    assert _callers("from_json", unvalidated) == {("pexp.py", "pexp_from_json")}
 
 
 def test_every_exported_name_resolves():
