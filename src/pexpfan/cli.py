@@ -7,7 +7,10 @@ returns a mathematical negative (GKM violation, non-descendable function,
 class outside a span, invalid fan under ``validate-fan``), 1 for structural
 problems (missing files, malformed JSON, rank mismatches) and for a failed
 check of a computed result (``ResultCheckFailed``, a defect rather than bad
-input); every failure still writes a status document.
+input); every failure still writes a status document.  A success writes
+``{"status": "ok", "result": ...}``, or under ``--format text`` the result's
+text form where it has one (``restrict``, ``chi``, ``pair``, ``gram``,
+``decompose``).
 """
 
 from __future__ import annotations
@@ -122,119 +125,84 @@ def _violation_doc(violations) -> dict:
     }
 
 
-# -- command handlers -------------------------------------------------------
+# -- command handlers: each returns its result and the result's text form,
+# or None where it has none; ``run`` wraps the result in the status document
 
 
-def _cmd_validate_fan(args) -> dict:
+def _poly_result(value) -> tuple:
+    return poly_to_json(value), format_poly(value)
+
+
+def _cmd_validate_fan(args) -> tuple:
     try:
         fan = _load_fan(args.fan)
     except FAN_VALIDATION_ERRORS as exc:
-        raise CliFailure(
-            2,
-            {"status": "invalid", "kind": type(exc).__name__, "detail": str(exc)},
-        )
-    return {"status": "ok", "result": fan.to_json()}
+        raise CliFailure(2, {"status": "invalid", "kind": type(exc).__name__, "detail": str(exc)})
+    return fan.to_json(), None
 
 
-def _cmd_resolve(args) -> dict:
+def _cmd_resolve(args) -> tuple:
     fan = _load_fan(args.fan)
     rng = random.Random(args.seed) if args.seed is not None else None
-    sub = resolve(fan, rng=rng, extra_rounds=args.extra_rounds)
-    return {"status": "ok", "result": sub.to_json()}
+    return resolve(fan, rng=rng, extra_rounds=args.extra_rounds).to_json(), None
 
 
-def _cmd_gkm_check(args) -> dict:
+def _cmd_gkm_check(args) -> tuple:
     fan = _load_fan(args.fan) if args.fan else None
-    return {"status": "ok", "result": pexp_to_json(_load_pexp(args.pexp, fan))}
+    return pexp_to_json(_load_pexp(args.pexp, fan)), None
 
 
-def _cmd_restrict(args) -> dict:
+def _cmd_restrict(args) -> tuple:
     fan = _load_fan(args.fan)
     f = _load_pexp(args.pexp, fan)
-    rayset = _parse_cone(fan, json.loads(args.cone))
-    value = f.restrict(rayset)
-    return {"status": "ok", "result": poly_to_json(value), "_poly": value}
+    return _poly_result(f.restrict(_parse_cone(fan, json.loads(args.cone))))
 
 
-def _cmd_chi(args) -> dict:
+def _cmd_chi(args) -> tuple:
+    fan = _load_fan(args.fan)
+    return _poly_result(chi(fan, _load_pexp(args.pexp, fan)))
+
+
+def _cmd_pair(args) -> tuple:
     fan = _load_fan(args.fan)
     f = _load_pexp(args.pexp, fan)
-    value = chi(fan, f)
-    return {"status": "ok", "result": poly_to_json(value), "_poly": value}
+    return _poly_result(kronecker_pair(fan, f, _parse_cone(fan, json.loads(args.cone))))
 
 
-def _cmd_pair(args) -> dict:
-    fan = _load_fan(args.fan)
-    f = _load_pexp(args.pexp, fan)
-    rayset = _parse_cone(fan, json.loads(args.cone))
-    value = kronecker_pair(fan, f, rayset)
-    return {"status": "ok", "result": poly_to_json(value), "_poly": value}
-
-
-def _cmd_gram(args) -> dict:
+def _cmd_gram(args) -> tuple:
     fan = _load_fan(args.fan)
     fns = _load_pexp_list(args.functions, fan)
-    raysets = _load_cones(fan, args.cones)
-    matrix = gram_matrix(fan, fns, raysets)
-    return {"status": "ok", "result": matrix.to_json(), "_matrix": matrix}
+    m = gram_matrix(fan, fns, _load_cones(fan, args.cones))
+    rows = zip(m.row_labels, m.entries)
+    table = [["", *m.col_labels], *([label, *map(format_poly, row)] for label, row in rows)]
+    return m.to_json(), "\n".join(map("\t".join, table))
 
 
-def _cmd_decompose(args) -> dict:
+def _cmd_decompose(args) -> tuple:
     fan = _load_fan(args.fan)
     f = _load_pexp(args.pexp, fan)
-    basis = _load_pexp_list(args.basis, fan)
-    coeffs = decompose(f, basis)
-    return {
-        "status": "ok",
-        "result": {"coefficients": [poly_to_json(c) for c in coeffs]},
-        "_polys": list(coeffs),
-    }
+    coeffs = decompose(f, _load_pexp_list(args.basis, fan))
+    return {"coefficients": [poly_to_json(c) for c in coeffs]}, "\n".join(map(format_poly, coeffs))
 
 
-def _cmd_dual_basis(args) -> dict:
+def _cmd_dual_basis(args) -> tuple:
     fan = _load_fan(args.fan)
     spanning = _load_pexp_list(args.spanning, fan)
-    raysets = _load_cones(fan, args.cones)
-    duals = dual_basis_solve(fan, raysets, spanning)
-    return {
-        "status": "ok",
-        "result": {"functions": [pexp_to_json(g) for g in duals]},
-    }
+    duals = dual_basis_solve(fan, _load_cones(fan, args.cones), spanning)
+    return {"functions": [pexp_to_json(g) for g in duals]}, None
 
 
-def _cmd_descend(args) -> dict:
+def _cmd_descend(args) -> tuple:
     sub = SubdivisionMap.from_json(_load_json(args.map))
     f = _load_pexp(args.pexp, sub.fine)
     try:
         g = descend(f, sub)
     except errors.NotDescendable as exc:
-        raise CliFailure(
-            2,
-            {
-                "status": "negative",
-                "kind": "NotDescendable",
-                "coarse_cone": exc.coarse_index,
-                "value_a": poly_to_json(exc.value_a),
-                "value_b": poly_to_json(exc.value_b),
-            },
-        )
-    return {"status": "ok", "result": pexp_to_json(g)}
-
-
-def _render(doc: dict, fmt: str) -> str:
-    if fmt == "text":
-        if "_poly" in doc:
-            return format_poly(doc["_poly"]) + "\n"
-        if "_polys" in doc:
-            return "\n".join(format_poly(p) for p in doc["_polys"]) + "\n"
-        if "_matrix" in doc:
-            m = doc["_matrix"]
-            lines = ["\t" + "\t".join(m.col_labels)]
-            for label, row in zip(m.row_labels, m.entries):
-                lines.append(label + "\t" + "\t".join(format_poly(x) for x in row))
-            return "\n".join(lines) + "\n"
-    clean = {k: v for k, v in doc.items() if not k.startswith("_")}
-    return json.dumps(clean, indent=2) + "\n"
+        raise CliFailure(2, {
+            "status": "negative", "kind": "NotDescendable", "coarse_cone": exc.coarse_index,
+            "value_a": poly_to_json(exc.value_a), "value_b": poly_to_json(exc.value_b),
+        })
+    return pexp_to_json(g), None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -272,29 +240,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    text = None
     try:
-        doc = args.handler(args)
-        code = 0
+        result, text = args.handler(args)
+        doc, code = {"status": "ok", "result": result}, 0
     except CliFailure as exc:
         doc, code = exc.doc, exc.code
     except errors.MathNegative as exc:
-        doc, code = (
-            {"status": "negative", "kind": type(exc).__name__, "detail": str(exc)},
-            2,
-        )
+        doc, code = {"status": "negative", "kind": type(exc).__name__, "detail": str(exc)}, 2
     except (errors.StructuralError, errors.ResultCheckFailed, ValueError) as exc:
-        doc, code = (
-            {"status": "error", "kind": type(exc).__name__, "detail": str(exc)},
-            1,
-        )
-    text = _render(doc, args.format)
+        doc, code = {"status": "error", "kind": type(exc).__name__, "detail": str(exc)}, 1
+    if args.format == "json" or text is None:
+        text = json.dumps(doc, indent=2)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.write(text + "\n")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(text + "\n")
     return code
 
 

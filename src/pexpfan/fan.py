@@ -933,12 +933,9 @@ def resolve(
     # phase 2: subdivide singular cones at parallelepiped points
     mult = ((k, cones[k][1].multiplicity()) for k in ref.order)
     singular = {k: m for k, m in mult if m > 1}
+    # every step must lower the excess, so it bounds the number of steps
     excess = sum(m - 1 for m in singular.values())
-    guard = 0
     while singular:
-        guard += 1
-        if guard > 10000:
-            raise ResolutionCheckFailed("resolution did not terminate")
         if rng:
             idx = rng.choice(sorted(singular, key=ref.order.index))
         else:

@@ -131,16 +131,12 @@ def chi(
 ) -> LaurentPoly:
     """Equivariant Euler characteristic of a piecewise exponential class.
 
-    On a smooth complete fan this is the localized sum of the maximal-cone
-    values; otherwise the class is pulled back to a resolution first.  The
-    result does not depend on the resolution chosen.
+    It is the pairing with [O_X] = [O_{V(0)}]: on a smooth complete fan the
+    localized sum of the maximal-cone values; otherwise the class is pulled
+    back to a resolution first.  The result does not depend on the
+    resolution chosen.
     """
-    if f.fan != fan:
-        raise ValueError("class does not live on the given fan")
-    if not fan.is_complete():
-        raise NotComplete("chi needs a complete fan")
-    resolution = _resolution_of(fan, resolution)
-    return euler_characteristic(resolution.fine, pullback(f, resolution).values)
+    return kronecker_pair(fan, f, (), resolution=resolution)
 
 
 def _strict_transform_face(fine: Fan, tau_cone: Cone) -> RaySet:

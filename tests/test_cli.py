@@ -212,6 +212,34 @@ class TestHappyPaths:
                   LaurentPoly.zero(2))
         assert chi == poly_from_json(json.loads((GOLDEN / "p112_chi_demo_class.json").read_text()))
 
+    @pytest.mark.parametrize("argv", [
+        ["restrict", "--fan", DATA_FAN, "--pexp", DATA_CLASS, "--cone", "[[-1,-2]]"],
+        ["chi", "--fan", DATA_FAN, "--pexp", DATA_CLASS],
+        ["pair", "--fan", DATA_FAN, "--pexp", DATA_CLASS, "--cone", "[]"],
+        ["pair", "--fan", DATA_FAN, "--pexp", DATA_CLASS, "--cone", "[[-1,-2]]"],
+    ], ids=["restrict", "chi", "pair-origin", "pair-ray"])
+    def test_polynomial_text_is_the_formatted_result(self, argv, capsys, monkeypatch):
+        monkeypatch.chdir(REPO)
+        code, out = invoke(argv, capsys)
+        assert invoke([*argv, "--format", "text"], capsys) == (
+            code, format_poly(poly_from_json(json.loads(out)["result"])) + "\n")
+        assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["validate-fan", "--fan", DATA_FAN],
+        ["resolve", "--fan", DATA_FAN],
+        ["gkm-check", "--pexp", DATA_CLASS],
+        ["dual-basis", "--fan", DATA_FAN, "--spanning", DATA_SPANNING, "--cones", DATA_CONES],
+        ["chi", "--fan", "missing.json", "--pexp", DATA_CLASS],
+        ["pair", "--fan", DATA_FAN, "--pexp", DATA_CLASS, "--cone", "[[1,1]]"],
+    ], ids=["validate-fan", "resolve", "gkm-check", "dual-basis", "chi-missing-fan", "pair-foreign-cone"])
+    def test_text_without_a_text_form_is_the_json_document(self, argv, capsys, monkeypatch):
+        # a result with no text form, and every failure, prints its JSON
+        monkeypatch.chdir(REPO)
+        code, out = invoke(argv, capsys)
+        assert invoke([*argv, "--format", "text"], capsys) == (code, out)
+        assert json.loads(out)["status"] == ("ok" if code == 0 else "error")
+
     def test_output_file_holds_what_stdout_would(self, tmp_path, capsys):
         argv = ["gram", "--fan", DATA / "p112_fan.json", "--functions", DATA / "p112_spanning.json",
                 "--cones", DATA / "p112_duality_cones.json"]

@@ -537,6 +537,12 @@ class TestResolve:
         sub = resolve(Fan.build(3, rays, cones, validate=False))
         assert len(sub.fine.maximal_cones) == 2 * n and sub.fine.is_smooth()
 
+    def test_more_stellar_steps_than_any_fixed_step_cap_resolve(self):
+        # multiplicity 10,002 takes 10,001 stellar steps, one per interior
+        # Hilbert basis vector (1, k); each lowers the excess multiplicity
+        sub = resolve(Fan.build(2, [(1, 0), (1, 10002)], [(0, 1)]))
+        assert len(sub.fine.maximal_cones) == 10002 and sub.fine.is_smooth()
+
     def test_identity_composition(self, p112):
         ident = SubdivisionMap.identity(p112)
         assert ident.fine == ident.coarse == p112

@@ -30,7 +30,7 @@ from pexpfan.ktheory import (
 )
 from pexpfan.lattice import vec_scale
 from pexpfan.laurent import LaurentPoly, LocalizationSum
-from pexpfan.pexp import CartierData, PiecewiseExponential, from_cartier, gkm_validate
+from pexpfan.pexp import CartierData, PiecewiseExponential, from_cartier, gkm_validate, pullback
 
 from oracles import cartier_polytope_points, random_cartier_combination
 
@@ -203,10 +203,14 @@ QUADRANT = Fan.build(2, [(1, 0), (0, 1)], [(0, 1)])
      ValueError, "class does not live on the given fan"),
     (lambda p1, p2: gram_matrix(QUADRANT, [PiecewiseExponential.constant(QUADRANT, 1)], [()]),
      NotComplete, "the pairing needs a complete fan"),
+    (lambda p1, p2: chi(QUADRANT, PiecewiseExponential.constant(QUADRANT, 1)),
+     NotComplete, "the pairing needs a complete fan"),
+    (lambda p1, p2: chi(QUADRANT, PiecewiseExponential.constant(p2, 1)),
+     ValueError, "class does not live on the given fan"),
     (lambda p1, p2: decompose(PiecewiseExponential.constant(p2, 1), [PiecewiseExponential.constant(p1, 1)]),
      ValueError, "basis functions live on a different fan"),
 ], ids=["foreign-resolution", "chi-foreign-class", "gram-foreign-class", "gram-incomplete",
-        "decompose-foreign-basis"])
+        "chi-incomplete", "chi-foreign-class-on-incomplete", "decompose-foreign-basis"])
 def test_arguments_on_another_fan_are_refused(p1, p2, call, error, message):
     with pytest.raises((ValueError, NotComplete)) as exc:
         call(p1, p2)
@@ -410,6 +414,66 @@ class TestStarSum:
                 assert entry == euler_characteristic(fan, [n * v for n, v in zip(orbit, f.values)])
             face = rng.choice(fan.faces)
             assert kronecker_pair(fan, f, face) == row[fan.faces.index(face)]
+
+
+CATALOG_FANS = {
+    "p1": catalog.projective_line,
+    "p2": catalog.projective_plane,
+    "p3": lambda: catalog.projective_space(3),
+    "p1xp1": catalog.p1_times_p1,
+    "f2": lambda: catalog.hirzebruch(2),
+    "p112": catalog.weighted_p112,
+    "cube": catalog.cube_fan,
+    "quadric-cone": catalog.singular_quadric_cone_fan,
+    "rank3-mult3": catalog.rank3_multiplicity3_fan,
+}
+
+
+def line_bundle_classes(fan):
+    """The unit and some line-bundle classes of a catalog fan: the divisor
+    classes of a smooth complete fan, the spanning classes of P(1,1,2), and
+    the octahedron class of the cube (at the cone over a face of the cube,
+    minus the face's outer normal)."""
+    unit = PiecewiseExponential.constant(fan, 1)
+    if fan.is_complete() and fan.is_smooth():
+        return [unit, *divisor_classes(fan)]
+    if fan == catalog.weighted_p112():
+        return [unit, *catalog.p112_spanning_classes(fan)]
+    if fan == catalog.cube_fan():
+        normals = []
+        for cone in fan.cone_objects:
+            axis = next(c for c in range(3) if len({g[c] for g in cone.generators}) == 1)
+            normals.append(tuple(-cone.generators[0][c] if c == axis else 0 for c in range(3)))
+        return [unit, from_cartier(fan, CartierData(tuple(normals)))]
+    return [unit]
+
+
+class TestChiIsTheZeroConePairing:
+    """chi(f) = <f, [O_{V(0)}]> by one path; the oracle is the localization
+    sum of the values pulled back to the resolution."""
+
+    @pytest.mark.parametrize("name", CATALOG_FANS)
+    def test_on_every_catalog_fan(self, name):
+        fan = CATALOG_FANS[name]()
+        f = random_cartier_combination(fan, line_bundle_classes(fan), random.Random(1301))
+        if not fan.is_complete():
+            for call in (lambda: chi(fan, f), lambda: kronecker_pair(fan, f, ())):
+                with pytest.raises(NotComplete, match="^the pairing needs a complete fan$"):
+                    call()
+            return
+        r = resolve(fan)
+        expected = euler_characteristic(r.fine, pullback(f, r).values)
+        assert chi(fan, f, resolution=r) == kronecker_pair(fan, f, (), resolution=r) == expected
+
+    def test_on_a_seeded_cube_resolution_with_one_gram(self, cube, monkeypatch):
+        r = resolve(cube, rng=random.Random(20261017))
+        f = random_cartier_combination(cube, line_bundle_classes(cube), random.Random(1301))
+        calls, gram = [], ktheory.gram_matrix
+        monkeypatch.setattr(ktheory, "gram_matrix", lambda *a, **kw: calls.append(a) or gram(*a, **kw))
+        value = chi(cube, f, resolution=r)
+        assert calls == [(cube, [f], [()])]
+        assert value == kronecker_pair(cube, f, (), resolution=r)
+        assert value == euler_characteristic(r.fine, pullback(f, r).values)
 
 
 class TestDecompose:

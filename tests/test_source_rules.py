@@ -8,7 +8,9 @@ keeps one way to pair: ``orbit_closure_class`` has no caller in the
 package; a fourth keeps one face enumeration per fan:
 ``faces_as_generator_subsets`` is called only from ``Fan._star``; a fifth
 keeps one reader of embedded fans: only ``pexp_from_json`` reads a fan
-document without validating it.  Every
+document without validating it; a sixth keeps one success document in the
+CLI: ``cli.py`` has no ``_render``, no dict with a private ``"_..."`` key,
+and builds ``{"status": "ok", ...}`` only in ``run``.  Every
 name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types,
 never the kernel it checks."""
@@ -42,13 +44,14 @@ def test_no_assert_and_no_fractions(path):
 
 
 
-def _calls(node, where=None):
-    """(name of the enclosing function, call) for every call below node."""
+def _nodes(node, kind, where=None):
+    """(name of the enclosing function, node) for every node of type kind
+    below node."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Call):
+        if isinstance(child, kind):
             yield where, child
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
-        yield from _calls(child, inner)
+        yield from _nodes(child, kind, inner)
 
 
 def _callers(name, keep=lambda call: True):
@@ -56,7 +59,7 @@ def _callers(name, keep=lambda call: True):
     package that ``keep`` accepts."""
     callers = set()
     for path in SOURCES:
-        for where, call in _calls(ast.parse(path.read_text(), filename=str(path))):
+        for where, call in _nodes(ast.parse(path.read_text(), filename=str(path)), ast.Call):
             if name in (getattr(call.func, "id", None), getattr(call.func, "attr", None)) and keep(call):
                 callers.add((path.name, where))
     return callers
@@ -85,6 +88,22 @@ def test_only_the_class_loader_reads_a_fan_document_unvalidated():
     def unvalidated(call):
         return len(call.args) > 1 or any(k.arg == "validate" for k in call.keywords)
     assert _callers("from_json", unvalidated) == {("pexp.py", "pexp_from_json")}
+
+
+def test_the_cli_builds_its_success_document_once():
+    # handlers return their result and its text form; run wraps the result
+    path = next(p for p in SOURCES if p.name == "cli.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "_render" not in {f.name for _, f in _nodes(tree, ast.FunctionDef)}
+    ok, private = set(), []
+    for where, d in _nodes(tree, ast.Dict):
+        items = {(k.value, getattr(v, "value", None)) for k, v in zip(d.keys, d.values)
+                 if isinstance(k, ast.Constant)}
+        if ("status", "ok") in items:
+            ok.add(where)
+        private += [f"{where}: {k!r}" for k, _ in items if isinstance(k, str) and k.startswith("_")]
+    assert ok == {"run"}
+    assert private == []
 
 
 def test_every_exported_name_resolves():
