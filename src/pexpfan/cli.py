@@ -23,7 +23,7 @@ import sys
 
 from . import errors
 from .fan import Fan, SubdivisionMap, resolve
-from .ktheory import chi, decompose, dual_basis_solve, gram_matrix, kronecker_pair
+from .ktheory import decompose, dual_basis_solve, gram_matrix, kronecker_pair
 from .lattice import strict_int, strict_list
 from .laurent import format_poly, poly_to_json
 from .pexp import PiecewiseExponential, descend, pexp_from_json, pexp_to_json
@@ -158,11 +158,6 @@ def _cmd_restrict(args) -> tuple:
     return _poly_result(f.restrict(_parse_cone(fan, json.loads(args.cone))))
 
 
-def _cmd_chi(args) -> tuple:
-    fan = _load_fan(args.fan)
-    return _poly_result(chi(fan, _load_pexp(args.pexp, fan)))
-
-
 def _cmd_pair(args) -> tuple:
     fan = _load_fan(args.fan)
     f = _load_pexp(args.pexp, fan)
@@ -230,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fan")
     p.add_argument("--pexp", required=True)
     add("restrict", _cmd_restrict, "--fan", "--pexp", "--cone")
-    add("chi", _cmd_chi, "--fan", "--pexp")
+    add("chi", _cmd_pair, "--fan", "--pexp").set_defaults(cone="[]")  # chi pairs with the zero cone
     add("pair", _cmd_pair, "--fan", "--pexp", "--cone")
     add("gram", _cmd_gram, "--fan", "--functions", "--cones")
     add("decompose", _cmd_decompose, "--fan", "--pexp", "--basis")

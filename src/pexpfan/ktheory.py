@@ -44,7 +44,7 @@ from .errors import (
 from .fan import Cone, Fan, RaySet, SubdivisionMap, resolve
 from .lattice import Vector, adjugate
 from .laurent import LaurentPoly, LocalizationSum, poly_to_json, try_div
-from .pexp import PiecewiseExponential, pullback
+from .pexp import PiecewiseExponential
 
 
 def tangent_weights(cone: Cone) -> tuple[Vector, ...]:
@@ -180,9 +180,11 @@ def gram_matrix(
 
     Computed on a resolution, pairing each pulled-back class against the
     orbit closure of a strict transform of tau_j (a fine cone of the same
-    span inside tau_j); the result is independent of both choices.  Each
-    function is pulled back once and each strict transform found once; every
-    entry is then one star sum (``_star_sum``), with no orbit class built.
+    span inside tau_j); the result is independent of both choices.  Both fans
+    are complete, so every value lies in Z[M] and the pullback of f is f's
+    value at the coarse cone each fine cone is assigned to.  Each strict
+    transform is found once; every entry is then one star sum
+    (``_star_sum``), with no orbit class built.
     """
     functions = tuple(functions)
     if any(f.fan != fan for f in functions):
@@ -195,7 +197,7 @@ def gram_matrix(
     _require_smooth_complete(fine)
     faces = [_strict_transform_face(fine, Cone.from_generators(fan.rank, [fan.rays[i] for i in rs]))
              for rs in raysets]
-    lifted = [pullback(f, resolution).values for f in functions]
+    lifted = [[f.values[a] for a in resolution.assignment] for f in functions]
     entries = tuple(tuple(_star_sum(fine, values, face) for face in faces) for values in lifted)
     return PairingMatrix(
         tuple(f"f{i}" for i in range(len(functions))),
@@ -219,21 +221,23 @@ def kronecker_pair(
 
 
 def poly_det(matrix, rank: int) -> LaurentPoly:
-    """Determinant of a small square matrix over Z[M], by cofactor expansion."""
+    """Determinant of a small square matrix over Z[M], by cofactor expansion
+    along the first row with the most zero entries."""
     n = len(matrix)
     if n == 0:
         return LaurentPoly.one(rank)
     if n == 1:
         return matrix[0][0]
+    r = max(range(n), key=lambda i: sum(e.is_zero() for e in matrix[i]))
     acc = LaurentPoly.zero(rank)
     for j in range(n):
-        if matrix[0][j].is_zero():
+        if matrix[r][j].is_zero():
             continue
         minor = [
-            [matrix[i][t] for t in range(n) if t != j] for i in range(1, n)
+            [matrix[i][t] for t in range(n) if t != j] for i in range(n) if i != r
         ]
-        term = matrix[0][j] * poly_det(minor, rank)
-        acc = acc + term if j % 2 == 0 else acc - term
+        term = matrix[r][j] * poly_det(minor, rank)
+        acc = acc + term if (r + j) % 2 == 0 else acc - term
     return acc
 
 
@@ -252,28 +256,20 @@ def decompose(
     for g in basis:
         if g.fan != fan:
             raise ValueError("basis functions live on a different fan")
-    for rs in fan.maximal_cones:
-        if fan.face_quotient(rs).rank != fan.rank:
-            raise NotFullDimensional(
-                "decompose needs every maximal cone full-dimensional"
-            )
+    if any(c.dim != fan.rank for c in fan.cone_objects):
+        raise NotFullDimensional(
+            "decompose needs every maximal cone full-dimensional"
+        )
     k = len(basis)
     rank = fan.rank
-    if k == 0:
-        if all(v.is_zero() for v in f.values):
-            return ()
-        raise NotInSpan("nonzero class, empty basis")
     rows = [[g.values[i] for g in basis] for i in range(len(fan.maximal_cones))]
     rhs = list(f.values)
 
-    chosen = None
-    det = None
-    for subset in itertools.combinations(range(len(rows)), k):
-        d = poly_det([rows[i] for i in subset], rank)
-        if not d.is_zero():
-            chosen, det = subset, d
+    for chosen in itertools.combinations(range(len(rows)), k):
+        det = poly_det([rows[i] for i in chosen], rank)
+        if not det.is_zero():
             break
-    if chosen is None:
+    else:
         raise DependentBasis("basis values are linearly dependent over Z[M]")
 
     sub = [rows[i] for i in chosen]

@@ -65,11 +65,8 @@ class PiecewiseExponential:
 
     @staticmethod
     def constant(fan: Fan, c: int) -> "PiecewiseExponential":
-        values = tuple(
-            LaurentPoly.constant(fan.face_quotient(rs).rank, c)
-            for rs in fan.maximal_cones
-        )
-        return PiecewiseExponential(fan, values)
+        values = (LaurentPoly.constant(fan.rank, c),) * len(fan.maximal_cones)
+        return PiecewiseExponential(fan, coerce_values(fan, values))
 
     # -- ring structure ---------------------------------------------------
 
@@ -93,11 +90,8 @@ class PiecewiseExponential:
         """Multiply by a global element of Z[M] (the R(T)-module structure)."""
         if g.rank != self.fan.rank:
             raise RankMismatch("module action needs an ambient exponential sum")
-        out = []
-        for rs, v in zip(self.fan.maximal_cones, self.values):
-            q = self.fan.face_quotient(rs)
-            out.append(v * g.map_exponents(q.projection, q.rank))
-        return PiecewiseExponential(self.fan, tuple(out))
+        gs = coerce_values(self.fan, (g,) * len(self.values))
+        return PiecewiseExponential(self.fan, tuple(v * w for v, w in zip(self.values, gs)))
 
     def restrict(self, rayset) -> LaurentPoly:
         """Value on a face, in the canonical M_tau coordinates.
@@ -110,7 +104,8 @@ class PiecewiseExponential:
 
 
 def coerce_values(fan: Fan, values) -> tuple[LaurentPoly, ...]:
-    """Accept per-cone values over M or over the cone's own quotient."""
+    """Accept per-cone values over M or over the cone's own quotient.  The one
+    place where an ambient value is projected into a cone's coordinates."""
     if len(values) != len(fan.maximal_cones):
         raise RankMismatch(
             f"{len(values)} values for {len(fan.maximal_cones)} maximal cones"
@@ -133,7 +128,7 @@ def coerce_values(fan: Fan, values) -> tuple[LaurentPoly, ...]:
 def _restriction(fan: Fan, vals, i: int, face: RaySet) -> LaurentPoly:
     """The value on maximal cone i restricted to one of its faces, in M_face."""
     phi = _comparison_matrix(fan, fan.maximal_cones[i], fan, face)
-    return vals[i].map_exponents(phi, fan.face_quotient(face).rank)
+    return vals[i].map_exponents(phi)
 
 
 def _agree_across_walls(fan: Fan, vals) -> bool:
@@ -210,11 +205,7 @@ def from_cartier(fan: Fan, data: CartierData) -> PiecewiseExponential:
     for m in exps:
         if len(m) != fan.rank:
             raise IncompatibleCartierData(f"character {m} has wrong length")
-    values = []
-    for rs, m in zip(fan.maximal_cones, exps):
-        q = fan.face_quotient(rs)
-        values.append(LaurentPoly.exponential(q.project_vector(m)))
-    report = gkm_validate(fan, values)
+    report = gkm_validate(fan, [LaurentPoly.exponential(m) for m in exps])
     if not report.ok:
         v = report.violations[0]
         raise IncompatibleCartierData(
@@ -236,8 +227,7 @@ def pullback(f: PiecewiseExponential, s: SubdivisionMap) -> PiecewiseExponential
     for i, rs in enumerate(s.fine.maximal_cones):
         src = s.coarse.maximal_cones[s.assignment[i]]
         phi = _comparison_matrix(s.coarse, src, s.fine, rs)
-        target = s.fine.face_quotient(rs).rank
-        out.append(f.values[s.assignment[i]].map_exponents(phi, target))
+        out.append(f.values[s.assignment[i]].map_exponents(phi))
     return PiecewiseExponential(s.fine, tuple(out))
 
 
@@ -255,8 +245,7 @@ def descend(f: PiecewiseExponential, s: SubdivisionMap) -> PiecewiseExponential:
     for i, rs in enumerate(s.fine.maximal_cones):
         tgt = s.coarse.maximal_cones[s.assignment[i]]
         phi = _comparison_matrix(s.fine, rs, s.coarse, tgt)
-        target = s.coarse.face_quotient(tgt).rank
-        candidate = f.values[i].map_exponents(phi, target)
+        candidate = f.values[i].map_exponents(phi)
         prev = coarse_values.get(s.assignment[i])
         if prev is None:
             coarse_values[s.assignment[i]] = candidate

@@ -327,15 +327,14 @@ class TestGramMatrix:
         m = gram_matrix(p1, [], [])
         assert m.entries == ()
 
-    def test_one_pullback_per_function_and_no_orbit_class(self, p112, monkeypatch):
+    def test_no_orbit_class(self, p112, monkeypatch):
         # every entry is a star sum, so no Koszul numerator is built
-        pullbacks, orbits = [], []
-        pull, orbit = ktheory.pullback, ktheory.orbit_closure_class
-        monkeypatch.setattr(ktheory, "pullback", lambda *a: pullbacks.append(a) or pull(*a))
+        orbits = []
+        orbit = ktheory.orbit_closure_class
         monkeypatch.setattr(ktheory, "orbit_closure_class", lambda *a: orbits.append(a) or orbit(*a))
         spans = catalog.p112_spanning_classes(p112)[:2]
         gram_matrix(p112, spans, catalog.p112_duality_cones(p112))
-        assert (len(pullbacks), len(orbits)) == (2, 0)
+        assert orbits == []
 
     def test_one_weight_read_per_fine_cone(self, monkeypatch):
         """A 2x2 Gram through the 48-cone resolution of the cube computes the
@@ -517,6 +516,12 @@ class TestDecompose:
         cls = catalog.p1_degree_class(p1, 1)
         with pytest.raises(NotInSpan):
             decompose(cls, [PiecewiseExponential.constant(p1, 1)])
+
+    def test_empty_basis_spans_only_zero(self, p1):
+        # k = 0 runs the Cramer path: the empty subsystem has determinant 1
+        assert decompose(PiecewiseExponential.constant(p1, 0), []) == ()
+        with pytest.raises(NotInSpan, match="^no solution: equation on maximal cone 0 fails$"):
+            decompose(PiecewiseExponential.constant(p1, 1), [])
 
     def test_reexpansion_roundtrip(self, p112):
         rng = random.Random(17)

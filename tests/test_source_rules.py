@@ -10,7 +10,11 @@ package; a fourth keeps one face enumeration per fan:
 keeps one reader of embedded fans: only ``pexp_from_json`` reads a fan
 document without validating it; a sixth keeps one success document in the
 CLI: ``cli.py`` has no ``_render``, no dict with a private ``"_..."`` key,
-and builds ``{"status": "ok", ...}`` only in ``run``.  Every
+and builds ``{"status": "ok", ...}`` only in ``run``; a seventh keeps
+cone coordinates in ``pexp``: ``ktheory.py`` calls neither ``pullback`` nor
+``face_quotient``, and in ``pexp.py`` a face quotient's ``.projection`` is
+read only in ``coerce_values`` (the one projector of ambient values) and
+``_comparison_matrix``, and ``project_vector`` is not called there.  Every
 name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types,
 never the kernel it checks."""
@@ -104,6 +108,17 @@ def test_the_cli_builds_its_success_document_once():
         private += [f"{where}: {k!r}" for k, _ in items if isinstance(k, str) and k.startswith("_")]
     assert ok == {"run"}
     assert private == []
+
+
+def test_cone_coordinates_stay_in_pexp():
+    # a pairing indexes fine values by the refinement's assignment
+    lifts = _callers("pullback") | _callers("face_quotient")
+    assert {c for c in lifts if c[0] == "ktheory.py"} == set()
+    assert {c for c in _callers("project_vector") if c[0] == "pexp.py"} == set()
+    path = next(p for p in SOURCES if p.name == "pexp.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    readers = {where for where, a in _nodes(tree, ast.Attribute) if a.attr == "projection"}
+    assert readers == {"coerce_values", "_comparison_matrix"}
 
 
 def test_every_exported_name_resolves():
