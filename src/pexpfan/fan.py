@@ -2,11 +2,11 @@
 
 Cones are strongly convex rational polyhedral cones given by primitive
 generators on their extreme rays.  Each cone computes one facet table, its
-inward facet normals with their contact generators, and answers every facet
-question from it; its facets and extreme generators both come from the one
-vertex enumeration ``extreme_rays_of_region``.  Simplicial cones are handled
-in any rank; non-simplicial cones are limited to ambient rank <= 4.  All
-geometry is exact.
+inward facet normals with their contact generators, from the one vertex
+enumeration ``extreme_rays_of_region``, and answers every face question from
+it: every face is a meet of facets, the smallest one holding a point the meet
+of the facets through it.  Simplicial cones are handled in any rank;
+non-simplicial cones are limited to ambient rank <= 4.  All geometry is exact.
 """
 
 from __future__ import annotations
@@ -60,9 +60,8 @@ def extreme_rays_of_region(n: int, ineqs, eqs) -> tuple[Vector, ...]:
     the inequalities, and it is kept when it is feasible up to sign.
     Directions lying in the lineality space are skipped.
 
-    It has three callers: ``Cone.facets`` (the dual cone of the local
-    generators), ``Cone._extreme_generators`` (the cone cut out by its facets
-    inside its span) and ``Fan._check_pair`` (the intersection of two cones).
+    It has two callers: ``Cone.facets`` (the dual cone of the local
+    generators) and ``Fan._check_pair`` (the intersection of two cones).
     """
     ineqs = tuple(tuple(a) for a in ineqs)
     eqs_indep: tuple[Vector, ...] = ()
@@ -148,13 +147,15 @@ class Cone:
         if cone.is_simplicial:
             # independent generators always span a pointed cone of extreme rays
             return cone
-        if not cone._is_pointed():
+        # the smallest face of 0 is the largest linear subspace in the cone
+        if cone._smallest_face((0,) * rank):
             raise NotStronglyConvex(f"cone on {gens} contains a line")
         if rank > 4:
             raise UnsupportedDimension(
                 "non-simplicial cones are supported only in rank <= 4"
             )
-        extreme = cone._extreme_generators()
+        # a generator is extreme iff the smallest face holding it is its ray
+        extreme = tuple(g for i, g in enumerate(gens) if cone._smallest_face(g) == (i,))
         return cone if len(extreme) == len(gens) else Cone(rank, extreme)
 
     # -- basic geometry ------------------------------------------------------
@@ -187,11 +188,6 @@ class Cone:
         det, adj = self._adjugate
         return tuple(vec_scale(det, u) for u in mat_mul(adj, self._span[1]))
 
-    def _is_pointed(self) -> bool:
-        # the facet normals generate the dual cone, which is full-dimensional
-        # in the span iff the cone contains no line (Fulton, 1.2)
-        return matrix_rank(tuple(u for u, _ in self.facets)) == self.dim
-
     @cached_property
     def facets(self) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
         """(inward normal, contact generator indices) per facet, sorted by contact.
@@ -213,21 +209,27 @@ class Cone:
         proj_t = transpose(self._span[1])
         return tuple((mat_vec(proj_t, u), contact) for contact, u in found)
 
-    def _extreme_generators(self) -> tuple[Vector, ...]:
-        # a pointed cone is the region its facets cut out of its span
-        return extreme_rays_of_region(self.rank, (u for u, _ in self.facets), self._span[2])
+    def _smallest_face(self, v: Vector) -> tuple[int, ...] | None:
+        """The generator indices of the smallest face holding the point v, or
+        None when the cone does not hold v: v must lie in the span and pair
+        nonnegatively with every facet normal, and the face is the meet of
+        the facets through v (Fulton, 1.2)."""
+        if any(pair(a, v) for a in self._span[2]):
+            return None  # outside the span
+        face = set(range(len(self.generators)))
+        for u, contact in self.facets:
+            x = pair(u, v)
+            if x < 0:
+                return None
+            if x == 0:
+                face.intersection_update(contact)
+        return tuple(sorted(face))
 
     def contains(self, v: Vector) -> bool:
         v = tuple(v)
         if len(v) != self.rank:
             raise ValueError("point has the wrong length")
-        if not any(v):
-            return True
-        if not self.generators:
-            return False
-        if any(pair(a, v) for a in self._span[2]):
-            return False  # outside the span
-        return all(pair(u, v) >= 0 for u, _ in self.facets)
+        return self._smallest_face(v) is not None
 
     def faces_as_generator_subsets(self) -> tuple[tuple[int, ...], ...]:
         """Every face, as a sorted tuple of generator indices (incl. () and all)."""
@@ -237,20 +239,10 @@ class Cone:
             for r in range(n + 1):
                 out.extend(itertools.combinations(range(n), r))
             return tuple(out)
+        # every face is a meet of facets, the cone itself the empty meet
         faces = {tuple(range(n))}
-        frontier = {contact for _, contact in self.facets}
-        faces |= frontier
-        while True:
-            new = set()
-            for a in faces:
-                for b in frontier:
-                    c = tuple(sorted(set(a) & set(b)))
-                    if c not in faces:
-                        new.add(c)
-            if not new:
-                break
-            faces |= new
-        faces.add(())
+        for _, contact in self.facets:
+            faces |= {tuple(i for i in f if i in contact) for f in faces}
         return tuple(sorted(faces))
 
     def multiplicity(self) -> int:
@@ -668,14 +660,12 @@ class _Refinement:
         self.stepped = False
 
     def face_of(self, sigma: int, ray: Vector) -> RaySet:
-        """The smallest face of the simplicial cone ``sigma`` holding ``ray``:
-        the generators with nonzero coefficients adj @ x / det at the ray."""
+        """The rays of the smallest face of the cone ``sigma`` holding ``ray``."""
         _, cone, gen_rays, _ = self.cones[sigma]
-        det, adj = cone._adjugate
-        coeffs = mat_vec(adj, mat_vec(cone._span[1], ray))
-        if any(pair(a, ray) for a in cone._span[2]) or any(det * c < 0 for c in coeffs):
+        face = cone._smallest_face(ray)
+        if face is None:
             raise ResolutionCheckFailed(f"{ray} does not lie in the cone it subdivides")
-        return tuple(sorted(gen_rays[i] for i, c in enumerate(coeffs) if c))
+        return tuple(sorted(gen_rays[i] for i in face))
 
     def star(self, face: RaySet) -> set[int]:
         """The ids of the cones whose ray sets contain ``face``."""
@@ -889,8 +879,8 @@ def resolve(
     ray without a scan, because the input is a fan.  The ray x lies in a
     known cone sigma: it is a ray of the fan, or a point of the simplicial
     cone chosen for the step.  Let tau be the smallest face of sigma holding
-    x (the ray itself, or the generators of sigma with nonzero coefficients
-    at x), so x is in the relative interior of tau.  If a cone sigma' holds
+    x (the ray itself, or the generators on every facet through x), so x is
+    in the relative interior of tau.  If a cone sigma' holds
     x, then sigma & sigma' is a face of sigma holding a relative interior
     point of tau, so it contains tau; tau is then a face of sigma & sigma',
     which is a face of sigma', and the rays of tau are rays of sigma'.

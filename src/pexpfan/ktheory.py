@@ -1,11 +1,11 @@
 """Equivariant Euler characteristics, Kronecker pairings, and basis solvers.
 
 Everything is computed by fixed-point localization on a smooth complete fan;
-singular fans are first refined by ``resolve`` and classes are pulled back,
-which is valid because the refinement map is proper and birational so the
-structure sheaf (and each orbit-closure sheaf, via its strict transform)
-pushes forward identically.  That bridge is a standard toric fact used here
-without reproof.
+singular fans are first refined by ``resolve`` and classes are lifted by the
+refinement's assignment, which is valid because the refinement map is proper
+and birational so the structure sheaf (and each orbit-closure sheaf, via its
+strict transform) pushes forward identically.  That bridge is a standard
+toric fact used here without reproof.
 
 The sign of the localization formula is fixed: the weights attached to a
 fixed point are exactly the dual basis of the cone's primitive generators.

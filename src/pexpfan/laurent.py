@@ -131,18 +131,16 @@ class LaurentPoly:
         """Sum of coefficients: the ring map e^u -> 1 to the integers."""
         return sum(c for _, c in self.terms)
 
-    def map_exponents(self, phi: IntMatrix, target_rank: int | None = None) -> "LaurentPoly":
-        """Push every exponent through the integer matrix phi and merge."""
-        out_rank = len(phi) if target_rank is None else target_rank
+    def map_exponents(self, phi: IntMatrix) -> "LaurentPoly":
+        """Push every exponent through the integer matrix phi and merge; the
+        image has one coordinate per row of phi."""
         if self.terms and phi and len(phi[0]) != self.rank:
             raise RankMismatch(f"matrix domain {len(phi[0])} vs ring rank {self.rank}")
-        if not phi and out_rank not in (0,):
-            raise RankMismatch("empty matrix can only map to rank 0")
         acc: dict[Vector, int] = {}
         for exp, c in self.terms:
             key = mat_vec(phi, exp)
             acc[key] = acc.get(key, 0) + c
-        return LaurentPoly.from_dict(out_rank, acc)
+        return LaurentPoly.from_dict(len(phi), acc)
 
     def exponent_box(self) -> tuple[Vector, Vector] | None:
         """Componentwise (min, max) of the exponents; None for the zero poly."""
@@ -181,7 +179,6 @@ def poly_from_json(obj: dict) -> LaurentPoly:
     rank = strict_int(obj["rank"], "rank")
     if rank < 0:
         raise ValueError("rank must be a nonnegative integer")
-    seen: set[Vector] = set()
     acc: dict[Vector, int] = {}
     for item in strict_list(obj["terms"], "terms"):
         if not isinstance(item, dict) or not {"coeff", "exp"} <= set(item):
@@ -192,9 +189,8 @@ def poly_from_json(obj: dict) -> LaurentPoly:
             raise ValueError(f"zero coefficient at exponent {exp}")
         if len(exp) != rank:
             raise ValueError(f"bad exponent {exp} for rank {rank}")
-        if exp in seen:
+        if exp in acc:
             raise ValueError(f"duplicate exponent {exp}")
-        seen.add(exp)
         acc[exp] = c
     return LaurentPoly.from_dict(rank, acc)
 

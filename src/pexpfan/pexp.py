@@ -116,7 +116,7 @@ def coerce_values(fan: Fan, values) -> tuple[LaurentPoly, ...]:
         if v.rank == q.rank:
             out.append(v)
         elif v.rank == fan.rank:
-            out.append(v.map_exponents(q.projection, q.rank))
+            out.append(v.map_exponents(q.projection))
         else:
             raise RankMismatch(
                 f"value of rank {v.rank} on a cone of dimension {q.rank} "

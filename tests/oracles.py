@@ -17,7 +17,12 @@ the fold that tried every denominator factor after every step before
 loop, the per-generator rank test and the bounding-box scan that
 ``Cone.facets``, ``Cone._extreme_generators`` and ``fan._box_points`` ran
 before the first two read their rays from ``fan.extreme_rays_of_region``
-and the last enumerated the residue group, and ``lines`` and
+and the last enumerated the residue group, and ``pointed_by_rank``,
+``faces_by_closure`` and ``smallest_face_by_adjugate``, the rank of the
+facet normals, the closure loop over facet meets and the adjugate solve
+that pointedness, the non-simplicial face lattice and a resolve step's face
+took before all three read ``Cone._smallest_face`` or one fold over the
+facet table, and ``lines`` and
 ``divide_exact``, the division by 1 - e^w on exponent tuples that
 ``laurent.divide_exact`` and ``reduce_localization`` ran before both packed
 their exponents into ints (``reduce_localization_greedy`` divides with
@@ -412,14 +417,57 @@ def facets_by_generator_subsets(cone):
 
 
 def extreme_generators_by_rank(cone):
-    """``cone._extreme_generators()``: the generators whose facet normals
-    have rank d - 1."""
+    """The extreme generators of a pointed cone, as ``Cone.from_generators``
+    keeps them: the generators whose facet normals have rank d - 1."""
     from pexpfan.lattice import matrix_rank
 
     return tuple(sorted(
         g for i, g in enumerate(cone.generators)
         if matrix_rank(tuple(u for u, contact in cone.facets if i in contact)) == cone.dim - 1
     ))
+
+
+def pointed_by_rank(cone) -> bool:
+    """Whether the cone contains no line: its facet normals generate the dual
+    cone, which is full-dimensional in the span exactly then (Fulton, 1.2)."""
+    from pexpfan.lattice import matrix_rank
+
+    return matrix_rank(tuple(u for u, _ in cone.facets)) == cone.dim
+
+
+def faces_by_closure(cone):
+    """``cone.faces_as_generator_subsets()`` of a non-simplicial cone by
+    closing the facet contacts under meets until nothing new appears."""
+    n = len(cone.generators)
+    faces = {tuple(range(n))}
+    frontier = {contact for _, contact in cone.facets}
+    faces |= frontier
+    while True:
+        new = set()
+        for a in faces:
+            for b in frontier:
+                c = tuple(sorted(set(a) & set(b)))
+                if c not in faces:
+                    new.add(c)
+        if not new:
+            break
+        faces |= new
+    faces.add(())
+    return tuple(sorted(faces))
+
+
+def smallest_face_by_adjugate(cone, v):
+    """The generator indices of the smallest face of a simplicial cone holding
+    v, or None when it does not hold v: the generators with nonzero
+    coefficients adj @ x / det at the local coordinates x of v, when v is in
+    the span and no coefficient is negative."""
+    from pexpfan.lattice import mat_vec, pair
+
+    det, adj = cone._adjugate
+    coeffs = mat_vec(adj, mat_vec(cone._span[1], v))
+    if any(pair(a, v) for a in cone._span[2]) or any(det * c < 0 for c in coeffs):
+        return None
+    return tuple(i for i, c in enumerate(coeffs) if c)
 
 
 def box_points_scan(cone):

@@ -487,12 +487,24 @@ class TestNegativesAndErrors:
             ("gkm-check", "--pexp", {"values": 3}, "values must be a list, got 3"),
             ("gkm-check", "--pexp", [1, 2], "must be a JSON object, got [1, 2]"),
             ("gram", "--functions", [3], "must be a JSON object, got 3"),
+            ("gkm-check", "--pexp",
+             {"values": [{"rank": 2, "terms": [{"coeff": 1, "exp": [0, 0]},
+                                               {"coeff": 2, "exp": [0, 0]}]}]},
+             "duplicate exponent (0, 0)"),
+            ("gkm-check", "--pexp", {"fan": "null.json", "values": []},
+             "fan JSON needs 'rank', 'rays', and 'max_cones'"),
+            ("gkm-check", "--pexp", {"fan": "string.json", "values": []},
+             "fan JSON needs 'rank', 'rays', and 'max_cones'"),
         ],
-        ids=["number-values", "array-pexp", "number-function"],
+        ids=["number-values", "array-pexp", "number-function", "duplicate-exponent",
+             "fan-path-to-null", "fan-path-to-string"],
     )
     def test_malformed_pexp_document_is_structural(
         self, data_files, capsys, command, flag, doc, detail
     ):
+        # a path-valued "fan" is read relative to the document
+        (data_files["tmp"] / "null.json").write_text("null")
+        (data_files["tmp"] / "string.json").write_text(json.dumps("fan.json"))
         path = data_files["tmp"] / "doc.json"
         path.write_text(json.dumps(doc))
         argv = [command, "--fan", data_files["fan"], flag, path]

@@ -39,10 +39,13 @@ from oracles import (
     extreme_generators_by_rank,
     extreme_rays_smith,
     face_quotient_oracle,
+    faces_by_closure,
     facet_normals_full_dim,
     facets_by_generator_subsets,
     grid_covers_fan,
     least_box_points_listing,
+    pointed_by_rank,
+    smallest_face_by_adjugate,
     smith_diagonal_oracle,
     solve_rational,
     star_quotient_oracle,
@@ -611,8 +614,11 @@ class TestResolve:
     def test_steps_carry_unchanged_cones_and_match_the_replaced_path(self, monkeypatch):
         """At every step of a resolution the cones found to hold the new ray,
         from the incidence map, are those a Cone.contains scan over the
-        current cones finds; every cone the step leaves is the same object,
-        and every new piece equals a fresh Cone.from_generators.  Every
+        current cones finds; every cone holding it has the same smallest face
+        holding it, read from its facets, whose star is the holding set, and
+        on every simplicial cone that face is the one the adjugate solve
+        found; every cone the step leaves is the same object, and every new
+        piece equals a fresh Cone.from_generators.  Every
         resolved fan's cone objects equal fresh ones, and the serialized
         resolutions equal those of the path that rebuilt every cone per step
         and scanned for the cones holding each ray, pinned by their digest."""
@@ -622,6 +628,15 @@ class TestResolve:
         def checked(ref, ray, holding):
             holding = set(holding)
             assert holding == {k for k in ref.order if ref.cones[k][1].contains(ray)}
+            faces = set()
+            for k in ref.order:
+                _, cone, gen_rays, _ = ref.cones[k]
+                face = cone._smallest_face(ray)
+                if cone.is_simplicial:
+                    assert face == smallest_face_by_adjugate(cone, ray)
+                if face is not None:
+                    faces.add(tuple(sorted(gen_rays[i] for i in face)))
+            assert len(faces) == 1 and ref.star(faces.pop()) == holding
             before = {k: ref.cones[k][1] for k in ref.order}
             change = step_through(ref, ray, holding)
             removed, added = change or ((), ())
@@ -743,7 +758,11 @@ class TestAgainstOracles:
                 g = gcd(*x)
                 x = tuple(v // g for v in x) if g else x
             lam = solve_rational(cols, x)
-            assert cone.contains(x) == (lam is not None and all(v >= 0 for v in lam))
+            held = lam is not None and all(v >= 0 for v in lam)
+            assert cone.contains(x) == held
+            # the smallest face holding x is the support of its coefficients
+            assert cone._smallest_face(x) == (
+                tuple(i for i, v in enumerate(lam) if v) if held else None)
 
     @given(st.integers(0, 99999))
     @settings(max_examples=60)
@@ -822,10 +841,13 @@ class TestAgainstOracles:
 
     def test_cone_geometry_matches_the_replaced_paths(self, monkeypatch):
         """Generators, facets, faces and dimension, or the error class and
-        message, of seeded random cones are the same whether facets and
-        extreme generators come from extreme_rays_of_region or from the
-        subset loop and rank test they replaced; and the parallelepiped
-        points are those of the bounding-box scan wherever it is small."""
+        message, of seeded random cones are the same whether facets come
+        from extreme_rays_of_region or from the subset loop they replaced;
+        the generators kept are the extreme ones of the rank test, a cone is
+        refused as not strongly convex exactly when its facet normals have
+        too small a rank, and the faces of a non-simplicial cone are those
+        of the closure loop; and the parallelepiped points are those of the
+        bounding-box scan wherever it is small."""
         rng = random.Random(20261018)
         cases = []
         for _ in range(3000):
@@ -848,14 +870,21 @@ class TestAgainstOracles:
         got = verdicts()
         scanned = 0
         for (rank, gens), verdict in zip(cases, got):
+            raw = Cone(rank, tuple(sorted({primitive_vector(g) for g in gens if any(g)})))
+            if not raw.is_simplicial:
+                if not pointed_by_rank(raw):
+                    assert verdict[0] == "NotStronglyConvex", gens
+                    continue
+                assert verdict[0] == extreme_generators_by_rank(raw), gens
             if isinstance(verdict[0], str):
                 continue
             cone = Cone(rank, verdict[0])
+            if not cone.is_simplicial:
+                assert verdict[2] == faces_by_closure(cone), gens
             if cone.is_simplicial and box_scan_size(cone) <= 10_000:
                 scanned += 1
                 assert fan_module._box_points(cone) == box_points_scan(cone), gens
         monkeypatch.setattr(Cone, "facets", property(facets_by_generator_subsets))
-        monkeypatch.setattr(Cone, "_extreme_generators", extreme_generators_by_rank)
         assert got == verdicts()
         kinds = [v[0] if isinstance(v[0], str) else len(v[0]) > v[3] for v in got]
         assert kinds.count(True) > 200 and kinds.count(False) > 1000 and scanned > 1000

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pexpfan.errors import NotIndependent, NotSmooth, ZeroVector
+from pexpfan.errors import NotIndependent, NotSmooth, NotUnimodular, ZeroVector
 from pexpfan.fan import Cone, span_coordinates
 from pexpfan.ktheory import tangent_weights
 from pexpfan.lattice import (
@@ -233,3 +233,14 @@ class TestHelpers:
         d, adj = adjugate(a)
         assert d == det
         assert mat_mul(adj, a) == tuple(tuple(det * (i == j) for j in range(n)) for i in range(n))
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: unimodular_inverse(((2, 0), (0, 1))), NotUnimodular,
+         "matrix is not invertible over the integers"),
+        (lambda: adjugate(((1, 2, 3), (4, 5, 6))), ValueError, "adjugate of a non-square matrix"),
+        (lambda: line_kernel(((1, 0, 0),), 3), ValueError, "line_kernel needs 2 rows, got 1"),
+    ], ids=["det-2-inverse", "non-square-adjugate", "line-kernel-row-count"])
+    def test_malformed_inputs_are_refused(self, call, error, message):
+        with pytest.raises((NotUnimodular, ValueError)) as exc:
+            call()
+        assert (type(exc.value), str(exc.value)) == (error, message)

@@ -109,7 +109,12 @@ class TestMapExponents:
 
     def test_total_augmentation(self):
         f = E((1, 0)) + E((0, 1))
-        assert f.map_exponents((), 0) == LaurentPoly.constant(0, 2)
+        assert f.map_exponents(()) == LaurentPoly.constant(0, 2)
+
+    def test_domain_mismatch_is_refused(self):
+        with pytest.raises(RankMismatch) as exc:
+            (ONE2 + E((1, -1))).map_exponents(((1, 0, 0),))
+        assert str(exc.value) == "matrix domain 3 vs ring rank 2"
 
     @given(polys(), polys())
     def test_ring_homomorphism(self, f, g):
@@ -233,13 +238,15 @@ class TestExactDiv:
         with pytest.raises(NotDivisible):
             f // 2
 
-    @pytest.mark.parametrize("g, error, message", [
-        (LaurentPoly.one(1), RankMismatch, "ranks 2 and 1"),
-        (LaurentPoly.zero(2), ZeroDivisionError, "division by the zero polynomial"),
-    ], ids=["rank-mismatch", "zero-divisor"])
-    def test_bad_divisors_are_refused(self, g, error, message):
+    @pytest.mark.parametrize("divide, error, message", [
+        (lambda f: try_div(f, LaurentPoly.one(1)), RankMismatch, "ranks 2 and 1"),
+        (lambda f: try_div(f, LaurentPoly.zero(2)), ZeroDivisionError,
+         "division by the zero polynomial"),
+        (lambda f: divide_exact(f, (1,)), RankMismatch, "character of length 1 in rank 2"),
+    ], ids=["rank-mismatch", "zero-divisor", "character-length"])
+    def test_bad_divisors_are_refused(self, divide, error, message):
         with pytest.raises((RankMismatch, ZeroDivisionError)) as exc:
-            try_div(ONE2 + E((1, 0)), g)
+            divide(ONE2 + E((1, 0)))
         assert (type(exc.value), str(exc.value)) == (error, message)
 
     def test_truthiness_is_nonzero(self):
@@ -400,14 +407,19 @@ def outcome(reduce, s):
 
 
 class TestLocalizationSumBuild:
-    @pytest.mark.parametrize("terms, error, message", [
-        ([(ONE1, [(1,)])], RankMismatch, "numerator rank differs from the sum's rank"),
-        ([(ONE2, [(0, 0)])], ZeroCharacter, "zero character in a denominator"),
-        ([(ONE2, [(1,)])], RankMismatch, "denominator character of wrong length"),
-    ], ids=["numerator-rank", "zero-character", "character-length"])
-    def test_malformed_terms_are_refused(self, terms, error, message):
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: LocalizationSum.build(2, [(ONE1, [(1,)])]), RankMismatch,
+         "numerator rank differs from the sum's rank"),
+        (lambda: LocalizationSum.build(2, [(ONE2, [(0, 0)])]), ZeroCharacter,
+         "zero character in a denominator"),
+        (lambda: LocalizationSum.build(2, [(ONE2, [(1,)])]), RankMismatch,
+         "denominator character of wrong length"),
+        (lambda: LaurentPoly.from_dict(2, {(1,): 1}), RankMismatch,
+         "exponent (1,) in a rank-2 ring"),
+    ], ids=["numerator-rank", "zero-character", "character-length", "poly-exponent-length"])
+    def test_malformed_terms_are_refused(self, build, error, message):
         with pytest.raises((RankMismatch, ZeroCharacter)) as exc:
-            LocalizationSum.build(2, terms)
+            build()
         assert (type(exc.value), str(exc.value)) == (error, message)
 
 
@@ -523,8 +535,9 @@ class TestSerialization:
 
     def test_reject_duplicate_exponents(self):
         bad = {"rank": 1, "terms": [{"coeff": 1, "exp": [0]}, {"coeff": 2, "exp": [0]}]}
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             poly_from_json(bad)
+        assert str(exc.value) == "duplicate exponent (0,)"
 
     def test_reject_zero_coefficient(self):
         with pytest.raises(ValueError):

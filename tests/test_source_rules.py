@@ -14,8 +14,11 @@ and builds ``{"status": "ok", ...}`` only in ``run``; a seventh keeps
 cone coordinates in ``pexp``: ``ktheory.py`` calls neither ``pullback`` nor
 ``face_quotient``, and in ``pexp.py`` a face quotient's ``.projection`` is
 read only in ``coerce_values`` (the one projector of ambient values) and
-``_comparison_matrix``, and ``project_vector`` is not called there.  Every
-name the package exports resolves.  The localization oracle in
+``_comparison_matrix``, and ``project_vector`` is not called there; an
+eighth keeps one facet table per cone: ``extreme_rays_of_region`` is called
+only from ``Cone.facets`` and ``Fan._check_pair``, and ``fan._Refinement``
+reads no ``_adjugate`` (a resolve step's face is the cone's smallest face,
+read from its facets).  Every name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types,
 never the kernel it checks."""
 
@@ -119,6 +122,15 @@ def test_cone_coordinates_stay_in_pexp():
     tree = ast.parse(path.read_text(), filename=str(path))
     readers = {where for where, a in _nodes(tree, ast.Attribute) if a.attr == "projection"}
     assert readers == {"coerce_values", "_comparison_matrix"}
+
+
+def test_face_questions_read_the_facet_table():
+    # one vertex enumeration per cone, for its facets; every face question reads them
+    assert _callers("extreme_rays_of_region") == {("fan.py", "facets"), ("fan.py", "_check_pair")}
+    path = next(p for p in SOURCES if p.name == "fan.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    refinement = next(c for _, c in _nodes(tree, ast.ClassDef) if c.name == "_Refinement")
+    assert [a.lineno for _, a in _nodes(refinement, ast.Attribute) if a.attr == "_adjugate"] == []
 
 
 def test_every_exported_name_resolves():
