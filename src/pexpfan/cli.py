@@ -42,6 +42,11 @@ class CliFailure(Exception):
         super().__init__(doc.get("detail", "command failed"))
 
 
+def _too_deep(where: str) -> CliFailure:
+    # the decoder recurses once per level, so a deep enough document overflows the stack
+    return CliFailure(1, {"status": "error", "kind": "json", "detail": f"{where}: JSON nested too deeply"})
+
+
 def _load_json(path: str):
     def unique_keys(pairs):
         # json keeps the last of repeated keys; refuse them like malformed JSON
@@ -64,6 +69,8 @@ def _load_json(path: str):
         raise CliFailure(
             1, {"status": "error", "kind": "json", "detail": f"{path}: {exc}"}
         )
+    except RecursionError:
+        raise _too_deep(path)
 
 
 def _load_fan(path: str) -> Fan:
@@ -92,6 +99,15 @@ def _load_pexp_list(path: str, fan: Fan | None) -> list[PiecewiseExponential]:
     if not isinstance(obj, list):
         raise ValueError(f"{path}: expected a JSON array of functions")
     return [_pexp_from_doc(item, os.path.dirname(path), fan) for item in obj]
+
+
+def _cone_arg(fan: Fan, text: str) -> tuple[int, ...]:
+    """The cone of the fan that the ``--cone`` JSON text names."""
+    try:
+        spec = json.loads(text)
+    except RecursionError:
+        raise _too_deep("--cone")
+    return _parse_cone(fan, spec)
 
 
 def _parse_cone(fan: Fan, spec) -> tuple[int, ...]:
@@ -155,13 +171,13 @@ def _cmd_gkm_check(args) -> tuple:
 def _cmd_restrict(args) -> tuple:
     fan = _load_fan(args.fan)
     f = _load_pexp(args.pexp, fan)
-    return _poly_result(f.restrict(_parse_cone(fan, json.loads(args.cone))))
+    return _poly_result(f.restrict(_cone_arg(fan, args.cone)))
 
 
 def _cmd_pair(args) -> tuple:
     fan = _load_fan(args.fan)
     f = _load_pexp(args.pexp, fan)
-    return _poly_result(kronecker_pair(fan, f, _parse_cone(fan, json.loads(args.cone))))
+    return _poly_result(kronecker_pair(fan, f, _cone_arg(fan, args.cone)))
 
 
 def _cmd_gram(args) -> tuple:
@@ -249,10 +265,13 @@ def run(argv=None) -> int:
     if args.format == "json" or text is None:
         text = json.dumps(doc, indent=2)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            return code
+        except OSError as exc:  # the status document goes to stdout instead
+            text, code = json.dumps({"status": "error", "kind": "io", "detail": str(exc)}, indent=2), 1
+    sys.stdout.write(text + "\n")
     return code
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
@@ -43,6 +42,7 @@ from .lattice import (
     strict_list,
     transpose,
     unimodular_inverse,
+    value_class,
     vec_add,
     vec_scale,
     QuotientLattice,
@@ -120,7 +120,7 @@ def span_coordinates(
     return basis, u[:r], u[r:], tuple(row[r:] for row in uinv)
 
 
-@dataclass(frozen=True)
+@value_class
 class Cone:
     """A strongly convex rational cone with canonical generators.
 
@@ -252,7 +252,7 @@ class Cone:
         return abs(self._adjugate[0])
 
 
-@dataclass(frozen=True)
+@value_class
 class Fan:
     """A fan: primitive rays plus maximal cones given as ray-index tuples."""
 
@@ -380,8 +380,8 @@ class Fan:
             kept[i] if i in kept else Cone.from_generators(self.rank, tuple(self.rays[j] for j in c))
             for i, c in enumerate(self.maximal_cones)
         )
-        # cached_property keeps its value in the instance dict, which the
-        # frozen dataclass leaves writable
+        # cached_property keeps its value in the instance dict, which a
+        # value class leaves writable (only attribute assignment raises)
         self.__dict__["cone_objects"] = objs
         return objs
 
@@ -582,7 +582,7 @@ def star_quotient(fan: Fan, rayset) -> tuple[Fan, tuple[int, ...], QuotientLatti
 # -- subdivisions --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class SubdivisionMap:
     """A refinement of fans with the containing-cone assignment recorded."""
 

@@ -27,7 +27,6 @@ chi is the case tau = 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     DependentBasis,
@@ -42,7 +41,7 @@ from .errors import (
     SingularGram,
 )
 from .fan import Cone, Fan, RaySet, SubdivisionMap, resolve
-from .lattice import Vector, adjugate
+from .lattice import Vector, adjugate, value_class
 from .laurent import LaurentPoly, LocalizationSum, poly_to_json, try_div
 from .pexp import PiecewiseExponential
 
@@ -153,7 +152,7 @@ def _strict_transform_face(fine: Fan, tau_cone: Cone) -> RaySet:
     )
 
 
-@dataclass(frozen=True)
+@value_class
 class PairingMatrix:
     """Kronecker pairings of a list of classes against a list of cones."""
 

@@ -11,9 +11,8 @@ and inverse come from Bareiss elimination; the Smith form serves only
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import NotIndependent, NotUnimodular, ZeroVector
 
@@ -290,7 +289,57 @@ def line_kernel(rows, n: int) -> Vector | None:
     return primitive_vector(v) if any(v) else None
 
 
-@dataclass(frozen=True)
+def value_class(cls):
+    """Make ``cls`` an immutable value over the fields it annotates, in order.
+
+    Installs what ``dataclass(frozen=True)`` would: ``__init__`` taking the
+    fields positionally or by name (then calling ``__post_init__`` where the
+    class defines one), ``__eq__`` and ``__hash__`` over the field tuple, the
+    ``Name(field=value, ...)`` repr, and ``__setattr__`` / ``__delattr__``
+    that raise.  Instances keep their ``__dict__``, so ``cached_property``
+    caches on them.  Importing ``dataclasses`` and compiling the methods it
+    generates per class would be most of a cli process's import time.
+    """
+    names = tuple(cls.__annotations__)
+    get = attrgetter(*names)
+    fields = get if len(names) > 1 else lambda self: (get(self),)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(names):
+            rest = names[len(args):]
+            if kwargs.keys() - rest or len(args) + len(kwargs) != len(names):
+                raise TypeError(f"{cls.__qualname__}() takes the fields {', '.join(names)}")
+            args += tuple(kwargs[name] for name in rest)
+        self.__dict__.update(zip(names, args))
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(fields(self))
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(names, fields(self)))
+        return f"{cls.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    return cls
+
+
+@value_class
 class QuotientLattice:
     """A free quotient presented by an integer projection with a section.
 

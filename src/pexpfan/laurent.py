@@ -19,15 +19,13 @@ checked against the box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NotDivisible, NotPolynomial, RankMismatch, ResultCheckFailed, ZeroCharacter
-from .lattice import IntMatrix, Vector, mat_vec, primitive_vector, strict_int, strict_list
+from .lattice import IntMatrix, Vector, mat_vec, primitive_vector, strict_int, strict_list, value_class
 
 Term = tuple[Vector, int]
 
 
-@dataclass(frozen=True)
+@value_class
 class LaurentPoly:
     """An element of Z[M]: exponents against a fixed ambient basis."""
 
@@ -421,7 +419,7 @@ def try_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly | None:
 # -- localization sums ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class LocalizationSum:
     """A finite sum of terms numerator / prod_{w in denom} (1 - e^w)."""
 

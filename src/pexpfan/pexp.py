@@ -9,8 +9,6 @@ what makes the collection a single function on the support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import (
     FanMismatch,
     GkmViolationError,
@@ -19,7 +17,7 @@ from .errors import (
     RankMismatch,
 )
 from .fan import Fan, RaySet, SubdivisionMap
-from .lattice import IntMatrix, Vector, mat_mul, strict_int, strict_list
+from .lattice import IntMatrix, Vector, mat_mul, strict_int, strict_list, value_class
 from .laurent import LaurentPoly, koszul_divides, poly_from_json, poly_to_json
 
 
@@ -31,7 +29,7 @@ def _comparison_matrix(fan_from: Fan, face_from: RaySet, fan_to: Fan, face_to: R
     return mat_mul(q_to.projection, q_from.section)
 
 
-@dataclass(frozen=True)
+@value_class
 class GkmViolation:
     """A failed face compatibility between two maximal cones."""
 
@@ -42,14 +40,14 @@ class GkmViolation:
     restriction_b: LaurentPoly
 
 
-@dataclass(frozen=True)
+@value_class
 class GkmReport:
     ok: bool
     function: "PiecewiseExponential | None"
     violations: tuple[GkmViolation, ...]
 
 
-@dataclass(frozen=True)
+@value_class
 class PiecewiseExponential:
     fan: Fan
     values: tuple[LaurentPoly, ...]
@@ -178,7 +176,7 @@ def gkm_validate(fan: Fan, values) -> GkmReport:
 # -- line bundle classes ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@value_class
 class CartierData:
     """One character per maximal cone, the local linear data of a line bundle."""
 
