@@ -410,6 +410,47 @@ class TestNegativesAndErrors:
         assert code == 1
 
     @pytest.mark.parametrize(
+        "flag, text",
+        [
+            ("--fan", "[" * 100_000 + "]" * 100_000),
+            ("--pexp", '{"values": ' * 50_000 + "[]" + "}" * 50_000),
+        ],
+        ids=["fan-arrays", "pexp-objects"],
+    )
+    def test_deeply_nested_file_is_structural(self, tmp_path, capsys, flag, text):
+        # the decoder recurses once per level; too deep a document is refused as JSON
+        deep = tmp_path / "deep.json"
+        deep.write_text(text)
+        if flag == "--fan":
+            argv = ["validate-fan", "--fan", deep]
+        else:
+            argv = ["gkm-check", "--fan", DATA / "p112_fan.json", "--pexp", deep]
+        code, out = invoke(argv, capsys)
+        assert code == 1
+        assert json.loads(out) == {
+            "status": "error", "kind": "json", "detail": f"{deep}: JSON nested too deeply",
+        }
+
+    @pytest.mark.parametrize("command", ["restrict", "pair"])
+    def test_deeply_nested_cone_is_structural(self, capsys, command):
+        argv = [command, "--fan", DATA / "p112_fan.json", "--pexp", DATA / "p112_class.json",
+                "--cone", "[" * 5_000 + "]" * 5_000]
+        code, out = invoke(argv, capsys)
+        assert code == 1
+        assert json.loads(out) == {
+            "status": "error", "kind": "json", "detail": "--cone: JSON nested too deeply",
+        }
+
+    def test_unwritable_output_is_an_io_error_on_stdout(self, tmp_path, capsys):
+        target = tmp_path / "no_such_dir" / "fan.json"
+        code, out = invoke(["validate-fan", "--fan", DATA / "p112_fan.json", "-o", target], capsys)
+        assert code == 1
+        doc = json.loads(out)
+        assert (doc["status"], doc["kind"]) == ("error", "io")
+        assert str(target) in doc["detail"]
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize(
         "flag, text, key",
         [
             ("--fan", '{"rank": 2, "rank": 3, "rays": [[1, 0]], "max_cones": [[0]]}', "rank"),

@@ -3,6 +3,7 @@
 scripts/regen_goldens.py is left out: it rewrites tests/golden/.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -61,3 +62,31 @@ def test_bench_pairs_refuses_a_checkout_with_bytecode_under_src(tmp_path):
     assert proc.returncode != 0
     assert "src/pkg/__pycache__/" in proc.stderr
     assert not marker.exists() and not out.exists()
+
+
+def test_bench_summary_reads_directions_from_the_benchmark(tmp_path):
+    # three pairs, parent first; op_ms_p50 is better lower, the others higher or flat
+    ops = {"parent": [10.0, 11.0, 12.0], "change": [12.0, 10.5, 14.0]}
+    p50 = {"parent": [100.0, 90.0, 80.0], "change": [90.0, 95.0, 70.0]}
+    runs = []
+    for i in range(3):
+        for side in ("parent", "change"):
+            metrics = {name: {"value": 1.0, "unit": "x"}
+                       for name in ("setup_s", "op_ms_tail", "peak_rss_mb")}
+            metrics["ops_per_s"] = {"value": ops[side][i], "unit": "1/s"}
+            metrics["op_ms_p50"] = {"value": p50[side][i], "unit": "ms"}
+            runs.append({"side": side, "workload": "cli", "seed": 7, "order": len(runs) + 1,
+                         "result": {"correct": True, "attempted": 5, "failed": int(side == "change"),
+                                    "metrics": metrics}})
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps(runs))
+    proc = subprocess.run([sys.executable, str(REPO / "scripts" / "bench_summary.py"), str(bench)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "# cli seed 7: 3 pairs, failed ops parent 0, change 3" in lines
+    rows = {line.split()[2]: line.split() for line in lines if line.startswith("cli ")}
+    assert rows["ops_per_s"] == ["cli", "7", "ops_per_s", "higher", "11", "12", "2/3", "1"]
+    assert rows["op_ms_p50"] == ["cli", "7", "op_ms_p50", "lower", "90", "90", "2/3", "10"]
+    assert rows["setup_s"][3:] == ["lower", "1", "1", "0/3", "0"]
+    assert set(rows) == {"setup_s", "ops_per_s", "op_ms_p50", "op_ms_tail", "peak_rss_mb"}

@@ -18,11 +18,16 @@ read only in ``coerce_values`` (the one projector of ambient values) and
 eighth keeps one facet table per cone: ``extreme_rays_of_region`` is called
 only from ``Cone.facets`` and ``Fan._check_pair``, and ``fan._Refinement``
 reads no ``_adjugate`` (a resolve step's face is the cone's smallest face,
-read from its facets).  Every name the package exports resolves.  The localization oracle in
+read from its facets); a ninth keeps start-up cheap: no module imports
+``dataclasses`` (value classes come from ``lattice.value_class``), and a
+fresh ``import pexpfan.cli`` loads none of ``dataclasses``, ``inspect``,
+``ast`` and ``dis``.  Every name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types,
 never the kernel it checks."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,6 +136,26 @@ def test_face_questions_read_the_facet_table():
     tree = ast.parse(path.read_text(), filename=str(path))
     refinement = next(c for _, c in _nodes(tree, ast.ClassDef) if c.name == "_Refinement")
     assert [a.lineno for _, a in _nodes(refinement, ast.Attribute) if a.attr == "_adjugate"] == []
+
+
+def test_no_module_imports_dataclasses():
+    importers = set()
+    for path in SOURCES:
+        for _, node in _nodes(ast.parse(path.read_text(), filename=str(path)), (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                importers.add(f"{path.name}:{node.lineno}")
+    assert importers == set()
+
+
+def test_cli_import_loads_no_code_generation_modules():
+    # -S keeps site hooks out, so the check sees only what the package imports
+    src = str(SOURCES[0].parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import pexpfan.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_every_exported_name_resolves():
