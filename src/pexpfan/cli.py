@@ -24,7 +24,7 @@ import sys
 from . import errors
 from .fan import Fan, SubdivisionMap, resolve
 from .ktheory import decompose, dual_basis_solve, gram_matrix, kronecker_pair
-from .lattice import strict_int, strict_list
+from .lattice import strict_list
 from .laurent import format_poly, poly_to_json
 from .pexp import PiecewiseExponential, descend, pexp_from_json, pexp_to_json
 
@@ -42,35 +42,38 @@ class CliFailure(Exception):
         super().__init__(doc.get("detail", "command failed"))
 
 
-def _too_deep(where: str) -> CliFailure:
-    # the decoder recurses once per level, so a deep enough document overflows the stack
-    return CliFailure(1, {"status": "error", "kind": "json", "detail": f"{where}: JSON nested too deeply"})
+def _error(kind: str, detail: str) -> dict:
+    return {"status": "error", "kind": kind, "detail": detail}
 
 
-def _load_json(path: str):
+def _decode(text: str, where: str):
+    """The JSON value in ``text``.  Malformed JSON, a repeated key and too deep
+    a nesting are each a kind ``json`` failure whose detail starts with ``where``."""
     def unique_keys(pairs):
         # json keeps the last of repeated keys; refuse them like malformed JSON
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise CliFailure(1, {
-                    "status": "error", "kind": "json",
-                    "detail": f"{path}: repeated key {key!r}",
-                })
+                raise CliFailure(1, _error("json", f"{where}: repeated key {key!r}"))
             obj[key] = value
         return obj
 
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique_keys)
-    except OSError as exc:
-        raise CliFailure(1, {"status": "error", "kind": "io", "detail": str(exc)})
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
-        raise CliFailure(
-            1, {"status": "error", "kind": "json", "detail": f"{path}: {exc}"}
-        )
+        raise CliFailure(1, _error("json", f"{where}: {exc}"))
     except RecursionError:
-        raise _too_deep(path)
+        # the decoder recurses once per level, so a deep enough document overflows the stack
+        raise CliFailure(1, _error("json", f"{where}: JSON nested too deeply"))
+
+
+def _load_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise CliFailure(1, _error("io", str(exc)))
+    return _decode(text, path)
 
 
 def _load_fan(path: str) -> Fan:
@@ -101,27 +104,8 @@ def _load_pexp_list(path: str, fan: Fan | None) -> list[PiecewiseExponential]:
     return [_pexp_from_doc(item, os.path.dirname(path), fan) for item in obj]
 
 
-def _cone_arg(fan: Fan, text: str) -> tuple[int, ...]:
-    """The cone of the fan that the ``--cone`` JSON text names."""
-    try:
-        spec = json.loads(text)
-    except RecursionError:
-        raise _too_deep("--cone")
-    return _parse_cone(fan, spec)
-
-
-def _parse_cone(fan: Fan, spec) -> tuple[int, ...]:
-    """The cone of the fan with the generators in the decoded JSON ``spec``."""
-    if not isinstance(spec, list):
-        raise ValueError("a cone is a JSON array of generator coordinate arrays")
-    return fan.rayset_from_vectors([
-        tuple(strict_int(x, "cone coordinate") for x in strict_list(v, "cone generator"))
-        for v in spec
-    ])
-
-
 def _load_cones(fan: Fan, path: str) -> list[tuple[int, ...]]:
-    return [_parse_cone(fan, c) for c in strict_list(_load_json(path), "cones")]
+    return [fan.rayset_from_vectors(c) for c in strict_list(_load_json(path), "cones")]
 
 
 def _violation_doc(violations) -> dict:
@@ -171,13 +155,13 @@ def _cmd_gkm_check(args) -> tuple:
 def _cmd_restrict(args) -> tuple:
     fan = _load_fan(args.fan)
     f = _load_pexp(args.pexp, fan)
-    return _poly_result(f.restrict(_cone_arg(fan, args.cone)))
+    return _poly_result(f.restrict(fan.rayset_from_vectors(_decode(args.cone, "--cone"))))
 
 
 def _cmd_pair(args) -> tuple:
     fan = _load_fan(args.fan)
     f = _load_pexp(args.pexp, fan)
-    return _poly_result(kronecker_pair(fan, f, _cone_arg(fan, args.cone)))
+    return _poly_result(kronecker_pair(fan, f, fan.rayset_from_vectors(_decode(args.cone, "--cone"))))
 
 
 def _cmd_gram(args) -> tuple:
@@ -261,7 +245,7 @@ def run(argv=None) -> int:
     except errors.MathNegative as exc:
         doc, code = {"status": "negative", "kind": type(exc).__name__, "detail": str(exc)}, 2
     except (errors.StructuralError, errors.ResultCheckFailed, ValueError) as exc:
-        doc, code = {"status": "error", "kind": type(exc).__name__, "detail": str(exc)}, 1
+        doc, code = _error(type(exc).__name__, str(exc)), 1
     if args.format == "json" or text is None:
         text = json.dumps(doc, indent=2)
     if args.output:
@@ -270,7 +254,7 @@ def run(argv=None) -> int:
                 fh.write(text + "\n")
             return code
         except OSError as exc:  # the status document goes to stdout instead
-            text, code = json.dumps({"status": "error", "kind": "io", "detail": str(exc)}, indent=2), 1
+            text, code = json.dumps(_error("io", str(exc)), indent=2), 1
     sys.stdout.write(text + "\n")
     return code
 

@@ -422,12 +422,16 @@ class Fan:
         return rs
 
     def rayset_from_vectors(self, vectors) -> RaySet:
-        """Identify a cone of the fan from generator coordinates."""
+        """Identify a cone of the fan from generator coordinates, a list of
+        integer lists; a ray given twice is refused like a missing one."""
+        gens = [tuple(strict_int(x, "cone coordinate") for x in strict_list(v, "cone generator"))
+                for v in strict_list(vectors, "cone")]
         idx = []
-        for v in vectors:
-            v = primitive_vector(tuple(v))
+        for v in map(primitive_vector, gens):
             if v not in self._ray_index:
                 raise ConeNotInFan(f"{v} is not a ray of the fan")
+            if self._ray_index[v] in idx:
+                raise ConeNotInFan(f"cone lists the ray {v} twice")
             idx.append(self._ray_index[v])
         return self.require_face(idx)
 

@@ -17,7 +17,7 @@ from .errors import (
     RankMismatch,
 )
 from .fan import Fan, RaySet, SubdivisionMap
-from .lattice import IntMatrix, Vector, mat_mul, strict_int, strict_list, value_class
+from .lattice import IntMatrix, Vector, mat_mul, strict_list, value_class
 from .laurent import LaurentPoly, koszul_divides, poly_from_json, poly_to_json
 
 
@@ -181,18 +181,6 @@ class CartierData:
     """One character per maximal cone, the local linear data of a line bundle."""
 
     exponents: tuple[Vector, ...]
-
-    def to_json(self) -> dict:
-        return {"m": [list(m) for m in self.exponents]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "CartierData":
-        if not isinstance(obj, dict) or "m" not in obj:
-            raise ValueError("Cartier data JSON needs the key 'm'")
-        return CartierData(tuple(
-            tuple(strict_int(x, "Cartier exponent") for x in strict_list(m, "Cartier character"))
-            for m in strict_list(obj["m"], "m")
-        ))
 
 
 def from_cartier(fan: Fan, data: CartierData) -> PiecewiseExponential:

@@ -441,6 +441,22 @@ class TestNegativesAndErrors:
             "status": "error", "kind": "json", "detail": "--cone: JSON nested too deeply",
         }
 
+    @pytest.mark.parametrize("text, doc", [
+        ("[[", {"status": "error", "kind": "json",
+                "detail": "--cone: Expecting value: line 1 column 3 (char 2)"}),
+        ('{"a": 1, "a": 2}', {"status": "error", "kind": "json", "detail": "--cone: repeated key 'a'"}),
+        ("3", {"status": "error", "kind": "ValueError", "detail": "cone must be a list, got 3"}),
+        ("[[1,0],[2,0]]", {"status": "error", "kind": "ConeNotInFan",
+                           "detail": "cone lists the ray (1, 0) twice"}),
+    ], ids=["malformed", "repeated-key", "number", "repeated-generator"])
+    @pytest.mark.parametrize("command", ["restrict", "pair"])
+    def test_cone_argument_is_decoded_like_a_file(self, capsys, command, text, doc):
+        argv = [command, "--fan", DATA / "p112_fan.json", "--pexp", DATA / "p112_class.json",
+                "--cone", text]
+        code, out = invoke(argv, capsys)
+        assert code == 1
+        assert json.loads(out) == doc
+
     def test_unwritable_output_is_an_io_error_on_stdout(self, tmp_path, capsys):
         target = tmp_path / "no_such_dir" / "fan.json"
         code, out = invoke(["validate-fan", "--fan", DATA / "p112_fan.json", "-o", target], capsys)

@@ -194,10 +194,33 @@ class TestBuildFan:
         ([(1, 0), (1, 0)], [(0,), (1,)], NotAFan, "duplicate rays"),
         ([(1, 0), (0, 1), (-1, 0)], [(0, 1)], NotAFan, "every ray must appear in some maximal cone"),
         ([(1, 0), (0, 1)], [(0, 0, 1)], NotAFan, "cone [0, 0, 1] lists a ray twice"),
-    ], ids=["zero-ray", "duplicate-rays", "unused-ray", "repeated-index"])
+        ([], [], NotAFan, "a fan needs at least the zero cone"),
+    ], ids=["zero-ray", "duplicate-rays", "unused-ray", "repeated-index", "no-cones"])
     def test_malformed_input_is_refused(self, rays, cones, error, message):
         with pytest.raises(PExpFanError) as exc:
             Fan.build(2, rays, cones)
+        assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+class TestConeReader:
+    def test_generators_name_the_cone(self, p112):
+        assert p112.rayset_from_vectors([(-2, -4), [1, 0]]) == (0, 2)
+        assert p112.rayset_from_vectors([]) == ()
+
+    @pytest.mark.parametrize("vectors, error, message", [
+        ([(True, 0)], ValueError, "cone coordinate must be an integer, got True"),
+        ([(1.5, 0)], ValueError, "cone coordinate must be an integer, got 1.5"),
+        (3, ValueError, "cone must be a list, got 3"),
+        ([3], ValueError, "cone generator must be a list, got 3"),
+        ([(1, 0), (1, 0)], ConeNotInFan, "cone lists the ray (1, 0) twice"),
+        ([(1, 0), (2, 0)], ConeNotInFan, "cone lists the ray (1, 0) twice"),
+        ([(1, 1)], ConeNotInFan, "(1, 1) is not a ray of the fan"),
+        ([(1, 0), (0, 1), (-1, -2)], ConeNotInFan, "[0, 1, 2] is not a cone of the fan"),
+    ], ids=["boolean", "float", "number-cone", "number-generator", "repeated-generator",
+            "repeated-ray", "foreign-ray", "foreign-cone"])
+    def test_malformed_cone_is_refused(self, p112, vectors, error, message):
+        with pytest.raises((ValueError, ConeNotInFan)) as exc:
+            p112.rayset_from_vectors(vectors)
         assert (type(exc.value), str(exc.value)) == (error, message)
 
 
@@ -317,6 +340,12 @@ class TestStarQuotient:
     def test_not_in_fan(self, p112):
         with pytest.raises(ConeNotInFan):
             star_quotient(p112, (0, 1, 2))
+
+    def test_overlapping_star_is_refused(self):
+        # <(1,0),(1,1)> and <(1,0),(1,2)> overlap, so both project onto the ray (1) of N/Z(1,0)
+        overlapping = Fan.build(2, [(1, 0), (1, 1), (1, 2)], [(0, 1), (0, 2)], validate=False)
+        with pytest.raises(NotAFan, match="star projection produced coinciding cones"):
+            star_quotient(overlapping, (0,))
 
     def test_preserves_completeness(self, complete_corpus):
         for name, fan in complete_corpus.items():
@@ -592,6 +621,15 @@ class TestResolve:
         sub = resolve(cube, rng=random.Random(5), extra_rounds=40)
         assert len(calls) == 1 and len(sub.fine.maximal_cones) == 128
 
+    @pytest.mark.parametrize("step, message", [
+        (lambda self, ray, holding: None, "no subdividing ray found"),
+        (lambda self, ray, holding: ([], [min(holding)]), "simplicialization did not terminate"),
+    ], ids=["no-change", "no-progress"])
+    def test_a_stalled_simplicialization_is_a_check_failure(self, cube, monkeypatch, step, message):
+        monkeypatch.setattr(fan_module._Refinement, "step", step)
+        with pytest.raises(ResolutionCheckFailed, match=message):
+            resolve(cube)
+
     def test_ambiguous_piece_is_a_check_failure(self):
         # both overlapping cones hold (2, 1), and both give the piece <(1,0),(2,1)>
         fan = Fan.build(2, [(1, 0), (0, 1), (1, 1)], [(0, 1), (0, 2)], validate=False)
@@ -763,6 +801,10 @@ class TestAgainstOracles:
             # the smallest face holding x is the support of its coefficients
             assert cone._smallest_face(x) == (
                 tuple(i for i, v in enumerate(lam) if v) if held else None)
+
+    def test_a_region_holding_a_line_has_no_extreme_rays(self):
+        # the one candidate of the half-plane x >= 0, (0, 1), spans its lineality space
+        assert fan_module.extreme_rays_of_region(2, [(1, 0)], ()) == ()
 
     @given(st.integers(0, 99999))
     @settings(max_examples=60)

@@ -663,9 +663,3 @@ class TestLatticePointOracleOnSmoothSurfaces:
         assert len(pts) == (c + 1) * (d + c + 1)
         assert value == sum((E(p) for p in pts), LaurentPoly.zero(2))
 
-
-class TestCartierSerialization:
-    def test_round_trip(self):
-        data = CartierData(((0, 0), (1, 2), (-3, 0)))
-        assert CartierData.from_json(data.to_json()) == data
-        assert data.to_json() == {"m": [[0, 0], [1, 2], [-3, 0]]}

@@ -237,9 +237,15 @@ class TestHelpers:
     @pytest.mark.parametrize("call, error, message", [
         (lambda: unimodular_inverse(((2, 0), (0, 1))), NotUnimodular,
          "matrix is not invertible over the integers"),
+        (lambda: unimodular_inverse(((1, 2), (2, 4))), NotUnimodular,
+         "matrix is not invertible over the integers"),
+        (lambda: unimodular_inverse(((1, 0),)), NotUnimodular, "matrix is not invertible over the integers"),
         (lambda: adjugate(((1, 2, 3), (4, 5, 6))), ValueError, "adjugate of a non-square matrix"),
         (lambda: line_kernel(((1, 0, 0),), 3), ValueError, "line_kernel needs 2 rows, got 1"),
-    ], ids=["det-2-inverse", "non-square-adjugate", "line-kernel-row-count"])
+        (lambda: pair((1, 2), (1,)), ValueError, "pairing of vectors of lengths 2 and 1"),
+        (lambda: mat_mul(((1, 2),), ((1, 2),)), ValueError, "matrix shapes do not compose"),
+    ], ids=["det-2-inverse", "singular-inverse", "non-square-inverse", "non-square-adjugate",
+            "line-kernel-row-count", "pair-lengths", "mat-mul-shapes"])
     def test_malformed_inputs_are_refused(self, call, error, message):
         with pytest.raises((NotUnimodular, ValueError)) as exc:
             call()

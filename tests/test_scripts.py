@@ -3,6 +3,7 @@
 scripts/regen_goldens.py is left out: it rewrites tests/golden/.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -90,3 +91,37 @@ def test_bench_summary_reads_directions_from_the_benchmark(tmp_path):
     assert rows["op_ms_p50"] == ["cli", "7", "op_ms_p50", "lower", "90", "90", "2/3", "10"]
     assert rows["setup_s"][3:] == ["lower", "1", "1", "0/3", "0"]
     assert set(rows) == {"setup_s", "ops_per_s", "op_ms_p50", "op_ms_tail", "peak_rss_mb"}
+
+
+def _docstring_and_body_lines(path: Path, function: str):
+    """(lines of every docstring in the file, lines of the body of ``function``)."""
+    tree = ast.parse(path.read_text())
+    docs, body = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node):
+            docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            body.update(range(node.body[0].lineno, node.end_lineno + 1))
+    return docs, body
+
+
+def test_unreached_lines_lists_what_a_test_file_misses():
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "unreached_lines.py"),
+         "tests/test_value_classes.py", "-q", "-p", "no:cacheprovider"],
+        cwd=REPO, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    listed = {}
+    for line in proc.stdout.splitlines():
+        if line.startswith("src/pexpfan/"):
+            path, lineno, _ = line.split(":", 2)
+            listed.setdefault(path, set()).add(int(lineno))
+    # the test assigns to a field, which runs the one line of value_class's __setattr__
+    _, setattr_body = _docstring_and_body_lines(REPO / "src/pexpfan/lattice.py", "__setattr__")
+    assert setattr_body and not setattr_body & listed["src/pexpfan/lattice.py"]
+    _, resolve = _docstring_and_body_lines(REPO / "src/pexpfan/fan.py", "resolve")
+    assert listed["src/pexpfan/fan.py"] & resolve
+    for path, lines in listed.items():
+        docs, _ = _docstring_and_body_lines(REPO / path, "")
+        assert not lines & docs, path

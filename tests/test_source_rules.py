@@ -21,7 +21,10 @@ reads no ``_adjugate`` (a resolve step's face is the cone's smallest face,
 read from its facets); a ninth keeps start-up cheap: no module imports
 ``dataclasses`` (value classes come from ``lattice.value_class``), and a
 fresh ``import pexpfan.cli`` loads none of ``dataclasses``, ``inspect``,
-``ast`` and ``dis``.  Every name the package exports resolves.  The localization oracle in
+``ast`` and ``dis``; a tenth keeps one JSON boundary: in ``cli.py`` only
+``_decode`` calls ``json.load`` or ``json.loads``, ``cli.py`` does not import
+``strict_int`` (``Fan.rayset_from_vectors`` reads a cone), and
+``CartierData`` defines no ``from_json``.  Every name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types,
 never the kernel it checks."""
 
@@ -156,6 +159,17 @@ def test_cli_import_loads_no_code_generation_modules():
     proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_the_cli_decodes_json_in_one_place():
+    # files and --cone share one decoder; the library checks what a cone holds
+    decoders = {c for c in _callers("load") | _callers("loads") if c[0] == "cli.py"}
+    assert decoders == {("cli.py", "_decode")}
+    cli = ast.parse(next(p for p in SOURCES if p.name == "cli.py").read_text())
+    assert "strict_int" not in {a.name for _, node in _nodes(cli, ast.ImportFrom) for a in node.names}
+    pexp = ast.parse(next(p for p in SOURCES if p.name == "pexp.py").read_text())
+    cartier = next(c for _, c in _nodes(pexp, ast.ClassDef) if c.name == "CartierData")
+    assert "from_json" not in {f.name for _, f in _nodes(cartier, ast.FunctionDef)}
 
 
 def test_every_exported_name_resolves():
