@@ -1,0 +1,56 @@
+#!/usr/bin/env python3
+"""Time the ROADMAP's scale rows: one JSON line {"row", "size", "median_s",
+"repeats"} each, the median of 3 runs on fresh inputs (``--quick``: 1 run each
+on tiny sizes).
+
+    PYTHONPATH=src python3 scripts/scale_rows.py [--quick]
+
+``complete``: ``is_complete`` of a fresh copy, walls built, of the resolved
+fan on (1,0), (1,N), (-1,0), (0,-1).  ``resolve_tied`` (``_rng1``: with
+``Random(1)``): the fan on (1,2j) for j = 0..M, (-1,0), (0,-1), whose M cones
+of multiplicity 2 tie.  ``resolve_a``: the cone <(1,0),(1,N)>.
+"""
+import argparse
+import json
+import random
+import statistics
+import time
+
+from pexpfan.fan import Fan, resolve
+
+
+def cyclic_fan(rays):  # the cones join angularly consecutive rays
+    return Fan.build(2, rays, [tuple(sorted((i, (i + 1) % len(rays)))) for i in range(len(rays))])
+
+
+def fresh_fine_fan(n):
+    fine = resolve(cyclic_fan([(1, 0), (1, n), (-1, 0), (0, -1)])).fine
+    fan = Fan.build(2, fine.rays, fine.maximal_cones, validate=False)
+    fan.walls
+    return fan
+
+
+def tied(m):
+    return cyclic_fan([(1, 2 * j) for j in range(m + 1)] + [(-1, 0), (0, -1)])
+
+
+ap = argparse.ArgumentParser(description="Time the scale rows of the ROADMAP baseline table.")
+ap.add_argument("--quick", action="store_true", help="tiny sizes, one run each")
+quick = ap.parse_args().quick
+tied_sizes = (5, 10) if quick else (500, 1000, 2000)
+rows = [
+    ("complete", (10, 20) if quick else (1000, 2000, 4000), fresh_fine_fan, Fan.is_complete),
+    ("resolve_tied", tied_sizes, tied, resolve),
+    ("resolve_tied_rng1", tied_sizes, tied, lambda fan: resolve(fan, rng=random.Random(1))),
+    ("resolve_a", (5, 10) if quick else (200, 1000, 10002),
+     lambda n: Fan.build(2, [(1, 0), (1, n)], [(0, 1)]), resolve),
+]
+for row, sizes, build, run in rows:
+    for size in sizes:
+        times = []
+        for _ in range(1 if quick else 3):
+            subject, start = build(size), time.perf_counter()
+            run(subject)
+            times.append(time.perf_counter() - start)
+        print(json.dumps({"row": row, "size": size, "median_s": statistics.median(times),
+                          "repeats": len(times)}), flush=True)

@@ -10,7 +10,6 @@ from .ktheory import (
     chi,
     decompose,
     dual_basis_solve,
-    euler_characteristic,
     gram_matrix,
     kronecker_pair,
     orbit_closure_class,
@@ -32,7 +31,7 @@ __all__ = [
     "stellar_subdivision", "QuotientLattice", "primitive_vector",
     "smith_normal_form", "LaurentPoly", "LocalizationSum", "divide_exact",
     "reduce_localization", "PairingMatrix", "chi", "decompose",
-    "dual_basis_solve", "euler_characteristic", "gram_matrix", "kronecker_pair",
+    "dual_basis_solve", "gram_matrix", "kronecker_pair",
     "orbit_closure_class", "tangent_weights", "CartierData", "GkmReport",
     "GkmViolation", "PiecewiseExponential", "descend", "from_cartier",
     "gkm_validate", "pullback",

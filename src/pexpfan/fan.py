@@ -492,6 +492,12 @@ class Fan:
         points, so the degree is the same everywhere, and degree 1 means the
         cones cover N_R with disjoint interiors.  The pairing alone is not
         enough: a fan winding twice around the origin pairs every wall.
+
+        The generic point is (1, k, ..., k^(n-1)) with k = 2 + the largest
+        absolute coordinate of any wall normal u.  Its pairing with u is a
+        nonzero integer polynomial in k, whose roots all have absolute value
+        at most 1 + max |u_i| (the Cauchy bound, the leading coefficient being
+        a nonzero integer), so the point lies on no facet hyperplane.
         """
         return self._complete
 
@@ -507,13 +513,10 @@ class Fan:
             (_, ni), (_, nj) = entries
             if ni != tuple(-x for x in nj):
                 return False
-        # <u, (1, k, k^2, ...)> is a nonzero polynomial in k of degree < rank,
-        # so at most (rank - 1) values of k put the point on u's hyperplane
-        normals = {u for entries in self.walls.values() for _, u in entries}
-        for k in itertools.count(1):
-            point = tuple(k ** e for e in range(self.rank))
-            if all(pair(u, point) for u in normals):
-                break
+        # k is past the Cauchy bound 1 + max |u_i| on the roots of every
+        # nonzero integer polynomial <u, (1, k, k^2, ...)>: the point is generic
+        k = 2 + max(abs(x) for entries in self.walls.values() for _, u in entries for x in u)
+        point = tuple(k ** e for e in range(self.rank))
         holding = [c for c in self.cone_objects if all(pair(u, point) > 0 for u, _ in c.facets)]
         return len(holding) == 1
 
@@ -675,10 +678,12 @@ class _Refinement:
         """The ids of the cones whose ray sets contain ``face``."""
         return set.intersection(*(self.incidence[r] for r in face))
 
-    def step(self, ray: Vector, holding) -> tuple[list[int], list[int]] | None:
+    def step(self, ray: Vector, holding) -> list[tuple[int, list[int]]] | None:
         """Replace each cone of ``holding``, the ids of the cones that hold the
-        ray, by the joins of the ray with its facets that miss it.  Returns
-        the removed and the new ids, or None when no cone changes."""
+        ray, by the joins of the ray with its facets that miss it, in its
+        place in ``order``.  Returns (removed id, ids of its pieces) per
+        replaced cone, back to front in fan order, or None when no cone
+        changes."""
         new_idx = self.ray_index.get(ray, len(self.rays))
         places = sorted((self.order.index(k), k) for k in holding)
         seen: set[RaySet] = set()
@@ -702,7 +707,7 @@ class _Refinement:
         if new_idx == len(self.rays):
             self.rays.append(ray)
             self.ray_index[ray] = new_idx
-        removed, added = [], []
+        changes = []
         # back to front, so that the places still to replace do not move
         for (place, k), out in zip(reversed(places), reversed(pieces)):
             rs, _, _, source = self.cones.pop(k)
@@ -717,10 +722,9 @@ class _Refinement:
                     self.incidence.setdefault(r, set()).add(i)
                 ids.append(i)
             self.order[place:place + 1] = ids
-            removed.append(k)
-            added.extend(ids)
+            changes.append((k, ids))
         self.stepped = True
-        return removed, added
+        return changes
 
     def subdivision(self) -> SubdivisionMap:
         """The map from the fine fan, built here, to the coarse fan; the
@@ -920,21 +924,22 @@ def resolve(
                 break
         else:
             raise ResolutionCheckFailed("no subdividing ray found")
-        removed, added = change
-        nonsimplicial.difference_update(removed)
-        nonsimplicial.update(k for k in added if not cones[k][1].is_simplicial)
+        for k, ids in change:
+            nonsimplicial.discard(k)
+            nonsimplicial.update(i for i in ids if not cones[i][1].is_simplicial)
 
-    # phase 2: subdivide singular cones at parallelepiped points
-    mult = ((k, cones[k][1].multiplicity()) for k in ref.order)
-    singular = {k: m for k, m in mult if m > 1}
+    # phase 2: subdivide singular cones at parallelepiped points, keeping them
+    # in fan order (a step's singular pieces take their cone's place)
+    singular = [k for k in ref.order if cones[k][1].multiplicity() > 1]
+    mult = {k: cones[k][1].multiplicity() for k in singular}
     # every step must lower the excess, so it bounds the number of steps
-    excess = sum(m - 1 for m in singular.values())
+    excess = sum(m - 1 for m in mult.values())
     while singular:
         if rng:
-            idx = rng.choice(sorted(singular, key=ref.order.index))
+            idx = rng.choice(singular)
         else:
-            top = max(singular.values())
-            idx = min((k for k, m in singular.items() if m == top), key=ref.order.index)
+            top = max(mult.values())
+            idx = next(k for k in singular if mult[k] == top)
         _, minimal = _least_box_points(cones[idx][1])
         if not minimal:
             raise ResolutionCheckFailed(
@@ -943,15 +948,19 @@ def resolve(
         ray = primitive_vector(minimal[rng.choice(range(len(minimal))) if rng else 0])
         before = excess
         change = ref.step(ray, ref.star(ref.face_of(idx, ray)))
-        if change:
-            removed, added = change
-            for k in removed:
-                excess -= singular.pop(k, 1) - 1
-            for k in added:
-                m = cones[k][1].multiplicity()
+        # the ray is a nonzero box point of the chosen cone, so of the smallest
+        # face tau holding it, which is then singular; a face's multiplicity
+        # divides that of every simplicial cone having it, so each removed
+        # cone, one of the star of tau, is in ``singular``
+        for k, ids in change or ():
+            excess -= mult.pop(k) - 1
+            for i in ids:
+                m = cones[i][1].multiplicity()
                 if m > 1:
-                    singular[k] = m
+                    mult[i] = m
                     excess += m - 1
+            at = singular.index(k)
+            singular[at:at + 1] = [i for i in ids if i in mult]
         if excess >= before:
             raise ResolutionCheckFailed(
                 f"total excess multiplicity did not drop: {before} -> {excess}"
@@ -968,8 +977,8 @@ def resolve(
         ray = primitive_vector(vec_add(cone.generators[a], cone.generators[b]))
         change = ref.step(ray, ref.star(ref.face_of(src, ray)))
         # the fan was smooth before the round, so only the new pieces can be singular
-        if change and not all(
-                cones[k][1].is_simplicial and cones[k][1].multiplicity() == 1 for k in change[1]):
+        if change and not all(cones[i][1].is_simplicial and cones[i][1].multiplicity() == 1
+                              for _, ids in change for i in ids):
             raise ResolutionCheckFailed(f"refining at {ray} left a singular cone")
 
     return ref.subdivision()

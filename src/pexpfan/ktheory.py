@@ -111,17 +111,6 @@ def _star_sum(fine: Fan, values, face: RaySet) -> LaurentPoly:
     return LocalizationSum.build(fine.rank, terms).reduce()
 
 
-def euler_characteristic(fan: Fan, numerators) -> LaurentPoly:
-    """Reduce the localization sum over the fixed points of a smooth complete
-    fan to an element of Z[M]: one numerator per maximal cone, over the
-    tangent weights of that cone: the star sum of the zero cone."""
-    _require_smooth_complete(fan)
-    numerators = tuple(numerators)
-    if len(numerators) != len(fan.maximal_cones):
-        raise ValueError("one numerator per maximal cone is required")
-    return _star_sum(fan, numerators, ())
-
-
 def chi(
     fan: Fan,
     f: PiecewiseExponential,

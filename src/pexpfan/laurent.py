@@ -140,10 +140,8 @@ class LaurentPoly:
             acc[key] = acc.get(key, 0) + c
         return LaurentPoly.from_dict(len(phi), acc)
 
-    def exponent_box(self) -> tuple[Vector, Vector] | None:
-        """Componentwise (min, max) of the exponents; None for the zero poly."""
-        if not self.terms:
-            return None
+    def exponent_box(self) -> tuple[Vector, Vector]:
+        """Componentwise (min, max) of the exponents of a nonzero polynomial."""
         exps = [e for e, _ in self.terms]
         lo = tuple(min(e[i] for e in exps) for i in range(self.rank))
         hi = tuple(max(e[i] for e in exps) for i in range(self.rank))
@@ -446,10 +444,8 @@ class LocalizationSum:
 
 
 def _lex_negative(w: Vector) -> bool:
-    for x in w:
-        if x != 0:
-            return x < 0
-    return False
+    """Whether the first nonzero coordinate of w, a nonzero character, is negative."""
+    return next(x for x in w if x) < 0
 
 
 def reduce_localization(s: LocalizationSum) -> LaurentPoly:

@@ -31,8 +31,13 @@ them and imports only ``LaurentPoly`` and ``LocalizationSum`` from
 ``pexpfan.lattice`` kept with no caller in the package, and
 ``least_box_points_listing``, the least slice of ``fan._box_points`` that
 every ``resolve`` step took before ``fan._least_box_points`` read the
-two-dimensional ones from the Hilbert basis: all are kept as the oracles for
-the path that replaced them.  ``total_excess_multiplicity`` and
+two-dimensional ones from the Hilbert basis, and ``complete_by_point_search``,
+the search for a generic point that ``Fan.is_complete`` ran before it took
+one past the Cauchy bound: all are kept as the oracles for the path that
+replaced them.  ``euler_characteristic`` is the raw-numerator fixed-point
+sum that ``pexpfan.ktheory`` exported with no caller in the package; it sums
+over every maximal cone with ``LocalizationSum``, without the star logic of
+``ktheory._star_sum``.  ``total_excess_multiplicity`` and
 ``random_cartier_combination`` are test helpers that the package kept with
 no caller of its own.
 """
@@ -525,3 +530,44 @@ def random_cartier_combination(fan, cartier_classes, rng, *, max_terms=3, coeff_
         exp = tuple(rng.randint(-exp_bound, exp_bound) for _ in range(fan.rank))
         out = out + cls.module_action(LaurentPoly.exponential(exp, coeff))
     return out
+
+
+def complete_by_point_search(fan) -> bool:
+    """``Fan.is_complete`` as it found its generic point: it tried k = 1, 2, ...
+    until (1, k, ..., k^(n-1)) paired nonzero with every wall normal."""
+    from pexpfan.lattice import pair
+
+    if fan.rank == 0:
+        return fan.maximal_cones == ((),)
+    if any(c.dim != fan.rank for c in fan.cone_objects):
+        return False
+    for entries in fan.walls.values():
+        if len(entries) != 2:
+            return False
+        (_, ni), (_, nj) = entries
+        if ni != tuple(-x for x in nj):
+            return False
+    normals = {u for entries in fan.walls.values() for _, u in entries}
+    for k in itertools.count(1):
+        point = tuple(k ** e for e in range(fan.rank))
+        if all(pair(u, point) for u in normals):
+            break
+    return sum(all(pair(u, point) > 0 for u, _ in c.facets) for c in fan.cone_objects) == 1
+
+
+def euler_characteristic(fan, numerators):
+    """The fixed-point sum of a smooth complete fan, reduced to Z[M]: one
+    numerator per maximal cone, over the tangent weights of that cone."""
+    from pexpfan.errors import NotComplete, NotSmooth
+    from pexpfan.ktheory import tangent_weights
+    from pexpfan.laurent import LocalizationSum
+
+    if not fan.is_complete():
+        raise NotComplete("localization needs a complete fan")
+    if not fan.is_smooth():
+        raise NotSmooth("localization needs a smooth fan")
+    numerators = tuple(numerators)
+    if len(numerators) != len(fan.maximal_cones):
+        raise ValueError("one numerator per maximal cone is required")
+    return LocalizationSum.build(fan.rank, [
+        (n, tangent_weights(c)) for n, c in zip(numerators, fan.cone_objects)]).reduce()

@@ -35,6 +35,7 @@ from pexpfan.lattice import identity_matrix, mat_mul, mat_vec, matrix_rank, pair
 from oracles import (
     box_points_scan,
     box_scan_size,
+    complete_by_point_search,
     det_expansion,
     extreme_generators_by_rank,
     extreme_rays_smith,
@@ -96,6 +97,13 @@ def random_complete_rank2_data(rng):
     order = rng.sample(range(len(rays)), len(rays))
     cones = [(order[i], order[(i + 1) % len(rays)]) for i in range(len(rays))]
     return 2, [rays[order.index(i)] for i in range(len(rays))], rng.sample(cones, len(cones))
+
+
+def tied_singular_fan(m):
+    """The complete fan with rays (1, 2j) for j = 0..m, (-1, 0) and (0, -1): m
+    cones of multiplicity 2 between consecutive rays (1, 2j), (1, 2j + 2)."""
+    rays = [(1, 2 * j) for j in range(m + 1)] + [(-1, 0), (0, -1)]
+    return Fan.build(2, rays, [(j, j + 1) for j in range(m + 2)] + [(0, m + 2)])
 
 
 def catalog_resolution_data():
@@ -282,6 +290,39 @@ class TestCompleteness:
         assert all(pair(u, (0, 0, 1, 1)) >= 0 for u, _ in cone.facets)
         assert cone.contains((0, 0, 1, 0)) and not cone.contains((0, 0, 1, 1))
         assert not grid_covers_fan(square)
+
+    def test_the_generic_point_matches_the_point_search(self):
+        """On the inputs of the validation test, each built unvalidated,
+        is_complete gives the verdict, or the error, of the search over
+        k = 1, 2, ... for a point off every wall normal's hyperplane."""
+        rng = random.Random(20261018)
+        cases = [random_fan_data(rng) for _ in range(1500)]
+        cases += [random_complete_rank2_data(rng) for _ in range(300)]
+        cases += catalog_resolution_data() + list(DOUBLE_COVERS.values())
+
+        def verdict(complete, rank, rays, cones):
+            try:
+                return complete(Fan.build(rank, rays, cones, validate=False))
+            except PExpFanError as exc:
+                return type(exc).__name__, str(exc)
+
+        got = [verdict(Fan.is_complete, *case) for case in cases]
+        assert got == [verdict(complete_by_point_search, *case) for case in cases]
+        assert got.count(True) > 300 and got.count(False) > 500
+
+    def test_completeness_pairs_each_facet_at_most_once(self, monkeypatch):
+        """With its walls built, is_complete of the 204-cone resolution of
+        the fan on (1,0), (1,200), (-1,0), (0,-1) pairs its generic point
+        with each facet normal at most once, where the search over k paired
+        29,281 times."""
+        rays = [(1, 0), (1, 200), (-1, 0), (0, -1)]
+        fine = resolve(Fan.build(2, rays, [(0, 1), (1, 2), (2, 3), (0, 3)])).fine
+        fan = Fan.build(2, fine.rays, fine.maximal_cones, validate=False)
+        assert len(fan.maximal_cones) == 204 and fan.walls
+        calls = []
+        monkeypatch.setattr(fan_module, "pair", lambda u, v: calls.append(u) or pair(u, v))
+        assert fan.is_complete()
+        assert len(calls) <= sum(len(c.facets) for c in fan.cone_objects)
 
 
 STAR_TABLE_FANS = {
@@ -575,6 +616,39 @@ class TestResolve:
         sub = resolve(Fan.build(2, [(1, 0), (1, 10002)], [(0, 1)]))
         assert len(sub.fine.maximal_cones) == 10002 and sub.fine.is_smooth()
 
+    def test_tied_singular_cones_resolve_as_pinned(self):
+        """Resolutions of fans with up to 40 singular cones of one top
+        multiplicity, with and without an rng, serialize as pinned: the
+        default subdivides the first such cone in fan order, and an rng draws
+        from the singular cones in fan order."""
+        docs = [resolve(tied_singular_fan(m), rng=rng).to_json()
+                for m in range(2, 41) for rng in (None, random.Random(1), random.Random(7))]
+        digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+        assert digest == "3e80eab8aaff809fcca7b9e7a824f77e28e466df1ad6411166264dce35ab7f13"
+
+    def test_fan_positions_are_looked_up_once_per_step(self, monkeypatch):
+        """Resolving the fan with 300 cones of multiplicity 2 looks up a fan
+        position once per step, each step holding one cone, where choosing
+        among the singular cones by fan position looked up 45,452."""
+        lookups, steps = [], []
+
+        class CountingList(list):
+            def index(self, *args):
+                lookups.append(args)
+                return super().index(*args)
+
+        init, step = fan_module._Refinement.__init__, fan_module._Refinement.step
+
+        def counted_init(ref, fan):
+            init(ref, fan)
+            ref.order = CountingList(ref.order)
+
+        monkeypatch.setattr(fan_module._Refinement, "__init__", counted_init)
+        monkeypatch.setattr(fan_module._Refinement, "step",
+                            lambda ref, ray, holding: steps.append(ray) or step(ref, ray, holding))
+        assert resolve(tied_singular_fan(300)).fine.is_smooth()
+        assert len(steps) == 301 and len(lookups) <= len(steps)
+
     def test_identity_composition(self, p112):
         ident = SubdivisionMap.identity(p112)
         assert ident.fine == ident.coarse == p112
@@ -623,7 +697,8 @@ class TestResolve:
 
     @pytest.mark.parametrize("step, message", [
         (lambda self, ray, holding: None, "no subdividing ray found"),
-        (lambda self, ray, holding: ([], [min(holding)]), "simplicialization did not terminate"),
+        (lambda self, ray, holding: [(min(holding), [min(holding)])],
+         "simplicialization did not terminate"),
     ], ids=["no-change", "no-progress"])
     def test_a_stalled_simplicialization_is_a_check_failure(self, cube, monkeypatch, step, message):
         monkeypatch.setattr(fan_module._Refinement, "step", step)
@@ -677,7 +752,8 @@ class TestResolve:
             assert len(faces) == 1 and ref.star(faces.pop()) == holding
             before = {k: ref.cones[k][1] for k in ref.order}
             change = step_through(ref, ray, holding)
-            removed, added = change or ((), ())
+            removed = [k for k, _ in change or ()]
+            added = [i for _, ids in change or () for i in ids]
             assert set(removed) == (holding if change else set())
             for k, cone in before.items():
                 if k not in holding:

@@ -20,7 +20,6 @@ from pexpfan.ktheory import (
     chi,
     decompose,
     dual_basis_solve,
-    euler_characteristic,
     gram_matrix,
     kronecker_pair,
     orbit_closure_class,
@@ -32,7 +31,7 @@ from pexpfan.lattice import vec_scale
 from pexpfan.laurent import LaurentPoly, LocalizationSum
 from pexpfan.pexp import CartierData, PiecewiseExponential, from_cartier, gkm_validate, pullback
 
-from oracles import cartier_polytope_points, random_cartier_combination
+from oracles import cartier_polytope_points, euler_characteristic, random_cartier_combination
 
 E = LaurentPoly.exponential
 

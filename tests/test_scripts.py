@@ -13,10 +13,10 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     return subprocess.run(
-        [sys.executable, str(REPO / "scripts" / name)],
+        [sys.executable, str(REPO / "scripts" / name), *args],
         cwd=REPO,
         env=env,
         capture_output=True,
@@ -125,3 +125,14 @@ def test_unreached_lines_lists_what_a_test_file_misses():
     for path, lines in listed.items():
         docs, _ = _docstring_and_body_lines(REPO / path, "")
         assert not lines & docs, path
+
+
+def test_scale_rows_quick_prints_every_row():
+    proc = run_script("scale_rows.py", "--quick")
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert all(set(line) == {"row", "size", "median_s", "repeats"} for line in lines)
+    assert all(line["median_s"] >= 0 and line["repeats"] == 1 for line in lines)
+    assert {line["row"] for line in lines} == {
+        "complete", "resolve_tied", "resolve_tied_rng1", "resolve_a"}
+    assert len(lines) == 8
