@@ -8,7 +8,11 @@ on tiny sizes).
 ``complete``: ``is_complete`` of a fresh copy, walls built, of the resolved
 fan on (1,0), (1,N), (-1,0), (0,-1).  ``resolve_tied`` (``_rng1``: with
 ``Random(1)``): the fan on (1,2j) for j = 0..M, (-1,0), (0,-1), whose M cones
-of multiplicity 2 tie.  ``resolve_a``: the cone <(1,0),(1,N)>.
+of multiplicity 2 tie.  ``resolve_a``: the cone <(1,0),(1,N)>.  ``chi_rank2``:
+chi of the unit on the fan of ``complete``, its resolution passed.
+``chi_cube128``: chi of e^(1,0,0) + 2e^(0,-1,1) on the cube fan through
+``resolve(rng=Random(5), extra_rounds=R)``, 128 cones at R = 40.  The chi rows
+build their resolution outside the timing.
 """
 import argparse
 import json
@@ -16,7 +20,11 @@ import random
 import statistics
 import time
 
+from pexpfan import catalog
 from pexpfan.fan import Fan, resolve
+from pexpfan.ktheory import chi
+from pexpfan.laurent import LaurentPoly
+from pexpfan.pexp import PiecewiseExponential
 
 
 def cyclic_fan(rays):  # the cones join angularly consecutive rays
@@ -28,6 +36,17 @@ def fresh_fine_fan(n):
     fan = Fan.build(2, fine.rays, fine.maximal_cones, validate=False)
     fan.walls
     return fan
+
+
+def unit_chi(resolution):
+    fan = resolution.coarse
+    return chi(fan, PiecewiseExponential.constant(fan, 1), resolution=resolution)
+
+
+def cube_class_chi(resolution):
+    value = LaurentPoly.exponential((1, 0, 0)) + LaurentPoly.exponential((0, -1, 1), 2)
+    cube = resolution.coarse
+    return chi(cube, PiecewiseExponential.constant(cube, 1).module_action(value), resolution=resolution)
 
 
 def tied(m):
@@ -44,6 +63,10 @@ rows = [
     ("resolve_tied_rng1", tied_sizes, tied, lambda fan: resolve(fan, rng=random.Random(1))),
     ("resolve_a", (5, 10) if quick else (200, 1000, 10002),
      lambda n: Fan.build(2, [(1, 0), (1, n)], [(0, 1)]), resolve),
+    ("chi_rank2", (10, 20) if quick else (1000, 2000, 4000),
+     lambda n: resolve(cyclic_fan([(1, 0), (1, n), (-1, 0), (0, -1)])), unit_chi),
+    ("chi_cube128", (0,) if quick else (40,),
+     lambda r: resolve(catalog.cube_fan(), rng=random.Random(5), extra_rounds=r), cube_class_chi),
 ]
 for row, sizes, build, run in rows:
     for size in sizes:

@@ -411,6 +411,22 @@ class Fan:
         return {rs: tuple(star) for rs, star in table.items()}
 
     @cached_property
+    def _star_walls(self) -> dict[RaySet, tuple[tuple[int, int], ...]]:
+        return {}
+
+    def star_walls(self, face: RaySet) -> tuple[tuple[int, int], ...]:
+        """Each wall of ``walls`` between two cones of the star of ``face``,
+        as the pair of their positions in ``_star[face]``.  Both cones have
+        the face's rays, so the wall holds the face.  Cached per face, as
+        the merge plan of every pairing with it (``reduce_localization``)."""
+        cache = self._star_walls
+        if face not in cache:
+            where = {c: p for p, c in enumerate(self._star[face])}
+            cache[face] = tuple(tuple(where[c] for c, _ in cones) for cones in self.walls.values()
+                                if len(cones) == 2 and all(c in where for c, _ in cones))
+        return cache[face]
+
+    @cached_property
     def faces(self) -> tuple[RaySet, ...]:
         """All cones of the fan, as sorted ray-index tuples (incl. the zero cone)."""
         return tuple(sorted(self._star, key=lambda f: (len(f), f)))

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .fan import Cone, Fan, RaySet, SubdivisionMap, resolve
 from .lattice import Vector, adjugate, value_class
-from .laurent import LaurentPoly, LocalizationSum, poly_to_json, try_div
+from .laurent import LaurentPoly, LocalizationSum, poly_to_json, reduce_localization, try_div
 from .pexp import PiecewiseExponential
 
 
@@ -102,13 +102,14 @@ def _resolution_of(fan: Fan, resolution: SubdivisionMap | None) -> SubdivisionMa
 def _star_sum(fine: Fan, values, face: RaySet) -> LaurentPoly:
     """<f, [O_{V(face)}]> on a smooth complete fan, from f's value at each
     maximal cone: the sum over the star of ``face`` (``Fan._star``) of the
-    value over the weights of the rays outside ``face``."""
+    value over the weights of the rays outside ``face``, merged along the
+    walls of the star (``Fan.star_walls``)."""
     terms = []
     for i in fine._star[face]:
         weights = tangent_weights(fine.cone_objects[i])
         terms.append((values[i], [w for ray, w in zip(fine._generator_rays[i], weights)
                                   if ray not in face]))
-    return LocalizationSum.build(fine.rank, terms).reduce()
+    return reduce_localization(LocalizationSum.build(fine.rank, terms), fine.star_walls(face))
 
 
 def chi(

@@ -448,7 +448,42 @@ def _lex_negative(w: Vector) -> bool:
     return next(x for x in w if x) < 0
 
 
-def reduce_localization(s: LocalizationSum) -> LaurentPoly:
+def _merge_rounds(parts: list, walls, merge):
+    """Merge the parts into one along ``walls``, pairs (a, b) of part
+    positions, one pair per shared wall, in Borůvka rounds.  In each round
+    each region, smallest first, merges with the neighbouring region not yet
+    merged in the round with which it shares the most walls; ties go to the
+    smaller region, then to the lower id.  A region is named by the lowest
+    position in it.  When no wall joins what is left, the two smallest
+    regions merge."""
+    parts = dict(enumerate(parts))
+    size = dict.fromkeys(parts, 1)
+    adjacent: dict[int, dict[int, int]] = {r: {} for r in parts}
+    for a, b in walls:
+        adjacent[a][b] = adjacent[b][a] = adjacent[a].get(b, 0) + 1
+    while len(parts) > 1:
+        order = sorted(parts, key=lambda r: (size[r], r))
+        merged = set()
+        for r in order:
+            options = [] if r in merged else [n for n in adjacent[r] if n not in merged]
+            if not options:
+                continue
+            n = max(options, key=lambda n: (adjacent[r][n], -size[n], -n))
+            keep, gone = min(r, n), max(r, n)
+            parts[keep] = merge(parts[keep], parts.pop(gone))
+            size[keep] += size.pop(gone)
+            for x, count in adjacent.pop(gone).items():
+                del adjacent[x][gone]
+                if x != keep:
+                    adjacent[keep][x] = adjacent[x][keep] = adjacent[x].get(keep, 0) + count
+            merged |= {r, n}
+        if not merged:
+            a, b = order[:2]
+            adjacent[a][b] = adjacent[b][a] = 0
+    return parts.popitem()[1]
+
+
+def reduce_localization(s: LocalizationSum, plan=None) -> LaurentPoly:
     """Clear all denominators of the sum, exactly.
 
     Each factor (1 - e^w) with lexicographically negative w is first rewritten
@@ -457,46 +492,51 @@ def reduce_localization(s: LocalizationSum) -> LaurentPoly:
     own.  To cancel is to divide the numerator by every denominator factor
     that divides it, in the lexicographic order of the primitive characters,
     each factor with full multiplicity; afterwards no factor left in the
-    denominator divides the numerator.  Terms are then folded into an
-    accumulator one at a time, greedily choosing the term whose denominator
-    overlaps the accumulator's most (for localization data this walks adjacent
-    fixed points, so interior factors cancel as soon as they appear and the
-    working fraction stays small).  Both numerators are brought to the lcm of
-    the two denominators and added.  A denominator factor surviving to the
-    end raises NotPolynomial.
+    denominator divides the numerator.  Cancelled fractions are then merged
+    two at a time until one is left.  A merge brings both numerators to the
+    lcm of the two denominators, adds them and cancels again.  A ``plan``
+    lists pairs (a, b) of term positions, one per wall between the cones of
+    terms a and b; the merges then follow ``_merge_rounds``, so each joins
+    two adjacent regions of cones and the factors of the walls between them
+    cancel as soon as both sides are in.  A sum reduced with no
+    plan folds its terms into one accumulator, greedily choosing the term
+    whose denominator overlaps the accumulator's most.  A denominator factor
+    surviving to the end raises NotPolynomial.
 
-    After a step only the factors whose primitive direction occurs in both
-    the new term's denominator and the accumulator's denominator from before
-    the step are tried; no other division can succeed.  Z[M] is a UFD, and
-    for w0 primitive the prime factors of 1 - e^{m*w0} are the Phi_j(e^{w0})
-    with j | m, so factors in different primitive directions are coprime.
-    Let the direction d occur in the denominator D_a of A/D_a but not in the
-    denominator D_b of B/D_b.  The sum's numerator is A*(L/D_a) + B*(L/D_b),
-    with L the lcm: L/D_b holds the whole d-part of L, which is that of D_a,
-    so every factor (1 - e^w) of L in direction d divides B*(L/D_b), while
-    L/D_a is coprime to it.  Hence (1 - e^w) divides the sum's numerator iff
-    it divides A, and A was cancelled, so it does not.  Dividing by factors
-    of the shared directions keeps this so, since they are coprime to
-    (1 - e^w).  The same holds with the two sides swapped.
+    After a merge only the factors whose primitive direction occurs in both
+    denominators are tried; no other division can succeed.  Z[M] is a UFD,
+    and for w0 primitive the prime factors of 1 - e^{m*w0} are the
+    Phi_j(e^{w0}) with j | m, so factors in different primitive directions
+    are coprime.  Let the direction d occur in the denominator D_a of A/D_a
+    but not in the denominator D_b of B/D_b.  The sum's numerator is
+    A*(L/D_a) + B*(L/D_b), with L the lcm: L/D_b holds the whole d-part of
+    L, which is that of D_a, so every factor (1 - e^w) of L in direction d
+    divides B*(L/D_b), while L/D_a is coprime to it.  Hence (1 - e^w) divides
+    the sum's numerator iff it divides A, and A was cancelled, so it does
+    not.  Dividing by factors of the shared directions keeps this so, since
+    they are coprime to (1 - e^w).  The same holds with the two sides
+    swapped.
 
-    The whole fold runs on exponents packed into ints (see ``_Packing``),
-    over the box of the normalized numerators widened, coordinate by
-    coordinate, by the sum of min(0, w_i) and of max(0, w_i) over every
-    denominator factor w of every term, with multiplicity.  Every exponent
-    the fold holds lies in that box.  Write Z(F) for the Newton polytope of
-    a product F of factors (1 - e^w), the sum of the segments [0, w]; it
-    holds 0, so multiplying by F never shrinks a Newton polytope, and a
-    quotient by (1 - e^w) lies in the polytope of its dividend.  Let S be
-    the terms folded so far, N_t/D_t their normalized fractions, L_S the lcm
-    of the D_t and A/L' the accumulator.  Then A * (L_S/L') is the sum of
-    the N_t * (L_S/D_t), so A, and A times any F, lies in the box of the
-    numerators plus Z(L_S) + Z(F); a term cancelled to N_t/C_t and times F
-    lies in the box of N_t plus Z(C_t) + Z(F).  The lcm of multisets is at
-    most their sum, and the F of a step divides the new term's denominator
-    (for A) or L' (for the term), so each of these sums of Z's lies in Z of
-    the sum of all denominators, whose box is the widening.  Sums of two
-    such numerators stay in the box, which is convex.  The result is
-    unpacked once, with its box check.
+    The whole reduction runs on exponents packed into ints (see
+    ``_Packing``), over the box of the normalized numerators widened,
+    coordinate by coordinate, by the sum of min(0, w_i) and of max(0, w_i)
+    over every denominator factor w of every term, with multiplicity.  Every
+    exponent the reduction holds lies in that box.  Write Z(F) for the
+    Newton polytope of a product F of factors (1 - e^w), the sum of the
+    segments [0, w]; it holds 0, so multiplying by F never shrinks a Newton
+    polytope, Z(F) lies in Z(G) when F divides G, and a quotient by
+    (1 - e^w) lies in the polytope of its dividend.  Every fraction A/L'
+    held is the cancelled sum over a set S of terms (one term at first; a
+    term with a zero numerator is 0/1 and belongs to no S).  With N_t/D_t their normalized fractions and L_S the lcm of the D_t,
+    A * (L_S/L') is the sum of the N_t * (L_S/D_t), so A lies in the box of
+    the numerators plus Z(L_S).  A merge joins disjoint sets S and S', with
+    fractions A/L' and B/L''.  It multiplies A by lcm(L', L'')/L', which
+    divides L'' and so L_{S'}, and B by a divisor of L_S.  So both products,
+    their sum and its quotients lie in the box of the numerators plus
+    Z(L_S) + Z(L_{S'}).  The lcm of multisets is at most their sum, and S and
+    S' are disjoint, so that sum of Z's lies in Z of the sum of all
+    denominators, whose box is the widening.  The result is unpacked once,
+    with its box check.
     """
     rank = s.rank
     normalized = []
@@ -509,23 +549,23 @@ def reduce_localization(s: LocalizationSum) -> LaurentPoly:
                 shift = tuple(a + b for a, b in zip(shift, w))
                 sign = -sign
             multiset[w] = multiset.get(w, 0) + 1
-        if not num.is_zero():
-            normalized.append((num, shift, sign, multiset))
-    if not normalized:
+        normalized.append((num, shift, sign, multiset))
+    live = [t for t in normalized if not t[0].is_zero()]
+    if not live:
         return LaurentPoly.zero(rank)
 
-    boxes = [(num.exponent_box(), shift) for num, shift, _, _ in normalized]
+    boxes = [(num.exponent_box(), shift) for num, shift, _, _ in live]
     lo = [min(b[0][i] + t[i] for b, t in boxes) for i in range(rank)]
     hi = [max(b[1][i] + t[i] for b, t in boxes) for i in range(rank)]
     reach = 0
-    for _, _, _, multiset in normalized:
+    for _, _, _, multiset in live:
         for w, m in multiset.items():
             for i, x in enumerate(w):
                 lo[i] += m * min(0, x)
                 hi[i] += m * max(0, x)
             reach = max(reach, *map(abs, w))
     packing = _Packing(lo, hi, reach)
-    chars = {w: packing.character(w) for *_, multiset in normalized for w in multiset}
+    chars = {w: packing.character(w) for *_, multiset in live for w in multiset}
     direction = {w: primitive_vector(w) for w in chars}
 
     def cancel(num: dict[int, int], den: dict[Vector, int], shared=None) -> dict[int, int]:
@@ -534,9 +574,8 @@ def reduce_localization(s: LocalizationSum) -> LaurentPoly:
         if not num:
             den.clear()
             return num
-        for w in sorted(den, key=lambda w: (direction[w], w)):
-            if shared is not None and direction[w] not in shared:
-                continue
+        tried = den if shared is None else [w for w in den if direction[w] in shared]
+        for w in sorted(tried, key=lambda w: (direction[w], w)):
             while den.get(w):
                 quotient = _packed_divide(num, chars[w])
                 if quotient is None:
@@ -547,36 +586,43 @@ def reduce_localization(s: LocalizationSum) -> LaurentPoly:
                     del den[w]
         return num
 
-    terms = [(cancel(packing.pack(num * sign, packing.raw(shift)), multiset), multiset)
-             for num, shift, sign, multiset in normalized]
-    acc_num, acc_den = terms[0]
-    pending = terms[1:]
-    while pending:
-        overlap = [
-            sum(min(m, acc_den.get(w, 0)) for w, m in den.items())
-            for _, den in pending
-        ]
-        pick = max(range(len(pending)), key=lambda i: (overlap[i], -i))
-        num, den = pending.pop(pick)
-        shared = {direction[w] for w in den} & {direction[w] for w in acc_den}
-        lcm = dict(acc_den)
-        for w, m in den.items():
+    def merge(a, b):
+        """The cancelled sum of two cancelled fractions (numerator, denominator)."""
+        (num, den), (other, other_den) = a, b
+        shared = {direction[w] for w in den} & {direction[w] for w in other_den}
+        lcm = dict(den)
+        for w, m in other_den.items():
             lcm[w] = max(lcm.get(w, 0), m)
         for w, m in lcm.items():
-            acc_num = _packed_times_koszul(acc_num, chars[w][0], m - acc_den.get(w, 0))
             num = _packed_times_koszul(num, chars[w][0], m - den.get(w, 0))
-        for q, c in num.items():
-            v = acc_num.get(q, 0) + c
+            other = _packed_times_koszul(other, chars[w][0], m - other_den.get(w, 0))
+        if len(num) < len(other):
+            num, other = other, num
+        for q, c in other.items():
+            v = num.get(q, 0) + c
             if v:
-                acc_num[q] = v
+                num[q] = v
             else:
-                del acc_num[q]
-        acc_den = lcm
-        acc_num = cancel(acc_num, acc_den, shared)
+                del num[q]
+        return cancel(num, lcm, shared), lcm
 
-    if acc_den:
-        worst = sorted(acc_den)[0]
+    terms = ((cancel(packing.pack(num * sign, packing.raw(shift)), multiset), multiset)
+             for num, shift, sign, multiset in normalized)
+    if plan is None:
+        acc, *pending = [t for t in terms if t[0]]
+        while pending:
+            overlap = [
+                sum(min(m, acc[1].get(w, 0)) for w, m in den.items())
+                for _, den in pending
+            ]
+            pick = max(range(len(pending)), key=lambda i: (overlap[i], -i))
+            acc = merge(acc, pending.pop(pick))
+    else:
+        acc = _merge_rounds(terms, plan, merge)
+
+    num, den = acc
+    if den:
         raise NotPolynomial(
-            f"localization sum is not polynomial: factor 1 - e^{worst} does not divide"
+            f"localization sum is not polynomial: factor 1 - e^{sorted(den)[0]} does not divide"
         )
-    return packing.unpack(acc_num)
+    return packing.unpack(num)

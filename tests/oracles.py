@@ -39,14 +39,15 @@ sum that ``pexpfan.ktheory`` exported with no caller in the package; it sums
 over every maximal cone with ``LocalizationSum``, without the star logic of
 ``ktheory._star_sum``.  ``total_excess_multiplicity`` and
 ``random_cartier_combination`` are test helpers that the package kept with
-no caller of its own.
+no caller of its own, and ``random_complete_rank2_data`` draws the rank-2
+fans of the fan and localization tests.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import atan2, gcd
 
 
 def det_expansion(matrix) -> int:
@@ -530,6 +531,17 @@ def random_cartier_combination(fan, cartier_classes, rng, *, max_terms=3, coeff_
         exp = tuple(rng.randint(-exp_bound, exp_bound) for _ in range(fan.rank))
         out = out + cls.module_action(LaurentPoly.exponential(exp, coeff))
     return out
+
+
+def random_complete_rank2_data(rng):
+    """(2, rays, cones) of the cones between angularly consecutive random
+    rays, in shuffled order: a complete fan when no gap reaches pi."""
+    rays = sorted({(v[0] // gcd(*v), v[1] // gcd(*v)) for v in (
+        (rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(3, 9))) if any(v)},
+        key=lambda v: atan2(v[1], v[0]))
+    order = rng.sample(range(len(rays)), len(rays))
+    cones = [(order[i], order[(i + 1) % len(rays)]) for i in range(len(rays))]
+    return 2, [rays[order.index(i)] for i in range(len(rays))], rng.sample(cones, len(cones))
 
 
 def complete_by_point_search(fan) -> bool:

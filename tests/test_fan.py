@@ -1,6 +1,5 @@
 import hashlib
 import json
-import math
 import random
 import re
 from math import gcd
@@ -46,6 +45,7 @@ from oracles import (
     grid_covers_fan,
     least_box_points_listing,
     pointed_by_rank,
+    random_complete_rank2_data,
     smallest_face_by_adjugate,
     smith_diagonal_oracle,
     solve_rational,
@@ -86,17 +86,6 @@ DOUBLE_COVERS = {
     "suspension": (3, [r + (0,) for r in DOUBLE_COVER_RAYS] + [(0, 0, 1), (0, 0, -1)],
                    [c + (apex,) for apex in (5, 6) for c in DOUBLE_COVER_CONES]),
 }
-
-
-def random_complete_rank2_data(rng):
-    """(2, rays, cones) of the cones between angularly consecutive random
-    rays, in shuffled order: a complete fan when no gap reaches pi."""
-    rays = sorted({primitive_vector(v) for v in (
-        (rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(rng.randint(3, 9))) if any(v)},
-        key=lambda v: math.atan2(v[1], v[0]))
-    order = rng.sample(range(len(rays)), len(rays))
-    cones = [(order[i], order[(i + 1) % len(rays)]) for i in range(len(rays))]
-    return 2, [rays[order.index(i)] for i in range(len(rays))], rng.sample(cones, len(cones))
 
 
 def tied_singular_fan(m):

@@ -1,5 +1,5 @@
 import random
-from functools import cached_property
+from functools import cache, cached_property
 
 import pytest
 
@@ -11,6 +11,7 @@ from pexpfan.errors import (
     NotInSpan,
     NotIntegral,
     NotSmooth,
+    PExpFanError,
     ResolutionCheckFailed,
     ResultCheckFailed,
     SingularGram,
@@ -31,7 +32,13 @@ from pexpfan.lattice import vec_scale
 from pexpfan.laurent import LaurentPoly, LocalizationSum
 from pexpfan.pexp import CartierData, PiecewiseExponential, from_cartier, gkm_validate, pullback
 
-from oracles import cartier_polytope_points, euler_characteristic, random_cartier_combination
+from oracles import (
+    cartier_polytope_points,
+    euler_characteristic,
+    random_cartier_combination,
+    random_complete_rank2_data,
+    reduce_localization_greedy,
+)
 
 E = LaurentPoly.exponential
 
@@ -472,6 +479,73 @@ class TestChiIsTheZeroConePairing:
         assert calls == [(cube, [f], [()])]
         assert value == kronecker_pair(cube, f, (), resolution=r)
         assert value == euler_characteristic(r.fine, pullback(f, r).values)
+
+
+@cache
+def random_complete_rank2_fans(count, seed):
+    """The first ``count`` draws of ``random_complete_rank2_data`` that build
+    a complete fan."""
+    rng, fans = random.Random(seed), []
+    while len(fans) < count:
+        try:
+            fan = Fan.build(*random_complete_rank2_data(rng))
+        except PExpFanError:
+            continue
+        if fan.is_complete():
+            fans.append(fan)
+    return fans
+
+
+WALL_MERGE_FANS = {
+    "p1": catalog.projective_line,
+    "p2": catalog.projective_plane,
+    "p1xp1": catalog.p1_times_p1,
+    "f2": lambda: catalog.hirzebruch(2),
+    "p112": catalog.weighted_p112,
+    "cube": catalog.cube_fan,
+    **{f"rank2-{i}": lambda i=i: random_complete_rank2_fans(10, 20261019)[i] for i in range(10)},
+}
+
+
+class TestWallMerge:
+    """Star sums merge along the walls of the star (``Fan.star_walls``).  The
+    oracles fold the same sums greedily, and no answer may depend on the
+    order of the maximal cones."""
+
+    @pytest.mark.parametrize("name", WALL_MERGE_FANS)
+    def test_chi_and_a_ray_pairing_match_the_greedy_folds(self, name):
+        fine = resolve(WALL_MERGE_FANS[name]()).fine
+        rng = random.Random(1301)
+        f = random_cartier_combination(
+            fine, [PiecewiseExponential.constant(fine, 1), *divisor_classes(fine)], rng)
+        ray = rng.randrange(len(fine.rays))
+        value, pairing = chi(fine, f), kronecker_pair(fine, f, (ray,))
+        assert value == euler_characteristic(fine, f.values)
+        koszul = [(n * v, tangent_weights(c))
+                  for n, v, c in zip(orbit_closure_class(fine, (ray,)), f.values, fine.cone_objects)]
+        assert pairing == reduce_localization_greedy(LocalizationSum.build(fine.rank, koszul))
+        # the same class with the maximal cones, and their values, shuffled
+        order = rng.sample(range(len(fine.maximal_cones)), len(fine.maximal_cones))
+        shuffled = Fan.build(fine.rank, fine.rays, [fine.maximal_cones[i] for i in order])
+        g = PiecewiseExponential.from_values(shuffled, [f.values[i] for i in order])
+        assert chi(shuffled, g) == value
+        assert kronecker_pair(shuffled, g, (ray,)) == pairing
+
+    @pytest.mark.parametrize("seed", [None, 3, 7])
+    def test_the_rank3_fan_of_multiplicities_17_to_80(self, seed):
+        """The six-cone fan found by the random rank-3 probe: the unit's chi
+        is 1 on each of three resolutions."""
+        fan = Fan.build(3, [(1, 3, 2), (-2, -3, -3), (3, 1, -3), (3, -2, 2), (-3, 0, 2)],
+                        [(0, 2, 3), (0, 2, 4), (0, 3, 4), (1, 2, 3), (1, 2, 4), (1, 3, 4)])
+        assert sorted(c.multiplicity() for c in fan.cone_objects)[::5] == [17, 80]
+        r = resolve(fan, rng=None if seed is None else random.Random(seed))
+        assert chi(fan, PiecewiseExponential.constant(fan, 1), resolution=r) == LaurentPoly.one(3)
+
+    def test_the_plan_is_cached_per_face(self, cube):
+        fine = resolve(cube).fine
+        assert fine.star_walls(()) is fine.star_walls(())
+        # every wall of a complete fan lies in the star of the zero cone
+        assert len(fine.star_walls(())) == len(fine.walls)
 
 
 class TestDecompose:

@@ -21,7 +21,7 @@ from pexpfan.errors import (
 from pexpfan.fan import resolve
 from pexpfan.ktheory import chi, orbit_closure_class, poly_det, tangent_weights
 from pexpfan.lattice import adjugate, is_primitive
-from pexpfan.pexp import CartierData, from_cartier
+from pexpfan.pexp import CartierData, PiecewiseExponential, from_cartier
 from pexpfan.laurent import (
     LaurentPoly,
     LocalizationSum,
@@ -425,10 +425,10 @@ class TestLocalizationSumBuild:
 
 class TestFoldAgainstGreedyOracle:
     """``reduce_localization`` tries only the shared directions after each
-    step; ``oracles.reduce_localization_greedy`` tries every factor."""
+    merge; ``oracles.reduce_localization_greedy`` tries every factor."""
 
-    def check(self, s):
-        got, want = outcome(reduce_localization, s), outcome(reduce_localization_greedy, s)
+    def check(self, s, reduce=reduce_localization):
+        got, want = outcome(reduce, s), outcome(reduce_localization_greedy, s)
         assert type(got) is type(want)
         if isinstance(want, LaurentPoly):
             assert got == want
@@ -446,6 +446,15 @@ class TestFoldAgainstGreedyOracle:
     def test_random_sums(self, s):
         self.check(s)
 
+    @given(random_sums(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_random_sums_under_any_plan(self, s, data):
+        """A plan orders the merges only: any pairs of terms, joining them
+        or not, give the greedy fold's answer."""
+        terms = st.integers(0, len(s.terms) - 1)
+        plan = data.draw(st.lists(st.tuples(terms, terms).filter(lambda p: p[0] != p[1]), max_size=6))
+        self.check(s, lambda s: reduce_localization(s, plan))
+
     @given(localization_sums(shift=FAR))
     @settings(max_examples=30, deadline=None)
     def test_localization_data_far_apart(self, s):
@@ -457,9 +466,10 @@ class TestFoldAgainstGreedyOracle:
         self.check(s)
 
     def test_failed_divisions_of_one_chi(self, monkeypatch):
-        """chi of the octahedron class on resolve(cube_fan()) (48 cones)
-        makes 222 failed divisions; trying every factor after every step
-        made 244.  The fold divides through the packed kernel."""
+        """chi of the octahedron class on resolve(cube_fan()) (48 cones),
+        merged along the walls, makes 180 failed divisions; the greedy fold
+        made 222, and trying every factor after every step made 244.  The
+        merges divide through the packed kernel."""
         calls = []
         divide = laurent._packed_divide
 
@@ -479,7 +489,20 @@ class TestFoldAgainstGreedyOracle:
         octahedron = from_cartier(cube, CartierData(tuple(exps)))
         value = chi(cube, octahedron, resolution=resolve(cube))
         assert value.augment() == 7
-        assert calls.count(False) == 222
+        assert calls.count(False) == 180
+
+    def test_largest_dividend_of_the_128_cone_chi(self, monkeypatch):
+        """chi of e^(1,0,0) + 2e^(0,-1,1) through the 128-cone refinement of
+        the cube divides no numerator of over 1,000 terms: merged along the
+        walls the largest has 690, and the greedy fold's had 7,362."""
+        sizes = []
+        divide = laurent._packed_divide
+        monkeypatch.setattr(laurent, "_packed_divide", lambda f, ch: sizes.append(len(f)) or divide(f, ch))
+        cube = catalog.cube_fan()
+        value = E((1, 0, 0)) + E((0, -1, 1)) * 2
+        f = PiecewiseExponential.constant(cube, 1).module_action(value)
+        assert chi(cube, f, resolution=resolve(cube, rng=random.Random(5), extra_rounds=40)) == value
+        assert 0 < max(sizes) <= 1000
 
 
 class TestPackedKernel:

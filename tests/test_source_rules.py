@@ -24,8 +24,11 @@ fresh ``import pexpfan.cli`` loads none of ``dataclasses``, ``inspect``,
 ``ast`` and ``dis``; a tenth keeps one JSON boundary: in ``cli.py`` only
 ``_decode`` calls ``json.load`` or ``json.loads``, ``cli.py`` does not import
 ``strict_int`` (``Fan.rayset_from_vectors`` reads a cone), and
-``CartierData`` defines no ``from_json``.  Every name the package exports resolves.  The localization oracle in
-``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types,
+``CartierData`` defines no ``from_json``; an eleventh keeps every star sum
+on its wall plan: ``ktheory._star_sum`` reduces only through
+``laurent.reduce_localization``, passing a plan, and the greedy ``overlap``
+pick is reached only from the branch for a sum with no plan.  Every name the
+package exports resolves.  The localization oracle in ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types,
 never the kernel it checks."""
 
 import ast
@@ -170,6 +173,21 @@ def test_the_cli_decodes_json_in_one_place():
     pexp = ast.parse(next(p for p in SOURCES if p.name == "pexp.py").read_text())
     cartier = next(c for _, c in _nodes(pexp, ast.ClassDef) if c.name == "CartierData")
     assert "from_json" not in {f.name for _, f in _nodes(cartier, ast.FunctionDef)}
+
+
+def test_star_sums_merge_along_their_walls():
+    # a star sum passes the walls of its star; the greedy pick serves only a sum with no plan
+    ktheory = ast.parse(next(p for p in SOURCES if p.name == "ktheory.py").read_text())
+    reductions = [(where, len(call.args)) for where, call in _nodes(ktheory, ast.Call)
+                  if {getattr(call.func, "id", None), getattr(call.func, "attr", None)}
+                  & {"reduce", "reduce_localization"}]
+    assert reductions == [("_star_sum", 2)]
+    laurent = ast.parse(next(p for p in SOURCES if p.name == "laurent.py").read_text())
+    fold = next(f for _, f in _nodes(laurent, ast.FunctionDef) if f.name == "reduce_localization")
+    branch = next(node for _, node in _nodes(fold, ast.If) if ast.unparse(node.test) == "plan is None")
+    picks = {n.lineno for n in ast.walk(laurent) if isinstance(n, ast.Name) and n.id == "overlap"}
+    assert picks and picks == {n.lineno for stmt in branch.body for n in ast.walk(stmt)
+                               if isinstance(n, ast.Name) and n.id == "overlap"}
 
 
 def test_every_exported_name_resolves():
