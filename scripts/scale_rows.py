@@ -12,7 +12,10 @@ of multiplicity 2 tie.  ``resolve_a``: the cone <(1,0),(1,N)>.  ``chi_rank2``:
 chi of the unit on the fan of ``complete``, its resolution passed.
 ``chi_cube128``: chi of e^(1,0,0) + 2e^(0,-1,1) on the cube fan through
 ``resolve(rng=Random(5), extra_rounds=R)``, 128 cones at R = 40.  The chi rows
-build their resolution outside the timing.
+build their resolution outside the timing.  ``gkm_violations``:
+``gkm_validate`` of the octahedron class on a fresh validated copy of the
+48-cone ``resolve(cube_fan())``, its value on cone 0 moved by e^(1,0,0), so
+that the walls refuse it and the pairwise loop reports its violations.
 """
 import argparse
 import json
@@ -24,7 +27,7 @@ from pexpfan import catalog
 from pexpfan.fan import Fan, resolve
 from pexpfan.ktheory import chi
 from pexpfan.laurent import LaurentPoly
-from pexpfan.pexp import PiecewiseExponential
+from pexpfan.pexp import PiecewiseExponential, gkm_validate
 
 
 def cyclic_fan(rays):  # the cones join angularly consecutive rays
@@ -49,6 +52,19 @@ def cube_class_chi(resolution):
     return chi(cube, PiecewiseExponential.constant(cube, 1).module_action(value), resolution=resolution)
 
 
+def corrupted_cube48(_):
+    cube = catalog.cube_fan()
+    sub = resolve(cube)
+    exps = []
+    for rs in cube.maximal_cones:  # e^(-s e_a) on the cone over the cube face x_a = s
+        gens = [cube.rays[i] for i in rs]
+        axis = next(a for a in range(3) if len({g[a] for g in gens}) == 1)
+        exps.append(tuple(-gens[0][axis] if a == axis else 0 for a in range(3)))
+    values = [LaurentPoly.exponential(exps[j]) for j in sub.assignment]
+    values[0] = values[0] * LaurentPoly.exponential((1, 0, 0))
+    return Fan.build(3, sub.fine.rays, sub.fine.maximal_cones), values
+
+
 def tied(m):
     return cyclic_fan([(1, 2 * j) for j in range(m + 1)] + [(-1, 0), (0, -1)])
 
@@ -67,6 +83,7 @@ rows = [
      lambda n: resolve(cyclic_fan([(1, 0), (1, n), (-1, 0), (0, -1)])), unit_chi),
     ("chi_cube128", (0,) if quick else (40,),
      lambda r: resolve(catalog.cube_fan(), rng=random.Random(5), extra_rounds=r), cube_class_chi),
+    ("gkm_violations", (48,), corrupted_cube48, lambda subject: gkm_validate(*subject)),
 ]
 for row, sizes, build, run in rows:
     for size in sizes:

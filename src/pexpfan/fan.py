@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import random
 from functools import cached_property
+from math import prod
 
 from .errors import (
     ConeNotInFan,
@@ -93,31 +94,41 @@ def extreme_rays_of_region(n: int, ineqs, eqs) -> tuple[Vector, ...]:
     return tuple(sorted(found))
 
 
-def span_coordinates(
-    rank: int, vectors
-) -> tuple[tuple[Vector, ...], IntMatrix, tuple[Vector, ...], IntMatrix]:
-    """(basis, projection, annihilator, complement) for the saturated lattice
-    Span(vectors) & Z^rank, from one Smith form.
+def span_coordinates(rank: int, vectors) -> tuple[Vector, IntMatrix, IntMatrix]:
+    """(factors, projection, annihilator) of the saturated lattice
+    Span(vectors) & Z^rank, from one Smith form U A V = D of the vectors as
+    the columns of A.
 
-    ``basis`` has d vectors; ``projection`` is a d x rank matrix with
-    projection @ basis = identity, giving exact coordinates on the span;
-    ``annihilator`` is a basis of the characters vanishing on the span, and
-    ``complement`` a rank x (rank - d) right inverse of it.  With U A V = D
-    the Smith form of the vectors as columns, these are the first d columns
-    of U^-1, the first d and the last rank - d rows of U, and the last
-    rank - d columns of U^-1.  Every lattice coordinate in the package is
-    read from here.
+    ``factors`` are the d nonzero diagonal entries of D, so d is the
+    dimension of the span.  ``projection`` = U[:d] gives exact coordinates on
+    the span, and ``annihilator`` = U[d:] is a basis of the characters
+    vanishing on it.  In those coordinates the vectors are U[:d] A =
+    D[:d] V^-1, so for d independent vectors |det(U[:d] A)| = prod(factors),
+    the index of the lattice they generate in the saturated span.  Every
+    lattice coordinate in the package is read from here; the span basis and
+    the section of the annihilator need U^-1 as well, which only
+    ``span_quotients`` computes.
     """
     cols = tuple(tuple(v) for v in vectors)
     if not cols:
-        ident = identity_matrix(rank)
-        return (), (), ident, ident
-    a = transpose(cols)  # rank x k
-    u, d, _ = smith_normal_form(a)
-    r = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    uinv = unimodular_inverse(u)
-    basis = tuple(tuple(row[i] for row in uinv) for i in range(r))
-    return basis, u[:r], u[r:], tuple(row[r:] for row in uinv)
+        return (), (), identity_matrix(rank)
+    u, d, _ = smith_normal_form(transpose(cols))
+    factors = tuple(d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
+    return factors, u[:len(factors)], u[len(factors):]
+
+
+def span_quotients(rank: int, vectors) -> tuple[QuotientLattice, QuotientLattice]:
+    """(M -> M_tau, N -> N/N_tau) for the saturated span N_tau of the vectors.
+
+    With U from ``span_coordinates`` and d the dimension of the span, the
+    first pairs a character with the span basis, the first d columns of
+    U^-1, with the transposed projection as its section; the second applies
+    the annihilator, with the last rank - d columns of U^-1 as its section.
+    """
+    factors, projection, annihilator = span_coordinates(rank, vectors)
+    d, inverse = len(factors), unimodular_inverse(projection + annihilator)
+    return (QuotientLattice(transpose(inverse)[:d], transpose(projection)),
+            QuotientLattice(annihilator, tuple(row[d:] for row in inverse)))
 
 
 @value_class
@@ -161,16 +172,18 @@ class Cone:
     # -- basic geometry ------------------------------------------------------
 
     @cached_property
+    def _span(self) -> tuple[Vector, IntMatrix, IntMatrix]:
+        """(factors, projection, annihilator): the cone's one Smith form,
+        read by ``dim``, ``multiplicity`` and every coordinate question."""
+        return span_coordinates(self.rank, self.generators)
+
+    @cached_property
     def dim(self) -> int:
-        return matrix_rank(self.generators)
+        return len(self._span[0])
 
     @property
     def is_simplicial(self) -> bool:
         return len(self.generators) == self.dim
-
-    @cached_property
-    def _span(self) -> tuple[tuple[Vector, ...], IntMatrix, tuple[Vector, ...], IntMatrix]:
-        return span_coordinates(self.rank, self.generators)
 
     @cached_property
     def local_generators(self) -> tuple[Vector, ...]:
@@ -179,7 +192,8 @@ class Cone:
 
     @cached_property
     def _adjugate(self) -> tuple[int, IntMatrix]:
-        """(det, adj) of the local generators as columns; simplicial cones only."""
+        """(det, adj) of the local generators as columns; simplicial cones
+        only.  Read by the tangent weights and by ``_box_points``."""
         return adjugate(transpose(self.local_generators))
 
     @cached_property
@@ -246,10 +260,11 @@ class Cone:
         return tuple(sorted(faces))
 
     def multiplicity(self) -> int:
-        """Index of the sublattice spanned by the generators inside Span & N."""
+        """Index of the sublattice spanned by the generators inside Span & N,
+        the product of the invariant factors (``span_coordinates``)."""
         if not self.is_simplicial:
             raise NotSimplicial("multiplicity is defined for simplicial cones")
-        return abs(self._adjugate[0])
+        return prod(self._span[0])
 
 
 @value_class
@@ -414,16 +429,32 @@ class Fan:
     def _star_walls(self) -> dict[RaySet, tuple[tuple[int, int], ...]]:
         return {}
 
+    @cached_property
+    def _walls_by_cone(self) -> tuple[list[int], ...]:
+        """Per maximal cone, the other cone of each wall of two cones that
+        lists it first, in ``walls`` order."""
+        table: tuple[list[int], ...] = tuple([] for _ in self.maximal_cones)
+        for cones in self.walls.values():
+            if len(cones) == 2:
+                (a, _), (b, _) = cones
+                table[a].append(b)
+        return table
+
     def star_walls(self, face: RaySet) -> tuple[tuple[int, int], ...]:
         """Each wall of ``walls`` between two cones of the star of ``face``,
-        as the pair of their positions in ``_star[face]``.  Both cones have
-        the face's rays, so the wall holds the face.  Cached per face, as
-        the merge plan of every pairing with it (``reduce_localization``)."""
+        as the pair of their positions in ``_star[face]``, in ``walls``
+        order.  Both cones have the face's rays, so the wall holds the face.
+        Cached per face, as the merge plan of every pairing with it
+        (``reduce_localization``).
+
+        Read from ``_walls_by_cone`` over the star alone: ``walls`` enters a
+        wall at the first of its cones, so its order is that of first cones,
+        and the star lists its cones in fan order."""
         cache = self._star_walls
         if face not in cache:
             where = {c: p for p, c in enumerate(self._star[face])}
-            cache[face] = tuple(tuple(where[c] for c, _ in cones) for cones in self.walls.values()
-                                if len(cones) == 2 and all(c in where for c, _ in cones))
+            cache[face] = tuple((p, where[b]) for a, p in where.items()
+                                for b in self._walls_by_cone[a] if b in where)
         return cache[face]
 
     @cached_property
@@ -459,7 +490,7 @@ class Fan:
         """Quotient M -> M_tau presenting functions on the span of the face.
 
         The coordinates of u are its pairings with the saturated span basis
-        of ``span_coordinates`` (for a ray, <u, generator>), and the section
+        of ``span_quotients`` (for a ray, <u, generator>), and the section
         is the transpose of the span projection; for a full-dimensional face
         the quotient is the identity on M.
         """
@@ -473,8 +504,7 @@ class Fan:
                 cache[rs] = QuotientLattice(ident, ident)
             else:
                 # rays in index order: Cone._span's sorted ones give other coordinates
-                basis, projection, _, _ = span_coordinates(self.rank, (self.rays[i] for i in rs))
-                cache[rs] = QuotientLattice(basis, transpose(projection))
+                cache[rs] = span_quotients(self.rank, (self.rays[i] for i in rs))[0]
         return cache[rs]
 
     # -- completeness -----------------------------------------------------------
@@ -566,14 +596,13 @@ def star_quotient(fan: Fan, rayset) -> tuple[Fan, tuple[int, ...], QuotientLatti
     Returns (quotient fan, lifting, lattice quotient); ``lifting[i]`` is the
     index of the source maximal cone of ``fan`` projecting onto maximal cone i
     of the quotient fan.  The lattice quotient applies the annihilator of the
-    span of tau, with its complement from ``span_coordinates`` as the section.
+    span of tau (``span_quotients``).
     """
     rs = fan.require_face(rayset)
-    n_tau, _, annihilator, complement = span_coordinates(fan.rank, (fan.rays[i] for i in rs))
-    quot = QuotientLattice(annihilator, complement)
-    if not n_tau:
+    quot = span_quotients(fan.rank, (fan.rays[i] for i in rs))[1]
+    new_rank = quot.rank
+    if new_rank == fan.rank:
         return fan, tuple(range(len(fan.maximal_cones))), quot
-    new_rank = fan.rank - len(n_tau)
     star = fan._star[rs]
 
     images = []

@@ -6,7 +6,8 @@ the cocharacter lattice N and a character in the dual lattice M are both
 of row tuples.  Everything here is total, deterministic, and allocation-happy
 rather than clever: exactness is the product.  Rank, determinant, adjugate
 and inverse come from Bareiss elimination; the Smith form serves only
-``fan.span_coordinates``, which reads every lattice basis from it.
+``fan.span_coordinates``, one per span, which reads every lattice coordinate
+and a cone's dimension and multiplicity from it.
 """
 
 from __future__ import annotations
@@ -345,9 +346,9 @@ class QuotientLattice:
 
     ``projection`` is an (r x n) matrix, onto Z^r, whose kernel is a saturated
     sublattice; ``section`` is an (n x r) right inverse, so projection @
-    section = identity.  Both are read from ``fan.span_coordinates``: a
-    face's quotient of M pairs with the span basis, a star's quotient of N
-    applies the annihilator of the span.
+    section = identity.  Both come from ``fan.span_quotients``: a face's
+    quotient of M pairs with the span basis, a star's quotient of N applies
+    the annihilator of the span.
     """
 
     projection: IntMatrix

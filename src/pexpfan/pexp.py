@@ -154,18 +154,22 @@ def gkm_validate(fan: Fan, values) -> GkmReport:
     the value on tau from one end to the other, restriction being
     functorial.  So if every wall agrees, every pair does.  Any other fan,
     and a class that fails on some wall, runs the pairwise loop, which
-    reports every violation in pair order.
+    reports every violation in pair order, restricting each (cone, face)
+    once.
     """
     vals = coerce_values(fan, values)
     if fan.is_complete() and _agree_across_walls(fan, vals):
         return GkmReport(True, PiecewiseExponential(fan, vals), ())
     violations = []
+    restricted: dict[tuple[int, RaySet], LaurentPoly] = {}
     n = len(fan.maximal_cones)
     for i in range(n):
         for j in range(i + 1, n):
             shared = tuple(sorted(set(fan.maximal_cones[i]) & set(fan.maximal_cones[j])))
-            ri = _restriction(fan, vals, i, shared)
-            rj = _restriction(fan, vals, j, shared)
+            for k in (i, j):
+                if (k, shared) not in restricted:
+                    restricted[k, shared] = _restriction(fan, vals, k, shared)
+            ri, rj = restricted[i, shared], restricted[j, shared]
             if ri != rj:
                 violations.append(GkmViolation(i, j, shared, ri, rj))
     if violations:

@@ -12,7 +12,13 @@ the fold that tried every denominator factor after every step before
 ``pairing_quotient`` and ``quotient_lattice``, the second Smith forms that
 ``Fan.face_quotient`` (through ``face_quotient_oracle``) and ``star_quotient``
 (``star_quotient_oracle``) took before both read their quotients from
-``fan.span_coordinates``, and ``facets_by_generator_subsets``,
+``fan.span_coordinates`` (``span_basis`` reads the span basis from it), and
+``multiplicity_by_adjugate``, the determinant that ``Cone.multiplicity``
+read before the Smith form's invariant factors, and
+``gkm_violations_pairwise`` and ``star_walls_scan``, the pairwise loop
+that ``pexp.gkm_validate`` ran before it restricted each (cone, face) once
+and the scan over every wall that ``Fan.star_walls`` ran before its
+per-cone wall table, and ``facets_by_generator_subsets``,
 ``extreme_generators_by_rank`` and ``box_points_scan``, the facet subset
 loop, the per-generator rank test and the bounding-box scan that
 ``Cone.facets``, ``Cone._extreme_generators`` and ``fan._box_points`` ran
@@ -365,11 +371,20 @@ def quotient_lattice(rank: int, kernel):
     return tuple(u[k:]), tuple(row[k:] for row in unimodular_inverse(u))
 
 
+def span_basis(rank: int, vectors):
+    """The saturated span basis of the vectors: the first d columns of U^-1
+    for the U that ``fan.span_coordinates`` takes from its Smith form."""
+    from pexpfan.fan import span_coordinates
+    from pexpfan.lattice import transpose, unimodular_inverse
+
+    factors, projection, annihilator = span_coordinates(rank, vectors)
+    return transpose(unimodular_inverse(projection + annihilator))[:len(factors)]
+
+
 def face_quotient_oracle(fan, rs):
     """(projection, section) of ``fan.face_quotient(rs)`` by the branches it
     took before: the identity on a full-dimensional face, ``pairing_quotient``
     of the primitive generator on a ray, and of the span basis otherwise."""
-    from pexpfan.fan import span_coordinates
     from pexpfan.lattice import identity_matrix, matrix_rank, primitive_vector
 
     gens = tuple(fan.rays[i] for i in rs)
@@ -378,16 +393,16 @@ def face_quotient_oracle(fan, rs):
         return identity_matrix(fan.rank), identity_matrix(fan.rank)
     if d == 1:
         return pairing_quotient(fan.rank, (primitive_vector(gens[0]),))
-    return pairing_quotient(fan.rank, span_coordinates(fan.rank, gens)[0])
+    return pairing_quotient(fan.rank, span_basis(fan.rank, gens))
 
 
 def star_quotient_oracle(fan, rs):
     """(quotient fan, lifting, (projection, section)) of ``fan.star_quotient``,
     with the quotient from ``quotient_lattice`` of the span basis of the face."""
-    from pexpfan.fan import Cone, Fan, span_coordinates
+    from pexpfan.fan import Cone, Fan
     from pexpfan.lattice import mat_vec
 
-    n_tau = span_coordinates(fan.rank, [fan.rays[i] for i in rs])[0]
+    n_tau = span_basis(fan.rank, [fan.rays[i] for i in rs])
     projection, section = quotient_lattice(fan.rank, n_tau)
     if not n_tau:
         return fan, tuple(range(len(fan.maximal_cones))), (projection, section)
@@ -481,7 +496,7 @@ def box_points_scan(cone):
     parallelepiped for the points with 0 <= sign(det) * (adj @ x)_i < mult."""
     from pexpfan.lattice import mat_vec
 
-    d, g, basis = cone.dim, cone.local_generators, cone._span[0]
+    d, g, basis = cone.dim, cone.local_generators, span_basis(cone.rank, cone.generators)
     det, adj = cone._adjugate
     sign, mult = (1 if det > 0 else -1), abs(det)
     lo = [sum(min(0, g[i][c]) for i in range(d)) for c in range(d)]
@@ -511,6 +526,41 @@ def least_box_points_listing(cone):
 
     box = _box_points(cone)
     return box[0][0], [p for s, p in box if s == box[0][0]]
+
+
+def multiplicity_by_adjugate(cone) -> int:
+    """``cone.multiplicity()`` as it was read before the Smith form's
+    invariant factors: |det| of the local generators, from their adjugate."""
+    from pexpfan.lattice import adjugate, transpose
+
+    return abs(adjugate(transpose(cone.local_generators))[0])
+
+
+def gkm_violations_pairwise(fan, values):
+    """The violations of ``pexp.gkm_validate``'s pairwise loop as it ran
+    before it kept its restrictions: both cones of every pair restricted to
+    their common face afresh."""
+    from pexpfan.pexp import GkmViolation, _restriction, coerce_values
+
+    vals = coerce_values(fan, values)
+    violations = []
+    n = len(fan.maximal_cones)
+    for i in range(n):
+        for j in range(i + 1, n):
+            shared = tuple(sorted(set(fan.maximal_cones[i]) & set(fan.maximal_cones[j])))
+            ri = _restriction(fan, vals, i, shared)
+            rj = _restriction(fan, vals, j, shared)
+            if ri != rj:
+                violations.append(GkmViolation(i, j, shared, ri, rj))
+    return tuple(violations)
+
+
+def star_walls_scan(fan, face):
+    """``fan.star_walls(face)`` by the scan it ran before the per-cone wall
+    table: every wall of the fan, kept when both its cones hold the face."""
+    where = {c: p for p, c in enumerate(fan._star[face])}
+    return tuple(tuple(where[c] for c, _ in cones) for cones in fan.walls.values()
+                 if len(cones) == 2 and all(c in where for c, _ in cones))
 
 
 def total_excess_multiplicity(fan) -> int:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pexpfan.fan as fan_module
+import pexpfan.lattice as lattice_module
 import pexpfan.pexp as pexp_module
 from pexpfan import catalog
 from pexpfan.errors import (
@@ -30,7 +31,8 @@ from pexpfan.fan import (
     star_quotient,
     stellar_subdivision,
 )
-from pexpfan.lattice import identity_matrix, mat_mul, mat_vec, matrix_rank, pair, primitive_vector
+from pexpfan.lattice import (
+    identity_matrix, mat_mul, mat_vec, matrix_rank, pair, primitive_vector, vec_scale)
 from oracles import (
     box_points_scan,
     box_scan_size,
@@ -44,6 +46,7 @@ from oracles import (
     facets_by_generator_subsets,
     grid_covers_fan,
     least_box_points_listing,
+    multiplicity_by_adjugate,
     pointed_by_rank,
     random_complete_rank2_data,
     smallest_face_by_adjugate,
@@ -251,6 +254,37 @@ class TestMultiplicity:
             u = random_unimodular(rng, n)
             moved = Cone.from_generators(n, [mat_vec(u, g) for g in cone.generators])
             assert moved.multiplicity() == cone.multiplicity()
+
+    def test_dim_and_multiplicity_match_rank_and_adjugate(self):
+        """``dim`` and ``multiplicity()``, read from the cone's one Smith
+        form, equal ``matrix_rank`` of the generators and |det| of the local
+        generators by their adjugate, on seeded random cones of every
+        dimension in ranks 1-5: non-simplicial ones, and lower-dimensional
+        ones whose generators span a sublattice of index > 1 of their
+        saturated span."""
+        from test_lattice import random_unimodular
+
+        rng = random.Random(20261019)
+        kinds = []
+        for _ in range(1200):
+            rank = rng.randint(1, 5)
+            dim = rng.randint(1, rank)
+            # generators in the span of the first dim rows of a unimodular matrix
+            u = random_unimodular(rng, rank)
+            gens = [tuple(map(sum, zip(*(vec_scale(rng.randint(-3, 3), row) for row in u[:dim]))))
+                    for _ in range(rng.randint(1, dim + 2))]
+            try:
+                cone = Cone.from_generators(rank, gens)
+            except PExpFanError:
+                continue
+            assert cone.dim == matrix_rank(cone.generators), gens
+            if cone.is_simplicial:
+                assert cone.multiplicity() == multiplicity_by_adjugate(cone), gens
+                kinds.append((cone.dim < rank, cone.multiplicity() > 1))
+            else:
+                kinds.append("non-simplicial")
+        assert kinds.count((True, True)) > 80 and kinds.count((False, True)) > 50
+        assert kinds.count((True, False)) > 100 and kinds.count("non-simplicial") > 20
 
 
 class TestCompleteness:
@@ -676,6 +710,27 @@ class TestResolve:
                             staticmethod(lambda *a, **k: calls.append("build") or build(*a, **k)))
         resolve(fan)
         assert calls.count("contains") <= 2 * n and calls.count("build") == 1
+
+    def test_an_a_cone_resolves_on_one_smith_form_per_cone(self, monkeypatch):
+        """Resolving <(1,0),(1,41)> runs one Smith form per cone object it
+        builds, which gives the cone's dimension, multiplicity and
+        coordinates, and no adjugate, unimodular inverse or rank
+        elimination."""
+        fan = Fan.build(2, [(1, 0), (1, 41)], [(0, 1)])
+        calls = []
+
+        def counted(name, f):
+            return lambda *a, **k: calls.append(name) or f(*a, **k)
+
+        for module in (fan_module, lattice_module):
+            for name in ("smith_normal_form", "adjugate", "unimodular_inverse", "matrix_rank"):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        init = Cone.__init__
+        monkeypatch.setattr(Cone, "__init__", lambda self, *a: calls.append("Cone") or init(self, *a))
+        fine = resolve(fan).fine
+        assert len(fine.maximal_cones) == 41
+        assert calls.count("smith_normal_form") == calls.count("Cone") >= 41
+        assert len(calls) == 2 * calls.count("Cone")
 
     def test_extra_rounds_build_one_fine_fan(self, cube, monkeypatch):
         build, calls = Fan.build, []

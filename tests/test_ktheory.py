@@ -38,6 +38,7 @@ from oracles import (
     random_cartier_combination,
     random_complete_rank2_data,
     reduce_localization_greedy,
+    star_walls_scan,
 )
 
 E = LaurentPoly.exponential
@@ -546,6 +547,46 @@ class TestWallMerge:
         assert fine.star_walls(()) is fine.star_walls(())
         # every wall of a complete fan lies in the star of the zero cone
         assert len(fine.star_walls(())) == len(fine.walls)
+
+    def test_the_plans_match_the_wall_scan(self):
+        """Every face's plan, read from the walls of its star's cones, is the
+        scan over every wall of the fan, pair for pair and in order: on the
+        fans of this class, seeded resolutions of them, the resolutions with
+        their maximal cones shuffled, and two fans that are not complete."""
+        rng = random.Random(20261019)
+        fans = [Fan.build(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)]),
+                Fan.build(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, 0)], [(0, 1, 2), (0, 3), (1, 3)])]
+        for make in WALL_MERGE_FANS.values():
+            fan = make()
+            fine = resolve(fan, rng=random.Random(3), extra_rounds=2).fine
+            order = rng.sample(range(len(fine.maximal_cones)), len(fine.maximal_cones))
+            fans += [fan, fine, Fan.build(fine.rank, fine.rays, [fine.maximal_cones[i] for i in order])]
+        plans = 0
+        for fan in fans:
+            for face in fan.faces:
+                plan = fan.star_walls(face)
+                assert plan == star_walls_scan(fan, face), (fan, face)
+                plans += bool(plan)
+        assert plans > 500
+
+    def test_the_walls_are_read_once_for_every_plan(self):
+        """The plans of all faces of a 304-cone fan read the wall table once,
+        where a scan per face read it for every face."""
+        fine = resolve(Fan.build(2, [(1, 0), (1, 300), (-1, 0), (0, -1)],
+                                 [(0, 1), (1, 2), (2, 3), (0, 3)])).fine
+        reads = []
+
+        class CountingWalls(dict):
+            def values(self):
+                reads.append(1)
+                return super().values()
+
+        walls = fine.walls
+        fine.__dict__["walls"] = CountingWalls(walls)
+        plans = [fine.star_walls(face) for face in fine.faces]
+        assert len(fine.maximal_cones) == 304 and len(reads) == 1
+        fine.__dict__["walls"] = walls
+        assert plans == [star_walls_scan(fine, face) for face in fine.faces]
 
 
 class TestDecompose:

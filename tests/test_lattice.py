@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pexpfan.errors import NotIndependent, NotSmooth, NotUnimodular, ZeroVector
-from pexpfan.fan import Cone, span_coordinates
+from pexpfan.fan import Cone, span_coordinates, span_quotients
 from pexpfan.ktheory import tangent_weights
 from pexpfan.lattice import (
+    QuotientLattice,
     adjugate,
     identity_matrix,
     line_kernel,
@@ -101,33 +102,38 @@ class TestPrimitiveVector:
 
 
 class TestQuotientLattice:
-    """The coordinates every quotient lattice is read from: span_coordinates."""
+    """The coordinates every quotient lattice is read from: span_coordinates,
+    and span_quotients, which adds U^-1."""
 
     def test_trivial_kernel(self):
         ident = identity_matrix(2)
-        assert span_coordinates(2, []) == ((), (), ident, ident)
+        assert span_coordinates(2, []) == ((), (), ident)
+        assert span_quotients(2, []) == (QuotientLattice((), ()), QuotientLattice(ident, ident))
 
     def test_kill_first_coordinate(self):
-        basis, projection, annihilator, complement = span_coordinates(2, [(1, 0)])
-        assert basis == projection == ((1, 0),)
-        assert annihilator == ((0, 1),) and complement == ((0,), (1,))
-        assert mat_vec(annihilator, (5, 7)) == (7,)
+        factors, projection, annihilator = span_coordinates(2, [(1, 0)])
+        assert factors == (1,) and projection == ((1, 0),) and annihilator == ((0, 1),)
+        face, star = span_quotients(2, [(1, 0)])
+        assert face == QuotientLattice(((1, 0),), ((1,), (0,)))
+        assert star == QuotientLattice(((0, 1),), ((0,), (1,)))
+        assert star.project_vector((5, 7)) == (7,)
 
     def test_ray_coordinate_is_the_pairing(self):
         # a primitive ray is its own span basis, so a face quotient of a ray
         # sends u to <u, ray>
         for ray in ((1, 0, 0), (-1, -2, 0), (2, -3, 5), (0, 0, -1)):
-            assert span_coordinates(3, [ray])[0] == (ray,)
+            assert span_quotients(3, [ray])[0].projection == (ray,)
 
     def test_dependent_vectors_span_their_rank(self):
-        basis, _, annihilator, _ = span_coordinates(3, [(1, 0, 0), (1, 0, 0), (0, 1, 0)])
-        assert len(basis) == 2 and annihilator == ((0, 0, 1),)
+        factors, _, annihilator = span_coordinates(3, [(1, 0, 0), (1, 0, 0), (0, 1, 0)])
+        assert len(factors) == 2 and annihilator == ((0, 0, 1),)
 
     def test_non_saturated_vectors_give_the_saturated_span(self):
         # 2 e1 and 4 e1 span Q e1, whose saturated lattice is Z e1
-        basis, projection, annihilator, _ = span_coordinates(3, [(2, 0, 0), (4, 0, 0)])
-        assert basis == projection == ((1, 0, 0),)
+        factors, projection, annihilator = span_coordinates(3, [(2, 0, 0), (4, 0, 0)])
+        assert factors == (2,) and projection == ((1, 0, 0),)
         assert annihilator == ((0, 1, 0), (0, 0, 1))
+        assert span_quotients(3, [(2, 0, 0), (4, 0, 0)])[0].projection == ((1, 0, 0),)
 
     @given(st.integers(0, 123456))
     @settings(max_examples=40)
@@ -140,15 +146,20 @@ class TestQuotientLattice:
         vectors = [tuple(c * x for x in row) for c, row in zip(rng.choices((1, 2, -3), k=d), u)]
         if d:
             vectors.append(tuple(map(sum, zip(*vectors))))
-        basis, projection, annihilator, complement = span_coordinates(n, vectors)
-        assert len(basis) == d and len(annihilator) == n - d
+        factors, projection, annihilator = span_coordinates(n, vectors)
+        face, star = span_quotients(n, vectors)
+        basis = face.projection
+        assert len(factors) == len(basis) == d and len(annihilator) == n - d
+        assert face.section == transpose(projection) and star.projection == annihilator
         assert mat_mul(projection, transpose(basis)) == identity_matrix(d)
         assert all(pair(a, v) == 0 for a in annihilator for v in u[:d])
-        assert mat_mul(annihilator, complement) == identity_matrix(n - d)
+        assert mat_mul(annihilator, star.section) == identity_matrix(n - d)
         if d:
             # saturated: the basis has unit invariant factors and spans the rows
             assert smith_diagonal_oracle(basis) == [1] * d
             assert abs(integer_det(mat_mul(u[:d], transpose(projection)))) == 1
+            # the invariant factors are those of the vectors
+            assert list(factors) == smith_diagonal_oracle(vectors)
 
 
 class TestDualBasis:

@@ -29,6 +29,7 @@ from pexpfan.pexp import (
     pexp_to_json,
     pullback,
 )
+from oracles import gkm_violations_pairwise
 
 
 E = LaurentPoly.exponential
@@ -144,6 +145,47 @@ class TestGkmValidate:
         assert seen == [True, False] * (len(cases) // 2)
         assert [ok for ok, _, _ in got] == seen
         assert max(len(fan.maximal_cones) for fan, _ in cases) >= 48
+
+    def test_violations_match_the_uncached_pairwise_loop(self, complete_corpus):
+        """On the corpus, seeded resolutions of it and a fan that is not
+        complete, gkm_validate reports the violations of the loop that
+        restricted both cones of every pair afresh, in the same order: for
+        global classes with one exponent moved and for random values."""
+        rng = random.Random(20261019)
+        fans = [Fan.build(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)])]
+        for fan in complete_corpus.values():
+            fans += [fan, resolve(fan, rng=random.Random(1), extra_rounds=1).fine]
+        reported = 0
+        for fan in fans:
+            unit = PiecewiseExponential.constant(fan, 1)
+            for _ in range(3):
+                moved = move_one_exponent(random_class(fan, rng, [unit]).values, rng)
+                noise = [LaurentPoly.from_dict(v.rank, {tuple(rng.randint(-1, 1) for _ in range(v.rank)):
+                                                        rng.randint(1, 2)}) for v in unit.values]
+                for values in (moved, noise):
+                    report = gkm_validate(fan, values)
+                    assert report.violations == gkm_violations_pairwise(fan, values), fan
+                    assert report.ok == (not report.violations)
+                    reported += len(report.violations)
+        assert reported > 1000
+
+    def test_the_violation_path_restricts_each_cone_face_once(self, cube, monkeypatch):
+        """A corrupted class on the 48-cone resolution of the cube restricts
+        each of the 336 (cone, common face) pairs once, where both cones of
+        each of the 1,128 pairs were restricted afresh (2,256 restrictions)."""
+        sub = resolve(cube)
+        values = move_one_exponent(pullback(octahedron_class(cube), sub).values, random.Random(7))
+        want = gkm_violations_pairwise(sub.fine, values)
+        calls = []
+        restriction = pexp_module._restriction
+        monkeypatch.setattr(pexp_module, "_restriction",
+                            lambda fan, vals, i, face: calls.append((i, face)) or restriction(fan, vals, i, face))
+        report = gkm_validate(sub.fine, values)
+        assert report.violations == want and want
+        cones = sub.fine.maximal_cones
+        pairs = {(k, tuple(sorted(set(cones[i]) & set(cones[j]))))
+                 for i in range(len(cones)) for j in range(i + 1, len(cones)) for k in (i, j)}
+        assert len(cones) == 48 and len(calls) == len(set(calls)) == len(pairs) == 336
 
     def test_wall_congruence_matches_restriction(self, p112, cube):
         """On every wall of resolutions of P(1,1,2) and of the cube, the
