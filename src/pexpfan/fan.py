@@ -2,11 +2,14 @@
 
 Cones are strongly convex rational polyhedral cones given by primitive
 generators on their extreme rays.  Each cone computes one facet table, its
-inward facet normals with their contact generators, from the one vertex
-enumeration ``extreme_rays_of_region``, and answers every face question from
-it: every face is a meet of facets, the smallest one holding a point the meet
-of the facets through it.  Simplicial cones are handled in any rank;
-non-simplicial cones are limited to ambient rank <= 4.  All geometry is exact.
+inward facet normals with their contact generators, and answers every face
+question from it: every face is a meet of facets, the smallest one holding a
+point the meet of the facets through it.  A simplicial cone reads its facets,
+like its tangent weights and parallelepiped points, off the scaled inverse of
+its local generators, which its one Smith form gives; a non-simplicial cone
+takes them from the vertex enumeration ``extreme_rays_of_region``.
+Simplicial cones are handled in any rank; non-simplicial cones are limited to
+ambient rank <= 4.  All geometry is exact.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .errors import (
 from .lattice import (
     IntMatrix,
     Vector,
-    adjugate,
     identity_matrix,
     is_primitive,
     line_kernel,
@@ -61,8 +63,9 @@ def extreme_rays_of_region(n: int, ineqs, eqs) -> tuple[Vector, ...]:
     the inequalities, and it is kept when it is feasible up to sign.
     Directions lying in the lineality space are skipped.
 
-    It has two callers: ``Cone.facets`` (the dual cone of the local
-    generators) and ``Fan._check_pair`` (the intersection of two cones).
+    It has two callers: ``Cone.facets`` of a non-simplicial cone (the dual
+    cone of the local generators; a simplicial cone reads its facets off its
+    Smith form) and ``Fan._check_pair`` (the intersection of two cones).
     """
     ineqs = tuple(tuple(a) for a in ineqs)
     eqs_indep: tuple[Vector, ...] = ()
@@ -94,27 +97,28 @@ def extreme_rays_of_region(n: int, ineqs, eqs) -> tuple[Vector, ...]:
     return tuple(sorted(found))
 
 
-def span_coordinates(rank: int, vectors) -> tuple[Vector, IntMatrix, IntMatrix]:
-    """(factors, projection, annihilator) of the saturated lattice
+def span_coordinates(rank: int, vectors) -> tuple[Vector, IntMatrix, IntMatrix, IntMatrix]:
+    """(factors, projection, annihilator, columns) of the saturated lattice
     Span(vectors) & Z^rank, from one Smith form U A V = D of the vectors as
     the columns of A.
 
     ``factors`` are the d nonzero diagonal entries of D, so d is the
     dimension of the span.  ``projection`` = U[:d] gives exact coordinates on
     the span, and ``annihilator`` = U[d:] is a basis of the characters
-    vanishing on it.  In those coordinates the vectors are U[:d] A =
-    D[:d] V^-1, so for d independent vectors |det(U[:d] A)| = prod(factors),
-    the index of the lattice they generate in the saturated span.  Every
-    lattice coordinate in the package is read from here; the span basis and
-    the section of the annihilator need U^-1 as well, which only
-    ``span_quotients`` computes.
+    vanishing on it.  ``columns`` is V, one row per vector.  In those
+    coordinates the vectors are G = U[:d] A = D[:d] V^-1, so for d
+    independent vectors |det G| = prod(factors), the index of the lattice
+    they generate in the saturated span, and G^-1 = V D[:d]^-1 needs no
+    elimination (``Cone._scaled_inverse``).  Every lattice coordinate in the
+    package is read from here; the span basis and the section of the
+    annihilator need U^-1 as well, which only ``span_quotients`` computes.
     """
     cols = tuple(tuple(v) for v in vectors)
     if not cols:
-        return (), (), identity_matrix(rank)
-    u, d, _ = smith_normal_form(transpose(cols))
+        return (), (), identity_matrix(rank), ()
+    u, d, v = smith_normal_form(transpose(cols))
     factors = tuple(d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
-    return factors, u[:len(factors)], u[len(factors):]
+    return factors, u[:len(factors)], u[len(factors):], v
 
 
 def span_quotients(rank: int, vectors) -> tuple[QuotientLattice, QuotientLattice]:
@@ -125,7 +129,7 @@ def span_quotients(rank: int, vectors) -> tuple[QuotientLattice, QuotientLattice
     U^-1, with the transposed projection as its section; the second applies
     the annihilator, with the last rank - d columns of U^-1 as its section.
     """
-    factors, projection, annihilator = span_coordinates(rank, vectors)
+    factors, projection, annihilator, _ = span_coordinates(rank, vectors)
     d, inverse = len(factors), unimodular_inverse(projection + annihilator)
     return (QuotientLattice(transpose(inverse)[:d], transpose(projection)),
             QuotientLattice(annihilator, tuple(row[d:] for row in inverse)))
@@ -172,9 +176,9 @@ class Cone:
     # -- basic geometry ------------------------------------------------------
 
     @cached_property
-    def _span(self) -> tuple[Vector, IntMatrix, IntMatrix]:
-        """(factors, projection, annihilator): the cone's one Smith form,
-        read by ``dim``, ``multiplicity`` and every coordinate question."""
+    def _span(self) -> tuple[Vector, IntMatrix, IntMatrix, IntMatrix]:
+        """(factors, projection, annihilator, columns): the cone's one Smith
+        form, read by ``dim``, ``multiplicity`` and every coordinate question."""
         return span_coordinates(self.rank, self.generators)
 
     @cached_property
@@ -191,16 +195,22 @@ class Cone:
         return tuple(mat_vec(proj, g) for g in self.generators)
 
     @cached_property
-    def _adjugate(self) -> tuple[int, IntMatrix]:
-        """(det, adj) of the local generators as columns; simplicial cones
-        only.  Read by the tangent weights and by ``_box_points``."""
-        return adjugate(transpose(self.local_generators))
+    def _scaled_inverse(self) -> IntMatrix:
+        """mult * G^-1 for the local generators G as columns, simplicial cones
+        only: by ``span_coordinates`` G^-1 = V diag(factors)^-1, so entry
+        (j, i) is V[j][i] * (mult // d_i).  Row j pairs to mult with
+        generator j and to 0 with the others.  Read by the facets, the
+        tangent weights and ``_box_points``."""
+        factors, _, _, v = self._span
+        mult = prod(factors)
+        scale = tuple(mult // f for f in factors)
+        return tuple(tuple(x * c for x, c in zip(row, scale)) for row in v)
 
     @cached_property
     def _tangent_weights(self) -> tuple[Vector, ...]:
-        """Rows of det * adj(G) @ P, read by ``ktheory.tangent_weights``."""
-        det, adj = self._adjugate
-        return tuple(vec_scale(det, u) for u in mat_mul(adj, self._span[1]))
+        """Rows of G^-1 @ P for a smooth cone, where mult = 1; read by
+        ``ktheory.tangent_weights``."""
+        return mat_mul(self._scaled_inverse, self._span[1])
 
     @cached_property
     def facets(self) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
@@ -213,15 +223,21 @@ class Cone:
 
         The local normals are the extreme rays of the dual cone
         {u : <u, x> >= 0 for every local generator x}, one per facet; the
-        contact of a normal is the set of generators it vanishes on.
+        contact of a normal is the set of generators it vanishes on.  On a
+        simplicial cone the normal of the facet missing generator j is row j
+        of ``_scaled_inverse`` made primitive; a non-simplicial cone
+        enumerates them with ``extreme_rays_of_region``.
         """
-        g = self.local_generators
-        found = sorted(
-            (tuple(i for i, x in enumerate(g) if pair(u, x) == 0), u)
-            for u in extreme_rays_of_region(self.dim, g, ())
-        )
+        if self.is_simplicial:
+            n = len(self.generators)
+            found = ((tuple(i for i in range(n) if i != j), primitive_vector(row))
+                     for j, row in enumerate(self._scaled_inverse))
+        else:
+            g = self.local_generators
+            found = ((tuple(i for i, x in enumerate(g) if pair(u, x) == 0), u)
+                     for u in extreme_rays_of_region(self.dim, g, ()))
         proj_t = transpose(self._span[1])
-        return tuple((mat_vec(proj_t, u), contact) for contact, u in found)
+        return tuple((mat_vec(proj_t, u), contact) for contact, u in sorted(found))
 
     def _smallest_face(self, v: Vector) -> tuple[int, ...] | None:
         """The generator indices of the smallest face holding the point v, or
@@ -690,8 +706,8 @@ class _Refinement:
     ``incidence`` maps each ray index to the ids of the cones whose ray sets
     contain it.  A step appends its ray if it is new, so every ray keeps its
     index, and replaces only the cones that hold the ray; every other cone
-    keeps its entry, and so its cached span, facets and adjugate.  The fine
-    fan is built once, by ``subdivision``.
+    keeps its entry, and so its cached span, facets and scaled inverse.  The
+    fine fan is built once, by ``subdivision``.
     """
 
     def __init__(self, fan: Fan):
@@ -812,36 +828,34 @@ def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
 # -- resolution -----------------------------------------------------------------------
 
 
-def _box_points(cone: Cone) -> list[tuple[int, Vector]]:
+def _box_points(cone: Cone, least: bool = False) -> list[tuple[int, Vector]]:
     """Nonzero lattice points of the half-open fundamental parallelepiped of a
-    simplicial cone, as (multiplicity * coefficient sum, ambient point), sorted.
+    simplicial cone, as (multiplicity * coefficient sum, ambient point),
+    sorted; with ``least``, only those of the least key.
 
-    With G the local generators as columns, the point x = G r / mult has
-    coefficients r / mult, and r = sign(det) * adj @ x mod mult.  So the points
-    are the group (Span & N) / sum Z g_i, the residues in (Z/mult)^d generated
-    by the columns of sign(det) * adj: exactly mult residues, each built once.
-    Each residue r maps to the ambient point sum r_i g_i / mult in one pass
-    through the ambient generators."""
-    d = cone.dim
-    det, adj = cone._adjugate
-    sign, mult = (1 if det > 0 else -1), abs(det)
+    With G the local generators as columns, a lattice point x of the span
+    is G r / mult for r = mult * G^-1 @ x, and it lies in the parallelepiped
+    when 0 <= r_i < mult.  So the points are the group Z^d / G Z^d, one per
+    residue of r mod mult.  As G = diag(factors) V^-1 (``span_coordinates``),
+    G Z^d = diag(factors) Z^d, so x = sum k_i e_i with 0 <= k_i < d_i runs
+    over the group once, and its residue is sum k_i w_i mod mult for the
+    columns w_i of ``Cone._scaled_inverse``: exactly mult residues, each
+    built once.  The key of a residue is its coordinate sum, and only the
+    kept residues r are mapped to their ambient points sum r_i g_i / mult,
+    in one pass through the ambient generators."""
+    d, inverse, mult = cone.dim, cone._scaled_inverse, cone.multiplicity()
     residues = [(0,) * d]
-    seen = set(residues)
-    for j in range(d):
-        # with H the residues so far and s the next column, H + Z s is the
-        # disjoint union of the cosets H + k s, 0 <= k < (order of s mod H)
-        s = tuple(sign * adj[i][j] % mult for i in range(d))
-        multiples, t = [], s
-        while t not in seen:
-            multiples.append(t)
-            t = tuple((a + b) % mult for a, b in zip(t, s))
-        grown = [tuple((a + b) % mult for a, b in zip(h, t)) for t in multiples for h in residues]
-        residues += grown
-        seen.update(grown)
+    for f, w in zip(cone._span[0], transpose(inverse)):
+        if f > 1:
+            residues = [tuple((a + k * b) % mult for a, b in zip(h, w))
+                        for k in range(f) for h in residues]
+    # the coordinates lie in [0, mult), so only the zero residue has key 0
+    keyed = [(key, r) for key, r in zip(map(sum, residues), residues) if key]
+    if least:
+        low = min(key for key, _ in keyed)
+        keyed = [(key, r) for key, r in keyed if key == low]
     g = transpose(cone.generators)
-    out = [(sum(r), tuple(x // mult for x in mat_vec(g, r))) for r in residues if any(r)]
-    out.sort()
-    return out
+    return sorted((key, tuple(x // mult for x in mat_vec(g, r))) for key, r in keyed)
 
 
 class _Progression:
@@ -863,7 +877,7 @@ def _least_box_points(cone: Cone) -> tuple[int, list[Vector] | _Progression]:
     """The least key of ``_box_points`` on a singular simplicial cone, and the
     points that reach it, in ascending order.
 
-    A cone of dim >= 3 takes the least slice of ``_box_points``.  A cone of
+    A cone of dim >= 3 maps only the least slice of ``_box_points``.  A cone of
     dim 2 lists nothing.  With g1, g2 its local generators and mult its
     multiplicity, a point x = (a g1 + k g2) / mult of the span is a lattice
     point iff a = q k mod mult, where q = -<v, g2> mod mult for a character v
@@ -885,8 +899,8 @@ def _least_box_points(cone: Cone) -> tuple[int, list[Vector] | _Progression]:
     generators are sorted.
     """
     if cone.dim != 2:
-        box = _box_points(cone)
-        return box[0][0], [p for s, p in box if s == box[0][0]]
+        box = _box_points(cone, least=True)
+        return box[0][0], [p for _, p in box]
     (p, s), h = cone.local_generators
     mult = cone.multiplicity()
     # <v, g1> = 1 for v = (p^-1 mod |s|, (1 - p v_0) / s); g1 primitive, so p = +-1 if s = 0

@@ -51,7 +51,9 @@ def tangent_weights(cone: Cone) -> tuple[Vector, ...]:
     basis of its primitive generators, in generator order.
 
     With P the span projection (unimodular here) and G = P @ generators, the
-    dual basis is the rows of G^-1 @ P = det * adj(G) @ P, as det = +-1.
+    dual basis is the rows of G^-1 @ P, where G^-1 = V, the column factor of
+    the cone's Smith form, as every invariant factor is 1
+    (``Cone._scaled_inverse``).
     """
     if cone.dim != cone.rank:
         raise NotFullDimensional("tangent weights need a full-dimensional cone")

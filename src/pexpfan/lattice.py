@@ -5,9 +5,13 @@ the cocharacter lattice N and a character in the dual lattice M are both
 ``Vector``s, paired by the ordinary dot product ``pair``.  Matrices are tuples
 of row tuples.  Everything here is total, deterministic, and allocation-happy
 rather than clever: exactness is the product.  Rank, determinant, adjugate
-and inverse come from Bareiss elimination; the Smith form serves only
-``fan.span_coordinates``, one per span, which reads every lattice coordinate
-and a cone's dimension and multiplicity from it.
+and inverse come from Bareiss elimination, which serves the vertex
+enumeration of non-simplicial cones, the Gram matrices over Z[M] and the
+span bases of the face and star quotients, but no simplicial cone.  The
+Smith form serves only ``fan.span_coordinates``, one per span, which reads
+every lattice coordinate, a cone's dimension and multiplicity, and a
+simplicial cone's scaled inverse (its facets, tangent weights and
+parallelepiped points) from it.
 """
 
 from __future__ import annotations
@@ -90,104 +94,90 @@ def is_primitive(v: Vector) -> bool:
     return g == 1
 
 
+def _identity_rows(n: int) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1
+    return rows
+
+
 def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return unimodular (U, V) and diagonal D with U*A*V = D.
 
     The diagonal entries are nonnegative and satisfy d_1 | d_2 | ... .  Pivot
     selection is the smallest nonzero absolute entry of the working submatrix,
     with ties broken by (row, column) order, so the output is reproducible.
+    Each row operation is applied to D and U, each column operation to D and V.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     d = [list(row) for row in a]
-    u = [list(row) for row in identity_matrix(m)]
-    v = [list(row) for row in identity_matrix(n)]
-
-    def swap_rows(i, j):
-        if i != j:
-            d[i], d[j] = d[j], d[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        if i != j:
-            for row in d:
-                row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, c):
-        # row_i += c * row_j
-        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-
-    def add_col(i, j, c):
-        # col_i += c * col_j
-        for row in d:
-            row[i] += c * row[j]
-        for row in v:
-            row[i] += c * row[j]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(m, n):
+    u, v = _identity_rows(m), _identity_rows(n)
+    for t in range(min(m, n)):
         # deterministic pivot: smallest |entry| != 0, first by (row, col)
-        best = None
+        best = bi = bj = 0
         for i in range(t, m):
+            row = d[i]
             for j in range(t, n):
-                x = d[i][j]
-                if x != 0 and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-        if best is None:
+                x = abs(row[j])
+                if x and (not best or x < best):
+                    best, bi, bj = x, i, j
+        if not best:
             break
-        swap_rows(t, best[1])
-        swap_cols(t, best[2])
-
+        d[t], d[bi], u[t], u[bi] = d[bi], d[t], u[bi], u[t]
+        if bj != t:
+            for row in d:
+                row[t], row[bj] = row[bj], row[t]
+            for row in v:
+                row[t], row[bj] = row[bj], row[t]
         while True:
-            # shrink entries in column t by remainders, then in row t
+            # shrink entries in column t by remainders, then in row t; a
+            # nonzero remainder becomes the pivot
             moved = False
             for i in range(t + 1, m):
-                if d[i][t] != 0:
+                if d[i][t]:
                     q = d[i][t] // d[t][t]
-                    add_row(i, t, -q)
-                    if d[i][t] != 0:
-                        swap_rows(t, i)
+                    top, ut = d[t], u[t]
+                    d[i] = [x - q * y for x, y in zip(d[i], top)]
+                    u[i] = [x - q * y for x, y in zip(u[i], ut)]
+                    if d[i][t]:
+                        d[t], d[i], u[t], u[i] = d[i], top, u[i], ut
                         moved = True
             if moved:
                 continue
             for j in range(t + 1, n):
-                if d[t][j] != 0:
+                if d[t][j]:
                     q = d[t][j] // d[t][t]
-                    add_col(j, t, -q)
-                    if d[t][j] != 0:
-                        swap_cols(t, j)
+                    for row in d:
+                        row[j] -= q * row[t]
+                    for row in v:
+                        row[j] -= q * row[t]
+                    if d[t][j]:
+                        for row in d:
+                            row[t], row[j] = row[j], row[t]
+                        for row in v:
+                            row[t], row[j] = row[j], row[t]
                         moved = True
             if moved:
                 continue
             # row and column are clear; enforce the divisibility chain
-            p = d[t][t]
-            culprit = None
+            p, culprit = d[t][t], None
             for i in range(t + 1, m):
+                row = d[i]
                 for j in range(t + 1, n):
-                    if d[i][j] % p != 0:
+                    if row[j] % p:
                         culprit = i
                         break
                 if culprit is not None:
                     break
             if culprit is None:
                 break
-            add_row(t, culprit, 1)
+            d[t] = [x + y for x, y in zip(d[t], d[culprit])]
+            u[t] = [x + y for x, y in zip(u[t], u[culprit])]
         if d[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    return (
-        tuple(tuple(row) for row in u),
-        tuple(tuple(row) for row in d),
-        tuple(tuple(row) for row in v),
-    )
+            d[t] = [-x for x in d[t]]
+            u[t] = [-x for x in u[t]]
+    return tuple(map(tuple, u)), tuple(map(tuple, d)), tuple(map(tuple, v))
 
 
 def _eliminate(m: list[list[int]], ncols: int) -> tuple[int, int, int]:

@@ -35,7 +35,9 @@ their exponents into ints (``reduce_localization_greedy`` divides with
 them and imports only ``LaurentPoly`` and ``LocalizationSum`` from
 ``pexpfan.laurent``), and ``integer_det``, the Bareiss determinant that
 ``pexpfan.lattice`` kept with no caller in the package, and
-``least_box_points_listing``, the least slice of ``fan._box_points`` that
+``smith_normal_form_reference``, the elimination with one closure per row
+and column operation that ``lattice.smith_normal_form`` ran before it
+inlined them, and ``least_box_points_listing``, the least slice of ``fan._box_points`` that
 every ``resolve`` step took before ``fan._least_box_points`` read the
 two-dimensional ones from the Hilbert basis, and ``complete_by_point_search``,
 the search for a generic point that ``Fan.is_complete`` ran before it took
@@ -113,6 +115,109 @@ def smith_diagonal_oracle(matrix) -> list[int]:
             break
         divisors.append(g)
     return [divisors[i + 1] // divisors[i] for i in range(len(divisors) - 1)]
+
+
+def smith_normal_form_reference(a):
+    """``lattice.smith_normal_form`` as it ran with one closure per row and
+    column operation: unimodular (U, V) and diagonal D with U*A*V = D.
+
+    The diagonal entries are nonnegative and satisfy d_1 | d_2 | ... .  Pivot
+    selection is the smallest nonzero absolute entry of the working submatrix,
+    with ties broken by (row, column) order, so the output is reproducible.
+    """
+    from pexpfan.lattice import identity_matrix
+
+    m = len(a)
+    n = len(a[0]) if m else 0
+    d = [list(row) for row in a]
+    u = [list(row) for row in identity_matrix(m)]
+    v = [list(row) for row in identity_matrix(n)]
+
+    def swap_rows(i, j):
+        if i != j:
+            d[i], d[j] = d[j], d[i]
+            u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        if i != j:
+            for row in d:
+                row[i], row[j] = row[j], row[i]
+            for row in v:
+                row[i], row[j] = row[j], row[i]
+
+    def add_row(i, j, c):
+        # row_i += c * row_j
+        d[i] = [x + c * y for x, y in zip(d[i], d[j])]
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+
+    def add_col(i, j, c):
+        # col_i += c * col_j
+        for row in d:
+            row[i] += c * row[j]
+        for row in v:
+            row[i] += c * row[j]
+
+    def negate_row(i):
+        d[i] = [-x for x in d[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while t < min(m, n):
+        # deterministic pivot: smallest |entry| != 0, first by (row, col)
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                x = d[i][j]
+                if x != 0 and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+        if best is None:
+            break
+        swap_rows(t, best[1])
+        swap_cols(t, best[2])
+
+        while True:
+            # shrink entries in column t by remainders, then in row t
+            moved = False
+            for i in range(t + 1, m):
+                if d[i][t] != 0:
+                    q = d[i][t] // d[t][t]
+                    add_row(i, t, -q)
+                    if d[i][t] != 0:
+                        swap_rows(t, i)
+                        moved = True
+            if moved:
+                continue
+            for j in range(t + 1, n):
+                if d[t][j] != 0:
+                    q = d[t][j] // d[t][t]
+                    add_col(j, t, -q)
+                    if d[t][j] != 0:
+                        swap_cols(t, j)
+                        moved = True
+            if moved:
+                continue
+            # row and column are clear; enforce the divisibility chain
+            p = d[t][t]
+            culprit = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if d[i][j] % p != 0:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            add_row(t, culprit, 1)
+        if d[t][t] < 0:
+            negate_row(t)
+        t += 1
+
+    return (
+        tuple(tuple(row) for row in u),
+        tuple(tuple(row) for row in d),
+        tuple(tuple(row) for row in v),
+    )
 
 
 def solve_rational(matrix, rhs):
@@ -377,7 +482,7 @@ def span_basis(rank: int, vectors):
     from pexpfan.fan import span_coordinates
     from pexpfan.lattice import transpose, unimodular_inverse
 
-    factors, projection, annihilator = span_coordinates(rank, vectors)
+    factors, projection, annihilator, _ = span_coordinates(rank, vectors)
     return transpose(unimodular_inverse(projection + annihilator))[:len(factors)]
 
 
@@ -482,9 +587,9 @@ def smallest_face_by_adjugate(cone, v):
     v, or None when it does not hold v: the generators with nonzero
     coefficients adj @ x / det at the local coordinates x of v, when v is in
     the span and no coefficient is negative."""
-    from pexpfan.lattice import mat_vec, pair
+    from pexpfan.lattice import adjugate, mat_vec, pair, transpose
 
-    det, adj = cone._adjugate
+    det, adj = adjugate(transpose(cone.local_generators))
     coeffs = mat_vec(adj, mat_vec(cone._span[1], v))
     if any(pair(a, v) for a in cone._span[2]) or any(det * c < 0 for c in coeffs):
         return None
@@ -494,10 +599,10 @@ def smallest_face_by_adjugate(cone, v):
 def box_points_scan(cone):
     """``fan._box_points(cone)`` by scanning the bounding box of the local
     parallelepiped for the points with 0 <= sign(det) * (adj @ x)_i < mult."""
-    from pexpfan.lattice import mat_vec
+    from pexpfan.lattice import adjugate, mat_vec, transpose
 
     d, g, basis = cone.dim, cone.local_generators, span_basis(cone.rank, cone.generators)
-    det, adj = cone._adjugate
+    det, adj = adjugate(transpose(g))
     sign, mult = (1 if det > 0 else -1), abs(det)
     lo = [sum(min(0, g[i][c]) for i in range(d)) for c in range(d)]
     hi = [sum(max(0, g[i][c]) for i in range(d)) for c in range(d)]

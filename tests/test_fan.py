@@ -32,7 +32,8 @@ from pexpfan.fan import (
     stellar_subdivision,
 )
 from pexpfan.lattice import (
-    identity_matrix, mat_mul, mat_vec, matrix_rank, pair, primitive_vector, vec_scale)
+    adjugate, identity_matrix, mat_mul, mat_vec, matrix_rank, pair, primitive_vector, transpose,
+    vec_scale)
 from oracles import (
     box_points_scan,
     box_scan_size,
@@ -261,7 +262,9 @@ class TestMultiplicity:
         generators by their adjugate, on seeded random cones of every
         dimension in ranks 1-5: non-simplicial ones, and lower-dimensional
         ones whose generators span a sublattice of index > 1 of their
-        saturated span."""
+        saturated span.  The facets, read off the Smith form's V on a
+        simplicial cone, equal the subset loop's, and a smooth cone's
+        tangent weights equal G^-1 @ P by a Bareiss adjugate."""
         from test_lattice import random_unimodular
 
         rng = random.Random(20261019)
@@ -278,13 +281,20 @@ class TestMultiplicity:
             except PExpFanError:
                 continue
             assert cone.dim == matrix_rank(cone.generators), gens
+            assert cone.facets == facets_by_generator_subsets(cone), gens
             if cone.is_simplicial:
                 assert cone.multiplicity() == multiplicity_by_adjugate(cone), gens
                 kinds.append((cone.dim < rank, cone.multiplicity() > 1))
+                if cone.multiplicity() == 1:
+                    det, adj = adjugate(transpose(cone.local_generators))
+                    # det = +-1, so G^-1 = det * adj
+                    want = mat_mul(tuple(vec_scale(det, row) for row in adj), cone._span[1])
+                    assert cone._tangent_weights == want, gens
             else:
                 kinds.append("non-simplicial")
         assert kinds.count((True, True)) > 80 and kinds.count((False, True)) > 50
-        assert kinds.count((True, False)) > 100 and kinds.count("non-simplicial") > 20
+        assert kinds.count((True, False)) > 100 and kinds.count((False, False)) > 100
+        assert kinds.count("non-simplicial") > 20
 
 
 class TestCompleteness:
@@ -713,18 +723,20 @@ class TestResolve:
 
     def test_an_a_cone_resolves_on_one_smith_form_per_cone(self, monkeypatch):
         """Resolving <(1,0),(1,41)> runs one Smith form per cone object it
-        builds, which gives the cone's dimension, multiplicity and
-        coordinates, and no adjugate, unimodular inverse or rank
-        elimination."""
+        builds, which gives the cone's dimension, multiplicity, coordinates
+        and facets, and no adjugate, unimodular inverse, rank elimination or
+        vertex enumeration."""
         fan = Fan.build(2, [(1, 0), (1, 41)], [(0, 1)])
         calls = []
 
         def counted(name, f):
             return lambda *a, **k: calls.append(name) or f(*a, **k)
 
-        for module in (fan_module, lattice_module):
-            for name in ("smith_normal_form", "adjugate", "unimodular_inverse", "matrix_rank"):
-                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        patches = [(module, name) for module in (fan_module, lattice_module)
+                   for name in ("smith_normal_form", "unimodular_inverse", "matrix_rank")]
+        patches += [(lattice_module, "adjugate"), (fan_module, "extreme_rays_of_region")]
+        for module, name in patches:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         init = Cone.__init__
         monkeypatch.setattr(Cone, "__init__", lambda self, *a: calls.append("Cone") or init(self, *a))
         fine = resolve(fan).fine
@@ -889,7 +901,7 @@ class TestLeastBoxPoints:
     def test_only_cones_of_dim_3_or_more_list_their_parallelepiped(self, monkeypatch):
         box_points, cones = fan_module._box_points, []
         monkeypatch.setattr(fan_module, "_box_points",
-                            lambda cone: cones.append(cone) or box_points(cone))
+                            lambda cone, **k: cones.append(cone) or box_points(cone, **k))
         assert resolve(Fan.build(2, [(1, 0), (1, 1000)], [(0, 1)])).fine.is_smooth()
         assert cones == []
         rank3 = Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, 2, 7)], [(0, 1, 2)])

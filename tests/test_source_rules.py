@@ -17,19 +17,23 @@ read only in ``coerce_values`` (the one projector of ambient values) and
 ``_comparison_matrix``, and ``project_vector`` is not called there; an
 eighth keeps one facet table per cone: ``extreme_rays_of_region`` is called
 only from ``Cone.facets`` and ``Fan._check_pair``, and ``fan._Refinement``
-reads no ``_adjugate`` (a resolve step's face is the cone's smallest face,
-read from its facets); a ninth keeps start-up cheap: no module imports
-``dataclasses`` (value classes come from ``lattice.value_class``), and a
-fresh ``import pexpfan.cli`` loads none of ``dataclasses``, ``inspect``,
-``ast`` and ``dis``; a tenth keeps one JSON boundary: in ``cli.py`` only
-``_decode`` calls ``json.load`` or ``json.loads``, ``cli.py`` does not import
-``strict_int`` (``Fan.rayset_from_vectors`` reads a cone), and
-``CartierData`` defines no ``from_json``; an eleventh keeps every star sum
-on its wall plan: ``ktheory._star_sum`` reduces only through
-``laurent.reduce_localization``, passing a plan, and the greedy ``overlap``
-pick is reached only from the branch for a sum with no plan.  Every name the
-package exports resolves.  The localization oracle in ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types,
-never the kernel it checks."""
+reads no ``_adjugate`` or ``_scaled_inverse`` (a resolve step's face is the
+cone's smallest face, read from its facets); a ninth keeps start-up cheap:
+no module imports ``dataclasses`` (value classes come from
+``lattice.value_class``), and a fresh ``import pexpfan.cli`` loads none of
+``dataclasses``, ``inspect``, ``ast`` and ``dis``; a tenth keeps one JSON
+boundary: in ``cli.py`` only ``_decode`` calls ``json.load`` or
+``json.loads``, ``cli.py`` does not import ``strict_int``
+(``Fan.rayset_from_vectors`` reads a cone), and ``CartierData`` defines no
+``from_json``; an eleventh keeps every star sum on its wall plan:
+``ktheory._star_sum`` reduces only through ``laurent.reduce_localization``,
+passing a plan, and the greedy ``overlap`` pick is reached only from the
+branch for a sum with no plan; a twelfth keeps a simplicial cone on its one
+Smith form: ``fan.py`` does not import ``adjugate``, and ``Cone.facets`` calls
+``extreme_rays_of_region`` only in its branch for a non-simplicial cone.  Every
+name the package exports resolves.  The localization oracle in
+``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types, never
+the kernel it checks."""
 
 import ast
 import subprocess
@@ -141,7 +145,8 @@ def test_face_questions_read_the_facet_table():
     path = next(p for p in SOURCES if p.name == "fan.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     refinement = next(c for _, c in _nodes(tree, ast.ClassDef) if c.name == "_Refinement")
-    assert [a.lineno for _, a in _nodes(refinement, ast.Attribute) if a.attr == "_adjugate"] == []
+    assert [a.lineno for _, a in _nodes(refinement, ast.Attribute)
+            if a.attr in ("_adjugate", "_scaled_inverse")] == []
 
 
 def test_no_module_imports_dataclasses():
@@ -188,6 +193,22 @@ def test_star_sums_merge_along_their_walls():
     picks = {n.lineno for n in ast.walk(laurent) if isinstance(n, ast.Name) and n.id == "overlap"}
     assert picks and picks == {n.lineno for stmt in branch.body for n in ast.walk(stmt)
                                if isinstance(n, ast.Name) and n.id == "overlap"}
+
+
+def test_simplicial_cones_read_their_smith_form():
+    # facets, tangent weights and box points come from the scaled inverse
+    fan = ast.parse(next(p for p in SOURCES if p.name == "fan.py").read_text())
+    imported = {a.name for _, node in _nodes(fan, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert "adjugate" not in imported
+    cone = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "Cone")
+    facets = next(f for _, f in _nodes(cone, ast.FunctionDef) if f.name == "facets")
+    branch = next(node for _, node in _nodes(facets, ast.If)
+                  if ast.unparse(node.test) == "self.is_simplicial")
+
+    def enumerations(nodes):
+        return {n.lineno for node in nodes for n in ast.walk(node)
+                if isinstance(n, ast.Name) and n.id == "extreme_rays_of_region"}
+    assert enumerations([facets]) and enumerations([facets]) == enumerations(branch.orelse)
 
 
 def test_every_exported_name_resolves():
