@@ -18,6 +18,10 @@ build their resolution outside the timing.  ``gkm_violations``:
 ``gkm_validate`` of the octahedron class on a fresh validated copy of the
 48-cone ``resolve(cube_fan())``, its value on cone 0 moved by e^(1,0,0), so
 that the walls refuse it and the pairwise loop reports its violations.
+``planless_shuffled``: ``reduce_localization``, with no plan, of the
+octahedron class's localization sum over the N cones of ``resolve(cube_fan())``
+(N = 48) or of the ``chi_cube128`` refinement (N = 128), its terms shuffled by
+``Random(1).sample``, so that every merge is the greedy fallback.
 """
 import argparse
 import json
@@ -28,8 +32,8 @@ from math import gcd
 
 from pexpfan import catalog
 from pexpfan.fan import Fan, resolve
-from pexpfan.ktheory import chi
-from pexpfan.laurent import LaurentPoly
+from pexpfan.ktheory import chi, tangent_weights
+from pexpfan.laurent import LaurentPoly, LocalizationSum, reduce_localization
 from pexpfan.pexp import PiecewiseExponential, gkm_validate
 
 
@@ -55,17 +59,31 @@ def cube_class_chi(resolution):
     return chi(cube, PiecewiseExponential.constant(cube, 1).module_action(value), resolution=resolution)
 
 
-def corrupted_cube48(_):
-    cube = catalog.cube_fan()
-    sub = resolve(cube)
+def octahedron_exps(cube):
     exps = []
     for rs in cube.maximal_cones:  # e^(-s e_a) on the cone over the cube face x_a = s
         gens = [cube.rays[i] for i in rs]
         axis = next(a for a in range(3) if len({g[a] for g in gens}) == 1)
         exps.append(tuple(-gens[0][axis] if a == axis else 0 for a in range(3)))
+    return exps
+
+
+def corrupted_cube48(_):
+    cube = catalog.cube_fan()
+    sub = resolve(cube)
+    exps = octahedron_exps(cube)
     values = [LaurentPoly.exponential(exps[j]) for j in sub.assignment]
     values[0] = values[0] * LaurentPoly.exponential((1, 0, 0))
     return Fan.build(3, sub.fine.rays, sub.fine.maximal_cones), values
+
+
+def shuffled_octahedron_sum(cones):
+    cube = catalog.cube_fan()
+    sub = resolve(cube) if cones == 48 else resolve(cube, rng=random.Random(5), extra_rounds=40)
+    exps = octahedron_exps(cube)
+    terms = [(LaurentPoly.exponential(exps[j]), tangent_weights(sub.fine.cone_objects[i]))
+             for i, j in enumerate(sub.assignment)]
+    return LocalizationSum.build(3, random.Random(1).sample(terms, len(terms)))
 
 
 def rank3_cone(m):
@@ -93,6 +111,7 @@ rows = [
     ("chi_cube128", (0,) if quick else (40,),
      lambda r: resolve(catalog.cube_fan(), rng=random.Random(5), extra_rounds=r), cube_class_chi),
     ("gkm_violations", (48,), corrupted_cube48, lambda subject: gkm_validate(*subject)),
+    ("planless_shuffled", (48,) if quick else (128,), shuffled_octahedron_sum, reduce_localization),
 ]
 for row, sizes, build, run in rows:
     for size in sizes:

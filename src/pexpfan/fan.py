@@ -460,13 +460,13 @@ class Fan:
         """Each wall of ``walls`` between two cones of the star of ``face``,
         as the pair of their positions in ``_star[face]``, in ``walls``
         order.  Both cones have the face's rays, so the wall holds the face.
-        Cached per face, as the merge plan of every pairing with it
-        (``reduce_localization``).
+        Cached per face, read through ``require_face``, as the merge plan of
+        every pairing with it (``reduce_localization``).
 
         Read from ``_walls_by_cone`` over the star alone: ``walls`` enters a
         wall at the first of its cones, so its order is that of first cones,
         and the star lists its cones in fan order."""
-        cache = self._star_walls
+        face, cache = self.require_face(face), self._star_walls
         if face not in cache:
             where = {c: p for p, c in enumerate(self._star[face])}
             cache[face] = tuple((p, where[b]) for a, p in where.items()

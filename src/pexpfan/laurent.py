@@ -449,13 +449,16 @@ def _lex_negative(w: Vector) -> bool:
 
 
 def _merge_rounds(parts: list, walls, merge):
-    """Merge the parts into one along ``walls``, pairs (a, b) of part
-    positions, one pair per shared wall, in Borůvka rounds.  In each round
-    each region, smallest first, merges with the neighbouring region not yet
-    merged in the round with which it shares the most walls; ties go to the
-    smaller region, then to the lower id.  A region is named by the lowest
-    position in it.  When no wall joins what is left, the two smallest
-    regions merge."""
+    """Merge the fractions (numerator, denominator) in ``parts`` into one
+    along ``walls``, pairs (a, b) of part positions, one pair per shared
+    wall, in Borůvka rounds.  In each round each region, smallest first,
+    merges with the neighbouring region not yet merged in the round with
+    which it shares the most walls; ties go to the smaller region, then to
+    the lower id.  A region is named by the lowest position in it.  When no
+    wall joins what is left, the largest region absorbs, one at a time, the
+    region whose denominator overlaps its own most, the overlap being the
+    sum of min(m, m') over shared factors; both ties go to the lower id.
+    With no walls this folds every part into the first, greedily."""
     parts = dict(enumerate(parts))
     size = dict.fromkeys(parts, 1)
     adjacent: dict[int, dict[int, int]] = {r: {} for r in parts}
@@ -477,13 +480,17 @@ def _merge_rounds(parts: list, walls, merge):
                 if x != keep:
                     adjacent[keep][x] = adjacent[x][keep] = adjacent[x].get(keep, 0) + count
             merged |= {r, n}
-        if not merged:
-            a, b = order[:2]
-            adjacent[a][b] = adjacent[b][a] = 0
+        if not merged:  # no region has a wall left, and no merge adds one
+            acc = parts.pop(min(parts, key=lambda r: (-size[r], r)))
+            while parts:
+                overlap = {r: sum(min(m, acc[1].get(w, 0)) for w, m in den.items())
+                           for r, (_, den) in parts.items()}
+                acc = merge(acc, parts.pop(max(overlap, key=lambda r: (overlap[r], -r))))
+            return acc
     return parts.popitem()[1]
 
 
-def reduce_localization(s: LocalizationSum, plan=None) -> LaurentPoly:
+def reduce_localization(s: LocalizationSum, plan=()) -> LaurentPoly:
     """Clear all denominators of the sum, exactly.
 
     Each factor (1 - e^w) with lexicographically negative w is first rewritten
@@ -494,14 +501,15 @@ def reduce_localization(s: LocalizationSum, plan=None) -> LaurentPoly:
     each factor with full multiplicity; afterwards no factor left in the
     denominator divides the numerator.  Cancelled fractions are then merged
     two at a time until one is left.  A merge brings both numerators to the
-    lcm of the two denominators, adds them and cancels again.  A ``plan``
-    lists pairs (a, b) of term positions, one per wall between the cones of
-    terms a and b; the merges then follow ``_merge_rounds``, so each joins
-    two adjacent regions of cones and the factors of the walls between them
-    cancel as soon as both sides are in.  A sum reduced with no
-    plan folds its terms into one accumulator, greedily choosing the term
-    whose denominator overlaps the accumulator's most.  A denominator factor
-    surviving to the end raises NotPolynomial.
+    lcm of the two denominators, adds them and cancels again.  The merges
+    follow ``_merge_rounds``, the one merge loop, along the ``plan``: pairs
+    (a, b) of term positions, one per wall between the cones of terms a and
+    b.  Each merge then joins two adjacent regions of cones, and the factors
+    of the walls between them cancel as soon as both sides are in.  Where no
+    wall joins what is left, as for every merge of a sum with no plan, the
+    largest region absorbs the one whose denominator overlaps its own most,
+    ties to the lower id; with no plan that folds the terms into the first,
+    greedily.  A denominator factor surviving to the end raises NotPolynomial.
 
     After a merge only the factors whose primitive direction occurs in both
     denominators are tried; no other division can succeed.  Z[M] is a UFD,
@@ -608,19 +616,7 @@ def reduce_localization(s: LocalizationSum, plan=None) -> LaurentPoly:
 
     terms = ((cancel(packing.pack(num * sign, packing.raw(shift)), multiset), multiset)
              for num, shift, sign, multiset in normalized)
-    if plan is None:
-        acc, *pending = [t for t in terms if t[0]]
-        while pending:
-            overlap = [
-                sum(min(m, acc[1].get(w, 0)) for w, m in den.items())
-                for _, den in pending
-            ]
-            pick = max(range(len(pending)), key=lambda i: (overlap[i], -i))
-            acc = merge(acc, pending.pop(pick))
-    else:
-        acc = _merge_rounds(terms, plan, merge)
-
-    num, den = acc
+    num, den = _merge_rounds(terms, plan, merge)
     if den:
         raise NotPolynomial(
             f"localization sum is not polynomial: factor 1 - e^{sorted(den)[0]} does not divide"

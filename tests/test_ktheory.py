@@ -5,6 +5,7 @@ import pytest
 
 from pexpfan import catalog, ktheory
 from pexpfan.errors import (
+    ConeNotInFan,
     DependentBasis,
     NotComplete,
     NotFullDimensional,
@@ -216,8 +217,13 @@ QUADRANT = Fan.build(2, [(1, 0), (0, 1)], [(0, 1)])
      ValueError, "class does not live on the given fan"),
     (lambda p1, p2: decompose(PiecewiseExponential.constant(p2, 1), [PiecewiseExponential.constant(p1, 1)]),
      ValueError, "basis functions live on a different fan"),
+    # a resolution whose fine fan lost a cone of P^2
+    (lambda p1, p2: chi(p2, PiecewiseExponential.constant(p2, 1),
+                        resolution=SubdivisionMap(Fan.build(2, p2.rays, p2.maximal_cones[:2]), p2, (0, 1))),
+     NotComplete, "localization needs a complete fan"),
 ], ids=["foreign-resolution", "chi-foreign-class", "gram-foreign-class", "gram-incomplete",
-        "chi-incomplete", "chi-foreign-class-on-incomplete", "decompose-foreign-basis"])
+        "chi-incomplete", "chi-foreign-class-on-incomplete", "decompose-foreign-basis",
+        "chi-incomplete-resolution"])
 def test_arguments_on_another_fan_are_refused(p1, p2, call, error, message):
     with pytest.raises((ValueError, NotComplete)) as exc:
         call(p1, p2)
@@ -547,6 +553,14 @@ class TestWallMerge:
         assert fine.star_walls(()) is fine.star_walls(())
         # every wall of a complete fan lies in the star of the zero cone
         assert len(fine.star_walls(())) == len(fine.walls)
+
+    def test_the_plan_is_read_through_require_face(self, p2):
+        """An unsorted face has the plan of the sorted one; a cone that is
+        not in the fan is refused."""
+        assert p2.star_walls((2, 0)) == p2.star_walls((0, 2)) == star_walls_scan(p2, (0, 2))
+        assert p2.star_walls((2, 0)) is p2.star_walls((0, 2))
+        with pytest.raises(ConeNotInFan):
+            p2.star_walls((0, 1, 2))
 
     def test_the_plans_match_the_wall_scan(self):
         """Every face's plan, read from the walls of its star's cones, is the

@@ -491,6 +491,30 @@ class TestFoldAgainstGreedyOracle:
         assert value.augment() == 7
         assert calls.count(False) == 180
 
+    def test_planless_fold_of_a_shuffled_sum_is_greedy(self, monkeypatch):
+        """The octahedron class over the 48 cones of resolve(cube_fan()), its
+        terms shuffled by Random(1), reduced with no plan: every merge is the
+        fallback of ``_merge_rounds``, which folds greedily, so no numerator
+        divided has over 251 terms.  Merging the two smallest regions
+        instead reached 1,532."""
+        cube = catalog.cube_fan()
+        sub = resolve(cube)
+        exps = []  # e^(-s e_a) on the cone over the cube face x_a = s
+        for rs in cube.maximal_cones:
+            gens = [cube.rays[i] for i in rs]
+            axis = next(a for a in range(3) if len({g[a] for g in gens}) == 1)
+            exps.append(tuple(-gens[0][axis] if a == axis else 0 for a in range(3)))
+        octahedron = from_cartier(cube, CartierData(tuple(exps)))
+        terms = [(octahedron.values[a], tangent_weights(sub.fine.cone_objects[i]))
+                 for i, a in enumerate(sub.assignment)]
+        s = LocalizationSum.build(3, random.Random(1).sample(terms, len(terms)))
+        want = reduce_localization_greedy(s)
+        sizes = []
+        divide = laurent._packed_divide
+        monkeypatch.setattr(laurent, "_packed_divide", lambda f, ch: sizes.append(len(f)) or divide(f, ch))
+        assert reduce_localization(s) == want and want.augment() == 7
+        assert 0 < max(sizes) <= 251
+
     def test_largest_dividend_of_the_128_cone_chi(self, monkeypatch):
         """chi of e^(1,0,0) + 2e^(0,-1,1) through the 128-cone refinement of
         the cube divides no numerator of over 1,000 terms: merged along the

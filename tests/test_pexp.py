@@ -338,6 +338,11 @@ class TestCartier:
             from_cartier(p112, CartierData(((0, 0), (1, 0), (0, 0))))
         assert str(err.value) == "characters on cones 0 and 1 differ on their common face [0]"
 
+    def test_p2_degree_data_needs_the_projective_plane_fan(self):
+        with pytest.raises(ValueError) as exc:
+            catalog.p2_degree_cartier(catalog.p1_times_p1(), 1)
+        assert (type(exc.value), str(exc.value)) == (ValueError, "not the standard projective plane fan")
+
     def test_multiplicative(self, p112):
         d1 = CartierData(((0, 0), (0, 1), (2, 0)))
         d2 = CartierData(((0, 0), (0, 2), (4, 0)))

@@ -27,8 +27,10 @@ boundary: in ``cli.py`` only ``_decode`` calls ``json.load`` or
 (``Fan.rayset_from_vectors`` reads a cone), and ``CartierData`` defines no
 ``from_json``; an eleventh keeps every star sum on its wall plan:
 ``ktheory._star_sum`` reduces only through ``laurent.reduce_localization``,
-passing a plan, and the greedy ``overlap`` pick is reached only from the
-branch for a sum with no plan; a twelfth keeps a simplicial cone on its one
+passing the walls of its star, and ``reduce_localization`` has one merge loop:
+it calls ``_merge_rounds`` once and branches on no ``plan``, and the greedy
+``overlap`` pick is made only in the fallback of ``_merge_rounds``, when no
+wall joins what is left; a twelfth keeps a simplicial cone on its one
 Smith form: ``fan.py`` does not import ``adjugate``, and ``Cone.facets`` calls
 ``extreme_rays_of_region`` only in its branch for a non-simplicial cone.  Every
 name the package exports resolves.  The localization oracle in
@@ -181,17 +183,23 @@ def test_the_cli_decodes_json_in_one_place():
 
 
 def test_star_sums_merge_along_their_walls():
-    # a star sum passes the walls of its star; the greedy pick serves only a sum with no plan
+    # a star sum passes the walls of its star; every sum merges in _merge_rounds,
+    # and the greedy pick serves only its fallback, when no wall joins what is left
     ktheory = ast.parse(next(p for p in SOURCES if p.name == "ktheory.py").read_text())
-    reductions = [(where, len(call.args)) for where, call in _nodes(ktheory, ast.Call)
+    reductions = [(where, [ast.unparse(a) for a in call.args]) for where, call in _nodes(ktheory, ast.Call)
                   if {getattr(call.func, "id", None), getattr(call.func, "attr", None)}
                   & {"reduce", "reduce_localization"}]
-    assert reductions == [("_star_sum", 2)]
+    assert reductions == [("_star_sum", ["LocalizationSum.build(fine.rank, terms)", "fine.star_walls(face)"])]
     laurent = ast.parse(next(p for p in SOURCES if p.name == "laurent.py").read_text())
-    fold = next(f for _, f in _nodes(laurent, ast.FunctionDef) if f.name == "reduce_localization")
-    branch = next(node for _, node in _nodes(fold, ast.If) if ast.unparse(node.test) == "plan is None")
+    functions = {f.name: f for _, f in _nodes(laurent, ast.FunctionDef)}
+    fold = functions["reduce_localization"]
+    assert not [node for _, node in _nodes(fold, ast.If)
+                if any(isinstance(n, ast.Name) and n.id == "plan" for n in ast.walk(node.test))]
+    assert [ast.unparse(call.func) for _, call in _nodes(fold, ast.Call)].count("_merge_rounds") == 1
+    fallback = next(node for _, node in _nodes(functions["_merge_rounds"], ast.If)
+                    if ast.unparse(node.test) == "not merged")
     picks = {n.lineno for n in ast.walk(laurent) if isinstance(n, ast.Name) and n.id == "overlap"}
-    assert picks and picks == {n.lineno for stmt in branch.body for n in ast.walk(stmt)
+    assert picks and picks == {n.lineno for stmt in fallback.body for n in ast.walk(stmt)
                                if isinstance(n, ast.Name) and n.id == "overlap"}
 
 
