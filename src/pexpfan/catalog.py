@@ -107,18 +107,12 @@ def p112_duality_cones(fan: Fan | None = None):
 
 def p2_degree_cartier(fan: Fan, d: int) -> CartierData:
     """Local data of the degree-d class on the projective plane fan (rays
-    e1, e2, -e1-e2): the vertex of the d-fold simplex minimizing each cone."""
-    exps = []
-    for rs in fan.maximal_cones:
-        if rs == (0, 1):
-            exps.append((0, 0))
-        elif rs == (0, 2):
-            exps.append((0, d))
-        elif rs == (1, 2):
-            exps.append((d, 0))
-        else:
-            raise ValueError("not the standard projective plane fan")
-    return CartierData(tuple(exps))
+    e1, e2, -e1-e2, in this order, and its three cones in any order): the
+    vertex of the d-fold simplex minimizing each cone."""
+    vertex = {(0, 1): (0, 0), (0, 2): (0, d), (1, 2): (d, 0)}
+    if fan.rays != ((1, 0), (0, 1), (-1, -1)) or set(fan.maximal_cones) != set(vertex):
+        raise ValueError("not the standard projective plane fan")
+    return CartierData(tuple(vertex[rs] for rs in fan.maximal_cones))
 
 
 def p1_degree_class(fan: Fan, d: int) -> PiecewiseExponential:

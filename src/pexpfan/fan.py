@@ -5,9 +5,10 @@ generators on their extreme rays.  Each cone computes one facet table, its
 inward facet normals with their contact generators, and answers every face
 question from it: every face is a meet of facets, the smallest one holding a
 point the meet of the facets through it.  A simplicial cone reads its facets,
-like its tangent weights and parallelepiped points, off the scaled inverse of
-its local generators, which its one Smith form gives; a non-simplicial cone
-takes them from the vertex enumeration ``extreme_rays_of_region``.
+like its tangent weights, off the scaled inverse of its local generators: a
+full-dimensional one from the adjugate of its generators, in the coordinates
+of N, any other from its one Smith form.  A non-simplicial cone takes its
+facets from the vertex enumeration ``extreme_rays_of_region``.
 Simplicial cones are handled in any rank; non-simplicial cones are limited to
 ambient rank <= 4.  All geometry is exact.
 """
@@ -23,6 +24,7 @@ from .errors import (
     ConeNotInFan,
     NonPrimitiveRay,
     NotAFan,
+    NotIndependent,
     NotSimplicial,
     NotStronglyConvex,
     RayOutsideSupport,
@@ -32,10 +34,10 @@ from .errors import (
 from .lattice import (
     IntMatrix,
     Vector,
+    adjugate,
     identity_matrix,
     is_primitive,
     line_kernel,
-    mat_mul,
     mat_vec,
     matrix_rank,
     pair,
@@ -65,7 +67,7 @@ def extreme_rays_of_region(n: int, ineqs, eqs) -> tuple[Vector, ...]:
 
     It has two callers: ``Cone.facets`` of a non-simplicial cone (the dual
     cone of the local generators; a simplicial cone reads its facets off its
-    Smith form) and ``Fan._check_pair`` (the intersection of two cones).
+    scaled inverse) and ``Fan._check_pair`` (the intersection of two cones).
     """
     ineqs = tuple(tuple(a) for a in ineqs)
     eqs_indep: tuple[Vector, ...] = ()
@@ -110,8 +112,10 @@ def span_coordinates(rank: int, vectors) -> tuple[Vector, IntMatrix, IntMatrix, 
     independent vectors |det G| = prod(factors), the index of the lattice
     they generate in the saturated span, and G^-1 = V D[:d]^-1 needs no
     elimination (``Cone._scaled_inverse``).  Every lattice coordinate in the
-    package is read from here; the span basis and the section of the
-    annihilator need U^-1 as well, which only ``span_quotients`` computes.
+    package is read from here, except those of a cone of rank independent
+    generators, which are the coordinates of N (``Cone._adjugate``); the
+    span basis and the section of the annihilator need U^-1 as well, which
+    only ``span_quotients`` computes.
     """
     cols = tuple(tuple(v) for v in vectors)
     if not cols:
@@ -140,7 +144,12 @@ class Cone:
     """A strongly convex rational cone with canonical generators.
 
     Generators are primitive, lie on the extreme rays, and are sorted, so two
-    equal cones compare equal.  ``rank`` is the ambient lattice rank.
+    equal cones compare equal.  ``rank`` is the ambient lattice rank.  A
+    cone of rank independent generators reads its dimension, multiplicity,
+    facets, smallest faces and scaled inverse off their one adjugate, in
+    the coordinates of N; any other cone reads them, in the coordinates of
+    its span, off its one Smith form, which a singular cone's parallelepiped
+    points (``_box_points``) need as well.
     """
 
     rank: int
@@ -176,14 +185,25 @@ class Cone:
     # -- basic geometry ------------------------------------------------------
 
     @cached_property
+    def _adjugate(self) -> tuple[int, IntMatrix] | None:
+        """(det, adj) of the generators as the columns of G when they are rank
+        independent vectors, else None: a full-dimensional simplicial cone
+        reads everything off it in the identity coordinates of N."""
+        try:
+            return adjugate(transpose(self.generators)) if len(self.generators) == self.rank else None
+        except NotIndependent:
+            return None
+
+    @cached_property
     def _span(self) -> tuple[Vector, IntMatrix, IntMatrix, IntMatrix]:
-        """(factors, projection, annihilator, columns): the cone's one Smith
-        form, read by ``dim``, ``multiplicity`` and every coordinate question."""
+        """(factors, projection, annihilator, columns): the cone's Smith form,
+        read by every coordinate question of a cone with no ``_adjugate`` and
+        by ``_box_points``."""
         return span_coordinates(self.rank, self.generators)
 
     @cached_property
     def dim(self) -> int:
-        return len(self._span[0])
+        return self.rank if self._adjugate else len(self._span[0])
 
     @property
     def is_simplicial(self) -> bool:
@@ -191,26 +211,27 @@ class Cone:
 
     @cached_property
     def local_generators(self) -> tuple[Vector, ...]:
+        if self._adjugate:
+            return self.generators
         proj = self._span[1]
         return tuple(mat_vec(proj, g) for g in self.generators)
 
     @cached_property
     def _scaled_inverse(self) -> IntMatrix:
         """mult * G^-1 for the local generators G as columns, simplicial cones
-        only: by ``span_coordinates`` G^-1 = V diag(factors)^-1, so entry
+        only.  With an ``_adjugate`` (det, adj) it is sign(det) * adj;
+        otherwise G^-1 = V diag(factors)^-1 by ``span_coordinates``, so entry
         (j, i) is V[j][i] * (mult // d_i).  Row j pairs to mult with
-        generator j and to 0 with the others.  Read by the facets, the
-        tangent weights and ``_box_points``."""
+        generator j and to 0 with the others.  Read by the facets and, for a
+        smooth cone, whose rows are then the dual basis of the generators, by
+        ``ktheory.tangent_weights``."""
+        if self._adjugate:
+            det, adj = self._adjugate
+            return adj if det > 0 else tuple(vec_scale(-1, row) for row in adj)
         factors, _, _, v = self._span
         mult = prod(factors)
         scale = tuple(mult // f for f in factors)
         return tuple(tuple(x * c for x, c in zip(row, scale)) for row in v)
-
-    @cached_property
-    def _tangent_weights(self) -> tuple[Vector, ...]:
-        """Rows of G^-1 @ P for a smooth cone, where mult = 1; read by
-        ``ktheory.tangent_weights``."""
-        return mat_mul(self._scaled_inverse, self._span[1])
 
     @cached_property
     def facets(self) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
@@ -219,7 +240,8 @@ class Cone:
         The normal is an ambient functional, the primitive local normal u of
         the facet read through the span projection, so <normal, v> = <u, x>
         for a point v of the span with local coordinates x.  For a
-        full-dimensional cone it is the primitive inward facet normal.
+        full-dimensional cone it is the primitive inward facet normal, and
+        with an ``_adjugate`` the local coordinates are those of N.
 
         The local normals are the extreme rays of the dual cone
         {u : <u, x> >= 0 for every local generator x}, one per facet; the
@@ -236,15 +258,17 @@ class Cone:
             g = self.local_generators
             found = ((tuple(i for i, x in enumerate(g) if pair(u, x) == 0), u)
                      for u in extreme_rays_of_region(self.dim, g, ()))
-        proj_t = transpose(self._span[1])
-        return tuple((mat_vec(proj_t, u), contact) for contact, u in sorted(found))
+        if not self._adjugate:
+            proj_t = transpose(self._span[1])
+            found = ((contact, mat_vec(proj_t, u)) for contact, u in found)
+        return tuple((u, contact) for contact, u in sorted(found))
 
     def _smallest_face(self, v: Vector) -> tuple[int, ...] | None:
         """The generator indices of the smallest face holding the point v, or
         None when the cone does not hold v: v must lie in the span and pair
         nonnegatively with every facet normal, and the face is the meet of
         the facets through v (Fulton, 1.2)."""
-        if any(pair(a, v) for a in self._span[2]):
+        if self.dim < self.rank and any(pair(a, v) for a in self._span[2]):
             return None  # outside the span
         face = set(range(len(self.generators)))
         for u, contact in self.facets:
@@ -276,11 +300,12 @@ class Cone:
         return tuple(sorted(faces))
 
     def multiplicity(self) -> int:
-        """Index of the sublattice spanned by the generators inside Span & N,
-        the product of the invariant factors (``span_coordinates``)."""
+        """Index of the sublattice spanned by the generators inside Span & N:
+        |det| of an ``_adjugate``, else the product of the invariant factors
+        (``span_coordinates``)."""
         if not self.is_simplicial:
             raise NotSimplicial("multiplicity is defined for simplicial cones")
-        return prod(self._span[0])
+        return abs(self._adjugate[0]) if self._adjugate else prod(self._span[0])
 
 
 @value_class
@@ -383,8 +408,9 @@ class Fan:
                 f"cones {self.maximal_cones[i]} and {self.maximal_cones[j]} "
                 f"meet outside a common face"
             )
-        # geometric intersection must equal the cone on the shared rays
-        eqs = ci._span[2] + cj._span[2]
+        # geometric intersection must equal the cone on the shared rays; a
+        # full-dimensional cone has no annihilator
+        eqs = tuple(a for c in (ci, cj) if c.dim < self.rank for a in c._span[2])
         ineqs = tuple(u for cone in (ci, cj) for u, _ in cone.facets)
         rays = extreme_rays_of_region(self.rank, ineqs, eqs)
         if set(rays) != shared_vecs:
@@ -706,7 +732,7 @@ class _Refinement:
     ``incidence`` maps each ray index to the ids of the cones whose ray sets
     contain it.  A step appends its ray if it is new, so every ray keeps its
     index, and replaces only the cones that hold the ray; every other cone
-    keeps its entry, and so its cached span, facets and scaled inverse.  The
+    keeps its entry, and so its cached adjugate, facets and scaled inverse.  The
     fine fan is built once, by ``subdivision``.
     """
 
@@ -833,20 +859,25 @@ def _box_points(cone: Cone, least: bool = False) -> list[tuple[int, Vector]]:
     simplicial cone, as (multiplicity * coefficient sum, ambient point),
     sorted; with ``least``, only those of the least key.
 
-    With G the local generators as columns, a lattice point x of the span
-    is G r / mult for r = mult * G^-1 @ x, and it lies in the parallelepiped
-    when 0 <= r_i < mult.  So the points are the group Z^d / G Z^d, one per
+    With G the generators as columns in the coordinates of the cone's Smith
+    form (``Cone._span``), a lattice point x of the span is G r / mult for
+    r = mult * G^-1 @ x, and it lies in the parallelepiped when
+    0 <= r_i < mult.  So the points are the group Z^d / G Z^d, one per
     residue of r mod mult.  As G = diag(factors) V^-1 (``span_coordinates``),
     G Z^d = diag(factors) Z^d, so x = sum k_i e_i with 0 <= k_i < d_i runs
     over the group once, and its residue is sum k_i w_i mod mult for the
-    columns w_i of ``Cone._scaled_inverse``: exactly mult residues, each
-    built once.  The key of a residue is its coordinate sum, and only the
-    kept residues r are mapped to their ambient points sum r_i g_i / mult,
-    in one pass through the ambient generators."""
-    d, inverse, mult = cone.dim, cone._scaled_inverse, cone.multiplicity()
+    columns w_i = (mult // d_i) V[:, i] of mult * G^-1: exactly mult
+    residues, each built once.  So the residues need the Smith form, also
+    of a cone whose ``_scaled_inverse`` comes from its adjugate.  The key of a
+    residue is its coordinate sum, and only the kept residues r are mapped
+    to their ambient points sum r_i g_i / mult, in one pass through the
+    ambient generators."""
+    d, mult = cone.dim, cone.multiplicity()
+    factors, _, _, v = cone._span
     residues = [(0,) * d]
-    for f, w in zip(cone._span[0], transpose(inverse)):
+    for f, w in zip(factors, transpose(v)):
         if f > 1:
+            w = vec_scale(mult // f, w)
             residues = [tuple((a + k * b) % mult for a, b in zip(h, w))
                         for k in range(f) for h in residues]
     # the coordinates lie in [0, mult), so only the zero residue has key 0

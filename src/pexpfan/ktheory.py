@@ -50,16 +50,15 @@ def tangent_weights(cone: Cone) -> tuple[Vector, ...]:
     """Weights at the fixed point of a smooth full-dimensional cone: the dual
     basis of its primitive generators, in generator order.
 
-    With P the span projection (unimodular here) and G = P @ generators, the
-    dual basis is the rows of G^-1 @ P, where G^-1 = V, the column factor of
-    the cone's Smith form, as every invariant factor is 1
-    (``Cone._scaled_inverse``).
+    With G the generators as columns, the dual basis is the rows of G^-1,
+    which is ``Cone._scaled_inverse`` as the multiplicity is 1: det * adj
+    for the cone's one adjugate (det, adj), det being +-1.
     """
     if cone.dim != cone.rank:
         raise NotFullDimensional("tangent weights need a full-dimensional cone")
     if not cone.is_simplicial or cone.multiplicity() != 1:
         raise NotSmooth(f"cone on {cone.generators} has multiplicity != 1")
-    return cone._tangent_weights
+    return cone._scaled_inverse
 
 
 def _require_smooth_complete(fan: Fan):

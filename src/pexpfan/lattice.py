@@ -7,11 +7,13 @@ of row tuples.  Everything here is total, deterministic, and allocation-happy
 rather than clever: exactness is the product.  Rank, determinant, adjugate
 and inverse come from Bareiss elimination, which serves the vertex
 enumeration of non-simplicial cones, the Gram matrices over Z[M] and the
-span bases of the face and star quotients, but no simplicial cone.  The
-Smith form serves only ``fan.span_coordinates``, one per span, which reads
-every lattice coordinate, a cone's dimension and multiplicity, and a
-simplicial cone's scaled inverse (its facets, tangent weights and
-parallelepiped points) from it.
+span bases of the face and star quotients; the adjugate of a 2x2 or 3x3
+matrix is written out instead.  A cone of n independent generators in rank
+n reads its dimension, multiplicity, facets and tangent weights off their
+one adjugate, in the coordinates of N.  The Smith form serves only
+``fan.span_coordinates``, one per span, which gives the coordinates of
+every other cone, face and star quotient, and the parallelepiped points of
+a singular cone.
 """
 
 from __future__ import annotations
@@ -190,12 +192,16 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[int, int, int]:
     equal to the last one.  Returns (rank, row permutation sign, last pivot).
     The entries may lie in any integral domain with ``*``, ``-``, exact
     ``//`` and truthiness (nonzero is true): the integers, or Z[M] as
-    ``LaurentPoly``, where ints are mixed in as constants.
+    ``LaurentPoly``, where ints are mixed in as constants.  A row with 0 in
+    the pivot column is left as it is when the pivot equals the previous
+    one, as the step would not change it.
     """
     rank, sign, prev = 0, 1, 1
     for c in range(ncols):
-        piv = next((i for i in range(rank, len(m)) if m[i][c]), None)
-        if piv is None:
+        for piv in range(rank, len(m)):
+            if m[piv][c]:
+                break
+        else:
             continue
         if piv != rank:
             m[rank], m[piv] = m[piv], m[rank]
@@ -203,8 +209,8 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[int, int, int]:
         top = m[rank]
         p = top[c]
         for i, row in enumerate(m):
-            if i != rank:
-                f = row[c]
+            f = row[c]
+            if i != rank and (f or p != prev):
                 m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
         prev = p
         rank += 1
@@ -218,20 +224,37 @@ def matrix_rank(a: IntMatrix) -> int:
 def adjugate(a: IntMatrix) -> tuple[int, IntMatrix]:
     """(det, adj) of a nonsingular square matrix, with adj @ a == det * I.
 
-    One elimination of [a | I] leaves p * I on the left, where p is the
+    For n = 2 and n = 3 they are written out: the 2x2 cofactors, and for
+    rows r0, r1, r2 the columns r1 x r2, r2 x r0 and r0 x r1, whose pairings
+    with the rows give det * I; both hold in any commutative ring.  Otherwise
+    one elimination of [a | I] leaves p * I on the left, where p is the
     determinant of the row-permuted matrix, and p * a^-1 on the right.  The
-    entries may be ints or elements of Z[M] (see ``_eliminate``); for a
-    matrix over Z[M] of size at most 1, the entries that come from the
-    identity block (det of the empty matrix, adj of a 1x1) stay ints.
+    entries may be ints or elements of Z[M] (see ``_eliminate``); over Z[M],
+    an entry that comes from the identity block stays an int where no step
+    changes it (det of the empty matrix, adj of a 1x1).
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("adjugate of a non-square matrix")
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    rank, sign, last = _eliminate(m, n)
-    if rank < n:
+    if n == 2:
+        (a0, a1), (b0, b1) = a
+        det, adj = a0 * b1 - a1 * b0, ((b1, -a1), (-b0, a0))
+    elif n == 3:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = a
+        adj = ((b1 * c2 - b2 * c1, c1 * a2 - c2 * a1, a1 * b2 - a2 * b1),
+               (b2 * c0 - b0 * c2, c2 * a0 - c0 * a2, a2 * b0 - a0 * b2),
+               (b0 * c1 - b1 * c0, c0 * a1 - c1 * a0, a0 * b1 - a1 * b0))
+        det = a0 * adj[0][0] + a1 * adj[1][0] + a2 * adj[2][0]
+    else:
+        m = [list(row) + [0] * n for row in a]
+        for i in range(n):
+            m[i][n + i] = 1
+        rank, sign, last = _eliminate(m, n)
+        det = sign * last if rank == n else 0
+        adj = tuple(tuple([sign * x for x in row[n:]]) for row in m)
+    if not det:
         raise NotIndependent("adjugate of a singular matrix")
-    return sign * last, tuple(tuple(sign * x for x in row[n:]) for row in m)
+    return det, adj
 
 
 def unimodular_inverse(a: IntMatrix) -> IntMatrix:

@@ -14,7 +14,9 @@ the fold that tried every denominator factor after every step before
 (``star_quotient_oracle``) took before both read their quotients from
 ``fan.span_coordinates`` (``span_basis`` reads the span basis from it), and
 ``multiplicity_by_adjugate``, the determinant that ``Cone.multiplicity``
-read before the Smith form's invariant factors, and
+read before the Smith form's invariant factors (these cone oracles read the
+Smith form's coordinates, ``smith_local_generators``, where a
+full-dimensional simplicial cone reads those of N), and
 ``gkm_violations_pairwise`` and ``star_walls_scan``, the pairwise loop
 that ``pexp.gkm_validate`` ran before it restricted each (cone, face) once
 and the scan over every wall that ``Fan.star_walls`` ran before its
@@ -35,6 +37,9 @@ their exponents into ints (``reduce_localization_greedy`` divides with
 them and imports only ``LaurentPoly`` and ``LocalizationSum`` from
 ``pexpfan.laurent``), and ``integer_det``, the Bareiss determinant that
 ``pexpfan.lattice`` kept with no caller in the package, and
+``adjugate_by_elimination``, the Bareiss adjugate that ``lattice.adjugate``
+ran for every size before it wrote out the 2x2 and 3x3 ones (with its own
+copy of the elimination, which updated every row at every pivot), and
 ``smith_normal_form_reference``, the elimination with one closure per row
 and column operation that ``lattice.smith_normal_form`` ran before it
 inlined them, and ``least_box_points_listing``, the least slice of ``fan._box_points`` that
@@ -97,6 +102,38 @@ def integer_det(a) -> int:
         raise ValueError("determinant of a non-square matrix")
     rank, sign, last = _eliminate([list(row) for row in a], n)
     return sign * last if rank == n else 0
+
+
+def adjugate_by_elimination(a):
+    """(det, adj) of a nonsingular square matrix over Z or Z[M], as
+    ``lattice.adjugate`` computed it for every size before it wrote out the
+    2x2 cofactors and the 3x3 cross products: one Bareiss elimination of
+    [a | I], which leaves p * I on the left and p * a^-1 on the right.  The
+    elimination is the package's before it skipped the rows a step leaves
+    unchanged: every other row is updated at every pivot."""
+    from pexpfan.errors import NotIndependent
+
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    rank, sign, prev = 0, 1, 1
+    for c in range(n):
+        piv = next((i for i in range(rank, n) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        top = m[rank]
+        p = top[c]
+        for i, row in enumerate(m):
+            if i != rank:
+                f = row[c]
+                m[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+        rank += 1
+    if rank < n:
+        raise NotIndependent("adjugate of a singular matrix")
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in m)
 
 
 def smith_diagonal_oracle(matrix) -> list[int]:
@@ -476,6 +513,17 @@ def quotient_lattice(rank: int, kernel):
     return tuple(u[k:]), tuple(row[k:] for row in unimodular_inverse(u))
 
 
+def smith_local_generators(cone):
+    """(projection, local generators) of a cone in the coordinates of its
+    Smith form (``fan.span_coordinates``), whatever coordinates the cone
+    itself reads: a full-dimensional simplicial cone reads those of N."""
+    from pexpfan.fan import span_coordinates
+    from pexpfan.lattice import mat_vec
+
+    projection = span_coordinates(cone.rank, cone.generators)[1]
+    return projection, tuple(mat_vec(projection, g) for g in cone.generators)
+
+
 def span_basis(rank: int, vectors):
     """The saturated span basis of the vectors: the first d columns of U^-1
     for the U that ``fan.span_coordinates`` takes from its Smith form."""
@@ -521,11 +569,13 @@ def star_quotient_oracle(fan, rs):
 
 
 def facets_by_generator_subsets(cone):
-    """``cone.facets`` by the loop over every d - 1 local generators: their
-    ``line_kernel`` bounds a facet when every generator lies on one side."""
+    """``cone.facets`` by the loop over every d - 1 local generators, in the
+    coordinates of the Smith form: their ``line_kernel`` bounds a facet when
+    every generator lies on one side."""
     from pexpfan.lattice import line_kernel, mat_vec, pair, transpose
 
-    d, g = cone.dim, cone.local_generators
+    projection, g = smith_local_generators(cone)
+    d = len(projection)
     if d == 0:
         return ()
     found = {}
@@ -538,7 +588,7 @@ def facets_by_generator_subsets(cone):
             u, vals = tuple(-x for x in u), [-v for v in vals]
         if all(v >= 0 for v in vals) and any(vals):
             found[tuple(i for i, v in enumerate(vals) if v == 0)] = u
-    proj_t = transpose(cone._span[1])
+    proj_t = transpose(projection)
     return tuple((mat_vec(proj_t, u), contact) for contact, u in sorted(found.items()))
 
 
@@ -585,24 +635,28 @@ def faces_by_closure(cone):
 def smallest_face_by_adjugate(cone, v):
     """The generator indices of the smallest face of a simplicial cone holding
     v, or None when it does not hold v: the generators with nonzero
-    coefficients adj @ x / det at the local coordinates x of v, when v is in
-    the span and no coefficient is negative."""
-    from pexpfan.lattice import adjugate, mat_vec, pair, transpose
+    coefficients adj @ x / det at the local coordinates x of v in the Smith
+    form, by ``adjugate_by_elimination``, when v is in the span and no
+    coefficient is negative."""
+    from pexpfan.fan import span_coordinates
+    from pexpfan.lattice import mat_vec, pair, transpose
 
-    det, adj = adjugate(transpose(cone.local_generators))
-    coeffs = mat_vec(adj, mat_vec(cone._span[1], v))
-    if any(pair(a, v) for a in cone._span[2]) or any(det * c < 0 for c in coeffs):
+    _, projection, annihilator, _ = span_coordinates(cone.rank, cone.generators)
+    det, adj = adjugate_by_elimination(transpose([mat_vec(projection, g) for g in cone.generators]))
+    coeffs = mat_vec(adj, mat_vec(projection, v))
+    if any(pair(a, v) for a in annihilator) or any(det * c < 0 for c in coeffs):
         return None
     return tuple(i for i, c in enumerate(coeffs) if c)
 
 
 def box_points_scan(cone):
     """``fan._box_points(cone)`` by scanning the bounding box of the local
-    parallelepiped for the points with 0 <= sign(det) * (adj @ x)_i < mult."""
-    from pexpfan.lattice import adjugate, mat_vec, transpose
+    parallelepiped, in the coordinates of the Smith form, for the points
+    with 0 <= sign(det) * (adj @ x)_i < mult."""
+    from pexpfan.lattice import mat_vec, transpose
 
-    d, g, basis = cone.dim, cone.local_generators, span_basis(cone.rank, cone.generators)
-    det, adj = adjugate(transpose(g))
+    d, g, basis = cone.dim, smith_local_generators(cone)[1], span_basis(cone.rank, cone.generators)
+    det, adj = adjugate_by_elimination(transpose(g))
     sign, mult = (1 if det > 0 else -1), abs(det)
     lo = [sum(min(0, g[i][c]) for i in range(d)) for c in range(d)]
     hi = [sum(max(0, g[i][c]) for i in range(d)) for c in range(d)]
@@ -617,7 +671,7 @@ def box_points_scan(cone):
 
 def box_scan_size(cone) -> int:
     """The number of points ``box_points_scan`` visits."""
-    g = cone.local_generators
+    g = smith_local_generators(cone)[1]
     size = 1
     for c in range(cone.dim):
         size *= sum(abs(x[c]) for x in g) + 1
@@ -635,10 +689,11 @@ def least_box_points_listing(cone):
 
 def multiplicity_by_adjugate(cone) -> int:
     """``cone.multiplicity()`` as it was read before the Smith form's
-    invariant factors: |det| of the local generators, from their adjugate."""
-    from pexpfan.lattice import adjugate, transpose
+    invariant factors: |det| of the local generators in the coordinates of
+    the Smith form, from their ``adjugate_by_elimination``."""
+    from pexpfan.lattice import transpose
 
-    return abs(adjugate(transpose(cone.local_generators))[0])
+    return abs(adjugate_by_elimination(transpose(smith_local_generators(cone)[1]))[0])
 
 
 def gkm_violations_pairwise(fan, values):

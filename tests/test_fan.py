@@ -31,10 +31,12 @@ from pexpfan.fan import (
     star_quotient,
     stellar_subdivision,
 )
+from pexpfan.ktheory import tangent_weights
 from pexpfan.lattice import (
-    adjugate, identity_matrix, mat_mul, mat_vec, matrix_rank, pair, primitive_vector, transpose,
+    identity_matrix, mat_mul, mat_vec, matrix_rank, pair, primitive_vector, transpose,
     vec_scale)
 from oracles import (
+    adjugate_by_elimination,
     box_points_scan,
     box_scan_size,
     complete_by_point_search,
@@ -51,6 +53,7 @@ from oracles import (
     pointed_by_rank,
     random_complete_rank2_data,
     smallest_face_by_adjugate,
+    smith_local_generators,
     smith_diagonal_oracle,
     solve_rational,
     star_quotient_oracle,
@@ -257,14 +260,18 @@ class TestMultiplicity:
             assert moved.multiplicity() == cone.multiplicity()
 
     def test_dim_and_multiplicity_match_rank_and_adjugate(self):
-        """``dim`` and ``multiplicity()``, read from the cone's one Smith
-        form, equal ``matrix_rank`` of the generators and |det| of the local
-        generators by their adjugate, on seeded random cones of every
-        dimension in ranks 1-5: non-simplicial ones, and lower-dimensional
-        ones whose generators span a sublattice of index > 1 of their
-        saturated span.  The facets, read off the Smith form's V on a
-        simplicial cone, equal the subset loop's, and a smooth cone's
-        tangent weights equal G^-1 @ P by a Bareiss adjugate."""
+        """``dim`` and ``multiplicity()``, read from the cone's one adjugate
+        when it has rank independent generators and from its one Smith form
+        otherwise, equal ``matrix_rank`` of the generators and |det| of the
+        local generators in the Smith form's coordinates by their Bareiss
+        adjugate, on seeded random cones of every dimension in ranks 1-5:
+        non-simplicial ones, and lower-dimensional ones whose generators span
+        a sublattice of index > 1 of their saturated span.  The facets, read
+        off the scaled inverse on a simplicial cone, equal the subset loop's;
+        the scaled inverse is mult * G^-1 for the cone's own local
+        generators G; and a smooth cone's dual basis, its tangent weights
+        when it is full-dimensional, equals G^-1 @ P by a Bareiss adjugate in
+        the Smith form's coordinates."""
         from test_lattice import random_unimodular
 
         rng = random.Random(20261019)
@@ -285,11 +292,18 @@ class TestMultiplicity:
             if cone.is_simplicial:
                 assert cone.multiplicity() == multiplicity_by_adjugate(cone), gens
                 kinds.append((cone.dim < rank, cone.multiplicity() > 1))
-                if cone.multiplicity() == 1:
-                    det, adj = adjugate(transpose(cone.local_generators))
+                mult, d = cone.multiplicity(), cone.dim
+                assert mat_mul(cone._scaled_inverse, transpose(cone.local_generators)) == tuple(
+                    tuple(mult * (i == j) for j in range(d)) for i in range(d)), gens
+                if mult == 1:
+                    projection, local = smith_local_generators(cone)
+                    det, adj = adjugate_by_elimination(transpose(local))
                     # det = +-1, so G^-1 = det * adj
-                    want = mat_mul(tuple(vec_scale(det, row) for row in adj), cone._span[1])
-                    assert cone._tangent_weights == want, gens
+                    want = mat_mul(tuple(vec_scale(det, row) for row in adj), projection)
+                    if d == rank:
+                        assert tangent_weights(cone) == want, gens
+                    else:
+                        assert mat_mul(cone._scaled_inverse, cone._span[1]) == want, gens
             else:
                 kinds.append("non-simplicial")
         assert kinds.count((True, True)) > 80 and kinds.count((False, True)) > 50
@@ -721,11 +735,11 @@ class TestResolve:
         resolve(fan)
         assert calls.count("contains") <= 2 * n and calls.count("build") == 1
 
-    def test_an_a_cone_resolves_on_one_smith_form_per_cone(self, monkeypatch):
-        """Resolving <(1,0),(1,41)> runs one Smith form per cone object it
-        builds, which gives the cone's dimension, multiplicity, coordinates
-        and facets, and no adjugate, unimodular inverse, rank elimination or
-        vertex enumeration."""
+    def test_an_a_cone_resolves_on_one_adjugate_per_cone(self, monkeypatch):
+        """Resolving <(1,0),(1,41)> runs one adjugate per cone object it
+        builds, which gives the cone's dimension, multiplicity and facets in
+        the coordinates of N, and no Smith form, unimodular inverse, rank
+        elimination or vertex enumeration."""
         fan = Fan.build(2, [(1, 0), (1, 41)], [(0, 1)])
         calls = []
 
@@ -733,15 +747,15 @@ class TestResolve:
             return lambda *a, **k: calls.append(name) or f(*a, **k)
 
         patches = [(module, name) for module in (fan_module, lattice_module)
-                   for name in ("smith_normal_form", "unimodular_inverse", "matrix_rank")]
-        patches += [(lattice_module, "adjugate"), (fan_module, "extreme_rays_of_region")]
+                   for name in ("smith_normal_form", "unimodular_inverse", "matrix_rank", "adjugate")]
+        patches += [(fan_module, "extreme_rays_of_region")]
         for module, name in patches:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         init = Cone.__init__
         monkeypatch.setattr(Cone, "__init__", lambda self, *a: calls.append("Cone") or init(self, *a))
         fine = resolve(fan).fine
         assert len(fine.maximal_cones) == 41
-        assert calls.count("smith_normal_form") == calls.count("Cone") >= 41
+        assert calls.count("adjugate") == calls.count("Cone") >= 41
         assert len(calls) == 2 * calls.count("Cone")
 
     def test_extra_rounds_build_one_fine_fan(self, cube, monkeypatch):

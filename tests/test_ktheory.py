@@ -29,7 +29,7 @@ from pexpfan.ktheory import (
     poly_det,
     tangent_weights,
 )
-from pexpfan.lattice import vec_scale
+from pexpfan.lattice import mat_vec, transpose, unimodular_inverse, vec_scale
 from pexpfan.laurent import LaurentPoly, LocalizationSum
 from pexpfan.pexp import CartierData, PiecewiseExponential, from_cartier, gkm_validate, pullback
 
@@ -39,6 +39,7 @@ from oracles import (
     random_cartier_combination,
     random_complete_rank2_data,
     reduce_localization_greedy,
+    solve_rational,
     star_walls_scan,
 )
 
@@ -192,6 +193,48 @@ class TestChi:
         r2 = resolve(p112, rng=random.Random(41), extra_rounds=2)
         assert r1.fine != r2.fine
         assert chi(p112, xi, resolution=r1) == chi(p112, xi, resolution=r2)
+
+    def test_unimodular_images_map_chi_by_the_inverse_transpose(self, complete_corpus):
+        """GL_n(Z) invariance on the fixed complete corpus.  With the rays
+        moved by a seeded unimodular A, two per fan, the fan resolves to a
+        smooth complete fan, the Cartier data of k times the anticanonical
+        class (the characters pairing to k with every ray of their cone)
+        move by A^-T, and chi of that class, times e^u + 2e^w moved by A^-T,
+        is chi on the original fan with its exponents mapped by A^-T.  On
+        some moved fans ``resolve`` makes other choices than the image of
+        the original's resolution, so this also compares two resolutions."""
+        from test_lattice import random_unimodular
+
+        def anticanonical(fan, k):
+            exps = []
+            for rs in fan.maximal_cones:
+                m = solve_rational([fan.rays[i] for i in rs], [k] * len(rs))
+                assert m is not None and all(x.denominator == 1 for x in m)
+                exps.append(tuple(int(x) for x in m))
+            return exps
+
+        rng = random.Random(20261019)
+        moved_shapes = 0
+        for name, fan in [item for item in complete_corpus.items() for _ in range(2)]:
+            a = random_unimodular(rng, fan.rank)
+            dual = transpose(unimodular_inverse(a))
+            moved = Fan.build(fan.rank, [mat_vec(a, r) for r in fan.rays], fan.maximal_cones)
+            fine = resolve(moved).fine
+            assert fine.is_smooth() and fine.is_complete(), name
+            image = resolve(fan).fine
+            moved_shapes += {frozenset(fine.rays[i] for i in c) for c in fine.maximal_cones} != {
+                frozenset(mat_vec(a, image.rays[i]) for i in c) for c in image.maximal_cones}
+            g = E(tuple(rng.randint(-2, 2) for _ in range(fan.rank)))
+            g = g + E(tuple(rng.randint(-2, 2) for _ in range(fan.rank)), 2)
+            for k in (1, 2):
+                data = anticanonical(fan, k)
+                moved_data = anticanonical(moved, k)
+                assert moved_data == [mat_vec(dual, m) for m in data], name
+                cls = from_cartier(fan, CartierData(tuple(data))).module_action(g)
+                moved_cls = from_cartier(moved, CartierData(tuple(moved_data)))
+                got = chi(moved, moved_cls.module_action(g.map_exponents(dual)))
+                assert got == chi(fan, cls).map_exponents(dual), (name, k)
+        assert moved_shapes > 0
 
     def test_not_complete(self):
         fan = catalog.singular_quadric_cone_fan()
@@ -350,21 +393,28 @@ class TestGramMatrix:
         assert orbits == []
 
     def test_one_weight_read_per_fine_cone(self, monkeypatch):
-        """A 2x2 Gram through the 48-cone resolution of the cube computes the
-        weights of each fine cone at most once (reading them per entry made
-        108 reads), and a following chi on the same fine fan computes none."""
+        """The weights of a smooth full-dimensional cone are its scaled
+        inverse, which a lower-dimensional cone computes for its facets.  A
+        2x2 Gram through the 48-cone resolution of the cube computes the
+        weights of each fine cone exactly once and of no other
+        full-dimensional cone (reading them per entry made 108 reads), and a
+        following chi on the same fine fan computes no scaled inverse."""
         cube = catalog.cube_fan()
         resolution = resolve(cube)
-        computed, compute = [], Cone._tangent_weights.func
+        fine = resolution.fine.cone_objects
+        computed, compute = [], Cone._scaled_inverse.func
         counting = cached_property(lambda cone: computed.append(cone) or compute(cone))
-        counting.__set_name__(Cone, "_tangent_weights")
-        monkeypatch.setattr(Cone, "_tangent_weights", counting)
+        counting.__set_name__(Cone, "_scaled_inverse")
+        monkeypatch.setattr(Cone, "_scaled_inverse", counting)
         classes = [PiecewiseExponential.constant(cube, c) for c in (1, 2)]
         gram_matrix(cube, classes, [(), (cube.rays.index((1, 1, 1)),)], resolution=resolution)
-        assert len(resolution.fine.maximal_cones) == 48
-        assert len(computed) == len({id(c) for c in computed}) == 48
+        assert len(resolution.fine.maximal_cones) == len(fine) == 48
+        weights = [cone for cone in computed if cone.dim == 3]
+        assert len(weights) == len({id(c) for c in weights}) == 48
+        assert {id(c) for c in weights} == {id(c) for c in fine}
+        before = len(computed)
         assert chi(cube, classes[1], resolution=resolution) == 2 * LaurentPoly.one(3)
-        assert len(computed) == 48
+        assert len(computed) == before
 
     def test_kronecker_pair_is_a_one_by_one_gram(self, p112, monkeypatch):
         calls, gram = [], ktheory.gram_matrix

@@ -22,7 +22,8 @@ from pexpfan.lattice import (
     unimodular_inverse,
 )
 from oracles import (
-    det_expansion, integer_det, kernel_basis, smith_diagonal_oracle, smith_normal_form_reference)
+    adjugate_by_elimination, det_expansion, integer_det, kernel_basis, smith_diagonal_oracle,
+    smith_normal_form_reference)
 
 matrices = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
@@ -276,6 +277,28 @@ class TestHelpers:
         d, adj = adjugate(a)
         assert d == det
         assert mat_mul(adj, a) == tuple(tuple(det * (i == j) for j in range(n)) for i in range(n))
+
+    def test_closed_forms_match_the_elimination(self):
+        """The written-out 2x2 and 3x3 adjugates equal the Bareiss
+        elimination they replaced on seeded small matrices, and refuse the
+        singular ones, drawn and built from dependent rows, like it."""
+        rng = random.Random(20261019)
+        singular = 0
+        for _ in range(3000):
+            n = rng.choice((2, 3))
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.2:
+                a[0] = [rng.randint(-2, 2) * x + rng.randint(-2, 2) * y for x, y in zip(a[1], a[-1])]
+            a = tuple(map(tuple, a))
+            if det_expansion(a) == 0:
+                singular += 1
+                for solve in (adjugate, adjugate_by_elimination):
+                    with pytest.raises(NotIndependent, match="adjugate of a singular matrix"):
+                        solve(a)
+                continue
+            assert adjugate(a) == adjugate_by_elimination(a), a
+            assert adjugate(a)[0] == det_expansion(a), a
+        assert singular > 300
 
     @pytest.mark.parametrize("call, error, message", [
         (lambda: unimodular_inverse(((2, 0), (0, 1))), NotUnimodular,

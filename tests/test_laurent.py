@@ -19,7 +19,7 @@ from pexpfan.errors import (
     ZeroCharacter,
 )
 from pexpfan.fan import resolve
-from pexpfan.ktheory import chi, orbit_closure_class, poly_det, tangent_weights
+from pexpfan.ktheory import chi, gram_matrix, orbit_closure_class, poly_det, tangent_weights
 from pexpfan.lattice import adjugate, is_primitive
 from pexpfan.pexp import CartierData, PiecewiseExponential, from_cartier
 from pexpfan.laurent import (
@@ -285,6 +285,41 @@ class TestEliminationOverZM:
                 for t in range(k):
                     entry = entry + adj[i][t] * a[t][j]
                 assert entry == (det if i == j else zero)
+
+    def test_closed_forms_match_the_elimination_on_gram_matrices(self):
+        """On the Gram matrices of P(1,1,2) (3x3) and of the (P^1)^3 product
+        basis (8x8), and on every principal 2x2 and 3x3 submatrix of them,
+        ``adjugate`` equals the Bareiss elimination it replaced for n = 2
+        and 3; with its first row made a Z[M]-combination of the others,
+        each submatrix is refused by both as singular.  On the 8x8 matrix,
+        where ``adjugate`` still eliminates, adj @ a = det * I, and the
+        result equals that of the elimination that updated every row."""
+        from test_product_basis import product_basis
+
+        p112 = catalog.weighted_p112()
+        grams = [gram_matrix(p112, catalog.p112_spanning_classes(p112),
+                             catalog.p112_duality_cones(p112)).entries]
+        fan, functions, taus = product_basis(3)
+        grams.append(gram_matrix(fan, functions, taus).entries)
+        closed = 0
+        det, adj = adjugate(grams[1])
+        assert all(
+            sum((x * row[j] for x, row in zip(adj_row, grams[1])), LaurentPoly.zero(3))
+            == det * int(i == j)
+            for i, adj_row in enumerate(adj) for j in range(8))
+        for gram in grams:
+            assert adjugate(gram) == oracles.adjugate_by_elimination(gram)
+            u = LaurentPoly.exponential((1,) + (0,) * (gram[0][0].rank - 1), 2)
+            for n in (2, 3):
+                for rows in itertools.combinations(range(len(gram)), n):
+                    a = tuple(tuple(gram[i][j] for j in rows) for i in rows)
+                    closed += 1
+                    assert adjugate(a) == oracles.adjugate_by_elimination(a), a
+                    dependent = (tuple(x * u - y for x, y in zip(a[1], a[-1])),) + a[1:]
+                    for solve in (adjugate, oracles.adjugate_by_elimination):
+                        with pytest.raises(NotIndependent):
+                            solve(dependent)
+        assert closed == 3 + 1 + 28 + 56
 
     @given(zm_matrices().filter(lambda case: len(case[1]) >= 2))
     @settings(max_examples=50, deadline=None)

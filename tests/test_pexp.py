@@ -343,6 +343,27 @@ class TestCartier:
             catalog.p2_degree_cartier(catalog.p1_times_p1(), 1)
         assert (type(exc.value), str(exc.value)) == (ValueError, "not the standard projective plane fan")
 
+    @pytest.mark.parametrize("fan", [
+        catalog.weighted_p112,
+        lambda: catalog.hirzebruch(1),
+        lambda: Fan.build(2, [(0, 1), (1, 0), (-1, -1)], [(0, 1), (0, 2), (1, 2)]),
+        lambda: Fan.build(2, [(1, 0), (1, 1), (-2, -1)], [(0, 1), (0, 2), (1, 2)]),
+        lambda: Fan.build(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (1, 2)]),
+    ], ids=["p112-same-labels", "hirzebruch-1", "p2-rays-swapped", "p2-other-coordinates",
+            "p2-missing-cone"])
+    def test_p2_degree_data_refuses_fans_that_are_not_the_standard_plane(self, fan):
+        # P(1,1,2) and the swapped or moved planes have P^2's cone labels, so the
+        # rays must be compared as well
+        with pytest.raises(ValueError) as exc:
+            catalog.p2_degree_cartier(fan(), 2)
+        assert (type(exc.value), str(exc.value)) == (ValueError, "not the standard projective plane fan")
+
+    def test_p2_degree_data_reads_each_cone_by_its_rays(self):
+        fan = Fan.build(2, [(1, 0), (0, 1), (-1, -1)], [(1, 2), (0, 1), (0, 2)])
+        assert catalog.p2_degree_cartier(fan, 3) == CartierData(((3, 0), (0, 0), (0, 3)))
+        assert catalog.p2_degree_cartier(catalog.projective_plane(), 3) == CartierData(
+            ((0, 0), (0, 3), (3, 0)))
+
     def test_multiplicative(self, p112):
         d1 = CartierData(((0, 0), (0, 1), (2, 0)))
         d2 = CartierData(((0, 0), (0, 2), (4, 0)))

@@ -134,6 +134,6 @@ def test_scale_rows_quick_prints_every_row():
     assert all(set(line) == {"row", "size", "median_s", "repeats"} for line in lines)
     assert all(line["median_s"] >= 0 and line["repeats"] == 1 for line in lines)
     assert {line["row"] for line in lines} == {
-        "complete", "resolve_tied", "resolve_tied_rng1", "resolve_a", "resolve_r3", "chi_rank2",
-        "chi_cube128", "gkm_violations", "planless_shuffled"}
-    assert len(lines) == 15
+        "complete", "resolve_tied", "resolve_tied_rng1", "resolve_a", "resolve_r3", "resolve_r4",
+        "chi_rank2", "chi_cube128", "gkm_violations", "planless_shuffled"}
+    assert len(lines) == 17

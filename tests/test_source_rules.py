@@ -30,8 +30,11 @@ boundary: in ``cli.py`` only ``_decode`` calls ``json.load`` or
 passing the walls of its star, and ``reduce_localization`` has one merge loop:
 it calls ``_merge_rounds`` once and branches on no ``plan``, and the greedy
 ``overlap`` pick is made only in the fallback of ``_merge_rounds``, when no
-wall joins what is left; a twelfth keeps a simplicial cone on its one
-Smith form: ``fan.py`` does not import ``adjugate``, and ``Cone.facets`` calls
+wall joins what is left; a twelfth keeps a full-dimensional simplicial cone
+on its one adjugate: ``fan.py`` imports ``adjugate`` by name and calls it only
+in ``Cone._adjugate``, every function that reads ``Cone._span`` but
+``_box_points`` (whose residues need the Smith form) first asks for the
+adjugate or for a dimension below the rank, and ``Cone.facets`` calls
 ``extreme_rays_of_region`` only in its branch for a non-simplicial cone.  Every
 name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types, never
@@ -203,11 +206,28 @@ def test_star_sums_merge_along_their_walls():
                                if isinstance(n, ast.Name) and n.id == "overlap"}
 
 
-def test_simplicial_cones_read_their_smith_form():
-    # facets, tangent weights and box points come from the scaled inverse
+def test_full_dimensional_simplicial_cones_read_their_adjugate():
+    # rank independent generators give dim, multiplicity, facets, the smallest face and
+    # the weights off one adjugate in the coordinates of N; the Smith form serves the
+    # other cones, and the residues of _box_points
     fan = ast.parse(next(p for p in SOURCES if p.name == "fan.py").read_text())
-    imported = {a.name for _, node in _nodes(fan, (ast.Import, ast.ImportFrom)) for a in node.names}
-    assert "adjugate" not in imported
+    from_lattice = {a.name for _, node in _nodes(fan, ast.ImportFrom) if node.module == "lattice"
+                    for a in node.names}
+    assert "adjugate" in from_lattice
+    assert {c for c in _callers("adjugate") if c[0] == "fan.py"} == {("fan.py", "_adjugate")}
+    functions = {f.name: f for _, f in _nodes(fan, ast.FunctionDef)}
+    readers = {where for where, a in _nodes(fan, ast.Attribute) if a.attr == "_span"}
+    assert readers == {"dim", "local_generators", "_scaled_inverse", "facets", "_smallest_face",
+                       "multiplicity", "_check_pair", "_box_points"}
+
+    def asks_full_dimensional(f):
+        # reads _adjugate, or compares a dim below the rank (a full-dimensional cone
+        # has no annihilator)
+        return any(isinstance(n, ast.Attribute) and n.attr == "_adjugate"
+                   or isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.Lt)
+                   and ast.unparse(n.left).endswith(".dim") and ast.unparse(n.comparators[0]) == "self.rank"
+                   for n in ast.walk(f))
+    assert [name for name in sorted(readers) if not asks_full_dimensional(functions[name])] == ["_box_points"]
     cone = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "Cone")
     facets = next(f for _, f in _nodes(cone, ast.FunctionDef) if f.name == "facets")
     branch = next(node for _, node in _nodes(facets, ast.If)

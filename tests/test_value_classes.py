@@ -86,7 +86,7 @@ def test_cached_properties_cache_on_the_instance():
     assert fan.walls is walls and fan.__dict__["walls"] is walls
     assert "walls" not in fresh.__dict__ and fan == fresh and hash(fan) == hash(fresh)
     cone = Cone(2, ((0, 1), (1, 0)))
-    assert "_tangent_weights" not in cone.__dict__
-    weights = cone._tangent_weights
-    assert cone._tangent_weights is weights and cone.__dict__["_tangent_weights"] is weights
+    assert "_scaled_inverse" not in cone.__dict__
+    weights = cone._scaled_inverse
+    assert cone._scaled_inverse is weights and cone.__dict__["_scaled_inverse"] is weights
     assert cone == Cone(2, ((0, 1), (1, 0)))
