@@ -20,6 +20,7 @@ import random
 from functools import cached_property
 from math import prod
 
+from .chains import least_chain_points, resolve_rank2
 from .errors import (
     ConeNotInFan,
     NonPrimitiveRay,
@@ -723,7 +724,8 @@ class SubdivisionMap:
 
 class _Refinement:
     """A fan under stellar steps, changed in place: ``resolve`` runs every
-    step on one, and ``stellar_subdivision`` is one step of one.
+    step on one (``_refine``) but on a rank-2 fan, and
+    ``stellar_subdivision`` is one step of one.
 
     Each maximal cone has an id.  ``order`` lists the ids in fan order, and
     ``cones`` maps an id to (ray set, ``Cone``, generator rays, source): the
@@ -906,52 +908,21 @@ class _Progression:
 
 def _least_box_points(cone: Cone) -> tuple[int, list[Vector] | _Progression]:
     """The least key of ``_box_points`` on a singular simplicial cone, and the
-    points that reach it, in ascending order.
-
-    A cone of dim >= 3 maps only the least slice of ``_box_points``.  A cone of
-    dim 2 lists nothing.  With g1, g2 its local generators and mult its
-    multiplicity, a point x = (a g1 + k g2) / mult of the span is a lattice
-    point iff a = q k mod mult, where q = -<v, g2> mod mult for a character v
-    with <v, g1> = 1; the key is a + k.  Every nonzero lattice point of the
-    cone is a parallelepiped point plus a sum of generators, each adding mult
-    to a + k, and (q, 1) has a + k <= mult: so the least points are the
-    points of least a + k among the nonzero lattice points of the cone other
-    than g1 and g2.  Those lie on the bounded edges of their convex hull,
-    whose lattice points are the Hilbert basis: g1 = (mult, 0), (q, 1), ...,
-    g2 = (0, mult), each element b u - u' for the two before it, u' then u,
-    with b = ceil(a(u') / a(u)) (Hirzebruch-Jung; Fulton, Introduction to
-    Toric Varieties, 2.6).  The step repeats while b = 2, so an edge from a
-    with step (-alpha, beta) has floor(a / alpha) lattice steps, and a + k
-    changes by beta - alpha per step, falling and then rising along the
-    chain.  The walk stops at the first edge where it does not fall: if it
-    rises, the least point is the edge's start; if it is flat, the least
-    points are the edge's lattice points other than g1 and g2, and they
-    ascend, since the step is then a positive multiple of g2 - g1 and the
-    generators are sorted.
-    """
+    points that reach it, in ascending order: a cone of dim >= 3 maps only
+    the least slice of ``_box_points``, and a cone of dim 2 lists nothing,
+    its points read off its local generators by the Hirzebruch-Jung walk
+    ``chains.least_chain_points`` and mapped through its generators."""
     if cone.dim != 2:
         box = _box_points(cone, least=True)
         return box[0][0], [p for _, p in box]
-    (p, s), h = cone.local_generators
     mult = cone.multiplicity()
-    # <v, g1> = 1 for v = (p^-1 mod |s|, (1 - p v_0) / s); g1 primitive, so p = +-1 if s = 0
-    v0 = pow(p, -1, abs(s)) if s else p
-    q = -(v0 * h[0] + ((1 - p * v0) // s if s else 0) * h[1]) % mult
-    a, k, da, dk = mult, 0, q - mult, 1
-    while da + dk < 0:
-        j = a // -da
-        a, k = a + j * da, k + j * dk
-        b = -(-(a - da) // a)
-        da, dk = (b - 2) * a + da, (b - 2) * k + dk
-    # only the first edge starts at g1 (k = 0); an edge ends at g2 iff alpha divides a
-    lo = 0 if k else 1
-    count = 1 if da + dk else a // -da - (a % -da == 0) - lo + 1
+    key, first, step, count = least_chain_points(*cone.local_generators, mult)
     g1, g2 = cone.generators
 
     def ambient(a: int, k: int) -> Vector:
         return tuple((a * x + k * y) // mult for x, y in zip(g1, g2))
 
-    return a + k, _Progression(ambient(a + lo * da, k + lo * dk), ambient(da, dk), count)
+    return key, _Progression(ambient(*first), ambient(*step), count)
 
 
 def resolve(
@@ -973,25 +944,45 @@ def resolve(
     ``extra_rounds`` appends smooth refinements, both of which produce
     alternative valid resolutions.
 
-    Every step runs on one ``_Refinement``, and finds the cones holding its
-    ray without a scan, because the input is a fan.  The ray x lies in a
-    known cone sigma: it is a ray of the fan, or a point of the simplicial
-    cone chosen for the step.  Let tau be the smallest face of sigma holding
-    x (the ray itself, or the generators on every facet through x), so x is
-    in the relative interior of tau.  If a cone sigma' holds
-    x, then sigma & sigma' is a face of sigma holding a relative interior
-    point of tau, so it contains tau; tau is then a face of sigma & sigma',
-    which is a face of sigma', and the rays of tau are rays of sigma'.
-    Conversely a cone with the rays of tau holds tau and x.  So the cones
-    holding x are those whose ray sets contain tau.
+    A rank-2 fan whose cones have at most two rays each is resolved by
+    ``chains.resolve_rank2``: each step there splits the one cone holding
+    its point on plain integers, with the draws, checks and result of the
+    general path, and the fine fan is built once, its cones left lazy.
 
-    Every singular subdivision step must strictly lower the total excess
-    multiplicity, and every extra round must keep the fan smooth; otherwise
-    ``ResolutionCheckFailed`` is raised.  Both are read from the cones a
-    step removes and the pieces it adds.
+    Every other fan runs every step on one ``_Refinement`` (``_refine``), and
+    finds the cones holding its ray without a scan, because the input is a
+    fan.  The ray x lies in a known cone sigma: it is a ray of the fan, or a
+    point of the simplicial cone chosen for the step.  Let tau be the
+    smallest face of sigma holding x (the ray itself, or the generators on
+    every facet through x), so x is in the relative interior of tau.  If a
+    cone sigma' holds x, then sigma & sigma' is a face of sigma holding a
+    relative interior point of tau, so it contains tau; tau is then a face
+    of sigma & sigma', which is a face of sigma', and the rays of tau are
+    rays of sigma'.  Conversely a cone with the rays of tau holds tau and x.
+    So the cones holding x are those whose ray sets contain tau.
+
+    A singular subdivision step must change the fan, and each piece must
+    have a smaller multiplicity than the cone it replaces: the point has
+    every coefficient below 1 in that cone, and a piece's multiplicity is
+    the cone's times the coefficient of the generator it drops.  So the
+    multiset of multiplicities falls at every step, and the loop ends.
+    Every extra round must keep the fan smooth.  Otherwise
+    ``ResolutionCheckFailed`` is raised.
     """
     if extra_rounds < 0:
         raise ValueError(f"extra_rounds must be nonnegative, got {extra_rounds}")
+    if fan.rank == 2 and all(len(c) < 3 for c in fan.maximal_cones):
+        fine = resolve_rank2(fan.rays, fan.maximal_cones, rng, extra_rounds)
+        if fine is None:
+            return SubdivisionMap.identity(fan)
+        rays, cones, sources = fine
+        return SubdivisionMap(Fan.build(2, rays, cones, validate=False), fan, sources)
+    return _refine(fan, rng, extra_rounds)
+
+
+def _refine(fan: Fan, rng: random.Random | None, extra_rounds: int) -> SubdivisionMap:
+    """``resolve`` on one ``_Refinement``: every fan but those that
+    ``chains.resolve_rank2`` takes."""
     ref = _Refinement(fan)
     cones = ref.cones
 
@@ -1022,8 +1013,6 @@ def resolve(
     # in fan order (a step's singular pieces take their cone's place)
     singular = [k for k in ref.order if cones[k][1].multiplicity() > 1]
     mult = {k: cones[k][1].multiplicity() for k in singular}
-    # every step must lower the excess, so it bounds the number of steps
-    excess = sum(m - 1 for m in mult.values())
     while singular:
         if rng:
             idx = rng.choice(singular)
@@ -1036,25 +1025,25 @@ def resolve(
                 f"singular cone {ref.order.index(idx)} has no parallelepiped points")
         # Random.choice reads only the length and one index, so drawing the index keeps its stream
         ray = primitive_vector(minimal[rng.choice(range(len(minimal))) if rng else 0])
-        before = excess
         change = ref.step(ray, ref.star(ref.face_of(idx, ray)))
+        if not change:
+            raise ResolutionCheckFailed(f"multiplicity did not drop: subdividing at {ray} changed no cone")
         # the ray is a nonzero box point of the chosen cone, so of the smallest
         # face tau holding it, which is then singular; a face's multiplicity
         # divides that of every simplicial cone having it, so each removed
         # cone, one of the star of tau, is in ``singular``
-        for k, ids in change or ():
-            excess -= mult.pop(k) - 1
+        for k, ids in change:
+            was = mult.pop(k)
             for i in ids:
                 m = cones[i][1].multiplicity()
+                if m >= was:
+                    raise ResolutionCheckFailed(
+                        f"multiplicity did not drop: a cone of multiplicity {was} "
+                        f"has a piece of multiplicity {m}")
                 if m > 1:
                     mult[i] = m
-                    excess += m - 1
             at = singular.index(k)
             singular[at:at + 1] = [i for i in ids if i in mult]
-        if excess >= before:
-            raise ResolutionCheckFailed(
-                f"total excess multiplicity did not drop: {before} -> {excess}"
-            )
 
     # optional smooth refinements, for resolution-independence experiments
     for _ in range(extra_rounds):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pexpfan.chains as chains_module
 import pexpfan.fan as fan_module
 import pexpfan.lattice as lattice_module
 import pexpfan.pexp as pexp_module
@@ -100,6 +101,27 @@ def tied_singular_fan(m):
     cones of multiplicity 2 between consecutive rays (1, 2j), (1, 2j + 2)."""
     rays = [(1, 2 * j) for j in range(m + 1)] + [(-1, 0), (0, -1)]
     return Fan.build(2, rays, [(j, j + 1) for j in range(m + 2)] + [(0, m + 2)])
+
+
+def chain_points(point):
+    """A stand-in for ``chains.least_chain_points`` whose one least point is
+    ``point(g1, g2)``, given as (a, k) for (a g1 + k g2) / mult."""
+    return lambda g1, g2, mult: (1, point(g1, g2, mult), (0, 0), 1)
+
+
+def resolve_both_ways(fan, rng_seed=None, extra_rounds=0):
+    """``resolve`` and the general path ``fan._refine`` on the same input,
+    each with its own ``Random(rng_seed)``: (document or error, state of the
+    rng afterwards) per path."""
+    out = []
+    for run in (resolve, lambda f, rng, extra_rounds: fan_module._refine(f, rng, extra_rounds)):
+        rng = None if rng_seed is None else random.Random(rng_seed)
+        try:
+            got = run(fan, rng=rng, extra_rounds=extra_rounds).to_json()
+        except PExpFanError as exc:
+            got = (type(exc).__name__, str(exc))
+        out.append((got, rng and rng.getstate()))
+    return out
 
 
 def catalog_resolution_data():
@@ -611,15 +633,62 @@ class TestResolve:
         assert total_excess_multiplicity(sub.fine) == 0
 
     def test_empty_parallelepiped_is_a_check_failure(self, p112, monkeypatch):
+        # the rank-2 phase reads its points from the chain walk, the refinement
+        # from _least_box_points; both name the cone by its place in fan order
+        monkeypatch.setattr(chains_module, "least_chain_points", lambda g1, g2, mult: (1, (0, 0), (0, 0), 0))
         monkeypatch.setattr(fan_module, "_least_box_points", lambda cone: (1, []))
-        with pytest.raises(ResolutionCheckFailed, match="no parallelepiped points"):
-            resolve(p112)
+        for fan, message in ((p112, "singular cone 1 "), (catalog.rank3_multiplicity3_fan(), "singular cone 0 ")):
+            with pytest.raises(ResolutionCheckFailed, match=message + "has no parallelepiped points"):
+                resolve(fan)
+        (chained, _), (refined, _) = resolve_both_ways(p112)
+        assert chained == refined
 
     def test_a_step_that_keeps_the_excess_is_a_check_failure(self, p112, monkeypatch):
         # subdividing at a generator of the singular cone leaves the fan as it is
+        monkeypatch.setattr(chains_module, "least_chain_points", chain_points(lambda g1, g2, mult: (mult, 0)))
         monkeypatch.setattr(fan_module, "_least_box_points", lambda cone: (1, [cone.generators[0]]))
-        with pytest.raises(ResolutionCheckFailed, match="did not drop: 1 -> 1"):
-            resolve(p112)
+        for fan, ray in ((p112, (-1, -2)), (catalog.rank3_multiplicity3_fan(), (0, 0, 1))):
+            with pytest.raises(ResolutionCheckFailed,
+                               match=re.escape(f"did not drop: subdividing at {ray} changed no cone")):
+                resolve(fan)
+        (chained, _), (refined, _) = resolve_both_ways(p112)
+        assert chained == refined
+
+    def test_a_piece_as_large_as_its_cone_is_a_check_failure(self, p112, monkeypatch):
+        # a point with a coefficient of 1 leaves a piece of the cone's own multiplicity
+        monkeypatch.setattr(chains_module, "least_chain_points",
+                            chain_points(lambda g1, g2, mult: (2 * mult, mult)))
+        monkeypatch.setattr(fan_module, "_least_box_points", lambda cone: (1, [tuple(
+            2 * x + sum(rest) for x, *rest in zip(*cone.generators))]))
+        for fan, mult in ((p112, 2), (catalog.rank3_multiplicity3_fan(), 3)):
+            with pytest.raises(ResolutionCheckFailed, match=(
+                    f"did not drop: a cone of multiplicity {mult} has a piece of multiplicity {mult}")):
+                resolve(fan)
+        (chained, _), (refined, _) = resolve_both_ways(p112)
+        assert chained == refined
+
+    @pytest.mark.parametrize("apex", [(1, 3, 9, 10), (1, 1, 3, 10), (1, 1, 11, 30), (1, 1, 33, 100),
+                                      (1, 1, 4, 5), (1, 2, 3, 5), (1, 3, 4, 7)])
+    def test_rank4_cones_whose_total_excess_rises_resolve(self, apex, monkeypatch):
+        """<e1, e2, e3, apex> resolves to a smooth fan inside the cone, though
+        some step raises the total excess multiplicity, which the check on it
+        refused: each piece of a step is still smaller than its cone."""
+        fan = Fan.build(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), apex], [(0, 1, 2, 3)])
+        step, rises = fan_module._Refinement.step, []
+
+        def excess(ref):
+            return sum(ref.cones[k][1].multiplicity() - 1 for k in ref.order)
+
+        def watched(ref, ray, holding):
+            before = excess(ref)
+            change = step(ref, ray, holding)
+            rises.append(excess(ref) >= before)
+            return change
+
+        monkeypatch.setattr(fan_module._Refinement, "step", watched)
+        sub = resolve(fan)
+        assert any(rises) and sub.fine.is_smooth()
+        assert all(fan.cone_objects[0].contains(r) for r in sub.fine.rays)
 
     def test_assignment_containment(self, p112, cube):
         for fan in (p112, cube):
@@ -674,9 +743,14 @@ class TestResolve:
         assert digest == "3e80eab8aaff809fcca7b9e7a824f77e28e466df1ad6411166264dce35ab7f13"
 
     def test_fan_positions_are_looked_up_once_per_step(self, monkeypatch):
-        """Resolving the fan with 300 cones of multiplicity 2 looks up a fan
-        position once per step, each step holding one cone, where choosing
-        among the singular cones by fan position looked up 45,452."""
+        """Resolving a rank-3 fan with 300 cones of multiplicity 2, the tied
+        fan's cones coned over (0, 0, 1), looks up a fan position once per
+        step, each step holding one cone, where choosing among the singular
+        cones by fan position looked up 45,452.  The rank-2 tied fan makes no
+        refinement at all."""
+        m = 300
+        fan = Fan.build(3, [(1, 2 * j, 0) for j in range(m + 1)] + [(0, 0, 1)],
+                        [(j, j + 1, m + 1) for j in range(m)], validate=False)
         lookups, steps = [], []
 
         class CountingList(list):
@@ -693,8 +767,10 @@ class TestResolve:
         monkeypatch.setattr(fan_module._Refinement, "__init__", counted_init)
         monkeypatch.setattr(fan_module._Refinement, "step",
                             lambda ref, ray, holding: steps.append(ray) or step(ref, ray, holding))
-        assert resolve(tied_singular_fan(300)).fine.is_smooth()
-        assert len(steps) == 301 and len(lookups) <= len(steps)
+        assert resolve(fan).fine.is_smooth()
+        assert len(steps) == m and len(lookups) <= len(steps)
+        monkeypatch.setattr(fan_module._Refinement, "__init__", lambda ref, fan: steps.append(fan))
+        assert resolve(tied_singular_fan(m)).fine.is_smooth() and len(steps) == m
 
     def test_identity_composition(self, p112):
         ident = SubdivisionMap.identity(p112)
@@ -735,11 +811,11 @@ class TestResolve:
         resolve(fan)
         assert calls.count("contains") <= 2 * n and calls.count("build") == 1
 
-    def test_an_a_cone_resolves_on_one_adjugate_per_cone(self, monkeypatch):
-        """Resolving <(1,0),(1,41)> runs one adjugate per cone object it
-        builds, which gives the cone's dimension, multiplicity and facets in
-        the coordinates of N, and no Smith form, unimodular inverse, rank
-        elimination or vertex enumeration."""
+    def test_an_a_cone_resolves_with_no_cone_or_adjugate(self, monkeypatch):
+        """Resolving <(1,0),(1,41)> splits its cones on plain integers: it
+        builds no Cone and runs no refinement step, adjugate, Smith form,
+        unimodular inverse, rank elimination or vertex enumeration, where each
+        of its 40 steps built two cones, each with its adjugate."""
         fan = Fan.build(2, [(1, 0), (1, 41)], [(0, 1)])
         calls = []
 
@@ -753,10 +829,10 @@ class TestResolve:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         init = Cone.__init__
         monkeypatch.setattr(Cone, "__init__", lambda self, *a: calls.append("Cone") or init(self, *a))
+        monkeypatch.setattr(fan_module._Refinement, "step", lambda *a: calls.append("step"))
         fine = resolve(fan).fine
-        assert len(fine.maximal_cones) == 41
-        assert calls.count("adjugate") == calls.count("Cone") >= 41
-        assert len(calls) == 2 * calls.count("Cone")
+        assert len(fine.maximal_cones) == 41 and calls == []
+        assert fine.is_smooth() and calls.count("adjugate") == calls.count("Cone") == 41
 
     def test_extra_rounds_build_one_fine_fan(self, cube, monkeypatch):
         build, calls = Fan.build, []
@@ -783,16 +859,26 @@ class TestResolve:
 
     def test_a_singular_extra_round_is_a_check_failure(self, p2, monkeypatch):
         # refining at 2 g_a + g_b in place of g_a + g_b leaves a piece of multiplicity 2
-        monkeypatch.setattr(fan_module, "vec_add",
-                            lambda u, v: tuple(2 * x + y for x, y in zip(u, v)))
-        with pytest.raises(ResolutionCheckFailed, match="left a singular cone"):
-            resolve(p2, extra_rounds=1)
+        for module in (chains_module, fan_module):
+            monkeypatch.setattr(module, "vec_add",
+                                lambda u, v: tuple(2 * x + y for x, y in zip(u, v)))
+        for fan, ray in ((p2, (1, 2)), (catalog.projective_space(3), (-2, -2, -1))):
+            with pytest.raises(ResolutionCheckFailed,
+                               match=re.escape(f"refining at {ray} left a singular cone")):
+                resolve(fan, extra_rounds=1)
+        (chained, _), (refined, _) = resolve_both_ways(p2, extra_rounds=1)
+        assert chained == refined
 
     def test_a_point_outside_the_chosen_cone_is_a_check_failure(self, p112, monkeypatch):
+        monkeypatch.setattr(chains_module, "least_chain_points", chain_points(lambda g1, g2, mult: (-mult, 0)))
         monkeypatch.setattr(fan_module, "_least_box_points",
                             lambda cone: (1, [tuple(-x for x in cone.generators[0])]))
-        with pytest.raises(ResolutionCheckFailed, match="does not lie in the cone it subdivides"):
-            resolve(p112)
+        for fan, ray in ((p112, (1, 2)), (catalog.rank3_multiplicity3_fan(), (0, 0, -1))):
+            with pytest.raises(ResolutionCheckFailed,
+                               match=re.escape(f"{ray} does not lie in the cone it subdivides")):
+                resolve(fan)
+        (chained, _), (refined, _) = resolve_both_ways(p112)
+        assert chained == refined
 
     def test_steps_carry_unchanged_cones_and_match_the_replaced_path(self, monkeypatch):
         """At every step of a resolution the cones found to hold the new ray,
@@ -848,6 +934,10 @@ class TestResolve:
         docs = []
         for fan, seed, extra in cases:
             sub = resolve(fan, rng=None if seed is None else random.Random(seed), extra_rounds=extra)
+            if fan.rank == 2:
+                # the rank-2 phase runs no refinement step: check the steps on the general path
+                general = fan_module._refine(fan, None if seed is None else random.Random(seed), extra)
+                assert general.to_json() == sub.to_json()
             fine = sub.fine
             for rs, cone in zip(fine.maximal_cones, fine.cone_objects):
                 fresh = Cone.from_generators(fine.rank, [fine.rays[k] for k in rs])
@@ -890,27 +980,48 @@ class TestLeastBoxPoints:
     @given(st.integers(0, 99999), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
     def test_rank2_resolutions_match_the_listing_path(self, seed, extra):
-        """resolve serializes the same, with and without an rng, whether each
-        step reads its points from the Hilbert basis walk or lists them."""
+        """resolve serializes the same, with and without an rng, whether the
+        rank-2 phase reads each step's point from the Hilbert basis walk or
+        the general path lists them."""
         rng = random.Random(seed)
         cases = [random_complete_rank2_data(rng)]
         gens = [(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(2)]
         if len(smith_diagonal_oracle(gens)) == 2:
             cases.append((2, sorted({primitive_vector(g) for g in gens}), [(0, 1)]))
-        walk = fan_module._least_box_points
         with pytest.MonkeyPatch.context() as m:
+            m.setattr(fan_module, "_least_box_points", least_box_points_listing)
             for rank, rays, cones in cases:
                 try:
                     fan = Fan.build(rank, rays, cones)
                 except PExpFanError:
                     continue
                 for s in (None, seed):
-                    docs = []
-                    for pick in (walk, least_box_points_listing):
-                        m.setattr(fan_module, "_least_box_points", pick)
-                        docs.append(resolve(fan, rng=None if s is None else random.Random(s),
-                                            extra_rounds=extra).to_json())
-                    assert docs[0] == docs[1]
+                    chained = resolve(fan, rng=None if s is None else random.Random(s), extra_rounds=extra)
+                    listed = fan_module._refine(fan, None if s is None else random.Random(s), extra)
+                    assert chained.to_json() == listed.to_json()
+
+    def test_the_rank2_phase_replays_the_general_path(self):
+        """On rank-2 fans, with and without an rng and with 0 to 3 extra
+        rounds, the rank-2 phase gives the document, or the error, of the
+        general path, and leaves the rng in the same state."""
+        rng = random.Random(20261019)
+        datas = [random_complete_rank2_data(rng) for _ in range(150)]
+        datas += [(2, [(1, 0), (1, n)], [(0, 1)]) for n in range(2, 91)]
+        fans = [catalog.weighted_p112(), catalog.projective_plane(), catalog.hirzebruch(3),
+                Fan.build(2, [(1, 0), (1, 7), (-1, -3)], [(0, 1), (2,)]),
+                Fan.build(2, [(1, 0), (-1, 0)], [(0, 1)], validate=False)]
+        fans += [tied_singular_fan(m) for m in range(2, 41)]
+        for data in datas:
+            try:
+                fans.append(Fan.build(*data))
+            except PExpFanError:
+                pass
+        assert len(fans) > 200
+        for i, fan in enumerate(fans):
+            for extra in range(4):
+                for seed in (None, i):
+                    chained, general = resolve_both_ways(fan, seed, extra)
+                    assert chained == general, (fan, seed, extra)
 
     def test_only_cones_of_dim_3_or_more_list_their_parallelepiped(self, monkeypatch):
         box_points, cones = fan_module._box_points, []

@@ -137,3 +137,14 @@ def test_scale_rows_quick_prints_every_row():
         "complete", "resolve_tied", "resolve_tied_rng1", "resolve_a", "resolve_r3", "resolve_r4",
         "chi_rank2", "chi_cube128", "gkm_violations", "planless_shuffled"}
     assert len(lines) == 17
+
+
+def test_import_cost_prints_every_module_and_the_cli_peak():
+    proc = run_script("import_cost.py", "--runs", "1")
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    modules = {line["module"]: line["compiled_bytes"] for line in lines[:-1]}
+    assert set(modules) == {p.name for p in (REPO / "src" / "pexpfan").glob("*.py")}
+    assert all(size > 0 for size in modules.values())
+    assert set(lines[-1]) == {"import", "vmhwm_mb", "runs"}
+    assert lines[-1]["import"] == "pexpfan.cli" and lines[-1]["vmhwm_mb"] > 0 and lines[-1]["runs"] == 1

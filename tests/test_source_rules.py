@@ -35,8 +35,11 @@ on its one adjugate: ``fan.py`` imports ``adjugate`` by name and calls it only
 in ``Cone._adjugate``, every function that reads ``Cone._span`` but
 ``_box_points`` (whose residues need the Smith form) first asks for the
 adjugate or for a dimension below the rank, and ``Cone.facets`` calls
-``extreme_rays_of_region`` only in its branch for a non-simplicial cone.  Every
-name the package exports resolves.  The localization oracle in
+``extreme_rays_of_region`` only in its branch for a non-simplicial cone; a
+thirteenth keeps one Hirzebruch-Jung walk: ``least_chain_points`` is defined
+once, in ``chains.py``, and called only from ``chains.resolve_rank2`` and
+``fan._least_box_points``, and ``chains.py`` imports nothing from ``fan``.
+Every name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types, never
 the kernel it checks."""
 
@@ -237,6 +240,20 @@ def test_full_dimensional_simplicial_cones_read_their_adjugate():
         return {n.lineno for node in nodes for n in ast.walk(node)
                 if isinstance(n, ast.Name) and n.id == "extreme_rays_of_region"}
     assert enumerations([facets]) and enumerations([facets]) == enumerations(branch.orelse)
+
+
+def test_the_chain_walk_is_defined_once_and_needs_no_fan():
+    # the rank-2 phase and 2-dimensional cones of any rank read one walk, kept
+    # out of fan.py, whose compiled size sets start-up memory
+    defined = {(path.name, where) for path in SOURCES
+               for where, f in _nodes(ast.parse(path.read_text()), ast.FunctionDef)
+               if f.name == "least_chain_points"}
+    assert defined == {("chains.py", None)}
+    assert _callers("least_chain_points") == {("chains.py", "resolve_rank2"), ("fan.py", "_least_box_points")}
+    chains = ast.parse(next(p for p in SOURCES if p.name == "chains.py").read_text())
+    imported = [node.module or "" for _, node in _nodes(chains, ast.ImportFrom)]
+    imported += [a.name for _, node in _nodes(chains, (ast.Import, ast.ImportFrom)) for a in node.names]
+    assert imported and not [m for m in imported if "fan" in m.split(".")]
 
 
 def test_every_exported_name_resolves():
