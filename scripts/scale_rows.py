@@ -15,7 +15,9 @@ multiplicity m, whose cones take the elimination adjugate of rank >= 4.
 ``chi_rank2``:
 chi of the unit on the fan of ``complete``, its resolution passed.
 ``chi_cube128``: chi of e^(1,0,0) + 2e^(0,-1,1) on the cube fan through
-``resolve(rng=Random(5), extra_rounds=R)``, 128 cones at R = 40.  The chi rows
+``resolve(rng=Random(5), extra_rounds=R)``, 128 cones at R = 40.  ``chi_wps``:
+chi of the unit on P(1,q1,q2,q3), the fan on e1, e2, e3, (-q1,-q2,-q3) whose
+cones are the four triples of rays, its resolution passed.  The chi rows
 build their resolution outside the timing.  ``gkm_violations``:
 ``gkm_validate`` of the octahedron class on a fresh validated copy of the
 48-cone ``resolve(cube_fan())``, its value on cone 0 moved by e^(1,0,0), so
@@ -88,6 +90,11 @@ def shuffled_octahedron_sum(cones):
     return LocalizationSum.build(3, random.Random(1).sample(terms, len(terms)))
 
 
+def weighted_projective_space(qs):
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), tuple(-q for q in qs)]
+    return Fan.build(3, rays, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
 def rank3_cone(m):
     b = next(b for b in range(m // 3, m) if gcd(b, m) == 1)
     return Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, b, m)], [(0, 1, 2)])
@@ -117,6 +124,8 @@ rows = [
      lambda n: resolve(cyclic_fan([(1, 0), (1, n), (-1, 0), (0, -1)])), unit_chi),
     ("chi_cube128", (0,) if quick else (40,),
      lambda r: resolve(catalog.cube_fan(), rng=random.Random(5), extra_rounds=r), cube_class_chi),
+    ("chi_wps", ((2, 3, 5),) if quick else ((101, 211, 307), (307, 601, 1009)),
+     lambda qs: resolve(weighted_projective_space(qs)), unit_chi),
     ("gkm_violations", (48,), corrupted_cube48, lambda subject: gkm_validate(*subject)),
     ("planless_shuffled", (48,) if quick else (128,), shuffled_octahedron_sum, reduce_localization),
 ]

@@ -173,8 +173,8 @@ def gram_matrix(
     span inside tau_j); the result is independent of both choices.  Both fans
     are complete, so every value lies in Z[M] and the pullback of f is f's
     value at the coarse cone each fine cone is assigned to.  Each strict
-    transform is found once; every entry is then one star sum
-    (``_star_sum``), with no orbit class built.
+    transform is found once (the zero cone is its own, with no scan); every
+    entry is then one star sum (``_star_sum``), with no orbit class built.
     """
     functions = tuple(functions)
     if any(f.fan != fan for f in functions):
@@ -185,7 +185,7 @@ def gram_matrix(
     resolution = _resolution_of(fan, resolution)
     fine = resolution.fine
     _require_smooth_complete(fine)
-    faces = [_strict_transform_face(fine, Cone.from_generators(fan.rank, [fan.rays[i] for i in rs]))
+    faces = [rs and _strict_transform_face(fine, Cone.from_generators(fan.rank, [fan.rays[i] for i in rs]))
              for rs in raysets]
     lifted = [[f.values[a] for a in resolution.assignment] for f in functions]
     entries = tuple(tuple(_star_sum(fine, values, face) for face in faces) for values in lifted)

@@ -6,7 +6,9 @@ are kept in lexicographic exponent order, so equality, hashing, and
 serialization are canonical.  ``LocalizationSum`` holds intermediate sums
 n / prod(1 - e^w) produced by fixed-point localization, and ``reduce`` clears
 the denominators exactly.  Dividing by a factor (1 - e^w) works line by line:
-the quotient's coefficients are running sums along the lines e + Z*w.
+the quotient's coefficients are running sums along the lines e + Z*w.  One
+pass sums each line; one pass, ascending along w, sets g(e) = f(e) + g(e - w)
+and fills each run up to f's next exponent.
 
 Division and localization run on packed exponents, the packed exponent
 vectors of Monagan and Pearce (CASC 2007): each call packs every exponent
@@ -224,10 +226,15 @@ class _Packing:
        differ: P(b) - P(b') is delta_j * 2^{s_j} modulo 2^{s_j + bits}, with
        0 < |delta_j| < 2^bits, so it is not zero.  The name b may lie
        outside the box; only differences of names count.
-    3. Quotients stay in the box.  ``_packed_lines`` sums every line first,
-       so by 2 a quotient is built only when (1 - e^w) divides f; then
-       g * (1 - e^w) = f, the Newton polytope of g plus the segment [0, w]
-       is that of f, and as [0, w] holds 0, g's exponents lie in f's box.
+    3. Quotients stay in the box.  ``_line_sums_vanish`` sums every line
+       first, so by 2 a quotient is built only when (1 - e^w) divides f;
+       then g * (1 - e^w) = f, the Newton polytope of g plus the segment
+       [0, w] is that of f, and as [0, w] holds 0, g's exponents lie in f's
+       box.  In ``_packed_divide`` a nonzero running sum leaves the rest of
+       its line summing to its negative, so each fill stops at a later key of
+       f on the same line.  Its lookup of p - W reads the point e - w, which
+       differs from each point of the box by at most span + reach in every
+       field, so by the argument of 2 it packs like no other point.
 
     ``unpack`` still checks every coordinate against the box and raises
     ResultCheckFailed if one is outside it.
@@ -245,14 +252,14 @@ class _Packing:
         """sum_i e_i * 2^{s_i}: W(e) for a character, P(e) + W(lo) for a point."""
         return sum(x << s for x, s in zip(e, self.shifts))
 
-    def pack(self, f: LaurentPoly, offset: int = 0) -> dict[int, int]:
-        """{P(e) + offset: c} over the terms c * e^e of f."""
-        base = offset - self.origin
-        return {self.raw(e) + base: c for e, c in f.terms}
+    def pack(self, terms) -> dict[int, int]:
+        """{P(e): c} over the terms (e, c), points of the box."""
+        origin = self.origin
+        return {self.raw(e) - origin: c for e, c in terms}
 
     def character(self, w: Vector) -> tuple[int, int, int, int]:
         """(W(w), s_i, field mask, w_i), with w_i the first nonzero coordinate
-        of w: what ``_packed_lines`` needs to name the lines e + Z*w."""
+        of w: what ``_line_sums_vanish`` needs to name the lines e + Z*w."""
         i = next(j for j, x in enumerate(w) if x)
         return self.raw(w), self.shifts[i], self.mask, w[i]
 
@@ -269,39 +276,39 @@ class _Packing:
         return LaurentPoly(len(self.lo), tuple(terms))
 
 
-def _packed_lines(f: dict[int, int], ch) -> dict[int, list[tuple[int, int]]] | None:
-    """The terms c * e^(b + k*w) of a packed f as (k, c), per line e + Z*w
-    named by P(b) (see ``_Packing``); None when the coefficients on some line
-    do not sum to zero.  Since (1 - e^w) | f forces f(1) = 0, a nonzero
-    coefficient sum is refused first, before any line is built."""
+def _line_sums_vanish(f: dict[int, int], ch) -> bool:
+    """Whether the coefficients of a packed f sum to zero on every line
+    e + Z*w, named by P(b) (see ``_Packing``): one pass adds each coefficient
+    into its line's sum.  Since (1 - e^w) | f forces f(1) = 0, a nonzero
+    coefficient sum is refused first, before any line is named."""
     if sum(f.values()):
-        return None
+        return False
     w_packed, shift, mask, wi = ch
-    lines: dict[int, list[tuple[int, int]]] = {}
+    sums: dict[int, int] = {}
+    get = sums.get
     for p, c in f.items():
-        k = ((p >> shift) & mask) // wi
-        lines.setdefault(p - k * w_packed, []).append((k, c))
-    if any(sum(c for _, c in line) for line in lines.values()):
-        return None
-    return lines
+        name = p - ((p >> shift) & mask) // wi * w_packed
+        sums[name] = get(name, 0) + c
+    return not any(sums.values())
 
 
 def _packed_divide(f: dict[int, int], ch) -> dict[int, int] | None:
     """The packed g with f = (1 - e^w) * g (see ``divide_exact``), or None
-    when (1 - e^w) does not divide f."""
-    lines = _packed_lines(f, ch)
-    if lines is None:
+    when (1 - e^w) does not divide f.  Over the keys of f in the order of W,
+    g(p) = f(p) + g(p - W), repeated forward up to f's next key (fact 3)."""
+    if not _line_sums_vanish(f, ch):
         return None
     w_packed = ch[0]
     quotient: dict[int, int] = {}
-    for base, line in lines.items():
-        line.sort()
-        running = 0
-        for (k, c), (k_next, _) in zip(line, line[1:]):
-            running += c
-            if running:
-                for j in range(k, k_next):
-                    quotient[base + j * w_packed] = running
+    get = quotient.get
+    for p in sorted(f, reverse=w_packed < 0):
+        running = f[p] + get(p - w_packed, 0)
+        if running:
+            quotient[p] = running
+            q = p + w_packed
+            while q not in f:
+                quotient[q] = running
+                q += w_packed
     return quotient
 
 
@@ -337,7 +344,7 @@ def _packed_for_division(f: LaurentPoly, w: Vector):
     """(packing, packed f, packed w) over the box of a nonzero f."""
     lo, hi = f.exponent_box()
     packing = _Packing(lo, hi, max(map(abs, w)))
-    return packing, packing.pack(f), packing.character(w)
+    return packing, packing.pack(f.terms), packing.character(w)
 
 
 def koszul_divides(f: LaurentPoly, w: Vector) -> bool:
@@ -350,7 +357,7 @@ def koszul_divides(f: LaurentPoly, w: Vector) -> bool:
     if f.is_zero():
         return True
     _, packed, ch = _packed_for_division(f, w)
-    return _packed_lines(packed, ch) is not None
+    return _line_sums_vanish(packed, ch)
 
 
 def divide_exact(f: LaurentPoly, w: Vector) -> LaurentPoly:
@@ -361,7 +368,7 @@ def divide_exact(f: LaurentPoly, w: Vector) -> LaurentPoly:
     and then g_k is the running sum of f_j over j <= k.  Runs on exponents
     packed over the box of f (see ``_Packing``).  Raises NotDivisible when
     some line does not sum to zero; a nonzero coefficient sum is refused
-    first, in O(terms) and before any line is built.
+    first, in O(terms) and before any line is named.
     """
     w = _character(f, w)
     if f.is_zero():
@@ -501,7 +508,8 @@ def reduce_localization(s: LocalizationSum, plan=()) -> LaurentPoly:
     each factor with full multiplicity; afterwards no factor left in the
     denominator divides the numerator.  Cancelled fractions are then merged
     two at a time until one is left.  A merge brings both numerators to the
-    lcm of the two denominators, adds them and cancels again.  The merges
+    lcm of the two denominators, each multiplied only by the factors its own
+    denominator lacks, adds them and cancels again.  The merges
     follow ``_merge_rounds``, the one merge loop, along the ``plan``: pairs
     (a, b) of term positions, one per wall between the cones of terms a and
     b.  Each merge then joins two adjacent regions of cones, and the factors
@@ -535,7 +543,8 @@ def reduce_localization(s: LocalizationSum, plan=()) -> LaurentPoly:
     polytope, Z(F) lies in Z(G) when F divides G, and a quotient by
     (1 - e^w) lies in the polytope of its dividend.  Every fraction A/L'
     held is the cancelled sum over a set S of terms (one term at first; a
-    term with a zero numerator is 0/1 and belongs to no S).  With N_t/D_t their normalized fractions and L_S the lcm of the D_t,
+    term with a zero numerator is 0/1 and belongs to no S).  With N_t/D_t
+    their normalized fractions and L_S the lcm of the D_t,
     A * (L_S/L') is the sum of the N_t * (L_S/D_t), so A lies in the box of
     the numerators plus Z(L_S).  A merge joins disjoint sets S and S', with
     fractions A/L' and B/L''.  It multiplies A by lcm(L', L'')/L', which
@@ -557,24 +566,25 @@ def reduce_localization(s: LocalizationSum, plan=()) -> LaurentPoly:
                 shift = tuple(a + b for a, b in zip(shift, w))
                 sign = -sign
             multiset[w] = multiset.get(w, 0) + 1
-        normalized.append((num, shift, sign, multiset))
-    live = [t for t in normalized if not t[0].is_zero()]
+        normalized.append(([(tuple(a + b for a, b in zip(e, shift)), sign * c) for e, c in num.terms],
+                           multiset))
+    live = [t for t in normalized if t[0]]
     if not live:
         return LaurentPoly.zero(rank)
 
-    boxes = [(num.exponent_box(), shift) for num, shift, _, _ in live]
-    lo = [min(b[0][i] + t[i] for b, t in boxes) for i in range(rank)]
-    hi = [max(b[1][i] + t[i] for b, t in boxes) for i in range(rank)]
-    reach = 0
-    for _, _, _, multiset in live:
+    columns = list(zip(*[e for terms, _ in live for e, _ in terms]))
+    lo, hi = list(map(min, columns)), list(map(max, columns))
+    weights: dict[Vector, None] = {}
+    for _, multiset in live:
         for w, m in multiset.items():
             for i, x in enumerate(w):
                 lo[i] += m * min(0, x)
                 hi[i] += m * max(0, x)
-            reach = max(reach, *map(abs, w))
-    packing = _Packing(lo, hi, reach)
-    chars = {w: packing.character(w) for *_, multiset in live for w in multiset}
-    direction = {w: primitive_vector(w) for w in chars}
+            weights[w] = None
+    packing = _Packing(lo, hi, max((abs(x) for w in weights for x in w), default=0))
+    chars = {w: packing.character(w) for w in weights}
+    direction = {w: primitive_vector(w) for w in weights}
+    order = {w: (direction[w], w) for w in weights}  # the division order, keyed once per sum
 
     def cancel(num: dict[int, int], den: dict[Vector, int], shared=None) -> dict[int, int]:
         """Divide num by the factors of den (those in the directions `shared`
@@ -583,7 +593,7 @@ def reduce_localization(s: LocalizationSum, plan=()) -> LaurentPoly:
             den.clear()
             return num
         tried = den if shared is None else [w for w in den if direction[w] in shared]
-        for w in sorted(tried, key=lambda w: (direction[w], w)):
+        for w in sorted(tried, key=order.__getitem__):
             while den.get(w):
                 quotient = _packed_divide(num, chars[w])
                 if quotient is None:
@@ -602,8 +612,10 @@ def reduce_localization(s: LocalizationSum, plan=()) -> LaurentPoly:
         for w, m in other_den.items():
             lcm[w] = max(lcm.get(w, 0), m)
         for w, m in lcm.items():
-            num = _packed_times_koszul(num, chars[w][0], m - den.get(w, 0))
-            other = _packed_times_koszul(other, chars[w][0], m - other_den.get(w, 0))
+            if m > den.get(w, 0):
+                num = _packed_times_koszul(num, chars[w][0], m - den.get(w, 0))
+            if m > other_den.get(w, 0):
+                other = _packed_times_koszul(other, chars[w][0], m - other_den.get(w, 0))
         if len(num) < len(other):
             num, other = other, num
         for q, c in other.items():
@@ -614,9 +626,8 @@ def reduce_localization(s: LocalizationSum, plan=()) -> LaurentPoly:
                 del num[q]
         return cancel(num, lcm, shared), lcm
 
-    terms = ((cancel(packing.pack(num * sign, packing.raw(shift)), multiset), multiset)
-             for num, shift, sign, multiset in normalized)
-    num, den = _merge_rounds(terms, plan, merge)
+    fractions = ((cancel(packing.pack(terms), multiset), multiset) for terms, multiset in normalized)
+    num, den = _merge_rounds(fractions, plan, merge)
     if den:
         raise NotPolynomial(
             f"localization sum is not polynomial: factor 1 - e^{sorted(den)[0]} does not divide"

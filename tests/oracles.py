@@ -417,6 +417,34 @@ def divide_exact(f, w):
     return LaurentPoly.from_dict(f.rank, acc)
 
 
+def packed_divide_by_lines(f, ch):
+    """The packed quotient g with f = (1 - e^w) * g, or None, as
+    ``laurent._packed_divide`` computed it before its one ascending fill: the
+    terms of the packed f as (k, c) lists, one per line e + Z*w named by
+    P(e - k*w) with k = floor(field_i / w_i), each line summed, then sorted
+    and filled with its running sums.  ``ch`` is ``_Packing.character(w)``,
+    (W(w), s_i, field mask, w_i)."""
+    if sum(f.values()):
+        return None
+    w_packed, shift, mask, wi = ch
+    by_line = {}
+    for p, c in f.items():
+        k = ((p >> shift) & mask) // wi
+        by_line.setdefault(p - k * w_packed, []).append((k, c))
+    if any(sum(c for _, c in line) for line in by_line.values()):
+        return None
+    quotient = {}
+    for base, line in by_line.items():
+        line.sort()
+        running = 0
+        for (k, c), (k_next, _) in zip(line, line[1:]):
+            running += c
+            if running:
+                for j in range(k, k_next):
+                    quotient[base + j * w_packed] = running
+    return quotient
+
+
 def reduce_localization_greedy(s):
     """The localization fold that cancelled the whole denominator after every
     step, and nothing before the fold: ``laurent.reduce_localization`` as it

@@ -566,8 +566,42 @@ class TestFoldAgainstGreedyOracle:
 
 class TestPackedKernel:
     """The packed line kernel behind ``divide_exact``, ``koszul_divides`` and
-    ``reduce_localization``: line names must stay distinct, and a coordinate
-    read back outside the box is refused."""
+    ``reduce_localization``: line names must stay distinct, the one ascending
+    fill must give the quotient of the per-line lists it replaced, and a
+    coordinate read back outside the box is refused."""
+
+    @given(polys(exp=FAR), wide_chars, st.booleans(), st.integers(0, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_fill_agrees_with_the_line_lists(self, f, w, negative, moved):
+        # lex-negative characters fill in descending order; a term moved off
+        # its line keeps the coefficient sum zero but leaves two lines unbalanced
+        if negative != laurent._lex_negative(w):
+            w = tuple(-x for x in w)
+        off = (1, 0) if w[1] else (0, 1)
+        product = f * (ONE2 - E(w))
+        candidates = [f, product, f * (ONE2 - E(tuple(7 * x for x in w)))]
+        if product:
+            e, c = product.terms[moved % len(product.terms)]
+            candidates.append(product - E(e, c) + E((e[0] + off[0], e[1] + off[1]), c))
+        for num in candidates:
+            if not num:
+                continue
+            _, packed, ch = laurent._packed_for_division(num, w)
+            want = oracles.packed_divide_by_lines(packed, ch)
+            assert laurent._packed_divide(packed, ch) == want
+            assert koszul_divides(num, w) == (want is not None)
+
+    def test_merges_multiply_by_no_zero_power(self, monkeypatch):
+        # the lcm of two denominators raises each side only by the factors it lacks
+        powers = []
+        times = laurent._packed_times_koszul
+        monkeypatch.setattr(laurent, "_packed_times_koszul",
+                            lambda f, w, k: powers.append(k) or times(f, w, k))
+        cube = catalog.cube_fan()
+        value = E((1, 0, 0)) + E((0, -1, 1)) * 2
+        f = PiecewiseExponential.constant(cube, 1).module_action(value)
+        assert chi(cube, f, resolution=resolve(cube)) == value
+        assert powers and min(powers) >= 1
 
     def test_collision_counterexample(self):
         # fields sized to the exponent box alone, with k read from the raw
@@ -599,10 +633,10 @@ class TestPackedKernel:
     def test_coordinate_outside_the_box_is_refused(self):
         packing = laurent._Packing((0, -1), (3, 3), 1)
         f = E((3, 3)) - E((0, -1))
-        assert packing.unpack(packing.pack(f)) == f
+        assert packing.unpack(packing.pack(f.terms)) == f
         for outside in ((4, 0), (0, 4), (-1, 0)):
             with pytest.raises(ResultCheckFailed):
-                packing.unpack(packing.pack(E(outside)))
+                packing.unpack(packing.pack(E(outside).terms))
 
 
 class TestSerialization:

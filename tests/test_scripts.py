@@ -135,8 +135,8 @@ def test_scale_rows_quick_prints_every_row():
     assert all(line["median_s"] >= 0 and line["repeats"] == 1 for line in lines)
     assert {line["row"] for line in lines} == {
         "complete", "resolve_tied", "resolve_tied_rng1", "resolve_a", "resolve_r3", "resolve_r4",
-        "chi_rank2", "chi_cube128", "gkm_violations", "planless_shuffled"}
-    assert len(lines) == 17
+        "chi_rank2", "chi_cube128", "chi_wps", "gkm_violations", "planless_shuffled"}
+    assert len(lines) == 18
 
 
 def test_import_cost_prints_every_module_and_the_cli_peak():

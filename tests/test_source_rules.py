@@ -38,7 +38,10 @@ adjugate or for a dimension below the rank, and ``Cone.facets`` calls
 ``extreme_rays_of_region`` only in its branch for a non-simplicial cone; a
 thirteenth keeps one Hirzebruch-Jung walk: ``least_chain_points`` is defined
 once, in ``chains.py``, and called only from ``chains.resolve_rank2`` and
-``fan._least_box_points``, and ``chains.py`` imports nothing from ``fan``.
+``fan._least_box_points``, and ``chains.py`` imports nothing from ``fan``; a
+fourteenth keeps exact division to one line-sum pass and one fill: there is
+no ``_packed_lines``, only ``laurent._line_sums_vanish`` names the lines
+e + Z*w, and every power ``merge`` multiplies a numerator by is positive.
 Every name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types, never
 the kernel it checks."""
@@ -207,6 +210,31 @@ def test_star_sums_merge_along_their_walls():
     picks = {n.lineno for n in ast.walk(laurent) if isinstance(n, ast.Name) and n.id == "overlap"}
     assert picks and picks == {n.lineno for stmt in fallback.body for n in ast.walk(stmt)
                                if isinstance(n, ast.Name) and n.id == "overlap"}
+
+
+def test_division_names_lines_in_one_pass_and_merges_skip_zero_powers():
+    # a line e + Z*w is named by reading the field of w's first nonzero coordinate,
+    # ((p >> shift) & mask) // w_i, in the one line-sum pass; the quotient is filled
+    # with no per-line lists, and a merge raises each side only by what it lacks
+    laurent = ast.parse(next(p for p in SOURCES if p.name == "laurent.py").read_text())
+    functions = {f.name: f for _, f in _nodes(laurent, ast.FunctionDef)}
+    assert "_packed_lines" not in functions
+    namers = {where for where, node in _nodes(laurent, ast.BinOp) if isinstance(node.op, ast.FloorDiv)
+              and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.BitAnd)}
+    assert namers == {"_line_sums_vanish"}
+    merge = functions["merge"]
+
+    def koszul_calls(nodes):
+        return [call for node in nodes for call in ast.walk(node)
+                if isinstance(call, ast.Call) and ast.unparse(call.func) == "_packed_times_koszul"]
+    guarded = []
+    for _, branch in _nodes(merge, ast.If):
+        test = branch.test
+        for call in koszul_calls(branch.body):
+            assert isinstance(test, ast.Compare) and isinstance(test.ops[0], ast.Gt), ast.unparse(test)
+            assert ast.unparse(call.args[2]) == f"{ast.unparse(test.left)} - {ast.unparse(test.comparators[0])}"
+            guarded.append(call)
+    assert guarded and guarded == koszul_calls([merge])
 
 
 def test_full_dimensional_simplicial_cones_read_their_adjugate():
