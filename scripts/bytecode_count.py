@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Count the Python bytecodes that building and resolving fixed fans runs:
+one JSON line {"case", "bytecodes"} per case (``--quick``: the first case
+only).
+
+    PYTHONPATH=src python3 scripts/bytecode_count.py [--quick]
+
+The cases are the A-cones <(1,0),(1,N)> for N = 41 and 86, the rank-3 cone
+<e1, e2, (1,11,29)> and ``resolve(cube_fan(), rng=Random(3), extra_rounds=2)``;
+each count covers building the fan and resolving it.  It counts the opcode
+events under ``sys.settrace`` with ``f_trace_opcodes`` set on every frame, so
+it is exact and repeats from run to run, unlike a wall-clock time.  Time
+spent in C code is not counted: builtins such as ``sorted``, ``map`` or
+``list.index`` and the methods of ``int``, ``tuple``, ``list`` and ``dict``
+run no bytecode, so a change that moves work into C lowers the count without
+the work going away.
+"""
+import argparse
+import json
+import random
+import sys
+
+from pexpfan import catalog
+from pexpfan.fan import Fan, resolve
+
+
+def count_bytecodes(run) -> int:
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return local
+
+    def tracer(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return local
+
+    sys.settrace(tracer)
+    try:
+        run()
+    finally:
+        sys.settrace(None)
+    return count
+
+
+def a_cone(n):
+    return Fan.build(2, [(1, 0), (1, n)], [(0, 1)])
+
+
+CASES = [
+    ("a_cone_41", lambda: a_cone(41), resolve),
+    ("a_cone_86", lambda: a_cone(86), resolve),
+    ("rank3_1_11_29", lambda: Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, 11, 29)], [(0, 1, 2)]), resolve),
+    ("cube_rng3_extra2", catalog.cube_fan,
+     lambda fan: resolve(fan, rng=random.Random(3), extra_rounds=2)),
+]
+
+ap = argparse.ArgumentParser(description="Bytecodes executed by resolve on fixed cases.")
+ap.add_argument("--quick", action="store_true", help="the first case only")
+quick = ap.parse_args().quick
+for name, build, run in CASES[:1] if quick else CASES:
+    print(json.dumps({"case": name, "bytecodes": count_bytecodes(lambda: run(build()))}), flush=True)

@@ -8,7 +8,8 @@ on tiny sizes).
 ``complete``: ``is_complete`` of a fresh copy, walls built, of the resolved
 fan on (1,0), (1,N), (-1,0), (0,-1).  ``resolve_tied`` (``_rng1``: with
 ``Random(1)``): the fan on (1,2j) for j = 0..M, (-1,0), (0,-1), whose M cones
-of multiplicity 2 tie.  ``resolve_a``: the cone <(1,0),(1,N)>.  ``resolve_r3``:
+of multiplicity 2 tie.  ``resolve_tied3``: that fan coned over (0,0,1), in
+rank 3, built unvalidated.  ``resolve_a``: the cone <(1,0),(1,N)>.  ``resolve_r3``:
 the cone <(1,0,0),(0,1,0),(1,b,m)> of multiplicity m, with b the least unit
 mod m from m // 3 on.  ``resolve_r4``: the cone <e1,e2,e3,(1,1,1,m)> of
 multiplicity m, whose cones take the elimination adjugate of rank >= 4.
@@ -108,6 +109,13 @@ def tied(m):
     return cyclic_fan([(1, 2 * j) for j in range(m + 1)] + [(-1, 0), (0, -1)])
 
 
+def tied3(m):
+    plane = tied(m)
+    apex = len(plane.rays)
+    return Fan.build(3, [r + (0,) for r in plane.rays] + [(0, 0, 1)],
+                     [c + (apex,) for c in plane.maximal_cones], validate=False)
+
+
 ap = argparse.ArgumentParser(description="Time the scale rows of the ROADMAP baseline table.")
 ap.add_argument("--quick", action="store_true", help="tiny sizes, one run each")
 quick = ap.parse_args().quick
@@ -116,6 +124,7 @@ rows = [
     ("complete", (10, 20) if quick else (1000, 2000, 4000), fresh_fine_fan, Fan.is_complete),
     ("resolve_tied", tied_sizes, tied, resolve),
     ("resolve_tied_rng1", tied_sizes, tied, lambda fan: resolve(fan, rng=random.Random(1))),
+    ("resolve_tied3", tied_sizes, tied3, resolve),
     ("resolve_a", (5, 10) if quick else (200, 1000, 10002),
      lambda n: Fan.build(2, [(1, 0), (1, n)], [(0, 1)]), resolve),
     ("resolve_r3", (10, 20) if quick else (100, 300, 1000), rank3_cone, resolve),

@@ -1,15 +1,26 @@
-"""Rank-2 resolution along Hirzebruch-Jung chains, on plain integer records.
+"""The subdivision loop of ``fan.resolve``, its cells, and the rank-2 steps
+along Hirzebruch-Jung chains.
 
-``least_chain_points`` walks the Hirzebruch-Jung chain of a 2-dimensional
-cone to its parallelepiped points of least coefficient sum (Fulton,
-Introduction to Toric Varieties, 2.6).  ``fan._least_box_points`` reads a
-2-dimensional cone of any rank from it, and ``resolve_rank2`` runs the
-subdivision steps of ``fan.resolve`` on a rank-2 fan with it, one record of
-integers per maximal cone: no ``Cone``, facet table or incidence map.  This
-module imports nothing from ``fan``.
+Both paths of ``resolve`` keep their maximal cones as cells, lists
+[ray set, generators, generator rays, multiplicity, source, cone, next]: the
+sorted ray indices, the sorted generators and the ray index of each, the
+multiplicity (0 if not simplicial), the coarse maximal cone holding the cell,
+its ``Cone`` (None on the rank-2 path) and the next cell in fan order.  A step
+replaces each cell holding its ray by its pieces in its place: the first
+piece takes the cell over and the others follow it.  ``subdivide`` is the one
+loop both paths run, with its picks, draws and checks; only
+``least(cell, draw)`` and ``split(cell, x)`` differ.  The
+rank-2 path (``chain_cells``, ``chain_point``) splits cells on plain integers,
+reading its points from ``least_chain_points``, the Hirzebruch-Jung walk
+(Fulton, Introduction to Toric Varieties, 2.6) that ``fan._least_box_points``
+reads for a 2-dimensional cone of any rank.  This module imports nothing
+from ``fan``.
 """
 
 from __future__ import annotations
+
+import itertools
+from operator import itemgetter
 
 from .errors import NotStronglyConvex, ResolutionCheckFailed
 from .lattice import primitive_vector, vec_add
@@ -55,118 +66,150 @@ def least_chain_points(g1, g2, mult: int) -> tuple[int, tuple[int, int], tuple[i
     return a + k, (a + lo * da, k + lo * dk), (da, dk), count
 
 
-def resolve_rank2(rays, cones, rng, extra_rounds: int):
-    """The subdivision steps of ``fan.resolve`` on a rank-2 fan whose
-    maximal cones have at most two rays, with the same draws from ``rng``,
-    the same checks and the same result.  Returns None when no step changes
-    the fan, else the fine fan's rays, its ray sets in fan order and the
-    coarse cone holding each.
+def fan_order(cell) -> list:
+    """The cells from ``cell`` on, in fan order."""
+    cells = []
+    while cell:
+        cells.append(cell)
+        cell = cell[6]
+    return cells
 
-    Every such cone is simplicial, so there is nothing to simplicialize.  A
-    record [ray set, g1, g2, i1, i2, mult, source, next] holds one maximal
-    cone: its generators sorted and their ray indices (None below
-    dimension 2), its multiplicity, the coarse cone holding it and the next
-    record in fan order.  A point x that a step adds is a nonzero
-    parallelepiped point of the cone it splits, or the sum of a smooth
-    cone's generators, so it lies in that cone's interior and in no other
-    cone.  The step replaces that cone alone, in its place, by <g1, x> and
-    <g2, x>, of multiplicities |det(g1, x)| and |det(x, g2)|: the first
-    piece takes the record over and the second is linked after it.
+
+def linked(cells: list, after=None) -> list:
+    """The cells, each linked to the next and the last to ``after``."""
+    for cell, following in zip(cells, cells[1:] + [after]):
+        cell[6] = following
+    return cells
+
+
+def _spliced(cells: list, replaced, least: int) -> list:
+    """``cells`` with each replaced cell's pieces of multiplicity >= least in
+    its place: one pass, with no bytecode per cell."""
+    pieces = {id(out[0]): [cell for cell in out if cell[3] >= least] for _, out in replaced}
+    return list(itertools.chain.from_iterable(map(pieces.get, map(id, cells), zip(cells))))
+
+
+def subdivide(cells: list, least, split, rng, extra_rounds: int) -> bool:
+    """The subdivision steps of ``fan.resolve`` on simplicial cells, given in
+    fan order; returns whether one changed the fan.
+
+    Each step picks a singular cell, a random one or the first of top
+    multiplicity, and a point x, ``least(cell, draw)``: the one ``draw``
+    picks among the cell's least parallelepiped points in ascending order, a
+    random one or the first, or None when it has none.  ``split(cell, x)``
+    replaces the cells holding x by their pieces and returns (multiplicity,
+    pieces) per replaced cell, the first piece being the cell itself, or None
+    if no cell changes.  A step must change the fan, each piece must be
+    smaller than its cell, and each extra round, which splits a cell at the
+    sum of two generators, must leave every piece smooth; otherwise
+    ``ResolutionCheckFailed`` is raised.
     """
-    rays = list(rays)
-    records = []
-    for source, rs in enumerate(cones):
-        gens = sorted((rays[i], i) for i in rs)
-        if len(gens) < 2:
-            records.append([rs, None, None, None, None, 1, source, None])
-            continue
-        (g1, i1), (g2, i2) = gens
-        det = g1[0] * g2[1] - g1[1] * g2[0]
-        if not det:
-            raise NotStronglyConvex(f"cone on {(g1, g2)} contains a line")
-        records.append([rs, g1, g2, i1, i2, abs(det), source, None])
-    for rec, after in zip(records, records[1:]):
-        rec[7] = after
+    singular = [cell for cell in cells if cell[3] > 1]
+    top, at, stepped = 0, 0, bool(singular)
+    # Random.choice reads only the length and one index, so drawing the index keeps its stream
+    draw = (lambda count: rng.choice(range(count))) if rng else (lambda count: 0)
+    while singular:
+        if rng:
+            at = rng.choice(range(len(singular)))
+        else:
+            # the first cell of top multiplicity: every piece is smaller than
+            # its cell, so the top never rises, and no cell before the last
+            # one picked reaches it
+            while at < len(singular) and singular[at][3] != top:
+                at += 1
+            if at == len(singular):
+                top, at = max(map(itemgetter(3), singular)), 0
+                while singular[at][3] != top:
+                    at += 1
+        cell = singular[at]
+        x = least(cell, draw)
+        if x is None:
+            place = next(i for i, c in enumerate(fan_order(cells[0])) if c is cell)
+            raise ResolutionCheckFailed(f"singular cone {place} has no parallelepiped points")
+        x = primitive_vector(x)
+        replaced = split(cell, x)
+        if not replaced:
+            raise ResolutionCheckFailed(f"multiplicity did not drop: subdividing at {x} changed no cone")
+        for was, pieces in replaced:
+            for piece in pieces:
+                if piece[3] >= was:
+                    raise ResolutionCheckFailed(
+                        f"multiplicity did not drop: a cone of multiplicity {was} "
+                        f"has a piece of multiplicity {piece[3]}")
+        if len(replaced) == 1:
+            singular[at:at + 1] = [piece for piece in replaced[0][1] if piece[3] > 1]
+        else:
+            # the other replaced cells may lie before the picked one: scan anew
+            singular, at = _spliced(singular, replaced, 2), 0
 
-    def split(rec, x):
-        """Split rec at x in its place and return its two pieces, or None
-        when x is a generator and nothing changes."""
-        _, g1, g2, i1, i2, _, source, after = rec
+    # optional smooth refinements, for resolution-independence experiments
+    order = fan_order(cells[0]) if extra_rounds else []
+    for _ in range(extra_rounds):
+        place = rng.randrange(len(order)) if rng else 0
+        gens = order[place][1]
+        if len(gens) < 2:
+            continue
+        pairs = list(itertools.combinations(range(len(gens)), 2))
+        a, b = rng.choice(pairs) if rng else pairs[0]
+        x = primitive_vector(vec_add(gens[a], gens[b]))
+        replaced = split(order[place], x)
+        if not replaced:
+            continue
+        # the fan was smooth before the round, so only the new pieces can be singular
+        if any(piece[3] != 1 for _, pieces in replaced for piece in pieces):
+            raise ResolutionCheckFailed(f"refining at {x} left a singular cone")
+        order = _spliced(order, replaced, 0)
+        stepped = True
+    return stepped
+
+
+def chain_cells(rays, cones):
+    """The cells of a rank-2 fan whose cones have at most two rays: (cells
+    in fan order, ray index, ``split``).  A point x of a step lies inside the
+    one cell it splits, being a parallelepiped point or the sum of a smooth
+    cell's generators; ``split`` replaces that cell by <g1, x> and <g2, x>,
+    of multiplicities |det(g1, x)| and |det(x, g2)|, and looks x up among
+    the rays, as the general path does.
+    """
+    index = dict(zip(rays, range(len(rays))))
+    cells = []
+    for source, rs in enumerate(cones):
+        gens, ids, mult = tuple(map(rays.__getitem__, rs)), rs, 1
+        if len(rs) == 2:
+            if gens[1] < gens[0]:
+                gens, ids = gens[::-1], rs[::-1]
+            mult = abs(gens[0][0] * gens[1][1] - gens[0][1] * gens[1][0])
+            if not mult:
+                raise NotStronglyConvex(f"cone on {gens} contains a line")
+        cells.append([rs, gens, ids, mult, source, None, None])
+
+    def split(cell, x):
+        _, (g1, g2), (i1, i2), mult, source, _, after = cell
         d = g1[0] * g2[1] - g1[1] * g2[0]
         d1, d2 = g1[0] * x[1] - g1[1] * x[0], x[0] * g2[1] - x[1] * g2[0]
         if d1 * d < 0 or d2 * d < 0:
             raise ResolutionCheckFailed(f"{x} does not lie in the cone it subdivides")
         if not d1 or not d2:
             return None
-        n = len(rays)
-        rays.append(x)
+        # x is a new ray, of the largest index, unless the input is no fan
+        n = index.setdefault(x, len(index))
+        second = [(i2, n) if i2 < n else (n, i2), *(((g2, x), (i2, n)) if g2 < x else ((x, g2), (n, i2))),
+                  abs(d2), source, None, after]
+        cell[:] = [(i1, n) if i1 < n else (n, i1), *(((g1, x), (i1, n)) if g1 < x else ((x, g1), (n, i1))),
+                   abs(d1), source, None, second]
+        return ((mult, (cell, second)),)
 
-        def piece(g, i, mult, after):
-            # the new ray has the largest index, so (i, n) is sorted
-            return [(i, n), *((g, x, i, n) if g < x else (x, g, n, i)), mult, source, after]
+    return linked(cells), index, split
 
-        second = piece(g2, i2, abs(d2), after)
-        rec[:] = piece(g1, i1, abs(d1), second)
-        return rec, second
 
-    # the singular cones in fan order; a step's singular pieces take their cone's place
-    singular = [rec for rec in records if rec[5] > 1]
-    top = at = 0
-    stepped = bool(singular)
-    while singular:
-        if rng:
-            at = rng.choice(range(len(singular)))
-        else:
-            # the first cone of top multiplicity: every piece is smaller than
-            # its cone, so the top never rises, and no cone before the last
-            # one picked reaches it
-            while at < len(singular) and singular[at][5] != top:
-                at += 1
-            if at == len(singular):
-                top = max(rec[5] for rec in singular)
-                at = next(i for i, rec in enumerate(singular) if rec[5] == top)
-        rec = singular[at]
-        _, g1, g2, _, _, mult, _, _ = rec
-        _, (a, k), (da, dk), count = least_chain_points(g1, g2, mult)
-        if count < 1:
-            place, here = 0, records[0]
-            while here is not rec:
-                place, here = place + 1, here[7]
-            raise ResolutionCheckFailed(f"singular cone {place} has no parallelepiped points")
-        # Random.choice reads only the length and one index, so drawing the index keeps its stream
-        i = rng.choice(range(count)) if rng else 0
-        a, k = a + i * da, k + i * dk
-        x = primitive_vector(tuple((a * u + k * v) // mult for u, v in zip(g1, g2)))
-        pieces = split(rec, x)
-        if pieces is None:
-            raise ResolutionCheckFailed(f"multiplicity did not drop: subdividing at {x} changed no cone")
-        for piece in pieces:
-            if piece[5] >= mult:
-                raise ResolutionCheckFailed(
-                    f"multiplicity did not drop: a cone of multiplicity {mult} "
-                    f"has a piece of multiplicity {piece[5]}")
-        singular[at:at + 1] = [piece for piece in pieces if piece[5] > 1]
-
-    order, rec = [], records[0]
-    while rec:
-        order.append(rec)
-        rec = rec[7]
-    # optional smooth refinements, drawn as the general path draws them
-    for _ in range(extra_rounds):
-        place = rng.randrange(len(order)) if rng else 0
-        rec = order[place]
-        if rec[2] is None:
-            continue
-        if rng:
-            rng.choice(((0, 1),))  # the one pair of generators
-        x = primitive_vector(vec_add(rec[1], rec[2]))
-        pieces = split(rec, x)
-        if pieces is None:
-            continue
-        if any(piece[5] != 1 for piece in pieces):
-            raise ResolutionCheckFailed(f"refining at {x} left a singular cone")
-        order[place:place + 1] = pieces
-        stepped = True
-    if not stepped:
+def chain_point(cell, draw):
+    """The least parallelepiped point of a singular rank-2 cell that
+    ``draw(count)`` picks among the count points of ``least_chain_points``,
+    or None when there are none."""
+    (g1, g2), mult = cell[1], cell[3]
+    _, (a, k), (da, dk), count = least_chain_points(g1, g2, mult)
+    if count < 1:
         return None
-    return rays, tuple(rec[0] for rec in order), tuple(rec[6] for rec in order)
+    i = draw(count)
+    a, k = a + i * da, k + i * dk
+    return (a * g1[0] + k * g2[0]) // mult, (a * g1[1] + k * g2[1]) // mult

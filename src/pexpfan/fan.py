@@ -10,7 +10,9 @@ full-dimensional one from the adjugate of its generators, in the coordinates
 of N, any other from its one Smith form.  A non-simplicial cone takes its
 facets from the vertex enumeration ``extreme_rays_of_region``.
 Simplicial cones are handled in any rank; non-simplicial cones are limited to
-ambient rank <= 4.  All geometry is exact.
+ambient rank <= 4.  All geometry is exact.  ``resolve`` refines a fan's
+maximal cones as cells linked in fan order and runs the one subdivision loop
+of ``chains`` on them.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import random
 from functools import cached_property
 from math import prod
 
-from .chains import least_chain_points, resolve_rank2
+from .chains import chain_cells, chain_point, fan_order, least_chain_points, linked, subdivide
 from .errors import (
     ConeNotInFan,
     NonPrimitiveRay,
@@ -722,110 +724,119 @@ class SubdivisionMap:
         return sub
 
 
+def _cell(rs: RaySet, cone: Cone, ray_index: dict[Vector, int], source: int) -> list:
+    """The cell (``chains``) of a cone on rays of ``ray_index``, unlinked."""
+    mult = cone.multiplicity() if cone.is_simplicial else 0
+    return [rs, cone.generators, tuple(map(ray_index.__getitem__, cone.generators)), mult, source, cone, None]
+
+
 class _Refinement:
     """A fan under stellar steps, changed in place: ``resolve`` runs every
     step on one (``_refine``) but on a rank-2 fan, and
     ``stellar_subdivision`` is one step of one.
 
-    Each maximal cone has an id.  ``order`` lists the ids in fan order, and
-    ``cones`` maps an id to (ray set, ``Cone``, generator rays, source): the
-    generator rays are the ray index of each generator of the cone object,
-    and the source is the maximal cone of the coarse fan that holds the cone.
-    ``incidence`` maps each ray index to the ids of the cones whose ray sets
-    contain it.  A step appends its ray if it is new, so every ray keeps its
-    index, and replaces only the cones that hold the ray; every other cone
-    keeps its entry, and so its cached adjugate, facets and scaled inverse.  The
-    fine fan is built once, by ``subdivision``.
+    Its maximal cones are cells (``chains``) with their ``Cone``, linked in
+    fan order from ``first``; ``incidence`` maps each ray index to the cells
+    whose ray sets contain it, keyed by ``id``.  A step appends its ray if it
+    is new, so every ray keeps its index, and replaces only the cells that
+    hold the ray, each by its pieces in its place; every other cell keeps its
+    cone, with its cached adjugate, facets and scaled inverse.
     """
 
     def __init__(self, fan: Fan):
         self.coarse = fan
         self.rays = list(fan.rays)
         self.ray_index = dict(fan._ray_index)
-        self.order = list(range(len(fan.maximal_cones)))
-        self.cones = {
-            i: (rs, cone, gen_rays, i)
-            for i, (rs, cone, gen_rays) in enumerate(
-                zip(fan.maximal_cones, fan.cone_objects, fan._generator_rays))
-        }
-        self.incidence: dict[int, set[int]] = {}
-        for i, rs in enumerate(fan.maximal_cones):
-            for r in rs:
-                self.incidence.setdefault(r, set()).add(i)
-        self._ids = itertools.count(len(self.order))
+        self.incidence: dict[int, dict[int, list]] = {}
+        cells = linked([_cell(rs, cone, self.ray_index, source)
+                        for source, (rs, cone) in enumerate(zip(fan.maximal_cones, fan.cone_objects))])
+        self._enter(cells)
+        self.first = cells[0]
         self.stepped = False
 
-    def face_of(self, sigma: int, ray: Vector) -> RaySet:
-        """The rays of the smallest face of the cone ``sigma`` holding ``ray``."""
-        _, cone, gen_rays, _ = self.cones[sigma]
-        face = cone._smallest_face(ray)
+    def _enter(self, cells: list[list]):
+        """Enter the cells in the incidence map."""
+        incidence = self.incidence
+        for cell in cells:
+            key = id(cell)
+            for r in cell[0]:
+                incidence.setdefault(r, {})[key] = cell
+
+    def star(self, face: RaySet) -> list[list]:
+        """The cells whose ray sets contain ``face``."""
+        fewest, *rest = sorted(map(self.incidence.__getitem__, face), key=len)
+        keys = iter(fewest)
+        for cells in rest:
+            keys = filter(cells.__contains__, keys)
+        return list(map(fewest.__getitem__, keys))
+
+    def split(self, cell: list, ray: Vector) -> list[tuple[int, list[list]]] | None:
+        """``step`` at ``ray``, a point of the cell's cone: the cells holding
+        it are the star of the smallest face of the cone holding it."""
+        face = cell[5]._smallest_face(ray)
         if face is None:
             raise ResolutionCheckFailed(f"{ray} does not lie in the cone it subdivides")
-        return tuple(sorted(gen_rays[i] for i in face))
+        return self.step(ray, self.star(tuple(sorted(map(cell[2].__getitem__, face)))))
 
-    def star(self, face: RaySet) -> set[int]:
-        """The ids of the cones whose ray sets contain ``face``."""
-        return set.intersection(*(self.incidence[r] for r in face))
-
-    def step(self, ray: Vector, holding) -> list[tuple[int, list[int]]] | None:
-        """Replace each cone of ``holding``, the ids of the cones that hold the
-        ray, by the joins of the ray with its facets that miss it, in its
-        place in ``order``.  Returns (removed id, ids of its pieces) per
-        replaced cone, back to front in fan order, or None when no cone
+    def step(self, ray: Vector, holding) -> list[tuple[int, list[list]]] | None:
+        """Replace each cell of ``holding``, the cells that hold the ray, by
+        the joins of the ray with its facets that miss it, in its place.
+        Returns (multiplicity of the cell, its pieces) per replaced cell, the
+        first piece being the cell itself, taken over; or None when no cell
         changes."""
         new_idx = self.ray_index.get(ray, len(self.rays))
-        places = sorted((self.order.index(k), k) for k in holding)
         seen: set[RaySet] = set()
         pieces = []
-        for _, k in places:
-            _, cone, gen_rays, _ = self.cones[k]
+        for cell in holding:
             out = []
-            for normal, contact in cone.facets:
+            for normal, contact in cell[5].facets:
                 # the ray lies in the cone, so it lies on this facet iff it pairs to 0
                 if pair(normal, ray) == 0:
                     continue
-                piece = tuple(sorted({gen_rays[t] for t in contact} | {new_idx}))
+                piece = tuple(sorted({cell[2][t] for t in contact} | {new_idx}))
                 if piece in seen:
                     raise ResolutionCheckFailed(f"ambiguous subdivision piece {piece}")
                 seen.add(piece)
                 out.append(piece)
             pieces.append(out)
-        if new_idx < len(self.rays) and all(
-                out == [self.cones[k][0]] for (_, k), out in zip(places, pieces)):
+        if new_idx < len(self.rays) and all(out == [cell[0]] for cell, out in zip(holding, pieces)):
             return None
         if new_idx == len(self.rays):
             self.rays.append(ray)
             self.ray_index[ray] = new_idx
         changes = []
-        # back to front, so that the places still to replace do not move
-        for (place, k), out in zip(reversed(places), reversed(pieces)):
-            rs, _, _, source = self.cones.pop(k)
-            for r in rs:
-                self.incidence[r].discard(k)
-            ids = []
+        for cell, out in zip(holding, pieces):
+            for r in cell[0]:
+                del self.incidence[r][id(cell)]
+            cells = []
             for piece in out:
-                cone = Cone.from_generators(self.coarse.rank, tuple(self.rays[j] for j in piece))
-                i = next(self._ids)
-                self.cones[i] = (piece, cone, tuple(self.ray_index[g] for g in cone.generators), source)
-                for r in piece:
-                    self.incidence.setdefault(r, set()).add(i)
-                ids.append(i)
-            self.order[place:place + 1] = ids
-            changes.append((k, ids))
+                cone = Cone.from_generators(self.coarse.rank, tuple(map(self.rays.__getitem__, piece)))
+                cells.append(_cell(piece, cone, self.ray_index, cell[4]))
+            linked(cells, cell[6])
+            changes.append((cell[3], cells))
+            # the first piece takes the cell over, so the cell before it keeps its link
+            cell[:], cells[0] = cells[0], cell
+            self._enter(cells)
         self.stepped = True
         return changes
 
     def subdivision(self) -> SubdivisionMap:
-        """The map from the fine fan, built here, to the coarse fan; the
-        identity map on the coarse fan itself when no step changed it."""
+        """The map from the fine fan to the coarse fan; the identity map on
+        the coarse fan itself when no step changed it."""
         if not self.stepped:
             return SubdivisionMap.identity(self.coarse)
-        entries = [self.cones[k] for k in self.order]
-        # a stellar refinement of a fan is a fan; skip revalidation
-        fine = Fan.build(self.coarse.rank, tuple(self.rays), tuple(e[0] for e in entries),
-                         validate=False)
-        fine._seed_cone_objects({i: e[1] for i, e in enumerate(entries)})
-        return SubdivisionMap(fine, self.coarse, tuple(e[3] for e in entries))
+        return _fine_map(self.coarse, self.rays, self.first)
+
+
+def _fine_map(coarse: Fan, rays, first: list) -> SubdivisionMap:
+    """The map to ``coarse`` from the fan on ``rays`` whose maximal cones are
+    the cells from ``first`` on, built once: a stellar refinement of a fan is
+    a fan, so it is not revalidated, and it takes the cells' cone objects."""
+    raysets, _, _, _, sources, cones, _ = zip(*fan_order(first))
+    fine = Fan.build(coarse.rank, tuple(rays), raysets, validate=False)
+    if first[5]:
+        fine._seed_cone_objects(dict(enumerate(cones)))
+    return SubdivisionMap(fine, coarse, sources)
 
 
 def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
@@ -845,10 +856,10 @@ def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
         raise NonPrimitiveRay("cannot subdivide at the zero vector")
     if not is_primitive(ray):
         raise NonPrimitiveRay(f"{ray} is not primitive")
-    holding = {i for i, c in enumerate(fan.cone_objects) if c.contains(ray)}
+    refinement = _Refinement(fan)
+    holding = [cell for cell in fan_order(refinement.first) if cell[5].contains(ray)]
     if not holding:
         raise RayOutsideSupport(f"{ray} lies outside the support of the fan")
-    refinement = _Refinement(fan)
     refinement.step(ray, holding)
     return refinement.subdivision()
 
@@ -944,22 +955,22 @@ def resolve(
     ``extra_rounds`` appends smooth refinements, both of which produce
     alternative valid resolutions.
 
-    A rank-2 fan whose cones have at most two rays each is resolved by
-    ``chains.resolve_rank2``: each step there splits the one cone holding
-    its point on plain integers, with the draws, checks and result of the
-    general path, and the fine fan is built once, its cones left lazy.
-
-    Every other fan runs every step on one ``_Refinement`` (``_refine``), and
-    finds the cones holding its ray without a scan, because the input is a
-    fan.  The ray x lies in a known cone sigma: it is a ray of the fan, or a
-    point of the simplicial cone chosen for the step.  Let tau be the
-    smallest face of sigma holding x (the ray itself, or the generators on
-    every facet through x), so x is in the relative interior of tau.  If a
-    cone sigma' holds x, then sigma & sigma' is a face of sigma holding a
-    relative interior point of tau, so it contains tau; tau is then a face
-    of sigma & sigma', which is a face of sigma', and the rays of tau are
-    rays of sigma'.  Conversely a cone with the rays of tau holds tau and x.
-    So the cones holding x are those whose ray sets contain tau.
+    Both paths keep the maximal cones as cells linked in fan order and run
+    the one loop ``chains.subdivide``, which picks, draws, checks and splices
+    each step.  A rank-2 fan whose cones have at most two rays splits its
+    cells on plain integers (``chains.chain_cells``), and its fine fan is
+    built with its cones left lazy.  Every other fan is simplicialized and
+    then split on one ``_Refinement`` (``_refine``), which finds the cells
+    holding a ray without a scan, because the input is a fan.  The ray x
+    lies in a known cone sigma: it is a ray of the fan, or a point of the
+    simplicial cone chosen for the step.  Let tau be the smallest face of
+    sigma holding x (the ray itself, or the generators on every facet
+    through x), so x is in the relative interior of tau.  If a cone sigma'
+    holds x, then sigma & sigma' is a face of sigma holding a relative
+    interior point of tau, so it contains tau; tau is then a face of
+    sigma & sigma', which is a face of sigma', and the rays of tau are rays
+    of sigma'.  Conversely a cone with the rays of tau holds tau and x.  So
+    the cones holding x are those whose ray sets contain tau.
 
     A singular subdivision step must change the fan, and each piece must
     have a smaller multiplicity than the cone it replaces: the point has
@@ -972,22 +983,19 @@ def resolve(
     if extra_rounds < 0:
         raise ValueError(f"extra_rounds must be nonnegative, got {extra_rounds}")
     if fan.rank == 2 and all(len(c) < 3 for c in fan.maximal_cones):
-        fine = resolve_rank2(fan.rays, fan.maximal_cones, rng, extra_rounds)
-        if fine is None:
-            return SubdivisionMap.identity(fan)
-        rays, cones, sources = fine
-        return SubdivisionMap(Fan.build(2, rays, cones, validate=False), fan, sources)
+        cells, rays, split = chain_cells(fan.rays, fan.maximal_cones)
+        stepped = subdivide(cells, chain_point, split, rng, extra_rounds)
+        return _fine_map(fan, rays, cells[0]) if stepped else SubdivisionMap.identity(fan)
     return _refine(fan, rng, extra_rounds)
 
 
 def _refine(fan: Fan, rng: random.Random | None, extra_rounds: int) -> SubdivisionMap:
-    """``resolve`` on one ``_Refinement``: every fan but those that
-    ``chains.resolve_rank2`` takes."""
+    """``resolve`` on one ``_Refinement``: every fan but those whose cells
+    ``chains.chain_cells`` splits."""
     ref = _Refinement(fan)
-    cones = ref.cones
 
-    # phase 1: simplicialize by pulling existing rays
-    nonsimplicial = {k for k in ref.order if not cones[k][1].is_simplicial}
+    # simplicialize by pulling existing rays
+    nonsimplicial = {id(cell): cell for cell in fan_order(ref.first) if not cell[3]}
     # a pulled ray is the apex of every cone holding it, so pulling it again
     # changes nothing: each step pulls a new ray, and there are only so many
     guard = 0
@@ -995,7 +1003,7 @@ def _refine(fan: Fan, rng: random.Random | None, extra_rounds: int) -> Subdivisi
         guard += 1
         if guard > len(ref.rays):
             raise ResolutionCheckFailed("simplicialization did not terminate")
-        candidates = sorted({ref.rays[i] for k in nonsimplicial for i in cones[k][0]})
+        candidates = sorted({ref.rays[i] for cell in nonsimplicial.values() for i in cell[0]})
         ray = rng.choice(candidates) if rng else candidates[0]
         # pulling the apex of a pyramid changes nothing (its one facet missing
         # the apex is the base); then the other candidates are tried in order
@@ -1005,59 +1013,17 @@ def _refine(fan: Fan, rng: random.Random | None, extra_rounds: int) -> Subdivisi
                 break
         else:
             raise ResolutionCheckFailed("no subdividing ray found")
-        for k, ids in change:
-            nonsimplicial.discard(k)
-            nonsimplicial.update(i for i in ids if not cones[i][1].is_simplicial)
+        for _, cells in change:
+            nonsimplicial.update((id(cell), cell) for cell in cells)
+        nonsimplicial = {key: cell for key, cell in nonsimplicial.items() if not cell[3]}
 
-    # phase 2: subdivide singular cones at parallelepiped points, keeping them
-    # in fan order (a step's singular pieces take their cone's place)
-    singular = [k for k in ref.order if cones[k][1].multiplicity() > 1]
-    mult = {k: cones[k][1].multiplicity() for k in singular}
-    while singular:
-        if rng:
-            idx = rng.choice(singular)
-        else:
-            top = max(mult.values())
-            idx = next(k for k in singular if mult[k] == top)
-        _, minimal = _least_box_points(cones[idx][1])
-        if not minimal:
-            raise ResolutionCheckFailed(
-                f"singular cone {ref.order.index(idx)} has no parallelepiped points")
-        # Random.choice reads only the length and one index, so drawing the index keeps its stream
-        ray = primitive_vector(minimal[rng.choice(range(len(minimal))) if rng else 0])
-        change = ref.step(ray, ref.star(ref.face_of(idx, ray)))
-        if not change:
-            raise ResolutionCheckFailed(f"multiplicity did not drop: subdividing at {ray} changed no cone")
-        # the ray is a nonzero box point of the chosen cone, so of the smallest
-        # face tau holding it, which is then singular; a face's multiplicity
-        # divides that of every simplicial cone having it, so each removed
-        # cone, one of the star of tau, is in ``singular``
-        for k, ids in change:
-            was = mult.pop(k)
-            for i in ids:
-                m = cones[i][1].multiplicity()
-                if m >= was:
-                    raise ResolutionCheckFailed(
-                        f"multiplicity did not drop: a cone of multiplicity {was} "
-                        f"has a piece of multiplicity {m}")
-                if m > 1:
-                    mult[i] = m
-            at = singular.index(k)
-            singular[at:at + 1] = [i for i in ids if i in mult]
+    # the ray of a step is a nonzero box point of the chosen cone, so of the
+    # smallest face tau holding it, which is then singular; a face's
+    # multiplicity divides that of every simplicial cone having it, so every
+    # cell the step replaces, one of the star of tau, is singular
+    def least(cell, draw):
+        points = _least_box_points(cell[5])[1]
+        return points[draw(len(points))] if points else None
 
-    # optional smooth refinements, for resolution-independence experiments
-    for _ in range(extra_rounds):
-        src = ref.order[rng.randrange(len(ref.order)) if rng else 0]
-        cone = cones[src][1]
-        if cone.dim < 2:
-            continue
-        pairs = list(itertools.combinations(range(len(cone.generators)), 2))
-        a, b = rng.choice(pairs) if rng else pairs[0]
-        ray = primitive_vector(vec_add(cone.generators[a], cone.generators[b]))
-        change = ref.step(ray, ref.star(ref.face_of(src, ray)))
-        # the fan was smooth before the round, so only the new pieces can be singular
-        if change and not all(cones[i][1].is_simplicial and cones[i][1].multiplicity() == 1
-                              for _, ids in change for i in ids):
-            raise ResolutionCheckFailed(f"refining at {ray} left a singular cone")
-
+    subdivide(fan_order(ref.first), least, ref.split, rng, extra_rounds)
     return ref.subdivision()

@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import sys
 from math import gcd
 
 import pytest
@@ -101,6 +102,16 @@ def tied_singular_fan(m):
     cones of multiplicity 2 between consecutive rays (1, 2j), (1, 2j + 2)."""
     rays = [(1, 2 * j) for j in range(m + 1)] + [(-1, 0), (0, -1)]
     return Fan.build(2, rays, [(j, j + 1) for j in range(m + 2)] + [(0, m + 2)])
+
+
+def tied_cone_fan(m):
+    """``tied_singular_fan(m)`` coned over (0, 0, 1): the rank-3 fan whose cones
+    join the apex to the cones of the tied fan in the plane z = 0, m of them
+    of multiplicity 2."""
+    plane = tied_singular_fan(m)
+    apex = len(plane.rays)
+    return Fan.build(3, [r + (0,) for r in plane.rays] + [(0, 0, 1)],
+                     [c + (apex,) for c in plane.maximal_cones])
 
 
 def chain_points(point):
@@ -677,7 +688,7 @@ class TestResolve:
         step, rises = fan_module._Refinement.step, []
 
         def excess(ref):
-            return sum(ref.cones[k][1].multiplicity() - 1 for k in ref.order)
+            return sum(cell[5].multiplicity() - 1 for cell in chains_module.fan_order(ref.first))
 
         def watched(ref, ray, holding):
             before = excess(ref)
@@ -742,35 +753,72 @@ class TestResolve:
         digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
         assert digest == "3e80eab8aaff809fcca7b9e7a824f77e28e466df1ad6411166264dce35ab7f13"
 
-    def test_fan_positions_are_looked_up_once_per_step(self, monkeypatch):
+    def test_rank3_cones_resolve_as_pinned(self):
+        """Resolutions of <e1, e2, (1, b, m)> for 2 <= m < 200, with b = 1 and
+        the least unit mod m from m // 3 on, serialize as pinned."""
+        docs = []
+        for m in range(2, 200):
+            for b in sorted({1, next(b for b in range(m // 3, m) if gcd(b, m) == 1)}):
+                fan = Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, b, m)], [(0, 1, 2)])
+                docs.append(resolve(fan).to_json())
+        assert len(docs) == 392
+        digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+        assert digest == "337ae92aa2f7348bd1cdcaa32a0d06a434011ddb527def99e8344861500bca6c"
+
+    def test_tied_cone_fans_resolve_as_pinned(self):
+        """Resolutions of the tied fan coned over (0, 0, 1), with up to 40
+        singular cones of one top multiplicity, with and without an rng and
+        with 0 or 2 extra rounds, serialize as pinned, and so does the state
+        of the rng afterwards."""
+        docs = []
+        for m in range(2, 41):
+            fan = tied_cone_fan(m)
+            for seed in (None, 1, 7):
+                for extra in (0, 2):
+                    rng = None if seed is None else random.Random(seed)
+                    docs.append([resolve(fan, rng=rng, extra_rounds=extra).to_json(),
+                                 rng and rng.random()])
+        digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
+        assert digest == "059545068b73a59cea8d2e7dff50f37f0bdd794b615f3e1562c720c8e43fc86b"
+
+    def test_no_fan_position_is_looked_up_during_a_resolve(self, monkeypatch):
         """Resolving a rank-3 fan with 300 cones of multiplicity 2, the tied
-        fan's cones coned over (0, 0, 1), looks up a fan position once per
-        step, each step holding one cone, where choosing among the singular
-        cones by fan position looked up 45,452.  The rank-2 tied fan makes no
-        refinement at all."""
+        fan's cones coned over (0, 0, 1), runs one step per singular cone,
+        each holding one cone, and looks up no fan position: it calls no
+        list.index.  Neither does the rank-2 tied fan, which makes no
+        refinement at all, nor the cube with extra rounds, whose steps hold
+        up to four cones."""
         m = 300
         fan = Fan.build(3, [(1, 2 * j, 0) for j in range(m + 1)] + [(0, 0, 1)],
                         [(j, j + 1, m + 1) for j in range(m)], validate=False)
         lookups, steps = [], []
 
-        class CountingList(list):
-            def index(self, *args):
-                lookups.append(args)
-                return super().index(*args)
+        def profile(frame, event, arg):
+            # list.index, or the same search as operator.indexOf
+            name = getattr(arg, "__name__", None)
+            if event == "c_call" and (name == "indexOf"
+                                      or name == "index" and isinstance(arg.__self__, list)):
+                lookups.append(arg)
 
-        init, step = fan_module._Refinement.__init__, fan_module._Refinement.step
+        def profiled(fan, **kwargs):
+            sys.setprofile(profile)
+            try:
+                return resolve(fan, **kwargs)
+            finally:
+                sys.setprofile(None)
 
-        def counted_init(ref, fan):
-            init(ref, fan)
-            ref.order = CountingList(ref.order)
-
-        monkeypatch.setattr(fan_module._Refinement, "__init__", counted_init)
+        step = fan_module._Refinement.step
         monkeypatch.setattr(fan_module._Refinement, "step",
-                            lambda ref, ray, holding: steps.append(ray) or step(ref, ray, holding))
-        assert resolve(fan).fine.is_smooth()
-        assert len(steps) == m and len(lookups) <= len(steps)
+                            lambda ref, ray, holding: steps.append(len(holding)) or step(ref, ray, holding))
+        assert profiled(fan).fine.is_smooth()
+        assert steps == [1] * m and lookups == []
+        steps.clear()
+        cube = profiled(catalog.cube_fan(), rng=random.Random(3), extra_rounds=2)
+        assert len(cube.fine.maximal_cones) == 52
+        assert max(steps) > 1 and lookups == []
         monkeypatch.setattr(fan_module._Refinement, "__init__", lambda ref, fan: steps.append(fan))
-        assert resolve(tied_singular_fan(m)).fine.is_smooth() and len(steps) == m
+        steps.clear()
+        assert profiled(tied_singular_fan(m)).fine.is_smooth() and steps == [] and lookups == []
 
     def test_identity_composition(self, p112):
         ident = SubdivisionMap.identity(p112)
@@ -843,7 +891,7 @@ class TestResolve:
 
     @pytest.mark.parametrize("step, message", [
         (lambda self, ray, holding: None, "no subdividing ray found"),
-        (lambda self, ray, holding: [(min(holding), [min(holding)])],
+        (lambda self, ray, holding: [(holding[0][3], holding[:1])],
          "simplicialization did not terminate"),
     ], ids=["no-change", "no-progress"])
     def test_a_stalled_simplicialization_is_a_check_failure(self, cube, monkeypatch, step, message):
@@ -859,9 +907,7 @@ class TestResolve:
 
     def test_a_singular_extra_round_is_a_check_failure(self, p2, monkeypatch):
         # refining at 2 g_a + g_b in place of g_a + g_b leaves a piece of multiplicity 2
-        for module in (chains_module, fan_module):
-            monkeypatch.setattr(module, "vec_add",
-                                lambda u, v: tuple(2 * x + y for x, y in zip(u, v)))
+        monkeypatch.setattr(chains_module, "vec_add", lambda u, v: tuple(2 * x + y for x, y in zip(u, v)))
         for fan, ray in ((p2, (1, 2)), (catalog.projective_space(3), (-2, -2, -1))):
             with pytest.raises(ResolutionCheckFailed,
                                match=re.escape(f"refining at {ray} left a singular cone")):
@@ -881,13 +927,17 @@ class TestResolve:
         assert chained == refined
 
     def test_steps_carry_unchanged_cones_and_match_the_replaced_path(self, monkeypatch):
-        """At every step of a resolution the cones found to hold the new ray,
+        """At every step of a resolution the cells found to hold the new ray,
         from the incidence map, are those a Cone.contains scan over the
-        current cones finds; every cone holding it has the same smallest face
+        current cells finds; every cell holding it has the same smallest face
         holding it, read from its facets, whose star is the holding set, and
         on every simplicial cone that face is the one the adjugate solve
-        found; every cone the step leaves is the same object, and every new
-        piece equals a fresh Cone.from_generators.  Every
+        found; every cell the step leaves keeps its cone object, the cells
+        then run in fan order with each holding cell replaced by its pieces in
+        its place, the first piece taking the cell over, each piece is
+        reported with the multiplicity of the cell it replaces, and every new
+        piece's cone equals a fresh Cone.from_generators, its cell holding that
+        cone's generators, their ray indices and its multiplicity.  Every
         resolved fan's cone objects equal fresh ones, and the serialized
         resolutions equal those of the path that rebuilt every cone per step
         and scanned for the cones holding each ray, pinned by their digest."""
@@ -895,28 +945,35 @@ class TestResolve:
         steps = []
 
         def checked(ref, ray, holding):
-            holding = set(holding)
-            assert holding == {k for k in ref.order if ref.cones[k][1].contains(ray)}
+            cells = chains_module.fan_order(ref.first)
+            held = [id(cell) for cell in holding]
+            assert sorted(held) == sorted(id(cell) for cell in cells if cell[5].contains(ray))
             faces = set()
-            for k in ref.order:
-                _, cone, gen_rays, _ = ref.cones[k]
+            for cell in cells:
+                cone, gen_rays = cell[5], cell[2]
                 face = cone._smallest_face(ray)
                 if cone.is_simplicial:
                     assert face == smallest_face_by_adjugate(cone, ray)
                 if face is not None:
                     faces.add(tuple(sorted(gen_rays[i] for i in face)))
-            assert len(faces) == 1 and ref.star(faces.pop()) == holding
-            before = {k: ref.cones[k][1] for k in ref.order}
+            assert len(faces) == 1 and sorted(map(id, ref.star(faces.pop()))) == sorted(held)
+            before = [(cell, cell[5], cell[3]) for cell in cells]
             change = step_through(ref, ray, holding)
-            removed = [k for k, _ in change or ()]
-            added = [i for _, ids in change or () for i in ids]
-            assert set(removed) == (holding if change else set())
-            for k, cone in before.items():
-                if k not in holding:
-                    assert ref.cones[k][1] is cone
-            for k in added:
-                rs, cone = ref.cones[k][:2]
-                assert cone == Cone.from_generators(len(ray), [ref.rays[j] for j in rs])
+            replaced = {id(pieces[0]): (was, pieces) for was, pieces in change or ()}
+            assert sorted(replaced) == (sorted(held) if change else [])
+            for cell, cone, mult in before:
+                if id(cell) in replaced:
+                    assert replaced[id(cell)][0] == mult
+                else:
+                    assert cell[5] is cone
+            assert [id(c) for c in chains_module.fan_order(ref.first)] == [
+                id(piece) for cell, _, _ in before
+                for piece in (replaced[id(cell)][1] if id(cell) in replaced else [cell])]
+            for _, pieces in replaced.values():
+                for rs, gens, gen_rays, mult, _, cone, _ in pieces:
+                    assert cone == Cone.from_generators(len(ray), [ref.rays[j] for j in rs])
+                    assert gens == cone.generators and gen_rays == tuple(map(ref.rays.index, gens))
+                    assert mult == (cone.is_simplicial and cone.multiplicity())
             steps.append(ray)
             return change
 
@@ -1009,7 +1066,9 @@ class TestLeastBoxPoints:
         datas += [(2, [(1, 0), (1, n)], [(0, 1)]) for n in range(2, 91)]
         fans = [catalog.weighted_p112(), catalog.projective_plane(), catalog.hirzebruch(3),
                 Fan.build(2, [(1, 0), (1, 7), (-1, -3)], [(0, 1), (2,)]),
-                Fan.build(2, [(1, 0), (-1, 0)], [(0, 1)], validate=False)]
+                Fan.build(2, [(1, 0), (-1, 0)], [(0, 1)], validate=False),
+                # not a fan: the ray (1, 1) lies inside <(1,0),(1,2)>, whose point it is
+                Fan.build(2, [(1, 0), (1, 2), (1, 1)], [(0, 1), (2,)], validate=False)]
         fans += [tied_singular_fan(m) for m in range(2, 41)]
         for data in datas:
             try:

@@ -134,9 +134,18 @@ def test_scale_rows_quick_prints_every_row():
     assert all(set(line) == {"row", "size", "median_s", "repeats"} for line in lines)
     assert all(line["median_s"] >= 0 and line["repeats"] == 1 for line in lines)
     assert {line["row"] for line in lines} == {
-        "complete", "resolve_tied", "resolve_tied_rng1", "resolve_a", "resolve_r3", "resolve_r4",
-        "chi_rank2", "chi_cube128", "chi_wps", "gkm_violations", "planless_shuffled"}
-    assert len(lines) == 18
+        "complete", "resolve_tied", "resolve_tied_rng1", "resolve_tied3", "resolve_a", "resolve_r3",
+        "resolve_r4", "chi_rank2", "chi_cube128", "chi_wps", "gkm_violations", "planless_shuffled"}
+    assert len(lines) == 20
+
+
+def test_bytecode_count_repeats_exactly():
+    # counts, unlike times, repeat from run to run
+    runs = [run_script("bytecode_count.py", "--quick") for _ in range(2)]
+    assert all(proc.returncode == 0 for proc in runs), runs[0].stderr + runs[1].stderr
+    lines = [json.loads(line) for line in runs[0].stdout.splitlines()]
+    assert lines and all(set(line) == {"case", "bytecodes"} and line["bytecodes"] > 0 for line in lines)
+    assert runs[0].stdout == runs[1].stdout
 
 
 def test_import_cost_prints_every_module_and_the_cli_peak():

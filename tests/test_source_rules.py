@@ -37,11 +37,16 @@ in ``Cone._adjugate``, every function that reads ``Cone._span`` but
 adjugate or for a dimension below the rank, and ``Cone.facets`` calls
 ``extreme_rays_of_region`` only in its branch for a non-simplicial cone; a
 thirteenth keeps one Hirzebruch-Jung walk: ``least_chain_points`` is defined
-once, in ``chains.py``, and called only from ``chains.resolve_rank2`` and
-``fan._least_box_points``, and ``chains.py`` imports nothing from ``fan``; a
-fourteenth keeps exact division to one line-sum pass and one fill: there is
-no ``_packed_lines``, only ``laurent._line_sums_vanish`` names the lines
-e + Z*w, and every power ``merge`` multiplies a numerator by is positive.
+once, in ``chains.py``, and called only from ``chains.chain_point`` and
+``fan._least_box_points``, no ``resolve_rank2`` is defined, and ``chains.py``
+imports nothing from ``fan``; a fourteenth keeps exact division to one
+line-sum pass and one fill: there is no ``_packed_lines``, only
+``laurent._line_sums_vanish`` names the lines e + Z*w, and every power
+``merge`` multiplies a numerator by is positive; a fifteenth keeps one
+subdivision loop for every resolve: the messages of its checks appear only
+in ``chains.subdivide``, which only ``fan.resolve`` and ``fan._refine``
+call, the package calls no ``.index``, and ``fan._Refinement`` keeps no
+``order``, ``_ids`` or ``cones``.
 Every name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types, never
 the kernel it checks."""
@@ -271,17 +276,34 @@ def test_full_dimensional_simplicial_cones_read_their_adjugate():
 
 
 def test_the_chain_walk_is_defined_once_and_needs_no_fan():
-    # the rank-2 phase and 2-dimensional cones of any rank read one walk, kept
+    # the rank-2 path and 2-dimensional cones of any rank read one walk, kept
     # out of fan.py, whose compiled size sets start-up memory
     defined = {(path.name, where) for path in SOURCES
                for where, f in _nodes(ast.parse(path.read_text()), ast.FunctionDef)
-               if f.name == "least_chain_points"}
+               if f.name in ("least_chain_points", "resolve_rank2")}
     assert defined == {("chains.py", None)}
-    assert _callers("least_chain_points") == {("chains.py", "resolve_rank2"), ("fan.py", "_least_box_points")}
+    assert _callers("least_chain_points") == {("chains.py", "chain_point"), ("fan.py", "_least_box_points")}
     chains = ast.parse(next(p for p in SOURCES if p.name == "chains.py").read_text())
     imported = [node.module or "" for _, node in _nodes(chains, ast.ImportFrom)]
     imported += [a.name for _, node in _nodes(chains, (ast.Import, ast.ImportFrom)) for a in node.names]
     assert imported and not [m for m in imported if "fan" in m.split(".")]
+
+
+def test_one_subdivision_loop_checks_every_resolve():
+    # both resolve paths run chains.subdivide, the only place that raises its
+    # checks; no cell is found by its position in fan order
+    messages = ("has no parallelepiped points", "multiplicity did not drop", "left a singular cone")
+    raisers = {(path.name, where) for path in SOURCES
+               for where, c in _nodes(ast.parse(path.read_text()), ast.Constant)
+               if isinstance(c.value, str) and any(m in c.value for m in messages)}
+    assert raisers == {("chains.py", "subdivide")}
+    assert _callers("subdivide") == {("fan.py", "resolve"), ("fan.py", "_refine")}
+    assert _callers("index") == set()
+    fan = ast.parse(next(p for p in SOURCES if p.name == "fan.py").read_text())
+    refinement = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "_Refinement")
+    attributes = {a.attr for _, a in _nodes(refinement, ast.Attribute) if isinstance(a.value, ast.Name)
+                  and a.value.id == "self"}
+    assert attributes.isdisjoint({"order", "_ids", "cones"})
 
 
 def test_every_exported_name_resolves():
