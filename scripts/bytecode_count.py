@@ -6,8 +6,11 @@ only).
     PYTHONPATH=src python3 scripts/bytecode_count.py [--quick]
 
 The cases are the A-cones <(1,0),(1,N)> for N = 41 and 86, the rank-3 cone
-<e1, e2, (1,11,29)> and ``resolve(cube_fan(), rng=Random(3), extra_rounds=2)``;
-each count covers building the fan and resolving it.  It counts the opcode
+<e1, e2, (1,11,29)>, ``resolve(cube_fan(), rng=Random(3), extra_rounds=2)``
+and the rank-3 fan of the 2-dimensional cone <(1,0,0),(1,29,0)> and the ray
+(0,0,1), whose steps draw their points from the Hirzebruch-Jung walk on the
+general path (``fan._least_box_point``); each count covers building the fan
+and resolving it.  It counts the opcode
 events under ``sys.settrace`` with ``f_trace_opcodes`` set on every frame, so
 it is exact and repeats from run to run, unlike a wall-clock time.  Time
 spent in C code is not counted: builtins such as ``sorted``, ``map`` or
@@ -55,6 +58,7 @@ CASES = [
     ("rank3_1_11_29", lambda: Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, 11, 29)], [(0, 1, 2)]), resolve),
     ("cube_rng3_extra2", catalog.cube_fan,
      lambda fan: resolve(fan, rng=random.Random(3), extra_rounds=2)),
+    ("rank3_dim2_1_29", lambda: Fan.build(3, [(1, 0, 0), (1, 29, 0), (0, 0, 1)], [(0, 1), (2,)]), resolve),
 ]
 
 ap = argparse.ArgumentParser(description="Bytecodes executed by resolve on fixed cases.")

@@ -12,9 +12,9 @@ loop both paths run, with its picks, draws and checks; only
 ``least(cell, draw)`` and ``split(cell, x)`` differ.  The
 rank-2 path (``chain_cells``, ``chain_point``) splits cells on plain integers,
 reading its points from ``least_chain_points``, the Hirzebruch-Jung walk
-(Fulton, Introduction to Toric Varieties, 2.6) that ``fan._least_box_points``
-reads for a 2-dimensional cone of any rank.  This module imports nothing
-from ``fan``.
+(Fulton, Introduction to Toric Varieties, 2.6) that ``fan._least_box_point``,
+the ``least`` of the general path, reads for a 2-dimensional cone of any
+rank.  This module imports nothing from ``fan``.
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ def subdivide(cells: list, least, split, rng, extra_rounds: int) -> bool:
     pieces) per replaced cell, the first piece being the cell itself, or None
     if no cell changes.  A step must change the fan, each piece must be
     smaller than its cell, and each extra round, which splits a cell at the
-    sum of two generators, must leave every piece smooth; otherwise
-    ``ResolutionCheckFailed`` is raised.
+    sum of two generators, must change the fan and leave every piece smooth;
+    otherwise ``ResolutionCheckFailed`` is raised.
     """
     singular = [cell for cell in cells if cell[3] > 1]
     top, at, stepped = 0, 0, bool(singular)
@@ -154,7 +154,8 @@ def subdivide(cells: list, least, split, rng, extra_rounds: int) -> bool:
         x = primitive_vector(vec_add(gens[a], gens[b]))
         replaced = split(order[place], x)
         if not replaced:
-            continue
+            # the sum of two generators of a smooth cell lies on no ray of a fan
+            raise ResolutionCheckFailed(f"refining at {x} changed no cone")
         # the fan was smooth before the round, so only the new pieces can be singular
         if any(piece[3] != 1 for _, pieces in replaced for piece in pieces):
             raise ResolutionCheckFailed(f"refining at {x} left a singular cone")

@@ -12,7 +12,9 @@ facets from the vertex enumeration ``extreme_rays_of_region``.
 Simplicial cones are handled in any rank; non-simplicial cones are limited to
 ambient rank <= 4.  All geometry is exact.  ``resolve`` refines a fan's
 maximal cones as cells linked in fan order and runs the one subdivision loop
-of ``chains`` on them.
+of ``chains`` on them; on the general path ``_least_box_point`` draws each
+step's point, from the least slice of the parallelepiped (``_box_points``)
+of a cone of dim >= 3 and from the Hirzebruch-Jung walk of a cone of dim 2.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .lattice import (
     transpose,
     unimodular_inverse,
     value_class,
-    vec_add,
     vec_scale,
     QuotientLattice,
 )
@@ -426,24 +427,11 @@ class Fan:
 
     @cached_property
     def cone_objects(self) -> tuple[Cone, ...]:
-        return self._seed_cone_objects({})
-
-    def _seed_cone_objects(self, kept: dict[int, Cone]) -> tuple[Cone, ...]:
-        """Cache and return the cone object of each maximal cone: ``kept[i]``
-        for cone i where given, else ``Cone.from_generators`` on its rays.
-
-        A kept cone must be the object ``from_generators`` builds from the
-        same rays; the refinement behind ``stellar_subdivision`` and
-        ``resolve`` passes the object of every cone it holds.
-        """
-        objs = tuple(
-            kept[i] if i in kept else Cone.from_generators(self.rank, tuple(self.rays[j] for j in c))
-            for i, c in enumerate(self.maximal_cones)
-        )
-        # cached_property keeps its value in the instance dict, which a
-        # value class leaves writable (only attribute assignment raises)
-        self.__dict__["cone_objects"] = objs
-        return objs
+        """The cone object of each maximal cone, built from its rays; a fine
+        fan of ``resolve`` or ``stellar_subdivision`` takes its cells' cones
+        (``_fine_map``)."""
+        return tuple(Cone.from_generators(self.rank, tuple(self.rays[j] for j in c))
+                     for c in self.maximal_cones)
 
     @cached_property
     def _ray_index(self) -> dict[Vector, int]:
@@ -740,7 +728,9 @@ class _Refinement:
     whose ray sets contain it, keyed by ``id``.  A step appends its ray if it
     is new, so every ray keeps its index, and replaces only the cells that
     hold the ray, each by its pieces in its place; every other cell keeps its
-    cone, with its cached adjugate, facets and scaled inverse.
+    cone, with its cached adjugate, facets and scaled inverse.  Its callers
+    build the fine fan from ``rays`` and ``first`` (``_fine_map``) when a
+    step changed it.
     """
 
     def __init__(self, fan: Fan):
@@ -752,7 +742,6 @@ class _Refinement:
                         for source, (rs, cone) in enumerate(zip(fan.maximal_cones, fan.cone_objects))])
         self._enter(cells)
         self.first = cells[0]
-        self.stepped = False
 
     def _enter(self, cells: list[list]):
         """Enter the cells in the incidence map."""
@@ -817,25 +806,20 @@ class _Refinement:
             # the first piece takes the cell over, so the cell before it keeps its link
             cell[:], cells[0] = cells[0], cell
             self._enter(cells)
-        self.stepped = True
         return changes
-
-    def subdivision(self) -> SubdivisionMap:
-        """The map from the fine fan to the coarse fan; the identity map on
-        the coarse fan itself when no step changed it."""
-        if not self.stepped:
-            return SubdivisionMap.identity(self.coarse)
-        return _fine_map(self.coarse, self.rays, self.first)
 
 
 def _fine_map(coarse: Fan, rays, first: list) -> SubdivisionMap:
     """The map to ``coarse`` from the fan on ``rays`` whose maximal cones are
     the cells from ``first`` on, built once: a stellar refinement of a fan is
-    a fan, so it is not revalidated, and it takes the cells' cone objects."""
+    a fan, so it is not revalidated, and it takes the cells' cone objects,
+    where they have them."""
     raysets, _, _, _, sources, cones, _ = zip(*fan_order(first))
     fine = Fan.build(coarse.rank, tuple(rays), raysets, validate=False)
     if first[5]:
-        fine._seed_cone_objects(dict(enumerate(cones)))
+        # cached_property keeps its value in the instance dict, which a
+        # value class leaves writable (only attribute assignment raises)
+        fine.__dict__["cone_objects"] = cones
     return SubdivisionMap(fine, coarse, sources)
 
 
@@ -856,21 +840,19 @@ def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
         raise NonPrimitiveRay("cannot subdivide at the zero vector")
     if not is_primitive(ray):
         raise NonPrimitiveRay(f"{ray} is not primitive")
-    refinement = _Refinement(fan)
-    holding = [cell for cell in fan_order(refinement.first) if cell[5].contains(ray)]
+    ref = _Refinement(fan)
+    holding = [cell for cell in fan_order(ref.first) if cell[5].contains(ray)]
     if not holding:
         raise RayOutsideSupport(f"{ray} lies outside the support of the fan")
-    refinement.step(ray, holding)
-    return refinement.subdivision()
+    return _fine_map(fan, ref.rays, ref.first) if ref.step(ray, holding) else SubdivisionMap.identity(fan)
 
 
 # -- resolution -----------------------------------------------------------------------
 
 
-def _box_points(cone: Cone, least: bool = False) -> list[tuple[int, Vector]]:
-    """Nonzero lattice points of the half-open fundamental parallelepiped of a
-    simplicial cone, as (multiplicity * coefficient sum, ambient point),
-    sorted; with ``least``, only those of the least key.
+def _box_points(cone: Cone) -> list[Vector]:
+    """The nonzero lattice points of least coefficient sum in the half-open
+    fundamental parallelepiped of a singular simplicial cone, sorted.
 
     With G the generators as columns in the coordinates of the cone's Smith
     form (``Cone._span``), a lattice point x of the span is G r / mult for
@@ -881,10 +863,10 @@ def _box_points(cone: Cone, least: bool = False) -> list[tuple[int, Vector]]:
     over the group once, and its residue is sum k_i w_i mod mult for the
     columns w_i = (mult // d_i) V[:, i] of mult * G^-1: exactly mult
     residues, each built once.  So the residues need the Smith form, also
-    of a cone whose ``_scaled_inverse`` comes from its adjugate.  The key of a
-    residue is its coordinate sum, and only the kept residues r are mapped
-    to their ambient points sum r_i g_i / mult, in one pass through the
-    ambient generators."""
+    of a cone whose ``_scaled_inverse`` comes from its adjugate.  The
+    coefficient sum of a residue's point is its coordinate sum over mult,
+    and only the residues of least sum are mapped to their ambient points
+    sum r_i g_i / mult, in one pass through the ambient generators."""
     d, mult = cone.dim, cone.multiplicity()
     factors, _, _, v = cone._span
     residues = [(0,) * d]
@@ -893,47 +875,36 @@ def _box_points(cone: Cone, least: bool = False) -> list[tuple[int, Vector]]:
             w = vec_scale(mult // f, w)
             residues = [tuple((a + k * b) % mult for a, b in zip(h, w))
                         for k in range(f) for h in residues]
-    # the coordinates lie in [0, mult), so only the zero residue has key 0
-    keyed = [(key, r) for key, r in zip(map(sum, residues), residues) if key]
-    if least:
-        low = min(key for key, _ in keyed)
-        keyed = [(key, r) for key, r in keyed if key == low]
+    # the coordinates lie in [0, mult), so only the zero residue sums to 0
+    sums = list(map(sum, residues))
+    least = itertools.compress(residues, map(min(filter(None, sums)).__eq__, sums))
     g = transpose(cone.generators)
-    return sorted((key, tuple(x // mult for x in mat_vec(g, r))) for key, r in keyed)
+    return sorted(tuple(x // mult for x in mat_vec(g, r)) for r in least)
 
 
-class _Progression:
-    """The points first + i * step, 0 <= i < count, indexed like a list."""
+def _least_box_point(cell: list, draw) -> Vector | None:
+    """The ``least`` of ``chains.subdivide`` on the general path: the point
+    that ``draw(count)`` picks among the count parallelepiped points of least
+    coefficient sum of a singular simplicial cell's cone, in ascending
+    order, or None when there are none.  A cone of dim >= 3 draws from
+    ``_box_points``; a cone of dim 2 lists nothing: it draws an index among
+    the points of the Hirzebruch-Jung walk ``chains.least_chain_points`` on
+    its local generators and maps that one point through its generators.
 
-    def __init__(self, first: Vector, step: Vector, count: int):
-        self.first, self.step, self.count = first, step, count
-
-    def __len__(self) -> int:
-        return self.count
-
-    def __getitem__(self, i: int) -> Vector:
-        if not 0 <= i < self.count:
-            raise IndexError(i)
-        return vec_add(self.first, vec_scale(i, self.step))
-
-
-def _least_box_points(cone: Cone) -> tuple[int, list[Vector] | _Progression]:
-    """The least key of ``_box_points`` on a singular simplicial cone, and the
-    points that reach it, in ascending order: a cone of dim >= 3 maps only
-    the least slice of ``_box_points``, and a cone of dim 2 lists nothing,
-    its points read off its local generators by the Hirzebruch-Jung walk
-    ``chains.least_chain_points`` and mapped through its generators."""
+    The point is a nonzero box point of the cone, so of the smallest face
+    tau holding it, which is then singular; a face's multiplicity divides
+    that of every simplicial cone having it, so every cell the step
+    replaces, one of the star of tau, is singular."""
+    cone, mult = cell[5], cell[3]
     if cone.dim != 2:
-        box = _box_points(cone, least=True)
-        return box[0][0], [p for _, p in box]
-    mult = cone.multiplicity()
-    key, first, step, count = least_chain_points(*cone.local_generators, mult)
-    g1, g2 = cone.generators
-
-    def ambient(a: int, k: int) -> Vector:
-        return tuple((a * x + k * y) // mult for x, y in zip(g1, g2))
-
-    return key, _Progression(ambient(*first), ambient(*step), count)
+        points = _box_points(cone)
+        return points[draw(len(points))]
+    _, (a, k), (da, dk), count = least_chain_points(*cone.local_generators, mult)
+    if count < 1:
+        return None
+    i = draw(count)
+    a, k = a + i * da, k + i * dk
+    return tuple((a * x + k * y) // mult for x, y in zip(*cone.generators))
 
 
 def resolve(
@@ -948,7 +919,7 @@ def resolve(
     First makes every cone simplicial by stellar subdivisions at existing
     rays, then repeatedly subdivides a singular cone at a parallelepiped
     lattice point of minimal coefficient sum, the least in lex order or, with
-    an ``rng``, a random one of them (``_least_box_points``: read from the
+    an ``rng``, a random one of them (``_least_box_point``: read from the
     Hilbert basis of a 2-dimensional cone, listed for a larger one).  With
     the default deterministic choices the result is canonical; an ``rng``
     permutes the choice of singular cone and the tie-breaks, and
@@ -960,8 +931,9 @@ def resolve(
     each step.  A rank-2 fan whose cones have at most two rays splits its
     cells on plain integers (``chains.chain_cells``), and its fine fan is
     built with its cones left lazy.  Every other fan is simplicialized and
-    then split on one ``_Refinement`` (``_refine``), which finds the cells
-    holding a ray without a scan, because the input is a fan.  The ray x
+    then split on one ``_Refinement`` (``_refine``) at the points
+    ``_least_box_point`` draws; it finds the cells holding a ray without a
+    scan, because the input is a fan.  The ray x
     lies in a known cone sigma: it is a ray of the fan, or a point of the
     simplicial cone chosen for the step.  Let tau be the smallest face of
     sigma holding x (the ray itself, or the generators on every facet
@@ -977,10 +949,11 @@ def resolve(
     every coefficient below 1 in that cone, and a piece's multiplicity is
     the cone's times the coefficient of the generator it drops.  So the
     multiset of multiplicities falls at every step, and the loop ends.
-    Every extra round must keep the fan smooth.  Otherwise
-    ``ResolutionCheckFailed`` is raised.
+    Every extra round must change the fan and keep it smooth.  Otherwise
+    ``ResolutionCheckFailed`` is raised.  ``extra_rounds`` must be an int
+    (not a bool), or ``ValueError`` is raised.
     """
-    if extra_rounds < 0:
+    if strict_int(extra_rounds, "extra_rounds") < 0:
         raise ValueError(f"extra_rounds must be nonnegative, got {extra_rounds}")
     if fan.rank == 2 and all(len(c) < 3 for c in fan.maximal_cones):
         cells, rays, split = chain_cells(fan.rays, fan.maximal_cones)
@@ -994,8 +967,9 @@ def _refine(fan: Fan, rng: random.Random | None, extra_rounds: int) -> Subdivisi
     ``chains.chain_cells`` splits."""
     ref = _Refinement(fan)
 
-    # simplicialize by pulling existing rays
+    # simplicialize by pulling existing rays; each pull changes the fan or raises
     nonsimplicial = {id(cell): cell for cell in fan_order(ref.first) if not cell[3]}
+    pulled = bool(nonsimplicial)
     # a pulled ray is the apex of every cone holding it, so pulling it again
     # changes nothing: each step pulls a new ray, and there are only so many
     guard = 0
@@ -1017,13 +991,5 @@ def _refine(fan: Fan, rng: random.Random | None, extra_rounds: int) -> Subdivisi
             nonsimplicial.update((id(cell), cell) for cell in cells)
         nonsimplicial = {key: cell for key, cell in nonsimplicial.items() if not cell[3]}
 
-    # the ray of a step is a nonzero box point of the chosen cone, so of the
-    # smallest face tau holding it, which is then singular; a face's
-    # multiplicity divides that of every simplicial cone having it, so every
-    # cell the step replaces, one of the star of tau, is singular
-    def least(cell, draw):
-        points = _least_box_points(cell[5])[1]
-        return points[draw(len(points))] if points else None
-
-    subdivide(fan_order(ref.first), least, ref.split, rng, extra_rounds)
-    return ref.subdivision()
+    stepped = subdivide(fan_order(ref.first), _least_box_point, ref.split, rng, extra_rounds)
+    return _fine_map(fan, ref.rays, ref.first) if stepped or pulled else SubdivisionMap.identity(fan)

@@ -42,9 +42,11 @@ ran for every size before it wrote out the 2x2 and 3x3 ones (with its own
 copy of the elimination, which updated every row at every pivot), and
 ``smith_normal_form_reference``, the elimination with one closure per row
 and column operation that ``lattice.smith_normal_form`` ran before it
-inlined them, and ``least_box_points_listing``, the least slice of ``fan._box_points`` that
-every ``resolve`` step took before ``fan._least_box_points`` read the
-two-dimensional ones from the Hilbert basis, and ``complete_by_point_search``,
+inlined them, and ``box_points_listing``, every residue of the group with
+its key, which ``fan._box_points`` listed before it kept only the least
+slice, and ``least_box_points_listing``, that slice, which every ``resolve``
+step took before ``fan._least_box_point`` read the two-dimensional ones from
+the Hilbert basis, and ``complete_by_point_search``,
 the search for a generic point that ``Fan.is_complete`` ran before it took
 one past the Cauchy bound: all are kept as the oracles for the path that
 replaced them.  ``euler_characteristic`` is the raw-numerator fixed-point
@@ -678,7 +680,7 @@ def smallest_face_by_adjugate(cone, v):
 
 
 def box_points_scan(cone):
-    """``fan._box_points(cone)`` by scanning the bounding box of the local
+    """``box_points_listing(cone)`` by scanning the bounding box of the local
     parallelepiped, in the coordinates of the Smith form, for the points
     with 0 <= sign(det) * (adj @ x)_i < mult."""
     from pexpfan.lattice import mat_vec, transpose
@@ -706,12 +708,33 @@ def box_scan_size(cone) -> int:
     return size
 
 
-def least_box_points_listing(cone):
-    """``fan._least_box_points(cone)`` for every dimension by listing the
-    parallelepiped: the least key of ``fan._box_points`` and its points."""
-    from pexpfan.fan import _box_points
+def box_points_listing(cone):
+    """The nonzero lattice points of the half-open fundamental parallelepiped
+    of a simplicial cone, as (multiplicity * coefficient sum, ambient point),
+    sorted: the whole listing ``fan._box_points`` returned before it kept
+    only the points of least key.  With the columns w_i = (mult // d_i) V[:, i]
+    of mult * G^-1 in the coordinates of the cone's Smith form, the residues
+    sum k_i w_i mod mult, 0 <= k_i < d_i, run over the group once; each is
+    keyed by its coordinate sum and mapped to sum r_i g_i / mult."""
+    from pexpfan.lattice import mat_vec, transpose, vec_scale
 
-    box = _box_points(cone)
+    d, mult = cone.dim, cone.multiplicity()
+    factors, _, _, v = cone._span
+    residues = [(0,) * d]
+    for f, w in zip(factors, transpose(v)):
+        if f > 1:
+            w = vec_scale(mult // f, w)
+            residues = [tuple((a + k * b) % mult for a, b in zip(h, w))
+                        for k in range(f) for h in residues]
+    g = transpose(cone.generators)
+    return sorted((sum(r), tuple(x // mult for x in mat_vec(g, r))) for r in residues if any(r))
+
+
+def least_box_points_listing(cone):
+    """The least key of ``box_points_listing`` on a singular simplicial cone
+    and its points, in ascending order: what ``fan._least_box_point`` draws
+    from, for every dimension, by listing the parallelepiped."""
+    box = box_points_listing(cone)
     return box[0][0], [p for s, p in box if s == box[0][0]]
 
 

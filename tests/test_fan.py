@@ -39,6 +39,7 @@ from pexpfan.lattice import (
     vec_scale)
 from oracles import (
     adjugate_by_elimination,
+    box_points_listing,
     box_points_scan,
     box_scan_size,
     complete_by_point_search,
@@ -118,6 +119,22 @@ def chain_points(point):
     """A stand-in for ``chains.least_chain_points`` whose one least point is
     ``point(g1, g2)``, given as (a, k) for (a g1 + k g2) / mult."""
     return lambda g1, g2, mult: (1, point(g1, g2, mult), (0, 0), 1)
+
+
+def least_box_point_listed(cell, draw):
+    """``fan._least_box_point`` drawing from the listed parallelepiped."""
+    points = least_box_points_listing(cell[5])[1]
+    return points[draw(len(points))]
+
+
+def least_box_points_drawn(cone):
+    """Every point ``fan._least_box_point`` draws on the cell of a singular
+    simplicial cone, one per index its draw may pick, in index order."""
+    cell = fan_module._cell(tuple(range(len(cone.generators))), cone,
+                            {g: i for i, g in enumerate(cone.generators)}, 0)
+    counts = []
+    fan_module._least_box_point(cell, lambda count: counts.append(count) or 0)
+    return [fan_module._least_box_point(cell, lambda count: i) for i in range(counts[0])]
 
 
 def resolve_both_ways(fan, rng_seed=None, extra_rounds=0):
@@ -645,9 +662,9 @@ class TestResolve:
 
     def test_empty_parallelepiped_is_a_check_failure(self, p112, monkeypatch):
         # the rank-2 phase reads its points from the chain walk, the refinement
-        # from _least_box_points; both name the cone by its place in fan order
+        # from _least_box_point; both name the cone by its place in fan order
         monkeypatch.setattr(chains_module, "least_chain_points", lambda g1, g2, mult: (1, (0, 0), (0, 0), 0))
-        monkeypatch.setattr(fan_module, "_least_box_points", lambda cone: (1, []))
+        monkeypatch.setattr(fan_module, "_least_box_point", lambda cell, draw: None)
         for fan, message in ((p112, "singular cone 1 "), (catalog.rank3_multiplicity3_fan(), "singular cone 0 ")):
             with pytest.raises(ResolutionCheckFailed, match=message + "has no parallelepiped points"):
                 resolve(fan)
@@ -657,7 +674,7 @@ class TestResolve:
     def test_a_step_that_keeps_the_excess_is_a_check_failure(self, p112, monkeypatch):
         # subdividing at a generator of the singular cone leaves the fan as it is
         monkeypatch.setattr(chains_module, "least_chain_points", chain_points(lambda g1, g2, mult: (mult, 0)))
-        monkeypatch.setattr(fan_module, "_least_box_points", lambda cone: (1, [cone.generators[0]]))
+        monkeypatch.setattr(fan_module, "_least_box_point", lambda cell, draw: cell[1][0])
         for fan, ray in ((p112, (-1, -2)), (catalog.rank3_multiplicity3_fan(), (0, 0, 1))):
             with pytest.raises(ResolutionCheckFailed,
                                match=re.escape(f"did not drop: subdividing at {ray} changed no cone")):
@@ -669,8 +686,8 @@ class TestResolve:
         # a point with a coefficient of 1 leaves a piece of the cone's own multiplicity
         monkeypatch.setattr(chains_module, "least_chain_points",
                             chain_points(lambda g1, g2, mult: (2 * mult, mult)))
-        monkeypatch.setattr(fan_module, "_least_box_points", lambda cone: (1, [tuple(
-            2 * x + sum(rest) for x, *rest in zip(*cone.generators))]))
+        monkeypatch.setattr(fan_module, "_least_box_point", lambda cell, draw: tuple(
+            2 * x + sum(rest) for x, *rest in zip(*cell[1])))
         for fan, mult in ((p112, 2), (catalog.rank3_multiplicity3_fan(), 3)):
             with pytest.raises(ResolutionCheckFailed, match=(
                     f"did not drop: a cone of multiplicity {mult} has a piece of multiplicity {mult}")):
@@ -915,10 +932,28 @@ class TestResolve:
         (chained, _), (refined, _) = resolve_both_ways(p2, extra_rounds=1)
         assert chained == refined
 
+    def test_an_extra_round_that_changes_nothing_is_a_check_failure(self, p2, monkeypatch):
+        # refining at g_a in place of g_a + g_b leaves every cone as it is
+        monkeypatch.setattr(chains_module, "vec_add", lambda u, v: u)
+        for fan, ray in ((p2, (0, 1)), (catalog.projective_space(3), (-1, -1, -1))):
+            with pytest.raises(ResolutionCheckFailed, match=re.escape(f"refining at {ray} changed no cone")):
+                resolve(fan, extra_rounds=1)
+        (chained, _), (refined, _) = resolve_both_ways(p2, extra_rounds=1)
+        assert chained == refined
+
+    @pytest.mark.parametrize("extra, message", [
+        (1.5, "an integer, got 1.5"), (True, "an integer, got True"), ("2", "an integer, got '2'"),
+        (-1, "nonnegative, got -1")])
+    def test_extra_rounds_must_be_a_nonnegative_int(self, p2, cube, extra, message):
+        # refused before either path runs
+        for fan in (p2, cube):
+            with pytest.raises(ValueError, match=re.escape(f"extra_rounds must be {message}")):
+                resolve(fan, extra_rounds=extra)
+
     def test_a_point_outside_the_chosen_cone_is_a_check_failure(self, p112, monkeypatch):
         monkeypatch.setattr(chains_module, "least_chain_points", chain_points(lambda g1, g2, mult: (-mult, 0)))
-        monkeypatch.setattr(fan_module, "_least_box_points",
-                            lambda cone: (1, [tuple(-x for x in cone.generators[0])]))
+        monkeypatch.setattr(fan_module, "_least_box_point",
+                            lambda cell, draw: tuple(-x for x in cell[1][0]))
         for fan, ray in ((p112, (1, 2)), (catalog.rank3_multiplicity3_fan(), (0, 0, -1))):
             with pytest.raises(ResolutionCheckFailed,
                                match=re.escape(f"{ray} does not lie in the cone it subdivides")):
@@ -1010,8 +1045,9 @@ class TestLeastBoxPoints:
     @settings(max_examples=150, deadline=None)
     def test_two_dimensional_cones_match_the_listing(self, seed):
         """On a 2-dimensional cone of multiplicity up to 5,000, in ambient
-        rank 2 to 4, the Hilbert basis walk gives the least key, the count
-        and every point of the least slice of the listed parallelepiped."""
+        rank 2 to 4, the point drawn from the Hilbert basis walk at each
+        index is that point of the least slice of the listed parallelepiped,
+        and the draw is among as many points as the slice holds."""
         rng = random.Random(seed)
         rank, bound = rng.randint(2, 4), rng.choice((3, 12, 50))
         while True:
@@ -1020,19 +1056,13 @@ class TestLeastBoxPoints:
                 cone = Cone.from_generators(rank, gens)
                 if 2 <= cone.multiplicity() <= 5000:
                     break
-        best, points = fan_module._least_box_points(cone)
-        want_best, want = least_box_points_listing(cone)
-        assert (best, len(points)) == (want_best, len(want))
-        assert [points[i] for i in range(len(points))] == want
-        with pytest.raises(IndexError):
-            points[len(points)]
+        assert least_box_points_drawn(cone) == least_box_points_listing(cone)[1]
 
     @pytest.mark.parametrize("n", [2, 3, 41, 1000])
     def test_an_a_cone_gives_its_whole_segment(self, n):
         # every (1, k), 0 < k < n, has coefficient sum 1 on <(1,0),(1,n)>
-        best, points = fan_module._least_box_points(Cone.from_generators(2, [(1, 0), (1, n)]))
-        assert best == n and len(points) == n - 1
-        assert [points[i] for i in (0, n - 2)] == [(1, 1), (1, n - 1)]
+        points = least_box_points_drawn(Cone.from_generators(2, [(1, 0), (1, n)]))
+        assert points == [(1, k) for k in range(1, n)]
 
     @given(st.integers(0, 99999), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
@@ -1046,7 +1076,7 @@ class TestLeastBoxPoints:
         if len(smith_diagonal_oracle(gens)) == 2:
             cases.append((2, sorted({primitive_vector(g) for g in gens}), [(0, 1)]))
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(fan_module, "_least_box_points", least_box_points_listing)
+            m.setattr(fan_module, "_least_box_point", least_box_point_listed)
             for rank, rays, cones in cases:
                 try:
                     fan = Fan.build(rank, rays, cones)
@@ -1085,7 +1115,7 @@ class TestLeastBoxPoints:
     def test_only_cones_of_dim_3_or_more_list_their_parallelepiped(self, monkeypatch):
         box_points, cones = fan_module._box_points, []
         monkeypatch.setattr(fan_module, "_box_points",
-                            lambda cone, **k: cones.append(cone) or box_points(cone, **k))
+                            lambda cone: cones.append(cone) or box_points(cone))
         assert resolve(Fan.build(2, [(1, 0), (1, 1000)], [(0, 1)])).fine.is_smooth()
         assert cones == []
         rank3 = Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, 2, 7)], [(0, 1, 2)])
@@ -1197,6 +1227,40 @@ class TestAgainstOracles:
         assert cone.multiplicity() == 111
         assert_box_points_by_definition(cone)
 
+    def test_least_box_points_match_the_listing_on_noncyclic_groups(self):
+        """On seeded simplicial cones of dim 3 to 5, in ambient rank dim or
+        dim + 1 and of multiplicity up to 10^4, ``fan._box_points`` is the
+        least slice of the listed parallelepiped.  Each cone's generators are
+        the columns of E U diag(factors) W, for unimodular U and W and the
+        first dim columns E of a unimodular matrix, so its group is the sum
+        of the Z/d_i, often with two or three factors above 1; the
+        determinantal divisors confirm the factors."""
+        from test_lattice import random_unimodular
+
+        rng = random.Random(20261019)
+        mults, noncyclic = [], 0
+        while len(mults) < 40:
+            dim = rng.randint(3, 5)
+            rank = rng.randint(dim, dim + 1)
+            f1 = rng.choice((1, 2)) if dim > 3 else 1
+            f2 = f1 * rng.choice((1, 2, 3))
+            f3 = f2 * max(1, round((10**4 // (f1 * f2 * f2)) ** rng.random()))
+            factors = (1,) * (dim - 3) + (f1, f2, f3)
+            basis = [row[:dim] for row in random_unimodular(rng, rank)]
+            local = mat_mul(mat_mul(random_unimodular(rng, dim), [
+                [f if i == j else 0 for j in range(dim)] for i, f in enumerate(factors)]),
+                random_unimodular(rng, dim))
+            gens = transpose(mat_mul(basis, local))
+            if f3 == 1 or any(g != primitive_vector(g) for g in gens):
+                continue
+            assert smith_diagonal_oracle(gens) == list(factors)
+            cone = Cone.from_generators(rank, gens)
+            assert cone.multiplicity() == f1 * f2 * f3
+            assert fan_module._box_points(cone) == least_box_points_listing(cone)[1], gens
+            mults.append(cone.multiplicity())
+            noncyclic += f2 > 1
+        assert noncyclic > 10 and max(mults) > 2000
+
     def test_cone_geometry_matches_the_replaced_paths(self, monkeypatch):
         """Generators, facets, faces and dimension, or the error class and
         message, of seeded random cones are the same whether facets come
@@ -1204,8 +1268,9 @@ class TestAgainstOracles:
         the generators kept are the extreme ones of the rank test, a cone is
         refused as not strongly convex exactly when its facet normals have
         too small a rank, and the faces of a non-simplicial cone are those
-        of the closure loop; and the parallelepiped points are those of the
-        bounding-box scan wherever it is small."""
+        of the closure loop; and the listed parallelepiped points, and the
+        least slice ``fan._box_points`` maps, are those of the bounding-box
+        scan wherever it is small."""
         rng = random.Random(20261018)
         cases = []
         for _ in range(3000):
@@ -1241,7 +1306,10 @@ class TestAgainstOracles:
                 assert verdict[2] == faces_by_closure(cone), gens
             if cone.is_simplicial and box_scan_size(cone) <= 10_000:
                 scanned += 1
-                assert fan_module._box_points(cone) == box_points_scan(cone), gens
+                box = box_points_scan(cone)
+                assert box_points_listing(cone) == box, gens
+                if box:
+                    assert fan_module._box_points(cone) == [x for key, x in box if key == box[0][0]], gens
         monkeypatch.setattr(Cone, "facets", property(facets_by_generator_subsets))
         assert got == verdicts()
         kinds = [v[0] if isinstance(v[0], str) else len(v[0]) > v[3] for v in got]
@@ -1250,11 +1318,15 @@ class TestAgainstOracles:
 
 
 def assert_box_points_by_definition(cone):
-    """The parallelepiped points are mult - 1 distinct points of the span,
-    each with coefficients 0 <= lambda < 1 on the generators."""
-    box = fan_module._box_points(cone)
-    assert len(box) == len({x for _, x in box}) == cone.multiplicity() - 1
+    """The listed parallelepiped points are mult - 1 distinct points of the
+    span, each with coefficients 0 <= lambda < 1 on the generators, keyed by
+    mult * sum(lambda); those of least key, in ascending order, are the
+    points of ``fan._box_points``."""
+    box, mult = box_points_listing(cone), cone.multiplicity()
+    assert len(box) == len({x for _, x in box}) == mult - 1
     cols = tuple(zip(*cone.generators))
-    for _, x in box:
+    for key, x in box:
         lam = solve_rational(cols, x)
-        assert lam is not None and all(0 <= v < 1 for v in lam)
+        assert lam is not None and all(0 <= v < 1 for v in lam) and key == mult * sum(lam)
+    if box:
+        assert fan_module._box_points(cone) == least_box_points_listing(cone)[1]

@@ -194,6 +194,21 @@ class TestChi:
         assert r1.fine != r2.fine
         assert chi(p112, xi, resolution=r1) == chi(p112, xi, resolution=r2)
 
+    def test_seeded_resolutions_with_extra_rounds_agree(self, complete_corpus):
+        """On P^2, F_2, P(1,1,2) and the cube, chi and the pairing with the
+        first ray of a fixed class are the same through
+        ``resolve(fan, rng=Random(s), extra_rounds=e)`` for e = 0..3, each
+        extra round giving another fine fan."""
+        for name in ("p2", "hirzebruch2", "p112", "cube"):
+            fan = complete_corpus[name]
+            f = random_cartier_combination(fan, line_bundle_classes(fan), random.Random(1301))
+            for seed in (5, 17):
+                resolutions = [resolve(fan, rng=random.Random(seed), extra_rounds=e) for e in range(4)]
+                assert len({r.fine for r in resolutions}) == 4, (name, seed)
+                values = {(chi(fan, f, resolution=r), kronecker_pair(fan, f, (0,), resolution=r))
+                          for r in resolutions}
+                assert len(values) == 1, (name, seed)
+
     def test_unimodular_images_map_chi_by_the_inverse_transpose(self, complete_corpus):
         """GL_n(Z) invariance on the fixed complete corpus.  With the rays
         moved by a seeded unimodular A, two per fan, the fan resolves to a

@@ -3,7 +3,10 @@ no ``assert`` statement (the optimizer strips it) and no ``fractions`` import
 (exact work stays in integers and Z[M]).  One rule keeps lattice coordinates
 in one place: ``smith_normal_form`` is called only from
 ``fan.span_coordinates``; another keeps one way to pick a resolve point:
-``fan._box_points`` is called only from ``fan._least_box_points``; a third
+``fan._box_points``, which takes the cone alone, is called only from
+``fan._least_box_point``, no ``_Progression``, ``_least_box_points``,
+``_seed_cone_objects`` or ``subdivision`` is defined, and ``fan._Refinement``
+keeps no ``stepped``; a third
 keeps one way to pair: ``orbit_closure_class`` has no caller in the
 package; a fourth keeps one face enumeration per fan:
 ``faces_as_generator_subsets`` is called only from ``Fan._star``; a fifth
@@ -38,7 +41,7 @@ adjugate or for a dimension below the rank, and ``Cone.facets`` calls
 ``extreme_rays_of_region`` only in its branch for a non-simplicial cone; a
 thirteenth keeps one Hirzebruch-Jung walk: ``least_chain_points`` is defined
 once, in ``chains.py``, and called only from ``chains.chain_point`` and
-``fan._least_box_points``, no ``resolve_rank2`` is defined, and ``chains.py``
+``fan._least_box_point``, no ``resolve_rank2`` is defined, and ``chains.py``
 imports nothing from ``fan``; a fourteenth keeps exact division to one
 line-sum pass and one fill: there is no ``_packed_lines``, only
 ``laurent._line_sums_vanish`` names the lines e + Z*w, and every power
@@ -108,7 +111,17 @@ def test_smith_form_called_only_from_span_coordinates():
 
 
 def test_box_points_listed_only_for_the_least_box_points():
-    assert _callers("_box_points") == {("fan.py", "_least_box_points")}
+    # a general-path step draws its one point in _least_box_point, and a
+    # refinement reports its changes only through the value of its step
+    assert _callers("_box_points") == {("fan.py", "_least_box_point")}
+    defined = {node.name for path in SOURCES for _, node in
+               _nodes(ast.parse(path.read_text()), (ast.FunctionDef, ast.ClassDef))}
+    assert defined.isdisjoint({"_Progression", "_least_box_points", "_seed_cone_objects", "subdivision"})
+    fan = ast.parse(next(p for p in SOURCES if p.name == "fan.py").read_text())
+    refinement = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "_Refinement")
+    assert "stepped" not in {a.attr for _, a in _nodes(refinement, ast.Attribute)}
+    box_points = next(f for _, f in _nodes(fan, ast.FunctionDef) if f.name == "_box_points")
+    assert [a.arg for a in box_points.args.args] == ["cone"] and not box_points.args.kwonlyargs
 
 
 def test_orbit_closure_class_has_no_caller_in_the_package():
@@ -282,7 +295,7 @@ def test_the_chain_walk_is_defined_once_and_needs_no_fan():
                for where, f in _nodes(ast.parse(path.read_text()), ast.FunctionDef)
                if f.name in ("least_chain_points", "resolve_rank2")}
     assert defined == {("chains.py", None)}
-    assert _callers("least_chain_points") == {("chains.py", "chain_point"), ("fan.py", "_least_box_points")}
+    assert _callers("least_chain_points") == {("chains.py", "chain_point"), ("fan.py", "_least_box_point")}
     chains = ast.parse(next(p for p in SOURCES if p.name == "chains.py").read_text())
     imported = [node.module or "" for _, node in _nodes(chains, ast.ImportFrom)]
     imported += [a.name for _, node in _nodes(chains, (ast.Import, ast.ImportFrom)) for a in node.names]
