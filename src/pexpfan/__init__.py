@@ -2,7 +2,7 @@
 on a rational fan, with GKM validation, equivariant Euler characteristics by
 fixed-point localization, Kronecker duality pairings, and basis solvers."""
 
-from .fan import Cone, Fan, SubdivisionMap, resolve, star_quotient, stellar_subdivision
+from .fan import Cone, Fan, SubdivisionMap, resolve, stellar_subdivision
 from .lattice import QuotientLattice, primitive_vector, smith_normal_form
 from .laurent import LaurentPoly, LocalizationSum, divide_exact, reduce_localization
 from .ktheory import (
@@ -27,12 +27,11 @@ from .pexp import (
 )
 
 __all__ = [
-    "Cone", "Fan", "SubdivisionMap", "resolve", "star_quotient",
-    "stellar_subdivision", "QuotientLattice", "primitive_vector",
-    "smith_normal_form", "LaurentPoly", "LocalizationSum", "divide_exact",
-    "reduce_localization", "PairingMatrix", "chi", "decompose",
-    "dual_basis_solve", "gram_matrix", "kronecker_pair",
-    "orbit_closure_class", "tangent_weights", "CartierData", "GkmReport",
-    "GkmViolation", "PiecewiseExponential", "descend", "from_cartier",
-    "gkm_validate", "pullback",
+    "Cone", "Fan", "SubdivisionMap", "resolve", "stellar_subdivision",
+    "QuotientLattice", "primitive_vector", "smith_normal_form",
+    "LaurentPoly", "LocalizationSum", "divide_exact", "reduce_localization",
+    "PairingMatrix", "chi", "decompose", "dual_basis_solve", "gram_matrix",
+    "kronecker_pair", "orbit_closure_class", "tangent_weights",
+    "CartierData", "GkmReport", "GkmViolation", "PiecewiseExponential",
+    "descend", "from_cartier", "gkm_validate", "pullback",
 ]

@@ -11,10 +11,10 @@ piece takes the cell over and the others follow it.  ``subdivide`` is the one
 loop both paths run, with its picks, draws and checks; only
 ``least(cell, draw)`` and ``split(cell, x)`` differ.  The
 rank-2 path (``chain_cells``, ``chain_point``) splits cells on plain integers,
-reading its points from ``least_chain_points``, the Hirzebruch-Jung walk
-(Fulton, Introduction to Toric Varieties, 2.6) that ``fan._least_box_point``,
-the ``least`` of the general path, reads for a 2-dimensional cone of any
-rank.  This module imports nothing from ``fan``.
+drawing its points with ``drawn_chain_point`` from ``least_chain_points``, the
+Hirzebruch-Jung walk (Fulton, Introduction to Toric Varieties, 2.6), as
+``fan._least_box_point``, the ``least`` of the general path, does for a
+2-dimensional cone of any rank.  This module imports nothing from ``fan``.
 """
 
 from __future__ import annotations
@@ -203,14 +203,22 @@ def chain_cells(rays, cones):
     return linked(cells), index, split
 
 
-def chain_point(cell, draw):
-    """The least parallelepiped point of a singular rank-2 cell that
-    ``draw(count)`` picks among the count points of ``least_chain_points``,
-    or None when there are none."""
-    (g1, g2), mult = cell[1], cell[3]
-    _, (a, k), (da, dk), count = least_chain_points(g1, g2, mult)
+def drawn_chain_point(generators, local, mult: int, draw):
+    """The least parallelepiped point of a singular 2-dimensional cone on
+    ``generators``, of multiplicity mult, that ``draw(count)`` picks among
+    the count points of ``least_chain_points`` on its ``local`` generators
+    (the generators themselves in rank 2), mapped through the generators;
+    None when there are none."""
+    _, (a, k), (da, dk), count = least_chain_points(*local, mult)
     if count < 1:
         return None
     i = draw(count)
     a, k = a + i * da, k + i * dk
-    return (a * g1[0] + k * g2[0]) // mult, (a * g1[1] + k * g2[1]) // mult
+    g1, g2 = generators
+    return tuple([(a * x + k * y) // mult for x, y in zip(g1, g2)])
+
+
+def chain_point(cell, draw):
+    """``drawn_chain_point`` of a singular rank-2 cell: the ``least`` of the
+    rank-2 path."""
+    return drawn_chain_point(cell[1], cell[1], cell[3], draw)

@@ -33,10 +33,6 @@ class NotIndependent(StructuralError):
     pass
 
 
-class NotUnimodular(StructuralError):
-    pass
-
-
 # --- exponential sums -------------------------------------------------------
 
 class RankMismatch(StructuralError):

@@ -24,7 +24,7 @@ import random
 from functools import cached_property
 from math import prod
 
-from .chains import chain_cells, chain_point, fan_order, least_chain_points, linked, subdivide
+from .chains import chain_cells, chain_point, drawn_chain_point, fan_order, linked, subdivide
 from .errors import (
     ConeNotInFan,
     NonPrimitiveRay,
@@ -51,7 +51,6 @@ from .lattice import (
     strict_int,
     strict_list,
     transpose,
-    unimodular_inverse,
     value_class,
     vec_scale,
     QuotientLattice,
@@ -115,11 +114,12 @@ def span_coordinates(rank: int, vectors) -> tuple[Vector, IntMatrix, IntMatrix, 
     coordinates the vectors are G = U[:d] A = D[:d] V^-1, so for d
     independent vectors |det G| = prod(factors), the index of the lattice
     they generate in the saturated span, and G^-1 = V D[:d]^-1 needs no
-    elimination (``Cone._scaled_inverse``).  Every lattice coordinate in the
-    package is read from here, except those of a cone of rank independent
-    generators, which are the coordinates of N (``Cone._adjugate``); the
-    span basis and the section of the annihilator need U^-1 as well, which
-    only ``span_quotients`` computes.
+    elimination (``Cone._scaled_inverse``), and A V = U^-1 D, so column i of
+    U^-1, the span basis vector i, is (sum_j V[j][i] v_j) / d_i with no
+    inverse computed (``Fan.face_quotient``).  Every lattice coordinate in
+    the package is read from here, except those of a cone of rank
+    independent generators, which are the coordinates of N
+    (``Cone._adjugate``).
     """
     cols = tuple(tuple(v) for v in vectors)
     if not cols:
@@ -127,20 +127,6 @@ def span_coordinates(rank: int, vectors) -> tuple[Vector, IntMatrix, IntMatrix, 
     u, d, v = smith_normal_form(transpose(cols))
     factors = tuple(d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
     return factors, u[:len(factors)], u[len(factors):], v
-
-
-def span_quotients(rank: int, vectors) -> tuple[QuotientLattice, QuotientLattice]:
-    """(M -> M_tau, N -> N/N_tau) for the saturated span N_tau of the vectors.
-
-    With U from ``span_coordinates`` and d the dimension of the span, the
-    first pairs a character with the span basis, the first d columns of
-    U^-1, with the transposed projection as its section; the second applies
-    the annihilator, with the last rank - d columns of U^-1 as its section.
-    """
-    factors, projection, annihilator, _ = span_coordinates(rank, vectors)
-    d, inverse = len(factors), unimodular_inverse(projection + annihilator)
-    return (QuotientLattice(transpose(inverse)[:d], transpose(projection)),
-            QuotientLattice(annihilator, tuple(row[d:] for row in inverse)))
 
 
 @value_class
@@ -523,9 +509,11 @@ class Fan:
         """Quotient M -> M_tau presenting functions on the span of the face.
 
         The coordinates of u are its pairings with the saturated span basis
-        of ``span_quotients`` (for a ray, <u, generator>), and the section
-        is the transpose of the span projection; for a full-dimensional face
-        the quotient is the identity on M.
+        (for a ray, <u, generator>), read off the face's one Smith form
+        U A V = D (``span_coordinates``): as A V = U^-1 D, basis vector i is
+        (sum_j V[j][i] g_j) / d_i.  The section is the transpose of the span
+        projection U[:d]; for a full-dimensional face the quotient is the
+        identity on M.
         """
         rs = self.require_face(rayset)
         cache = self._quotients
@@ -537,7 +525,11 @@ class Fan:
                 cache[rs] = QuotientLattice(ident, ident)
             else:
                 # rays in index order: Cone._span's sorted ones give other coordinates
-                cache[rs] = span_quotients(self.rank, (self.rays[i] for i in rs))[0]
+                gens = [self.rays[i] for i in rs]
+                factors, projection, _, v = span_coordinates(self.rank, gens)
+                g = transpose(gens)
+                basis = tuple(tuple(x // f for x in mat_vec(g, c)) for f, c in zip(factors, transpose(v)))
+                cache[rs] = QuotientLattice(basis, transpose(projection))
         return cache[rs]
 
     # -- completeness -----------------------------------------------------------
@@ -620,50 +612,6 @@ class Fan:
         return Fan.build(obj["rank"], obj["rays"], obj["max_cones"], validate=validate)
 
 
-# -- star quotients ---------------------------------------------------------------
-
-
-def star_quotient(fan: Fan, rayset) -> tuple[Fan, tuple[int, ...], QuotientLattice]:
-    """The fan of the orbit closure of a cone, in N/N_tau.
-
-    Returns (quotient fan, lifting, lattice quotient); ``lifting[i]`` is the
-    index of the source maximal cone of ``fan`` projecting onto maximal cone i
-    of the quotient fan.  The lattice quotient applies the annihilator of the
-    span of tau (``span_quotients``).
-    """
-    rs = fan.require_face(rayset)
-    quot = span_quotients(fan.rank, (fan.rays[i] for i in rs))[1]
-    new_rank = quot.rank
-    if new_rank == fan.rank:
-        return fan, tuple(range(len(fan.maximal_cones))), quot
-    star = fan._star[rs]
-
-    images = []
-    for i in star:
-        cone = fan.cone_objects[i]
-        img = Cone.from_generators(
-            new_rank, tuple(quot.project_vector(g) for g in cone.generators)
-        )
-        images.append(img.generators)
-    if len(set(images)) != len(images):
-        raise NotAFan("star projection produced coinciding cones")
-
-    ray_list: list[Vector] = []
-    ray_pos: dict[Vector, int] = {}
-    cone_indices = []
-    for gens in images:
-        idx = []
-        for g in gens:
-            if g not in ray_pos:
-                ray_pos[g] = len(ray_list)
-                ray_list.append(g)
-            idx.append(ray_pos[g])
-        cone_indices.append(tuple(sorted(idx)))
-    qfan = Fan.build(new_rank, tuple(ray_list), tuple(cone_indices))
-    # Fan.build preserves cone order, so the lifting stays aligned
-    return qfan, star, quot
-
-
 # -- subdivisions --------------------------------------------------------------------
 
 
@@ -692,7 +640,19 @@ class SubdivisionMap:
 
     @staticmethod
     def from_json(obj: dict) -> "SubdivisionMap":
-        """Read a map, refusing one whose fine cones do not lie in their coarse cones."""
+        """Read a map, refusing one whose fine cones do not lie in their
+        coarse cones or do not cover them.
+
+        The fine cones assigned to a coarse cone sigma cover it when each has
+        the dimension of sigma and each of their facets either lies in a
+        facet of sigma or is a facet of exactly two of them.  The degree of
+        a generic point of sigma, the number of them holding it, then does
+        not change across such a facet, by the crossing argument of
+        ``Fan.is_complete`` inside the span of sigma; it is at most 1, the
+        fine fan being a fan, and some fine cone holds a point of sigma's
+        interior.  A facet of a fine cone of sigma that lies in no facet of
+        sigma meets its interior, so no cone of another maximal coarse cone
+        has it."""
         if not isinstance(obj, dict) or not {"fine", "coarse", "assignment"} <= set(obj):
             raise ValueError("subdivision map JSON needs 'fine', 'coarse', and 'assignment'")
         fine, coarse = Fan.from_json(obj["fine"]), Fan.from_json(obj["coarse"])
@@ -709,6 +669,17 @@ class SubdivisionMap:
                 raise ValueError(f"fine cone {i} does not lie in its coarse cone {j}")
         if set(sub.assignment) != set(range(len(coarse.maximal_cones))):
             raise ValueError("some coarse cone has no fine cone assigned")
+        for i, j in enumerate(sub.assignment):
+            if fine.cone_objects[i].dim != coarse.cone_objects[j].dim:
+                raise ValueError(f"fine cone {i} has a dimension other than its coarse cone {j}")
+        for rayset, entries in fine.walls.items():
+            if len(entries) == 2 and sub.assignment[entries[0][0]] == sub.assignment[entries[1][0]]:
+                continue
+            for i, _ in entries:
+                j = sub.assignment[i]
+                if not any(all(pair(u, fine.rays[k]) == 0 for k in rayset)
+                           for u, _ in coarse.cone_objects[j].facets):
+                    raise ValueError(f"the fine cones assigned to coarse cone {j} do not cover it")
         return sub
 
 
@@ -887,24 +858,19 @@ def _least_box_point(cell: list, draw) -> Vector | None:
     that ``draw(count)`` picks among the count parallelepiped points of least
     coefficient sum of a singular simplicial cell's cone, in ascending
     order, or None when there are none.  A cone of dim >= 3 draws from
-    ``_box_points``; a cone of dim 2 lists nothing: it draws an index among
-    the points of the Hirzebruch-Jung walk ``chains.least_chain_points`` on
-    its local generators and maps that one point through its generators.
+    ``_box_points``; a cone of dim 2 lists nothing: it draws on the
+    Hirzebruch-Jung walk of its local generators, as the rank-2 path does
+    (``chains.drawn_chain_point``).
 
     The point is a nonzero box point of the cone, so of the smallest face
     tau holding it, which is then singular; a face's multiplicity divides
     that of every simplicial cone having it, so every cell the step
     replaces, one of the star of tau, is singular."""
-    cone, mult = cell[5], cell[3]
+    cone = cell[5]
     if cone.dim != 2:
         points = _box_points(cone)
         return points[draw(len(points))]
-    _, (a, k), (da, dk), count = least_chain_points(*cone.local_generators, mult)
-    if count < 1:
-        return None
-    i = draw(count)
-    a, k = a + i * da, k + i * dk
-    return tuple((a * x + k * y) // mult for x, y in zip(*cone.generators))
+    return drawn_chain_point(cone.generators, cone.local_generators, cell[3], draw)
 
 
 def resolve(

@@ -4,16 +4,15 @@ Vectors are plain tuples of Python ints (arbitrary precision); an element of
 the cocharacter lattice N and a character in the dual lattice M are both
 ``Vector``s, paired by the ordinary dot product ``pair``.  Matrices are tuples
 of row tuples.  Everything here is total, deterministic, and allocation-happy
-rather than clever: exactness is the product.  Rank, determinant, adjugate
-and inverse come from Bareiss elimination, which serves the vertex
-enumeration of non-simplicial cones, the Gram matrices over Z[M] and the
-span bases of the face and star quotients; the adjugate of a 2x2 or 3x3
-matrix is written out instead.  A cone of n independent generators in rank
-n reads its dimension, multiplicity, facets and tangent weights off their
-one adjugate, in the coordinates of N.  The Smith form serves only
-``fan.span_coordinates``, one per span, which gives the coordinates of
-every other cone, face and star quotient, and the parallelepiped points of
-a singular cone.
+rather than clever: exactness is the product.  Rank, determinant and
+adjugate come from Bareiss elimination, which serves the vertex enumeration
+of non-simplicial cones and the Gram matrices over Z[M]; the adjugate of a
+2x2 or 3x3 matrix is written out instead.  A cone of n independent
+generators in rank n reads its dimension, multiplicity, facets and tangent
+weights off their one adjugate, in the coordinates of N.  The Smith form
+serves only ``fan.span_coordinates``, one per span, which gives the
+coordinates of every other cone, the span basis of every face quotient with
+no inverse computed, and the parallelepiped points of a singular cone.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 from math import gcd
 from operator import attrgetter, mul
 
-from .errors import NotIndependent, NotUnimodular, ZeroVector
+from .errors import NotIndependent, ZeroVector
 
 Vector = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -257,17 +256,6 @@ def adjugate(a: IntMatrix) -> tuple[int, IntMatrix]:
     return det, adj
 
 
-def unimodular_inverse(a: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1, det * adj."""
-    try:
-        det, adj = adjugate(a)
-    except (ValueError, NotIndependent):
-        det = 0
-    if abs(det) != 1:
-        raise NotUnimodular("matrix is not invertible over the integers")
-    return tuple(tuple(det * x for x in row) for row in adj)
-
-
 def line_kernel(rows, n: int) -> Vector | None:
     """Primitive generator of {x : A x = 0} in Z^n for n - 1 rows A, or None
     when that kernel is not a line (the rows are dependent).
@@ -359,9 +347,8 @@ class QuotientLattice:
 
     ``projection`` is an (r x n) matrix, onto Z^r, whose kernel is a saturated
     sublattice; ``section`` is an (n x r) right inverse, so projection @
-    section = identity.  Both come from ``fan.span_quotients``: a face's
-    quotient of M pairs with the span basis, a star's quotient of N applies
-    the annihilator of the span.
+    section = identity.  ``Fan.face_quotient`` builds them: a face's
+    quotient of M pairs with the saturated basis of the face's span.
     """
 
     projection: IntMatrix
@@ -371,5 +358,3 @@ class QuotientLattice:
     def rank(self) -> int:
         return len(self.projection)
 
-    def project_vector(self, u: Vector) -> Vector:
-        return mat_vec(self.projection, u)

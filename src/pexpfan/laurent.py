@@ -127,10 +127,6 @@ class LaurentPoly:
         """True iff the element is +-e^u."""
         return len(self.terms) == 1 and abs(self.terms[0][1]) == 1
 
-    def augment(self) -> int:
-        """Sum of coefficients: the ring map e^u -> 1 to the integers."""
-        return sum(c for _, c in self.terms)
-
     def map_exponents(self, phi: IntMatrix) -> "LaurentPoly":
         """Push every exponent through the integer matrix phi and merge; the
         image has one coordinate per row of phi."""

@@ -10,9 +10,13 @@ validation used before ``line_kernel``, and ``reduce_localization_greedy``,
 the fold that tried every denominator factor after every step before
 ``reduce_localization`` tried only the shared directions, and
 ``pairing_quotient`` and ``quotient_lattice``, the second Smith forms that
-``Fan.face_quotient`` (through ``face_quotient_oracle``) and ``star_quotient``
-(``star_quotient_oracle``) took before both read their quotients from
-``fan.span_coordinates`` (``span_basis`` reads the span basis from it), and
+``Fan.face_quotient`` (through ``face_quotient_oracle``) and the star
+quotient the package no longer builds (``star_quotient_oracle``) took before
+both read their quotients from ``fan.span_coordinates`` (``span_basis``
+reads the span basis from it, inverting U as det * adj by
+``unimodular_inverse``, where ``Fan.face_quotient`` reads it off V and D),
+and ``augmentation``, the sum of coefficients that ``LaurentPoly`` kept as a
+method with no caller in the package, and
 ``multiplicity_by_adjugate``, the determinant that ``Cone.multiplicity``
 read before the Smith form's invariant factors (these cone oracles read the
 Smith form's coordinates, ``smith_local_generators``, where a
@@ -531,7 +535,7 @@ def quotient_lattice(rank: int, kernel):
     """(projection, section) of M / span(kernel) for independent vectors
     spanning a saturated sublattice: the last rows of U and the last columns
     of U^-1 in the Smith form U K V = D of the kernel vectors as columns."""
-    from pexpfan.lattice import identity_matrix, smith_normal_form, transpose, unimodular_inverse
+    from pexpfan.lattice import identity_matrix, smith_normal_form, transpose
 
     kernel = tuple(tuple(v) for v in kernel)
     k = len(kernel)
@@ -541,6 +545,18 @@ def quotient_lattice(rank: int, kernel):
     if any(d[i][i] != 1 for i in range(k)):
         raise ValueError("kernel is dependent or spans a non-saturated sublattice")
     return tuple(u[k:]), tuple(row[k:] for row in unimodular_inverse(u))
+
+
+def unimodular_inverse(u):
+    """The inverse of an integer matrix of determinant +-1, det * adj by the
+    package's ``adjugate``, as the package computed it before
+    ``Fan.face_quotient`` read the span basis off the Smith form's V and D."""
+    from pexpfan.lattice import adjugate
+
+    det, adj = adjugate(u)
+    if abs(det) != 1:
+        raise ValueError("matrix is not invertible over the integers")
+    return tuple(tuple(det * x for x in row) for row in adj)
 
 
 def smith_local_generators(cone):
@@ -555,10 +571,11 @@ def smith_local_generators(cone):
 
 
 def span_basis(rank: int, vectors):
-    """The saturated span basis of the vectors: the first d columns of U^-1
-    for the U that ``fan.span_coordinates`` takes from its Smith form."""
+    """The saturated span basis of the vectors: the first d columns of U^-1,
+    by ``unimodular_inverse``, for the U that ``fan.span_coordinates`` takes
+    from its Smith form."""
     from pexpfan.fan import span_coordinates
-    from pexpfan.lattice import transpose, unimodular_inverse
+    from pexpfan.lattice import transpose
 
     factors, projection, annihilator, _ = span_coordinates(rank, vectors)
     return transpose(unimodular_inverse(projection + annihilator))[:len(factors)]
@@ -580,8 +597,10 @@ def face_quotient_oracle(fan, rs):
 
 
 def star_quotient_oracle(fan, rs):
-    """(quotient fan, lifting, (projection, section)) of ``fan.star_quotient``,
-    with the quotient from ``quotient_lattice`` of the span basis of the face."""
+    """(quotient fan, lifting, (projection, section)) of the star of the face
+    ``rs`` projected to N/N_tau, with the quotient from ``quotient_lattice``
+    of the span basis of the face: the fan of the orbit closure V(tau), whose
+    maximal cone i is the image of the cone ``lifting[i]`` of ``fan``."""
     from pexpfan.fan import Cone, Fan
     from pexpfan.lattice import mat_vec
 
@@ -844,3 +863,8 @@ def euler_characteristic(fan, numerators):
         raise ValueError("one numerator per maximal cone is required")
     return LocalizationSum.build(fan.rank, [
         (n, tangent_weights(c)) for n, c in zip(numerators, fan.cone_objects)]).reduce()
+
+
+def augmentation(f) -> int:
+    """The sum of the coefficients of a Laurent polynomial: the ring map e^u -> 1."""
+    return sum(c for _, c in f.terms)

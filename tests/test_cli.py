@@ -608,6 +608,19 @@ class TestNegativesAndErrors:
         assert doc["status"] == "error"
         assert detail in doc["detail"]
 
+    def test_map_whose_fine_cones_do_not_cover_is_structural(self, tmp_path, capsys):
+        # <(1,0),(1,1)> lies in <(1,0),(1,2)> but leaves <(1,1),(1,2)> uncovered
+        doc = {"fine": {"rank": 2, "rays": [[1, 0], [1, 1]], "max_cones": [[0, 1]]},
+               "coarse": {"rank": 2, "rays": [[1, 0], [1, 2]], "max_cones": [[0, 1]]},
+               "assignment": [0]}
+        (tmp_path / "map.json").write_text(json.dumps(doc))
+        (tmp_path / "unit.json").write_text(json.dumps(
+            {"values": [{"rank": 2, "terms": [{"coeff": 1, "exp": [0, 0]}]}]}))
+        code, out = invoke(["descend", "--map", tmp_path / "map.json", "--pexp", tmp_path / "unit.json"], capsys)
+        assert code == 1
+        assert json.loads(out) == {"status": "error", "kind": "ValueError",
+                                   "detail": "the fine cones assigned to coarse cone 0 do not cover it"}
+
     def test_cone_not_in_fan_is_structural(self, data_files, capsys):
         code, out = invoke(
             [

@@ -30,7 +30,6 @@ from pexpfan.fan import (
     Fan,
     SubdivisionMap,
     resolve,
-    star_quotient,
     stellar_subdivision,
 )
 from pexpfan.ktheory import tangent_weights
@@ -43,7 +42,6 @@ from oracles import (
     box_points_scan,
     box_scan_size,
     complete_by_point_search,
-    det_expansion,
     extreme_generators_by_rank,
     extreme_rays_smith,
     face_quotient_oracle,
@@ -456,39 +454,35 @@ class TestStarTable:
 
 
 class TestStarQuotient:
+    """The star of a face projected to N/N_tau (``star_quotient_oracle``) is
+    the fan of the orbit closure V(tau): ``Fan.build`` accepts it, or refuses
+    an overlap, and ``is_complete`` holds on every projected star of a
+    complete fan."""
+
     def test_ray_of_weighted_plane(self, p112):
         tau = p112.rayset_from_vectors([(-1, -2)])
-        qfan, lifting, _ = star_quotient(p112, tau)
+        qfan, lifting, _ = star_quotient_oracle(p112, tau)
         assert qfan.rank == 1
         assert sorted(qfan.rays) == [(-1,), (1,)]
         assert qfan.is_complete()
         assert len(lifting) == 2
 
-    def test_zero_cone_gives_same_fan(self, p112):
-        qfan, lifting, _ = star_quotient(p112, ())
-        assert qfan == p112
-        assert lifting == (0, 1, 2)
-
     def test_maximal_cone_gives_point(self, p112):
-        qfan, _, _ = star_quotient(p112, p112.maximal_cones[0])
+        qfan, _, _ = star_quotient_oracle(p112, p112.maximal_cones[0])
         assert qfan.rank == 0
         assert qfan.maximal_cones == ((),)
         assert qfan.is_complete()
 
-    def test_not_in_fan(self, p112):
-        with pytest.raises(ConeNotInFan):
-            star_quotient(p112, (0, 1, 2))
-
     def test_overlapping_star_is_refused(self):
         # <(1,0),(1,1)> and <(1,0),(1,2)> overlap, so both project onto the ray (1) of N/Z(1,0)
         overlapping = Fan.build(2, [(1, 0), (1, 1), (1, 2)], [(0, 1), (0, 2)], validate=False)
-        with pytest.raises(NotAFan, match="star projection produced coinciding cones"):
-            star_quotient(overlapping, (0,))
+        with pytest.raises(NotAFan, match="duplicate maximal cones"):
+            star_quotient_oracle(overlapping, (0,))
 
     def test_preserves_completeness(self, complete_corpus):
         for name, fan in complete_corpus.items():
             for face in fan.faces:
-                qfan, _, _ = star_quotient(fan, face)
+                qfan, _, _ = star_quotient_oracle(fan, face)
                 assert qfan.is_complete(), (name, face)
 
 
@@ -510,11 +504,9 @@ def random_mixed_fans(seed: int, count: int) -> list[Fan]:
 
 class TestQuotientsAgainstOracles:
     def test_face_and_star_quotients_match_the_replaced_path(self, complete_corpus):
-        """Face quotients and comparison matrices read from one
-        span_coordinates equal those the second Smith form built.  The star
-        quotient equals its old one up to the automorphism T of N/N_tau
-        relating the two annihilators: the same lifting, and each cone the
-        image under T of the old one."""
+        """Face quotients and comparison matrices read off one
+        span_coordinates, the span basis from its V and D, equal those the
+        second Smith form built, with U^-1 as det * adj."""
         fans = list(complete_corpus.values()) + [
             catalog.singular_quadric_cone_fan(),
             catalog.rank3_multiplicity3_fan(),
@@ -535,14 +527,63 @@ class TestQuotientsAgainstOracles:
                     if set(rs) <= set(c):
                         want = mat_mul(projection, face_quotient_oracle(fan, c)[1])
                         assert pexp_module._comparison_matrix(fan, c, fan, rs) == want
-                qfan, lifting, quot = star_quotient(fan, rs)
-                ofan, olifting, (oprojection, osection) = star_quotient_oracle(fan, rs)
-                t = mat_mul(quot.projection, osection)
-                assert abs(det_expansion(t)) == 1 and mat_mul(t, oprojection) == quot.projection
-                assert lifting == olifting and len(qfan.maximal_cones) == len(ofan.maximal_cones)
-                for c, oc in zip(qfan.maximal_cones, ofan.maximal_cones):
-                    assert {qfan.rays[i] for i in c} == {mat_vec(t, ofan.rays[i]) for i in oc}
         assert faces > 500
+
+
+def without_fine_cone(sub: SubdivisionMap, i: int) -> dict:
+    """The JSON document of ``sub`` with fine cone i and its assignment
+    dropped, and the fine rays it alone used."""
+    cones = [c for k, c in enumerate(sub.fine.maximal_cones) if k != i]
+    used = sorted({r for c in cones for r in c})
+    return {"fine": {"rank": sub.fine.rank, "rays": [list(sub.fine.rays[r]) for r in used],
+                     "max_cones": [[used.index(r) for r in c] for c in cones]},
+            "coarse": sub.coarse.to_json(),
+            "assignment": [j for k, j in enumerate(sub.assignment) if k != i]}
+
+
+class TestSubdivisionMapCover:
+    """``SubdivisionMap.from_json`` refuses a map whose fine cones do not
+    cover their coarse cone, and accepts every map the package builds."""
+
+    @staticmethod
+    def maps():
+        # rank <= 3: a non-complete fine fan is validated by the pairwise loop,
+        # quadratic in its cones, and the rank-4 resolutions have over 150
+        mixed = [fan for fan in random_mixed_fans(20261019, 30) if fan.rank <= 3]
+        fans = [catalog.projective_line(), catalog.projective_plane(), catalog.hirzebruch(2),
+                catalog.weighted_p112(), catalog.cube_fan(), catalog.singular_quadric_cone_fan(),
+                catalog.rank3_multiplicity3_fan()] + mixed
+        for fan in fans:
+            yield SubdivisionMap.identity(fan)
+            yield resolve(fan)
+            yield resolve(fan, rng=random.Random(5), extra_rounds=2)
+        yield stellar_subdivision(catalog.projective_plane(), (1, 1))
+        yield stellar_subdivision(catalog.cube_fan(), (1, 1, 0))
+
+    def test_identity_resolve_and_stellar_maps_are_accepted(self):
+        count = 0
+        for sub in self.maps():
+            assert SubdivisionMap.from_json(sub.to_json()) == sub
+            count += 1
+        assert count == 59
+
+    def test_a_map_missing_a_fine_cone_is_refused(self):
+        refused = 0
+        for sub in self.maps():
+            shared = [i for i, j in enumerate(sub.assignment) if sub.assignment.count(j) > 1]
+            for i in shared[:2]:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"the fine cones assigned to coarse cone {sub.assignment[i]} do not cover it")):
+                    SubdivisionMap.from_json(without_fine_cone(sub, i))
+                refused += 1
+        assert refused > 40
+
+    def test_a_fine_cone_of_lower_dimension_is_refused(self):
+        coarse = Fan.build(2, [(1, 0), (0, 1)], [(0, 1)])
+        fine = Fan.build(2, [(1, 0), (0, 1)], [(0,), (1,)])
+        doc = {"fine": fine.to_json(), "coarse": coarse.to_json(), "assignment": [0, 0]}
+        with pytest.raises(ValueError, match="fine cone 0 has a dimension other than its coarse cone 0"):
+            SubdivisionMap.from_json(doc)
 
 
 class TestStellarSubdivision:
@@ -879,8 +920,8 @@ class TestResolve:
     def test_an_a_cone_resolves_with_no_cone_or_adjugate(self, monkeypatch):
         """Resolving <(1,0),(1,41)> splits its cones on plain integers: it
         builds no Cone and runs no refinement step, adjugate, Smith form,
-        unimodular inverse, rank elimination or vertex enumeration, where each
-        of its 40 steps built two cones, each with its adjugate."""
+        rank elimination or vertex enumeration, where each of its 40 steps
+        built two cones, each with its adjugate."""
         fan = Fan.build(2, [(1, 0), (1, 41)], [(0, 1)])
         calls = []
 
@@ -888,7 +929,7 @@ class TestResolve:
             return lambda *a, **k: calls.append(name) or f(*a, **k)
 
         patches = [(module, name) for module in (fan_module, lattice_module)
-                   for name in ("smith_normal_form", "unimodular_inverse", "matrix_rank", "adjugate")]
+                   for name in ("smith_normal_form", "matrix_rank", "adjugate")]
         patches += [(fan_module, "extreme_rays_of_region")]
         for module, name in patches:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))

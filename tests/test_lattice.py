@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pexpfan.errors import NotIndependent, NotSmooth, NotUnimodular, ZeroVector
-from pexpfan.fan import Cone, span_coordinates, span_quotients
+from pexpfan.errors import NotIndependent, NotSmooth, ZeroVector
+from pexpfan.fan import Cone, Fan, span_coordinates
 from pexpfan.ktheory import tangent_weights
 from pexpfan.lattice import (
     QuotientLattice,
@@ -19,11 +19,10 @@ from pexpfan.lattice import (
     primitive_vector,
     smith_normal_form,
     transpose,
-    unimodular_inverse,
 )
 from oracles import (
     adjugate_by_elimination, det_expansion, integer_det, kernel_basis, smith_diagonal_oracle,
-    smith_normal_form_reference)
+    smith_normal_form_reference, span_basis)
 
 matrices = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
@@ -127,28 +126,27 @@ class TestPrimitiveVector:
 
 
 class TestQuotientLattice:
-    """The coordinates every quotient lattice is read from: span_coordinates,
-    and span_quotients, which adds U^-1."""
+    """The coordinates every quotient lattice is read from, span_coordinates,
+    and the face quotients read off them: with U A V = D, the span basis is
+    the first d columns of U^-1 = A V D^-1, so no inverse is computed."""
 
     def test_trivial_kernel(self):
         ident = identity_matrix(2)
         assert span_coordinates(2, []) == ((), (), ident, ())
-        assert span_quotients(2, []) == (QuotientLattice((), ()), QuotientLattice(ident, ident))
+        assert Fan.build(2, [(1, 0)], [(0,)]).face_quotient(()) == QuotientLattice((), ())
 
     def test_kill_first_coordinate(self):
         factors, projection, annihilator, columns = span_coordinates(2, [(1, 0)])
         assert factors == (1,) and projection == ((1, 0),) and annihilator == ((0, 1),)
         assert columns == ((1,),)
-        face, star = span_quotients(2, [(1, 0)])
+        face = Fan.build(2, [(1, 0)], [(0,)]).face_quotient((0,))
         assert face == QuotientLattice(((1, 0),), ((1,), (0,)))
-        assert star == QuotientLattice(((0, 1),), ((0,), (1,)))
-        assert star.project_vector((5, 7)) == (7,)
 
     def test_ray_coordinate_is_the_pairing(self):
         # a primitive ray is its own span basis, so a face quotient of a ray
         # sends u to <u, ray>
         for ray in ((1, 0, 0), (-1, -2, 0), (2, -3, 5), (0, 0, -1)):
-            assert span_quotients(3, [ray])[0].projection == (ray,)
+            assert Fan.build(3, [ray], [(0,)]).face_quotient((0,)).projection == (ray,)
 
     def test_dependent_vectors_span_their_rank(self):
         factors, _, annihilator, columns = span_coordinates(3, [(1, 0, 0), (1, 0, 0), (0, 1, 0)])
@@ -162,7 +160,8 @@ class TestQuotientLattice:
         factors, projection, annihilator, columns = span_coordinates(3, [(2, 0, 0), (4, 0, 0)])
         assert factors == (2,) and projection == ((1, 0, 0),) and len(columns) == 2
         assert annihilator == ((0, 1, 0), (0, 0, 1))
-        assert span_quotients(3, [(2, 0, 0), (4, 0, 0)])[0].projection == ((1, 0, 0),)
+        # the first column of A V is d_1 times the span basis vector
+        assert transpose(mat_mul(transpose([(2, 0, 0), (4, 0, 0)]), columns))[0] == (2, 0, 0)
 
     @given(st.integers(0, 123456))
     @settings(max_examples=40)
@@ -176,14 +175,16 @@ class TestQuotientLattice:
         if d:
             vectors.append(tuple(map(sum, zip(*vectors))))
         factors, projection, annihilator, columns = span_coordinates(n, vectors)
-        face, star = span_quotients(n, vectors)
-        basis = face.projection
+        basis = span_basis(n, vectors)
         assert len(factors) == len(basis) == d and len(annihilator) == n - d
-        assert face.section == transpose(projection) and star.projection == annihilator
         assert mat_mul(projection, transpose(basis)) == identity_matrix(d)
+        assert all(pair(a, b) == 0 for a in annihilator for b in basis)
         assert all(pair(a, v) == 0 for a in annihilator for v in u[:d])
-        assert mat_mul(annihilator, star.section) == identity_matrix(n - d)
         if d:
+            # A V = U^-1 D: column i of A V is d_i times span basis vector i
+            av = transpose(mat_mul(transpose(vectors), columns))
+            assert av[:d] == tuple(tuple(f * x for x in b) for f, b in zip(factors, basis))
+            assert all(not any(col) for col in av[d:])
             # saturated: the basis has unit invariant factors and spans the rows
             assert smith_diagonal_oracle(basis) == [1] * d
             assert abs(integer_det(mat_mul(u[:d], transpose(projection)))) == 1
@@ -227,14 +228,6 @@ class TestDualBasis:
 
 
 class TestHelpers:
-    @given(st.integers(0, 99999))
-    @settings(max_examples=40)
-    def test_unimodular_inverse(self, seed):
-        rng = random.Random(seed)
-        n = rng.randint(1, 4)
-        u = random_unimodular(rng, n)
-        assert mat_mul(u, unimodular_inverse(u)) == identity_matrix(n)
-
     @given(matrices.filter(lambda a: len(a) == len(a[0])))
     @settings(max_examples=60)
     def test_integer_det_matches_expansion(self, a):
@@ -301,18 +294,12 @@ class TestHelpers:
         assert singular > 300
 
     @pytest.mark.parametrize("call, error, message", [
-        (lambda: unimodular_inverse(((2, 0), (0, 1))), NotUnimodular,
-         "matrix is not invertible over the integers"),
-        (lambda: unimodular_inverse(((1, 2), (2, 4))), NotUnimodular,
-         "matrix is not invertible over the integers"),
-        (lambda: unimodular_inverse(((1, 0),)), NotUnimodular, "matrix is not invertible over the integers"),
         (lambda: adjugate(((1, 2, 3), (4, 5, 6))), ValueError, "adjugate of a non-square matrix"),
         (lambda: line_kernel(((1, 0, 0),), 3), ValueError, "line_kernel needs 2 rows, got 1"),
         (lambda: pair((1, 2), (1,)), ValueError, "pairing of vectors of lengths 2 and 1"),
         (lambda: mat_mul(((1, 2),), ((1, 2),)), ValueError, "matrix shapes do not compose"),
-    ], ids=["det-2-inverse", "singular-inverse", "non-square-inverse", "non-square-adjugate",
-            "line-kernel-row-count", "pair-lengths", "mat-mul-shapes"])
+    ], ids=["non-square-adjugate", "line-kernel-row-count", "pair-lengths", "mat-mul-shapes"])
     def test_malformed_inputs_are_refused(self, call, error, message):
-        with pytest.raises((NotUnimodular, ValueError)) as exc:
+        with pytest.raises(ValueError) as exc:
             call()
         assert (type(exc.value), str(exc.value)) == (error, message)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import reduce_localization_greedy
+from oracles import augmentation, reduce_localization_greedy
 from pexpfan import catalog, laurent
 from pexpfan.errors import (
     NotDivisible,
@@ -85,15 +85,19 @@ class TestRingOps:
 class TestAugment:
     def test_examples(self):
         f = LaurentPoly.constant(2, 3) + 2 * E((1, 0)) - E((0, 1))
-        assert f.augment() == 4
-        assert LaurentPoly.zero(2).augment() == 0
+        assert augmentation(f) == 4
+        assert augmentation(LaurentPoly.zero(2)) == 0
         g = (ONE2 - E((0, 1))) * (ONE2 - E((-2, 1)))
-        assert g.augment() == 0
+        assert augmentation(g) == 0
+        # the package's augmentation is the push to the rank-0 ring
+        for h in (f, g, LaurentPoly.zero(2)):
+            assert h.map_exponents(()) == LaurentPoly.constant(0, augmentation(h))
 
     @given(polys(), polys())
     def test_ring_homomorphism(self, f, g):
-        assert (f * g).augment() == f.augment() * g.augment()
-        assert (f + g).augment() == f.augment() + g.augment()
+        assert augmentation(f * g) == augmentation(f) * augmentation(g)
+        assert augmentation(f + g) == augmentation(f) + augmentation(g)
+        assert (f * g).map_exponents(()) == f.map_exponents(()) * g.map_exponents(())
 
 
 class TestMapExponents:
@@ -523,7 +527,7 @@ class TestFoldAgainstGreedyOracle:
             exps.append(tuple(-gens[0][c] if c == axis else 0 for c in range(3)))
         octahedron = from_cartier(cube, CartierData(tuple(exps)))
         value = chi(cube, octahedron, resolution=resolve(cube))
-        assert value.augment() == 7
+        assert augmentation(value) == 7
         assert calls.count(False) == 180
 
     def test_planless_fold_of_a_shuffled_sum_is_greedy(self, monkeypatch):
@@ -547,7 +551,7 @@ class TestFoldAgainstGreedyOracle:
         sizes = []
         divide = laurent._packed_divide
         monkeypatch.setattr(laurent, "_packed_divide", lambda f, ch: sizes.append(len(f)) or divide(f, ch))
-        assert reduce_localization(s) == want and want.augment() == 7
+        assert reduce_localization(s) == want and augmentation(want) == 7
         assert 0 < max(sizes) <= 251
 
     def test_largest_dividend_of_the_128_cone_chi(self, monkeypatch):

@@ -17,7 +17,7 @@ and builds ``{"status": "ok", ...}`` only in ``run``; a seventh keeps
 cone coordinates in ``pexp``: ``ktheory.py`` calls neither ``pullback`` nor
 ``face_quotient``, and in ``pexp.py`` a face quotient's ``.projection`` is
 read only in ``coerce_values`` (the one projector of ambient values) and
-``_comparison_matrix``, and ``project_vector`` is not called there; an
+``_comparison_matrix``; an
 eighth keeps one facet table per cone: ``extreme_rays_of_region`` is called
 only from ``Cone.facets`` and ``Fan._check_pair``, and ``fan._Refinement``
 reads no ``_adjugate`` or ``_scaled_inverse`` (a resolve step's face is the
@@ -40,16 +40,20 @@ in ``Cone._adjugate``, every function that reads ``Cone._span`` but
 adjugate or for a dimension below the rank, and ``Cone.facets`` calls
 ``extreme_rays_of_region`` only in its branch for a non-simplicial cone; a
 thirteenth keeps one Hirzebruch-Jung walk: ``least_chain_points`` is defined
-once, in ``chains.py``, and called only from ``chains.chain_point`` and
-``fan._least_box_point``, no ``resolve_rank2`` is defined, and ``chains.py``
-imports nothing from ``fan``; a fourteenth keeps exact division to one
-line-sum pass and one fill: there is no ``_packed_lines``, only
+once, in ``chains.py``, and called only from ``chains.drawn_chain_point``,
+the one drawn chain point, which only ``chains.chain_point`` and
+``fan._least_box_point`` call, no ``resolve_rank2`` is defined, and
+``chains.py`` imports nothing from ``fan``; a fourteenth keeps exact
+division to one line-sum pass and one fill: there is no ``_packed_lines``, only
 ``laurent._line_sums_vanish`` names the lines e + Z*w, and every power
 ``merge`` multiplies a numerator by is positive; a fifteenth keeps one
 subdivision loop for every resolve: the messages of its checks appear only
 in ``chains.subdivide``, which only ``fan.resolve`` and ``fan._refine``
 call, the package calls no ``.index``, and ``fan._Refinement`` keeps no
-``order``, ``_ids`` or ``cones``.
+``order``, ``_ids`` or ``cones``; a sixteenth keeps one quotient path:
+the package defines no ``star_quotient``, ``span_quotients``,
+``unimodular_inverse``, ``NotUnimodular``, ``project_vector`` or
+``augment``.
 Every name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types, never
 the kernel it checks."""
@@ -161,7 +165,6 @@ def test_cone_coordinates_stay_in_pexp():
     # a pairing indexes fine values by the refinement's assignment
     lifts = _callers("pullback") | _callers("face_quotient")
     assert {c for c in lifts if c[0] == "ktheory.py"} == set()
-    assert {c for c in _callers("project_vector") if c[0] == "pexp.py"} == set()
     path = next(p for p in SOURCES if p.name == "pexp.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     readers = {where for where, a in _nodes(tree, ast.Attribute) if a.attr == "projection"}
@@ -295,7 +298,8 @@ def test_the_chain_walk_is_defined_once_and_needs_no_fan():
                for where, f in _nodes(ast.parse(path.read_text()), ast.FunctionDef)
                if f.name in ("least_chain_points", "resolve_rank2")}
     assert defined == {("chains.py", None)}
-    assert _callers("least_chain_points") == {("chains.py", "chain_point"), ("fan.py", "_least_box_point")}
+    assert _callers("least_chain_points") == {("chains.py", "drawn_chain_point")}
+    assert _callers("drawn_chain_point") == {("chains.py", "chain_point"), ("fan.py", "_least_box_point")}
     chains = ast.parse(next(p for p in SOURCES if p.name == "chains.py").read_text())
     imported = [node.module or "" for _, node in _nodes(chains, ast.ImportFrom)]
     imported += [a.name for _, node in _nodes(chains, (ast.Import, ast.ImportFrom)) for a in node.names]
@@ -317,6 +321,15 @@ def test_one_subdivision_loop_checks_every_resolve():
     attributes = {a.attr for _, a in _nodes(refinement, ast.Attribute) if isinstance(a.value, ast.Name)
                   and a.value.id == "self"}
     assert attributes.isdisjoint({"order", "_ids", "cones"})
+
+
+def test_no_second_quotient_path_and_no_unused_helpers():
+    # a face quotient reads its span basis off the Smith form's V and D, and
+    # no star quotient of N, inverse of U or coefficient sum is kept
+    defined = {node.name for path in SOURCES for _, node in
+               _nodes(ast.parse(path.read_text()), (ast.FunctionDef, ast.ClassDef))}
+    assert defined.isdisjoint({"star_quotient", "span_quotients", "unimodular_inverse", "NotUnimodular",
+                               "project_vector", "augment"})
 
 
 def test_every_exported_name_resolves():
