@@ -134,7 +134,9 @@ class Cone:
     """A strongly convex rational cone with canonical generators.
 
     Generators are primitive, lie on the extreme rays, and are sorted, so two
-    equal cones compare equal.  ``rank`` is the ambient lattice rank.  A
+    equal cones compare equal: ``from_generators`` makes them so, and a
+    resolve step's pieces are so already (``_Refinement.step``).  ``rank``
+    is the ambient lattice rank.  A
     cone of rank independent generators reads its dimension, multiplicity,
     facets, smallest faces and scaled inverse off their one adjugate, in
     the coordinates of N; any other cone reads them, in the coordinates of
@@ -743,7 +745,7 @@ class _Refinement:
         the joins of the ray with its facets that miss it, in its place.
         Returns (multiplicity of the cell, its pieces) per replaced cell, the
         first piece being the cell itself, taken over; or None when no cell
-        changes."""
+        changes.  A piece's cone is built directly on its sorted rays."""
         new_idx = self.ray_index.get(ray, len(self.rays))
         seen: set[RaySet] = set()
         pieces = []
@@ -765,12 +767,18 @@ class _Refinement:
             self.rays.append(ray)
             self.ray_index[ray] = new_idx
         changes = []
+        rank, rays = self.coarse.rank, self.rays
         for cell, out in zip(holding, pieces):
             for r in cell[0]:
                 del self.incidence[r][id(cell)]
             cells = []
             for piece in out:
-                cone = Cone.from_generators(self.coarse.rank, tuple(map(self.rays.__getitem__, piece)))
+                # a pyramid over a facet with the ray, off its hyperplane, as
+                # apex: its sorted rays are what Cone.from_generators returns,
+                # its extreme rays, primitive (the coarse ones passed
+                # Fan.build, a new one is a primitive point) and distinct (a
+                # ray is looked up before it is appended)
+                cone = Cone(rank, tuple(sorted(map(rays.__getitem__, piece))))
                 cells.append(_cell(piece, cone, self.ray_index, cell[4]))
             linked(cells, cell[6])
             changes.append((cell[3], cells))
@@ -782,11 +790,25 @@ class _Refinement:
 
 def _fine_map(coarse: Fan, rays, first: list) -> SubdivisionMap:
     """The map to ``coarse`` from the fan on ``rays`` whose maximal cones are
-    the cells from ``first`` on, built once: a stellar refinement of a fan is
-    a fan, so it is not revalidated, and it takes the cells' cone objects,
-    where they have them."""
+    the cells from ``first`` on, built once with no ``Fan.build``, taking
+    the cells' cone objects where they have them.  A stellar refinement of
+    a fan is a fan, so only what an input that is no fan could break is
+    checked: each new ray is primitive of the rank, no ray set repeats and
+    every ray is used."""
+    # the rest of Fan.build holds by construction: int rays and indices,
+    # coarse rays that passed it, sorted ray sets of distinct indices, at
+    # least one cell, and the new ray in every piece, so no zero cone beside
+    # other cones
+    rank, rays = coarse.rank, tuple(rays)
+    for r in rays[len(coarse.rays):]:
+        if len(r) != rank or not is_primitive(r):
+            raise ResolutionCheckFailed(f"the refinement's ray {r} is not a primitive vector of rank {rank}")
     raysets, _, _, _, sources, cones, _ = zip(*fan_order(first))
-    fine = Fan.build(coarse.rank, tuple(rays), raysets, validate=False)
+    if len(set(raysets)) != len(raysets):
+        raise NotAFan("duplicate maximal cones")
+    if len(set(itertools.chain.from_iterable(raysets))) != len(rays):
+        raise NotAFan("every ray must appear in some maximal cone")
+    fine = Fan(rank, rays, raysets)
     if first[5]:
         # cached_property keeps its value in the instance dict, which a
         # value class leaves writable (only attribute assignment raises)

@@ -80,19 +80,14 @@ def transpose(a: IntMatrix) -> IntMatrix:
 
 def primitive_vector(v: Vector) -> Vector:
     """Divide out the gcd of the coordinates; direction is preserved."""
-    g = 0
-    for c in v:
-        g = gcd(g, c)
+    g = gcd(*v)
     if g == 0:
         raise ZeroVector("zero vector has no primitive generator")
     return tuple(c // g for c in v)
 
 
 def is_primitive(v: Vector) -> bool:
-    g = 0
-    for c in v:
-        g = gcd(g, c)
-    return g == 1
+    return gcd(*v) == 1
 
 
 def _identity_rows(n: int) -> list[list[int]]:

@@ -150,6 +150,29 @@ def resolve_both_ways(fan, rng_seed=None, extra_rounds=0):
     return out
 
 
+def rank3_cones(top):
+    """The cones <e1, e2, (1, b, m)> for 2 <= m < top, with b = 1 and the
+    least unit mod m from m // 3 on."""
+    return [Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, b, m)], [(0, 1, 2)])
+            for m in range(2, top) for b in sorted({1, next(b for b in range(m // 3, m) if gcd(b, m) == 1)})]
+
+
+def step_cases():
+    """The 173 (fan, seed, extra rounds) resolve cases of
+    ``test_steps_carry_unchanged_cones_and_match_the_replaced_path``: the
+    A-cones <(1,0),(1,N)> for 2 <= N <= 90, ``rank3_cones(31)``, and the
+    cube, P(1,1,2) and a rank-4 pyramid with seeds and extra rounds."""
+    pyramid = Fan.build(4, [(-5, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0),
+                            (0, -1, 1, 0)], [(0, 1, 2, 3, 4)])
+    cases = [(Fan.build(2, [(1, 0), (1, n)], [(0, 1)]), None, 0) for n in range(2, 91)]
+    cases += [(fan, None, 0) for fan in rank3_cones(31)]
+    for fan in (catalog.cube_fan(), catalog.weighted_p112(), pyramid):
+        for seed in (None, 1, 2, 3, 99):
+            for extra in (0, 2):
+                cases.append((fan, seed, extra))
+    return cases
+
+
 def catalog_resolution_data():
     """(rank, rays, cones) of seeded resolutions of every catalog fan."""
     fans = [catalog.projective_line(), catalog.projective_plane(), catalog.projective_space(3),
@@ -814,11 +837,7 @@ class TestResolve:
     def test_rank3_cones_resolve_as_pinned(self):
         """Resolutions of <e1, e2, (1, b, m)> for 2 <= m < 200, with b = 1 and
         the least unit mod m from m // 3 on, serialize as pinned."""
-        docs = []
-        for m in range(2, 200):
-            for b in sorted({1, next(b for b in range(m // 3, m) if gcd(b, m) == 1)}):
-                fan = Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, b, m)], [(0, 1, 2)])
-                docs.append(resolve(fan).to_json())
+        docs = [resolve(fan).to_json() for fan in rank3_cones(200)]
         assert len(docs) == 392
         digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
         assert digest == "337ae92aa2f7348bd1cdcaa32a0d06a434011ddb527def99e8344861500bca6c"
@@ -906,16 +925,18 @@ class TestResolve:
     def test_an_a_cone_resolves_without_scans_into_one_fan(self, monkeypatch):
         """Resolving <(1,0),(1,N)> finds the cones holding each new ray from
         the incidence map, with at most 2N Cone.contains calls where a scan
-        per step made N(N-1)/2, and builds one fan, the fine one."""
+        per step made N(N-1)/2, and builds one fan, the fine one, in one
+        ``_fine_map`` with no ``Fan.build``."""
         n = 200
         fan = Fan.build(2, [(1, 0), (1, n)], [(0, 1)])
-        contains, build, calls = Cone.contains, Fan.build, []
+        contains, build, fine_map, calls = Cone.contains, Fan.build, fan_module._fine_map, []
         monkeypatch.setattr(Cone, "contains",
                             lambda cone, v: calls.append("contains") or contains(cone, v))
         monkeypatch.setattr(Fan, "build",
                             staticmethod(lambda *a, **k: calls.append("build") or build(*a, **k)))
+        monkeypatch.setattr(fan_module, "_fine_map", lambda *a: calls.append("fine") or fine_map(*a))
         resolve(fan)
-        assert calls.count("contains") <= 2 * n and calls.count("build") == 1
+        assert calls.count("contains") <= 2 * n and calls.count("fine") == 1 and "build" not in calls
 
     def test_an_a_cone_resolves_with_no_cone_or_adjugate(self, monkeypatch):
         """Resolving <(1,0),(1,41)> splits its cones on plain integers: it
@@ -941,11 +962,13 @@ class TestResolve:
         assert fine.is_smooth() and calls.count("adjugate") == calls.count("Cone") == 41
 
     def test_extra_rounds_build_one_fine_fan(self, cube, monkeypatch):
-        build, calls = Fan.build, []
+        # one _fine_map per resolve, and no Fan.build inside it
+        build, fine_map, calls = Fan.build, fan_module._fine_map, []
         monkeypatch.setattr(Fan, "build",
-                            staticmethod(lambda *a, **k: calls.append(a) or build(*a, **k)))
+                            staticmethod(lambda *a, **k: calls.append("build") or build(*a, **k)))
+        monkeypatch.setattr(fan_module, "_fine_map", lambda *a: calls.append("fine") or fine_map(*a))
         sub = resolve(cube, rng=random.Random(5), extra_rounds=40)
-        assert len(calls) == 1 and len(sub.fine.maximal_cones) == 128
+        assert calls == ["fine"] and len(sub.fine.maximal_cones) == 128
 
     @pytest.mark.parametrize("step, message", [
         (lambda self, ray, holding: None, "no subdividing ray found"),
@@ -972,6 +995,39 @@ class TestResolve:
                 resolve(fan, extra_rounds=1)
         (chained, _), (refined, _) = resolve_both_ways(p2, extra_rounds=1)
         assert chained == refined
+
+    def test_a_drawn_point_left_non_primitive_is_a_check_failure(self, monkeypatch):
+        # the first point of <e1, e2, (-1,-1,3)>, (0,0,1), left doubled: both
+        # pieces through (0,0,2) drop to multiplicity 2, and the next step, at
+        # (0,0,1), leaves (0,0,2) on no cone
+        drawn = []
+        monkeypatch.setattr(chains_module, "primitive_vector",
+                            lambda v: drawn.append(v) or (vec_scale(2, v) if len(drawn) == 1 else v))
+        fan = Fan.build(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 3)], [(0, 1, 2)])
+        with pytest.raises(ResolutionCheckFailed, match=re.escape(
+                "the refinement's ray (0, 0, 2) is not a primitive vector of rank 3")):
+            resolve(fan)
+        assert drawn == [(0, 0, 1), (0, 0, 1)]
+
+    def test_a_repeated_ray_set_is_not_a_fan(self, p112, monkeypatch):
+        # the rank-2 path reads its cells in fan order only to build the fine
+        # fan: give it the last cell twice
+        monkeypatch.setattr(fan_module, "fan_order", lambda cell: (lambda cells: cells + cells[-1:])(
+            chains_module.fan_order(cell)))
+        for fan in (p112, catalog.singular_quadric_cone_fan()):
+            with pytest.raises(NotAFan, match="^duplicate maximal cones$"):
+                resolve(fan)
+
+    def test_an_unused_ray_is_not_a_fan(self, monkeypatch):
+        # the cone on (1,0), (1,1), (0,1) lists (1,1) though it is no extreme
+        # ray, so no piece of the step at (1,2) has it
+        fan = Fan.build(2, [(1, 0), (1, 1), (0, 1)], [(0, 1, 2)], validate=False)
+        with pytest.raises(NotAFan, match="^every ray must appear in some maximal cone$"):
+            stellar_subdivision(fan, (1, 2))
+        # the resolution of <(1,0),(1,2)> without its first cell, <(1,0),(1,1)>
+        monkeypatch.setattr(fan_module, "fan_order", lambda cell: chains_module.fan_order(cell)[1:])
+        with pytest.raises(NotAFan, match="^every ray must appear in some maximal cone$"):
+            resolve(catalog.singular_quadric_cone_fan())
 
     def test_an_extra_round_that_changes_nothing_is_a_check_failure(self, p2, monkeypatch):
         # refining at g_a in place of g_a + g_b leaves every cone as it is
@@ -1054,16 +1110,7 @@ class TestResolve:
             return change
 
         monkeypatch.setattr(fan_module._Refinement, "step", checked)
-        pyramid = Fan.build(4, [(-5, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0),
-                                (0, -1, 1, 0)], [(0, 1, 2, 3, 4)])
-        cases = [(Fan.build(2, [(1, 0), (1, n)], [(0, 1)]), None, 0) for n in range(2, 91)]
-        for m in range(2, 31):
-            for b in sorted({1, next(b for b in range(m // 3, m) if gcd(b, m) == 1)}):
-                cases.append((Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, b, m)], [(0, 1, 2)]), None, 0))
-        for fan in (catalog.cube_fan(), catalog.weighted_p112(), pyramid):
-            for seed in (None, 1, 2, 3, 99):
-                for extra in (0, 2):
-                    cases.append((fan, seed, extra))
+        cases = step_cases()
         docs = []
         for fan, seed, extra in cases:
             sub = resolve(fan, rng=None if seed is None else random.Random(seed), extra_rounds=extra)
@@ -1079,6 +1126,76 @@ class TestResolve:
         assert len(cases) == 173 and len(steps) > 5000
         digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
         assert digest == "4d5d87c999e55fb90ae4fdf56b8b220de63c486029e14a9994d1b098f1760701"
+
+
+def _seeded(seed):
+    return None if seed is None else random.Random(seed)
+
+
+def tied_maps():
+    for m in range(2, 41):
+        for seed in (None, 1, 7):
+            yield resolve(tied_singular_fan(m), rng=_seeded(seed))
+
+
+def tied_cone_maps():
+    for m in range(2, 41):
+        fan = tied_cone_fan(m)
+        for seed in (None, 1, 7):
+            for extra in (0, 2):
+                yield resolve(fan, rng=_seeded(seed), extra_rounds=extra)
+
+
+def mixed_maps():
+    for fan in random_mixed_fans(20261019, 30):
+        if fan.rank <= 3:
+            yield resolve(fan)
+            yield resolve(fan, rng=random.Random(5), extra_rounds=2)
+
+
+def cube_maps():
+    cube = catalog.cube_fan()
+    for seed in (None, 1, 2, 3, 99):
+        for extra in (0, 1, 2, 5):
+            yield resolve(cube, rng=_seeded(seed), extra_rounds=extra)
+
+
+def stellar_maps():
+    p112, cube = catalog.weighted_p112(), catalog.cube_fan()
+    for fan, ray in ((p112, (0, -1)), (p112, (1, 1)), (catalog.projective_plane(), (1, 1)),
+                     (cube, (1, 0, 0)), (cube, (1, 1, 1)), (cube, (1, 1, 0)),
+                     (catalog.rank3_multiplicity3_fan(), (1, 1, 1)),
+                     (Fan.build(2, [(1, 0), (0, 1)], [(0, 1)]), (1, 1))):
+        yield stellar_subdivision(fan, ray)
+
+
+class TestFineFanAgainstBuild:
+    """``resolve`` and ``stellar_subdivision`` build their fine fan and its
+    pieces' cones from the refinement's own data, with no ``Fan.build`` and
+    no ``Cone.from_generators``: each equals what the replaced path built
+    that way, on the pinned resolve corpora and on stellar maps."""
+
+    @pytest.mark.parametrize("maps, count", [
+        (lambda: (resolve(fan, rng=_seeded(seed), extra_rounds=extra) for fan, seed, extra in step_cases()), 173),
+        (lambda: map(resolve, rank3_cones(200)), 392),
+        (tied_maps, 117),
+        (tied_cone_maps, 234),
+        (mixed_maps, 24),
+        (cube_maps, 20),
+        (stellar_maps, 8),
+    ], ids=["steps", "rank3", "tied", "tied-cone", "mixed", "cube", "stellar"])
+    def test_fine_fans_and_cones_match_the_replaced_path(self, maps, count):
+        seen = 0
+        for sub in maps():
+            fine = sub.fine
+            assert fine == Fan.build(fine.rank, fine.rays, fine.maximal_cones, validate=False)
+            for rs, cone in zip(fine.maximal_cones, fine.cone_objects):
+                fresh = Cone.from_generators(fine.rank, [fine.rays[k] for k in rs])
+                assert cone == fresh and cone.facets == fresh.facets
+                assert (cone.is_simplicial and cone.multiplicity()) == (
+                    fresh.is_simplicial and fresh.multiplicity())
+            seen += 1
+        assert seen == count
 
 
 class TestLeastBoxPoints:

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from pexpfan.lattice import (
     QuotientLattice,
     adjugate,
     identity_matrix,
+    is_primitive,
     line_kernel,
     mat_mul,
     mat_vec,
@@ -123,6 +125,22 @@ class TestPrimitiveVector:
     def test_zero_vector(self):
         with pytest.raises(ZeroVector):
             primitive_vector((0, 0))
+
+    def test_zero_and_rank_0_vectors_are_not_primitive(self):
+        for v in ((), (0,), (0, 0, 0)):
+            assert not is_primitive(v)
+            with pytest.raises(ZeroVector):
+                primitive_vector(v)
+
+    @given(st.lists(st.integers(-60, 60), max_size=5).map(tuple))
+    @settings(max_examples=200)
+    def test_one_gcd_call_matches_the_running_gcd(self, v):
+        g = 0
+        for c in v:
+            g = gcd(g, c)
+        assert is_primitive(v) == (g == 1)
+        if g:
+            assert primitive_vector(v) == tuple(c // g for c in v)
 
 
 class TestQuotientLattice:

@@ -53,7 +53,12 @@ call, the package calls no ``.index``, and ``fan._Refinement`` keeps no
 ``order``, ``_ids`` or ``cones``; a sixteenth keeps one quotient path:
 the package defines no ``star_quotient``, ``span_quotients``,
 ``unimodular_inverse``, ``NotUnimodular``, ``project_vector`` or
-``augment``.
+``augment``; a seventeenth keeps resolve on the refinement's own data:
+``Cone.from_generators`` is called only from ``Fan.cone_objects`` and
+``ktheory.gram_matrix`` (the strict-transform face), so never from
+``fan._Refinement``, and ``Fan.build`` is called in ``fan.py`` only from
+``Fan.from_json`` and nowhere in ``chains.py``, so no function of the resolve
+path calls it.
 Every name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types, never
 the kernel it checks."""
@@ -330,6 +335,14 @@ def test_no_second_quotient_path_and_no_unused_helpers():
                _nodes(ast.parse(path.read_text()), (ast.FunctionDef, ast.ClassDef))}
     assert defined.isdisjoint({"star_quotient", "span_quotients", "unimodular_inverse", "NotUnimodular",
                                "project_vector", "augment"})
+
+
+def test_resolve_builds_its_pieces_and_fine_fan_from_its_own_data():
+    # a piece's rays are already its primitive extreme rays, and a
+    # refinement's fine fan needs none of the JSON-boundary checks
+    assert _callers("from_generators") == {("fan.py", "cone_objects"), ("ktheory.py", "gram_matrix")}
+    assert {caller for caller in _callers("build") if caller[0] in ("fan.py", "chains.py")} == {
+        ("fan.py", "from_json")}
 
 
 def test_every_exported_name_resolves():
