@@ -13,7 +13,8 @@ rank 3, built unvalidated.  ``resolve_a``: the cone <(1,0),(1,N)>.  ``resolve_r3
 the cone <(1,0,0),(0,1,0),(1,b,m)> of multiplicity m, with b the least unit
 mod m from m // 3 on.  ``resolve_r4``: the cone <e1,e2,e3,(1,1,1,m)> of
 multiplicity m, whose cones take the elimination adjugate of rank >= 4.
-``chi_rank2``:
+``resolve_dim2``: the 2-dimensional cone <(1,0,0),(1,N,0)> beside the ray
+(0,0,1), whose pieces take their cell's coordinates.  ``chi_rank2``:
 chi of the unit on the fan of ``complete``, its resolution passed.
 ``chi_cube128``: chi of e^(1,0,0) + 2e^(0,-1,1) on the cube fan through
 ``resolve(rng=Random(5), extra_rounds=R)``, 128 cones at R = 40.  ``chi_wps``:
@@ -105,6 +106,10 @@ def rank4_cone(m):
     return Fan.build(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, m)], [(0, 1, 2, 3)])
 
 
+def dim2_cone(n):
+    return Fan.build(3, [(1, 0, 0), (1, n, 0), (0, 0, 1)], [(0, 1), (2,)])
+
+
 def tied(m):
     return cyclic_fan([(1, 2 * j) for j in range(m + 1)] + [(-1, 0), (0, -1)])
 
@@ -129,6 +134,7 @@ rows = [
      lambda n: Fan.build(2, [(1, 0), (1, n)], [(0, 1)]), resolve),
     ("resolve_r3", (10, 20) if quick else (100, 300, 1000), rank3_cone, resolve),
     ("resolve_r4", (5, 10) if quick else (100, 300, 1000), rank4_cone, resolve),
+    ("resolve_dim2", (5, 10) if quick else (500, 1000, 2000), dim2_cone, resolve),
     ("chi_rank2", (10, 20) if quick else (1000, 2000, 4000),
      lambda n: resolve(cyclic_fan([(1, 0), (1, n), (-1, 0), (0, -1)])), unit_chi),
     ("chi_cube128", (0,) if quick else (40,),

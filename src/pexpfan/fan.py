@@ -4,10 +4,11 @@ Cones are strongly convex rational polyhedral cones given by primitive
 generators on their extreme rays.  Each cone computes one facet table, its
 inward facet normals with their contact generators, and answers every face
 question from it: every face is a meet of facets, the smallest one holding a
-point the meet of the facets through it.  A simplicial cone reads its facets,
-like its tangent weights, off the scaled inverse of its local generators: a
-full-dimensional one from the adjugate of its generators, in the coordinates
-of N, any other from its one Smith form.  A non-simplicial cone takes its
+point the meet of the facets through it.  Each cone has one coordinate
+frame: those of N for a full-dimensional cone, else the span coordinates of
+its one Smith form, or of its cell for a resolve piece.  A simplicial cone
+reads its multiplicity, its facets and its tangent weights off one adjugate
+of its local generators in that frame.  A non-simplicial cone takes its
 facets from the vertex enumeration ``extreme_rays_of_region``.
 Simplicial cones are handled in any rank; non-simplicial cones are limited to
 ambient rank <= 4.  All geometry is exact.  ``resolve`` refines a fan's
@@ -22,7 +23,6 @@ from __future__ import annotations
 import itertools
 import random
 from functools import cached_property
-from math import prod
 
 from .chains import chain_cells, chain_point, drawn_chain_point, fan_order, linked, subdivide
 from .errors import (
@@ -111,15 +111,14 @@ def span_coordinates(rank: int, vectors) -> tuple[Vector, IntMatrix, IntMatrix, 
     dimension of the span.  ``projection`` = U[:d] gives exact coordinates on
     the span, and ``annihilator`` = U[d:] is a basis of the characters
     vanishing on it.  ``columns`` is V, one row per vector.  In those
-    coordinates the vectors are G = U[:d] A = D[:d] V^-1, so for d
-    independent vectors |det G| = prod(factors), the index of the lattice
-    they generate in the saturated span, and G^-1 = V D[:d]^-1 needs no
-    elimination (``Cone._scaled_inverse``), and A V = U^-1 D, so column i of
-    U^-1, the span basis vector i, is (sum_j V[j][i] v_j) / d_i with no
-    inverse computed (``Fan.face_quotient``).  Every lattice coordinate in
-    the package is read from here, except those of a cone of rank
-    independent generators, which are the coordinates of N
-    (``Cone._adjugate``).
+    coordinates the vectors are G = U[:d] A = D[:d] V^-1, so the residues of
+    a cone's parallelepiped come from V and the factors (``_box_points``),
+    and A V = U^-1 D, so column i of U^-1, the span basis vector i, is
+    (sum_j V[j][i] v_j) / d_i with no inverse computed
+    (``Fan.face_quotient``).  Every lattice coordinate in the package is read
+    from here, except those of a full-dimensional cone, which are the
+    coordinates of N, and those of a resolve piece, which are its cell's
+    (``Cone._coordinates``).
     """
     cols = tuple(tuple(v) for v in vectors)
     if not cols:
@@ -136,12 +135,13 @@ class Cone:
     Generators are primitive, lie on the extreme rays, and are sorted, so two
     equal cones compare equal: ``from_generators`` makes them so, and a
     resolve step's pieces are so already (``_Refinement.step``).  ``rank``
-    is the ambient lattice rank.  A
-    cone of rank independent generators reads its dimension, multiplicity,
-    facets, smallest faces and scaled inverse off their one adjugate, in
-    the coordinates of N; any other cone reads them, in the coordinates of
-    its span, off its one Smith form, which a singular cone's parallelepiped
-    points (``_box_points``) need as well.
+    is the ambient lattice rank.  Each cone reads its dimension, local
+    generators, facets and smallest faces in one coordinate frame
+    (``_coordinates``), and a simplicial one its multiplicity and scaled
+    inverse off one adjugate of its local generators in it.  Only a cone
+    that is no resolve piece and has no rank independent generators takes a
+    Smith form for its frame; a singular cone's parallelepiped points
+    (``_box_points``) take one as well.
     """
 
     rank: int
@@ -177,25 +177,41 @@ class Cone:
     # -- basic geometry ------------------------------------------------------
 
     @cached_property
-    def _adjugate(self) -> tuple[int, IntMatrix] | None:
-        """(det, adj) of the generators as the columns of G when they are rank
-        independent vectors, else None: a full-dimensional simplicial cone
-        reads everything off it in the identity coordinates of N."""
-        try:
-            return adjugate(transpose(self.generators)) if len(self.generators) == self.rank else None
-        except NotIndependent:
-            return None
+    def _coordinates(self) -> tuple[IntMatrix, IntMatrix] | None:
+        """None for a full-dimensional cone, whose coordinates are those of N;
+        otherwise (projection, annihilator) of its saturated span, exact
+        coordinates on it and the characters vanishing on it.  A cone of rank
+        independent generators knows it is full-dimensional from its
+        adjugate; any other reads them off its one Smith form
+        (``span_coordinates``), and a resolve piece takes its cell's, as it
+        spans the cell's space (``_Refinement.step``).  A cache in the
+        instance dict, not a field, so equal cones stay equal."""
+        if len(self.generators) == self.rank:
+            try:
+                self._adjugate
+                return None
+            except NotIndependent:
+                pass
+        _, projection, annihilator, _ = self._span
+        return (projection, annihilator) if annihilator else None
+
+    @cached_property
+    def _adjugate(self) -> tuple[int, IntMatrix]:
+        """(det, adj) of the local generators as the columns of G: of the
+        generators themselves when there are rank of them, simplicial cones
+        only otherwise."""
+        g = self.generators if len(self.generators) == self.rank else self.local_generators
+        return adjugate(transpose(g))
 
     @cached_property
     def _span(self) -> tuple[Vector, IntMatrix, IntMatrix, IntMatrix]:
-        """(factors, projection, annihilator, columns): the cone's Smith form,
-        read by every coordinate question of a cone with no ``_adjugate`` and
-        by ``_box_points``."""
+        """(factors, projection, annihilator, columns): the cone's own Smith
+        form, read only by ``_coordinates`` and ``_box_points``."""
         return span_coordinates(self.rank, self.generators)
 
     @cached_property
     def dim(self) -> int:
-        return self.rank if self._adjugate else len(self._span[0])
+        return len(self._coordinates[0]) if self._coordinates else self.rank
 
     @property
     def is_simplicial(self) -> bool:
@@ -203,27 +219,20 @@ class Cone:
 
     @cached_property
     def local_generators(self) -> tuple[Vector, ...]:
-        if self._adjugate:
+        if not self._coordinates:
             return self.generators
-        proj = self._span[1]
-        return tuple(mat_vec(proj, g) for g in self.generators)
+        projection = self._coordinates[0]
+        return tuple(mat_vec(projection, g) for g in self.generators)
 
     @cached_property
     def _scaled_inverse(self) -> IntMatrix:
-        """mult * G^-1 for the local generators G as columns, simplicial cones
-        only.  With an ``_adjugate`` (det, adj) it is sign(det) * adj;
-        otherwise G^-1 = V diag(factors)^-1 by ``span_coordinates``, so entry
-        (j, i) is V[j][i] * (mult // d_i).  Row j pairs to mult with
-        generator j and to 0 with the others.  Read by the facets and, for a
-        smooth cone, whose rows are then the dual basis of the generators, by
-        ``ktheory.tangent_weights``."""
-        if self._adjugate:
-            det, adj = self._adjugate
-            return adj if det > 0 else tuple(vec_scale(-1, row) for row in adj)
-        factors, _, _, v = self._span
-        mult = prod(factors)
-        scale = tuple(mult // f for f in factors)
-        return tuple(tuple(x * c for x, c in zip(row, scale)) for row in v)
+        """mult * G^-1 = sign(det) * adj for the ``_adjugate`` (det, adj) of
+        the local generators G, simplicial cones only.  Row j pairs to mult
+        with generator j and to 0 with the others.  Read by the facets and,
+        for a smooth cone, whose rows are then the dual basis of the
+        generators, by ``ktheory.tangent_weights``."""
+        det, adj = self._adjugate
+        return adj if det > 0 else tuple(vec_scale(-1, row) for row in adj)
 
     @cached_property
     def facets(self) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
@@ -232,8 +241,9 @@ class Cone:
         The normal is an ambient functional, the primitive local normal u of
         the facet read through the span projection, so <normal, v> = <u, x>
         for a point v of the span with local coordinates x.  For a
-        full-dimensional cone it is the primitive inward facet normal, and
-        with an ``_adjugate`` the local coordinates are those of N.
+        full-dimensional cone it is the primitive inward facet normal, the
+        local coordinates being those of N; below full dimension only its
+        values on the span are determined.
 
         The local normals are the extreme rays of the dual cone
         {u : <u, x> >= 0 for every local generator x}, one per facet; the
@@ -250,8 +260,8 @@ class Cone:
             g = self.local_generators
             found = ((tuple(i for i, x in enumerate(g) if pair(u, x) == 0), u)
                      for u in extreme_rays_of_region(self.dim, g, ()))
-        if not self._adjugate:
-            proj_t = transpose(self._span[1])
+        if self._coordinates:
+            proj_t = transpose(self._coordinates[0])
             found = ((contact, mat_vec(proj_t, u)) for contact, u in found)
         return tuple((u, contact) for contact, u in sorted(found))
 
@@ -260,7 +270,7 @@ class Cone:
         None when the cone does not hold v: v must lie in the span and pair
         nonnegatively with every facet normal, and the face is the meet of
         the facets through v (Fulton, 1.2)."""
-        if self.dim < self.rank and any(pair(a, v) for a in self._span[2]):
+        if self._coordinates and any(pair(a, v) for a in self._coordinates[1]):
             return None  # outside the span
         face = set(range(len(self.generators)))
         for u, contact in self.facets:
@@ -293,11 +303,10 @@ class Cone:
 
     def multiplicity(self) -> int:
         """Index of the sublattice spanned by the generators inside Span & N:
-        |det| of an ``_adjugate``, else the product of the invariant factors
-        (``span_coordinates``)."""
+        |det| of the ``_adjugate``."""
         if not self.is_simplicial:
             raise NotSimplicial("multiplicity is defined for simplicial cones")
-        return abs(self._adjugate[0]) if self._adjugate else prod(self._span[0])
+        return abs(self._adjugate[0])
 
 
 @value_class
@@ -402,7 +411,7 @@ class Fan:
             )
         # geometric intersection must equal the cone on the shared rays; a
         # full-dimensional cone has no annihilator
-        eqs = tuple(a for c in (ci, cj) if c.dim < self.rank for a in c._span[2])
+        eqs = tuple(a for c in (ci, cj) if c._coordinates for a in c._coordinates[1])
         ineqs = tuple(u for cone in (ci, cj) for u, _ in cone.facets)
         rays = extreme_rays_of_region(self.rank, ineqs, eqs)
         if set(rays) != shared_vecs:
@@ -700,10 +709,10 @@ class _Refinement:
     fan order from ``first``; ``incidence`` maps each ray index to the cells
     whose ray sets contain it, keyed by ``id``.  A step appends its ray if it
     is new, so every ray keeps its index, and replaces only the cells that
-    hold the ray, each by its pieces in its place; every other cell keeps its
-    cone, with its cached adjugate, facets and scaled inverse.  Its callers
-    build the fine fan from ``rays`` and ``first`` (``_fine_map``) when a
-    step changed it.
+    hold the ray, each by its pieces in its place, in the cell's coordinates;
+    every other cell keeps its cone, with its cached adjugate, facets and
+    scaled inverse.  Its callers build the fine fan from ``rays`` and
+    ``first`` (``_fine_map``) when a step changed it.
     """
 
     def __init__(self, fan: Fan):
@@ -779,6 +788,8 @@ class _Refinement:
                 # Fan.build, a new one is a primitive point) and distinct (a
                 # ray is looked up before it is appended)
                 cone = Cone(rank, tuple(sorted(map(rays.__getitem__, piece))))
+                # ... and it spans its cell's space: it takes the cell's coordinates
+                cone.__dict__["_coordinates"] = cell[5]._coordinates
                 cells.append(_cell(piece, cone, self.ray_index, cell[4]))
             linked(cells, cell[6])
             changes.append((cell[3], cells))
@@ -855,8 +866,8 @@ def _box_points(cone: Cone) -> list[Vector]:
     G Z^d = diag(factors) Z^d, so x = sum k_i e_i with 0 <= k_i < d_i runs
     over the group once, and its residue is sum k_i w_i mod mult for the
     columns w_i = (mult // d_i) V[:, i] of mult * G^-1: exactly mult
-    residues, each built once.  So the residues need the Smith form, also
-    of a cone whose ``_scaled_inverse`` comes from its adjugate.  The
+    residues, each built once.  So the residues need the cone's own Smith
+    form, whatever frame its adjugate is read in.  The
     coefficient sum of a residue's point is its coordinate sum over mult,
     and only the residues of least sum are mapped to their ambient points
     sum r_i g_i / mult, in one pass through the ambient generators."""

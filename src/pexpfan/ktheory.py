@@ -26,8 +26,6 @@ chi is the case tau = 0.
 
 from __future__ import annotations
 
-import itertools
-
 from .errors import (
     DependentBasis,
     NotComplete,
@@ -41,7 +39,7 @@ from .errors import (
     SingularGram,
 )
 from .fan import Cone, Fan, RaySet, SubdivisionMap, resolve
-from .lattice import Vector, adjugate, value_class
+from .lattice import Vector, adjugate, matrix_rank, value_class
 from .laurent import LaurentPoly, LocalizationSum, poly_to_json, reduce_localization, try_div
 from .pexp import PiecewiseExponential
 
@@ -231,13 +229,75 @@ def poly_det(matrix, rank: int) -> LaurentPoly:
     return acc
 
 
+_PRIME = (1 << 61) - 1
+
+
+def _specialized(f: LaurentPoly) -> int:
+    """The image of f under the ring map Z[M] -> F_p, p = 2^61 - 1, that
+    sends e^m to the product of (i + 2)^m_i."""
+    value = 0
+    for exp, c in f.terms:
+        term = c
+        for i, e in enumerate(exp):
+            term = term * pow(i + 2, e, _PRIME) % _PRIME
+        value += term
+    return value % _PRIME
+
+
+def _rank_mod_p(rows) -> int:
+    """The rank over F_p of rows of integers mod p, by Gaussian elimination."""
+    rows = list(rows)
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top, inv = rows[rank], pow(rows[rank][c], -1, _PRIME)
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] * inv % _PRIME
+            if f:
+                rows[i] = [(x - f * y) % _PRIME for x, y in zip(rows[i], top)]
+        rank += 1
+    return rank
+
+
+def _basis_rows(rows, k: int, rank: int) -> tuple[tuple[int, ...], LaurentPoly]:
+    """(indices, det) of the first k rows, in the order of
+    ``itertools.combinations``, whose square system has a nonzero
+    determinant over Z[M]; ``DependentBasis`` when there are none.
+
+    They are the rows each independent of the ones chosen before it over
+    the fraction field, the greedy basis of the row space, which is its
+    lexicographically least one: no subset is searched.  A row is
+    independent when its image under the specialization Z[M] -> F_p
+    (``_specialized``) is independent of theirs, which is exact, as a minor
+    whose image is nonzero is nonzero; otherwise the fraction-free
+    elimination over Z[M] (``matrix_rank``) decides.  A nonsingular system
+    takes its rows 0..k-1 from eliminations mod p and then one determinant,
+    as the subset search did.
+    """
+    chosen, images = [], []
+    for r, row in enumerate(rows):
+        if len(chosen) == k:
+            break
+        image = [_specialized(x) for x in row]
+        if (_rank_mod_p(images + [image]) > len(chosen)
+                or matrix_rank([rows[i] for i in chosen] + [row]) > len(chosen)):
+            chosen.append(r)
+            images.append(image)
+    if len(chosen) < k:
+        raise DependentBasis("basis values are linearly dependent over Z[M]")
+    return tuple(chosen), poly_det([rows[i] for i in chosen], rank)
+
+
 def decompose(
     f: PiecewiseExponential, basis
 ) -> tuple[LaurentPoly, ...]:
     """Coefficients c_i in Z[M] with f = sum c_i * basis_i, conewise.
 
-    Solved by Cramer's rule on a nonsingular square subsystem of the stacked
-    cone-value equations; consistency of the remaining equations separates
+    Solved by Cramer's rule on the first nonsingular square subsystem of the
+    stacked cone-value equations (``_basis_rows``); consistency of the remaining equations separates
     NotInSpan from NotIntegral, and the integral solution is re-verified by
     exact re-multiplication.
     """
@@ -255,13 +315,7 @@ def decompose(
     rows = [[g.values[i] for g in basis] for i in range(len(fan.maximal_cones))]
     rhs = list(f.values)
 
-    for chosen in itertools.combinations(range(len(rows)), k):
-        det = poly_det([rows[i] for i in chosen], rank)
-        if not det.is_zero():
-            break
-    else:
-        raise DependentBasis("basis values are linearly dependent over Z[M]")
-
+    chosen, det = _basis_rows(rows, k, rank)
     sub = [rows[i] for i in chosen]
     sub_rhs = [rhs[i] for i in chosen]
     numerators = []

@@ -6,13 +6,15 @@ the cocharacter lattice N and a character in the dual lattice M are both
 of row tuples.  Everything here is total, deterministic, and allocation-happy
 rather than clever: exactness is the product.  Rank, determinant and
 adjugate come from Bareiss elimination, which serves the vertex enumeration
-of non-simplicial cones and the Gram matrices over Z[M]; the adjugate of a
-2x2 or 3x3 matrix is written out instead.  A cone of n independent
-generators in rank n reads its dimension, multiplicity, facets and tangent
-weights off their one adjugate, in the coordinates of N.  The Smith form
-serves only ``fan.span_coordinates``, one per span, which gives the
-coordinates of every other cone, the span basis of every face quotient with
-no inverse computed, and the parallelepiped points of a singular cone.
+of non-simplicial cones, the Gram matrices over Z[M] and the rows that
+``ktheory.decompose`` solves on; the adjugate of a
+2x2 or 3x3 matrix is written out instead.  Every simplicial cone reads its
+multiplicity, facets and tangent weights off one adjugate of its local
+generators, in the coordinates of N when it is full-dimensional.  The Smith
+form serves only ``fan.span_coordinates``, one per span, which gives the
+coordinates of a cone below full dimension (a resolve piece takes its
+cell's), the span basis of every face quotient with no inverse computed,
+and the parallelepiped points of a singular cone.
 """
 
 from __future__ import annotations

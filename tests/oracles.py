@@ -18,9 +18,10 @@ reads the span basis from it, inverting U as det * adj by
 and ``augmentation``, the sum of coefficients that ``LaurentPoly`` kept as a
 method with no caller in the package, and
 ``multiplicity_by_adjugate``, the determinant that ``Cone.multiplicity``
-read before the Smith form's invariant factors (these cone oracles read the
-Smith form's coordinates, ``smith_local_generators``, where a
-full-dimensional simplicial cone reads those of N), and
+read before the Smith form's invariant factors, by Bareiss in the Smith
+form's coordinates (these cone oracles read them, ``smith_local_generators``,
+where a cone reads its own frame: those of N at full dimension, its cell's
+for a resolve piece), and
 ``gkm_violations_pairwise`` and ``star_walls_scan``, the pairwise loop
 that ``pexp.gkm_validate`` ran before it restricted each (cone, face) once
 and the scan over every wall that ``Fan.star_walls`` ran before its
@@ -52,7 +53,9 @@ slice, and ``least_box_points_listing``, that slice, which every ``resolve``
 step took before ``fan._least_box_point`` read the two-dimensional ones from
 the Hilbert basis, and ``complete_by_point_search``,
 the search for a generic point that ``Fan.is_complete`` ran before it took
-one past the Cauchy bound: all are kept as the oracles for the path that
+one past the Cauchy bound, and ``basis_rows_by_subsets``, the search over
+every k-subset of rows, one ``poly_det`` each, that ``ktheory.decompose``
+ran before it bordered a nonzero minor: all are kept as the oracles for the path that
 replaced them.  ``euler_characteristic`` is the raw-numerator fixed-point
 sum that ``pexpfan.ktheory`` exported with no caller in the package; it sums
 over every maximal cone with ``LocalizationSum``, without the star logic of
@@ -764,6 +767,19 @@ def multiplicity_by_adjugate(cone) -> int:
     from pexpfan.lattice import transpose
 
     return abs(adjugate_by_elimination(transpose(smith_local_generators(cone)[1]))[0])
+
+
+def basis_rows_by_subsets(rows, k: int, rank: int):
+    """(indices, det) of the first k-subset of rows, in the order of
+    ``itertools.combinations``, whose square system over Z[M] has a nonzero
+    ``ktheory.poly_det``, or None when no subset has one."""
+    from pexpfan.ktheory import poly_det
+
+    for chosen in itertools.combinations(range(len(rows)), k):
+        det = poly_det([rows[i] for i in chosen], rank)
+        if not det.is_zero():
+            return chosen, det
+    return None
 
 
 def gkm_violations_pairwise(fan, values):

@@ -331,11 +331,11 @@ class TestMultiplicity:
             assert moved.multiplicity() == cone.multiplicity()
 
     def test_dim_and_multiplicity_match_rank_and_adjugate(self):
-        """``dim`` and ``multiplicity()``, read from the cone's one adjugate
-        when it has rank independent generators and from its one Smith form
-        otherwise, equal ``matrix_rank`` of the generators and |det| of the
-        local generators in the Smith form's coordinates by their Bareiss
-        adjugate, on seeded random cones of every dimension in ranks 1-5:
+        """``dim`` and ``multiplicity()``, read from the cone's one frame
+        and the one adjugate of its local generators in it, equal
+        ``matrix_rank`` of the generators and |det| of the local generators
+        in the Smith form's coordinates by their Bareiss adjugate, on seeded
+        random cones of every dimension in ranks 1-5:
         non-simplicial ones, and lower-dimensional ones whose generators span
         a sublattice of index > 1 of their saturated span.  The facets, read
         off the scaled inverse on a simplicial cone, equal the subset loop's;
@@ -374,7 +374,7 @@ class TestMultiplicity:
                     if d == rank:
                         assert tangent_weights(cone) == want, gens
                     else:
-                        assert mat_mul(cone._scaled_inverse, cone._span[1]) == want, gens
+                        assert mat_mul(cone._scaled_inverse, cone._coordinates[0]) == want, gens
             else:
                 kinds.append("non-simplicial")
         assert kinds.count((True, True)) > 80 and kinds.count((False, True)) > 50
@@ -903,24 +903,22 @@ class TestResolve:
 
     @pytest.mark.parametrize("n", [50, 200])
     def test_each_step_builds_only_its_new_cones(self, n, monkeypatch):
-        """Resolving <(1,0),(1,N)> builds at most 2N cone objects, two per
-        step, where rebuilding the whole fan per step built N(N+1)/2.  The
-        result is the minimal resolution of the A_{N-1} singularity: the rays
-        (1,k) for 0 <= k <= N, consecutive ones spanning a cone (Fulton,
-        Introduction to Toric Varieties, 2.6)."""
-        fan = Fan.build(2, [(1, 0), (1, n)], [(0, 1)])
-        build, calls = Cone.from_generators, []
-
-        def counted(rank, vectors):
-            calls.append(rank)
-            return build(rank, vectors)
-
-        monkeypatch.setattr(Cone, "from_generators", staticmethod(counted))
+        """Building and resolving the 2-dimensional cone <(1,0,0),(1,N,0)>
+        beside the ray (0,0,1) takes two Smith forms (``span_coordinates``),
+        one per input cone: each piece of a step takes its cell's
+        coordinates, where each took a Smith form of its own (2N in all).
+        The result is the minimal resolution of the A_{N-1} singularity: the
+        rays (1,k,0) for 0 <= k <= N, consecutive ones spanning a cone
+        (Fulton, Introduction to Toric Varieties, 2.6), beside (0,0,1)."""
+        span, calls = fan_module.span_coordinates, []
+        monkeypatch.setattr(fan_module, "span_coordinates",
+                            lambda rank, vectors: calls.append(tuple(vectors)) or span(rank, vectors))
+        fan = Fan.build(3, [(1, 0, 0), (1, n, 0), (0, 0, 1)], [(0, 1), (2,)])
         fine = resolve(fan).fine
-        assert len(calls) <= 2 * n
-        assert set(fine.rays) == {(1, k) for k in range(n + 1)}
+        assert sorted(calls) == [((0, 0, 1),), ((1, 0, 0), (1, n, 0))]
+        assert set(fine.rays) == {(1, k, 0) for k in range(n + 1)} | {(0, 0, 1)}
         assert {tuple(sorted(fine.rays[i] for i in c)) for c in fine.maximal_cones} == {
-            ((1, k), (1, k + 1)) for k in range(n)}
+            ((1, k, 0), (1, k + 1, 0)) for k in range(n)} | {((0, 0, 1),)}
 
     def test_an_a_cone_resolves_without_scans_into_one_fan(self, monkeypatch):
         """Resolving <(1,0),(1,N)> finds the cones holding each new ray from
@@ -1169,11 +1167,35 @@ def stellar_maps():
         yield stellar_subdivision(fan, ray)
 
 
+def assert_matches_fresh_cone(cone, fresh):
+    """A fine fan's cone against ``Cone.from_generators`` on its rays: equal
+    and of one dimension, with equal facets at full dimension; below it the
+    same contacts and the same pairings of each normal with every
+    generator, so the same normals on the span, off which a normal is an
+    arbitrary choice of coordinates.  A simplicial cone's multiplicity is
+    ``multiplicity_by_adjugate``'s, and its scaled inverse pairs with its
+    local generators to mult * delta."""
+    assert cone == fresh and cone.dim == fresh.dim
+    if cone.dim == cone.rank:
+        assert cone.facets == fresh.facets
+    else:
+        def on_span(c):
+            return [(tuple(pair(u, g) for g in c.generators), contact) for u, contact in c.facets]
+        assert on_span(cone) == on_span(fresh)
+    if cone.is_simplicial:
+        mult, d = cone.multiplicity(), cone.dim
+        assert mult == fresh.multiplicity() == multiplicity_by_adjugate(cone)
+        assert mat_mul(cone._scaled_inverse, transpose(cone.local_generators)) == tuple(
+            tuple(mult * (i == j) for j in range(d)) for i in range(d))
+
+
 class TestFineFanAgainstBuild:
     """``resolve`` and ``stellar_subdivision`` build their fine fan and its
     pieces' cones from the refinement's own data, with no ``Fan.build`` and
-    no ``Cone.from_generators``: each equals what the replaced path built
-    that way, on the pinned resolve corpora and on stellar maps."""
+    no ``Cone.from_generators``, each piece in its cell's coordinates: each
+    agrees with what the replaced path built that way
+    (``assert_matches_fresh_cone``), on the pinned resolve corpora and on
+    stellar maps."""
 
     @pytest.mark.parametrize("maps, count", [
         (lambda: (resolve(fan, rng=_seeded(seed), extra_rounds=extra) for fan, seed, extra in step_cases()), 173),
@@ -1190,12 +1212,55 @@ class TestFineFanAgainstBuild:
             fine = sub.fine
             assert fine == Fan.build(fine.rank, fine.rays, fine.maximal_cones, validate=False)
             for rs, cone in zip(fine.maximal_cones, fine.cone_objects):
-                fresh = Cone.from_generators(fine.rank, [fine.rays[k] for k in rs])
-                assert cone == fresh and cone.facets == fresh.facets
-                assert (cone.is_simplicial and cone.multiplicity()) == (
-                    fresh.is_simplicial and fresh.multiplicity())
+                assert_matches_fresh_cone(cone, Cone.from_generators(fine.rank, [fine.rays[k] for k in rs]))
             seen += 1
         assert seen == count
+
+
+class TestPiecesInTheirCellsCoordinates:
+    @pytest.mark.parametrize("rank", [3, 4])
+    def test_an_a_cone_in_higher_rank_resolves_to_the_image_of_its_rank2_resolution(self, rank, monkeypatch):
+        """The rank-2 fan of <(1,0),(1,N)>, the smooth cone <(-1,0),(0,-1)>
+        and the rays (-1,1) and (-1,2), mapped into rank 3 or 4 by a seeded
+        lower unitriangular L, which keeps the lexicographic order of the
+        plane's points, with (-1,1) sent off the plane to L e3 (and (-1,2) to
+        L e4 in rank 4), resolves on the general path, with and without an
+        rng and with 0-2 extra rounds, to the image of the rank-2
+        resolution: the same ray order, cones and assignment, the rng left
+        in the same state.  Its 2-dimensional pieces each take their cell's
+        coordinates, so building and resolving it takes one Smith form per
+        input cone."""
+        span, calls = fan_module.span_coordinates, []
+        monkeypatch.setattr(fan_module, "span_coordinates",
+                            lambda r, vectors: calls.append(r) or span(r, vectors))
+        rng = random.Random(20261019 + rank)
+        off_plane = {(-1, 1): 2, (-1, 2): 3} if rank == 4 else {(-1, 1): 2}
+        cases = 0
+        for _ in range(2):
+            lower = tuple(tuple(1 if i == j else rng.randint(-3, 3) if j < i else 0 for j in range(rank))
+                          for i in range(rank))
+
+            def image(v):
+                e = identity_matrix(rank)[off_plane[v]] if v in off_plane else v + (0,) * (rank - 2)
+                return mat_vec(lower, e)
+
+            for n in (2, 7, 29):
+                rays = [(1, 0), (1, n), (-1, 0), (0, -1), (-1, 1), (-1, 2)]
+                plane = Fan.build(2, rays, [(0, 1), (2, 3), (4,), (5,)])
+                for seed in (None, 1, 7):
+                    for extra in range(3):
+                        calls.clear()
+                        fan = Fan.build(rank, list(map(image, rays)), plane.maximal_cones)
+                        rngs = [_seeded(seed), _seeded(seed)]
+                        want, got = (resolve(f, rng=r, extra_rounds=extra)
+                                     for f, r in zip((plane, fan), rngs))
+                        assert got.fine.rays == tuple(map(image, want.fine.rays))
+                        assert got.fine.maximal_cones == want.fine.maximal_cones
+                        assert got.assignment == want.assignment
+                        assert rngs[0] is None or rngs[0].getstate() == rngs[1].getstate()
+                        assert calls == [rank] * 4
+                        cases += 1
+        assert cases == 54
 
 
 class TestLeastBoxPoints:

@@ -1,4 +1,5 @@
 import random
+import time
 from functools import cache, cached_property
 
 import pytest
@@ -35,6 +36,7 @@ from pexpfan.pexp import CartierData, PiecewiseExponential, from_cartier, gkm_va
 
 from oracles import (
     augmentation,
+    basis_rows_by_subsets,
     cartier_polytope_points,
     euler_characteristic,
     random_cartier_combination,
@@ -717,6 +719,75 @@ class TestDecompose:
         assert decompose(PiecewiseExponential.constant(p1, 0), []) == ()
         with pytest.raises(NotInSpan, match="^no solution: equation on maximal cone 0 fails$"):
             decompose(PiecewiseExponential.constant(p1, 1), [])
+
+    @pytest.mark.parametrize("specialized", [True, False], ids=["specialized", "exact-only"])
+    def test_basis_rows_match_the_subset_search(self, specialized, monkeypatch):
+        """The rows ``decompose`` solves on, and their determinant, are the
+        first k-subset with a nonzero determinant, as the search over every
+        subset found them, or neither has any: on seeded random systems over
+        Z[M] of 0-6 rows and 0-4 columns, with rows repeated, zero or
+        combinations of others, and with fewer rows than columns.  With the
+        specialization mod p made blind, every row is decided by the exact
+        elimination over Z[M] alone, with the same rows chosen."""
+        if not specialized:
+            monkeypatch.setattr(ktheory, "_rank_mod_p", lambda rows: 0)
+        rng = random.Random(20261019)
+
+        def entry(rank):
+            return poly(rank, {tuple(rng.randint(-1, 1) for _ in range(rank)): rng.randint(-2, 2)
+                               for _ in range(rng.randint(0, 2))})
+
+        kinds = []
+        for _ in range(400):
+            rank, k, n = rng.randint(1, 2), rng.randint(0, 4), rng.randint(0, 6)
+            rows = []
+            for _ in range(n):
+                kind = rng.choice(("random", "random", "zero", "copy", "combination"))
+                if kind == "zero" or (kind != "random" and not rows):
+                    rows.append([LaurentPoly.zero(rank)] * k)
+                elif kind == "copy":
+                    rows.append(list(rng.choice(rows)))
+                elif kind == "combination":
+                    a, b, x, y = rng.choice(rows), rng.choice(rows), entry(rank), entry(rank)
+                    rows.append([x * s + y * t for s, t in zip(a, b)])
+                else:
+                    rows.append([entry(rank) for _ in range(k)])
+            want = basis_rows_by_subsets(rows, k, rank)
+            try:
+                got = ktheory._basis_rows(rows, k, rank)
+            except DependentBasis:
+                got = None
+            assert got == want, (rows, k)
+            kinds.append((n < k, want is None, want is not None and want[0] != tuple(range(k))))
+        assert kinds.count((True, True, False)) > 20 and kinds.count((False, True, False)) > 20
+        assert kinds.count((False, False, True)) > 30 and kinds.count((False, False, False)) > 30
+
+    def test_the_specialization_is_a_ring_map(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            f, g = (poly(3, {tuple(rng.randint(-3, 3) for _ in range(3)): rng.randint(-5, 5)
+                             for _ in range(rng.randint(0, 4))}) for _ in range(2))
+            image = ktheory._specialized
+            assert image(f * g) == image(f) * image(g) % ktheory._PRIME
+            assert image(f - g) == (image(f) - image(g)) % ktheory._PRIME
+        assert image(LaurentPoly.one(3)) == 1 and image(LaurentPoly.zero(3)) == 0
+
+    @pytest.mark.parametrize("k", [4, 16])
+    def test_a_dependent_basis_is_refused_without_a_subset_search(self, k, monkeypatch):
+        # the unit over k copies of the unit on the 48-cone cube resolution:
+        # C(48, 4) = 194,580 subsets to search at k = 4, and a 16 x 16
+        # cofactor expansion of 16! terms for rows 0..15 alone at k = 16;
+        # one elimination per row refuses it, with no determinant expanded
+        fine = resolve(catalog.cube_fan()).fine
+        one = PiecewiseExponential.constant(fine, 1)
+        fine.is_complete()
+        calls = []
+        monkeypatch.setattr(ktheory, "poly_det", lambda m, rank: calls.append(len(m)) or poly_det(m, rank))
+        start = time.perf_counter()
+        with pytest.raises(DependentBasis, match="^basis values are linearly dependent over Z\\[M\\]$"):
+            decompose(one, [one] * k)
+        assert time.perf_counter() - start < 1
+        assert calls == []
 
     def test_reexpansion_roundtrip(self, p112):
         rng = random.Random(17)

@@ -33,12 +33,15 @@ boundary: in ``cli.py`` only ``_decode`` calls ``json.load`` or
 passing the walls of its star, and ``reduce_localization`` has one merge loop:
 it calls ``_merge_rounds`` once and branches on no ``plan``, and the greedy
 ``overlap`` pick is made only in the fallback of ``_merge_rounds``, when no
-wall joins what is left; a twelfth keeps a full-dimensional simplicial cone
-on its one adjugate: ``fan.py`` imports ``adjugate`` by name and calls it only
-in ``Cone._adjugate``, every function that reads ``Cone._span`` but
-``_box_points`` (whose residues need the Smith form) first asks for the
-adjugate or for a dimension below the rank, and ``Cone.facets`` calls
-``extreme_rays_of_region`` only in its branch for a non-simplicial cone; a
+wall joins what is left; a twelfth keeps every simplicial cone on its one
+adjugate, in one coordinate frame per cone: ``fan.py`` imports ``adjugate``
+by name and calls it only in ``Cone._adjugate``, does not import ``prod``,
+reads ``Cone._span`` only in ``Cone._coordinates`` and ``_box_points``
+(whose residues need the Smith form), and calls ``span_coordinates`` only in
+``Cone._span`` and ``Fan.face_quotient``, so never on ``_Refinement``'s path,
+whose step hands each piece its cell's ``_coordinates``; and ``Cone.facets``
+calls ``extreme_rays_of_region`` only in its branch for a non-simplicial
+cone; a
 thirteenth keeps one Hirzebruch-Jung walk: ``least_chain_points`` is defined
 once, in ``chains.py``, and called only from ``chains.drawn_chain_point``,
 the one drawn chain point, which only ``chains.chain_point`` and
@@ -263,28 +266,27 @@ def test_division_names_lines_in_one_pass_and_merges_skip_zero_powers():
     assert guarded and guarded == koszul_calls([merge])
 
 
-def test_full_dimensional_simplicial_cones_read_their_adjugate():
-    # rank independent generators give dim, multiplicity, facets, the smallest face and
-    # the weights off one adjugate in the coordinates of N; the Smith form serves the
-    # other cones, and the residues of _box_points
+def test_every_simplicial_cone_reads_its_adjugate():
+    # every simplicial cone reads dim, multiplicity, facets, the smallest face and the
+    # weights off one adjugate in its one coordinate frame: those of N, its Smith
+    # form's, or its cell's for a resolve piece; the Smith form serves only the
+    # frame of a cone below full dimension and the residues of _box_points
     fan = ast.parse(next(p for p in SOURCES if p.name == "fan.py").read_text())
     from_lattice = {a.name for _, node in _nodes(fan, ast.ImportFrom) if node.module == "lattice"
                     for a in node.names}
     assert "adjugate" in from_lattice
     assert {c for c in _callers("adjugate") if c[0] == "fan.py"} == {("fan.py", "_adjugate")}
-    functions = {f.name: f for _, f in _nodes(fan, ast.FunctionDef)}
+    imported = {a.name for _, node in _nodes(fan, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert "prod" not in imported
     readers = {where for where, a in _nodes(fan, ast.Attribute) if a.attr == "_span"}
-    assert readers == {"dim", "local_generators", "_scaled_inverse", "facets", "_smallest_face",
-                       "multiplicity", "_check_pair", "_box_points"}
-
-    def asks_full_dimensional(f):
-        # reads _adjugate, or compares a dim below the rank (a full-dimensional cone
-        # has no annihilator)
-        return any(isinstance(n, ast.Attribute) and n.attr == "_adjugate"
-                   or isinstance(n, ast.Compare) and isinstance(n.ops[0], ast.Lt)
-                   and ast.unparse(n.left).endswith(".dim") and ast.unparse(n.comparators[0]) == "self.rank"
-                   for n in ast.walk(f))
-    assert [name for name in sorted(readers) if not asks_full_dimensional(functions[name])] == ["_box_points"]
+    assert readers == {"_coordinates", "_box_points"}
+    assert _callers("span_coordinates") == {("fan.py", "_span"), ("fan.py", "face_quotient")}
+    refinement = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "_Refinement")
+    assert {where for where, a in _nodes(refinement, ast.Attribute) if a.attr == "_span"} == set()
+    handed = [ast.unparse(node) for _, node in _nodes(refinement, ast.Assign)
+              if any(isinstance(t, ast.Subscript) and ast.unparse(t.slice) == "'_coordinates'"
+                     for t in node.targets)]
+    assert handed == ["cone.__dict__['_coordinates'] = cell[5]._coordinates"]
     cone = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "Cone")
     facets = next(f for _, f in _nodes(cone, ast.FunctionDef) if f.name == "facets")
     branch = next(node for _, node in _nodes(facets, ast.If)
