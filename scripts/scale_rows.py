@@ -28,8 +28,13 @@ that the walls refuse it and the pairwise loop reports its violations.
 octahedron class's localization sum over the N cones of ``resolve(cube_fan())``
 (N = 48) or of the ``chi_cube128`` refinement (N = 128), its terms shuffled by
 ``Random(1).sample``, so that every merge is the greedy fallback.
+``decompose_dependent``: ``decompose`` of the unit over k copies of the unit
+on the 48-cone ``resolve(cube_fan())``, which ``DependentBasis`` refuses.
+``decompose_p1n``: ``decompose`` of every element of the (P^1)^n product
+basis (``p1n_product_basis``) over that basis.
 """
 import argparse
+import itertools
 import json
 import random
 import statistics
@@ -37,8 +42,9 @@ import time
 from math import gcd
 
 from pexpfan import catalog
+from pexpfan.errors import DependentBasis
 from pexpfan.fan import Fan, resolve
-from pexpfan.ktheory import chi, tangent_weights
+from pexpfan.ktheory import chi, decompose, tangent_weights
 from pexpfan.laurent import LaurentPoly, LocalizationSum, reduce_localization
 from pexpfan.pexp import PiecewiseExponential, gkm_validate
 
@@ -121,6 +127,41 @@ def tied3(m):
                      [c + (apex,) for c in plane.maximal_cones], validate=False)
 
 
+def dependent_cube_basis(k):
+    one = PiecewiseExponential.constant(resolve(catalog.cube_fan()).fine, 1)
+    return one, [one] * k
+
+
+def refused(subject):
+    try:
+        decompose(*subject)
+    except DependentBasis:
+        return
+    raise AssertionError("a dependent basis was not refused")
+
+
+def p1n_product_basis(n):
+    """For each subset S of range(n), by size and then lexicographically,
+    prod_{i in S} (1 - e^{w_i}) on the cones of (P^1)^n holding +e_i for
+    every i in S, w_i the tangent weight dual to +e_i there, and 0 elsewhere."""
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    cones = [tuple(i + n * s for i, s in enumerate(signs)) for signs in itertools.product((0, 1), repeat=n)]
+    fan = Fan.build(n, unit + [tuple(-x for x in e) for e in unit], cones)
+    one, zero = LaurentPoly.one(n), LaurentPoly.zero(n)
+    basis = []
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(n), size):
+            values = []
+            for cone in fan.cone_objects:
+                weight = dict(zip(cone.generators, tangent_weights(cone)))
+                value = one
+                for i in subset:
+                    value = value * (one - LaurentPoly.exponential(weight[unit[i]])) if unit[i] in weight else zero
+                values.append(value)
+            basis.append(PiecewiseExponential.from_values(fan, values))
+    return basis
+
+
 ap = argparse.ArgumentParser(description="Time the scale rows of the ROADMAP baseline table.")
 ap.add_argument("--quick", action="store_true", help="tiny sizes, one run each")
 quick = ap.parse_args().quick
@@ -143,6 +184,9 @@ rows = [
      lambda qs: resolve(weighted_projective_space(qs)), unit_chi),
     ("gkm_violations", (48,), corrupted_cube48, lambda subject: gkm_validate(*subject)),
     ("planless_shuffled", (48,) if quick else (128,), shuffled_octahedron_sum, reduce_localization),
+    ("decompose_dependent", (4,) if quick else (4, 8, 16), dependent_cube_basis, refused),
+    ("decompose_p1n", (2,) if quick else (2, 3), p1n_product_basis,
+     lambda basis: [decompose(f, basis) for f in basis]),
 ]
 for row, sizes, build, run in rows:
     for size in sizes:

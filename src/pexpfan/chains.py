@@ -100,9 +100,10 @@ def subdivide(cells: list, least, split, rng, extra_rounds: int) -> bool:
     replaces the cells holding x by their pieces and returns (multiplicity,
     pieces) per replaced cell, the first piece being the cell itself, or None
     if no cell changes.  A step must change the fan, each piece must be
-    smaller than its cell, and each extra round, which splits a cell at the
-    sum of two generators, must change the fan and leave every piece smooth;
-    otherwise ``ResolutionCheckFailed`` is raised.
+    smaller than its cell, and each extra round, which splits a cell of two
+    or more generators at the sum of two of them, must change the fan and
+    leave every piece smooth; otherwise ``ResolutionCheckFailed`` is raised.
+    A fan with no such cell takes no extra round.
     """
     singular = [cell for cell in cells if cell[3] > 1]
     top, at, stepped = 0, 0, bool(singular)
@@ -142,13 +143,12 @@ def subdivide(cells: list, least, split, rng, extra_rounds: int) -> bool:
             # the other replaced cells may lie before the picked one: scan anew
             singular, at = _spliced(singular, replaced, 2), 0
 
-    # optional smooth refinements, for resolution-independence experiments
-    order = fan_order(cells[0]) if extra_rounds else []
-    for _ in range(extra_rounds):
+    # optional smooth refinements, for resolution-independence experiments; a
+    # round splits only cells of two or more generators, into such cells
+    order = [cell for cell in fan_order(cells[0]) if len(cell[1]) > 1] if extra_rounds else []
+    for _ in range(extra_rounds if order else 0):
         place = rng.randrange(len(order)) if rng else 0
         gens = order[place][1]
-        if len(gens) < 2:
-            continue
         pairs = list(itertools.combinations(range(len(gens)), 2))
         a, b = rng.choice(pairs) if rng else pairs[0]
         x = primitive_vector(vec_add(gens[a], gens[b]))

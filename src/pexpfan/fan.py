@@ -21,7 +21,6 @@ of a cone of dim >= 3 and from the Hirzebruch-Jung walk of a cone of dim 2.
 from __future__ import annotations
 
 import itertools
-import random
 from functools import cached_property
 
 from .chains import chain_cells, chain_point, drawn_chain_point, fan_order, linked, subdivide
@@ -41,10 +40,10 @@ from .lattice import (
     Vector,
     adjugate,
     identity_matrix,
+    independent_rows,
     is_primitive,
     line_kernel,
     mat_vec,
-    matrix_rank,
     pair,
     primitive_vector,
     smith_normal_form,
@@ -63,7 +62,7 @@ def extreme_rays_of_region(n: int, ineqs, eqs) -> tuple[Vector, ...]:
     """Primitive extreme rays of the pointed part of {x : A x >= 0, B x = 0}.
 
     Brute force: every extreme ray is cut out by n-1 independent active
-    constraints.  The equations are first cut down to an independent subset,
+    constraints.  The equations are first cut down by ``independent_rows``,
     so each candidate is the ``line_kernel`` of those rows plus a subset of
     the inequalities, and it is kept when it is feasible up to sign.
     Directions lying in the lineality space are skipped.
@@ -73,10 +72,7 @@ def extreme_rays_of_region(n: int, ineqs, eqs) -> tuple[Vector, ...]:
     scaled inverse) and ``Fan._check_pair`` (the intersection of two cones).
     """
     ineqs = tuple(tuple(a) for a in ineqs)
-    eqs_indep: tuple[Vector, ...] = ()
-    for b in eqs:
-        if matrix_rank(eqs_indep + (tuple(b),)) > len(eqs_indep):
-            eqs_indep += (tuple(b),)
+    eqs_indep = tuple(tuple(eqs[i]) for i in independent_rows(eqs))
     k = n - len(eqs_indep) - 1
     if k < 0:
         return ()

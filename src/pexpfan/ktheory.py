@@ -39,7 +39,7 @@ from .errors import (
     SingularGram,
 )
 from .fan import Cone, Fan, RaySet, SubdivisionMap, resolve
-from .lattice import Vector, adjugate, matrix_rank, value_class
+from .lattice import Vector, adjugate, independent_rows, matrix_rank, value_class
 from .laurent import LaurentPoly, LocalizationSum, poly_to_json, reduce_localization, try_div
 from .pexp import PiecewiseExponential
 
@@ -229,37 +229,22 @@ def poly_det(matrix, rank: int) -> LaurentPoly:
     return acc
 
 
-_PRIME = (1 << 61) - 1
-
-
-def _specialized(f: LaurentPoly) -> int:
-    """The image of f under the ring map Z[M] -> F_p, p = 2^61 - 1, that
-    sends e^m to the product of (i + 2)^m_i."""
-    value = 0
-    for exp, c in f.terms:
-        term = c
-        for i, e in enumerate(exp):
-            term = term * pow(i + 2, e, _PRIME) % _PRIME
-        value += term
-    return value % _PRIME
-
-
-def _rank_mod_p(rows) -> int:
-    """The rank over F_p of rows of integers mod p, by Gaussian elimination."""
-    rows = list(rows)
-    rank = 0
-    for c in range(len(rows[0]) if rows else 0):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        top, inv = rows[rank], pow(rows[rank][c], -1, _PRIME)
-        for i in range(rank + 1, len(rows)):
-            f = rows[i][c] * inv % _PRIME
-            if f:
-                rows[i] = [(x - f * y) % _PRIME for x, y in zip(rows[i], top)]
-        rank += 1
-    return rank
+def _specialized(row) -> list[int]:
+    """The image in Z of a row over Z[M]: the row times the unit e^-lo, lo
+    being the least exponent of its terms in each coordinate, so that no
+    exponent is negative, under the ring map e^m -> prod (i + 2)^m_i.  The
+    unit changes no independence, and the map sends each minor of the
+    shifted rows to the minor of their images."""
+    lo = list(map(min, zip(*[exp for f in row for exp, _ in f.terms])))
+    images = []
+    for f in row:
+        value = 0
+        for exp, c in f.terms:
+            for base, e, b in zip(range(2, len(lo) + 2), exp, lo):
+                c *= base ** (e - b)
+            value += c
+        images.append(value)
+    return images
 
 
 def _basis_rows(rows, k: int, rank: int) -> tuple[tuple[int, ...], LaurentPoly]:
@@ -269,23 +254,19 @@ def _basis_rows(rows, k: int, rank: int) -> tuple[tuple[int, ...], LaurentPoly]:
 
     They are the rows each independent of the ones chosen before it over
     the fraction field, the greedy basis of the row space, which is its
-    lexicographically least one: no subset is searched.  A row is
-    independent when its image under the specialization Z[M] -> F_p
-    (``_specialized``) is independent of theirs, which is exact, as a minor
-    whose image is nonzero is nonzero; otherwise the fraction-free
-    elimination over Z[M] (``matrix_rank``) decides.  A nonsingular system
-    takes its rows 0..k-1 from eliminations mod p and then one determinant,
-    as the subset search did.
+    lexicographically least one: no subset is searched.  The pivots of one
+    ``independent_rows`` of the rows' images in Z (``_specialized``) are
+    independent of every row before them, as a minor with a nonzero image
+    is nonzero; every other row is decided against the rows chosen before
+    it by the fraction-free elimination over Z[M] (``matrix_rank``).
     """
-    chosen, images = [], []
+    pivots = set(independent_rows([_specialized(row) for row in rows]))
+    chosen = []
     for r, row in enumerate(rows):
         if len(chosen) == k:
             break
-        image = [_specialized(x) for x in row]
-        if (_rank_mod_p(images + [image]) > len(chosen)
-                or matrix_rank([rows[i] for i in chosen] + [row]) > len(chosen)):
+        if r in pivots or matrix_rank([rows[i] for i in chosen] + [row]) > len(chosen):
             chosen.append(r)
-            images.append(image)
     if len(chosen) < k:
         raise DependentBasis("basis values are linearly dependent over Z[M]")
     return tuple(chosen), poly_det([rows[i] for i in chosen], rank)
@@ -297,9 +278,11 @@ def decompose(
     """Coefficients c_i in Z[M] with f = sum c_i * basis_i, conewise.
 
     Solved by Cramer's rule on the first nonsingular square subsystem of the
-    stacked cone-value equations (``_basis_rows``); consistency of the remaining equations separates
-    NotInSpan from NotIntegral, and the integral solution is re-verified by
-    exact re-multiplication.
+    stacked cone-value equations (``_basis_rows``: one elimination of their
+    images in Z, and the exact rank over Z[M] for the rows it does not
+    pick); consistency of the remaining equations separates NotInSpan from
+    NotIntegral, and the integral solution is re-verified by exact
+    re-multiplication.
     """
     basis = tuple(basis)
     fan = f.fan

@@ -4,11 +4,13 @@ Vectors are plain tuples of Python ints (arbitrary precision); an element of
 the cocharacter lattice N and a character in the dual lattice M are both
 ``Vector``s, paired by the ordinary dot product ``pair``.  Matrices are tuples
 of row tuples.  Everything here is total, deterministic, and allocation-happy
-rather than clever: exactness is the product.  Rank, determinant and
-adjugate come from Bareiss elimination, which serves the vertex enumeration
-of non-simplicial cones, the Gram matrices over Z[M] and the rows that
-``ktheory.decompose`` solves on; the adjugate of a
-2x2 or 3x3 matrix is written out instead.  Every simplicial cone reads its
+rather than clever: exactness is the product.  Rank, determinant,
+adjugate and the greedy independent rows (``independent_rows``) come from
+one Bareiss elimination, ``_eliminate``, over Z or Z[M]; it serves the
+vertex enumeration of non-simplicial cones, the Gram matrices over Z[M] and
+the rows that ``ktheory.decompose`` solves on, and no other elimination is
+kept beside it and the Smith form.  The adjugate of a 2x2 or 3x3 matrix is
+written out instead.  Every simplicial cone reads its
 multiplicity, facets and tangent weights off one adjugate of its local
 generators, in the coordinates of N when it is full-dimensional.  The Smith
 form serves only ``fan.span_coordinates``, one per span, which gives the
@@ -213,8 +215,26 @@ def _eliminate(m: list[list[int]], ncols: int) -> tuple[int, int, int]:
     return rank, sign, prev
 
 
+def _pivots(m) -> list[int]:
+    """The pivot column of each row of an eliminated ``m``, given down to its
+    rank: Gauss-Jordan clears every earlier pivot column, and a skipped
+    column held no entry in the rows below, so each row's first nonzero
+    entry is at its pivot."""
+    return [next(c for c, x in enumerate(row) if x) for row in m]
+
+
 def matrix_rank(a: IntMatrix) -> int:
     return _eliminate([list(row) for row in a], len(a[0]) if a else 0)[0]
+
+
+def independent_rows(rows) -> tuple[int, ...]:
+    """Indices of the greedy independent rows over the fraction field, each
+    row independent of those before it: the pivot columns of one
+    elimination of the transpose, which pivots its columns in order.  The
+    rows are a sequence, their entries ints or elements of Z[M] (see
+    ``_eliminate``)."""
+    m = [list(col) for col in zip(*rows)]
+    return tuple(_pivots(m[:_eliminate(m, len(rows))[0]]))
 
 
 def adjugate(a: IntMatrix) -> tuple[int, IntMatrix]:
@@ -278,7 +298,7 @@ def line_kernel(rows, n: int) -> Vector | None:
         rank, _, p = _eliminate(m, n)
         if rank < n - 1:
             return None
-        pivots = [next(c for c, x in enumerate(row) if x) for row in m]
+        pivots = _pivots(m)
         free = next(c for c in range(n) if c not in pivots)
         x = [0] * n
         x[free] = p

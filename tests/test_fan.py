@@ -948,8 +948,8 @@ class TestResolve:
             return lambda *a, **k: calls.append(name) or f(*a, **k)
 
         patches = [(module, name) for module in (fan_module, lattice_module)
-                   for name in ("smith_normal_form", "matrix_rank", "adjugate")]
-        patches += [(fan_module, "extreme_rays_of_region")]
+                   for name in ("smith_normal_form", "independent_rows", "adjugate")]
+        patches += [(lattice_module, "matrix_rank"), (fan_module, "extreme_rays_of_region")]
         for module, name in patches:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         init = Cone.__init__
@@ -1035,6 +1035,23 @@ class TestResolve:
                 resolve(fan, extra_rounds=1)
         (chained, _), (refined, _) = resolve_both_ways(p2, extra_rounds=1)
         assert chained == refined
+
+    def test_extra_rounds_split_cells_of_two_or_more_generators(self):
+        """Each extra round is drawn among the cells it can split, so a fan
+        with a cell of one generator still takes every round it asks for,
+        on both paths; a fan with none, such as P^1, takes none."""
+        fan = Fan.build(2, [(1, 0), (0, 1), (-1, -1)], [(0,), (1, 2)])
+        for seed, rounds in ((None, 1), (None, 2), (1, 2), (2, 2), (3, 2), (4, 3)):
+            (chained, _), (refined, _) = resolve_both_ways(fan, seed, rounds)
+            assert chained == refined
+            fine = resolve(fan, rng=_seeded(seed), extra_rounds=rounds).fine
+            assert len(fine.rays) == 3 + rounds and len(fine.maximal_cones) == 2 + rounds, seed
+            assert fine.is_smooth() and (0,) in fine.maximal_cones
+        mixed = Fan.build(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1)], [(0, 1), (1, 2), (3,)])
+        fine = resolve(mixed, rng=random.Random(1), extra_rounds=2).fine
+        assert len(fine.rays) == 6 and (3,) in fine.maximal_cones
+        p1 = catalog.projective_line()
+        assert resolve(p1, rng=random.Random(1), extra_rounds=2) == SubdivisionMap.identity(p1)
 
     @pytest.mark.parametrize("extra, message", [
         (1.5, "an integer, got 1.5"), (True, "an integer, got True"), ("2", "an integer, got '2'"),
@@ -1374,6 +1391,31 @@ class TestAgainstOracles:
     def test_a_region_holding_a_line_has_no_extreme_rays(self):
         # the one candidate of the half-plane x >= 0, (0, 1), spans its lineality space
         assert fan_module.extreme_rays_of_region(2, [(1, 0)], ()) == ()
+
+    def test_dependent_equations_give_the_rays_of_an_independent_subset(self):
+        """Zero, repeated and combined annihilator rows, put anywhere among
+        independent ones, change none of the rays, which match the Smith
+        enumeration."""
+        rng = random.Random(20261020)
+        nonempty = 0
+        for _ in range(300):
+            n = rng.randint(2, 5)
+            while True:
+                eqs = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(1, n - 1))]
+                if matrix_rank(eqs) == len(eqs):
+                    break
+            ineqs = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(n, n + 3))]
+            dependent = list(eqs)
+            for _ in range(rng.randint(1, 4)):
+                a, b = rng.choice(eqs), rng.choice(eqs)
+                x, y = rng.randint(-2, 2), rng.randint(-2, 2)
+                extra = rng.choice(((0,) * n, a, tuple(x * s + y * t for s, t in zip(a, b))))
+                dependent.insert(rng.randint(0, len(dependent)), extra)
+            want = fan_module.extreme_rays_of_region(n, ineqs, eqs)
+            assert fan_module.extreme_rays_of_region(n, ineqs, dependent) == want, (n, ineqs, dependent)
+            assert extreme_rays_smith(n, ineqs, dependent) == want
+            nonempty += bool(want)
+        assert nonempty > 60
 
     @given(st.integers(0, 99999))
     @settings(max_examples=60)

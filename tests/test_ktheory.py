@@ -1,5 +1,6 @@
 import random
 import time
+from fractions import Fraction
 from functools import cache, cached_property
 
 import pytest
@@ -727,10 +728,10 @@ class TestDecompose:
         subset found them, or neither has any: on seeded random systems over
         Z[M] of 0-6 rows and 0-4 columns, with rows repeated, zero or
         combinations of others, and with fewer rows than columns.  With the
-        specialization mod p made blind, every row is decided by the exact
+        specialization into Z made blind, every row is decided by the exact
         elimination over Z[M] alone, with the same rows chosen."""
         if not specialized:
-            monkeypatch.setattr(ktheory, "_rank_mod_p", lambda rows: 0)
+            monkeypatch.setattr(ktheory, "_specialized", lambda row: [0] * len(row))
         rng = random.Random(20261019)
 
         def entry(rank):
@@ -763,14 +764,30 @@ class TestDecompose:
         assert kinds.count((False, False, True)) > 30 and kinds.count((False, False, False)) > 30
 
     def test_the_specialization_is_a_ring_map(self):
+        """Each row's image in Z is an integer vector: its image under the
+        ring map e^m -> prod (i + 2)^m_i into Q times one nonzero factor per
+        row, the image of the unit that clears its negative exponents; that
+        map takes products and differences to theirs."""
         rng = random.Random(7)
+
+        def entry():
+            return poly(3, {tuple(rng.randint(-3, 3) for _ in range(3)): rng.randint(-5, 5)
+                            for _ in range(rng.randint(0, 4))})
+
+        def image(f):
+            return sum(c * Fraction(2) ** a * Fraction(3) ** b * Fraction(4) ** d for (a, b, d), c in f.terms)
+
         for _ in range(200):
-            f, g = (poly(3, {tuple(rng.randint(-3, 3) for _ in range(3)): rng.randint(-5, 5)
-                             for _ in range(rng.randint(0, 4))}) for _ in range(2))
-            image = ktheory._specialized
-            assert image(f * g) == image(f) * image(g) % ktheory._PRIME
-            assert image(f - g) == (image(f) - image(g)) % ktheory._PRIME
-        assert image(LaurentPoly.one(3)) == 1 and image(LaurentPoly.zero(3)) == 0
+            f, g = entry(), entry()
+            assert image(f * g) == image(f) * image(g) and image(f - g) == image(f) - image(g)
+            row = [entry() for _ in range(rng.randint(0, 4))] + [f * g, f - g]
+            got = ktheory._specialized(row)
+            assert all(type(x) is int for x in got)
+            scale = {x / image(e) for x, e in zip(got, row) if image(e)}
+            assert len(scale) <= 1 and 0 not in scale
+            assert all(x == 0 for x, e in zip(got, row) if not image(e))
+        assert ktheory._specialized([LaurentPoly.one(3), LaurentPoly.zero(3)]) == [1, 0]
+        assert ktheory._specialized([E((-1, 0, 2)), E((1, -1, 0))]) == [48, 4]
 
     @pytest.mark.parametrize("k", [4, 16])
     def test_a_dependent_basis_is_refused_without_a_subset_search(self, k, monkeypatch):

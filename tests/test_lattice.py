@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from pexpfan.errors import NotIndependent, NotSmooth, ZeroVector
 from pexpfan.fan import Cone, Fan, span_coordinates
 from pexpfan.ktheory import tangent_weights
+from pexpfan.laurent import LaurentPoly
 from pexpfan.lattice import (
     QuotientLattice,
     adjugate,
     identity_matrix,
+    independent_rows,
     is_primitive,
     line_kernel,
     mat_mul,
@@ -275,6 +277,50 @@ class TestHelpers:
             assert got is None
         else:
             assert got in (want[0], tuple(-x for x in want[0]))
+
+    def test_independent_rows_are_the_greedy_rank_rows(self):
+        """One elimination of the transpose picks the rows a ``matrix_rank``
+        loop grows one row at a time, over Z and over Z[M]: on seeded
+        systems with zero, repeated and combined rows, with fewer rows than
+        columns, with no columns and with no rows."""
+        rng = random.Random(20261020)
+
+        def greedy(rows):
+            chosen = []
+            for r, row in enumerate(rows):
+                if matrix_rank([rows[i] for i in chosen] + [row]) > len(chosen):
+                    chosen.append(r)
+            return tuple(chosen)
+
+        def integer():
+            return rng.randint(-3, 3)
+
+        def laurent():
+            return LaurentPoly.from_dict(2, {(rng.randint(-1, 1), rng.randint(-1, 1)): rng.randint(-2, 2)
+                                             for _ in range(rng.randint(0, 2))})
+
+        kinds = set()
+        for trial in range(600):
+            entry, zero = (integer, 0) if trial % 2 else (laurent, LaurentPoly.zero(2))
+            k, n = rng.randint(0, 4), rng.randint(0, 6)
+            rows = []
+            for _ in range(n):
+                kind = rng.choice(("random", "random", "zero", "copy", "combination"))
+                if kind == "zero" or (kind != "random" and not rows):
+                    rows.append([zero] * k)
+                elif kind == "copy":
+                    rows.append(list(rng.choice(rows)))
+                elif kind == "combination":
+                    a, b, x, y = rng.choice(rows), rng.choice(rows), entry(), entry()
+                    rows.append([x * s + y * t for s, t in zip(a, b)])
+                else:
+                    rows.append([entry() for _ in range(k)])
+            want = greedy(rows)
+            assert independent_rows(rows) == want, rows
+            assert independent_rows(tuple(map(tuple, rows))) == want
+            kinds.add((n < k, len(want) < min(n, k), entry is laurent))
+        assert len(kinds) == 8
+        assert independent_rows([]) == () and independent_rows([(), ()]) == ()
 
     @given(matrices.filter(lambda a: len(a) == len(a[0])))
     @settings(max_examples=80)

@@ -24,7 +24,8 @@ reads no ``_adjugate`` or ``_scaled_inverse`` (a resolve step's face is the
 cone's smallest face, read from its facets); a ninth keeps start-up cheap:
 no module imports ``dataclasses`` (value classes come from
 ``lattice.value_class``), and a fresh ``import pexpfan.cli`` loads none of
-``dataclasses``, ``inspect``, ``ast`` and ``dis``; a tenth keeps one JSON
+``dataclasses``, ``inspect``, ``ast`` and ``dis``, nor ``import pexpfan``
+``random``; a tenth keeps one JSON
 boundary: in ``cli.py`` only ``_decode`` calls ``json.load`` or
 ``json.loads``, ``cli.py`` does not import ``strict_int``
 (``Fan.rayset_from_vectors`` reads a cone), and ``CartierData`` defines no
@@ -61,7 +62,13 @@ the package defines no ``star_quotient``, ``span_quotients``,
 ``ktheory.gram_matrix`` (the strict-transform face), so never from
 ``fan._Refinement``, and ``Fan.build`` is called in ``fan.py`` only from
 ``Fan.from_json`` and nowhere in ``chains.py``, so no function of the resolve
-path calls it.
+path calls it; an eighteenth keeps one elimination for linear independence:
+no ``_rank_mod_p`` or ``_PRIME`` is defined, no ``pow(..., -1, ...)`` inverts
+mod anything outside ``chains.least_chain_points``, ``lattice._eliminate`` is
+called only in ``lattice``, and ``extreme_rays_of_region`` and
+``ktheory._basis_rows`` take their rows from ``lattice.independent_rows``,
+the exact ``matrix_rank`` left only to the rows ``_basis_rows``'s images
+do not pick.
 Every name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types, never
 the kernel it checks."""
@@ -209,6 +216,15 @@ def test_cli_import_loads_no_code_generation_modules():
     assert proc.stdout.strip() == "[]"
 
 
+def test_library_import_loads_no_random():
+    # only the CLI draws seeded resolutions; the library takes an rng as given
+    src = str(SOURCES[0].parent.parent)
+    code = f"import sys; sys.path.insert(0, {src!r}); import pexpfan; print('random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_the_cli_decodes_json_in_one_place():
     # files and --cone share one decoder; the library checks what a cone holds
     decoders = {c for c in _callers("load") | _callers("loads") if c[0] == "cli.py"}
@@ -345,6 +361,22 @@ def test_resolve_builds_its_pieces_and_fine_fan_from_its_own_data():
     assert _callers("from_generators") == {("fan.py", "cone_objects"), ("ktheory.py", "gram_matrix")}
     assert {caller for caller in _callers("build") if caller[0] in ("fan.py", "chains.py")} == {
         ("fan.py", "from_json")}
+
+
+def test_one_elimination_decides_linear_independence():
+    # independent rows are the pivots of the one Bareiss elimination; no
+    # elimination mod a prime is kept beside it
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    names = {node.id for tree in trees.values() for _, node in _nodes(tree, ast.Name)}
+    defined = {node.name for tree in trees.values() for _, node in _nodes(tree, ast.FunctionDef)}
+    assert "_rank_mod_p" not in defined and "_PRIME" not in names
+    inverses = {(name, where) for name, tree in trees.items() for where, call in _nodes(tree, ast.Call)
+                if getattr(call.func, "id", None) == "pow" and len(call.args) == 3
+                and ast.unparse(call.args[1]) == "-1"}
+    assert inverses == {("chains.py", "least_chain_points")}
+    assert {name for name, _ in _callers("_eliminate")} == {"lattice.py"}
+    assert _callers("independent_rows") == {("fan.py", "extreme_rays_of_region"), ("ktheory.py", "_basis_rows")}
+    assert _callers("matrix_rank") == {("ktheory.py", "_basis_rows")}
 
 
 def test_every_exported_name_resolves():
