@@ -31,15 +31,19 @@ octahedron class's localization sum over the N cones of ``resolve(cube_fan())``
 ``decompose_dependent``: ``decompose`` of the unit over k copies of the unit
 on the 48-cone ``resolve(cube_fan())``, which ``DependentBasis`` refuses.
 ``decompose_p1n``: ``decompose`` of every element of the (P^1)^n product
-basis (``p1n_product_basis``) over that basis.
+basis (``product_basis`` of tests/test_product_basis.py) over that basis.
+``decompose_wps``: ``decompose`` of a combination of four classes on the
+resolved P(1,q1,q2,q3) over them (``wps_divisor_basis``), whose values'
+exponents spread over hundreds of units at the large weights.
 """
 import argparse
-import itertools
 import json
 import random
 import statistics
+import sys
 import time
 from math import gcd
+from pathlib import Path
 
 from pexpfan import catalog
 from pexpfan.errors import DependentBasis
@@ -47,6 +51,9 @@ from pexpfan.fan import Fan, resolve
 from pexpfan.ktheory import chi, decompose, tangent_weights
 from pexpfan.laurent import LaurentPoly, LocalizationSum, reduce_localization
 from pexpfan.pexp import PiecewiseExponential, gkm_validate
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from test_product_basis import product_basis  # noqa: E402
 
 
 def cyclic_fan(rays):  # the cones join angularly consecutive rays
@@ -140,26 +147,20 @@ def refused(subject):
     raise AssertionError("a dependent basis was not refused")
 
 
-def p1n_product_basis(n):
-    """For each subset S of range(n), by size and then lexicographically,
-    prod_{i in S} (1 - e^{w_i}) on the cones of (P^1)^n holding +e_i for
-    every i in S, w_i the tangent weight dual to +e_i there, and 0 elsewhere."""
-    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    cones = [tuple(i + n * s for i, s in enumerate(signs)) for signs in itertools.product((0, 1), repeat=n)]
-    fan = Fan.build(n, unit + [tuple(-x for x in e) for e in unit], cones)
-    one, zero = LaurentPoly.one(n), LaurentPoly.zero(n)
-    basis = []
-    for size in range(n + 1):
-        for subset in itertools.combinations(range(n), size):
-            values = []
-            for cone in fan.cone_objects:
-                weight = dict(zip(cone.generators, tangent_weights(cone)))
-                value = one
-                for i in subset:
-                    value = value * (one - LaurentPoly.exponential(weight[unit[i]])) if unit[i] in weight else zero
-                values.append(value)
-            basis.append(PiecewiseExponential.from_values(fan, values))
-    return basis
+def wps_divisor_basis(qs):
+    """(f, basis) on the resolved P(1,q1,q2,q3): the unit and, for each of the
+    first three rays, 1 - e^{w} on the cones holding it, w the tangent weight
+    dual to it there, and 0 elsewhere; f is the sum of basis_j * e^{(j,0,-j)}."""
+    fine = resolve(weighted_projective_space(qs)).fine
+    one, zero = LaurentPoly.one(3), LaurentPoly.zero(3)
+    weights = [dict(zip(cone.generators, tangent_weights(cone))) for cone in fine.cone_objects]
+    basis = [PiecewiseExponential.constant(fine, 1)] + [
+        PiecewiseExponential.from_values(fine, [one - LaurentPoly.exponential(w[ray]) if ray in w else zero
+                                                for w in weights]) for ray in fine.rays[:3]]
+    f = PiecewiseExponential.constant(fine, 0)
+    for j, g in enumerate(basis):
+        f = f + g.module_action(LaurentPoly.exponential((j, 0, -j)))
+    return f, basis
 
 
 ap = argparse.ArgumentParser(description="Time the scale rows of the ROADMAP baseline table.")
@@ -185,8 +186,10 @@ rows = [
     ("gkm_violations", (48,), corrupted_cube48, lambda subject: gkm_validate(*subject)),
     ("planless_shuffled", (48,) if quick else (128,), shuffled_octahedron_sum, reduce_localization),
     ("decompose_dependent", (4,) if quick else (4, 8, 16), dependent_cube_basis, refused),
-    ("decompose_p1n", (2,) if quick else (2, 3), p1n_product_basis,
+    ("decompose_p1n", (2,) if quick else (2, 3), lambda n: product_basis(n)[1],
      lambda basis: [decompose(f, basis) for f in basis]),
+    ("decompose_wps", ((2, 3, 5),) if quick else ((101, 211, 307), (307, 601, 1009)), wps_divisor_basis,
+     lambda subject: decompose(*subject)),
 ]
 for row, sizes, build, run in rows:
     for size in sizes:

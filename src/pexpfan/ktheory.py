@@ -26,6 +26,8 @@ chi is the case tau = 0.
 
 from __future__ import annotations
 
+from math import prod
+
 from .errors import (
     DependentBasis,
     NotComplete,
@@ -231,20 +233,13 @@ def poly_det(matrix, rank: int) -> LaurentPoly:
 
 def _specialized(row) -> list[int]:
     """The image in Z of a row over Z[M]: the row times the unit e^-lo, lo
-    being the least exponent of its terms in each coordinate, so that no
-    exponent is negative, under the ring map e^m -> prod (i + 2)^m_i.  The
-    unit changes no independence, and the map sends each minor of the
-    shifted rows to the minor of their images."""
+    the least exponent of its terms in each coordinate, under the ring map
+    e^m -> prod (i + 2)^m_i.  The unit changes no independence, and the map
+    sends each minor of the shifted rows to the minor of their images."""
     lo = list(map(min, zip(*[exp for f in row for exp, _ in f.terms])))
-    images = []
-    for f in row:
-        value = 0
-        for exp, c in f.terms:
-            for base, e, b in zip(range(2, len(lo) + 2), exp, lo):
-                c *= base ** (e - b)
-            value += c
-        images.append(value)
-    return images
+    bases = range(2, len(lo) + 2)
+    return [sum(c * prod(b ** (e - m) for b, e, m in zip(bases, exp, lo)) for exp, c in f.terms)
+            for f in row]
 
 
 def _basis_rows(rows, k: int, rank: int) -> tuple[tuple[int, ...], LaurentPoly]:
@@ -254,18 +249,22 @@ def _basis_rows(rows, k: int, rank: int) -> tuple[tuple[int, ...], LaurentPoly]:
 
     They are the rows each independent of the ones chosen before it over
     the fraction field, the greedy basis of the row space, which is its
-    lexicographically least one: no subset is searched.  The pivots of one
-    ``independent_rows`` of the rows' images in Z (``_specialized``) are
-    independent of every row before them, as a minor with a nonzero image
-    is nonzero; every other row is decided against the rows chosen before
-    it by the fraction-free elimination over Z[M] (``matrix_rank``).
+    lexicographically least one: no subset is searched.  A pivot of
+    ``independent_rows`` of the rows' images in Z (``_specialized``), taken
+    over a prefix of the rows that doubles when the walk reaches its end,
+    is chosen untested while every chosen row is a pivot: their images are
+    then independent, and a minor with a nonzero image is nonzero.  The
+    specialization may send a nonzero entry to 0, so any other row is
+    decided by the fraction-free elimination over Z[M] (``matrix_rank``).
     """
-    pivots = set(independent_rows([_specialized(row) for row in rows]))
-    chosen = []
+    images, chosen = [], []
     for r, row in enumerate(rows):
         if len(chosen) == k:
             break
-        if r in pivots or matrix_rank([rows[i] for i in chosen] + [row]) > len(chosen):
+        if r == len(images):  # the pivots of a prefix are its pivots in any longer one
+            images += map(_specialized, rows[r:2 * r + k])
+            pivots = set(independent_rows(images))
+        if r in pivots and pivots.issuperset(chosen) or matrix_rank([rows[i] for i in chosen] + [row]) > len(chosen):
             chosen.append(r)
     if len(chosen) < k:
         raise DependentBasis("basis values are linearly dependent over Z[M]")
@@ -278,9 +277,9 @@ def decompose(
     """Coefficients c_i in Z[M] with f = sum c_i * basis_i, conewise.
 
     Solved by Cramer's rule on the first nonsingular square subsystem of the
-    stacked cone-value equations (``_basis_rows``: one elimination of their
-    images in Z, and the exact rank over Z[M] for the rows it does not
-    pick); consistency of the remaining equations separates NotInSpan from
+    stacked cone-value equations (``_basis_rows``: the pivots of their
+    images in Z, and the exact rank over Z[M] for the rows those do not
+    settle); consistency of the remaining equations separates NotInSpan from
     NotIntegral, and the integral solution is re-verified by exact
     re-multiplication.
     """

@@ -729,9 +729,23 @@ class TestDecompose:
         Z[M] of 0-6 rows and 0-4 columns, with rows repeated, zero or
         combinations of others, and with fewer rows than columns.  With the
         specialization into Z made blind, every row is decided by the exact
-        elimination over Z[M] alone, with the same rows chosen."""
+        elimination over Z[M] alone, with the same rows chosen.
+
+        First, on systems whose row 0 goes to 0 in Z while it is not 0:
+        e^{e1} - 2, and 1 - e^{(-2,0,1)}, whose row is shifted by e^{(2,0,0)}
+        to e^{(2,0,0)} - e^{(0,0,1)}, with 4 = 2^2.  Rows 1 and 2 are then
+        pivots of the images, yet row 1 is dependent on row 0, so a pivot
+        after a chosen non-pivot must take the exact test."""
         if not specialized:
             monkeypatch.setattr(ktheory, "_specialized", lambda row: [0] * len(row))
+        one, zero = LaurentPoly.one, LaurentPoly.zero
+        for rank, kill in ((1, E((1,)) - LaurentPoly.constant(1, 2)), (3, one(3) - E((-2, 0, 1)))):
+            assert ktheory._specialized([kill, zero(rank)]) == [0, 0]
+            for k in (2, 3):
+                rows = [[kill] + [zero(rank)] * (k - 1)] + [[one(rank) if j == i else zero(rank)
+                                                             for j in range(k)] for i in range(k)]
+                want = ((0,) + tuple(range(2, k + 1)), kill)
+                assert ktheory._basis_rows(rows, k, rank) == basis_rows_by_subsets(rows, k, rank) == want
         rng = random.Random(20261019)
 
         def entry(rank):

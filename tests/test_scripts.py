@@ -136,8 +136,8 @@ def test_scale_rows_quick_prints_every_row():
     assert {line["row"] for line in lines} == {
         "complete", "resolve_tied", "resolve_tied_rng1", "resolve_tied3", "resolve_a", "resolve_r3",
         "resolve_r4", "resolve_dim2", "chi_rank2", "chi_cube128", "chi_wps", "gkm_violations",
-        "planless_shuffled", "decompose_dependent", "decompose_p1n"}
-    assert len(lines) == 24
+        "planless_shuffled", "decompose_dependent", "decompose_p1n", "decompose_wps"}
+    assert len(lines) == 25
 
 
 def test_bytecode_count_repeats_exactly():
