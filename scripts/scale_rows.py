@@ -3,7 +3,7 @@
 "repeats"} each, the median of 3 runs on fresh inputs (``--quick``: 1 run each
 on tiny sizes).
 
-    PYTHONPATH=src python3 scripts/scale_rows.py [--quick]
+    PYTHONPATH=src python3 scripts/scale_rows.py [--quick] [--only ROW,ROW,...]
 
 ``complete``: ``is_complete`` of a fresh copy, walls built, of the resolved
 fan on (1,0), (1,N), (-1,0), (0,-1).  ``resolve_tied`` (``_rng1``: with
@@ -17,13 +17,23 @@ multiplicity m, whose cones take the elimination adjugate of rank >= 4.
 (0,0,1), whose pieces take their cell's coordinates.  ``chi_rank2``:
 chi of the unit on the fan of ``complete``, its resolution passed.
 ``chi_cube128``: chi of e^(1,0,0) + 2e^(0,-1,1) on the cube fan through
-``resolve(rng=Random(5), extra_rounds=R)``, 128 cones at R = 40.  ``chi_wps``:
+``resolve(rng=Random(5), extra_rounds=R)``, 128 cones at R = 40.
+``chi_octahedron``: chi of k times the octahedron class (the line bundle
+e^(-s e_a) on the cone over the cube face x_a = s, its exponents times k)
+through the 48-cone ``resolve(cube_fan())``.  ``gram_cube``: ``gram_matrix``
+of 8 classes (j times the octahedron class times e^(i,0,-i), j = 1..4,
+i = 0, 1) against 4 faces of the cube fan (the zero cone, the ray
+(1,1,1), an edge through it and a maximal cone) through the 48-cone
+``resolve(cube_fan())`` (N = 48) or the ``chi_cube128`` refinement
+(N = 128): the first class folds each face's series, the other seven reuse
+them.  ``chi_wps``:
 chi of the unit on P(1,q1,q2,q3), the fan on e1, e2, e3, (-q1,-q2,-q3) whose
 cones are the four triples of rays, its resolution passed.  The chi rows
-build their resolution outside the timing.  ``gkm_violations``:
-``gkm_validate`` of the octahedron class on a fresh validated copy of the
-48-cone ``resolve(cube_fan())``, its value on cone 0 moved by e^(1,0,0), so
-that the walls refuse it and the pairwise loop reports its violations.
+build their resolution outside the timing, so each folds its series.
+``gkm_violations``: ``gkm_validate`` of the octahedron class on a fresh
+validated copy of the 48-cone ``resolve(cube_fan())``, its value on cone 0
+moved by e^(1,0,0), so that the walls refuse it and the pairwise loop
+reports its violations.
 ``planless_shuffled``: ``reduce_localization``, with no plan, of the
 octahedron class's localization sum over the N cones of ``resolve(cube_fan())``
 (N = 48) or of the ``chi_cube128`` refinement (N = 128), its terms shuffled by
@@ -48,9 +58,9 @@ from pathlib import Path
 from pexpfan import catalog
 from pexpfan.errors import DependentBasis
 from pexpfan.fan import Fan, resolve
-from pexpfan.ktheory import chi, decompose, tangent_weights
+from pexpfan.ktheory import chi, decompose, gram_matrix, tangent_weights
 from pexpfan.laurent import LaurentPoly, LocalizationSum, reduce_localization
-from pexpfan.pexp import PiecewiseExponential, gkm_validate
+from pexpfan.pexp import CartierData, PiecewiseExponential, from_cartier, gkm_validate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from test_product_basis import product_basis  # noqa: E402
@@ -85,6 +95,24 @@ def octahedron_exps(cube):
         axis = next(a for a in range(3) if len({g[a] for g in gens}) == 1)
         exps.append(tuple(-gens[0][axis] if a == axis else 0 for a in range(3)))
     return exps
+
+
+def octahedron_multiple(cube, k):
+    return from_cartier(cube, CartierData(tuple(tuple(k * x for x in e) for e in octahedron_exps(cube))))
+
+
+def octahedron_chi(k):
+    cube = catalog.cube_fan()
+    return resolve(cube), octahedron_multiple(cube, k)
+
+
+def cube_gram(cones):
+    cube = catalog.cube_fan()
+    sub = resolve(cube) if cones == 48 else resolve(cube, rng=random.Random(5), extra_rounds=40)
+    classes = [octahedron_multiple(cube, j).module_action(LaurentPoly.exponential((i, 0, -i)))
+               for j in range(1, 5) for i in range(2)]
+    edge = next(f for f in cube.faces if len(f) == 2 and 0 in f)  # ray 0 is (1,1,1)
+    return sub, classes, [(), (0,), edge, cube.maximal_cones[0]]
 
 
 def corrupted_cube48(_):
@@ -165,7 +193,9 @@ def wps_divisor_basis(qs):
 
 ap = argparse.ArgumentParser(description="Time the scale rows of the ROADMAP baseline table.")
 ap.add_argument("--quick", action="store_true", help="tiny sizes, one run each")
-quick = ap.parse_args().quick
+ap.add_argument("--only", help="comma-separated row names to time, all rows by default")
+args = ap.parse_args()
+quick = args.quick
 tied_sizes = (5, 10) if quick else (500, 1000, 2000)
 rows = [
     ("complete", (10, 20) if quick else (1000, 2000, 4000), fresh_fine_fan, Fan.is_complete),
@@ -181,6 +211,10 @@ rows = [
      lambda n: resolve(cyclic_fan([(1, 0), (1, n), (-1, 0), (0, -1)])), unit_chi),
     ("chi_cube128", (0,) if quick else (40,),
      lambda r: resolve(catalog.cube_fan(), rng=random.Random(5), extra_rounds=r), cube_class_chi),
+    ("chi_octahedron", (1,) if quick else (3, 6, 10), octahedron_chi,
+     lambda subject: chi(subject[0].coarse, subject[1], resolution=subject[0])),
+    ("gram_cube", (48,) if quick else (48, 128), cube_gram,
+     lambda subject: gram_matrix(subject[0].coarse, subject[1], subject[2], resolution=subject[0])),
     ("chi_wps", ((2, 3, 5),) if quick else ((101, 211, 307), (307, 601, 1009)),
      lambda qs: resolve(weighted_projective_space(qs)), unit_chi),
     ("gkm_violations", (48,), corrupted_cube48, lambda subject: gkm_validate(*subject)),
@@ -192,6 +226,8 @@ rows = [
      lambda subject: decompose(*subject)),
 ]
 for row, sizes, build, run in rows:
+    if args.only and row not in args.only.split(","):
+        continue
     for size in sizes:
         times = []
         for _ in range(1 if quick else 3):

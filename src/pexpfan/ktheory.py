@@ -22,10 +22,16 @@ at a fixed point sigma containing tau and to 0 elsewhere, and that factor
 cancels the same factors of sigma's denominator, so <f, [O_{V(tau)}]> =
 sum_{sigma containing tau} f_sigma / prod_{rho in sigma - tau} (1 - e^{w_rho}).
 chi is the case tau = 0.
+
+On a resolution a pulled-back class takes one value f_sigma on the fine cones
+of a coarse cone sigma, whose terms sum to f_sigma * N_sigma / D_sigma for one
+fraction that no class changes (for tau = 0, the Hilbert series of sigma;
+Brion, 1988): ``_pairing_series`` folds it once per resolution and face.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import prod
 
 from .errors import (
@@ -42,7 +48,7 @@ from .errors import (
 )
 from .fan import Cone, Fan, RaySet, SubdivisionMap, resolve
 from .lattice import Vector, adjugate, independent_rows, matrix_rank, value_class
-from .laurent import LaurentPoly, LocalizationSum, poly_to_json, reduce_localization, try_div
+from .laurent import LaurentPoly, LocalizationSum, _fold, poly_to_json, reduce_localization, try_div
 from .pexp import PiecewiseExponential
 
 
@@ -92,25 +98,81 @@ def orbit_closure_class(fan: Fan, rayset) -> tuple[LaurentPoly, ...]:
 
 def _resolution_of(fan: Fan, resolution: SubdivisionMap | None) -> SubdivisionMap:
     """The given refinement of ``fan``; by default ``resolve(fan)``, which is
-    the identity on a smooth fan."""
+    the identity on a smooth fan, built once per fan and kept, with its
+    series, in the fan's instance dict (a value class leaves it writable)."""
     if resolution is None:
-        return resolve(fan)
+        if "_resolution" not in fan.__dict__:
+            fan.__dict__["_resolution"] = resolve(fan)
+        return fan.__dict__["_resolution"]
     if resolution.coarse != fan:
         raise ValueError("resolution does not refine the given fan")
     return resolution
 
 
-def _star_sum(fine: Fan, values, face: RaySet) -> LaurentPoly:
-    """<f, [O_{V(face)}]> on a smooth complete fan, from f's value at each
-    maximal cone: the sum over the star of ``face`` (``Fan._star``) of the
-    value over the weights of the rays outside ``face``, merged along the
-    walls of the star (``Fan.star_walls``)."""
-    terms = []
-    for i in fine._star[face]:
-        weights = tangent_weights(fine.cone_objects[i])
-        terms.append((values[i], [w for ray, w in zip(fine._generator_rays[i], weights)
-                                  if ray not in face]))
-    return reduce_localization(LocalizationSum.build(fine.rank, terms), fine.star_walls(face))
+def _series_size(cone: Cone, bound: int) -> int:
+    """The predicted size of a cone's series: sum |det| over the rank-subsets
+    of its facet normals, the volume of their zonotope, counted past ``bound``."""
+    total = 0
+    for rows in combinations([u for u, _ in cone.facets], cone.rank):
+        if total > bound:
+            break
+        try:
+            total += abs(adjugate(rows)[0])
+        except NotIndependent:
+            pass
+    return total
+
+
+def _pairing_series(resolution: SubdivisionMap, rayset: RaySet):
+    """(face, terms, plan) of the pairings with the coarse face ``rayset``,
+    built once and cached on the resolution: ``face`` its strict transform;
+    per coarse cone sigma with two or more fine cones in the face's star,
+    and no fewer than ``_series_size(sigma)``, one term (sigma, N, D), their
+    sum with unit numerators folded along the walls inside them
+    (``laurent._fold``); per other fine cone, (sigma, None, its weights
+    outside the face); terms in star order, and ``plan`` the walls of the
+    star between terms."""
+    cache = resolution.__dict__.setdefault("_series", {})
+    if rayset not in cache:
+        fine, coarse = resolution.fine, resolution.coarse
+        face = rayset and _strict_transform_face(
+            fine, Cone.from_generators(coarse.rank, [coarse.rays[i] for i in rayset]))
+        star, walls = fine._star[face], fine.star_walls(face)
+        owners = [resolution.assignment[i] for i in star]
+        groups: dict[int, list[int]] = {}
+        for p, a in enumerate(owners):
+            groups.setdefault(a, []).append(p)
+        folded = {a for a, group in groups.items()
+                  if len(group) > 1 and _series_size(coarse.cone_objects[a], len(group)) <= len(group)}
+        keys: dict[tuple, int] = {}  # (sigma, None) if folded, else (sigma, star position)
+        slot = [keys.setdefault((a, None) if a in folded else (a, p), len(keys)) for p, a in enumerate(owners)]
+
+        def weights(p):
+            i = star[p]
+            return [w for ray, w in zip(fine._generator_rays[i], tangent_weights(fine.cone_objects[i]))
+                    if ray not in face]
+        terms = []
+        for a, p in keys:
+            if p is not None:
+                terms.append((a, None, weights(p)))
+                continue
+            group = groups[a]
+            local = {q: k for k, q in enumerate(group)}
+            inner = [(local[q], local[r]) for q, r in walls if q in local and r in local]
+            one = LaurentPoly.one(fine.rank)
+            num, den = _fold(LocalizationSum.build(fine.rank, [(one, weights(q)) for q in group]), inner)
+            terms.append((a, num, [w for w, m in sorted(den.items()) for _ in range(m)]))
+        plan = tuple((slot[q], slot[r]) for q, r in walls if slot[q] != slot[r])
+        cache[rayset] = face, tuple(terms), plan
+    return cache[rayset]
+
+
+def _star_sum(resolution: SubdivisionMap, values, rayset: RaySet) -> LaurentPoly:
+    """<f, [O_{V(tau)}]> from f's coarse values: the sum of f_sigma * N / D
+    over the series' terms (a None N is 1), merged along its plan."""
+    _, terms, plan = _pairing_series(resolution, rayset)
+    sums = [(values[a] if num is None else values[a] * num, den) for a, num, den in terms]
+    return reduce_localization(LocalizationSum.build(resolution.fine.rank, sums), plan)
 
 
 def chi(
@@ -172,9 +234,10 @@ def gram_matrix(
     orbit closure of a strict transform of tau_j (a fine cone of the same
     span inside tau_j); the result is independent of both choices.  Both fans
     are complete, so every value lies in Z[M] and the pullback of f is f's
-    value at the coarse cone each fine cone is assigned to.  Each strict
-    transform is found once (the zero cone is its own, with no scan); every
-    entry is then one star sum (``_star_sum``), with no orbit class built.
+    value at the coarse cone each fine cone is assigned to.  Each face's
+    strict transform and series are built once per resolution
+    (``_pairing_series``); every entry is then one sum over the series'
+    terms (``_star_sum``), with no orbit class built.
     """
     functions = tuple(functions)
     if any(f.fan != fan for f in functions):
@@ -183,12 +246,10 @@ def gram_matrix(
         raise NotComplete("the pairing needs a complete fan")
     raysets = tuple(fan.require_face(rs) for rs in raysets)
     resolution = _resolution_of(fan, resolution)
-    fine = resolution.fine
-    _require_smooth_complete(fine)
-    faces = [rs and _strict_transform_face(fine, Cone.from_generators(fan.rank, [fan.rays[i] for i in rs]))
-             for rs in raysets]
-    lifted = [[f.values[a] for a in resolution.assignment] for f in functions]
-    entries = tuple(tuple(_star_sum(fine, values, face) for face in faces) for values in lifted)
+    _require_smooth_complete(resolution.fine)
+    for rs in raysets:
+        _pairing_series(resolution, rs)
+    entries = tuple(tuple(_star_sum(resolution, f.values, rs) for rs in raysets) for f in functions)
     return PairingMatrix(
         tuple(f"f{i}" for i in range(len(functions))),
         tuple("cone" + str(list(rs)) for rs in raysets),

@@ -513,7 +513,10 @@ def reduce_localization(s: LocalizationSum, plan=()) -> LaurentPoly:
     wall joins what is left, as for every merge of a sum with no plan, the
     largest region absorbs the one whose denominator overlaps its own most,
     ties to the lower id; with no plan that folds the terms into the first,
-    greedily.  A denominator factor surviving to the end raises NotPolynomial.
+    greedily.  A denominator factor surviving to the end raises NotPolynomial;
+    ``_fold`` is all of this but that check, so a partial sum, such as the
+    series of a coarse cone (``ktheory``), keeps what is left of its
+    denominator.
 
     After a merge only the factors whose primitive direction occurs in both
     denominators are tried; no other division can succeed.  Z[M] is a UFD,
@@ -551,6 +554,19 @@ def reduce_localization(s: LocalizationSum, plan=()) -> LaurentPoly:
     denominators, whose box is the widening.  The result is unpacked once,
     with its box check.
     """
+    num, den = _fold(s, plan)
+    if den:
+        raise NotPolynomial(
+            f"localization sum is not polynomial: factor 1 - e^{sorted(den)[0]} does not divide"
+        )
+    return num
+
+
+def _fold(s: LocalizationSum, plan) -> tuple[LaurentPoly, dict[Vector, int]]:
+    """The sum as one cancelled fraction (numerator, denominator), merged
+    along ``plan`` as ``reduce_localization`` describes; the denominator is a
+    multiset {w: multiplicity} of lexicographically positive characters, no
+    factor of which divides the numerator."""
     rank = s.rank
     normalized = []
     for num, denom in s.terms:
@@ -566,7 +582,7 @@ def reduce_localization(s: LocalizationSum, plan=()) -> LaurentPoly:
                            multiset))
     live = [t for t in normalized if t[0]]
     if not live:
-        return LaurentPoly.zero(rank)
+        return LaurentPoly.zero(rank), {}
 
     columns = list(zip(*[e for terms, _ in live for e, _ in terms]))
     lo, hi = list(map(min, columns)), list(map(max, columns))
@@ -624,8 +640,4 @@ def reduce_localization(s: LocalizationSum, plan=()) -> LaurentPoly:
 
     fractions = ((cancel(packing.pack(terms), multiset), multiset) for terms, multiset in normalized)
     num, den = _merge_rounds(fractions, plan, merge)
-    if den:
-        raise NotPolynomial(
-            f"localization sum is not polynomial: factor 1 - e^{sorted(den)[0]} does not divide"
-        )
-    return packing.unpack(num)
+    return packing.unpack(num), den

@@ -9,6 +9,9 @@ are ``kernel_basis``, the saturated kernel from the package's Smith form,
 validation used before ``line_kernel``, and ``reduce_localization_greedy``,
 the fold that tried every denominator factor after every step before
 ``reduce_localization`` tried only the shared directions, and
+``star_sum_ungrouped``, the star sum with one term per fine cone that
+``ktheory._star_sum`` folded for every class before it summed one series
+per coarse cone (``ktheory._pairing_series``), and
 ``pairing_quotient`` and ``quotient_lattice``, the second Smith forms that
 ``Fan.face_quotient`` (through ``face_quotient_oracle``) and the star
 quotient the package no longer builds (``star_quotient_oracle``) took before
@@ -516,6 +519,27 @@ def reduce_localization_greedy(s):
             f"localization sum is not polynomial: factor 1 - e^{sorted(acc_den)[0]} does not divide"
         )
     return acc_num
+
+
+def star_sum_ungrouped(resolution, f, rayset):
+    """<f, [O_{V(tau)}]> for the face tau on ``rayset`` of the coarse fan, as
+    ``ktheory._star_sum`` summed it before it grouped the star by coarse
+    cone: one term per fine cone of the star of the strict transform, f's
+    value at the cone's coarse cone over the cone's weights of the rays
+    outside the face, here folded by ``reduce_localization_greedy``."""
+    from pexpfan.fan import Cone
+    from pexpfan.ktheory import _strict_transform_face, tangent_weights
+    from pexpfan.laurent import LocalizationSum
+
+    fine, coarse = resolution.fine, resolution.coarse
+    face = rayset and _strict_transform_face(
+        fine, Cone.from_generators(coarse.rank, [coarse.rays[i] for i in rayset]))
+    terms = []
+    for i in fine._star[face]:
+        weights = tangent_weights(fine.cone_objects[i])
+        terms.append((f.values[resolution.assignment[i]],
+                      [w for ray, w in zip(fine._generator_rays[i], weights) if ray not in face]))
+    return reduce_localization_greedy(LocalizationSum.build(fine.rank, terms))
 
 
 def pairing_quotient(rank: int, span_basis):

@@ -44,6 +44,7 @@ from oracles import (
     random_complete_rank2_data,
     reduce_localization_greedy,
     solve_rational,
+    star_sum_ungrouped,
     star_walls_scan,
 )
 
@@ -556,6 +557,90 @@ class TestChiIsTheZeroConePairing:
         assert calls == [(cube, [f], [()])]
         assert value == kronecker_pair(cube, f, (), resolution=r)
         assert value == euler_characteristic(r.fine, pullback(f, r).values)
+
+
+def weighted_projective_space(qs):
+    """P(1, q1, q2, q3): the fan on e1, e2, e3, (-q1, -q2, -q3) whose cones
+    are the four triples of rays."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), tuple(-q for q in qs)]
+    return Fan.build(3, rays, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+class TestPairingSeries:
+    """A pairing sums one fraction per coarse cone whose fine cones fold into
+    its series (``ktheory._pairing_series``), cached on the resolution; the
+    oracle is the star sum with one term per fine cone, folded greedily
+    (``oracles.star_sum_ungrouped``)."""
+
+    @pytest.mark.parametrize("name", ["p1", "p2", "p1xp1", "hirzebruch2", "p112", "cube"])
+    def test_grouped_sums_match_the_ungrouped_fold(self, name, complete_corpus):
+        fan = complete_corpus[name]
+        rng = random.Random(20261020)
+        folded = 0
+        for rounds in range(3):
+            r = resolve(fan, rng=random.Random(rounds), extra_rounds=rounds)
+            f = random_cartier_combination(fan, line_bundle_classes(fan), rng)
+            for face in fan.faces:
+                assert kronecker_pair(fan, f, face, resolution=r) == star_sum_ungrouped(r, f, face), (rounds, face)
+                folded += sum(num is not None for _, num, _ in ktheory._pairing_series(r, face)[1])
+        # extra rounds split the smooth cones, whose series is one term; the
+        # cones of P^1 are rays, which no round splits
+        assert folded > 0 or name == "p1"
+
+    def test_the_cube_folds_each_coarse_cone_into_four_terms(self, cube):
+        r = resolve(cube)
+        face, terms, plan = ktheory._pairing_series(r, ())
+        assert face == () and [a for a, _, _ in terms] == list(range(6))
+        assert {(len(num.terms), len(den)) for _, num, den in terms} == {(4, 4)}
+        assert len(plan) == 24 == 2 * 12  # two fine walls across each edge of the cube
+
+    @pytest.mark.parametrize("qs", [(2, 3, 5), (3, 5, 7)])
+    def test_the_guard_keeps_wide_series_split(self, qs):
+        """The cones of P(1,2,3,5) and P(1,3,5,7) predict more series terms
+        than they have fine cones, so every fine cone stays its own term."""
+        fan = weighted_projective_space(qs)
+        r = resolve(fan)
+        rng = random.Random(1301)
+        f = random_cartier_combination(fan, [PiecewiseExponential.constant(fan, 1)], rng)
+        for face in fan.faces:
+            fine_face, terms, _ = ktheory._pairing_series(r, face)
+            assert all(num is None for _, num, _ in terms)
+            assert len(terms) == len(r.fine._star[fine_face])
+            assert kronecker_pair(fan, f, face, resolution=r) == star_sum_ungrouped(r, f, face)
+
+    def test_a_second_call_folds_no_series(self, cube, monkeypatch):
+        """The series and the strict transform are built on the first call:
+        a second gram folds no series and builds no cone."""
+        r = resolve(cube, rng=random.Random(5), extra_rounds=2)
+        classes = line_bundle_classes(cube)
+        functions = [random_cartier_combination(cube, classes, random.Random(1301)), classes[1]]
+        faces = [(), *cube.faces[1:3], cube.faces[-1]]
+        folds, fold = [], ktheory._fold
+        monkeypatch.setattr(ktheory, "_fold", lambda *a: folds.append(a) or fold(*a))
+        cones, from_generators = [], Cone.from_generators
+        monkeypatch.setattr(Cone, "from_generators", staticmethod(lambda *a: cones.append(a) or from_generators(*a)))
+        first = gram_matrix(cube, functions, faces, resolution=r)
+        assert len(folds) >= 6 and len(cones) == 3
+        folds.clear(), cones.clear()
+        assert gram_matrix(cube, functions, faces, resolution=r) == first
+        assert kronecker_pair(cube, functions[0], faces[1], resolution=r) == first.entries[0][1]
+        assert folds == [] and cones == []
+
+    def test_the_default_resolution_is_built_once_per_fan(self, monkeypatch):
+        """Calls without ``resolution=`` share one ``resolve`` per fan
+        instance; a passed resolution is still the one computed on."""
+        calls = []
+        monkeypatch.setattr(ktheory, "resolve", lambda *a, **k: calls.append(a) or resolve(*a, **k))
+        fan = catalog.weighted_p112()
+        f = catalog.p112_demo_class(fan)
+        value = chi(fan, f)
+        assert chi(fan, f) == gram_matrix(fan, [f], [()]).entries[0][0] == value
+        assert len(calls) == 1
+        other = resolve(fan, rng=random.Random(3), extra_rounds=2)
+        assert chi(fan, f, resolution=other) == value
+        assert () in other.__dict__["_series"] and len(calls) == 1
+        assert chi(catalog.weighted_p112(), catalog.p112_demo_class()) == value
+        assert len(calls) == 2
 
 
 @cache

@@ -505,10 +505,13 @@ class TestFoldAgainstGreedyOracle:
         self.check(s)
 
     def test_failed_divisions_of_one_chi(self, monkeypatch):
-        """chi of the octahedron class on resolve(cube_fan()) (48 cones),
-        merged along the walls, makes 180 failed divisions; the greedy fold
-        made 222, and trying every factor after every step made 244.  The
-        merges divide through the packed kernel."""
+        """chi of the octahedron class on resolve(cube_fan()) (48 cones)
+        makes 210 failed divisions with the series cold: folding each coarse
+        cone's 8 fine cones into its series, then the 6 series along the
+        walls.  Once the series are cached a second chi makes 30.  One fold
+        of the 48 fine cones along the walls made 180, the greedy fold 222,
+        and trying every factor after every step 244.  The merges divide
+        through the packed kernel."""
         calls = []
         divide = laurent._packed_divide
 
@@ -526,9 +529,13 @@ class TestFoldAgainstGreedyOracle:
             axis = next(c for c in range(3) if len({g[c] for g in gens}) == 1)
             exps.append(tuple(-gens[0][c] if c == axis else 0 for c in range(3)))
         octahedron = from_cartier(cube, CartierData(tuple(exps)))
-        value = chi(cube, octahedron, resolution=resolve(cube))
+        resolution = resolve(cube)
+        value = chi(cube, octahedron, resolution=resolution)
         assert augmentation(value) == 7
-        assert calls.count(False) == 180
+        assert calls.count(False) == 210
+        calls.clear()
+        assert chi(cube, octahedron, resolution=resolution) == value
+        assert calls.count(False) == 30
 
     def test_planless_fold_of_a_shuffled_sum_is_greedy(self, monkeypatch):
         """The octahedron class over the 48 cones of resolve(cube_fan()), its

@@ -135,9 +135,12 @@ def test_scale_rows_quick_prints_every_row():
     assert all(line["median_s"] >= 0 and line["repeats"] == 1 for line in lines)
     assert {line["row"] for line in lines} == {
         "complete", "resolve_tied", "resolve_tied_rng1", "resolve_tied3", "resolve_a", "resolve_r3",
-        "resolve_r4", "resolve_dim2", "chi_rank2", "chi_cube128", "chi_wps", "gkm_violations",
-        "planless_shuffled", "decompose_dependent", "decompose_p1n", "decompose_wps"}
-    assert len(lines) == 25
+        "resolve_r4", "resolve_dim2", "chi_rank2", "chi_cube128", "chi_octahedron", "gram_cube", "chi_wps",
+        "gkm_violations", "planless_shuffled", "decompose_dependent", "decompose_p1n", "decompose_wps"}
+    assert len(lines) == 27
+    proc = run_script("scale_rows.py", "--quick", "--only", "gram_cube,chi_wps")
+    assert proc.returncode == 0, proc.stderr
+    assert [json.loads(line)["row"] for line in proc.stdout.splitlines()] == ["gram_cube", "chi_wps"]
 
 
 def test_bytecode_count_repeats_exactly():

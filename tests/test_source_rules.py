@@ -29,12 +29,15 @@ no module imports ``dataclasses`` (value classes come from
 boundary: in ``cli.py`` only ``_decode`` calls ``json.load`` or
 ``json.loads``, ``cli.py`` does not import ``strict_int``
 (``Fan.rayset_from_vectors`` reads a cone), and ``CartierData`` defines no
-``from_json``; an eleventh keeps every star sum on its wall plan:
-``ktheory._star_sum`` reduces only through ``laurent.reduce_localization``,
-passing the walls of its star, and ``reduce_localization`` has one merge loop:
-it calls ``_merge_rounds`` once and branches on no ``plan``, and the greedy
-``overlap`` pick is made only in the fallback of ``_merge_rounds``, when no
-wall joins what is left; a twelfth keeps every simplicial cone on its one
+``from_json``; an eleventh keeps every star sum on its wall plan and
+one merge loop: ``ktheory`` reduces only through ``laurent._fold``, which
+``ktheory._pairing_series`` calls on the walls inside a group of the star
+(read from ``fine.star_walls(face)``) and ``laurent.reduce_localization``,
+which ``ktheory._star_sum`` calls on the series' plan; ``_fold`` calls
+``_merge_rounds`` once and branches on no ``plan``, nothing else calls
+``_merge_rounds``, ``reduce_localization`` is ``_fold`` and its check, and
+the greedy ``overlap`` pick is made only in the fallback of
+``_merge_rounds``, when no wall joins what is left; a twelfth keeps every simplicial cone on its one
 adjugate, in one coordinate frame per cone: ``fan.py`` imports ``adjugate``
 by name and calls it only in ``Cone._adjugate``, does not import ``prod``,
 reads ``Cone._span`` only in ``Cone._coordinates`` and ``_box_points``
@@ -59,7 +62,7 @@ the package defines no ``star_quotient``, ``span_quotients``,
 ``unimodular_inverse``, ``NotUnimodular``, ``project_vector`` or
 ``augment``; a seventeenth keeps resolve on the refinement's own data:
 ``Cone.from_generators`` is called only from ``Fan.cone_objects`` and
-``ktheory.gram_matrix`` (the strict-transform face), so never from
+``ktheory._pairing_series`` (the strict-transform face, once per face), so never from
 ``fan._Refinement``, and ``Fan.build`` is called in ``fan.py`` only from
 ``Fan.from_json`` and nowhere in ``chains.py``, so no function of the resolve
 path calls it; an eighteenth keeps one elimination for linear independence:
@@ -237,19 +240,31 @@ def test_the_cli_decodes_json_in_one_place():
 
 
 def test_star_sums_merge_along_their_walls():
-    # a star sum passes the walls of its star; every sum merges in _merge_rounds,
+    # a series folds along the walls inside its group, a pairing along the
+    # series' plan; every sum merges in the one _merge_rounds call of _fold,
     # and the greedy pick serves only its fallback, when no wall joins what is left
     ktheory = ast.parse(next(p for p in SOURCES if p.name == "ktheory.py").read_text())
-    reductions = [(where, [ast.unparse(a) for a in call.args]) for where, call in _nodes(ktheory, ast.Call)
+    reductions = [(where, ast.unparse(call.func), [ast.unparse(a) for a in call.args])
+                  for where, call in _nodes(ktheory, ast.Call)
                   if {getattr(call.func, "id", None), getattr(call.func, "attr", None)}
-                  & {"reduce", "reduce_localization"}]
-    assert reductions == [("_star_sum", ["LocalizationSum.build(fine.rank, terms)", "fine.star_walls(face)"])]
+                  & {"reduce", "reduce_localization", "_fold", "_merge_rounds"}]
+    assert reductions == [
+        ("_pairing_series", "_fold", ["LocalizationSum.build(fine.rank, [(one, weights(q)) for q in group])",
+                                      "inner"]),
+        ("_star_sum", "reduce_localization", ["LocalizationSum.build(resolution.fine.rank, sums)", "plan"]),
+    ]
+    series = next(f for _, f in _nodes(ktheory, ast.FunctionDef) if f.name == "_pairing_series")
+    assert "fine.star_walls(face)" in {ast.unparse(call) for _, call in _nodes(series, ast.Call)}
     laurent = ast.parse(next(p for p in SOURCES if p.name == "laurent.py").read_text())
     functions = {f.name: f for _, f in _nodes(laurent, ast.FunctionDef)}
-    fold = functions["reduce_localization"]
+    fold = functions["_fold"]
     assert not [node for _, node in _nodes(fold, ast.If)
                 if any(isinstance(n, ast.Name) and n.id == "plan" for n in ast.walk(node.test))]
     assert [ast.unparse(call.func) for _, call in _nodes(fold, ast.Call)].count("_merge_rounds") == 1
+    assert {where for where, call in _nodes(laurent, ast.Call)
+            if ast.unparse(call.func) == "_merge_rounds"} == {"_fold"}
+    assert [ast.unparse(call.func) for _, call in _nodes(functions["reduce_localization"], ast.Call)
+            if ast.unparse(call.func) in ("_fold", "_merge_rounds")] == ["_fold"]
     fallback = next(node for _, node in _nodes(functions["_merge_rounds"], ast.If)
                     if ast.unparse(node.test) == "not merged")
     picks = {n.lineno for n in ast.walk(laurent) if isinstance(n, ast.Name) and n.id == "overlap"}
@@ -358,7 +373,7 @@ def test_no_second_quotient_path_and_no_unused_helpers():
 def test_resolve_builds_its_pieces_and_fine_fan_from_its_own_data():
     # a piece's rays are already its primitive extreme rays, and a
     # refinement's fine fan needs none of the JSON-boundary checks
-    assert _callers("from_generators") == {("fan.py", "cone_objects"), ("ktheory.py", "gram_matrix")}
+    assert _callers("from_generators") == {("fan.py", "cone_objects"), ("ktheory.py", "_pairing_series")}
     assert {caller for caller in _callers("build") if caller[0] in ("fan.py", "chains.py")} == {
         ("fan.py", "from_json")}
 
