@@ -3,7 +3,7 @@
 "repeats"} each, the median of 3 runs on fresh inputs (``--quick``: 1 run each
 on tiny sizes).
 
-    PYTHONPATH=src python3 scripts/scale_rows.py [--quick] [--only ROW,ROW,...]
+    PYTHONPATH=src python3 scripts/scale_rows.py [--quick]
 
 ``complete``: ``is_complete`` of a fresh copy, walls built, of the resolved
 fan on (1,0), (1,N), (-1,0), (0,-1).  ``resolve_tied`` (``_rng1``: with
@@ -63,6 +63,7 @@ from pexpfan.laurent import LaurentPoly, LocalizationSum, reduce_localization
 from pexpfan.pexp import CartierData, PiecewiseExponential, from_cartier, gkm_validate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import weighted_projective_space  # noqa: E402
 from test_product_basis import product_basis  # noqa: E402
 
 
@@ -133,11 +134,6 @@ def shuffled_octahedron_sum(cones):
     return LocalizationSum.build(3, random.Random(1).sample(terms, len(terms)))
 
 
-def weighted_projective_space(qs):
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), tuple(-q for q in qs)]
-    return Fan.build(3, rays, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-
-
 def rank3_cone(m):
     b = next(b for b in range(m // 3, m) if gcd(b, m) == 1)
     return Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, b, m)], [(0, 1, 2)])
@@ -193,9 +189,7 @@ def wps_divisor_basis(qs):
 
 ap = argparse.ArgumentParser(description="Time the scale rows of the ROADMAP baseline table.")
 ap.add_argument("--quick", action="store_true", help="tiny sizes, one run each")
-ap.add_argument("--only", help="comma-separated row names to time, all rows by default")
-args = ap.parse_args()
-quick = args.quick
+quick = ap.parse_args().quick
 tied_sizes = (5, 10) if quick else (500, 1000, 2000)
 rows = [
     ("complete", (10, 20) if quick else (1000, 2000, 4000), fresh_fine_fan, Fan.is_complete),
@@ -226,8 +220,6 @@ rows = [
      lambda subject: decompose(*subject)),
 ]
 for row, sizes, build, run in rows:
-    if args.only and row not in args.only.split(","):
-        continue
     for size in sizes:
         times = []
         for _ in range(1 if quick else 3):

@@ -98,12 +98,9 @@ def orbit_closure_class(fan: Fan, rayset) -> tuple[LaurentPoly, ...]:
 
 def _resolution_of(fan: Fan, resolution: SubdivisionMap | None) -> SubdivisionMap:
     """The given refinement of ``fan``; by default ``resolve(fan)``, which is
-    the identity on a smooth fan, built once per fan and kept, with its
-    series, in the fan's instance dict (a value class leaves it writable)."""
+    the identity on a smooth fan."""
     if resolution is None:
-        if "_resolution" not in fan.__dict__:
-            fan.__dict__["_resolution"] = resolve(fan)
-        return fan.__dict__["_resolution"]
+        return resolve(fan)
     if resolution.coarse != fan:
         raise ValueError("resolution does not refine the given fan")
     return resolution

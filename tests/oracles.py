@@ -64,8 +64,9 @@ sum that ``pexpfan.ktheory`` exported with no caller in the package; it sums
 over every maximal cone with ``LocalizationSum``, without the star logic of
 ``ktheory._star_sum``.  ``total_excess_multiplicity`` and
 ``random_cartier_combination`` are test helpers that the package kept with
-no caller of its own, and ``random_complete_rank2_data`` draws the rank-2
-fans of the fan and localization tests.
+no caller of its own, ``random_complete_rank2_data`` draws the rank-2
+fans of the fan and localization tests, and ``weighted_projective_space``
+builds the P(1,q1,q2,q3) of the pairing tests and ``scripts/scale_rows.py``.
 """
 
 from __future__ import annotations
@@ -862,6 +863,15 @@ def random_complete_rank2_data(rng):
     order = rng.sample(range(len(rays)), len(rays))
     cones = [(order[i], order[(i + 1) % len(rays)]) for i in range(len(rays))]
     return 2, [rays[order.index(i)] for i in range(len(rays))], rng.sample(cones, len(cones))
+
+
+def weighted_projective_space(qs):
+    """P(1, q1, q2, q3): the fan on e1, e2, e3, (-q1, -q2, -q3) whose cones
+    are the four triples of rays."""
+    from pexpfan.fan import Fan
+
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), tuple(-q for q in qs)]
+    return Fan.build(3, rays, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
 def complete_by_point_search(fan) -> bool:

@@ -46,6 +46,7 @@ from oracles import (
     solve_rational,
     star_sum_ungrouped,
     star_walls_scan,
+    weighted_projective_space,
 )
 
 E = LaurentPoly.exponential
@@ -559,13 +560,6 @@ class TestChiIsTheZeroConePairing:
         assert value == euler_characteristic(r.fine, pullback(f, r).values)
 
 
-def weighted_projective_space(qs):
-    """P(1, q1, q2, q3): the fan on e1, e2, e3, (-q1, -q2, -q3) whose cones
-    are the four triples of rays."""
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), tuple(-q for q in qs)]
-    return Fan.build(3, rays, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-
-
 class TestPairingSeries:
     """A pairing sums one fraction per coarse cone whose fine cones fold into
     its series (``ktheory._pairing_series``), cached on the resolution; the
@@ -625,22 +619,6 @@ class TestPairingSeries:
         assert gram_matrix(cube, functions, faces, resolution=r) == first
         assert kronecker_pair(cube, functions[0], faces[1], resolution=r) == first.entries[0][1]
         assert folds == [] and cones == []
-
-    def test_the_default_resolution_is_built_once_per_fan(self, monkeypatch):
-        """Calls without ``resolution=`` share one ``resolve`` per fan
-        instance; a passed resolution is still the one computed on."""
-        calls = []
-        monkeypatch.setattr(ktheory, "resolve", lambda *a, **k: calls.append(a) or resolve(*a, **k))
-        fan = catalog.weighted_p112()
-        f = catalog.p112_demo_class(fan)
-        value = chi(fan, f)
-        assert chi(fan, f) == gram_matrix(fan, [f], [()]).entries[0][0] == value
-        assert len(calls) == 1
-        other = resolve(fan, rng=random.Random(3), extra_rounds=2)
-        assert chi(fan, f, resolution=other) == value
-        assert () in other.__dict__["_series"] and len(calls) == 1
-        assert chi(catalog.weighted_p112(), catalog.p112_demo_class()) == value
-        assert len(calls) == 2
 
 
 @cache
