@@ -8,11 +8,10 @@ only).
 The cases are the A-cones <(1,0),(1,N)> for N = 41 and 86, the rank-3 cone
 <e1, e2, (1,11,29)>, ``resolve(cube_fan(), rng=Random(3), extra_rounds=2)``
 and the rank-3 fan of the 2-dimensional cone <(1,0,0),(1,29,0)> and the ray
-(0,0,1), whose steps draw their points from the Hirzebruch-Jung walk on the
-general path (``fan._least_box_point``); each count covers building the fan
-and resolving it.  It counts the opcode
-events under ``sys.settrace`` with ``f_trace_opcodes`` set on every frame, so
-it is exact and repeats from run to run, unlike a wall-clock time.  Time
+(0,0,1), a chain record split in its cone's frame, as the A-cones are in
+the frame of N; each count covers building the fan and resolving it.  It
+counts the opcode events under ``sys.settrace`` with ``f_trace_opcodes`` set
+on every frame, so it is exact and repeats from run to run, unlike a wall-clock time.  Time
 spent in C code is not counted: builtins such as ``sorted``, ``map`` or
 ``list.index`` and the methods of ``int``, ``tuple``, ``list`` and ``dict``
 run no bytecode, so a change that moves work into C lowers the count without

@@ -1,29 +1,26 @@
-"""The subdivision loop of ``fan.resolve``, its cells, and the rank-2 steps
-along Hirzebruch-Jung chains.
+"""The subdivision loop of ``fan.resolve``, its cells, and the chain records
+split along Hirzebruch-Jung chains (Fulton, Introduction to Toric
+Varieties, 2.6).
 
-Both paths of ``resolve`` keep their maximal cones as cells, lists
-[ray set, generators, generator rays, multiplicity, source, cone, next]: the
-sorted ray indices, the sorted generators and the ray index of each, the
-multiplicity (0 if not simplicial), the coarse maximal cone holding the cell,
-its ``Cone`` (None on the rank-2 path) and the next cell in fan order.  A step
-replaces each cell holding its ray by its pieces in its place: the first
-piece takes the cell over and the others follow it.  ``subdivide`` is the one
-loop both paths run, with its picks, draws and checks; only
-``least(cell, draw)`` and ``split(cell, x)`` differ.  The
-rank-2 path (``chain_cells``, ``chain_point``) splits cells on plain integers,
-drawing its points with ``drawn_chain_point`` from ``least_chain_points``, the
-Hirzebruch-Jung walk (Fulton, Introduction to Toric Varieties, 2.6), as
-``fan._least_box_point``, the ``least`` of the general path, does for a
-2-dimensional cone of any rank.  This module imports nothing from ``fan``.
+``resolve`` keeps its maximal cones as cells, lists [ray set, generators,
+generator rays, multiplicity, source, cone, next]: the sorted ray indices,
+the sorted generators and the ray index of each, the multiplicity (0 if not
+simplicial), the coarse maximal cone holding the cell, and the next cell in
+fan order.  Slot 5 of a chain record, a cell of at most two rays, holds its
+local 2-vectors, in its coarse cone's frame; any other cell's holds its
+``Cone``.  A step replaces each cell holding its ray by its pieces in its
+place: the first piece takes the cell over and the others follow it.
+``subdivide`` is the one loop, with its picks, draws and checks.  This
+module imports nothing from ``fan``.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .errors import NotStronglyConvex, ResolutionCheckFailed
-from .lattice import primitive_vector, vec_add
+from .lattice import mat_vec, primitive_vector, vec_add
 
 
 def least_chain_points(g1, g2, mult: int) -> tuple[int, tuple[int, int], tuple[int, int], int]:
@@ -89,9 +86,9 @@ def _spliced(cells: list, replaced, least: int) -> list:
     return list(itertools.chain.from_iterable(map(pieces.get, map(id, cells), zip(cells))))
 
 
-def subdivide(cells: list, least, split, rng, extra_rounds: int) -> bool:
-    """The subdivision steps of ``fan.resolve`` on simplicial cells, given in
-    fan order; returns whether one changed the fan.
+def subdivide(first: list, least, split, rng, extra_rounds: int) -> bool:
+    """The subdivision steps of ``fan.resolve`` on the simplicial cells from
+    ``first`` on, in fan order; returns whether one changed the fan.
 
     Each step picks a singular cell, a random one or the first of top
     multiplicity, and a point x, ``least(cell, draw)``: the one ``draw``
@@ -105,7 +102,7 @@ def subdivide(cells: list, least, split, rng, extra_rounds: int) -> bool:
     leave every piece smooth; otherwise ``ResolutionCheckFailed`` is raised.
     A fan with no such cell takes no extra round.
     """
-    singular = [cell for cell in cells if cell[3] > 1]
+    singular = [cell for cell in fan_order(first) if cell[3] > 1]
     top, at, stepped = 0, 0, bool(singular)
     # Random.choice reads only the length and one index, so drawing the index keeps its stream
     draw = (lambda count: rng.choice(range(count))) if rng else (lambda count: 0)
@@ -125,7 +122,7 @@ def subdivide(cells: list, least, split, rng, extra_rounds: int) -> bool:
         cell = singular[at]
         x = least(cell, draw)
         if x is None:
-            place = next(i for i, c in enumerate(fan_order(cells[0])) if c is cell)
+            place = next(i for i, c in enumerate(fan_order(first)) if c is cell)
             raise ResolutionCheckFailed(f"singular cone {place} has no parallelepiped points")
         x = primitive_vector(x)
         replaced = split(cell, x)
@@ -145,7 +142,7 @@ def subdivide(cells: list, least, split, rng, extra_rounds: int) -> bool:
 
     # optional smooth refinements, for resolution-independence experiments; a
     # round splits only cells of two or more generators, into such cells
-    order = [cell for cell in fan_order(cells[0]) if len(cell[1]) > 1] if extra_rounds else []
+    order = [cell for cell in fan_order(first) if len(cell[1]) > 1] if extra_rounds else []
     for _ in range(extra_rounds if order else 0):
         place = rng.randrange(len(order)) if rng else 0
         gens = order[place][1]
@@ -164,61 +161,59 @@ def subdivide(cells: list, least, split, rng, extra_rounds: int) -> bool:
     return stepped
 
 
-def chain_cells(rays, cones):
-    """The cells of a rank-2 fan whose cones have at most two rays: (cells
-    in fan order, ray index, ``split``).  A point x of a step lies inside the
-    one cell it splits, being a parallelepiped point or the sum of a smooth
-    cell's generators; ``split`` replaces that cell by <g1, x> and <g2, x>,
-    of multiplicities |det(g1, x)| and |det(x, g2)|, and looks x up among
-    the rays, as the general path does.
-    """
-    index = dict(zip(rays, range(len(rays))))
-    cells = []
-    for source, rs in enumerate(cones):
-        gens, ids, mult = tuple(map(rays.__getitem__, rs)), rs, 1
-        if len(rs) == 2:
-            if gens[1] < gens[0]:
-                gens, ids = gens[::-1], rs[::-1]
-            mult = abs(gens[0][0] * gens[1][1] - gens[0][1] * gens[1][0])
-            if not mult:
-                raise NotStronglyConvex(f"cone on {gens} contains a line")
-        cells.append([rs, gens, ids, mult, source, None, None])
+def chain_record(rs, gens, source: int) -> list:
+    """The chain record on the rays ``rs``, of two in rank 2 or fewer, and
+    their vectors ``gens``, local as well."""
+    ids, mult = rs, 1
+    if len(rs) == 2:
+        if gens[1] < gens[0]:
+            gens, ids = gens[::-1], rs[::-1]
+        mult = abs(gens[0][0] * gens[1][1] - gens[0][1] * gens[1][0])
+        if not mult:
+            raise NotStronglyConvex(f"cone on {gens} contains a line")
+    return [rs, gens, ids, mult, source, gens, None]
 
+
+def chain_split(index: dict, frames: dict):
+    """The ``split`` of a chain record at a point x inside it: <g1, x> and
+    <g2, x>, of multiplicities |det(l1, y)| and |det(y, l2)| for x's local
+    coordinates y, x itself or projection x for the frame (projection,
+    annihilator) ``frames[source]``, which must annihilate x.  A new x joins
+    the rays ``index``."""
     def split(cell, x):
-        _, (g1, g2), (i1, i2), mult, source, _, after = cell
-        d = g1[0] * g2[1] - g1[1] * g2[0]
-        d1, d2 = g1[0] * x[1] - g1[1] * x[0], x[0] * g2[1] - x[1] * g2[0]
+        _, (g1, g2), (i1, i2), mult, source, (l1, l2), after = cell
+        y = x
+        if frames:  # above rank 2, where every record has its cone's frame
+            (p, q), annihilator = frames[source]
+            if any(mat_vec(annihilator, x)):
+                raise ResolutionCheckFailed(f"{x} does not lie in the cone it subdivides")
+            y = sum(map(mul, p, x)), sum(map(mul, q, x))
+        d = l1[0] * l2[1] - l1[1] * l2[0]
+        d1, d2 = l1[0] * y[1] - l1[1] * y[0], y[0] * l2[1] - y[1] * l2[0]
         if d1 * d < 0 or d2 * d < 0:
             raise ResolutionCheckFailed(f"{x} does not lie in the cone it subdivides")
         if not d1 or not d2:
             return None
         # x is a new ray, of the largest index, unless the input is no fan
         n = index.setdefault(x, len(index))
-        second = [(i2, n) if i2 < n else (n, i2), *(((g2, x), (i2, n)) if g2 < x else ((x, g2), (n, i2))),
-                  abs(d2), source, None, after]
-        cell[:] = [(i1, n) if i1 < n else (n, i1), *(((g1, x), (i1, n)) if g1 < x else ((x, g1), (n, i1))),
-                   abs(d1), source, None, second]
+        second = [(i2, n) if i2 < n else (n, i2), *(((g2, x), (i2, n), abs(d2), source, (l2, y)) if g2 < x
+                                                     else ((x, g2), (n, i2), abs(d2), source, (y, l2))), after]
+        cell[:] = [(i1, n) if i1 < n else (n, i1), *(((g1, x), (i1, n), abs(d1), source, (l1, y)) if g1 < x
+                                                     else ((x, g1), (n, i1), abs(d1), source, (y, l1))), second]
         return ((mult, (cell, second)),)
 
-    return linked(cells), index, split
+    return split
 
 
-def drawn_chain_point(generators, local, mult: int, draw):
-    """The least parallelepiped point of a singular 2-dimensional cone on
-    ``generators``, of multiplicity mult, that ``draw(count)`` picks among
-    the count points of ``least_chain_points`` on its ``local`` generators
-    (the generators themselves in rank 2), mapped through the generators;
-    None when there are none."""
-    _, (a, k), (da, dk), count = least_chain_points(*local, mult)
+def drawn_chain_point(cell, draw):
+    """The ``least`` of a singular chain record: the least parallelepiped
+    point that ``draw(count)`` picks among the count points of
+    ``least_chain_points`` on its local vectors, mapped through its
+    generators; None when there are none."""
+    (g1, g2), mult = cell[1], cell[3]
+    _, (a, k), (da, dk), count = least_chain_points(*cell[5], mult)
     if count < 1:
         return None
     i = draw(count)
     a, k = a + i * da, k + i * dk
-    g1, g2 = generators
     return tuple([(a * x + k * y) // mult for x, y in zip(g1, g2)])
-
-
-def chain_point(cell, draw):
-    """``drawn_chain_point`` of a singular rank-2 cell: the ``least`` of the
-    rank-2 path."""
-    return drawn_chain_point(cell[1], cell[1], cell[3], draw)

@@ -11,11 +11,10 @@ reads its multiplicity, its facets and its tangent weights off one adjugate
 of its local generators in that frame.  A non-simplicial cone takes its
 facets from the vertex enumeration ``extreme_rays_of_region``.
 Simplicial cones are handled in any rank; non-simplicial cones are limited to
-ambient rank <= 4.  All geometry is exact.  ``resolve`` refines a fan's
-maximal cones as cells linked in fan order and runs the one subdivision loop
-of ``chains`` on them; on the general path ``_least_box_point`` draws each
-step's point, from the least slice of the parallelepiped (``_box_points``)
-of a cone of dim >= 3 and from the Hirzebruch-Jung walk of a cone of dim 2.
+ambient rank <= 4.  All geometry is exact.  ``resolve`` keeps a fan's
+maximal cones as cells linked in fan order, a chain record (``chains``) for
+each cone of at most two rays and a cell with its ``Cone`` for any other,
+and runs the one subdivision loop of ``chains`` on them.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .chains import chain_cells, chain_point, drawn_chain_point, fan_order, linked, subdivide
+from .chains import chain_record, chain_split, drawn_chain_point, fan_order, linked, subdivide
 from .errors import (
     ConeNotInFan,
     NonPrimitiveRay,
@@ -66,10 +65,6 @@ def extreme_rays_of_region(n: int, ineqs, eqs) -> tuple[Vector, ...]:
     so each candidate is the ``line_kernel`` of those rows plus a subset of
     the inequalities, and it is kept when it is feasible up to sign.
     Directions lying in the lineality space are skipped.
-
-    It has two callers: ``Cone.facets`` of a non-simplicial cone (the dual
-    cone of the local generators; a simplicial cone reads its facets off its
-    scaled inverse) and ``Fan._check_pair`` (the intersection of two cones).
     """
     ineqs = tuple(tuple(a) for a in ineqs)
     eqs_indep = tuple(tuple(eqs[i]) for i in independent_rows(eqs))
@@ -112,9 +107,7 @@ def span_coordinates(rank: int, vectors) -> tuple[Vector, IntMatrix, IntMatrix, 
     and A V = U^-1 D, so column i of U^-1, the span basis vector i, is
     (sum_j V[j][i] v_j) / d_i with no inverse computed
     (``Fan.face_quotient``).  Every lattice coordinate in the package is read
-    from here, except those of a full-dimensional cone, which are the
-    coordinates of N, and those of a resolve piece, which are its cell's
-    (``Cone._coordinates``).
+    from here, but those of N and those a resolve piece takes (``_framed``).
     """
     cols = tuple(tuple(v) for v in vectors)
     if not cols:
@@ -130,14 +123,11 @@ class Cone:
 
     Generators are primitive, lie on the extreme rays, and are sorted, so two
     equal cones compare equal: ``from_generators`` makes them so, and a
-    resolve step's pieces are so already (``_Refinement.step``).  ``rank``
-    is the ambient lattice rank.  Each cone reads its dimension, local
-    generators, facets and smallest faces in one coordinate frame
-    (``_coordinates``), and a simplicial one its multiplicity and scaled
-    inverse off one adjugate of its local generators in it.  Only a cone
-    that is no resolve piece and has no rank independent generators takes a
-    Smith form for its frame; a singular cone's parallelepiped points
-    (``_box_points``) take one as well.
+    resolve piece is so already (``_framed``).  ``rank`` is the ambient
+    lattice rank.  Each cone reads its dimension, local generators, facets
+    and smallest faces in one coordinate frame (``_coordinates``), and a
+    simplicial one its multiplicity and scaled inverse off one adjugate of
+    its local generators in it.
     """
 
     rank: int
@@ -179,9 +169,8 @@ class Cone:
         coordinates on it and the characters vanishing on it.  A cone of rank
         independent generators knows it is full-dimensional from its
         adjugate; any other reads them off its one Smith form
-        (``span_coordinates``), and a resolve piece takes its cell's, as it
-        spans the cell's space (``_Refinement.step``).  A cache in the
-        instance dict, not a field, so equal cones stay equal."""
+        (``span_coordinates``) or, as a resolve piece, takes its cell's
+        (``_framed``).  A cache in the instance dict, not a field."""
         if len(self.generators) == self.rank:
             try:
                 self._adjugate
@@ -696,30 +685,25 @@ def _cell(rs: RaySet, cone: Cone, ray_index: dict[Vector, int], source: int) -> 
     return [rs, cone.generators, tuple(map(ray_index.__getitem__, cone.generators)), mult, source, cone, None]
 
 
-class _Refinement:
-    """A fan under stellar steps, changed in place: ``resolve`` runs every
-    step on one (``_refine``) but on a rank-2 fan, and
-    ``stellar_subdivision`` is one step of one.
+def _framed(rank, generators, frame) -> Cone:
+    """The cone on ``generators`` spanning the space whose frame is ``frame``."""
+    cone = Cone(rank, generators)
+    cone.__dict__["_coordinates"] = frame
+    return cone
 
-    Its maximal cones are cells (``chains``) with their ``Cone``, linked in
-    fan order from ``first``; ``incidence`` maps each ray index to the cells
-    whose ray sets contain it, keyed by ``id``.  A step appends its ray if it
-    is new, so every ray keeps its index, and replaces only the cells that
-    hold the ray, each by its pieces in its place, in the cell's coordinates;
-    every other cell keeps its cone, with its cached adjugate, facets and
-    scaled inverse.  Its callers build the fine fan from ``rays`` and
-    ``first`` (``_fine_map``) when a step changed it.
+
+class _Refinement:
+    """Cells with their ``Cone`` under stellar steps, changed in place.
+    ``incidence`` maps each ray index to the cells whose ray sets contain
+    it, keyed by ``id``.  A step adds its ray to ``ray_index`` if it is new,
+    and replaces only the cells that hold it, each by its pieces in its
+    place; every other cell keeps its cone and what it cached.
     """
 
-    def __init__(self, fan: Fan):
-        self.coarse = fan
-        self.rays = list(fan.rays)
-        self.ray_index = dict(fan._ray_index)
+    def __init__(self, rank: int, ray_index: dict, cells: list):
+        self.rank, self.ray_index = rank, ray_index
         self.incidence: dict[int, dict[int, list]] = {}
-        cells = linked([_cell(rs, cone, self.ray_index, source)
-                        for source, (rs, cone) in enumerate(zip(fan.maximal_cones, fan.cone_objects))])
         self._enter(cells)
-        self.first = cells[0]
 
     def _enter(self, cells: list[list]):
         """Enter the cells in the incidence map."""
@@ -737,6 +721,35 @@ class _Refinement:
             keys = filter(cells.__contains__, keys)
         return list(map(fewest.__getitem__, keys))
 
+    def pull(self, rng: random.Random | None) -> bool:
+        """Simplicialize the cells by pulling rays, the least or a random one
+        first; returns whether any was not."""
+        rays = tuple(self.ray_index)
+        nonsimplicial = {key: cell for cells in self.incidence.values()
+                         for key, cell in cells.items() if not cell[3]}
+        pulled = bool(nonsimplicial)
+        # a pulled ray is the apex of every cone holding it, so pulling it again
+        # changes nothing: each step pulls a new ray, and there are only so many
+        guard = 0
+        while nonsimplicial:
+            guard += 1
+            if guard > len(rays):
+                raise ResolutionCheckFailed("simplicialization did not terminate")
+            candidates = sorted({rays[i] for cell in nonsimplicial.values() for i in cell[0]})
+            ray = rng.choice(candidates) if rng else candidates[0]
+            # pulling the apex of a pyramid changes nothing (its one facet missing
+            # the apex is the base); then the other candidates are tried in order
+            for ray in dict.fromkeys((ray, *candidates)):
+                change = self.step(ray, self.star((self.ray_index[ray],)))
+                if change:
+                    break
+            else:
+                raise ResolutionCheckFailed("no subdividing ray found")
+            for _, cells in change:
+                nonsimplicial.update((id(cell), cell) for cell in cells)
+            nonsimplicial = {key: cell for key, cell in nonsimplicial.items() if not cell[3]}
+        return pulled
+
     def split(self, cell: list, ray: Vector) -> list[tuple[int, list[list]]] | None:
         """``step`` at ``ray``, a point of the cell's cone: the cells holding
         it are the star of the smallest face of the cone holding it."""
@@ -750,8 +763,8 @@ class _Refinement:
         the joins of the ray with its facets that miss it, in its place.
         Returns (multiplicity of the cell, its pieces) per replaced cell, the
         first piece being the cell itself, taken over; or None when no cell
-        changes.  A piece's cone is built directly on its sorted rays."""
-        new_idx = self.ray_index.get(ray, len(self.rays))
+        changes."""
+        new_idx = self.ray_index.get(ray, len(self.ray_index))
         seen: set[RaySet] = set()
         pieces = []
         for cell in holding:
@@ -764,29 +777,21 @@ class _Refinement:
                 if piece in seen:
                     raise ResolutionCheckFailed(f"ambiguous subdivision piece {piece}")
                 seen.add(piece)
-                out.append(piece)
+                out.append((piece, contact))
             pieces.append(out)
-        if new_idx < len(self.rays) and all(out == [cell[0]] for cell, out in zip(holding, pieces)):
+        if new_idx < len(self.ray_index) and all(
+                len(out) == 1 and out[0][0] == cell[0] for cell, out in zip(holding, pieces)):
             return None
-        if new_idx == len(self.rays):
-            self.rays.append(ray)
-            self.ray_index[ray] = new_idx
+        self.ray_index[ray] = new_idx
         changes = []
-        rank, rays = self.coarse.rank, self.rays
         for cell, out in zip(holding, pieces):
             for r in cell[0]:
                 del self.incidence[r][id(cell)]
-            cells = []
-            for piece in out:
-                # a pyramid over a facet with the ray, off its hyperplane, as
-                # apex: its sorted rays are what Cone.from_generators returns,
-                # its extreme rays, primitive (the coarse ones passed
-                # Fan.build, a new one is a primitive point) and distinct (a
-                # ray is looked up before it is appended)
-                cone = Cone(rank, tuple(sorted(map(rays.__getitem__, piece))))
-                # ... and it spans its cell's space: it takes the cell's coordinates
-                cone.__dict__["_coordinates"] = cell[5]._coordinates
-                cells.append(_cell(piece, cone, self.ray_index, cell[4]))
+            # a pyramid over a facet with the ray as apex: its sorted rays are
+            # its primitive extreme rays, and it spans its cell's space
+            cells = [_cell(piece, _framed(self.rank, tuple(sorted([ray, *map(cell[1].__getitem__, contact)])),
+                                          cell[5]._coordinates), self.ray_index, cell[4])
+                     for piece, contact in out]
             linked(cells, cell[6])
             changes.append((cell[3], cells))
             # the first piece takes the cell over, so the cell before it keeps its link
@@ -797,11 +802,9 @@ class _Refinement:
 
 def _fine_map(coarse: Fan, rays, first: list) -> SubdivisionMap:
     """The map to ``coarse`` from the fan on ``rays`` whose maximal cones are
-    the cells from ``first`` on, built once with no ``Fan.build``, taking
-    the cells' cone objects where they have them.  A stellar refinement of
-    a fan is a fan, so only what an input that is no fan could break is
-    checked: each new ray is primitive of the rank, no ray set repeats and
-    every ray is used."""
+    the cells from ``first`` on, with no ``Fan.build``: above rank 2 with the
+    cells' cones, a chain record's in its coarse cone's frame.  Only what an
+    input that is no fan could break is checked."""
     # the rest of Fan.build holds by construction: int rays and indices,
     # coarse rays that passed it, sorted ray sets of distinct indices, at
     # least one cell, and the new ray in every piece, so no zero cone beside
@@ -810,16 +813,18 @@ def _fine_map(coarse: Fan, rays, first: list) -> SubdivisionMap:
     for r in rays[len(coarse.rays):]:
         if len(r) != rank or not is_primitive(r):
             raise ResolutionCheckFailed(f"the refinement's ray {r} is not a primitive vector of rank {rank}")
-    raysets, _, _, _, sources, cones, _ = zip(*fan_order(first))
+    raysets, gens, _, _, sources, cones, _ = zip(*fan_order(first))
     if len(set(raysets)) != len(raysets):
         raise NotAFan("duplicate maximal cones")
     if len(set(itertools.chain.from_iterable(raysets))) != len(rays):
         raise NotAFan("every ray must appear in some maximal cone")
     fine = Fan(rank, rays, raysets)
-    if first[5]:
+    if rank > 2:
         # cached_property keeps its value in the instance dict, which a
         # value class leaves writable (only attribute assignment raises)
-        fine.__dict__["cone_objects"] = cones
+        fine.__dict__["cone_objects"] = tuple(
+            cone if isinstance(cone, Cone) else _framed(rank, g, coarse.cone_objects[s]._coordinates)
+            for g, s, cone in zip(gens, sources, cones))
     return SubdivisionMap(fine, coarse, sources)
 
 
@@ -828,23 +833,24 @@ def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
     the joins of the ray with its facets not containing it.
 
     The fine fan keeps the coarse rays in their order and appends the ray if
-    it is new; each cone missing the ray keeps its place, its ray indices
-    and its ``Cone`` object, and only the new pieces are built.  No old ray
-    is lost: the facets through an extreme ray r other than the ray meet in
-    r, so one of them misses the ray.  A ray that changes no cone gives the
-    identity map.  This is one step of the refinement ``resolve`` runs, with
-    the cones holding an arbitrary ray found by a ``Cone.contains`` scan.
+    it is new; each cone missing the ray keeps its place and ray indices.  No
+    old ray is lost: the facets through an extreme ray r other than the ray
+    meet in r, so one of them misses the ray.  A ray that changes no cone
+    gives the identity map.  This is one ``_Refinement`` step, with the
+    cones holding an arbitrary ray found by a ``Cone.contains`` scan.
     """
     ray = tuple(ray)
     if not any(ray):
         raise NonPrimitiveRay("cannot subdivide at the zero vector")
     if not is_primitive(ray):
         raise NonPrimitiveRay(f"{ray} is not primitive")
-    ref = _Refinement(fan)
-    holding = [cell for cell in fan_order(ref.first) if cell[5].contains(ray)]
+    index = dict(fan._ray_index)
+    cells = linked(list(map(_cell, fan.maximal_cones, fan.cone_objects, itertools.repeat(index), itertools.count())))
+    holding = [cell for cell in cells if cell[5].contains(ray)]
     if not holding:
         raise RayOutsideSupport(f"{ray} lies outside the support of the fan")
-    return _fine_map(fan, ref.rays, ref.first) if ref.step(ray, holding) else SubdivisionMap.identity(fan)
+    changed = _Refinement(fan.rank, index, cells).step(ray, holding)
+    return _fine_map(fan, index, cells[0]) if changed else SubdivisionMap.identity(fan)
 
 
 # -- resolution -----------------------------------------------------------------------
@@ -862,11 +868,10 @@ def _box_points(cone: Cone) -> list[Vector]:
     G Z^d = diag(factors) Z^d, so x = sum k_i e_i with 0 <= k_i < d_i runs
     over the group once, and its residue is sum k_i w_i mod mult for the
     columns w_i = (mult // d_i) V[:, i] of mult * G^-1: exactly mult
-    residues, each built once.  So the residues need the cone's own Smith
-    form, whatever frame its adjugate is read in.  The
+    residues, each built once, off the cone's own Smith form.  The
     coefficient sum of a residue's point is its coordinate sum over mult,
     and only the residues of least sum are mapped to their ambient points
-    sum r_i g_i / mult, in one pass through the ambient generators."""
+    sum r_i g_i / mult."""
     d, mult = cone.dim, cone.multiplicity()
     factors, _, _, v = cone._span
     residues = [(0,) * d]
@@ -882,24 +887,36 @@ def _box_points(cone: Cone) -> list[Vector]:
     return sorted(tuple(x // mult for x in mat_vec(g, r)) for r in least)
 
 
-def _least_box_point(cell: list, draw) -> Vector | None:
-    """The ``least`` of ``chains.subdivide`` on the general path: the point
-    that ``draw(count)`` picks among the count parallelepiped points of least
-    coefficient sum of a singular simplicial cell's cone, in ascending
-    order, or None when there are none.  A cone of dim >= 3 draws from
-    ``_box_points``; a cone of dim 2 lists nothing: it draws on the
-    Hirzebruch-Jung walk of its local generators, as the rank-2 path does
-    (``chains.drawn_chain_point``).
+def _least_box_point(cell: list, draw) -> Vector:
+    """The ``least`` of a cell with its ``Cone``: the point ``draw(count)``
+    picks among the count least parallelepiped points, ascending."""
+    # the point is a nonzero box point of the cone, so of the smallest face
+    # tau holding it, which is then singular; a face's multiplicity divides
+    # that of every simplicial cone having it, so every cell the step
+    # replaces, one of the star of tau, is singular
+    points = _box_points(cell[5])
+    return points[draw(len(points))]
 
-    The point is a nonzero box point of the cone, so of the smallest face
-    tau holding it, which is then singular; a face's multiplicity divides
-    that of every simplicial cone having it, so every cell the step
-    replaces, one of the star of tau, is singular."""
-    cone = cell[5]
-    if cone.dim != 2:
-        points = _box_points(cone)
-        return points[draw(len(points))]
-    return drawn_chain_point(cone.generators, cone.local_generators, cell[3], draw)
+
+def _by_kind(chain, cone):
+    """``chain`` on a chain record, whose slot 5 is a tuple, else ``cone``."""
+    return lambda cell, arg: chain(cell, arg) if cell[5].__class__ is tuple else cone(cell, arg)
+
+
+def _cells(fan: Fan, index, frames: dict) -> list:
+    """The maximal cones as cells in fan order: a chain record for at most
+    two rays, in N's frame in rank 2, else in its cone's, kept in
+    ``frames``; else the cone's cell."""
+    cells, rays, rank = [], fan.rays, fan.rank
+    for source, rs in enumerate(fan.maximal_cones):
+        if len(rs) < 2 or len(rs) == rank == 2:
+            cells.append(chain_record(rs, tuple(map(rays.__getitem__, rs)), source))
+            continue
+        cell = _cell(rs, fan.cone_objects[source], index, source)
+        if len(rs) == 2:
+            frames[source], cell[5] = cell[5]._coordinates, cell[5].local_generators
+        cells.append(cell)
+    return linked(cells)
 
 
 def resolve(
@@ -914,30 +931,27 @@ def resolve(
     First makes every cone simplicial by stellar subdivisions at existing
     rays, then repeatedly subdivides a singular cone at a parallelepiped
     lattice point of minimal coefficient sum, the least in lex order or, with
-    an ``rng``, a random one of them (``_least_box_point``: read from the
-    Hilbert basis of a 2-dimensional cone, listed for a larger one).  With
+    an ``rng``, a random one of them.  With
     the default deterministic choices the result is canonical; an ``rng``
     permutes the choice of singular cone and the tie-breaks, and
     ``extra_rounds`` appends smooth refinements, both of which produce
     alternative valid resolutions.
 
-    Both paths keep the maximal cones as cells linked in fan order and run
-    the one loop ``chains.subdivide``, which picks, draws, checks and splices
-    each step.  A rank-2 fan whose cones have at most two rays splits its
-    cells on plain integers (``chains.chain_cells``), and its fine fan is
-    built with its cones left lazy.  Every other fan is simplicialized and
-    then split on one ``_Refinement`` (``_refine``) at the points
-    ``_least_box_point`` draws; it finds the cells holding a ray without a
-    scan, because the input is a fan.  The ray x
-    lies in a known cone sigma: it is a ray of the fan, or a point of the
-    simplicial cone chosen for the step.  Let tau be the smallest face of
-    sigma holding x (the ray itself, or the generators on every facet
-    through x), so x is in the relative interior of tau.  If a cone sigma'
-    holds x, then sigma & sigma' is a face of sigma holding a relative
-    interior point of tau, so it contains tau; tau is then a face of
-    sigma & sigma', which is a face of sigma', and the rays of tau are rays
-    of sigma'.  Conversely a cone with the rays of tau holds tau and x.  So
-    the cones holding x are those whose ray sets contain tau.
+    The maximal cones are cells in fan order (``_cells``), and the one loop
+    ``chains.subdivide`` picks, draws, checks and splices each step, its
+    ``least`` and ``split`` picking by kind of cell (``_by_kind``).  A cone
+    of at most two rays is a chain record, drawn on the Hirzebruch-Jung walk
+    (``chains.drawn_chain_point``) and split alone on the integers of its local
+    2-vectors (``chains.chain_split``).  Any other is a cell with its
+    ``Cone``, drawn from its listed parallelepiped (``_least_box_point``) on
+    one ``_Refinement``, which simplicializes and splits those cells,
+    finding the cells holding a ray x without a scan: x lies in a known cone
+    sigma, and if tau is the smallest face of sigma holding x, any cone
+    holding x meets sigma in a face of both holding the relative interior
+    of tau, so it has the rays of tau.  So the cones holding x are those
+    whose ray sets contain tau, and no record is among them: a pulled ray,
+    a box point of a cone of dim >= 3 and the sum of two of its generators
+    lie inside a proper face, never a maximal cone.
 
     A singular subdivision step must change the fan, and each piece must
     have a smaller multiplicity than the cone it replaces: the point has
@@ -950,41 +964,13 @@ def resolve(
     """
     if strict_int(extra_rounds, "extra_rounds") < 0:
         raise ValueError(f"extra_rounds must be nonnegative, got {extra_rounds}")
-    if fan.rank == 2 and all(len(c) < 3 for c in fan.maximal_cones):
-        cells, rays, split = chain_cells(fan.rays, fan.maximal_cones)
-        stepped = subdivide(cells, chain_point, split, rng, extra_rounds)
-        return _fine_map(fan, rays, cells[0]) if stepped else SubdivisionMap.identity(fan)
-    return _refine(fan, rng, extra_rounds)
-
-
-def _refine(fan: Fan, rng: random.Random | None, extra_rounds: int) -> SubdivisionMap:
-    """``resolve`` on one ``_Refinement``: every fan but those whose cells
-    ``chains.chain_cells`` splits."""
-    ref = _Refinement(fan)
-
-    # simplicialize by pulling existing rays; each pull changes the fan or raises
-    nonsimplicial = {id(cell): cell for cell in fan_order(ref.first) if not cell[3]}
-    pulled = bool(nonsimplicial)
-    # a pulled ray is the apex of every cone holding it, so pulling it again
-    # changes nothing: each step pulls a new ray, and there are only so many
-    guard = 0
-    while nonsimplicial:
-        guard += 1
-        if guard > len(ref.rays):
-            raise ResolutionCheckFailed("simplicialization did not terminate")
-        candidates = sorted({ref.rays[i] for cell in nonsimplicial.values() for i in cell[0]})
-        ray = rng.choice(candidates) if rng else candidates[0]
-        # pulling the apex of a pyramid changes nothing (its one facet missing
-        # the apex is the base); then the other candidates are tried in order
-        for ray in dict.fromkeys((ray, *candidates)):
-            change = ref.step(ray, ref.star((ref.ray_index[ray],)))
-            if change:
-                break
-        else:
-            raise ResolutionCheckFailed("no subdividing ray found")
-        for _, cells in change:
-            nonsimplicial.update((id(cell), cell) for cell in cells)
-        nonsimplicial = {key: cell for key, cell in nonsimplicial.items() if not cell[3]}
-
-    stepped = subdivide(fan_order(ref.first), _least_box_point, ref.split, rng, extra_rounds)
-    return _fine_map(fan, ref.rays, ref.first) if stepped or pulled else SubdivisionMap.identity(fan)
+    index, frames = dict(fan._ray_index), {}
+    cells = _cells(fan, index, frames)
+    cones = [cell for cell in cells if isinstance(cell[5], Cone)]
+    least, split, pulled = drawn_chain_point, chain_split(index, frames), False
+    if cones:
+        ref = _Refinement(fan.rank, index, cones)
+        pulled = ref.pull(rng)
+        least, split = _by_kind(least, _least_box_point), _by_kind(split, ref.split)
+    stepped = subdivide(cells[0], least, split, rng, extra_rounds)
+    return _fine_map(fan, index, cells[0]) if stepped or pulled else SubdivisionMap.identity(fan)

@@ -314,13 +314,18 @@ def _basis_rows(rows, k: int, rank: int) -> tuple[tuple[int, ...], LaurentPoly]:
     then independent, and a minor with a nonzero image is nonzero.  The
     specialization may send a nonzero entry to 0, so any other row is
     decided by the fraction-free elimination over Z[M] (``matrix_rank``).
+    A row equal to an earlier one is skipped untested: it is never chosen,
+    as it depends on the rows chosen before that one, or is one of them.
     """
-    images, chosen = [], []
+    images, chosen, seen = [], [], set()
     for r, row in enumerate(rows):
         if len(chosen) == k:
             break
-        if r == len(images):  # the pivots of a prefix are its pivots in any longer one
-            images += map(_specialized, rows[r:2 * r + k])
+        if tuple(row) in seen:
+            continue
+        seen.add(tuple(row))
+        if r >= len(images):  # the pivots of a prefix are its pivots in any longer one
+            images += map(_specialized, rows[len(images):2 * r + k])
             pivots = set(independent_rows(images))
         if r in pivots and pivots.issuperset(chosen) or matrix_rank([rows[i] for i in chosen] + [row]) > len(chosen):
             chosen.append(r)

@@ -54,7 +54,10 @@ inlined them, and ``box_points_listing``, every residue of the group with
 its key, which ``fan._box_points`` listed before it kept only the least
 slice, and ``least_box_points_listing``, that slice, which every ``resolve``
 step took before ``fan._least_box_point`` read the two-dimensional ones from
-the Hilbert basis, and ``complete_by_point_search``,
+the Hilbert basis, and ``resolve_all_cones`` with its
+``least_box_point_all_cones``, the path of ``fan.resolve`` on which every
+cell of a fan of rank >= 3 carried its ``Cone`` before cells of at most two
+rays became chain records, and ``complete_by_point_search``,
 the search for a generic point that ``Fan.is_complete`` ran before it took
 one past the Cauchy bound, and ``basis_rows_by_subsets``, the search over
 every k-subset of rows, one ``poly_det`` each, that ``ktheory.decompose``
@@ -783,6 +786,39 @@ def least_box_points_listing(cone):
     from, for every dimension, by listing the parallelepiped."""
     box = box_points_listing(cone)
     return box[0][0], [p for s, p in box if s == box[0][0]]
+
+
+def least_box_point_all_cones(cell, draw):
+    """The ``least`` of ``resolve_all_cones``: what ``fan._least_box_point``
+    drew on a cell with its ``Cone`` before chain records, the
+    Hirzebruch-Jung walk of the local generators of a 2-dimensional cone and
+    the listed least slice (``fan._box_points``) of a larger one."""
+    from pexpfan.chains import drawn_chain_point
+    from pexpfan.fan import _box_points
+
+    cone = cell[5]
+    if cone.dim == 2:
+        return drawn_chain_point([None, cone.generators, None, cell[3], None, cone.local_generators], draw)
+    points = _box_points(cone)
+    return points[draw(len(points))]
+
+
+def resolve_all_cones(fan, rng=None, extra_rounds=0, least=None):
+    """``fan.resolve`` as it ran before chain records, in rank >= 3 and on a
+    fan of a cone of three or more rays: every maximal cone a cell with its
+    ``Cone`` on one ``fan._Refinement``, simplicialized and then split in
+    ``chains.subdivide`` at the points ``least`` draws
+    (``least_box_point_all_cones`` by default)."""
+    from pexpfan.chains import linked, subdivide
+    from pexpfan.fan import SubdivisionMap, _cell, _fine_map, _Refinement
+
+    index = dict(fan._ray_index)
+    cells = linked([_cell(rs, cone, index, source)
+                    for source, (rs, cone) in enumerate(zip(fan.maximal_cones, fan.cone_objects))])
+    ref = _Refinement(fan.rank, index, cells)
+    pulled = ref.pull(rng)
+    stepped = subdivide(cells[0], least or least_box_point_all_cones, ref.split, rng, extra_rounds)
+    return _fine_map(fan, index, cells[0]) if stepped or pulled else SubdivisionMap.identity(fan)
 
 
 def multiplicity_by_adjugate(cone) -> int:

@@ -53,6 +53,7 @@ from oracles import (
     multiplicity_by_adjugate,
     pointed_by_rank,
     random_complete_rank2_data,
+    resolve_all_cones,
     smallest_face_by_adjugate,
     smith_local_generators,
     smith_diagonal_oracle,
@@ -120,27 +121,36 @@ def chain_points(point):
 
 
 def least_box_point_listed(cell, draw):
-    """``fan._least_box_point`` drawing from the listed parallelepiped."""
+    """The ``least`` of a cell with its ``Cone`` drawing from the listed
+    parallelepiped."""
     points = least_box_points_listing(cell[5])[1]
     return points[draw(len(points))]
 
 
 def least_box_points_drawn(cone):
-    """Every point ``fan._least_box_point`` draws on the cell of a singular
-    simplicial cone, one per index its draw may pick, in index order."""
-    cell = fan_module._cell(tuple(range(len(cone.generators))), cone,
-                            {g: i for i, g in enumerate(cone.generators)}, 0)
+    """Every point ``resolve`` draws on the cell of a singular simplicial
+    cone, one per index its draw may pick, in index order: on a chain record
+    on its local generators for a 2-dimensional cone
+    (``chains.drawn_chain_point``), else by ``fan._least_box_point``."""
+    rs = tuple(range(len(cone.generators)))
+    if cone.dim == 2:
+        cell, least = [rs, cone.generators, rs, cone.multiplicity(), 0, cone.local_generators, None], \
+            chains_module.drawn_chain_point
+    else:
+        cell, least = fan_module._cell(rs, cone, {g: i for i, g in enumerate(cone.generators)}, 0), \
+            fan_module._least_box_point
     counts = []
-    fan_module._least_box_point(cell, lambda count: counts.append(count) or 0)
-    return [fan_module._least_box_point(cell, lambda count: i) for i in range(counts[0])]
+    least(cell, lambda count: counts.append(count) or 0)
+    return [least(cell, lambda count: i) for i in range(counts[0])]
 
 
-def resolve_both_ways(fan, rng_seed=None, extra_rounds=0):
-    """``resolve`` and the general path ``fan._refine`` on the same input,
-    each with its own ``Random(rng_seed)``: (document or error, state of the
-    rng afterwards) per path."""
+def resolve_both_ways(fan, rng_seed=None, extra_rounds=0, least=None):
+    """``resolve`` and the all-``Cone`` path ``resolve_all_cones`` (drawing
+    with ``least`` if given) on the same input, each with its own
+    ``Random(rng_seed)``: (document or error, state of the rng afterwards)
+    per path."""
     out = []
-    for run in (resolve, lambda f, rng, extra_rounds: fan_module._refine(f, rng, extra_rounds)):
+    for run in (resolve, lambda f, rng, extra_rounds: resolve_all_cones(f, rng, extra_rounds, least)):
         rng = None if rng_seed is None else random.Random(rng_seed)
         try:
             got = run(fan, rng=rng, extra_rounds=extra_rounds).to_json()
@@ -725,8 +735,9 @@ class TestResolve:
         assert total_excess_multiplicity(sub.fine) == 0
 
     def test_empty_parallelepiped_is_a_check_failure(self, p112, monkeypatch):
-        # the rank-2 phase reads its points from the chain walk, the refinement
-        # from _least_box_point; both name the cone by its place in fan order
+        # chain records read their points from the chain walk, cells with
+        # their Cone from _least_box_point; both name the cone by its place
+        # in fan order
         monkeypatch.setattr(chains_module, "least_chain_points", lambda g1, g2, mult: (1, (0, 0), (0, 0), 0))
         monkeypatch.setattr(fan_module, "_least_box_point", lambda cell, draw: None)
         for fan, message in ((p112, "singular cone 1 "), (catalog.rank3_multiplicity3_fan(), "singular cone 0 ")):
@@ -769,7 +780,8 @@ class TestResolve:
         step, rises = fan_module._Refinement.step, []
 
         def excess(ref):
-            return sum(cell[5].multiplicity() - 1 for cell in chains_module.fan_order(ref.first))
+            cells = {id(cell): cell for held in ref.incidence.values() for cell in held.values()}
+            return sum(cell[5].multiplicity() - 1 for cell in cells.values())
 
         def watched(ref, ray, holding):
             before = excess(ref)
@@ -906,7 +918,8 @@ class TestResolve:
         """Building and resolving the 2-dimensional cone <(1,0,0),(1,N,0)>
         beside the ray (0,0,1) takes two Smith forms (``span_coordinates``),
         one per input cone: each piece of a step takes its cell's
-        coordinates, where each took a Smith form of its own (2N in all).
+        coordinates, where each took a Smith form of its own (2N in all), and
+        so does each of the fine fan's cones, read with its facets.
         The result is the minimal resolution of the A_{N-1} singularity: the
         rays (1,k,0) for 0 <= k <= N, consecutive ones spanning a cone
         (Fulton, Introduction to Toric Varieties, 2.6), beside (0,0,1)."""
@@ -915,6 +928,7 @@ class TestResolve:
                             lambda rank, vectors: calls.append(tuple(vectors)) or span(rank, vectors))
         fan = Fan.build(3, [(1, 0, 0), (1, n, 0), (0, 0, 1)], [(0, 1), (2,)])
         fine = resolve(fan).fine
+        assert all(cone.multiplicity() == 1 and len(cone.facets) == cone.dim for cone in fine.cone_objects)
         assert sorted(calls) == [((0, 0, 1),), ((1, 0, 0), (1, n, 0))]
         assert set(fine.rays) == {(1, k, 0) for k in range(n + 1)} | {(0, 0, 1)}
         assert {tuple(sorted(fine.rays[i] for i in c)) for c in fine.maximal_cones} == {
@@ -1073,6 +1087,22 @@ class TestResolve:
         (chained, _), (refined, _) = resolve_both_ways(p112)
         assert chained == refined
 
+    @pytest.mark.parametrize("point, ray", [
+        (lambda g1, g2: (g1[0], g1[1], g1[2] + 1), (1, 0, 1)),
+        (lambda g1, g2: tuple(-x for x in g1), (-1, 0, 0)),
+    ], ids=["off-plane", "in-plane"])
+    def test_a_point_outside_a_chain_record_is_a_check_failure(self, monkeypatch, point, ray):
+        # a record of rank 3 refuses a point off its plane before any
+        # determinant, and one on it outside the cone by its signs, as the
+        # all-Cone path refuses both
+        fan = Fan.build(3, [(1, 0, 0), (1, 2, 0), (0, 0, 1)], [(0, 1), (2,)])
+        least = lambda cell, draw: point(*cell[1])
+        monkeypatch.setattr(fan_module, "drawn_chain_point", least)
+        with pytest.raises(ResolutionCheckFailed, match=re.escape(f"{ray} does not lie in the cone it subdivides")):
+            resolve(fan)
+        (chained, _), (general, _) = resolve_both_ways(fan, least=least)
+        assert chained == general
+
     def test_steps_carry_unchanged_cones_and_match_the_replaced_path(self, monkeypatch):
         """At every step of a resolution the cells found to hold the new ray,
         from the incidence map, are those a Cone.contains scan over the
@@ -1088,8 +1118,13 @@ class TestResolve:
         resolved fan's cone objects equal fresh ones, and the serialized
         resolutions equal those of the path that rebuilt every cone per step
         and scanned for the cones holding each ray, pinned by their digest."""
-        step_through = fan_module._Refinement.step
+        step_through, init = fan_module._Refinement.step, fan_module._Refinement.__init__
         steps = []
+
+        def first_kept(ref, rank, index, cells):
+            # every cell of these fans has its Cone, so the first is the fan's
+            init(ref, rank, index, cells)
+            ref.first = cells[0]
 
         def checked(ref, ray, holding):
             cells = chains_module.fan_order(ref.first)
@@ -1118,20 +1153,22 @@ class TestResolve:
                 for piece in (replaced[id(cell)][1] if id(cell) in replaced else [cell])]
             for _, pieces in replaced.values():
                 for rs, gens, gen_rays, mult, _, cone, _ in pieces:
-                    assert cone == Cone.from_generators(len(ray), [ref.rays[j] for j in rs])
-                    assert gens == cone.generators and gen_rays == tuple(map(ref.rays.index, gens))
+                    rays = list(ref.ray_index)
+                    assert cone == Cone.from_generators(len(ray), [rays[j] for j in rs])
+                    assert gens == cone.generators and gen_rays == tuple(map(rays.index, gens))
                     assert mult == (cone.is_simplicial and cone.multiplicity())
             steps.append(ray)
             return change
 
         monkeypatch.setattr(fan_module._Refinement, "step", checked)
+        monkeypatch.setattr(fan_module._Refinement, "__init__", first_kept)
         cases = step_cases()
         docs = []
         for fan, seed, extra in cases:
             sub = resolve(fan, rng=None if seed is None else random.Random(seed), extra_rounds=extra)
             if fan.rank == 2:
-                # the rank-2 phase runs no refinement step: check the steps on the general path
-                general = fan_module._refine(fan, None if seed is None else random.Random(seed), extra)
+                # chain records run no refinement step: check the steps on the all-Cone path
+                general = resolve_all_cones(fan, None if seed is None else random.Random(seed), extra)
                 assert general.to_json() == sub.to_json()
             fine = sub.fine
             for rs, cone in zip(fine.maximal_cones, fine.cone_objects):
@@ -1307,30 +1344,29 @@ class TestLeastBoxPoints:
     @given(st.integers(0, 99999), st.integers(0, 3))
     @settings(max_examples=40, deadline=None)
     def test_rank2_resolutions_match_the_listing_path(self, seed, extra):
-        """resolve serializes the same, with and without an rng, whether the
-        rank-2 phase reads each step's point from the Hilbert basis walk or
-        the general path lists them."""
+        """resolve serializes the same, with and without an rng, whether its
+        chain records read each step's point from the Hilbert basis walk or
+        the all-Cone path lists them."""
         rng = random.Random(seed)
         cases = [random_complete_rank2_data(rng)]
         gens = [(rng.randint(-40, 40), rng.randint(-40, 40)) for _ in range(2)]
         if len(smith_diagonal_oracle(gens)) == 2:
             cases.append((2, sorted({primitive_vector(g) for g in gens}), [(0, 1)]))
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(fan_module, "_least_box_point", least_box_point_listed)
-            for rank, rays, cones in cases:
-                try:
-                    fan = Fan.build(rank, rays, cones)
-                except PExpFanError:
-                    continue
-                for s in (None, seed):
-                    chained = resolve(fan, rng=None if s is None else random.Random(s), extra_rounds=extra)
-                    listed = fan_module._refine(fan, None if s is None else random.Random(s), extra)
-                    assert chained.to_json() == listed.to_json()
+        for rank, rays, cones in cases:
+            try:
+                fan = Fan.build(rank, rays, cones)
+            except PExpFanError:
+                continue
+            for s in (None, seed):
+                chained = resolve(fan, rng=None if s is None else random.Random(s), extra_rounds=extra)
+                listed = resolve_all_cones(fan, None if s is None else random.Random(s), extra,
+                                           least_box_point_listed)
+                assert chained.to_json() == listed.to_json()
 
     def test_the_rank2_phase_replays_the_general_path(self):
         """On rank-2 fans, with and without an rng and with 0 to 3 extra
-        rounds, the rank-2 phase gives the document, or the error, of the
-        general path, and leaves the rng in the same state."""
+        rounds, chain records give the document, or the error, of the
+        all-Cone path, and leave the rng in the same state."""
         rng = random.Random(20261019)
         datas = [random_complete_rank2_data(rng) for _ in range(150)]
         datas += [(2, [(1, 0), (1, n)], [(0, 1)]) for n in range(2, 91)]
@@ -1346,6 +1382,20 @@ class TestLeastBoxPoints:
             except PExpFanError:
                 pass
         assert len(fans) > 200
+        for i, fan in enumerate(fans):
+            for extra in range(4):
+                for seed in (None, i):
+                    chained, general = resolve_both_ways(fan, seed, extra)
+                    assert chained == general, (fan, seed, extra)
+
+    def test_mixed_fans_replay_the_all_cone_path(self):
+        """On the random mixed fans of rank 3 and 4, whose cells of at most
+        two rays are chain records beside cells with their Cone, with and
+        without an rng and with 0 to 3 extra rounds, resolve gives the
+        document, or the error, of the all-Cone path, and leaves the rng in
+        the same state."""
+        fans = [fan for fan in random_mixed_fans(20261019, 30) if fan.rank >= 3]
+        assert len(fans) > 10 and any(len(c) == 2 for fan in fans for c in fan.maximal_cones)
         for i, fan in enumerate(fans):
             for extra in range(4):
                 for seed in (None, i):

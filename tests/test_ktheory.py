@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -39,6 +40,7 @@ from oracles import (
     augmentation,
     basis_rows_by_subsets,
     cartier_polytope_points,
+    det_expansion,
     euler_characteristic,
     random_cartier_combination,
     random_complete_rank2_data,
@@ -214,6 +216,35 @@ class TestChi:
                 values = {(chi(fan, f, resolution=r), kronecker_pair(fan, f, (0,), resolution=r))
                           for r in resolutions}
                 assert len(values) == 1, (name, seed)
+
+    def test_relabelled_fans_keep_chi_every_pairing_and_the_gkm_verdict(self, complete_corpus):
+        """Relabelling invariance on the fixed complete corpus.  With the rays
+        and the maximal cones permuted by a seeded draw, and a class's values
+        and every face moved with them, chi, the pairing with every face and
+        the ``gkm_validate`` verdict on the class and on a copy broken at one
+        cone stay as they were, though ``resolve`` meets the cells of some
+        relabelled fans in another order and resolves them otherwise."""
+        rng = random.Random(20261020)
+        reshaped = 0
+        for name, fan in complete_corpus.items():
+            rays, cones = list(range(len(fan.rays))), list(range(len(fan.maximal_cones)))
+            rng.shuffle(rays), rng.shuffle(cones)
+            where = {old: new for new, old in enumerate(rays)}
+            moved = Fan.build(fan.rank, [fan.rays[i] for i in rays],
+                              [[where[i] for i in fan.maximal_cones[c]] for c in cones])
+            f = random_cartier_combination(fan, line_bundle_classes(fan), rng)
+            moved_f = PiecewiseExponential.from_values(moved, [f.values[c] for c in cones])
+            assert chi(moved, moved_f) == chi(fan, f), name
+            for face in fan.faces:
+                assert kronecker_pair(moved, moved_f, [where[i] for i in face]) == kronecker_pair(fan, f, face)
+            broken = [f.values[0] + E((1,) + (0,) * (fan.rank - 1)), *f.values[1:]]
+            verdicts = [(gkm_validate(moved, [values[c] for c in cones]).ok, gkm_validate(fan, values).ok)
+                        for values in (f.values, broken)]
+            assert verdicts == [(True, True), (False, False)], name
+            fine, image = resolve(moved).fine, resolve(fan).fine
+            reshaped += {frozenset(fine.rays[i] for i in c) for c in fine.maximal_cones} != {
+                frozenset(image.rays[i] for i in c) for c in image.maximal_cones}
+        assert reshaped > 0
 
     def test_unimodular_images_map_chi_by_the_inverse_transpose(self, complete_corpus):
         """GL_n(Z) invariance on the fixed complete corpus.  With the rays
@@ -602,6 +633,34 @@ class TestPairingSeries:
             assert len(terms) == len(r.fine._star[fine_face])
             assert kronecker_pair(fan, f, face, resolution=r) == star_sum_ungrouped(r, f, face)
 
+    def test_a_cone_with_dependent_facet_normals_predicts_its_zonotope(self, monkeypatch):
+        """On the face fan of the 4-cube, rays (+-1, +-1, +-1, +-1) and a cone
+        over each 3-cube, each cone has 6 facet normals, some 4 of them
+        dependent, and ``_series_size`` skips those: it is the sum of |det|
+        over the 4-subsets, 24, below the 48 fine cones of each cone in the
+        384-cone resolution, so the unit's chi folds each group, and is 1.
+        At a ray and at a 2-face the guard keeps every group split, and the
+        pairings equal those with ``_series_size`` made huge."""
+        vertices = list(itertools.product((-1, 1), repeat=4))
+        fan = Fan.build(4, vertices, [tuple(i for i, v in enumerate(vertices) if v[a] == s)
+                                      for a in range(4) for s in (-1, 1)])
+        r = resolve(fan)
+        assert len(r.fine.maximal_cones) == 384
+        for cone in fan.cone_objects:
+            dets = [abs(det_expansion(rows)) for rows in itertools.combinations([u for u, _ in cone.facets], 4)]
+            assert len(dets) == 15 and 0 in dets
+            assert ktheory._series_size(cone, 10 ** 9) == sum(dets) == 24
+        one = PiecewiseExponential.constant(fan, 1)
+        assert chi(fan, one, resolution=r) == LaurentPoly.one(4)
+        assert all(num is not None for _, num, _ in ktheory._pairing_series(r, ())[1])
+        faces = [(0,), next(face for face in fan.faces if len(face) == 2)]
+        f = random_cartier_combination(fan, [one], random.Random(1301))
+        want = [kronecker_pair(fan, f, face, resolution=r) for face in faces]
+        assert all(num is None for face in faces for _, num, _ in ktheory._pairing_series(r, face)[1])
+        monkeypatch.setattr(ktheory, "_series_size", lambda cone, bound: 10 ** 9)
+        split = resolve(fan)
+        assert [kronecker_pair(fan, f, face, resolution=split) for face in faces] == want
+
     def test_a_second_call_folds_no_series(self, cube, monkeypatch):
         """The series and the strict transform are built on the first call:
         a second gram folds no series and builds no cone."""
@@ -839,6 +898,20 @@ class TestDecompose:
             kinds.append((n < k, want is None, want is not None and want[0] != tuple(range(k))))
         assert kinds.count((True, True, False)) > 20 and kinds.count((False, True, False)) > 20
         assert kinds.count((False, False, True)) > 30 and kinds.count((False, False, False)) > 30
+
+    def test_a_repeated_row_takes_no_exact_test(self, monkeypatch):
+        """A row equal to an earlier one, chosen or rejected, is skipped
+        before any test: with the specialization into Z made blind, rows 0,
+        1, 4 and 5 take one ``matrix_rank`` each and the copies 2 and 3
+        none, and the rows chosen are those the subset search finds."""
+        monkeypatch.setattr(ktheory, "_specialized", lambda row: [0] * len(row))
+        calls, rank_of = [], ktheory.matrix_rank
+        monkeypatch.setattr(ktheory, "matrix_rank", lambda m: calls.append(len(m)) or rank_of(m))
+        one, zero, x = LaurentPoly.one(1), LaurentPoly.zero(1), E((1,))
+        rows = [[zero, zero], [one, x], [zero, zero], [one, x], [x, x * x], [one, one]]
+        got = ktheory._basis_rows(rows, 2, 1)
+        assert got == basis_rows_by_subsets(rows, 2, 1) and got[0] == (1, 5)
+        assert calls == [1, 1, 2, 2]
 
     def test_the_specialization_is_a_ring_map(self):
         """Each row's image in Z is an integer vector: its image under the

@@ -670,6 +670,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             poly_from_json({"rank": 1, "terms": [{"coeff": 0, "exp": [1]}]})
 
+    def test_reject_an_exponent_of_another_rank(self):
+        with pytest.raises(ValueError) as exc:
+            poly_from_json({"rank": 2, "terms": [{"coeff": 1, "exp": [1]}]})
+        assert str(exc.value) == "bad exponent (1,) for rank 2"
+
     def test_reject_negative_rank(self):
         with pytest.raises(ValueError) as exc:
             poly_from_json({"rank": -1, "terms": []})

@@ -5,8 +5,9 @@ in one place: ``smith_normal_form`` is called only from
 ``fan.span_coordinates``; another keeps one way to pick a resolve point:
 ``fan._box_points``, which takes the cone alone, is called only from
 ``fan._least_box_point``, no ``_Progression``, ``_least_box_points``,
-``_seed_cone_objects`` or ``subdivision`` is defined, and ``fan._Refinement``
-keeps no ``stepped``; a third
+``_seed_cone_objects``, ``subdivision``, ``_refine``, ``chain_cells`` or
+``chain_point`` is defined, and ``fan._Refinement`` keeps no ``stepped``; a
+third
 keeps one way to pair: ``orbit_closure_class`` has no caller in the
 package; a fourth keeps one face enumeration per fan:
 ``faces_as_generator_subsets`` is called only from ``Fan._star``; a fifth
@@ -42,22 +43,26 @@ adjugate, in one coordinate frame per cone: ``fan.py`` imports ``adjugate``
 by name and calls it only in ``Cone._adjugate``, does not import ``prod``,
 reads ``Cone._span`` only in ``Cone._coordinates`` and ``_box_points``
 (whose residues need the Smith form), and calls ``span_coordinates`` only in
-``Cone._span`` and ``Fan.face_quotient``, so never on ``_Refinement``'s path,
-whose step hands each piece its cell's ``_coordinates``; and ``Cone.facets``
+``Cone._span`` and ``Fan.face_quotient``, so never on the resolve path: a
+cone takes a frame only in ``fan._framed``, which ``_Refinement.step`` calls
+with its cell's ``_coordinates`` and ``_fine_map`` with a chain record's
+coarse cone's; and ``Cone.facets``
 calls ``extreme_rays_of_region`` only in its branch for a non-simplicial
 cone; a
 thirteenth keeps one Hirzebruch-Jung walk: ``least_chain_points`` is defined
 once, in ``chains.py``, and called only from ``chains.drawn_chain_point``,
-the one drawn chain point, which only ``chains.chain_point`` and
-``fan._least_box_point`` call, no ``resolve_rank2`` is defined, and
+the one drawn chain point, the ``least`` of a chain record, which only
+``fan.resolve`` names, no ``resolve_rank2`` is defined, and
 ``chains.py`` imports nothing from ``fan``; a fourteenth keeps exact
 division to one line-sum pass and one fill: there is no ``_packed_lines``, only
 ``laurent._line_sums_vanish`` names the lines e + Z*w, and every power
 ``merge`` multiplies a numerator by is positive; a fifteenth keeps one
 subdivision loop for every resolve: the messages of its checks appear only
-in ``chains.subdivide``, which only ``fan.resolve`` and ``fan._refine``
-call, the package calls no ``.index``, and ``fan._Refinement`` keeps no
-``order``, ``_ids`` or ``cones``; a sixteenth keeps one quotient path:
+in ``chains.subdivide``, which only ``fan.resolve`` calls, and ``resolve``
+compares no rank; the package calls no ``.index``, ``fan._Refinement`` keeps
+no ``order``, ``_ids`` or ``cones``, and no ``Cone`` is built for a chain
+record's step: ``chains.py`` names no ``Cone``, and ``fan.py`` builds one only
+in ``Cone.from_generators`` and ``_framed``; a sixteenth keeps one quotient path:
 the package defines no ``star_quotient``, ``span_quotients``,
 ``unimodular_inverse``, ``NotUnimodular``, ``project_vector`` or
 ``augment``; a seventeenth keeps resolve on the refinement's own data:
@@ -133,12 +138,14 @@ def test_smith_form_called_only_from_span_coordinates():
 
 
 def test_box_points_listed_only_for_the_least_box_points():
-    # a general-path step draws its one point in _least_box_point, and a
-    # refinement reports its changes only through the value of its step
+    # a cell with its Cone draws its one point in _least_box_point, on one
+    # resolve path, and a refinement reports its changes only through its
+    # step's value
     assert _callers("_box_points") == {("fan.py", "_least_box_point")}
     defined = {node.name for path in SOURCES for _, node in
                _nodes(ast.parse(path.read_text()), (ast.FunctionDef, ast.ClassDef))}
-    assert defined.isdisjoint({"_Progression", "_least_box_points", "_seed_cone_objects", "subdivision"})
+    assert defined.isdisjoint({"_Progression", "_least_box_points", "_seed_cone_objects", "subdivision",
+                               "_refine", "chain_cells", "chain_point"})
     fan = ast.parse(next(p for p in SOURCES if p.name == "fan.py").read_text())
     refinement = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "_Refinement")
     assert "stepped" not in {a.attr for _, a in _nodes(refinement, ast.Attribute)}
@@ -300,8 +307,9 @@ def test_division_names_lines_in_one_pass_and_merges_skip_zero_powers():
 def test_every_simplicial_cone_reads_its_adjugate():
     # every simplicial cone reads dim, multiplicity, facets, the smallest face and the
     # weights off one adjugate in its one coordinate frame: those of N, its Smith
-    # form's, or its cell's for a resolve piece; the Smith form serves only the
-    # frame of a cone below full dimension and the residues of _box_points
+    # form's, or its cell's for a resolve piece, handed over only by _framed;
+    # the Smith form serves only the frame of a cone below full dimension and
+    # the residues of _box_points
     fan = ast.parse(next(p for p in SOURCES if p.name == "fan.py").read_text())
     from_lattice = {a.name for _, node in _nodes(fan, ast.ImportFrom) if node.module == "lattice"
                     for a in node.names}
@@ -314,10 +322,13 @@ def test_every_simplicial_cone_reads_its_adjugate():
     assert _callers("span_coordinates") == {("fan.py", "_span"), ("fan.py", "face_quotient")}
     refinement = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "_Refinement")
     assert {where for where, a in _nodes(refinement, ast.Attribute) if a.attr == "_span"} == set()
-    handed = [ast.unparse(node) for _, node in _nodes(refinement, ast.Assign)
+    handed = [(where, ast.unparse(node)) for where, node in _nodes(fan, ast.Assign)
               if any(isinstance(t, ast.Subscript) and ast.unparse(t.slice) == "'_coordinates'"
                      for t in node.targets)]
-    assert handed == ["cone.__dict__['_coordinates'] = cell[5]._coordinates"]
+    assert handed == [("_framed", "cone.__dict__['_coordinates'] = frame")]
+    frames = {(where, ast.unparse(call.args[2])) for where, call in _nodes(fan, ast.Call)
+              if getattr(call.func, "id", None) == "_framed"}
+    assert frames == {("step", "cell[5]._coordinates"), ("_fine_map", "coarse.cone_objects[s]._coordinates")}
     cone = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "Cone")
     facets = next(f for _, f in _nodes(cone, ast.FunctionDef) if f.name == "facets")
     branch = next(node for _, node in _nodes(facets, ast.If)
@@ -330,14 +341,16 @@ def test_every_simplicial_cone_reads_its_adjugate():
 
 
 def test_the_chain_walk_is_defined_once_and_needs_no_fan():
-    # the rank-2 path and 2-dimensional cones of any rank read one walk, kept
-    # out of fan.py, whose compiled size sets start-up memory
+    # chain records of every rank read one walk and draw one point, kept out
+    # of fan.py, whose compiled size sets start-up memory
     defined = {(path.name, where) for path in SOURCES
                for where, f in _nodes(ast.parse(path.read_text()), ast.FunctionDef)
                if f.name in ("least_chain_points", "resolve_rank2")}
     assert defined == {("chains.py", None)}
     assert _callers("least_chain_points") == {("chains.py", "drawn_chain_point")}
-    assert _callers("drawn_chain_point") == {("chains.py", "chain_point"), ("fan.py", "_least_box_point")}
+    named = {(path.name, where) for path in SOURCES for where, n in _nodes(ast.parse(path.read_text()), ast.Name)
+             if n.id == "drawn_chain_point"}
+    assert named == {("fan.py", "resolve")}
     chains = ast.parse(next(p for p in SOURCES if p.name == "chains.py").read_text())
     imported = [node.module or "" for _, node in _nodes(chains, ast.ImportFrom)]
     imported += [a.name for _, node in _nodes(chains, (ast.Import, ast.ImportFrom)) for a in node.names]
@@ -345,16 +358,23 @@ def test_the_chain_walk_is_defined_once_and_needs_no_fan():
 
 
 def test_one_subdivision_loop_checks_every_resolve():
-    # both resolve paths run chains.subdivide, the only place that raises its
-    # checks; no cell is found by its position in fan order
+    # one resolve path, with no rank test, runs chains.subdivide, the only
+    # place that raises its checks; no cell is found by its position in fan
+    # order, and no Cone is built for a chain record's step
     messages = ("has no parallelepiped points", "multiplicity did not drop", "left a singular cone")
     raisers = {(path.name, where) for path in SOURCES
                for where, c in _nodes(ast.parse(path.read_text()), ast.Constant)
                if isinstance(c.value, str) and any(m in c.value for m in messages)}
     assert raisers == {("chains.py", "subdivide")}
-    assert _callers("subdivide") == {("fan.py", "resolve"), ("fan.py", "_refine")}
+    assert _callers("subdivide") == {("fan.py", "resolve")}
     assert _callers("index") == set()
     fan = ast.parse(next(p for p in SOURCES if p.name == "fan.py").read_text())
+    resolve = next(f for _, f in _nodes(fan, ast.FunctionDef) if f.name == "resolve")
+    assert not [ast.unparse(c) for c in ast.walk(resolve) if isinstance(c, ast.Compare) and "rank" in ast.unparse(c)]
+    chains = ast.parse(next(p for p in SOURCES if p.name == "chains.py").read_text())
+    assert "Cone" not in {n.id for n in ast.walk(chains) if isinstance(n, ast.Name)}
+    assert {where for where, call in _nodes(fan, ast.Call)
+            if getattr(call.func, "id", None) == "Cone"} == {"from_generators", "_framed"}
     refinement = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "_Refinement")
     attributes = {a.attr for _, a in _nodes(refinement, ast.Attribute) if isinstance(a.value, ast.Name)
                   and a.value.id == "self"}
