@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Count the Python bytecodes that building and resolving fixed fans runs:
-one JSON line {"case", "bytecodes"} per case (``--quick``: the first case
-only).
+"""Count the Python bytecodes that resolving fixed fans and pairing on a
+resolution run: one JSON line {"case", "bytecodes"} per case (``--quick``:
+the first case only).
 
     PYTHONPATH=src python3 scripts/bytecode_count.py [--quick]
 
@@ -9,7 +9,11 @@ The cases are the A-cones <(1,0),(1,N)> for N = 41 and 86, the rank-3 cone
 <e1, e2, (1,11,29)>, ``resolve(cube_fan(), rng=Random(3), extra_rounds=2)``
 and the rank-3 fan of the 2-dimensional cone <(1,0,0),(1,29,0)> and the ray
 (0,0,1), a chain record split in its cone's frame, as the A-cones are in
-the frame of N; each count covers building the fan and resolving it.  It
+the frame of N; each of these counts covers building the fan and resolving
+it.  ``chi_octahedron_cold`` and ``chi_octahedron_warm`` count one ``chi`` of
+the octahedron class (the line bundle e^(-s e_a) on the cone over the cube
+face x_a = s) through ``resolve(cube_fan())``, built outside the count: the
+first builds the resolution's series, the second finds them cached.  It
 counts the opcode events under ``sys.settrace`` with ``f_trace_opcodes`` set
 on every frame, so it is exact and repeats from run to run, unlike a wall-clock time.  Time
 spent in C code is not counted: builtins such as ``sorted``, ``map`` or
@@ -24,6 +28,8 @@ import sys
 
 from pexpfan import catalog
 from pexpfan.fan import Fan, resolve
+from pexpfan.ktheory import chi
+from pexpfan.pexp import CartierData, from_cartier
 
 
 def count_bytecodes(run) -> int:
@@ -51,17 +57,34 @@ def a_cone(n):
     return Fan.build(2, [(1, 0), (1, n)], [(0, 1)])
 
 
+def octahedron_chi(warm):
+    """The chi of the octahedron class through resolve(cube_fan()), with
+    its series built first when ``warm``."""
+    cube = catalog.cube_fan()
+    exps = []
+    for rs in cube.maximal_cones:
+        gens = [cube.rays[i] for i in rs]
+        axis = next(a for a in range(3) if len({g[a] for g in gens}) == 1)
+        exps.append(tuple(-gens[0][axis] if a == axis else 0 for a in range(3)))
+    f, r = from_cartier(cube, CartierData(tuple(exps))), resolve(cube)
+    if warm:
+        chi(cube, f, resolution=r)
+    return lambda: chi(cube, f, resolution=r)
+
+
+# (case, a function making the call that is counted)
 CASES = [
-    ("a_cone_41", lambda: a_cone(41), resolve),
-    ("a_cone_86", lambda: a_cone(86), resolve),
-    ("rank3_1_11_29", lambda: Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, 11, 29)], [(0, 1, 2)]), resolve),
-    ("cube_rng3_extra2", catalog.cube_fan,
-     lambda fan: resolve(fan, rng=random.Random(3), extra_rounds=2)),
-    ("rank3_dim2_1_29", lambda: Fan.build(3, [(1, 0, 0), (1, 29, 0), (0, 0, 1)], [(0, 1), (2,)]), resolve),
+    ("a_cone_41", lambda: lambda: resolve(a_cone(41))),
+    ("a_cone_86", lambda: lambda: resolve(a_cone(86))),
+    ("rank3_1_11_29", lambda: lambda: resolve(Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, 11, 29)], [(0, 1, 2)]))),
+    ("cube_rng3_extra2", lambda: lambda: resolve(catalog.cube_fan(), rng=random.Random(3), extra_rounds=2)),
+    ("rank3_dim2_1_29", lambda: lambda: resolve(Fan.build(3, [(1, 0, 0), (1, 29, 0), (0, 0, 1)], [(0, 1), (2,)]))),
+    ("chi_octahedron_cold", lambda: octahedron_chi(False)),
+    ("chi_octahedron_warm", lambda: octahedron_chi(True)),
 ]
 
 ap = argparse.ArgumentParser(description="Bytecodes executed by resolve on fixed cases.")
 ap.add_argument("--quick", action="store_true", help="the first case only")
 quick = ap.parse_args().quick
-for name, build, run in CASES[:1] if quick else CASES:
-    print(json.dumps({"case": name, "bytecodes": count_bytecodes(lambda: run(build()))}), flush=True)
+for name, make in CASES[:1] if quick else CASES:
+    print(json.dumps({"case": name, "bytecodes": count_bytecodes(make())}), flush=True)

@@ -5,9 +5,10 @@ computation per invocation, and writes a canonical JSON (or aligned text)
 document to stdout.  Exit codes: 0 on success, 2 when a well-posed check
 returns a mathematical negative (GKM violation, non-descendable function,
 class outside a span, invalid fan under ``validate-fan``), 1 for structural
-problems (missing files, malformed JSON, rank mismatches) and for a failed
-check of a computed result (``ResultCheckFailed``, a defect rather than bad
-input); every failure still writes a status document.  A success writes
+problems (missing files, malformed JSON, rank mismatches), for work past
+its budget (``WorkBudgetExceeded``) and for a failed check of a computed
+result (``ResultCheckFailed``, a defect rather than bad input); every
+failure still writes a status document.  A success writes
 ``{"status": "ok", "result": ...}``, or under ``--format text`` the result's
 text form where it has one (``restrict``, ``chi``, ``pair``, ``gram``,
 ``decompose``).
@@ -244,7 +245,7 @@ def run(argv=None) -> int:
         doc, code = exc.doc, exc.code
     except errors.MathNegative as exc:
         doc, code = {"status": "negative", "kind": type(exc).__name__, "detail": str(exc)}, 2
-    except (errors.StructuralError, errors.ResultCheckFailed, ValueError) as exc:
+    except (errors.StructuralError, errors.ResultCheckFailed, errors.WorkBudgetExceeded, ValueError) as exc:
         doc, code = _error(type(exc).__name__, str(exc)), 1
     if args.format == "json" or text is None:
         text = json.dumps(doc, indent=2)

@@ -81,6 +81,10 @@ class ConeNotInFan(StructuralError):
     pass
 
 
+class WorkBudgetExceeded(PExpFanError):
+    """Work refused before it passes its budget."""
+
+
 class ResultCheckFailed(PExpFanError):
     """An explicit check of a computed result failed: a defect, not bad input."""
 

@@ -26,7 +26,9 @@ chi is the case tau = 0.
 On a resolution a pulled-back class takes one value f_sigma on the fine cones
 of a coarse cone sigma, whose terms sum to f_sigma * N_sigma / D_sigma for one
 fraction that no class changes (for tau = 0, the Hilbert series of sigma;
-Brion, 1988): ``_pairing_series`` folds it once per resolution and face.
+Brion, 1988): ``_pairing_series`` folds it once per resolution and face,
+and compiles the fold of the series' sum (``laurent._Plan``) that every
+pairing there runs on its class's values.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (
 )
 from .fan import Cone, Fan, RaySet, SubdivisionMap, resolve
 from .lattice import Vector, adjugate, independent_rows, matrix_rank, value_class
-from .laurent import LaurentPoly, LocalizationSum, _fold, poly_to_json, reduce_localization, try_div
+from .laurent import LaurentPoly, LocalizationSum, _fold, _Plan, poly_to_json, reduce_localization, try_div
 from .pexp import PiecewiseExponential
 
 
@@ -127,8 +129,8 @@ def _pairing_series(resolution: SubdivisionMap, rayset: RaySet):
     and no fewer than ``_series_size(sigma)``, one term (sigma, N, D), their
     sum with unit numerators folded along the walls inside them
     (``laurent._fold``); per other fine cone, (sigma, None, its weights
-    outside the face); terms in star order, and ``plan`` the walls of the
-    star between terms."""
+    outside the face); terms in star order, and ``plan`` their sum's fold
+    compiled on the walls of the star between terms (``laurent._Plan``)."""
     cache = resolution.__dict__.setdefault("_series", {})
     if rayset not in cache:
         fine, coarse = resolution.fine, resolution.coarse
@@ -159,17 +161,17 @@ def _pairing_series(resolution: SubdivisionMap, rayset: RaySet):
             one = LaurentPoly.one(fine.rank)
             num, den = _fold(LocalizationSum.build(fine.rank, [(one, weights(q)) for q in group]), inner)
             terms.append((a, num, [w for w, m in sorted(den.items()) for _ in range(m)]))
-        plan = tuple((slot[q], slot[r]) for q, r in walls if slot[q] != slot[r])
+        plan = _Plan(fine.rank, [(num, den) for _, num, den in terms],
+                     [(slot[q], slot[r]) for q, r in walls if slot[q] != slot[r]])
         cache[rayset] = face, tuple(terms), plan
     return cache[rayset]
 
 
 def _star_sum(resolution: SubdivisionMap, values, rayset: RaySet) -> LaurentPoly:
     """<f, [O_{V(tau)}]> from f's coarse values: the sum of f_sigma * N / D
-    over the series' terms (a None N is 1), merged along its plan."""
+    over the series' terms (a None N is 1), run on its compiled plan."""
     _, terms, plan = _pairing_series(resolution, rayset)
-    sums = [(values[a] if num is None else values[a] * num, den) for a, num, den in terms]
-    return reduce_localization(LocalizationSum.build(resolution.fine.rank, sums), plan)
+    return reduce_localization([values[a] for a, _, _ in terms], plan)
 
 
 def chi(

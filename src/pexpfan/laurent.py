@@ -8,7 +8,8 @@ n / prod(1 - e^w) produced by fixed-point localization, and ``reduce`` clears
 the denominators exactly.  Dividing by a factor (1 - e^w) works line by line:
 the quotient's coefficients are running sums along the lines e + Z*w.  One
 pass sums each line; one pass, ascending along w, sets g(e) = f(e) + g(e - w)
-and fills each run up to f's next exponent.
+and fills each run up to f's next exponent; a quotient of more than
+``TERM_BUDGET`` terms is refused (WorkBudgetExceeded) before it is built.
 
 Division and localization run on packed exponents, the packed exponent
 vectors of Monagan and Pearce (CASC 2007): each call packs every exponent
@@ -21,10 +22,13 @@ checked against the box.
 
 from __future__ import annotations
 
-from .errors import NotDivisible, NotPolynomial, RankMismatch, ResultCheckFailed, ZeroCharacter
+from operator import add, ge, itemgetter, le, lshift, neg, sub
+
+from .errors import NotDivisible, NotPolynomial, RankMismatch, ResultCheckFailed, WorkBudgetExceeded, ZeroCharacter
 from .lattice import IntMatrix, Vector, mat_vec, primitive_vector, strict_int, strict_list, value_class
 
 Term = tuple[Vector, int]
+TERM_BUDGET = 2 ** 23  # the most terms one quotient may have
 
 
 @value_class
@@ -140,10 +144,8 @@ class LaurentPoly:
 
     def exponent_box(self) -> tuple[Vector, Vector]:
         """Componentwise (min, max) of the exponents of a nonzero polynomial."""
-        exps = [e for e, _ in self.terms]
-        lo = tuple(min(e[i] for e in exps) for i in range(self.rank))
-        hi = tuple(max(e[i] for e in exps) for i in range(self.rank))
-        return lo, hi
+        columns = list(zip(*[e for e, _ in self.terms]))
+        return tuple(map(min, columns)), tuple(map(max, columns))
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -197,40 +199,32 @@ class _Packing:
 
     A point packs to P(e) = sum_i (e_i - lo_i) * 2^{s_i}, with fields of
     ``bits`` bits, s_i = (rank - 1 - i) * bits, and a character to the signed
-    int W(w) = sum_i w_i * 2^{s_i}.  P is affine, so P(e + w) = P(e) + W(w)
-    for every e: a shift by a character is one int addition.  With span the
-    largest hi_i - lo_i and reach the largest |w_j| of the characters used,
+    int W(w) = sum_i w_i * 2^{s_i}; P is affine, so P(e + w) = P(e) + W(w).
+    With span the largest hi_i - lo_i and reach the largest |w_j| of the
+    characters used, bits = bitlen(span * (1 + reach) + reach).
 
-        bits = bitlen(span * (1 + reach) + reach),
-
-    so that 2^bits > span * (1 + reach) + reach.  Three facts follow.
-
-    1. Points of the box pack exactly, in order.  Each field e_i - lo_i of a
-       point of the box lies in [0, span], inside [0, 2^bits); in particular
-       the top field is nonnegative.  So P is injective on the box, numeric
-       order of packed points is lex order of the points, and ``unpack``
-       reads every coordinate back by shift and mask.
-    2. Line names are injective.  Let w_i be the first nonzero coordinate of
-       w.  The line e + Z*w of a point e of the box is named by P(b), with
+    1. Points of the box pack exactly, in order: each field e_i - lo_i lies
+       in [0, span], inside [0, 2^bits), the top one too, so P is injective,
+       numeric order is lex order, and ``unpack`` reads every coordinate
+       back by shift and mask.
+    2. Line names are injective.  With w_i the first nonzero coordinate of
+       w, the line e + Z*w of a point e of the box is named by P(b), with
        b = e - k*w and k = floor((e_i - lo_i) / w_i).  Moving e by t*w moves
-       k by t, so b is the same point for the whole line, and b = b' forces
-       e - e' in Z*w: points share a name iff they share a line, as long as
-       distinct points b, b' never pack alike.  For e, e' in the box, k and
-       k' differ by at most span / |w_i| + 1, so field j of b - b' is at most
-       span + (span + 1) * |w_j| <= span * (1 + reach) + reach < 2^bits in
-       absolute value.  If b != b', take the lowest field j where they
-       differ: P(b) - P(b') is delta_j * 2^{s_j} modulo 2^{s_j + bits}, with
-       0 < |delta_j| < 2^bits, so it is not zero.  The name b may lie
-       outside the box; only differences of names count.
+       k by t, so b names the whole line, and b = b' forces e - e' in Z*w,
+       as long as distinct b, b' never pack alike.  For e, e' in the box, k
+       and k' differ by at most span / |w_i| + 1, so field j of b - b' is at
+       most span + (span + 1) * |w_j| < 2^bits in absolute value; at the
+       lowest field j where b and b' differ, P(b) - P(b') is delta_j * 2^{s_j}
+       modulo 2^{s_j + bits}, with 0 < |delta_j| < 2^bits, so it is not zero.
+       The name b may lie outside the box.
     3. Quotients stay in the box.  ``_line_sums_vanish`` sums every line
        first, so by 2 a quotient is built only when (1 - e^w) divides f;
-       then g * (1 - e^w) = f, the Newton polytope of g plus the segment
-       [0, w] is that of f, and as [0, w] holds 0, g's exponents lie in f's
-       box.  In ``_packed_divide`` a nonzero running sum leaves the rest of
-       its line summing to its negative, so each fill stops at a later key of
-       f on the same line.  Its lookup of p - W reads the point e - w, which
-       differs from each point of the box by at most span + reach in every
-       field, so by the argument of 2 it packs like no other point.
+       then the Newton polytope of g plus the segment [0, w], which holds 0,
+       is that of f, so g lies in f's box.  In ``_packed_divide`` a nonzero
+       running sum leaves the rest of its line summing to its negative, so
+       each fill stops at a later key of f on the line; its lookup of p - W
+       reads e - w, within span + reach of the box in every field, which by
+       the argument of 2 packs like no other point.
 
     ``unpack`` still checks every coordinate against the box and raises
     ResultCheckFailed if one is outside it.
@@ -238,7 +232,7 @@ class _Packing:
 
     def __init__(self, lo: Vector, hi: Vector, reach: int):
         self.lo, self.hi = tuple(lo), tuple(hi)
-        span = max((h - l for l, h in zip(lo, hi)), default=0)
+        self.span = span = max((h - l for l, h in zip(lo, hi)), default=0)
         bits = (span * (1 + reach) + reach).bit_length()
         self.mask = (1 << bits) - 1
         self.shifts = tuple(bits * (len(lo) - 1 - i) for i in range(len(lo)))
@@ -246,30 +240,32 @@ class _Packing:
 
     def raw(self, e: Vector) -> int:
         """sum_i e_i * 2^{s_i}: W(e) for a character, P(e) + W(lo) for a point."""
-        return sum(x << s for x, s in zip(e, self.shifts))
+        return sum(map(lshift, e, self.shifts))
 
     def pack(self, terms) -> dict[int, int]:
         """{P(e): c} over the terms (e, c), points of the box."""
         origin = self.origin
         return {self.raw(e) - origin: c for e, c in terms}
 
-    def character(self, w: Vector) -> tuple[int, int, int, int]:
-        """(W(w), s_i, field mask, w_i), with w_i the first nonzero coordinate
-        of w: what ``_line_sums_vanish`` needs to name the lines e + Z*w."""
+    def character(self, w: Vector) -> tuple[int, int, int, int, int]:
+        """(W(w), s_i, field mask, w_i, extent), with w_i the first nonzero
+        coordinate of w and extent = span // max |w_j|, at least the steps of
+        w between two points of the box: what ``_line_sums_vanish`` needs to
+        name the lines e + Z*w, and ``_packed_divide`` to bound a quotient."""
         i = next(j for j, x in enumerate(w) if x)
-        return self.raw(w), self.shifts[i], self.mask, w[i]
+        return self.raw(w), self.shifts[i], self.mask, w[i], self.span // max(map(abs, w))
 
     def unpack(self, f: dict[int, int]) -> LaurentPoly:
         """The polynomial of a packed dict, in lex order.  Raises
         ResultCheckFailed when a coordinate lies outside the box."""
         masks = (-1,) + (self.mask,) * (len(self.lo) - 1)  # the top field unmasked
-        terms = []
-        for p, c in sorted(f.items()):
-            e = tuple(((p >> s) & m) + l for s, m, l in zip(self.shifts, masks, self.lo))
-            if not all(l <= x <= h for x, l, h in zip(e, self.lo, self.hi)):
-                raise ResultCheckFailed(f"packed exponent {e} left the box {self.lo}..{self.hi}")
-            terms.append((e, c))
-        return LaurentPoly(len(self.lo), tuple(terms))
+        fields = list(zip(self.shifts, masks, self.lo))
+        keys = sorted(f)
+        exps = [tuple([((p >> s) & m) + l for s, m, l in fields]) for p in keys]
+        columns = list(zip(*exps))
+        if not all(map(le, self.lo, map(min, columns))) or not all(map(ge, self.hi, map(max, columns))):
+            raise ResultCheckFailed(f"packed exponents left the box {self.lo}..{self.hi}")
+        return LaurentPoly(len(self.lo), tuple(zip(exps, map(f.__getitem__, keys))))
 
 
 def _line_sums_vanish(f: dict[int, int], ch) -> bool:
@@ -279,7 +275,7 @@ def _line_sums_vanish(f: dict[int, int], ch) -> bool:
     coefficient sum is refused first, before any line is named."""
     if sum(f.values()):
         return False
-    w_packed, shift, mask, wi = ch
+    w_packed, shift, mask, wi, _ = ch
     sums: dict[int, int] = {}
     get = sums.get
     for p, c in f.items():
@@ -288,16 +284,52 @@ def _line_sums_vanish(f: dict[int, int], ch) -> bool:
     return not any(sums.values())
 
 
+def _quotient_size(f: dict[int, int], ch, keys) -> int:
+    """A bound on |g| for f = (1 - e^w) * g, exact past ``TERM_BUDGET``:
+    |f| / 2 times the steps of w across f's field i, then the runs of
+    nonzero running sums on f's lines."""
+    w_packed, shift, mask, wi, _ = ch
+    low, high = sorted((keys[0] >> shift, keys[-1] >> shift))  # f's field i spans these
+    if high > mask:  # unless the keys differ above field i
+        fields = [(p >> shift) & mask for p in f]
+        low, high = min(fields), max(fields)
+    size = len(f) * ((high - low) // abs(wi)) // 2
+    if size <= TERM_BUDGET:
+        return size
+    lines: dict[int, list] = {}
+    for p, c in f.items():
+        k = ((p >> shift) & mask) // wi
+        lines.setdefault(p - k * w_packed, []).append((k, c))
+    size = 0
+    for line in lines.values():
+        line.sort()
+        running = 0
+        for (k, c), (k_next, _) in zip(line, line[1:]):
+            running += c
+            if running:
+                size += k_next - k
+    return size
+
+
 def _packed_divide(f: dict[int, int], ch) -> dict[int, int] | None:
     """The packed g with f = (1 - e^w) * g (see ``divide_exact``), or None
     when (1 - e^w) does not divide f.  Over the keys of f in the order of W,
-    g(p) = f(p) + g(p - W), repeated forward up to f's next key (fact 3)."""
+    g(p) = f(p) + g(p - W), repeated forward up to f's next key (fact 3).
+    A line of f holds no term or two or more, and g lies between the first
+    and the last, at most ``extent`` steps apart, so |g| <= |f| / 2 * extent;
+    past ``TERM_BUDGET`` ``_quotient_size`` decides, and WorkBudgetExceeded
+    is raised before g is built."""
     if not _line_sums_vanish(f, ch):
         return None
     w_packed = ch[0]
+    keys = sorted(f, reverse=w_packed < 0)
+    if len(f) * ch[4] > 2 * TERM_BUDGET:
+        size = _quotient_size(f, ch, keys)
+        if size > TERM_BUDGET:
+            raise WorkBudgetExceeded(f"a quotient of {size} terms passes the budget of {TERM_BUDGET}")
     quotient: dict[int, int] = {}
     get = quotient.get
-    for p in sorted(f, reverse=w_packed < 0):
+    for p in keys:
         running = f[p] + get(p - w_packed, 0)
         if running:
             quotient[p] = running
@@ -446,113 +478,81 @@ class LocalizationSum:
         return reduce_localization(self)
 
 
-def _lex_negative(w: Vector) -> bool:
-    """Whether the first nonzero coordinate of w, a nonzero character, is negative."""
-    return next(x for x in w if x) < 0
-
-
-def _merge_rounds(parts: list, walls, merge):
-    """Merge the fractions (numerator, denominator) in ``parts`` into one
-    along ``walls``, pairs (a, b) of part positions, one pair per shared
-    wall, in Borůvka rounds.  In each round each region, smallest first,
-    merges with the neighbouring region not yet merged in the round with
-    which it shares the most walls; ties go to the smaller region, then to
-    the lower id.  A region is named by the lowest position in it.  When no
-    wall joins what is left, the largest region absorbs, one at a time, the
-    region whose denominator overlaps its own most, the overlap being the
-    sum of min(m, m') over shared factors; both ties go to the lower id.
-    With no walls this folds every part into the first, greedily."""
-    parts = dict(enumerate(parts))
-    size = dict.fromkeys(parts, 1)
-    adjacent: dict[int, dict[int, int]] = {r: {} for r in parts}
+def _merge_rounds(count: int, walls) -> tuple[list, list]:
+    """The merges of ``count`` fractions along ``walls``, pairs (a, b) of
+    positions, one per shared wall: (steps, rest), the merges (keep, gone)
+    of Borůvka rounds and then the regions left, largest first.  In a round
+    each region, smallest first, merges with the neighbour not yet merged
+    that shares the most walls with it, ties to the smaller region, then to
+    the lower id, a region's id being its lowest position."""
+    size = dict.fromkeys(range(count), 1)
+    adjacent: dict[int, dict[int, int]] = {r: {} for r in size}
     for a, b in walls:
         adjacent[a][b] = adjacent[b][a] = adjacent[a].get(b, 0) + 1
-    while len(parts) > 1:
-        order = sorted(parts, key=lambda r: (size[r], r))
+    steps, merged = [], True
+    while merged:
         merged = set()
-        for r in order:
+        for r, _ in sorted(size.items(), key=itemgetter(1, 0)):
             options = [] if r in merged else [n for n in adjacent[r] if n not in merged]
             if not options:
                 continue
             n = max(options, key=lambda n: (adjacent[r][n], -size[n], -n))
             keep, gone = min(r, n), max(r, n)
-            parts[keep] = merge(parts[keep], parts.pop(gone))
+            steps.append((keep, gone))
             size[keep] += size.pop(gone)
-            for x, count in adjacent.pop(gone).items():
+            for x, k in adjacent.pop(gone).items():
                 del adjacent[x][gone]
                 if x != keep:
-                    adjacent[keep][x] = adjacent[x][keep] = adjacent[x].get(keep, 0) + count
+                    adjacent[keep][x] = adjacent[x][keep] = adjacent[x].get(keep, 0) + k
             merged |= {r, n}
-        if not merged:  # no region has a wall left, and no merge adds one
-            acc = parts.pop(min(parts, key=lambda r: (-size[r], r)))
-            while parts:
-                overlap = {r: sum(min(m, acc[1].get(w, 0)) for w, m in den.items())
-                           for r, (_, den) in parts.items()}
-                acc = merge(acc, parts.pop(max(overlap, key=lambda r: (overlap[r], -r))))
-            return acc
-    return parts.popitem()[1]
+    return steps, sorted(size, key=lambda r: (-size[r], r))
 
 
-def reduce_localization(s: LocalizationSum, plan=()) -> LaurentPoly:
-    """Clear all denominators of the sum, exactly.
+def reduce_localization(s, plan=()) -> LaurentPoly:
+    """Clear all denominators of a sum, exactly: of the LocalizationSum ``s``,
+    whose terms a and b share a wall for each pair (a, b) in ``plan``, or of
+    the terms of the ``_Plan`` ``plan`` over the numerators ``s``.
 
-    Each factor (1 - e^w) with lexicographically negative w is first rewritten
-    as (1 - e^{-w}) * (-e^{w}), folding the unit into the numerator, so the
-    denominators are canonical multisets, and each term is cancelled on its
-    own.  To cancel is to divide the numerator by every denominator factor
-    that divides it, in the lexicographic order of the primitive characters,
-    each factor with full multiplicity; afterwards no factor left in the
-    denominator divides the numerator.  Cancelled fractions are then merged
-    two at a time until one is left.  A merge brings both numerators to the
-    lcm of the two denominators, each multiplied only by the factors its own
-    denominator lacks, adds them and cancels again.  The merges
-    follow ``_merge_rounds``, the one merge loop, along the ``plan``: pairs
-    (a, b) of term positions, one per wall between the cones of terms a and
-    b.  Each merge then joins two adjacent regions of cones, and the factors
-    of the walls between them cancel as soon as both sides are in.  Where no
-    wall joins what is left, as for every merge of a sum with no plan, the
-    largest region absorbs the one whose denominator overlaps its own most,
-    ties to the lower id; with no plan that folds the terms into the first,
-    greedily.  A denominator factor surviving to the end raises NotPolynomial;
-    ``_fold`` is all of this but that check, so a partial sum, such as the
-    series of a coarse cone (``ktheory``), keeps what is left of its
-    denominator.
+    A factor 1 - e^w with w lexicographically negative is rewritten as
+    (1 - e^{-w}) * (-e^w), the unit going to the numerator.  To cancel a
+    fraction is to divide its numerator by each factor of its denominator
+    while it divides, in the lexicographic order of the primitive
+    directions.  Each term is cancelled, then fractions are merged two at a
+    time: both numerators are brought to the lcm of the denominators, each
+    times only the factors its own lacks, added and cancelled again.  The
+    merges follow ``_merge_rounds``, each joining two regions of cones whose
+    walls' factors then cancel.  Where no wall joins what is left, the
+    largest region absorbs the one whose denominator overlaps its own most
+    (the sum of min(m, m') over shared factors), ties to the lower id.  A
+    factor left at the end raises NotPolynomial; ``_fold`` is all of this
+    but that check, so a partial sum keeps what is left of its denominator.
 
-    After a merge only the factors whose primitive direction occurs in both
-    denominators are tried; no other division can succeed.  Z[M] is a UFD,
-    and for w0 primitive the prime factors of 1 - e^{m*w0} are the
-    Phi_j(e^{w0}) with j | m, so factors in different primitive directions
-    are coprime.  Let the direction d occur in the denominator D_a of A/D_a
-    but not in the denominator D_b of B/D_b.  The sum's numerator is
-    A*(L/D_a) + B*(L/D_b), with L the lcm: L/D_b holds the whole d-part of
-    L, which is that of D_a, so every factor (1 - e^w) of L in direction d
-    divides B*(L/D_b), while L/D_a is coprime to it.  Hence (1 - e^w) divides
-    the sum's numerator iff it divides A, and A was cancelled, so it does
-    not.  Dividing by factors of the shared directions keeps this so, since
-    they are coprime to (1 - e^w).  The same holds with the two sides
-    swapped.
+    After a merge only factors of the directions both denominators hold are
+    tried.  Z[M] is a UFD and the prime factors of 1 - e^{m*w0}, w0
+    primitive, are the Phi_j(e^{w0}) with j | m, so factors of different
+    directions are coprime.  If the direction d is in D_a but not in D_b,
+    the merged numerator is A*(L/D_a) + B*(L/D_b), L the lcm; L/D_b holds
+    the whole d-part of L, so a factor of direction d divides B*(L/D_b) and
+    is coprime to L/D_a: it divides the sum iff it divides A, which was
+    cancelled.  Dividing by factors coprime to it keeps this so.
 
-    The whole reduction runs on exponents packed into ints (see
-    ``_Packing``), over the box of the normalized numerators widened,
-    coordinate by coordinate, by the sum of min(0, w_i) and of max(0, w_i)
-    over every denominator factor w of every term, with multiplicity.  Every
-    exponent the reduction holds lies in that box.  Write Z(F) for the
-    Newton polytope of a product F of factors (1 - e^w), the sum of the
-    segments [0, w]; it holds 0, so multiplying by F never shrinks a Newton
-    polytope, Z(F) lies in Z(G) when F divides G, and a quotient by
-    (1 - e^w) lies in the polytope of its dividend.  Every fraction A/L'
-    held is the cancelled sum over a set S of terms (one term at first; a
-    term with a zero numerator is 0/1 and belongs to no S).  With N_t/D_t
-    their normalized fractions and L_S the lcm of the D_t,
-    A * (L_S/L') is the sum of the N_t * (L_S/D_t), so A lies in the box of
-    the numerators plus Z(L_S).  A merge joins disjoint sets S and S', with
-    fractions A/L' and B/L''.  It multiplies A by lcm(L', L'')/L', which
-    divides L'' and so L_{S'}, and B by a divisor of L_S.  So both products,
-    their sum and its quotients lie in the box of the numerators plus
-    Z(L_S) + Z(L_{S'}).  The lcm of multisets is at most their sum, and S and
-    S' are disjoint, so that sum of Z's lies in Z of the sum of all
-    denominators, whose box is the widening.  The result is unpacked once,
-    with its box check.
+    The reduction runs on packed exponents (``_Packing``) over a box of the
+    normalized numerators widened, per coordinate, by the sums of min(0, w_i)
+    and of max(0, w_i) over every denominator factor w of every term.  A
+    numerator f * N of a ``_Plan`` term is boxed by the sum of the boxes of f
+    and N, which holds its Newton polytope.  Let Z(F) be the Newton polytope
+    of a product F of factors 1 - e^w, the sum of the segments [0, w]; it
+    holds 0, so multiplying by F never shrinks a Newton polytope, Z(F) lies
+    in Z(G) when F | G, and a quotient by 1 - e^w lies in the polytope of
+    its dividend, as does f's quotient times N in that of f * N.  A fraction
+    A/L' held is the cancelled sum over a set S of terms N_t/D_t (a zero
+    numerator is 0/1, in no S); with L_S
+    the lcm of the D_t, A * (L_S/L') is the sum of the N_t * (L_S/D_t), so A
+    lies in the numerators' box plus Z(L_S).  A merge of disjoint S and S'
+    multiplies A by a divisor of L_{S'} and B by one of L_S, so all it holds
+    lies in the numerators' box plus Z(L_S) + Z(L_{S'}); an lcm of multisets
+    is at most their sum, so that lies in Z of the sum of all denominators,
+    the widening.  The result is unpacked once, with its box check.
     """
     num, den = _fold(s, plan)
     if den:
@@ -562,82 +562,119 @@ def reduce_localization(s: LocalizationSum, plan=()) -> LaurentPoly:
     return num
 
 
-def _fold(s: LocalizationSum, plan) -> tuple[LaurentPoly, dict[Vector, int]]:
-    """The sum as one cancelled fraction (numerator, denominator), merged
-    along ``plan`` as ``reduce_localization`` describes; the denominator is a
-    multiset {w: multiplicity} of lexicographically positive characters, no
-    factor of which divides the numerator."""
-    rank = s.rank
-    normalized = []
-    for num, denom in s.terms:
-        shift, sign, multiset = (0,) * rank, 1, {}
-        for w in denom:
-            if _lex_negative(w):
-                # 1/(1 - e^w) = -e^{-w}/(1 - e^{-w})
-                w = tuple(-x for x in w)
-                shift = tuple(a + b for a, b in zip(shift, w))
-                sign = -sign
-            multiset[w] = multiset.get(w, 0) + 1
-        normalized.append(([(tuple(a + b for a, b in zip(e, shift)), sign * c) for e, c in num.terms],
-                           multiset))
-    live = [t for t in normalized if t[0]]
-    if not live:
-        return LaurentPoly.zero(rank), {}
+def _fold(s, plan) -> tuple[LaurentPoly, dict[Vector, int]]:
+    """The sum as one cancelled fraction (numerator, {w: multiplicity}), as
+    ``reduce_localization`` describes; a LocalizationSum's plan is compiled
+    on its walls."""
+    if isinstance(plan, _Plan):
+        return plan.run(s)
+    return _Plan(s.rank, [(None, denom) for _, denom in s.terms], plan).run([num for num, _ in s.terms])
 
-    columns = list(zip(*[e for terms, _ in live for e, _ in terms]))
-    lo, hi = list(map(min, columns)), list(map(max, columns))
-    weights: dict[Vector, None] = {}
-    for _, multiset in live:
-        for w, m in multiset.items():
-            for i, x in enumerate(w):
-                lo[i] += m * min(0, x)
-                hi[i] += m * max(0, x)
-            weights[w] = None
-    packing = _Packing(lo, hi, max((abs(x) for w in weights for x in w), default=0))
-    chars = {w: packing.character(w) for w in weights}
-    direction = {w: primitive_vector(w) for w in weights}
-    order = {w: (direction[w], w) for w in weights}  # the division order, keyed once per sum
 
-    def cancel(num: dict[int, int], den: dict[Vector, int], shared=None) -> dict[int, int]:
-        """Divide num by the factors of den (those in the directions `shared`
-        only, when given) while they divide it; den loses what was divided."""
-        if not num:
-            den.clear()
+class _Plan:
+    """A fold compiled from a sum's denominators and walls, and run on its
+    numerators (``reduce_localization``).  A term (N, D) is f * N / D, f its
+    numerator and N None for 1.  Its first cancellation divides f alone:
+    exact for N = 1, and else N must be cancelled against D, of primitive
+    characters, each 1 - e^w then prime in Z[M]."""
+
+    def __init__(self, rank: int, terms, walls):
+        self.rank, self.terms, zero = rank, [], (0,) * rank
+        lo, hi, self.order, self.reach = zero, zero, {}, 0
+        for cofactor, denom in terms:
+            shift, sign, multiset, rest = zero, 1, {}, None
+            for w in denom:
+                if w < zero:  # 1/(1 - e^w) = -e^{-w}/(1 - e^{-w})
+                    w = tuple(map(neg, w))
+                    shift, sign = tuple(map(add, shift, w)), -sign
+                multiset[w] = multiset.get(w, 0) + 1
+                lo, hi = tuple(map(add, lo, map(min, w, zero))), tuple(map(add, hi, map(max, w, zero)))
+                if w not in self.order:
+                    self.order[w] = primitive_vector(w), w  # the division order
+                    self.reach = max(self.reach, *map(abs, w))
+            far = shift
+            if cofactor is not None:
+                low, high = cofactor.exponent_box()
+                exps, coeffs = zip(*cofactor.terms)
+                rest = [tuple(map(sub, e, low)) for e in exps], coeffs
+                shift, far = tuple(map(add, shift, low)), tuple(map(add, shift, high))
+            self.terms.append((shift, far, sign, rest, multiset))
+        self.widening = lo, hi
+        self.steps, self.rest = _merge_rounds(len(self.terms), walls)
+
+    def run(self, numerators) -> tuple[LaurentPoly, dict[Vector, int]]:
+        """The cancelled fraction of the sum of the terms f * N / D."""
+        lows, highs = [], []
+        for f, (shift, far, _, _, _) in zip(numerators, self.terms):
+            if f.terms:
+                low, high = f.exponent_box()
+                lows.append(map(add, low, shift))
+                highs.append(map(add, high, far))
+        if not lows:
+            return LaurentPoly.zero(self.rank), {}
+        lo, hi = self.widening
+        packing = _Packing(list(map(add, map(min, zip(*lows)), lo)), list(map(add, map(max, zip(*highs)), hi)),
+                           self.reach)
+        raw, origin, order = packing.raw, packing.origin, self.order
+        chars = {w: packing.character(w) for w in order}
+
+        def cancel(num: dict[int, int], den: dict[Vector, int], shared=None) -> dict[int, int]:
+            """Divide num by the factors of den (those in the directions `shared`
+            only, when given) while they divide it; den loses what was divided."""
+            if not num:
+                den.clear()
+            if sum(num.values()):  # 1 - e^w vanishes at e^w = 1, so it divides no such num
+                return num
+            tried = den if shared is None else [w for w in den if order[w][0] in shared]
+            for w in sorted(tried, key=order.__getitem__):
+                while den.get(w):
+                    quotient = _packed_divide(num, chars[w])
+                    if quotient is None:
+                        break
+                    num = quotient
+                    den[w] -= 1
+                    if not den[w]:
+                        del den[w]
             return num
-        tried = den if shared is None else [w for w in den if direction[w] in shared]
-        for w in sorted(tried, key=order.__getitem__):
-            while den.get(w):
-                quotient = _packed_divide(num, chars[w])
-                if quotient is None:
-                    break
-                num = quotient
-                den[w] -= 1
-                if not den[w]:
-                    del den[w]
-        return num
 
-    def merge(a, b):
-        """The cancelled sum of two cancelled fractions (numerator, denominator)."""
-        (num, den), (other, other_den) = a, b
-        shared = {direction[w] for w in den} & {direction[w] for w in other_den}
-        lcm = dict(den)
-        for w, m in other_den.items():
-            lcm[w] = max(lcm.get(w, 0), m)
-        for w, m in lcm.items():
-            if m > den.get(w, 0):
-                num = _packed_times_koszul(num, chars[w][0], m - den.get(w, 0))
-            if m > other_den.get(w, 0):
-                other = _packed_times_koszul(other, chars[w][0], m - other_den.get(w, 0))
-        if len(num) < len(other):
-            num, other = other, num
-        for q, c in other.items():
-            v = num.get(q, 0) + c
-            if v:
-                num[q] = v
-            else:
-                del num[q]
-        return cancel(num, lcm, shared), lcm
+        def merge(a, b):
+            """The cancelled sum of two cancelled fractions (numerator, denominator)."""
+            (num, den), (other, other_den) = a, b
+            shared = {order[w][0] for w in den} & {order[w][0] for w in other_den}
+            lcm = dict(den)
+            for w, m in other_den.items():
+                lcm[w] = max(lcm.get(w, 0), m)
+            for w, m in lcm.items():
+                if m > den.get(w, 0):
+                    num = _packed_times_koszul(num, chars[w][0], m - den.get(w, 0))
+                if m > other_den.get(w, 0):
+                    other = _packed_times_koszul(other, chars[w][0], m - other_den.get(w, 0))
+            if len(num) < len(other):
+                num, other = other, num
+            for q, c in other.items():
+                v = num.get(q, 0) + c
+                if v:
+                    num[q] = v
+                else:
+                    del num[q]
+            return cancel(num, lcm, shared), lcm
 
-    fractions = ((cancel(packing.pack(terms), multiset), multiset) for terms, multiset in normalized)
-    num, den = _merge_rounds(fractions, plan, merge)
-    return packing.unpack(num), den
+        parts = []
+        for f, (shift, _, sign, rest, multiset) in zip(numerators, self.terms):
+            offset, den = raw(shift) - origin, dict(multiset)
+            num = cancel({raw(e) + offset: sign * c for e, c in f.terms}, den)
+            if rest and num:
+                product: dict[int, int] = {}
+                for r, d in zip(map(raw, rest[0]), rest[1]):
+                    for p, c in num.items():
+                        product[p + r] = product.get(p + r, 0) + c * d
+                num = {q: c for q, c in product.items() if c}
+            parts.append((num, den))
+        for keep, gone in self.steps:
+            parts[keep], parts[gone] = merge(parts[keep], parts[gone]), None
+        acc, pending = parts[self.rest[0]], self.rest[1:]
+        while pending:  # no wall joins what is left: the greedy fallback
+            r = max(pending, key=lambda r: (sum(min(m, acc[1].get(w, 0)) for w, m in parts[r][1].items()), -r))
+            pending.remove(r)
+            acc = merge(acc, parts[r])
+        return packing.unpack(acc[0]), acc[1]

@@ -406,11 +406,13 @@ def lines(f, w):
     return out
 
 
-def divide_exact(f, w):
+def divide_exact(f, w, budget=None):
     """g with f = (1 - e^w) * g on exponent tuples: along each line e + Z*w
     the coefficients of g are the running sums of those of f, and every line
-    of f must sum to zero (NotDivisible otherwise)."""
-    from pexpfan.errors import NotDivisible, RankMismatch, ZeroCharacter
+    of f must sum to zero (NotDivisible otherwise).  With a ``budget``, a g
+    of more terms, counted from the runs of its lines, raises
+    WorkBudgetExceeded before it is built."""
+    from pexpfan.errors import NotDivisible, RankMismatch, WorkBudgetExceeded, ZeroCharacter
     from pexpfan.laurent import LaurentPoly
 
     w = tuple(w)
@@ -421,15 +423,21 @@ def divide_exact(f, w):
     by_line = lines(f, w)
     if any(sum(c for _, c in line) for line in by_line.values()):
         raise NotDivisible(f"remainder left when dividing by 1 - e^{w}")
-    acc = {}
+    runs = []  # (base, k, k', running): g is the running sum from k up to k'
     for base, line in by_line.items():
         line.sort()
         running = 0
         for (k, c), (k_next, _) in zip(line, line[1:]):
             running += c
             if running:
-                for j in range(k, k_next):
-                    acc[tuple(a + j * b for a, b in zip(base, w))] = running
+                runs.append((base, k, k_next, running))
+    size = sum(k_next - k for _, k, k_next, _ in runs)
+    if budget is not None and size > budget:
+        raise WorkBudgetExceeded(f"a quotient of {size} terms passes the budget of {budget}")
+    acc = {}
+    for base, k, k_next, running in runs:
+        for j in range(k, k_next):
+            acc[tuple(a + j * b for a, b in zip(base, w))] = running
     return LaurentPoly.from_dict(f.rank, acc)
 
 
@@ -439,10 +447,10 @@ def packed_divide_by_lines(f, ch):
     terms of the packed f as (k, c) lists, one per line e + Z*w named by
     P(e - k*w) with k = floor(field_i / w_i), each line summed, then sorted
     and filled with its running sums.  ``ch`` is ``_Packing.character(w)``,
-    (W(w), s_i, field mask, w_i)."""
+    (W(w), s_i, field mask, w_i, extent); the extent is not read."""
     if sum(f.values()):
         return None
-    w_packed, shift, mask, wi = ch
+    w_packed, shift, mask, wi = ch[:4]
     by_line = {}
     for p, c in f.items():
         k = ((p >> shift) & mask) // wi
@@ -461,11 +469,16 @@ def packed_divide_by_lines(f, ch):
     return quotient
 
 
-def reduce_localization_greedy(s):
+def reduce_localization_greedy(s, budget=None):
     """The localization fold that cancelled the whole denominator after every
     step, and nothing before the fold: ``laurent.reduce_localization`` as it
     was before it cancelled each term on its own and then only the primitive
-    directions a new term shares with the accumulator."""
+    directions a new term shares with the accumulator.  With a ``budget``,
+    as the package's fold with no walls since it bounds its quotients: every
+    term is cancelled on its own first, the greedy pick reads the cancelled
+    denominators, and a quotient past the budget raises WorkBudgetExceeded
+    (``divide_exact``).  The fold's divisions that succeed are then these,
+    in the same order."""
     from pexpfan.errors import NotDivisible, NotPolynomial
     from pexpfan.lattice import primitive_vector
     from pexpfan.laurent import LaurentPoly
@@ -491,7 +504,7 @@ def reduce_localization_greedy(s):
         for w in sorted(den, key=lambda w: (primitive_vector(w), w)):
             while den.get(w):
                 try:
-                    num = divide_exact(num, w)
+                    num = divide_exact(num, w, budget)
                 except NotDivisible:
                     break
                 den[w] -= 1
@@ -499,6 +512,8 @@ def reduce_localization_greedy(s):
                     del den[w]
         return num
 
+    if budget is not None:
+        normalized = [(cancel(num, den), den) for num, den in normalized]
     acc_num, acc_den = normalized[0]
     acc_num = cancel(acc_num, acc_den)
     pending = list(normalized[1:])

@@ -292,6 +292,21 @@ class TestNegativesAndErrors:
             "detail": "extra_rounds must be nonnegative, got -2",
         }
 
+    def test_chi_past_the_term_budget_is_refused(self, tmp_path, capsys):
+        # on P^1 the class with values 1 and e^(2^40) has a chi of 2^40 + 1 terms
+        fan = tmp_path / "p1.json"
+        fan.write_text(json.dumps({"rank": 1, "rays": [[1], [-1]], "max_cones": [[0], [1]]}))
+        values = [{"rank": 1, "terms": [{"coeff": 1, "exp": [e]}]} for e in (0, 2 ** 40)]
+        pexp = tmp_path / "class.json"
+        pexp.write_text(json.dumps({"fan": "p1.json", "values": values}))
+        code, out = invoke(["chi", "--fan", fan, "--pexp", pexp], capsys)
+        assert code == 1
+        assert json.loads(out) == {
+            "status": "error",
+            "kind": "WorkBudgetExceeded",
+            "detail": f"a quotient of {2 ** 40 + 1} terms passes the budget of 8388608",
+        }
+
     def test_sign_is_not_an_option(self, capsys):
         # the localization sign is fixed; --epsilon is an unknown argument
         with pytest.raises(SystemExit) as exc:

@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 from functools import cache, cached_property
+from math import prod
 
 import pytest
 
@@ -612,12 +613,59 @@ class TestPairingSeries:
         # cones of P^1 are rays, which no round splits
         assert folded > 0 or name == "p1"
 
+    @pytest.mark.parametrize("name", ["p1", "p2", "p1xp1", "hirzebruch2", "p112", "cube"])
+    def test_the_compiled_plan_serves_every_class_in_either_order(self, name, complete_corpus):
+        """Each face's plan is compiled by the first pairing there and run by
+        every later one.  For the unit, a class vanishing on half the cones,
+        a Koszul point class and two random combinations, at every face and
+        through resolutions with 0-2 extra rounds, the pairings match the
+        ungrouped fold, and are the same when the classes come in reverse
+        order on a fresh resolution, whose plans the last class compiles."""
+        fan = complete_corpus[name]
+        rng = random.Random(20261020)
+        n = len(fan.maximal_cones)
+
+        def point(i):  # the Koszul factors of the facets of cone i, 0 elsewhere
+            value = prod((LaurentPoly.one(fan.rank) - E(u) for u, _ in fan.cone_objects[i].facets),
+                         start=LaurentPoly.one(fan.rank))
+            zero = LaurentPoly.zero(fan.rank)
+            return PiecewiseExponential.from_values(fan, [value if j == i else zero for j in range(n)])
+
+        combinations = [random_cartier_combination(fan, line_bundle_classes(fan), rng) for _ in range(3)]
+        half = sum((point(i) for i in range(1, n // 2 + 1)), PiecewiseExponential.constant(fan, 0))
+        classes = [PiecewiseExponential.constant(fan, 1), combinations[0] * half, point(0), *combinations[1:]]
+        assert any(v.is_zero() for v in classes[1].values) and not all(v.is_zero() for v in classes[1].values)
+        for rounds in range(3):
+            runs = []
+            for order in (classes, classes[::-1]):
+                r = resolve(fan, rng=random.Random(rounds), extra_rounds=rounds)
+                runs.append({(id(g), face): kronecker_pair(fan, g, face, resolution=r)
+                             for g in order for face in fan.faces})
+            assert runs[0] == runs[1]
+            for g in classes:
+                for face in fan.faces:
+                    assert runs[0][id(g), face] == star_sum_ungrouped(r, g, face), (rounds, face)
+
+    @pytest.mark.parametrize("qs", [(1, 2, 3), (2, 3, 5)])
+    def test_chi_of_a_twisted_unit_on_a_weighted_projective_space(self, qs):
+        """chi(e^m * unit) = e^m on P(1,q1,q2,q3) through a passed
+        resolution: the first call builds the series, the others reuse them."""
+        fan = weighted_projective_space(qs)
+        r = resolve(fan)
+        unit = PiecewiseExponential.constant(fan, 1)
+        for m in ((0, 0, 0), (1, -2, 3), (-4, 0, 7)):
+            assert chi(fan, unit.module_action(E(m)), resolution=r) == E(m)
+        assert () in r.__dict__["_series"]
+
     def test_the_cube_folds_each_coarse_cone_into_four_terms(self, cube):
         r = resolve(cube)
         face, terms, plan = ktheory._pairing_series(r, ())
         assert face == () and [a for a, _, _ in terms] == list(range(6))
         assert {(len(num.terms), len(den)) for _, num, den in terms} == {(4, 4)}
-        assert len(plan) == 24 == 2 * 12  # two fine walls across each edge of the cube
+        star = r.fine._star[()]
+        across = [wall for wall in r.fine.star_walls(()) if len({r.assignment[star[q]] for q in wall}) == 2]
+        assert len(across) == 24 == 2 * 12  # two fine walls across each edge of the cube
+        assert len(plan.steps) == 5 and plan.rest == [0]  # the six series merge along them, no fallback
 
     @pytest.mark.parametrize("qs", [(2, 3, 5), (3, 5, 7)])
     def test_the_guard_keeps_wide_series_split(self, qs):

@@ -2,6 +2,7 @@ import functools
 import itertools
 import json
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from pexpfan.errors import (
     NotPolynomial,
     RankMismatch,
     ResultCheckFailed,
+    WorkBudgetExceeded,
     ZeroCharacter,
 )
 from pexpfan.fan import resolve
@@ -50,6 +52,7 @@ def polys(rank=2, max_terms=4, coeff=6, exp=4):
 nonzero_chars = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(lambda w: any(w))
 # exponents far apart and wide characters: a carry between packed fields would show
 FAR = 2 ** 40
+FAR_BUDGET = 2 ** 16  # the term budget of the far-apart sums
 wide_chars = st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(lambda w: any(w))
 
 
@@ -441,7 +444,7 @@ def random_sums(draw, exp=2, char=3):
 def outcome(reduce, s):
     try:
         return reduce(s)
-    except NotPolynomial as exc:
+    except (NotPolynomial, WorkBudgetExceeded) as exc:
         return exc
 
 
@@ -466,8 +469,8 @@ class TestFoldAgainstGreedyOracle:
     """``reduce_localization`` tries only the shared directions after each
     merge; ``oracles.reduce_localization_greedy`` tries every factor."""
 
-    def check(self, s, reduce=reduce_localization):
-        got, want = outcome(reduce, s), outcome(reduce_localization_greedy, s)
+    def check(self, s, reduce=reduce_localization, budget=None):
+        got, want = outcome(reduce, s), outcome(lambda s: reduce_localization_greedy(s, budget), s)
         assert type(got) is type(want)
         if isinstance(want, LaurentPoly):
             assert got == want
@@ -502,16 +505,28 @@ class TestFoldAgainstGreedyOracle:
     @given(random_sums(exp=FAR, char=50))
     @settings(max_examples=150, deadline=None)
     def test_random_sums_far_apart(self, s):
-        self.check(s)
+        """Some draws have a quotient of about 2^41 terms, such as
+        (e^(2^40) - e^(-2^40)) / (1 - e^(1,)): the fold refuses exactly the
+        draws whose greedy fold, cancelling each term first as the fold does
+        with no walls, counts a quotient past the term budget from the lines
+        of its dividend, before it is built.  Both take a budget of 2^16
+        terms, so that a draw under the default budget, whose millions of
+        terms the oracle would hold as tuples, is refused too."""
+        with mock.patch.object(laurent, "TERM_BUDGET", FAR_BUDGET):
+            self.check(s, budget=FAR_BUDGET)
 
     def test_failed_divisions_of_one_chi(self, monkeypatch):
         """chi of the octahedron class on resolve(cube_fan()) (48 cones)
-        makes 210 failed divisions with the series cold: folding each coarse
+        makes 42 failed divisions with the series cold: folding each coarse
         cone's 8 fine cones into its series, then the 6 series along the
-        walls.  Once the series are cached a second chi makes 30.  One fold
-        of the 48 fine cones along the walls made 180, the greedy fold 222,
-        and trying every factor after every step 244.  The merges divide
-        through the packed kernel."""
+        walls.  Once the series are cached a second chi makes 6.  A numerator
+        whose coefficients do not sum to zero is tried against no factor, and
+        a series term's first cancellation tests f_sigma alone, a monomial
+        here: dividing f_sigma * N_sigma, whose coefficients sum to zero, made
+        210 and 30 failures, 52 and 28 of them after a pass over its lines.
+        One fold of the 48 fine cones along the walls made 180, the greedy
+        fold 222, and trying every factor after every step 244.  The merges
+        divide through the packed kernel."""
         calls = []
         divide = laurent._packed_divide
 
@@ -532,10 +547,10 @@ class TestFoldAgainstGreedyOracle:
         resolution = resolve(cube)
         value = chi(cube, octahedron, resolution=resolution)
         assert augmentation(value) == 7
-        assert calls.count(False) == 210
+        assert calls.count(False) == 42
         calls.clear()
         assert chi(cube, octahedron, resolution=resolution) == value
-        assert calls.count(False) == 30
+        assert calls.count(False) == 6
 
     def test_planless_fold_of_a_shuffled_sum_is_greedy(self, monkeypatch):
         """The octahedron class over the 48 cones of resolve(cube_fan()), its
@@ -586,7 +601,7 @@ class TestPackedKernel:
     def test_fill_agrees_with_the_line_lists(self, f, w, negative, moved):
         # lex-negative characters fill in descending order; a term moved off
         # its line keeps the coefficient sum zero but leaves two lines unbalanced
-        if negative != laurent._lex_negative(w):
+        if negative != (w < (0, 0)):
             w = tuple(-x for x in w)
         off = (1, 0) if w[1] else (0, 1)
         product = f * (ONE2 - E(w))
@@ -648,6 +663,38 @@ class TestPackedKernel:
         for outside in ((4, 0), (0, 4), (-1, 0)):
             with pytest.raises(ResultCheckFailed):
                 packing.unpack(packing.pack(E(outside).terms))
+
+
+class TestTermBudget:
+    """A quotient is bounded by |f| / 2 times the steps of w across the box
+    before it is built; past ``TERM_BUDGET`` its terms are counted from the
+    runs of its lines, and past it the division is refused."""
+
+    def test_a_quotient_of_two_to_the_41_terms_is_refused(self):
+        f = E((2 ** 40,)) - E((-2 ** 40,))
+        message = f"a quotient of {2 ** 41} terms passes the budget of {laurent.TERM_BUDGET}"
+        for divide in (lambda: divide_exact(f, (1,)), LocalizationSum.build(1, [(f, [(1,)])]).reduce):
+            with pytest.raises(WorkBudgetExceeded) as exc:
+                divide()
+            assert str(exc.value) == message
+
+    @pytest.mark.parametrize("budget", [50, 49, 2])
+    def test_the_count_decides_past_the_bound(self, monkeypatch, budget):
+        # (1 - e^50) / (1 - e^1) has 50 terms, and its bound is 2 / 2 * 50;
+        # 1 - e^1 + e^49 - e^50 has a bound of 4 / 2 * 50 but the quotient 1 + e^49
+        monkeypatch.setattr(laurent, "TERM_BUDGET", budget)
+        sizes, size = [], laurent._quotient_size
+        monkeypatch.setattr(laurent, "_quotient_size", lambda *a: sizes.append(size(*a)) or sizes[-1])
+        if budget < 50:
+            with pytest.raises(WorkBudgetExceeded):
+                divide_exact(ONE1 - E((50,)), (1,))
+            assert sizes == [50]
+        else:
+            assert len(divide_exact(ONE1 - E((50,)), (1,)).terms) == 50
+            assert sizes == []
+        sizes.clear()
+        assert divide_exact(ONE1 - E((1,)) + E((49,)) - E((50,)), (1,)) == ONE1 + E((49,))
+        assert sizes == [2]
 
 
 class TestSerialization:

@@ -33,12 +33,13 @@ boundary: in ``cli.py`` only ``_decode`` calls ``json.load`` or
 ``from_json``; an eleventh keeps every star sum on its wall plan and
 one merge loop: ``ktheory`` reduces only through ``laurent._fold``, which
 ``ktheory._pairing_series`` calls on the walls inside a group of the star
-(read from ``fine.star_walls(face)``) and ``laurent.reduce_localization``,
-which ``ktheory._star_sum`` calls on the series' plan; ``_fold`` calls
-``_merge_rounds`` once and branches on no ``plan``, nothing else calls
-``_merge_rounds``, ``reduce_localization`` is ``_fold`` and its check, and
-the greedy ``overlap`` pick is made only in the fallback of
-``_merge_rounds``, when no wall joins what is left; a twelfth keeps every simplicial cone on its one
+(read from ``fine.star_walls(face)``), and ``laurent.reduce_localization``,
+which ``ktheory._star_sum`` calls on the plan ``_pairing_series`` compiles
+once (``laurent._Plan``) on the walls between the series' terms; every path
+of ``_fold`` runs a plan, which only ``_fold`` runs, ``_merge_rounds`` is
+called once, by the plan's compiler, ``reduce_localization`` is ``_fold``
+and its check, and the greedy pick by denominator overlap is made only in
+the fallback of ``_Plan.run``, when no wall joins what is left; a twelfth keeps every simplicial cone on its one
 adjugate, in one coordinate frame per cone: ``fan.py`` imports ``adjugate``
 by name and calls it only in ``Cone._adjugate``, does not import ``prod``,
 reads ``Cone._span`` only in ``Cone._coordinates`` and ``_box_points``
@@ -55,7 +56,9 @@ the one drawn chain point, the ``least`` of a chain record, which only
 ``fan.resolve`` names, no ``resolve_rank2`` is defined, and
 ``chains.py`` imports nothing from ``fan``; a fourteenth keeps exact
 division to one line-sum pass and one fill: there is no ``_packed_lines``, only
-``laurent._line_sums_vanish`` names the lines e + Z*w, and every power
+``laurent._line_sums_vanish`` names the lines e + Z*w, but for the exact count
+``_quotient_size``, which ``_packed_divide`` makes only past the bound of its
+term budget, and every power
 ``merge`` multiplies a numerator by is positive; a fifteenth keeps one
 subdivision loop for every resolve: the messages of its checks appear only
 in ``chains.subdivide``, which only ``fan.resolve`` calls, and ``resolve``
@@ -247,48 +250,59 @@ def test_the_cli_decodes_json_in_one_place():
 
 
 def test_star_sums_merge_along_their_walls():
-    # a series folds along the walls inside its group, a pairing along the
-    # series' plan; every sum merges in the one _merge_rounds call of _fold,
-    # and the greedy pick serves only its fallback, when no wall joins what is left
+    # a series folds along the walls inside its group; the sum of a pairing's series
+    # is compiled once into a plan on the walls between its terms, and every pairing
+    # runs that plan through reduce_localization; every fold compiles a plan and runs
+    # it, the one _merge_rounds call is the compiler's, and the greedy pick serves
+    # only the run's fallback, when no wall joins what is left
     ktheory = ast.parse(next(p for p in SOURCES if p.name == "ktheory.py").read_text())
     reductions = [(where, ast.unparse(call.func), [ast.unparse(a) for a in call.args])
                   for where, call in _nodes(ktheory, ast.Call)
                   if {getattr(call.func, "id", None), getattr(call.func, "attr", None)}
-                  & {"reduce", "reduce_localization", "_fold", "_merge_rounds"}]
+                  & {"reduce", "reduce_localization", "_fold", "_merge_rounds", "_Plan", "run"}]
     assert reductions == [
         ("_pairing_series", "_fold", ["LocalizationSum.build(fine.rank, [(one, weights(q)) for q in group])",
                                       "inner"]),
-        ("_star_sum", "reduce_localization", ["LocalizationSum.build(resolution.fine.rank, sums)", "plan"]),
+        ("_pairing_series", "_Plan", ["fine.rank", "[(num, den) for _, num, den in terms]",
+                                      "[(slot[q], slot[r]) for q, r in walls if slot[q] != slot[r]]"]),
+        ("_star_sum", "reduce_localization", ["[values[a] for a, _, _ in terms]", "plan"]),
     ]
     series = next(f for _, f in _nodes(ktheory, ast.FunctionDef) if f.name == "_pairing_series")
     assert "fine.star_walls(face)" in {ast.unparse(call) for _, call in _nodes(series, ast.Call)}
     laurent = ast.parse(next(p for p in SOURCES if p.name == "laurent.py").read_text())
     functions = {f.name: f for _, f in _nodes(laurent, ast.FunctionDef)}
     fold = functions["_fold"]
-    assert not [node for _, node in _nodes(fold, ast.If)
-                if any(isinstance(n, ast.Name) and n.id == "plan" for n in ast.walk(node.test))]
-    assert [ast.unparse(call.func) for _, call in _nodes(fold, ast.Call)].count("_merge_rounds") == 1
+    returns = [ast.unparse(node.value.func) for _, node in _nodes(fold, ast.Return)]
+    assert returns == ["plan.run", "_Plan(s.rank, [(None, denom) for _, denom in s.terms], plan).run"]
     assert {where for where, call in _nodes(laurent, ast.Call)
-            if ast.unparse(call.func) == "_merge_rounds"} == {"_fold"}
+            if ast.unparse(call.func).endswith(".run")} == {"_fold"}
+    assert {where for where, call in _nodes(laurent, ast.Call)
+            if ast.unparse(call.func) == "_merge_rounds"} == {"__init__"}
+    assert [ast.unparse(call.func) for _, call in _nodes(functions["__init__"], ast.Call)].count("_merge_rounds") == 1
     assert [ast.unparse(call.func) for _, call in _nodes(functions["reduce_localization"], ast.Call)
             if ast.unparse(call.func) in ("_fold", "_merge_rounds")] == ["_fold"]
-    fallback = next(node for _, node in _nodes(functions["_merge_rounds"], ast.If)
-                    if ast.unparse(node.test) == "not merged")
-    picks = {n.lineno for n in ast.walk(laurent) if isinstance(n, ast.Name) and n.id == "overlap"}
+    fallback = next(node for _, node in _nodes(functions["run"], ast.While) if ast.unparse(node.test) == "pending")
+    picks = {n.lineno for n in ast.walk(laurent) if ast.unparse(n) == "acc[1].get"}
     assert picks and picks == {n.lineno for stmt in fallback.body for n in ast.walk(stmt)
-                               if isinstance(n, ast.Name) and n.id == "overlap"}
+                               if ast.unparse(n) == "acc[1].get"}
 
 
 def test_division_names_lines_in_one_pass_and_merges_skip_zero_powers():
     # a line e + Z*w is named by reading the field of w's first nonzero coordinate,
-    # ((p >> shift) & mask) // w_i, in the one line-sum pass; the quotient is filled
-    # with no per-line lists, and a merge raises each side only by what it lacks
+    # ((p >> shift) & mask) // w_i, in the one line-sum pass, and past the bound
+    # of the term budget in the exact count of a quotient's terms; the quotient is
+    # filled with no per-line lists, and a merge raises each side only by what it lacks
     laurent = ast.parse(next(p for p in SOURCES if p.name == "laurent.py").read_text())
     functions = {f.name: f for _, f in _nodes(laurent, ast.FunctionDef)}
     assert "_packed_lines" not in functions
     namers = {where for where, node in _nodes(laurent, ast.BinOp) if isinstance(node.op, ast.FloorDiv)
               and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.BitAnd)}
-    assert namers == {"_line_sums_vanish"}
+    assert namers == {"_line_sums_vanish", "_quotient_size"}
+    counts = [(where, call) for where, call in _nodes(laurent, ast.Call) if ast.unparse(call.func) == "_quotient_size"]
+    bound = next(node for _, node in _nodes(functions["_packed_divide"], ast.If)
+                 if ast.unparse(node.test) == "len(f) * ch[4] > 2 * TERM_BUDGET")
+    assert [where for where, _ in counts] == ["_packed_divide"]
+    assert counts[0][1] in {call for stmt in bound.body for call in ast.walk(stmt)}
     merge = functions["merge"]
 
     def koszul_calls(nodes):
