@@ -579,10 +579,13 @@ class _Plan:
     characters, each 1 - e^w then prime in Z[M]."""
 
     def __init__(self, rank: int, terms, walls):
+        # per term: f * N = sign * e^shift * f * (N shifted to its least corner),
+        # boxed by box(f) + [shift, far], and D normalized to a multiset; then the
+        # box widening, the division order and the merges, none of which reads f
         self.rank, self.terms, zero = rank, [], (0,) * rank
         lo, hi, self.order, self.reach = zero, zero, {}, 0
         for cofactor, denom in terms:
-            shift, sign, multiset, rest = zero, 1, {}, None
+            shift, sign, multiset, shifted = zero, 1, {}, None
             for w in denom:
                 if w < zero:  # 1/(1 - e^w) = -e^{-w}/(1 - e^{-w})
                     w = tuple(map(neg, w))
@@ -596,9 +599,9 @@ class _Plan:
             if cofactor is not None:
                 low, high = cofactor.exponent_box()
                 exps, coeffs = zip(*cofactor.terms)
-                rest = [tuple(map(sub, e, low)) for e in exps], coeffs
+                shifted = [tuple(map(sub, e, low)) for e in exps], coeffs
                 shift, far = tuple(map(add, shift, low)), tuple(map(add, shift, high))
-            self.terms.append((shift, far, sign, rest, multiset))
+            self.terms.append((shift, far, sign, shifted, multiset))
         self.widening = lo, hi
         self.steps, self.rest = _merge_rounds(len(self.terms), walls)
 
@@ -660,12 +663,12 @@ class _Plan:
             return cancel(num, lcm, shared), lcm
 
         parts = []
-        for f, (shift, _, sign, rest, multiset) in zip(numerators, self.terms):
+        for f, (shift, _, sign, shifted, multiset) in zip(numerators, self.terms):
             offset, den = raw(shift) - origin, dict(multiset)
             num = cancel({raw(e) + offset: sign * c for e, c in f.terms}, den)
-            if rest and num:
+            if shifted and num:
                 product: dict[int, int] = {}
-                for r, d in zip(map(raw, rest[0]), rest[1]):
+                for r, d in zip(map(raw, shifted[0]), shifted[1]):
                     for p, c in num.items():
                         product[p + r] = product.get(p + r, 0) + c * d
                 num = {q: c for q, c in product.items() if c}

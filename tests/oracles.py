@@ -473,12 +473,11 @@ def reduce_localization_greedy(s, budget=None):
     """The localization fold that cancelled the whole denominator after every
     step, and nothing before the fold: ``laurent.reduce_localization`` as it
     was before it cancelled each term on its own and then only the primitive
-    directions a new term shares with the accumulator.  With a ``budget``,
-    as the package's fold with no walls since it bounds its quotients: every
-    term is cancelled on its own first, the greedy pick reads the cancelled
-    denominators, and a quotient past the budget raises WorkBudgetExceeded
-    (``divide_exact``).  The fold's divisions that succeed are then these,
-    in the same order."""
+    directions a new term shares with the accumulator.  With a ``budget`` it
+    follows the package's fold with no walls: every term is cancelled on its
+    own first, the greedy pick reads the cancelled denominators, and a
+    quotient past the budget raises WorkBudgetExceeded (``divide_exact``).
+    The divisions that succeed are then the fold's, in the same order."""
     from pexpfan.errors import NotDivisible, NotPolynomial
     from pexpfan.lattice import primitive_vector
     from pexpfan.laurent import LaurentPoly

@@ -667,8 +667,9 @@ class TestPackedKernel:
 
 class TestTermBudget:
     """A quotient is bounded by |f| / 2 times the steps of w across the box
-    before it is built; past ``TERM_BUDGET`` its terms are counted from the
-    runs of its lines, and past it the division is refused."""
+    before it is built; past ``TERM_BUDGET`` it is bounded again by f's own
+    range and counted from the runs of its lines, and a count past the
+    budget refuses the division."""
 
     def test_a_quotient_of_two_to_the_41_terms_is_refused(self):
         f = E((2 ** 40,)) - E((-2 ** 40,))
