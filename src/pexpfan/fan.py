@@ -903,11 +903,11 @@ def _by_kind(chain, cone):
     return lambda cell, arg: chain(cell, arg) if cell[5].__class__ is tuple else cone(cell, arg)
 
 
-def _cells(fan: Fan, index, frames: dict) -> list:
-    """The maximal cones as cells in fan order: a chain record for at most
-    two rays, in N's frame in rank 2, else in its cone's, kept in
-    ``frames``; else the cone's cell."""
-    cells, rays, rank = [], fan.rays, fan.rank
+def _cells(fan: Fan, index, frames: dict) -> tuple[list, list]:
+    """The maximal cones as cells in fan order, and those of them that keep
+    their ``Cone``: a chain record for at most two rays, in N's frame in
+    rank 2, else in its cone's, kept in ``frames``; else the cone's cell."""
+    cells, cones, rays, rank = [], [], fan.rays, fan.rank
     for source, rs in enumerate(fan.maximal_cones):
         if len(rs) < 2 or len(rs) == rank == 2:
             cells.append(chain_record(rs, tuple(map(rays.__getitem__, rs)), source))
@@ -915,8 +915,10 @@ def _cells(fan: Fan, index, frames: dict) -> list:
         cell = _cell(rs, fan.cone_objects[source], index, source)
         if len(rs) == 2:
             frames[source], cell[5] = cell[5]._coordinates, cell[5].local_generators
+        else:
+            cones.append(cell)
         cells.append(cell)
-    return linked(cells)
+    return linked(cells), cones
 
 
 def resolve(
@@ -965,8 +967,7 @@ def resolve(
     if strict_int(extra_rounds, "extra_rounds") < 0:
         raise ValueError(f"extra_rounds must be nonnegative, got {extra_rounds}")
     index, frames = dict(fan._ray_index), {}
-    cells = _cells(fan, index, frames)
-    cones = [cell for cell in cells if isinstance(cell[5], Cone)]
+    cells, cones = _cells(fan, index, frames)
     least, split, pulled = drawn_chain_point, chain_split(index, frames), False
     if cones:
         ref = _Refinement(fan.rank, index, cones)

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import prod
+from operator import neg
 
 from .errors import (
     DependentBasis,
@@ -130,13 +131,22 @@ def _pairing_series(resolution: SubdivisionMap, rayset: RaySet):
     sum with unit numerators folded along the walls inside them
     (``laurent._fold``); per other fine cone, (sigma, None, its weights
     outside the face); terms in star order, and ``plan`` their sum's fold
-    compiled on the walls of the star between terms (``laurent._Plan``)."""
+    compiled on the walls of the star between terms (``laurent._Plan``).
+    Each wall goes with its normal, the direction whose factors its merge
+    tries."""
     cache = resolution.__dict__.setdefault("_series", {})
     if rayset not in cache:
         fine, coarse = resolution.fine, resolution.coarse
         face = rayset and _strict_transform_face(
             fine, Cone.from_generators(coarse.rank, [coarse.rays[i] for i in rayset]))
-        star, walls = fine._star[face], fine.star_walls(face)
+        star = fine._star[face]
+
+        def direction(q, r):  # the wall's normal: q's weight at its ray off r's cone, lex-positive
+            rays = fine.maximal_cones[star[r]]
+            w = next(w for ray, w in zip(fine._generator_rays[star[q]], tangent_weights(fine.cone_objects[star[q]]))
+                     if ray not in rays)
+            return max(w, tuple(map(neg, w)))
+        walls = [(q, r, direction(q, r)) for q, r in fine.star_walls(face)]
         owners = [resolution.assignment[i] for i in star]
         groups: dict[int, list[int]] = {}
         for p, a in enumerate(owners):
@@ -157,12 +167,12 @@ def _pairing_series(resolution: SubdivisionMap, rayset: RaySet):
                 continue
             group = groups[a]
             local = {q: k for k, q in enumerate(group)}
-            inner = [(local[q], local[r]) for q, r in walls if q in local and r in local]
+            inner = [(local[q], local[r], d) for q, r, d in walls if q in local and r in local]
             one = LaurentPoly.one(fine.rank)
             num, den = _fold(LocalizationSum.build(fine.rank, [(one, weights(q)) for q in group]), inner)
             terms.append((a, num, [w for w, m in sorted(den.items()) for _ in range(m)]))
         plan = _Plan(fine.rank, [(num, den) for _, num, den in terms],
-                     [(slot[q], slot[r]) for q, r in walls if slot[q] != slot[r]])
+                     [(slot[q], slot[r], d) for q, r, d in walls if slot[q] != slot[r]])
         cache[rayset] = face, tuple(terms), plan
     return cache[rayset]
 

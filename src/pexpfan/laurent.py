@@ -6,10 +6,13 @@ are kept in lexicographic exponent order, so equality, hashing, and
 serialization are canonical.  ``LocalizationSum`` holds intermediate sums
 n / prod(1 - e^w) produced by fixed-point localization, and ``reduce`` clears
 the denominators exactly.  Dividing by a factor (1 - e^w) works line by line:
-the quotient's coefficients are running sums along the lines e + Z*w.  One
-pass sums each line; one pass, ascending along w, sets g(e) = f(e) + g(e - w)
-and fills each run up to f's next exponent; a quotient of more than
-``TERM_BUDGET`` terms is refused (WorkBudgetExceeded) before it is built.
+the quotient's coefficients are running sums along the lines e + Z*w.  A
+dividend whose coefficients, or whose moment sum c*e, rule the factor out is
+refused at once; otherwise one pass, ascending along w, sets
+g(e) = f(e) + g(e - w) and fills each run up to f's next exponent on its
+line, and refuses f where a run meets none within the box.  A quotient of
+more than ``TERM_BUDGET`` terms is refused (WorkBudgetExceeded) before it is
+built, once the lines of its dividend are known to sum to zero.
 
 Division and localization run on packed exponents, the packed exponent
 vectors of Monagan and Pearce (CASC 2007): each call packs every exponent
@@ -22,7 +25,7 @@ checked against the box.
 
 from __future__ import annotations
 
-from operator import add, ge, itemgetter, le, lshift, neg, sub
+from operator import add, ge, itemgetter, le, lshift, mul, neg, sub
 
 from .errors import NotDivisible, NotPolynomial, RankMismatch, ResultCheckFailed, WorkBudgetExceeded, ZeroCharacter
 from .lattice import IntMatrix, Vector, mat_vec, primitive_vector, strict_int, strict_list, value_class
@@ -217,14 +220,17 @@ class _Packing:
        lowest field j where b and b' differ, P(b) - P(b') is delta_j * 2^{s_j}
        modulo 2^{s_j + bits}, with 0 < |delta_j| < 2^bits, so it is not zero.
        The name b may lie outside the box.
-    3. Quotients stay in the box.  ``_line_sums_vanish`` sums every line
-       first, so by 2 a quotient is built only when (1 - e^w) divides f;
-       then the Newton polytope of g plus the segment [0, w], which holds 0,
-       is that of f, so g lies in f's box.  In ``_packed_divide`` a nonzero
-       running sum leaves the rest of its line summing to its negative, so
-       each fill stops at a later key of f on the line; its lookup of p - W
-       reads e - w, within span + reach of the box in every field, which by
-       the argument of 2 packs like no other point.
+    3. The fill stays near the box.  ``_packed_divide`` runs from a key p
+       of f along w while the running sum is nonzero, and refuses f when
+       ``extent`` steps meet no key of f: two points of a line in the box
+       are at most ``extent`` steps apart, so such a run ends no line of f
+       that sums to zero, and the refusal is exact.  The fill looks up a
+       run's e + t*w, t <= extent + 1, among the keys of f, and e - w, e a
+       key, among the quotient's points e' + t*w, t <= extent; each pair
+       differs by at most 2 * span + reach < 2^bits in every field, so by
+       the argument of 2 a lookup finds only the point it names.  When f is
+       divisible, the Newton polytope of g plus the segment [0, w], which
+       holds 0, is that of f, so g lies in f's box.
 
     ``unpack`` still checks every coordinate against the box and raises
     ResultCheckFailed if one is outside it.
@@ -251,7 +257,8 @@ class _Packing:
         """(W(w), s_i, field mask, w_i, extent), with w_i the first nonzero
         coordinate of w and extent = span // max |w_j|, at least the steps of
         w between two points of the box: what ``_line_sums_vanish`` needs to
-        name the lines e + Z*w, and ``_packed_divide`` to bound a quotient."""
+        name the lines e + Z*w, and ``_packed_divide`` to bound a run and a
+        quotient."""
         i = next(j for j, x in enumerate(w) if x)
         return self.raw(w), self.shifts[i], self.mask, w[i], self.span // max(map(abs, w))
 
@@ -313,28 +320,37 @@ def _quotient_size(f: dict[int, int], ch, keys) -> int:
 
 def _packed_divide(f: dict[int, int], ch) -> dict[int, int] | None:
     """The packed g with f = (1 - e^w) * g (see ``divide_exact``), or None
-    when (1 - e^w) does not divide f.  Over the keys of f in the order of W,
-    g(p) = f(p) + g(p - W), repeated forward up to f's next key (fact 3).
-    A line of f holds no term or two or more, and g lies between the first
-    and the last, at most ``extent`` steps apart, so |g| <= |f| / 2 * extent;
-    past ``TERM_BUDGET`` ``_quotient_size`` decides, and WorkBudgetExceeded
-    is raised before g is built."""
-    if not _line_sums_vanish(f, ch):
+    when (1 - e^w) does not divide f, in one pass over the keys of f in the
+    order of W: g(p) = f(p) + g(p - W), repeated forward up to f's next key
+    on the line (fact 3).  A run that meets no key of f within ``extent``
+    steps leaves its line a nonzero sum, and f is refused there.  Before
+    the pass f is refused when its coefficients do not sum to zero, or when
+    W does not divide sum c * p: if f = (1 - e^w) * g, that sum is
+    -W * g(1).  A line of f that sums to zero holds no term or two or more,
+    and g lies between the first and the last, so |g| <= |f| / 2 * extent;
+    past ``TERM_BUDGET`` the lines are summed first (``_line_sums_vanish``),
+    then ``_quotient_size`` decides, and WorkBudgetExceeded is raised before
+    g is built."""
+    w_packed, extent = ch[0], ch[4]
+    if sum(f.values()) or sum(map(mul, f, f.values())) % w_packed:
         return None
-    w_packed = ch[0]
     keys = sorted(f, reverse=w_packed < 0)
-    if len(f) * ch[4] > 2 * TERM_BUDGET:
+    if len(f) * extent > 2 * TERM_BUDGET:
+        if not _line_sums_vanish(f, ch):
+            return None
         size = _quotient_size(f, ch, keys)
         if size > TERM_BUDGET:
             raise WorkBudgetExceeded(f"a quotient of {size} terms passes the budget of {TERM_BUDGET}")
     quotient: dict[int, int] = {}
-    get = quotient.get
+    get, beyond = quotient.get, (extent + 1) * w_packed
     for p in keys:
         running = f[p] + get(p - w_packed, 0)
         if running:
             quotient[p] = running
-            q = p + w_packed
+            q, stop = p + w_packed, p + beyond
             while q not in f:
+                if q == stop:
+                    return None
                 quotient[q] = running
                 q += w_packed
     return quotient
@@ -479,16 +495,20 @@ class LocalizationSum:
 
 
 def _merge_rounds(count: int, walls) -> tuple[list, list]:
-    """The merges of ``count`` fractions along ``walls``, pairs (a, b) of
-    positions, one per shared wall: (steps, rest), the merges (keep, gone)
-    of Borůvka rounds and then the regions left, largest first.  In a round
-    each region, smallest first, merges with the neighbour not yet merged
-    that shares the most walls with it, ties to the smaller region, then to
-    the lower id, a region's id being its lowest position."""
+    """The merges of ``count`` fractions along ``walls``, one per shared
+    wall, a pair (a, b) of positions or a triple (a, b, d) with d the wall's
+    direction: (steps, rest), the merges (keep, gone, joined) of Borůvka
+    rounds, ``joined`` the directions of the walls the merge joins (None for
+    a pair), and then the regions left, largest first.  In a round each
+    region, smallest first, merges with the neighbour not yet merged that
+    shares the most walls with it, ties to the smaller region, then to the
+    lower id, a region's id being its lowest position.  Two regions keep the
+    directions of the walls between them, so one pass over the walls
+    compiles what every step joins."""
     size = dict.fromkeys(range(count), 1)
-    adjacent: dict[int, dict[int, int]] = {r: {} for r in size}
-    for a, b in walls:
-        adjacent[a][b] = adjacent[b][a] = adjacent[a].get(b, 0) + 1
+    adjacent: dict[int, dict[int, list]] = {r: {} for r in size}
+    for a, b, *direction in walls:
+        adjacent[a][b] = adjacent[b][a] = adjacent[a].get(b, []) + (direction or [None])
     steps, merged = [], True
     while merged:
         merged = set()
@@ -496,22 +516,24 @@ def _merge_rounds(count: int, walls) -> tuple[list, list]:
             options = [] if r in merged else [n for n in adjacent[r] if n not in merged]
             if not options:
                 continue
-            n = max(options, key=lambda n: (adjacent[r][n], -size[n], -n))
+            n = max(options, key=lambda n: (len(adjacent[r][n]), -size[n], -n))
             keep, gone = min(r, n), max(r, n)
-            steps.append((keep, gone))
+            steps.append((keep, gone, adjacent[keep][gone]))
             size[keep] += size.pop(gone)
-            for x, k in adjacent.pop(gone).items():
+            for x, joined in adjacent.pop(gone).items():
                 del adjacent[x][gone]
                 if x != keep:
-                    adjacent[keep][x] = adjacent[x][keep] = adjacent[x].get(keep, 0) + k
+                    adjacent[keep][x] = adjacent[x][keep] = adjacent[x].get(keep, []) + joined
             merged |= {r, n}
     return steps, sorted(size, key=lambda r: (-size[r], r))
 
 
 def reduce_localization(s, plan=()) -> LaurentPoly:
     """Clear all denominators of a sum, exactly: of the LocalizationSum ``s``,
-    whose terms a and b share a wall for each pair (a, b) in ``plan``, or of
-    the terms of the ``_Plan`` ``plan`` over the numerators ``s``.
+    whose terms a and b share a wall for each pair (a, b) or triple
+    (a, b, d) in ``plan``, d the wall's direction, a primitive and
+    lexicographically positive character, or of the terms of the ``_Plan``
+    ``plan`` over the numerators ``s``.
 
     A factor 1 - e^w with w lexicographically negative is rewritten as
     (1 - e^{-w}) * (-e^w), the unit going to the numerator.  To cancel a
@@ -527,14 +549,21 @@ def reduce_localization(s, plan=()) -> LaurentPoly:
     factor left at the end raises NotPolynomial; ``_fold`` is all of this
     but that check, so a partial sum keeps what is left of its denominator.
 
-    After a merge only factors of the directions both denominators hold are
-    tried.  Z[M] is a UFD and the prime factors of 1 - e^{m*w0}, w0
+    After a merge only some factors are tried.  A merge that joins walls
+    given with their directions tries those directions alone (``ktheory``
+    gives each wall its normal); a merge that joins a bare pair, or one of
+    the fallback, tries the directions both denominators hold.  The latter
+    loses nothing: Z[M] is a UFD and the prime factors of 1 - e^{m*w0}, w0
     primitive, are the Phi_j(e^{w0}) with j | m, so factors of different
     directions are coprime.  If the direction d is in D_a but not in D_b,
     the merged numerator is A*(L/D_a) + B*(L/D_b), L the lcm; L/D_b holds
     the whole d-part of L, so a factor of direction d divides B*(L/D_b) and
     is coprime to L/D_a: it divides the sum iff it divides A, which was
-    cancelled.  Dividing by factors coprime to it keeps this so.
+    cancelled.  Dividing by factors coprime to it keeps this so.  The former
+    leaves a factor that the sum of a special class cancels away from the
+    walls joined; a fold with such a merge ends with one cancel of every
+    factor left, so the cancellation is deferred, never lost: the result is
+    the same, and a sum that is no polynomial still raises NotPolynomial.
 
     The reduction runs on packed exponents (``_Packing``) over a box of the
     normalized numerators widened, per coordinate, by the sums of min(0, w_i)
@@ -576,7 +605,9 @@ class _Plan:
     numerators (``reduce_localization``).  A term (N, D) is f * N / D, f its
     numerator and N None for 1.  Its first cancellation divides f alone:
     exact for N = 1, and else N must be cancelled against D, of primitive
-    characters, each 1 - e^w then prime in Z[M]."""
+    characters, each 1 - e^w then prime in Z[M].  Its merges are those of
+    ``_merge_rounds`` on the walls, each with the primitive directions it
+    tries, or None for every direction both denominators hold."""
 
     def __init__(self, rank: int, terms, walls):
         # per term: f * N = sign * e^shift * f * (N shifted to its least corner),
@@ -603,7 +634,10 @@ class _Plan:
                 shift, far = tuple(map(add, shift, low)), tuple(map(add, shift, high))
             self.terms.append((shift, far, sign, shifted, multiset))
         self.widening = lo, hi
-        self.steps, self.rest = _merge_rounds(len(self.terms), walls)
+        steps, self.rest = _merge_rounds(len(self.terms), walls)
+        # per merge, the directions it tries: its walls', or None (every shared one)
+        self.steps = [(keep, gone, None if None in joined else set(joined)) for keep, gone, joined in steps]
+        self.narrowed = any(directions is not None for _, _, directions in self.steps)
 
     def run(self, numerators) -> tuple[LaurentPoly, dict[Vector, int]]:
         """The cancelled fraction of the sum of the terms f * N / D."""
@@ -621,14 +655,14 @@ class _Plan:
         raw, origin, order = packing.raw, packing.origin, self.order
         chars = {w: packing.character(w) for w in order}
 
-        def cancel(num: dict[int, int], den: dict[Vector, int], shared=None) -> dict[int, int]:
-            """Divide num by the factors of den (those in the directions `shared`
-            only, when given) while they divide it; den loses what was divided."""
+        def cancel(num: dict[int, int], den: dict[Vector, int], directions=None) -> dict[int, int]:
+            """Divide num by the factors of den (those in ``directions`` only,
+            when given) while they divide it; den loses what was divided."""
             if not num:
                 den.clear()
             if sum(num.values()):  # 1 - e^w vanishes at e^w = 1, so it divides no such num
                 return num
-            tried = den if shared is None else [w for w in den if order[w][0] in shared]
+            tried = den if directions is None else [w for w in den if order[w][0] in directions]
             for w in sorted(tried, key=order.__getitem__):
                 while den.get(w):
                     quotient = _packed_divide(num, chars[w])
@@ -640,10 +674,12 @@ class _Plan:
                         del den[w]
             return num
 
-        def merge(a, b):
-            """The cancelled sum of two cancelled fractions (numerator, denominator)."""
+        def merge(a, b, directions=None):
+            """The sum of two fractions (numerator, denominator), cancelled in
+            ``directions``, by default every direction both denominators hold."""
             (num, den), (other, other_den) = a, b
-            shared = {order[w][0] for w in den} & {order[w][0] for w in other_den}
+            if directions is None:
+                directions = {order[w][0] for w in den} & {order[w][0] for w in other_den}
             lcm = dict(den)
             for w, m in other_den.items():
                 lcm[w] = max(lcm.get(w, 0), m)
@@ -660,7 +696,7 @@ class _Plan:
                     num[q] = v
                 else:
                     del num[q]
-            return cancel(num, lcm, shared), lcm
+            return cancel(num, lcm, directions), lcm
 
         parts = []
         for f, (shift, _, sign, shifted, multiset) in zip(numerators, self.terms):
@@ -673,11 +709,14 @@ class _Plan:
                         product[p + r] = product.get(p + r, 0) + c * d
                 num = {q: c for q, c in product.items() if c}
             parts.append((num, den))
-        for keep, gone in self.steps:
-            parts[keep], parts[gone] = merge(parts[keep], parts[gone]), None
+        for keep, gone, directions in self.steps:
+            parts[keep], parts[gone] = merge(parts[keep], parts[gone], directions), None
         acc, pending = parts[self.rest[0]], self.rest[1:]
         while pending:  # no wall joins what is left: the greedy fallback
             r = max(pending, key=lambda r: (sum(min(m, acc[1].get(w, 0)) for w, m in parts[r][1].items()), -r))
             pending.remove(r)
             acc = merge(acc, parts[r])
-        return packing.unpack(acc[0]), acc[1]
+        num, den = acc
+        if self.narrowed:  # what a narrowed merge deferred
+            num = cancel(num, den)
+        return packing.unpack(num), den

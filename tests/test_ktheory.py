@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 import time
@@ -15,6 +16,7 @@ from pexpfan.errors import (
     NotFullDimensional,
     NotInSpan,
     NotIntegral,
+    NotPolynomial,
     NotSmooth,
     PExpFanError,
     ResolutionCheckFailed,
@@ -777,6 +779,68 @@ class TestWallMerge:
         g = PiecewiseExponential.from_values(shuffled, [f.values[i] for i in order])
         assert chi(shuffled, g) == value
         assert kronecker_pair(shuffled, g, (ray,)) == pairing
+
+    @pytest.mark.parametrize("name", [*WALL_MERGE_FANS, "p1235"])
+    def test_directed_walls_fold_as_bare_pairs(self, name, monkeypatch):
+        """Every series and every plan a pairing compiles carries each wall's
+        direction, so a merge tries only the directions of the walls it
+        joins and the fold cancels what is left at its end.  Each gives the
+        fraction, numerator and denominator, of the same fold on the bare
+        pairs, whose merges try every direction both denominators hold: for
+        seeded line-bundle combinations, and for random sparse values, which
+        are no class and leave a denominator.  At every face, through
+        resolutions with 0 and 1 extra rounds."""
+        fan = weighted_projective_space((2, 3, 5)) if name == "p1235" else WALL_MERGE_FANS[name]()
+        rng = random.Random(20261020)
+        pool = [LaurentPoly.zero(fan.rank), *(E(u, c) for u in itertools.product((-1, 0, 1), repeat=fan.rank)
+                                              for c in (-1, 1))]
+        folds, plans, fold, plan = [], [], ktheory._fold, ktheory._Plan
+        monkeypatch.setattr(ktheory, "_fold", lambda s, walls: folds.append((s, walls)) or fold(s, walls))
+        monkeypatch.setattr(ktheory, "_Plan", lambda *a: plans.append(a) or plan(*a))
+        narrowed = 0
+        for rounds in range(2):
+            r = resolve(fan, rng=random.Random(rounds), extra_rounds=rounds)
+            for face in fan.faces:
+                folds.clear(), plans.clear()
+                _, terms, compiled = ktheory._pairing_series(r, face)
+                for s, walls in folds:
+                    assert all(len(wall) == 3 for wall in walls)
+                    assert fold(s, walls) == fold(s, [wall[:2] for wall in walls])
+                (rank, plan_terms, walls), = plans
+                bare = plan(rank, plan_terms, [wall[:2] for wall in walls])
+                classes = [random_cartier_combination(fan, line_bundle_classes(fan), rng).values for _ in range(2)]
+                noise = [[rng.choice(pool) + rng.choice(pool) for _ in fan.maximal_cones] for _ in range(8)]
+                for values in (*classes, *noise):
+                    numerators = [values[a] for a, _, _ in terms]
+                    assert compiled.run(numerators) == bare.run(numerators), (rounds, face)
+                narrowed += compiled.narrowed
+        assert narrowed or name == "p1"
+
+    def test_a_cancellation_no_joined_wall_allows_is_made_at_the_end(self):
+        """On P^1 x P^1, cones 0, 1 and cones 2, 3 merge along their walls of
+        direction (1, 0), then the two halves along those of direction
+        (0, 1).  With the values 1, -e^(1,1), 0 and 1 + e^(-1,-1), which are
+        no class, the last sum is divisible by 1 - e^(1,0) too, which that
+        merge does not try: the fold's final cancel divides it, so the sum
+        is refused for 1 - e^(0,1) alone, as the greedy fold refuses it."""
+        fan = catalog.p1_times_p1()
+        r = resolve(fan)
+        _, terms, plan = ktheory._pairing_series(r, ())
+        assert [(keep, gone) for keep, gone, _ in plan.steps] == [(0, 1), (2, 3), (0, 2)]
+        assert [directions for _, _, directions in plan.steps] == [{(1, 0)}, {(1, 0)}, {(0, 1)}]
+        one = LaurentPoly.one(2)
+        values = [one, -E((1, 1)), LaurentPoly.zero(2), one + E((-1, -1))]
+        numerators = [values[a] for a, _, _ in terms]
+        unfinished = copy.copy(plan)
+        unfinished.narrowed = False  # the same merges, with no final cancel
+        assert unfinished.run(numerators)[1] == {(0, 1): 1, (1, 0): 1}
+        assert plan.run(numerators)[1] == {(0, 1): 1}
+        message = r"^localization sum is not polynomial: factor 1 - e\^\(0, 1\) does not divide$"
+        with pytest.raises(NotPolynomial, match=message):
+            ktheory._star_sum(r, values, ())
+        with pytest.raises(NotPolynomial, match=message):
+            reduce_localization_greedy(LocalizationSum.build(2, [
+                (v, tangent_weights(c)) for v, c in zip(values, fan.cone_objects)]))
 
     @pytest.mark.parametrize("seed", [None, 3, 7])
     def test_the_rank3_fan_of_multiplicities_17_to_80(self, seed):

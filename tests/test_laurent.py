@@ -517,16 +517,18 @@ class TestFoldAgainstGreedyOracle:
 
     def test_failed_divisions_of_one_chi(self, monkeypatch):
         """chi of the octahedron class on resolve(cube_fan()) (48 cones)
-        makes 42 failed divisions with the series cold: folding each coarse
+        makes 24 failed divisions with the series cold: folding each coarse
         cone's 8 fine cones into its series, then the 6 series along the
-        walls.  Once the series are cached a second chi makes 6.  A numerator
+        walls.  Once the series are cached a second chi makes none: each
+        merge tries only the directions of the walls it joins, where trying
+        every direction both denominators hold made 42 and 6.  A numerator
         whose coefficients do not sum to zero is tried against no factor, and
         a series term's first cancellation tests f_sigma alone, a monomial
         here: dividing f_sigma * N_sigma, whose coefficients sum to zero, made
         210 and 30 failures, 52 and 28 of them after a pass over its lines.
         One fold of the 48 fine cones along the walls made 180, the greedy
         fold 222, and trying every factor after every step 244.  The merges
-        divide through the packed kernel."""
+        divide through the packed kernel, 51 and 9 times with success."""
         calls = []
         divide = laurent._packed_divide
 
@@ -547,10 +549,10 @@ class TestFoldAgainstGreedyOracle:
         resolution = resolve(cube)
         value = chi(cube, octahedron, resolution=resolution)
         assert augmentation(value) == 7
-        assert calls.count(False) == 42
+        assert (calls.count(False), calls.count(True)) == (24, 51)
         calls.clear()
         assert chi(cube, octahedron, resolution=resolution) == value
-        assert calls.count(False) == 6
+        assert (calls.count(False), calls.count(True)) == (0, 9)
 
     def test_planless_fold_of_a_shuffled_sum_is_greedy(self, monkeypatch):
         """The octahedron class over the 48 cones of resolve(cube_fan()), its
@@ -616,6 +618,32 @@ class TestPackedKernel:
             want = oracles.packed_divide_by_lines(packed, ch)
             assert laurent._packed_divide(packed, ch) == want
             assert koszul_divides(num, w) == (want is not None)
+
+    @given(st.integers(2, 3), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_an_unbalanced_line_ending_at_the_far_corner(self, rank, data):
+        """g * (1 - e^w) plus c * e^x * (1 - e^d1) * (1 - e^d2): x is the
+        corner of the box furthest along w, and d1, d2 unit steps into the
+        box, so x ends its line and the coefficients and their moments sum
+        to 0.  Both quick refusals pass it, and (1 - e^w) divides it only
+        for w = +-d1 or +-d2; otherwise the fill refuses it at a run that
+        meets no key of f, its lookups up to span + reach (the largest
+        |w_j|) outside the box."""
+        g = data.draw(polys(rank=rank, exp=6))
+        w = data.draw(st.tuples(*[st.integers(-7, 7)] * rank).filter(any))
+        c = data.draw(st.integers(-3, 3).filter(bool))
+        a, b = data.draw(st.tuples(*[st.integers(0, rank - 1)] * 2))
+        one = LaurentPoly.one(rank)
+        base = g * (one - E(w))
+        lo, hi = base.exponent_box() if base else ((0,) * rank, (0,) * rank)
+        x = tuple(l if wj < 0 else h for l, h, wj in zip(lo, hi, w))
+        d1, d2 = (tuple((1 if w[j] < 0 else -1) * (j == i) for j in range(rank)) for i in (a, b))
+        f = base + E(x, c) * (one - E(d1)) * (one - E(d2))
+        _, packed, ch = laurent._packed_for_division(f, w)
+        want = oracles.packed_divide_by_lines(packed, ch)
+        assert laurent._packed_divide(packed, ch) == want
+        assert koszul_divides(f, w) == (want is not None)
+        assert (want is None) == ({w, tuple(-v for v in w)}.isdisjoint({d1, d2}))
 
     def test_merges_multiply_by_no_zero_power(self, monkeypatch):
         # the lcm of two denominators raises each side only by the factors it lacks
@@ -696,6 +724,38 @@ class TestTermBudget:
         sizes.clear()
         assert divide_exact(ONE1 - E((1,)) + E((49,)) - E((50,)), (1,)) == ONE1 + E((49,))
         assert sizes == [2]
+
+
+    # under a budget of 1,000 terms: (f, w, error of divide_exact, error of the fold)
+    FAR_CASES = [
+        # far-apart divisible pairs, whose quotients of 5,000, 3,000 and 4,000 terms are refused
+        (E((0,)) - E((5000,)), (1,), WorkBudgetExceeded, WorkBudgetExceeded),
+        (E((0, 0)) - E((6000, -9000)), (2, -3), WorkBudgetExceeded, WorkBudgetExceeded),
+        (E((1, 2, 3)) - E((-3999, 2, 4003)), (-1, 0, 1), WorkBudgetExceeded, WorkBudgetExceeded),
+        # past the bound but not divisible, though the coefficients sum to 0 and their
+        # moment is a multiple of w: the line of e^0 alone would count 2,000 or 3,000
+        (E((0,)) + 2 * E((1,)) - E((2,)) - E((6000,)) - E((6003,)), (3,), NotDivisible, NotPolynomial),
+        (E((0, 0)) - E((6000, -9000)) + 2 * E((1, 0)) - E((1, 1)) - E((1, -1)), (2, -3), NotDivisible,
+         NotPolynomial),
+    ]
+
+    @pytest.mark.parametrize("f, w, error, fold_error", FAR_CASES)
+    def test_far_apart_dividends(self, monkeypatch, f, w, error, fold_error):
+        """A divisible dividend whose quotient passes the budget raises
+        WorkBudgetExceeded; one that is not divisible answers NotDivisible,
+        or NotPolynomial through the fold, before any count is made."""
+        monkeypatch.setattr(laurent, "TERM_BUDGET", 1000)
+        sizes, size = [], laurent._quotient_size
+        monkeypatch.setattr(laurent, "_quotient_size", lambda *a: sizes.append(size(*a)) or sizes[-1])
+        _, packed, ch = laurent._packed_for_division(f, w)
+        assert sum(packed.values()) == 0 and sum(p * c for p, c in packed.items()) % ch[0] == 0
+        assert len(packed) * ch[4] > 2 * laurent.TERM_BUDGET
+        assert size(packed, ch, sorted(packed, reverse=ch[0] < 0)) > 1000
+        for divide, raised in ((lambda: divide_exact(f, w), error),
+                               (LocalizationSum.build(f.rank, [(f, [w])]).reduce, fold_error)):
+            with pytest.raises(raised):
+                divide()
+        assert all(size > 1000 for size in sizes) and len(sizes) == 2 * (error is WorkBudgetExceeded)
 
 
 class TestSerialization:

@@ -33,13 +33,15 @@ boundary: in ``cli.py`` only ``_decode`` calls ``json.load`` or
 ``from_json``; an eleventh keeps every star sum on its wall plan and
 one merge loop: ``ktheory`` reduces only through ``laurent._fold``, which
 ``ktheory._pairing_series`` calls on the walls inside a group of the star
-(read from ``fine.star_walls(face)``), and ``laurent.reduce_localization``,
-which ``ktheory._star_sum`` calls on the plan ``_pairing_series`` compiles
-once (``laurent._Plan``) on the walls between the series' terms; every path
-of ``_fold`` runs a plan, which only ``_fold`` runs, ``_merge_rounds`` is
-called once, by the plan's compiler, ``reduce_localization`` is ``_fold``
-and its check, and the greedy pick by denominator overlap is made only in
-the fallback of ``_Plan.run``, when no wall joins what is left; a twelfth keeps every simplicial cone on its one
+(read from ``fine.star_walls(face)``, each wall with its direction), and
+``laurent.reduce_localization``, which ``ktheory._star_sum`` calls on the
+plan ``_pairing_series`` compiles once (``laurent._Plan``) on the walls
+between the series' terms; every path of ``_fold`` runs a plan, which only
+``_fold`` runs, ``_merge_rounds`` is called once, by the plan's compiler,
+``reduce_localization`` is ``_fold`` and its check, a run whose merges were
+narrowed to their walls' directions cancels what is left once at its end,
+and the greedy pick by denominator overlap is made only in the fallback of
+``_Plan.run``, when no wall joins what is left; a twelfth keeps every simplicial cone on its one
 adjugate, in one coordinate frame per cone: ``fan.py`` imports ``adjugate``
 by name and calls it only in ``Cone._adjugate``, does not import ``prod``,
 reads ``Cone._span`` only in ``Cone._coordinates`` and ``_box_points``
@@ -55,10 +57,10 @@ once, in ``chains.py``, and called only from ``chains.drawn_chain_point``,
 the one drawn chain point, the ``least`` of a chain record, which only
 ``fan.resolve`` names, no ``resolve_rank2`` is defined, and
 ``chains.py`` imports nothing from ``fan``; a fourteenth keeps exact
-division to one line-sum pass and one fill: there is no ``_packed_lines``, only
+division to one fill: there is no ``_packed_lines``, only
 ``laurent._line_sums_vanish`` names the lines e + Z*w, but for the exact count
-``_quotient_size``, which ``_packed_divide`` makes only past the bound of its
-term budget, and every power
+``_quotient_size``; ``_packed_divide`` sums the lines and then counts only
+past the bound of its term budget, ``koszul_divides`` sums them, and every power
 ``merge`` multiplies a numerator by is positive; a fifteenth keeps one
 subdivision loop for every resolve: the messages of its checks appear only
 in ``chains.subdivide``, which only ``fan.resolve`` calls, and ``resolve``
@@ -252,9 +254,12 @@ def test_the_cli_decodes_json_in_one_place():
 def test_star_sums_merge_along_their_walls():
     # a series folds along the walls inside its group; the sum of a pairing's series
     # is compiled once into a plan on the walls between its terms, and every pairing
-    # runs that plan through reduce_localization; every fold compiles a plan and runs
-    # it, the one _merge_rounds call is the compiler's, and the greedy pick serves
-    # only the run's fallback, when no wall joins what is left
+    # runs that plan through reduce_localization; every wall of the star carries its
+    # direction, so a merge tries only the directions of the walls it joins, compiled
+    # by the one _merge_rounds call, the compiler's, and a fold whose merges were so
+    # narrowed cancels what is left once at its end; every fold compiles a plan and
+    # runs it, and the greedy pick serves only the run's fallback, when no wall joins
+    # what is left
     ktheory = ast.parse(next(p for p in SOURCES if p.name == "ktheory.py").read_text())
     reductions = [(where, ast.unparse(call.func), [ast.unparse(a) for a in call.args])
                   for where, call in _nodes(ktheory, ast.Call)
@@ -264,12 +269,18 @@ def test_star_sums_merge_along_their_walls():
         ("_pairing_series", "_fold", ["LocalizationSum.build(fine.rank, [(one, weights(q)) for q in group])",
                                       "inner"]),
         ("_pairing_series", "_Plan", ["fine.rank", "[(num, den) for _, num, den in terms]",
-                                      "[(slot[q], slot[r]) for q, r in walls if slot[q] != slot[r]]"]),
+                                      "[(slot[q], slot[r], d) for q, r, d in walls if slot[q] != slot[r]]"]),
         ("_star_sum", "reduce_localization", ["[values[a] for a, _, _ in terms]", "plan"]),
     ]
     series = next(f for _, f in _nodes(ktheory, ast.FunctionDef) if f.name == "_pairing_series")
     assert "fine.star_walls(face)" in {ast.unparse(call) for _, call in _nodes(series, ast.Call)}
+    assignments = {ast.unparse(node.targets[0]): ast.unparse(node.value) for _, node in _nodes(series, ast.Assign)}
+    assert assignments["walls"] == "[(q, r, direction(q, r)) for q, r in fine.star_walls(face)]"
+    assert assignments["inner"] == "[(local[q], local[r], d) for q, r, d in walls if q in local and r in local]"
     laurent = ast.parse(next(p for p in SOURCES if p.name == "laurent.py").read_text())
+    run = next(f for _, f in _nodes(laurent, ast.FunctionDef) if f.name == "run")
+    finals = [node for _, node in _nodes(run, ast.If) if ast.unparse(node.test) == "self.narrowed"]
+    assert [ast.unparse(stmt) for node in finals for stmt in node.body] == ["num = cancel(num, den)"]
     functions = {f.name: f for _, f in _nodes(laurent, ast.FunctionDef)}
     fold = functions["_fold"]
     returns = [ast.unparse(node.value.func) for _, node in _nodes(fold, ast.Return)]
@@ -290,8 +301,10 @@ def test_star_sums_merge_along_their_walls():
 def test_division_names_lines_in_one_pass_and_merges_skip_zero_powers():
     # a line e + Z*w is named by reading the field of w's first nonzero coordinate,
     # ((p >> shift) & mask) // w_i, in the one line-sum pass, and past the bound
-    # of the term budget in the exact count of a quotient's terms; the quotient is
-    # filled with no per-line lists, and a merge raises each side only by what it lacks
+    # of the term budget in the exact count of a quotient's terms; a division sums
+    # its lines only past that bound, before the count, so that NotDivisible comes
+    # before WorkBudgetExceeded, and otherwise fills its quotient in one pass with
+    # no per-line lists; a merge raises each side only by what it lacks
     laurent = ast.parse(next(p for p in SOURCES if p.name == "laurent.py").read_text())
     functions = {f.name: f for _, f in _nodes(laurent, ast.FunctionDef)}
     assert "_packed_lines" not in functions
@@ -299,10 +312,14 @@ def test_division_names_lines_in_one_pass_and_merges_skip_zero_powers():
               and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.BitAnd)}
     assert namers == {"_line_sums_vanish", "_quotient_size"}
     counts = [(where, call) for where, call in _nodes(laurent, ast.Call) if ast.unparse(call.func) == "_quotient_size"]
+    sums = [(where, call) for where, call in _nodes(laurent, ast.Call) if ast.unparse(call.func) == "_line_sums_vanish"]
     bound = next(node for _, node in _nodes(functions["_packed_divide"], ast.If)
-                 if ast.unparse(node.test) == "len(f) * ch[4] > 2 * TERM_BUDGET")
+                 if ast.unparse(node.test) == "len(f) * extent > 2 * TERM_BUDGET")
     assert [where for where, _ in counts] == ["_packed_divide"]
-    assert counts[0][1] in {call for stmt in bound.body for call in ast.walk(stmt)}
+    assert sorted(where for where, _ in sums) == ["_packed_divide", "koszul_divides"]
+    guarded = [call for stmt in bound.body for call in ast.walk(stmt) if isinstance(call, ast.Call)]
+    assert [ast.unparse(call.func) for call in guarded if call in {c for _, c in counts + sums}] == [
+        "_line_sums_vanish", "_quotient_size"]
     merge = functions["merge"]
 
     def koszul_calls(nodes):
