@@ -725,7 +725,6 @@ class TestTermBudget:
         assert divide_exact(ONE1 - E((1,)) + E((49,)) - E((50,)), (1,)) == ONE1 + E((49,))
         assert sizes == [2]
 
-
     # under a budget of 1,000 terms: (f, w, error of divide_exact, error of the fold)
     FAR_CASES = [
         # far-apart divisible pairs, whose quotients of 5,000, 3,000 and 4,000 terms are refused
@@ -755,7 +754,7 @@ class TestTermBudget:
                                (LocalizationSum.build(f.rank, [(f, [w])]).reduce, fold_error)):
             with pytest.raises(raised):
                 divide()
-        assert all(size > 1000 for size in sizes) and len(sizes) == 2 * (error is WorkBudgetExceeded)
+        assert all(n > 1000 for n in sizes) and len(sizes) == 2 * (error is WorkBudgetExceeded)
 
 
 class TestSerialization:
