@@ -13,7 +13,11 @@ the frame of N; each of these counts covers building the fan and resolving
 it.  ``chi_octahedron_cold`` and ``chi_octahedron_warm`` count one ``chi`` of
 the octahedron class (the line bundle e^(-s e_a) on the cone over the cube
 face x_a = s) through ``resolve(cube_fan())``, built outside the count: the
-first builds the resolution's series, the second finds them cached.  It
+first builds the resolution's series, the second finds them cached.
+``rank4_1_1_1_13`` resolves the rank-4 cone <e1, e2, e3, (1,1,1,13)> and
+``rank4_dim3_1_2_5`` the 3-dimensional cone <(1,0,0,0), (0,1,0,0),
+(1,2,5,0)> in rank 4, whose cells are split in its Smith form's frame;
+these two also count building the fan.  It
 counts the opcode events under ``sys.settrace`` with ``f_trace_opcodes`` set
 on every frame, so it is exact and repeats from run to run, unlike a wall-clock time.  Time
 spent in C code is not counted: builtins such as ``sorted``, ``map`` or
@@ -81,6 +85,10 @@ CASES = [
     ("rank3_dim2_1_29", lambda: lambda: resolve(Fan.build(3, [(1, 0, 0), (1, 29, 0), (0, 0, 1)], [(0, 1), (2,)]))),
     ("chi_octahedron_cold", lambda: octahedron_chi(False)),
     ("chi_octahedron_warm", lambda: octahedron_chi(True)),
+    ("rank4_1_1_1_13", lambda: lambda: resolve(Fan.build(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 13)],
+                                                          [(0, 1, 2, 3)]))),
+    ("rank4_dim3_1_2_5", lambda: lambda: resolve(Fan.build(4, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 2, 5, 0)],
+                                                            [(0, 1, 2)]))),
 ]
 
 ap = argparse.ArgumentParser(description="Bytecodes executed by resolve on fixed cases.")

@@ -3,12 +3,14 @@ split along Hirzebruch-Jung chains (Fulton, Introduction to Toric
 Varieties, 2.6).
 
 ``resolve`` keeps its maximal cones as cells, lists [ray set, generators,
-generator rays, multiplicity, source, cone, next]: the sorted ray indices,
-the sorted generators and the ray index of each, the multiplicity (0 if not
-simplicial), the coarse maximal cone holding the cell, and the next cell in
-fan order.  Slot 5 of a chain record, a cell of at most two rays, holds its
-local 2-vectors, in its coarse cone's frame; any other cell's holds its
-``Cone``.  A step replaces each cell holding its ray by its pieces in its
+generator rays, multiplicity, source, slot 5, next]: the sorted ray
+indices, the sorted generators and the ray index of each, the multiplicity
+(0 if not simplicial), the coarse maximal cone holding the cell, and the next
+cell in fan order.  Slot 5 of a chain record, a cell of at most two rays,
+holds the tuple of its local 2-vectors, in its coarse cone's frame.  Any
+other cell is a record once simplicial, whose slot 5 holds the list of rows
+of its scaled inverse S = mult * G^-1 in that frame, and until then holds
+its ``Cone``.  A step replaces each cell holding its ray by its pieces in its
 place: the first piece takes the cell over and the others follow it.
 ``subdivide`` is the one loop, with its picks, draws and checks.  This
 module imports nothing from ``fan``.

@@ -13,14 +13,16 @@ facets from the vertex enumeration ``extreme_rays_of_region``.
 Simplicial cones are handled in any rank; non-simplicial cones are limited to
 ambient rank <= 4.  All geometry is exact.  ``resolve`` keeps a fan's
 maximal cones as cells linked in fan order, a chain record (``chains``) for
-each cone of at most two rays and a cell with its ``Cone`` for any other,
-and runs the one subdivision loop of ``chains`` on them.
+each cone of at most two rays and a cell with its ``Cone`` for any other
+until every cell is simplicial, then an integer record of its scaled
+inverse, and runs the one subdivision loop of ``chains`` on them.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import cached_property
+from operator import mul
 
 from .chains import chain_record, chain_split, drawn_chain_point, fan_order, linked, subdivide
 from .errors import (
@@ -123,8 +125,8 @@ class Cone:
 
     Generators are primitive, lie on the extreme rays, and are sorted, so two
     equal cones compare equal: ``from_generators`` makes them so, and a
-    resolve piece is so already (``_framed``).  ``rank`` is the ambient
-    lattice rank.  Each cone reads its dimension, local generators, facets
+    resolve piece or fine cone is so already (``_framed``).  ``rank`` is the
+    ambient lattice rank.  Each cone reads its dimension, local generators, facets
     and smallest faces in one coordinate frame (``_coordinates``), and a
     simplicial one its multiplicity and scaled inverse off one adjugate of
     its local generators in it.
@@ -184,7 +186,9 @@ class Cone:
     def _adjugate(self) -> tuple[int, IntMatrix]:
         """(det, adj) of the local generators as the columns of G: of the
         generators themselves when there are rank of them, simplicial cones
-        only otherwise."""
+        only otherwise.  A fine cone of ``resolve`` is handed (mult, S) from
+        its record (``_framed``), the pair times sign(det), to which its
+        readers ``multiplicity`` and ``_scaled_inverse`` are blind."""
         g = self.generators if len(self.generators) == self.rank else self.local_generators
         return adjugate(transpose(g))
 
@@ -685,23 +689,45 @@ def _cell(rs: RaySet, cone: Cone, ray_index: dict[Vector, int], source: int) -> 
     return [rs, cone.generators, tuple(map(ray_index.__getitem__, cone.generators)), mult, source, cone, None]
 
 
-def _framed(rank, generators, frame) -> Cone:
-    """The cone on ``generators`` spanning the space whose frame is ``frame``."""
+def _framed(rank, generators, frame, inverse=None) -> Cone:
+    """The cone on ``generators`` spanning the space whose frame is ``frame``,
+    and, from a record, its ``inverse`` (mult, S) as its ``_adjugate``."""
     cone = Cone(rank, generators)
     cone.__dict__["_coordinates"] = frame
+    if inverse is not None:
+        cone.__dict__["_adjugate"] = inverse
     return cone
 
 
+def _piece(cell: list, x: Vector, rs: RaySet, n: int, j: int, c: list) -> list:
+    """The record that replaces generator j of the record ``cell`` by x, of
+    ray index n, where x = G c / mult: its multiplicity is c_j, and its
+    S' = c_j G'^-1 keeps row j of S and takes (c_j S_i - c_i S_j) / mult, an
+    exact division, for each other row i, all reordered with its sorted
+    generators."""
+    _, gens, ids, mult, source, rows, _ = cell
+    cj, sj = c[j], rows[j]
+    new = [row if i == j else tuple([(cj * a - ci * b) // mult for a, b in zip(row, sj)])
+           for i, (row, ci) in enumerate(zip(rows, c))]
+    # only x is out of place, and the generators are distinct, so the sort reads no id or row
+    gens, ids, new = zip(*sorted(zip((*gens[:j], x, *gens[j + 1:]), (*ids[:j], n, *ids[j + 1:]), new)))
+    return [rs, gens, ids, cj, source, list(new), None]
+
+
 class _Refinement:
-    """Cells with their ``Cone`` under stellar steps, changed in place.
+    """Cells under stellar steps, changed in place.  A cell is either a
+    record, simplicial, whose slot 5 holds the list of rows of its scaled
+    inverse S = mult * G^-1 in its coarse cone's frame (``frames``, by
+    source), or a cell with its ``Cone``, as every cell is in
+    ``stellar_subdivision`` and in ``resolve`` until ``record``.
     ``incidence`` maps each ray index to the cells whose ray sets contain
     it, keyed by ``id``.  A step adds its ray to ``ray_index`` if it is new,
     and replaces only the cells that hold it, each by its pieces in its
-    place; every other cell keeps its cone and what it cached.
+    place; every other cell keeps its slot 5 and what it cached.
     """
 
     def __init__(self, rank: int, ray_index: dict, cells: list):
-        self.rank, self.ray_index = rank, ray_index
+        self.rank, self.ray_index, self.frames = rank, ray_index, {}
         self.incidence: dict[int, dict[int, list]] = {}
         self._enter(cells)
 
@@ -750,34 +776,64 @@ class _Refinement:
             nonsimplicial = {key: cell for key, cell in nonsimplicial.items() if not cell[3]}
         return pulled
 
+    def record(self):
+        """Make every cell, simplicial once pulled, a record: its cone's
+        scaled inverse, in its frame, which all cells of a source share."""
+        frames = self.frames
+        for cells in self.incidence.values():
+            for cell in cells.values():
+                cone = cell[5]
+                if cone.__class__ is Cone:
+                    frames[cell[4]], cell[5] = cone._coordinates, list(cone._scaled_inverse)
+
+    def _coefficients(self, cell: list, x: Vector) -> list[int] | None:
+        """c = S y for the local coordinates y of x in a record's frame, so
+        that x = G c / mult; None when x is off its span."""
+        frame = self.frames[cell[4]]
+        if frame:
+            projection, annihilator = frame
+            if any(pair(a, x) for a in annihilator):
+                return None
+            x = [sum(map(mul, p, x)) for p in projection]
+        return [sum(map(mul, row, x)) for row in cell[5]]
+
     def split(self, cell: list, ray: Vector) -> list[tuple[int, list[list]]] | None:
-        """``step`` at ``ray``, a point of the cell's cone: the cells holding
-        it are the star of the smallest face of the cone holding it."""
-        face = cell[5]._smallest_face(ray)
-        if face is None:
+        """``step`` at ``ray``, a point of a record's cone: the cells holding
+        it are the star of the smallest face of the cone holding it, the
+        generators j with c_j > 0."""
+        c = self._coefficients(cell, ray)
+        if c is None or min(c) < 0:
             raise ResolutionCheckFailed(f"{ray} does not lie in the cone it subdivides")
-        return self.step(ray, self.star(tuple(sorted(map(cell[2].__getitem__, face)))))
+        ids = cell[2]
+        return self.step(ray, self.star(tuple(sorted([ids[j] for j, cj in enumerate(c) if cj]))))
 
     def step(self, ray: Vector, holding) -> list[tuple[int, list[list]]] | None:
         """Replace each cell of ``holding``, the cells that hold the ray, by
-        the joins of the ray with its facets that miss it, in its place.
-        Returns (multiplicity of the cell, its pieces) per replaced cell, the
-        first piece being the cell itself, taken over; or None when no cell
-        changes."""
+        the joins of the ray with its facets that miss it, in its place, in
+        the order of their contacts.  The facet of a record that misses
+        generator j misses the ray when c_j > 0, and contact order is j
+        descending.  Returns (multiplicity of the cell, its pieces) per
+        replaced cell, the first piece being the cell itself, taken over; or
+        None when no cell changes."""
         new_idx = self.ray_index.get(ray, len(self.ray_index))
         seen: set[RaySet] = set()
         pieces = []
         for cell in holding:
+            ids = cell[2]
+            if cell[5].__class__ is Cone:
+                # the ray lies in the cone, so it lies on a facet iff it pairs to 0 with it
+                found = [({ids[t] for t in contact} | {new_idx}, contact) for normal, contact in cell[5].facets
+                         if pair(normal, ray)]
+            else:
+                c = self._coefficients(cell, ray)
+                found = [((*ids[:j], new_idx, *ids[j + 1:]), (j, c)) for j in range(len(c) - 1, -1, -1) if c[j]]
             out = []
-            for normal, contact in cell[5].facets:
-                # the ray lies in the cone, so it lies on this facet iff it pairs to 0
-                if pair(normal, ray) == 0:
-                    continue
-                piece = tuple(sorted({cell[2][t] for t in contact} | {new_idx}))
+            for rays, how in found:
+                piece = tuple(sorted(rays))
                 if piece in seen:
                     raise ResolutionCheckFailed(f"ambiguous subdivision piece {piece}")
                 seen.add(piece)
-                out.append((piece, contact))
+                out.append((piece, how))
             pieces.append(out)
         if new_idx < len(self.ray_index) and all(
                 len(out) == 1 and out[0][0] == cell[0] for cell, out in zip(holding, pieces)):
@@ -787,11 +843,14 @@ class _Refinement:
         for cell, out in zip(holding, pieces):
             for r in cell[0]:
                 del self.incidence[r][id(cell)]
-            # a pyramid over a facet with the ray as apex: its sorted rays are
-            # its primitive extreme rays, and it spans its cell's space
-            cells = [_cell(piece, _framed(self.rank, tuple(sorted([ray, *map(cell[1].__getitem__, contact)])),
-                                          cell[5]._coordinates), self.ray_index, cell[4])
-                     for piece, contact in out]
+            if cell[5].__class__ is Cone:
+                # a pyramid over a facet with the ray as apex: its sorted rays are
+                # its primitive extreme rays, and it spans its cell's space
+                cells = [_cell(piece, _framed(self.rank, tuple(sorted([ray, *map(cell[1].__getitem__, contact)])),
+                                              cell[5]._coordinates), self.ray_index, cell[4])
+                         for piece, contact in out]
+            else:
+                cells = [_piece(cell, ray, piece, new_idx, j, c) for piece, (j, c) in out]
             linked(cells, cell[6])
             changes.append((cell[3], cells))
             # the first piece takes the cell over, so the cell before it keeps its link
@@ -803,8 +862,9 @@ class _Refinement:
 def _fine_map(coarse: Fan, rays, first: list) -> SubdivisionMap:
     """The map to ``coarse`` from the fan on ``rays`` whose maximal cones are
     the cells from ``first`` on, with no ``Fan.build``: above rank 2 with the
-    cells' cones, a chain record's in its coarse cone's frame.  Only what an
-    input that is no fan could break is checked."""
+    cells' cones, and a record's cone built once, in its coarse cone's
+    frame, with the record's multiplicity and S.  Only what an input that is
+    no fan could break is checked."""
     # the rest of Fan.build holds by construction: int rays and indices,
     # coarse rays that passed it, sorted ray sets of distinct indices, at
     # least one cell, and the new ray in every piece, so no zero cone beside
@@ -813,7 +873,7 @@ def _fine_map(coarse: Fan, rays, first: list) -> SubdivisionMap:
     for r in rays[len(coarse.rays):]:
         if len(r) != rank or not is_primitive(r):
             raise ResolutionCheckFailed(f"the refinement's ray {r} is not a primitive vector of rank {rank}")
-    raysets, gens, _, _, sources, cones, _ = zip(*fan_order(first))
+    raysets, gens, _, mults, sources, slots, _ = zip(*fan_order(first))
     if len(set(raysets)) != len(raysets):
         raise NotAFan("duplicate maximal cones")
     if len(set(itertools.chain.from_iterable(raysets))) != len(rays):
@@ -822,9 +882,11 @@ def _fine_map(coarse: Fan, rays, first: list) -> SubdivisionMap:
     if rank > 2:
         # cached_property keeps its value in the instance dict, which a
         # value class leaves writable (only attribute assignment raises)
+        frames = [cone._coordinates for cone in coarse.cone_objects]
         fine.__dict__["cone_objects"] = tuple(
-            cone if isinstance(cone, Cone) else _framed(rank, g, coarse.cone_objects[s]._coordinates)
-            for g, s, cone in zip(gens, sources, cones))
+            slot if slot.__class__ is Cone
+            else _framed(rank, g, frames[s], (m, tuple(slot)) if slot.__class__ is list else None)
+            for g, m, s, slot in zip(gens, mults, sources, slots))
     return SubdivisionMap(fine, coarse, sources)
 
 
@@ -856,25 +918,24 @@ def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
 # -- resolution -----------------------------------------------------------------------
 
 
-def _box_points(cone: Cone) -> list[Vector]:
+def _box_points(generators, mult: int) -> list[Vector]:
     """The nonzero lattice points of least coefficient sum in the half-open
-    fundamental parallelepiped of a singular simplicial cone, sorted.
+    fundamental parallelepiped of the singular simplicial cone on the
+    ``generators``, of multiplicity ``mult``, sorted.
 
-    With G the generators as columns in the coordinates of the cone's Smith
-    form (``Cone._span``), a lattice point x of the span is G r / mult for
+    With G the generators as columns in the coordinates of their Smith form
+    (``span_coordinates``), a lattice point x of the span is G r / mult for
     r = mult * G^-1 @ x, and it lies in the parallelepiped when
     0 <= r_i < mult.  So the points are the group Z^d / G Z^d, one per
-    residue of r mod mult.  As G = diag(factors) V^-1 (``span_coordinates``),
+    residue of r mod mult.  As G = diag(factors) V^-1,
     G Z^d = diag(factors) Z^d, so x = sum k_i e_i with 0 <= k_i < d_i runs
     over the group once, and its residue is sum k_i w_i mod mult for the
     columns w_i = (mult // d_i) V[:, i] of mult * G^-1: exactly mult
-    residues, each built once, off the cone's own Smith form.  The
-    coefficient sum of a residue's point is its coordinate sum over mult,
-    and only the residues of least sum are mapped to their ambient points
-    sum r_i g_i / mult."""
-    d, mult = cone.dim, cone.multiplicity()
-    factors, _, _, v = cone._span
-    residues = [(0,) * d]
+    residues, each built once, off one Smith form.  The coefficient sum of a
+    residue's point is its coordinate sum over mult, and only the residues
+    of least sum are mapped to their ambient points sum r_i g_i / mult."""
+    factors, _, _, v = span_coordinates(len(generators[0]), generators)
+    residues = [(0,) * len(generators)]
     for f, w in zip(factors, transpose(v)):
         if f > 1:
             w = vec_scale(mult // f, w)
@@ -883,30 +944,31 @@ def _box_points(cone: Cone) -> list[Vector]:
     # the coordinates lie in [0, mult), so only the zero residue sums to 0
     sums = list(map(sum, residues))
     least = itertools.compress(residues, map(min(filter(None, sums)).__eq__, sums))
-    g = transpose(cone.generators)
+    g = transpose(generators)
     return sorted(tuple(x // mult for x in mat_vec(g, r)) for r in least)
 
 
 def _least_box_point(cell: list, draw) -> Vector:
-    """The ``least`` of a cell with its ``Cone``: the point ``draw(count)``
-    picks among the count least parallelepiped points, ascending."""
+    """The ``least`` of a record: the point ``draw(count)`` picks among the
+    count least parallelepiped points, ascending."""
     # the point is a nonzero box point of the cone, so of the smallest face
     # tau holding it, which is then singular; a face's multiplicity divides
     # that of every simplicial cone having it, so every cell the step
     # replaces, one of the star of tau, is singular
-    points = _box_points(cell[5])
+    points = _box_points(cell[1], cell[3])
     return points[draw(len(points))]
 
 
-def _by_kind(chain, cone):
-    """``chain`` on a chain record, whose slot 5 is a tuple, else ``cone``."""
-    return lambda cell, arg: chain(cell, arg) if cell[5].__class__ is tuple else cone(cell, arg)
+def _by_kind(chain, record):
+    """``chain`` on a chain record, whose slot 5 is a tuple, else ``record``."""
+    return lambda cell, arg: chain(cell, arg) if cell[5].__class__ is tuple else record(cell, arg)
 
 
 def _cells(fan: Fan, index, frames: dict) -> tuple[list, list]:
     """The maximal cones as cells in fan order, and those of them that keep
-    their ``Cone``: a chain record for at most two rays, in N's frame in
-    rank 2, else in its cone's, kept in ``frames``; else the cone's cell."""
+    their ``Cone`` until ``_Refinement.record``: a chain record for at most
+    two rays, in N's frame in rank 2, else in its cone's, kept in
+    ``frames``; else the cone's cell."""
     cells, cones, rays, rank = [], [], fan.rays, fan.rank
     for source, rs in enumerate(fan.maximal_cones):
         if len(rs) < 2 or len(rs) == rank == 2:
@@ -945,15 +1007,22 @@ def resolve(
     of at most two rays is a chain record, drawn on the Hirzebruch-Jung walk
     (``chains.drawn_chain_point``) and split alone on the integers of its local
     2-vectors (``chains.chain_split``).  Any other is a cell with its
-    ``Cone``, drawn from its listed parallelepiped (``_least_box_point``) on
-    one ``_Refinement``, which simplicializes and splits those cells,
-    finding the cells holding a ray x without a scan: x lies in a known cone
-    sigma, and if tau is the smallest face of sigma holding x, any cone
-    holding x meets sigma in a face of both holding the relative interior
-    of tau, so it has the rays of tau.  So the cones holding x are those
-    whose ray sets contain tau, and no record is among them: a pulled ray,
-    a box point of a cone of dim >= 3 and the sum of two of its generators
-    lie inside a proper face, never a maximal cone.
+    ``Cone`` on one ``_Refinement``, which simplicializes those cells by
+    pulling rays and then makes each a record (``_Refinement.record``): its
+    generators, ray ids, multiplicity, source and scaled inverse
+    S = mult * G^-1 in its coarse cone's frame.  A record draws from its
+    listed parallelepiped (``_least_box_point``) and is split on integers: x
+    is G c / mult for c = S y, y the local coordinates of x, the smallest
+    face holding x is the support of c, and the piece replacing generator j
+    has multiplicity c_j and an S read off the cell's (``_piece``), so no
+    ``Cone`` is built until the fine fan's (``_fine_map``), each handed its
+    record's S.  The refinement finds the cells holding a ray x without a
+    scan: x lies in a known cone sigma, and if tau is the smallest face of
+    sigma holding x, any cone holding x meets sigma in a face of both holding
+    the relative interior of tau, so it has the rays of tau.  So the cones
+    holding x are those whose ray sets contain tau, and no chain record is
+    among them: a pulled ray, a box point of a cone of dim >= 3 and the sum
+    of two of its generators lie inside a proper face, never a maximal cone.
 
     A singular subdivision step must change the fan, and each piece must
     have a smaller multiplicity than the cone it replaces: the point has
@@ -972,6 +1041,7 @@ def resolve(
     if cones:
         ref = _Refinement(fan.rank, index, cones)
         pulled = ref.pull(rng)
+        ref.record()
         least, split = _by_kind(least, _least_box_point), _by_kind(split, ref.split)
     stepped = subdivide(cells[0], least, split, rng, extra_rounds)
     return _fine_map(fan, index, cells[0]) if stepped or pulled else SubdivisionMap.identity(fan)

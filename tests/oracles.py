@@ -57,7 +57,10 @@ step took before ``fan._least_box_point`` read the two-dimensional ones from
 the Hilbert basis, and ``resolve_all_cones`` with its
 ``least_box_point_all_cones``, the path of ``fan.resolve`` on which every
 cell of a fan of rank >= 3 carried its ``Cone`` before cells of at most two
-rays became chain records, and ``complete_by_point_search``,
+rays became chain records and simplicial cells integer records (its cell,
+refinement, ``AllConeRefinement``, and fine map are copies of that path's
+and take only public names from ``pexpfan.fan``), and
+``complete_by_point_search``,
 the search for a generic point that ``Fan.is_complete`` ran before it took
 one past the Cauchy bound, and ``basis_rows_by_subsets``, the search over
 every k-subset of rows, one ``poly_det`` each, that ``ktheory.decompose``
@@ -806,33 +809,173 @@ def least_box_point_all_cones(cell, draw):
     """The ``least`` of ``resolve_all_cones``: what ``fan._least_box_point``
     drew on a cell with its ``Cone`` before chain records, the
     Hirzebruch-Jung walk of the local generators of a 2-dimensional cone and
-    the listed least slice (``fan._box_points``) of a larger one."""
+    the least slice of the listed parallelepiped of a larger one
+    (``least_box_points_listing``, the points ``fan._box_points`` maps)."""
     from pexpfan.chains import drawn_chain_point
-    from pexpfan.fan import _box_points
 
     cone = cell[5]
     if cone.dim == 2:
         return drawn_chain_point([None, cone.generators, None, cell[3], None, cone.local_generators], draw)
-    points = _box_points(cone)
+    points = least_box_points_listing(cone)[1]
     return points[draw(len(points))]
 
 
-def resolve_all_cones(fan, rng=None, extra_rounds=0, least=None):
-    """``fan.resolve`` as it ran before chain records, in rank >= 3 and on a
-    fan of a cone of three or more rays: every maximal cone a cell with its
-    ``Cone`` on one ``fan._Refinement``, simplicialized and then split in
-    ``chains.subdivide`` at the points ``least`` draws
-    (``least_box_point_all_cones`` by default)."""
-    from pexpfan.chains import linked, subdivide
-    from pexpfan.fan import SubdivisionMap, _cell, _fine_map, _Refinement
+def _all_cone_cell(rs, cone, ray_index, source):
+    """A cell of ``resolve_all_cones``: [ray set, generators, generator rays,
+    multiplicity (0 if not simplicial), source, cone, next]."""
+    mult = cone.multiplicity() if cone.is_simplicial else 0
+    return [rs, cone.generators, tuple(map(ray_index.__getitem__, cone.generators)), mult, source, cone, None]
 
-    index = dict(fan._ray_index)
-    cells = linked([_cell(rs, cone, index, source)
+
+def _framed_cone(rank, generators, frame):
+    """The cone on ``generators`` in the coordinate frame ``frame`` of the
+    cell it is a piece of."""
+    from pexpfan.fan import Cone
+
+    cone = Cone(rank, generators)
+    cone.__dict__["_coordinates"] = frame
+    return cone
+
+
+class AllConeRefinement:
+    """The refinement of ``resolve_all_cones``: cells with their ``Cone``
+    under stellar steps, changed in place, as ``fan._Refinement`` kept every
+    cell before simplicial cells of dim >= 3 became integer records.
+    ``incidence`` maps each ray index to the cells whose ray sets contain it,
+    keyed by ``id``; a step's pieces are the joins of its ray with the
+    facets of each holding cone that miss it, each a ``Cone`` in its cell's
+    frame."""
+
+    def __init__(self, rank, ray_index, cells):
+        self.rank, self.ray_index, self.incidence = rank, ray_index, {}
+        self.enter(cells)
+
+    def enter(self, cells):
+        for cell in cells:
+            for r in cell[0]:
+                self.incidence.setdefault(r, {})[id(cell)] = cell
+
+    def star(self, face):
+        """The cells whose ray sets contain ``face``."""
+        fewest, *rest = sorted(map(self.incidence.__getitem__, face), key=len)
+        return [cell for key, cell in fewest.items() if all(key in cells for cells in rest)]
+
+    def pull(self, rng):
+        """Simplicialize the cells by pulling rays, the least or a random one
+        first; returns whether any was not."""
+        from pexpfan.errors import ResolutionCheckFailed
+
+        rays = tuple(self.ray_index)
+        nonsimplicial = {key: cell for cells in self.incidence.values()
+                         for key, cell in cells.items() if not cell[3]}
+        pulled, guard = bool(nonsimplicial), 0
+        while nonsimplicial:
+            guard += 1
+            if guard > len(rays):
+                raise ResolutionCheckFailed("simplicialization did not terminate")
+            candidates = sorted({rays[i] for cell in nonsimplicial.values() for i in cell[0]})
+            ray = rng.choice(candidates) if rng else candidates[0]
+            for ray in dict.fromkeys((ray, *candidates)):
+                change = self.step(ray, self.star((self.ray_index[ray],)))
+                if change:
+                    break
+            else:
+                raise ResolutionCheckFailed("no subdividing ray found")
+            for _, cells in change:
+                nonsimplicial.update((id(cell), cell) for cell in cells)
+            nonsimplicial = {key: cell for key, cell in nonsimplicial.items() if not cell[3]}
+        return pulled
+
+    def split(self, cell, ray):
+        """``step`` at a point of the cell's cone, on the star of the
+        smallest face of the cone holding it."""
+        from pexpfan.errors import ResolutionCheckFailed
+
+        face = cell[5]._smallest_face(ray)
+        if face is None:
+            raise ResolutionCheckFailed(f"{ray} does not lie in the cone it subdivides")
+        return self.step(ray, self.star(tuple(sorted(cell[2][i] for i in face))))
+
+    def step(self, ray, holding):
+        """Replace each holding cell by its pieces in its place, the first
+        taking the cell over; (multiplicity, pieces) per replaced cell, or
+        None when no cell changes."""
+        from pexpfan.errors import ResolutionCheckFailed
+        from pexpfan.chains import linked
+        from pexpfan.lattice import pair
+
+        new_idx = self.ray_index.get(ray, len(self.ray_index))
+        seen, pieces = set(), []
+        for cell in holding:
+            out = []
+            for normal, contact in cell[5].facets:
+                if pair(normal, ray) == 0:
+                    continue
+                piece = tuple(sorted({cell[2][t] for t in contact} | {new_idx}))
+                if piece in seen:
+                    raise ResolutionCheckFailed(f"ambiguous subdivision piece {piece}")
+                seen.add(piece)
+                out.append((piece, contact))
+            pieces.append(out)
+        if new_idx < len(self.ray_index) and all(
+                len(out) == 1 and out[0][0] == cell[0] for cell, out in zip(holding, pieces)):
+            return None
+        self.ray_index[ray] = new_idx
+        changes = []
+        for cell, out in zip(holding, pieces):
+            for r in cell[0]:
+                del self.incidence[r][id(cell)]
+            cells = []
+            for piece, contact in out:
+                gens = tuple(sorted([ray, *(cell[1][t] for t in contact)]))
+                cone = _framed_cone(self.rank, gens, cell[5]._coordinates)
+                cells.append(_all_cone_cell(piece, cone, self.ray_index, cell[4]))
+            linked(cells, cell[6])
+            changes.append((cell[3], cells))
+            cell[:], cells[0] = cells[0], cell
+            self.enter(cells)
+        return changes
+
+
+def _all_cone_fine_map(coarse, rays, first):
+    """The map to ``coarse`` from the fan on ``rays`` whose maximal cones are
+    the cells from ``first`` on, refusing what an input that is no fan can
+    break, as ``fan._fine_map`` did."""
+    from pexpfan.chains import fan_order
+    from pexpfan.errors import NotAFan, ResolutionCheckFailed
+    from pexpfan.fan import Fan, SubdivisionMap
+    from pexpfan.lattice import is_primitive
+
+    rank, rays = coarse.rank, tuple(rays)
+    for r in rays[len(coarse.rays):]:
+        if len(r) != rank or not is_primitive(r):
+            raise ResolutionCheckFailed(f"the refinement's ray {r} is not a primitive vector of rank {rank}")
+    cells = fan_order(first)
+    raysets = tuple(cell[0] for cell in cells)
+    if len(set(raysets)) != len(raysets):
+        raise NotAFan("duplicate maximal cones")
+    if len({i for rs in raysets for i in rs}) != len(rays):
+        raise NotAFan("every ray must appear in some maximal cone")
+    return SubdivisionMap(Fan(rank, rays, raysets), coarse, tuple(cell[4] for cell in cells))
+
+
+def resolve_all_cones(fan, rng=None, extra_rounds=0, least=None):
+    """``fan.resolve`` as it ran before chain records and integer records,
+    in rank >= 3 and on a fan of a cone of three or more rays: every maximal
+    cone a cell with its ``Cone`` on one ``AllConeRefinement``,
+    simplicialized and then split in ``chains.subdivide`` at the points
+    ``least`` draws (``least_box_point_all_cones`` by default).  It takes
+    from ``pexpfan.fan`` only public names."""
+    from pexpfan.chains import linked, subdivide
+    from pexpfan.fan import SubdivisionMap
+
+    index = {r: i for i, r in enumerate(fan.rays)}
+    cells = linked([_all_cone_cell(rs, cone, index, source)
                     for source, (rs, cone) in enumerate(zip(fan.maximal_cones, fan.cone_objects))])
-    ref = _Refinement(fan.rank, index, cells)
+    ref = AllConeRefinement(fan.rank, index, cells)
     pulled = ref.pull(rng)
     stepped = subdivide(cells[0], least or least_box_point_all_cones, ref.split, rng, extra_rounds)
-    return _fine_map(fan, index, cells[0]) if stepped or pulled else SubdivisionMap.identity(fan)
+    return _all_cone_fine_map(fan, index, cells[0]) if stepped or pulled else SubdivisionMap.identity(fan)
 
 
 def multiplicity_by_adjugate(cone) -> int:

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import random
@@ -42,6 +43,7 @@ from oracles import (
     box_points_scan,
     box_scan_size,
     complete_by_point_search,
+    det_expansion,
     extreme_generators_by_rank,
     extreme_rays_smith,
     face_quotient_oracle,
@@ -125,6 +127,12 @@ def least_box_point_listed(cell, draw):
     parallelepiped."""
     points = least_box_points_listing(cell[5])[1]
     return points[draw(len(points))]
+
+
+def box_points(cone):
+    """``fan._box_points`` of a singular simplicial cone, on its generators
+    and multiplicity."""
+    return fan_module._box_points(cone.generators, cone.multiplicity())
 
 
 def least_box_points_drawn(cone):
@@ -781,7 +789,7 @@ class TestResolve:
 
         def excess(ref):
             cells = {id(cell): cell for held in ref.incidence.values() for cell in held.values()}
-            return sum(cell[5].multiplicity() - 1 for cell in cells.values())
+            return sum(cell[3] - 1 for cell in cells.values())
 
         def watched(ref, ray, holding):
             before = excess(ref)
@@ -1104,35 +1112,45 @@ class TestResolve:
         assert chained == general
 
     def test_steps_carry_unchanged_cones_and_match_the_replaced_path(self, monkeypatch):
-        """At every step of a resolution the cells found to hold the new ray,
-        from the incidence map, are those a Cone.contains scan over the
-        current cells finds; every cell holding it has the same smallest face
-        holding it, read from its facets, whose star is the holding set, and
-        on every simplicial cone that face is the one the adjugate solve
-        found; every cell the step leaves keeps its cone object, the cells
-        then run in fan order with each holding cell replaced by its pieces in
-        its place, the first piece taking the cell over, each piece is
-        reported with the multiplicity of the cell it replaces, and every new
-        piece's cone equals a fresh Cone.from_generators, its cell holding that
-        cone's generators, their ray indices and its multiplicity.  Every
-        resolved fan's cone objects equal fresh ones, and the serialized
-        resolutions equal those of the path that rebuilt every cone per step
-        and scanned for the cones holding each ray, pinned by their digest."""
+        """At every refinement step of a resolution of rank >= 3 the cells
+        found to hold the new ray, from the incidence map, are those a
+        Cone.contains scan over the current cells finds, a cell's own Cone or
+        a fresh one on a record's generators; every cell holding it has the
+        same smallest face holding it, whose star is the holding set, and on
+        every simplicial cone that face is the one the adjugate solve found;
+        every cell the step leaves keeps its slot 5, its Cone or its record's
+        S, the cells then run in fan order with each holding cell replaced by
+        its pieces in its place, the first piece taking the cell over, and
+        each piece is reported with the multiplicity of the cell it
+        replaces.  Each new piece holds the sorted generators of a fresh
+        Cone.from_generators on its rays and their ray indices; a piece with
+        its Cone (while pulling) has that cone and its multiplicity, and a
+        record's piece has |det| of its generators (these cells are all
+        full-dimensional, in the frame of N) and the fresh cone's scaled
+        inverse as its S.  Every resolved fan's cone objects equal fresh
+        ones, with the same multiplicity, scaled inverse and facets, each
+        handed its (det, adj) up to sign when the fan is built, and the
+        serialized resolutions equal those of the all-Cone path (compared
+        directly in rank 2, where chain records run no refinement step),
+        pinned by their digest."""
         step_through, init = fan_module._Refinement.step, fan_module._Refinement.__init__
-        steps = []
+        steps, fresh = [], functools.cache(Cone.from_generators)
 
         def first_kept(ref, rank, index, cells):
-            # every cell of these fans has its Cone, so the first is the fan's
+            # every cell of these fans of rank >= 3 is in the refinement, so the first is the fan's
             init(ref, rank, index, cells)
             ref.first = cells[0]
+
+        def cone_of(ref, cell):
+            return cell[5] if isinstance(cell[5], Cone) else fresh(ref.rank, cell[1])
 
         def checked(ref, ray, holding):
             cells = chains_module.fan_order(ref.first)
             held = [id(cell) for cell in holding]
-            assert sorted(held) == sorted(id(cell) for cell in cells if cell[5].contains(ray))
+            assert sorted(held) == sorted(id(cell) for cell in cells if cone_of(ref, cell).contains(ray))
             faces = set()
             for cell in cells:
-                cone, gen_rays = cell[5], cell[2]
+                cone, gen_rays = cone_of(ref, cell), cell[2]
                 face = cone._smallest_face(ray)
                 if cone.is_simplicial:
                     assert face == smallest_face_by_adjugate(cone, ray)
@@ -1143,20 +1161,24 @@ class TestResolve:
             change = step_through(ref, ray, holding)
             replaced = {id(pieces[0]): (was, pieces) for was, pieces in change or ()}
             assert sorted(replaced) == (sorted(held) if change else [])
-            for cell, cone, mult in before:
+            for cell, slot, mult in before:
                 if id(cell) in replaced:
                     assert replaced[id(cell)][0] == mult
                 else:
-                    assert cell[5] is cone
+                    assert cell[5] is slot
             assert [id(c) for c in chains_module.fan_order(ref.first)] == [
                 id(piece) for cell, _, _ in before
                 for piece in (replaced[id(cell)][1] if id(cell) in replaced else [cell])]
+            rays = list(ref.ray_index)
             for _, pieces in replaced.values():
-                for rs, gens, gen_rays, mult, _, cone, _ in pieces:
-                    rays = list(ref.ray_index)
-                    assert cone == Cone.from_generators(len(ray), [rays[j] for j in rs])
+                for rs, gens, gen_rays, mult, source, slot, _ in pieces:
+                    cone = Cone.from_generators(len(ray), [rays[j] for j in rs])
                     assert gens == cone.generators and gen_rays == tuple(map(rays.index, gens))
-                    assert mult == (cone.is_simplicial and cone.multiplicity())
+                    if isinstance(slot, Cone):
+                        assert slot == cone and mult == (cone.is_simplicial and cone.multiplicity())
+                    else:
+                        assert ref.frames[source] is None and cone.dim == len(gens) == len(ray)
+                        assert mult == abs(det_expansion(gens)) and slot == list(cone._scaled_inverse)
             steps.append(ray)
             return change
 
@@ -1165,17 +1187,18 @@ class TestResolve:
         cases = step_cases()
         docs = []
         for fan, seed, extra in cases:
-            sub = resolve(fan, rng=None if seed is None else random.Random(seed), extra_rounds=extra)
+            sub = resolve(fan, rng=_seeded(seed), extra_rounds=extra)
             if fan.rank == 2:
-                # chain records run no refinement step: check the steps on the all-Cone path
-                general = resolve_all_cones(fan, None if seed is None else random.Random(seed), extra)
-                assert general.to_json() == sub.to_json()
+                # chain records run no refinement step: compare with the all-Cone path
+                assert resolve_all_cones(fan, _seeded(seed), extra).to_json() == sub.to_json()
             fine = sub.fine
             for rs, cone in zip(fine.maximal_cones, fine.cone_objects):
-                fresh = Cone.from_generators(fine.rank, [fine.rays[k] for k in rs])
-                assert (cone, cone.multiplicity()) == (fresh, fresh.multiplicity())
+                assert "_adjugate" in cone.__dict__
+                new = Cone.from_generators(fine.rank, [fine.rays[k] for k in rs])
+                assert (cone, cone.multiplicity(), cone._scaled_inverse, cone.facets) == (
+                    new, new.multiplicity(), new._scaled_inverse, new.facets)
             docs.append(sub.to_json())
-        assert len(cases) == 173 and len(steps) > 5000
+        assert len(cases) == 173 and len(steps) > 1000
         digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
         assert digest == "4d5d87c999e55fb90ae4fdf56b8b220de63c486029e14a9994d1b098f1760701"
 
@@ -1402,15 +1425,48 @@ class TestLeastBoxPoints:
                     chained, general = resolve_both_ways(fan, seed, extra)
                     assert chained == general, (fan, seed, extra)
 
+    def test_simplicial_cones_of_dim_3_to_5_replay_the_all_cone_path(self):
+        """On seeded simplicial cones of dim 3 to 5 in ranks 3 to 5, of
+        multiplicity 2 to 40, and on <e1, e2, (1, b, m)> for (b, m) = (2, 5)
+        and (11, 29) in ranks 4 and 5 under a unimodular map, the cones below
+        full dimension split on records in their Smith form's frame (a
+        3-dimensional cone in rank 4 and in rank 5, and a 4-dimensional one
+        in rank 5), with and without an rng and
+        with 0 to 2 extra rounds, resolve gives the document of the all-Cone
+        path and leaves the rng in the same state."""
+        rng = random.Random(20261020)
+        fans = []
+        for rank, dim in ((3, 3), (4, 3), (4, 4), (5, 3), (5, 4), (5, 5)):
+            for _ in range(4):
+                cone = random_simplicial_cone(rng, rank, dim)
+                while not 2 <= cone.multiplicity() <= (40 if dim < 5 else 12):
+                    cone = random_simplicial_cone(rng, rank, dim)
+                fans.append(Fan.build(rank, cone.generators, [tuple(range(dim))]))
+        lower = ((1, 0, 0, 0, 0), (2, 1, 0, 0, 0), (-1, 3, 1, 0, 0), (0, 1, -2, 1, 0), (1, 0, 1, 1, 1))
+        for rank in (4, 5):
+            for b, m in ((2, 5), (11, 29)):
+                # <e1, e2, (1, b, m)> of multiplicity m, moved off the coordinate planes
+                gens = [mat_vec([row[:rank] for row in lower[:rank]], g + (0,) * (rank - 3))
+                        for g in ((1, 0, 0), (0, 1, 0), (1, b, m))]
+                fans.append(Fan.build(rank, gens, [(0, 1, 2)]))
+                assert fans[-1].cone_objects[0].multiplicity() == m
+        assert sum(fan.cone_objects[0].dim < fan.rank for fan in fans) == 16
+        for i, fan in enumerate(fans):
+            for extra in range(3):
+                for seed in (None, i):
+                    chained, general = resolve_both_ways(fan, seed, extra)
+                    assert chained == general, (fan, seed, extra)
+                    assert not isinstance(chained[0], tuple), chained
+
     def test_only_cones_of_dim_3_or_more_list_their_parallelepiped(self, monkeypatch):
-        box_points, cones = fan_module._box_points, []
+        listed, cells = fan_module._box_points, []
         monkeypatch.setattr(fan_module, "_box_points",
-                            lambda cone: cones.append(cone) or box_points(cone))
+                            lambda gens, mult: cells.append(gens) or listed(gens, mult))
         assert resolve(Fan.build(2, [(1, 0), (1, 1000)], [(0, 1)])).fine.is_smooth()
-        assert cones == []
+        assert cells == []
         rank3 = Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, 2, 7)], [(0, 1, 2)])
         assert resolve(rank3).fine.is_smooth()
-        assert cones and all(c.dim == 3 for c in cones)
+        assert cells and all(len(gens) == 3 for gens in cells)
 
 
 class TestAgainstOracles:
@@ -1571,7 +1627,7 @@ class TestAgainstOracles:
             assert smith_diagonal_oracle(gens) == list(factors)
             cone = Cone.from_generators(rank, gens)
             assert cone.multiplicity() == f1 * f2 * f3
-            assert fan_module._box_points(cone) == least_box_points_listing(cone)[1], gens
+            assert box_points(cone) == least_box_points_listing(cone)[1], gens
             mults.append(cone.multiplicity())
             noncyclic += f2 > 1
         assert noncyclic > 10 and max(mults) > 2000
@@ -1624,7 +1680,7 @@ class TestAgainstOracles:
                 box = box_points_scan(cone)
                 assert box_points_listing(cone) == box, gens
                 if box:
-                    assert fan_module._box_points(cone) == [x for key, x in box if key == box[0][0]], gens
+                    assert box_points(cone) == [x for key, x in box if key == box[0][0]], gens
         monkeypatch.setattr(Cone, "facets", property(facets_by_generator_subsets))
         assert got == verdicts()
         kinds = [v[0] if isinstance(v[0], str) else len(v[0]) > v[3] for v in got]
@@ -1644,4 +1700,4 @@ def assert_box_points_by_definition(cone):
         lam = solve_rational(cols, x)
         assert lam is not None and all(0 <= v < 1 for v in lam) and key == mult * sum(lam)
     if box:
-        assert fan_module._box_points(cone) == least_box_points_listing(cone)[1]
+        assert box_points(cone) == least_box_points_listing(cone)[1]

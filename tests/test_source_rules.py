@@ -3,8 +3,8 @@ no ``assert`` statement (the optimizer strips it) and no ``fractions`` import
 (exact work stays in integers and Z[M]).  One rule keeps lattice coordinates
 in one place: ``smith_normal_form`` is called only from
 ``fan.span_coordinates``; another keeps one way to pick a resolve point:
-``fan._box_points``, which takes the cone alone, is called only from
-``fan._least_box_point``, no ``_Progression``, ``_least_box_points``,
+``fan._box_points``, which takes a record's generators and multiplicity, is
+called only from ``fan._least_box_point``, no ``_Progression``, ``_least_box_points``,
 ``_seed_cone_objects``, ``subdivision``, ``_refine``, ``chain_cells`` or
 ``chain_point`` is defined, and ``fan._Refinement`` keeps no ``stepped``; a
 third
@@ -21,8 +21,9 @@ read only in ``coerce_values`` (the one projector of ambient values) and
 ``_comparison_matrix``; an
 eighth keeps one facet table per cone: ``extreme_rays_of_region`` is called
 only from ``Cone.facets`` and ``Fan._check_pair``, and ``fan._Refinement``
-reads no ``_adjugate`` or ``_scaled_inverse`` (a resolve step's face is the
-cone's smallest face, read from its facets); a ninth keeps start-up cheap:
+reads no ``_adjugate`` or ``_smallest_face``, and ``_scaled_inverse`` only in
+``record`` (a record's smallest face is the support of its coefficients
+c = S y); a ninth keeps start-up cheap:
 no module imports ``dataclasses`` (value classes come from
 ``lattice.value_class``), and a fresh ``import pexpfan.cli`` loads none of
 ``dataclasses``, ``inspect``, ``ast`` and ``dis``, nor ``import pexpfan``
@@ -44,12 +45,13 @@ and the greedy pick by denominator overlap is made only in the fallback of
 ``_Plan.run``, when no wall joins what is left; a twelfth keeps every simplicial cone on its one
 adjugate, in one coordinate frame per cone: ``fan.py`` imports ``adjugate``
 by name and calls it only in ``Cone._adjugate``, does not import ``prod``,
-reads ``Cone._span`` only in ``Cone._coordinates`` and ``_box_points``
-(whose residues need the Smith form), and calls ``span_coordinates`` only in
-``Cone._span`` and ``Fan.face_quotient``, so never on the resolve path: a
-cone takes a frame only in ``fan._framed``, which ``_Refinement.step`` calls
-with its cell's ``_coordinates`` and ``_fine_map`` with a chain record's
-coarse cone's; and ``Cone.facets``
+reads ``Cone._span`` only in ``Cone._coordinates``, and calls
+``span_coordinates`` only in ``Cone._span``, ``Fan.face_quotient`` and
+``_box_points`` (whose residues need the Smith form): a cone takes a frame,
+and a fine cone its record's (mult, S) as its ``_adjugate``, only in
+``fan._framed``, which ``_Refinement.step`` calls with its cell's
+``_coordinates`` and ``_fine_map`` with a record's coarse cone's; and
+``Cone.facets``
 calls ``extreme_rays_of_region`` only in its branch for a non-simplicial
 cone; a
 thirteenth keeps one Hirzebruch-Jung walk: ``least_chain_points`` is defined
@@ -65,9 +67,10 @@ past the bound of its term budget, ``koszul_divides`` sums them, and every power
 subdivision loop for every resolve: the messages of its checks appear only
 in ``chains.subdivide``, which only ``fan.resolve`` calls, and ``resolve``
 compares no rank; the package calls no ``.index``, ``fan._Refinement`` keeps
-no ``order``, ``_ids`` or ``cones``, and no ``Cone`` is built for a chain
-record's step: ``chains.py`` names no ``Cone``, and ``fan.py`` builds one only
-in ``Cone.from_generators`` and ``_framed``; a sixteenth keeps one quotient path:
+no ``order``, ``_ids`` or ``cones``, and no ``Cone`` is built for a record's
+step, of either kind: ``chains.py`` names no ``Cone``, ``fan._piece`` names
+neither ``Cone`` nor ``_framed``, and ``fan.py`` builds one only in
+``Cone.from_generators`` and ``_framed``; a sixteenth keeps one quotient path:
 the package defines no ``star_quotient``, ``span_quotients``,
 ``unimodular_inverse``, ``NotUnimodular``, ``project_vector`` or
 ``augment``; a seventeenth keeps resolve on the refinement's own data:
@@ -84,7 +87,8 @@ the exact ``matrix_rank`` left only to the rows ``_basis_rows``'s images
 do not pick.
 Every name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types, never
-the kernel it checks."""
+the kernel it checks, and the oracles take only public names from
+``pexpfan.fan``."""
 
 import ast
 import subprocess
@@ -143,9 +147,9 @@ def test_smith_form_called_only_from_span_coordinates():
 
 
 def test_box_points_listed_only_for_the_least_box_points():
-    # a cell with its Cone draws its one point in _least_box_point, on one
-    # resolve path, and a refinement reports its changes only through its
-    # step's value
+    # a record draws its one point in _least_box_point, on one resolve path,
+    # from its generators and multiplicity, and a refinement reports its
+    # changes only through its step's value
     assert _callers("_box_points") == {("fan.py", "_least_box_point")}
     defined = {node.name for path in SOURCES for _, node in
                _nodes(ast.parse(path.read_text()), (ast.FunctionDef, ast.ClassDef))}
@@ -155,7 +159,10 @@ def test_box_points_listed_only_for_the_least_box_points():
     refinement = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "_Refinement")
     assert "stepped" not in {a.attr for _, a in _nodes(refinement, ast.Attribute)}
     box_points = next(f for _, f in _nodes(fan, ast.FunctionDef) if f.name == "_box_points")
-    assert [a.arg for a in box_points.args.args] == ["cone"] and not box_points.args.kwonlyargs
+    assert [a.arg for a in box_points.args.args] == ["generators", "mult"] and not box_points.args.kwonlyargs
+    least = next(f for _, f in _nodes(fan, ast.FunctionDef) if f.name == "_least_box_point")
+    assert [ast.unparse(c) for _, c in _nodes(least, ast.Call) if ast.unparse(c.func) == "_box_points"] == [
+        "_box_points(cell[1], cell[3])"]
 
 
 def test_orbit_closure_class_has_no_caller_in_the_package():
@@ -202,13 +209,15 @@ def test_cone_coordinates_stay_in_pexp():
 
 
 def test_face_questions_read_the_facet_table():
-    # one vertex enumeration per cone, for its facets; every face question reads them
+    # one vertex enumeration per cone, for its facets; every face question of a
+    # cone reads them, and a record's smallest face is the support of its
+    # coefficients, read off the S it takes from its cone once, in record
     assert _callers("extreme_rays_of_region") == {("fan.py", "facets"), ("fan.py", "_check_pair")}
     path = next(p for p in SOURCES if p.name == "fan.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     refinement = next(c for _, c in _nodes(tree, ast.ClassDef) if c.name == "_Refinement")
-    assert [a.lineno for _, a in _nodes(refinement, ast.Attribute)
-            if a.attr in ("_adjugate", "_scaled_inverse")] == []
+    assert [(where, a.attr) for where, a in _nodes(refinement, ast.Attribute)
+            if a.attr in ("_adjugate", "_scaled_inverse", "_smallest_face")] == [("record", "_scaled_inverse")]
 
 
 def test_no_module_imports_dataclasses():
@@ -338,9 +347,10 @@ def test_division_names_lines_in_one_pass_and_merges_skip_zero_powers():
 def test_every_simplicial_cone_reads_its_adjugate():
     # every simplicial cone reads dim, multiplicity, facets, the smallest face and the
     # weights off one adjugate in its one coordinate frame: those of N, its Smith
-    # form's, or its cell's for a resolve piece, handed over only by _framed;
-    # the Smith form serves only the frame of a cone below full dimension and
-    # the residues of _box_points
+    # form's, or its cell's for a resolve piece, handed over only by _framed,
+    # which also hands a fine cone its record's (mult, S); the Smith form serves
+    # only the frame of a cone below full dimension, a face quotient and the
+    # residues of _box_points
     fan = ast.parse(next(p for p in SOURCES if p.name == "fan.py").read_text())
     from_lattice = {a.name for _, node in _nodes(fan, ast.ImportFrom) if node.module == "lattice"
                     for a in node.names}
@@ -349,17 +359,19 @@ def test_every_simplicial_cone_reads_its_adjugate():
     imported = {a.name for _, node in _nodes(fan, (ast.Import, ast.ImportFrom)) for a in node.names}
     assert "prod" not in imported
     readers = {where for where, a in _nodes(fan, ast.Attribute) if a.attr == "_span"}
-    assert readers == {"_coordinates", "_box_points"}
-    assert _callers("span_coordinates") == {("fan.py", "_span"), ("fan.py", "face_quotient")}
+    assert readers == {"_coordinates"}
+    assert _callers("span_coordinates") == {("fan.py", "_span"), ("fan.py", "face_quotient"),
+                                            ("fan.py", "_box_points")}
     refinement = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "_Refinement")
     assert {where for where, a in _nodes(refinement, ast.Attribute) if a.attr == "_span"} == set()
     handed = [(where, ast.unparse(node)) for where, node in _nodes(fan, ast.Assign)
-              if any(isinstance(t, ast.Subscript) and ast.unparse(t.slice) == "'_coordinates'"
+              if any(isinstance(t, ast.Subscript) and ast.unparse(t.slice) in ("'_coordinates'", "'_adjugate'")
                      for t in node.targets)]
-    assert handed == [("_framed", "cone.__dict__['_coordinates'] = frame")]
+    assert handed == [("_framed", "cone.__dict__['_coordinates'] = frame"),
+                      ("_framed", "cone.__dict__['_adjugate'] = inverse")]
     frames = {(where, ast.unparse(call.args[2])) for where, call in _nodes(fan, ast.Call)
               if getattr(call.func, "id", None) == "_framed"}
-    assert frames == {("step", "cell[5]._coordinates"), ("_fine_map", "coarse.cone_objects[s]._coordinates")}
+    assert frames == {("step", "cell[5]._coordinates"), ("_fine_map", "frames[s]")}
     cone = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "Cone")
     facets = next(f for _, f in _nodes(cone, ast.FunctionDef) if f.name == "facets")
     branch = next(node for _, node in _nodes(facets, ast.If)
@@ -391,7 +403,7 @@ def test_the_chain_walk_is_defined_once_and_needs_no_fan():
 def test_one_subdivision_loop_checks_every_resolve():
     # one resolve path, with no rank test, runs chains.subdivide, the only
     # place that raises its checks; no cell is found by its position in fan
-    # order, and no Cone is built for a chain record's step
+    # order, and no Cone is built for a record's step, of either kind
     messages = ("has no parallelepiped points", "multiplicity did not drop", "left a singular cone")
     raisers = {(path.name, where) for path in SOURCES
                for where, c in _nodes(ast.parse(path.read_text()), ast.Constant)
@@ -406,6 +418,8 @@ def test_one_subdivision_loop_checks_every_resolve():
     assert "Cone" not in {n.id for n in ast.walk(chains) if isinstance(n, ast.Name)}
     assert {where for where, call in _nodes(fan, ast.Call)
             if getattr(call.func, "id", None) == "Cone"} == {"from_generators", "_framed"}
+    piece = next(f for _, f in _nodes(fan, ast.FunctionDef) if f.name == "_piece")
+    assert {n.id for n in ast.walk(piece) if isinstance(n, ast.Name)}.isdisjoint({"Cone", "_framed", "_cell"})
     refinement = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "_Refinement")
     attributes = {a.attr for _, a in _nodes(refinement, ast.Attribute) if isinstance(a.value, ast.Name)
                   and a.value.id == "self"}
@@ -460,3 +474,12 @@ def test_oracles_import_only_the_laurent_types():
             assert "laurent" not in {a.name for a in node.names}, where
         elif isinstance(node, ast.ImportFrom) and node.module == "pexpfan.laurent":
             assert {a.name for a in node.names} <= {"LaurentPoly", "LocalizationSum"}, where
+
+
+def test_oracles_take_only_public_fan_names():
+    # the all-Cone resolve oracle keeps its own copy of the path it replays,
+    # so a change to fan's private resolve code cannot change the oracle too
+    path = Path(__file__).parent / "oracles.py"
+    names = {a.name for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.ImportFrom) and node.module == "pexpfan.fan" for a in node.names}
+    assert names and not [n for n in names if n.startswith("_")]
