@@ -1008,21 +1008,16 @@ def resolve(
     (``chains.drawn_chain_point``) and split alone on the integers of its local
     2-vectors (``chains.chain_split``).  Any other is a cell with its
     ``Cone`` on one ``_Refinement``, which simplicializes those cells by
-    pulling rays and then makes each a record (``_Refinement.record``): its
-    generators, ray ids, multiplicity, source and scaled inverse
-    S = mult * G^-1 in its coarse cone's frame.  A record draws from its
-    listed parallelepiped (``_least_box_point``) and is split on integers: x
-    is G c / mult for c = S y, y the local coordinates of x, the smallest
-    face holding x is the support of c, and the piece replacing generator j
-    has multiplicity c_j and an S read off the cell's (``_piece``), so no
-    ``Cone`` is built until the fine fan's (``_fine_map``), each handed its
-    record's S.  The refinement finds the cells holding a ray x without a
-    scan: x lies in a known cone sigma, and if tau is the smallest face of
-    sigma holding x, any cone holding x meets sigma in a face of both holding
-    the relative interior of tau, so it has the rays of tau.  So the cones
-    holding x are those whose ray sets contain tau, and no chain record is
-    among them: a pulled ray, a box point of a cone of dim >= 3 and the sum
-    of two of its generators lie inside a proper face, never a maximal cone.
+    pulling rays and then makes each an integer record of its scaled
+    inverse (``_Refinement.record``), drawn from its listed parallelepiped
+    (``_least_box_point``) and split with no ``Cone`` (``_piece``).  The
+    refinement finds the cells holding a ray x without a scan: x lies in a
+    known cone sigma, and if tau is the smallest face of sigma holding x,
+    any cone holding x meets sigma in a face of both holding the relative
+    interior of tau, so it has the rays of tau.  So the cones holding x are
+    those whose ray sets contain tau, and no chain record is among them: a
+    pulled ray, a box point of a cone of dim >= 3 and the sum of two of its
+    generators lie inside a proper face, never a maximal cone.
 
     A singular subdivision step must change the fan, and each piece must
     have a smaller multiplicity than the cone it replaces: the point has
