@@ -95,7 +95,9 @@ def subdivide(first: list, least, split, rng, extra_rounds: int) -> bool:
     Each step picks a singular cell, a random one or the first of top
     multiplicity, and a point x, ``least(cell, draw)``: the one ``draw``
     picks among the cell's least parallelepiped points in ascending order, a
-    random one or the first, or None when it has none.  ``split(cell, x)``
+    random one or the first, or None when it has none.  x is primitive: were
+    x = k y with k >= 2, y would be a nonzero parallelepiped point of smaller
+    coefficient sum; ``fan._fine_map`` checks every ray.  ``split(cell, x)``
     replaces the cells holding x by their pieces and returns (multiplicity,
     pieces) per replaced cell, the first piece being the cell itself, or None
     if no cell changes.  A step must change the fan, each piece must be
@@ -126,7 +128,6 @@ def subdivide(first: list, least, split, rng, extra_rounds: int) -> bool:
         if x is None:
             place = next(i for i, c in enumerate(fan_order(first)) if c is cell)
             raise ResolutionCheckFailed(f"singular cone {place} has no parallelepiped points")
-        x = primitive_vector(x)
         replaced = split(cell, x)
         if not replaced:
             raise ResolutionCheckFailed(f"multiplicity did not drop: subdividing at {x} changed no cone")

@@ -805,16 +805,17 @@ class _Refinement:
         if c is None or min(c) < 0:
             raise ResolutionCheckFailed(f"{ray} does not lie in the cone it subdivides")
         ids = cell[2]
-        return self.step(ray, self.star(tuple(sorted([ids[j] for j, cj in enumerate(c) if cj]))))
+        return self.step(ray, self.star(tuple(sorted([ids[j] for j, cj in enumerate(c) if cj]))), (cell, c))
 
-    def step(self, ray: Vector, holding) -> list[tuple[int, list[list]]] | None:
+    def step(self, ray: Vector, holding, known=(None, None)) -> list[tuple[int, list[list]]] | None:
         """Replace each cell of ``holding``, the cells that hold the ray, by
         the joins of the ray with its facets that miss it, in its place, in
         the order of their contacts.  The facet of a record that misses
         generator j misses the ray when c_j > 0, and contact order is j
-        descending.  Returns (multiplicity of the cell, its pieces) per
-        replaced cell, the first piece being the cell itself, taken over; or
-        None when no cell changes."""
+        descending; ``known`` is a record and its c, computed by ``split``.
+        Returns (multiplicity of the cell, its pieces) per replaced cell, the
+        first piece being the cell itself, taken over; or None when no cell
+        changes."""
         new_idx = self.ray_index.get(ray, len(self.ray_index))
         seen: set[RaySet] = set()
         pieces = []
@@ -825,7 +826,7 @@ class _Refinement:
                 found = [({ids[t] for t in contact} | {new_idx}, contact) for normal, contact in cell[5].facets
                          if pair(normal, ray)]
             else:
-                c = self._coefficients(cell, ray)
+                c = known[1] if cell is known[0] else self._coefficients(cell, ray)
                 found = [((*ids[:j], new_idx, *ids[j + 1:]), (j, c)) for j in range(len(c) - 1, -1, -1) if c[j]]
             out = []
             for rays, how in found:

@@ -34,7 +34,7 @@ pairing there runs on its class's values.
 from __future__ import annotations
 
 from itertools import combinations
-from math import prod
+from math import gcd, prod
 from operator import neg
 
 from .errors import (
@@ -50,7 +50,7 @@ from .errors import (
     SingularGram,
 )
 from .fan import Cone, Fan, RaySet, SubdivisionMap, resolve
-from .lattice import Vector, adjugate, independent_rows, matrix_rank, value_class
+from .lattice import Vector, adjugate, independent_rows, matrix_rank, pair, value_class
 from .laurent import LaurentPoly, LocalizationSum, _fold, _Plan, poly_to_json, reduce_localization, try_div
 from .pexp import PiecewiseExponential
 
@@ -109,31 +109,48 @@ def _resolution_of(fan: Fan, resolution: SubdivisionMap | None) -> SubdivisionMa
     return resolution
 
 
-def _series_size(cone: Cone, bound: int) -> int:
-    """The predicted size of a cone's series: sum |det| over the rank-subsets
-    of its facet normals, the volume of their zonotope, counted past ``bound``."""
+def _series_size(cone: Cone, face, bound: int) -> int:
+    """The predicted size of the series of a cone's image modulo its face
+    spanned by the independent vectors ``face``, counted past ``bound``.  The
+    image's facets are the cone's facets holding the face, and the
+    prediction is the sum, over the k-subsets of their primitive normals,
+    k = rank - dim, of the index of the subset in M intersected with the
+    face's annihilator: that lattice is saturated, so the index is the gcd of
+    the subset's k x k minors.  At the zero face it is the sum of |det| over
+    the rank-subsets of all the normals, the volume of their zonotope."""
+    normals = [u for u, _ in cone.facets if not any(pair(u, v) for v in face)]
+    k = cone.rank - len(face)
+    columns = list(combinations(range(cone.rank), k))
     total = 0
-    for rows in combinations([u for u, _ in cone.facets], cone.rank):
+    for rows in combinations(normals, k):
         if total > bound:
             break
-        try:
-            total += abs(adjugate(rows)[0])
-        except NotIndependent:
-            pass
+        total += gcd(*(_minor([list(map(row.__getitem__, cols)) for row in rows]) for cols in columns))
     return total
+
+
+def _minor(rows) -> int:
+    """|det| of a square integer matrix, 0 when it is singular."""
+    try:
+        return abs(adjugate(rows)[0])
+    except NotIndependent:
+        return 0
 
 
 def _pairing_series(resolution: SubdivisionMap, rayset: RaySet):
     """(face, terms, plan) of the pairings with the coarse face ``rayset``,
     built once and cached on the resolution: ``face`` its strict transform;
     per coarse cone sigma with two or more fine cones in the face's star,
-    and no fewer than ``_series_size(sigma)``, one term (sigma, N, D), their
-    sum with unit numerators folded along the walls inside them
+    and no fewer than the predicted size of the series of sigma's image
+    modulo the face (``_series_size``), one term (sigma, N, D), their sum
+    with unit numerators folded along the walls inside them
     (``laurent._fold``); per other fine cone, (sigma, None, its weights
     outside the face); terms in star order, and ``plan`` their sum's fold
     compiled on the walls of the star between terms (``laurent._Plan``).
     Each wall goes with its normal, the direction whose factors its merge
-    tries."""
+    tries, and each pair of terms with each direction once: the fine walls
+    along one coarse wall all repeat its normal, as many as the resolution
+    cut it into, and the plan's merge pick counts walls."""
     cache = resolution.__dict__.setdefault("_series", {})
     if rayset not in cache:
         fine, coarse = resolution.fine, resolution.coarse
@@ -151,8 +168,9 @@ def _pairing_series(resolution: SubdivisionMap, rayset: RaySet):
         groups: dict[int, list[int]] = {}
         for p, a in enumerate(owners):
             groups.setdefault(a, []).append(p)
+        spanning = [fine.rays[i] for i in face]
         folded = {a for a, group in groups.items()
-                  if len(group) > 1 and _series_size(coarse.cone_objects[a], len(group)) <= len(group)}
+                  if len(group) > 1 and _series_size(coarse.cone_objects[a], spanning, len(group)) <= len(group)}
         keys: dict[tuple, int] = {}  # (sigma, None) if folded, else (sigma, star position)
         slot = [keys.setdefault((a, None) if a in folded else (a, p), len(keys)) for p, a in enumerate(owners)]
 
@@ -171,8 +189,9 @@ def _pairing_series(resolution: SubdivisionMap, rayset: RaySet):
             one = LaurentPoly.one(fine.rank)
             num, den = _fold(LocalizationSum.build(fine.rank, [(one, weights(q)) for q in group]), inner)
             terms.append((a, num, [w for w, m in sorted(den.items()) for _ in range(m)]))
-        plan = _Plan(fine.rank, [(num, den) for _, num, den in terms],
-                     [(slot[q], slot[r], d) for q, r, d in walls if slot[q] != slot[r]])
+        between = dict.fromkeys((min(slot[q], slot[r]), max(slot[q], slot[r]), d)
+                                for q, r, d in walls if slot[q] != slot[r])
+        plan = _Plan(fine.rank, [(num, den) for _, num, den in terms], list(between))
         cache[rayset] = face, tuple(terms), plan
     return cache[rayset]
 

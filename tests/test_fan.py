@@ -791,9 +791,9 @@ class TestResolve:
             cells = {id(cell): cell for held in ref.incidence.values() for cell in held.values()}
             return sum(cell[3] - 1 for cell in cells.values())
 
-        def watched(ref, ray, holding):
+        def watched(ref, ray, holding, *known):
             before = excess(ref)
-            change = step(ref, ray, holding)
+            change = step(ref, ray, holding, *known)
             rises.append(excess(ref) >= before)
             return change
 
@@ -906,7 +906,7 @@ class TestResolve:
 
         step = fan_module._Refinement.step
         monkeypatch.setattr(fan_module._Refinement, "step",
-                            lambda ref, ray, holding: steps.append(len(holding)) or step(ref, ray, holding))
+                            lambda ref, ray, holding, *known: steps.append(len(holding)) or step(ref, ray, holding, *known))
         assert profiled(fan).fine.is_smooth()
         assert steps == [1] * m and lookups == []
         steps.clear()
@@ -1017,12 +1017,18 @@ class TestResolve:
         assert chained == refined
 
     def test_a_drawn_point_left_non_primitive_is_a_check_failure(self, monkeypatch):
-        # the first point of <e1, e2, (-1,-1,3)>, (0,0,1), left doubled: both
-        # pieces through (0,0,2) drop to multiplicity 2, and the next step, at
-        # (0,0,1), leaves (0,0,2) on no cone
-        drawn = []
-        monkeypatch.setattr(chains_module, "primitive_vector",
-                            lambda v: drawn.append(v) or (vec_scale(2, v) if len(drawn) == 1 else v))
+        # a least parallelepiped point is primitive, so a step takes it as
+        # drawn and the fine map's check is the guard: the first point of
+        # <e1, e2, (-1,-1,3)>, (0,0,1), drawn doubled: both pieces through
+        # (0,0,2) drop to multiplicity 2, and the next step, at (0,0,1),
+        # leaves (0,0,2) on no cone
+        drawn, least = [], fan_module._least_box_point
+
+        def doubled(cell, draw):
+            drawn.append(least(cell, draw))
+            return vec_scale(2, drawn[-1]) if len(drawn) == 1 else drawn[-1]
+
+        monkeypatch.setattr(fan_module, "_least_box_point", doubled)
         fan = Fan.build(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 3)], [(0, 1, 2)])
         with pytest.raises(ResolutionCheckFailed, match=re.escape(
                 "the refinement's ray (0, 0, 2) is not a primitive vector of rank 3")):
@@ -1144,7 +1150,7 @@ class TestResolve:
         def cone_of(ref, cell):
             return cell[5] if isinstance(cell[5], Cone) else fresh(ref.rank, cell[1])
 
-        def checked(ref, ray, holding):
+        def checked(ref, ray, holding, *known):
             cells = chains_module.fan_order(ref.first)
             held = [id(cell) for cell in holding]
             assert sorted(held) == sorted(id(cell) for cell in cells if cone_of(ref, cell).contains(ray))
@@ -1158,7 +1164,7 @@ class TestResolve:
                     faces.add(tuple(sorted(gen_rays[i] for i in face)))
             assert len(faces) == 1 and sorted(map(id, ref.star(faces.pop()))) == sorted(held)
             before = [(cell, cell[5], cell[3]) for cell in cells]
-            change = step_through(ref, ray, holding)
+            change = step_through(ref, ray, holding, *known)
             replaced = {id(pieces[0]): (was, pieces) for was, pieces in change or ()}
             assert sorted(replaced) == (sorted(held) if change else [])
             for cell, slot, mult in before:

@@ -547,6 +547,14 @@ CATALOG_FANS = {
 }
 
 
+def four_cube_fan():
+    """The face fan of the 4-cube: rays (+-1, +-1, +-1, +-1), a cone over
+    each 3-cube."""
+    vertices = list(itertools.product((-1, 1), repeat=4))
+    return Fan.build(4, vertices, [tuple(i for i, v in enumerate(vertices) if v[a] == s)
+                                   for a in range(4) for s in (-1, 1)])
+
+
 def line_bundle_classes(fan):
     """The unit and some line-bundle classes of a catalog fan: the divisor
     classes of a smooth complete fan, the spanning classes of P(1,1,2), and
@@ -669,47 +677,109 @@ class TestPairingSeries:
         assert len(across) == 24 == 2 * 12  # two fine walls across each edge of the cube
         assert len(plan.steps) == 5 and plan.rest == [0]  # the six series merge along them, no fallback
 
+    def test_cube_resolutions_compile_one_chi_plan(self, cube):
+        """The fine walls along a coarse wall all repeat its direction and
+        count once, so the 48-cone, the 52-cone (``Random(99)``, 2 extra
+        rounds) and the 128-cone (``Random(5)``, 40 extra rounds) resolutions
+        of the cube fan compile the same merges of their six series for chi."""
+        resolutions = [resolve(cube), resolve(cube, rng=random.Random(99), extra_rounds=2),
+                       resolve(cube, rng=random.Random(5), extra_rounds=40)]
+        assert [len(r.fine.maximal_cones) for r in resolutions] == [48, 52, 128]
+        plans = []
+        for r in resolutions:
+            _, terms, plan = ktheory._pairing_series(r, ())
+            assert [a for a, _, _ in terms] == list(range(6)) and plan.rest == [0]
+            plans.append(plan.steps)
+        assert len(plans[0]) == 5 and plans[0] == plans[1] == plans[2]
+
     @pytest.mark.parametrize("qs", [(2, 3, 5), (3, 5, 7)])
     def test_the_guard_keeps_wide_series_split(self, qs):
         """The cones of P(1,2,3,5) and P(1,3,5,7) predict more series terms
-        than they have fine cones, so every fine cone stays its own term."""
+        than they have fine cones, so at the zero face every fine cone stays
+        its own term.  At another face the guard reads each cone's image
+        modulo the face: a group of two or more fine cones folds iff the
+        image predicts no more terms than it has cones, and some do at the
+        rays.  An image of dimension 2 is simplicial, its index the count of
+        its parallelepiped points, so each folded series has as many terms
+        as predicted."""
         fan = weighted_projective_space(qs)
         r = resolve(fan)
         rng = random.Random(1301)
         f = random_cartier_combination(fan, [PiecewiseExponential.constant(fan, 1)], rng)
+        folded = 0
         for face in fan.faces:
             fine_face, terms, _ = ktheory._pairing_series(r, face)
-            assert all(num is None for _, num, _ in terms)
-            assert len(terms) == len(r.fine._star[fine_face])
+            star = r.fine._star[fine_face]
+            spanning = [r.fine.rays[i] for i in fine_face]
+            size = {a: sum(r.assignment[i] == a for i in star) for a, _, _ in terms}
+            predicted = {a: ktheory._series_size(fan.cone_objects[a], spanning, 10 ** 9) for a in size}
+            assert face or all(predicted[a] > size[a] for a in size if size[a] > 1)
+            for a, num, _ in terms:
+                assert (num is not None) == (1 < size[a] and predicted[a] <= size[a]), (face, a)
+                assert num is None or len(num.terms) == predicted[a]
+                folded += num is not None
+            assert len(terms) == len(star) - sum(size[a] - 1 for a, num, _ in terms if num is not None)
             assert kronecker_pair(fan, f, face, resolution=r) == star_sum_ungrouped(r, f, face)
+        assert folded > 0
 
     def test_a_cone_with_dependent_facet_normals_predicts_its_zonotope(self, monkeypatch):
         """On the face fan of the 4-cube, rays (+-1, +-1, +-1, +-1) and a cone
         over each 3-cube, each cone has 6 facet normals, some 4 of them
-        dependent, and ``_series_size`` skips those: it is the sum of |det|
-        over the 4-subsets, 24, below the 48 fine cones of each cone in the
-        384-cone resolution, so the unit's chi folds each group, and is 1.
-        At a ray and at a 2-face the guard keeps every group split, and the
-        pairings equal those with ``_series_size`` made huge."""
-        vertices = list(itertools.product((-1, 1), repeat=4))
-        fan = Fan.build(4, vertices, [tuple(i for i, v in enumerate(vertices) if v[a] == s)
-                                      for a in range(4) for s in (-1, 1)])
+        dependent, and at the zero face ``_series_size`` adds 0 for those: it
+        is the sum of |det| over the 4-subsets, 24, below the 48 fine cones of
+        each cone in the 384-cone resolution, so the unit's chi folds each
+        group, and is 1.  At a ray and at a 2-face each cone's image modulo
+        the face is smooth, so it predicts 1 and its group folds to N = 1, a
+        unit +-e^m once its denominator's characters are made lexicographically
+        positive, and the pairings equal those with ``_series_size`` made huge,
+        which keeps every group split."""
+        fan = four_cube_fan()
         r = resolve(fan)
         assert len(r.fine.maximal_cones) == 384
         for cone in fan.cone_objects:
             dets = [abs(det_expansion(rows)) for rows in itertools.combinations([u for u, _ in cone.facets], 4)]
             assert len(dets) == 15 and 0 in dets
-            assert ktheory._series_size(cone, 10 ** 9) == sum(dets) == 24
+            assert ktheory._series_size(cone, (), 10 ** 9) == sum(dets) == 24
         one = PiecewiseExponential.constant(fan, 1)
         assert chi(fan, one, resolution=r) == LaurentPoly.one(4)
         assert all(num is not None for _, num, _ in ktheory._pairing_series(r, ())[1])
         faces = [(0,), next(face for face in fan.faces if len(face) == 2)]
         f = random_cartier_combination(fan, [one], random.Random(1301))
         want = [kronecker_pair(fan, f, face, resolution=r) for face in faces]
-        assert all(num is None for face in faces for _, num, _ in ktheory._pairing_series(r, face)[1])
-        monkeypatch.setattr(ktheory, "_series_size", lambda cone, bound: 10 ** 9)
+        for face, count in zip(faces, (4, 3)):
+            fine_face, terms, _ = ktheory._pairing_series(r, face)
+            spanning = [r.fine.rays[i] for i in fine_face]
+            assert len(terms) == count and all(len(num.terms) == 1 for _, num, _ in terms)
+            assert {ktheory._series_size(fan.cone_objects[a], spanning, 10 ** 9) for a, _, _ in terms} == {1}
+        monkeypatch.setattr(ktheory, "_series_size", lambda cone, face, bound: 10 ** 9)
         split = resolve(fan)
         assert [kronecker_pair(fan, f, face, resolution=split) for face in faces] == want
+        assert all(num is None for face in faces for _, num, _ in ktheory._pairing_series(split, face)[1])
+
+    @pytest.mark.parametrize("name", ["p1", "p2", "p1xp1", "hirzebruch2", "p112", "cube", "p1235", "p1357",
+                                      "cube4"])
+    def test_every_face_pairs_as_the_ungrouped_star_sum(self, name, complete_corpus):
+        """At every face of the corpus, of P(1,2,3,5), of P(1,3,5,7) and of
+        the face fan of the 4-cube, through the resolution without rng, a
+        random class pairs as the star sum with one term per fine cone.  The
+        4-cube's zero face is left to the unit's chi above: the ungrouped
+        fold of its 384 terms takes minutes.  Its ray groups fold to N = 1."""
+        if name in complete_corpus:
+            fan = complete_corpus[name]
+            classes = line_bundle_classes(fan)
+        else:
+            fan = {"p1235": lambda: weighted_projective_space((2, 3, 5)),
+                   "p1357": lambda: weighted_projective_space((3, 5, 7)), "cube4": four_cube_fan}[name]()
+            classes = [PiecewiseExponential.constant(fan, 1)]
+        r = resolve(fan)
+        f = random_cartier_combination(fan, classes, random.Random(20261020))
+        for face in fan.faces:
+            if face or name != "cube4":
+                assert kronecker_pair(fan, f, face, resolution=r) == star_sum_ungrouped(r, f, face), face
+        if name == "cube4":
+            rays = [face for face in fan.faces if len(face) == 1]
+            assert len(rays) == 16
+            assert all(len(num.terms) == 1 for face in rays for _, num, _ in ktheory._pairing_series(r, face)[1])
 
     def test_a_second_call_folds_no_series(self, cube, monkeypatch):
         """The series and the strict transform are built on the first call:

@@ -262,7 +262,8 @@ def test_the_cli_decodes_json_in_one_place():
 
 def test_star_sums_merge_along_their_walls():
     # a series folds along the walls inside its group; the sum of a pairing's series
-    # is compiled once into a plan on the walls between its terms, and every pairing
+    # is compiled once into a plan on the walls between its terms, each pair of terms
+    # with each direction once, however many fine walls repeat it, and every pairing
     # runs that plan through reduce_localization; every wall of the star carries its
     # direction, so a merge tries only the directions of the walls it joins, compiled
     # by the one _merge_rounds call, the compiler's, and a fold whose merges were so
@@ -277,8 +278,7 @@ def test_star_sums_merge_along_their_walls():
     assert reductions == [
         ("_pairing_series", "_fold", ["LocalizationSum.build(fine.rank, [(one, weights(q)) for q in group])",
                                       "inner"]),
-        ("_pairing_series", "_Plan", ["fine.rank", "[(num, den) for _, num, den in terms]",
-                                      "[(slot[q], slot[r], d) for q, r, d in walls if slot[q] != slot[r]]"]),
+        ("_pairing_series", "_Plan", ["fine.rank", "[(num, den) for _, num, den in terms]", "list(between)"]),
         ("_star_sum", "reduce_localization", ["[values[a] for a, _, _ in terms]", "plan"]),
     ]
     series = next(f for _, f in _nodes(ktheory, ast.FunctionDef) if f.name == "_pairing_series")
@@ -286,6 +286,8 @@ def test_star_sums_merge_along_their_walls():
     assignments = {ast.unparse(node.targets[0]): ast.unparse(node.value) for _, node in _nodes(series, ast.Assign)}
     assert assignments["walls"] == "[(q, r, direction(q, r)) for q, r in fine.star_walls(face)]"
     assert assignments["inner"] == "[(local[q], local[r], d) for q, r, d in walls if q in local and r in local]"
+    assert assignments["between"] == ("dict.fromkeys(((min(slot[q], slot[r]), max(slot[q], slot[r]), d) "
+                                      "for q, r, d in walls if slot[q] != slot[r]))")
     laurent = ast.parse(next(p for p in SOURCES if p.name == "laurent.py").read_text())
     run = next(f for _, f in _nodes(laurent, ast.FunctionDef) if f.name == "run")
     finals = [node for _, node in _nodes(run, ast.If) if ast.unparse(node.test) == "self.narrowed"]
