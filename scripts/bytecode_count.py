@@ -18,6 +18,11 @@ first builds the resolution's series, the second finds them cached.
 ``resolve(cube_fan(), rng=Random(99), extra_rounds=2)``, and
 ``pair_ray_warm`` one cached ``kronecker_pair`` of that class at the ray
 (1,1,1) through ``resolve(cube_fan())``.
+``gkm_corrupted_cube48`` counts ``gkm_validate`` of the octahedron class
+pulled back to ``resolve(cube_fan())``, its value on cone 0 moved by
+e^(1,0,0), on a validated copy of the 48-cone fine fan built outside the
+count, so that the walls refuse it and the pass over the star table
+reports its violations.
 ``rank4_1_1_1_13`` resolves the rank-4 cone <e1, e2, e3, (1,1,1,13)> and
 ``rank4_dim3_1_2_5`` the 3-dimensional cone <(1,0,0,0), (0,1,0,0),
 (1,2,5,0)> in rank 4, whose cells are split in its Smith form's frame;
@@ -37,7 +42,8 @@ import sys
 from pexpfan import catalog
 from pexpfan.fan import Fan, resolve
 from pexpfan.ktheory import chi, kronecker_pair
-from pexpfan.pexp import CartierData, from_cartier
+from pexpfan.laurent import LaurentPoly
+from pexpfan.pexp import CartierData, from_cartier, gkm_validate
 
 
 def count_bytecodes(run) -> int:
@@ -65,17 +71,22 @@ def a_cone(n):
     return Fan.build(2, [(1, 0), (1, n)], [(0, 1)])
 
 
-def octahedron_pair(warm, ray=None, **resolve_kw):
-    """The chi of the octahedron class through ``resolve(cube_fan(),
-    **resolve_kw)``, or its pairing with the cube fan's ``ray``, with its
-    series built first when ``warm``."""
-    cube = catalog.cube_fan()
+def octahedron_exponents(cube):
+    """e^(-s e_a) on the cone over the cube face x_a = s, per cube cone."""
     exps = []
     for rs in cube.maximal_cones:
         gens = [cube.rays[i] for i in rs]
         axis = next(a for a in range(3) if len({g[a] for g in gens}) == 1)
         exps.append(tuple(-gens[0][axis] if a == axis else 0 for a in range(3)))
-    f, r = from_cartier(cube, CartierData(tuple(exps))), resolve(cube, **resolve_kw)
+    return exps
+
+
+def octahedron_pair(warm, ray=None, **resolve_kw):
+    """The chi of the octahedron class through ``resolve(cube_fan(),
+    **resolve_kw)``, or its pairing with the cube fan's ``ray``, with its
+    series built first when ``warm``."""
+    cube = catalog.cube_fan()
+    f, r = from_cartier(cube, CartierData(tuple(octahedron_exponents(cube)))), resolve(cube, **resolve_kw)
     if ray is None:
         run = lambda: chi(cube, f, resolution=r)
     else:
@@ -84,6 +95,16 @@ def octahedron_pair(warm, ray=None, **resolve_kw):
     if warm:
         run()
     return run
+
+
+def corrupted_cube48():
+    cube = catalog.cube_fan()
+    exps = octahedron_exponents(cube)
+    sub = resolve(cube)
+    fine = Fan.build(3, sub.fine.rays, sub.fine.maximal_cones)
+    values = [LaurentPoly.exponential(exps[j]) for j in sub.assignment]
+    values[0] = values[0] * LaurentPoly.exponential((1, 0, 0))
+    return lambda: gkm_validate(fine, values)
 
 
 # (case, a function making the call that is counted)
@@ -101,6 +122,7 @@ CASES = [
                                                             [(0, 1, 2)]))),
     ("chi_octahedron_warm_52", lambda: octahedron_pair(True, rng=random.Random(99), extra_rounds=2)),
     ("pair_ray_warm", lambda: octahedron_pair(True, (1, 1, 1))),
+    ("gkm_corrupted_cube48", corrupted_cube48),
 ]
 
 ap = argparse.ArgumentParser(description="Bytecodes executed by resolve on fixed cases.")

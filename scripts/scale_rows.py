@@ -34,8 +34,10 @@ cones are the four triples of rays, its resolution passed.  The chi rows
 build their resolution outside the timing, so each folds its series.
 ``gkm_violations``: ``gkm_validate`` of the octahedron class on a fresh
 validated copy of the 48-cone ``resolve(cube_fan())``, its value on cone 0
-moved by e^(1,0,0), so that the walls refuse it and the pairwise loop
-reports its violations.
+moved by e^(1,0,0), so that the walls refuse it and the pass over the star
+table reports its violations.  ``gkm_report``: ``gkm_validate`` of the unit
+with cone 0 moved by e^(1,0) on the fan of ``complete`` (N + 4 cones), whose
+two violations the same pass reports.
 ``planless_shuffled``: ``reduce_localization``, with no plan, of the
 octahedron class's localization sum over the N cones of ``resolve(cube_fan())``
 (N = 48) or of the ``chi_cube128`` refinement (N = 128), its terms shuffled by
@@ -78,6 +80,13 @@ def fresh_fine_fan(n):
     fan = Fan.build(2, fine.rays, fine.maximal_cones, validate=False)
     fan.walls
     return fan
+
+
+def moved_unit(n):
+    fan = fresh_fine_fan(n)
+    values = [LaurentPoly.one(2)] * len(fan.maximal_cones)
+    values[0] = LaurentPoly.exponential((1, 0))
+    return fan, values
 
 
 def unit_chi(resolution):
@@ -224,6 +233,7 @@ rows = [
     ("chi_wps", ((2, 3, 5),) if quick else ((101, 211, 307), (307, 601, 1009)),
      lambda qs: resolve(weighted_projective_space(qs)), unit_chi),
     ("gkm_violations", (48,), corrupted_cube48, lambda subject: gkm_validate(*subject)),
+    ("gkm_report", (10, 20) if quick else (1000, 2000, 4000), moved_unit, lambda subject: gkm_validate(*subject)),
     ("planless_shuffled", (48,) if quick else (128,), shuffled_octahedron_sum, reduce_localization),
     ("decompose_dependent", (4,) if quick else (4, 8, 16), dependent_cube_basis, refused),
     ("decompose_p1n", (2,) if quick else (2, 3), lambda n: product_basis(n)[1],

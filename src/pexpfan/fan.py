@@ -629,7 +629,23 @@ class SubdivisionMap:
 
     @staticmethod
     def identity(fan: Fan) -> "SubdivisionMap":
-        return SubdivisionMap(fan, fan, tuple(range(len(fan.maximal_cones))))
+        return SubdivisionMap(fan, fan, tuple(range(len(fan.maximal_cones))))._marked()
+
+    def _marked(self) -> "SubdivisionMap":
+        """This map, marked as a subdivision in its instance dict (where the
+        pairings cache their ``_series``), so that ``_check`` passes it."""
+        self.__dict__["_checked"] = True
+        return self
+
+    def _check(self) -> "SubdivisionMap":
+        """This map, refused by ``_check_subdivision`` unless it is a
+        subdivision, the first time it is read.  The maps of ``identity``,
+        ``from_json``, ``resolve`` and ``stellar_subdivision`` are marked,
+        so only a map built by hand pays the check, once."""
+        if "_checked" not in self.__dict__:
+            _check_subdivision(self)
+            self._marked()
+        return self
 
     def to_json(self) -> dict:
         return {
@@ -641,46 +657,50 @@ class SubdivisionMap:
     @staticmethod
     def from_json(obj: dict) -> "SubdivisionMap":
         """Read a map, refusing one whose fine cones do not lie in their
-        coarse cones or do not cover them.
-
-        The fine cones assigned to a coarse cone sigma cover it when each has
-        the dimension of sigma and each of their facets either lies in a
-        facet of sigma or is a facet of exactly two of them.  The degree of
-        a generic point of sigma, the number of them holding it, then does
-        not change across such a facet, by the crossing argument of
-        ``Fan.is_complete`` inside the span of sigma; it is at most 1, the
-        fine fan being a fan, and some fine cone holds a point of sigma's
-        interior.  A facet of a fine cone of sigma that lies in no facet of
-        sigma meets its interior, so no cone of another maximal coarse cone
-        has it."""
+        coarse cones or do not cover them (``_check_subdivision``)."""
         if not isinstance(obj, dict) or not {"fine", "coarse", "assignment"} <= set(obj):
             raise ValueError("subdivision map JSON needs 'fine', 'coarse', and 'assignment'")
         fine, coarse = Fan.from_json(obj["fine"]), Fan.from_json(obj["coarse"])
-        if fine.rank != coarse.rank:
-            raise ValueError(f"fine fan of rank {fine.rank} over a coarse fan of rank {coarse.rank}")
-        sub = SubdivisionMap(fine, coarse, tuple(
+        return SubdivisionMap(fine, coarse, tuple(
             strict_int(j, "assignment entry") for j in strict_list(obj["assignment"], "assignment")
-        ))
-        for i, j in enumerate(sub.assignment):
-            if not 0 <= j < len(coarse.maximal_cones):
-                raise ValueError(f"fine cone {i} is assigned to missing coarse cone {j}")
-            if not all(coarse.cone_objects[j].contains(fine.rays[k])
-                       for k in fine.maximal_cones[i]):
-                raise ValueError(f"fine cone {i} does not lie in its coarse cone {j}")
-        if set(sub.assignment) != set(range(len(coarse.maximal_cones))):
-            raise ValueError("some coarse cone has no fine cone assigned")
-        for i, j in enumerate(sub.assignment):
-            if fine.cone_objects[i].dim != coarse.cone_objects[j].dim:
-                raise ValueError(f"fine cone {i} has a dimension other than its coarse cone {j}")
-        for rayset, entries in fine.walls.items():
-            if len(entries) == 2 and sub.assignment[entries[0][0]] == sub.assignment[entries[1][0]]:
-                continue
-            for i, _ in entries:
-                j = sub.assignment[i]
-                if not any(all(pair(u, fine.rays[k]) == 0 for k in rayset)
-                           for u, _ in coarse.cone_objects[j].facets):
-                    raise ValueError(f"the fine cones assigned to coarse cone {j} do not cover it")
-        return sub
+        ))._check()
+
+
+def _check_subdivision(sub: SubdivisionMap):
+    """Raise ``ValueError`` unless the fine cones of ``sub`` lie in their
+    coarse cones and cover them, the fine fan being a fan.
+
+    The fine cones assigned to a coarse cone sigma cover it when each has
+    the dimension of sigma and each of their facets either lies in a facet
+    of sigma or is a facet of exactly two of them.  The degree of a generic
+    point of sigma, the number of them holding it, then does not change
+    across such a facet, by the crossing argument of ``Fan.is_complete``
+    inside the span of sigma; it is at most 1, the fine fan being a fan,
+    and some fine cone holds a point of sigma's interior.  A facet of a fine
+    cone of sigma that lies in no facet of sigma meets its interior, so no
+    cone of another maximal coarse cone has it."""
+    fine, coarse = sub.fine, sub.coarse
+    if fine.rank != coarse.rank:
+        raise ValueError(f"fine fan of rank {fine.rank} over a coarse fan of rank {coarse.rank}")
+    for i, j in enumerate(sub.assignment):
+        if not 0 <= j < len(coarse.maximal_cones):
+            raise ValueError(f"fine cone {i} is assigned to missing coarse cone {j}")
+        if not all(coarse.cone_objects[j].contains(fine.rays[k])
+                   for k in fine.maximal_cones[i]):
+            raise ValueError(f"fine cone {i} does not lie in its coarse cone {j}")
+    if set(sub.assignment) != set(range(len(coarse.maximal_cones))):
+        raise ValueError("some coarse cone has no fine cone assigned")
+    for i, j in enumerate(sub.assignment):
+        if fine.cone_objects[i].dim != coarse.cone_objects[j].dim:
+            raise ValueError(f"fine cone {i} has a dimension other than its coarse cone {j}")
+    for rayset, entries in fine.walls.items():
+        if len(entries) == 2 and sub.assignment[entries[0][0]] == sub.assignment[entries[1][0]]:
+            continue
+        for i, _ in entries:
+            j = sub.assignment[i]
+            if not any(all(pair(u, fine.rays[k]) == 0 for k in rayset)
+                       for u, _ in coarse.cone_objects[j].facets):
+                raise ValueError(f"the fine cones assigned to coarse cone {j} do not cover it")
 
 
 def _cell(rs: RaySet, cone: Cone, ray_index: dict[Vector, int], source: int) -> list:
@@ -888,7 +908,7 @@ def _fine_map(coarse: Fan, rays, first: list) -> SubdivisionMap:
             slot if slot.__class__ is Cone
             else _framed(rank, g, frames[s], (m, tuple(slot)) if slot.__class__ is list else None)
             for g, m, s, slot in zip(gens, mults, sources, slots))
-    return SubdivisionMap(fine, coarse, sources)
+    return SubdivisionMap(fine, coarse, sources)._marked()
 
 
 def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:

@@ -265,7 +265,9 @@ def gram_matrix(
     value at the coarse cone each fine cone is assigned to.  Each face's
     strict transform and series are built once per resolution
     (``_pairing_series``); every entry is then one sum over the series'
-    terms (``_star_sum``), with no orbit class built.
+    terms (``_star_sum``), with no orbit class built.  A resolution built
+    by hand is refused unless it is a subdivision (``SubdivisionMap._check``),
+    once its fine fan is found smooth and complete.
     """
     functions = tuple(functions)
     if any(f.fan != fan for f in functions):
@@ -275,6 +277,7 @@ def gram_matrix(
     raysets = tuple(fan.require_face(rs) for rs in raysets)
     resolution = _resolution_of(fan, resolution)
     _require_smooth_complete(resolution.fine)
+    resolution._check()
     for rs in raysets:
         _pairing_series(resolution, rs)
     entries = tuple(tuple(_star_sum(resolution, f.values, rs) for rs in raysets) for f in functions)

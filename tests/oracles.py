@@ -26,8 +26,8 @@ form's coordinates (these cone oracles read them, ``smith_local_generators``,
 where a cone reads its own frame: those of N at full dimension, its cell's
 for a resolve piece), and
 ``gkm_violations_pairwise`` and ``star_walls_scan``, the pairwise loop
-that ``pexp.gkm_validate`` ran before it restricted each (cone, face) once
-and the scan over every wall that ``Fan.star_walls`` ran before its
+that ``pexp.gkm_validate`` ran before its pass over the star table
+replaced it and the scan over every wall that ``Fan.star_walls`` ran before its
 per-cone wall table, and ``facets_by_generator_subsets``,
 ``extreme_generators_by_rank`` and ``box_points_scan``, the facet subset
 loop, the per-generator rank test and the bounding-box scan that
@@ -1001,9 +1001,10 @@ def basis_rows_by_subsets(rows, k: int, rank: int):
 
 
 def gkm_violations_pairwise(fan, values):
-    """The violations of ``pexp.gkm_validate``'s pairwise loop as it ran
-    before it kept its restrictions: both cones of every pair restricted to
-    their common face afresh."""
+    """The violations by the pairwise loop that ``pexp.gkm_validate`` ran
+    before its one pass over the star table replaced it, as it ran before
+    it kept its restrictions: both cones of every pair of maximal cones
+    restricted to their common face afresh, quadratic in the cones."""
     from pexpfan.pexp import GkmViolation, _restriction, coerce_values
 
     vals = coerce_values(fan, values)

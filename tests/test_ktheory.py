@@ -23,7 +23,8 @@ from pexpfan.errors import (
     ResultCheckFailed,
     SingularGram,
 )
-from pexpfan.fan import Cone, Fan, SubdivisionMap, resolve
+import pexpfan.fan as fan_module
+from pexpfan.fan import Cone, Fan, SubdivisionMap, resolve, stellar_subdivision
 from pexpfan.ktheory import (
     chi,
     decompose,
@@ -37,7 +38,7 @@ from pexpfan.ktheory import (
 )
 from pexpfan.lattice import adjugate, mat_vec, transpose, vec_scale
 from pexpfan.laurent import LaurentPoly, LocalizationSum
-from pexpfan.pexp import CartierData, PiecewiseExponential, from_cartier, gkm_validate, pullback
+from pexpfan.pexp import CartierData, PiecewiseExponential, descend, from_cartier, gkm_validate, pullback
 
 from oracles import (
     augmentation,
@@ -327,6 +328,74 @@ def test_arguments_on_another_fan_are_refused(p1, p2, call, error, message):
     with pytest.raises((ValueError, NotComplete)) as exc:
         call(p1, p2)
     assert (type(exc.value), str(exc.value)) == (error, message)
+
+
+def p1_cubed_over_the_cube(cube):
+    """The eight octants of (P^1)^3 passed as a refinement of the cube fan,
+    each assigned the cube cone over the face x = +-1 of its x-sign: a
+    smooth complete fan, but not a subdivision of the cube fan."""
+    units = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    rays = units + [tuple(-x for x in e) for e in units]
+    octants = Fan.build(3, rays, [tuple(i + 3 * s for i, s in enumerate(signs))
+                                  for signs in itertools.product((0, 1), repeat=3)])
+    side = {s: cube.maximal_cones.index(cube.rayset_from_vectors([(s, a, b) for a in (1, -1) for b in (1, -1)]))
+            for s in (1, -1)}
+    return SubdivisionMap(octants, cube, tuple(side[1 if 0 in c else -1] for c in octants.maximal_cones))
+
+
+def swapped_cube_resolution(cube):
+    """``resolve(cube)`` with the assignments of its first fine cones in
+    coarse cones 0 and 1 swapped."""
+    sub = resolve(cube)
+    assignment = list(sub.assignment)
+    i, j = assignment.index(0), assignment.index(1)
+    assignment[i], assignment[j] = assignment[j], assignment[i]
+    return SubdivisionMap(sub.fine, cube, tuple(assignment))
+
+
+class TestHandBuiltMaps:
+    """A map built in Python is checked once, as ``SubdivisionMap.from_json``
+    checks a map it reads, before a pairing, ``pullback`` or ``descend``
+    reads it; the maps the package builds are never checked again."""
+
+    @pytest.mark.parametrize("build, message", [
+        (p1_cubed_over_the_cube, "fine cone 0 does not lie in its coarse cone 0"),
+        (swapped_cube_resolution, "fine cone 0 does not lie in its coarse cone 1"),
+    ], ids=["p1-cubed", "swapped-assignment"])
+    def test_a_map_that_is_no_subdivision_is_refused(self, cube, build, message):
+        # the (P^1)^3 map gave chi = e^(-1,0,0) + 1 + e^(1,0,0), a 3-term
+        # value where the true one has 7; the swapped one raised NotPolynomial
+        octahedron = line_bundle_classes(cube)[1]
+        calls = [lambda sub: chi(cube, octahedron, resolution=sub),
+                 lambda sub: gram_matrix(cube, [octahedron], [()], resolution=sub),
+                 lambda sub: pullback(octahedron, sub),
+                 lambda sub: descend(PiecewiseExponential.constant(sub.fine, 1), sub),
+                 lambda sub: SubdivisionMap.from_json(sub.to_json())]
+        for call in calls:
+            with pytest.raises(ValueError) as exc:
+                call(build(cube))
+            assert (type(exc.value), str(exc.value)) == (ValueError, message)
+
+    def test_only_a_hand_built_map_runs_the_check(self, cube, monkeypatch):
+        checked = []
+        check = fan_module._check_subdivision
+        monkeypatch.setattr(fan_module, "_check_subdivision", lambda sub: checked.append(sub) or check(sub))
+        octahedron = line_bundle_classes(cube)[1]
+        built = [resolve(cube), resolve(cube, rng=random.Random(3), extra_rounds=2),
+                 stellar_subdivision(cube, (1, 1, 0)), SubdivisionMap.identity(catalog.p1_times_p1())]
+        for sub in built:
+            f = octahedron if sub.coarse == cube else PiecewiseExponential.constant(sub.coarse, 1)
+            if sub.fine.is_smooth():
+                chi(sub.coarse, f, resolution=sub)
+            assert descend(pullback(f, sub), sub) == f
+        assert checked == []
+        sub = built[0]
+        by_hand = SubdivisionMap(sub.fine, sub.coarse, sub.assignment)
+        assert chi(cube, octahedron, resolution=by_hand) == chi(cube, octahedron, resolution=sub)
+        square = octahedron * octahedron
+        assert chi(cube, square, resolution=by_hand) == chi(cube, square, resolution=sub)
+        assert descend(pullback(octahedron, by_hand), by_hand) == octahedron
+        assert checked == [by_hand]
 
 
 class TestKroneckerPair:

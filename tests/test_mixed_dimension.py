@@ -45,7 +45,8 @@ class TestMixedDimensionFan:
         assert report.ok
         assert report.function.values[1] == E((-1,))
 
-    def test_gkm_takes_the_pairwise_loop(self, mixed_fan, monkeypatch):
+    def test_gkm_takes_the_star_pass(self, mixed_fan, monkeypatch):
+        # the walls decide only on a complete fan; here the pass over the star table does
         def refuse(fan, vals):
             raise AssertionError("an incomplete fan reached the wall check")
 

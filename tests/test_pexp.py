@@ -1,5 +1,6 @@
 import json
 import random
+from math import prod
 from types import SimpleNamespace
 
 import pytest
@@ -113,9 +114,9 @@ class TestGkmValidate:
 
     def test_walls_match_the_pairwise_loop(self, p112, cube, monkeypatch):
         """On resolutions of P(1,1,2) and of the cube, gkm_validate reports
-        the same whether the walls may accept or only the pairwise loop runs:
-        the same function for random classes, and for each class with one
-        exponent moved the same violations in the same order."""
+        the same whether the walls may accept or only the pass over the star
+        table runs: the same function for random classes, and for each class
+        with one exponent moved the same violations in the same order."""
         rng = random.Random(20261018)
         octahedron = octahedron_class(cube)
         cases = []
@@ -147,32 +148,67 @@ class TestGkmValidate:
         assert max(len(fan.maximal_cones) for fan, _ in cases) >= 48
 
     def test_violations_match_the_uncached_pairwise_loop(self, complete_corpus):
-        """On the corpus, seeded resolutions of it and a fan that is not
-        complete, gkm_validate reports the violations of the loop that
-        restricted both cones of every pair afresh, in the same order: for
-        global classes with one exponent moved and for random values."""
+        """On the corpus, seeded resolutions of it, the mixed-dimension fan
+        and the fine fans of resolutions of one rank-2 and one rank-3 cone
+        (neither complete), gkm_validate reports the violations of the loop
+        that restricted both cones of every pair afresh, in the same order:
+        for global classes with one exponent moved, random values, the unit
+        with one cone moved by e^(unit vector) (violations at faces of
+        positive dimension only), the unit with one cone doubled (its
+        augmentation differs, so it also fails at the zero cone) and a class
+        that fails exactly one wall.  from_cartier names the loop's first
+        violation for the cone moved by a unit vector."""
         rng = random.Random(20261019)
-        fans = [Fan.build(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)])]
+        fans = [Fan.build(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (2,)]),
+                resolve(Fan.build(2, [(1, 0), (1, 7)], [(0, 1)])).fine,
+                resolve(Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, 2, 5)], [(0, 1, 2)])).fine]
         for fan in complete_corpus.values():
             fans += [fan, resolve(fan, rng=random.Random(1), extra_rounds=1).fine]
-        reported = 0
+        reported, one_wall, refused = 0, 0, 0
         for fan in fans:
-            unit = PiecewiseExponential.constant(fan, 1)
+            unit, one = PiecewiseExponential.constant(fan, 1), LaurentPoly.one(fan.rank)
+            e1 = tuple(int(a == 0) for a in range(fan.rank))
+            characters = [(0,) * fan.rank] * (len(unit.values) - 1) + [e1]
+            want = gkm_violations_pairwise(fan, [E(m) for m in characters])
+            if want:
+                with pytest.raises(IncompatibleCartierData) as exc:
+                    from_cartier(fan, CartierData(tuple(characters)))
+                assert str(exc.value) == (f"characters on cones {want[0].cone_a} and {want[0].cone_b} "
+                                          f"differ on their common face {list(want[0].face)}")
+                refused += 1
+            moved, doubled = list(unit.values), list(unit.values)
+            moved[-1], doubled[0] = moved[-1] * E(e1[:moved[-1].rank]), doubled[0] * 2
+            cases = [moved, doubled]
+            # across a wall W of a full-dimensional simplicial cone i, the
+            # product of 1 - e^u over the normals u of i's other facets
+            # restricts to 0 on every face of i but W and i itself
+            walls = [(rs, cones) for rs, cones in fan.walls.items() if len(cones) == 2]
+            if walls and all(c.dim == fan.rank and c.is_simplicial for c in fan.cone_objects):
+                wall, ((i, _), (j, _)) = walls[len(walls) // 2]
+                values = list(unit.values)
+                values[i] = values[i] + prod((one - E(u) for rs, cones in fan.walls.items() for c, u in cones
+                                              if c == i and rs != wall), start=one)
+                assert [(v.cone_a, v.cone_b, v.face) for v in gkm_validate(fan, values).violations] == [
+                    (i, j, wall)]
+                cases.append(values)
+                one_wall += 1
             for _ in range(3):
-                moved = move_one_exponent(random_class(fan, rng, [unit]).values, rng)
-                noise = [LaurentPoly.from_dict(v.rank, {tuple(rng.randint(-1, 1) for _ in range(v.rank)):
-                                                        rng.randint(1, 2)}) for v in unit.values]
-                for values in (moved, noise):
-                    report = gkm_validate(fan, values)
-                    assert report.violations == gkm_violations_pairwise(fan, values), fan
-                    assert report.ok == (not report.violations)
-                    reported += len(report.violations)
-        assert reported > 1000
+                cases.append(move_one_exponent(random_class(fan, rng, [unit]).values, rng))
+                cases.append([LaurentPoly.from_dict(v.rank, {tuple(rng.randint(-1, 1) for _ in range(v.rank)):
+                                                             rng.randint(1, 2)}) for v in unit.values])
+            for values in cases:
+                report = gkm_validate(fan, values)
+                assert report.violations == gkm_violations_pairwise(fan, values), fan
+                assert report.ok == (not report.violations)
+                reported += len(report.violations)
+        assert reported > 1000 and refused > 10 and one_wall > 10
 
-    def test_the_violation_path_restricts_each_cone_face_once(self, cube, monkeypatch):
+    def test_the_violation_pass_restricts_each_star_cone_once(self, cube, monkeypatch):
         """A corrupted class on the 48-cone resolution of the cube restricts
-        each of the 336 (cone, common face) pairs once, where both cones of
-        each of the 1,128 pairs were restricted afresh (2,256 restrictions)."""
+        each cone once at each face of the fan held by two or more maximal
+        cones: 336 restrictions, as many as the (cone, common face) pairs,
+        where the loop restricted both cones of each of the 1,128 pairs
+        afresh (2,256 restrictions)."""
         sub = resolve(cube)
         values = move_one_exponent(pullback(octahedron_class(cube), sub).values, random.Random(7))
         want = gkm_violations_pairwise(sub.fine, values)
@@ -183,9 +219,11 @@ class TestGkmValidate:
         report = gkm_validate(sub.fine, values)
         assert report.violations == want and want
         cones = sub.fine.maximal_cones
+        stars = {(k, face) for face, star in sub.fine._star.items() if len(star) > 1 for k in star}
         pairs = {(k, tuple(sorted(set(cones[i]) & set(cones[j]))))
                  for i in range(len(cones)) for j in range(i + 1, len(cones)) for k in (i, j)}
-        assert len(cones) == 48 and len(calls) == len(set(calls)) == len(pairs) == 336
+        assert len(cones) == 48 and len(calls) == len(set(calls)) == 336
+        assert set(calls) == stars == pairs
 
     def test_wall_congruence_matches_restriction(self, p112, cube):
         """On every wall of resolutions of P(1,1,2) and of the cube, the

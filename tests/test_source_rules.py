@@ -84,7 +84,12 @@ mod anything outside ``chains.least_chain_points``, ``lattice._eliminate`` is
 called only in ``lattice``, and ``extreme_rays_of_region`` and
 ``ktheory._basis_rows`` take their rows from ``lattice.independent_rows``,
 the exact ``matrix_rank`` left only to the rows ``_basis_rows``'s images
-do not pick.
+do not pick; a nineteenth keeps one GKM reporter: ``pexp._restriction`` is
+called only from ``PiecewiseExponential.restrict`` and ``gkm_validate``,
+which reads the star table and calls no ``range``; a twentieth keeps one
+subdivision check: ``fan._check_subdivision`` is called only from
+``SubdivisionMap._check``, which only ``SubdivisionMap.from_json``,
+``ktheory.gram_matrix``, ``pexp.pullback`` and ``pexp.descend`` call.
 Every name the package exports resolves.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types, never
 the kernel it checks, and the oracles take only public names from
@@ -459,6 +464,23 @@ def test_one_elimination_decides_linear_independence():
     assert {name for name, _ in _callers("_eliminate")} == {"lattice.py"}
     assert _callers("independent_rows") == {("fan.py", "extreme_rays_of_region"), ("ktheory.py", "_basis_rows")}
     assert _callers("matrix_rank") == {("ktheory.py", "_basis_rows")}
+
+
+def test_gkm_violations_are_read_from_the_star_table():
+    # one pass over the faces, each cone of a star restricted once; no loop
+    # over the pairs of maximal cones and no (cone, face) cache
+    assert _callers("_restriction") == {("pexp.py", "restrict"), ("pexp.py", "gkm_validate")}
+    pexp = ast.parse(next(p for p in SOURCES if p.name == "pexp.py").read_text())
+    gkm = next(f for _, f in _nodes(pexp, ast.FunctionDef) if f.name == "gkm_validate")
+    assert "_star" in {a.attr for _, a in _nodes(gkm, ast.Attribute)}
+    assert "range" not in {getattr(c.func, "id", None) for _, c in _nodes(gkm, ast.Call)}
+
+
+def test_a_hand_built_map_is_checked_in_one_place():
+    # the maps the package builds are marked; the rest pay one check
+    assert _callers("_check_subdivision") == {("fan.py", "_check")}
+    assert _callers("_check") == {("fan.py", "from_json"), ("ktheory.py", "gram_matrix"),
+                                  ("pexp.py", "pullback"), ("pexp.py", "descend")}
 
 
 def test_every_exported_name_resolves():
