@@ -26,7 +26,8 @@ reports its violations.
 ``rank4_1_1_1_13`` resolves the rank-4 cone <e1, e2, e3, (1,1,1,13)> and
 ``rank4_dim3_1_2_5`` the 3-dimensional cone <(1,0,0,0), (0,1,0,0),
 (1,2,5,0)> in rank 4, whose cells are split in its Smith form's frame;
-these two also count building the fan.  It
+these two also count building the fan.  ``cube_fan_validated`` counts
+``catalog.cube_fan()``, the validated ``Fan.build`` of the cube fan.  It
 counts the opcode events under ``sys.settrace`` with ``f_trace_opcodes`` set
 on every frame, so it is exact and repeats from run to run, unlike a wall-clock time.  Time
 spent in C code is not counted: builtins such as ``sorted``, ``map`` or
@@ -123,6 +124,7 @@ CASES = [
     ("chi_octahedron_warm_52", lambda: octahedron_pair(True, rng=random.Random(99), extra_rounds=2)),
     ("pair_ray_warm", lambda: octahedron_pair(True, (1, 1, 1))),
     ("gkm_corrupted_cube48", corrupted_cube48),
+    ("cube_fan_validated", lambda: catalog.cube_fan),
 ]
 
 ap = argparse.ArgumentParser(description="Bytecodes executed by resolve on fixed cases.")

@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the ROADMAP's scale rows: one JSON line {"row", "size", "median_s",
-"repeats"} each, the median of 3 runs on fresh inputs (``--quick``: 1 run each
-on tiny sizes).
+"repeats"} each, the median of 3 runs on fresh inputs, or of 101 for
+``chi_octahedron_warm``, whose runs are too short for 3 to hold still
+(``--quick``: 1 run each on tiny sizes).
 
     PYTHONPATH=src python3 scripts/scale_rows.py [--quick]
 
@@ -37,7 +38,11 @@ validated copy of the 48-cone ``resolve(cube_fan())``, its value on cone 0
 moved by e^(1,0,0), so that the walls refuse it and the pass over the star
 table reports its violations.  ``gkm_report``: ``gkm_validate`` of the unit
 with cone 0 moved by e^(1,0) on the fan of ``complete`` (N + 4 cones), whose
-two violations the same pass reports.
+two violations the same pass reports.  ``validate_r3``: the validated
+``Fan.build`` of the fine fan of ``resolve_r3``'s cone (2m - 1 cones), which
+tiles that cone.  ``descend_r3``: ``SubdivisionMap.from_json`` of that
+resolution's map, which validates both fans and checks the map, and
+``descend`` of the unit through it.
 ``planless_shuffled``: ``reduce_localization``, with no plan, of the
 octahedron class's localization sum over the N cones of ``resolve(cube_fan())``
 (N = 48) or of the ``chi_cube128`` refinement (N = 128), its terms shuffled by
@@ -61,10 +66,10 @@ from pathlib import Path
 
 from pexpfan import catalog
 from pexpfan.errors import DependentBasis
-from pexpfan.fan import Fan, resolve
+from pexpfan.fan import Fan, SubdivisionMap, resolve
 from pexpfan.ktheory import chi, decompose, gram_matrix, tangent_weights
 from pexpfan.laurent import LaurentPoly, LocalizationSum, reduce_localization
-from pexpfan.pexp import CartierData, PiecewiseExponential, from_cartier, gkm_validate
+from pexpfan.pexp import CartierData, PiecewiseExponential, descend, from_cartier, gkm_validate
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 from oracles import weighted_projective_space  # noqa: E402
@@ -160,6 +165,11 @@ def rank3_cone(m):
     return Fan.build(3, [(1, 0, 0), (0, 1, 0), (1, b, m)], [(0, 1, 2)])
 
 
+def unit_descended(doc):
+    sub = SubdivisionMap.from_json(doc)
+    return descend(PiecewiseExponential.constant(sub.fine, 1), sub)
+
+
 def rank4_cone(m):
     return Fan.build(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, m)], [(0, 1, 2, 3)])
 
@@ -234,6 +244,10 @@ rows = [
      lambda qs: resolve(weighted_projective_space(qs)), unit_chi),
     ("gkm_violations", (48,), corrupted_cube48, lambda subject: gkm_validate(*subject)),
     ("gkm_report", (10, 20) if quick else (1000, 2000, 4000), moved_unit, lambda subject: gkm_validate(*subject)),
+    ("validate_r3", (5, 10) if quick else (50, 100, 200), lambda m: resolve(rank3_cone(m)).fine.to_json(),
+     Fan.from_json),
+    ("descend_r3", (5, 10) if quick else (50, 100, 200), lambda m: resolve(rank3_cone(m)).to_json(),
+     unit_descended),
     ("planless_shuffled", (48,) if quick else (128,), shuffled_octahedron_sum, reduce_localization),
     ("decompose_dependent", (4,) if quick else (4, 8, 16), dependent_cube_basis, refused),
     ("decompose_p1n", (2,) if quick else (2, 3), lambda n: product_basis(n)[1],
@@ -244,7 +258,7 @@ rows = [
 for row, sizes, build, run in rows:
     for size in sizes:
         times = []
-        for _ in range(1 if quick else 3):
+        for _ in range(1 if quick else 101 if row == "chi_octahedron_warm" else 3):
             subject, start = build(size), time.perf_counter()
             run(subject)
             times.append(time.perf_counter() - start)

@@ -109,7 +109,8 @@ def span_coordinates(rank: int, vectors) -> tuple[Vector, IntMatrix, IntMatrix, 
     and A V = U^-1 D, so column i of U^-1, the span basis vector i, is
     (sum_j V[j][i] v_j) / d_i with no inverse computed
     (``Fan.face_quotient``).  Every lattice coordinate in the package is read
-    from here, but those of N and those a resolve piece takes (``_framed``).
+    from here, but those of N, those a resolve piece takes (``_framed``) and
+    those of a ray's face quotient (``_unit_pairing``).
     """
     cols = tuple(tuple(v) for v in vectors)
     if not cols:
@@ -117,6 +118,22 @@ def span_coordinates(rank: int, vectors) -> tuple[Vector, IntMatrix, IntMatrix, 
     u, d, v = smith_normal_form(transpose(cols))
     factors = tuple(d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
     return factors, u[:len(factors)], u[len(factors):], v
+
+
+def _unit_pairing(g: Vector) -> Vector:
+    """A point s with <g, s> = 1 for a primitive vector g: the extended gcd
+    of its coordinates, folded in one at a time."""
+    d, s = 0, [0] * len(g)
+    for i, x in enumerate(g):
+        # a d + b x = gcd(d, x) by the extended Euclidean algorithm
+        a, b, r, a1, b1, r1 = 1, 0, d, 0, 1, x
+        while r1:
+            q = r // r1
+            a, b, r, a1, b1, r1 = a1, b1, r1, a - q * a1, b - q * b1, r - q * r1
+        s = [a * y for y in s]
+        s[i] = b
+        d = r
+    return tuple(d * y for y in s)  # d is 1 or -1
 
 
 @value_class
@@ -350,26 +367,27 @@ class Fan:
         """Raise ``NotAFan`` unless any two maximal cones meet in a common face.
 
         The pairwise loop, with ``_check_pair``, raises every error about how
-        two cones meet.  A fan that ``_wall_accepts`` (full-dimensional
-        simplicial cones, complete by the wall table) skips it, because such
-        an input is always a fan:
+        two cones meet.  A fan that ``_wall_accepts`` (full-dimensional cones
+        tiling the convex cone C that their boundary walls cut out, by the
+        wall table) skips it, because such an input is always a fan:
 
-        Let x lie in a cone sigma, and let A be the rays of sigma whose
-        coefficients at x are positive, so x is in the relative interior of
-        cone(A).  Project the cones whose ray sets contain A to N_R/Span(A).
-        They are full-dimensional simplicial cones there, their facets are
-        the images of the walls containing A, and each such wall is still
-        shared by exactly two of them on opposite sides.  By the crossing
-        argument of ``is_complete`` (direct when the quotient has rank at
-        most 1) they cover the quotient with one generic degree, at least 1
-        since sigma is among them.  So near x these cones already hold every
-        generic point.  By ``is_complete`` a generic point lies in exactly
-        one cone, and any cone tau holding x meets every neighbourhood of x
-        in a full-dimensional set; so every such tau has A among its rays.
-        As tau is simplicial, x has one expression in its rays, and it uses
-        exactly A.  Hence any point of sigma & tau lies in the cone on their
-        common rays: the two meet in a common face, which is what the
-        pairwise check tests.
+        Take x in sigma & tau, and let F be the smallest face of sigma
+        holding x.  Project the cones having F as a face to N_R/Span(F).
+        They are full-dimensional there, and their facets are the images of
+        their walls containing F.  A wall of two cones is a facet of both, so
+        F is a face of the other cone too: in the quotient these walls are
+        still matched, on opposite sides.  Every other wall lies on a
+        hyperplane whose normal is nonnegative on C and vanishes at x, a
+        supporting hyperplane of the tangent cone of C at x, which holds
+        Span(F).  By the crossing argument of ``is_complete`` inside that
+        tangent cone (direct when the quotient has rank at most 1) these
+        cones cover it near x with one generic degree, at least 1 since sigma
+        is among them.  By ``_tiling`` a generic point of C lies in exactly
+        one cone, and tau, full-dimensional and inside C, holds generic
+        points of C arbitrarily near x; so tau has F as a face, and holds it.
+        Taking x in the relative interior of sigma & tau, F holds all of
+        sigma & tau, as the smallest face of sigma holding x does: the two
+        meet in F, a common face, which is what the pairwise check tests.
         """
         cone_objs = self.cone_objects
         for idx, c in enumerate(self.maximal_cones):
@@ -384,9 +402,12 @@ class Fan:
             self._check_pair(i, j)
 
     def _wall_accepts(self) -> bool:
-        """True when every maximal cone is full-dimensional and simplicial and
-        the wall table shows the fan complete; then it is a fan (``_validate``)."""
-        return all(c.dim == self.rank and c.is_simplicial for c in self.cone_objects) and self._complete
+        """True when the wall table shows full-dimensional cones tiling the
+        convex cone their boundary walls cut out (``_tiling``), complete or
+        not, simplicial or not; then it is a fan (``_validate``).  Refused
+        fans, fans with a lower-dimensional cone and fans whose support is
+        not convex are left to the pairwise loop, which reports them."""
+        return self._tiling is not None
 
     def _check_pair(self, i: int, j: int):
         ci, cj = self.cone_objects[i], self.cone_objects[j]
@@ -508,21 +529,30 @@ class Fan:
     def face_quotient(self, rayset: RaySet) -> QuotientLattice:
         """Quotient M -> M_tau presenting functions on the span of the face.
 
-        The coordinates of u are its pairings with the saturated span basis
-        (for a ray, <u, generator>), read off the face's one Smith form
-        U A V = D (``span_coordinates``): as A V = U^-1 D, basis vector i is
-        (sum_j V[j][i] g_j) / d_i.  The section is the transpose of the span
-        projection U[:d]; for a full-dimensional face the quotient is the
-        identity on M.
+        The coordinates of u are its pairings with the saturated span basis.
+        For a ray that is <u, g> for its primitive generator g, with the
+        section a point s, <g, s> = 1, from an extended gcd (``_unit_pairing``).
+        For a larger face the basis is read off its one Smith form U A V = D
+        (``span_coordinates``): as A V = U^-1 D, basis vector i is
+        (sum_j V[j][i] g_j) / d_i, and the section is the transpose of the
+        span projection U[:d].  For a full-dimensional face the quotient is
+        the identity on M.  The section is read only by
+        ``pexp._comparison_matrix``, into a face whose span lies in this
+        one's, where any right inverse gives the same matrix.
         """
-        rs = self.require_face(rayset)
         cache = self._quotients
+        if isinstance(rayset, tuple) and rayset in cache:  # a face read before, by its sorted rays
+            return cache[rayset]
+        rs = self.require_face(rayset)
         if rs not in cache:
             # a full-dimensional face is the one maximal cone holding it
             i = self._star[rs][0]
             if len(rs) == len(self._generator_rays[i]) and self.cone_objects[i].dim == self.rank:
                 ident = identity_matrix(self.rank)
                 cache[rs] = QuotientLattice(ident, ident)
+            elif len(rs) == 1:
+                g = self.rays[rs[0]]
+                cache[rs] = QuotientLattice((g,), tuple((x,) for x in _unit_pairing(g)))
             else:
                 # rays in index order: Cone._span's sorted ones give other coordinates
                 gens = [self.rays[i] for i in rs]
@@ -564,32 +594,52 @@ class Fan:
         cones cover N_R with disjoint interiors.  The pairing alone is not
         enough: a fan winding twice around the origin pairs every wall.
 
-        The generic point is (1, k, ..., k^(n-1)) with k = 2 + the largest
-        absolute coordinate of any wall normal u.  Its pairing with u is a
-        nonzero integer polynomial in k, whose roots all have absolute value
-        at most 1 + max |u_i| (the Cauchy bound, the leading coefficient being
-        a nonzero integer), so the point lies on no facet hyperplane.
+        This is the case of ``_tiling`` with no boundary wall.
         """
-        return self._complete
+        return self._tiling == ()
 
     @cached_property
-    def _complete(self) -> bool:
+    def _tiling(self) -> tuple[Vector, ...] | None:
+        """The distinct inward normals of the boundary walls, the facets of
+        one maximal cone, when the maximal cones tile the convex cone C those
+        walls cut out; else None.  () on a complete fan.
+
+        They tile C when they are full-dimensional, every other wall is
+        shared by exactly two cones with opposite normals, every ray lies on
+        the inner side of every boundary wall, so that every cone lies in C,
+        and one generic point of the interior of C lies in exactly one cone.
+        The degree of a point of C off every facet hyperplane, the number of
+        cones holding it, then is 1 everywhere (``is_complete``): a boundary
+        wall lies on a supporting hyperplane of C, so no path inside C
+        crosses one.
+
+        The generic point is k^n s + (1, k, ..., k^(n-1)), with s the sum of
+        the generators of cone 0 and k = 2 + the largest absolute coordinate
+        of any wall normal u.  The pairing of (1, k, ..., k^(n-1)) with u is
+        a nonzero integer polynomial in k, whose roots all have absolute
+        value at most 1 + max |u_i| (the Cauchy bound, the leading
+        coefficient being a nonzero integer), and it is below k^n in absolute
+        value.  So the point pairs nonzero with u whatever the integer <u, s>,
+        and positively with a boundary normal, on which s, interior to cone 0,
+        is positive: it lies inside C on no facet hyperplane.
+        """
         if self.rank == 0:
-            return self.maximal_cones == ((),)
+            return () if self.maximal_cones == ((),) else None
         if any(c.dim != self.rank for c in self.cone_objects):
-            return False
+            return None
+        boundary = set()
         for entries in self.walls.values():
-            if len(entries) != 2:
-                return False
-            (_, ni), (_, nj) = entries
-            if ni != tuple(-x for x in nj):
-                return False
-        # k is past the Cauchy bound 1 + max |u_i| on the roots of every
-        # nonzero integer polynomial <u, (1, k, k^2, ...)>: the point is generic
+            if len(entries) == 1:
+                boundary.add(entries[0][1])
+            elif len(entries) != 2 or entries[0][1] != tuple(-x for x in entries[1][1]):
+                return None
+        if any(pair(u, r) < 0 for u in boundary for r in self.rays):
+            return None
         k = 2 + max(abs(x) for entries in self.walls.values() for _, u in entries for x in u)
-        point = tuple(k ** e for e in range(self.rank))
+        s = [sum(x) for x in zip(*self.cone_objects[0].generators)]
+        point = tuple(k ** self.rank * x + k ** e for e, x in enumerate(s))
         holding = [c for c in self.cone_objects if all(pair(u, point) > 0 for u, _ in c.facets)]
-        return len(holding) == 1
+        return tuple(sorted(boundary)) if len(holding) == 1 else None
 
     def is_smooth(self) -> bool:
         return self._smooth

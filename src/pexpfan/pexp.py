@@ -133,29 +133,31 @@ def _restriction(fan: Fan, vals, i: int, face: RaySet) -> LaurentPoly:
 
 
 def _agree_across_walls(fan: Fan, vals) -> bool:
-    """Whether the two cones on each wall of a complete fan restrict to one
-    value on it.  The values lie in Z[M], and restriction to a wall with
+    """Whether the two cones on each wall of two cones restrict to one value
+    on it.  The values lie in Z[M], and restriction to a wall with
     primitive normal u is Z[M] -> Z[M/Z u], whose kernel is (1 - e^u); so
     they agree iff (1 - e^u) divides their difference, which needs no
     quotient lattice of the wall."""
-    return all(koszul_divides(vals[i] - vals[j], u) for (i, u), (j, _) in fan.walls.values())
+    return all(koszul_divides(vals[i] - vals[j], u)
+               for (i, u), (j, _) in (cones for cones in fan.walls.values() if len(cones) == 2))
 
 
 def gkm_validate(fan: Fan, values) -> GkmReport:
     """Check every face compatibility; violations are results.
 
-    On a complete fan (``fan`` is taken to be a fan, as every validated
-    build is) the walls decide acceptance.  Restriction to a wall W
-    is Z[M] -> Z[M/Z u] for its primitive normal u, whose kernel is the ideal
-    (1 - e^u); so values agreeing across W are congruent mod (1 - e^u).  Two
-    maximal cones sigma, sigma' meet in a face tau, and the maximal cones
-    holding tau form the complete fan Star(tau) in N/N_tau, whose maximal
-    cones are joined through walls (the complement of its codimension-2
-    cones is connected, or it has at most two cones).  Its walls are the
-    walls of the fan that contain tau, so a chain sigma = s_0, ..., s_m =
-    sigma' of cones holding tau, each sharing a wall with the next, carries
-    the value on tau from one end to the other, restriction being
-    functorial.  So if every wall agrees, every pair does.
+    On a fan whose cones tile a convex cone C, complete or not (``Fan._tiling``,
+    which shows it a fan), the walls of two cones decide acceptance.
+    Restriction to such a wall W is Z[M] -> Z[M/Z u] for its primitive
+    normal u, whose kernel is the ideal (1 - e^u); so values agreeing
+    across W are congruent mod (1 - e^u).  Two maximal cones sigma, sigma'
+    meet in a face tau, and the images in N/N_tau of the maximal cones
+    holding tau tile the image of the tangent cone of C at tau, a convex
+    cone, so they are joined through walls of two cones (the interior of
+    that cone less the codimension-2 cones is connected, or there are at
+    most two cones).  Those walls contain tau, so a chain sigma = s_0, ...,
+    s_m = sigma' of cones holding tau, each sharing a wall with the next,
+    carries the value on tau from one end to the other, restriction being
+    functorial.  So if every wall of two cones agrees, every pair does.
 
     Any other fan, and a class that fails on some wall, runs one pass over
     the star table: at each face tau held by two or more maximal cones,
@@ -170,7 +172,7 @@ def gkm_validate(fan: Fan, values) -> GkmReport:
     order (cone_a, cone_b).
     """
     vals = coerce_values(fan, values)
-    if fan.is_complete() and _agree_across_walls(fan, vals):
+    if fan._tiling is not None and _agree_across_walls(fan, vals):
         return GkmReport(True, PiecewiseExponential(fan, vals), ())
     violations, cones = [], fan.maximal_cones
     for face, star in fan._star.items():

@@ -205,6 +205,110 @@ def catalog_resolution_data():
     return out
 
 
+def fan_data(fan):
+    return fan.rank, list(fan.rays), list(fan.maximal_cones)
+
+
+def on_used_rays(rank, rays, cones):
+    """(rank, rays, cones) with the rays no cone uses dropped."""
+    used = sorted({r for c in cones for r in c})
+    return rank, [rays[r] for r in used], [tuple(used.index(r) for r in c) for c in cones]
+
+
+def without_cone(fan, i):
+    """(rank, rays, cones) of ``fan`` with maximal cone i dropped, and the
+    rays it alone used."""
+    return on_used_rays(fan.rank, fan.rays, [c for k, c in enumerate(fan.maximal_cones) if k != i])
+
+
+def listed_together(*fans):
+    """(rank, rays, cones) listing the maximal cones of all the fans, of one
+    rank, on the union of their rays."""
+    rays = sorted({r for fan in fans for r in fan.rays})
+    cones = sorted({tuple(sorted(rays.index(fan.rays[r]) for r in c)) for fan in fans for c in fan.maximal_cones})
+    return fans[0].rank, rays, cones
+
+
+def flipped(fan, i):
+    """(rank, rays, cones) of ``fan`` with maximal cone i moved across its
+    first wall onto the side of the cone beyond it: its rays off the wall
+    give way to one ray inside that cone, the sum of the wall's rays and a
+    ray of that cone off the wall."""
+    for rs, entries in fan.walls.items():
+        if len(entries) == 2 and i in (entries[0][0], entries[1][0]):
+            other = entries[0][0] + entries[1][0] - i
+            off = next(r for r in fan.maximal_cones[other] if r not in rs)
+            ray = primitive_vector(tuple(map(sum, zip(fan.rays[off], *(fan.rays[r] for r in rs)))))
+            rays = list(fan.rays) + ([] if ray in fan.rays else [ray])
+            cone = tuple(sorted((*rs, rays.index(ray))))
+            return on_used_rays(fan.rank, rays, [cone if k == i else c for k, c in enumerate(fan.maximal_cones)])
+    raise ValueError(f"cone {i} has no wall of two cones")
+
+
+def doubled(fan, i):
+    """(rank, rays, cones) of ``fan`` with maximal cone i listed beside its
+    stellar subdivision at the sum of its rays."""
+    gens = [fan.rays[r] for r in fan.maximal_cones[i]]
+    centre = primitive_vector(tuple(map(sum, zip(*gens))))
+    return listed_together(fan, stellar_subdivision(Fan.build(fan.rank, gens, [tuple(range(len(gens)))]), centre).fine)
+
+
+def wall_rule_cases():
+    """(valid, broken): (rank, rays, cones) of fans in ranks 1 to 4 whose
+    maximal cones tile a convex cone, complete or not, simplicial or not,
+    and of such fans broken on purpose.
+
+    The valid ones are the cube fan, the face fan of the 4-cube, P^1, P^2,
+    a ray, a half-plane, a half-space, and single cones with their
+    resolutions and stellar subdivisions.  The broken ones are the cube fan
+    with a cone dropped or an overlapping cone added, resolutions with a
+    fine cone dropped, listed twice, or flipped across a wall, a cone listed
+    beside its own stellar subdivision, two triangulations of one cone
+    listed together, and a fan folding back across a wall."""
+    from test_ktheory import four_cube_fan
+
+    def cone(*gens):
+        return Fan.build(len(gens[0]), gens, [tuple(range(len(gens)))])
+
+    square = cone((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1))
+    pyramid = cone((-5, 0, 1, 1), (1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0))
+    singles = [cone((1, 0), (1, 7)), cone((2, -1), (1, 4)), cone((1, 0, 0), (0, 1, 0), (1, 3, 7)),
+               cone((1, 0, 0), (0, 1, 0), (1, 4, 9)), catalog.rank3_multiplicity3_fan(), square,
+               cone((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 1, 1, 5)), pyramid]
+    resolutions = [resolve(fan, rng=random.Random(seed), extra_rounds=seed).fine
+                   for fan in singles for seed in (0, 1)]
+    stellar = [stellar_subdivision(cone((1, 0), (1, 7)), (1, 3)).fine,
+               stellar_subdivision(square, (0, 0, 1)).fine,
+               stellar_subdivision(square, (1, 1, 2)).fine,
+               stellar_subdivision(pyramid, (0, 0, 1, 0)).fine,
+               stellar_subdivision(cone((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), (1, 1, 1, 1)).fine]
+    half_plane = Fan.build(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
+    half_space = Fan.build(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (0, 0, 1)],
+                           [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)])
+    valid_fans = [catalog.cube_fan(), four_cube_fan(), catalog.projective_line(), catalog.projective_plane(),
+                  cone((1,)), cone((-1,)), half_plane, half_space,
+                  resolve(half_space, rng=random.Random(2), extra_rounds=2).fine,
+                  *singles, *resolutions, *stellar]
+    cube = catalog.cube_fan()
+    broken = [without_cone(cube, 0), without_cone(cube, 5),
+              (3, list(cube.rays), list(cube.maximal_cones) + [(0, 3, 5)]),
+              listed_together(resolve(square).fine, resolve(square, rng=random.Random(1), extra_rounds=2).fine),
+              listed_together(stellar_subdivision(square, (1, 1, 2)).fine,
+                              stellar_subdivision(square, (-1, 1, 2)).fine),
+              listed_together(square, stellar_subdivision(square, (0, 0, 1)).fine),
+              listed_together(half_plane, Fan.build(2, [(1, 1), (-1, 1)], [(0, 1)])),
+              # every ray in two cones, but the cones on (0, 1) lie on one side of
+              # it, and near the sum of the first cone's rays one cone holds a point
+              (2, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1)], [(2, 3), (0, 1), (1, 4), (2, 4), (0, 3)])]
+    for fine in resolutions:
+        if len(fine.maximal_cones) > 2:
+            n = len(fine.maximal_cones)
+            broken += [without_cone(fine, n // 2), flipped(fine, n // 2), flipped(fine, 0),
+                       (fine.rank, list(fine.rays), list(fine.maximal_cones) + [fine.maximal_cones[0]]),
+                       doubled(fine, 0)]
+    return list(map(fan_data, valid_fans)), broken
+
+
 class TestBuildFan:
     def test_weighted_projective_plane(self, p112):
         assert p112.rays == ((1, 0), (0, 1), (-1, -2))
@@ -434,7 +538,7 @@ class TestCompleteness:
         rng = random.Random(20261018)
         cases = [random_fan_data(rng) for _ in range(1500)]
         cases += [random_complete_rank2_data(rng) for _ in range(300)]
-        cases += catalog_resolution_data() + list(DOUBLE_COVERS.values())
+        cases += catalog_resolution_data() + list(DOUBLE_COVERS.values()) + sum(wall_rule_cases(), [])
 
         def verdict(complete, rank, rays, cones):
             try:
@@ -570,6 +674,27 @@ class TestQuotientsAgainstOracles:
                         assert pexp_module._comparison_matrix(fan, c, fan, rs) == want
         assert faces > 500
 
+    def test_ray_quotients_match_the_smith_form(self, complete_corpus):
+        """On every ray of the corpus and of its resolutions, the quotient
+        read off the extended gcd has the projection the ray's Smith form
+        gives, and its section pairs to 1 with the ray."""
+        fans = list(complete_corpus.values()) + [catalog.singular_quadric_cone_fan(),
+                                                 catalog.rank3_multiplicity3_fan()]
+        fans += [resolve(fan, rng=random.Random(seed), extra_rounds=seed).fine
+                 for fan in list(fans) for seed in range(4)]
+        rays = 0
+        for fan in fans:
+            for i, g in enumerate(fan.rays):
+                q = fan.face_quotient((i,))
+                if fan.rank == 1:
+                    assert q.projection == identity_matrix(1)
+                    continue
+                rays += 1
+                factors, _, _, v = fan_module.span_coordinates(fan.rank, [g])
+                assert q.projection == (tuple(x * v[0][0] // factors[0] for x in g),)
+                assert mat_mul(q.projection, q.section) == ((1,),)
+        assert rays > 200
+
 
 def without_fine_cone(sub: SubdivisionMap, i: int) -> dict:
     """The JSON document of ``sub`` with fine cone i and its assignment
@@ -588,8 +713,8 @@ class TestSubdivisionMapCover:
 
     @staticmethod
     def maps():
-        # rank <= 3: a non-complete fine fan is validated by the pairwise loop,
-        # quadratic in its cones, and the rank-4 resolutions have over 150
+        # rank <= 3: a fine fan with a lower-dimensional cone is validated by the
+        # pairwise loop, quadratic in its cones, and the rank-4 resolutions have over 150
         mixed = [fan for fan in random_mixed_fans(20261019, 30) if fan.rank <= 3]
         fans = [catalog.projective_line(), catalog.projective_plane(), catalog.hirzebruch(2),
                 catalog.weighted_p112(), catalog.cube_fan(), catalog.singular_quadric_cone_fan(),
@@ -1549,12 +1674,14 @@ class TestAgainstOracles:
         """Validated Fan.build gives the same verdict, the fan or the error
         class and message, whether the pairwise check enumerates its kernels
         by line_kernel or by the Smith form it used before, and whether
-        complete simplicial fans are accepted from the wall table or only by
-        the pairwise check."""
+        fans tiling a convex cone are accepted from the wall table or only by
+        the pairwise check; the wall table accepts every valid input of
+        ``wall_rule_cases``."""
         rng = random.Random(20261018)
         cases = [random_fan_data(rng) for _ in range(1500)]
         cases += [random_complete_rank2_data(rng) for _ in range(300)]
-        cases += catalog_resolution_data() + list(DOUBLE_COVERS.values())
+        tilings, broken = wall_rule_cases()
+        cases += catalog_resolution_data() + list(DOUBLE_COVERS.values()) + tilings + broken
 
         def verdicts():
             out = []
@@ -1584,6 +1711,8 @@ class TestAgainstOracles:
         assert len(accepted) > 250 and max(len(f.maximal_cones) for f in accepted) >= 48
         for rank, rays, cones in DOUBLE_COVERS.values():
             assert not Fan.build(rank, rays, cones, validate=False)._wall_accepts()
+        for rank, rays, cones in tilings:
+            assert Fan.build(rank, rays, cones, validate=False)._wall_accepts(), (rank, rays, cones)
 
     @given(st.integers(0, 99999))
     @settings(max_examples=40)

@@ -136,9 +136,9 @@ def test_scale_rows_quick_prints_every_row():
     assert {line["row"] for line in lines} == {
         "complete", "resolve_tied", "resolve_tied_rng1", "resolve_tied3", "resolve_a", "resolve_r3",
         "resolve_r4", "resolve_dim2", "chi_rank2", "chi_cube128", "chi_octahedron", "chi_octahedron_warm",
-        "gram_cube", "chi_wps", "gkm_violations", "gkm_report", "planless_shuffled", "decompose_dependent",
-        "decompose_p1n", "decompose_wps"}
-    assert len(lines) == 30
+        "gram_cube", "chi_wps", "gkm_violations", "gkm_report", "validate_r3", "descend_r3",
+        "planless_shuffled", "decompose_dependent", "decompose_p1n", "decompose_wps"}
+    assert len(lines) == 34
 
 
 def test_bytecode_count_repeats_exactly():
