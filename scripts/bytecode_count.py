@@ -27,7 +27,10 @@ reports its violations.
 ``rank4_dim3_1_2_5`` the 3-dimensional cone <(1,0,0,0), (0,1,0,0),
 (1,2,5,0)> in rank 4, whose cells are split in its Smith form's frame;
 these two also count building the fan.  ``cube_fan_validated`` counts
-``catalog.cube_fan()``, the validated ``Fan.build`` of the cube fan.  It
+``catalog.cube_fan()``, the validated ``Fan.build`` of the cube fan.
+``chi_octahedron_cold_52`` counts the ``chi`` through the 52-cone
+resolution with its series built, and ``pair_ray_cold`` the pairing at the
+ray (1,1,1) through ``resolve(cube_fan())`` with its series built.  It
 counts the opcode events under ``sys.settrace`` with ``f_trace_opcodes`` set
 on every frame, so it is exact and repeats from run to run, unlike a wall-clock time.  Time
 spent in C code is not counted: builtins such as ``sorted``, ``map`` or
@@ -125,6 +128,8 @@ CASES = [
     ("pair_ray_warm", lambda: octahedron_pair(True, (1, 1, 1))),
     ("gkm_corrupted_cube48", corrupted_cube48),
     ("cube_fan_validated", lambda: catalog.cube_fan),
+    ("chi_octahedron_cold_52", lambda: octahedron_pair(False, rng=random.Random(99), extra_rounds=2)),
+    ("pair_ray_cold", lambda: octahedron_pair(False, (1, 1, 1))),
 ]
 
 ap = argparse.ArgumentParser(description="Bytecodes executed by resolve on fixed cases.")

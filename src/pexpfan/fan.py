@@ -255,21 +255,26 @@ class Cone:
         {u : <u, x> >= 0 for every local generator x}, one per facet; the
         contact of a normal is the set of generators it vanishes on.  On a
         simplicial cone the normal of the facet missing generator j is row j
-        of ``_scaled_inverse`` made primitive; a non-simplicial cone
-        enumerates them with ``extreme_rays_of_region``.
+        of ``_scaled_inverse`` made primitive; at multiplicity 1 the row is
+        taken as it is, since it pairs to 1 with generator j.  Its contact,
+        every index but j, is the (n-1)-subset that ``combinations`` lists
+        at place n-1-j, which is also its place in contact order.  A
+        non-simplicial cone enumerates them with ``extreme_rays_of_region``.
         """
         if self.is_simplicial:
-            n = len(self.generators)
-            found = ((tuple(i for i in range(n) if i != j), primitive_vector(row))
-                     for j, row in enumerate(self._scaled_inverse))
+            n, normals = len(self.generators), self._scaled_inverse[::-1]
+            if abs(self._adjugate[0]) != 1:
+                normals = tuple(map(primitive_vector, normals))
+            contacts = itertools.combinations(range(n), n - 1) if n else ()
         else:
             g = self.local_generators
-            found = ((tuple(i for i, x in enumerate(g) if pair(u, x) == 0), u)
-                     for u in extreme_rays_of_region(self.dim, g, ()))
+            found = sorted((tuple(i for i, x in enumerate(g) if pair(u, x) == 0), u)
+                           for u in extreme_rays_of_region(self.dim, g, ()))
+            contacts, normals = tuple(zip(*found)) or ((), ())  # none on a cone holding a line
         if self._coordinates:
             proj_t = transpose(self._coordinates[0])
-            found = ((contact, mat_vec(proj_t, u)) for contact, u in found)
-        return tuple((u, contact) for contact, u in sorted(found))
+            normals = [mat_vec(proj_t, u) for u in normals]
+        return tuple(zip(normals, contacts))
 
     def _smallest_face(self, v: Vector) -> tuple[int, ...] | None:
         """The generator indices of the smallest face holding the point v, or
@@ -462,30 +467,31 @@ class Fan:
         table: dict[RaySet, list[int]] = {}
         for idx, (cone, gen_rays) in enumerate(zip(self.cone_objects, self._generator_rays)):
             for subset in cone.faces_as_generator_subsets():
-                table.setdefault(tuple(sorted(gen_rays[i] for i in subset)), []).append(idx)
+                table.setdefault(tuple(sorted(map(gen_rays.__getitem__, subset))), []).append(idx)
         return {rs: tuple(star) for rs, star in table.items()}
 
     @cached_property
-    def _star_walls(self) -> dict[RaySet, tuple[tuple[int, int], ...]]:
+    def _star_walls(self) -> dict[RaySet, tuple[tuple[int, int, Vector], ...]]:
         return {}
 
     @cached_property
-    def _walls_by_cone(self) -> tuple[list[int], ...]:
-        """Per maximal cone, the other cone of each wall of two cones that
-        lists it first, in ``walls`` order."""
-        table: tuple[list[int], ...] = tuple([] for _ in self.maximal_cones)
+    def _walls_by_cone(self) -> tuple[list[tuple[int, Vector]], ...]:
+        """Per maximal cone, (the other cone, this cone's inward normal) of
+        each wall of two cones that lists it first, in ``walls`` order."""
+        table: tuple[list[tuple[int, Vector]], ...] = tuple([] for _ in self.maximal_cones)
         for cones in self.walls.values():
             if len(cones) == 2:
-                (a, _), (b, _) = cones
-                table[a].append(b)
+                (a, u), (b, _) = cones
+                table[a].append((b, u))
         return table
 
-    def star_walls(self, face: RaySet) -> tuple[tuple[int, int], ...]:
+    def star_walls(self, face: RaySet) -> tuple[tuple[int, int, Vector], ...]:
         """Each wall of ``walls`` between two cones of the star of ``face``,
-        as the pair of their positions in ``_star[face]``, in ``walls``
-        order.  Both cones have the face's rays, so the wall holds the face.
-        Cached per face, read through ``require_face``, as the merge plan of
-        every pairing with it (``reduce_localization``).
+        as the positions p < q of their cones in ``_star[face]`` and the
+        first cone's inward normal u on it, in ``walls`` order.  Both cones
+        have the face's rays, so the wall holds the face.  Cached per face,
+        read through ``require_face``, as the merge plan of every pairing
+        with it (``reduce_localization``).
 
         Read from ``_walls_by_cone`` over the star alone: ``walls`` enters a
         wall at the first of its cones, so its order is that of first cones,
@@ -493,8 +499,8 @@ class Fan:
         face, cache = self.require_face(face), self._star_walls
         if face not in cache:
             where = {c: p for p, c in enumerate(self._star[face])}
-            cache[face] = tuple((p, where[b]) for a, p in where.items()
-                                for b in self._walls_by_cone[a] if b in where)
+            cache[face] = tuple((p, where[b], u) for a, p in where.items()
+                                for b, u in self._walls_by_cone[a] if b in where)
         return cache[face]
 
     @cached_property
@@ -536,7 +542,8 @@ class Fan:
         (``span_coordinates``): as A V = U^-1 D, basis vector i is
         (sum_j V[j][i] g_j) / d_i, and the section is the transpose of the
         span projection U[:d].  For a full-dimensional face the quotient is
-        the identity on M.  The section is read only by
+        the identity on M, one identity matrix as both projection and
+        section; no other quotient shares one.  The section is read only by
         ``pexp._comparison_matrix``, into a face whose span lies in this
         one's, where any right inverse gives the same matrix.
         """
@@ -576,9 +583,9 @@ class Fan:
         """
         table: dict[RaySet, list[tuple[int, Vector]]] = {}
         for idx, cone in enumerate(self.cone_objects):
+            ray_of = self._generator_rays[idx].__getitem__
             for normal, contact in cone.facets:
-                rayset = tuple(sorted(self._generator_rays[idx][i] for i in contact))
-                table.setdefault(rayset, []).append((idx, normal))
+                table.setdefault(tuple(sorted(map(ray_of, contact))), []).append((idx, normal))
         return {rayset: tuple(entries) for rayset, entries in table.items()}
 
     def is_complete(self) -> bool:
@@ -622,11 +629,17 @@ class Fan:
         value.  So the point pairs nonzero with u whatever the integer <u, s>,
         and positively with a boundary normal, on which s, interior to cone 0,
         is positive: it lies inside C on no facet hyperplane.
+
+        One full-dimensional cone is C itself: every facet is a boundary
+        wall, every ray lies on its inner side and the cone holds all of C,
+        so its sorted facet normals are returned with neither check.
         """
         if self.rank == 0:
             return () if self.maximal_cones == ((),) else None
         if any(c.dim != self.rank for c in self.cone_objects):
             return None
+        if len(self.maximal_cones) == 1:
+            return tuple(sorted(u for u, _ in self.cone_objects[0].facets))
         boundary = set()
         for entries in self.walls.values():
             if len(entries) == 1:

@@ -51,7 +51,7 @@ from .errors import (
 )
 from .fan import Cone, Fan, RaySet, SubdivisionMap, resolve
 from .lattice import Vector, adjugate, independent_rows, matrix_rank, pair, value_class
-from .laurent import LaurentPoly, LocalizationSum, _fold, _Plan, poly_to_json, reduce_localization, try_div
+from .laurent import LaurentPoly, _Plan, poly_to_json, reduce_localization, try_div
 from .pexp import PiecewiseExponential
 
 
@@ -70,8 +70,10 @@ def tangent_weights(cone: Cone) -> tuple[Vector, ...]:
     return cone._scaled_inverse
 
 
-def _require_smooth_complete(fan: Fan):
-    if not fan.is_complete():
+def _require_smooth_complete(fan: Fan, complete: bool = False):
+    """Refuse a fan that is not complete, unless ``complete`` says it is
+    known to be, or not smooth."""
+    if not (complete or fan.is_complete()):
         raise NotComplete("localization needs a complete fan")
     if not fan.is_smooth():
         raise NotSmooth("localization needs a smooth fan")
@@ -143,12 +145,19 @@ def _pairing_series(resolution: SubdivisionMap, rayset: RaySet):
     per coarse cone sigma with two or more fine cones in the face's star,
     and no fewer than the predicted size of the series of sigma's image
     modulo the face (``_series_size``), one term (sigma, N, D), their sum
-    with unit numerators folded along the walls inside them
-    (``laurent._fold``); per other fine cone, (sigma, None, its weights
-    outside the face); terms in star order, and ``plan`` their sum's fold
-    compiled on the walls of the star between terms (``laurent._Plan``).
-    Each wall goes with its normal, the direction whose factors its merge
-    tries, and each pair of terms with each direction once: the fine walls
+    with unit numerators folded along the walls inside them; per other fine
+    cone, (sigma, None, its weights outside the face); terms in star order,
+    and ``plan`` their sum's fold compiled on the walls of the star between
+    terms (``laurent._Plan``).
+
+    Each group's fold is a ``_Plan`` compiled straight from its fine cones'
+    weights and its inner walls, and run once on unit numerators.  Each wall
+    goes with its direction, the normal that ``Fan.walls`` stores for it
+    made lexicographically positive: on a unimodular cone the inward normal
+    of the facet missing generator j is row j of G^-1, the tangent weight
+    of the ray off the wall.  One pass over the star's walls hands each
+    wall inside a folded group to that group's fold and every other wall to
+    the plan, each pair of terms with each direction once: the fine walls
     along one coarse wall all repeat its normal, as many as the resolution
     cut it into, and the plan's merge pick counts walls."""
     cache = resolution.__dict__.setdefault("_series", {})
@@ -157,13 +166,6 @@ def _pairing_series(resolution: SubdivisionMap, rayset: RaySet):
         face = rayset and _strict_transform_face(
             fine, Cone.from_generators(coarse.rank, [coarse.rays[i] for i in rayset]))
         star = fine._star[face]
-
-        def direction(q, r):  # the wall's normal: q's weight at its ray off r's cone, lex-positive
-            rays = fine.maximal_cones[star[r]]
-            w = next(w for ray, w in zip(fine._generator_rays[star[q]], tangent_weights(fine.cone_objects[star[q]]))
-                     if ray not in rays)
-            return max(w, tuple(map(neg, w)))
-        walls = [(q, r, direction(q, r)) for q, r in fine.star_walls(face)]
         owners = [resolution.assignment[i] for i in star]
         groups: dict[int, list[int]] = {}
         for p, a in enumerate(owners):
@@ -173,6 +175,15 @@ def _pairing_series(resolution: SubdivisionMap, rayset: RaySet):
                   if len(group) > 1 and _series_size(coarse.cone_objects[a], spanning, len(group)) <= len(group)}
         keys: dict[tuple, int] = {}  # (sigma, None) if folded, else (sigma, star position)
         slot = [keys.setdefault((a, None) if a in folded else (a, p), len(keys)) for p, a in enumerate(owners)]
+        local = {q: k for a in folded for k, q in enumerate(groups[a])}
+        inner: dict[int, list] = {a: [] for a in folded}
+        between: dict[tuple, None] = {}
+        for q, r, u in fine.star_walls(face):
+            d = max(u, tuple(map(neg, u)))
+            if slot[q] == slot[r]:  # a wall inside a folded group
+                inner[owners[q]].append((local[q], local[r], d))
+            else:
+                between[min(slot[q], slot[r]), max(slot[q], slot[r]), d] = None
 
         def weights(p):
             i = star[p]
@@ -184,13 +195,9 @@ def _pairing_series(resolution: SubdivisionMap, rayset: RaySet):
                 terms.append((a, None, weights(p)))
                 continue
             group = groups[a]
-            local = {q: k for k, q in enumerate(group)}
-            inner = [(local[q], local[r], d) for q, r, d in walls if q in local and r in local]
-            one = LaurentPoly.one(fine.rank)
-            num, den = _fold(LocalizationSum.build(fine.rank, [(one, weights(q)) for q in group]), inner)
+            fold = _Plan(fine.rank, [(None, weights(q)) for q in group], inner[a])
+            num, den = fold.run([LaurentPoly.one(fine.rank)] * len(group))
             terms.append((a, num, [w for w, m in sorted(den.items()) for _ in range(m)]))
-        between = dict.fromkeys((min(slot[q], slot[r]), max(slot[q], slot[r]), d)
-                                for q, r, d in walls if slot[q] != slot[r])
         plan = _Plan(fine.rank, [(num, den) for _, num, den in terms], list(between))
         cache[rayset] = face, tuple(terms), plan
     return cache[rayset]
@@ -267,7 +274,10 @@ def gram_matrix(
     (``_pairing_series``); every entry is then one sum over the series'
     terms (``_star_sum``), with no orbit class built.  A resolution built
     by hand is refused unless it is a subdivision (``SubdivisionMap._check``),
-    once its fine fan is found smooth and complete.
+    once its fine fan is found smooth and complete.  A map marked checked
+    skips the fine fan's ``is_complete``: its fine cones have their coarse
+    cones' dimensions and cover them, so its fine fan has the support of
+    the coarse fan, which is complete.
     """
     functions = tuple(functions)
     if any(f.fan != fan for f in functions):
@@ -276,7 +286,7 @@ def gram_matrix(
         raise NotComplete("the pairing needs a complete fan")
     raysets = tuple(fan.require_face(rs) for rs in raysets)
     resolution = _resolution_of(fan, resolution)
-    _require_smooth_complete(resolution.fine)
+    _require_smooth_complete(resolution.fine, "_checked" in resolution.__dict__)
     resolution._check()
     for rs in raysets:
         _pairing_series(resolution, rs)

@@ -614,7 +614,7 @@ class _Plan:
         # boxed by box(f) + [shift, far], and D normalized to a multiset; then the
         # box widening, the division order and the merges, none of which reads f
         self.rank, self.terms, zero = rank, [], (0,) * rank
-        lo, hi, self.order, self.reach = zero, zero, {}, 0
+        lo, hi, self.order, self.top, self.reach, self.widths = zero, zero, {}, {}, 0, {}
         for cofactor, denom in terms:
             shift, sign, multiset, shifted = zero, 1, {}, None
             for w in denom:
@@ -625,7 +625,8 @@ class _Plan:
                 lo, hi = tuple(map(add, lo, map(min, w, zero))), tuple(map(add, hi, map(max, w, zero)))
                 if w not in self.order:
                     self.order[w] = primitive_vector(w), w  # the division order
-                    self.reach = max(self.reach, *map(abs, w))
+                    self.top[w] = top = max(map(abs, w))
+                    self.reach = max(self.reach, top)
             far = shift
             if cofactor is not None:
                 low, high = cofactor.exponent_box()
@@ -640,7 +641,15 @@ class _Plan:
         self.narrowed = any(directions is not None for _, _, directions in self.steps)
 
     def run(self, numerators) -> tuple[LaurentPoly, dict[Vector, int]]:
-        """The cancelled fraction of the sum of the terms f * N / D."""
+        """The cancelled fraction of the sum of the terms f * N / D.
+
+        The packing's field width depends on the numerators, but what reads
+        only the plan and the width is computed on the first run at that
+        width and kept in ``widths``: per direction W(w), its field shift
+        and mask and its leading coordinate (``_Packing.character``), and
+        per term W(shift) and the packed exponents of N.  A run recomputes
+        only the extents, which read the box's span, and a plan run once
+        computes each of these once, as it would uncached."""
         lows, highs = [], []
         for f, (shift, far, _, _, _) in zip(numerators, self.terms):
             if f.terms:
@@ -652,8 +661,15 @@ class _Plan:
         lo, hi = self.widening
         packing = _Packing(list(map(add, map(min, zip(*lows)), lo)), list(map(add, map(max, zip(*highs)), hi)),
                            self.reach)
-        raw, origin, order = packing.raw, packing.origin, self.order
-        chars = {w: packing.character(w) for w in order}
+        raw, origin, order, span = packing.raw, packing.origin, self.order, packing.span
+        width = self.widths.get(packing.mask)
+        if width is None:
+            width = self.widths[packing.mask] = (
+                {w: packing.character(w)[:4] for w in order},
+                [(raw(shift), shifted and list(zip(map(raw, shifted[0]), shifted[1])))
+                 for shift, _, _, shifted, _ in self.terms])
+        top = self.top
+        chars = {w: (*ch, span // top[w]) for w, ch in width[0].items()}
 
         def cancel(num: dict[int, int], den: dict[Vector, int], directions=None) -> dict[int, int]:
             """Divide num by the factors of den (those in ``directions`` only,
@@ -699,12 +715,12 @@ class _Plan:
             return cancel(num, lcm, directions), lcm
 
         parts = []
-        for f, (shift, _, sign, shifted, multiset) in zip(numerators, self.terms):
-            offset, den = raw(shift) - origin, dict(multiset)
+        for f, (_, _, sign, _, multiset), (packed_shift, cofactor) in zip(numerators, self.terms, width[1]):
+            offset, den = packed_shift - origin, dict(multiset)
             num = cancel({raw(e) + offset: sign * c for e, c in f.terms}, den)
-            if shifted and num:
+            if cofactor and num:
                 product: dict[int, int] = {}
-                for r, d in zip(map(raw, shifted[0]), shifted[1]):
+                for r, d in cofactor:
                     for p, c in num.items():
                         product[p + r] = product.get(p + r, 0) + c * d
                 num = {q: c for q, c in product.items() if c}

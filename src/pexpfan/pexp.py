@@ -26,9 +26,14 @@ from .laurent import LaurentPoly, koszul_divides, poly_from_json, poly_to_json
 
 def _comparison_matrix(fan_from: Fan, face_from: RaySet, fan_to: Fan, face_to: RaySet) -> IntMatrix:
     """Matrix of M_{face_from} -> M_{face_to}: lift through the section, then
-    project.  Well defined whenever Span(face_to) <= Span(face_from)."""
+    project.  Well defined whenever Span(face_to) <= Span(face_from).  The
+    quotient of a full-dimensional face is the identity on M, one matrix
+    that is both its projection and its section (``Fan.face_quotient``), so
+    from one the matrix is face_to's projection, with no product taken."""
     q_from = fan_from.face_quotient(face_from)
     q_to = fan_to.face_quotient(face_to)
+    if q_from.section is q_from.projection:
+        return q_to.projection
     return mat_mul(q_to.projection, q_from.section)
 
 

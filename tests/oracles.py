@@ -1022,10 +1022,11 @@ def gkm_violations_pairwise(fan, values):
 
 def star_walls_scan(fan, face):
     """``fan.star_walls(face)`` by the scan it ran before the per-cone wall
-    table: every wall of the fan, kept when both its cones hold the face."""
+    table: every wall of the fan, kept when both its cones hold the face, as
+    their positions in the star and the first cone's normal on it."""
     where = {c: p for p, c in enumerate(fan._star[face])}
-    return tuple(tuple(where[c] for c, _ in cones) for cones in fan.walls.values()
-                 if len(cones) == 2 and all(c in where for c, _ in cones))
+    return tuple((where[a], where[b], u) for (a, u), (b, _) in
+                 (cones for cones in fan.walls.values() if len(cones) == 2) if a in where and b in where)
 
 
 def total_excess_multiplicity(fan) -> int:

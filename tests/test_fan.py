@@ -259,8 +259,9 @@ def wall_rule_cases():
     and of such fans broken on purpose.
 
     The valid ones are the cube fan, the face fan of the 4-cube, P^1, P^2,
-    a ray, a half-plane, a half-space, and single cones with their
-    resolutions and stellar subdivisions.  The broken ones are the cube fan
+    a ray, a half-plane, a half-space, unimodular cones and a pentagon's
+    cone, and single cones with their resolutions and stellar
+    subdivisions.  The broken ones are the cube fan
     with a cone dropped or an overlapping cone added, resolutions with a
     fine cone dropped, listed twice, or flipped across a wall, a cone listed
     beside its own stellar subdivision, two triangulations of one cone
@@ -285,8 +286,13 @@ def wall_rule_cases():
     half_plane = Fan.build(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
     half_space = Fan.build(3, [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0), (0, 0, 1)],
                            [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)])
+    # one cone tiles itself (``_tiling`` reads its facets alone): unimodular in
+    # ranks 2 to 4 and a pentagon, beside the singles below
+    one_cone = [cone((1, 0), (0, 1)), cone((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                cone((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+                cone((1, 0, 1), (0, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -2, 1))]
     valid_fans = [catalog.cube_fan(), four_cube_fan(), catalog.projective_line(), catalog.projective_plane(),
-                  cone((1,)), cone((-1,)), half_plane, half_space,
+                  cone((1,)), cone((-1,)), half_plane, half_space, *one_cone,
                   resolve(half_space, rng=random.Random(2), extra_rounds=2).fine,
                   *singles, *resolutions, *stellar]
     cube = catalog.cube_fan()
@@ -1669,6 +1675,34 @@ class TestAgainstOracles:
                 break
         want = facet_normals_full_dim(cone.generators)
         assert cone.facets == tuple((want[c], c) for c in sorted(want))
+
+    @pytest.mark.parametrize("maps", [cube_maps, mixed_maps, stellar_maps,
+                                      lambda: map(resolve, rank3_cones(12))],
+                             ids=["cube", "mixed", "stellar", "rank3"])
+    def test_unimodular_facets_match_their_primitive_rows(self, maps):
+        """A simplicial cone of multiplicity 1 takes the rows of its scaled
+        inverse as its facet normals with no ``primitive_vector``: its facets
+        are those the rows made primitive give, contact sorted and read
+        through its frame below full dimension, on every coarse and fine
+        cone of resolutions and stellar maps, and at full dimension those of
+        the signed-minor oracle."""
+        unimodular = lower = 0
+        for sub in maps():
+            for cone in sub.fine.cone_objects + sub.coarse.cone_objects:
+                if not cone.is_simplicial or not cone.generators:
+                    continue
+                n = len(cone.generators)
+                found = sorted((tuple(i for i in range(n) if i != j), primitive_vector(row))
+                               for j, row in enumerate(cone._scaled_inverse))
+                if cone._coordinates:
+                    found = [(c, mat_vec(transpose(cone._coordinates[0]), u)) for c, u in found]
+                    lower += 1
+                else:
+                    want = facet_normals_full_dim(cone.generators)
+                    assert cone.facets == tuple((want[c], c) for c in sorted(want))
+                assert cone.facets == tuple((u, c) for c, u in found)
+                unimodular += cone.multiplicity() == 1
+        assert unimodular > 20 and (lower or maps is not mixed_maps)
 
     def test_validation_matches_smith_enumeration(self, monkeypatch):
         """Validated Fan.build gives the same verdict, the fan or the error

@@ -8,7 +8,7 @@ from math import prod
 
 import pytest
 
-from pexpfan import catalog, ktheory
+from pexpfan import catalog, ktheory, laurent
 from pexpfan.errors import (
     ConeNotInFan,
     DependentBasis,
@@ -36,7 +36,7 @@ from pexpfan.ktheory import (
     poly_det,
     tangent_weights,
 )
-from pexpfan.lattice import adjugate, mat_vec, transpose, vec_scale
+from pexpfan.lattice import adjugate, mat_vec, primitive_vector, transpose, vec_scale
 from pexpfan.laurent import LaurentPoly, LocalizationSum
 from pexpfan.pexp import CartierData, PiecewiseExponential, descend, from_cartier, gkm_validate, pullback
 
@@ -742,7 +742,7 @@ class TestPairingSeries:
         assert face == () and [a for a, _, _ in terms] == list(range(6))
         assert {(len(num.terms), len(den)) for _, num, den in terms} == {(4, 4)}
         star = r.fine._star[()]
-        across = [wall for wall in r.fine.star_walls(()) if len({r.assignment[star[q]] for q in wall}) == 2]
+        across = [wall for wall in r.fine.star_walls(()) if len({r.assignment[star[q]] for q in wall[:2]}) == 2]
         assert len(across) == 24 == 2 * 12  # two fine walls across each edge of the cube
         assert len(plan.steps) == 5 and plan.rest == [0]  # the six series merge along them, no fallback
 
@@ -850,23 +850,106 @@ class TestPairingSeries:
             assert len(rays) == 16
             assert all(len(num.terms) == 1 for face in rays for _, num, _ in ktheory._pairing_series(r, face)[1])
 
+    @pytest.mark.parametrize("name", ["p1", "p2", "p1xp1", "hirzebruch2", "p112", "cube"])
+    def test_wall_normals_are_the_tangent_weights_off_the_wall(self, name, complete_corpus):
+        """A series reads each star wall's direction from the normal the
+        wall table stores, the inward normal of the wall's first cone: it is
+        that cone's tangent weight at its ray off the other cone, the
+        direction the series computed from the weights before, on every star
+        wall of every face of the resolutions with 0-2 extra rounds."""
+        fan = complete_corpus[name]
+        walls = 0
+        for rounds in range(3):
+            fine = resolve(fan, rng=random.Random(rounds), extra_rounds=rounds).fine
+            for face in fine.faces:
+                star = fine._star[face]
+                for q, r, u in fine.star_walls(face):
+                    other = fine.maximal_cones[star[r]]
+                    weights = zip(fine._generator_rays[star[q]], tangent_weights(fine.cone_objects[star[q]]))
+                    assert [w for ray, w in weights if ray not in other] == [u], (rounds, face)
+                    walls += 1
+        assert walls > 0
+
+    @pytest.mark.parametrize("name", ["p1", "p2", "p1xp1", "hirzebruch2", "p112", "cube", "p1235"])
+    def test_group_folds_match_the_localization_sum_fold(self, name, complete_corpus, monkeypatch):
+        """Each group's fold is compiled from its fine cones' weights, with no
+        ``LocalizationSum``: its fraction, numerator and denominator, is the
+        ``laurent._fold`` of the sum of unit numerators over those weights
+        on the same walls, the fold it replaced, at every face through the
+        resolutions with 0-2 extra rounds, and each folded term of the
+        series holds that fraction."""
+        fan = weighted_projective_space((2, 3, 5)) if name == "p1235" else complete_corpus[name]
+        plans, plan = [], ktheory._Plan
+        monkeypatch.setattr(ktheory, "_Plan", lambda *a: plans.append(a) or plan(*a))
+        folded = 0
+        for rounds in range(3):
+            r = resolve(fan, rng=random.Random(rounds), extra_rounds=rounds)
+            for face in fan.faces:
+                plans.clear()
+                _, terms, _ = ktheory._pairing_series(r, face)
+                groups = [(num, den) for _, num, den in terms if num is not None]
+                assert len(plans) == len(groups) + 1
+                for (rank, group_terms, inner), (num, den) in zip(plans, groups):
+                    one = LaurentPoly.one(rank)
+                    want = laurent._fold(LocalizationSum.build(rank, [(one, d) for _, d in group_terms]), inner)
+                    assert plan(rank, group_terms, inner).run([one] * len(group_terms)) == want
+                    assert (num, sorted(den)) == (want[0], sorted(w for w, m in want[1].items() for _ in range(m)))
+                    folded += 1
+        assert folded > 0 or name in ("p1", "p1235")
+
+    def test_a_marked_map_pairs_with_no_fine_completeness_check(self, complete_corpus, monkeypatch):
+        """The maps of ``resolve``, ``stellar_subdivision``, ``identity`` and
+        ``from_json`` over a complete fan are marked checked, and each fine
+        fan is complete, as a subdivision of a complete fan is; so a
+        pairing through a smooth one, marked, asks the fine fan no
+        ``is_complete``, and gives what the same map built by hand gives,
+        which asks it first: the localization sum of the pulled-back
+        values."""
+        maps = 0
+        for name, fan in complete_corpus.items():
+            cone = fan.cone_objects[0]
+            subs = [*(resolve(fan, rng=random.Random(k), extra_rounds=k) for k in range(3)),
+                    SubdivisionMap.identity(fan), SubdivisionMap.from_json(resolve(fan).to_json())]
+            if len(cone.generators) > 1:
+                subs.append(stellar_subdivision(fan, primitive_vector([sum(x) for x in zip(*cone.generators)])))
+            f = random_cartier_combination(fan, line_bundle_classes(fan), random.Random(1301))
+            for sub in subs:
+                assert "_checked" in sub.__dict__ and sub.fine.is_complete(), name
+                if not sub.fine.is_smooth():  # a stellar subdivision of a singular fan
+                    continue
+                want = euler_characteristic(sub.fine, pullback(f, sub).values)
+                for marked in (True, False):
+                    # a fresh fine fan, which is not the coarse fan even for the identity
+                    fine = Fan.build(sub.fine.rank, sub.fine.rays, sub.fine.maximal_cones, validate=False)
+                    s = SubdivisionMap(fine, sub.coarse, sub.assignment)
+                    s = s._marked() if marked else s
+                    asked, is_complete = [], Fan.is_complete
+                    with monkeypatch.context() as m:
+                        m.setattr(Fan, "is_complete", lambda self: asked.append(self) or is_complete(self))
+                        assert chi(fan, f, resolution=s) == want, name
+                    assert any(x is fine for x in asked) != marked, name
+                maps += 1
+        assert maps >= 30
+
     def test_a_second_call_folds_no_series(self, cube, monkeypatch):
         """The series and the strict transform are built on the first call:
-        a second gram folds no series and builds no cone."""
+        a second gram compiles no plan, for a group's fold or for a series'
+        sum, and builds no cone."""
         r = resolve(cube, rng=random.Random(5), extra_rounds=2)
         classes = line_bundle_classes(cube)
         functions = [random_cartier_combination(cube, classes, random.Random(1301)), classes[1]]
         faces = [(), *cube.faces[1:3], cube.faces[-1]]
-        folds, fold = [], ktheory._fold
-        monkeypatch.setattr(ktheory, "_fold", lambda *a: folds.append(a) or fold(*a))
+        plans, plan = [], ktheory._Plan
+        monkeypatch.setattr(ktheory, "_Plan", lambda *a: plans.append(a) or plan(*a))
         cones, from_generators = [], Cone.from_generators
         monkeypatch.setattr(Cone, "from_generators", staticmethod(lambda *a: cones.append(a) or from_generators(*a)))
         first = gram_matrix(cube, functions, faces, resolution=r)
-        assert len(folds) >= 6 and len(cones) == 3
-        folds.clear(), cones.clear()
+        # six group folds at the zero face, and one sum per face
+        assert len(plans) >= 6 + len(faces) and len(cones) == 3
+        plans.clear(), cones.clear()
         assert gram_matrix(cube, functions, faces, resolution=r) == first
         assert kronecker_pair(cube, functions[0], faces[1], resolution=r) == first.entries[0][1]
-        assert folds == [] and cones == []
+        assert plans == [] and cones == []
 
 
 @cache
@@ -933,19 +1016,21 @@ class TestWallMerge:
         rng = random.Random(20261020)
         pool = [LaurentPoly.zero(fan.rank), *(E(u, c) for u in itertools.product((-1, 0, 1), repeat=fan.rank)
                                               for c in (-1, 1))]
-        folds, plans, fold, plan = [], [], ktheory._fold, ktheory._Plan
-        monkeypatch.setattr(ktheory, "_fold", lambda s, walls: folds.append((s, walls)) or fold(s, walls))
+        plans, plan = [], ktheory._Plan
         monkeypatch.setattr(ktheory, "_Plan", lambda *a: plans.append(a) or plan(*a))
         narrowed = 0
         for rounds in range(2):
             r = resolve(fan, rng=random.Random(rounds), extra_rounds=rounds)
             for face in fan.faces:
-                folds.clear(), plans.clear()
+                plans.clear()
                 _, terms, compiled = ktheory._pairing_series(r, face)
-                for s, walls in folds:
-                    assert all(len(wall) == 3 for wall in walls)
-                    assert fold(s, walls) == fold(s, [wall[:2] for wall in walls])
-                (rank, plan_terms, walls), = plans
+                *groups, (rank, plan_terms, walls) = plans  # the groups' folds, then the sum's plan
+                assert len(groups) == sum(num is not None for _, num, _ in terms)
+                for group_rank, group_terms, inner in groups:
+                    assert all(len(wall) == 3 for wall in inner)
+                    ones = [LaurentPoly.one(group_rank)] * len(group_terms)
+                    assert (plan(group_rank, group_terms, inner).run(ones)
+                            == plan(group_rank, group_terms, [wall[:2] for wall in inner]).run(ones))
                 bare = plan(rank, plan_terms, [wall[:2] for wall in walls])
                 classes = [random_cartier_combination(fan, line_bundle_classes(fan), rng).values for _ in range(2)]
                 noise = [[rng.choice(pool) + rng.choice(pool) for _ in fan.maximal_cones] for _ in range(8)]

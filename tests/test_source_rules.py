@@ -32,13 +32,15 @@ boundary: in ``cli.py`` only ``_decode`` calls ``json.load`` or
 ``json.loads``, ``cli.py`` does not import ``strict_int``
 (``Fan.rayset_from_vectors`` reads a cone), and ``CartierData`` defines no
 ``from_json``; an eleventh keeps every star sum on its wall plan and
-one merge loop: ``ktheory`` reduces only through ``laurent._fold``, which
-``ktheory._pairing_series`` calls on the walls inside a group of the star
-(read from ``fine.star_walls(face)``, each wall with its direction), and
-``laurent.reduce_localization``, which ``ktheory._star_sum`` calls on the
-plan ``_pairing_series`` compiles once (``laurent._Plan``) on the walls
-between the series' terms; every path of ``_fold`` runs a plan, which only
-``_fold`` runs, ``_merge_rounds`` is called once, by the plan's compiler,
+one merge loop: ``ktheory`` reduces only through ``laurent._Plan``, one
+that ``ktheory._pairing_series`` compiles per folded group from its fine
+cones' weights and runs once, on the walls inside the group, and one it
+compiles on the walls between the series' terms, which
+``ktheory._star_sum`` runs through ``laurent.reduce_localization``; one
+pass over ``fine.star_walls(face)`` hands out the walls, each with the
+normal it carries made lexicographically positive as its direction; every
+path of ``_fold`` runs a plan, which in ``laurent`` only ``_fold`` runs,
+``_merge_rounds`` is called once, by the plan's compiler,
 ``reduce_localization`` is ``_fold`` and its check, a run whose merges were
 narrowed to their walls' directions cancels what is left once at its end,
 and the greedy pick by denominator overlap is made only in the fallback of
@@ -266,33 +268,37 @@ def test_the_cli_decodes_json_in_one_place():
 
 
 def test_star_sums_merge_along_their_walls():
-    # a series folds along the walls inside its group; the sum of a pairing's series
-    # is compiled once into a plan on the walls between its terms, each pair of terms
-    # with each direction once, however many fine walls repeat it, and every pairing
-    # runs that plan through reduce_localization; every wall of the star carries its
-    # direction, so a merge tries only the directions of the walls it joins, compiled
-    # by the one _merge_rounds call, the compiler's, and a fold whose merges were so
-    # narrowed cancels what is left once at its end; every fold compiles a plan and
-    # runs it, and the greedy pick serves only the run's fallback, when no wall joins
-    # what is left
+    # a series folds along the walls inside its group, on a plan compiled from its
+    # fine cones' weights and run once; the sum of a pairing's series is compiled
+    # once into a plan on the walls between its terms, each pair of terms with each
+    # direction once, however many fine walls repeat it, and every pairing runs that
+    # plan through reduce_localization; one pass over the star's walls hands each to
+    # its group or to the plan, with the normal the wall table stores as its
+    # direction, so a merge tries only the directions of the walls it joins,
+    # compiled by the one _merge_rounds call, the compiler's, and a fold whose merges
+    # were so narrowed cancels what is left once at its end; every fold compiles a
+    # plan and runs it, and the greedy pick serves only the run's fallback, when no
+    # wall joins what is left
     ktheory = ast.parse(next(p for p in SOURCES if p.name == "ktheory.py").read_text())
     reductions = [(where, ast.unparse(call.func), [ast.unparse(a) for a in call.args])
                   for where, call in _nodes(ktheory, ast.Call)
                   if {getattr(call.func, "id", None), getattr(call.func, "attr", None)}
                   & {"reduce", "reduce_localization", "_fold", "_merge_rounds", "_Plan", "run"}]
     assert reductions == [
-        ("_pairing_series", "_fold", ["LocalizationSum.build(fine.rank, [(one, weights(q)) for q in group])",
-                                      "inner"]),
+        ("_pairing_series", "_Plan", ["fine.rank", "[(None, weights(q)) for q in group]", "inner[a]"]),
+        ("_pairing_series", "fold.run", ["[LaurentPoly.one(fine.rank)] * len(group)"]),
         ("_pairing_series", "_Plan", ["fine.rank", "[(num, den) for _, num, den in terms]", "list(between)"]),
         ("_star_sum", "reduce_localization", ["[values[a] for a, _, _ in terms]", "plan"]),
     ]
     series = next(f for _, f in _nodes(ktheory, ast.FunctionDef) if f.name == "_pairing_series")
-    assert "fine.star_walls(face)" in {ast.unparse(call) for _, call in _nodes(series, ast.Call)}
-    assignments = {ast.unparse(node.targets[0]): ast.unparse(node.value) for _, node in _nodes(series, ast.Assign)}
-    assert assignments["walls"] == "[(q, r, direction(q, r)) for q, r in fine.star_walls(face)]"
-    assert assignments["inner"] == "[(local[q], local[r], d) for q, r, d in walls if q in local and r in local]"
-    assert assignments["between"] == ("dict.fromkeys(((min(slot[q], slot[r]), max(slot[q], slot[r]), d) "
-                                      "for q, r, d in walls if slot[q] != slot[r]))")
+    loops = [node for _, node in _nodes(series, ast.For) if "star_walls" in ast.unparse(node.iter)]
+    assert [(ast.unparse(node.target), ast.unparse(node.iter)) for node in loops] == [
+        ("(q, r, u)", "fine.star_walls(face)")]
+    assert [ast.unparse(stmt) for stmt in loops[0].body] == [
+        "d = max(u, tuple(map(neg, u)))",
+        "if slot[q] == slot[r]:\n    inner[owners[q]].append((local[q], local[r], d))\n"
+        "else:\n    between[min(slot[q], slot[r]), max(slot[q], slot[r]), d] = None"]
+    assert "star_walls" not in ast.unparse(series).replace("fine.star_walls(face)", "", 1)
     laurent = ast.parse(next(p for p in SOURCES if p.name == "laurent.py").read_text())
     run = next(f for _, f in _nodes(laurent, ast.FunctionDef) if f.name == "run")
     finals = [node for _, node in _nodes(run, ast.If) if ast.unparse(node.test) == "self.narrowed"]
