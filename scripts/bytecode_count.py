@@ -30,7 +30,12 @@ these two also count building the fan.  ``cube_fan_validated`` counts
 ``catalog.cube_fan()``, the validated ``Fan.build`` of the cube fan.
 ``chi_octahedron_cold_52`` counts the ``chi`` through the 52-cone
 resolution with its series built, and ``pair_ray_cold`` the pairing at the
-ray (1,1,1) through ``resolve(cube_fan())`` with its series built.  It
+ray (1,1,1) through ``resolve(cube_fan())`` with its series built.
+``stellar_cube_111`` counts ``stellar_subdivision`` of ``catalog.cube_fan()``
+at its ray (1,1,1), which pulls the ray into the three non-simplicial cones
+holding it, and ``stellar_rank3_mult3`` that of
+``catalog.rank3_multiplicity3_fan()`` at (1,1,1), inside its one simplicial
+cone, split as a record; both fans are built outside the count.  It
 counts the opcode events under ``sys.settrace`` with ``f_trace_opcodes`` set
 on every frame, so it is exact and repeats from run to run, unlike a wall-clock time.  Time
 spent in C code is not counted: builtins such as ``sorted``, ``map`` or
@@ -39,15 +44,16 @@ run no bytecode, so a change that moves work into C lowers the count without
 the work going away.
 """
 import argparse
+import functools
 import json
 import random
 import sys
 
 from pexpfan import catalog
-from pexpfan.fan import Fan, resolve
+from pexpfan.fan import Fan, resolve, stellar_subdivision
 from pexpfan.ktheory import chi, kronecker_pair
 from pexpfan.laurent import LaurentPoly
-from pexpfan.pexp import CartierData, from_cartier, gkm_validate
+from pexpfan.pexp import gkm_validate
 
 
 def count_bytecodes(run) -> int:
@@ -75,22 +81,12 @@ def a_cone(n):
     return Fan.build(2, [(1, 0), (1, n)], [(0, 1)])
 
 
-def octahedron_exponents(cube):
-    """e^(-s e_a) on the cone over the cube face x_a = s, per cube cone."""
-    exps = []
-    for rs in cube.maximal_cones:
-        gens = [cube.rays[i] for i in rs]
-        axis = next(a for a in range(3) if len({g[a] for g in gens}) == 1)
-        exps.append(tuple(-gens[0][axis] if a == axis else 0 for a in range(3)))
-    return exps
-
-
 def octahedron_pair(warm, ray=None, **resolve_kw):
     """The chi of the octahedron class through ``resolve(cube_fan(),
     **resolve_kw)``, or its pairing with the cube fan's ``ray``, with its
     series built first when ``warm``."""
     cube = catalog.cube_fan()
-    f, r = from_cartier(cube, CartierData(tuple(octahedron_exponents(cube)))), resolve(cube, **resolve_kw)
+    f, r = catalog.octahedron_class(cube), resolve(cube, **resolve_kw)
     if ray is None:
         run = lambda: chi(cube, f, resolution=r)
     else:
@@ -103,10 +99,10 @@ def octahedron_pair(warm, ray=None, **resolve_kw):
 
 def corrupted_cube48():
     cube = catalog.cube_fan()
-    exps = octahedron_exponents(cube)
+    octahedron = catalog.octahedron_class(cube)
     sub = resolve(cube)
     fine = Fan.build(3, sub.fine.rays, sub.fine.maximal_cones)
-    values = [LaurentPoly.exponential(exps[j]) for j in sub.assignment]
+    values = [octahedron.values[j] for j in sub.assignment]
     values[0] = values[0] * LaurentPoly.exponential((1, 0, 0))
     return lambda: gkm_validate(fine, values)
 
@@ -130,6 +126,8 @@ CASES = [
     ("cube_fan_validated", lambda: catalog.cube_fan),
     ("chi_octahedron_cold_52", lambda: octahedron_pair(False, rng=random.Random(99), extra_rounds=2)),
     ("pair_ray_cold", lambda: octahedron_pair(False, (1, 1, 1))),
+    ("stellar_cube_111", lambda: functools.partial(stellar_subdivision, catalog.cube_fan(), (1, 1, 1))),
+    ("stellar_rank3_mult3", lambda: functools.partial(stellar_subdivision, catalog.rank3_multiplicity3_fan(), (1, 1, 1))),
 ]
 
 ap = argparse.ArgumentParser(description="Bytecodes executed by resolve on fixed cases.")

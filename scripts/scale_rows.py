@@ -50,7 +50,7 @@ octahedron class's localization sum over the N cones of ``resolve(cube_fan())``
 ``decompose_dependent``: ``decompose`` of the unit over k copies of the unit
 on the 48-cone ``resolve(cube_fan())``, which ``DependentBasis`` refuses.
 ``decompose_p1n``: ``decompose`` of every element of the (P^1)^n product
-basis (``product_basis`` of tests/test_product_basis.py) over that basis.
+basis (``catalog.product_basis``) over that basis.
 ``decompose_wps``: ``decompose`` of a combination of four classes on the
 resolved P(1,q1,q2,q3) over them (``wps_divisor_basis``), whose values'
 exponents spread over hundreds of units at the large weights.
@@ -59,21 +59,16 @@ import argparse
 import json
 import random
 import statistics
-import sys
 import time
 from math import gcd
-from pathlib import Path
 
 from pexpfan import catalog
 from pexpfan.errors import DependentBasis
 from pexpfan.fan import Fan, SubdivisionMap, resolve
 from pexpfan.ktheory import chi, decompose, gram_matrix, tangent_weights
 from pexpfan.laurent import LaurentPoly, LocalizationSum, reduce_localization
-from pexpfan.pexp import CartierData, PiecewiseExponential, descend, from_cartier, gkm_validate
+from pexpfan.pexp import PiecewiseExponential, descend, gkm_validate
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from oracles import weighted_projective_space  # noqa: E402
-from test_product_basis import product_basis  # noqa: E402
 
 
 def cyclic_fan(rays):  # the cones join angularly consecutive rays
@@ -105,22 +100,9 @@ def cube_class_chi(resolution):
     return chi(cube, PiecewiseExponential.constant(cube, 1).module_action(value), resolution=resolution)
 
 
-def octahedron_exps(cube):
-    exps = []
-    for rs in cube.maximal_cones:  # e^(-s e_a) on the cone over the cube face x_a = s
-        gens = [cube.rays[i] for i in rs]
-        axis = next(a for a in range(3) if len({g[a] for g in gens}) == 1)
-        exps.append(tuple(-gens[0][axis] if a == axis else 0 for a in range(3)))
-    return exps
-
-
-def octahedron_multiple(cube, k):
-    return from_cartier(cube, CartierData(tuple(tuple(k * x for x in e) for e in octahedron_exps(cube))))
-
-
 def octahedron_chi(k):
     cube = catalog.cube_fan()
-    return resolve(cube), octahedron_multiple(cube, k)
+    return resolve(cube), catalog.octahedron_class(cube, k)
 
 
 def resolved_chi(subject):
@@ -136,7 +118,7 @@ def warm_octahedron_chi(k):
 def cube_gram(cones):
     cube = catalog.cube_fan()
     sub = resolve(cube) if cones == 48 else resolve(cube, rng=random.Random(5), extra_rounds=40)
-    classes = [octahedron_multiple(cube, j).module_action(LaurentPoly.exponential((i, 0, -i)))
+    classes = [catalog.octahedron_class(cube, j).module_action(LaurentPoly.exponential((i, 0, -i)))
                for j in range(1, 5) for i in range(2)]
     edge = next(f for f in cube.faces if len(f) == 2 and 0 in f)  # ray 0 is (1,1,1)
     return sub, classes, [(), (0,), edge, cube.maximal_cones[0]]
@@ -145,8 +127,8 @@ def cube_gram(cones):
 def corrupted_cube48(_):
     cube = catalog.cube_fan()
     sub = resolve(cube)
-    exps = octahedron_exps(cube)
-    values = [LaurentPoly.exponential(exps[j]) for j in sub.assignment]
+    octahedron = catalog.octahedron_class(cube)
+    values = [octahedron.values[j] for j in sub.assignment]
     values[0] = values[0] * LaurentPoly.exponential((1, 0, 0))
     return Fan.build(3, sub.fine.rays, sub.fine.maximal_cones), values
 
@@ -154,8 +136,8 @@ def corrupted_cube48(_):
 def shuffled_octahedron_sum(cones):
     cube = catalog.cube_fan()
     sub = resolve(cube) if cones == 48 else resolve(cube, rng=random.Random(5), extra_rounds=40)
-    exps = octahedron_exps(cube)
-    terms = [(LaurentPoly.exponential(exps[j]), tangent_weights(sub.fine.cone_objects[i]))
+    octahedron = catalog.octahedron_class(cube)
+    terms = [(octahedron.values[j], tangent_weights(sub.fine.cone_objects[i]))
              for i, j in enumerate(sub.assignment)]
     return LocalizationSum.build(3, random.Random(1).sample(terms, len(terms)))
 
@@ -206,7 +188,7 @@ def wps_divisor_basis(qs):
     """(f, basis) on the resolved P(1,q1,q2,q3): the unit and, for each of the
     first three rays, 1 - e^{w} on the cones holding it, w the tangent weight
     dual to it there, and 0 elsewhere; f is the sum of basis_j * e^{(j,0,-j)}."""
-    fine = resolve(weighted_projective_space(qs)).fine
+    fine = resolve(catalog.weighted_projective_space(qs)).fine
     one, zero = LaurentPoly.one(3), LaurentPoly.zero(3)
     weights = [dict(zip(cone.generators, tangent_weights(cone))) for cone in fine.cone_objects]
     basis = [PiecewiseExponential.constant(fine, 1)] + [
@@ -241,7 +223,7 @@ rows = [
     ("gram_cube", (48,) if quick else (48, 128), cube_gram,
      lambda subject: gram_matrix(subject[0].coarse, subject[1], subject[2], resolution=subject[0])),
     ("chi_wps", ((2, 3, 5),) if quick else ((101, 211, 307), (307, 601, 1009)),
-     lambda qs: resolve(weighted_projective_space(qs)), unit_chi),
+     lambda qs: resolve(catalog.weighted_projective_space(qs)), unit_chi),
     ("gkm_violations", (48,), corrupted_cube48, lambda subject: gkm_validate(*subject)),
     ("gkm_report", (10, 20) if quick else (1000, 2000, 4000), moved_unit, lambda subject: gkm_validate(*subject)),
     ("validate_r3", (5, 10) if quick else (50, 100, 200), lambda m: resolve(rank3_cone(m)).fine.to_json(),
@@ -250,7 +232,7 @@ rows = [
      unit_descended),
     ("planless_shuffled", (48,) if quick else (128,), shuffled_octahedron_sum, reduce_localization),
     ("decompose_dependent", (4,) if quick else (4, 8, 16), dependent_cube_basis, refused),
-    ("decompose_p1n", (2,) if quick else (2, 3), lambda n: product_basis(n)[1],
+    ("decompose_p1n", (2,) if quick else (2, 3), lambda n: catalog.product_basis(n)[1],
      lambda basis: [decompose(f, basis) for f in basis]),
     ("decompose_wps", ((2, 3, 5),) if quick else ((101, 211, 307), (307, 601, 1009)), wps_divisor_basis,
      lambda subject: decompose(*subject)),

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import itertools
+
+from .errors import ResultCheckFailed
 from .fan import Fan
+from .ktheory import tangent_weights
 from .laurent import LaurentPoly
-from .pexp import CartierData, PiecewiseExponential, from_cartier
+from .pexp import CartierData, PiecewiseExponential, from_cartier, gkm_validate
 
 
 def projective_line() -> Fan:
@@ -118,3 +122,55 @@ def p2_degree_cartier(fan: Fan, d: int) -> CartierData:
 def p1_degree_class(fan: Fan, d: int) -> PiecewiseExponential:
     """The degree-d line bundle class on the projective line fan."""
     return from_cartier(fan, CartierData(((0,), (d,))))
+
+
+def octahedron_class(cube: Fan, k: int = 1) -> PiecewiseExponential:
+    """k times the octahedron class on the cube fan (``cube_fan``, its cones
+    in any order): the line bundle e^(-k s e_a) on the cone over the cube
+    face x_a = s."""
+    exps = []
+    for rs in cube.maximal_cones:
+        gens = [cube.rays[i] for i in rs]
+        axis = next(a for a in range(3) if len({g[a] for g in gens}) == 1)
+        exps.append(tuple(-k * gens[0][axis] if a == axis else 0 for a in range(3)))
+    return from_cartier(cube, CartierData(tuple(exps)))
+
+
+def weighted_projective_space(qs) -> Fan:
+    """P(1, q1, q2, q3): the fan on e1, e2, e3, (-q1, -q2, -q3) whose cones
+    are the four triples of rays."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), tuple(-q for q in qs)]
+    return Fan.build(3, rays, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
+
+
+def product_basis(n: int):
+    """(fan, [f_S], [tau_S]) for (P^1)^n, with S running over the subsets of
+    range(n) in order of size, then lexicographically: f_S is
+    prod_{i in S} (1 - e^{w_i(sigma)}) on the cones sigma holding +e_i for
+    every i in S, w_i(sigma) the tangent weight at sigma dual to +e_i, and
+    0 elsewhere, and tau_S = cone{+e_i : i in S}."""
+    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    rays = unit + [tuple(-x for x in e) for e in unit]
+    cones = [tuple(i + n * s for i, s in enumerate(signs))
+             for signs in itertools.product((0, 1), repeat=n)]
+    fan = Fan.build(n, rays, cones)
+    subsets = [S for size in range(n + 1) for S in itertools.combinations(range(n), size)]
+    one = LaurentPoly.one(n)
+    functions, taus = [], []
+    for S in subsets:
+        values = []
+        for cone in fan.cone_objects:
+            weight = dict(zip(cone.generators, tangent_weights(cone)))
+            value = one
+            for i in S:
+                if unit[i] not in weight:
+                    value = LaurentPoly.zero(n)
+                    break
+                value = value * (one - LaurentPoly.exponential(weight[unit[i]]))
+            values.append(value)
+        report = gkm_validate(fan, values)
+        if not report.ok:
+            raise ResultCheckFailed(f"the product basis class of {S} is not piecewise exponential")
+        functions.append(report.function)
+        taus.append(fan.rayset_from_vectors([unit[i] for i in S]))
+    return fan, functions, taus

@@ -10,10 +10,11 @@ cell in fan order.  Slot 5 of a chain record, a cell of at most two rays,
 holds the tuple of its local 2-vectors, in its coarse cone's frame.  Any
 other cell is a record once simplicial, whose slot 5 holds the list of rows
 of its scaled inverse S = mult * G^-1 in that frame, and until then holds
-its ``Cone``.  A step replaces each cell holding its ray by its pieces in its
-place: the first piece takes the cell over and the others follow it.
-``subdivide`` is the one loop, with its picks, draws and checks.  This
-module imports nothing from ``fan``.
+its ``Cone``; ``local_coordinates`` reads a point in a frame.  A step
+replaces each cell holding its ray by its pieces in its place: the first
+piece takes the cell over and the others follow it.  ``subdivide`` is the
+one loop, with its picks, draws and checks.  This module imports nothing
+from ``fan``.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ import itertools
 from operator import itemgetter, mul
 
 from .errors import NotStronglyConvex, ResolutionCheckFailed
-from .lattice import mat_vec, primitive_vector, vec_add
+from .lattice import primitive_vector, vec_add
+
+
+class Rng:
+    """Any ``rng`` with ``choice`` and ``randrange``, as ``random.Random``."""
 
 
 def least_chain_points(g1, g2, mult: int) -> tuple[int, tuple[int, int], tuple[int, int], int]:
@@ -164,33 +169,42 @@ def subdivide(first: list, least, split, rng, extra_rounds: int) -> bool:
     return stepped
 
 
-def chain_record(rs, gens, source: int) -> list:
-    """The chain record on the rays ``rs``, of two in rank 2 or fewer, and
-    their vectors ``gens``, local as well."""
-    ids, mult = rs, 1
+def local_coordinates(frame, x) -> tuple:
+    """x in the frame (projection, annihilator) of a span, or of N if None;
+    a point off the span is refused."""
+    if not frame:
+        return x
+    projection, annihilator = frame
+    # the rows' pairings with x, summed with no bytecode per row
+    if any(map(sum, map(map, itertools.repeat(mul), annihilator, itertools.repeat(x)))):
+        raise ResolutionCheckFailed(f"{x} does not lie in the cone it subdivides")
+    return tuple(map(sum, map(map, itertools.repeat(mul), projection, itertools.repeat(x))))
+
+
+def chain_record(rs, gens, source: int, frame) -> list:
+    """The chain record on the rays ``rs``, at most two, and their vectors
+    ``gens``, local in their cone's ``frame``."""
+    ids, local, mult = rs, tuple(map(local_coordinates, itertools.repeat(frame), gens)), 1
     if len(rs) == 2:
         if gens[1] < gens[0]:
-            gens, ids = gens[::-1], rs[::-1]
-        mult = abs(gens[0][0] * gens[1][1] - gens[0][1] * gens[1][0])
+            gens, ids, local = gens[::-1], rs[::-1], local[::-1]
+        (a, b), (c, d) = local
+        mult = abs(a * d - b * c)
         if not mult:
             raise NotStronglyConvex(f"cone on {gens} contains a line")
-    return [rs, gens, ids, mult, source, gens, None]
+    return [rs, gens, ids, mult, source, local, None]
 
 
-def chain_split(index: dict, frames: dict):
+def chain_split(index: dict, frames: list):
     """The ``split`` of a chain record at a point x inside it: <g1, x> and
     <g2, x>, of multiplicities |det(l1, y)| and |det(y, l2)| for x's local
-    coordinates y, x itself or projection x for the frame (projection,
-    annihilator) ``frames[source]``, which must annihilate x.  A new x joins
-    the rays ``index``."""
+    coordinates y in its cone's frame ``frames[source]``, unread if all are
+    N's.  A new x joins the rays ``index``."""
+    frames = frames if any(frames) else None
+
     def split(cell, x):
         _, (g1, g2), (i1, i2), mult, source, (l1, l2), after = cell
-        y = x
-        if frames:  # above rank 2, where every record has its cone's frame
-            (p, q), annihilator = frames[source]
-            if any(mat_vec(annihilator, x)):
-                raise ResolutionCheckFailed(f"{x} does not lie in the cone it subdivides")
-            y = sum(map(mul, p, x)), sum(map(mul, q, x))
+        y = local_coordinates(frames[source], x) if frames else x
         d = l1[0] * l2[1] - l1[1] * l2[0]
         d1, d2 = l1[0] * y[1] - l1[1] * y[0], y[0] * l2[1] - y[1] * l2[0]
         if d1 * d < 0 or d2 * d < 0:

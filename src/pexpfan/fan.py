@@ -12,10 +12,10 @@ of its local generators in that frame.  A non-simplicial cone takes its
 facets from the vertex enumeration ``extreme_rays_of_region``.
 Simplicial cones are handled in any rank; non-simplicial cones are limited to
 ambient rank <= 4.  All geometry is exact.  ``resolve`` keeps a fan's
-maximal cones as cells linked in fan order, a chain record (``chains``) for
-each cone of at most two rays and a cell with its ``Cone`` for any other
-until every cell is simplicial, then an integer record of its scaled
-inverse, and runs the one subdivision loop of ``chains`` on them.
+maximal cones as cells linked in fan order: a chain record (``chains``)
+for each cone of at most two rays, an integer record of its scaled inverse
+for any other simplicial cone, and a cell with its ``Cone`` until then,
+and runs the one subdivision loop of ``chains`` on them.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import itertools
 from functools import cached_property
 from operator import mul
 
-from .chains import chain_record, chain_split, drawn_chain_point, fan_order, linked, subdivide
+from .chains import Rng, chain_record, chain_split, drawn_chain_point, fan_order, linked, local_coordinates, subdivide
 from .errors import (
     ConeNotInFan,
     NonPrimitiveRay,
@@ -234,9 +234,10 @@ class Cone:
     def _scaled_inverse(self) -> IntMatrix:
         """mult * G^-1 = sign(det) * adj for the ``_adjugate`` (det, adj) of
         the local generators G, simplicial cones only.  Row j pairs to mult
-        with generator j and to 0 with the others.  Read by the facets and,
-        for a smooth cone, whose rows are then the dual basis of the
-        generators, by ``ktheory.tangent_weights``."""
+        with generator j and to 0 with the others.  Read by the facets,
+        ``_cell`` and, for a smooth cone, whose rows are then the dual basis
+        of the generators, by ``ktheory.tangent_weights`` and
+        ``ktheory._pairing_series``."""
         det, adj = self._adjugate
         return adj if det > 0 else tuple(vec_scale(-1, row) for row in adj)
 
@@ -767,9 +768,12 @@ def _check_subdivision(sub: SubdivisionMap):
 
 
 def _cell(rs: RaySet, cone: Cone, ray_index: dict[Vector, int], source: int) -> list:
-    """The cell (``chains``) of a cone on rays of ``ray_index``, unlinked."""
-    mult = cone.multiplicity() if cone.is_simplicial else 0
-    return [rs, cone.generators, tuple(map(ray_index.__getitem__, cone.generators)), mult, source, cone, None]
+    """The cell (``chains``) of a cone on rays of ``ray_index``, unlinked:
+    a record, of the rows of its ``_scaled_inverse``, if it is simplicial."""
+    ids = tuple(map(ray_index.__getitem__, cone.generators))
+    if cone.is_simplicial:
+        return [rs, cone.generators, ids, cone.multiplicity(), source, list(cone._scaled_inverse), None]
+    return [rs, cone.generators, ids, 0, source, cone, None]
 
 
 def _framed(rank, generators, frame, inverse=None) -> Cone:
@@ -800,17 +804,17 @@ def _piece(cell: list, x: Vector, rs: RaySet, n: int, j: int, c: list) -> list:
 class _Refinement:
     """Cells under stellar steps, changed in place.  A cell is either a
     record, simplicial, whose slot 5 holds the list of rows of its scaled
-    inverse S = mult * G^-1 in its coarse cone's frame (``frames``, by
-    source), or a cell with its ``Cone``, as every cell is in
-    ``stellar_subdivision`` and in ``resolve`` until ``record``.
-    ``incidence`` maps each ray index to the cells whose ray sets contain
-    it, keyed by ``id``.  A step adds its ray to ``ray_index`` if it is new,
-    and replaces only the cells that hold it, each by its pieces in its
-    place; every other cell keeps its slot 5 and what it cached.
+    inverse S = mult * G^-1 in its coarse cone's frame, or a non-simplicial
+    cell with its ``Cone`` (``_cell``); ``frames`` is the caller's table of
+    the coarse cones' frames, by source.  ``incidence`` maps each ray index
+    to the cells whose ray sets contain it, keyed by ``id``.  A step adds
+    its ray to ``ray_index`` if it is new, and replaces only the cells that
+    hold it, each by its pieces in its place; every other cell keeps its
+    slot 5 and what it cached.
     """
 
-    def __init__(self, rank: int, ray_index: dict, cells: list):
-        self.rank, self.ray_index, self.frames = rank, ray_index, {}
+    def __init__(self, rank: int, ray_index: dict, cells: list, frames: list):
+        self.rank, self.ray_index, self.frames = rank, ray_index, frames
         self.incidence: dict[int, dict[int, list]] = {}
         self._enter(cells)
 
@@ -830,7 +834,7 @@ class _Refinement:
             keys = filter(cells.__contains__, keys)
         return list(map(fewest.__getitem__, keys))
 
-    def pull(self, rng: random.Random | None) -> bool:
+    def pull(self, rng: Rng | None) -> bool:
         """Simplicialize the cells by pulling rays, the least or a random one
         first; returns whether any was not."""
         rays = tuple(self.ray_index)
@@ -859,33 +863,19 @@ class _Refinement:
             nonsimplicial = {key: cell for key, cell in nonsimplicial.items() if not cell[3]}
         return pulled
 
-    def record(self):
-        """Make every cell, simplicial once pulled, a record: its cone's
-        scaled inverse, in its frame, which all cells of a source share."""
-        frames = self.frames
-        for cells in self.incidence.values():
-            for cell in cells.values():
-                cone = cell[5]
-                if cone.__class__ is Cone:
-                    frames[cell[4]], cell[5] = cone._coordinates, list(cone._scaled_inverse)
-
-    def _coefficients(self, cell: list, x: Vector) -> list[int] | None:
+    def _coefficients(self, cell: list, x: Vector) -> list[int]:
         """c = S y for the local coordinates y of x in a record's frame, so
-        that x = G c / mult; None when x is off its span."""
+        that x = G c / mult; x must lie in its span."""
         frame = self.frames[cell[4]]
-        if frame:
-            projection, annihilator = frame
-            if any(pair(a, x) for a in annihilator):
-                return None
-            x = [sum(map(mul, p, x)) for p in projection]
-        return [sum(map(mul, row, x)) for row in cell[5]]
+        y = local_coordinates(frame, x) if frame else x
+        return [sum(map(mul, row, y)) for row in cell[5]]
 
     def split(self, cell: list, ray: Vector) -> list[tuple[int, list[list]]] | None:
         """``step`` at ``ray``, a point of a record's cone: the cells holding
         it are the star of the smallest face of the cone holding it, the
         generators j with c_j > 0."""
         c = self._coefficients(cell, ray)
-        if c is None or min(c) < 0:
+        if min(c) < 0:
             raise ResolutionCheckFailed(f"{ray} does not lie in the cone it subdivides")
         ids = cell[2]
         return self.step(ray, self.star(tuple(sorted([ids[j] for j, cj in enumerate(c) if cj]))), (cell, c))
@@ -931,7 +921,7 @@ class _Refinement:
                 # a pyramid over a facet with the ray as apex: its sorted rays are
                 # its primitive extreme rays, and it spans its cell's space
                 cells = [_cell(piece, _framed(self.rank, tuple(sorted([ray, *map(cell[1].__getitem__, contact)])),
-                                              cell[5]._coordinates), self.ray_index, cell[4])
+                                              self.frames[cell[4]]), self.ray_index, cell[4])
                          for piece, contact in out]
             else:
                 cells = [_piece(cell, ray, piece, new_idx, j, c) for piece, (j, c) in out]
@@ -943,12 +933,12 @@ class _Refinement:
         return changes
 
 
-def _fine_map(coarse: Fan, rays, first: list) -> SubdivisionMap:
+def _fine_map(coarse: Fan, rays, first: list, frames: list) -> SubdivisionMap:
     """The map to ``coarse`` from the fan on ``rays`` whose maximal cones are
     the cells from ``first`` on, with no ``Fan.build``: above rank 2 with the
     cells' cones, and a record's cone built once, in its coarse cone's
-    frame, with the record's multiplicity and S.  Only what an input that is
-    no fan could break is checked."""
+    frame (``frames``), with the record's multiplicity and S.
+    Only what an input that is no fan could break is checked."""
     # the rest of Fan.build holds by construction: int rays and indices,
     # coarse rays that passed it, sorted ray sets of distinct indices, at
     # least one cell, and the new ray in every piece, so no zero cone beside
@@ -966,7 +956,6 @@ def _fine_map(coarse: Fan, rays, first: list) -> SubdivisionMap:
     if rank > 2:
         # cached_property keeps its value in the instance dict, which a
         # value class leaves writable (only attribute assignment raises)
-        frames = [cone._coordinates for cone in coarse.cone_objects]
         fine.__dict__["cone_objects"] = tuple(
             slot if slot.__class__ is Cone
             else _framed(rank, g, frames[s], (m, tuple(slot)) if slot.__class__ is list else None)
@@ -982,21 +971,23 @@ def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
     it is new; each cone missing the ray keeps its place and ray indices.  No
     old ray is lost: the facets through an extreme ray r other than the ray
     meet in r, so one of them misses the ray.  A ray that changes no cone
-    gives the identity map.  This is one ``_Refinement`` step, with the
-    cones holding an arbitrary ray found by a ``Cone.contains`` scan.
+    gives the identity map.  This is one ``_Refinement`` step on the cells
+    of ``_cell``, with the cones holding an arbitrary ray found by a
+    ``Cone.contains`` scan.
     """
     ray = tuple(ray)
     if not any(ray):
         raise NonPrimitiveRay("cannot subdivide at the zero vector")
     if not is_primitive(ray):
         raise NonPrimitiveRay(f"{ray} is not primitive")
-    index = dict(fan._ray_index)
-    cells = linked(list(map(_cell, fan.maximal_cones, fan.cone_objects, itertools.repeat(index), itertools.count())))
-    holding = [cell for cell in cells if cell[5].contains(ray)]
+    index, cones = dict(fan._ray_index), fan.cone_objects
+    frames = [cone._coordinates for cone in cones]
+    cells = linked(list(map(_cell, fan.maximal_cones, cones, itertools.repeat(index), itertools.count())))
+    holding = [cell for cell, cone in zip(cells, cones) if cone.contains(ray)]
     if not holding:
         raise RayOutsideSupport(f"{ray} lies outside the support of the fan")
-    changed = _Refinement(fan.rank, index, cells).step(ray, holding)
-    return _fine_map(fan, index, cells[0]) if changed else SubdivisionMap.identity(fan)
+    changed = _Refinement(fan.rank, index, cells, frames).step(ray, holding)
+    return _fine_map(fan, index, cells[0], frames) if changed else SubdivisionMap.identity(fan)
 
 
 # -- resolution -----------------------------------------------------------------------
@@ -1048,29 +1039,25 @@ def _by_kind(chain, record):
     return lambda cell, arg: chain(cell, arg) if cell[5].__class__ is tuple else record(cell, arg)
 
 
-def _cells(fan: Fan, index, frames: dict) -> tuple[list, list]:
-    """The maximal cones as cells in fan order, and those of them that keep
-    their ``Cone`` until ``_Refinement.record``: a chain record for at most
-    two rays, in N's frame in rank 2, else in its cone's, kept in
-    ``frames``; else the cone's cell."""
-    cells, cones, rays, rank = [], [], fan.rays, fan.rank
+def _cells(fan: Fan, index, frames: list) -> tuple[list, list]:
+    """The maximal cones as cells in fan order, and those of three or more
+    rays: a chain record, in its cone's frame, for at most two rays, else
+    the cone's cell (``_cell``)."""
+    cells, others, rays = [], [], fan.rays
     for source, rs in enumerate(fan.maximal_cones):
-        if len(rs) < 2 or len(rs) == rank == 2:
-            cells.append(chain_record(rs, tuple(map(rays.__getitem__, rs)), source))
-            continue
-        cell = _cell(rs, fan.cone_objects[source], index, source)
-        if len(rs) == 2:
-            frames[source], cell[5] = cell[5]._coordinates, cell[5].local_generators
+        if len(rs) > 2:
+            cell = _cell(rs, fan.cone_objects[source], index, source)
+            others.append(cell)
         else:
-            cones.append(cell)
+            cell = chain_record(rs, tuple(map(rays.__getitem__, rs)), source, frames[source])
         cells.append(cell)
-    return linked(cells), cones
+    return linked(cells), others
 
 
 def resolve(
     fan: Fan,
     *,
-    rng: random.Random | None = None,
+    rng: Rng | None = None,
     extra_rounds: int = 0,
 ) -> SubdivisionMap:
     """Refine the fan ``fan`` until every maximal cone is smooth; returns the
@@ -1090,11 +1077,11 @@ def resolve(
     ``least`` and ``split`` picking by kind of cell (``_by_kind``).  A cone
     of at most two rays is a chain record, drawn on the Hirzebruch-Jung walk
     (``chains.drawn_chain_point``) and split alone on the integers of its local
-    2-vectors (``chains.chain_split``).  Any other is a cell with its
-    ``Cone`` on one ``_Refinement``, which simplicializes those cells by
-    pulling rays and then makes each an integer record of its scaled
-    inverse (``_Refinement.record``), drawn from its listed parallelepiped
-    (``_least_box_point``) and split with no ``Cone`` (``_piece``).  The
+    2-vectors (``chains.chain_split``).  Any other is a cell on one
+    ``_Refinement`` (``_cell``): a record if simplicial, else a cell with
+    its ``Cone`` until pulling rays simplicializes it.  A record is drawn
+    from its listed parallelepiped (``_least_box_point``) and split with no
+    ``Cone`` (``_piece``).  Cells read one table of frames.  The
     refinement finds the cells holding a ray x without a scan: x lies in a
     known cone sigma, and if tau is the smallest face of sigma holding x,
     any cone holding x meets sigma in a face of both holding the relative
@@ -1114,13 +1101,12 @@ def resolve(
     """
     if strict_int(extra_rounds, "extra_rounds") < 0:
         raise ValueError(f"extra_rounds must be nonnegative, got {extra_rounds}")
-    index, frames = dict(fan._ray_index), {}
-    cells, cones = _cells(fan, index, frames)
+    index, frames = dict(fan._ray_index), [cone._coordinates for cone in fan.cone_objects]
+    cells, others = _cells(fan, index, frames)
     least, split, pulled = drawn_chain_point, chain_split(index, frames), False
-    if cones:
-        ref = _Refinement(fan.rank, index, cones)
+    if others:
+        ref = _Refinement(fan.rank, index, others, frames)
         pulled = ref.pull(rng)
-        ref.record()
         least, split = _by_kind(least, _least_box_point), _by_kind(split, ref.split)
     stepped = subdivide(cells[0], least, split, rng, extra_rounds)
-    return _fine_map(fan, index, cells[0]) if stepped or pulled else SubdivisionMap.identity(fan)
+    return _fine_map(fan, index, cells[0], frames) if stepped or pulled else SubdivisionMap.identity(fan)

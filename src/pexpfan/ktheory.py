@@ -187,7 +187,8 @@ def _pairing_series(resolution: SubdivisionMap, rayset: RaySet):
 
         def weights(p):
             i = star[p]
-            return [w for ray, w in zip(fine._generator_rays[i], tangent_weights(fine.cone_objects[i]))
+            # gram_matrix found the fine fan smooth, so each cone's S is G^-1
+            return [w for ray, w in zip(fine._generator_rays[i], fine.cone_objects[i]._scaled_inverse)
                     if ray not in face]
         terms = []
         for a, p in keys:

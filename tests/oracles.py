@@ -59,7 +59,9 @@ the Hilbert basis, and ``resolve_all_cones`` with its
 cell of a fan of rank >= 3 carried its ``Cone`` before cells of at most two
 rays became chain records and simplicial cells integer records (its cell,
 refinement, ``AllConeRefinement``, and fine map are copies of that path's
-and take only public names from ``pexpfan.fan``), and
+and take only public names from ``pexpfan.fan``), and ``stellar_all_cones``,
+the one step of that refinement that ``fan.stellar_subdivision`` took before
+its simplicial cells became records, and
 ``complete_by_point_search``,
 the search for a generic point that ``Fan.is_complete`` ran before it took
 one past the Cauchy bound, and ``basis_rows_by_subsets``, the search over
@@ -71,8 +73,7 @@ over every maximal cone with ``LocalizationSum``, without the star logic of
 ``ktheory._star_sum``.  ``total_excess_multiplicity`` and
 ``random_cartier_combination`` are test helpers that the package kept with
 no caller of its own, ``random_complete_rank2_data`` draws the rank-2
-fans of the fan and localization tests, and ``weighted_projective_space``
-builds the P(1,q1,q2,q3) of the pairing tests and ``scripts/scale_rows.py``.
+fans of the fan and localization tests.
 """
 
 from __future__ import annotations
@@ -978,6 +979,26 @@ def resolve_all_cones(fan, rng=None, extra_rounds=0, least=None):
     return _all_cone_fine_map(fan, index, cells[0]) if stepped or pulled else SubdivisionMap.identity(fan)
 
 
+def stellar_all_cones(fan, ray):
+    """``fan.stellar_subdivision`` at a primitive ray as it ran before its
+    simplicial cells were records: one ``AllConeRefinement.step`` on every
+    maximal cone as a cell with its ``Cone``, the cones holding the ray
+    found by a ``Cone.contains`` scan."""
+    from pexpfan.chains import linked
+    from pexpfan.errors import RayOutsideSupport
+    from pexpfan.fan import SubdivisionMap
+
+    ray = tuple(ray)
+    index = {r: i for i, r in enumerate(fan.rays)}
+    cells = linked([_all_cone_cell(rs, cone, index, source)
+                    for source, (rs, cone) in enumerate(zip(fan.maximal_cones, fan.cone_objects))])
+    holding = [cell for cell in cells if cell[5].contains(ray)]
+    if not holding:
+        raise RayOutsideSupport(f"{ray} lies outside the support of the fan")
+    changed = AllConeRefinement(fan.rank, index, cells).step(ray, holding)
+    return _all_cone_fine_map(fan, index, cells[0]) if changed else SubdivisionMap.identity(fan)
+
+
 def multiplicity_by_adjugate(cone) -> int:
     """``cone.multiplicity()`` as it was read before the Smith form's
     invariant factors: |det| of the local generators in the coordinates of
@@ -1058,15 +1079,6 @@ def random_complete_rank2_data(rng):
     order = rng.sample(range(len(rays)), len(rays))
     cones = [(order[i], order[(i + 1) % len(rays)]) for i in range(len(rays))]
     return 2, [rays[order.index(i)] for i in range(len(rays))], rng.sample(cones, len(cones))
-
-
-def weighted_projective_space(qs):
-    """P(1, q1, q2, q3): the fan on e1, e2, e3, (-q1, -q2, -q3) whose cones
-    are the four triples of rays."""
-    from pexpfan.fan import Fan
-
-    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), tuple(-q for q in qs)]
-    return Fan.build(3, rays, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
 
 
 def complete_by_point_search(fan) -> bool:

@@ -79,20 +79,6 @@ def report(number, name, started):
     print(f"ACCEPTANCE {number} {name}: PASS ({time.monotonic() - started:.2f} s)")
 
 
-def cube_cartier(fan, scale):
-    """Local data of a multiple of the octahedron class on the cube fan."""
-    exps = []
-    for rs in fan.maximal_cones:
-        gens = [fan.rays[i] for i in rs]
-        axis = next(
-            c for c in range(3) if all(g[c] == gens[0][c] for g in gens)
-        )
-        m = [0, 0, 0]
-        m[axis] = -scale * gens[0][axis]
-        exps.append(tuple(m))
-    return CartierData(tuple(exps))
-
-
 def test_criterion_1_worked_example_reproduction():
     started = time.monotonic()
     fan = Fan.build(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (0, 2), (1, 2)])
@@ -161,7 +147,7 @@ def test_criterion_4_resolution_independence(p112, cube):
     p112_cartiers = [
         from_cartier(p112, CartierData(((0, 0), (0, b), (2 * b, 0)))) for b in (1, 2)
     ]
-    cube_cartiers = [from_cartier(cube, cube_cartier(cube, s)) for s in (1, 2)]
+    cube_cartiers = [catalog.octahedron_class(cube, s) for s in (1, 2)]
 
     jobs = [
         (p112, p112_cartiers, 35, list(catalog.p112_duality_cones(p112))),

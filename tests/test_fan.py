@@ -1,6 +1,8 @@
 import functools
 import hashlib
+import itertools
 import json
+import operator
 import random
 import re
 import sys
@@ -61,6 +63,7 @@ from oracles import (
     smith_diagonal_oracle,
     solve_rational,
     star_quotient_oracle,
+    stellar_all_cones,
     total_excess_multiplicity,
 )
 
@@ -837,6 +840,48 @@ class TestStellarSubdivision:
                 )
                 assert revalidated.is_complete(), name
 
+    def test_matches_the_all_cone_path(self, complete_corpus):
+        """Split on the records of ``resolve``, a stellar subdivision gives
+        the map and fine cones of the all-Cone step (``stellar_all_cones``):
+        at seeded primitive support points, at a ray of the fan, which
+        changes no simplicial fan, and at a point outside the support, which
+        both refuse; on the complete corpus, on mixed fans and on single
+        cones of ranks 2-4, simplicial or not."""
+        rng = random.Random(29)
+        cones = [random_simplicial_cone(rng, rank, dim) for rank in (2, 3, 4) for dim in range(1, rank + 1)]
+        cones += [Cone.from_generators(3, [(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)]),
+                  Cone.from_generators(4, [(1, 0, 1, 0), (0, 1, 1, 0), (-1, 0, 1, 0), (0, -1, 1, 0)]),
+                  Cone.from_generators(4, [(1, 0, 0, 1), (0, 1, 0, 1), (-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, 1, 1)])]
+        fans = [*complete_corpus.values(), *random_mixed_fans(31, 10),
+                *(Fan.build(c.rank, c.generators, [tuple(range(len(c.generators)))]) for c in cones)]
+        compared = changed = refused = 0
+        for fan in fans:
+            at_ray = fan.rays[rng.randrange(len(fan.rays))]
+            points = [at_ray]
+            for _ in range(4):
+                cone = fan.cone_objects[rng.randrange(len(fan.maximal_cones))]
+                coefficients = [rng.randint(0, 3) for _ in cone.generators]
+                point = [sum(map(operator.mul, coefficients, column)) for column in zip(*cone.generators)]
+                if any(point):
+                    points.append(primitive_vector(point))
+            for point in points:
+                sub, old = stellar_subdivision(fan, point), stellar_all_cones(fan, point)
+                assert sub.to_json() == old.to_json(), (fan, point)
+                for cone, fresh in zip(sub.fine.cone_objects, old.fine.cone_objects, strict=True):
+                    assert_matches_fresh_cone(cone, fresh)
+                compared += 1
+                changed += sub.fine != fan
+            if all(c.is_simplicial for c in fan.cone_objects):
+                assert stellar_subdivision(fan, at_ray).to_json() == SubdivisionMap.identity(fan).to_json()
+            outside = next((v for v in itertools.product(range(-2, 3), repeat=fan.rank)
+                            if gcd(*v) == 1 and not any(c.contains(v) for c in fan.cone_objects)), None)
+            if outside:
+                for subdivide in (stellar_subdivision, stellar_all_cones):
+                    with pytest.raises(RayOutsideSupport):
+                        subdivide(fan, outside)
+                refused += 1
+        assert (compared, changed, refused) == (129, 62, 22)
+
 
 class TestResolve:
     def test_smooth_is_identity(self, p2):
@@ -1261,10 +1306,11 @@ class TestResolve:
         each piece is reported with the multiplicity of the cell it
         replaces.  Each new piece holds the sorted generators of a fresh
         Cone.from_generators on its rays and their ray indices; a piece with
-        its Cone (while pulling) has that cone and its multiplicity, and a
-        record's piece has |det| of its generators (these cells are all
-        full-dimensional, in the frame of N) and the fresh cone's scaled
-        inverse as its S.  Every resolved fan's cone objects equal fresh
+        its Cone (while pulling) is not simplicial and has that cone, and
+        every simplicial piece is a record from the moment it is made, with
+        |det| of its generators (these cells are all full-dimensional, in the
+        frame of N, the caller's table) and the fresh cone's scaled inverse
+        as its S.  Every resolved fan's cone objects equal fresh
         ones, with the same multiplicity, scaled inverse and facets, each
         handed its (det, adj) up to sign when the fan is built, and the
         serialized resolutions equal those of the all-Cone path (compared
@@ -1273,9 +1319,9 @@ class TestResolve:
         step_through, init = fan_module._Refinement.step, fan_module._Refinement.__init__
         steps, fresh = [], functools.cache(Cone.from_generators)
 
-        def first_kept(ref, rank, index, cells):
+        def first_kept(ref, rank, index, cells, frames):
             # every cell of these fans of rank >= 3 is in the refinement, so the first is the fan's
-            init(ref, rank, index, cells)
+            init(ref, rank, index, cells, frames)
             ref.first = cells[0]
 
         def cone_of(ref, cell):
@@ -1312,7 +1358,7 @@ class TestResolve:
                     cone = Cone.from_generators(len(ray), [rays[j] for j in rs])
                     assert gens == cone.generators and gen_rays == tuple(map(rays.index, gens))
                     if isinstance(slot, Cone):
-                        assert slot == cone and mult == (cone.is_simplicial and cone.multiplicity())
+                        assert slot == cone and mult == 0 and not cone.is_simplicial
                     else:
                         assert ref.frames[source] is None and cone.dim == len(gens) == len(ray)
                         assert mult == abs(det_expansion(gens)) and slot == list(cone._scaled_inverse)

@@ -52,7 +52,6 @@ from oracles import (
     solve_rational,
     star_sum_ungrouped,
     star_walls_scan,
-    weighted_projective_space,
 )
 
 E = LaurentPoly.exponential
@@ -635,11 +634,7 @@ def line_bundle_classes(fan):
     if fan == catalog.weighted_p112():
         return [unit, *catalog.p112_spanning_classes(fan)]
     if fan == catalog.cube_fan():
-        normals = []
-        for cone in fan.cone_objects:
-            axis = next(c for c in range(3) if len({g[c] for g in cone.generators}) == 1)
-            normals.append(tuple(-cone.generators[0][c] if c == axis else 0 for c in range(3)))
-        return [unit, from_cartier(fan, CartierData(tuple(normals)))]
+        return [unit, catalog.octahedron_class(fan)]
     return [unit]
 
 
@@ -729,7 +724,7 @@ class TestPairingSeries:
     def test_chi_of_a_twisted_unit_on_a_weighted_projective_space(self, qs):
         """chi(e^m * unit) = e^m on P(1,q1,q2,q3) through a passed
         resolution: the first call builds the series, the others reuse them."""
-        fan = weighted_projective_space(qs)
+        fan = catalog.weighted_projective_space(qs)
         r = resolve(fan)
         unit = PiecewiseExponential.constant(fan, 1)
         for m in ((0, 0, 0), (1, -2, 3), (-4, 0, 7)):
@@ -771,7 +766,7 @@ class TestPairingSeries:
         rays.  An image of dimension 2 is simplicial, its index the count of
         its parallelepiped points, so each folded series has as many terms
         as predicted."""
-        fan = weighted_projective_space(qs)
+        fan = catalog.weighted_projective_space(qs)
         r = resolve(fan)
         rng = random.Random(1301)
         f = random_cartier_combination(fan, [PiecewiseExponential.constant(fan, 1)], rng)
@@ -837,8 +832,8 @@ class TestPairingSeries:
             fan = complete_corpus[name]
             classes = line_bundle_classes(fan)
         else:
-            fan = {"p1235": lambda: weighted_projective_space((2, 3, 5)),
-                   "p1357": lambda: weighted_projective_space((3, 5, 7)), "cube4": four_cube_fan}[name]()
+            fan = {"p1235": lambda: catalog.weighted_projective_space((2, 3, 5)),
+                   "p1357": lambda: catalog.weighted_projective_space((3, 5, 7)), "cube4": four_cube_fan}[name]()
             classes = [PiecewiseExponential.constant(fan, 1)]
         r = resolve(fan)
         f = random_cartier_combination(fan, classes, random.Random(20261020))
@@ -878,7 +873,7 @@ class TestPairingSeries:
         on the same walls, the fold it replaced, at every face through the
         resolutions with 0-2 extra rounds, and each folded term of the
         series holds that fraction."""
-        fan = weighted_projective_space((2, 3, 5)) if name == "p1235" else complete_corpus[name]
+        fan = catalog.weighted_projective_space((2, 3, 5)) if name == "p1235" else complete_corpus[name]
         plans, plan = [], ktheory._Plan
         monkeypatch.setattr(ktheory, "_Plan", lambda *a: plans.append(a) or plan(*a))
         folded = 0
@@ -1012,7 +1007,7 @@ class TestWallMerge:
         seeded line-bundle combinations, and for random sparse values, which
         are no class and leave a denominator.  At every face, through
         resolutions with 0 and 1 extra rounds."""
-        fan = weighted_projective_space((2, 3, 5)) if name == "p1235" else WALL_MERGE_FANS[name]()
+        fan = catalog.weighted_projective_space((2, 3, 5)) if name == "p1235" else WALL_MERGE_FANS[name]()
         rng = random.Random(20261020)
         pool = [LaurentPoly.zero(fan.rank), *(E(u, c) for u in itertools.product((-1, 0, 1), repeat=fan.rank)
                                               for c in (-1, 1))]

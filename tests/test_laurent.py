@@ -23,7 +23,7 @@ from pexpfan.errors import (
 from pexpfan.fan import resolve
 from pexpfan.ktheory import chi, gram_matrix, orbit_closure_class, poly_det, tangent_weights
 from pexpfan.lattice import adjugate, is_primitive
-from pexpfan.pexp import CartierData, PiecewiseExponential, from_cartier
+from pexpfan.pexp import PiecewiseExponential
 from pexpfan.laurent import (
     LaurentPoly,
     LocalizationSum,
@@ -301,12 +301,11 @@ class TestEliminationOverZM:
         each submatrix is refused by both as singular.  On the 8x8 matrix,
         where ``adjugate`` still eliminates, adj @ a = det * I, and the
         result equals that of the elimination that updated every row."""
-        from test_product_basis import product_basis
 
         p112 = catalog.weighted_p112()
         grams = [gram_matrix(p112, catalog.p112_spanning_classes(p112),
                              catalog.p112_duality_cones(p112)).entries]
-        fan, functions, taus = product_basis(3)
+        fan, functions, taus = catalog.product_basis(3)
         grams.append(gram_matrix(fan, functions, taus).entries)
         closed = 0
         det, adj = adjugate(grams[1])
@@ -539,13 +538,7 @@ class TestFoldAgainstGreedyOracle:
 
         monkeypatch.setattr(laurent, "_packed_divide", counted)
         cube = catalog.cube_fan()
-        # on the cone over the facet x_i = s of the cube, the character -s * e_i
-        exps = []
-        for rs in cube.maximal_cones:
-            gens = [cube.rays[i] for i in rs]
-            axis = next(c for c in range(3) if len({g[c] for g in gens}) == 1)
-            exps.append(tuple(-gens[0][c] if c == axis else 0 for c in range(3)))
-        octahedron = from_cartier(cube, CartierData(tuple(exps)))
+        octahedron = catalog.octahedron_class(cube)
         resolution = resolve(cube)
         value = chi(cube, octahedron, resolution=resolution)
         assert augmentation(value) == 7
@@ -562,12 +555,7 @@ class TestFoldAgainstGreedyOracle:
         instead reached 1,532."""
         cube = catalog.cube_fan()
         sub = resolve(cube)
-        exps = []  # e^(-s e_a) on the cone over the cube face x_a = s
-        for rs in cube.maximal_cones:
-            gens = [cube.rays[i] for i in rs]
-            axis = next(a for a in range(3) if len({g[a] for g in gens}) == 1)
-            exps.append(tuple(-gens[0][axis] if a == axis else 0 for a in range(3)))
-        octahedron = from_cartier(cube, CartierData(tuple(exps)))
+        octahedron = catalog.octahedron_class(cube)
         terms = [(octahedron.values[a], tangent_weights(sub.fine.cone_objects[i]))
                  for i, a in enumerate(sub.assignment)]
         s = LocalizationSum.build(3, random.Random(1).sample(terms, len(terms)))

@@ -56,16 +56,6 @@ def p112_classes(fan):
     return [xi, unit, divisor, point]
 
 
-def octahedron_class(cube):
-    """The line bundle class e^{-s e_a} on the cone over the cube face x_a = s."""
-    exps = []
-    for rs in cube.maximal_cones:
-        gens = [cube.rays[i] for i in rs]
-        axis = next(a for a in range(3) if len({g[a] for g in gens}) == 1)
-        exps.append(tuple(-gens[0][axis] if a == axis else 0 for a in range(3)))
-    return from_cartier(cube, CartierData(tuple(exps)))
-
-
 def move_one_exponent(values, rng):
     """The values with the least term of one cone moved by a nonzero shift in
     {-1, 0, 1}^rank, the way perfbench corrupts a class (e^shift on a zero)."""
@@ -118,7 +108,7 @@ class TestGkmValidate:
         table runs: the same function for random classes, and for each class
         with one exponent moved the same violations in the same order."""
         rng = random.Random(20261018)
-        octahedron = octahedron_class(cube)
+        octahedron = catalog.octahedron_class(cube)
         cases = []
         for fan, classes in ((p112, p112_classes(p112)),
                              (cube, [PiecewiseExponential.constant(cube, 1), octahedron,
@@ -210,7 +200,7 @@ class TestGkmValidate:
         where the loop restricted both cones of each of the 1,128 pairs
         afresh (2,256 restrictions)."""
         sub = resolve(cube)
-        values = move_one_exponent(pullback(octahedron_class(cube), sub).values, random.Random(7))
+        values = move_one_exponent(pullback(catalog.octahedron_class(cube), sub).values, random.Random(7))
         want = gkm_violations_pairwise(sub.fine, values)
         calls = []
         restriction = pexp_module._restriction

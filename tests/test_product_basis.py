@@ -7,45 +7,14 @@ the tangent weight at sigma dual to +e_i; it is paired with the cone
 tau_S = cone{+e_i : i in S}.
 """
 
-import itertools
 import time
 
 import pytest
 
 from pexpfan import ktheory
-from pexpfan.fan import Fan
-from pexpfan.ktheory import decompose, dual_basis_solve, gram_matrix, tangent_weights
+from pexpfan.catalog import product_basis
+from pexpfan.ktheory import decompose, dual_basis_solve, gram_matrix
 from pexpfan.laurent import LaurentPoly
-from pexpfan.pexp import gkm_validate
-
-
-def product_basis(n: int):
-    """(fan, [f_S], [tau_S]) for (P^1)^n, with S running over the subsets of
-    range(n) in order of size, then lexicographically."""
-    unit = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    rays = unit + [tuple(-x for x in e) for e in unit]
-    cones = [tuple(i + n * s for i, s in enumerate(signs))
-             for signs in itertools.product((0, 1), repeat=n)]
-    fan = Fan.build(n, rays, cones)
-    subsets = [S for size in range(n + 1) for S in itertools.combinations(range(n), size)]
-    one = LaurentPoly.one(n)
-    functions, taus = [], []
-    for S in subsets:
-        values = []
-        for cone in fan.cone_objects:
-            weight = dict(zip(cone.generators, tangent_weights(cone)))
-            value = one
-            for i in S:
-                if unit[i] not in weight:
-                    value = LaurentPoly.zero(n)
-                    break
-                value = value * (one - LaurentPoly.exponential(weight[unit[i]]))
-            values.append(value)
-        report = gkm_validate(fan, values)
-        assert report.ok, S
-        functions.append(report.function)
-        taus.append(fan.rayset_from_vectors([unit[i] for i in S]))
-    return fan, functions, taus
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -20,10 +20,11 @@ cone coordinates in ``pexp``: ``ktheory.py`` calls neither ``pullback`` nor
 read only in ``coerce_values`` (the one projector of ambient values) and
 ``_comparison_matrix``; an
 eighth keeps one facet table per cone: ``extreme_rays_of_region`` is called
-only from ``Cone.facets`` and ``Fan._check_pair``, and ``fan._Refinement``
-reads no ``_adjugate`` or ``_smallest_face``, and ``_scaled_inverse`` only in
-``record`` (a record's smallest face is the support of its coefficients
-c = S y); a ninth keeps start-up cheap:
+only from ``Cone.facets`` and ``Fan._check_pair``, ``fan._Refinement``
+reads no ``_adjugate``, ``_smallest_face`` or ``_scaled_inverse`` (a
+record's smallest face is the support of its coefficients c = S y), and
+in ``fan.py`` outside ``Cone`` only ``_cell`` reads ``_scaled_inverse``,
+once per simplicial cell it makes; a ninth keeps start-up cheap:
 no module imports ``dataclasses`` (value classes come from
 ``lattice.value_class``), and a fresh ``import pexpfan.cli`` loads none of
 ``dataclasses``, ``inspect``, ``ast`` and ``dis``, nor ``import pexpfan``
@@ -51,8 +52,10 @@ reads ``Cone._span`` only in ``Cone._coordinates``, and calls
 ``span_coordinates`` only in ``Cone._span``, ``Fan.face_quotient`` and
 ``_box_points`` (whose residues need the Smith form): a cone takes a frame,
 and a fine cone its record's (mult, S) as its ``_adjugate``, only in
-``fan._framed``, which ``_Refinement.step`` calls with its cell's
-``_coordinates`` and ``_fine_map`` with a record's coarse cone's; and
+``fan._framed``, which ``_Refinement.step`` and ``_fine_map`` hand a frame
+from the one table of coarse frames that ``resolve`` and
+``stellar_subdivision`` each build once, the only readers of
+``_coordinates`` outside ``Cone`` but ``Fan._check_pair``; and
 ``Cone.facets``
 calls ``extreme_rays_of_region`` only in its branch for a non-simplicial
 cone; a
@@ -92,7 +95,8 @@ which reads the star table and calls no ``range``; a twentieth keeps one
 subdivision check: ``fan._check_subdivision`` is called only from
 ``SubdivisionMap._check``, which only ``SubdivisionMap.from_json``,
 ``ktheory.gram_matrix``, ``pexp.pullback`` and ``pexp.descend`` call.
-Every name the package exports resolves.  The localization oracle in
+Every name the package exports resolves, and so does every annotation of
+a function or method it defines.  The localization oracle in
 ``tests/oracles.py`` takes from ``pexpfan.laurent`` only the two types, never
 the kernel it checks, and the oracles take only public names from
 ``pexpfan.fan``."""
@@ -218,13 +222,17 @@ def test_cone_coordinates_stay_in_pexp():
 def test_face_questions_read_the_facet_table():
     # one vertex enumeration per cone, for its facets; every face question of a
     # cone reads them, and a record's smallest face is the support of its
-    # coefficients, read off the S it takes from its cone once, in record
+    # coefficients, read off the S it takes from its cone once, in _cell
     assert _callers("extreme_rays_of_region") == {("fan.py", "facets"), ("fan.py", "_check_pair")}
     path = next(p for p in SOURCES if p.name == "fan.py")
     tree = ast.parse(path.read_text(), filename=str(path))
     refinement = next(c for _, c in _nodes(tree, ast.ClassDef) if c.name == "_Refinement")
     assert [(where, a.attr) for where, a in _nodes(refinement, ast.Attribute)
-            if a.attr in ("_adjugate", "_scaled_inverse", "_smallest_face")] == [("record", "_scaled_inverse")]
+            if a.attr in ("_adjugate", "_scaled_inverse", "_smallest_face")] == []
+    cone = next(c for _, c in _nodes(tree, ast.ClassDef) if c.name == "Cone")
+    inside = {id(a) for _, a in _nodes(cone, ast.Attribute)}
+    assert [where for where, a in _nodes(tree, ast.Attribute)
+            if a.attr == "_scaled_inverse" and id(a) not in inside] == ["_cell"]
 
 
 def test_no_module_imports_dataclasses():
@@ -360,7 +368,8 @@ def test_division_names_lines_in_one_pass_and_merges_skip_zero_powers():
 def test_every_simplicial_cone_reads_its_adjugate():
     # every simplicial cone reads dim, multiplicity, facets, the smallest face and the
     # weights off one adjugate in its one coordinate frame: those of N, its Smith
-    # form's, or its cell's for a resolve piece, handed over only by _framed,
+    # form's, or its coarse cone's for a resolve piece, from the caller's one
+    # table of frames, handed over only by _framed,
     # which also hands a fine cone its record's (mult, S); the Smith form serves
     # only the frame of a cone below full dimension, a face quotient and the
     # residues of _box_points
@@ -384,7 +393,13 @@ def test_every_simplicial_cone_reads_its_adjugate():
                       ("_framed", "cone.__dict__['_adjugate'] = inverse")]
     frames = {(where, ast.unparse(call.args[2])) for where, call in _nodes(fan, ast.Call)
               if getattr(call.func, "id", None) == "_framed"}
-    assert frames == {("step", "cell[5]._coordinates"), ("_fine_map", "frames[s]")}
+    assert frames == {("step", "self.frames[cell[4]]"), ("_fine_map", "frames[s]")}
+    # the one table of coarse frames, built once per resolve and stellar subdivision
+    cone = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "Cone")
+    inside = {id(a) for _, a in _nodes(cone, ast.Attribute)}
+    assert sorted(where for where, a in _nodes(fan, ast.Attribute)
+                  if a.attr == "_coordinates" and id(a) not in inside and where != "_check_pair") == [
+        "resolve", "stellar_subdivision"]
     cone = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "Cone")
     facets = next(f for _, f in _nodes(cone, ast.FunctionDef) if f.name == "facets")
     branch = next(node for _, node in _nodes(facets, ast.If)
@@ -492,6 +507,34 @@ def test_a_hand_built_map_is_checked_in_one_place():
 def test_every_exported_name_resolves():
     missing = [name for name in pexpfan.__all__ if not hasattr(pexpfan, name)]
     assert missing == []
+
+
+def test_every_annotation_resolves():
+    # typing.get_type_hints reads every function and method the package
+    # defines: annotations name only what their modules import
+    import importlib
+    import inspect
+    import typing
+
+    def defined(namespace, module):
+        for value in vars(namespace).values():
+            value = getattr(value, "__func__", getattr(value, "fget", getattr(value, "func", value)))
+            if getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(value):
+                yield value
+            elif inspect.isclass(value):
+                yield from defined(value, module)
+
+    functions = [f for path in SOURCES if path.stem != "__main__"
+                 for f in defined(*[importlib.import_module(f"pexpfan.{path.stem}")] * 2)]
+    unresolved = []
+    for f in functions:
+        try:
+            typing.get_type_hints(f)
+        except NameError as error:
+            unresolved.append((f.__qualname__, str(error)))
+    assert len(functions) > 200 and unresolved == []
 
 
 def test_oracles_import_only_the_laurent_types():
