@@ -35,7 +35,11 @@ ray (1,1,1) through ``resolve(cube_fan())`` with its series built.
 at its ray (1,1,1), which pulls the ray into the three non-simplicial cones
 holding it, and ``stellar_rank3_mult3`` that of
 ``catalog.rank3_multiplicity3_fan()`` at (1,1,1), inside its one simplicial
-cone, split as a record; both fans are built outside the count.  It
+cone, split as a record; both fans are built outside the count.
+``tied_20`` resolves the fan on (1,2j) for j = 0..20, (-1,0) and (0,-1), the
+``resolve_tied`` row of ``scripts/scale_rows.py`` at M = 20, built validated
+outside the count: its 20 cones of multiplicity 2 make it the one case
+whose cells are many, where each A-cone case has one.  It
 counts the opcode events under ``sys.settrace`` with ``f_trace_opcodes`` set
 on every frame, so it is exact and repeats from run to run, unlike a wall-clock time.  Time
 spent in C code is not counted: builtins such as ``sorted``, ``map`` or
@@ -79,6 +83,11 @@ def count_bytecodes(run) -> int:
 
 def a_cone(n):
     return Fan.build(2, [(1, 0), (1, n)], [(0, 1)])
+
+
+def tied(m):
+    rays = [(1, 2 * j) for j in range(m + 1)] + [(-1, 0), (0, -1)]
+    return Fan.build(2, rays, [tuple(sorted((i, (i + 1) % len(rays)))) for i in range(len(rays))])
 
 
 def octahedron_pair(warm, ray=None, **resolve_kw):
@@ -128,6 +137,7 @@ CASES = [
     ("pair_ray_cold", lambda: octahedron_pair(False, (1, 1, 1))),
     ("stellar_cube_111", lambda: functools.partial(stellar_subdivision, catalog.cube_fan(), (1, 1, 1))),
     ("stellar_rank3_mult3", lambda: functools.partial(stellar_subdivision, catalog.rank3_multiplicity3_fan(), (1, 1, 1))),
+    ("tied_20", lambda: functools.partial(resolve, tied(20))),
 ]
 
 ap = argparse.ArgumentParser(description="Bytecodes executed by resolve on fixed cases.")

@@ -6,15 +6,14 @@ Varieties, 2.6).
 generator rays, multiplicity, source, slot 5, next]: the sorted ray
 indices, the sorted generators and the ray index of each, the multiplicity
 (0 if not simplicial), the coarse maximal cone holding the cell, and the next
-cell in fan order.  Slot 5 of a chain record, a cell of at most two rays,
-holds the tuple of its local 2-vectors, in its coarse cone's frame.  Any
-other cell is a record once simplicial, whose slot 5 holds the list of rows
-of its scaled inverse S = mult * G^-1 in that frame, and until then holds
-its ``Cone``; ``local_coordinates`` reads a point in a frame.  A step
-replaces each cell holding its ray by its pieces in its place: the first
-piece takes the cell over and the others follow it.  ``subdivide`` is the
-one loop, with its picks, draws and checks.  This module imports nothing
-from ``fan``.
+cell in fan order.  A simplicial cell is a record, whose slot 5 holds the
+list of rows of its scaled inverse S = mult * G^-1 in its coarse cone's
+frame; a chain record is a record of at most two generators.  A cell that
+is not simplicial holds its ``Cone`` there until pulling rays splits it.
+``local_coordinates`` reads a point in a frame.  A step replaces each
+cell holding its ray by its pieces in its place: the first piece takes the
+cell over and the others follow it.  ``subdivide`` is the one loop, with
+its picks, draws and checks.  This module imports nothing from ``fan``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from __future__ import annotations
 import itertools
 from operator import itemgetter, mul
 
-from .errors import NotStronglyConvex, ResolutionCheckFailed
+from .errors import ResolutionCheckFailed
 from .lattice import primitive_vector, vec_add
 
 
@@ -181,42 +180,37 @@ def local_coordinates(frame, x) -> tuple:
     return tuple(map(sum, map(map, itertools.repeat(mul), projection, itertools.repeat(x))))
 
 
-def chain_record(rs, gens, source: int, frame) -> list:
-    """The chain record on the rays ``rs``, at most two, and their vectors
-    ``gens``, local in their cone's ``frame``."""
-    ids, local, mult = rs, tuple(map(local_coordinates, itertools.repeat(frame), gens)), 1
-    if len(rs) == 2:
-        if gens[1] < gens[0]:
-            gens, ids, local = gens[::-1], rs[::-1], local[::-1]
-        (a, b), (c, d) = local
-        mult = abs(a * d - b * c)
-        if not mult:
-            raise NotStronglyConvex(f"cone on {gens} contains a line")
-    return [rs, gens, ids, mult, source, local, None]
-
-
 def chain_split(index: dict, frames: list):
-    """The ``split`` of a chain record at a point x inside it: <g1, x> and
-    <g2, x>, of multiplicities |det(l1, y)| and |det(y, l2)| for x's local
-    coordinates y in its cone's frame ``frames[source]``, unread if all are
-    N's.  A new x joins the rays ``index``."""
+    """The ``split`` of a chain record at a point x inside it.  With c = S y
+    for x's local coordinates y in its cone's frame ``frames[source]``,
+    unread if all are N's, x = (c_1 g1 + c_2 g2) / mult.  The piece on g1
+    and x has multiplicity c_2 and the one on x and g2 has c_1; in each, x
+    takes the row of S of the generator it replaces.  Row i of S =
+    sign(det G) adj(G) is the other generator's local vector turned a
+    quarter, so the kept generator's new row is y turned, signed as
+    det S = det G.  A new x joins the rays ``index``."""
     frames = frames if any(frames) else None
 
     def split(cell, x):
-        _, (g1, g2), (i1, i2), mult, source, (l1, l2), after = cell
-        y = local_coordinates(frames[source], x) if frames else x
-        d = l1[0] * l2[1] - l1[1] * l2[0]
-        d1, d2 = l1[0] * y[1] - l1[1] * y[0], y[0] * l2[1] - y[1] * l2[0]
-        if d1 * d < 0 or d2 * d < 0:
+        _, (g1, g2), (i1, i2), mult, source, (s1, s2), after = cell
+        y0, y1 = local_coordinates(frames[source], x) if frames else x
+        (a, b), (c, d) = s1, s2
+        c1, c2 = a * y0 + b * y1, c * y0 + d * y1
+        if c1 < 0 or c2 < 0:
             raise ResolutionCheckFailed(f"{x} does not lie in the cone it subdivides")
-        if not d1 or not d2:
+        if not c1 or not c2:
             return None
         # x is a new ray, of the largest index, unless the input is no fan
         n = index.setdefault(x, len(index))
-        second = [(i2, n) if i2 < n else (n, i2), *(((g2, x), (i2, n), abs(d2), source, (l2, y)) if g2 < x
-                                                     else ((x, g2), (n, i2), abs(d2), source, (y, l2))), after]
-        cell[:] = [(i1, n) if i1 < n else (n, i1), *(((g1, x), (i1, n), abs(d1), source, (l1, y)) if g1 < x
-                                                     else ((x, g1), (n, i1), abs(d1), source, (y, l1))), second]
+        # the new rows pair to 0 with y: g1's to c_2 with g1, g2's to c_1 with g2
+        if a * d > b * c:
+            t, u = (y1, -y0), (-y1, y0)
+        else:
+            t, u = (-y1, y0), (y1, -y0)
+        second = [(i2, n) if i2 < n else (n, i2), *(((g2, x), (i2, n), c1, source, [u, s1]) if g2 < x
+                                                     else ((x, g2), (n, i2), c1, source, [s1, u])), after]
+        cell[:] = [(i1, n) if i1 < n else (n, i1), *(((g1, x), (i1, n), c2, source, [t, s2]) if g1 < x
+                                                     else ((x, g1), (n, i1), c2, source, [s2, t])), second]
         return ((mult, (cell, second)),)
 
     return split
@@ -226,11 +220,13 @@ def drawn_chain_point(cell, draw):
     """The ``least`` of a singular chain record: the least parallelepiped
     point that ``draw(count)`` picks among the count points of
     ``least_chain_points`` on its local vectors, mapped through its
-    generators; None when there are none."""
-    (g1, g2), mult = cell[1], cell[3]
-    _, (a, k), (da, dk), count = least_chain_points(*cell[5], mult)
+    generators; None when there are none.  The rows (a, b), (c, d) of S
+    turn back into the local vectors (d, -c) and (-b, a) up to the sign of
+    det G, which changes no point of the walk."""
+    mult, ((a, b), (c, d)) = cell[3], cell[5]
+    _, (a, k), (da, dk), count = least_chain_points((d, -c), (-b, a), mult)
     if count < 1:
         return None
     i = draw(count)
     a, k = a + i * da, k + i * dk
-    return tuple([(a * x + k * y) // mult for x, y in zip(g1, g2)])
+    return tuple([(a * x + k * y) // mult for x, y in zip(*cell[1])])

@@ -12,10 +12,11 @@ of its local generators in that frame.  A non-simplicial cone takes its
 facets from the vertex enumeration ``extreme_rays_of_region``.
 Simplicial cones are handled in any rank; non-simplicial cones are limited to
 ambient rank <= 4.  All geometry is exact.  ``resolve`` keeps a fan's
-maximal cones as cells linked in fan order: a chain record (``chains``)
-for each cone of at most two rays, an integer record of its scaled inverse
-for any other simplicial cone, and a cell with its ``Cone`` until then,
-and runs the one subdivision loop of ``chains`` on them.
+maximal cones as cells linked in fan order (``chains``), each made by
+``_cell``: an integer record of its scaled inverse for a simplicial cone,
+split as a chain record when it has at most two generators, and a cell
+with its ``Cone`` until then, and runs the one subdivision loop of
+``chains`` on them.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import itertools
 from functools import cached_property
 from operator import mul
 
-from .chains import Rng, chain_record, chain_split, drawn_chain_point, fan_order, linked, local_coordinates, subdivide
+from .chains import Rng, chain_split, drawn_chain_point, fan_order, linked, local_coordinates, subdivide
 from .errors import (
     ConeNotInFan,
     NonPrimitiveRay,
@@ -203,9 +204,10 @@ class Cone:
     def _adjugate(self) -> tuple[int, IntMatrix]:
         """(det, adj) of the local generators as the columns of G: of the
         generators themselves when there are rank of them, simplicial cones
-        only otherwise.  A fine cone of ``resolve`` is handed (mult, S) from
-        its record (``_framed``), the pair times sign(det), to which its
-        readers ``multiplicity`` and ``_scaled_inverse`` are blind."""
+        only otherwise.  Every simplicial fine cone of ``resolve`` and
+        ``stellar_subdivision`` above rank 2 is handed (mult, S) from its
+        record (``_framed``), the pair times sign(det), to which its readers
+        ``multiplicity`` and ``_scaled_inverse`` are blind."""
         g = self.generators if len(self.generators) == self.rank else self.local_generators
         return adjugate(transpose(g))
 
@@ -769,7 +771,9 @@ def _check_subdivision(sub: SubdivisionMap):
 
 def _cell(rs: RaySet, cone: Cone, ray_index: dict[Vector, int], source: int) -> list:
     """The cell (``chains``) of a cone on rays of ``ray_index``, unlinked:
-    a record, of the rows of its ``_scaled_inverse``, if it is simplicial."""
+    a record of the rows of its ``_scaled_inverse`` in its frame if it is
+    simplicial, whatever its size (a chain record if it has at most two
+    generators), else a cell with its ``Cone``."""
     ids = tuple(map(ray_index.__getitem__, cone.generators))
     if cone.is_simplicial:
         return [rs, cone.generators, ids, cone.multiplicity(), source, list(cone._scaled_inverse), None]
@@ -936,9 +940,10 @@ class _Refinement:
 def _fine_map(coarse: Fan, rays, first: list, frames: list) -> SubdivisionMap:
     """The map to ``coarse`` from the fan on ``rays`` whose maximal cones are
     the cells from ``first`` on, with no ``Fan.build``: above rank 2 with the
-    cells' cones, and a record's cone built once, in its coarse cone's
-    frame (``frames``), with the record's multiplicity and S.
-    Only what an input that is no fan could break is checked."""
+    cells' cones, every record's cone, a chain record's too, built once in
+    its coarse cone's frame (``frames``) and handed the record's
+    multiplicity and S.  Only what an input that is no fan could break is
+    checked."""
     # the rest of Fan.build holds by construction: int rays and indices,
     # coarse rays that passed it, sorted ray sets of distinct indices, at
     # least one cell, and the new ray in every piece, so no zero cone beside
@@ -957,8 +962,7 @@ def _fine_map(coarse: Fan, rays, first: list, frames: list) -> SubdivisionMap:
         # cached_property keeps its value in the instance dict, which a
         # value class leaves writable (only attribute assignment raises)
         fine.__dict__["cone_objects"] = tuple(
-            slot if slot.__class__ is Cone
-            else _framed(rank, g, frames[s], (m, tuple(slot)) if slot.__class__ is list else None)
+            slot if slot.__class__ is Cone else _framed(rank, g, frames[s], (m, tuple(slot)))
             for g, m, s, slot in zip(gens, mults, sources, slots))
     return SubdivisionMap(fine, coarse, sources)._marked()
 
@@ -982,7 +986,7 @@ def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
         raise NonPrimitiveRay(f"{ray} is not primitive")
     index, cones = dict(fan._ray_index), fan.cone_objects
     frames = [cone._coordinates for cone in cones]
-    cells = linked(list(map(_cell, fan.maximal_cones, cones, itertools.repeat(index), itertools.count())))
+    cells = _cells(fan, index)
     holding = [cell for cell, cone in zip(cells, cones) if cone.contains(ray)]
     if not holding:
         raise RayOutsideSupport(f"{ray} lies outside the support of the fan")
@@ -1035,23 +1039,16 @@ def _least_box_point(cell: list, draw) -> Vector:
 
 
 def _by_kind(chain, record):
-    """``chain`` on a chain record, whose slot 5 is a tuple, else ``record``."""
-    return lambda cell, arg: chain(cell, arg) if cell[5].__class__ is tuple else record(cell, arg)
+    """``chain`` on a chain record, a cell of at most two generators, else
+    ``record``: the same records, told apart by size alone."""
+    return lambda cell, arg: chain(cell, arg) if len(cell[1]) < 3 else record(cell, arg)
 
 
-def _cells(fan: Fan, index, frames: list) -> tuple[list, list]:
-    """The maximal cones as cells in fan order, and those of three or more
-    rays: a chain record, in its cone's frame, for at most two rays, else
-    the cone's cell (``_cell``)."""
-    cells, others, rays = [], [], fan.rays
-    for source, rs in enumerate(fan.maximal_cones):
-        if len(rs) > 2:
-            cell = _cell(rs, fan.cone_objects[source], index, source)
-            others.append(cell)
-        else:
-            cell = chain_record(rs, tuple(map(rays.__getitem__, rs)), source, frames[source])
-        cells.append(cell)
-    return linked(cells), others
+def _cells(fan: Fan, index) -> list:
+    """The maximal cones as cells (``_cell``), linked in fan order: a
+    record in its cone's frame for each simplicial cone, a chain record for
+    at most two rays, else a cell with its ``Cone``."""
+    return linked(list(map(_cell, fan.maximal_cones, fan.cone_objects, itertools.repeat(index), itertools.count())))
 
 
 def resolve(
@@ -1074,14 +1071,16 @@ def resolve(
 
     The maximal cones are cells in fan order (``_cells``), and the one loop
     ``chains.subdivide`` picks, draws, checks and splices each step, its
-    ``least`` and ``split`` picking by kind of cell (``_by_kind``).  A cone
-    of at most two rays is a chain record, drawn on the Hirzebruch-Jung walk
-    (``chains.drawn_chain_point``) and split alone on the integers of its local
-    2-vectors (``chains.chain_split``).  Any other is a cell on one
-    ``_Refinement`` (``_cell``): a record if simplicial, else a cell with
-    its ``Cone`` until pulling rays simplicializes it.  A record is drawn
-    from its listed parallelepiped (``_least_box_point``) and split with no
-    ``Cone`` (``_piece``).  Cells read one table of frames.  The
+    ``least`` and ``split`` picking by the size of a cell (``_by_kind``).
+    Every simplicial cell is a record of its S in its coarse cone's frame.
+    A cone of at most two rays is a chain record, drawn on the
+    Hirzebruch-Jung walk of the local vectors its S turns back into
+    (``chains.drawn_chain_point``) and split alone, on the integers of its
+    S and of the point (``chains.chain_split``).  Any other is a cell on one
+    ``_Refinement``: a record if simplicial, else a cell with its ``Cone``
+    until pulling rays simplicializes it.  A record is drawn from its
+    listed parallelepiped (``_least_box_point``) and split with no ``Cone``
+    (``_piece``).  Cells read one table of frames.  The
     refinement finds the cells holding a ray x without a scan: x lies in a
     known cone sigma, and if tau is the smallest face of sigma holding x,
     any cone holding x meets sigma in a face of both holding the relative
@@ -1102,7 +1101,8 @@ def resolve(
     if strict_int(extra_rounds, "extra_rounds") < 0:
         raise ValueError(f"extra_rounds must be nonnegative, got {extra_rounds}")
     index, frames = dict(fan._ray_index), [cone._coordinates for cone in fan.cone_objects]
-    cells, others = _cells(fan, index, frames)
+    cells = _cells(fan, index)
+    others = [cell for cell in cells if len(cell[1]) > 2]
     least, split, pulled = drawn_chain_point, chain_split(index, frames), False
     if others:
         ref = _Refinement(fan.rank, index, others, frames)

@@ -809,14 +809,21 @@ def least_box_points_listing(cone):
 def least_box_point_all_cones(cell, draw):
     """The ``least`` of ``resolve_all_cones``: what ``fan._least_box_point``
     drew on a cell with its ``Cone`` before chain records, the
-    Hirzebruch-Jung walk of the local generators of a 2-dimensional cone and
-    the least slice of the listed parallelepiped of a larger one
-    (``least_box_points_listing``, the points ``fan._box_points`` maps)."""
-    from pexpfan.chains import drawn_chain_point
+    Hirzebruch-Jung walk (``chains.least_chain_points``) of the local
+    generators of a 2-dimensional cone, its points (a g1 + k g2) / mult
+    mapped through the generators here, and the least slice of the listed
+    parallelepiped of a larger one (``least_box_points_listing``, the points
+    ``fan._box_points`` maps)."""
+    from pexpfan.chains import least_chain_points
 
-    cone = cell[5]
+    cone, mult = cell[5], cell[3]
     if cone.dim == 2:
-        return drawn_chain_point([None, cone.generators, None, cell[3], None, cone.local_generators], draw)
+        _, (a, k), (da, dk), count = least_chain_points(*cone.local_generators, mult)
+        if count < 1:
+            return None
+        i = draw(count)
+        a, k = a + i * da, k + i * dk
+        return tuple((a * x + k * y) // mult for x, y in zip(*cone.generators))
     points = least_box_points_listing(cone)[1]
     return points[draw(len(points))]
 

@@ -139,17 +139,13 @@ def box_points(cone):
 
 
 def least_box_points_drawn(cone):
-    """Every point ``resolve`` draws on the cell of a singular simplicial
-    cone, one per index its draw may pick, in index order: on a chain record
-    on its local generators for a 2-dimensional cone
+    """Every point ``resolve`` draws on the cell (``fan._cell``) of a
+    singular simplicial cone, one per index its draw may pick, in index
+    order: on the Hirzebruch-Jung walk for a 2-dimensional cone
     (``chains.drawn_chain_point``), else by ``fan._least_box_point``."""
     rs = tuple(range(len(cone.generators)))
-    if cone.dim == 2:
-        cell, least = [rs, cone.generators, rs, cone.multiplicity(), 0, cone.local_generators, None], \
-            chains_module.drawn_chain_point
-    else:
-        cell, least = fan_module._cell(rs, cone, {g: i for i, g in enumerate(cone.generators)}, 0), \
-            fan_module._least_box_point
+    cell = fan_module._cell(rs, cone, {g: i for i, g in enumerate(cone.generators)}, 0)
+    least = chains_module.drawn_chain_point if cone.dim == 2 else fan_module._least_box_point
     counts = []
     least(cell, lambda count: counts.append(count) or 0)
     return [least(cell, lambda count: i) for i in range(counts[0])]
@@ -820,20 +816,18 @@ class TestStellarSubdivision:
                 assert all(coarse.contains(sub.fine.rays[k]) for k in c)
 
     def test_random_support_rays(self, complete_corpus):
-        # the fan axiom and completeness survive subdivision at arbitrary
-        # primitive support points
-        from pexpfan.lattice import primitive_vector
-
+        # the fan axiom and completeness survive subdivision at primitive
+        # support points: a nonnegative combination of a seeded cone's
+        # generators, one coefficient per generator
         rng = random.Random(23)
         for name, fan in complete_corpus.items():
             for _ in range(6):
                 cone = fan.cone_objects[rng.randrange(len(fan.maximal_cones))]
-                point = tuple(
-                    sum(rng.randint(0, 3) * g[c] for g in cone.generators)
-                    for c in range(fan.rank)
-                )
+                coefficients = [rng.randint(0, 3) for _ in cone.generators]
+                point = tuple(sum(map(operator.mul, coefficients, column)) for column in zip(*cone.generators))
                 if not any(point):
                     continue
+                assert cone.contains(point), (name, point)
                 sub = stellar_subdivision(fan, primitive_vector(point))
                 revalidated = Fan.build(
                     sub.fine.rank, sub.fine.rays, sub.fine.maximal_cones
@@ -1304,20 +1298,44 @@ class TestResolve:
         S, the cells then run in fan order with each holding cell replaced by
         its pieces in its place, the first piece taking the cell over, and
         each piece is reported with the multiplicity of the cell it
-        replaces.  Each new piece holds the sorted generators of a fresh
+        replaces.  Each new piece of a refinement step, and of every chain
+        split (rank 2), holds the sorted generators of a fresh
         Cone.from_generators on its rays and their ray indices; a piece with
         its Cone (while pulling) is not simplicial and has that cone, and
         every simplicial piece is a record from the moment it is made, with
         |det| of its generators (these cells are all full-dimensional, in the
         frame of N, the caller's table) and the fresh cone's scaled inverse
-        as its S.  Every resolved fan's cone objects equal fresh
+        as its S, the rows a chain split turns from x's local vector
+        included.  Every resolved fan's cone objects equal fresh
         ones, with the same multiplicity, scaled inverse and facets, each
         handed its (det, adj) up to sign when the fan is built, and the
         serialized resolutions equal those of the all-Cone path (compared
         directly in rank 2, where chain records run no refinement step),
         pinned by their digest."""
         step_through, init = fan_module._Refinement.step, fan_module._Refinement.__init__
-        steps, fresh = [], functools.cache(Cone.from_generators)
+        chain_split = fan_module.chain_split
+        steps, splits, fresh = [], [], functools.cache(Cone.from_generators)
+
+        def check_pieces(rays, frames, replaced):
+            for _, pieces in replaced:
+                for rs, gens, gen_rays, mult, source, slot, _ in pieces:
+                    cone = Cone.from_generators(len(rays[0]), [rays[j] for j in rs])
+                    assert gens == cone.generators and gen_rays == tuple(map(rays.index, gens))
+                    if isinstance(slot, Cone):
+                        assert slot == cone and mult == 0 and not cone.is_simplicial
+                    else:
+                        assert frames[source] is None and cone.dim == len(gens) == len(rays[0])
+                        assert mult == abs(det_expansion(gens)) and slot == list(cone._scaled_inverse)
+
+        def chain_checked(index, frames):
+            split = chain_split(index, frames)
+
+            def checked_split(cell, x):
+                change = split(cell, x)
+                check_pieces(list(index), frames, change or ())
+                splits.append(x)
+                return change
+            return checked_split
 
         def first_kept(ref, rank, index, cells, frames):
             # every cell of these fans of rank >= 3 is in the refinement, so the first is the fan's
@@ -1352,21 +1370,13 @@ class TestResolve:
             assert [id(c) for c in chains_module.fan_order(ref.first)] == [
                 id(piece) for cell, _, _ in before
                 for piece in (replaced[id(cell)][1] if id(cell) in replaced else [cell])]
-            rays = list(ref.ray_index)
-            for _, pieces in replaced.values():
-                for rs, gens, gen_rays, mult, source, slot, _ in pieces:
-                    cone = Cone.from_generators(len(ray), [rays[j] for j in rs])
-                    assert gens == cone.generators and gen_rays == tuple(map(rays.index, gens))
-                    if isinstance(slot, Cone):
-                        assert slot == cone and mult == 0 and not cone.is_simplicial
-                    else:
-                        assert ref.frames[source] is None and cone.dim == len(gens) == len(ray)
-                        assert mult == abs(det_expansion(gens)) and slot == list(cone._scaled_inverse)
+            check_pieces(list(ref.ray_index), ref.frames, replaced.values())
             steps.append(ray)
             return change
 
         monkeypatch.setattr(fan_module._Refinement, "step", checked)
         monkeypatch.setattr(fan_module._Refinement, "__init__", first_kept)
+        monkeypatch.setattr(fan_module, "chain_split", chain_checked)
         cases = step_cases()
         docs = []
         for fan, seed, extra in cases:
@@ -1381,7 +1391,7 @@ class TestResolve:
                 assert (cone, cone.multiplicity(), cone._scaled_inverse, cone.facets) == (
                     new, new.multiplicity(), new._scaled_inverse, new.facets)
             docs.append(sub.to_json())
-        assert len(cases) == 173 and len(steps) > 1000
+        assert len(cases) == 173 and len(steps) > 1000 and len(splits) > 1000
         digest = hashlib.sha256(json.dumps(docs, sort_keys=True).encode()).hexdigest()
         assert digest == "4d5d87c999e55fb90ae4fdf56b8b220de63c486029e14a9994d1b098f1760701"
 
@@ -1409,6 +1419,36 @@ def mixed_maps():
         if fan.rank <= 3:
             yield resolve(fan)
             yield resolve(fan, rng=random.Random(5), extra_rounds=2)
+
+
+def plane_maps():
+    """Fans of singular 2-dimensional cones in ranks 3 and 4, in planes off
+    the coordinate planes, so that no cone's frame is a sub-basis of N: the
+    A-cones <(1,0),(1,n)> for n = 3, 5 and a tied chain of three cones on
+    (1, 2j), each the image of the plane under a seeded injection whose two
+    image vectors have no zero coordinate, and in rank 4 two such cones in
+    independent planes; each resolved with seeds None and 1 and 0 or 2
+    extra rounds."""
+    rng = random.Random(20261021)
+    for rank in (3, 4):
+        plane_fans = []
+        for points, cones in ([[(1, 0), (1, 3)], [(0, 1)]], [[(1, 0), (1, 5)], [(0, 1)]],
+                              [[(1, 2 * j) for j in range(4)], [(0, 1), (1, 2), (2, 3)]]):
+            while True:
+                image = [tuple(rng.randint(-3, 3) for _ in range(rank)) for _ in range(2)]
+                rays = [primitive_vector([a * x + b * y for x, y in zip(*image)]) for a, b in points]
+                if all(map(all, image)) and matrix_rank(image) == 2:
+                    fan = Fan.build(rank, rays, cones)
+                    if all(c.multiplicity() > 1 for c in fan.cone_objects):
+                        plane_fans.append(fan)
+                        break
+        if rank == 4:
+            first, second = (fan.rays for fan in plane_fans[:2])
+            plane_fans.append(Fan.build(4, [*first, *second], [(0, 1), (2, 3)]))
+        for fan in plane_fans:
+            for seed in (None, 1):
+                for extra in (0, 2):
+                    yield resolve(fan, rng=_seeded(seed), extra_rounds=extra)
 
 
 def cube_maps():
@@ -1463,9 +1503,10 @@ class TestFineFanAgainstBuild:
         (tied_maps, 117),
         (tied_cone_maps, 234),
         (mixed_maps, 24),
+        (plane_maps, 28),
         (cube_maps, 20),
         (stellar_maps, 8),
-    ], ids=["steps", "rank3", "tied", "tied-cone", "mixed", "cube", "stellar"])
+    ], ids=["steps", "rank3", "tied", "tied-cone", "mixed", "plane", "cube", "stellar"])
     def test_fine_fans_and_cones_match_the_replaced_path(self, maps, count):
         seen = 0
         for sub in maps():

@@ -61,7 +61,8 @@ calls ``extreme_rays_of_region`` only in its branch for a non-simplicial
 cone; a
 thirteenth keeps one Hirzebruch-Jung walk: ``least_chain_points`` is defined
 once, in ``chains.py``, and called only from ``chains.drawn_chain_point``,
-the one drawn chain point, the ``least`` of a chain record, which only
+the one drawn chain point, the ``least`` of a chain record (a record of at
+most two generators, whose local vectors it reads off its S), which only
 ``fan.resolve`` names, no ``resolve_rank2`` is defined, and
 ``chains.py`` imports nothing from ``fan``; a fourteenth keeps exact
 division to one fill: there is no ``_packed_lines``, only
@@ -69,13 +70,19 @@ division to one fill: there is no ``_packed_lines``, only
 ``_quotient_size``; ``_packed_divide`` sums the lines and then counts only
 past the bound of its term budget, ``koszul_divides`` sums them, and every power
 ``merge`` multiplies a numerator by is positive; a fifteenth keeps one
-subdivision loop for every resolve: the messages of its checks appear only
-in ``chains.subdivide``, which only ``fan.resolve`` calls, and ``resolve``
-compares no rank; the package calls no ``.index``, ``fan._Refinement`` keeps
-no ``order``, ``_ids`` or ``cones``, and no ``Cone`` is built for a record's
-step, of either kind: ``chains.py`` names no ``Cone``, ``fan._piece`` names
-neither ``Cone`` nor ``_framed``, and ``fan.py`` builds one only in
-``Cone.from_generators`` and ``_framed``; a sixteenth keeps one quotient path:
+subdivision loop for every resolve, on one kind of cell: the messages of
+its checks appear only in ``chains.subdivide``, which only ``fan.resolve``
+calls, and ``resolve`` compares no rank; the package calls no ``.index``,
+``fan._Refinement`` keeps no ``order``, ``_ids`` or ``cones``, and no
+``Cone`` is built for a record's step, of either kind: ``chains.py`` names
+no ``Cone``, ``fan._piece`` names neither ``Cone`` nor ``_framed``, and
+``fan.py`` builds one only in ``Cone.from_generators`` and ``_framed``;
+``chains.py`` defines no ``chain_record``, every cell of a maximal cone is
+made by ``fan._cell``, named only in ``_cells`` (mapped over every maximal
+cone), which only ``resolve`` and ``stellar_subdivision`` call, and in
+``_Refinement.step``, and neither ``_fine_map`` nor ``_by_kind`` tests a
+cell's slot 5 for a ``tuple``, ``_by_kind`` picking the chain path by
+generator count; a sixteenth keeps one quotient path:
 the package defines no ``star_quotient``, ``span_quotients``,
 ``unimodular_inverse``, ``NotUnimodular``, ``project_vector`` or
 ``augment``; a seventeenth keeps resolve on the refinement's own data:
@@ -431,7 +438,9 @@ def test_the_chain_walk_is_defined_once_and_needs_no_fan():
 def test_one_subdivision_loop_checks_every_resolve():
     # one resolve path, with no rank test, runs chains.subdivide, the only
     # place that raises its checks; no cell is found by its position in fan
-    # order, and no Cone is built for a record's step, of either kind
+    # order, and no Cone is built for a record's step, of either kind; every
+    # simplicial cell is a record of S, made by _cell from its cone, and a
+    # chain record is one of at most two generators
     messages = ("has no parallelepiped points", "multiplicity did not drop", "left a singular cone")
     raisers = {(path.name, where) for path in SOURCES
                for where, c in _nodes(ast.parse(path.read_text()), ast.Constant)
@@ -452,6 +461,19 @@ def test_one_subdivision_loop_checks_every_resolve():
     attributes = {a.attr for _, a in _nodes(refinement, ast.Attribute) if isinstance(a.value, ast.Name)
                   and a.value.id == "self"}
     assert attributes.isdisjoint({"order", "_ids", "cones"})
+    assert "chain_record" not in {f.name for _, f in _nodes(chains, ast.FunctionDef)}
+    assert {(path.name, where) for path in SOURCES for where, n in _nodes(ast.parse(path.read_text()), ast.Name)
+            if n.id == "_cell"} == {("fan.py", "_cells"), ("fan.py", "step")}
+    assert _callers("_cells") == {("fan.py", "resolve"), ("fan.py", "stellar_subdivision")}
+    functions = {f.name: f for _, f in _nodes(fan, ast.FunctionDef)}
+    assert [ast.unparse(c) for _, c in _nodes(functions["_cells"], ast.Call) if ast.unparse(c.func) == "map"] == [
+        "map(_cell, fan.maximal_cones, fan.cone_objects, itertools.repeat(index), itertools.count())"]
+    for name in ("_fine_map", "_by_kind"):
+        tests = [ast.unparse(n) for n in ast.walk(functions[name]) if isinstance(n, ast.Compare)
+                 or isinstance(n, ast.Call) and ast.unparse(n.func) == "isinstance"]
+        assert not [t for t in tests if "tuple" in t], name
+    assert [ast.unparse(n) for n in ast.walk(functions["_by_kind"]) if isinstance(n, ast.Compare)] == [
+        "len(cell[1]) < 3"]
 
 
 def test_no_second_quotient_path_and_no_unused_helpers():
