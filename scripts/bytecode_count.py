@@ -39,7 +39,16 @@ cone, split as a record; both fans are built outside the count.
 ``tied_20`` resolves the fan on (1,2j) for j = 0..20, (-1,0) and (0,-1), the
 ``resolve_tied`` row of ``scripts/scale_rows.py`` at M = 20, built validated
 outside the count: its 20 cones of multiplicity 2 make it the one case
-whose cells are many, where each A-cone case has one.  It
+whose cells are many, where each A-cone case has one.
+``series_cold_localize`` counts ``ktheory._pairing_series`` for every
+(resolution, face) that perfbench's localize workload pairs on: both cube
+resolutions, ``resolve(cube_fan())`` and ``resolve(cube_fan(),
+rng=Random(99), extra_rounds=2)``, at the zero face and at the ray
+(1,1,1), and the same two resolutions of P(1,1,2) at the three faces of
+``catalog.p112_duality_cones``; the fans, the resolutions and each fine
+fan's faces and smoothness, which the workload's set-up builds, are built
+outside the count, so it counts the cold build of the series, the work of
+the workload's first pass that later passes reuse.  It
 counts the opcode events under ``sys.settrace`` with ``f_trace_opcodes`` set
 on every frame, so it is exact and repeats from run to run, unlike a wall-clock time.  Time
 spent in C code is not counted: builtins such as ``sorted``, ``map`` or
@@ -53,7 +62,7 @@ import json
 import random
 import sys
 
-from pexpfan import catalog
+from pexpfan import catalog, ktheory
 from pexpfan.fan import Fan, resolve, stellar_subdivision
 from pexpfan.ktheory import chi, kronecker_pair
 from pexpfan.laurent import LaurentPoly
@@ -116,6 +125,20 @@ def corrupted_cube48():
     return lambda: gkm_validate(fine, values)
 
 
+def localize_series():
+    """Every series that perfbench's localize workload builds, on resolutions
+    built as its set-up builds them."""
+    cube, p112 = catalog.cube_fan(), catalog.weighted_p112()
+    faces = {cube: [(), cube.rayset_from_vectors([(1, 1, 1)])], p112: list(catalog.p112_duality_cones(p112))}
+    pairs = []
+    for fan, paired in faces.items():
+        for sub in (resolve(fan), resolve(fan, rng=random.Random(99), extra_rounds=2)):
+            sub.fine.is_smooth()
+            sub.fine.faces
+            pairs += [(sub, face) for face in paired]
+    return lambda: [ktheory._pairing_series(sub, face) for sub, face in pairs]
+
+
 # (case, a function making the call that is counted)
 CASES = [
     ("a_cone_41", lambda: lambda: resolve(a_cone(41))),
@@ -138,6 +161,7 @@ CASES = [
     ("stellar_cube_111", lambda: functools.partial(stellar_subdivision, catalog.cube_fan(), (1, 1, 1))),
     ("stellar_rank3_mult3", lambda: functools.partial(stellar_subdivision, catalog.rank3_multiplicity3_fan(), (1, 1, 1))),
     ("tied_20", lambda: functools.partial(resolve, tied(20))),
+    ("series_cold_localize", localize_series),
 ]
 
 ap = argparse.ArgumentParser(description="Bytecodes executed by resolve on fixed cases.")

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time the ROADMAP's scale rows: one JSON line {"row", "size", "median_s",
-"repeats"} each, the median of 3 runs on fresh inputs, or of 101 for
-``chi_octahedron_warm``, whose runs are too short for 3 to hold still
-(``--quick``: 1 run each on tiny sizes).
+"repeats"} each, the median of 3 runs on fresh inputs, of 101 for
+``chi_octahedron_warm`` and of 31 for ``chi_octahedron``, whose runs are
+too short for 3 to hold still (``--quick``: 1 run each on tiny sizes).
 
     PYTHONPATH=src python3 scripts/scale_rows.py [--quick]
 
@@ -237,10 +237,11 @@ rows = [
     ("decompose_wps", ((2, 3, 5),) if quick else ((101, 211, 307), (307, 601, 1009)), wps_divisor_basis,
      lambda subject: decompose(*subject)),
 ]
+repeats = {"chi_octahedron_warm": 101, "chi_octahedron": 31}
 for row, sizes, build, run in rows:
     for size in sizes:
         times = []
-        for _ in range(1 if quick else 101 if row == "chi_octahedron_warm" else 3):
+        for _ in range(1 if quick else repeats.get(row, 3)):
             subject, start = build(size), time.perf_counter()
             run(subject)
             times.append(time.perf_counter() - start)

@@ -22,7 +22,6 @@ with its ``Cone`` until then, and runs the one subdivision loop of
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from operator import mul
 
 from .chains import Rng, chain_split, drawn_chain_point, fan_order, linked, local_coordinates, subdivide
@@ -43,6 +42,7 @@ from .lattice import (
     adjugate,
     identity_matrix,
     independent_rows,
+    invariant,
     is_primitive,
     line_kernel,
     mat_vec,
@@ -182,7 +182,7 @@ class Cone:
 
     # -- basic geometry ------------------------------------------------------
 
-    @cached_property
+    @invariant
     def _coordinates(self) -> tuple[IntMatrix, IntMatrix] | None:
         """None for a full-dimensional cone, whose coordinates are those of N;
         otherwise (projection, annihilator) of its saturated span, exact
@@ -200,7 +200,7 @@ class Cone:
         _, projection, annihilator, _ = self._span
         return (projection, annihilator) if annihilator else None
 
-    @cached_property
+    @invariant
     def _adjugate(self) -> tuple[int, IntMatrix]:
         """(det, adj) of the local generators as the columns of G: of the
         generators themselves when there are rank of them, simplicial cones
@@ -211,13 +211,13 @@ class Cone:
         g = self.generators if len(self.generators) == self.rank else self.local_generators
         return adjugate(transpose(g))
 
-    @cached_property
+    @invariant
     def _span(self) -> tuple[Vector, IntMatrix, IntMatrix, IntMatrix]:
         """(factors, projection, annihilator, columns): the cone's own Smith
         form, read only by ``_coordinates`` and ``_box_points``."""
         return span_coordinates(self.rank, self.generators)
 
-    @cached_property
+    @invariant
     def dim(self) -> int:
         return len(self._coordinates[0]) if self._coordinates else self.rank
 
@@ -225,14 +225,14 @@ class Cone:
     def is_simplicial(self) -> bool:
         return len(self.generators) == self.dim
 
-    @cached_property
+    @invariant
     def local_generators(self) -> tuple[Vector, ...]:
         if not self._coordinates:
             return self.generators
         projection = self._coordinates[0]
         return tuple(mat_vec(projection, g) for g in self.generators)
 
-    @cached_property
+    @invariant
     def _scaled_inverse(self) -> IntMatrix:
         """mult * G^-1 = sign(det) * adj for the ``_adjugate`` (det, adj) of
         the local generators G, simplicial cones only.  Row j pairs to mult
@@ -243,7 +243,7 @@ class Cone:
         det, adj = self._adjugate
         return adj if det > 0 else tuple(vec_scale(-1, row) for row in adj)
 
-    @cached_property
+    @invariant
     def facets(self) -> tuple[tuple[Vector, tuple[int, ...]], ...]:
         """(inward normal, contact generator indices) per facet, sorted by contact.
 
@@ -440,7 +440,7 @@ class Fan:
 
     # -- derived structure -----------------------------------------------------
 
-    @cached_property
+    @invariant
     def cone_objects(self) -> tuple[Cone, ...]:
         """The cone object of each maximal cone, built from its rays; a fine
         fan of ``resolve`` or ``stellar_subdivision`` takes its cells' cones
@@ -448,16 +448,17 @@ class Fan:
         return tuple(Cone.from_generators(self.rank, tuple(self.rays[j] for j in c))
                      for c in self.maximal_cones)
 
-    @cached_property
+    @invariant
     def _ray_index(self) -> dict[Vector, int]:
         return {r: i for i, r in enumerate(self.rays)}
 
-    @cached_property
+    @invariant
     def _generator_rays(self) -> tuple[tuple[int, ...], ...]:
         """Per maximal cone, the ray index of each generator of its cone object."""
-        return tuple(tuple(self._ray_index[g] for g in c.generators) for c in self.cone_objects)
+        index = self._ray_index.__getitem__
+        return tuple(tuple(map(index, c.generators)) for c in self.cone_objects)
 
-    @cached_property
+    @invariant
     def _star(self) -> dict[RaySet, tuple[int, ...]]:
         """Each cone of the fan, as a sorted ray set (the zero cone included),
         with the maximal cones having it as a face, in fan order: its star,
@@ -469,15 +470,21 @@ class Fan:
         """
         table: dict[RaySet, list[int]] = {}
         for idx, (cone, gen_rays) in enumerate(zip(self.cone_objects, self._generator_rays)):
+            ray_of = gen_rays.__getitem__
             for subset in cone.faces_as_generator_subsets():
-                table.setdefault(tuple(sorted(map(gen_rays.__getitem__, subset))), []).append(idx)
+                face = tuple(sorted(map(ray_of, subset)))
+                star = table.get(face)
+                if star is None:
+                    table[face] = [idx]
+                else:
+                    star.append(idx)
         return {rs: tuple(star) for rs, star in table.items()}
 
-    @cached_property
+    @invariant
     def _star_walls(self) -> dict[RaySet, tuple[tuple[int, int, Vector], ...]]:
         return {}
 
-    @cached_property
+    @invariant
     def _walls_by_cone(self) -> tuple[list[tuple[int, Vector]], ...]:
         """Per maximal cone, (the other cone, this cone's inward normal) of
         each wall of two cones that lists it first, in ``walls`` order."""
@@ -506,7 +513,7 @@ class Fan:
                                 for b, u in self._walls_by_cone[a] if b in where)
         return cache[face]
 
-    @cached_property
+    @invariant
     def faces(self) -> tuple[RaySet, ...]:
         """All cones of the fan, as sorted ray-index tuples (incl. the zero cone)."""
         return tuple(sorted(self._star, key=lambda f: (len(f), f)))
@@ -531,7 +538,7 @@ class Fan:
             idx.append(self._ray_index[v])
         return self.require_face(idx)
 
-    @cached_property
+    @invariant
     def _quotients(self) -> dict[RaySet, QuotientLattice]:
         return {}
 
@@ -574,7 +581,7 @@ class Fan:
 
     # -- completeness -----------------------------------------------------------
 
-    @cached_property
+    @invariant
     def walls(self) -> dict[RaySet, tuple[tuple[int, Vector], ...]]:
         """Each facet of a maximal cone, as a sorted ray set, with every
         maximal cone having it as a facet and that cone's inward normal on it,
@@ -608,7 +615,7 @@ class Fan:
         """
         return self._tiling == ()
 
-    @cached_property
+    @invariant
     def _tiling(self) -> tuple[Vector, ...] | None:
         """The distinct inward normals of the boundary walls, the facets of
         one maximal cone, when the maximal cones tile the convex cone C those
@@ -660,7 +667,7 @@ class Fan:
     def is_smooth(self) -> bool:
         return self._smooth
 
-    @cached_property
+    @invariant
     def _smooth(self) -> bool:
         return all(c.is_simplicial and c.multiplicity() == 1 for c in self.cone_objects)
 
@@ -959,8 +966,8 @@ def _fine_map(coarse: Fan, rays, first: list, frames: list) -> SubdivisionMap:
         raise NotAFan("every ray must appear in some maximal cone")
     fine = Fan(rank, rays, raysets)
     if rank > 2:
-        # cached_property keeps its value in the instance dict, which a
-        # value class leaves writable (only attribute assignment raises)
+        # an invariant keeps its value in the instance dict, which a value
+        # class leaves writable (only attribute assignment raises)
         fine.__dict__["cone_objects"] = tuple(
             slot if slot.__class__ is Cone else _framed(rank, g, frames[s], (m, tuple(slot)))
             for g, m, s, slot in zip(gens, mults, sources, slots))

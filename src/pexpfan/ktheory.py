@@ -231,10 +231,17 @@ def _strict_transform_face(fine: Fan, tau_cone: Cone) -> RaySet:
     """The first face of the smooth fine fan, in ``faces`` order, of the same
     dimension as the coarse cone and contained in it.  Any such face gives
     the same pairing, so the first one serves.  Every face of a smooth fan is
-    simplicial, so its dimension is its number of rays."""
-    inside = {i for i, v in enumerate(fine.rays) if tau_cone.contains(v)}
+    simplicial, so its dimension is its number of rays.  A ray is tested
+    once, when a face of that dimension first holds it."""
+    tested: dict[int, bool] = {}
+
+    def inside(i: int) -> bool:
+        if i not in tested:
+            tested[i] = tau_cone.contains(fine.rays[i])
+        return tested[i]
+    dim = tau_cone.dim
     for face in fine.faces:
-        if len(face) == tau_cone.dim and inside.issuperset(face):
+        if len(face) == dim and all(map(inside, face)):
             return face
     raise ResolutionCheckFailed(
         f"no face of the refinement is a strict transform of the cone on {tau_cone.generators}"

@@ -87,7 +87,7 @@ def primitive_vector(v: Vector) -> Vector:
     g = gcd(*v)
     if g == 0:
         raise ZeroVector("zero vector has no primitive generator")
-    return tuple(c // g for c in v)
+    return tuple(v) if g == 1 else tuple([c // g for c in v])
 
 
 def is_primitive(v: Vector) -> bool:
@@ -315,8 +315,8 @@ def value_class(cls):
     fields positionally or by name (then calling ``__post_init__`` where the
     class defines one), ``__eq__`` and ``__hash__`` over the field tuple, the
     ``Name(field=value, ...)`` repr, and ``__setattr__`` / ``__delattr__``
-    that raise.  Instances keep their ``__dict__``, so ``cached_property``
-    caches on them.  Importing ``dataclasses`` and compiling the methods it
+    that raise.  Instances keep their ``__dict__``, so ``invariant`` caches
+    on them.  Importing ``dataclasses`` and compiling the methods it
     generates per class would be most of a cli process's import time.
     """
     names = tuple(cls.__annotations__)
@@ -356,6 +356,27 @@ def value_class(cls):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
     return cls
+
+
+class invariant:
+    """A method read as an attribute and computed once per instance: the
+    first read stores the value in the instance dict, which a value class
+    leaves writable (only attribute assignment raises), and the dict entry
+    shadows this non-data descriptor from then on.  It is
+    ``functools.cached_property`` without the lock that Python 3.11 takes on
+    every first read; the package runs on one thread."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @value_class

@@ -25,7 +25,8 @@ checked against the box.
 
 from __future__ import annotations
 
-from operator import add, ge, itemgetter, le, lshift, mul, neg, sub
+from itertools import repeat
+from operator import add, and_, lshift, mul, neg, rshift, sub
 
 from .errors import NotDivisible, NotPolynomial, RankMismatch, ResultCheckFailed, WorkBudgetExceeded, ZeroCharacter
 from .lattice import IntMatrix, Vector, mat_vec, primitive_vector, strict_int, strict_list, value_class
@@ -146,7 +147,11 @@ class LaurentPoly:
         return LaurentPoly.from_dict(len(phi), acc)
 
     def exponent_box(self) -> tuple[Vector, Vector]:
-        """Componentwise (min, max) of the exponents of a nonzero polynomial."""
+        """Componentwise (min, max) of the exponents of a nonzero polynomial:
+        a monomial's exponent twice."""
+        if len(self.terms) == 1:
+            e = self.terms[0][0]
+            return e, e
         columns = list(zip(*[e for e, _ in self.terms]))
         return tuple(map(min, columns)), tuple(map(max, columns))
 
@@ -237,11 +242,11 @@ class _Packing:
     """
 
     def __init__(self, lo: Vector, hi: Vector, reach: int):
-        self.lo, self.hi = tuple(lo), tuple(hi)
-        self.span = span = max((h - l for l, h in zip(lo, hi)), default=0)
+        self.lo, self.hi = lo, hi = tuple(lo), tuple(hi)
+        self.span = span = max(map(sub, hi, lo), default=0)
         bits = (span * (1 + reach) + reach).bit_length()
         self.mask = (1 << bits) - 1
-        self.shifts = tuple(bits * (len(lo) - 1 - i) for i in range(len(lo)))
+        self.shifts = tuple(map(mul, range(len(lo) - 1, -1, -1), repeat(bits)))
         self.origin = self.raw(lo)
 
     def raw(self, e: Vector) -> int:
@@ -263,16 +268,22 @@ class _Packing:
         return self.raw(w), self.shifts[i], self.mask, w[i], self.span // max(map(abs, w))
 
     def unpack(self, f: dict[int, int]) -> LaurentPoly:
-        """The polynomial of a packed dict, in lex order.  Raises
+        """The polynomial of a packed dict, in lex order, read by columns:
+        each field of the sorted keys at once, the top one unmasked, checked
+        against the box, then zipped into exponents.  Raises
         ResultCheckFailed when a coordinate lies outside the box."""
-        masks = (-1,) + (self.mask,) * (len(self.lo) - 1)  # the top field unmasked
-        fields = list(zip(self.shifts, masks, self.lo))
-        keys = sorted(f)
-        exps = [tuple([((p >> s) & m) + l for s, m, l in fields]) for p in keys]
-        columns = list(zip(*exps))
-        if not all(map(le, self.lo, map(min, columns))) or not all(map(ge, self.hi, map(max, columns))):
-            raise ResultCheckFailed(f"packed exponents left the box {self.lo}..{self.hi}")
-        return LaurentPoly(len(self.lo), tuple(zip(exps, map(f.__getitem__, keys))))
+        keys, lo, hi = sorted(f), self.lo, self.hi
+        if not keys:
+            return LaurentPoly(len(lo), ())
+        columns = []
+        for i, s in enumerate(self.shifts):
+            fields = map(rshift, keys, repeat(s))
+            column = list(map(add, map(and_, fields, repeat(self.mask)) if i else fields, repeat(lo[i])))
+            if min(column) < lo[i] or max(column) > hi[i]:
+                raise ResultCheckFailed(f"packed exponents left the box {lo}..{hi}")
+            columns.append(column)
+        exps = zip(*columns) if columns else repeat((), len(keys))
+        return LaurentPoly(len(lo), tuple(zip(exps, map(f.__getitem__, keys))))
 
 
 def _line_sums_vanish(f: dict[int, int], ch) -> bool:
@@ -342,17 +353,21 @@ def _packed_divide(f: dict[int, int], ch) -> dict[int, int] | None:
         if size > TERM_BUDGET:
             raise WorkBudgetExceeded(f"a quotient of {size} terms passes the budget of {TERM_BUDGET}")
     quotient: dict[int, int] = {}
-    get, beyond = quotient.get, (extent + 1) * w_packed
+    get, reach = quotient.get, extent * w_packed
     for p in keys:
         running = f[p] + get(p - w_packed, 0)
         if running:
             quotient[p] = running
-            q, stop = p + w_packed, p + beyond
-            while q not in f:
-                if q == stop:
+            q = p + w_packed
+            if q not in f:  # the run fills up to f's next key on the line, within extent steps
+                stop = q + reach
+                while q != stop:
+                    quotient[q] = running
+                    q += w_packed
+                    if q in f:
+                        break
+                else:
                     return None
-                quotient[q] = running
-                q += w_packed
     return quotient
 
 
@@ -503,29 +518,51 @@ def _merge_rounds(count: int, walls) -> tuple[list, list]:
     region, smallest first, merges with the neighbour not yet merged that
     shares the most walls with it, ties to the smaller region, then to the
     lower id, a region's id being its lowest position.  Two regions keep the
-    directions of the walls between them, so one pass over the walls
-    compiles what every step joins."""
-    size = dict.fromkeys(range(count), 1)
-    adjacent: dict[int, dict[int, list]] = {r: {} for r in size}
+    directions of the walls between them in one list, which a merge hands
+    on to the region it makes, so one pass over the walls compiles what
+    every step joins."""
+    size = [1] * count
+    adjacent: list = [{} for _ in range(count)]
     for a, b, *direction in walls:
-        adjacent[a][b] = adjacent[b][a] = adjacent[a].get(b, []) + (direction or [None])
-    steps, merged = [], True
+        joined = adjacent[a].get(b)
+        if joined is None:
+            adjacent[a][b] = adjacent[b][a] = direction or [None]
+        else:
+            joined += direction or [None]
+    alive, steps, merged = list(range(count)), [], True
     while merged:
         merged = set()
-        for r, _ in sorted(size.items(), key=itemgetter(1, 0)):
-            options = [] if r in merged else [n for n in adjacent[r] if n not in merged]
-            if not options:
+        for r in sorted(alive, key=size.__getitem__):  # ties stay in id order
+            if r in merged:
                 continue
-            n = max(options, key=lambda n: (len(adjacent[r][n]), -size[n], -n))
-            keep, gone = min(r, n), max(r, n)
-            steps.append((keep, gone, adjacent[keep][gone]))
-            size[keep] += size.pop(gone)
-            for x, joined in adjacent.pop(gone).items():
-                del adjacent[x][gone]
+            best = None
+            for n, joined in adjacent[r].items():
+                if n not in merged:
+                    key = (len(joined), -size[n], -n)
+                    if best is None or key > best:
+                        best = key
+            if best is None:
+                continue
+            n = -best[2]
+            keep, gone = (r, n) if r < n else (n, r)
+            steps.append((keep, gone, adjacent[r][n]))
+            size[keep] += size[gone]
+            size[gone] = 0
+            moved, adjacent[gone], kept_near = adjacent[gone], None, adjacent[keep]
+            del kept_near[gone]
+            for x, joined in moved.items():
                 if x != keep:
-                    adjacent[keep][x] = adjacent[x][keep] = adjacent[x].get(keep, []) + joined
-            merged |= {r, n}
-    return steps, sorted(size, key=lambda r: (-size[r], r))
+                    near = adjacent[x]
+                    del near[gone]
+                    kept = near.get(keep)
+                    if kept is None:
+                        kept_near[x] = near[keep] = joined
+                    else:
+                        kept += joined
+            merged.add(r)
+            merged.add(n)
+        alive = [r for r in alive if size[r]]
+    return steps, sorted(alive, key=size.__getitem__, reverse=True)  # ties stay in id order
 
 
 def reduce_localization(s, plan=()) -> LaurentPoly:
@@ -561,9 +598,18 @@ def reduce_localization(s, plan=()) -> LaurentPoly:
     is coprime to L/D_a: it divides the sum iff it divides A, which was
     cancelled.  Dividing by factors coprime to it keeps this so.  The former
     leaves a factor that the sum of a special class cancels away from the
-    walls joined; a fold with such a merge ends with one cancel of every
-    factor left, so the cancellation is deferred, never lost: the result is
-    the same, and a sum that is no polynomial still raises NotPolynomial.
+    walls joined, but only in a direction that both regions' factors held
+    and the merge left untried.  The compiler keeps, per region, those
+    deferred directions that no later merge into the region tried, and a
+    fold with such a merge ends with one cancel in the deferred directions
+    alone.  That is exact: the first cancel of each term tried every
+    factor; a factor refused stays refused after any division, since a
+    divisor of the quotient divides the dividend; a direction only one side
+    holds divides the sum iff it divides that side, as above; and a run's
+    denominators hold no direction that the compiler's do not, since
+    cancelling only removes factors.  So the cancellation is deferred,
+    never lost: the result is the same, and a sum that is no polynomial
+    still raises NotPolynomial.
 
     The reduction runs on packed exponents (``_Packing``) over a box of the
     normalized numerators widened, per coordinate, by the sums of min(0, w_i)
@@ -607,14 +653,19 @@ class _Plan:
     exact for N = 1, and else N must be cancelled against D, of primitive
     characters, each 1 - e^w then prime in Z[M].  Its merges are those of
     ``_merge_rounds`` on the walls, each with the primitive directions it
-    tries, or None for every direction both denominators hold."""
+    tries, or None for every direction both denominators hold, and
+    ``deferred`` holds the directions that a narrowed merge left untried
+    while both of its regions' factors held them, and no later merge into
+    that region tried (``reduce_localization``)."""
 
     def __init__(self, rank: int, terms, walls):
         # per term: f * N = sign * e^shift * f * (N shifted to its least corner),
-        # boxed by box(f) + [shift, far], and D normalized to a multiset; then the
-        # box widening, the division order and the merges, none of which reads f
+        # boxed by box(f) + [shift, far], and D normalized to a multiset; then, once
+        # per distinct factor, weighted by its multiplicity over all terms, the box
+        # widening, and the division order and the fields a packed character reads;
+        # then the merges; none of it reads f
         self.rank, self.terms, zero = rank, [], (0,) * rank
-        lo, hi, self.order, self.top, self.reach, self.widths = zero, zero, {}, {}, 0, {}
+        total: dict[Vector, int] = {}
         for cofactor, denom in terms:
             shift, sign, multiset, shifted = zero, 1, {}, None
             for w in denom:
@@ -622,11 +673,7 @@ class _Plan:
                     w = tuple(map(neg, w))
                     shift, sign = tuple(map(add, shift, w)), -sign
                 multiset[w] = multiset.get(w, 0) + 1
-                lo, hi = tuple(map(add, lo, map(min, w, zero))), tuple(map(add, hi, map(max, w, zero)))
-                if w not in self.order:
-                    self.order[w] = primitive_vector(w), w  # the division order
-                    self.top[w] = top = max(map(abs, w))
-                    self.reach = max(self.reach, top)
+                total[w] = total.get(w, 0) + 1
             far = shift
             if cofactor is not None:
                 low, high = cofactor.exponent_box()
@@ -634,11 +681,35 @@ class _Plan:
                 shifted = [tuple(map(sub, e, low)) for e in exps], coeffs
                 shift, far = tuple(map(add, shift, low)), tuple(map(add, shift, high))
             self.terms.append((shift, far, sign, shifted, multiset))
-        self.widening = lo, hi
+        lo, hi, direction, order, top, lead = [0] * rank, [0] * rank, {}, {}, {}, {}
+        for w, m in total.items():
+            for i, x in enumerate(w):
+                if x < 0:
+                    lo[i] += m * x
+                else:
+                    hi[i] += m * x
+            d = direction[w] = primitive_vector(w)
+            order[w] = d, w  # the division order
+            top[w] = max(map(abs, w))
+            lead[w] = next(filter(w.__getitem__, range(rank)))  # the first nonzero coordinate
+        self.widening, self.reach, self.widths = (tuple(lo), tuple(hi)), max(top.values(), default=0), {}
+        self.direction, self.order, self.top, self.lead = direction, order, top, lead
         steps, self.rest = _merge_rounds(len(self.terms), walls)
-        # per merge, the directions it tries: its walls', or None (every shared one)
-        self.steps = [(keep, gone, None if None in joined else set(joined)) for keep, gone, joined in steps]
-        self.narrowed = any(directions is not None for _, _, directions in self.steps)
+        # per merge, the directions it tries: its walls', or None (every shared one);
+        # per region, the directions its factors hold and those a narrowed merge into
+        # it left untried while both sides held them, which no later merge tried
+        self.steps, self.narrowed, none = [], False, frozenset()
+        held, deferred = [set(map(direction.__getitem__, multiset)) for *_, multiset in self.terms], {}
+        for keep, gone, joined in steps:
+            directions = None if None in joined else set(joined)
+            late = deferred.pop(gone, none) | deferred.pop(keep, none)
+            if directions is not None:
+                late, self.narrowed = (late | held[keep] & held[gone]) - directions, True
+            if late:
+                deferred[keep] = late
+            held[keep] |= held[gone]
+            self.steps.append((keep, gone, directions))
+        self.deferred = none.union(*deferred.values())
 
     def run(self, numerators) -> tuple[LaurentPoly, dict[Vector, int]]:
         """The cancelled fraction of the sum of the terms f * N / D.
@@ -649,7 +720,8 @@ class _Plan:
         and mask and its leading coordinate (``_Packing.character``), and
         per term W(shift) and the packed exponents of N.  A run recomputes
         only the extents, which read the box's span, and a plan run once
-        computes each of these once, as it would uncached."""
+        computes each of these once, as it would uncached.  The last cancel
+        of a narrowed fold tries only the directions in ``deferred``."""
         lows, highs = [], []
         for f, (shift, far, _, _, _) in zip(numerators, self.terms):
             if f.terms:
@@ -661,14 +733,16 @@ class _Plan:
         lo, hi = self.widening
         packing = _Packing(list(map(add, map(min, zip(*lows)), lo)), list(map(add, map(max, zip(*highs)), hi)),
                            self.reach)
-        raw, origin, order, span = packing.raw, packing.origin, self.order, packing.span
-        width = self.widths.get(packing.mask)
+        shifts, mask, origin = packing.shifts, packing.mask, packing.origin
+        order, direction = self.order, self.direction
+        width = self.widths.get(mask)
         if width is None:
-            width = self.widths[packing.mask] = (
-                {w: packing.character(w)[:4] for w in order},
-                [(raw(shift), shifted and list(zip(map(raw, shifted[0]), shifted[1])))
+            width = self.widths[mask] = (
+                {w: (sum(map(lshift, w, shifts)), shifts[i], mask, w[i]) for w, i in self.lead.items()},
+                [(sum(map(lshift, shift, shifts)),
+                  shifted and [(sum(map(lshift, e, shifts)), c) for e, c in zip(*shifted)])
                  for shift, _, _, shifted, _ in self.terms])
-        top = self.top
+        span, top = packing.span, self.top
         chars = {w: (*ch, span // top[w]) for w, ch in width[0].items()}
 
         def cancel(num: dict[int, int], den: dict[Vector, int], directions=None) -> dict[int, int]:
@@ -678,16 +752,18 @@ class _Plan:
                 den.clear()
             if sum(num.values()):  # 1 - e^w vanishes at e^w = 1, so it divides no such num
                 return num
-            tried = den if directions is None else [w for w in den if order[w][0] in directions]
+            tried = den if directions is None else [w for w in den if direction[w] in directions]
             for w in sorted(tried, key=order.__getitem__):
-                while den.get(w):
-                    quotient = _packed_divide(num, chars[w])
+                ch, m = chars[w], den[w]
+                while m:
+                    quotient = _packed_divide(num, ch)
                     if quotient is None:
                         break
-                    num = quotient
-                    den[w] -= 1
-                    if not den[w]:
-                        del den[w]
+                    num, m = quotient, m - 1
+                if m:
+                    den[w] = m
+                else:
+                    del den[w]
             return num
 
         def merge(a, b, directions=None):
@@ -695,15 +771,17 @@ class _Plan:
             ``directions``, by default every direction both denominators hold."""
             (num, den), (other, other_den) = a, b
             if directions is None:
-                directions = {order[w][0] for w in den} & {order[w][0] for w in other_den}
+                directions = set(map(direction.__getitem__, den)).intersection(map(direction.__getitem__, other_den))
             lcm = dict(den)
             for w, m in other_den.items():
-                lcm[w] = max(lcm.get(w, 0), m)
-            for w, m in lcm.items():
-                if m > den.get(w, 0):
-                    num = _packed_times_koszul(num, chars[w][0], m - den.get(w, 0))
-                if m > other_den.get(w, 0):
-                    other = _packed_times_koszul(other, chars[w][0], m - other_den.get(w, 0))
+                held = den.get(w, 0)
+                if m > held:
+                    num = _packed_times_koszul(num, chars[w][0], m - held)
+                    lcm[w] = m
+            for w, m in den.items():
+                held = other_den.get(w, 0)
+                if m > held:
+                    other = _packed_times_koszul(other, chars[w][0], m - held)
             if len(num) < len(other):
                 num, other = other, num
             for q, c in other.items():
@@ -717,12 +795,13 @@ class _Plan:
         parts = []
         for f, (_, _, sign, _, multiset), (packed_shift, cofactor) in zip(numerators, self.terms, width[1]):
             offset, den = packed_shift - origin, dict(multiset)
-            num = cancel({raw(e) + offset: sign * c for e, c in f.terms}, den)
+            num = cancel({sum(map(lshift, e, shifts)) + offset: sign * c for e, c in f.terms}, den)
             if cofactor and num:
                 product: dict[int, int] = {}
                 for r, d in cofactor:
                     for p, c in num.items():
-                        product[p + r] = product.get(p + r, 0) + c * d
+                        q = p + r
+                        product[q] = product.get(q, 0) + c * d
                 num = {q: c for q, c in product.items() if c}
             parts.append((num, den))
         for keep, gone, directions in self.steps:
@@ -734,5 +813,5 @@ class _Plan:
             acc = merge(acc, parts[r])
         num, den = acc
         if self.narrowed:  # what a narrowed merge deferred
-            num = cancel(num, den)
+            num = cancel(num, den, self.deferred)
         return packing.unpack(num), den

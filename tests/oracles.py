@@ -9,6 +9,10 @@ are ``kernel_basis``, the saturated kernel from the package's Smith form,
 validation used before ``line_kernel``, and ``reduce_localization_greedy``,
 the fold that tried every denominator factor after every step before
 ``reduce_localization`` tried only the shared directions, and
+``merge_rounds_by_dicts`` and ``plan_tables_by_occurrence``, the merge
+order and the box widening, division order and reach that the compiler of
+``laurent._Plan`` built before it kept its regions in lists and read each
+distinct factor once, and
 ``star_sum_ungrouped``, the star sum with one term per fine cone that
 ``ktheory._star_sum`` folded for every class before it summed one series
 per coarse cone (``ktheory._pairing_series``), and
@@ -541,6 +545,62 @@ def reduce_localization_greedy(s, budget=None):
             f"localization sum is not polynomial: factor 1 - e^{sorted(acc_den)[0]} does not divide"
         )
     return acc_num
+
+
+def merge_rounds_by_dicts(count: int, walls) -> tuple[list, list]:
+    """The Borůvka merge order of ``laurent._merge_rounds`` as it was before
+    it kept sizes and neighbours in lists and handed each merge's wall lists
+    on: regions in dicts, each round sorted by (size, id), each pick a
+    ``max`` over the neighbours not yet merged, and a new list of walls for
+    every pair of regions a merge joins.  (steps, rest) as there."""
+    from operator import itemgetter
+
+    size = dict.fromkeys(range(count), 1)
+    adjacent: dict[int, dict[int, list]] = {r: {} for r in size}
+    for a, b, *direction in walls:
+        adjacent[a][b] = adjacent[b][a] = adjacent[a].get(b, []) + (direction or [None])
+    steps, merged = [], True
+    while merged:
+        merged = set()
+        for r, _ in sorted(size.items(), key=itemgetter(1, 0)):
+            options = [] if r in merged else [n for n in adjacent[r] if n not in merged]
+            if not options:
+                continue
+            n = max(options, key=lambda n: (len(adjacent[r][n]), -size[n], -n))
+            keep, gone = min(r, n), max(r, n)
+            steps.append((keep, gone, adjacent[keep][gone]))
+            size[keep] += size.pop(gone)
+            for x, joined in adjacent.pop(gone).items():
+                del adjacent[x][gone]
+                if x != keep:
+                    adjacent[keep][x] = adjacent[x][keep] = adjacent[x].get(keep, []) + joined
+            merged |= {r, n}
+    return steps, sorted(size, key=lambda r: (-size[r], r))
+
+
+def plan_tables_by_occurrence(rank: int, terms):
+    """(widening, order, top, reach) of a ``laurent._Plan`` on ``terms``, its
+    (cofactor, denominator) pairs, as the compiler built them before it
+    read each distinct factor once: the widening summed factor by factor,
+    two rank-length tuples rebuilt for every factor of every term, and the
+    division order, the largest |w_i| and the reach entered at a factor's
+    first occurrence."""
+    from operator import add, neg
+
+    from pexpfan.lattice import primitive_vector
+
+    zero = (0,) * rank
+    lo, hi, order, top, reach = zero, zero, {}, {}, 0
+    for _, denom in terms:
+        for w in denom:
+            if w < zero:
+                w = tuple(map(neg, w))
+            lo, hi = tuple(map(add, lo, map(min, w, zero))), tuple(map(add, hi, map(max, w, zero)))
+            if w not in order:
+                order[w] = primitive_vector(w), w
+                top[w] = max(map(abs, w))
+                reach = max(reach, top[w])
+    return (lo, hi), order, top, reach
 
 
 def star_sum_ungrouped(resolution, f, rayset):

@@ -46,6 +46,8 @@ from oracles import (
     cartier_polytope_points,
     det_expansion,
     euler_characteristic,
+    merge_rounds_by_dicts,
+    plan_tables_by_occurrence,
     random_cartier_combination,
     random_complete_rank2_data,
     reduce_localization_greedy,
@@ -1124,6 +1126,94 @@ class TestWallMerge:
         assert len(fine.maximal_cones) == 304 and len(reads) == 1
         fine.__dict__["walls"] = walls
         assert plans == [star_walls_scan(fine, face) for face in fine.faces]
+
+
+class TestPlanCompiler:
+    """The compiler reads each distinct factor once and ``_merge_rounds``
+    keeps its regions in lists (``laurent._Plan``): on every plan that the
+    pairings of the complete corpus compile, they give what the loops they
+    replaced gave (``merge_rounds_by_dicts``, ``plan_tables_by_occurrence``),
+    and the last cancel, which tries only the deferred directions, gives
+    what a cancel of every factor left gives."""
+
+    @pytest.fixture(scope="class")
+    def corpus_plans(self, complete_corpus):
+        """(rank, terms, walls) of every plan that the series of the corpus
+        compile, at every face, through resolutions with 0, 1 and 2 extra
+        rounds, with the fan and its resolution."""
+        plans, plan = [], ktheory._Plan
+        with pytest.MonkeyPatch.context() as patch:
+            for fan in complete_corpus.values():
+                for rounds in range(3):
+                    r = resolve(fan, rng=random.Random(rounds), extra_rounds=rounds)
+                    patch.setattr(ktheory, "_Plan", lambda *a: plans.append((fan, r, a)) or plan(*a))
+                    for face in fan.faces:
+                        ktheory._pairing_series(r, face)
+        return plans
+
+    def test_merges_and_tables_match_the_replaced_loops(self, corpus_plans):
+        assert len(corpus_plans) == 264
+        for _, _, (rank, terms, walls) in corpus_plans:
+            compiled = laurent._Plan(rank, terms, walls)
+            steps, rest = merge_rounds_by_dicts(len(terms), walls)
+            assert laurent._merge_rounds(len(terms), walls) == (steps, rest)
+            assert compiled.rest == rest
+            assert compiled.steps == [(keep, gone, None if None in joined else set(joined))
+                                      for keep, gone, joined in steps]
+            tables = (compiled.widening, compiled.order, compiled.top, compiled.reach)
+            assert tables == plan_tables_by_occurrence(rank, terms)
+
+    def test_the_last_cancel_tries_only_deferred_directions(self, corpus_plans, monkeypatch):
+        """Each plan run on its series' numerators, or on random sparse
+        values, which are no class, gives the fraction that the same merges
+        give when the last cancel tries every factor left, with fewer
+        refused divisions: 494 against 690 on these values."""
+        calls = []
+        divide = laurent._packed_divide
+
+        def counted(f, ch):
+            q = divide(f, ch)
+            calls.append(q is not None)
+            return q
+
+        monkeypatch.setattr(laurent, "_packed_divide", counted)
+        rng, refused = random.Random(20261021), [0, 0]
+        for fan, r, (rank, terms, walls) in corpus_plans:
+            compiled = laurent._Plan(rank, terms, walls)
+            every = copy.copy(compiled)
+            every.deferred = frozenset(compiled.direction.values())
+            if all(num is None for num, _ in terms):  # a group's fold, run on units
+                ones = [LaurentPoly.one(rank)] * len(terms)
+                assert compiled.run(ones) == every.run(ones)
+                continue
+            pool = [LaurentPoly.zero(rank), *(E(u, c) for u in itertools.product((-1, 0, 1), repeat=rank)
+                                              for c in (-1, 1))]
+            for _ in range(2):
+                numerators = [rng.choice(pool) + rng.choice(pool) for _ in terms]
+                calls.clear()
+                got = compiled.run(numerators)
+                refused[0] += calls.count(False)
+                calls.clear()
+                assert got == every.run(numerators)
+                refused[1] += calls.count(False)
+        assert refused == [494, 690]
+
+    def test_a_fold_defers_the_directions_its_merges_leave(self):
+        """Each coarse cone of the cube folds its 8 fine cones along the
+        walls inside it, and each merge tries only the directions of the
+        walls it joins: two fine cones that share a factor and no wall defer
+        its direction, so the 4 directions left in D_sigma are all deferred,
+        and the last cancel refuses each once, the 24 refused divisions of
+        a cold chi (``test_failed_divisions_of_one_chi``)."""
+        r = resolve(catalog.cube_fan())
+        plans, plan = [], ktheory._Plan
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ktheory, "_Plan", lambda *a: plans.append(plan(*a)) or plans[-1])
+            _, terms, series = ktheory._pairing_series(r, ())
+        *groups, last = plans
+        assert last is series and len(groups) == 6
+        for (_, num, den), fold in zip(terms, groups):
+            assert fold.narrowed and len(den) == 4 and {primitive_vector(w) for w in den} <= fold.deferred
 
 
 class TestDecompose:

@@ -681,6 +681,54 @@ class TestPackedKernel:
                 packing.unpack(packing.pack(E(outside).terms))
 
 
+class TestCompilerAgainstTheReplacedLoops:
+    """``_merge_rounds`` keeps its regions in lists and hands each merge's
+    wall lists on, and the compiler of ``_Plan`` reads each distinct factor
+    once; ``oracles.merge_rounds_by_dicts`` and
+    ``oracles.plan_tables_by_occurrence`` keep the loops they replaced."""
+
+    def test_merge_rounds_on_seeded_wall_lists(self):
+        """300 seeded wall lists on up to 12 regions, bare pairs and
+        directed walls mixed and pairs repeated, give the same steps, each
+        with the same directions in the same order, and the same regions
+        left, largest first."""
+        rng = random.Random(20261021)
+        kinds = set()
+        for _ in range(300):
+            count = rng.randint(1, 12)
+            walls = []
+            for _ in range(rng.randint(0, 3 * count) if count > 1 else 0):
+                a, b = rng.sample(range(count), 2)
+                direction = rng.choice([None, (1, 0), (0, 1), (1, 1), (1, -1)])
+                walls.append((a, b) if direction is None else (a, b, direction))
+            kinds.update(map(len, walls))
+            assert laurent._merge_rounds(count, walls) == oracles.merge_rounds_by_dicts(count, walls)
+        assert kinds == {2, 3}
+
+    @given(random_sums())
+    @settings(max_examples=100, deadline=None)
+    def test_tables_of_random_sums(self, s):
+        """Repeated, non-primitive and lexicographically negative factors
+        give the widening, the division order, the largest |w_i| and the
+        reach of the factor-by-factor loop."""
+        terms = [(None, denom) for _, denom in s.terms]
+        plan = laurent._Plan(s.rank, terms, [])
+        assert (plan.widening, plan.order, plan.top, plan.reach) == oracles.plan_tables_by_occurrence(s.rank, terms)
+
+    def test_unpack_by_columns(self):
+        """A zero result has no columns and unpacks to zero, a rank-0 result
+        to its constant, and a key whose field leaves the box, above or
+        below, in the top field or another, is refused."""
+        packing = laurent._Packing((0, -1, 2), (3, 3, 5), 1)
+        assert packing.unpack({}) == LaurentPoly.zero(3)
+        f = E((3, 3, 2), 2) - E((0, -1, 5)) + E((1, 0, 3))
+        assert packing.unpack(packing.pack(f.terms)) == f
+        for outside in ((4, 0, 2), (-1, 0, 2), (0, 4, 2), (0, -2, 2), (0, 0, 6), (0, 0, 1)):
+            with pytest.raises(ResultCheckFailed):
+                packing.unpack(packing.pack(E(outside).terms))
+        assert laurent._Packing((), (), 0).unpack({0: 5}) == LaurentPoly.constant(0, 5)
+
+
 class TestTermBudget:
     """A quotient is bounded by |f| / 2 times the steps of w across the box
     before it is built; past ``TERM_BUDGET`` it is bounded again by f's own

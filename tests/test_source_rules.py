@@ -44,6 +44,7 @@ path of ``_fold`` runs a plan, which in ``laurent`` only ``_fold`` runs,
 ``_merge_rounds`` is called once, by the plan's compiler,
 ``reduce_localization`` is ``_fold`` and its check, a run whose merges were
 narrowed to their walls' directions cancels what is left once at its end,
+in the directions its compiler found those merges deferred,
 and the greedy pick by denominator overlap is made only in the fallback of
 ``_Plan.run``, when no wall joins what is left; a twelfth keeps every simplicial cone on its one
 adjugate, in one coordinate frame per cone: ``fan.py`` imports ``adjugate``
@@ -291,7 +292,8 @@ def test_star_sums_merge_along_their_walls():
     # its group or to the plan, with the normal the wall table stores as its
     # direction, so a merge tries only the directions of the walls it joins,
     # compiled by the one _merge_rounds call, the compiler's, and a fold whose merges
-    # were so narrowed cancels what is left once at its end; every fold compiles a
+    # were so narrowed cancels what is left once at its end, in the directions that
+    # its compiler found deferred; every fold compiles a
     # plan and runs it, and the greedy pick serves only the run's fallback, when no
     # wall joins what is left
     ktheory = ast.parse(next(p for p in SOURCES if p.name == "ktheory.py").read_text())
@@ -317,7 +319,9 @@ def test_star_sums_merge_along_their_walls():
     laurent = ast.parse(next(p for p in SOURCES if p.name == "laurent.py").read_text())
     run = next(f for _, f in _nodes(laurent, ast.FunctionDef) if f.name == "run")
     finals = [node for _, node in _nodes(run, ast.If) if ast.unparse(node.test) == "self.narrowed"]
-    assert [ast.unparse(stmt) for node in finals for stmt in node.body] == ["num = cancel(num, den)"]
+    assert [ast.unparse(stmt) for node in finals for stmt in node.body] == ["num = cancel(num, den, self.deferred)"]
+    assert [where for where, node in _nodes(laurent, ast.Attribute) if ast.unparse(node) == "self.deferred"
+            and isinstance(node.ctx, ast.Store)] == ["__init__"]
     functions = {f.name: f for _, f in _nodes(laurent, ast.FunctionDef)}
     fold = functions["_fold"]
     returns = [ast.unparse(node.value.func) for _, node in _nodes(fold, ast.Return)]

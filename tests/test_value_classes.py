@@ -1,14 +1,14 @@
 """The package's value classes behave as frozen dataclasses would: equal
 fields give equal objects with equal hashes, fields cannot be reassigned or
 deleted, the repr is ``Name(field=value, ...)``, and objects of different
-classes never compare equal.  ``cached_property`` still caches on them."""
+classes never compare equal.  ``lattice.invariant`` caches on them."""
 
 import pytest
 
 from pexpfan import catalog
 from pexpfan.fan import Cone, Fan, SubdivisionMap
 from pexpfan.ktheory import PairingMatrix
-from pexpfan.lattice import QuotientLattice
+from pexpfan.lattice import QuotientLattice, invariant, value_class
 from pexpfan.laurent import LaurentPoly, LocalizationSum
 from pexpfan.pexp import CartierData, GkmReport, GkmViolation, PiecewiseExponential
 
@@ -90,3 +90,33 @@ def test_cached_properties_cache_on_the_instance():
     weights = cone._scaled_inverse
     assert cone._scaled_inverse is weights and cone.__dict__["_scaled_inverse"] is weights
     assert cone == Cone(2, ((0, 1), (1, 0)))
+
+
+def test_an_invariant_is_computed_once_and_kept_in_vars():
+    """A value class's invariant runs its method on the first read only,
+    keeps the value in ``vars()`` beside the fields, where it shadows the
+    descriptor, and leaves the instance refusing assignment."""
+    calls = []
+
+    @value_class
+    class Pair:
+        a: int
+        b: int
+
+        @invariant
+        def total(self) -> int:
+            """a + b."""
+            calls.append(self)
+            return self.a + self.b
+
+    pair = Pair(2, 3)
+    assert Pair.total.func.__name__ == "total" and Pair.total.__doc__ == "a + b." and "total" not in vars(pair)
+    assert pair.total == 5 and pair.total == 5 and calls == [pair]
+    assert vars(pair) == {"a": 2, "b": 3, "total": 5}
+    with pytest.raises(AttributeError):
+        pair.total = 6
+    with pytest.raises(AttributeError):
+        pair.a = 6
+    assert pair == Pair(2, 3) and pair.total == 5 and calls == [pair]
+    assert Pair(2, 3).total == 5 and len(calls) == 2
+    assert isinstance(Cone.__dict__["_scaled_inverse"], invariant) and isinstance(Fan.__dict__["walls"], invariant)
