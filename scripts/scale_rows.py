@@ -4,7 +4,15 @@
 ``chi_octahedron_warm`` and of 31 for ``chi_octahedron``, whose runs are
 too short for 3 to hold still (``--quick``: 1 run each on tiny sizes).
 
-    PYTHONPATH=src python3 scripts/scale_rows.py [--quick]
+    PYTHONPATH=src python3 scripts/scale_rows.py [--quick] [--against DIR]
+
+``--against DIR`` compares this checkout with the checkout at DIR: each side
+runs in its own fresh worker process, this script with PYTHONPATH at that
+side's ``src/``, and every run of a row alternates between the two, the
+side that goes first swapping from run to run, so that a drift of the host
+moves both alike.  Each line then gives both medians, ``median_s`` for
+this checkout and ``against_median_s`` for DIR, and ``ratio``, the first
+over the second.
 
 ``complete``: ``is_complete`` of a fresh copy, walls built, of the resolved
 fan on (1,0), (1,N), (-1,0), (0,-1).  ``resolve_tied`` (``_rng1``: with
@@ -57,10 +65,14 @@ exponents spread over hundreds of units at the large weights.
 """
 import argparse
 import json
+import os
 import random
 import statistics
+import subprocess
+import sys
 import time
 from math import gcd
+from pathlib import Path
 
 from pexpfan import catalog
 from pexpfan.errors import DependentBasis
@@ -202,7 +214,10 @@ def wps_divisor_basis(qs):
 
 ap = argparse.ArgumentParser(description="Time the scale rows of the ROADMAP baseline table.")
 ap.add_argument("--quick", action="store_true", help="tiny sizes, one run each")
-quick = ap.parse_args().quick
+ap.add_argument("--against", metavar="DIR", help="alternate every run with the checkout at DIR")
+ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+args = ap.parse_args()
+quick = args.quick
 tied_sizes = (5, 10) if quick else (500, 1000, 2000)
 rows = [
     ("complete", (10, 20) if quick else (1000, 2000, 4000), fresh_fine_fan, Fan.is_complete),
@@ -238,12 +253,53 @@ rows = [
      lambda subject: decompose(*subject)),
 ]
 repeats = {"chi_octahedron_warm": 101, "chi_octahedron": 31}
-for row, sizes, build, run in rows:
-    for size in sizes:
-        times = []
-        for _ in range(1 if quick else repeats.get(row, 3)):
-            subject, start = build(size), time.perf_counter()
-            run(subject)
-            times.append(time.perf_counter() - start)
-        print(json.dumps({"row": row, "size": size, "median_s": statistics.median(times),
-                          "repeats": len(times)}), flush=True)
+
+
+def timed(row: int, size: int) -> float:
+    """Seconds of one run of a row at one of its sizes, on a fresh input."""
+    _, sizes, build, run = rows[row]
+    subject, start = build(sizes[size]), time.perf_counter()
+    run(subject)
+    return time.perf_counter() - start
+
+
+def worker(checkout: Path) -> subprocess.Popen:
+    """A fresh process of this script that times the runs it is sent on the
+    package under ``checkout``/src."""
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    return subprocess.Popen([sys.executable, __file__, "--worker"] + ["--quick"] * quick, env=env,
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+
+def ask(side: subprocess.Popen, row: int, size: int) -> float:
+    side.stdin.write(f"{row} {size}\n")
+    side.stdin.flush()
+    answer = side.stdout.readline()
+    if not answer:
+        raise SystemExit(f"a worker stopped at {rows[row][0]} size {rows[row][1][size]}")
+    return float(answer)
+
+
+if args.worker:
+    for line in sys.stdin:
+        print(repr(timed(*map(int, line.split()))), flush=True)
+    raise SystemExit
+sides = [worker(Path(__file__).parent.parent), worker(Path(args.against))] if args.against else []
+for i, (row, sizes, build, run) in enumerate(rows):
+    for k, size in enumerate(sizes):
+        count = 1 if quick else repeats.get(row, 3)
+        if not sides:
+            times = [timed(i, k) for _ in range(count)]
+            print(json.dumps({"row": row, "size": size, "median_s": statistics.median(times),
+                              "repeats": count}), flush=True)
+            continue
+        times = ([], [])
+        for rep in range(count):
+            for side in (0, 1) if rep % 2 == 0 else (1, 0):
+                times[side].append(ask(sides[side], i, k))
+        mine, theirs = map(statistics.median, times)
+        print(json.dumps({"row": row, "size": size, "median_s": mine, "against_median_s": theirs,
+                          "ratio": mine / theirs, "repeats": count}), flush=True)
+for side in sides:
+    side.stdin.close()
+    side.wait()

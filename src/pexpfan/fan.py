@@ -1,4 +1,4 @@
-"""Cones and fans: faces, multiplicity, completeness, stars, and resolution.
+"""Cones and fans: faces, multiplicity, completeness, stars and walls.
 
 Cones are strongly convex rational polyhedral cones given by primitive
 generators on their extreme rays.  Each cone computes one facet table, its
@@ -6,25 +6,20 @@ inward facet normals with their contact generators, and answers every face
 question from it: every face is a meet of facets, the smallest one holding a
 point the meet of the facets through it.  Each cone has one coordinate
 frame: those of N for a full-dimensional cone, else the span coordinates of
-its one Smith form, or of its cell for a resolve piece.  A simplicial cone
-reads its multiplicity, its facets and its tangent weights off one adjugate
-of its local generators in that frame.  A non-simplicial cone takes its
-facets from the vertex enumeration ``extreme_rays_of_region``.
-Simplicial cones are handled in any rank; non-simplicial cones are limited to
-ambient rank <= 4.  All geometry is exact.  ``resolve`` keeps a fan's
-maximal cones as cells linked in fan order (``chains``), each made by
-``_cell``: an integer record of its scaled inverse for a simplicial cone,
-split as a chain record when it has at most two generators, and a cell
-with its ``Cone`` until then, and runs the one subdivision loop of
-``chains`` on them.
+its one Smith form, or of its cell for a resolve piece (``_framed``).  A
+simplicial cone reads its multiplicity, its facets and its tangent weights
+off one adjugate of its local generators in that frame.  A non-simplicial
+cone takes its facets from the vertex enumeration
+``extreme_rays_of_region``.  Simplicial cones are handled in any rank;
+non-simplicial cones are limited to ambient rank <= 4.  All geometry is
+exact.  ``resolve`` and ``stellar_subdivision`` work on cells (``chains``),
+which this module re-exports.
 """
 
 from __future__ import annotations
 
 import itertools
-from operator import mul
 
-from .chains import Rng, chain_split, drawn_chain_point, fan_order, linked, local_coordinates, subdivide
 from .errors import (
     ConeNotInFan,
     NonPrimitiveRay,
@@ -32,8 +27,6 @@ from .errors import (
     NotIndependent,
     NotSimplicial,
     NotStronglyConvex,
-    RayOutsideSupport,
-    ResolutionCheckFailed,
     UnsupportedDimension,
 )
 from .lattice import (
@@ -106,7 +99,7 @@ def span_coordinates(rank: int, vectors) -> tuple[Vector, IntMatrix, IntMatrix, 
     the span, and ``annihilator`` = U[d:] is a basis of the characters
     vanishing on it.  ``columns`` is V, one row per vector.  In those
     coordinates the vectors are G = U[:d] A = D[:d] V^-1, so the residues of
-    a cone's parallelepiped come from V and the factors (``_box_points``),
+    a cone's parallelepiped come from V and the factors (``chains._box_points``),
     and A V = U^-1 D, so column i of U^-1, the span basis vector i, is
     (sum_j V[j][i] v_j) / d_i with no inverse computed
     (``Fan.face_quotient``).  Every lattice coordinate in the package is read
@@ -214,7 +207,7 @@ class Cone:
     @invariant
     def _span(self) -> tuple[Vector, IntMatrix, IntMatrix, IntMatrix]:
         """(factors, projection, annihilator, columns): the cone's own Smith
-        form, read only by ``_coordinates`` and ``_box_points``."""
+        form, read only by ``_coordinates``."""
         return span_coordinates(self.rank, self.generators)
 
     @invariant
@@ -237,7 +230,7 @@ class Cone:
         """mult * G^-1 = sign(det) * adj for the ``_adjugate`` (det, adj) of
         the local generators G, simplicial cones only.  Row j pairs to mult
         with generator j and to 0 with the others.  Read by the facets,
-        ``_cell`` and, for a smooth cone, whose rows are then the dual basis
+        ``chains._cell`` and, for a smooth cone, whose rows are then the dual basis
         of the generators, by ``ktheory.tangent_weights`` and
         ``ktheory._pairing_series``."""
         det, adj = self._adjugate
@@ -444,7 +437,7 @@ class Fan:
     def cone_objects(self) -> tuple[Cone, ...]:
         """The cone object of each maximal cone, built from its rays; a fine
         fan of ``resolve`` or ``stellar_subdivision`` takes its cells' cones
-        (``_fine_map``)."""
+        (``chains._fine_map``)."""
         return tuple(Cone.from_generators(self.rank, tuple(self.rays[j] for j in c))
                      for c in self.maximal_cones)
 
@@ -466,13 +459,20 @@ class Fan:
 
         In a fan, tau is a face of sigma exactly when the rays of tau are
         rays of sigma, so this is also every maximal cone whose generator
-        rays contain tau.  Every face question reads this one table.
+        rays contain tau.  Every face question reads this one table.  The
+        faces of a simplicial cone are all subsets of its rays, taken as
+        combinations of its sorted ray set, so each is sorted already.
         """
         table: dict[RaySet, list[int]] = {}
         for idx, (cone, gen_rays) in enumerate(zip(self.cone_objects, self._generator_rays)):
-            ray_of = gen_rays.__getitem__
-            for subset in cone.faces_as_generator_subsets():
-                face = tuple(sorted(map(ray_of, subset)))
+            if cone.is_simplicial:
+                rs = sorted(gen_rays)
+                faces = itertools.chain.from_iterable(
+                    map(itertools.combinations, itertools.repeat(rs), range(len(rs) + 1)))
+            else:
+                faces = (tuple(sorted(map(gen_rays.__getitem__, subset)))
+                         for subset in cone.faces_as_generator_subsets())
+            for face in faces:
                 star = table.get(face)
                 if star is None:
                     table[face] = [idx]
@@ -776,17 +776,6 @@ def _check_subdivision(sub: SubdivisionMap):
                 raise ValueError(f"the fine cones assigned to coarse cone {j} do not cover it")
 
 
-def _cell(rs: RaySet, cone: Cone, ray_index: dict[Vector, int], source: int) -> list:
-    """The cell (``chains``) of a cone on rays of ``ray_index``, unlinked:
-    a record of the rows of its ``_scaled_inverse`` in its frame if it is
-    simplicial, whatever its size (a chain record if it has at most two
-    generators), else a cell with its ``Cone``."""
-    ids = tuple(map(ray_index.__getitem__, cone.generators))
-    if cone.is_simplicial:
-        return [rs, cone.generators, ids, cone.multiplicity(), source, list(cone._scaled_inverse), None]
-    return [rs, cone.generators, ids, 0, source, cone, None]
-
-
 def _framed(rank, generators, frame, inverse=None) -> Cone:
     """The cone on ``generators`` spanning the space whose frame is ``frame``,
     and, from a record, its ``inverse`` (mult, S) as its ``_adjugate``."""
@@ -797,323 +786,5 @@ def _framed(rank, generators, frame, inverse=None) -> Cone:
     return cone
 
 
-def _piece(cell: list, x: Vector, rs: RaySet, n: int, j: int, c: list) -> list:
-    """The record that replaces generator j of the record ``cell`` by x, of
-    ray index n, where x = G c / mult: its multiplicity is c_j, and its
-    S' = c_j G'^-1 keeps row j of S and takes (c_j S_i - c_i S_j) / mult, an
-    exact division, for each other row i, all reordered with its sorted
-    generators."""
-    _, gens, ids, mult, source, rows, _ = cell
-    cj, sj = c[j], rows[j]
-    new = [row if i == j else tuple([(cj * a - ci * b) // mult for a, b in zip(row, sj)])
-           for i, (row, ci) in enumerate(zip(rows, c))]
-    # only x is out of place, and the generators are distinct, so the sort reads no id or row
-    gens, ids, new = zip(*sorted(zip((*gens[:j], x, *gens[j + 1:]), (*ids[:j], n, *ids[j + 1:]), new)))
-    return [rs, gens, ids, cj, source, list(new), None]
-
-
-class _Refinement:
-    """Cells under stellar steps, changed in place.  A cell is either a
-    record, simplicial, whose slot 5 holds the list of rows of its scaled
-    inverse S = mult * G^-1 in its coarse cone's frame, or a non-simplicial
-    cell with its ``Cone`` (``_cell``); ``frames`` is the caller's table of
-    the coarse cones' frames, by source.  ``incidence`` maps each ray index
-    to the cells whose ray sets contain it, keyed by ``id``.  A step adds
-    its ray to ``ray_index`` if it is new, and replaces only the cells that
-    hold it, each by its pieces in its place; every other cell keeps its
-    slot 5 and what it cached.
-    """
-
-    def __init__(self, rank: int, ray_index: dict, cells: list, frames: list):
-        self.rank, self.ray_index, self.frames = rank, ray_index, frames
-        self.incidence: dict[int, dict[int, list]] = {}
-        self._enter(cells)
-
-    def _enter(self, cells: list[list]):
-        """Enter the cells in the incidence map."""
-        incidence = self.incidence
-        for cell in cells:
-            key = id(cell)
-            for r in cell[0]:
-                incidence.setdefault(r, {})[key] = cell
-
-    def star(self, face: RaySet) -> list[list]:
-        """The cells whose ray sets contain ``face``."""
-        fewest, *rest = sorted(map(self.incidence.__getitem__, face), key=len)
-        keys = iter(fewest)
-        for cells in rest:
-            keys = filter(cells.__contains__, keys)
-        return list(map(fewest.__getitem__, keys))
-
-    def pull(self, rng: Rng | None) -> bool:
-        """Simplicialize the cells by pulling rays, the least or a random one
-        first; returns whether any was not."""
-        rays = tuple(self.ray_index)
-        nonsimplicial = {key: cell for cells in self.incidence.values()
-                         for key, cell in cells.items() if not cell[3]}
-        pulled = bool(nonsimplicial)
-        # a pulled ray is the apex of every cone holding it, so pulling it again
-        # changes nothing: each step pulls a new ray, and there are only so many
-        guard = 0
-        while nonsimplicial:
-            guard += 1
-            if guard > len(rays):
-                raise ResolutionCheckFailed("simplicialization did not terminate")
-            candidates = sorted({rays[i] for cell in nonsimplicial.values() for i in cell[0]})
-            ray = rng.choice(candidates) if rng else candidates[0]
-            # pulling the apex of a pyramid changes nothing (its one facet missing
-            # the apex is the base); then the other candidates are tried in order
-            for ray in dict.fromkeys((ray, *candidates)):
-                change = self.step(ray, self.star((self.ray_index[ray],)))
-                if change:
-                    break
-            else:
-                raise ResolutionCheckFailed("no subdividing ray found")
-            for _, cells in change:
-                nonsimplicial.update((id(cell), cell) for cell in cells)
-            nonsimplicial = {key: cell for key, cell in nonsimplicial.items() if not cell[3]}
-        return pulled
-
-    def _coefficients(self, cell: list, x: Vector) -> list[int]:
-        """c = S y for the local coordinates y of x in a record's frame, so
-        that x = G c / mult; x must lie in its span."""
-        frame = self.frames[cell[4]]
-        y = local_coordinates(frame, x) if frame else x
-        return [sum(map(mul, row, y)) for row in cell[5]]
-
-    def split(self, cell: list, ray: Vector) -> list[tuple[int, list[list]]] | None:
-        """``step`` at ``ray``, a point of a record's cone: the cells holding
-        it are the star of the smallest face of the cone holding it, the
-        generators j with c_j > 0."""
-        c = self._coefficients(cell, ray)
-        if min(c) < 0:
-            raise ResolutionCheckFailed(f"{ray} does not lie in the cone it subdivides")
-        ids = cell[2]
-        return self.step(ray, self.star(tuple(sorted([ids[j] for j, cj in enumerate(c) if cj]))), (cell, c))
-
-    def step(self, ray: Vector, holding, known=(None, None)) -> list[tuple[int, list[list]]] | None:
-        """Replace each cell of ``holding``, the cells that hold the ray, by
-        the joins of the ray with its facets that miss it, in its place, in
-        the order of their contacts.  The facet of a record that misses
-        generator j misses the ray when c_j > 0, and contact order is j
-        descending; ``known`` is a record and its c, computed by ``split``.
-        Returns (multiplicity of the cell, its pieces) per replaced cell, the
-        first piece being the cell itself, taken over; or None when no cell
-        changes."""
-        new_idx = self.ray_index.get(ray, len(self.ray_index))
-        seen: set[RaySet] = set()
-        pieces = []
-        for cell in holding:
-            ids = cell[2]
-            if cell[5].__class__ is Cone:
-                # the ray lies in the cone, so it lies on a facet iff it pairs to 0 with it
-                found = [({ids[t] for t in contact} | {new_idx}, contact) for normal, contact in cell[5].facets
-                         if pair(normal, ray)]
-            else:
-                c = known[1] if cell is known[0] else self._coefficients(cell, ray)
-                found = [((*ids[:j], new_idx, *ids[j + 1:]), (j, c)) for j in range(len(c) - 1, -1, -1) if c[j]]
-            out = []
-            for rays, how in found:
-                piece = tuple(sorted(rays))
-                if piece in seen:
-                    raise ResolutionCheckFailed(f"ambiguous subdivision piece {piece}")
-                seen.add(piece)
-                out.append((piece, how))
-            pieces.append(out)
-        if new_idx < len(self.ray_index) and all(
-                len(out) == 1 and out[0][0] == cell[0] for cell, out in zip(holding, pieces)):
-            return None
-        self.ray_index[ray] = new_idx
-        changes = []
-        for cell, out in zip(holding, pieces):
-            for r in cell[0]:
-                del self.incidence[r][id(cell)]
-            if cell[5].__class__ is Cone:
-                # a pyramid over a facet with the ray as apex: its sorted rays are
-                # its primitive extreme rays, and it spans its cell's space
-                cells = [_cell(piece, _framed(self.rank, tuple(sorted([ray, *map(cell[1].__getitem__, contact)])),
-                                              self.frames[cell[4]]), self.ray_index, cell[4])
-                         for piece, contact in out]
-            else:
-                cells = [_piece(cell, ray, piece, new_idx, j, c) for piece, (j, c) in out]
-            linked(cells, cell[6])
-            changes.append((cell[3], cells))
-            # the first piece takes the cell over, so the cell before it keeps its link
-            cell[:], cells[0] = cells[0], cell
-            self._enter(cells)
-        return changes
-
-
-def _fine_map(coarse: Fan, rays, first: list, frames: list) -> SubdivisionMap:
-    """The map to ``coarse`` from the fan on ``rays`` whose maximal cones are
-    the cells from ``first`` on, with no ``Fan.build``: above rank 2 with the
-    cells' cones, every record's cone, a chain record's too, built once in
-    its coarse cone's frame (``frames``) and handed the record's
-    multiplicity and S.  Only what an input that is no fan could break is
-    checked."""
-    # the rest of Fan.build holds by construction: int rays and indices,
-    # coarse rays that passed it, sorted ray sets of distinct indices, at
-    # least one cell, and the new ray in every piece, so no zero cone beside
-    # other cones
-    rank, rays = coarse.rank, tuple(rays)
-    for r in rays[len(coarse.rays):]:
-        if len(r) != rank or not is_primitive(r):
-            raise ResolutionCheckFailed(f"the refinement's ray {r} is not a primitive vector of rank {rank}")
-    raysets, gens, _, mults, sources, slots, _ = zip(*fan_order(first))
-    if len(set(raysets)) != len(raysets):
-        raise NotAFan("duplicate maximal cones")
-    if len(set(itertools.chain.from_iterable(raysets))) != len(rays):
-        raise NotAFan("every ray must appear in some maximal cone")
-    fine = Fan(rank, rays, raysets)
-    if rank > 2:
-        # an invariant keeps its value in the instance dict, which a value
-        # class leaves writable (only attribute assignment raises)
-        fine.__dict__["cone_objects"] = tuple(
-            slot if slot.__class__ is Cone else _framed(rank, g, frames[s], (m, tuple(slot)))
-            for g, m, s, slot in zip(gens, mults, sources, slots))
-    return SubdivisionMap(fine, coarse, sources)._marked()
-
-
-def stellar_subdivision(fan: Fan, ray: Vector) -> SubdivisionMap:
-    """Refine by a primitive ray: every cone containing the ray is replaced by
-    the joins of the ray with its facets not containing it.
-
-    The fine fan keeps the coarse rays in their order and appends the ray if
-    it is new; each cone missing the ray keeps its place and ray indices.  No
-    old ray is lost: the facets through an extreme ray r other than the ray
-    meet in r, so one of them misses the ray.  A ray that changes no cone
-    gives the identity map.  This is one ``_Refinement`` step on the cells
-    of ``_cell``, with the cones holding an arbitrary ray found by a
-    ``Cone.contains`` scan.
-    """
-    ray = tuple(ray)
-    if not any(ray):
-        raise NonPrimitiveRay("cannot subdivide at the zero vector")
-    if not is_primitive(ray):
-        raise NonPrimitiveRay(f"{ray} is not primitive")
-    index, cones = dict(fan._ray_index), fan.cone_objects
-    frames = [cone._coordinates for cone in cones]
-    cells = _cells(fan, index)
-    holding = [cell for cell, cone in zip(cells, cones) if cone.contains(ray)]
-    if not holding:
-        raise RayOutsideSupport(f"{ray} lies outside the support of the fan")
-    changed = _Refinement(fan.rank, index, cells, frames).step(ray, holding)
-    return _fine_map(fan, index, cells[0], frames) if changed else SubdivisionMap.identity(fan)
-
-
-# -- resolution -----------------------------------------------------------------------
-
-
-def _box_points(generators, mult: int) -> list[Vector]:
-    """The nonzero lattice points of least coefficient sum in the half-open
-    fundamental parallelepiped of the singular simplicial cone on the
-    ``generators``, of multiplicity ``mult``, sorted.
-
-    With G the generators as columns in the coordinates of their Smith form
-    (``span_coordinates``), a lattice point x of the span is G r / mult for
-    r = mult * G^-1 @ x, and it lies in the parallelepiped when
-    0 <= r_i < mult.  So the points are the group Z^d / G Z^d, one per
-    residue of r mod mult.  As G = diag(factors) V^-1,
-    G Z^d = diag(factors) Z^d, so x = sum k_i e_i with 0 <= k_i < d_i runs
-    over the group once, and its residue is sum k_i w_i mod mult for the
-    columns w_i = (mult // d_i) V[:, i] of mult * G^-1: exactly mult
-    residues, each built once, off one Smith form.  The coefficient sum of a
-    residue's point is its coordinate sum over mult, and only the residues
-    of least sum are mapped to their ambient points sum r_i g_i / mult."""
-    factors, _, _, v = span_coordinates(len(generators[0]), generators)
-    residues = [(0,) * len(generators)]
-    for f, w in zip(factors, transpose(v)):
-        if f > 1:
-            w = vec_scale(mult // f, w)
-            residues = [tuple((a + k * b) % mult for a, b in zip(h, w))
-                        for k in range(f) for h in residues]
-    # the coordinates lie in [0, mult), so only the zero residue sums to 0
-    sums = list(map(sum, residues))
-    least = itertools.compress(residues, map(min(filter(None, sums)).__eq__, sums))
-    g = transpose(generators)
-    return sorted(tuple(x // mult for x in mat_vec(g, r)) for r in least)
-
-
-def _least_box_point(cell: list, draw) -> Vector:
-    """The ``least`` of a record: the point ``draw(count)`` picks among the
-    count least parallelepiped points, ascending."""
-    # the point is a nonzero box point of the cone, so of the smallest face
-    # tau holding it, which is then singular; a face's multiplicity divides
-    # that of every simplicial cone having it, so every cell the step
-    # replaces, one of the star of tau, is singular
-    points = _box_points(cell[1], cell[3])
-    return points[draw(len(points))]
-
-
-def _by_kind(chain, record):
-    """``chain`` on a chain record, a cell of at most two generators, else
-    ``record``: the same records, told apart by size alone."""
-    return lambda cell, arg: chain(cell, arg) if len(cell[1]) < 3 else record(cell, arg)
-
-
-def _cells(fan: Fan, index) -> list:
-    """The maximal cones as cells (``_cell``), linked in fan order: a
-    record in its cone's frame for each simplicial cone, a chain record for
-    at most two rays, else a cell with its ``Cone``."""
-    return linked(list(map(_cell, fan.maximal_cones, fan.cone_objects, itertools.repeat(index), itertools.count())))
-
-
-def resolve(
-    fan: Fan,
-    *,
-    rng: Rng | None = None,
-    extra_rounds: int = 0,
-) -> SubdivisionMap:
-    """Refine the fan ``fan`` until every maximal cone is smooth; returns the
-    map from the fine fan to ``fan``.
-
-    First makes every cone simplicial by stellar subdivisions at existing
-    rays, then repeatedly subdivides a singular cone at a parallelepiped
-    lattice point of minimal coefficient sum, the least in lex order or, with
-    an ``rng``, a random one of them.  With
-    the default deterministic choices the result is canonical; an ``rng``
-    permutes the choice of singular cone and the tie-breaks, and
-    ``extra_rounds`` appends smooth refinements, both of which produce
-    alternative valid resolutions.
-
-    The maximal cones are cells in fan order (``_cells``), and the one loop
-    ``chains.subdivide`` picks, draws, checks and splices each step, its
-    ``least`` and ``split`` picking by the size of a cell (``_by_kind``).
-    Every simplicial cell is a record of its S in its coarse cone's frame.
-    A cone of at most two rays is a chain record, drawn on the
-    Hirzebruch-Jung walk of the local vectors its S turns back into
-    (``chains.drawn_chain_point``) and split alone, on the integers of its
-    S and of the point (``chains.chain_split``).  Any other is a cell on one
-    ``_Refinement``: a record if simplicial, else a cell with its ``Cone``
-    until pulling rays simplicializes it.  A record is drawn from its
-    listed parallelepiped (``_least_box_point``) and split with no ``Cone``
-    (``_piece``).  Cells read one table of frames.  The
-    refinement finds the cells holding a ray x without a scan: x lies in a
-    known cone sigma, and if tau is the smallest face of sigma holding x,
-    any cone holding x meets sigma in a face of both holding the relative
-    interior of tau, so it has the rays of tau.  So the cones holding x are
-    those whose ray sets contain tau, and no chain record is among them: a
-    pulled ray, a box point of a cone of dim >= 3 and the sum of two of its
-    generators lie inside a proper face, never a maximal cone.
-
-    A singular subdivision step must change the fan, and each piece must
-    have a smaller multiplicity than the cone it replaces: the point has
-    every coefficient below 1 in that cone, and a piece's multiplicity is
-    the cone's times the coefficient of the generator it drops.  So the
-    multiset of multiplicities falls at every step, and the loop ends.
-    Every extra round must change the fan and keep it smooth.  Otherwise
-    ``ResolutionCheckFailed`` is raised.  ``extra_rounds`` must be an int
-    (not a bool), or ``ValueError`` is raised.
-    """
-    if strict_int(extra_rounds, "extra_rounds") < 0:
-        raise ValueError(f"extra_rounds must be nonnegative, got {extra_rounds}")
-    index, frames = dict(fan._ray_index), [cone._coordinates for cone in fan.cone_objects]
-    cells = _cells(fan, index)
-    others = [cell for cell in cells if len(cell[1]) > 2]
-    least, split, pulled = drawn_chain_point, chain_split(index, frames), False
-    if others:
-        ref = _Refinement(fan.rank, index, others, frames)
-        pulled = ref.pull(rng)
-        least, split = _by_kind(least, _least_box_point), _by_kind(split, ref.split)
-    stepped = subdivide(cells[0], least, split, rng, extra_rounds)
-    return _fine_map(fan, index, cells[0], frames) if stepped or pulled else SubdivisionMap.identity(fan)
+# resolution reads the geometry above, so its module is imported once this one is whole
+from .chains import resolve, stellar_subdivision

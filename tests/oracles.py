@@ -35,7 +35,7 @@ replaced it and the scan over every wall that ``Fan.star_walls`` ran before its
 per-cone wall table, and ``facets_by_generator_subsets``,
 ``extreme_generators_by_rank`` and ``box_points_scan``, the facet subset
 loop, the per-generator rank test and the bounding-box scan that
-``Cone.facets``, ``Cone._extreme_generators`` and ``fan._box_points`` ran
+``Cone.facets``, ``Cone._extreme_generators`` and ``chains._box_points`` ran
 before the first two read their rays from ``fan.extreme_rays_of_region``
 and the last enumerated the residue group, and ``pointed_by_rank``,
 ``faces_by_closure`` and ``smallest_face_by_adjugate``, the rank of the
@@ -55,9 +55,9 @@ copy of the elimination, which updated every row at every pivot), and
 ``smith_normal_form_reference``, the elimination with one closure per row
 and column operation that ``lattice.smith_normal_form`` ran before it
 inlined them, and ``box_points_listing``, every residue of the group with
-its key, which ``fan._box_points`` listed before it kept only the least
+its key, which ``chains._box_points`` listed before it kept only the least
 slice, and ``least_box_points_listing``, that slice, which every ``resolve``
-step took before ``fan._least_box_point`` read the two-dimensional ones from
+step took before ``chains._least_box_point`` read the two-dimensional ones from
 the Hilbert basis, and ``resolve_all_cones`` with its
 ``least_box_point_all_cones``, the path of ``fan.resolve`` on which every
 cell of a fan of rank >= 3 carried its ``Cone`` before cells of at most two
@@ -74,7 +74,12 @@ ran before it bordered a nonzero minor: all are kept as the oracles for the path
 replaced them.  ``euler_characteristic`` is the raw-numerator fixed-point
 sum that ``pexpfan.ktheory`` exported with no caller in the package; it sums
 over every maximal cone with ``LocalizationSum``, without the star logic of
-``ktheory._star_sum``.  ``total_excess_multiplicity`` and
+``ktheory._star_sum``.  ``star_by_generator_subsets`` is the star table that ``Fan._star`` built
+before it took a simplicial cone's faces as combinations of its ray set.
+``pairing_at_point`` checks a pairing by evaluation at a random point mod
+a prime, with its own dual bases (``dual_basis``) and strict transform,
+reading only a ``LaurentPoly``'s terms and public fan names.
+``total_excess_multiplicity`` and
 ``random_cartier_combination`` are test helpers that the package kept with
 no caller of its own, ``random_complete_rank2_data`` draws the rank-2
 fans of the fan and localization tests.
@@ -839,7 +844,7 @@ def box_scan_size(cone) -> int:
 def box_points_listing(cone):
     """The nonzero lattice points of the half-open fundamental parallelepiped
     of a simplicial cone, as (multiplicity * coefficient sum, ambient point),
-    sorted: the whole listing ``fan._box_points`` returned before it kept
+    sorted: the whole listing ``chains._box_points`` returned before it kept
     only the points of least key.  With the columns w_i = (mult // d_i) V[:, i]
     of mult * G^-1 in the coordinates of the cone's Smith form, the residues
     sum k_i w_i mod mult, 0 <= k_i < d_i, run over the group once; each is
@@ -860,20 +865,20 @@ def box_points_listing(cone):
 
 def least_box_points_listing(cone):
     """The least key of ``box_points_listing`` on a singular simplicial cone
-    and its points, in ascending order: what ``fan._least_box_point`` draws
+    and its points, in ascending order: what ``chains._least_box_point`` draws
     from, for every dimension, by listing the parallelepiped."""
     box = box_points_listing(cone)
     return box[0][0], [p for s, p in box if s == box[0][0]]
 
 
 def least_box_point_all_cones(cell, draw):
-    """The ``least`` of ``resolve_all_cones``: what ``fan._least_box_point``
+    """The ``least`` of ``resolve_all_cones``: what ``chains._least_box_point``
     drew on a cell with its ``Cone`` before chain records, the
     Hirzebruch-Jung walk (``chains.least_chain_points``) of the local
     generators of a 2-dimensional cone, its points (a g1 + k g2) / mult
     mapped through the generators here, and the least slice of the listed
     parallelepiped of a larger one (``least_box_points_listing``, the points
-    ``fan._box_points`` maps)."""
+    ``chains._box_points`` maps)."""
     from pexpfan.chains import least_chain_points
 
     cone, mult = cell[5], cell[3]
@@ -907,15 +912,17 @@ def _framed_cone(rank, generators, frame):
 
 class AllConeRefinement:
     """The refinement of ``resolve_all_cones``: cells with their ``Cone``
-    under stellar steps, changed in place, as ``fan._Refinement`` kept every
+    under stellar steps, changed in place, as ``chains._Refinement`` kept every
     cell before simplicial cells of dim >= 3 became integer records.
     ``incidence`` maps each ray index to the cells whose ray sets contain it,
     keyed by ``id``; a step's pieces are the joins of its ray with the
     facets of each holding cone that miss it, each a ``Cone`` in its cell's
-    frame."""
+    frame.  ``least`` draws the point of a singular cell
+    (``least_box_point_all_cones`` by default)."""
 
-    def __init__(self, rank, ray_index, cells):
+    def __init__(self, rank, ray_index, cells, least=None):
         self.rank, self.ray_index, self.incidence = rank, ray_index, {}
+        self.least = least or least_box_point_all_cones
         self.enter(cells)
 
     def enter(self, cells):
@@ -1008,7 +1015,7 @@ class AllConeRefinement:
 def _all_cone_fine_map(coarse, rays, first):
     """The map to ``coarse`` from the fan on ``rays`` whose maximal cones are
     the cells from ``first`` on, refusing what an input that is no fan can
-    break, as ``fan._fine_map`` did."""
+    break, as ``chains._fine_map`` did."""
     from pexpfan.chains import fan_order
     from pexpfan.errors import NotAFan, ResolutionCheckFailed
     from pexpfan.fan import Fan, SubdivisionMap
@@ -1031,8 +1038,8 @@ def resolve_all_cones(fan, rng=None, extra_rounds=0, least=None):
     """``fan.resolve`` as it ran before chain records and integer records,
     in rank >= 3 and on a fan of a cone of three or more rays: every maximal
     cone a cell with its ``Cone`` on one ``AllConeRefinement``,
-    simplicialized and then split in ``chains.subdivide`` at the points
-    ``least`` draws (``least_box_point_all_cones`` by default).  It takes
+    simplicialized and then drawn and split in ``chains.subdivide`` at the
+    points ``least`` draws (``least_box_point_all_cones`` by default).  It takes
     from ``pexpfan.fan`` only public names."""
     from pexpfan.chains import linked, subdivide
     from pexpfan.fan import SubdivisionMap
@@ -1040,9 +1047,9 @@ def resolve_all_cones(fan, rng=None, extra_rounds=0, least=None):
     index = {r: i for i, r in enumerate(fan.rays)}
     cells = linked([_all_cone_cell(rs, cone, index, source)
                     for source, (rs, cone) in enumerate(zip(fan.maximal_cones, fan.cone_objects))])
-    ref = AllConeRefinement(fan.rank, index, cells)
+    ref = AllConeRefinement(fan.rank, index, cells, least)
     pulled = ref.pull(rng)
-    stepped = subdivide(cells[0], least or least_box_point_all_cones, ref.split, rng, extra_rounds)
+    stepped = subdivide(cells[0], ref, rng, extra_rounds)
     return _all_cone_fine_map(fan, index, cells[0]) if stepped or pulled else SubdivisionMap.identity(fan)
 
 
@@ -1115,6 +1122,91 @@ def star_walls_scan(fan, face):
     where = {c: p for p, c in enumerate(fan._star[face])}
     return tuple((where[a], where[b], u) for (a, u), (b, _) in
                  (cones for cones in fan.walls.values() if len(cones) == 2) if a in where and b in where)
+
+
+def star_by_generator_subsets(fan):
+    """``fan._star`` as it was built before simplicial cones took their faces
+    as combinations of their ray sets: every generator subset of every cone
+    (``faces_as_generator_subsets``), mapped to its sorted ray indices, with
+    the maximal cones having it, in fan order."""
+    index = {r: i for i, r in enumerate(fan.rays)}
+    table = {}
+    for idx, cone in enumerate(fan.cone_objects):
+        for subset in cone.faces_as_generator_subsets():
+            table.setdefault(tuple(sorted(index[cone.generators[i]] for i in subset)), []).append(idx)
+    return {face: tuple(star) for face, star in table.items()}
+
+
+P61 = 2 ** 61 - 1
+
+
+def dual_basis(generators):
+    """The w_j with <w_j, g_k> = delta_jk for n independent integer vectors
+    g_k of rank n: the columns of (G^T)^-1, by one Gauss-Jordan elimination
+    over the rationals on [G^T | I] (n calls of ``solve_rational`` would
+    eliminate n times).  Each must be integral (a smooth cone)."""
+    n = len(generators)
+    a = [[Fraction(x) for x in g] + [Fraction(int(i == k)) for i in range(n)] for k, g in enumerate(generators)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                a[r] = [x - a[r][col] * y for x, y in zip(a[r], a[col])]
+    if any(x.denominator != 1 for row in a for x in row[n:]):
+        raise ValueError(f"the cone on {generators} is not smooth")
+    return [tuple(int(a[i][n + j]) for i in range(n)) for j in range(n)]
+
+
+def _monomial_at(t, w, p):
+    """t^w mod p, for t in (F_p^x)^n."""
+    value = 1
+    for x, e in zip(t, w):
+        value = value * pow(x, e, p) % p
+    return value
+
+
+def _at_point(poly, t, p):
+    """A Laurent polynomial's value mod p at the point t of (F_p^x)^n."""
+    return sum(c * _monomial_at(t, e, p) for e, c in poly.terms) % p
+
+
+def pairing_at_point(resolution, f, rayset, result, rng, p=P61):
+    """(the localization sum, ``result``) of the pairing <f, [O_{V(tau)}]>
+    with the coarse face tau on ``rayset``, both evaluated mod p at a point
+    t of (F_p^x)^n drawn from ``rng`` at which no 1 - t^w vanishes.
+
+    The sum runs over the fine cones sigma holding tau's strict transform,
+    the first face of the fine fan in ``faces`` order of tau's dimension
+    inside tau: f's value at sigma's coarse cone over the product of
+    1 - t^w for the weights w dual to sigma's rays (``dual_basis``) off that
+    face.  It equals the pairing in the fraction field of Z[M], so a wrong
+    result agrees at t with probability at most its degree over p
+    (Schwartz, JACM 1980; Zippel, 1979)."""
+    from pexpfan.fan import Cone
+
+    fine, coarse = resolution.fine, resolution.coarse
+    tau = Cone.from_generators(coarse.rank, [coarse.rays[i] for i in rayset])
+    face = next(face for face in fine.faces
+                if len(face) == tau.dim and all(tau.contains(fine.rays[i]) for i in face))
+    terms = []
+    for i, rs in enumerate(fine.maximal_cones):
+        if set(face) <= set(rs):
+            weights = dual_basis([fine.rays[j] for j in rs])
+            terms.append((f.values[resolution.assignment[i]], [w for j, w in zip(rs, weights) if j not in face]))
+    while True:
+        t = [rng.randrange(2, p) for _ in range(fine.rank)]
+        dens = []
+        for _, weights in terms:
+            den = 1
+            for w in weights:
+                den = den * (1 - _monomial_at(t, w, p)) % p
+            dens.append(den)
+        if all(dens):
+            break
+    total = sum(_at_point(value, t, p) * pow(den, -1, p) for (value, _), den in zip(terms, dens))
+    return total % p, _at_point(result, t, p)
 
 
 def total_excess_multiplicity(fan) -> int:

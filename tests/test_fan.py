@@ -62,6 +62,7 @@ from oracles import (
     smith_local_generators,
     smith_diagonal_oracle,
     solve_rational,
+    star_by_generator_subsets,
     star_quotient_oracle,
     stellar_all_cones,
     total_excess_multiplicity,
@@ -133,19 +134,20 @@ def least_box_point_listed(cell, draw):
 
 
 def box_points(cone):
-    """``fan._box_points`` of a singular simplicial cone, on its generators
+    """``chains._box_points`` of a singular simplicial cone, on its generators
     and multiplicity."""
-    return fan_module._box_points(cone.generators, cone.multiplicity())
+    return chains_module._box_points(cone.generators, cone.multiplicity())
 
 
 def least_box_points_drawn(cone):
-    """Every point ``resolve`` draws on the cell (``fan._cell``) of a
+    """Every point ``resolve`` draws on the cell (``chains._cell``) of a
     singular simplicial cone, one per index its draw may pick, in index
-    order: on the Hirzebruch-Jung walk for a 2-dimensional cone
-    (``chains.drawn_chain_point``), else by ``fan._least_box_point``."""
+    order, by ``chains._Refinement.least``: on the Hirzebruch-Jung walk for
+    a 2-dimensional cone, else from the listed parallelepiped."""
     rs = tuple(range(len(cone.generators)))
-    cell = fan_module._cell(rs, cone, {g: i for i, g in enumerate(cone.generators)}, 0)
-    least = chains_module.drawn_chain_point if cone.dim == 2 else fan_module._least_box_point
+    index = {g: i for i, g in enumerate(cone.generators)}
+    cell = chains_module._cell(rs, cone, index, 0)
+    least = chains_module._Refinement(cone.rank, index, [], [cone._coordinates]).least
     counts = []
     least(cell, lambda count: counts.append(count) or 0)
     return [least(cell, lambda count: i) for i in range(counts[0])]
@@ -602,6 +604,20 @@ class TestStarTable:
                  for cone in fan.cone_objects for subset in cone.faces_as_generator_subsets()}
         assert len(fan.faces) == len(faces) and set(fan.faces) == faces
 
+    def test_star_table_matches_the_generator_subset_loop(self, complete_corpus):
+        """The table, keys and star tuples, is the one the loop over every
+        cone's generator subsets built, simplicial cones now taking their
+        faces as combinations of their ray sets: on the corpus, on mixed
+        fans and on the 48-, 52- and 128-cone cube resolutions."""
+        cube = catalog.cube_fan()
+        fans = list(complete_corpus.values()) + random_mixed_fans(20261019, 30) + [
+            resolve(cube).fine, resolve(cube, rng=random.Random(99), extra_rounds=2).fine,
+            resolve(cube, rng=random.Random(5), extra_rounds=40).fine]
+        assert [len(fan.maximal_cones) for fan in fans[-3:]] == [48, 52, 128]
+        assert any(not cone.is_simplicial for fan in fans for cone in fan.cone_objects)
+        for fan in fans:
+            assert fan._star == star_by_generator_subsets(fan)
+
 
 class TestStarQuotient:
     """The star of a face projected to N/N_tau (``star_quotient_oracle``) is
@@ -917,7 +933,7 @@ class TestResolve:
         # their Cone from _least_box_point; both name the cone by its place
         # in fan order
         monkeypatch.setattr(chains_module, "least_chain_points", lambda g1, g2, mult: (1, (0, 0), (0, 0), 0))
-        monkeypatch.setattr(fan_module, "_least_box_point", lambda cell, draw: None)
+        monkeypatch.setattr(chains_module, "_least_box_point", lambda cell, draw: None)
         for fan, message in ((p112, "singular cone 1 "), (catalog.rank3_multiplicity3_fan(), "singular cone 0 ")):
             with pytest.raises(ResolutionCheckFailed, match=message + "has no parallelepiped points"):
                 resolve(fan)
@@ -927,7 +943,7 @@ class TestResolve:
     def test_a_step_that_keeps_the_excess_is_a_check_failure(self, p112, monkeypatch):
         # subdividing at a generator of the singular cone leaves the fan as it is
         monkeypatch.setattr(chains_module, "least_chain_points", chain_points(lambda g1, g2, mult: (mult, 0)))
-        monkeypatch.setattr(fan_module, "_least_box_point", lambda cell, draw: cell[1][0])
+        monkeypatch.setattr(chains_module, "_least_box_point", lambda cell, draw: cell[1][0])
         for fan, ray in ((p112, (-1, -2)), (catalog.rank3_multiplicity3_fan(), (0, 0, 1))):
             with pytest.raises(ResolutionCheckFailed,
                                match=re.escape(f"did not drop: subdividing at {ray} changed no cone")):
@@ -939,7 +955,7 @@ class TestResolve:
         # a point with a coefficient of 1 leaves a piece of the cone's own multiplicity
         monkeypatch.setattr(chains_module, "least_chain_points",
                             chain_points(lambda g1, g2, mult: (2 * mult, mult)))
-        monkeypatch.setattr(fan_module, "_least_box_point", lambda cell, draw: tuple(
+        monkeypatch.setattr(chains_module, "_least_box_point", lambda cell, draw: tuple(
             2 * x + sum(rest) for x, *rest in zip(*cell[1])))
         for fan, mult in ((p112, 2), (catalog.rank3_multiplicity3_fan(), 3)):
             with pytest.raises(ResolutionCheckFailed, match=(
@@ -955,7 +971,7 @@ class TestResolve:
         some step raises the total excess multiplicity, which the check on it
         refused: each piece of a step is still smaller than its cone."""
         fan = Fan.build(4, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), apex], [(0, 1, 2, 3)])
-        step, rises = fan_module._Refinement.step, []
+        step, rises = chains_module._Refinement.step, []
 
         def excess(ref):
             cells = {id(cell): cell for held in ref.incidence.values() for cell in held.values()}
@@ -967,7 +983,7 @@ class TestResolve:
             rises.append(excess(ref) >= before)
             return change
 
-        monkeypatch.setattr(fan_module._Refinement, "step", watched)
+        monkeypatch.setattr(chains_module._Refinement, "step", watched)
         sub = resolve(fan)
         assert any(rises) and sub.fine.is_smooth()
         assert all(fan.cone_objects[0].contains(r) for r in sub.fine.rays)
@@ -1052,9 +1068,9 @@ class TestResolve:
         """Resolving a rank-3 fan with 300 cones of multiplicity 2, the tied
         fan's cones coned over (0, 0, 1), runs one step per singular cone,
         each holding one cone, and looks up no fan position: it calls no
-        list.index.  Neither does the rank-2 tied fan, which makes no
-        refinement at all, nor the cube with extra rounds, whose steps hold
-        up to four cones."""
+        list.index.  Neither does the rank-2 tied fan, whose chain records
+        stay out of the incidence map and take no refinement step, nor the
+        cube with extra rounds, whose steps hold up to four cones."""
         m = 300
         fan = Fan.build(3, [(1, 2 * j, 0) for j in range(m + 1)] + [(0, 0, 1)],
                         [(j, j + 1, m + 1) for j in range(m)], validate=False)
@@ -1074,8 +1090,8 @@ class TestResolve:
             finally:
                 sys.setprofile(None)
 
-        step = fan_module._Refinement.step
-        monkeypatch.setattr(fan_module._Refinement, "step",
+        step = chains_module._Refinement.step
+        monkeypatch.setattr(chains_module._Refinement, "step",
                             lambda ref, ray, holding, *known: steps.append(len(holding)) or step(ref, ray, holding, *known))
         assert profiled(fan).fine.is_smooth()
         assert steps == [1] * m and lookups == []
@@ -1083,9 +1099,12 @@ class TestResolve:
         cube = profiled(catalog.cube_fan(), rng=random.Random(3), extra_rounds=2)
         assert len(cube.fine.maximal_cones) == 52
         assert max(steps) > 1 and lookups == []
-        monkeypatch.setattr(fan_module._Refinement, "__init__", lambda ref, fan: steps.append(fan))
+        init, entered = chains_module._Refinement.__init__, []
+        monkeypatch.setattr(chains_module._Refinement, "__init__",
+                            lambda ref, *args: init(ref, *args) or entered.append(ref.incidence))
         steps.clear()
         assert profiled(tied_singular_fan(m)).fine.is_smooth() and steps == [] and lookups == []
+        assert entered == [{}]
 
     def test_identity_composition(self, p112):
         ident = SubdivisionMap.identity(p112)
@@ -1119,12 +1138,12 @@ class TestResolve:
         ``_fine_map`` with no ``Fan.build``."""
         n = 200
         fan = Fan.build(2, [(1, 0), (1, n)], [(0, 1)])
-        contains, build, fine_map, calls = Cone.contains, Fan.build, fan_module._fine_map, []
+        contains, build, fine_map, calls = Cone.contains, Fan.build, chains_module._fine_map, []
         monkeypatch.setattr(Cone, "contains",
                             lambda cone, v: calls.append("contains") or contains(cone, v))
         monkeypatch.setattr(Fan, "build",
                             staticmethod(lambda *a, **k: calls.append("build") or build(*a, **k)))
-        monkeypatch.setattr(fan_module, "_fine_map", lambda *a: calls.append("fine") or fine_map(*a))
+        monkeypatch.setattr(chains_module, "_fine_map", lambda *a: calls.append("fine") or fine_map(*a))
         resolve(fan)
         assert calls.count("contains") <= 2 * n and calls.count("fine") == 1 and "build" not in calls
 
@@ -1146,17 +1165,17 @@ class TestResolve:
             monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         init = Cone.__init__
         monkeypatch.setattr(Cone, "__init__", lambda self, *a: calls.append("Cone") or init(self, *a))
-        monkeypatch.setattr(fan_module._Refinement, "step", lambda *a: calls.append("step"))
+        monkeypatch.setattr(chains_module._Refinement, "step", lambda *a: calls.append("step"))
         fine = resolve(fan).fine
         assert len(fine.maximal_cones) == 41 and calls == []
         assert fine.is_smooth() and calls.count("adjugate") == calls.count("Cone") == 41
 
     def test_extra_rounds_build_one_fine_fan(self, cube, monkeypatch):
         # one _fine_map per resolve, and no Fan.build inside it
-        build, fine_map, calls = Fan.build, fan_module._fine_map, []
+        build, fine_map, calls = Fan.build, chains_module._fine_map, []
         monkeypatch.setattr(Fan, "build",
                             staticmethod(lambda *a, **k: calls.append("build") or build(*a, **k)))
-        monkeypatch.setattr(fan_module, "_fine_map", lambda *a: calls.append("fine") or fine_map(*a))
+        monkeypatch.setattr(chains_module, "_fine_map", lambda *a: calls.append("fine") or fine_map(*a))
         sub = resolve(cube, rng=random.Random(5), extra_rounds=40)
         assert calls == ["fine"] and len(sub.fine.maximal_cones) == 128
 
@@ -1166,7 +1185,7 @@ class TestResolve:
          "simplicialization did not terminate"),
     ], ids=["no-change", "no-progress"])
     def test_a_stalled_simplicialization_is_a_check_failure(self, cube, monkeypatch, step, message):
-        monkeypatch.setattr(fan_module._Refinement, "step", step)
+        monkeypatch.setattr(chains_module._Refinement, "step", step)
         with pytest.raises(ResolutionCheckFailed, match=message):
             resolve(cube)
 
@@ -1192,13 +1211,13 @@ class TestResolve:
         # <e1, e2, (-1,-1,3)>, (0,0,1), drawn doubled: both pieces through
         # (0,0,2) drop to multiplicity 2, and the next step, at (0,0,1),
         # leaves (0,0,2) on no cone
-        drawn, least = [], fan_module._least_box_point
+        drawn, least = [], chains_module._least_box_point
 
         def doubled(cell, draw):
             drawn.append(least(cell, draw))
             return vec_scale(2, drawn[-1]) if len(drawn) == 1 else drawn[-1]
 
-        monkeypatch.setattr(fan_module, "_least_box_point", doubled)
+        monkeypatch.setattr(chains_module, "_least_box_point", doubled)
         fan = Fan.build(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 3)], [(0, 1, 2)])
         with pytest.raises(ResolutionCheckFailed, match=re.escape(
                 "the refinement's ray (0, 0, 2) is not a primitive vector of rank 3")):
@@ -1206,10 +1225,15 @@ class TestResolve:
         assert drawn == [(0, 0, 1), (0, 0, 1)]
 
     def test_a_repeated_ray_set_is_not_a_fan(self, p112, monkeypatch):
-        # the rank-2 path reads its cells in fan order only to build the fine
-        # fan: give it the last cell twice
-        monkeypatch.setattr(fan_module, "fan_order", lambda cell: (lambda cells: cells + cells[-1:])(
-            chains_module.fan_order(cell)))
+        # hand the fine fan's builder the cells in fan order with the last
+        # one twice
+        fine_map = chains_module._fine_map
+
+        def doubled_last(coarse, rays, first, frames):
+            cells = chains_module.fan_order(first)
+            return fine_map(coarse, rays, chains_module.linked(cells + [list(cells[-1])])[0], frames)
+
+        monkeypatch.setattr(chains_module, "_fine_map", doubled_last)
         for fan in (p112, catalog.singular_quadric_cone_fan()):
             with pytest.raises(NotAFan, match="^duplicate maximal cones$"):
                 resolve(fan)
@@ -1221,7 +1245,9 @@ class TestResolve:
         with pytest.raises(NotAFan, match="^every ray must appear in some maximal cone$"):
             stellar_subdivision(fan, (1, 2))
         # the resolution of <(1,0),(1,2)> without its first cell, <(1,0),(1,1)>
-        monkeypatch.setattr(fan_module, "fan_order", lambda cell: chains_module.fan_order(cell)[1:])
+        fine_map = chains_module._fine_map
+        monkeypatch.setattr(chains_module, "_fine_map",
+                            lambda coarse, rays, first, frames: fine_map(coarse, rays, first[6], frames))
         with pytest.raises(NotAFan, match="^every ray must appear in some maximal cone$"):
             resolve(catalog.singular_quadric_cone_fan())
 
@@ -1262,7 +1288,7 @@ class TestResolve:
 
     def test_a_point_outside_the_chosen_cone_is_a_check_failure(self, p112, monkeypatch):
         monkeypatch.setattr(chains_module, "least_chain_points", chain_points(lambda g1, g2, mult: (-mult, 0)))
-        monkeypatch.setattr(fan_module, "_least_box_point",
+        monkeypatch.setattr(chains_module, "_least_box_point",
                             lambda cell, draw: tuple(-x for x in cell[1][0]))
         for fan, ray in ((p112, (1, 2)), (catalog.rank3_multiplicity3_fan(), (0, 0, -1))):
             with pytest.raises(ResolutionCheckFailed,
@@ -1281,7 +1307,7 @@ class TestResolve:
         # all-Cone path refuses both
         fan = Fan.build(3, [(1, 0, 0), (1, 2, 0), (0, 0, 1)], [(0, 1), (2,)])
         least = lambda cell, draw: point(*cell[1])
-        monkeypatch.setattr(fan_module, "drawn_chain_point", least)
+        monkeypatch.setattr(chains_module._Refinement, "least", lambda ref, cell, draw: least(cell, draw))
         with pytest.raises(ResolutionCheckFailed, match=re.escape(f"{ray} does not lie in the cone it subdivides")):
             resolve(fan)
         (chained, _), (general, _) = resolve_both_ways(fan, least=least)
@@ -1312,8 +1338,8 @@ class TestResolve:
         serialized resolutions equal those of the all-Cone path (compared
         directly in rank 2, where chain records run no refinement step),
         pinned by their digest."""
-        step_through, init = fan_module._Refinement.step, fan_module._Refinement.__init__
-        chain_split = fan_module.chain_split
+        step_through, init = chains_module._Refinement.step, chains_module._Refinement.__init__
+        split_through = chains_module._Refinement.split
         steps, splits, fresh = [], [], functools.cache(Cone.from_generators)
 
         def check_pieces(rays, frames, replaced):
@@ -1327,20 +1353,19 @@ class TestResolve:
                         assert frames[source] is None and cone.dim == len(gens) == len(rays[0])
                         assert mult == abs(det_expansion(gens)) and slot == list(cone._scaled_inverse)
 
-        def chain_checked(index, frames):
-            split = chain_split(index, frames)
-
-            def checked_split(cell, x):
-                change = split(cell, x)
-                check_pieces(list(index), frames, change or ())
-                splits.append(x)
-                return change
-            return checked_split
+        def chain_checked(ref, cell, x):
+            if len(cell[1]) > 2:
+                return split_through(ref, cell, x)
+            change = split_through(ref, cell, x)
+            check_pieces(list(ref.ray_index), ref.frames, change or ())
+            splits.append(x)
+            return change
 
         def first_kept(ref, rank, index, cells, frames):
-            # every cell of these fans of rank >= 3 is in the refinement, so the first is the fan's
+            # every cell of these fans of rank >= 3 is in the refinement, so the
+            # first is the fan's; rank 2 enters none
             init(ref, rank, index, cells, frames)
-            ref.first = cells[0]
+            ref.first = cells[0] if cells else None
 
         def cone_of(ref, cell):
             return cell[5] if isinstance(cell[5], Cone) else fresh(ref.rank, cell[1])
@@ -1374,9 +1399,9 @@ class TestResolve:
             steps.append(ray)
             return change
 
-        monkeypatch.setattr(fan_module._Refinement, "step", checked)
-        monkeypatch.setattr(fan_module._Refinement, "__init__", first_kept)
-        monkeypatch.setattr(fan_module, "chain_split", chain_checked)
+        monkeypatch.setattr(chains_module._Refinement, "step", checked)
+        monkeypatch.setattr(chains_module._Refinement, "__init__", first_kept)
+        monkeypatch.setattr(chains_module._Refinement, "split", chain_checked)
         cases = step_cases()
         docs = []
         for fan, seed, extra in cases:
@@ -1683,8 +1708,8 @@ class TestLeastBoxPoints:
                     assert not isinstance(chained[0], tuple), chained
 
     def test_only_cones_of_dim_3_or_more_list_their_parallelepiped(self, monkeypatch):
-        listed, cells = fan_module._box_points, []
-        monkeypatch.setattr(fan_module, "_box_points",
+        listed, cells = chains_module._box_points, []
+        monkeypatch.setattr(chains_module, "_box_points",
                             lambda gens, mult: cells.append(gens) or listed(gens, mult))
         assert resolve(Fan.build(2, [(1, 0), (1, 1000)], [(0, 1)])).fine.is_smooth()
         assert cells == []
@@ -1856,7 +1881,7 @@ class TestAgainstOracles:
 
     def test_least_box_points_match_the_listing_on_noncyclic_groups(self):
         """On seeded simplicial cones of dim 3 to 5, in ambient rank dim or
-        dim + 1 and of multiplicity up to 10^4, ``fan._box_points`` is the
+        dim + 1 and of multiplicity up to 10^4, ``chains._box_points`` is the
         least slice of the listed parallelepiped.  Each cone's generators are
         the columns of E U diag(factors) W, for unimodular U and W and the
         first dim columns E of a unimodular matrix, so its group is the sum
@@ -1896,7 +1921,7 @@ class TestAgainstOracles:
         refused as not strongly convex exactly when its facet normals have
         too small a rank, and the faces of a non-simplicial cone are those
         of the closure loop; and the listed parallelepiped points, and the
-        least slice ``fan._box_points`` maps, are those of the bounding-box
+        least slice ``chains._box_points`` maps, are those of the bounding-box
         scan wherever it is small."""
         rng = random.Random(20261018)
         cases = []
@@ -1948,7 +1973,7 @@ def assert_box_points_by_definition(cone):
     """The listed parallelepiped points are mult - 1 distinct points of the
     span, each with coefficients 0 <= lambda < 1 on the generators, keyed by
     mult * sum(lambda); those of least key, in ascending order, are the
-    points of ``fan._box_points``."""
+    points of ``chains._box_points``."""
     box, mult = box_points_listing(cone), cone.multiplicity()
     assert len(box) == len({x for _, x in box}) == mult - 1
     cols = tuple(zip(*cone.generators))

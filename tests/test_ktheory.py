@@ -47,6 +47,7 @@ from oracles import (
     det_expansion,
     euler_characteristic,
     merge_rounds_by_dicts,
+    pairing_at_point,
     plan_tables_by_occurrence,
     random_cartier_combination,
     random_complete_rank2_data,
@@ -638,6 +639,45 @@ def line_bundle_classes(fan):
     if fan == catalog.cube_fan():
         return [unit, catalog.octahedron_class(fan)]
     return [unit]
+
+
+class TestPairingsAtAPoint:
+    """Every pairing is checked by evaluating its localization sum and its
+    result at a seeded point of (F_p^x)^n, p = 2^61 - 1
+    (``pairing_at_point``, with its own dual bases), where the result plus 1
+    is refused."""
+
+    @pytest.mark.parametrize("name", ["p1", "p2", "p1xp1", "hirzebruch2", "p112", "cube"])
+    def test_every_corpus_pairing_agrees_at_a_point(self, name, complete_corpus):
+        # every class at every face, through the resolutions with 0-2 extra rounds
+        fan = complete_corpus[name]
+        classes = line_bundle_classes(fan)
+        classes.append(random_cartier_combination(fan, classes, random.Random(20261022)))
+        checked = 0
+        for rounds in range(3):
+            r = resolve(fan, rng=random.Random(rounds), extra_rounds=rounds)
+            for face in fan.faces:
+                for k, f in enumerate(classes):
+                    result = kronecker_pair(fan, f, face, resolution=r)
+                    total, value = pairing_at_point(r, f, face, result, random.Random(checked))
+                    assert total == value, (rounds, face, k)
+                    wrong = pairing_at_point(r, f, face, result + LaurentPoly.one(fan.rank), random.Random(checked))
+                    assert wrong[0] == total and wrong[1] != total, (rounds, face, k)
+                    checked += 1
+        assert checked == 3 * len(fan.faces) * len(classes)
+
+    def test_the_unit_chi_on_the_4_cube_checks_at_a_point(self):
+        """The zero face of the 384-cone resolution of the 4-cube's face fan,
+        whose ungrouped fold takes minutes, is checked at two points."""
+        fan = four_cube_fan()
+        r = resolve(fan)
+        one = PiecewiseExponential.constant(fan, 1)
+        result = chi(fan, one, resolution=r)
+        assert len(r.fine.maximal_cones) == 384 and result == LaurentPoly.one(4)
+        for seed in (1, 2):
+            total, value = pairing_at_point(r, one, (), result, random.Random(seed))
+            assert total == value
+            assert pairing_at_point(r, one, (), result + LaurentPoly.one(4), random.Random(seed))[1] != total
 
 
 class TestChiIsTheZeroConePairing:

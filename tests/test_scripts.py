@@ -120,25 +120,35 @@ def test_unreached_lines_lists_what_a_test_file_misses():
     # the test assigns to a field, which runs the one line of value_class's __setattr__
     _, setattr_body = _docstring_and_body_lines(REPO / "src/pexpfan/lattice.py", "__setattr__")
     assert setattr_body and not setattr_body & listed["src/pexpfan/lattice.py"]
-    _, resolve = _docstring_and_body_lines(REPO / "src/pexpfan/fan.py", "resolve")
-    assert listed["src/pexpfan/fan.py"] & resolve
+    _, resolve = _docstring_and_body_lines(REPO / "src/pexpfan/chains.py", "resolve")
+    assert listed["src/pexpfan/chains.py"] & resolve
     for path, lines in listed.items():
         docs, _ = _docstring_and_body_lines(REPO / path, "")
         assert not lines & docs, path
 
 
 def test_scale_rows_quick_prints_every_row():
+    rows = {
+        "complete", "resolve_tied", "resolve_tied_rng1", "resolve_tied3", "resolve_a", "resolve_r3",
+        "resolve_r4", "resolve_dim2", "chi_rank2", "chi_cube128", "chi_octahedron", "chi_octahedron_warm",
+        "gram_cube", "chi_wps", "gkm_violations", "gkm_report", "validate_r3", "descend_r3",
+        "planless_shuffled", "decompose_dependent", "decompose_p1n", "decompose_wps"}
     proc = run_script("scale_rows.py", "--quick")
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert all(set(line) == {"row", "size", "median_s", "repeats"} for line in lines)
     assert all(line["median_s"] >= 0 and line["repeats"] == 1 for line in lines)
-    assert {line["row"] for line in lines} == {
-        "complete", "resolve_tied", "resolve_tied_rng1", "resolve_tied3", "resolve_a", "resolve_r3",
-        "resolve_r4", "resolve_dim2", "chi_rank2", "chi_cube128", "chi_octahedron", "chi_octahedron_warm",
-        "gram_cube", "chi_wps", "gkm_violations", "gkm_report", "validate_r3", "descend_r3",
-        "planless_shuffled", "decompose_dependent", "decompose_p1n", "decompose_wps"}
+    assert {line["row"] for line in lines} == rows
     assert len(lines) == 34
+    # this checkout against itself, each side in its own worker: both
+    # medians and their ratio on every row and size
+    proc = run_script("scale_rows.py", "--quick", "--against", ".")
+    assert proc.returncode == 0, proc.stderr
+    paired = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert all(set(line) == {"row", "size", "median_s", "against_median_s", "ratio", "repeats"} for line in paired)
+    assert all(line["median_s"] > 0 and line["against_median_s"] > 0 and line["repeats"] == 1 for line in paired)
+    assert all(line["ratio"] == line["median_s"] / line["against_median_s"] for line in paired)
+    assert [(line["row"], line["size"]) for line in paired] == [(line["row"], line["size"]) for line in lines]
 
 
 def test_bytecode_count_repeats_exactly():

@@ -3,10 +3,10 @@ no ``assert`` statement (the optimizer strips it) and no ``fractions`` import
 (exact work stays in integers and Z[M]).  One rule keeps lattice coordinates
 in one place: ``smith_normal_form`` is called only from
 ``fan.span_coordinates``; another keeps one way to pick a resolve point:
-``fan._box_points``, which takes a record's generators and multiplicity, is
-called only from ``fan._least_box_point``, no ``_Progression``, ``_least_box_points``,
+``chains._box_points``, which takes a record's generators and multiplicity, is
+called only from ``chains._least_box_point``, no ``_Progression``, ``_least_box_points``,
 ``_seed_cone_objects``, ``subdivision``, ``_refine``, ``chain_cells`` or
-``chain_point`` is defined, and ``fan._Refinement`` keeps no ``stepped``; a
+``chain_point`` is defined, and ``chains._Refinement`` keeps no ``stepped``; a
 third
 keeps one way to pair: ``orbit_closure_class`` has no caller in the
 package; a fourth keeps one face enumeration per fan:
@@ -20,11 +20,11 @@ cone coordinates in ``pexp``: ``ktheory.py`` calls neither ``pullback`` nor
 read only in ``coerce_values`` (the one projector of ambient values) and
 ``_comparison_matrix``; an
 eighth keeps one facet table per cone: ``extreme_rays_of_region`` is called
-only from ``Cone.facets`` and ``Fan._check_pair``, ``fan._Refinement``
+only from ``Cone.facets`` and ``Fan._check_pair``, ``chains._Refinement``
 reads no ``_adjugate``, ``_smallest_face`` or ``_scaled_inverse`` (a
 record's smallest face is the support of its coefficients c = S y), and
-in ``fan.py`` outside ``Cone`` only ``_cell`` reads ``_scaled_inverse``,
-once per simplicial cell it makes; a ninth keeps start-up cheap:
+outside ``Cone`` only ``chains._cell`` reads ``_scaled_inverse``, once per
+simplicial cell it makes; a ninth keeps start-up cheap:
 no module imports ``dataclasses`` (value classes come from
 ``lattice.value_class``), and a fresh ``import pexpfan.cli`` loads none of
 ``dataclasses``, ``inspect``, ``ast`` and ``dis``, nor ``import pexpfan``
@@ -49,47 +49,51 @@ and the greedy pick by denominator overlap is made only in the fallback of
 ``_Plan.run``, when no wall joins what is left; a twelfth keeps every simplicial cone on its one
 adjugate, in one coordinate frame per cone: ``fan.py`` imports ``adjugate``
 by name and calls it only in ``Cone._adjugate``, does not import ``prod``,
-reads ``Cone._span`` only in ``Cone._coordinates``, and calls
-``span_coordinates`` only in ``Cone._span``, ``Fan.face_quotient`` and
-``_box_points`` (whose residues need the Smith form): a cone takes a frame,
-and a fine cone its record's (mult, S) as its ``_adjugate``, only in
-``fan._framed``, which ``_Refinement.step`` and ``_fine_map`` hand a frame
-from the one table of coarse frames that ``resolve`` and
-``stellar_subdivision`` each build once, the only readers of
+reads ``Cone._span`` only in ``Cone._coordinates``, and ``span_coordinates``
+is called only in ``Cone._span``, ``Fan.face_quotient`` and
+``chains._box_points`` (whose residues need the Smith form): a cone takes a
+frame, and a fine cone its record's (mult, S) as its ``_adjugate``, only in
+``fan._framed``, which ``chains._Refinement.step`` and ``chains._fine_map``
+hand a frame from the one table of coarse frames that ``chains.resolve``
+and ``chains.stellar_subdivision`` each build once, the only readers of
 ``_coordinates`` outside ``Cone`` but ``Fan._check_pair``; and
 ``Cone.facets``
 calls ``extreme_rays_of_region`` only in its branch for a non-simplicial
 cone; a
 thirteenth keeps one Hirzebruch-Jung walk: ``least_chain_points`` is defined
-once, in ``chains.py``, and called only from ``chains.drawn_chain_point``,
-the one drawn chain point, the ``least`` of a chain record (a record of at
-most two generators, whose local vectors it reads off its S), which only
-``fan.resolve`` names, no ``resolve_rank2`` is defined, and
-``chains.py`` imports nothing from ``fan``; a fourteenth keeps exact
+once, in ``chains.py``, and called only from ``_Refinement.least``, which
+draws a chain record (a record of at most two generators, whose local
+vectors it reads off its S) on it, no ``resolve_rank2``,
+``drawn_chain_point`` or ``chain_split`` is defined, and the walk and the
+chain record's draw and split name no ``Cone``, adjugate, Smith form or
+``Fan``; a fourteenth keeps exact
 division to one fill: there is no ``_packed_lines``, only
 ``laurent._line_sums_vanish`` names the lines e + Z*w, but for the exact count
 ``_quotient_size``; ``_packed_divide`` sums the lines and then counts only
 past the bound of its term budget, ``koszul_divides`` sums them, and every power
 ``merge`` multiplies a numerator by is positive; a fifteenth keeps one
 subdivision loop for every resolve, on one kind of cell: the messages of
-its checks appear only in ``chains.subdivide``, which only ``fan.resolve``
-calls, and ``resolve`` compares no rank; the package calls no ``.index``,
-``fan._Refinement`` keeps no ``order``, ``_ids`` or ``cones``, and no
-``Cone`` is built for a record's step, of either kind: ``chains.py`` names
-no ``Cone``, ``fan._piece`` names neither ``Cone`` nor ``_framed``, and
-``fan.py`` builds one only in ``Cone.from_generators`` and ``_framed``;
-``chains.py`` defines no ``chain_record``, every cell of a maximal cone is
-made by ``fan._cell``, named only in ``_cells`` (mapped over every maximal
-cone), which only ``resolve`` and ``stellar_subdivision`` call, and in
-``_Refinement.step``, and neither ``_fine_map`` nor ``_by_kind`` tests a
-cell's slot 5 for a ``tuple``, ``_by_kind`` picking the chain path by
-generator count; a sixteenth keeps one quotient path:
+its checks appear only in ``chains.subdivide``, which only ``chains.resolve``
+calls, with its one ``_Refinement`` and no callable, and ``resolve``
+compares no rank; the package calls no ``.index``, ``chains._Refinement``
+keeps no ``order``, ``_ids`` or ``cones``, and no ``Cone`` is built for a
+record's step, of either kind: ``chains.py`` calls no ``Cone``,
+``chains._piece`` names neither ``Cone`` nor ``_framed``, and ``fan.py``
+builds one only in ``Cone.from_generators`` and ``_framed``; no
+``chain_record`` or ``_by_kind`` is defined, every cell of a maximal cone
+is made by ``chains._cell``, named only in ``_cells`` (mapped over every
+maximal cone), which only ``resolve`` and ``stellar_subdivision`` call, and
+in ``_Refinement.step``, ``_fine_map`` tests no cell's slot 5 for a
+``tuple``, and ``_Refinement.least`` and ``split`` pick the chain path by
+generator count; ``fan.py`` keeps the geometry: it defines and indexes no
+cell, and ends by importing ``resolve`` and ``stellar_subdivision`` from
+``chains``, its only import from there; a sixteenth keeps one quotient path:
 the package defines no ``star_quotient``, ``span_quotients``,
 ``unimodular_inverse``, ``NotUnimodular``, ``project_vector`` or
 ``augment``; a seventeenth keeps resolve on the refinement's own data:
 ``Cone.from_generators`` is called only from ``Fan.cone_objects`` and
 ``ktheory._pairing_series`` (the strict-transform face, once per face), so never from
-``fan._Refinement``, and ``Fan.build`` is called in ``fan.py`` only from
+``chains._Refinement``, and ``Fan.build`` is called in ``fan.py`` only from
 ``Fan.from_json`` and nowhere in ``chains.py``, so no function of the resolve
 path calls it; an eighteenth keeps one elimination for linear independence:
 no ``_rank_mod_p`` or ``_PRIME`` is defined, no ``pow(..., -1, ...)`` inverts
@@ -169,17 +173,17 @@ def test_box_points_listed_only_for_the_least_box_points():
     # a record draws its one point in _least_box_point, on one resolve path,
     # from its generators and multiplicity, and a refinement reports its
     # changes only through its step's value
-    assert _callers("_box_points") == {("fan.py", "_least_box_point")}
+    assert _callers("_box_points") == {("chains.py", "_least_box_point")}
     defined = {node.name for path in SOURCES for _, node in
                _nodes(ast.parse(path.read_text()), (ast.FunctionDef, ast.ClassDef))}
     assert defined.isdisjoint({"_Progression", "_least_box_points", "_seed_cone_objects", "subdivision",
                                "_refine", "chain_cells", "chain_point"})
-    fan = ast.parse(next(p for p in SOURCES if p.name == "fan.py").read_text())
-    refinement = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "_Refinement")
+    chains = ast.parse(next(p for p in SOURCES if p.name == "chains.py").read_text())
+    refinement = next(c for _, c in _nodes(chains, ast.ClassDef) if c.name == "_Refinement")
     assert "stepped" not in {a.attr for _, a in _nodes(refinement, ast.Attribute)}
-    box_points = next(f for _, f in _nodes(fan, ast.FunctionDef) if f.name == "_box_points")
+    box_points = next(f for _, f in _nodes(chains, ast.FunctionDef) if f.name == "_box_points")
     assert [a.arg for a in box_points.args.args] == ["generators", "mult"] and not box_points.args.kwonlyargs
-    least = next(f for _, f in _nodes(fan, ast.FunctionDef) if f.name == "_least_box_point")
+    least = next(f for _, f in _nodes(chains, ast.FunctionDef) if f.name == "_least_box_point")
     assert [ast.unparse(c) for _, c in _nodes(least, ast.Call) if ast.unparse(c.func) == "_box_points"] == [
         "_box_points(cell[1], cell[3])"]
 
@@ -232,15 +236,15 @@ def test_face_questions_read_the_facet_table():
     # cone reads them, and a record's smallest face is the support of its
     # coefficients, read off the S it takes from its cone once, in _cell
     assert _callers("extreme_rays_of_region") == {("fan.py", "facets"), ("fan.py", "_check_pair")}
-    path = next(p for p in SOURCES if p.name == "fan.py")
-    tree = ast.parse(path.read_text(), filename=str(path))
-    refinement = next(c for _, c in _nodes(tree, ast.ClassDef) if c.name == "_Refinement")
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+    refinement = next(c for _, c in _nodes(trees["chains.py"], ast.ClassDef) if c.name == "_Refinement")
     assert [(where, a.attr) for where, a in _nodes(refinement, ast.Attribute)
             if a.attr in ("_adjugate", "_scaled_inverse", "_smallest_face")] == []
-    cone = next(c for _, c in _nodes(tree, ast.ClassDef) if c.name == "Cone")
+    cone = next(c for _, c in _nodes(trees["fan.py"], ast.ClassDef) if c.name == "Cone")
     inside = {id(a) for _, a in _nodes(cone, ast.Attribute)}
-    assert [where for where, a in _nodes(tree, ast.Attribute)
-            if a.attr == "_scaled_inverse" and id(a) not in inside] == ["_cell"]
+    assert [(name, where) for name, tree in trees.items() if name in ("fan.py", "chains.py")
+            for where, a in _nodes(tree, ast.Attribute)
+            if a.attr == "_scaled_inverse" and id(a) not in inside] == [("chains.py", "_cell")]
 
 
 def test_no_module_imports_dataclasses():
@@ -383,8 +387,9 @@ def test_every_simplicial_cone_reads_its_adjugate():
     # table of frames, handed over only by _framed,
     # which also hands a fine cone its record's (mult, S); the Smith form serves
     # only the frame of a cone below full dimension, a face quotient and the
-    # residues of _box_points
+    # residues of chains._box_points
     fan = ast.parse(next(p for p in SOURCES if p.name == "fan.py").read_text())
+    chains = ast.parse(next(p for p in SOURCES if p.name == "chains.py").read_text())
     from_lattice = {a.name for _, node in _nodes(fan, ast.ImportFrom) if node.module == "lattice"
                     for a in node.names}
     assert "adjugate" in from_lattice
@@ -394,22 +399,22 @@ def test_every_simplicial_cone_reads_its_adjugate():
     readers = {where for where, a in _nodes(fan, ast.Attribute) if a.attr == "_span"}
     assert readers == {"_coordinates"}
     assert _callers("span_coordinates") == {("fan.py", "_span"), ("fan.py", "face_quotient"),
-                                            ("fan.py", "_box_points")}
-    refinement = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "_Refinement")
-    assert {where for where, a in _nodes(refinement, ast.Attribute) if a.attr == "_span"} == set()
-    handed = [(where, ast.unparse(node)) for where, node in _nodes(fan, ast.Assign)
+                                            ("chains.py", "_box_points")}
+    assert {where for where, a in _nodes(chains, ast.Attribute) if a.attr == "_span"} == set()
+    handed = [(where, ast.unparse(node)) for tree in (fan, chains) for where, node in _nodes(tree, ast.Assign)
               if any(isinstance(t, ast.Subscript) and ast.unparse(t.slice) in ("'_coordinates'", "'_adjugate'")
                      for t in node.targets)]
     assert handed == [("_framed", "cone.__dict__['_coordinates'] = frame"),
                       ("_framed", "cone.__dict__['_adjugate'] = inverse")]
-    frames = {(where, ast.unparse(call.args[2])) for where, call in _nodes(fan, ast.Call)
+    frames = {(where, ast.unparse(call.args[2])) for tree in (fan, chains) for where, call in _nodes(tree, ast.Call)
               if getattr(call.func, "id", None) == "_framed"}
     assert frames == {("step", "self.frames[cell[4]]"), ("_fine_map", "frames[s]")}
     # the one table of coarse frames, built once per resolve and stellar subdivision
     cone = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "Cone")
     inside = {id(a) for _, a in _nodes(cone, ast.Attribute)}
-    assert sorted(where for where, a in _nodes(fan, ast.Attribute)
-                  if a.attr == "_coordinates" and id(a) not in inside and where != "_check_pair") == [
+    assert {where for where, a in _nodes(fan, ast.Attribute)
+            if a.attr == "_coordinates" and id(a) not in inside} == {"_check_pair"}
+    assert sorted(where for where, a in _nodes(chains, ast.Attribute) if a.attr == "_coordinates") == [
         "resolve", "stellar_subdivision"]
     cone = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "Cone")
     facets = next(f for _, f in _nodes(cone, ast.FunctionDef) if f.name == "facets")
@@ -423,20 +428,24 @@ def test_every_simplicial_cone_reads_its_adjugate():
 
 
 def test_the_chain_walk_is_defined_once_and_needs_no_fan():
-    # chain records of every rank read one walk and draw one point, kept out
-    # of fan.py, whose compiled size sets start-up memory
+    # chain records of every rank read one walk and draw one point, in the
+    # one refinement that draws and splits every cell; the walk, the draw and
+    # the split of a chain record run on the integers of its S and of the
+    # point, with no cone, adjugate, Smith form or fan
     defined = {(path.name, where) for path in SOURCES
                for where, f in _nodes(ast.parse(path.read_text()), ast.FunctionDef)
-               if f.name in ("least_chain_points", "resolve_rank2")}
+               if f.name in ("least_chain_points", "resolve_rank2", "drawn_chain_point", "chain_split")}
     assert defined == {("chains.py", None)}
-    assert _callers("least_chain_points") == {("chains.py", "drawn_chain_point")}
-    named = {(path.name, where) for path in SOURCES for where, n in _nodes(ast.parse(path.read_text()), ast.Name)
-             if n.id == "drawn_chain_point"}
-    assert named == {("fan.py", "resolve")}
+    assert _callers("least_chain_points") == {("chains.py", "least")}
     chains = ast.parse(next(p for p in SOURCES if p.name == "chains.py").read_text())
-    imported = [node.module or "" for _, node in _nodes(chains, ast.ImportFrom)]
-    imported += [a.name for _, node in _nodes(chains, (ast.Import, ast.ImportFrom)) for a in node.names]
-    assert imported and not [m for m in imported if "fan" in m.split(".")]
+    refinement = next(c for _, c in _nodes(chains, ast.ClassDef) if c.name == "_Refinement")
+    methods = {f.name: f for f in refinement.body if isinstance(f, ast.FunctionDef)}
+    walk = next(f for f in chains.body if isinstance(f, ast.FunctionDef) and f.name == "least_chain_points")
+    for f in (walk, methods["least"], methods["split"]):
+        names = {n.id for n in ast.walk(f) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(f) if isinstance(n, ast.Attribute)}
+        assert names.isdisjoint({"Cone", "Fan", "adjugate", "_adjugate", "_scaled_inverse", "smith_normal_form",
+                                 "span_coordinates", "_framed"}), f.name
 
 
 def test_one_subdivision_loop_checks_every_resolve():
@@ -450,34 +459,65 @@ def test_one_subdivision_loop_checks_every_resolve():
                for where, c in _nodes(ast.parse(path.read_text()), ast.Constant)
                if isinstance(c.value, str) and any(m in c.value for m in messages)}
     assert raisers == {("chains.py", "subdivide")}
-    assert _callers("subdivide") == {("fan.py", "resolve")}
+    assert _callers("subdivide") == {("chains.py", "resolve")}
     assert _callers("index") == set()
     fan = ast.parse(next(p for p in SOURCES if p.name == "fan.py").read_text())
-    resolve = next(f for _, f in _nodes(fan, ast.FunctionDef) if f.name == "resolve")
-    assert not [ast.unparse(c) for c in ast.walk(resolve) if isinstance(c, ast.Compare) and "rank" in ast.unparse(c)]
     chains = ast.parse(next(p for p in SOURCES if p.name == "chains.py").read_text())
-    assert "Cone" not in {n.id for n in ast.walk(chains) if isinstance(n, ast.Name)}
+    functions = {f.name: f for _, f in _nodes(chains, ast.FunctionDef)}
+    resolve = functions["resolve"]
+    assert not [ast.unparse(c) for c in ast.walk(resolve) if isinstance(c, ast.Compare) and "rank" in ast.unparse(c)]
+    assert "Cone" not in {getattr(call.func, "id", None) for _, call in _nodes(chains, ast.Call)}
     assert {where for where, call in _nodes(fan, ast.Call)
             if getattr(call.func, "id", None) == "Cone"} == {"from_generators", "_framed"}
-    piece = next(f for _, f in _nodes(fan, ast.FunctionDef) if f.name == "_piece")
+    piece = functions["_piece"]
     assert {n.id for n in ast.walk(piece) if isinstance(n, ast.Name)}.isdisjoint({"Cone", "_framed", "_cell"})
-    refinement = next(c for _, c in _nodes(fan, ast.ClassDef) if c.name == "_Refinement")
+    refinement = next(c for _, c in _nodes(chains, ast.ClassDef) if c.name == "_Refinement")
     attributes = {a.attr for _, a in _nodes(refinement, ast.Attribute) if isinstance(a.value, ast.Name)
                   and a.value.id == "self"}
     assert attributes.isdisjoint({"order", "_ids", "cones"})
-    assert "chain_record" not in {f.name for _, f in _nodes(chains, ast.FunctionDef)}
+    defined = {f.name for path in SOURCES for _, f in _nodes(ast.parse(path.read_text()), ast.FunctionDef)}
+    assert defined.isdisjoint({"chain_record", "_by_kind"})
     assert {(path.name, where) for path in SOURCES for where, n in _nodes(ast.parse(path.read_text()), ast.Name)
-            if n.id == "_cell"} == {("fan.py", "_cells"), ("fan.py", "step")}
-    assert _callers("_cells") == {("fan.py", "resolve"), ("fan.py", "stellar_subdivision")}
-    functions = {f.name: f for _, f in _nodes(fan, ast.FunctionDef)}
+            if n.id == "_cell"} == {("chains.py", "_cells"), ("chains.py", "step")}
+    assert _callers("_cells") == {("chains.py", "resolve"), ("chains.py", "stellar_subdivision")}
     assert [ast.unparse(c) for _, c in _nodes(functions["_cells"], ast.Call) if ast.unparse(c.func) == "map"] == [
         "map(_cell, fan.maximal_cones, fan.cone_objects, itertools.repeat(index), itertools.count())"]
-    for name in ("_fine_map", "_by_kind"):
-        tests = [ast.unparse(n) for n in ast.walk(functions[name]) if isinstance(n, ast.Compare)
-                 or isinstance(n, ast.Call) and ast.unparse(n.func) == "isinstance"]
-        assert not [t for t in tests if "tuple" in t], name
-    assert [ast.unparse(n) for n in ast.walk(functions["_by_kind"]) if isinstance(n, ast.Compare)] == [
-        "len(cell[1]) < 3"]
+    tests = [ast.unparse(n) for n in ast.walk(functions["_fine_map"]) if isinstance(n, ast.Compare)
+             or isinstance(n, ast.Call) and ast.unparse(n.func) == "isinstance"]
+    assert not [t for t in tests if "tuple" in t]
+    # one refinement draws and splits every cell, telling a chain record by
+    # its generator count alone, and the loop is handed it and no callable
+    methods = {f.name: f for f in refinement.body if isinstance(f, ast.FunctionDef)}
+    for name in ("least", "split"):
+        assert [ast.unparse(n) for n in ast.walk(methods[name]) if isinstance(n, ast.Compare)][0] == (
+            "len(cell[1]) > 2"), name
+    assert [a.arg for a in functions["subdivide"].args.args] == ["first", "ref", "rng", "extra_rounds"]
+    calls = [call for _, call in _nodes(chains, ast.Call) if ast.unparse(call.func) == "subdivide"]
+    assert [[ast.unparse(a) for a in call.args] for call in calls] == [["cells[0]", "ref", "rng", "extra_rounds"]]
+    assert not calls[0].keywords and not [n for n in ast.walk(resolve) if isinstance(n, ast.Lambda)]
+
+
+def test_fan_keeps_the_geometry_and_re_exports_resolution():
+    # every function that reads or writes a cell lives in chains.py; fan.py
+    # defines none, indexes none, and ends by re-exporting resolve and
+    # stellar_subdivision, so that fan.resolve, fan.stellar_subdivision and
+    # fan.smith_normal_form stay bound for every caller
+    fan = ast.parse(next(p for p in SOURCES if p.name == "fan.py").read_text())
+    defined = {node.name for _, node in _nodes(fan, (ast.FunctionDef, ast.ClassDef))}
+    moved = {"_cell", "_cells", "_piece", "_Refinement", "_box_points", "_least_box_point", "_fine_map",
+             "resolve", "stellar_subdivision", "subdivide", "fan_order", "linked", "local_coordinates"}
+    assert defined and defined.isdisjoint(moved)
+    names = {n.id for n in ast.walk(fan) if isinstance(n, ast.Name)} | {
+        a.arg for n in ast.walk(fan) if isinstance(n, ast.arguments) for a in n.args + n.kwonlyargs}
+    assert names.isdisjoint({"cell", "cells", "first", "replaced"})
+    from_chains = [ast.unparse(node) for _, node in _nodes(fan, ast.ImportFrom) if node.module == "chains"]
+    assert from_chains == ["from .chains import resolve, stellar_subdivision"]
+    assert ast.unparse(fan.body[-1]) == from_chains[0]
+    import pexpfan.chains
+    import pexpfan.fan
+    assert pexpfan.fan.resolve is pexpfan.chains.resolve
+    assert pexpfan.fan.stellar_subdivision is pexpfan.chains.stellar_subdivision
+    assert pexpfan.fan.smith_normal_form is pexpfan.lattice.smith_normal_form
 
 
 def test_no_second_quotient_path_and_no_unused_helpers():
@@ -491,7 +531,8 @@ def test_no_second_quotient_path_and_no_unused_helpers():
 
 def test_resolve_builds_its_pieces_and_fine_fan_from_its_own_data():
     # a piece's rays are already its primitive extreme rays, and a
-    # refinement's fine fan needs none of the JSON-boundary checks
+    # refinement's fine fan needs none of the JSON-boundary checks: neither
+    # fan.py's geometry nor chains.py's cells build a fan but from JSON
     assert _callers("from_generators") == {("fan.py", "cone_objects"), ("ktheory.py", "_pairing_series")}
     assert {caller for caller in _callers("build") if caller[0] in ("fan.py", "chains.py")} == {
         ("fan.py", "from_json")}
