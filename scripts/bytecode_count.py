@@ -54,7 +54,10 @@ on every frame, so it is exact and repeats from run to run, unlike a wall-clock 
 spent in C code is not counted: builtins such as ``sorted``, ``map`` or
 ``list.index`` and the methods of ``int``, ``tuple``, ``list`` and ``dict``
 run no bytecode, so a change that moves work into C lowers the count without
-the work going away.
+the work going away.  Such a C-level form can even run slower than the
+bytecodes it saves: on a few items a chain of ``map`` calls, or set
+operations on small dicts, take longer than a comprehension or a loop, so
+judge a rewrite by its time as well as its count.
 """
 import argparse
 import functools

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Time the ROADMAP's scale rows: one JSON line {"row", "size", "median_s",
 "repeats"} each, the median of 3 runs on fresh inputs, of 101 for
-``chi_octahedron_warm`` and of 31 for ``chi_octahedron``, whose runs are
-too short for 3 to hold still (``--quick``: 1 run each on tiny sizes).
+``chi_octahedron_warm`` and of 31 for ``chi_octahedron`` and
+``series_cold``, whose runs are too short for 3 to hold still
+(``--quick``: 1 run each on tiny sizes).
 
     PYTHONPATH=src python3 scripts/scale_rows.py [--quick] [--against DIR]
 
@@ -31,7 +32,15 @@ chi of the unit on the fan of ``complete``, its resolution passed.
 e^(-s e_a) on the cone over the cube face x_a = s, its exponents times k)
 through the 48-cone ``resolve(cube_fan())``.  ``chi_octahedron_warm``: the
 same chi, its series built by one chi outside the timing, so that only the
-fold of the series' sum is timed.  ``gram_cube``: ``gram_matrix``
+fold of the series' sum is timed.  ``series_cold``: ``ktheory._pairing_series``
+of every (resolution, face) that perfbench's localize workload pairs on
+(N = 10 pairs): ``resolve(cube_fan())`` and ``resolve(cube_fan(),
+rng=Random(99), extra_rounds=2)`` at the zero face and at the ray (1,1,1),
+and the same two resolutions of P(1,1,2) at the three faces of
+``catalog.p112_duality_cones``, on fresh resolutions whose fine fans'
+faces and smoothness, which the workload's set-up builds, are built
+outside the timing, so that only the cold builds of the series are timed
+(``scripts/bytecode_count.py``'s ``series_cold_localize``).  ``gram_cube``: ``gram_matrix``
 of 8 classes (j times the octahedron class times e^(i,0,-i), j = 1..4,
 i = 0, 1) against 4 faces of the cube fan (the zero cone, the ray
 (1,1,1), an edge through it and a maximal cone) through the 48-cone
@@ -74,7 +83,7 @@ import time
 from math import gcd
 from pathlib import Path
 
-from pexpfan import catalog
+from pexpfan import catalog, ktheory
 from pexpfan.errors import DependentBasis
 from pexpfan.fan import Fan, SubdivisionMap, resolve
 from pexpfan.ktheory import chi, decompose, gram_matrix, tangent_weights
@@ -125,6 +134,21 @@ def warm_octahedron_chi(k):
     subject = octahedron_chi(k)
     resolved_chi(subject)  # builds the series
     return subject
+
+
+def localize_pairs(_):
+    """(resolution, face) for every series perfbench's localize workload
+    builds, on fresh resolutions with their fine fans' faces and smoothness
+    built, as its set-up builds them."""
+    cube, p112 = catalog.cube_fan(), catalog.weighted_p112()
+    faces = {cube: [(), cube.rayset_from_vectors([(1, 1, 1)])], p112: list(catalog.p112_duality_cones(p112))}
+    pairs = []
+    for fan, paired in faces.items():
+        for sub in (resolve(fan), resolve(fan, rng=random.Random(99), extra_rounds=2)):
+            sub.fine.is_smooth()
+            sub.fine.faces
+            pairs += [(sub, face) for face in paired]
+    return pairs
 
 
 def cube_gram(cones):
@@ -235,6 +259,8 @@ rows = [
      lambda r: resolve(catalog.cube_fan(), rng=random.Random(5), extra_rounds=r), cube_class_chi),
     ("chi_octahedron", (1,) if quick else (3, 6, 10), octahedron_chi, resolved_chi),
     ("chi_octahedron_warm", (1,) if quick else (3, 6, 10), warm_octahedron_chi, resolved_chi),
+    ("series_cold", (10,), localize_pairs,
+     lambda pairs: [ktheory._pairing_series(sub, face) for sub, face in pairs]),
     ("gram_cube", (48,) if quick else (48, 128), cube_gram,
      lambda subject: gram_matrix(subject[0].coarse, subject[1], subject[2], resolution=subject[0])),
     ("chi_wps", ((2, 3, 5),) if quick else ((101, 211, 307), (307, 601, 1009)),
@@ -252,7 +278,7 @@ rows = [
     ("decompose_wps", ((2, 3, 5),) if quick else ((101, 211, 307), (307, 601, 1009)), wps_divisor_basis,
      lambda subject: decompose(*subject)),
 ]
-repeats = {"chi_octahedron_warm": 101, "chi_octahedron": 31}
+repeats = {"chi_octahedron_warm": 101, "chi_octahedron": 31, "series_cold": 31}
 
 
 def timed(row: int, size: int) -> float:

@@ -22,7 +22,7 @@ every cell.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 
 from .errors import NonPrimitiveRay, NotAFan, RayOutsideSupport, ResolutionCheckFailed
 from .fan import Cone, Fan, RaySet, SubdivisionMap, _framed, span_coordinates
@@ -202,21 +202,25 @@ def _box_points(generators, mult: int) -> list[Vector]:
     G Z^d = diag(factors) Z^d, so x = sum k_i e_i with 0 <= k_i < d_i runs
     over the group once, and its residue is sum k_i w_i mod mult for the
     columns w_i = (mult // d_i) V[:, i] of mult * G^-1: exactly mult
-    residues, each built once, off one Smith form.  The coefficient sum of a
-    residue's point is its coordinate sum over mult, and only the residues
-    of least sum are mapped to their ambient points sum r_i g_i / mult."""
+    residues off one Smith form, listed by columns, one list per coordinate
+    of r, each factor repeating the list once per k.  The coefficient sum
+    of a residue's point is its coordinate sum over mult, and only the
+    residues of least sum are mapped to their ambient points
+    sum r_i g_i / mult."""
     factors, _, _, v = span_coordinates(len(generators[0]), generators)
-    residues = [(0,) * len(generators)]
+    columns = [[0]] * len(generators)
     for f, w in zip(factors, transpose(v)):
         if f > 1:
-            w = vec_scale(mult // f, w)
-            residues = [tuple((a + k * b) % mult for a, b in zip(h, w))
-                        for k in range(f) for h in residues]
+            columns = [[(a + s) % mult for s in range(0, f * b, b) for a in column] if b else column * f
+                       for column, b in zip(columns, vec_scale(mult // f, w))]
+    sums = columns[0]
+    for column in columns[1:]:
+        sums = list(map(add, sums, column))
     # the coordinates lie in [0, mult), so only the zero residue sums to 0
-    sums = list(map(sum, residues))
-    least = itertools.compress(residues, map(min(filter(None, sums)).__eq__, sums))
+    least = min(filter(None, sums))
     g = transpose(generators)
-    return sorted(tuple(x // mult for x in mat_vec(g, r)) for r in least)
+    return sorted(tuple(x // mult for x in mat_vec(g, r))
+                  for r in itertools.compress(zip(*columns), map(least.__eq__, sums)))
 
 
 def _least_box_point(cell: list, draw) -> Vector:

@@ -19,6 +19,7 @@ which this module re-exports.
 from __future__ import annotations
 
 import itertools
+from operator import neg
 
 from .errors import (
     ConeNotInFan,
@@ -46,7 +47,6 @@ from .lattice import (
     strict_list,
     transpose,
     value_class,
-    vec_scale,
     QuotientLattice,
 )
 
@@ -162,15 +162,19 @@ class Cone:
         if cone.is_simplicial:
             # independent generators always span a pointed cone of extreme rays
             return cone
+        # the smallest face of a point of the cone is the meet of the facets
+        # through it (``_smallest_face``): for 0 every facet, and for a
+        # generator the facets whose contacts hold it
+        contacts, every = [set(contact) for _, contact in cone.facets], set(range(len(gens)))
         # the smallest face of 0 is the largest linear subspace in the cone
-        if cone._smallest_face((0,) * rank):
+        if every.intersection(*contacts):
             raise NotStronglyConvex(f"cone on {gens} contains a line")
         if rank > 4:
             raise UnsupportedDimension(
                 "non-simplicial cones are supported only in rank <= 4"
             )
         # a generator is extreme iff the smallest face holding it is its ray
-        extreme = tuple(g for i, g in enumerate(gens) if cone._smallest_face(g) == (i,))
+        extreme = tuple(g for i, g in enumerate(gens) if every.intersection(*(c for c in contacts if i in c)) == {i})
         return cone if len(extreme) == len(gens) else Cone(rank, extreme)
 
     # -- basic geometry ------------------------------------------------------
@@ -234,7 +238,7 @@ class Cone:
         of the generators, by ``ktheory.tangent_weights`` and
         ``ktheory._pairing_series``."""
         det, adj = self._adjugate
-        return adj if det > 0 else tuple(vec_scale(-1, row) for row in adj)
+        return adj if det > 0 else tuple(tuple(map(neg, row)) for row in adj)
 
     @invariant
     def facets(self) -> tuple[tuple[Vector, tuple[int, ...]], ...]:

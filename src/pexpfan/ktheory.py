@@ -119,20 +119,29 @@ def _series_size(cone: Cone, face, bound: int) -> int:
     k = rank - dim, of the index of the subset in M intersected with the
     face's annihilator: that lattice is saturated, so the index is the gcd of
     the subset's k x k minors.  At the zero face it is the sum of |det| over
-    the rank-subsets of all the normals, the volume of their zonotope."""
+    the rank-subsets of all the normals, the volume of their zonotope.  A
+    minor is read off k of the subset's columns, its transpose."""
     normals = [u for u, _ in cone.facets if not any(pair(u, v) for v in face)]
     k = cone.rank - len(face)
-    columns = list(combinations(range(cone.rank), k))
     total = 0
     for rows in combinations(normals, k):
         if total > bound:
             break
-        total += gcd(*(_minor([list(map(row.__getitem__, cols)) for row in rows]) for cols in columns))
+        total += gcd(*map(_minor, combinations(zip(*rows), k)))
     return total
 
 
 def _minor(rows) -> int:
-    """|det| of a square integer matrix, 0 when it is singular."""
+    """|det| of a square integer matrix, 0 when it is singular: its closed
+    form up to 3 x 3, else off its adjugate."""
+    if len(rows) == 1:
+        return abs(rows[0][0])
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return abs(a * d - b * c)
+    if len(rows) == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
     try:
         return abs(adjugate(rows)[0])
     except NotIndependent:
@@ -188,8 +197,8 @@ def _pairing_series(resolution: SubdivisionMap, rayset: RaySet):
         def weights(p):
             i = star[p]
             # gram_matrix found the fine fan smooth, so each cone's S is G^-1
-            return [w for ray, w in zip(fine._generator_rays[i], fine.cone_objects[i]._scaled_inverse)
-                    if ray not in face]
+            inverse = fine.cone_objects[i]._scaled_inverse
+            return [w for ray, w in zip(fine._generator_rays[i], inverse) if ray not in face] if face else list(inverse)
         terms = []
         for a, p in keys:
             if p is not None:

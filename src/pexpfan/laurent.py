@@ -26,7 +26,8 @@ checked against the box.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import add, and_, lshift, mul, neg, rshift, sub
+from math import gcd
+from operator import add, and_, eq, lshift, mul, neg, rshift, sub
 
 from .errors import NotDivisible, NotPolynomial, RankMismatch, ResultCheckFailed, WorkBudgetExceeded, ZeroCharacter
 from .lattice import IntMatrix, Vector, mat_vec, primitive_vector, strict_int, strict_list, value_class
@@ -152,8 +153,8 @@ class LaurentPoly:
         if len(self.terms) == 1:
             e = self.terms[0][0]
             return e, e
-        columns = list(zip(*[e for e, _ in self.terms]))
-        return tuple(map(min, columns)), tuple(map(max, columns))
+        exps = [e for e, _ in self.terms]
+        return tuple(map(min, *exps)), tuple(map(max, *exps))
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -271,15 +272,18 @@ class _Packing:
         """The polynomial of a packed dict, in lex order, read by columns:
         each field of the sorted keys at once, the top one unmasked, checked
         against the box, then zipped into exponents.  Raises
-        ResultCheckFailed when a coordinate lies outside the box."""
-        keys, lo, hi = sorted(f), self.lo, self.hi
+        ResultCheckFailed when a coordinate lies outside the box: the top
+        column ascends with the keys, so its ends decide, and a masked field
+        is at least 0, so only its largest can leave the box."""
+        keys, lo, hi, mask = sorted(f), self.lo, self.hi, self.mask
         if not keys:
             return LaurentPoly(len(lo), ())
         columns = []
         for i, s in enumerate(self.shifts):
-            fields = map(rshift, keys, repeat(s))
-            column = list(map(add, map(and_, fields, repeat(self.mask)) if i else fields, repeat(lo[i])))
-            if min(column) < lo[i] or max(column) > hi[i]:
+            fields = map(rshift, keys, repeat(s)) if s else keys
+            column = list(map(add, map(and_, fields, repeat(mask)) if i else fields, repeat(lo[i])))
+            least, most = (lo[i], max(column)) if i else (column[0], column[-1])
+            if least < lo[i] or most > hi[i]:
                 raise ResultCheckFailed(f"packed exponents left the box {lo}..{hi}")
             columns.append(column)
         exps = zip(*columns) if columns else repeat((), len(keys))
@@ -561,7 +565,7 @@ def _merge_rounds(count: int, walls) -> tuple[list, list]:
                         kept += joined
             merged.add(r)
             merged.add(n)
-        alive = [r for r in alive if size[r]]
+        alive = list(filter(size.__getitem__, alive))
     return steps, sorted(alive, key=size.__getitem__, reverse=True)  # ties stay in id order
 
 
@@ -656,14 +660,16 @@ class _Plan:
     tries, or None for every direction both denominators hold, and
     ``deferred`` holds the directions that a narrowed merge left untried
     while both of its regions' factors held them, and no later merge into
-    that region tried (``reduce_localization``)."""
+    that region tried (``reduce_localization``).  In a ``primitive`` plan,
+    as every plan of tangent weights is, each factor is its own direction,
+    so the directions a region holds, or a cancel tries, are its factors."""
 
     def __init__(self, rank: int, terms, walls):
         # per term: f * N = sign * e^shift * f * (N shifted to its least corner),
         # boxed by box(f) + [shift, far], and D normalized to a multiset; then, once
         # per distinct factor, weighted by its multiplicity over all terms, the box
-        # widening, and the division order and the fields a packed character reads;
-        # then the merges; none of it reads f
+        # widening, and its direction, the division order and the fields a packed
+        # character reads; then the merges; none of it reads f
         self.rank, self.terms, zero = rank, [], (0,) * rank
         total: dict[Vector, int] = {}
         for cofactor, denom in terms:
@@ -688,40 +694,54 @@ class _Plan:
                     lo[i] += m * x
                 else:
                     hi[i] += m * x
-            d = direction[w] = primitive_vector(w)
+            d = direction[w] = w if gcd(*w) == 1 else primitive_vector(w)
             order[w] = d, w  # the division order
             top[w] = max(map(abs, w))
-            lead[w] = next(filter(w.__getitem__, range(rank)))  # the first nonzero coordinate
+            i = 0
+            while not w[i]:  # the first nonzero coordinate
+                i += 1
+            lead[w] = i
         self.widening, self.reach, self.widths = (tuple(lo), tuple(hi)), max(top.values(), default=0), {}
         self.direction, self.order, self.top, self.lead = direction, order, top, lead
         steps, self.rest = _merge_rounds(len(self.terms), walls)
         # per merge, the directions it tries: its walls', or None (every shared one);
         # per region, the directions its factors hold and those a narrowed merge into
         # it left untried while both sides held them, which no later merge tried
-        self.steps, self.narrowed, none = [], False, frozenset()
-        held, deferred = [set(map(direction.__getitem__, multiset)) for *_, multiset in self.terms], {}
+        self.primitive = primitive = all(map(eq, direction.values(), direction))
+        self.steps, narrowed, deferred = [], False, {}
+        held = [set(term[4]) if primitive else set(map(direction.__getitem__, term[4])) for term in self.terms]
         for keep, gone, joined in steps:
-            directions = None if None in joined else set(joined)
-            late = deferred.pop(gone, none) | deferred.pop(keep, none)
-            if directions is not None:
-                late, self.narrowed = (late | held[keep] & held[gone]) - directions, True
+            directions = set(joined)
+            if None in directions:
+                directions, late = None, set()
+            else:
+                late, narrowed = held[keep] & held[gone], True
+            if gone in deferred:
+                late |= deferred.pop(gone)
+            if keep in deferred:
+                late |= deferred.pop(keep)
+            if directions:
+                late -= directions
             if late:
                 deferred[keep] = late
             held[keep] |= held[gone]
             self.steps.append((keep, gone, directions))
-        self.deferred = none.union(*deferred.values())
+        self.narrowed, self.deferred = narrowed, frozenset().union(*deferred.values())
 
     def run(self, numerators) -> tuple[LaurentPoly, dict[Vector, int]]:
         """The cancelled fraction of the sum of the terms f * N / D.
 
         The packing's field width depends on the numerators, but what reads
         only the plan and the width is computed on the first run at that
-        width and kept in ``widths``: per direction W(w), its field shift
-        and mask and its leading coordinate (``_Packing.character``), and
-        per term W(shift) and the packed exponents of N.  A run recomputes
-        only the extents, which read the box's span, and a plan run once
-        computes each of these once, as it would uncached.  The last cancel
-        of a narrowed fold tries only the directions in ``deferred``."""
+        width and kept in ``widths``: per factor W(w), its field shift and
+        mask and its leading coordinate (``_Packing.character`` without the
+        extent), and per term W(shift) and the packed exponents of N.  A
+        cancel reads the extent of each factor it tries off the box's span,
+        and a plan run once computes each of these once, as it would
+        uncached.  A numerator is cancelled alone only when it is no
+        monomial and its coefficients sum to 0, since otherwise no 1 - e^w
+        divides it.  The last cancel of a narrowed fold tries only the
+        directions in ``deferred``."""
         lows, highs = [], []
         for f, (shift, far, _, _, _) in zip(numerators, self.terms):
             if f.terms:
@@ -742,19 +762,24 @@ class _Plan:
                 [(sum(map(lshift, shift, shifts)),
                   shifted and [(sum(map(lshift, e, shifts)), c) for e, c in zip(*shifted)])
                  for shift, _, _, shifted, _ in self.terms])
-        span, top = packing.span, self.top
-        chars = {w: (*ch, span // top[w]) for w, ch in width[0].items()}
+        characters, span, top, primitive = width[0], packing.span, self.top, self.primitive
 
         def cancel(num: dict[int, int], den: dict[Vector, int], directions=None) -> dict[int, int]:
             """Divide num by the factors of den (those in ``directions`` only,
             when given) while they divide it; den loses what was divided."""
             if not num:
                 den.clear()
+                return num
             if sum(num.values()):  # 1 - e^w vanishes at e^w = 1, so it divides no such num
                 return num
-            tried = den if directions is None else [w for w in den if direction[w] in directions]
+            if directions is None:
+                tried = den
+            elif primitive:
+                tried = den.keys() & directions
+            else:
+                tried = [w for w in den if direction[w] in directions]
             for w in sorted(tried, key=order.__getitem__):
-                ch, m = chars[w], den[w]
+                ch, m = (*characters[w], span // top[w]), den[w]  # with the extent of w in this box
                 while m:
                     quotient = _packed_divide(num, ch)
                     if quotient is None:
@@ -771,17 +796,18 @@ class _Plan:
             ``directions``, by default every direction both denominators hold."""
             (num, den), (other, other_den) = a, b
             if directions is None:
-                directions = set(map(direction.__getitem__, den)).intersection(map(direction.__getitem__, other_den))
+                directions = (den.keys() & other_den.keys() if primitive else
+                              set(map(direction.__getitem__, den)).intersection(map(direction.__getitem__, other_den)))
             lcm = dict(den)
             for w, m in other_den.items():
                 held = den.get(w, 0)
                 if m > held:
-                    num = _packed_times_koszul(num, chars[w][0], m - held)
+                    num = _packed_times_koszul(num, characters[w][0], m - held)
                     lcm[w] = m
             for w, m in den.items():
                 held = other_den.get(w, 0)
                 if m > held:
-                    other = _packed_times_koszul(other, chars[w][0], m - held)
+                    other = _packed_times_koszul(other, characters[w][0], m - held)
             if len(num) < len(other):
                 num, other = other, num
             for q, c in other.items():
@@ -795,14 +821,20 @@ class _Plan:
         parts = []
         for f, (_, _, sign, _, multiset), (packed_shift, cofactor) in zip(numerators, self.terms, width[1]):
             offset, den = packed_shift - origin, dict(multiset)
-            num = cancel({sum(map(lshift, e, shifts)) + offset: sign * c for e, c in f.terms}, den)
-            if cofactor and num:
-                product: dict[int, int] = {}
-                for r, d in cofactor:
-                    for p, c in num.items():
+            num = {sum(map(lshift, e, shifts)) + offset: sign * c for e, c in f.terms}
+            if len(num) != 1 and not sum(num.values()):  # 1 - e^w divides no monomial, nor a sum not 0 at 1
+                num = cancel(num, den)
+            if cofactor and num:  # times N: its first term shifts N, each other one adds it in
+                (p, c), *rest = num.items()
+                num = {p + r: c * d for r, d in cofactor}
+                for p, c in rest:
+                    for r, d in cofactor:
                         q = p + r
-                        product[q] = product.get(q, 0) + c * d
-                num = {q: c for q, c in product.items() if c}
+                        v = num.get(q, 0) + c * d
+                        if v:
+                            num[q] = v
+                        else:
+                            del num[q]
             parts.append((num, den))
         for keep, gone, directions in self.steps:
             parts[keep], parts[gone] = merge(parts[keep], parts[gone], directions), None

@@ -1743,6 +1743,29 @@ class TestAgainstOracles:
             assert cone._smallest_face(x) == (
                 tuple(i for i, v in enumerate(lam) if v) if held else None)
 
+    def test_from_generators_reads_faces_off_facet_contacts(self):
+        """``Cone.from_generators`` reads the smallest faces of 0 and of
+        each generator off its facet contacts: on seeded non-simplicial
+        cones in ranks 3 and 4 it refuses a line, and keeps the extreme
+        generators, exactly as ``_smallest_face`` at those points decides."""
+        rng = random.Random(20261022)
+        seen = {"line": 0, "kept": 0, "dropped": 0}
+        for rank in (3, 4):
+            for _ in range(150):
+                vectors = [tuple(rng.randint(-2, 2) for _ in range(rank)) for _ in range(rng.randint(rank + 1, 7))]
+                whole = Cone(rank, tuple(sorted({primitive_vector(v) for v in vectors if any(v)})))
+                if not whole.generators or whole.is_simplicial:
+                    continue
+                if whole._smallest_face((0,) * rank):
+                    with pytest.raises(NotStronglyConvex, match="contains a line$"):
+                        Cone.from_generators(rank, vectors)
+                    seen["line"] += 1
+                    continue
+                extreme = tuple(g for i, g in enumerate(whole.generators) if whole._smallest_face(g) == (i,))
+                assert Cone.from_generators(rank, vectors).generators == extreme, vectors
+                seen["kept" if extreme == whole.generators else "dropped"] += 1
+        assert min(seen.values()) >= 10, seen
+
     def test_a_region_holding_a_line_has_no_extreme_rays(self):
         # the one candidate of the half-plane x >= 0, (0, 1), spans its lineality space
         assert fan_module.extreme_rays_of_region(2, [(1, 0)], ()) == ()

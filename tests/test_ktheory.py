@@ -666,6 +666,46 @@ class TestPairingsAtAPoint:
                     checked += 1
         assert checked == 3 * len(fan.faces) * len(classes)
 
+    def test_criterion_4_and_7_pairings_agree_at_a_point(self, p112, cube):
+        """Criterion 4 checks its pairings only against each other, so a
+        fault common to both of its resolutions would pass it.  Its classes
+        are drawn again from its seed, and every fifth one is checked at a
+        point: chi and the pairing at the class's face, through ``resolve``
+        and ``resolve(rng=Random(99), extra_rounds=2)``; then every entry of
+        criterion 7's Gram matrices: of the displayed spanning classes, of
+        the basis (unit, divisor, smooth-point class) and of the solved
+        dual basis."""
+        rng = random.Random(20260810)  # criterion 4's stream
+        jobs = [
+            (p112, [from_cartier(p112, CartierData(((0, 0), (0, b), (2 * b, 0)))) for b in (1, 2)], 35,
+             list(catalog.p112_duality_cones(p112))),
+            (cube, [catalog.octahedron_class(cube, s) for s in (1, 2)], 15,
+             [cube.rayset_from_vectors([(1, 1, 1)]), ()]),
+        ]
+        checks = []  # (resolution, class, face, result)
+        for fan, cartiers, count, taus in jobs:
+            resolutions = (resolve(fan), resolve(fan, rng=random.Random(99), extra_rounds=2))
+            for k in range(count):
+                f = random_cartier_combination(fan, cartiers, rng)
+                if k % 5 == 0:
+                    tau = taus[k % len(taus)]
+                    for r in resolutions:
+                        checks += [(r, f, (), chi(fan, f, resolution=r)),
+                                   (r, f, tau, kronecker_pair(fan, f, tau, resolution=r))]
+        spans, cones = catalog.p112_spanning_classes(p112), catalog.p112_duality_cones(p112)
+        r = resolve(p112)
+        one, zero = LaurentPoly.one(2), LaurentPoly.zero(2)
+        smooth_point = gkm_validate(p112, (zero, zero, (one - E((1, 0))) * (one - E((2, -1))))).function
+        for classes in (spans, (spans[0], spans[1], smooth_point), dual_basis_solve(p112, cones, spans, resolution=r)):
+            gram = gram_matrix(p112, classes, cones, resolution=r)
+            checks += [(r, f, face, entry) for f, row in zip(classes, gram.entries) for face, entry in zip(cones, row)]
+        for seed, (r, f, face, result) in enumerate(checks):
+            total, value = pairing_at_point(r, f, face, result, random.Random(seed))
+            assert total == value, (seed, face)
+            unit = LaurentPoly.one(r.fine.rank)
+            assert pairing_at_point(r, f, face, result + unit, random.Random(seed))[1] != total, (seed, face)
+        assert len(checks) == 4 * (7 + 3) + 3 * 9
+
     def test_the_unit_chi_on_the_4_cube_checks_at_a_point(self):
         """The zero face of the 384-cone resolution of the 4-cube's face fan,
         whose ungrouped fold takes minutes, is checked at two points."""

@@ -131,7 +131,7 @@ def test_scale_rows_quick_prints_every_row():
     rows = {
         "complete", "resolve_tied", "resolve_tied_rng1", "resolve_tied3", "resolve_a", "resolve_r3",
         "resolve_r4", "resolve_dim2", "chi_rank2", "chi_cube128", "chi_octahedron", "chi_octahedron_warm",
-        "gram_cube", "chi_wps", "gkm_violations", "gkm_report", "validate_r3", "descend_r3",
+        "series_cold", "gram_cube", "chi_wps", "gkm_violations", "gkm_report", "validate_r3", "descend_r3",
         "planless_shuffled", "decompose_dependent", "decompose_p1n", "decompose_wps"}
     proc = run_script("scale_rows.py", "--quick")
     assert proc.returncode == 0, proc.stderr
@@ -139,7 +139,7 @@ def test_scale_rows_quick_prints_every_row():
     assert all(set(line) == {"row", "size", "median_s", "repeats"} for line in lines)
     assert all(line["median_s"] >= 0 and line["repeats"] == 1 for line in lines)
     assert {line["row"] for line in lines} == rows
-    assert len(lines) == 34
+    assert len(lines) == 35
     # this checkout against itself, each side in its own worker: both
     # medians and their ratio on every row and size
     proc = run_script("scale_rows.py", "--quick", "--against", ".")
